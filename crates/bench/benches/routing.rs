@@ -245,8 +245,8 @@ fn bench_covering_release_index_vs_linear(c: &mut Criterion) {
 }
 
 /// A PRT mixing the 40-group random pool with the two-attribute and
-/// string-prefix pools, so batch matching exercises the numeric sweep,
-/// the second attribute group, and the string buckets together.
+/// string-prefix pools, so batch matching exercises the packed numeric
+/// rows, the second attribute group, and the string buckets together.
 fn loaded_prt_mixed(n: usize) -> Prt {
     let mut prt = Prt::new();
     for i in 0..n {
@@ -274,11 +274,11 @@ fn pub_batch(k: usize) -> Vec<Publication> {
         .collect()
 }
 
-/// The PR's tentpole ablation: amortized batch matching through
-/// `matching_routes_batch`. Every row processes the *same* 256
-/// publications per iteration, chunked at the row's batch size, so
-/// `ns_per_iter` is directly comparable across batch sizes and the
-/// amortization ratio is `ns(batch1) / ns(batchK)`.
+/// Batch matching through `matching_routes_batch`. Every row processes
+/// the *same* 256 publications per iteration, chunked at the row's
+/// batch size, so `ns_per_iter` is directly comparable across batch
+/// sizes: what a batch amortizes (the per-call set-up and the route
+/// cache) is `ns(batch1) / ns(batchK)`.
 fn bench_publish_batch(c: &mut Criterion) {
     const TOTAL: usize = 256;
     let mut g = c.benchmark_group("publish_batch");
@@ -294,7 +294,7 @@ fn bench_publish_batch(c: &mut Criterion) {
                 })
             });
         }
-        // The pre-batching API as the outside baseline.
+        // The one-publication API.
         g.bench_with_input(BenchmarkId::new("unbatched", n), &n, |bch, _| {
             bch.iter(|| {
                 for p in &pubs {
@@ -307,9 +307,10 @@ fn bench_publish_batch(c: &mut Criterion) {
 }
 
 /// A PRT of `n` wide-attribute two-band subscriptions: work in every
-/// shard, hits ≫ matches (the shape the parallel merge targets).
-fn loaded_prt_wide(n: usize) -> Prt {
+/// shard, hits ≫ matches.
+fn loaded_prt_wide(n: usize, par: Parallelism) -> Prt {
     let mut prt = Prt::new();
+    prt.set_parallelism(par);
     for i in 0..n {
         let sub = Subscription::new(SubId::new(ClientId(i as u64), i as u32), wide_sub_filter(i));
         prt.insert(sub, Hop::Client(ClientId(i as u64)));
@@ -317,27 +318,22 @@ fn loaded_prt_wide(n: usize) -> Prt {
     prt
 }
 
-/// The sharded parallel matching stage against the sequential
-/// amortized sweep, 10k wide PRT rows, one 256-publication batch per
-/// iteration. `sequential` is the workers = 0 fallback; `shardsN` rows
-/// run the parallel stage with N shards (worker pool capped at 4).
+/// One 256-publication batch against 10k wide PRT rows, matched on the
+/// calling thread (`caller`) and spread over the worker pool (`pooled`:
+/// 4 workers, clamped to the machine's hardware threads).
 fn bench_parallel_match(c: &mut Criterion) {
     const N: usize = 10_000;
     const BATCH: usize = 256;
     let pubs: Vec<Publication> = (0..BATCH).map(wide_publication).collect();
     let mut g = c.benchmark_group("parallel_match");
-    let prt = loaded_prt_wide(N);
-    g.bench_with_input(BenchmarkId::new("sequential", N), &N, |bch, _| {
-        bch.iter(|| black_box(prt.matching_batch(black_box(&pubs))))
-    });
-    for shards in [1usize, 4, 8] {
-        let mut prt = loaded_prt_wide(N);
-        prt.set_parallelism(Parallelism::sharded(shards, shards.min(4)));
-        g.bench_with_input(
-            BenchmarkId::new(format!("shards{shards}"), N),
-            &N,
-            |bch, _| bch.iter(|| black_box(prt.matching_batch(black_box(&pubs)))),
-        );
+    for (name, par) in [
+        ("caller", Parallelism::sequential()),
+        ("pooled", Parallelism::sharded(4, 4)),
+    ] {
+        let prt = loaded_prt_wide(N, par);
+        g.bench_with_input(BenchmarkId::new(name, N), &N, |bch, _| {
+            bch.iter(|| black_box(prt.matching_batch(black_box(&pubs))))
+        });
     }
     g.finish();
 }

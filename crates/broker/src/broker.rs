@@ -467,8 +467,8 @@ impl BrokerCore {
     /// the batch and concatenating the outputs (publications do not
     /// mutate routing state, so a run of them commutes with nothing in
     /// between), but maximal runs of consecutive publications are
-    /// matched through one amortized index sweep
-    /// ([`Prt::matching_routes_batch`]) instead of one probe each.
+    /// matched through one batch call
+    /// ([`Prt::matching_routes_batch`]).
     pub fn handle_batch(&mut self, from: Hop, msgs: Vec<PubSubMsg>) -> OutputBatch {
         self.handle_batch_prematched(from, msgs, None)
     }
@@ -542,9 +542,9 @@ impl BrokerCore {
     }
 
     /// Routes an accumulated run of publications through one batch
-    /// matching sweep — or through still-fresh pre-computed routes —
-    /// emitting the same effects, in the same order, as routing them
-    /// one by one.
+    /// match — or through still-fresh pre-computed routes — emitting
+    /// the same effects, in the same order, as routing them one by
+    /// one.
     fn flush_publish_run(
         &mut self,
         from: Hop,
@@ -559,7 +559,7 @@ impl BrokerCore {
         // current; drop the whole pre-computation the moment it goes
         // stale (the version only moves forward, so it cannot become
         // valid again).
-        let taken = match pre {
+        let mut routes = match pre {
             Some(p) if p.version == self.prt.routing_version() => {
                 let rows = p.routes[p.pos..p.pos + run.len()].to_vec();
                 p.pos += run.len();
@@ -570,30 +570,27 @@ impl BrokerCore {
                 None
             }
         };
-        let routes = taken.unwrap_or_else(|| {
-            let contents: Vec<_> = run.iter().map(|p| p.content.clone()).collect();
-            match contents.len() {
-                1 => vec![self.prt.matching_routes(&contents[0])],
-                _ => self.prt.matching_routes_batch(&contents),
+        if self.config.multipath {
+            // A publication already forwarded and delivered here via
+            // another path of the cyclic overlay is dropped before it
+            // costs a match. (Its pre-computed row was taken above,
+            // keeping the cursor aligned, and goes with it.)
+            let fresh: Vec<bool> = run.iter().map(|p| self.dedup.insert(p.id)).collect();
+            let mut keep = fresh.iter();
+            run.retain(|_| *keep.next().expect("one flag per publication"));
+            if let Some(rows) = &mut routes {
+                let mut keep = fresh.iter();
+                rows.retain(|_| *keep.next().expect("one flag per publication"));
             }
-        });
-        #[cfg(debug_assertions)]
-        {
-            let contents: Vec<_> = run.iter().map(|p| p.content.clone()).collect();
-            debug_assert_eq!(
-                routes,
-                self.prt.matching_routes_batch(&contents),
-                "pre-computed routes diverged from the current routing state"
-            );
         }
+        let contents = || -> Vec<_> { run.iter().map(|p| p.content.clone()).collect() };
+        let routes = routes.unwrap_or_else(|| self.prt.matching_routes_batch(&contents()));
+        debug_assert_eq!(
+            routes,
+            self.prt.matching_routes_batch(&contents()),
+            "pre-computed routes diverged from the current routing state"
+        );
         for (p, routes_p) in run.drain(..).zip(routes) {
-            if self.config.multipath && !self.dedup.insert(p.id) {
-                // Already forwarded and delivered here via another
-                // path of the cyclic overlay: drop the duplicate
-                // entirely. (The pre-computed routes row was consumed
-                // by the zip, keeping the cursor aligned.)
-                continue;
-            }
             batch.extend(self.emit_publish(from, p, routes_p));
         }
     }

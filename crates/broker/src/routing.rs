@@ -589,9 +589,9 @@ impl Prt {
     }
 
     /// [`Prt::matching`] for every publication of a batch, in batch
-    /// order. Served by the counting index's amortized sweep
-    /// ([`MatchIndex::matching_batch`]); identical to mapping
-    /// [`Prt::matching`] over the slice (asserted in debug builds).
+    /// order. Served by the counting index
+    /// ([`MatchIndex::matching_batch`]); asserted against the linear
+    /// scan in debug builds.
     pub fn matching_batch(&self, publications: &[Publication]) -> Vec<Vec<SubId>> {
         let out = self.index.matching_batch(publications);
         #[cfg(debug_assertions)]
@@ -606,8 +606,8 @@ impl Prt {
     }
 
     /// [`Prt::matching_routes`] for every publication of a batch, in
-    /// batch order: the amortized matching sweep joined with the
-    /// active and pending lasthops publication forwarding needs.
+    /// batch order: the batch match joined with the active and pending
+    /// lasthops publication forwarding needs.
     ///
     /// Matching ids repeat heavily across a batch (hot subscriptions
     /// match most publications), so the row lookup is cached per

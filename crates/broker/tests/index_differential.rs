@@ -118,7 +118,7 @@ fn replay(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
 }
 
 /// The same replay with the tables switched to a sharded layout and a
-/// live worker pool (the parallel matching stage).
+/// live worker pool.
 fn replay_parallel(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
     let (mut prt, mut srt) = replay(steps);
     prt.set_parallelism(Parallelism::sharded(4, 2));
@@ -229,11 +229,11 @@ proptest! {
         prop_assert_eq!(psrt.covered_by(&query), srt.covered_by_linear(&query));
     }
 
-    /// The parallel matching stage (`matching_batch` over sharded
-    /// tables) returns publication-for-publication exactly what the
-    /// sequential batch sweep and the linear scans return.
+    /// `matching_batch` spread over the worker pool on sharded tables
+    /// returns publication-for-publication exactly what it returns on
+    /// the caller thread, and what the linear scans return.
     #[test]
-    fn parallel_batch_equals_sequential_batch(steps in arb_steps()) {
+    fn pooled_batch_equals_caller_batch(steps in arb_steps()) {
         let (prt, _) = replay(&steps);
         let (pprt, _) = replay_parallel(&steps);
         let pubs = probe_pubs();
@@ -242,6 +242,44 @@ proptest! {
         prop_assert_eq!(&par, &seq);
         for (i, p) in pubs.iter().enumerate() {
             prop_assert_eq!(&par[i], &prt.matching_linear(p), "pub {}", p);
+        }
+    }
+
+    /// Probes *between* the writes, on a table big enough that the
+    /// index's packed snapshot is built, aged by inserts and removes
+    /// beside it (freed slots parked, then reused after a rebuild) and
+    /// rebuilt several times over: at every step, single and batch
+    /// matching ≡ the linear scan.
+    #[test]
+    fn matching_equals_linear_between_writes(
+        base in proptest::collection::vec(arb_filter(), 40..80),
+        steps in proptest::collection::vec((0u8..3, 0u64..120, arb_filter(), 0usize..4), 1..160),
+    ) {
+        let mut prt = Prt::new();
+        for (i, specs) in base.iter().enumerate() {
+            let sid = SubId::new(ClientId(i as u64), 0);
+            prt.insert(Subscription::new(sid, build_filter(specs)), Hop::Client(ClientId(1)));
+        }
+        let pubs = probe_pubs();
+        for (n, (op, slot, specs, probes)) in steps.iter().enumerate() {
+            let sid = SubId::new(ClientId(*slot), 0);
+            // Removes twice as often as not hit a live row (ids below
+            // the base size); inserts refill freed ids and add new ones.
+            if *op == 0 {
+                prt.remove(sid);
+            } else if prt.get(sid).is_none() {
+                prt.insert(Subscription::new(sid, build_filter(specs)), Hop::Client(ClientId(1)));
+            }
+            // 0 probes: consecutive writes with no probe between them.
+            for p in pubs.iter().cycle().skip(n).take(*probes) {
+                prop_assert_eq!(prt.matching(p), prt.matching_linear(p), "step {} pub {}", n, p);
+            }
+            if *probes == 3 {
+                let got = prt.matching_batch(&pubs);
+                for (i, p) in pubs.iter().enumerate() {
+                    prop_assert_eq!(&got[i], &prt.matching_linear(p), "step {} pub {}", n, p);
+                }
+            }
         }
     }
 

@@ -104,8 +104,8 @@ impl MobileBrokerConfig {
     /// Applies a [`Parallelism`](transmob_broker::Parallelism) layout
     /// to the embedded routing-core config: every driver that builds
     /// brokers from this config (instant, simulated, sync-net, TCP)
-    /// gets sharded match tables and the parallel matching stage,
-    /// with routing decisions identical to the sequential default.
+    /// gets sharded match tables and batches matched over the worker
+    /// pool, with routing decisions identical to the default layout.
     pub fn with_parallelism(mut self, par: transmob_broker::Parallelism) -> Self {
         self.broker = self.broker.with_parallelism(par);
         self

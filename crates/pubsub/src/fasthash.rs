@@ -21,8 +21,8 @@
 //! bytes hash identically in every map, every shard, every process and
 //! every run. The shard an attribute maps to is a pure function of its
 //! bytes and the shard count — re-partitioning on a layout change and
-//! the scatter step of the parallel matching stage can therefore never
-//! disagree about ownership, and a key is never "reused" across shards:
+//! every later lookup can therefore never disagree about ownership,
+//! and a key is never "reused" across shards:
 //! it lives in exactly the one shard its hash names.
 
 use std::collections::{HashMap, HashSet};

@@ -32,14 +32,9 @@
 //!   `f64::total_cmp` — the order all numeric constraints use — two
 //!   floats are equal iff their bit patterns are equal, so a single
 //!   hash probe with `value.to_bits()` is exact.
-//! - general numeric **interval** constraints live in a `BTreeMap`
-//!   keyed by their *effective lower bound* in the total order
-//!   (unbounded-below maps to the total-order minimum, the negative
-//!   NaN with maximal payload). A value `x` can only satisfy intervals
-//!   whose lower bound is `≤ x`, so a prefix range scan enumerates a
-//!   superset of the satisfied intervals; each candidate is then
-//!   verified against its upper bound (and, rarely, its `!=`
-//!   exclusions).
+//! - general numeric **interval** constraints live in the
+//!   dual-endpoint maps below, and are probed through the packed
+//!   snapshot the matching kernel derives from them.
 //! - string constraints pinned to a **single value** (`s = "v"`) live
 //!   in a hash map keyed by that value; constraints with **prefix**
 //!   conjuncts are bucketed under their first prefix, probed by
@@ -86,55 +81,77 @@
 //! documented in [`crate::constraint`]. The routing layer keeps the
 //! linear scans alive as a differential oracle.
 //!
-//! # Sharding and the parallel matching stages
+//! # The matching kernel
+//!
+//! One function, `MatchIndex::match_chunk`, matches publications
+//! against the table; [`MatchIndex::matching`] runs it on a batch of
+//! one and [`MatchIndex::matching_batch`] over the slice. It works
+//! *publication-major*: per publication, a countdown cell per stored
+//! filter (a dense *slot* id, seeded with the filter's arity by one
+//! bulk copy) is decremented once for every satisfied constraint, and
+//! a cell reaching zero emits its key. The cells of one publication
+//! fit the cache however the probes scatter over them.
+//!
+//! Point, string, presence and fallback constraints are probed in the
+//! live per-attribute buckets above. General numeric intervals are
+//! probed in a *packed snapshot* of the table, `PackedTables`: per
+//! attribute the rows are stored twice, sorted ascending by lower
+//! bound and descending by upper bound, with the sort endpoints in
+//! parallel `f64` arrays. Two binary searches bound the qualifying
+//! prefix of each array and only the **smaller** prefix is scanned,
+//! every visited row costing one comparison against its opposite
+//! endpoint. Rows with an exclusive bound keep both endpoints; rows
+//! with `!=` exclusions are checked against their constraint.
+//!
+//! # Rebuild policy
+//!
+//! The snapshot is built lazily by the first probe that finds none,
+//! so any number of writes without a probe between them (a broker's
+//! set-up) cost nothing. Once it exists, writes do not rebuild it:
+//!
+//! - an interval row inserted since the build is appended to its
+//!   attribute's `fresh` list, which every numeric probe of that
+//!   attribute checks exhaustively against the row's constraint;
+//! - a removed filter's countdown seed is zeroed, so the rows the
+//!   snapshot (or a `fresh` list) still holds for its slot can never
+//!   complete, and the slot is not reused before the next build.
+//!
+//! Once the writes since the build exceed a fixed fraction of the
+//! table (`REBUILD_FRACTION`) the snapshot is dropped, and the next
+//! probe builds a new one.
+//!
+//! # Sharding and scheduling
 //!
 //! The per-attribute structures are hash-partitioned into
 //! [`Parallelism::shards`] shards: attribute `a` lives in shard
-//! `FastHasher(a) % shards`, a pure function of the attribute name, so
-//! every insert/remove/query decomposes into independent per-shard
-//! operations and an attribute's entire bucket family (interval map,
-//! point/prefix hashes, dual-endpoint containment trees) is always
-//! co-located in exactly one shard.
+//! `FastHasher(a) % shards`, a pure function of the attribute name.
+//! [`Parallelism::workers`] decides only *where* the kernel runs: with
+//! two or more, a batch is split into contiguous publication chunks
+//! claimed off an atomic cursor by the caller and the index's
+//! persistent worker pool (lazily started, shared by clones), and the
+//! chunk results are stitched back in batch order; otherwise the whole
+//! batch runs on the caller. Either way every chunk goes through the
+//! same function, so the schedule cannot change an answer.
 //!
-//! [`MatchIndex::matching_batch`] selects among three equivalent
-//! stages by [`Parallelism::workers`]:
+//! # Oracle
 //!
-//! - **0 — sequential sweep**: the single-threaded amortized sweep,
-//!   the default and the differential oracle every other stage is
-//!   asserted against in debug builds.
-//! - **1 — inline sharded stage**: probes are scattered by owning
-//!   shard, each shard emits flat per-publication hit vectors of dense
-//!   *slot* ids on the caller thread, and the hits are merged in
-//!   ascending shard order through a dense array countdown re-seeded
-//!   per publication. No threads are ever involved.
-//! - **≥ 2 — pooled stage**: the batch is split into contiguous
-//!   *publication chunks* claimed off an atomic cursor by the caller
-//!   and the index's persistent worker pool (lazily started, parked on
-//!   a channel between batches, shared by clones). Chunks are matched
-//!   *publication-major* against an immutable [`PackedAttr`] snapshot
-//!   of the numeric tables (rebuilt lazily when the index has mutated,
-//!   shared by all workers): per probe, both endpoint-sorted arrays
-//!   are binary-searched and only the **smaller** qualifying prefix is
-//!   scanned, each visited row costing one comparison and, on a hit,
-//!   one decrement of a per-publication count-grid block that stays
-//!   cache-hot because all of a publication's probes bump the same
-//!   block. Completed slots are staged as `u32` ranks and mapped back
-//!   to keys already in sorted order, so there is no per-batch probe
-//!   sort, no admission/retirement state, no serial scatter or merge
-//!   section — and no key-comparison sort of the result rows. Chunk
-//!   results are stitched back in batch order.
+//! The reference is the linear scan: [`Filter::matches`] over every
+//! row, kept behind `Prt::matching_linear` in the routing layer, which
+//! asserts every indexed answer against it in debug builds, and stated
+//! as a property over random churn in `index_differential.rs`.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher as _};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use crate::fasthash::{FastHasher, FastMap};
-use crate::pool::{MatchScratch, PoolStats, WorkerPool};
+use crate::pool::{PoolStats, WorkerPool};
 
 use crate::constraint::{Bound, Constraint, Interval, TotalF64};
 use crate::filter::Filter;
@@ -146,38 +163,14 @@ use crate::value::Value;
 pub trait IndexKey: Copy + Ord + Eq + Hash + Debug {}
 impl<T: Copy + Ord + Eq + Hash + Debug> IndexKey for T {}
 
-/// One general numeric interval constraint, denormalized for cheap
-/// verification during the prefix scan. The lower bound is the bucket
-/// key it is stored under.
-#[derive(Debug, Clone)]
-struct NumRow<K> {
-    key: K,
-    /// The key's dense slot id (see [`SlotTable`]), carried inline so
-    /// the batch paths can emit slots without a per-hit map lookup.
-    slot: u32,
-    /// Lower bound is exclusive (`x > lo` rather than `x ≥ lo`).
-    lo_excl: bool,
-    /// Effective upper bound in the total order.
-    hi: f64,
-    /// Upper bound is exclusive.
-    hi_excl: bool,
-    /// The constraint carries `!=` exclusions; hits must be re-checked
-    /// against the authoritative constraint.
-    has_exclusions: bool,
-}
-
 /// Where a constraint lives inside an [`AttrIndex`]. Classification is
 /// a pure function of the constraint, so insert and remove agree.
 enum Bucket {
     Present,
     NumEq(u64),
-    NumRange {
-        lo: TotalF64,
-        lo_excl: bool,
-        hi: f64,
-        hi_excl: bool,
-        has_exclusions: bool,
-    },
+    /// Any other numeric constraint: probed through the packed
+    /// snapshot built from the dual-endpoint maps.
+    NumRange,
     StrEq(String, bool),
     StrPre(String, bool),
     Other,
@@ -192,28 +185,12 @@ fn classify(c: &Constraint) -> Bucket {
                     return Bucket::NumEq(p.to_bits());
                 }
             }
-            let (lo, lo_excl) = match n.interval.lo() {
-                Bound::Unbounded => (TotalF64::MIN.0, false),
-                Bound::Incl(v) => (*v, false),
-                Bound::Excl(v) => (*v, true),
-            };
-            let (hi, hi_excl) = match n.interval.hi() {
-                Bound::Unbounded => (TotalF64::MAX.0, false),
-                Bound::Incl(v) => (*v, false),
-                Bound::Excl(v) => (*v, true),
-            };
-            Bucket::NumRange {
-                lo: TotalF64(lo),
-                lo_excl,
-                hi,
-                hi_excl,
-                has_exclusions: !n.excluded.is_empty(),
-            }
+            Bucket::NumRange
         }
         Constraint::Str(s) => {
             // `exact`: reaching the bucket already proves satisfaction,
             // so probes may bump without consulting the authoritative
-            // constraint (the data-local trick of `NumRow`).
+            // constraint.
             let plain = s.excluded.is_empty() && s.suffixes.is_empty() && s.contains.is_empty();
             if let Some(p) = s.interval.as_point() {
                 Bucket::StrEq(p.clone(), plain && s.prefixes.is_empty())
@@ -228,20 +205,6 @@ fn classify(c: &Constraint) -> Bucket {
         // Unsatisfiable filters are kept out of the attribute indexes
         // entirely (MatchIndex::insert).
         Constraint::Empty => unreachable!("empty constraints are not indexed"),
-    }
-}
-
-/// Effective total-order endpoints of a numeric bucket (point
-/// constraints are the degenerate interval `[p, p]`); `None` for
-/// non-numeric buckets.
-fn num_endpoints(bucket: &Bucket) -> Option<(TotalF64, TotalF64)> {
-    match bucket {
-        Bucket::NumEq(bits) => {
-            let p = TotalF64(f64::from_bits(*bits));
-            Some((p, p))
-        }
-        Bucket::NumRange { lo, hi, .. } => Some((*lo, TotalF64(*hi))),
-        _ => None,
     }
 }
 
@@ -265,6 +228,9 @@ struct StrRow<K> {
 #[derive(Debug, Clone)]
 struct EndRow<K> {
     key: K,
+    /// The key's dense slot id (see [`SlotTable`]); the packed
+    /// snapshot is built from these rows.
+    slot: u32,
     interval: Interval<f64>,
     has_exclusions: bool,
 }
@@ -334,13 +300,15 @@ struct AttrIndex<K> {
     /// disqualification scan (sorted so results come out ordered).
     cons: BTreeMap<K, Constraint>,
     num_eq: FastMap<u64, Vec<(K, u32)>>,
-    num_lo: BTreeMap<TotalF64, Vec<NumRow<K>>>,
     /// Every numeric constraint (points included), keyed by its
     /// effective lower endpoint: one half of the dual-endpoint
     /// containment structure (module docs).
     by_lo: BTreeMap<TotalF64, Vec<EndRow<K>>>,
     /// The same rows keyed by their effective upper endpoint.
     by_hi: BTreeMap<TotalF64, Vec<EndRow<K>>>,
+    /// Interval rows inserted since the packed snapshot was built
+    /// (module docs, "Rebuild policy"); empty while there is none.
+    fresh: Vec<VerifyRow>,
     str_eq: FastMap<String, Vec<StrRow<K>>>,
     str_pre: FastMap<String, Vec<StrRow<K>>>,
     present: Vec<(K, u32)>,
@@ -352,9 +320,9 @@ impl<K: IndexKey> AttrIndex<K> {
         AttrIndex {
             cons: BTreeMap::new(),
             num_eq: FastMap::default(),
-            num_lo: BTreeMap::new(),
             by_lo: BTreeMap::new(),
             by_hi: BTreeMap::new(),
+            fresh: Vec::new(),
             str_eq: FastMap::default(),
             str_pre: FastMap::default(),
             present: Vec::new(),
@@ -362,35 +330,33 @@ impl<K: IndexKey> AttrIndex<K> {
         }
     }
 
-    fn insert(&mut self, key: K, slot: u32, c: &Constraint) {
+    /// Indexes `c` under `key`. `snapshotted` says a packed snapshot
+    /// of the table exists, which an interval row must then be probed
+    /// beside.
+    fn insert(&mut self, key: K, slot: u32, c: &Constraint, snapshotted: bool) {
         self.cons.insert(key, c.clone());
-        let bucket = classify(c);
-        if let (Some((lo, hi)), Constraint::Num(n)) = (num_endpoints(&bucket), c) {
+        if let Constraint::Num(n) = c {
+            let (lo, hi) = n.interval.total_endpoints();
             let row = EndRow {
                 key,
+                slot,
                 interval: n.interval.clone(),
                 has_exclusions: !n.excluded.is_empty(),
             };
             self.by_lo.entry(lo).or_default().push(row.clone());
             self.by_hi.entry(hi).or_default().push(row);
         }
-        match bucket {
+        match classify(c) {
             Bucket::Present => self.present.push((key, slot)),
             Bucket::NumEq(bits) => self.num_eq.entry(bits).or_default().push((key, slot)),
-            Bucket::NumRange {
-                lo,
-                lo_excl,
-                hi,
-                hi_excl,
-                has_exclusions,
-            } => self.num_lo.entry(lo).or_default().push(NumRow {
-                key,
-                slot,
-                lo_excl,
-                hi,
-                hi_excl,
-                has_exclusions,
-            }),
+            Bucket::NumRange => {
+                if snapshotted {
+                    self.fresh.push(VerifyRow {
+                        slot,
+                        cons: c.clone(),
+                    });
+                }
+            }
             Bucket::StrEq(s, exact) => {
                 self.str_eq
                     .entry(s)
@@ -411,22 +377,17 @@ impl<K: IndexKey> AttrIndex<K> {
         let Some(c) = self.cons.remove(&key) else {
             return;
         };
-        let bucket = classify(&c);
-        if let Some((lo, hi)) = num_endpoints(&bucket) {
+        if let Constraint::Num(n) = &c {
+            let (lo, hi) = n.interval.total_endpoints();
             drop_from_tree(&mut self.by_lo, lo, &key);
             drop_from_tree(&mut self.by_hi, hi, &key);
         }
-        match bucket {
+        match classify(&c) {
             Bucket::Present => self.present.retain(|(k, _)| *k != key),
             Bucket::NumEq(bits) => drop_from_bucket(&mut self.num_eq, &bits, &key),
-            Bucket::NumRange { lo, .. } => {
-                if let Some(rows) = self.num_lo.get_mut(&lo) {
-                    rows.retain(|r| r.key != key);
-                    if rows.is_empty() {
-                        self.num_lo.remove(&lo);
-                    }
-                }
-            }
+            // Snapshot and `fresh` rows of the key stay behind, dead:
+            // its countdown seed is zero until the next build.
+            Bucket::NumRange => {}
             Bucket::StrEq(s, _) => drop_str_row(&mut self.str_eq, &s, &key),
             Bucket::StrPre(p, _) => drop_str_row(&mut self.str_pre, &p, &key),
             Bucket::Other => self.other.retain(|(k, _)| *k != key),
@@ -437,137 +398,15 @@ impl<K: IndexKey> AttrIndex<K> {
         self.cons.is_empty()
     }
 
-    /// Calls `bump(key, slot)` once for every key whose constraint on
-    /// this attribute is satisfied by `value`. Exact: no false
-    /// positives, no false negatives, at most one bump per key.
-    fn count_satisfied(&self, value: &Value, bump: &mut impl FnMut(K, u32)) {
-        if let Some(x) = value.as_f64() {
-            self.num_satisfied(x, value, bump);
-        } else if let Some(s) = value.as_str() {
-            self.str_satisfied(s, value, bump);
-        }
-        self.common_satisfied(value, bump);
-    }
-
-    /// The numeric probe: the point bucket plus the prefix scan of the
-    /// interval map. `x` is `value` as an f64.
-    fn num_satisfied(&self, x: f64, value: &Value, bump: &mut impl FnMut(K, u32)) {
-        if let Some(keys) = self.num_eq.get(&x.to_bits()) {
-            for &(k, s) in keys {
-                bump(k, s);
-            }
-        }
-        for (lo, rows) in self.num_lo.range(..=TotalF64(x)) {
-            for row in rows {
-                if Self::num_row_hit(*lo, row, x, value, &self.cons) {
-                    bump(row.key, row.slot);
-                }
-            }
-        }
-    }
-
-    /// Whether interval `row` (stored under lower bound `lo`) is
-    /// satisfied by `x`, given `lo ≤ x` already holds. Shared verify
-    /// step of the single-probe scan and the batch sweep.
-    fn num_row_hit(
-        lo: TotalF64,
-        row: &NumRow<K>,
-        x: f64,
-        value: &Value,
-        cons: &BTreeMap<K, Constraint>,
-    ) -> bool {
-        if row.lo_excl && lo.0.total_cmp(&x) == Ordering::Equal {
-            return false;
-        }
-        match x.total_cmp(&row.hi) {
-            Ordering::Greater => return false,
-            Ordering::Equal if row.hi_excl => return false,
-            _ => {}
-        }
-        !row.has_exclusions || cons[&row.key].satisfied_by(value)
-    }
-
-    /// The numeric probes of a *batch*, `probes` sorted ascending by
-    /// `f64::total_cmp`. Equivalent to calling [`AttrIndex::num_satisfied`]
-    /// once per probe, but the interval map is swept exactly once:
-    /// rows enter an active set when the ascending frontier passes
-    /// their lower bound and retire permanently once it passes their
-    /// upper bound, so each probe pays for its *stabbing set* instead
-    /// of the full `lo ≤ x` prefix.
-    fn num_satisfied_batch(
-        &self,
-        probes: &[(usize, f64, &Value)],
-        bump: &mut impl FnMut(usize, K, u32),
-    ) {
-        let mut pending = self.num_lo.iter();
-        let mut next = pending.next();
-        // Admitted rows are *copied* into a packed vector: the
-        // per-probe scan walks contiguous denormalized entries instead
-        // of chasing `&NumRow` pointers back into tree nodes, which is
-        // what the sweep spends most of its time on at large tables.
-        struct ActiveRow<K> {
-            lo: f64,
-            hi: f64,
-            key: K,
-            slot: u32,
-            lo_excl: bool,
-            hi_excl: bool,
-            has_exclusions: bool,
-        }
-        let mut active: Vec<ActiveRow<K>> = Vec::new();
-        for &(pi, x, value) in probes {
-            if let Some(keys) = self.num_eq.get(&x.to_bits()) {
-                for &(k, s) in keys {
-                    bump(pi, k, s);
-                }
-            }
-            while let Some((lo, rows)) = next {
-                if lo.0.total_cmp(&x) == Ordering::Greater {
-                    break;
-                }
-                active.extend(rows.iter().map(|r| ActiveRow {
-                    lo: lo.0,
-                    hi: r.hi,
-                    key: r.key,
-                    slot: r.slot,
-                    lo_excl: r.lo_excl,
-                    hi_excl: r.hi_excl,
-                    has_exclusions: r.has_exclusions,
-                }));
-                next = pending.next();
-            }
-            let mut i = 0;
-            while i < active.len() {
-                let row = &active[i];
-                match x.total_cmp(&row.hi) {
-                    Ordering::Greater => {
-                        // Later probes are ≥ x in the total order, so
-                        // the row can never be satisfied again: retire.
-                        active.swap_remove(i);
-                        continue;
-                    }
-                    Ordering::Equal if row.hi_excl => {}
-                    _ => {
-                        if !(row.lo_excl && row.lo.total_cmp(&x) == Ordering::Equal)
-                            && (!row.has_exclusions || self.cons[&row.key].satisfied_by(value))
-                        {
-                            bump(pi, row.key, row.slot);
-                        }
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-
     /// The string probe: the point bucket plus every prefix of the
     /// published string. `exact` rows bump straight from the bucket;
-    /// the rest verify against the authoritative constraint.
-    fn str_satisfied(&self, s: &str, value: &Value, bump: &mut impl FnMut(K, u32)) {
+    /// the rest verify against the authoritative constraint. Like
+    /// every probe, it calls `bump(slot)` at most once per key.
+    fn str_satisfied(&self, s: &str, value: &Value, bump: &mut impl FnMut(u32)) {
         if let Some(rows) = self.str_eq.get(s) {
             for row in rows {
                 if row.exact || self.cons[&row.key].satisfied_by(value) {
-                    bump(row.key, row.slot);
+                    bump(row.slot);
                 }
             }
         }
@@ -579,7 +418,7 @@ impl<K: IndexKey> AttrIndex<K> {
                 if let Some(rows) = self.str_pre.get(&s[..end]) {
                     for row in rows {
                         if row.exact || self.cons[&row.key].satisfied_by(value) {
-                            bump(row.key, row.slot);
+                            bump(row.slot);
                         }
                     }
                 }
@@ -589,13 +428,13 @@ impl<K: IndexKey> AttrIndex<K> {
 
     /// The kind-independent buckets: presence constraints (satisfied
     /// by any value) and the verified fallback scan.
-    fn common_satisfied(&self, value: &Value, bump: &mut impl FnMut(K, u32)) {
-        for &(k, s) in &self.present {
-            bump(k, s);
+    fn common_satisfied(&self, value: &Value, bump: &mut impl FnMut(u32)) {
+        for &(_, s) in &self.present {
+            bump(s);
         }
         for &(k, s) in &self.other {
             if self.cons[&k].satisfied_by(value) {
-                bump(k, s);
+                bump(s);
             }
         }
     }
@@ -765,33 +604,25 @@ impl<K: IndexKey> AttrIndex<K> {
 /// via the broker config, for every `Srt`/`Prt` in a deployment).
 ///
 /// `shards` is the number of hash partitions of the attribute space
-/// (at least 1); `workers` selects the batch-matching stage:
+/// (at least 1). `workers` schedules [`MatchIndex::matching_batch`]:
+/// with two or more, the batch is split into up to `workers`
+/// publication chunks matched on the index's persistent worker pool
+/// (lazily started on the first such batch, then reused for every
+/// batch after; clones of an index share one pool); with fewer, the
+/// batch is matched on the calling thread and the pool is never
+/// touched. The fan-out is bounded by the batch's publication count
+/// and by the machine's available parallelism — never by the shard
+/// count. (The seeded test entry point bypasses the hardware clamp so
+/// schedule tests exercise real threads anywhere.)
 ///
-/// - `workers == 0` — the sequential amortized sweep (the default and
-///   the differential oracle);
-/// - `workers == 1` — the sharded stage inline on the caller thread:
-///   no threads are ever spawned and the index's worker pool stays
-///   untouched (pinned by regression tests against
-///   [`MatchIndex::pool_stats`]);
-/// - `workers ≥ 2` — the pooled stage: the batch is split into up to
-///   `workers` publication chunks matched on the index's persistent
-///   worker pool (lazily started on the first such batch, then reused
-///   for every batch after; clones of an index share one pool). The
-///   fan-out is bounded by the batch's publication count and by the
-///   machine's available parallelism — never silently clamped by the
-///   shard count, so `workers = 4` with one shard still engages
-///   four-way matching on a 4-core box. (The seeded test entry point
-///   bypasses the hardware clamp so schedule tests exercise real
-///   threads anywhere.)
-///
-/// Sharding alone (workers = 0) changes the physical layout but never
-/// the answers, and every stage returns byte-identical results.
+/// Neither field changes an answer: sharding is a physical layout, and
+/// every schedule runs the same kernel over the same chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
     /// Hash-partition count for the per-attribute structures (≥ 1).
     pub shards: usize,
-    /// Worker threads for [`MatchIndex::matching_batch`]; 0 means the
-    /// sequential sweep.
+    /// Threads a batch of [`MatchIndex::matching_batch`] is spread
+    /// over; below 2 it stays on the caller.
     pub workers: usize,
 }
 
@@ -805,7 +636,7 @@ impl Default for Parallelism {
 }
 
 impl Parallelism {
-    /// One shard, no workers: the classic single-threaded index.
+    /// One shard, matched on the calling thread.
     pub fn sequential() -> Self {
         Parallelism::default()
     }
@@ -826,12 +657,16 @@ impl Parallelism {
     }
 }
 
-/// Cell budget of the pooled stage's per-worker count grid
-/// (`cells × 2` bytes): sub-chunks are sized so the grid allocation
-/// stays bounded for very large tables. The probes are stateless, so
-/// this is a pure memory cap — only one publication's `nslots`-cell
-/// block is ever hot at a time regardless of the budget.
-const GRID_CELL_BUDGET: usize = 1 << 22;
+/// A packed snapshot is dropped, to be rebuilt by the next probe, once
+/// the slot-bearing writes since its build exceed one
+/// `REBUILD_FRACTION`-th of the live rows plus [`REBUILD_FLOOR`].
+/// Between builds every numeric probe pays one constraint check per
+/// `fresh` row of its attribute, so the fraction bounds that tail,
+/// and the floor keeps a table of a few hundred rows from rebuilding
+/// on every other write.
+const REBUILD_FRACTION: usize = 64;
+/// See [`REBUILD_FRACTION`].
+const REBUILD_FLOOR: usize = 16;
 
 /// The shard an attribute belongs to: a pure function of the attribute
 /// name (and the shard count), so insert, remove, and every query
@@ -859,53 +694,28 @@ impl<K: IndexKey> Shard<K> {
             attrs: FastMap::default(),
         }
     }
-
-    /// Probes this shard's attribute structures with its share of the
-    /// batch (`probes` regrouped by attribute, numeric probes to be
-    /// sorted here) and returns one flat slot-id hit vector per
-    /// publication. Pure read — this is the unit of work the parallel
-    /// stage hands to a worker thread.
-    fn probe_batch(
-        &self,
-        probes: &FastMap<&str, Vec<(usize, &Value)>>,
-        npubs: usize,
-    ) -> Vec<Vec<u32>> {
-        let mut hits: Vec<Vec<u32>> = vec![Vec::new(); npubs];
-        let mut nums: Vec<(usize, f64, &Value)> = Vec::new();
-        for (attr, probes) in probes {
-            let ai = &self.attrs[*attr];
-            nums.clear();
-            for &(pi, value) in probes {
-                if let Some(x) = value.as_f64() {
-                    nums.push((pi, x, value));
-                } else if let Some(s) = value.as_str() {
-                    let h = &mut hits[pi];
-                    ai.str_satisfied(s, value, &mut |_, slot| h.push(slot));
-                }
-                let h = &mut hits[pi];
-                ai.common_satisfied(value, &mut |_, slot| h.push(slot));
-            }
-            nums.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-            ai.num_satisfied_batch(&nums, &mut |pi, _, slot| hits[pi].push(slot));
-        }
-        hits
-    }
 }
 
 /// Dense slot ids for the satisfiable, arity ≥ 1 keys.
 ///
 /// Every such key gets a small stable `u32` id carried inline in the
-/// attribute rows; the parallel merge counts arities down in flat
-/// arrays indexed by slot (no hashing per hit) and maps a completed
-/// slot back to its key through `keys`. Freed slots are recycled;
-/// `keys`/`arity` entries of freed slots are stale but unreachable
-/// (no live row carries the slot).
+/// attribute rows; the kernel counts constraints down in a flat array
+/// indexed by slot (no hashing per hit), seeded from `seed`, and maps
+/// a completed slot back to its key through `keys`.
 #[derive(Debug, Clone)]
 struct SlotTable<K> {
     of: FastMap<K, u32>,
     keys: Vec<K>,
-    arity: Vec<u32>,
+    /// Per slot, the countdown a publication starts from: the
+    /// filter's arity, or 0 for a slot that must never complete (a
+    /// released slot, whose rows the packed snapshot may still hold,
+    /// and a filter of more constraints than a cell can count, which
+    /// the kernel checks directly).
+    seed: Vec<u16>,
     free: Vec<u32>,
+    /// Slots released since the packed snapshot was built: not to be
+    /// reused while its rows can still bump them.
+    parked: Vec<u32>,
 }
 
 impl<K: IndexKey> SlotTable<K> {
@@ -913,21 +723,23 @@ impl<K: IndexKey> SlotTable<K> {
         SlotTable {
             of: FastMap::default(),
             keys: Vec::new(),
-            arity: Vec::new(),
+            seed: Vec::new(),
             free: Vec::new(),
+            parked: Vec::new(),
         }
     }
 
     fn alloc(&mut self, key: K, arity: usize) -> u32 {
+        let seed = u16::try_from(arity).unwrap_or(0);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.keys[s as usize] = key;
-                self.arity[s as usize] = arity as u32;
+                self.seed[s as usize] = seed;
                 s
             }
             None => {
                 self.keys.push(key);
-                self.arity.push(arity as u32);
+                self.seed.push(seed);
                 (self.keys.len() - 1) as u32
             }
         };
@@ -935,10 +747,21 @@ impl<K: IndexKey> SlotTable<K> {
         slot
     }
 
-    fn release(&mut self, key: &K) {
+    /// Frees `key`'s slot; `snapshotted` parks it until
+    /// [`SlotTable::unpark`].
+    fn release(&mut self, key: &K, snapshotted: bool) {
         if let Some(slot) = self.of.remove(key) {
-            self.free.push(slot);
+            self.seed[slot as usize] = 0;
+            if snapshotted {
+                self.parked.push(slot);
+            } else {
+                self.free.push(slot);
+            }
         }
+    }
+
+    fn unpark(&mut self) {
+        self.free.append(&mut self.parked);
     }
 }
 
@@ -961,13 +784,13 @@ fn shuffle_jobs(jobs: &mut [usize], seed: u64) {
 
 /// Detected hardware thread count, cached for the life of the process.
 ///
-/// The unseeded pooled stage never fans out wider than this: on a
-/// host with fewer cores than configured workers, extra pool threads
-/// add only handoff latency and cache thrash, never throughput. The
-/// seeded test entry bypasses the clamp so interleaving tests always
+/// An unseeded batch never fans out wider than this: on a host with
+/// fewer cores than configured workers, extra pool threads add only
+/// handoff latency and cache thrash, never throughput. The seeded
+/// test entry bypasses the clamp so interleaving tests always
 /// exercise the configured fan-out with real threads.
 fn hw_threads() -> usize {
-    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    static HW: OnceLock<usize> = OnceLock::new();
     *HW.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1007,10 +830,10 @@ struct ExclRow {
     flags: u32,
 }
 
-/// One `!=`-carrying row: hits defer entirely to the inlined
-/// authoritative constraint (which re-checks the interval as well), so
-/// no endpoint pruning is attempted. Such rows exist only for `ne`
-/// predicates and are scanned exhaustively per probe.
+/// One interval row checked against its inlined authoritative
+/// constraint on every probe of its attribute, with no endpoint
+/// pruning: the rows with `!=` exclusions of a [`PackedAttr`], and the
+/// rows inserted since it was built ([`AttrIndex::fresh`]).
 #[derive(Debug, Clone)]
 struct VerifyRow {
     slot: u32,
@@ -1031,18 +854,16 @@ fn excl_hit(r: &ExclRow, x: f64) -> bool {
     }
 }
 
-/// The packed numeric probe tables of one attribute: the pooled
-/// stage's replacement for the interval-map prefix scan.
+/// The packed numeric probe tables of one attribute.
 ///
 /// A probe value `x` satisfies a clean interval row iff `lo ≤ x` *and*
-/// `x ≤ hi` (total order). Rather than sweeping value-sorted probes
-/// through admission/retirement state, the rows are stored twice —
-/// sorted ascending by `lo` and descending by `hi` — with the sort
-/// endpoints in parallel `f64` arrays. Per probe, two binary searches
-/// bound the qualifying prefix of each array and only the **smaller**
-/// prefix is scanned; every visited row needs just one comparison
-/// against its opposite endpoint. The scan is stateless, so probes
-/// need no batch-wide sorting and parallelize trivially.
+/// `x ≤ hi` (total order). The rows are stored twice — sorted
+/// ascending by `lo` and descending by `hi` — with the sort endpoints
+/// in parallel `f64` arrays. Per probe, two binary searches bound the
+/// qualifying prefix of each array and only the **smaller** prefix is
+/// scanned; every visited row needs just one comparison against its
+/// opposite endpoint. The scan is stateless, so probes need no
+/// batch-wide sorting and parallelize trivially.
 #[derive(Debug, Default)]
 struct PackedAttr {
     /// Lower bounds of the clean rows, ascending in the total order;
@@ -1072,7 +893,7 @@ impl PackedAttr {
 
     /// Derives the `hi`-sorted duals once every row has been pushed
     /// into the `lo`-sorted halves (which arrive pre-sorted from the
-    /// interval map's ascending iteration).
+    /// lower-endpoint map's ascending iteration).
     fn finish(&mut self) {
         let mut ix: Vec<u32> = (0..self.lo_rows.len() as u32).collect();
         ix.sort_unstable_by(|&a, &b| {
@@ -1093,9 +914,8 @@ impl PackedAttr {
     }
 
     /// Calls `bump(slot)` once for every interval row satisfied by the
-    /// numeric probe `x` (of `value`). Exact — together with the point
-    /// bucket and the common buckets this reproduces
-    /// [`AttrIndex::num_satisfied`] bump-for-bump.
+    /// numeric probe `x` (of `value`). Exact: no false positives, no
+    /// false negatives, at most one bump per row.
     #[inline]
     fn scan(&self, x: f64, value: &Value, bump: &mut impl FnMut(u32)) {
         let lo_cnt = self
@@ -1143,30 +963,24 @@ impl PackedAttr {
     }
 }
 
-/// An immutable probe-side snapshot shared by every pool worker: the
-/// packed numeric tables of each attribute plus the key *rank* order.
-///
-/// Rebuilt lazily — [`MatchIndex::packed`] compares the snapshot's
-/// `version` stamp against the index's mutation counter and rebuilds
-/// on the first pooled batch after any insert/remove, so steady-state
-/// batches pay nothing. Clones of an index share the current snapshot
-/// (it is immutable), and each clone's own mutations simply fork a new
-/// one.
-///
-/// The rank order turns result-row sorting into `u32` sorting: the
-/// pooled stage stages each publication's completed slots as ranks,
-/// sorts those, and maps them back through `key_of_rank`, which yields
-/// keys already in ascending order.
-#[derive(Debug)]
-struct PackedTables<K> {
-    /// The index mutation count this snapshot was built at.
-    version: u64,
-    attrs: FastMap<String, PackedAttr>,
-    /// Dense slot id → rank of the slot's key in ascending key order
-    /// (`u32::MAX` for freed slots, which no live row references).
-    rank_of: Vec<u32>,
-    /// Rank → key: the live slot-bearing keys in ascending order.
-    key_of_rank: Vec<K>,
+/// The immutable packed snapshot of the table's interval rows, per
+/// attribute (module docs, "The matching kernel"). Clones of an index
+/// share it; each clone's own writes age it separately.
+type PackedTables = FastMap<String, PackedAttr>;
+
+/// Reusable per-thread buffers of the matching kernel.
+#[derive(Default)]
+struct MatchScratch {
+    /// Per slot, the constraints the publication being probed has yet
+    /// to satisfy, copied from [`SlotTable::seed`]; 0 is a slot that
+    /// is done or was never to complete.
+    cells: Vec<u16>,
+    /// Slots the publication being probed has completed.
+    done: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<MatchScratch> = RefCell::default();
 }
 
 /// A counting match index over `(key, Filter)` pairs.
@@ -1187,7 +1001,7 @@ struct PackedTables<K> {
 /// let p = Publication::new().with("x", 5);
 /// assert_eq!(ix.matching(&p), vec![1]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MatchIndex<K> {
     /// Every indexed filter, satisfiable or not.
     filters: FastMap<K, Filter>,
@@ -1199,52 +1013,26 @@ pub struct MatchIndex<K> {
     zero: BTreeSet<K>,
     /// Unsatisfiable keys: they match and overlap nothing.
     unsat: BTreeSet<K>,
+    /// Keys of more constraints than a countdown cell can hold: the
+    /// kernel checks their filters directly.
+    wide: BTreeSet<K>,
     /// The hash-partitioned attribute structures; always ≥ 1 shard.
     shards: Vec<Shard<K>>,
-    /// Dense slot ids for the parallel merge (module docs).
+    /// Dense slot ids for the kernel's countdown (module docs).
     slots: SlotTable<K>,
     par: Parallelism,
-    /// Monotone upper bound on any indexed filter's arity; the pooled
-    /// stage's `u16` count grid is only used while this fits `u16`
-    /// (beyond that — absurd 65k-conjunct filters — the stage falls
-    /// back to the inline path rather than risk count wraparound).
-    max_arity: usize,
-    /// Mutation counter: bumped by every insert/remove, compared
-    /// against [`PackedTables::version`] to invalidate the snapshot.
-    version: u64,
-    /// The lazily (re)built probe-side snapshot of the pooled stage.
-    /// Interior mutability keeps `matching_batch` `&self`; clones
-    /// carry the current snapshot over (it is immutable and `Arc`d).
-    packed: Mutex<Option<Arc<PackedTables<K>>>>,
-    /// The persistent worker pool of the `workers ≥ 2` matching stage;
-    /// no threads exist until the first pooled batch. Clones share the
-    /// pool (an index clone is a routing-table snapshot, not a new
-    /// deployment), so snapshots never multiply threads.
+    /// The packed snapshot, built by the first probe that finds none
+    /// and dropped by the write that makes it too old (module docs,
+    /// "Rebuild policy").
+    packed: OnceLock<Arc<PackedTables>>,
+    /// Slot-bearing inserts and removes since `packed` was built.
+    stale_writes: usize,
+    /// The persistent worker pool batches are spread over when
+    /// [`Parallelism::workers`] ≥ 2; no threads exist until the first
+    /// such batch. Clones share the pool (an index clone is a
+    /// routing-table snapshot, not a new deployment), so snapshots
+    /// never multiply threads.
     pool: Arc<WorkerPool>,
-}
-
-impl<K: IndexKey> Clone for MatchIndex<K> {
-    fn clone(&self) -> Self {
-        MatchIndex {
-            filters: self.filters.clone(),
-            arity: self.arity.clone(),
-            sat: self.sat.clone(),
-            zero: self.zero.clone(),
-            unsat: self.unsat.clone(),
-            shards: self.shards.clone(),
-            slots: self.slots.clone(),
-            par: self.par,
-            max_arity: self.max_arity,
-            version: self.version,
-            packed: Mutex::new(
-                self.packed
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .clone(),
-            ),
-            pool: Arc::clone(&self.pool),
-        }
-    }
 }
 
 impl<K: IndexKey> Default for MatchIndex<K> {
@@ -1255,19 +1043,19 @@ impl<K: IndexKey> Default for MatchIndex<K> {
             sat: BTreeSet::new(),
             zero: BTreeSet::new(),
             unsat: BTreeSet::new(),
+            wide: BTreeSet::new(),
             shards: vec![Shard::new()],
             slots: SlotTable::new(),
             par: Parallelism::default(),
-            max_arity: 0,
-            version: 0,
-            packed: Mutex::new(None),
+            packed: OnceLock::new(),
+            stale_writes: 0,
             pool: Arc::new(WorkerPool::new()),
         }
     }
 }
 
 impl<K: IndexKey> MatchIndex<K> {
-    /// Creates an empty index (one shard, sequential matching).
+    /// Creates an empty index (one shard, matched on the caller).
     pub fn new() -> Self {
         MatchIndex::default()
     }
@@ -1291,6 +1079,7 @@ impl<K: IndexKey> MatchIndex<K> {
     pub fn set_parallelism(&mut self, par: Parallelism) {
         let par = par.normalized();
         if par.shards != self.shards.len() {
+            self.drop_snapshot();
             let mut shards: Vec<Shard<K>> = (0..par.shards).map(|_| Shard::new()).collect();
             for (key, filter) in &self.filters {
                 if self.unsat.contains(key) || self.zero.contains(key) {
@@ -1302,7 +1091,7 @@ impl<K: IndexKey> MatchIndex<K> {
                         .attrs
                         .entry(attr.to_owned())
                         .or_insert_with(AttrIndex::new)
-                        .insert(*key, slot, c);
+                        .insert(*key, slot, c, false);
                 }
             }
             self.shards = shards;
@@ -1316,11 +1105,6 @@ impl<K: IndexKey> MatchIndex<K> {
         self.shards[shard_of_in(self.shards.len(), attr)]
             .attrs
             .get(attr)
-    }
-
-    /// Whether any attribute structure exists at all.
-    fn has_attr_rows(&self) -> bool {
-        self.shards.iter().any(|s| !s.attrs.is_empty())
     }
 
     /// Number of indexed filters.
@@ -1342,7 +1126,6 @@ impl<K: IndexKey> MatchIndex<K> {
     /// the key (upsert semantics).
     pub fn insert(&mut self, key: K, filter: &Filter) {
         self.remove(&key);
-        self.version = self.version.wrapping_add(1);
         self.filters.insert(key, filter.clone());
         if !filter.is_satisfiable() {
             self.unsat.insert(key);
@@ -1350,19 +1133,22 @@ impl<K: IndexKey> MatchIndex<K> {
         }
         self.sat.insert(key);
         self.arity.insert(key, filter.arity());
-        self.max_arity = self.max_arity.max(filter.arity());
         if filter.arity() == 0 {
             self.zero.insert(key);
             return;
         }
+        let snapshotted = self.age_snapshot();
         let slot = self.slots.alloc(key, filter.arity());
+        if self.slots.seed[slot as usize] == 0 {
+            self.wide.insert(key);
+        }
         let nshards = self.shards.len();
         for (attr, c) in filter.constraints() {
             self.shards[shard_of_in(nshards, attr)]
                 .attrs
                 .entry(attr.to_owned())
                 .or_insert_with(AttrIndex::new)
-                .insert(key, slot, c);
+                .insert(key, slot, c, snapshotted);
         }
     }
 
@@ -1372,13 +1158,15 @@ impl<K: IndexKey> MatchIndex<K> {
         let Some(filter) = self.filters.remove(key) else {
             return false;
         };
-        self.version = self.version.wrapping_add(1);
         if self.unsat.remove(key) {
             return true;
         }
         self.sat.remove(key);
-        self.zero.remove(key);
         self.arity.remove(key);
+        if self.zero.remove(key) {
+            return true;
+        }
+        self.wide.remove(key);
         let nshards = self.shards.len();
         for (attr, _) in filter.constraints() {
             let shard = &mut self.shards[shard_of_in(nshards, attr)];
@@ -1389,269 +1177,73 @@ impl<K: IndexKey> MatchIndex<K> {
                 }
             }
         }
-        self.slots.release(key);
+        let snapshotted = self.age_snapshot();
+        self.slots.release(key, snapshotted);
         true
     }
 
-    /// Keys of filters matching `publication`, sorted.
-    ///
-    /// Touches only the attribute indexes of attributes the
-    /// publication carries, counting satisfied constraints per key; a
-    /// key matches iff its count reaches its filter's arity.
-    pub fn matching(&self, publication: &Publication) -> Vec<K> {
-        let mut out: Vec<K> = self.zero.iter().copied().collect();
-        if self.has_attr_rows() {
-            // Count *down* from the filter's arity and emit on zero: a
-            // key can be bumped at most once per attribute, so hitting
-            // zero is exactly "every constraint satisfied", and no
-            // finalization sweep over the map is needed.
-            let mut remaining: FastMap<K, usize> = FastMap::default();
-            for (attr, value) in publication.iter() {
-                if let Some(ai) = self.attr_index(attr) {
-                    ai.count_satisfied(value, &mut |k, _| {
-                        let r = remaining.entry(k).or_insert_with(|| self.arity[&k]);
-                        *r -= 1;
-                        if *r == 0 {
-                            out.push(k);
-                        }
-                    });
-                }
-            }
+    /// Counts one slot-bearing write against the packed snapshot and
+    /// drops it once it is too old ([`REBUILD_FRACTION`]); reports
+    /// whether one is still there for the write to be tracked beside.
+    fn age_snapshot(&mut self) -> bool {
+        if self.packed.get().is_none() {
+            return false;
         }
-        out.sort_unstable();
-        out
+        self.stale_writes += 1;
+        if self.stale_writes > REBUILD_FLOOR + self.slots.of.len() / REBUILD_FRACTION {
+            self.drop_snapshot();
+            return false;
+        }
+        true
     }
 
-    /// [`MatchIndex::matching`] for every publication of a batch,
-    /// returning one sorted key vector per publication (same order as
-    /// `pubs`).
-    ///
-    /// With [`Parallelism::workers`] == 0 (the default) this is the
-    /// sequential amortized sweep
-    /// ([`MatchIndex::matching_batch_sequential`]); otherwise the
-    /// sharded parallel stage runs and, in debug builds, is asserted
-    /// identical to the sequential sweep. Either way results are
-    /// identical to mapping [`MatchIndex::matching`] over the slice.
-    pub fn matching_batch(&self, pubs: &[Publication]) -> Vec<Vec<K>>
-    where
-        K: Send + Sync,
-    {
-        if pubs.len() == 1 {
-            // Degenerate batch: neither regrouping nor fan-out has
-            // anything to amortize; take the single-probe path.
-            return vec![self.matching(&pubs[0])];
-        }
-        if self.par.workers == 0 {
-            return self.matching_batch_sequential(pubs);
-        }
-        let out = self.matching_batch_parallel(pubs, None);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            out,
-            self.matching_batch_sequential(pubs),
-            "parallel matching diverged from the sequential sweep"
-        );
-        out
-    }
-
-    /// The single-threaded amortized batch sweep: the sequential
-    /// fallback of [`MatchIndex::matching_batch`] and the differential
-    /// oracle the parallel stage is checked against.
-    ///
-    /// The probes are regrouped *by attribute*: per attribute index,
-    /// the batch's numeric values are sorted and the interval map is
-    /// swept once for the whole batch (each row is admitted once when
-    /// the ascending frontier passes its lower bound and retired once
-    /// the frontier passes its upper bound), so per-probe cost drops
-    /// from the `lo ≤ x` prefix size to the stabbing-set size. Point,
-    /// string, presence, and fallback buckets are probed exactly as in
-    /// the single-publication path. Results are identical to mapping
-    /// [`MatchIndex::matching`] over the slice (asserted in debug
-    /// builds).
-    pub fn matching_batch_sequential(&self, pubs: &[Publication]) -> Vec<Vec<K>> {
-        let mut out: Vec<Vec<K>> = pubs
-            .iter()
-            .map(|_| self.zero.iter().copied().collect())
-            .collect();
-        if self.has_attr_rows() {
-            // Probing appends raw hits to per-publication lists —
-            // sequential pushes, no hashing — so the regrouped sweep
-            // keeps a loop-sized working set. Counting happens after,
-            // one publication at a time through a single reused map
-            // (the countdown scheme of `matching`).
-            let mut hits: Vec<Vec<K>> = vec![Vec::new(); pubs.len()];
-            // Regroup the batch by attribute so each attribute index is
-            // visited once with all of its probes.
-            type ProbeGroups<'a, K> = FastMap<&'a str, (&'a AttrIndex<K>, Vec<(usize, &'a Value)>)>;
-            let mut by_attr: ProbeGroups<'_, K> = FastMap::default();
-            for (pi, p) in pubs.iter().enumerate() {
-                for (attr, value) in p.iter() {
-                    if let Some(ai) = self.attr_index(attr) {
-                        by_attr
-                            .entry(attr)
-                            .or_insert_with(|| (ai, Vec::new()))
-                            .1
-                            .push((pi, value));
-                    }
-                }
+    /// Drops the packed snapshot and everything tracked beside it.
+    fn drop_snapshot(&mut self) {
+        if self.packed.take().is_some() {
+            self.stale_writes = 0;
+            self.slots.unpark();
+            for ai in self.shards.iter_mut().flat_map(|s| s.attrs.values_mut()) {
+                ai.fresh.clear();
             }
-            for (_, (ai, probes)) in by_attr {
-                let mut nums: Vec<(usize, f64, &Value)> = Vec::new();
-                for &(pi, value) in &probes {
-                    if let Some(x) = value.as_f64() {
-                        nums.push((pi, x, value));
-                    } else if let Some(s) = value.as_str() {
-                        let h = &mut hits[pi];
-                        ai.str_satisfied(s, value, &mut |k, _| h.push(k));
-                    }
-                    let h = &mut hits[pi];
-                    ai.common_satisfied(value, &mut |k, _| h.push(k));
-                }
-                nums.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-                ai.num_satisfied_batch(&nums, &mut |pi, k, _| hits[pi].push(k));
-            }
-            let mut remaining: FastMap<K, usize> = FastMap::default();
-            for (pi, keys) in hits.into_iter().enumerate() {
-                remaining.clear();
-                for k in keys {
-                    let r = remaining.entry(k).or_insert_with(|| self.arity[&k]);
-                    *r -= 1;
-                    if *r == 0 {
-                        out[pi].push(k);
-                    }
-                }
-            }
-        }
-        for keys in &mut out {
-            keys.sort_unstable();
-        }
-        #[cfg(debug_assertions)]
-        for (pi, p) in pubs.iter().enumerate() {
-            debug_assert_eq!(
-                out[pi],
-                self.matching(p),
-                "batch matching diverged from the per-publication path on probe {pi}"
-            );
-        }
-        out
-    }
-
-    /// The parallel matching stage dispatcher (module docs):
-    /// `workers == 1` runs the inline sharded stage on the caller
-    /// thread, `workers ≥ 2` the pooled publication-chunked stage.
-    ///
-    /// `schedule_seed` permutes the work order (the interleaving smoke
-    /// uses it to force different distributions); results must be —
-    /// and are asserted to be — independent of it.
-    fn matching_batch_parallel(
-        &self,
-        pubs: &[Publication],
-        schedule_seed: Option<u64>,
-    ) -> Vec<Vec<K>>
-    where
-        K: Send + Sync,
-    {
-        if self.par.workers >= 2 && self.max_arity <= u16::MAX as usize {
-            self.matching_batch_pooled(pubs, schedule_seed)
-        } else {
-            self.matching_batch_inline(pubs, schedule_seed)
         }
     }
 
-    /// The inline sharded stage (`workers == 1`): shard-by-shard on
-    /// the caller thread, no threads, no pool. Retained unchanged as
-    /// the mid-tier reference implementation between the sequential
-    /// oracle and the pooled stage — and as the baseline the
-    /// `parallel_match` scaling gate divides by.
-    ///
-    /// 1. *Scatter*: the batch's probes are regrouped by owning shard
-    ///    (pure `shard_of` routing, no locks).
-    /// 2. *Probe*: each non-empty shard produces flat per-publication
-    ///    hit vectors of slot ids.
-    /// 3. *Merge*: per publication, shard hit vectors are consumed in
-    ///    ascending shard order and counted down in a dense array
-    ///    re-seeded per publication from the arity mirror; completed
-    ///    slots map back to keys and each result is sorted.
-    fn matching_batch_inline(
-        &self,
-        pubs: &[Publication],
-        schedule_seed: Option<u64>,
-    ) -> Vec<Vec<K>> {
-        let nshards = self.shards.len();
-        let mut groups: Vec<FastMap<&str, Vec<(usize, &Value)>>> =
-            (0..nshards).map(|_| FastMap::default()).collect();
-        for (pi, p) in pubs.iter().enumerate() {
-            for (attr, value) in p.iter() {
-                let s = shard_of_in(nshards, attr);
-                if self.shards[s].attrs.contains_key(attr) {
-                    groups[s].entry(attr).or_default().push((pi, value));
-                }
-            }
-        }
-        let mut jobs: Vec<usize> = (0..nshards).filter(|&s| !groups[s].is_empty()).collect();
-        if let Some(seed) = schedule_seed {
-            shuffle_jobs(&mut jobs, seed);
-        }
-        let mut shard_hits: Vec<Option<Vec<Vec<u32>>>> = (0..nshards).map(|_| None).collect();
-        for &s in &jobs {
-            shard_hits[s] = Some(self.shards[s].probe_batch(&groups[s], pubs.len()));
-        }
-        // Merge, in ascending shard order, through the dense
-        // countdown: one `u32` per slot, re-seeded per publication by
-        // a bulk copy of the arity mirror so the hot per-hit loop
-        // touches exactly one array. (Freed slots keep stale arity
-        // values in the mirror, but freed slots can never be emitted
-        // as hits, so the copy is harmless.)
-        let mut countdown: Vec<u32> = vec![0; self.slots.keys.len()];
-        let mut out: Vec<Vec<K>> = pubs
-            .iter()
-            .map(|_| self.zero.iter().copied().collect())
-            .collect();
-        for (pi, row) in out.iter_mut().enumerate() {
-            countdown.copy_from_slice(&self.slots.arity);
-            for hits in shard_hits.iter().flatten() {
-                for &slot in &hits[pi] {
-                    let s = slot as usize;
-                    countdown[s] -= 1;
-                    if countdown[s] == 0 {
-                        row.push(self.slots.keys[s]);
-                    }
-                }
-            }
-            row.sort_unstable();
-        }
-        out
-    }
-
-    /// Builds the probe-side snapshot of the pooled stage from the
-    /// current attribute structures (see [`PackedTables`]).
-    fn build_packed(&self) -> PackedTables<K> {
-        let mut attrs: FastMap<String, PackedAttr> = FastMap::default();
-        for shard in &self.shards {
-            for (attr, ai) in &shard.attrs {
+    /// The packed snapshot, built first if there is none.
+    fn packed(&self) -> &PackedTables {
+        self.packed.get_or_init(|| {
+            let mut attrs = PackedTables::default();
+            for (attr, ai) in self.shards.iter().flat_map(|s| &s.attrs) {
                 let mut pa = PackedAttr::default();
-                for (lo, rows) in &ai.num_lo {
-                    for r in rows {
-                        if r.has_exclusions {
-                            pa.verify.push(VerifyRow {
-                                slot: r.slot,
-                                cons: ai.cons[&r.key].clone(),
-                            });
-                        } else if r.lo_excl || r.hi_excl {
-                            pa.excl_lo.push(ExclRow {
-                                lo: lo.0,
-                                hi: r.hi,
-                                slot: r.slot,
-                                flags: ((r.lo_excl as u32) * LO_EXCL)
-                                    | ((r.hi_excl as u32) * HI_EXCL),
-                            });
-                        } else {
-                            pa.lo_bound.push(lo.0);
-                            pa.lo_rows.push(CleanRow {
-                                bound: r.hi,
-                                slot: r.slot,
-                            });
-                        }
+                for (lo, r) in ai
+                    .by_lo
+                    .iter()
+                    .flat_map(|(lo, rows)| rows.iter().map(move |r| (lo.0, r)))
+                {
+                    let (hi, hi_excl) = match r.interval.hi() {
+                        Bound::Unbounded => (TotalF64::MAX.0, false),
+                        Bound::Incl(v) => (*v, false),
+                        Bound::Excl(v) => (*v, true),
+                    };
+                    let lo_excl = matches!(r.interval.lo(), Bound::Excl(_));
+                    if r.has_exclusions {
+                        pa.verify.push(VerifyRow {
+                            slot: r.slot,
+                            cons: ai.cons[&r.key].clone(),
+                        });
+                    } else if lo_excl || hi_excl {
+                        pa.excl_lo.push(ExclRow {
+                            lo,
+                            hi,
+                            slot: r.slot,
+                            flags: ((lo_excl as u32) * LO_EXCL) | ((hi_excl as u32) * HI_EXCL),
+                        });
+                    } else if r.interval.as_point().is_none() {
+                        // (Clean points are probed in `num_eq`.)
+                        pa.lo_bound.push(lo);
+                        pa.lo_rows.push(CleanRow {
+                            bound: hi,
+                            slot: r.slot,
+                        });
                     }
                 }
                 if !pa.is_empty() {
@@ -1659,70 +1251,58 @@ impl<K: IndexKey> MatchIndex<K> {
                     attrs.insert(attr.clone(), pa);
                 }
             }
-        }
-        let mut live: Vec<(K, u32)> = self.slots.of.iter().map(|(&k, &s)| (k, s)).collect();
-        live.sort_unstable_by_key(|a| a.0);
-        let mut rank_of = vec![u32::MAX; self.slots.keys.len()];
-        let mut key_of_rank = Vec::with_capacity(live.len());
-        for (rank, &(k, s)) in live.iter().enumerate() {
-            rank_of[s as usize] = rank as u32;
-            key_of_rank.push(k);
-        }
-        PackedTables {
-            version: self.version,
-            attrs,
-            rank_of,
-            key_of_rank,
-        }
+            Arc::new(attrs)
+        })
     }
 
-    /// The current probe-side snapshot, rebuilding it first if the
-    /// index has mutated since the last pooled batch.
-    fn packed(&self) -> Arc<PackedTables<K>> {
-        let mut g = self.packed.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(p) = g.as_ref() {
-            if p.version == self.version {
-                return Arc::clone(p);
-            }
-        }
-        let p = Arc::new(self.build_packed());
-        *g = Some(Arc::clone(&p));
-        p
+    /// Keys of filters matching `publication`, sorted: the kernel on a
+    /// batch of one, on the calling thread.
+    pub fn matching(&self, publication: &Publication) -> Vec<K> {
+        self.match_chunk(std::slice::from_ref(publication))
+            .pop()
+            .expect("one result row per publication")
     }
 
-    /// The pooled matching stage (`workers ≥ 2`).
+    /// [`MatchIndex::matching`] for every publication of a batch,
+    /// returning one sorted key vector per publication (same order as
+    /// `pubs`): the kernel over the slice, spread over the worker pool
+    /// when [`Parallelism::workers`] asks for it.
+    pub fn matching_batch(&self, pubs: &[Publication]) -> Vec<Vec<K>>
+    where
+        K: Send + Sync,
+    {
+        self.matching_batch_scheduled(pubs, None)
+    }
+
+    /// Splits the batch into up to [`Parallelism::workers`] contiguous
+    /// publication chunks and runs the kernel on each.
     ///
-    /// The batch is split into up to `workers` contiguous publication
-    /// chunks; chunks are claimed off an atomic cursor by the caller
-    /// (slot 0) and the persistent pool's workers, so a straggler
-    /// chunk never idles the rest of the pool. Each chunk is matched
-    /// publication-major against the shared [`PackedTables`] snapshot
-    /// with one pool slot's reusable [`MatchScratch`] buffers
-    /// ([`MatchIndex::match_chunk`]). Chunking by publication makes
-    /// probe *and* merge embarrassingly parallel — there is no serial
-    /// scatter or merge section at all — and chunk results are
-    /// stitched back in batch order, so thread completion order is
-    /// irrelevant.
-    ///
-    /// `schedule_seed` permutes only the order chunks are *claimed*
-    /// in; chunk boundaries, and therefore all per-chunk computations,
-    /// are schedule-independent by construction. Unseeded (production)
-    /// batches additionally clamp the fan-out to the detected hardware
-    /// thread count — a narrower schedule of the same chunks, which
-    /// cannot change results.
-    fn matching_batch_pooled(&self, pubs: &[Publication], schedule_seed: Option<u64>) -> Vec<Vec<K>>
+    /// With a fan-out of two or more, chunks are claimed off an atomic
+    /// cursor by the caller and the persistent pool's workers, so a
+    /// straggler chunk never idles the rest of the pool; chunk results
+    /// are stitched back in batch order, so thread completion order is
+    /// irrelevant. `schedule_seed` permutes only the order chunks are
+    /// *claimed* in; chunk boundaries, and therefore all per-chunk
+    /// computations, are schedule-independent by construction.
+    /// Unseeded (production) batches additionally clamp the fan-out to
+    /// the detected hardware thread count — a narrower schedule of the
+    /// same chunks, which cannot change results.
+    fn matching_batch_scheduled(
+        &self,
+        pubs: &[Publication],
+        schedule_seed: Option<u64>,
+    ) -> Vec<Vec<K>>
     where
         K: Send + Sync,
     {
         let npubs = pubs.len();
-        if npubs == 0 {
-            return Vec::new();
-        }
-        let packed = self.packed();
         let fanout = match schedule_seed {
             Some(_) => self.par.workers.min(npubs),
             None => self.par.workers.min(hw_threads()).min(npubs),
         };
+        if fanout < 2 {
+            return self.match_chunk(pubs);
+        }
         let chunk = npubs.div_ceil(fanout);
         let nchunks = npubs.div_ceil(chunk);
         let mut order: Vec<usize> = (0..nchunks).collect();
@@ -1732,19 +1312,11 @@ impl<K: IndexKey> MatchIndex<K> {
         let results: Vec<Mutex<Vec<Vec<K>>>> =
             (0..nchunks).map(|_| Mutex::new(Vec::new())).collect();
         let cursor = AtomicUsize::new(0);
-        let order = &order;
-        let results_ref = &results;
-        self.pool.run(nchunks, &|slot| {
-            let scratch = self.pool.scratch(slot);
-            let mut sc = scratch.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                let Some(&ci) = order.get(i) else { break };
-                let lo = ci * chunk;
-                let hi = ((ci + 1) * chunk).min(npubs);
-                let rows = self.match_chunk(&pubs[lo..hi], &mut sc, &packed);
-                *results_ref[ci].lock().unwrap_or_else(|p| p.into_inner()) = rows;
-            }
+        self.pool.run(nchunks, &|_| loop {
+            let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+            let Some(&ci) = order.get(i) else { break };
+            let rows = self.match_chunk(&pubs[ci * chunk..((ci + 1) * chunk).min(npubs)]);
+            *results[ci].lock().unwrap_or_else(|p| p.into_inner()) = rows;
         });
         let mut out: Vec<Vec<K>> = Vec::with_capacity(npubs);
         for cell in results {
@@ -1753,128 +1325,90 @@ impl<K: IndexKey> MatchIndex<K> {
         out
     }
 
-    /// Matches one publication chunk of the pooled stage with one pool
-    /// slot's reusable buffers, publication-major against the shared
-    /// [`PackedTables`] snapshot.
+    /// The matching kernel (module docs): the sorted result row of
+    /// every publication of `pubs`, on the calling thread.
     ///
-    /// The chunk is processed in sub-chunks sized so the
-    /// publication-major count grid stays within [`GRID_CELL_BUDGET`]
-    /// (a pure memory bound — the probes are stateless, so sub-chunk
-    /// boundaries cost nothing). Per publication, every probe bumps
-    /// the publication's own grid block — which therefore stays
-    /// cache-hot — and cells counted down to zero emit their slot on
-    /// the spot. Completed slots are staged as ranks, sorted as plain
-    /// `u32`s, mapped back to keys (ascending by construction) and
-    /// merged with the zero-arity keys, so no key-space sort is ever
-    /// needed. Returns the chunk's sorted result rows.
-    fn match_chunk(
-        &self,
-        pubs: &[Publication],
-        sc: &mut MatchScratch,
-        packed: &PackedTables<K>,
-    ) -> Vec<Vec<K>> {
-        let nslots = self.slots.keys.len();
-        let mut rows: Vec<Vec<K>> = Vec::with_capacity(pubs.len());
-        if nslots == 0 || !self.has_attr_rows() {
-            rows.extend(
-                pubs.iter()
-                    .map(|_| self.zero.iter().copied().collect::<Vec<K>>()),
-            );
-            return rows;
-        }
-        sc.set_template(&self.slots.arity);
-        let max_pubs = (GRID_CELL_BUDGET / nslots).max(1);
-        let mut base = 0;
-        while base < pubs.len() {
-            let sub = &pubs[base..pubs.len().min(base + max_pubs)];
-            sc.seed_grid(sub.len());
-            let MatchScratch {
-                grid,
-                matches,
-                ranks,
-                ..
-            } = sc;
-            for (pi, p) in sub.iter().enumerate() {
-                let block = &mut grid[pi * nslots..(pi + 1) * nslots];
-                matches.clear();
-                for (attr, value) in p.iter() {
-                    let Some(ai) = self.attr_index(attr) else {
-                        continue;
-                    };
-                    let mut bump = |slot: u32| {
-                        let c = &mut block[slot as usize];
-                        *c -= 1;
-                        if *c == 0 {
-                            matches.push(slot);
-                        }
-                    };
-                    if let Some(x) = value.as_f64() {
-                        if let Some(keys) = ai.num_eq.get(&x.to_bits()) {
-                            for &(_, slot) in keys {
-                                bump(slot);
+    /// Per publication, every probe decrements the cells of the slots
+    /// whose constraint on the probed attribute the value satisfies —
+    /// at most once per slot and attribute — and a cell reaching zero
+    /// completes its slot. Saturating at zero keeps a slot seeded with
+    /// 0 dead however often stale or uncounted rows bump it.
+    fn match_chunk(&self, pubs: &[Publication]) -> Vec<Vec<K>> {
+        let packed = self.packed();
+        SCRATCH.with_borrow_mut(|MatchScratch { cells, done }| {
+            pubs.iter()
+                .map(|p| {
+                    cells.clear();
+                    cells.extend_from_slice(&self.slots.seed);
+                    done.clear();
+                    for (attr, value) in p.iter() {
+                        let Some(ai) = self.attr_index(attr) else {
+                            continue;
+                        };
+                        let mut bump = |slot: u32| {
+                            let cell = &mut cells[slot as usize];
+                            if *cell == 1 {
+                                done.push(slot);
                             }
-                        }
-                        if let Some(pa) = packed.attrs.get(attr) {
-                            pa.scan(x, value, &mut bump);
-                        }
-                    } else if let Some(s) = value.as_str() {
-                        ai.str_satisfied(s, value, &mut |_, slot| bump(slot));
-                    }
-                    ai.common_satisfied(value, &mut |_, slot| bump(slot));
-                }
-                ranks.clear();
-                ranks.extend(matches.iter().map(|&s| packed.rank_of[s as usize]));
-                ranks.sort_unstable();
-                let mut row: Vec<K> = Vec::with_capacity(ranks.len() + self.zero.len());
-                if self.zero.is_empty() {
-                    row.extend(ranks.iter().map(|&r| packed.key_of_rank[r as usize]));
-                } else {
-                    let mut zi = self.zero.iter().copied().peekable();
-                    for &r in ranks.iter() {
-                        let k = packed.key_of_rank[r as usize];
-                        while let Some(&z) = zi.peek() {
-                            if z < k {
-                                row.push(z);
-                                zi.next();
-                            } else {
-                                break;
+                            *cell = cell.saturating_sub(1);
+                        };
+                        if let Some(x) = value.as_f64() {
+                            if let Some(keys) = ai.num_eq.get(&x.to_bits()) {
+                                for &(_, slot) in keys {
+                                    bump(slot);
+                                }
                             }
+                            if let Some(pa) = packed.get(attr) {
+                                pa.scan(x, value, &mut bump);
+                            }
+                            for row in &ai.fresh {
+                                if row.cons.satisfied_by(value) {
+                                    bump(row.slot);
+                                }
+                            }
+                        } else if let Some(s) = value.as_str() {
+                            ai.str_satisfied(s, value, &mut bump);
                         }
-                        row.push(k);
+                        ai.common_satisfied(value, &mut bump);
                     }
-                    row.extend(zi);
-                }
-                rows.push(row);
-            }
-            base += sub.len();
-        }
-        rows
+                    let mut row: Vec<K> = self.zero.iter().copied().collect();
+                    row.extend(done.iter().map(|&slot| self.slots.keys[slot as usize]));
+                    row.extend(
+                        self.wide
+                            .iter()
+                            .filter(|k| self.filters[k].matches(p))
+                            .copied(),
+                    );
+                    row.sort_unstable();
+                    row
+                })
+                .collect()
+        })
     }
 
     /// Lifecycle counters of the index's persistent worker pool. Test
-    /// support: the pool-reuse, lazy-start, and `workers == 1`
-    /// no-spawn regression tests pin the pool contract against these.
+    /// support: the pool-reuse, lazy-start and caller-thread no-spawn
+    /// regression tests pin the pool contract against these.
     #[doc(hidden)]
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
-    /// The parallel stage with a forced worker pool and a seeded job
-    /// schedule: the entry point of the seeded interleaving smoke.
-    /// Semantically identical to [`MatchIndex::matching_batch_sequential`]
-    /// for every seed.
+    /// [`MatchIndex::matching_batch`] with the hardware clamp lifted
+    /// and a seeded chunk-claim order: the entry point of the seeded
+    /// interleaving smoke. Same answers for every seed.
     #[doc(hidden)]
     pub fn matching_batch_seeded(&self, pubs: &[Publication], seed: u64) -> Vec<Vec<K>>
     where
         K: Send + Sync,
     {
-        self.matching_batch_parallel(pubs, Some(seed))
+        self.matching_batch_scheduled(pubs, Some(seed))
     }
 
     /// Asserts the internal sharding invariants: every attribute
     /// structure lives in exactly the shard its hash names, and the
     /// slot table covers exactly the satisfiable arity ≥ 1 keys with
-    /// consistent key/arity mirrors. Test support.
+    /// consistent key/seed mirrors. Test support.
     #[doc(hidden)]
     pub fn check_shard_invariants(&self) {
         let nshards = self.shards.len();
@@ -1900,8 +1434,14 @@ impl<K: IndexKey> MatchIndex<K> {
             let s = *slot as usize;
             assert_eq!(self.slots.keys[s], *k, "slot {slot} key mirror mismatch");
             assert_eq!(
-                self.slots.arity[s] as usize, self.arity[k],
-                "slot {slot} arity mirror mismatch"
+                self.slots.seed[s],
+                u16::try_from(self.arity[k]).unwrap_or(0),
+                "slot {slot} countdown seed mismatch"
+            );
+            assert_eq!(
+                self.slots.seed[s] == 0,
+                self.wide.contains(k),
+                "slot {slot} wide-set mismatch"
             );
         }
     }
@@ -2326,11 +1866,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_sweep_handles_boundary_and_retirement_cases() {
+    fn kernel_handles_boundary_cases() {
         // Rows whose bounds collide with probe values in every
-        // open/closed combination, probed in an order that forces
-        // admission and retirement mid-sweep — including equal probes
-        // (no retirement between them) and a probe past every hi.
+        // open/closed combination (clean, boundary-exclusive and
+        // `!=`-carrying snapshot tiers, point buckets), probed below,
+        // on, between and past every endpoint, with repeats.
         let (table, ix) = build(vec![
             Filter::builder().ge("x", 0).le("x", 10).build(),
             Filter::builder().gt("x", 0).le("x", 10).build(),
@@ -2354,6 +1894,7 @@ mod tests {
         let got = ix.matching_batch(&batch);
         for (i, p) in batch.iter().enumerate() {
             assert_eq!(got[i], linear_matching(&table, p), "probe {i} ({p})");
+            assert_eq!(ix.matching(p), got[i], "probe {i} ({p}) alone");
         }
     }
 
@@ -2418,11 +1959,11 @@ mod tests {
     }
 
     #[test]
-    fn seeded_parallel_schedules_match_sequential() {
-        let (_, mut ix) = build(assorted_filters());
+    fn seeded_pooled_schedules_match_linear_scan() {
+        let (table, mut ix) = build(assorted_filters());
         ix.set_parallelism(Parallelism::sharded(5, 3));
         let batch = probes();
-        let want = ix.matching_batch_sequential(&batch);
+        let want: Vec<Vec<u32>> = batch.iter().map(|p| linear_matching(&table, p)).collect();
         for seed in 0..16u64 {
             assert_eq!(ix.matching_batch_seeded(&batch, seed), want, "seed {seed}");
         }
@@ -2456,5 +1997,85 @@ mod tests {
             assert_eq!(ix.covering(q), linear_covering(&table, q));
             assert_eq!(ix.covered_by(q), linear_covered_by(&table, q));
         }
+    }
+
+    #[test]
+    fn filter_wider_than_a_cell_is_matched_exactly() {
+        // 70 000 constraints do not fit a `u16` countdown cell: the
+        // filter is checked directly, beside ordinary counted rows.
+        const WIDE: usize = 70_000;
+        let attr = |i: usize| format!("w{i}");
+        let wide = Filter::new(
+            (0..WIDE)
+                .map(|i| Predicate::new(attr(i), Op::Ge, 0))
+                .collect(),
+        );
+        assert_eq!(wide.arity(), WIDE);
+        let (mut table, mut ix) = build(vec![
+            Filter::builder().ge("w0", 0).le("w0", 10).build(),
+            wide,
+            Filter::builder().eq("w1", 1).any("w2").build(),
+        ]);
+        ix.check_shard_invariants();
+        let mut full = Publication::new();
+        for i in 0..WIDE {
+            full.set(attr(i), 1);
+        }
+        let mut short = full.clone();
+        short.set(attr(WIDE - 1), -1);
+        let narrow = Publication::new().with("w0", 5);
+        for p in [&full, &short, &narrow] {
+            assert_eq!(ix.matching(p), linear_matching(&table, p));
+        }
+        assert_eq!(ix.matching(&full), vec![0, 1, 2]);
+        assert_eq!(ix.matching(&short), vec![0, 2]);
+        // Removal frees it like any other row.
+        assert!(ix.remove(&1));
+        table.remove(&1);
+        ix.check_shard_invariants();
+        assert_eq!(ix.matching(&full), vec![0, 2]);
+        assert_eq!(ix.matching_batch(&[full, short]), vec![vec![0, 2]; 2]);
+    }
+
+    #[test]
+    fn snapshot_ages_by_writes_and_defers_slot_reuse() {
+        let band = |lo: i64| Filter::builder().ge("x", lo).le("x", lo + 10).build();
+        let (mut table, mut ix) = build((0..200).map(band).collect());
+        let probe = Publication::new().with("x", 100);
+        assert!(ix.packed.get().is_none(), "built lazily, not by inserts");
+        assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
+        assert!(ix.packed.get().is_some());
+
+        // Under the rebuild threshold, writes are tracked beside the
+        // snapshot: inserted rows in `fresh`, released slots parked.
+        let budget = REBUILD_FLOOR + 200 / REBUILD_FRACTION;
+        assert!(ix.remove(&95));
+        table.remove(&95);
+        ix.insert(500, &band(95));
+        table.insert(500, band(95));
+        assert!(ix.packed.get().is_some());
+        assert_eq!(ix.slots.parked.len(), 1, "slot of 95 waits for the build");
+        assert_eq!(ix.slots.keys.len(), 201, "and was not handed to 500");
+        assert_eq!(ix.attr_index("x").unwrap().fresh.len(), 1);
+        assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
+        assert!(ix.matching(&probe).contains(&500));
+        assert!(!ix.matching(&probe).contains(&95));
+        // A fresh row removed again stays behind, dead.
+        assert!(ix.remove(&500));
+        table.remove(&500);
+        assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
+
+        // Crossing the threshold drops the snapshot and everything
+        // tracked beside it; the next probe builds a new one.
+        for i in 0..budget as u32 {
+            ix.insert(1000 + i, &band(90 + i as i64 % 20));
+            table.insert(1000 + i, band(90 + i as i64 % 20));
+        }
+        assert!(ix.packed.get().is_none(), "too many writes: dropped");
+        assert!(ix.slots.parked.is_empty());
+        assert!(ix.attr_index("x").unwrap().fresh.is_empty());
+        ix.check_shard_invariants();
+        assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
+        assert!(ix.packed.get().is_some());
     }
 }

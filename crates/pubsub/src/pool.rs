@@ -1,25 +1,12 @@
-//! Persistent worker pool and per-worker scratch for the parallel
-//! matching stage.
+//! Persistent worker pool for spreading a matching batch over
+//! threads.
 //!
-//! The first parallel matching stage spawned (and joined) a fresh set
-//! of scoped OS threads on *every* batch, and re-allocated every
-//! per-batch buffer — the probe regrouping maps and, worst of all, a
-//! dense slot-countdown array re-seeded per publication. Profiles of
-//! the wide-attribute workload showed those serial per-batch costs
-//! swamping the probe work the threads were supposed to split, which
-//! is exactly the shards1 ≈ shards4 ≈ shards8 plateau recorded in
-//! `BENCH_routing.json` before this module existed.
-//!
-//! [`WorkerPool`] fixes the first half: workers are OS threads started
-//! *lazily* on first multi-worker batch, parked on a [`crossbeam`]
-//! channel job queue, and reused for every subsequent batch (clones of
-//! a `MatchIndex` share one pool through an `Arc`, so a broker's SRT
-//! and PRT snapshots do not multiply threads). [`MatchScratch`] fixes
-//! the second half: each pool slot owns reusable buffers — the packed
-//! sweep rows and a publication-major satisfied-constraint count grid
-//! the sweep bumps *directly*, replacing both the per-shard hit lists
-//! and the dense per-publication countdown re-seed of the inline
-//! stage — that keep their capacity across batches.
+//! Workers are OS threads started *lazily* on the first multi-worker
+//! batch, parked on a [`crossbeam`] channel job queue, and reused for
+//! every subsequent batch (clones of a `MatchIndex` share one pool
+//! through an `Arc`, so a broker's SRT and PRT snapshots do not
+//! multiply threads). Spawning and joining scoped threads on every
+//! batch cost more than the probe work they split.
 //!
 //! # Scoped semantics on a persistent pool
 //!
@@ -38,53 +25,8 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-/// Reusable per-worker buffers for the pooled matching stage. One
-/// instance per pool slot, retained across batches so the stage does
-/// no steady-state allocation beyond its result rows.
-#[derive(Debug, Default)]
-pub(crate) struct MatchScratch {
-    /// Publication-major constraint countdowns of the current
-    /// sub-chunk: `grid[pi * nslots + slot]`, seeded from the arity
-    /// `template` and counted *down* by the probes, which emit a match
-    /// the moment a cell reaches zero — no separate merge pass, no
-    /// per-hit arity lookup (the emission check is against the
-    /// constant zero). The publication-major layout keeps all of one
-    /// publication's bumps inside its own `nslots`-cell block, so the
-    /// hot block stays cached however large the whole grid is. `u16`
-    /// counts are safe because a cell is decremented at most once per
-    /// constraint of one filter (the pooled stage falls back when any
-    /// filter's arity exceeds `u16::MAX`).
-    pub grid: Vec<u16>,
-    /// Per-slot arity seed row, `u16`-narrowed once per chunk.
-    pub template: Vec<u16>,
-    /// Slots completed by the publication currently being probed, in
-    /// bump order.
-    pub matches: Vec<u32>,
-    /// Rank-space staging of the current publication's result row
-    /// (sorted as plain `u32`s, then mapped back to keys).
-    pub ranks: Vec<u32>,
-}
-
-impl MatchScratch {
-    /// Narrows the slot arities into the seed row (once per chunk).
-    pub fn set_template(&mut self, arity: &[u32]) {
-        self.template.clear();
-        self.template.extend(arity.iter().map(|&a| a as u16));
-    }
-
-    /// Seeds the grid for an `n`-publication sub-chunk: one template
-    /// copy per publication row, retaining capacity across batches.
-    pub fn seed_grid(&mut self, n: usize) {
-        self.grid.clear();
-        for _ in 0..n {
-            self.grid.extend_from_slice(&self.template);
-        }
-        self.matches.clear();
-    }
-}
-
 /// A dispatched unit of [`WorkerPool::run`]: a lifetime-erased call of
-/// the caller's closure with this job's scratch-slot index.
+/// the caller's closure with this job's slot index.
 struct Job {
     call: unsafe fn(*const (), usize),
     ctx: *const (),
@@ -151,9 +93,6 @@ pub(crate) struct WorkerPool {
     /// Serializes worker spawning (the queue itself is lock-free for
     /// job dispatch).
     grow: Mutex<()>,
-    /// Per-slot scratch, created on demand; `Arc` so a slot's buffers
-    /// can be checked out without holding the registry lock.
-    scratch: Mutex<Vec<Arc<Mutex<MatchScratch>>>>,
 }
 
 impl fmt::Debug for WorkerPool {
@@ -174,7 +113,6 @@ impl WorkerPool {
             spawned: AtomicUsize::new(0),
             runs: AtomicUsize::new(0),
             grow: Mutex::new(()),
-            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -184,15 +122,6 @@ impl WorkerPool {
             workers_spawned: self.spawned.load(Ordering::Relaxed),
             runs: self.runs.load(Ordering::Relaxed),
         }
-    }
-
-    /// The reusable scratch of pool slot `slot`.
-    pub fn scratch(&self, slot: usize) -> Arc<Mutex<MatchScratch>> {
-        let mut reg = self.scratch.lock().unwrap_or_else(|p| p.into_inner());
-        while reg.len() <= slot {
-            reg.push(Arc::new(Mutex::new(MatchScratch::default())));
-        }
-        Arc::clone(&reg[slot])
     }
 
     /// Runs `task(slot)` for every slot in `0..fanout`, slot 0 on the
@@ -248,7 +177,7 @@ impl WorkerPool {
         task(0);
         drop(guard);
         if latch.panicked.load(Ordering::Relaxed) {
-            panic!("parallel matching worker panicked");
+            panic!("matching pool worker panicked");
         }
     }
 
@@ -368,33 +297,5 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn scratch_slots_are_stable_and_reused() {
-        let pool = WorkerPool::new();
-        {
-            let s = pool.scratch(2);
-            let mut g = s.lock().unwrap();
-            g.set_template(&[2; 10]);
-            g.seed_grid(4);
-            g.grid[3] = 7;
-        }
-        let s = pool.scratch(2);
-        let g = s.lock().unwrap();
-        assert_eq!(g.grid.len(), 40, "scratch persists across checkouts");
-        assert_eq!(g.grid[3], 7);
-    }
-
-    #[test]
-    fn seed_grid_reseeds_every_cell_from_the_template() {
-        let mut sc = MatchScratch::default();
-        sc.set_template(&[1, 2, 3, 4, 5]);
-        sc.seed_grid(3);
-        sc.grid.iter_mut().for_each(|c| *c = 9);
-        sc.matches.push(7);
-        sc.seed_grid(2);
-        assert_eq!(sc.grid, vec![1, 2, 3, 4, 5, 1, 2, 3, 4, 5]);
-        assert!(sc.matches.is_empty(), "stale matches must not leak");
     }
 }

@@ -1,13 +1,14 @@
-//! Seeded interleaving smoke for the parallel matching stage (the
+//! Seeded interleaving smoke for the pooled matching schedule (the
 //! loom-style tier of `scripts/ci.sh`, also run under TSAN when the
 //! toolchain supports it).
 //!
-//! The worker pool claims shard jobs off a shared atomic cursor, so
-//! the *schedule* — which worker probes which shard, and in which
-//! order results land — is nondeterministic. The merge must erase
-//! that: `matching_batch_seeded` forces adversarial job orders via a
-//! seeded shuffle, and every (seed, worker-count, shard-count)
-//! combination must reproduce the sequential sweep exactly.
+//! The worker pool claims publication chunks off a shared atomic
+//! cursor, so the *schedule* — which worker matches which chunk, and
+//! in which order results land — is nondeterministic. The stitching
+//! must erase that: `matching_batch_seeded` forces adversarial claim
+//! orders via a seeded shuffle, and every (seed, worker-count,
+//! shard-count) combination must reproduce the caller-thread answers
+//! exactly.
 //!
 //! `INTERLEAVE_SEEDS` scales the seed sweep (default 64).
 
@@ -65,8 +66,8 @@ fn pubs(n: usize) -> Vec<Publication> {
         .collect()
 }
 
-/// Every forced schedule over every layout reproduces the sequential
-/// sweep bit-for-bit.
+/// Every forced schedule over every layout reproduces the
+/// caller-thread answers bit-for-bit.
 #[test]
 fn seeded_schedules_are_invisible() {
     let batch = pubs(48);

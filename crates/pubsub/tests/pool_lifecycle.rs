@@ -1,12 +1,11 @@
-//! Regression tests pinning the worker-pool lifecycle contract of the
-//! parallel matching stage:
+//! Regression tests pinning the worker-pool lifecycle contract of
+//! batch matching:
 //!
-//! - `workers == 0` (sequential) and `workers == 1` (inline sharded
-//!   stage) never touch the pool — no threads, no fan-outs;
-//! - the pooled stage (`workers >= 2`) spawns its helper threads
-//!   lazily on the first multi-worker batch and **reuses** them for
-//!   every later batch (no per-batch spawning — the bug class this
-//!   PR's kernel rework removed);
+//! - fewer than two workers never touch the pool — no threads, no
+//!   fan-outs: the batch is matched on the caller;
+//! - two or more spawn the helper threads lazily on the first
+//!   multi-worker batch and **reuse** them for every later batch (no
+//!   per-batch spawning);
 //! - the unseeded entry point never fans out beyond the machine's
 //!   hardware parallelism;
 //! - clones share one pool, so a cloned index rides the already
@@ -37,7 +36,7 @@ fn batch(n: usize) -> Vec<Publication> {
 }
 
 #[test]
-fn sequential_and_single_worker_touch_no_pool() {
+fn fewer_than_two_workers_touch_no_pool() {
     let pubs = batch(64);
     for par in [Parallelism::sequential(), Parallelism::sharded(4, 1)] {
         let mut ix = loaded(300);
@@ -58,7 +57,7 @@ fn sequential_and_single_worker_touch_no_pool() {
 }
 
 #[test]
-fn pooled_stage_spawns_lazily_then_reuses() {
+fn pool_spawns_lazily_then_reuses() {
     let pubs = batch(64);
     let mut ix = loaded(300);
     ix.set_parallelism(Parallelism::sharded(2, 4));

@@ -1363,6 +1363,11 @@ fn install_link(
     expect_generation: Option<u64>,
 ) -> io::Result<()> {
     let link = ensure_link(shared, owner, peer);
+    // Every dialed and accepted stream passes through here. Frames are
+    // written through a `BufWriter` flushed once per output batch, so
+    // Nagle's algorithm has nothing to coalesce and only adds a
+    // delayed ACK (40 ms) to each write-write-read exchange.
+    stream.set_nodelay(true)?;
     let reader_stream = stream.try_clone()?;
     let sock = stream.try_clone()?;
     let reader_generation;

@@ -22,7 +22,7 @@
 //!   match probes two attribute groups;
 //! - [`SubWorkload::StrPrefix`]: disjoint `x` bands conjoined with a
 //!   per-group string-prefix constraint on [`ATTR_TAG`], exercising
-//!   the match index's string buckets next to its numeric sweep.
+//!   the match index's string buckets next to its numeric rows.
 //!
 //! Every *client* receives its own **instance** of a group: the group
 //! range shifted by a client-specific offset ([`SubWorkload::assign`]).

@@ -1,4 +1,4 @@
-//! A wide-attribute workload for the sharded parallel matching stage.
+//! A wide-attribute workload for sharded match tables.
 //!
 //! The paper's Fig. 7 workloads concentrate on one or two attributes,
 //! which is the right shape for covering structure but the *wrong*
@@ -7,8 +7,8 @@
 //! over [`WIDE_ATTRS`] numeric attributes so a sharded
 //! `MatchIndex` has real work in every partition, and tunes the
 //! selectivities so a publication produces many constraint hits but
-//! few full matches — the regime where per-hit merge cost dominates
-//! and the parallel stage's dense countdown pays off.
+//! few full matches — the regime where the per-hit countdown cost
+//! dominates matching.
 //!
 //! Every generator is a pure function of its index arguments, so
 //! benches and differential tests reproduce byte-identical tables.
@@ -89,7 +89,7 @@ mod tests {
     fn selectivity_is_in_the_target_regime() {
         // With 1k subs and 64 pubs, per-publication band hits should
         // be plentiful while full matches stay rare; this pins the
-        // hits ≫ matches shape the parallel merge is designed for.
+        // hits ≫ matches shape that makes the countdown the hot loop.
         let filters: Vec<Filter> = (0..1000).map(wide_sub_filter).collect();
         let mut hits = 0usize;
         let mut matches = 0usize;

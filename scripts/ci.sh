@@ -22,10 +22,11 @@
 #   4. bench-regression gate — scripts/bench_check.sh compares medians
 #      against the committed BENCH_routing.json (presence-only check
 #      under CI_FAST=1)
-#   5. seeded interleaving smoke for the parallel matching stage
-#      (INTERLEAVE_SEEDS scales the schedule sweep, default 64)
-#   6. TSAN tier — opt in with TSAN=1: rebuilds the parallel matching
-#      tests AND the pipelined runtime drivers (worker pool, ingest/
+#   5. seeded interleaving smoke for batch matching spread over the
+#      worker pool (INTERLEAVE_SEEDS scales the number of forced
+#      chunk-claim orders, default 64)
+#   6. TSAN tier — opt in with TSAN=1: rebuilds the pubsub tests (the
+#      matching worker pool) AND the pipelined runtime drivers (ingest/
 #      apply broker loop) with -Zsanitizer=thread (nightly) and runs
 #      them under ThreadSanitizer; prints a skip notice when not
 #      requested or when the toolchain cannot build it
@@ -74,7 +75,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
     TSAN_RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer"
     if [[ -n "$HOST" ]] && RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
         cargo +nightly build -q -p transmob-pubsub -p transmob-runtime --target "$HOST" 2>/dev/null; then
-        echo "ci: TSAN tier - parallel matching + pipelined runtime under ThreadSanitizer"
+        echo "ci: TSAN tier - matching worker pool + pipelined runtime under ThreadSanitizer"
         RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
             TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
             INTERLEAVE_SEEDS="${INTERLEAVE_SEEDS:-16}" \
