@@ -274,22 +274,23 @@ fn pub_batch(k: usize) -> Vec<Publication> {
         .collect()
 }
 
-/// Batch matching through `matching_routes_batch`. Every row processes
-/// the *same* 256 publications per iteration, chunked at the row's
-/// batch size, so `ns_per_iter` is directly comparable across batch
-/// sizes: what a batch amortizes (the per-call set-up and the route
-/// cache) is `ns(batch1) / ns(batchK)`.
+/// The forwarding query, `destinations_batch`. Every row processes the
+/// *same* 256 publications per iteration, chunked at the row's batch
+/// size, so `ns_per_iter` is directly comparable across batch sizes:
+/// what a batch amortizes (the per-call set-up) is
+/// `ns(batch1) / ns(batchK)`.
 fn bench_publish_batch(c: &mut Criterion) {
     const TOTAL: usize = 256;
     let mut g = c.benchmark_group("publish_batch");
     for n in [1_000usize, 10_000] {
         let prt = loaded_prt_mixed(n);
         let pubs = pub_batch(TOTAL);
+        let refs: Vec<&Publication> = pubs.iter().collect();
         for k in [1usize, 16, 64, 256] {
             g.bench_with_input(BenchmarkId::new(format!("batch{k}"), n), &n, |bch, _| {
                 bch.iter(|| {
-                    for chunk in pubs.chunks(k) {
-                        black_box(prt.matching_routes_batch(black_box(chunk)));
+                    for chunk in refs.chunks(k) {
+                        black_box(prt.destinations_batch(black_box(chunk)));
                     }
                 })
             });
@@ -298,7 +299,7 @@ fn bench_publish_batch(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("unbatched", n), &n, |bch, _| {
             bch.iter(|| {
                 for p in &pubs {
-                    black_box(prt.matching_routes(black_box(p)));
+                    black_box(prt.destinations(black_box(p)));
                 }
             })
         });
@@ -396,10 +397,10 @@ fn bench_broker_pipeline(c: &mut Criterion) {
             std::thread::scope(|s| {
                 s.spawn(move || {
                     for chunk in msgs_ref.chunks(CHUNK) {
-                        let contents: Vec<Publication> = chunk
+                        let contents: Vec<&Publication> = chunk
                             .iter()
                             .filter_map(|m| match m {
-                                PubSubMsg::Publish(p) => Some(p.content.clone()),
+                                PubSubMsg::Publish(p) => Some(&p.content),
                                 _ => None,
                             })
                             .collect();

@@ -54,7 +54,7 @@ use transmob_pubsub::{
 };
 
 use crate::messages::{BrokerOutput, Hop, MsgKind, OutputBatch, PubSubMsg};
-use crate::routing::{PendingRoute, Prt, Srt};
+use crate::routing::{Destinations, PendingRoute, Prt, Srt};
 
 /// How aggressively a broker applies the covering optimization to
 /// subscription (or advertisement) propagation.
@@ -306,19 +306,18 @@ pub struct BrokerStats {
     pub reroutes: u64,
 }
 
-/// Routes pre-computed by [`BrokerCore::prematch`] for the publish
-/// messages of one batch, in batch order, stamped with the routing
-/// version they were matched under. The *match* stage of a pipelined
-/// broker loop produces one of these under a read lock; the *apply*
-/// stage consumes it under the write lock, falling back to fresh
-/// matching if the stamp has gone stale.
+/// Destination sets pre-computed by [`BrokerCore::prematch`] for the
+/// publish messages of one batch, in batch order, stamped with the
+/// routing version they were matched under. The *match* stage of a
+/// pipelined broker loop produces one of these under a read lock; the
+/// *apply* stage consumes it under the write lock, falling back to
+/// fresh matching if the stamp has gone stale.
 #[derive(Debug, Clone)]
 pub struct PrematchedRoutes {
     version: u64,
-    /// Consumption cursor: publish runs of the batch take their rows
-    /// in order across multiple flushes.
-    pos: usize,
-    routes: Vec<Vec<(SubId, Hop, Option<Hop>)>>,
+    /// Publish runs of the batch take their sets off the front, in
+    /// order, across multiple flushes.
+    routes: std::vec::IntoIter<Destinations>,
 }
 
 /// The broker routing state machine. See the module docs for the
@@ -343,12 +342,6 @@ pub struct BrokerCore {
     /// pay nothing for it.
     #[serde(default)]
     dedup: DedupWindow,
-    /// Whether any PRT entry ever recorded a redundant route. Stays
-    /// `false` on tree overlays even with `multipath` forced, letting
-    /// the publication fan-out skip the per-route alt lookup. Never
-    /// cleared: it is a fast-path gate, not an invariant.
-    #[serde(default)]
-    prt_alt_routes: bool,
 }
 
 /// Key for out-of-band pending bookkeeping.
@@ -388,7 +381,6 @@ impl BrokerCore {
             stats: BrokerStats::default(),
             pending_meta: BTreeMap::new(),
             dedup: DedupWindow::default(),
-            prt_alt_routes: false,
         }
     }
 
@@ -467,8 +459,8 @@ impl BrokerCore {
     /// the batch and concatenating the outputs (publications do not
     /// mutate routing state, so a run of them commutes with nothing in
     /// between), but maximal runs of consecutive publications are
-    /// matched through one batch call
-    /// ([`Prt::matching_routes_batch`]).
+    /// resolved to their destinations through one batch call
+    /// ([`Prt::destinations_batch`]).
     pub fn handle_batch(&mut self, from: Hop, msgs: Vec<PubSubMsg>) -> OutputBatch {
         self.handle_batch_prematched(from, msgs, None)
     }
@@ -487,11 +479,10 @@ impl BrokerCore {
     /// only while the stamp still matches, so a movement commit or
     /// subscription churn sneaking in between simply invalidates the
     /// pre-computation instead of corrupting routing.
-    pub fn prematch(&self, contents: &[Publication]) -> PrematchedRoutes {
+    pub fn prematch(&self, contents: &[&Publication]) -> PrematchedRoutes {
         PrematchedRoutes {
             version: self.prt.routing_version(),
-            pos: 0,
-            routes: self.prt.matching_routes_batch(contents),
+            routes: self.prt.destinations_batch(contents).into_iter(),
         }
     }
 
@@ -561,9 +552,7 @@ impl BrokerCore {
         // valid again).
         let mut routes = match pre {
             Some(p) if p.version == self.prt.routing_version() => {
-                let rows = p.routes[p.pos..p.pos + run.len()].to_vec();
-                p.pos += run.len();
-                Some(rows)
+                Some(p.routes.by_ref().take(run.len()).collect::<Vec<_>>())
             }
             _ => {
                 *pre = None;
@@ -573,7 +562,7 @@ impl BrokerCore {
         if self.config.multipath {
             // A publication already forwarded and delivered here via
             // another path of the cyclic overlay is dropped before it
-            // costs a match. (Its pre-computed row was taken above,
+            // costs a match. (Its pre-computed set was taken above,
             // keeping the cursor aligned, and goes with it.)
             let fresh: Vec<bool> = run.iter().map(|p| self.dedup.insert(p.id)).collect();
             let mut keep = fresh.iter();
@@ -583,15 +572,18 @@ impl BrokerCore {
                 rows.retain(|_| *keep.next().expect("one flag per publication"));
             }
         }
-        let contents = || -> Vec<_> { run.iter().map(|p| p.content.clone()).collect() };
-        let routes = routes.unwrap_or_else(|| self.prt.matching_routes_batch(&contents()));
+        let fresh = || {
+            let contents: Vec<&Publication> = run.iter().map(|p| &p.content).collect();
+            self.prt.destinations_batch(&contents)
+        };
+        let routes = routes.unwrap_or_else(fresh);
         debug_assert_eq!(
             routes,
-            self.prt.matching_routes_batch(&contents()),
-            "pre-computed routes diverged from the current routing state"
+            fresh(),
+            "pre-computed destinations diverged from the current routing state"
         );
-        for (p, routes_p) in run.drain(..).zip(routes) {
-            batch.extend(self.emit_publish(from, p, routes_p));
+        for (p, dests) in run.drain(..).zip(routes) {
+            batch.extend(self.emit_publish(from, p, dests));
         }
     }
 
@@ -599,7 +591,9 @@ impl BrokerCore {
 
     fn handle_subscribe(&mut self, from: Hop, sub: Subscription) -> Vec<BrokerOutput> {
         let id = sub.id;
-        if let Some(entry) = self.prt.get_mut(id) {
+        let (clients, multipath) = (&self.clients, self.config.multipath);
+        let reroutes = &mut self.stats.reroutes;
+        let known = self.prt.update(id, |entry| {
             if entry.sub.filter != sub.filter {
                 debug_assert!(
                     false,
@@ -611,31 +605,31 @@ impl BrokerCore {
                 );
             }
             if entry.lasthop != from {
-                if Self::anchored_here(&self.clients, entry.lasthop) {
+                if Self::anchored_here(clients, entry.lasthop) {
                     // The subscriber is attached HERE: the entry is
                     // authoritative and only a movement commit may
                     // re-point it. Adopting an overlay direction would
                     // let a later retraction on that link (e.g. an
                     // overlay-repair purge racing this re-propagation)
                     // annihilate the client's own subscription.
-                    self.stats.reroutes += 1;
-                } else if let (true, Hop::Broker(nb)) = (self.config.multipath, from) {
+                    *reroutes += 1;
+                } else if let (true, Hop::Broker(nb)) = (multipath, from) {
                     // Cyclic overlay: the subscription reached this
                     // broker over a second path. Keep the
                     // first-arrival parent as the primary route and
                     // record the new direction as a redundant one;
                     // publications fan out along both.
                     entry.alt_lasthops.insert(nb);
-                    self.prt_alt_routes = true;
                 } else {
                     // A re-route while the old and new subscription
                     // trees overlap (make-before-break, overlay
                     // repair): adopt the newest direction.
                     entry.lasthop = from;
-                    self.stats.reroutes += 1;
+                    *reroutes += 1;
                 }
             }
-        } else {
+        });
+        if known.is_none() {
             self.prt.insert(sub, from);
         }
         self.propagate_sub(id)
@@ -697,8 +691,7 @@ impl BrokerCore {
             return out;
         }
         let sub = entry.sub.clone();
-        // unwrap: entry existence checked above
-        self.prt.get_mut(id).unwrap().sent_to.insert(n);
+        self.prt.update(id, |e| e.sent_to.insert(n));
         out.push(BrokerOutput::ToBroker(n, PubSubMsg::Subscribe(sub)));
         if self.config.sub_covering == CoveringMode::Active {
             // Retract previously-forwarded subscriptions now covered on
@@ -715,8 +708,7 @@ impl BrokerCore {
                 })
                 .collect();
             for oid in retract {
-                // unwrap: ids were just drawn from the table
-                self.prt.get_mut(oid).unwrap().sent_to.remove(&n);
+                self.prt.update(oid, |e| e.sent_to.remove(&n));
                 out.push(BrokerOutput::ToBroker(n, PubSubMsg::Unsubscribe(oid)));
             }
         }
@@ -752,8 +744,7 @@ impl BrokerCore {
                 if entry.alt_lasthops.contains(&nb) {
                     // One of several redundant routes retracted; the
                     // entry stays, justified by the primary route.
-                    // unwrap: presence checked above
-                    self.prt.get_mut(id).unwrap().alt_lasthops.remove(&nb);
+                    self.prt.update(id, |e| e.alt_lasthops.remove(&nb));
                     return Vec::new();
                 }
             }
@@ -770,10 +761,10 @@ impl BrokerCore {
                 // removing the entry. The other arms of the
                 // retraction will strip the remaining routes; only
                 // the last one removes the entry and cascades.
-                // unwrap: presence checked above
-                let e = self.prt.get_mut(id).unwrap();
-                e.alt_lasthops.remove(&next);
-                e.lasthop = Hop::Broker(next);
+                self.prt.update(id, |e| {
+                    e.alt_lasthops.remove(&next);
+                    e.lasthop = Hop::Broker(next);
+                });
                 return Vec::new();
             }
         }
@@ -858,17 +849,16 @@ impl BrokerCore {
     /// Forwards subscription `id` to `n` bypassing the quench check
     /// (conservative covering release).
     fn forward_sub_unchecked(&mut self, id: SubId, n: BrokerId) -> Vec<BrokerOutput> {
-        let Some(entry) = self.prt.get_mut(id) else {
-            return Vec::new();
-        };
-        if entry.lasthop == Hop::Broker(n)
-            || entry.alt_lasthops.contains(&n)
-            || !entry.sent_to.insert(n)
-        {
-            return Vec::new();
+        let sub = self.prt.update(id, |entry| {
+            let skip = entry.lasthop == Hop::Broker(n)
+                || entry.alt_lasthops.contains(&n)
+                || !entry.sent_to.insert(n);
+            (!skip).then(|| entry.sub.clone())
+        });
+        match sub.flatten() {
+            Some(sub) => vec![BrokerOutput::ToBroker(n, PubSubMsg::Subscribe(sub))],
+            None => Vec::new(),
         }
-        let sub = entry.sub.clone();
-        vec![BrokerOutput::ToBroker(n, PubSubMsg::Subscribe(sub))]
     }
 
     // ----- advertisements --------------------------------------------
@@ -1103,8 +1093,7 @@ impl BrokerCore {
         if still_needed {
             return Vec::new();
         }
-        // unwrap: presence checked above
-        self.prt.get_mut(id).unwrap().sent_to.remove(&n);
+        self.prt.update(id, |e| e.sent_to.remove(&n));
         vec![BrokerOutput::ToBroker(n, PubSubMsg::Unsubscribe(id))]
     }
 
@@ -1319,8 +1308,7 @@ impl BrokerCore {
             .map(|(id, _)| *id)
             .collect();
         for id in alt_subs {
-            // unwrap: ids drawn from the table just above
-            self.prt.get_mut(id).unwrap().alt_lasthops.remove(&dead);
+            self.prt.update(id, |e| e.alt_lasthops.remove(&dead));
         }
         // Forwarding sets must stop referencing the dead link before
         // the purge cascades, so no retraction is addressed to it.
@@ -1341,8 +1329,7 @@ impl BrokerCore {
             .map(|(id, _)| *id)
             .collect();
         for id in stale_subs {
-            // unwrap: ids drawn from the table just above
-            self.prt.get_mut(id).unwrap().sent_to.remove(&dead);
+            self.prt.update(id, |e| e.sent_to.remove(&dead));
         }
         // Purge: withdraw every entry learned over the dead link
         // exactly as if the dead broker had retracted it. The
@@ -1408,68 +1395,46 @@ impl BrokerCore {
 
     // ----- publications ----------------------------------------------
 
-    /// Turns one publication's matched routes into forwarding effects:
-    /// deduplicated broker and client destinations, honouring the
-    /// active and pending hops (plus, under multi-path forwarding,
-    /// every redundant `alt_lasthops` route) and suppressing the
-    /// arrival direction.
+    /// Turns one publication's destination set (active, pending and,
+    /// on cyclic overlays, redundant hops of every matching row,
+    /// already merged by [`Prt::destinations_batch`]) into forwarding
+    /// effects: brokers ascending, then clients ascending, the arrival
+    /// direction suppressed.
     fn emit_publish(
         &mut self,
         from: Hop,
         p: PublicationMsg,
-        routes: Vec<(SubId, Hop, Option<Hop>)>,
+        dests: Destinations,
     ) -> Vec<BrokerOutput> {
         let multipath = self.config.multipath;
-        // On overlays where no redundant route was ever recorded
-        // (every tree, even with `multipath` forced) the alt lookup
-        // below can never add a destination — skip it wholesale.
-        let fan_out_alts = multipath && self.prt_alt_routes;
-        let mut broker_dests: BTreeSet<BrokerId> = BTreeSet::new();
-        let mut client_dests: BTreeSet<ClientId> = BTreeSet::new();
-        for (id, active, pending) in routes {
-            for hop in [Some(active), pending].into_iter().flatten() {
-                if hop == from {
-                    continue;
-                }
-                match hop {
-                    Hop::Broker(n) => {
-                        broker_dests.insert(n);
-                    }
-                    Hop::Client(c) => {
-                        client_dests.insert(c);
-                    }
-                }
-            }
-            if fan_out_alts {
-                if let Some(e) = self.prt.get(id) {
-                    for n in &e.alt_lasthops {
-                        if Hop::Broker(*n) != from {
-                            broker_dests.insert(*n);
-                        }
-                    }
-                }
-            }
+        let Destinations {
+            mut brokers,
+            mut clients,
+        } = dests;
+        match from {
+            Hop::Broker(n) => brokers.retain(|b| *b != n),
+            Hop::Client(c) => clients.retain(|d| *d != c),
         }
-        if multipath && p.hops >= MAX_PUB_HOPS && !broker_dests.is_empty() {
+        if multipath && p.hops >= MAX_PUB_HOPS && !brokers.is_empty() {
             // Backstop bound: the dedup window should have terminated
             // any cycle long before this; count the drop so tests see
             // it.
             self.stats.anomalies += 1;
-            broker_dests.clear();
+            brokers.clear();
         }
-        let mut out = Vec::new();
-        if !broker_dests.is_empty() {
+        let mut out = Vec::with_capacity(brokers.len() + clients.len());
+        if !brokers.is_empty() {
             // The hop count only moves on cyclic overlays, keeping
             // acyclic forwarding byte-identical to previous releases.
             let mut fwd = p.clone();
             if multipath {
                 fwd.hops += 1;
             }
-            for n in broker_dests {
+            for n in brokers {
                 out.push(BrokerOutput::ToBroker(n, PubSubMsg::Publish(fwd.clone())));
             }
         }
-        for c in client_dests {
+        for c in clients {
             out.push(BrokerOutput::Deliver(c, p.clone()));
         }
         out
@@ -1499,11 +1464,11 @@ impl BrokerCore {
         if created {
             self.prt.insert(sub.clone(), new_lasthop);
         }
-        // unwrap: entry exists (pre-existing or just inserted)
-        let entry = self.prt.get_mut(sub.id).unwrap();
-        entry.pending = Some(PendingRoute {
-            move_id,
-            lasthop: new_lasthop,
+        self.prt.update(sub.id, |entry| {
+            entry.pending = Some(PendingRoute {
+                move_id,
+                lasthop: new_lasthop,
+            })
         });
         self.pending_meta.insert(
             PendingKey::Sub(sub.id, move_id),
@@ -1584,29 +1549,23 @@ impl BrokerCore {
             }
         }
         for id in self.prt.pending_for(move_id) {
-            // unwrap: id came from pending_for on the same table
-            let entry = self.prt.get_mut(id).unwrap();
-            // unwrap: pending_for guarantees a pending config
-            let pending = entry.pending.take().unwrap();
-            entry.lasthop = pending.lasthop;
-            if let Hop::Broker(nb) = pending.lasthop {
-                entry.sent_to.remove(&nb);
-                // The committed primary can no longer also be a
-                // redundant route.
-                entry.alt_lasthops.remove(&nb);
-            }
-            let meta = self
-                .pending_meta
-                .remove(&PendingKey::Sub(id, move_id))
-                .unwrap_or(PendingMeta {
-                    commit_sent_add: None,
-                    created: false,
-                });
-            if let Some(add) = meta.commit_sent_add {
-                if self.neighbors.contains(&add) {
-                    entry.sent_to.insert(add);
+            let meta = self.pending_meta.remove(&PendingKey::Sub(id, move_id));
+            // As for the SRT above: never resurrect a dead link.
+            let sent_add = meta
+                .and_then(|m| m.commit_sent_add)
+                .filter(|add| self.neighbors.contains(add));
+            self.prt.update(id, |entry| {
+                // unwrap: pending_for guarantees a pending config
+                let pending = entry.pending.take().unwrap();
+                entry.lasthop = pending.lasthop;
+                if let Hop::Broker(nb) = pending.lasthop {
+                    entry.sent_to.remove(&nb);
+                    // The committed primary can no longer also be a
+                    // redundant route.
+                    entry.alt_lasthops.remove(&nb);
                 }
-            }
+                entry.sent_to.extend(sent_add);
+            });
         }
         // Prune subscriptions that pointed at the old advertisement
         // location (paper PRT case 2, realized as the generic prune).
@@ -1632,8 +1591,8 @@ impl BrokerCore {
             let meta = self.pending_meta.remove(&PendingKey::Sub(id, move_id));
             if meta.is_some_and(|m| m.created) {
                 self.prt.remove(id);
-            } else if let Some(entry) = self.prt.get_mut(id) {
-                entry.pending = None;
+            } else {
+                self.prt.update(id, |entry| entry.pending = None);
             }
         }
         Vec::new()

@@ -35,7 +35,7 @@ pub use broker::{
 };
 pub use messages::{BrokerOutput, Hop, MsgKind, OutputBatch, PubSubMsg};
 pub use overlay::OverlayBuilder;
-pub use routing::{AdvEntry, PendingRoute, Prt, Srt, SubEntry};
+pub use routing::{AdvEntry, Destinations, PendingRoute, Prt, Srt, SubEntry};
 pub use sync_net::{Delivery, SyncNet, SyncNetBuilder};
 pub use topology::{Route, Topology, TopologyChange, TopologyError};
 pub use transmob_pubsub::Parallelism;

@@ -11,14 +11,25 @@
 //! forwarding honours both the active and pending configurations during
 //! that window (duplicates are suppressed per destination and, at the
 //! client stub, by publication id).
+//!
+//! The two tables are built differently because they are used
+//! differently. Every publication on every broker of its path asks the
+//! PRT "where does this go", so [`Prt`] numbers its rows densely, keys
+//! its match index by row number and keeps a *forwarding column* of
+//! hops beside the rows: a publication is resolved to its
+//! [`Destinations`] by folding the matching row numbers through the
+//! column, without listing the rows or walking the row map
+//! (DESIGN.md §7, "From match to destinations"). The SRT holds a few
+//! dozen advertisements and is only consulted on the control path, so
+//! [`Srt`] stays a plain id-keyed map with an id-keyed index.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use transmob_pubsub::fasthash::FastMap;
 use transmob_pubsub::{
-    AdvId, Advertisement, Filter, MatchIndex, MoveId, Parallelism, Publication, SubId, Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, MatchIndex, MoveId, Parallelism, Publication,
+    SubId, Subscription,
 };
 
 use crate::messages::Hop;
@@ -79,9 +90,9 @@ pub struct AdvEntry {
     /// these too, so publications reach this broker over every
     /// surviving path. Always empty on tree overlays.
     #[serde(default)]
-    pub alt_lasthops: BTreeSet<transmob_pubsub::BrokerId>,
+    pub alt_lasthops: BTreeSet<BrokerId>,
     /// Neighbours this broker forwarded the advertisement to.
-    pub sent_to: BTreeSet<transmob_pubsub::BrokerId>,
+    pub sent_to: BTreeSet<BrokerId>,
     /// Shadow configuration installed by an in-flight movement.
     pub pending: Option<PendingRoute>,
 }
@@ -102,9 +113,9 @@ pub struct SubEntry {
     /// dedup window keeps delivery exactly-once. Always empty on tree
     /// overlays.
     #[serde(default)]
-    pub alt_lasthops: BTreeSet<transmob_pubsub::BrokerId>,
+    pub alt_lasthops: BTreeSet<BrokerId>,
     /// Neighbours this broker forwarded the subscription to.
-    pub sent_to: BTreeSet<transmob_pubsub::BrokerId>,
+    pub sent_to: BTreeSet<BrokerId>,
     /// Shadow configuration installed by an in-flight movement.
     pub pending: Option<PendingRoute>,
 }
@@ -375,38 +386,141 @@ impl Srt {
     }
 }
 
+/// Where one publication goes from this broker: the answer of
+/// [`Prt::destinations_batch`]. Both lists are ascending and
+/// duplicate-free, and forwarding emits them in this order (brokers,
+/// then clients).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Destinations {
+    /// Neighbouring brokers that get a copy.
+    pub brokers: Vec<BrokerId>,
+    /// Locally attached clients that get a copy.
+    pub clients: Vec<ClientId>,
+}
+
+impl Destinations {
+    /// Records `hop`. Runs of one hop (most rows of a broker share
+    /// their direction) collapse here; [`Destinations::finish`] removes
+    /// the repeats that were not adjacent.
+    fn add(&mut self, hop: Hop) {
+        match hop {
+            Hop::Broker(b) if self.brokers.last() != Some(&b) => self.brokers.push(b),
+            Hop::Client(c) if self.clients.last() != Some(&c) => self.clients.push(c),
+            _ => {}
+        }
+    }
+
+    fn finish(&mut self) {
+        self.brokers.sort_unstable();
+        self.brokers.dedup();
+        self.clients.sort_unstable();
+        self.clients.dedup();
+    }
+}
+
+/// One cell of the PRT's forwarding column: everything publication
+/// forwarding reads of a row.
+#[derive(Debug, Clone, PartialEq)]
+struct Cell {
+    lasthop: Hop,
+    pending: Option<Hop>,
+    /// The row's `alt_lasthops`; `None` for the many rows without any.
+    alts: Option<Box<[BrokerId]>>,
+}
+
+impl Cell {
+    fn of(e: &SubEntry) -> Cell {
+        Cell {
+            lasthop: e.lasthop,
+            pending: e.pending.as_ref().map(|p| p.lasthop),
+            alts: (!e.alt_lasthops.is_empty()).then(|| e.alt_lasthops.iter().copied().collect()),
+        }
+    }
+}
+
+/// The PRT's dense row numbers and the forwarding column they index.
+///
+/// A row keeps its number for as long as it lives; a removed row's
+/// number goes to the free list and is handed to a later insert. The
+/// numbers are private to one table instance: they are never
+/// serialized, and a table rebuilt from its rows numbers them afresh.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    /// Row number → subscription id (stale for the numbers in `free`).
+    ids: Vec<SubId>,
+    /// Row number → forwarding cell (stale for the numbers in `free`).
+    cells: Vec<Cell>,
+    free: Vec<u32>,
+}
+
+impl Column {
+    fn alloc(&mut self, id: SubId, cell: Cell) -> u32 {
+        match self.free.pop() {
+            Some(n) => {
+                self.ids[n as usize] = id;
+                self.cells[n as usize] = cell;
+                n
+            }
+            None => {
+                let n = u32::try_from(self.ids.len()).expect("fewer than 2^32 PRT rows");
+                self.ids.push(id);
+                self.cells.push(cell);
+                n
+            }
+        }
+    }
+}
+
+/// One PRT row: the entry and its row number.
+#[derive(Debug, Clone)]
+struct Row {
+    n: u32,
+    entry: SubEntry,
+}
+
 /// The Publication Routing Table.
 ///
-/// Publication matching ([`Prt::matching`]) and filter overlap
-/// ([`Prt::overlapping`]) are served by an attribute-indexed counting
-/// [`MatchIndex`] kept in sync with the rows; the index is rebuilt
-/// from the rows on deserialization and asserted against the
-/// linear-scan oracle in debug builds.
+/// Every row has a dense `u32` *row number* ([`Column`]). The
+/// attribute-indexed counting [`MatchIndex`] is keyed by it, and the
+/// *forwarding column* beside the rows holds, per row number, the hops
+/// a matching publication is forwarded to. Publication forwarding
+/// ([`Prt::destinations_batch`]) folds the index's matching row
+/// numbers through the column straight into destination sets: it never
+/// lists the matching rows and never touches the row map. The filter
+/// queries ([`Prt::matching`], [`Prt::overlapping`], [`Prt::covering`],
+/// [`Prt::covered_by`]) translate row numbers back to ids and answer
+/// sorted by id, exactly like the linear scans they are asserted
+/// against in debug builds.
 ///
-/// As with [`Srt`], the mutable accessors are for hop bookkeeping
-/// only — never mutate an entry's filter through them.
+/// Index and column are derived state with one writer each side of the
+/// row map: [`Prt::insert`] and [`Prt::remove`] for rows coming and
+/// going, [`Prt::update`] for the hop bookkeeping of a live row, which
+/// re-derives that row's cell when the caller's closure returns.
+/// Equality and serialization see the rows only; deserialization
+/// rebuilds the rest. Never mutate a row's filter through
+/// [`Prt::update`]: replacing a filter requires remove-then-insert.
 #[derive(Debug, Clone, Default)]
 pub struct Prt {
-    entries: BTreeMap<SubId, SubEntry>,
-    index: MatchIndex<SubId>,
-    /// Routing-state version: bumped by every mutable access that
-    /// could change what [`Prt::matching_routes_batch`] answers (row
-    /// churn *and* hop/pending bookkeeping through the mutable
-    /// accessors, counted conservatively). The pipelined broker loops
-    /// stamp pre-computed routes with this and discard them if the
-    /// table has moved on ([`Prt::routing_version`]).
+    entries: BTreeMap<SubId, Row>,
+    column: Column,
+    index: MatchIndex<u32>,
+    /// Routing-state version: bumped by every write that could change
+    /// what [`Prt::destinations_batch`] answers (row churn *and* every
+    /// [`Prt::update`], counted conservatively). The pipelined broker
+    /// loops stamp pre-computed destinations with this and discard
+    /// them if the table has moved on ([`Prt::routing_version`]).
     version: u64,
 }
 
 impl PartialEq for Prt {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.iter().eq(other.iter())
     }
 }
 
 impl Serialize for Prt {
     fn serialize<S: serde::ser::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
-        serde_pairs::serialize(&self.entries, ser)
+        ser.collect_seq(self.iter())
     }
 }
 
@@ -433,17 +547,18 @@ impl Prt {
         self.index.parallelism()
     }
 
-    /// Rebuilds a table (and its match index) from persisted rows.
+    /// Rebuilds a table (row numbers, forwarding column and match
+    /// index included) from persisted rows.
     ///
     /// Same contract as [`Srt::from_pairs`]: one id appearing twice
     /// with conflicting rows marks the snapshot corrupt and is
     /// rejected; byte-identical duplicates are tolerated (first wins).
     fn from_pairs(pairs: Vec<(SubId, SubEntry)>) -> Result<Self, String> {
-        let mut entries: BTreeMap<SubId, SubEntry> = BTreeMap::new();
-        for (id, e) in pairs {
-            match entries.entry(id) {
+        let mut prt = Prt::new();
+        for (id, entry) in pairs {
+            match prt.entries.entry(id) {
                 Entry::Occupied(existing) => {
-                    if *existing.get() != e {
+                    if existing.get().entry != entry {
                         return Err(format!(
                             "PRT snapshot carries subscription {id} twice with \
                              conflicting rows"
@@ -451,19 +566,13 @@ impl Prt {
                     }
                 }
                 Entry::Vacant(v) => {
-                    v.insert(e);
+                    let n = prt.column.alloc(id, Cell::of(&entry));
+                    prt.index.insert(n, &entry.sub.filter);
+                    v.insert(Row { n, entry });
                 }
             }
         }
-        let mut index = MatchIndex::new();
-        for (id, e) in &entries {
-            index.insert(*id, &e.sub.filter);
-        }
-        Ok(Prt {
-            entries,
-            index,
-            version: 0,
-        })
+        Ok(prt)
     }
 
     /// Inserts a subscription arriving from `lasthop`. Returns `false`
@@ -476,14 +585,13 @@ impl Prt {
         self.version = self.version.wrapping_add(1);
         match self.entries.entry(sub.id) {
             Entry::Occupied(existing) => {
-                if existing.get().sub.filter != sub.filter {
+                let kept = &existing.get().entry.sub.filter;
+                if *kept != sub.filter {
                     debug_assert!(
                         false,
                         "subscription {} re-inserted with a different filter \
                          (kept {}, ignored {})",
-                        sub.id,
-                        existing.get().sub.filter,
-                        sub.filter
+                        sub.id, kept, sub.filter
                     );
                     eprintln!(
                         "transmob-broker: ignoring re-subscription of {} with a \
@@ -494,14 +602,16 @@ impl Prt {
                 false
             }
             Entry::Vacant(v) => {
-                self.index.insert(sub.id, &sub.filter);
-                v.insert(SubEntry {
+                let entry = SubEntry {
                     sub,
                     lasthop,
                     alt_lasthops: BTreeSet::new(),
                     sent_to: BTreeSet::new(),
                     pending: None,
-                });
+                };
+                let n = self.column.alloc(entry.sub.id, Cell::of(&entry));
+                self.index.insert(n, &entry.sub.filter);
+                v.insert(Row { n, entry });
                 true
             }
         }
@@ -510,136 +620,167 @@ impl Prt {
     /// Removes a subscription, returning its row.
     pub fn remove(&mut self, id: SubId) -> Option<SubEntry> {
         self.version = self.version.wrapping_add(1);
-        let row = self.entries.remove(&id);
-        if row.is_some() {
-            self.index.remove(&id);
-        }
-        row
+        let row = self.entries.remove(&id)?;
+        self.index.remove(&row.n);
+        self.column.free.push(row.n);
+        Some(row.entry)
     }
 
     /// Looks up a row.
     pub fn get(&self, id: SubId) -> Option<&SubEntry> {
-        self.entries.get(&id)
+        self.entries.get(&id).map(|row| &row.entry)
     }
 
-    /// Looks up a row mutably (for hop bookkeeping — never mutate the
-    /// filter; see the type docs).
-    pub fn get_mut(&mut self, id: SubId) -> Option<&mut SubEntry> {
+    /// The one way to write to a live row: runs `f` on the entry (hop,
+    /// forwarding-set and pending bookkeeping; never the filter, see
+    /// the type docs), then bumps the routing version and re-derives
+    /// the row's forwarding cell. Returns what `f` returned, or `None`
+    /// (with nothing touched) if the id is not in the table.
+    pub fn update<R>(&mut self, id: SubId, f: impl FnOnce(&mut SubEntry) -> R) -> Option<R> {
+        let row = self.entries.get_mut(&id)?;
         self.version = self.version.wrapping_add(1);
-        self.entries.get_mut(&id)
+        let out = f(&mut row.entry);
+        self.column.cells[row.n as usize] = Cell::of(&row.entry);
+        Some(out)
     }
 
     /// Iterates all rows.
     pub fn iter(&self) -> impl Iterator<Item = (&SubId, &SubEntry)> {
-        self.entries.iter()
-    }
-
-    /// Iterates all rows mutably (for hop bookkeeping — never mutate
-    /// the filter; see the type docs).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&SubId, &mut SubEntry)> {
-        self.version = self.version.wrapping_add(1);
-        self.entries.iter_mut()
+        self.entries.iter().map(|(id, row)| (id, &row.entry))
     }
 
     /// The routing-state version stamp (see the `version` field): two
     /// equal stamps from the same table guarantee
-    /// [`Prt::matching_routes_batch`] would answer identically.
+    /// [`Prt::destinations_batch`] would answer identically.
     pub fn routing_version(&self) -> u64 {
         self.version
     }
 
-    /// Ids of subscriptions whose filter matches `publication`
-    /// (the publication-forwarding test). Served by the counting index.
+    /// Row numbers out of the index → ids, sorted by id (the order the
+    /// linear scans produce).
+    fn ids_of(&self, rows: Vec<u32>) -> Vec<SubId> {
+        let mut ids: Vec<SubId> = rows
+            .into_iter()
+            .map(|n| self.column.ids[n as usize])
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Ids of subscriptions whose filter matches `publication`, sorted
+    /// (the publication-forwarding test, for callers that want the
+    /// rows; forwarding itself goes through
+    /// [`Prt::destinations_batch`]). Served by the counting index.
     pub fn matching(&self, publication: &Publication) -> Vec<SubId> {
-        let out = self.index.matching(publication);
-        debug_assert_eq!(
-            out,
-            self.matching_linear(publication),
-            "match index diverged from the linear matching scan"
-        );
-        out
+        self.matching_batch(std::slice::from_ref(publication))
+            .pop()
+            .expect("one result row per publication")
     }
 
     /// Reference implementation of [`Prt::matching`]: the full linear
     /// scan. Kept as the differential oracle for the index (and as the
     /// benchmark baseline).
     pub fn matching_linear(&self, publication: &Publication) -> Vec<SubId> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|(_, e)| e.sub.filter.matches(publication))
             .map(|(id, _)| *id)
             .collect()
     }
 
-    /// Matching query joined with the routing hops the broker needs:
-    /// for every matching row, its id, active lasthop, and pending
-    /// (shadow) lasthop if a movement transaction is in flight. This
-    /// is the one API publication forwarding goes through, so the
-    /// prepare–commit window (where both configurations must receive
-    /// traffic) is honoured in one place.
-    pub fn matching_routes(&self, publication: &Publication) -> Vec<(SubId, Hop, Option<Hop>)> {
-        self.matching(publication)
-            .into_iter()
-            .map(|id| {
-                // unwrap: the index never returns ids without a row
-                let e = &self.entries[&id];
-                (id, e.lasthop, e.pending.as_ref().map(|p| p.lasthop))
-            })
-            .collect()
-    }
-
     /// [`Prt::matching`] for every publication of a batch, in batch
-    /// order. Served by the counting index
-    /// ([`MatchIndex::matching_batch`]); asserted against the linear
-    /// scan in debug builds.
+    /// order: the index's fold ([`MatchIndex::fold_matching`]) into id
+    /// vectors, sorted; asserted against the linear scan in debug
+    /// builds.
     pub fn matching_batch(&self, publications: &[Publication]) -> Vec<Vec<SubId>> {
-        let out = self.index.matching_batch(publications);
+        let ids = &self.column.ids;
+        let out = self.index.fold_matching(
+            publications,
+            Vec::with_capacity,
+            |row: &mut Vec<SubId>, n| row.push(ids[n as usize]),
+            |row| row.sort_unstable(),
+        );
         #[cfg(debug_assertions)]
-        for (i, p) in publications.iter().enumerate() {
+        for (row, p) in out.iter().zip(publications) {
             debug_assert_eq!(
-                out[i],
+                *row,
                 self.matching_linear(p),
-                "batch match index diverged from the linear matching scan"
+                "match index diverged from the linear matching scan"
             );
         }
         out
     }
 
-    /// [`Prt::matching_routes`] for every publication of a batch, in
-    /// batch order: the batch match joined with the active and pending
-    /// lasthops publication forwarding needs.
+    /// The forwarding query: for every publication of a batch, in
+    /// batch order, where it goes from this broker. A destination is
+    /// the active lasthop, the pending (shadow) lasthop of an in-flight
+    /// movement, or a redundant `alt_lasthops` route of any matching
+    /// row, so the prepare–commit window (where both configurations
+    /// must receive traffic) and multi-path forwarding are honoured in
+    /// one place.
     ///
-    /// Matching ids repeat heavily across a batch (hot subscriptions
-    /// match most publications), so the row lookup is cached per
-    /// distinct id: one tree walk per distinct subscription, a hash
-    /// probe per repeat.
-    pub fn matching_routes_batch(
-        &self,
-        publications: &[Publication],
-    ) -> Vec<Vec<(SubId, Hop, Option<Hop>)>> {
-        let mut routes: FastMap<SubId, (Hop, Option<Hop>)> = FastMap::default();
-        self.matching_batch(publications)
-            .into_iter()
-            .map(|ids| {
-                ids.into_iter()
-                    .map(|id| {
-                        let (lasthop, pending) = *routes.entry(id).or_insert_with(|| {
-                            // unwrap: the index never returns ids
-                            // without a row
-                            let e = &self.entries[&id];
-                            (e.lasthop, e.pending.as_ref().map(|p| p.lasthop))
-                        });
-                        (id, lasthop, pending)
-                    })
-                    .collect()
-            })
-            .collect()
+    /// This is the index's fold ([`MatchIndex::fold_matching`]) with
+    /// the forwarding column as its step: per matching row number one
+    /// cell is read, and neither the matching ids nor the row map are
+    /// ever consulted. Asserted against
+    /// [`Prt::destinations_linear`] in debug builds.
+    pub fn destinations_batch(&self, publications: &[&Publication]) -> Vec<Destinations> {
+        let cells = &self.column.cells;
+        let out = self.index.fold_matching(
+            publications,
+            |_| Destinations::default(),
+            |dests, n| {
+                let cell = &cells[n as usize];
+                dests.add(cell.lasthop);
+                if let Some(hop) = cell.pending {
+                    dests.add(hop);
+                }
+                for b in cell.alts.iter().flat_map(|alts| alts.iter()) {
+                    dests.add(Hop::Broker(*b));
+                }
+            },
+            Destinations::finish,
+        );
+        #[cfg(debug_assertions)]
+        for (dests, p) in out.iter().zip(publications) {
+            debug_assert_eq!(
+                *dests,
+                self.destinations_linear(p),
+                "forwarding column diverged from the linear scan of the rows"
+            );
+        }
+        out
+    }
+
+    /// [`Prt::destinations_batch`] for one publication.
+    pub fn destinations(&self, publication: &Publication) -> Destinations {
+        self.destinations_batch(&[publication])
+            .pop()
+            .expect("one destination set per publication")
+    }
+
+    /// Reference implementation of [`Prt::destinations_batch`]: the
+    /// linear scan of the rows, reading the hops off the entries.
+    pub fn destinations_linear(&self, publication: &Publication) -> Destinations {
+        let mut dests = Destinations::default();
+        for (_, e) in self.iter() {
+            if e.sub.filter.matches(publication) {
+                dests.add(e.lasthop);
+                if let Some(p) = &e.pending {
+                    dests.add(p.lasthop);
+                }
+                for b in &e.alt_lasthops {
+                    dests.add(Hop::Broker(*b));
+                }
+            }
+        }
+        dests.finish();
+        dests
     }
 
     /// Ids of subscriptions whose filter overlaps `filter`. Served by
     /// the counting index.
     pub fn overlapping(&self, filter: &Filter) -> Vec<SubId> {
-        let out = self.index.overlapping(filter);
+        let out = self.ids_of(self.index.overlapping(filter));
         debug_assert_eq!(
             out,
             self.overlapping_linear(filter),
@@ -651,8 +792,7 @@ impl Prt {
     /// Reference implementation of [`Prt::overlapping`]: the full
     /// linear scan.
     pub fn overlapping_linear(&self, filter: &Filter) -> Vec<SubId> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|(_, e)| e.sub.filter.overlaps(filter))
             .map(|(id, _)| *id)
             .collect()
@@ -662,7 +802,7 @@ impl Prt {
     /// subscription-quench test). Served by the dual-endpoint
     /// containment structure of the counting index.
     pub fn covering(&self, filter: &Filter) -> Vec<SubId> {
-        let out = self.index.covering(filter);
+        let out = self.ids_of(self.index.covering(filter));
         debug_assert_eq!(
             out,
             self.covering_linear(filter),
@@ -675,8 +815,7 @@ impl Prt {
     /// scan. Kept as the differential oracle for the index (and as the
     /// benchmark baseline).
     pub fn covering_linear(&self, filter: &Filter) -> Vec<SubId> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|(_, e)| e.sub.filter.covers(filter))
             .map(|(id, _)| *id)
             .collect()
@@ -687,7 +826,7 @@ impl Prt {
     /// mobility unsubscribe bursts). Served by the dual-endpoint
     /// containment structure of the counting index.
     pub fn covered_by(&self, filter: &Filter) -> Vec<SubId> {
-        let out = self.index.covered_by(filter);
+        let out = self.ids_of(self.index.covered_by(filter));
         debug_assert_eq!(
             out,
             self.covered_by_linear(filter),
@@ -699,8 +838,7 @@ impl Prt {
     /// Reference implementation of [`Prt::covered_by`]: the full
     /// linear scan.
     pub fn covered_by_linear(&self, filter: &Filter) -> Vec<SubId> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|(_, e)| filter.covers(&e.sub.filter))
             .map(|(id, _)| *id)
             .collect()
@@ -718,11 +856,43 @@ impl Prt {
 
     /// Ids of rows with a pending configuration for `move_id`.
     pub fn pending_for(&self, move_id: MoveId) -> Vec<SubId> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|(_, e)| e.pending.as_ref().is_some_and(|p| p.move_id == move_id))
             .map(|(id, _)| *id)
             .collect()
+    }
+
+    /// Asserts the derived state against the rows: row numbers and ids
+    /// map onto each other one to one (live and free numbers partition
+    /// the column), every live cell equals the cell derived from its
+    /// entry, and the index holds every row's filter under its number
+    /// and nothing else. Test support.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let Column { ids, cells, free } = &self.column;
+        assert_eq!(ids.len(), cells.len(), "column halves differ in length");
+        assert_eq!(
+            self.entries.len() + free.len(),
+            ids.len(),
+            "live and free row numbers do not partition the column"
+        );
+        let mut seen: BTreeSet<u32> = free.iter().copied().collect();
+        assert_eq!(seen.len(), free.len(), "a row number is free twice");
+        for (id, row) in &self.entries {
+            assert!(seen.insert(row.n), "row number {} held twice", row.n);
+            assert_eq!(ids[row.n as usize], *id, "row {} names another id", row.n);
+            assert_eq!(
+                cells[row.n as usize],
+                Cell::of(&row.entry),
+                "forwarding cell of {id} is stale"
+            );
+            assert_eq!(
+                self.index.get(&row.n),
+                Some(&row.entry.sub.filter),
+                "index filter of {id} differs from the row's"
+            );
+        }
+        assert_eq!(self.index.len(), self.entries.len(), "index size mismatch");
     }
 }
 
@@ -807,68 +977,173 @@ mod tests {
         prt.insert(sub(1, 0, 5, 25), Hop::Client(ClientId(1)));
     }
 
-    #[test]
-    fn matching_routes_exposes_active_and_pending_hops() {
-        let mut prt = Prt::new();
-        let s1 = sub(1, 0, 0, 10);
-        let s2 = sub(2, 0, 5, 20);
-        prt.insert(s1.clone(), Hop::Client(ClientId(1)));
-        prt.insert(s2.clone(), Hop::Broker(BrokerId(4)));
-        prt.get_mut(s1.id).unwrap().pending = Some(PendingRoute {
-            move_id: MoveId(3),
-            lasthop: Hop::Broker(BrokerId(7)),
-        });
-        let routes = prt.matching_routes(&Publication::new().with("x", 7));
-        assert_eq!(
-            routes,
-            vec![
-                (
-                    s1.id,
-                    Hop::Client(ClientId(1)),
-                    Some(Hop::Broker(BrokerId(7)))
-                ),
-                (s2.id, Hop::Broker(BrokerId(4)), None),
-            ]
-        );
+    fn pend(prt: &mut Prt, id: SubId, m: u64, hop: Hop) {
+        prt.update(id, |e| {
+            e.pending = Some(PendingRoute {
+                move_id: MoveId(m),
+                lasthop: hop,
+            })
+        })
+        .expect("row present");
     }
 
     #[test]
-    fn batch_matching_routes_agree_with_per_publication_routes() {
+    fn destinations_expose_active_and_pending_hops() {
         let mut prt = Prt::new();
         let s1 = sub(1, 0, 0, 10);
         let s2 = sub(2, 0, 5, 20);
         prt.insert(s1.clone(), Hop::Client(ClientId(1)));
         prt.insert(s2.clone(), Hop::Broker(BrokerId(4)));
-        prt.get_mut(s1.id).unwrap().pending = Some(PendingRoute {
-            move_id: MoveId(3),
-            lasthop: Hop::Broker(BrokerId(7)),
-        });
+        pend(&mut prt, s1.id, 3, Hop::Broker(BrokerId(7)));
+        assert_eq!(
+            prt.destinations(&Publication::new().with("x", 7)),
+            Destinations {
+                brokers: vec![BrokerId(4), BrokerId(7)],
+                clients: vec![ClientId(1)],
+            }
+        );
+        // Only s2 matches: s1's pending hop goes with s1.
+        assert_eq!(
+            prt.destinations(&Publication::new().with("x", 15)),
+            Destinations {
+                brokers: vec![BrokerId(4)],
+                clients: vec![],
+            }
+        );
+        prt.check_invariants();
+    }
+
+    #[test]
+    fn batch_destinations_agree_with_per_publication_destinations() {
+        let mut prt = Prt::new();
+        let s1 = sub(1, 0, 0, 10);
+        let s2 = sub(2, 0, 5, 20);
+        prt.insert(s1.clone(), Hop::Client(ClientId(1)));
+        prt.insert(s2.clone(), Hop::Broker(BrokerId(4)));
+        pend(&mut prt, s1.id, 3, Hop::Broker(BrokerId(7)));
         let batch: Vec<Publication> = [7i64, 15, 40, 0]
             .into_iter()
             .map(|x| Publication::new().with("x", x))
             .collect();
-        let got = prt.matching_routes_batch(&batch);
+        let got = prt.destinations_batch(&batch.iter().collect::<Vec<_>>());
         assert_eq!(got.len(), batch.len());
         for (i, p) in batch.iter().enumerate() {
-            assert_eq!(got[i], prt.matching_routes(p), "probe {i}");
+            assert_eq!(got[i], prt.destinations(p), "probe {i}");
+            assert_eq!(got[i], prt.destinations_linear(p), "probe {i}");
         }
+    }
+
+    #[test]
+    fn update_keeps_the_forwarding_cell_in_step() {
+        let mut prt = Prt::new();
+        let s = sub(1, 0, 0, 10);
+        let p = Publication::new().with("x", 5);
+        prt.insert(s.clone(), Hop::Broker(BrokerId(2)));
+        let v0 = prt.routing_version();
+        // Alternates come, the primary is re-pointed, a pending hop is
+        // installed and dropped: the answer follows every write.
+        prt.update(s.id, |e| {
+            e.alt_lasthops.insert(BrokerId(9));
+            e.alt_lasthops.insert(BrokerId(3));
+        });
+        assert_eq!(
+            prt.destinations(&p).brokers,
+            vec![BrokerId(2), BrokerId(3), BrokerId(9)]
+        );
+        prt.update(s.id, |e| e.lasthop = Hop::Client(ClientId(1)));
+        pend(&mut prt, s.id, 1, Hop::Broker(BrokerId(3)));
+        assert_eq!(
+            prt.destinations(&p),
+            Destinations {
+                brokers: vec![BrokerId(3), BrokerId(9)],
+                clients: vec![ClientId(1)],
+            }
+        );
+        let removed = prt.update(s.id, |e| {
+            e.pending = None;
+            e.alt_lasthops.remove(&BrokerId(3))
+        });
+        assert_eq!(removed, Some(true));
+        prt.update(s.id, |e| e.alt_lasthops.clear());
+        assert_eq!(
+            prt.destinations(&p),
+            Destinations {
+                brokers: vec![],
+                clients: vec![ClientId(1)],
+            }
+        );
+        assert!(prt.routing_version() > v0);
+        prt.check_invariants();
+        // An absent id is left alone, closure unrun.
+        let v = prt.routing_version();
+        assert_eq!(prt.update(SubId::new(ClientId(8), 0), |_| ()), None);
+        assert_eq!(prt.routing_version(), v);
+    }
+
+    #[test]
+    fn row_numbers_are_recycled() {
+        let mut prt = Prt::new();
+        for c in 0..4 {
+            prt.insert(sub(c, 0, 0, 10), Hop::Client(ClientId(c)));
+        }
+        prt.remove(SubId::new(ClientId(1), 0));
+        prt.remove(SubId::new(ClientId(2), 0));
+        prt.check_invariants();
+        // Two inserts reuse the freed numbers, a third extends the
+        // column; the freed numbers' old cells must not leak through.
+        for c in 10..13 {
+            prt.insert(sub(c, 0, 0, 10), Hop::Broker(BrokerId(c as u32)));
+        }
+        prt.check_invariants();
+        assert_eq!(prt.column.ids.len(), 5);
+        assert_eq!(
+            prt.destinations(&Publication::new().with("x", 5)),
+            Destinations {
+                brokers: vec![BrokerId(10), BrokerId(11), BrokerId(12)],
+                clients: vec![ClientId(0), ClientId(3)],
+            }
+        );
     }
 
     #[test]
     fn tables_survive_serde_round_trip_with_live_index() {
         let mut prt = Prt::new();
+        // Churn so the live table's row numbers are not the ones a
+        // rebuild hands out: 3 takes the number 0 freed.
+        prt.insert(sub(0, 0, 0, 10), Hop::Client(ClientId(7)));
         prt.insert(sub(1, 0, 0, 10), Hop::Client(ClientId(1)));
         prt.insert(sub(2, 0, 5, 20), Hop::Broker(BrokerId(4)));
+        prt.remove(SubId::new(ClientId(0), 0));
+        prt.insert(sub(3, 0, 0, 30), Hop::Broker(BrokerId(6)));
+        prt.update(SubId::new(ClientId(3), 0), |e| {
+            e.alt_lasthops.insert(BrokerId(8));
+        });
+        pend(
+            &mut prt,
+            SubId::new(ClientId(2), 0),
+            5,
+            Hop::Client(ClientId(9)),
+        );
         let mut srt = Srt::new();
         srt.insert(adv(1, 0, 0, 10), Hop::Broker(BrokerId(2)));
-        let prt2: Prt = serde_json::from_str(&serde_json::to_string(&prt).unwrap()).unwrap();
+        let json = serde_json::to_string(&prt).unwrap();
+        let prt2: Prt = serde_json::from_str(&json).unwrap();
         let srt2: Srt = serde_json::from_str(&serde_json::to_string(&srt).unwrap()).unwrap();
         assert_eq!(prt, prt2);
         assert_eq!(srt, srt2);
+        // Row numbers are not part of the table's value: the rebuilt
+        // table numbers its rows afresh, serializes byte-identically
+        // and forwards identically.
+        prt2.check_invariants();
+        assert_ne!(prt.column.ids, prt2.column.ids);
+        assert_eq!(serde_json::to_string(&prt2).unwrap(), json);
         // The rebuilt indexes answer queries (the debug oracle inside
         // matching/overlapping cross-checks them against the scan).
-        let p = Publication::new().with("x", 7);
-        assert_eq!(prt2.matching(&p), prt.matching(&p));
+        for x in [7i64, 15, 25, 40] {
+            let p = Publication::new().with("x", x);
+            assert_eq!(prt2.matching(&p), prt.matching(&p));
+            assert_eq!(prt2.destinations(&p), prt.destinations(&p));
+        }
         let f = Filter::builder().ge("x", 5).le("x", 8).build();
         assert_eq!(srt2.overlapping(&f), srt.overlapping(&f));
     }
@@ -972,10 +1247,7 @@ mod tests {
         let s2 = sub(2, 0, 0, 10);
         prt.insert(s1.clone(), Hop::Client(ClientId(1)));
         prt.insert(s2.clone(), Hop::Client(ClientId(2)));
-        prt.get_mut(s1.id).unwrap().pending = Some(PendingRoute {
-            move_id: MoveId(9),
-            lasthop: Hop::Broker(BrokerId(3)),
-        });
+        pend(&mut prt, s1.id, 9, Hop::Broker(BrokerId(3)));
         assert_eq!(prt.pending_for(MoveId(9)), vec![s1.id]);
         assert!(prt.pending_for(MoveId(8)).is_empty());
     }

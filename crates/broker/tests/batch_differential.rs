@@ -315,10 +315,10 @@ proptest! {
 
 /// The publications of a message run, in order — what the pipelined
 /// drivers feed to `prematch`.
-fn contents_of(run: &[PubSubMsg]) -> Vec<Publication> {
+fn contents_of(run: &[PubSubMsg]) -> Vec<&Publication> {
     run.iter()
         .filter_map(|m| match m {
-            PubSubMsg::Publish(p) => Some(p.content.clone()),
+            PubSubMsg::Publish(p) => Some(&p.content),
             _ => None,
         })
         .collect()

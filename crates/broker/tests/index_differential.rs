@@ -7,8 +7,10 @@
 //! scan via `debug_assert_eq!`; this test states the property
 //! explicitly so it keeps holding in release builds too.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use transmob_broker::{Hop, Parallelism, PendingRoute, Prt, Srt};
+use transmob_broker::{Destinations, Hop, Parallelism, PendingRoute, Prt, Srt};
 use transmob_pubsub::{
     AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, Publication, SubId, Subscription,
 };
@@ -99,12 +101,12 @@ fn replay(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
                 srt.remove(aid);
             }
             _ => {
-                if let Some(e) = prt.get_mut(sid) {
+                prt.update(sid, |e| {
                     e.pending = Some(PendingRoute {
                         move_id: MoveId(i as u64),
                         lasthop: Hop::Broker(BrokerId(9)),
-                    });
-                }
+                    })
+                });
                 if let Some(e) = srt.get_mut(aid) {
                     e.pending = Some(PendingRoute {
                         move_id: MoveId(i as u64),
@@ -115,6 +117,103 @@ fn replay(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
         }
     }
     (prt, srt)
+}
+
+/// What `destinations` must answer, from first principles: the linear
+/// scan's matching ids, each looked up in the rows, every active,
+/// pending and alternate hop collected into ordered sets.
+fn destinations_from_rows(prt: &Prt, p: &Publication) -> Destinations {
+    let mut brokers = BTreeSet::new();
+    let mut clients = BTreeSet::new();
+    for id in prt.matching_linear(p) {
+        let e = prt.get(id).unwrap();
+        let alts = e.alt_lasthops.iter().map(|b| Hop::Broker(*b));
+        let pending = e.pending.as_ref().map(|pd| pd.lasthop);
+        for hop in [Some(e.lasthop), pending].into_iter().flatten().chain(alts) {
+            match hop {
+                Hop::Broker(b) => {
+                    brokers.insert(b);
+                }
+                Hop::Client(c) => {
+                    clients.insert(c);
+                }
+            }
+        }
+    }
+    Destinations {
+        brokers: brokers.into_iter().collect(),
+        clients: clients.into_iter().collect(),
+    }
+}
+
+/// A hop drawn from a small pool of brokers and local clients, so that
+/// rows share destinations and `from`-like collisions are common.
+fn hop_of(seed: u8) -> Hop {
+    if seed.is_multiple_of(2) {
+        Hop::Broker(BrokerId(1 + u32::from(seed / 2 % 4)))
+    } else {
+        Hop::Client(ClientId(100 + u64::from(seed / 2 % 4)))
+    }
+}
+
+/// One write of the forwarding-column proptest, applied the way the
+/// broker core applies it (everything on a live row through
+/// `Prt::update`).
+fn apply_write(prt: &mut Prt, n: usize, op: u8, slot: u64, specs: &[PredSpec], arg: u8) {
+    let sid = SubId::new(ClientId(slot), 0);
+    let alt = BrokerId(1 + u32::from(arg % 6));
+    match op % 10 {
+        // Inserts refill freed ids (and so freed row numbers) and add
+        // new ones.
+        0 | 1 => {
+            if prt.get(sid).is_none() {
+                prt.insert(Subscription::new(sid, build_filter(specs)), hop_of(arg));
+            }
+        }
+        2 => {
+            prt.remove(sid);
+        }
+        // Lasthop re-point.
+        3 => {
+            prt.update(sid, |e| e.lasthop = hop_of(arg));
+        }
+        // Pending install, commit, abort.
+        4 => {
+            prt.update(sid, |e| {
+                e.pending = Some(PendingRoute {
+                    move_id: MoveId(n as u64),
+                    lasthop: hop_of(arg),
+                })
+            });
+        }
+        5 => {
+            prt.update(sid, |e| {
+                if let Some(pd) = e.pending.take() {
+                    e.lasthop = pd.lasthop;
+                    if let Hop::Broker(b) = pd.lasthop {
+                        e.alt_lasthops.remove(&b);
+                    }
+                }
+            });
+        }
+        6 => {
+            prt.update(sid, |e| e.pending = None);
+        }
+        // Alternate add, remove, promote.
+        7 => {
+            prt.update(sid, |e| e.alt_lasthops.insert(alt));
+        }
+        8 => {
+            prt.update(sid, |e| e.alt_lasthops.remove(&alt));
+        }
+        _ => {
+            prt.update(sid, |e| {
+                if let Some(next) = e.alt_lasthops.pop_first() {
+                    e.lasthop = Hop::Broker(next);
+                }
+            });
+        }
+    }
 }
 
 /// The same replay with the tables switched to a sharded layout and a
@@ -147,20 +246,15 @@ proptest! {
         prop_assert_eq!(srt.overlapping(&query), srt.overlapping_linear(&query));
     }
 
-    /// The joined route queries agree with the scans *and* carry the
-    /// pending (shadow) hops of in-flight movements.
+    /// The forwarding query and the joined SRT route query agree with
+    /// the scans *and* carry the pending (shadow) hops of in-flight
+    /// movements.
     #[test]
     fn route_queries_expose_pending_hops(steps in arb_steps(), q in arb_filter()) {
         let (prt, srt) = replay(&steps);
+        prt.check_invariants();
         for p in probe_pubs() {
-            let routes = prt.matching_routes(&p);
-            let ids: Vec<SubId> = routes.iter().map(|(id, _, _)| *id).collect();
-            prop_assert_eq!(&ids, &prt.matching_linear(&p));
-            for (id, active, pending) in routes {
-                let e = prt.get(id).unwrap();
-                prop_assert_eq!(active, e.lasthop);
-                prop_assert_eq!(pending, e.pending.as_ref().map(|pd| pd.lasthop));
-            }
+            prop_assert_eq!(prt.destinations(&p), destinations_from_rows(&prt, &p), "pub {}", p);
         }
         let query = build_filter(&q);
         let routes = srt.overlapping_routes(&query);
@@ -283,6 +377,54 @@ proptest! {
         }
     }
 
+    /// The forwarding column under every kind of write the broker core
+    /// makes: insert, remove, lasthop re-point, pending install /
+    /// commit / abort, alternate add / remove / promote, on a table
+    /// big enough that the index's packed snapshot is built, aged and
+    /// rebuilt while row numbers are freed and handed out again (a
+    /// freed number goes to the next insert at once, while the index
+    /// slot it had is still parked). After every step the derived
+    /// state matches the rows, and the forwarding query (alone, as a
+    /// batch, and spread over a worker pool) answers what the rows
+    /// say.
+    #[test]
+    fn destinations_follow_every_write(
+        base in proptest::collection::vec((arb_filter(), 0u8..16), 40..80),
+        steps in proptest::collection::vec(
+            (0u8..10, 0u64..100, arb_filter(), 0u8..16, 0usize..3),
+            1..120,
+        ),
+    ) {
+        let mut prt = Prt::new();
+        for (i, (specs, arg)) in base.iter().enumerate() {
+            let sid = SubId::new(ClientId(i as u64), 0);
+            prt.insert(Subscription::new(sid, build_filter(specs)), hop_of(*arg));
+        }
+        let pubs = probe_pubs();
+        let refs: Vec<&Publication> = pubs.iter().collect();
+        for (n, (op, slot, specs, arg, probes)) in steps.iter().enumerate() {
+            apply_write(&mut prt, n, *op, *slot, specs, *arg);
+            prt.check_invariants();
+            // 0 probes: consecutive writes with no probe between them.
+            for p in pubs.iter().cycle().skip(n).take(*probes) {
+                prop_assert_eq!(
+                    prt.destinations(p),
+                    destinations_from_rows(&prt, p),
+                    "step {} pub {}", n, p
+                );
+            }
+            if *probes == 2 {
+                let want: Vec<Destinations> =
+                    pubs.iter().map(|p| destinations_from_rows(&prt, p)).collect();
+                prop_assert_eq!(&prt.destinations_batch(&refs), &want, "step {}", n);
+                let mut pooled = prt.clone();
+                pooled.set_parallelism(Parallelism::sharded(4, 2));
+                pooled.check_invariants();
+                prop_assert_eq!(&pooled.destinations_batch(&refs), &want, "step {} pooled", n);
+            }
+        }
+    }
+
     /// Serde round-trip rebuilds an index that still agrees with the
     /// scans (crash-recovery path of the Sec. 3.5 persistence sketch).
     #[test]
@@ -292,13 +434,53 @@ proptest! {
         let srt2: Srt = serde_json::from_str(&serde_json::to_string(&srt).unwrap()).unwrap();
         prop_assert_eq!(&prt, &prt2);
         prop_assert_eq!(&srt, &srt2);
+        prt2.check_invariants();
         let query = build_filter(&q);
         for p in probe_pubs() {
             prop_assert_eq!(prt2.matching(&p), prt.matching_linear(&p));
+            prop_assert_eq!(prt2.destinations(&p), destinations_from_rows(&prt, &p));
         }
         prop_assert_eq!(prt2.covering(&query), prt.covering_linear(&query));
         prop_assert_eq!(prt2.covered_by(&query), prt.covered_by_linear(&query));
         prop_assert_eq!(srt2.covering(&query), srt.covering_linear(&query));
         prop_assert_eq!(srt2.covered_by(&query), srt.covered_by_linear(&query));
+    }
+}
+
+/// The recycling case the proptest above only reaches by chance, pinned:
+/// a row number freed by a remove is handed to the next insert while
+/// the index slot it had is still parked beside the packed snapshot,
+/// and again after the snapshot was rebuilt.
+#[test]
+fn freed_row_number_is_reused_while_its_slot_is_parked() {
+    let band = |lo: i64| Filter::builder().ge("x", lo).le("x", lo + 10).build();
+    let sid = |c: u64| SubId::new(ClientId(c), 0);
+    let mut prt = Prt::new();
+    for c in 0..200u64 {
+        prt.insert(
+            Subscription::new(sid(c), band(c as i64)),
+            Hop::Broker(BrokerId(1)),
+        );
+    }
+    let probe = Publication::new().with("x", 100);
+    // The first probe builds the packed snapshot.
+    assert_eq!(prt.destinations(&probe).brokers, vec![BrokerId(1)]);
+    for round in 0..40u64 {
+        // Row `95 + round` matches the probe; its successor takes its
+        // number, covers the probe too, and points somewhere else.
+        let old = if round == 0 {
+            sid(95)
+        } else {
+            sid(1000 + round - 1)
+        };
+        assert!(prt.remove(old).is_some());
+        prt.insert(
+            Subscription::new(sid(1000 + round), band(95)),
+            Hop::Client(ClientId(round)),
+        );
+        prt.check_invariants();
+        let got = prt.destinations(&probe);
+        assert_eq!(got, destinations_from_rows(&prt, &probe), "round {round}");
+        assert_eq!(got.clients, vec![ClientId(round)], "round {round}");
     }
 }

@@ -4,11 +4,12 @@
 //! the deterministic `SyncNet`.
 
 use transmob_broker::{
-    BrokerConfig, BrokerCore, CoveringMode, Hop, MsgKind, PubSubMsg, SyncNet, Topology,
+    BrokerConfig, BrokerCore, BrokerOutput, CoveringMode, Hop, MsgKind, PubSubMsg, SyncNet,
+    Topology, MAX_PUB_HOPS,
 };
 use transmob_pubsub::{
-    AdvId, Advertisement, BrokerId, ClientId, Filter, PubId, Publication, PublicationMsg, SubId,
-    Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, PubId, Publication, PublicationMsg,
+    SubId, Subscription,
 };
 
 fn b(i: u32) -> BrokerId {
@@ -544,4 +545,108 @@ fn broker_core_is_send_and_clonable() {
     assert_send::<BrokerCore>();
     let core = BrokerCore::new(b(1), [b(2)], BrokerConfig::covering());
     let _clone = core.clone();
+}
+
+/// One publication matching many rows whose active, pending and
+/// alternate hops overlap each other and the arrival direction: the
+/// emitted sequence is brokers ascending, then clients ascending, each
+/// destination once, the arrival direction never. The simulator's
+/// event order, and with it every virtual latency and message count of
+/// the benchmark, hangs on exactly this order.
+#[test]
+fn publication_fanout_order_over_active_pending_and_alternate_hops() {
+    let mut core = BrokerCore::new(
+        b(5),
+        [b(1), b(2), b(3), b(4), b(6)],
+        BrokerConfig::plain().with_multipath(),
+    );
+    for cl in [50, 51, 52] {
+        core.attach_client(c(cl));
+    }
+    // No advertisement is known, so subscriptions install rows and
+    // forward nowhere.
+    let mut subscribe = |from: Hop, s: &Subscription| {
+        assert!(core
+            .handle(from, PubSubMsg::Subscribe(s.clone()))
+            .is_empty());
+    };
+    let hit = |client: u64| sub(client, 0, range(0, 10));
+    subscribe(Hop::Client(c(51)), &hit(51));
+    subscribe(Hop::Client(c(50)), &hit(50));
+    subscribe(Hop::Broker(b(4)), &hit(60));
+    // Two redundant routes beside the primary.
+    for from in [2, 6, 1] {
+        subscribe(Hop::Broker(b(from)), &hit(61));
+    }
+    subscribe(Hop::Broker(b(3)), &hit(62));
+    subscribe(Hop::Broker(b(2)), &hit(63));
+    for from in [4, 3] {
+        subscribe(Hop::Broker(b(from)), &hit(64));
+    }
+    // A row the publication does not match, on a direction of its own.
+    subscribe(Hop::Broker(b(1)), &sub(70, 0, range(100, 110)));
+    // Shadow configurations of two in-flight movements: one toward a
+    // neighbour, one toward a local client no row names otherwise.
+    core.install_pending_sub(&hit(62), MoveId(1), Hop::Broker(b(6)), None);
+    core.install_pending_sub(&hit(63), MoveId(2), Hop::Client(c(52)), None);
+
+    let publication = |id: u64, hops: u32| {
+        let mut p = PublicationMsg::new(PubId(id), c(9), Publication::new().with("x", 5));
+        p.hops = hops;
+        p
+    };
+    let fanout = |brokers: &[u32], clients: &[u64], arrived: &PublicationMsg| {
+        let mut fwd = arrived.clone();
+        fwd.hops += 1;
+        let to_brokers = brokers
+            .iter()
+            .map(|n| BrokerOutput::ToBroker(b(*n), PubSubMsg::Publish(fwd.clone())));
+        let to_clients = clients
+            .iter()
+            .map(|cl| BrokerOutput::Deliver(c(*cl), arrived.clone()));
+        to_brokers.chain(to_clients).collect::<Vec<_>>()
+    };
+
+    // From a neighbour that is the active hop of two rows.
+    let p = publication(1, 1);
+    assert_eq!(
+        core.handle(Hop::Broker(b(2)), PubSubMsg::Publish(p.clone())),
+        fanout(&[1, 3, 4, 6], &[50, 51, 52], &p)
+    );
+    // From a neighbour that is only ever an alternate or pending hop.
+    let p = publication(2, 0);
+    assert_eq!(
+        core.handle(Hop::Broker(b(6)), PubSubMsg::Publish(p.clone())),
+        fanout(&[1, 2, 3, 4], &[50, 51, 52], &p)
+    );
+    // From a local subscriber.
+    let p = publication(3, 0);
+    assert_eq!(
+        core.handle(Hop::Client(c(50)), PubSubMsg::Publish(p.clone())),
+        fanout(&[1, 2, 3, 4, 6], &[51, 52], &p)
+    );
+    // A second copy of the same publication is the dedup window's.
+    assert!(core
+        .handle(Hop::Broker(b(4)), PubSubMsg::Publish(p))
+        .is_empty());
+    // The hop backstop drops the broker half only, and counts it.
+    let p = publication(4, MAX_PUB_HOPS);
+    assert_eq!(core.stats().anomalies, 0);
+    assert_eq!(
+        core.handle(Hop::Broker(b(3)), PubSubMsg::Publish(p.clone())),
+        fanout(&[], &[50, 51, 52], &p)
+    );
+    assert_eq!(core.stats().anomalies, 1);
+    // A batch is the fold of its publications, in order.
+    let (p5, p6) = (publication(5, 0), publication(6, 2));
+    let batch = vec![
+        PubSubMsg::Publish(p5.clone()),
+        PubSubMsg::Publish(p6.clone()),
+    ];
+    let mut want = fanout(&[1, 2, 3, 6], &[50, 51, 52], &p5);
+    want.extend(fanout(&[1, 2, 3, 6], &[50, 51, 52], &p6));
+    assert_eq!(
+        core.handle_batch(Hop::Broker(b(4)), batch).into_flat(),
+        want
+    );
 }

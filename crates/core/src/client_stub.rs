@@ -138,20 +138,21 @@ impl HostedClient {
         self.next_pub_seq = self.next_pub_seq.max(snap.next_seq.2);
     }
 
-    /// Hands a notification to the stub; see [`DeliverOutcome`].
-    pub fn deliver(&mut self, p: PublicationMsg) -> DeliverOutcome {
+    /// Hands a notification to the stub; see [`DeliverOutcome`]. The
+    /// publication is cloned only where the stub keeps it.
+    pub fn deliver(&mut self, p: &PublicationMsg) -> DeliverOutcome {
         if self.seen.contains(&p.id) {
             return DeliverOutcome::Duplicate;
         }
         match self.state {
             ClientState::Started => {
                 self.seen.insert(p.id);
-                self.app_inbox.push(p);
+                self.app_inbox.push(p.clone());
                 DeliverOutcome::Surfaced
             }
             s if s.buffers_notifications() => {
                 if self.buffered_ids.insert(p.id) {
-                    self.buffered.push(p);
+                    self.buffered.push(p.clone());
                     DeliverOutcome::Buffered
                 } else {
                     DeliverOutcome::Duplicate
@@ -256,8 +257,8 @@ mod tests {
     #[test]
     fn started_client_surfaces_and_dedupes() {
         let mut c = HostedClient::started(ClientId(1));
-        assert_eq!(c.deliver(pubmsg(1, 5)), DeliverOutcome::Surfaced);
-        assert_eq!(c.deliver(pubmsg(1, 5)), DeliverOutcome::Duplicate);
+        assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Surfaced);
+        assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Duplicate);
         assert_eq!(c.app_inbox().len(), 1);
     }
 
@@ -265,16 +266,16 @@ mod tests {
     fn paused_client_buffers_then_flushes_in_order() {
         let mut c = HostedClient::started(ClientId(1));
         c.set_state(ClientState::PauseMove);
-        assert_eq!(c.deliver(pubmsg(1, 5)), DeliverOutcome::Buffered);
-        assert_eq!(c.deliver(pubmsg(2, 6)), DeliverOutcome::Buffered);
-        assert_eq!(c.deliver(pubmsg(1, 5)), DeliverOutcome::Duplicate);
+        assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Buffered);
+        assert_eq!(c.deliver(&pubmsg(2, 6)), DeliverOutcome::Buffered);
+        assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Duplicate);
         c.set_state(ClientState::Started);
         let flushed = c.flush_buffered();
         assert_eq!(flushed.len(), 2);
         assert_eq!(flushed[0].id, PubId(1));
         assert_eq!(c.app_inbox().len(), 2);
         // A replay after flush is a duplicate.
-        assert_eq!(c.deliver(pubmsg(2, 6)), DeliverOutcome::Duplicate);
+        assert_eq!(c.deliver(&pubmsg(2, 6)), DeliverOutcome::Duplicate);
     }
 
     #[test]
@@ -282,14 +283,14 @@ mod tests {
         // Source copy buffers pubs 1,2; target copy buffers 2,3.
         let mut src = HostedClient::started(ClientId(1));
         src.set_state(ClientState::PauseMove);
-        src.deliver(pubmsg(1, 0));
-        src.deliver(pubmsg(2, 0));
+        src.deliver(&pubmsg(1, 0));
+        src.deliver(&pubmsg(2, 0));
         let snap = src.take_snapshot();
         assert_eq!(src.buffered_len(), 0);
 
         let mut tgt = HostedClient::created_from_profile(ClientId(1), &ClientProfile::default());
-        tgt.deliver(pubmsg(2, 0));
-        tgt.deliver(pubmsg(3, 0));
+        tgt.deliver(&pubmsg(2, 0));
+        tgt.deliver(&pubmsg(3, 0));
         tgt.merge_snapshot(snap);
         tgt.set_state(ClientState::Started);
         let flushed = tgt.flush_buffered();
@@ -300,12 +301,12 @@ mod tests {
     #[test]
     fn snapshot_carries_seen_set() {
         let mut src = HostedClient::started(ClientId(1));
-        src.deliver(pubmsg(7, 0)); // surfaced at source
+        src.deliver(&pubmsg(7, 0)); // surfaced at source
         src.set_state(ClientState::PauseMove);
         let snap = src.take_snapshot();
         let mut tgt = HostedClient::created_from_profile(ClientId(1), &ClientProfile::default());
         // In-flight duplicate arrives at the target before the merge…
-        tgt.deliver(pubmsg(7, 0));
+        tgt.deliver(&pubmsg(7, 0));
         tgt.merge_snapshot(snap);
         tgt.set_state(ClientState::Started);
         // …and is suppressed by the transferred seen set.
@@ -361,7 +362,7 @@ mod tests {
     fn clean_client_drops_notifications() {
         let mut c = HostedClient::started(ClientId(1));
         c.set_state(ClientState::Clean);
-        assert_eq!(c.deliver(pubmsg(1, 0)), DeliverOutcome::Duplicate);
+        assert_eq!(c.deliver(&pubmsg(1, 0)), DeliverOutcome::Duplicate);
         assert_eq!(c.buffered_len(), 0);
     }
 

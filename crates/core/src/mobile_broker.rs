@@ -540,7 +540,7 @@ impl MobileBroker {
                 }),
                 BrokerOutput::Deliver(cid, publication) => {
                     if let Some(stub) = self.clients.get_mut(&cid) {
-                        if stub.deliver(publication.clone()) == DeliverOutcome::Surfaced {
+                        if stub.deliver(&publication) == DeliverOutcome::Surfaced {
                             out.push(Output::DeliverToApp {
                                 client: cid,
                                 publication,
@@ -756,10 +756,10 @@ impl MobileBroker {
     /// calls merely invalidates the stamp and the apply stage
     /// re-matches — results are identical either way.
     pub fn prematch(&self, msgs: &[Message]) -> PrematchedRoutes {
-        let contents: Vec<Publication> = msgs
+        let contents: Vec<&Publication> = msgs
             .iter()
             .filter_map(|m| match m {
-                Message::PubSub(PubSubMsg::Publish(p)) => Some(p.content.clone()),
+                Message::PubSub(PubSubMsg::Publish(p)) => Some(&p.content),
                 _ => None,
             })
             .collect();
@@ -1901,7 +1901,7 @@ impl MobileBroker {
                         // unwrap: presence checked just above and
                         // client_op below never removes the stub
                         let stub = self.clients.get_mut(&client).unwrap();
-                        if stub.deliver(p.clone()) == DeliverOutcome::Surfaced {
+                        if stub.deliver(&p) == DeliverOutcome::Surfaced {
                             out.push(Output::DeliverToApp {
                                 client,
                                 publication: p,

@@ -83,14 +83,23 @@
 //!
 //! # The matching kernel
 //!
-//! One function, `MatchIndex::match_chunk`, matches publications
-//! against the table; [`MatchIndex::matching`] runs it on a batch of
-//! one and [`MatchIndex::matching_batch`] over the slice. It works
-//! *publication-major*: per publication, a countdown cell per stored
-//! filter (a dense *slot* id, seeded with the filter's arity by one
-//! bulk copy) is decremented once for every satisfied constraint, and
-//! a cell reaching zero emits its key. The cells of one publication
-//! fit the cache however the probes scatter over them.
+//! One function, `MatchIndex::fold_chunk`, matches publications
+//! against the table, and it is a *fold*: the caller of
+//! [`MatchIndex::fold_matching`] supplies an accumulator per
+//! publication, a step called once per matching key, in no particular
+//! order, and a finisher called once after the last.
+//! [`MatchIndex::matching`] and [`MatchIndex::matching_batch`] are
+//! that fold into a vector, finished by the sort their contract
+//! promises; the broker's publication forwarding folds row numbers
+//! straight into destination sets and never lists the matching keys
+//! at all.
+//!
+//! The kernel works *publication-major*: per publication, a countdown
+//! cell per stored filter (a dense *slot* id, seeded with the filter's
+//! arity by one bulk copy) is decremented once for every satisfied
+//! constraint, and a cell reaching zero completes its key. The cells
+//! of one publication fit the cache however the probes scatter over
+//! them.
 //!
 //! Point, string, presence and fallback constraints are probed in the
 //! live per-attribute buckets above. General numeric intervals are
@@ -140,6 +149,7 @@
 //! asserts every indexed answer against it in debug builds, and stated
 //! as a property over random churn in `index_differential.rs`.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -160,8 +170,8 @@ use crate::value::Value;
 
 /// Key types a [`MatchIndex`] can index filters under (`AdvId`,
 /// `SubId`, …).
-pub trait IndexKey: Copy + Ord + Eq + Hash + Debug {}
-impl<T: Copy + Ord + Eq + Hash + Debug> IndexKey for T {}
+pub trait IndexKey: Copy + Ord + Eq + Hash + Debug + Send + Sync {}
+impl<T: Copy + Ord + Eq + Hash + Debug + Send + Sync> IndexKey for T {}
 
 /// Where a constraint lives inside an [`AttrIndex`]. Classification is
 /// a pure function of the constraint, so insert and remove agree.
@@ -1255,23 +1265,56 @@ impl<K: IndexKey> MatchIndex<K> {
         })
     }
 
-    /// Keys of filters matching `publication`, sorted: the kernel on a
-    /// batch of one, on the calling thread.
+    /// Keys of filters matching `publication`, sorted: the fold on a
+    /// batch of one (which never leaves the calling thread).
     pub fn matching(&self, publication: &Publication) -> Vec<K> {
-        self.match_chunk(std::slice::from_ref(publication))
+        self.matching_batch(std::slice::from_ref(publication))
             .pop()
             .expect("one result row per publication")
     }
 
     /// [`MatchIndex::matching`] for every publication of a batch,
     /// returning one sorted key vector per publication (same order as
-    /// `pubs`): the kernel over the slice, spread over the worker pool
-    /// when [`Parallelism::workers`] asks for it.
-    pub fn matching_batch(&self, pubs: &[Publication]) -> Vec<Vec<K>>
-    where
-        K: Send + Sync,
-    {
+    /// `pubs`): [`MatchIndex::fold_matching`] into a vector, sorted.
+    pub fn matching_batch(&self, pubs: &[Publication]) -> Vec<Vec<K>> {
         self.matching_batch_scheduled(pubs, None)
+    }
+
+    fn matching_batch_scheduled(&self, pubs: &[Publication], seed: Option<u64>) -> Vec<Vec<K>> {
+        self.fold_scheduled(
+            pubs,
+            seed,
+            &Vec::with_capacity,
+            &|row: &mut Vec<K>, k| row.push(k),
+            &|row: &mut Vec<K>| row.sort_unstable(),
+        )
+    }
+
+    /// Folds the keys matching each publication of `pubs` into one
+    /// accumulator a publication (same order as `pubs`): `init` makes
+    /// the accumulator, given the number of matching keys; `step` is
+    /// called once per matching key, in no particular order; `finish`
+    /// once after the last key (the place for a sort the accumulator's
+    /// contract promises). This is the one entry to the matching
+    /// kernel; callers that need no key list (publication forwarding
+    /// resolves keys straight to destinations) never build one.
+    ///
+    /// The batch is spread over the worker pool when
+    /// [`Parallelism::workers`] asks for it, so the closures may run
+    /// on pool threads; they must not probe a [`MatchIndex`] themselves
+    /// (the kernel's per-thread scratch is borrowed while they run).
+    pub fn fold_matching<P, A>(
+        &self,
+        pubs: &[P],
+        init: impl Fn(usize) -> A + Sync,
+        step: impl Fn(&mut A, K) + Sync,
+        finish: impl Fn(&mut A) + Sync,
+    ) -> Vec<A>
+    where
+        P: Borrow<Publication> + Sync,
+        A: Send,
+    {
+        self.fold_scheduled(pubs, None, &init, &step, &finish)
     }
 
     /// Splits the batch into up to [`Parallelism::workers`] contiguous
@@ -1287,13 +1330,17 @@ impl<K: IndexKey> MatchIndex<K> {
     /// Unseeded (production) batches additionally clamp the fan-out to
     /// the detected hardware thread count — a narrower schedule of the
     /// same chunks, which cannot change results.
-    fn matching_batch_scheduled(
+    fn fold_scheduled<P, A>(
         &self,
-        pubs: &[Publication],
+        pubs: &[P],
         schedule_seed: Option<u64>,
-    ) -> Vec<Vec<K>>
+        init: &(impl Fn(usize) -> A + Sync),
+        step: &(impl Fn(&mut A, K) + Sync),
+        finish: &(impl Fn(&mut A) + Sync),
+    ) -> Vec<A>
     where
-        K: Send + Sync,
+        P: Borrow<Publication> + Sync,
+        A: Send,
     {
         let npubs = pubs.len();
         let fanout = match schedule_seed {
@@ -1301,7 +1348,7 @@ impl<K: IndexKey> MatchIndex<K> {
             None => self.par.workers.min(hw_threads()).min(npubs),
         };
         if fanout < 2 {
-            return self.match_chunk(pubs);
+            return self.fold_chunk(pubs, init, step, finish);
         }
         let chunk = npubs.div_ceil(fanout);
         let nchunks = npubs.div_ceil(chunk);
@@ -1309,35 +1356,45 @@ impl<K: IndexKey> MatchIndex<K> {
         if let Some(seed) = schedule_seed {
             shuffle_jobs(&mut order, seed);
         }
-        let results: Vec<Mutex<Vec<Vec<K>>>> =
-            (0..nchunks).map(|_| Mutex::new(Vec::new())).collect();
+        let results: Vec<Mutex<Vec<A>>> = (0..nchunks).map(|_| Mutex::new(Vec::new())).collect();
         let cursor = AtomicUsize::new(0);
         self.pool.run(nchunks, &|_| loop {
             let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
             let Some(&ci) = order.get(i) else { break };
-            let rows = self.match_chunk(&pubs[ci * chunk..((ci + 1) * chunk).min(npubs)]);
-            *results[ci].lock().unwrap_or_else(|p| p.into_inner()) = rows;
+            let pubs = &pubs[ci * chunk..((ci + 1) * chunk).min(npubs)];
+            let accs = self.fold_chunk(pubs, init, step, finish);
+            *results[ci].lock().unwrap_or_else(|p| p.into_inner()) = accs;
         });
-        let mut out: Vec<Vec<K>> = Vec::with_capacity(npubs);
+        let mut out: Vec<A> = Vec::with_capacity(npubs);
         for cell in results {
             out.append(&mut cell.into_inner().unwrap_or_else(|p| p.into_inner()));
         }
         out
     }
 
-    /// The matching kernel (module docs): the sorted result row of
-    /// every publication of `pubs`, on the calling thread.
+    /// The matching kernel (module docs): the accumulator of every
+    /// publication of `pubs`, on the calling thread.
     ///
     /// Per publication, every probe decrements the cells of the slots
     /// whose constraint on the probed attribute the value satisfies —
     /// at most once per slot and attribute — and a cell reaching zero
     /// completes its slot. Saturating at zero keeps a slot seeded with
-    /// 0 dead however often stale or uncounted rows bump it.
-    fn match_chunk(&self, pubs: &[Publication]) -> Vec<Vec<K>> {
+    /// 0 dead however often stale or uncounted rows bump it. The
+    /// completed slots, the zero-arity keys and the `wide` keys whose
+    /// filter matches are then handed to `step`, and the accumulator
+    /// to `finish`.
+    fn fold_chunk<P: Borrow<Publication>, A>(
+        &self,
+        pubs: &[P],
+        init: &impl Fn(usize) -> A,
+        step: &impl Fn(&mut A, K),
+        finish: &impl Fn(&mut A),
+    ) -> Vec<A> {
         let packed = self.packed();
         SCRATCH.with_borrow_mut(|MatchScratch { cells, done }| {
             pubs.iter()
                 .map(|p| {
+                    let p = p.borrow();
                     cells.clear();
                     cells.extend_from_slice(&self.slots.seed);
                     done.clear();
@@ -1371,16 +1428,20 @@ impl<K: IndexKey> MatchIndex<K> {
                         }
                         ai.common_satisfied(value, &mut bump);
                     }
-                    let mut row: Vec<K> = self.zero.iter().copied().collect();
-                    row.extend(done.iter().map(|&slot| self.slots.keys[slot as usize]));
-                    row.extend(
-                        self.wide
-                            .iter()
-                            .filter(|k| self.filters[k].matches(p))
-                            .copied(),
-                    );
-                    row.sort_unstable();
-                    row
+                    let mut acc = init(self.zero.len() + done.len() + self.wide.len());
+                    for &k in &self.zero {
+                        step(&mut acc, k);
+                    }
+                    for &slot in done.iter() {
+                        step(&mut acc, self.slots.keys[slot as usize]);
+                    }
+                    for k in &self.wide {
+                        if self.filters[k].matches(p) {
+                            step(&mut acc, *k);
+                        }
+                    }
+                    finish(&mut acc);
+                    acc
                 })
                 .collect()
         })
@@ -1398,10 +1459,7 @@ impl<K: IndexKey> MatchIndex<K> {
     /// and a seeded chunk-claim order: the entry point of the seeded
     /// interleaving smoke. Same answers for every seed.
     #[doc(hidden)]
-    pub fn matching_batch_seeded(&self, pubs: &[Publication], seed: u64) -> Vec<Vec<K>>
-    where
-        K: Send + Sync,
-    {
+    pub fn matching_batch_seeded(&self, pubs: &[Publication], seed: u64) -> Vec<Vec<K>> {
         self.matching_batch_scheduled(pubs, Some(seed))
     }
 
@@ -1863,6 +1921,35 @@ mod tests {
             );
         }
         assert!(ix.matching_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn fold_steps_once_per_matching_key() {
+        // Zero-arity keys and counted keys, publications passed by
+        // reference: the fold hands every matching key to `step`
+        // exactly once and every accumulator to `finish` once, on the
+        // caller and spread over the pool.
+        let (table, mut ix) = build(assorted_filters());
+        let batch = probes();
+        let refs: Vec<&Publication> = batch.iter().collect();
+        for workers in [0usize, 2] {
+            ix.set_parallelism(Parallelism::sharded(3, workers));
+            let got = ix.fold_matching(
+                &refs,
+                |_| BTreeMap::new(),
+                |seen, k| *seen.entry(k).or_insert(0usize) += 1,
+                |seen| assert_eq!(seen.insert(u32::MAX, 0), None, "finished twice"),
+            );
+            assert_eq!(got.len(), batch.len());
+            for (i, p) in batch.iter().enumerate() {
+                let want: BTreeMap<u32, usize> = linear_matching(&table, p)
+                    .into_iter()
+                    .map(|k| (k, 1))
+                    .chain([(u32::MAX, 0)])
+                    .collect();
+                assert_eq!(got[i], want, "workers={workers} probe {i} ({p})");
+            }
+        }
     }
 
     #[test]

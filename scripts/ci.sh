@@ -30,6 +30,13 @@
 #      apply broker loop) with -Zsanitizer=thread (nightly) and runs
 #      them under ThreadSanitizer; prints a skip notice when not
 #      requested or when the toolchain cannot build it
+#   7. end-to-end benchmark package — bench_e2e/ is a workspace of its
+#      own (BENCHMARK.json runs it from a fresh checkout), so nothing
+#      above compiles it: a rename of an item its sources use would
+#      break the PR driver's benchmark with every other tier green.
+#      Runs its tests and `e2e --smoke` (all seven workloads for a
+#      second each, traced and untraced, zero failed operations) in
+#      release, as the driver builds it; skipped under CI_FAST=1
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,4 +92,12 @@ if [[ "${TSAN:-0}" == "1" ]]; then
     fi
 else
     echo "ci: TSAN tier skipped (opt in with TSAN=1)"
+fi
+
+# ---- tier 7: end-to-end benchmark package -----------------------------
+if [[ "${CI_FAST:-0}" == "1" ]]; then
+    echo "ci: CI_FAST=1 - skipping the bench_e2e tier (its tests and e2e --smoke)"
+else
+    cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
+    cargo run --release --quiet --offline --manifest-path bench_e2e/Cargo.toml -- --smoke
 fi
