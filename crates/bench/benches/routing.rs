@@ -339,90 +339,6 @@ fn bench_parallel_match(c: &mut Criterion) {
     g.finish();
 }
 
-/// A broker hosting `n` wide two-band subscriptions as local clients
-/// (publications match locally; no forwarding edge loaded).
-fn loaded_core_wide(n: usize, par: Parallelism) -> BrokerCore {
-    let mut core = BrokerCore::new(
-        b(1),
-        [b(2), b(3)],
-        BrokerConfig::plain().with_parallelism(par),
-    );
-    for i in 0..n {
-        let cid = ClientId(i as u64);
-        let sub = Subscription::new(SubId::new(cid, i as u32), wide_sub_filter(i));
-        core.handle(Hop::Client(cid), PubSubMsg::Subscribe(sub));
-    }
-    core
-}
-
-/// Single-broker ingestion throughput, monolithic vs pipelined: the
-/// same 256-publication broker batch applied in 64-message runs
-/// either by `handle_batch` alone or split runtime-style — an ingest
-/// thread pre-matching each run under a read lock while the apply
-/// stage commits the previous one under the write lock. On one
-/// hardware thread the two run at par (the split only pays once the
-/// stages land on different cores); the bench exists to price the
-/// pipeline's overhead and catch regressions in the prematch path.
-fn bench_broker_pipeline(c: &mut Criterion) {
-    const N: usize = 10_000;
-    const BATCH: usize = 256;
-    const CHUNK: usize = 64;
-    let msgs: Vec<PubSubMsg> = (0..BATCH)
-        .map(|i| {
-            PubSubMsg::Publish(PublicationMsg::new(
-                PubId(i as u64),
-                ClientId(u64::MAX),
-                wide_publication(i),
-            ))
-        })
-        .collect();
-    let mut g = c.benchmark_group("broker_pipeline");
-    let par = Parallelism::sharded(4, 4);
-
-    let mut core = loaded_core_wide(N, par);
-    g.bench_with_input(BenchmarkId::new("monolithic", N), &N, |bch, _| {
-        bch.iter(|| {
-            for chunk in msgs.chunks(CHUNK) {
-                black_box(core.handle_batch(Hop::Broker(b(2)), chunk.to_vec()));
-            }
-        })
-    });
-
-    let core = std::sync::RwLock::new(loaded_core_wide(N, par));
-    let core = &core;
-    let msgs_ref = &msgs;
-    g.bench_with_input(BenchmarkId::new("pipelined", N), &N, |bch, _| {
-        bch.iter(|| {
-            let (tx, rx) = std::sync::mpsc::sync_channel(2);
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    for chunk in msgs_ref.chunks(CHUNK) {
-                        let contents: Vec<&Publication> = chunk
-                            .iter()
-                            .filter_map(|m| match m {
-                                PubSubMsg::Publish(p) => Some(&p.content),
-                                _ => None,
-                            })
-                            .collect();
-                        let pre = core.read().unwrap().prematch(&contents);
-                        if tx.send((chunk.to_vec(), pre)).is_err() {
-                            return;
-                        }
-                    }
-                });
-                for (chunk, mut pre) in rx.iter() {
-                    black_box(core.write().unwrap().handle_batch_prematched(
-                        Hop::Broker(b(2)),
-                        chunk,
-                        Some(&mut pre),
-                    ));
-                }
-            });
-        })
-    });
-    g.finish();
-}
-
 /// End-to-end publication routing over a 7-broker overlay
 /// (DESIGN.md §15 ablation): the acyclic chain as baseline; the same
 /// chain with the dedup gate forced on (`tree_dedup` — priced by the
@@ -497,7 +413,6 @@ criterion_group!(
     bench_advertise_flood,
     bench_publish_batch,
     bench_parallel_match,
-    bench_broker_pipeline,
     bench_cyclic_routing
 );
 criterion_main!(benches);

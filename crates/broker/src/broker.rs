@@ -311,7 +311,10 @@ pub struct BrokerStats {
 /// routing version they were matched under. The *match* stage of a
 /// pipelined broker loop produces one of these under a read lock; the
 /// *apply* stage consumes it under the write lock, falling back to
-/// fresh matching if the stamp has gone stale.
+/// fresh matching if the stamp has gone stale. No driver of this
+/// workspace pipelines since the threaded runtimes went back to one
+/// thread a broker (DESIGN.md §12); the end-to-end benchmark's replay
+/// is the remaining caller.
 #[derive(Debug, Clone)]
 pub struct PrematchedRoutes {
     version: u64,

@@ -506,8 +506,8 @@ pub struct Prt {
     index: MatchIndex<u32>,
     /// Routing-state version: bumped by every write that could change
     /// what [`Prt::destinations_batch`] answers (row churn *and* every
-    /// [`Prt::update`], counted conservatively). The pipelined broker
-    /// loops stamp pre-computed destinations with this and discard
+    /// [`Prt::update`], counted conservatively). A caller that
+    /// pre-computes destinations stamps them with this and discards
     /// them if the table has moved on ([`Prt::routing_version`]).
     version: u64,
 }

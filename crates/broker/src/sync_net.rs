@@ -75,16 +75,6 @@ impl SyncNet {
         SyncNetBuilder::default()
     }
 
-    /// Builds a network over `topology` with every broker using
-    /// `config`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use SyncNet::builder().overlay(..).options(..).start()"
-    )]
-    pub fn new(topology: Topology, config: BrokerConfig) -> Self {
-        Self::from_parts(topology, config)
-    }
-
     /// A cyclic topology forces [`BrokerConfig::multipath`] on —
     /// cyclic routing is undefined without it.
     fn from_parts(topology: Topology, mut config: BrokerConfig) -> Self {

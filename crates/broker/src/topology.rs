@@ -10,8 +10,7 @@
 //! publication dedup when the overlay has cycles (DESIGN.md §15).
 //!
 //! Construct with [`Topology::from_edges`] (or the [`Topology::chain`]
-//! / [`Topology::star`] / [`Topology::ring`] presets); the positional
-//! tree-only [`Topology::new`] survives as a deprecated wrapper.
+//! / [`Topology::star`] / [`Topology::ring`] presets).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -26,8 +25,6 @@ pub enum TopologyError {
     UnknownBroker(BrokerId),
     /// The same undirected edge appears twice, or a self-loop.
     BadEdge(BrokerId, BrokerId),
-    /// The overlay contains a cycle.
-    Cyclic,
     /// The overlay is not connected.
     Disconnected,
     /// No brokers.
@@ -43,7 +40,6 @@ impl fmt::Display for TopologyError {
         match self {
             TopologyError::UnknownBroker(b) => write!(f, "edge references unknown broker {b}"),
             TopologyError::BadEdge(a, b) => write!(f, "bad edge ({a}, {b})"),
-            TopologyError::Cyclic => f.write_str("overlay contains a cycle"),
             TopologyError::Disconnected => f.write_str("overlay is not connected"),
             TopologyError::Empty => f.write_str("overlay has no brokers"),
             TopologyError::AlreadyPresent(b) => write!(f, "broker {b} is already in the overlay"),
@@ -94,30 +90,6 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds and validates a *tree* topology.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the edge list references unknown brokers,
-    /// contains self-loops or duplicates, or if the graph is not a
-    /// connected tree ([`TopologyError::Cyclic`] when it has extra
-    /// edges).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Topology::from_edges, which accepts any connected graph \
-                (check is_tree() if acyclicity is required)"
-    )]
-    pub fn new(
-        brokers: impl IntoIterator<Item = BrokerId>,
-        edges: impl IntoIterator<Item = (BrokerId, BrokerId)>,
-    ) -> Result<Self, TopologyError> {
-        let t = Self::from_edges(brokers, edges)?;
-        if !t.is_tree() {
-            return Err(TopologyError::Cyclic);
-        }
-        Ok(t)
-    }
-
     /// Builds and validates a topology over any connected graph —
     /// cycles are allowed and enable multi-path forwarding at the
     /// broker layer.
@@ -633,19 +605,6 @@ mod tests {
         let t = Topology::star(6);
         let r = t.route(b(4), b(5)).unwrap();
         assert_eq!(r.brokers(), &[b(4), b(1), b(5)]);
-    }
-
-    /// The deprecated tree-only constructor still enforces
-    /// acyclicity.
-    #[test]
-    #[allow(deprecated)]
-    fn cycle_rejected_by_tree_constructor() {
-        let err = Topology::new(
-            vec![b(1), b(2), b(3)],
-            vec![(b(1), b(2)), (b(2), b(3)), (b(3), b(1))],
-        )
-        .unwrap_err();
-        assert_eq!(err, TopologyError::Cyclic);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use transmob_pubsub::{BrokerId, ClientId, MoveId, PublicationMsg};
 use crate::messages::{ClientOp, Message, Output, TimerToken};
 use crate::mobile_broker::{MobileBroker, MobileBrokerConfig};
 use crate::options::NetworkOptions;
-use crate::transport::{flush_outputs, Transport};
+use crate::transport::{flush_outputs, for_each_cause_run, Transport};
 
 /// An observable event produced while draining the network.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,15 +86,6 @@ impl InstantNet {
     /// .options(..).start()`.
     pub fn builder() -> InstantNetBuilder {
         InstantNetBuilder::default()
-    }
-
-    /// Builds a network over `topology`, all brokers sharing `config`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use InstantNet::builder().overlay(..).options(..).start()"
-    )]
-    pub fn new(topology: Topology, config: MobileBrokerConfig) -> Self {
-        Self::from_parts(topology, config)
     }
 
     fn from_parts(topology: Topology, config: MobileBrokerConfig) -> Self {
@@ -258,10 +249,7 @@ impl InstantNet {
         }
     }
 
-    /// Processes one queued batch. Movement messages attribute to their
-    /// own transaction while everything else inherits the cause of the
-    /// message that produced it, so the batch is split into maximal
-    /// runs sharing an effective cause; each run goes through
+    /// Processes one queued batch: each cause-uniform run goes through
     /// [`MobileBroker::handle_batch`] (defined as the per-message
     /// fold), keeping metrics identical to unbatched processing.
     fn process_batch(
@@ -271,24 +259,12 @@ impl InstantNet {
         msgs: Vec<Message>,
         cause: Option<MoveId>,
     ) {
-        let mut run: Vec<Message> = Vec::new();
-        let mut run_cause: Option<MoveId> = None;
-        for msg in msgs {
+        for msg in &msgs {
             *self.traffic.entry(msg.kind()).or_insert(0) += 1;
-            let eff = match &msg {
-                Message::Move(mv) => Some(mv.move_id()),
-                Message::PubSub(_) | Message::BrokerDeath { .. } => cause,
-            };
-            if !run.is_empty() && eff != run_cause {
-                let batch = std::mem::take(&mut run);
-                self.exec_run(dst, from, run_cause, batch);
-            }
-            run_cause = eff;
-            run.push(msg);
         }
-        if !run.is_empty() {
-            self.exec_run(dst, from, run_cause, run);
-        }
+        for_each_cause_run(msgs, cause, |cause, run| {
+            self.exec_run(dst, from, cause, run)
+        });
     }
 
     fn exec_run(&mut self, dst: BrokerId, from: Hop, cause: Option<MoveId>, msgs: Vec<Message>) {

@@ -330,6 +330,17 @@ impl Message {
             Message::Move(_) | Message::BrokerDeath { .. } => transmob_broker::MsgKind::MoveCtl,
         }
     }
+
+    /// The movement this message is charged to (the paper's
+    /// per-movement message metric): a movement message belongs to its
+    /// own transaction, anything else to `inherited`, the cause of the
+    /// message that produced it.
+    pub fn effective_cause(&self, inherited: Option<MoveId>) -> Option<MoveId> {
+        match self {
+            Message::Move(mv) => Some(mv.move_id()),
+            Message::PubSub(_) | Message::BrokerDeath { .. } => inherited,
+        }
+    }
 }
 
 impl From<PubSubMsg> for Message {

@@ -22,7 +22,7 @@
 //! may ship one batch as one frame, but must hand its contents to the
 //! receiver in order.
 
-use transmob_pubsub::{BrokerId, ClientId, PublicationMsg};
+use transmob_pubsub::{BrokerId, ClientId, MoveId, PublicationMsg};
 
 use crate::messages::{Message, Output};
 
@@ -96,12 +96,38 @@ pub fn flush_outputs<T: Transport + ?Sized>(transport: &mut T, outputs: Vec<Outp
     flush_run(transport, &mut run);
 }
 
+/// Splits one received batch, whose sender's step was charged to
+/// `inherited`, into maximal runs of consecutive messages charged to
+/// the same movement ([`Message::effective_cause`]) and hands each run
+/// to `apply` in order. A driver that attributes traffic to movements
+/// applies each run as one batch, so the attribution of the outputs
+/// matches unbatched processing.
+pub fn for_each_cause_run(
+    msgs: Vec<Message>,
+    inherited: Option<MoveId>,
+    mut apply: impl FnMut(Option<MoveId>, Vec<Message>),
+) {
+    let mut run: Vec<Message> = Vec::new();
+    let mut run_cause = None;
+    for msg in msgs {
+        let cause = msg.effective_cause(inherited);
+        if !run.is_empty() && cause != run_cause {
+            apply(run_cause, std::mem::take(&mut run));
+        }
+        run_cause = cause;
+        run.push(msg);
+    }
+    if !run.is_empty() {
+        apply(run_cause, run);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::messages::TimerKind;
     use transmob_broker::PubSubMsg;
-    use transmob_pubsub::{MoveId, PubId, Publication};
+    use transmob_pubsub::{PubId, Publication};
 
     #[derive(Debug, PartialEq)]
     enum Call {
@@ -208,6 +234,27 @@ mod tests {
             rec.shipped,
             vec![publish(1), publish(2), publish(3), publish(4), publish(5)]
         );
+    }
+
+    #[test]
+    fn cause_runs_are_maximal_and_in_order() {
+        let ack = |m| {
+            Message::Move(crate::messages::MoveMsg::Ack {
+                m: MoveId(m),
+                source: BrokerId(1),
+                target: BrokerId(2),
+            })
+        };
+        let msgs = vec![publish(1), ack(1), ack(1), publish(2), publish(3), ack(2)];
+        let mut runs = Vec::new();
+        for_each_cause_run(msgs, Some(MoveId(9)), |cause, run| {
+            runs.push((cause.map(|m| m.0), run.len()));
+        });
+        assert_eq!(
+            runs,
+            vec![(Some(9), 1), (Some(1), 2), (Some(9), 2), (Some(2), 1)]
+        );
+        for_each_cause_run(Vec::new(), None, |_, _| panic!("empty batch has no runs"));
     }
 
     #[test]

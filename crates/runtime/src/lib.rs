@@ -40,75 +40,30 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod broker_loop;
 pub mod codec;
 pub mod tcp;
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::RwLock;
-use transmob_broker::{Hop, OverlayBuilder, PrematchedRoutes, Topology};
-use transmob_core::transport::{flush_outputs, Transport};
-use transmob_core::{
-    ClientOp, Message, MobileBroker, MobileBrokerConfig, NetworkOptions, Output, ProtocolKind,
-    TimerToken,
-};
-use transmob_pubsub::{BrokerId, ClientId, Filter, MoveId, Publication, PublicationMsg};
+use transmob_broker::{OverlayBuilder, Topology};
+use transmob_core::{Message, MobileBroker, MobileBrokerConfig, NetworkOptions};
+use transmob_pubsub::{BrokerId, ClientId};
 
-/// The outcome of a movement, delivered to the issuing client's handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MoveOutcome {
-    /// The movement transaction id.
-    pub m: MoveId,
-    /// Whether the client now runs at the target.
-    pub committed: bool,
-}
+pub use broker_loop::{Client, MoveOutcome};
+use broker_loop::{Hub, Input, Links};
 
-enum Envelope {
-    FromBroker(BrokerId, Vec<Message>),
-    FromClient(ClientId, ClientOp),
-    CreateClient(ClientId),
-    Shutdown,
-}
-
-impl fmt::Debug for Envelope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Envelope::FromBroker(b, m) => write!(f, "FromBroker({b}, {} msgs)", m.len()),
-            Envelope::FromClient(c, _) => write!(f, "FromClient({c}, ..)"),
-            Envelope::CreateClient(c) => write!(f, "CreateClient({c})"),
-            Envelope::Shutdown => f.write_str("Shutdown"),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Registry {
-    homes: BTreeMap<ClientId, BrokerId>,
-    deliveries: BTreeMap<ClientId, Sender<PublicationMsg>>,
-    move_events: BTreeMap<ClientId, Sender<MoveOutcome>>,
-}
-
-#[derive(Debug)]
-struct Shared {
-    topology: Arc<Topology>,
-    senders: BTreeMap<BrokerId, Sender<Envelope>>,
-    registry: RwLock<Registry>,
-}
-
-/// A running broker network: one thread per broker.
+/// A running broker network: one thread per broker, each running the
+/// single-threaded broker loop over crossbeam channels.
 ///
 /// Shut it down explicitly with [`Network::shutdown`]; dropping the
 /// handle also stops the threads (without blocking indefinitely on a
 /// healthy network).
 #[derive(Debug)]
 pub struct Network {
-    shared: Arc<Shared>,
+    topology: Arc<Topology>,
+    hub: Arc<Hub>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -119,48 +74,33 @@ impl Network {
         NetworkBuilder::default()
     }
 
-    /// Starts one broker thread per topology node, all configured with
-    /// `config`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Network::builder().overlay(..).options(..).start()"
-    )]
-    pub fn start(topology: Topology, config: MobileBrokerConfig) -> Self {
-        Self::from_parts(topology, config)
-    }
-
     fn from_parts(topology: Topology, config: MobileBrokerConfig) -> Self {
         let topology = Arc::new(topology);
-        let mut senders = BTreeMap::new();
-        let mut receivers = BTreeMap::new();
-        for b in topology.brokers() {
-            let (tx, rx) = unbounded();
-            senders.insert(b, tx);
-            receivers.insert(b, rx);
-        }
-        let shared = Arc::new(Shared {
-            topology: Arc::clone(&topology),
-            senders,
-            registry: RwLock::new(Registry::default()),
-        });
+        let (hub, receivers) = Hub::new(topology.brokers());
         let handles = receivers
             .into_iter()
             .map(|(b, rx)| {
-                let shared = Arc::clone(&shared);
-                let config = config.clone();
-                let topology = Arc::clone(&topology);
+                let hub = Arc::clone(&hub);
+                let broker = MobileBroker::new(b, Arc::clone(&topology), config.clone());
                 std::thread::Builder::new()
                     .name(format!("broker-{b}"))
-                    .spawn(move || broker_main(b, topology, config, rx, shared))
+                    .spawn(move || {
+                        let links = ChannelLinks { id: b, hub: &hub };
+                        broker_loop::run(broker, Vec::new(), &rx, &hub, links);
+                    })
                     .expect("spawn broker thread")
             })
             .collect();
-        Network { shared, handles }
+        Network {
+            topology,
+            hub,
+            handles,
+        }
     }
 
     /// The overlay topology.
     pub fn topology(&self) -> &Topology {
-        &self.shared.topology
+        &self.topology
     }
 
     /// Creates (attaches and starts) a client at `broker` and returns
@@ -171,32 +111,12 @@ impl Network {
     /// Panics if `broker` is not in the topology or the client id is
     /// already in use.
     pub fn create_client(&self, broker: BrokerId, id: ClientId) -> Client {
-        let (dtx, drx) = unbounded();
-        let (mtx, mrx) = unbounded();
-        {
-            let mut reg = self.shared.registry.write();
-            assert!(
-                !reg.homes.contains_key(&id),
-                "client id {id} already in use"
-            );
-            reg.homes.insert(id, broker);
-            reg.deliveries.insert(id, dtx);
-            reg.move_events.insert(id, mtx);
-        }
-        self.shared.senders[&broker]
-            .send(Envelope::CreateClient(id))
-            .expect("broker thread alive");
-        Client {
-            id,
-            shared: Arc::clone(&self.shared),
-            deliveries: drx,
-            moves: mrx,
-        }
+        self.hub.create_client(broker, id)
     }
 
     /// The broker currently hosting `client` (its command target).
     pub fn home_of(&self, client: ClientId) -> Option<BrokerId> {
-        self.shared.registry.read().homes.get(&client).copied()
+        self.hub.home_of(client)
     }
 
     /// Stops all broker threads and waits for them to finish.
@@ -205,9 +125,7 @@ impl Network {
     }
 
     fn stop_threads(&mut self) {
-        for tx in self.shared.senders.values() {
-            let _ = tx.send(Envelope::Shutdown);
-        }
+        self.hub.shutdown_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -220,343 +138,16 @@ impl Drop for Network {
     }
 }
 
-/// A handle to a client hosted somewhere in the network. Commands are
-/// routed to whatever broker currently hosts the client; notifications
-/// arrive on the handle's delivery channel.
-#[derive(Debug)]
-pub struct Client {
-    id: ClientId,
-    shared: Arc<Shared>,
-    deliveries: Receiver<PublicationMsg>,
-    moves: Receiver<MoveOutcome>,
-}
-
-impl Client {
-    /// The client id.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    fn send_op(&self, op: ClientOp) {
-        let home = self
-            .shared
-            .registry
-            .read()
-            .homes
-            .get(&self.id)
-            .copied()
-            .expect("client registered");
-        let _ = self.shared.senders[&home].send(Envelope::FromClient(self.id, op));
-    }
-
-    /// Issues a subscription.
-    pub fn subscribe(&self, filter: Filter) {
-        self.send_op(ClientOp::Subscribe(filter));
-    }
-
-    /// Withdraws the subscription with client-local sequence `seq`
-    /// (subscriptions are numbered 0, 1, ... in issue order).
-    pub fn unsubscribe(&self, seq: u32) {
-        self.send_op(ClientOp::Unsubscribe(seq));
-    }
-
-    /// Issues an advertisement.
-    pub fn advertise(&self, filter: Filter) {
-        self.send_op(ClientOp::Advertise(filter));
-    }
-
-    /// Withdraws the advertisement with client-local sequence `seq`.
-    pub fn unadvertise(&self, seq: u32) {
-        self.send_op(ClientOp::Unadvertise(seq));
-    }
-
-    /// Publishes a publication.
-    pub fn publish(&self, content: Publication) {
-        self.send_op(ClientOp::Publish(content));
-    }
-
-    /// Application-level pause: notifications buffer at the broker and
-    /// commands queue until [`Client::resume`].
-    pub fn pause(&self) {
-        self.send_op(ClientOp::Pause);
-    }
-
-    /// Resumes from an application-level pause.
-    pub fn resume(&self) {
-        self.send_op(ClientOp::Resume);
-    }
-
-    /// Requests a movement and waits up to `timeout` for it to finish.
-    /// Returns `true` if the movement committed (the client now runs
-    /// at `target`).
-    pub fn move_to(&self, target: BrokerId, protocol: ProtocolKind, timeout: Duration) -> bool {
-        self.send_op(ClientOp::MoveTo(target, protocol));
-        match self.moves.recv_timeout(timeout) {
-            Ok(outcome) => outcome.committed,
-            Err(_) => false,
-        }
-    }
-
-    /// Requests a movement without waiting (the outcome arrives via
-    /// [`Client::next_move_outcome`]).
-    pub fn move_to_async(&self, target: BrokerId, protocol: ProtocolKind) {
-        self.send_op(ClientOp::MoveTo(target, protocol));
-    }
-
-    /// Waits for the next movement outcome.
-    pub fn next_move_outcome(&self, timeout: Duration) -> Option<MoveOutcome> {
-        self.moves.recv_timeout(timeout).ok()
-    }
-
-    /// Receives the next notification, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<PublicationMsg> {
-        self.deliveries.recv_timeout(timeout).ok()
-    }
-
-    /// Receives a notification if one is already queued.
-    pub fn try_recv(&self) -> Option<PublicationMsg> {
-        self.deliveries.try_recv().ok()
-    }
-
-    /// Drains all currently queued notifications.
-    pub fn drain(&self) -> Vec<PublicationMsg> {
-        let mut out = Vec::new();
-        while let Ok(p) = self.deliveries.try_recv() {
-            out.push(p);
-        }
-        out
-    }
-}
-
-/// Depth of the staged channel between a broker's ingest and apply
-/// stages. Small on purpose: it bounds how stale a pre-computed match
-/// can get (staleness is correctness-neutral — the apply stage
-/// re-matches — but wasted work) while still letting the ingest stage
-/// decode and match the next batch concurrently with the apply stage.
-const PIPELINE_DEPTH: usize = 2;
-
-/// A unit of work handed from the ingest stage to the apply stage.
-enum Staged {
-    /// An envelope forwarded verbatim.
-    Env(Envelope),
-    /// A broker batch whose publications were already matched against
-    /// the routing state under a read lock, stamped with the routing
-    /// version (see [`MobileBroker::prematch`]).
-    Prematched(BrokerId, Vec<Message>, PrematchedRoutes),
-}
-
-/// The per-broker *pipelined* driver: two threads per broker.
-///
-/// - The **ingest** stage (this function spawns it) pulls envelopes
-///   off the network channel and, for multi-message broker batches,
-///   pre-computes the publication routes under a *read* lock of the
-///   broker — concurrent with the apply stage committing the previous
-///   batch.
-/// - The **apply** stage (this function) owns the timer heap, takes
-///   the *write* lock for every state mutation, and consumes the
-///   pre-computed routes when their version stamp still matches;
-///   routing-state churn between the stages (a movement commit, a
-///   subscription) just invalidates the stamp and the routes are
-///   recomputed under the write lock.
-///
-/// All envelopes — prematched or not — flow through the same bounded
-/// channel, so per-broker FIFO ordering is preserved exactly as in the
-/// single-threaded loop.
-fn broker_main(
+/// The channel runtime's [`Links`]: a neighbour's input queue is the
+/// link, so there is nothing to flush, probe or stand down.
+struct ChannelLinks<'a> {
     id: BrokerId,
-    topology: Arc<Topology>,
-    config: MobileBrokerConfig,
-    rx: Receiver<Envelope>,
-    shared: Arc<Shared>,
-) {
-    let broker = Arc::new(RwLock::new(MobileBroker::new(id, topology, config)));
-    let (stage_tx, stage_rx) = bounded::<Staged>(PIPELINE_DEPTH);
-    let ingest = {
-        let broker = Arc::clone(&broker);
-        std::thread::Builder::new()
-            .name(format!("broker-{id}-ingest"))
-            .spawn(move || ingest_main(broker, rx, stage_tx))
-            .expect("spawn ingest thread")
-    };
-    apply_main(id, &broker, stage_rx, &shared);
-    // `apply_main` only returns once the staged channel delivered
-    // Shutdown or disconnected, and the ingest stage stops right after
-    // forwarding Shutdown, so this join cannot hang on a healthy
-    // network.
-    let _ = ingest.join();
+    hub: &'a Hub,
 }
 
-/// The ingest stage: read-locked pre-matching, no state mutation.
-fn ingest_main(
-    broker: Arc<RwLock<MobileBroker>>,
-    rx: Receiver<Envelope>,
-    stage_tx: Sender<Staged>,
-) {
-    for envelope in rx.iter() {
-        let staged = match envelope {
-            Envelope::FromBroker(from, msgs) if msgs.len() > 1 => {
-                let pre = broker.read().prematch(&msgs);
-                Staged::Prematched(from, msgs, pre)
-            }
-            Envelope::Shutdown => {
-                let _ = stage_tx.send(Staged::Env(Envelope::Shutdown));
-                return;
-            }
-            e => Staged::Env(e),
-        };
-        if stage_tx.send(staged).is_err() {
-            return; // apply stage gone
-        }
-    }
-}
-
-/// The apply stage: owns the timer heap; every broker mutation runs
-/// under the write lock.
-fn apply_main(
-    id: BrokerId,
-    broker: &RwLock<MobileBroker>,
-    stage_rx: Receiver<Staged>,
-    shared: &Shared,
-) {
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
-    let mut cancelled: BTreeSet<TimerToken> = BTreeSet::new();
-    loop {
-        // Fire due timers first.
-        let now = Instant::now();
-        while let Some(Reverse((deadline, token))) = timers.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            timers.pop();
-            if cancelled.remove(&token) {
-                continue;
-            }
-            let outs = broker.write().handle_timer(token);
-            dispatch(id, shared, &mut timers, &mut cancelled, outs);
-        }
-        // Wait for the next staged item or the next timer deadline.
-        let staged = match timers.peek() {
-            Some(Reverse((deadline, _))) => {
-                let wait = deadline.saturating_duration_since(Instant::now());
-                match stage_rx.recv_timeout(wait) {
-                    Ok(e) => e,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                }
-            }
-            None => match stage_rx.recv() {
-                Ok(e) => e,
-                Err(_) => return,
-            },
-        };
-        match staged {
-            Staged::Prematched(from, msgs, pre) => {
-                let outs = broker
-                    .write()
-                    .handle_batch_prematched(Hop::Broker(from), msgs, pre);
-                dispatch(id, shared, &mut timers, &mut cancelled, outs);
-            }
-            Staged::Env(Envelope::Shutdown) => return,
-            Staged::Env(Envelope::CreateClient(c)) => broker.write().create_client(c),
-            Staged::Env(Envelope::FromClient(c, op)) => {
-                if broker.read().client(c).is_none() {
-                    // The client moved away while the command was in
-                    // flight; forward it to the current home (the
-                    // registry is updated before the source cleans up,
-                    // so re-resolution always progresses).
-                    let home = shared.registry.read().homes.get(&c).copied();
-                    match home {
-                        Some(h) if h != id => {
-                            let _ = shared.senders[&h].send(Envelope::FromClient(c, op));
-                        }
-                        _ => {} // client gone entirely: drop
-                    }
-                    continue;
-                }
-                let outs = broker.write().client_op(c, op);
-                dispatch(id, shared, &mut timers, &mut cancelled, outs);
-            }
-            Staged::Env(Envelope::FromBroker(from, msgs)) => {
-                let outs = broker.write().handle_batch(Hop::Broker(from), msgs);
-                dispatch(id, shared, &mut timers, &mut cancelled, outs);
-            }
-        }
-    }
-}
-
-fn dispatch(
-    id: BrokerId,
-    shared: &Shared,
-    timers: &mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &mut BTreeSet<TimerToken>,
-    outs: Vec<Output>,
-) {
-    let mut flush = ChannelFlush {
-        id,
-        shared,
-        timers,
-        cancelled,
-    };
-    flush_outputs(&mut flush, outs);
-}
-
-/// [`Transport`] over the in-process crossbeam channels: consecutive
-/// sends to the same neighbor ride one [`Envelope::FromBroker`].
-struct ChannelFlush<'a> {
-    id: BrokerId,
-    shared: &'a Shared,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &'a mut BTreeSet<TimerToken>,
-}
-
-impl Transport for ChannelFlush<'_> {
-    fn send_batch(&mut self, to: BrokerId, msgs: Vec<Message>) {
-        let _ = self.shared.senders[&to].send(Envelope::FromBroker(self.id, msgs));
-    }
-
-    fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>) {
-        let reg = self.shared.registry.read();
-        if let Some(tx) = reg.deliveries.get(&client) {
-            for p in publications {
-                let _ = tx.send(p);
-            }
-        }
-    }
-
-    fn control(&mut self, output: Output) {
-        match output {
-            Output::SetTimer { token, delay_ns } => {
-                self.cancelled.remove(&token);
-                self.timers.push(Reverse((
-                    Instant::now() + Duration::from_nanos(delay_ns),
-                    token,
-                )));
-            }
-            Output::CancelTimer { token } => {
-                self.cancelled.insert(token);
-            }
-            Output::MoveFinished {
-                m,
-                client,
-                committed,
-            } => {
-                // The home registry was already flipped by the target's
-                // `ClientArrived` for committed moves; here we only
-                // signal the outcome to the client handle.
-                let reg = self.shared.registry.read();
-                if let Some(tx) = reg.move_events.get(&client) {
-                    let _ = tx.send(MoveOutcome { m, committed });
-                }
-            }
-            Output::ClientArrived { m: _, client } => {
-                // Commands issued from now on route to the new home.
-                let mut reg = self.shared.registry.write();
-                reg.homes.insert(client, self.id);
-            }
-            Output::Send { .. } | Output::DeliverToApp { .. } => {
-                unreachable!("flush_outputs routes batchable effects to the batch verbs")
-            }
-        }
+impl Links for ChannelLinks<'_> {
+    fn ship(&mut self, to: BrokerId, msgs: Vec<Message>) {
+        self.hub.send(to, Input::FromBroker(self.id, msgs));
     }
 }
 
@@ -605,6 +196,9 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use transmob_core::ProtocolKind;
+    use transmob_pubsub::{Filter, Publication};
 
     fn b(i: u32) -> BrokerId {
         BrokerId(i)
@@ -694,10 +288,8 @@ mod tests {
         net.shutdown();
     }
 
-    /// The pipeline's contended path: a publisher floods broker
-    /// batches (the ingest stage pre-matching under the read lock)
-    /// while the subscriber's movement transactions commit (the apply
-    /// stage holding the write lock and bumping the routing version).
+    /// A publisher floods broker batches while the subscriber's
+    /// movement transactions commit on the same broker loops.
     /// Every move must commit, deliveries must stay duplicate-free,
     /// and routing must keep following the subscriber afterwards.
     #[test]

@@ -8,9 +8,12 @@
 //! real), and clients attach through in-process handles exactly as
 //! with [`crate::Network`].
 //!
-//! Frames written during one `OutputBatch` are buffered and flushed
-//! with a single syscall per touched link ([`TcpFlush`] tracks the
-//! touched set), so the coalescer's batching survives all the way to
+//! Each broker runs the single-threaded loop it shares with
+//! [`crate::Network`]; this module is that loop's link layer
+//! (`TcpLinks`) and everything a socket needs around it. Frames
+//! written during one broker step are buffered and flushed with a
+//! single syscall per touched link (`TcpLinks` tracks the touched
+//! set), so the coalescer's batching survives all the way to
 //! the socket. Per-link [`LinkStats`] count frames, flushes, decode
 //! failures, serialize failures and publication drops, and a link
 //! taken down records *why* ([`TcpNetwork::link_stats`]).
@@ -48,8 +51,7 @@
 //! net.shutdown();
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,18 +59,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
-use transmob_broker::{Hop, OverlayBuilder, PrematchedRoutes, PubSubMsg, Topology};
-use transmob_core::transport::{flush_outputs, Transport};
+use transmob_broker::{OverlayBuilder, PubSubMsg, Topology};
 use transmob_core::{
-    ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, NetworkOptions,
-    Output, TimerToken,
+    DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, NetworkOptions, Output,
 };
-use transmob_pubsub::{BrokerId, ClientId, Filter, Publication, PublicationMsg};
+use transmob_pubsub::{BrokerId, ClientId};
 
+use crate::broker_loop::{self, Hub, Input, Links};
 use crate::codec::{Frame, FrameDecoder, FrameEncoder, ReadError, WireMode};
-use crate::MoveOutcome;
+
+/// A client handle on a [`TcpNetwork`]: the one [`crate::Client`].
+pub use crate::Client as TcpClient;
 
 /// Default heartbeat period: each broker pings every live link this
 /// often ([`TcpOptions::heartbeat_interval`]).
@@ -190,7 +193,7 @@ pub struct LinkStats {
     /// Frames successfully written (not necessarily flushed yet).
     pub frames_sent: u64,
     /// Successful flush syscalls that pushed buffered frames out. The
-    /// dispatch loop flushes once per `OutputBatch`, so under batched
+    /// broker loop flushes once per step, so under batched
     /// load this stays well below `frames_sent`.
     pub flushes: u64,
     /// Frames that failed to serialize (JSON mode only — binary
@@ -210,20 +213,6 @@ pub struct LinkStats {
     pub connects: u64,
     /// Why the link last went down (`None` if it never did).
     pub down_reason: Option<String>,
-}
-
-enum Input {
-    FromBroker(BrokerId, Vec<Message>),
-    FromClient(ClientId, ClientOp),
-    CreateClient(ClientId),
-    Shutdown,
-}
-
-#[derive(Debug, Default)]
-struct Registry {
-    homes: BTreeMap<ClientId, BrokerId>,
-    deliveries: BTreeMap<ClientId, Sender<PublicationMsg>>,
-    move_events: BTreeMap<ClientId, Sender<MoveOutcome>>,
 }
 
 /// One endpoint of an overlay link (this broker's writer toward one
@@ -339,10 +328,9 @@ struct Shared {
     topology: Arc<Topology>,
     config: MobileBrokerConfig,
     options: TcpOptions,
-    /// Input channel per broker; swapped on kill/restart, hence the
-    /// lock (readers clone the sender at spawn time).
-    inputs: RwLock<BTreeMap<BrokerId, Sender<Input>>>,
-    registry: RwLock<Registry>,
+    /// Client registry and each broker's input queue (swapped on
+    /// kill/restart; readers clone the sender at spawn time).
+    hub: Arc<Hub>,
     /// `links[owner][peer]`: owner's endpoint of the owner–peer edge.
     /// Starts as the static overlay's edge set; overlay self-repair
     /// adds endpoints for the new repair edges at runtime (lock order:
@@ -400,151 +388,6 @@ impl TcpNetwork {
         TcpNetworkBuilder::default()
     }
 
-    /// Binds one loopback listener per broker on an ephemeral port,
-    /// connects every overlay edge, and starts the broker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind/connect and thread-spawn errors; any
-    /// threads already started are shut down and joined before the
-    /// error is returned.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use TcpNetwork::builder().overlay(..).options(..).start()"
-    )]
-    pub fn start(topology: Topology, config: MobileBrokerConfig) -> io::Result<TcpNetwork> {
-        Self::start_inner(topology, config, TcpOptions::default(), |_| {
-            "127.0.0.1:0".to_string()
-        })
-    }
-
-    /// Like `TcpNetwork::start`, but with explicit transport options
-    /// (frame codec, down-queue bound) and bind addresses.
-    ///
-    /// # Errors
-    ///
-    /// Same as `TcpNetwork::start_with`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use TcpNetwork::builder().overlay(..).options(..).tcp(..).bind(..).start()"
-    )]
-    pub fn start_with_options(
-        topology: Topology,
-        config: MobileBrokerConfig,
-        options: TcpOptions,
-        bind_addr: impl FnMut(BrokerId) -> String,
-    ) -> io::Result<TcpNetwork> {
-        Self::start_inner(topology, config, options, bind_addr)
-    }
-
-    /// Like `TcpNetwork::start`, but binds each broker's listener at
-    /// the address chosen by `bind_addr` (e.g. fixed ports for a
-    /// firewall-pinned deployment). Port `0` picks an ephemeral port.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind/connect and thread-spawn errors — a
-    /// colliding or unbindable address reports `AddrInUse` (or the
-    /// underlying error) instead of aborting the process.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use TcpNetwork::builder().overlay(..).options(..).bind(..).start()"
-    )]
-    pub fn start_with(
-        topology: Topology,
-        config: MobileBrokerConfig,
-        bind_addr: impl FnMut(BrokerId) -> String,
-    ) -> io::Result<TcpNetwork> {
-        Self::start_inner(topology, config, TcpOptions::default(), bind_addr)
-    }
-
-    fn start_inner(
-        topology: Topology,
-        config: MobileBrokerConfig,
-        options: TcpOptions,
-        mut bind_addr: impl FnMut(BrokerId) -> String,
-    ) -> io::Result<TcpNetwork> {
-        let topology = Arc::new(topology);
-        // Phase 1: bind all listeners.
-        let mut listeners: BTreeMap<BrokerId, TcpListener> = BTreeMap::new();
-        let mut addrs: BTreeMap<BrokerId, SocketAddr> = BTreeMap::new();
-        for b in topology.brokers() {
-            let addr = bind_addr(b);
-            let l = TcpListener::bind(&addr).map_err(|e| {
-                io::Error::new(e.kind(), format!("bind broker {b} listener at {addr}: {e}"))
-            })?;
-            addrs.insert(b, l.local_addr()?);
-            listeners.insert(b, l);
-        }
-        // Phase 2: shared state, acceptors, and the initial dials.
-        let mut inputs: BTreeMap<BrokerId, Sender<Input>> = BTreeMap::new();
-        let mut input_rx: BTreeMap<BrokerId, Receiver<Input>> = BTreeMap::new();
-        let mut links: BTreeMap<BrokerId, BTreeMap<BrokerId, Arc<Link>>> = BTreeMap::new();
-        let mut pings: BTreeMap<BrokerId, AtomicU64> = BTreeMap::new();
-        for b in topology.brokers() {
-            let (tx, rx) = unbounded();
-            inputs.insert(b, tx);
-            input_rx.insert(b, rx);
-            pings.insert(b, AtomicU64::new(0));
-            let peers = topology
-                .neighbors(b)
-                .iter()
-                .map(|&n| (n, Arc::new(Link::new_down())))
-                .collect();
-            links.insert(b, peers);
-        }
-        let shared = Arc::new(Shared {
-            topology: Arc::clone(&topology),
-            config: config.clone(),
-            options,
-            inputs: RwLock::new(inputs),
-            registry: RwLock::new(Registry::default()),
-            links: RwLock::new(links),
-            addrs,
-            down: RwLock::new(BTreeSet::new()),
-            suspected: RwLock::new(BTreeSet::new()),
-            shutting_down: AtomicBool::new(false),
-            pings,
-            aux_threads: Mutex::new(Vec::new()),
-        });
-        let net = TcpNetwork {
-            shared: Arc::clone(&shared),
-            broker_handles: Mutex::new(BTreeMap::new()),
-            pending_rx: Mutex::new(BTreeMap::new()),
-            wals: topology
-                .brokers()
-                .map(|b| (b, MemoryLog::shared()))
-                .collect(),
-        };
-        for (b, listener) in listeners {
-            spawn_acceptor(&shared, b, listener)?;
-        }
-        // Dial each edge once, lower id dialing the higher (the same
-        // side redials after failures). The acceptors are already up,
-        // so one synchronous attempt per edge suffices here.
-        for (a, b) in topology.edges() {
-            dial_link(&shared, a, b, None)?;
-        }
-        // Phase 3: broker threads (from here on `net`'s Drop handles
-        // cleanup if a later spawn fails).
-        for b in topology.brokers() {
-            let Some(rx) = input_rx.remove(&b) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no input channel for broker {b}"),
-                ));
-            };
-            let mut broker = MobileBroker::new(b, Arc::clone(&topology), config.clone());
-            let wal = Arc::clone(&net.wals[&b]);
-            let wal: Arc<std::sync::Mutex<dyn DurabilityLog>> = wal;
-            broker
-                .attach_durability(wal)
-                .map_err(|e| io::Error::new(e.kind(), format!("attach WAL for {b}: {e}")))?;
-            net.spawn_broker(b, broker, Vec::new(), rx)?;
-        }
-        Ok(net)
-    }
-
     fn spawn_broker(
         &self,
         b: BrokerId,
@@ -555,7 +398,15 @@ impl TcpNetwork {
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name(format!("tcp-broker-{b}"))
-            .spawn(move || tcp_broker_main(b, broker, initial_outs, rx, shared))
+            .spawn(move || {
+                let links = TcpLinks {
+                    id: b,
+                    next_ping: Instant::now() + shared.options.heartbeat_interval,
+                    touched: BTreeSet::new(),
+                    shared: &shared,
+                };
+                broker_loop::run(broker, initial_outs, &rx, &shared.hub, links);
+            })
             .map_err(|e| io::Error::new(e.kind(), format!("spawn broker thread {b}: {e}")))?;
         self.broker_handles.lock().insert(b, handle);
         Ok(())
@@ -568,30 +419,12 @@ impl TcpNetwork {
     ///
     /// Panics if the client id is already in use.
     pub fn create_client(&self, broker: BrokerId, id: ClientId) -> TcpClient {
-        let (dtx, drx) = unbounded();
-        let (mtx, mrx) = unbounded();
-        {
-            let mut reg = self.shared.registry.write();
-            assert!(
-                !reg.homes.contains_key(&id),
-                "client id {id} already in use"
-            );
-            reg.homes.insert(id, broker);
-            reg.deliveries.insert(id, dtx);
-            reg.move_events.insert(id, mtx);
-        }
-        let _ = self.shared.inputs.read()[&broker].send(Input::CreateClient(id));
-        TcpClient {
-            id,
-            shared: Arc::clone(&self.shared),
-            deliveries: drx,
-            moves: mrx,
-        }
+        self.shared.hub.create_client(broker, id)
     }
 
     /// The broker currently hosting `client`.
     pub fn home_of(&self, client: ClientId) -> Option<BrokerId> {
-        self.shared.registry.read().homes.get(&client).copied()
+        self.shared.hub.home_of(client)
     }
 
     /// Whether `owner`'s endpoint of the link to `peer` is currently
@@ -664,12 +497,8 @@ impl TcpNetwork {
         // Fresh input channel: frames and commands sent from now on
         // wait for the restarted process; the old channel (with any
         // undelivered inputs) dies with the thread.
-        let (tx, rx) = unbounded();
-        let old = self.shared.inputs.write().insert(broker, tx);
+        let rx = self.shared.hub.replace_queue(broker);
         self.pending_rx.lock().insert(broker, rx);
-        if let Some(old_tx) = old {
-            let _ = old_tx.send(Input::Shutdown);
-        }
         // Sever every link endpoint; drop anything it had queued. The
         // generation bump (under the state lock) retires any redial
         // thread or reader still running for the old process — this is
@@ -784,9 +613,7 @@ impl TcpNetwork {
 
     fn stop(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        for tx in self.shared.inputs.read().values() {
-            let _ = tx.send(Input::Shutdown);
-        }
+        self.shared.hub.shutdown_all();
         let all_links: Vec<Arc<Link>> = self
             .shared
             .links
@@ -829,81 +656,6 @@ impl Drop for TcpNetwork {
     }
 }
 
-/// A client handle on a [`TcpNetwork`] (same surface as
-/// [`crate::Client`]).
-#[derive(Debug)]
-pub struct TcpClient {
-    id: ClientId,
-    shared: Arc<Shared>,
-    deliveries: Receiver<PublicationMsg>,
-    moves: Receiver<MoveOutcome>,
-}
-
-impl TcpClient {
-    /// The client id.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    fn send_op(&self, op: ClientOp) {
-        let home = self
-            .shared
-            .registry
-            .read()
-            .homes
-            .get(&self.id)
-            .copied()
-            .expect("client registered");
-        let _ = self.shared.inputs.read()[&home].send(Input::FromClient(self.id, op));
-    }
-
-    /// Issues a subscription.
-    pub fn subscribe(&self, filter: Filter) {
-        self.send_op(ClientOp::Subscribe(filter));
-    }
-
-    /// Issues an advertisement.
-    pub fn advertise(&self, filter: Filter) {
-        self.send_op(ClientOp::Advertise(filter));
-    }
-
-    /// Publishes a publication.
-    pub fn publish(&self, content: Publication) {
-        self.send_op(ClientOp::Publish(content));
-    }
-
-    /// Requests a movement and waits up to `timeout` for it to finish.
-    pub fn move_to(
-        &self,
-        target: BrokerId,
-        protocol: transmob_core::ProtocolKind,
-        timeout: Duration,
-    ) -> bool {
-        self.send_op(ClientOp::MoveTo(target, protocol));
-        matches!(
-            self.moves.recv_timeout(timeout),
-            Ok(MoveOutcome {
-                committed: true,
-                ..
-            })
-        )
-    }
-
-    /// Receives the next notification, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<PublicationMsg> {
-        self.deliveries.recv_timeout(timeout).ok()
-    }
-
-    /// Drains all currently queued notifications.
-    pub fn drain(&self) -> Vec<PublicationMsg> {
-        let mut out = Vec::new();
-        while let Ok(p) = self.deliveries.try_recv() {
-            out.push(p);
-        }
-        out
-    }
-}
-
 // ---------------------------------------------------------------------
 // Link management
 // ---------------------------------------------------------------------
@@ -937,8 +689,8 @@ fn ensure_link(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Arc<Link> {
 }
 
 /// Writes one protocol-message frame on `owner`'s link to `peer`
-/// **without flushing** — the dispatch loop flushes each touched link
-/// once per `OutputBatch` ([`flush_link`]). While the link is down the
+/// **without flushing** — the broker loop flushes each touched link
+/// once per step ([`flush_link`]). While the link is down the
 /// messages queue un-encoded (the binary string table belongs to a
 /// single connection), bounded by the down-queue high-water mark.
 fn send_msgs(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId, msgs: Vec<Message>) {
@@ -1090,7 +842,7 @@ fn send_ping(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
     }
 }
 
-/// Flushes `owner`'s link to `peer` — called once per `OutputBatch`
+/// Flushes `owner`'s link to `peer` — called once per broker step
 /// for each link the batch wrote to, turning N frames into one flush
 /// syscall. A flush failure demotes the unflushed frames to the
 /// down-queue (they are resent on reconnect).
@@ -1285,9 +1037,10 @@ fn suspect_broker(shared: &Arc<Shared>, owner: BrokerId, dead: BrokerId) {
     if !shared.suspected.write().insert(dead) {
         return; // already suspected; the flood is doing its job
     }
-    if let Some(tx) = shared.inputs.read().get(&owner) {
-        let _ = tx.send(Input::FromBroker(dead, vec![Message::BrokerDeath { dead }]));
-    }
+    shared.hub.send(
+        owner,
+        Input::FromBroker(dead, vec![Message::BrokerDeath { dead }]),
+    );
 }
 
 /// Dials `peer` on behalf of `owner` and installs the connection.
@@ -1480,7 +1233,7 @@ fn spawn_reader(
     // Snapshot the current input sender: a reader that outlives a
     // kill/restart must not feed the reborn broker from a stale
     // socket's thread (its sends just fail and the thread exits).
-    let tx = shared.inputs.read()[&owner].clone();
+    let tx = shared.hub.sender(owner);
     let shared2 = Arc::clone(shared);
     let handle = std::thread::Builder::new()
         .name(format!("tcp-reader-{owner}-{peer}"))
@@ -1595,124 +1348,39 @@ fn spawn_acceptor(shared: &Arc<Shared>, owner: BrokerId, listener: TcpListener) 
 }
 
 // ---------------------------------------------------------------------
-// Broker main loop
+// The broker loop's link layer
 // ---------------------------------------------------------------------
 
-/// Depth of the staged channel between a TCP broker's ingest and apply
-/// stages — see [`crate`]'s in-process pipeline for the rationale.
-const TCP_PIPELINE_DEPTH: usize = 2;
-
-/// A unit of work handed from the TCP ingest stage to the apply stage.
-enum TcpStaged {
-    /// An input forwarded verbatim.
-    In(Input),
-    /// A broker frame whose publications were matched against the
-    /// routing state under a read lock, stamped with the routing
-    /// version (see [`MobileBroker::prematch`]).
-    Prematched(BrokerId, Vec<Message>, PrematchedRoutes),
-}
-
-/// The per-broker TCP driver, pipelined like the in-process runtime:
-/// an **ingest** stage deserialized frames already (the reader
-/// threads) and pre-matches multi-message broker batches under a read
-/// lock, while the **apply** stage owns the timer heap and the
-/// heartbeat clock and commits every mutation under the write lock.
-/// All inputs flow through one bounded channel, preserving the
-/// single-threaded loop's FIFO order; a stale pre-match (routing churn
-/// between the stages) is detected by its version stamp and recomputed.
-fn tcp_broker_main(
+/// The TCP runtime's [`Links`] for one broker: a shipped batch becomes
+/// one wire frame buffered on the link, and the links written to
+/// during one step are flushed **once** when it finishes — N frames,
+/// one flush syscall per destination.
+struct TcpLinks<'a> {
     id: BrokerId,
-    broker: MobileBroker,
-    initial_outs: Vec<Output>,
-    rx: Receiver<Input>,
-    shared: Arc<Shared>,
-) {
-    let broker = Arc::new(RwLock::new(broker));
-    let (stage_tx, stage_rx) = bounded::<TcpStaged>(TCP_PIPELINE_DEPTH);
-    let ingest = {
-        let broker = Arc::clone(&broker);
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("tcp-broker-{id}-ingest"))
-            .spawn(move || tcp_ingest_main(broker, rx, stage_tx, shared))
-    };
-    tcp_apply_main(id, &broker, initial_outs, stage_rx, &shared);
-    // The ingest stage exits right after forwarding Shutdown (or on
-    // channel disconnect), so this join cannot hang.
-    if let Ok(h) = ingest {
-        let _ = h.join();
-    }
+    shared: &'a Arc<Shared>,
+    touched: BTreeSet<BrokerId>,
+    next_ping: Instant,
 }
 
-/// The TCP ingest stage: read-locked pre-matching, no state mutation.
-fn tcp_ingest_main(
-    broker: Arc<RwLock<MobileBroker>>,
-    rx: Receiver<Input>,
-    stage_tx: Sender<TcpStaged>,
-    shared: Arc<Shared>,
-) {
-    for input in rx.iter() {
-        // A death notice in the stream marks the victim suspected at
-        // the transport layer too, so this broker's own dialer toward
-        // it stands down instead of redialing a hole in the overlay.
-        if let Input::FromBroker(_, msgs) = &input {
-            for m in msgs {
-                if let Message::BrokerDeath { dead } = m {
-                    shared.suspected.write().insert(*dead);
-                }
-            }
-        }
-        let staged = match input {
-            Input::FromBroker(from, msgs) if msgs.len() > 1 => {
-                let pre = broker.read().prematch(&msgs);
-                TcpStaged::Prematched(from, msgs, pre)
-            }
-            Input::Shutdown => {
-                let _ = stage_tx.send(TcpStaged::In(Input::Shutdown));
-                return;
-            }
-            i => TcpStaged::In(i),
-        };
-        if stage_tx.send(staged).is_err() {
-            return; // apply stage gone
+impl Links for TcpLinks<'_> {
+    fn ship(&mut self, to: BrokerId, msgs: Vec<Message>) {
+        send_msgs(self.shared, self.id, to, msgs);
+        self.touched.insert(to);
+    }
+
+    fn finish_step(&mut self) {
+        for peer in std::mem::take(&mut self.touched) {
+            flush_link(self.shared, self.id, peer);
         }
     }
-}
 
-/// The TCP apply stage: timers, heartbeats, and every broker mutation
-/// under the write lock.
-fn tcp_apply_main(
-    id: BrokerId,
-    broker: &RwLock<MobileBroker>,
-    initial_outs: Vec<Output>,
-    stage_rx: Receiver<TcpStaged>,
-    shared: &Arc<Shared>,
-) {
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
-    let mut cancelled: BTreeSet<TimerToken> = BTreeSet::new();
-    let heartbeat = shared.options.heartbeat_interval;
-    let mut next_ping = Instant::now() + heartbeat;
-    // Timers re-armed by recovery (or empty on a fresh start).
-    dispatch(id, shared, &mut timers, &mut cancelled, initial_outs);
-    loop {
-        // Fire due timers first.
-        let now = Instant::now();
-        while let Some(Reverse((deadline, token))) = timers.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            timers.pop();
-            if cancelled.remove(&token) {
-                continue;
-            }
-            let outs = broker.write().handle_timer(token);
-            dispatch(id, shared, &mut timers, &mut cancelled, outs);
-        }
+    fn tick(&mut self) -> Option<Instant> {
+        let (id, shared) = (self.id, self.shared);
         // Heartbeat every live link (the probe doubles as write-path
         // failure detection). The peer set is the *current* link map,
         // not the static topology — overlay repair adds edges.
-        if Instant::now() >= next_ping {
-            next_ping = Instant::now() + heartbeat;
+        if Instant::now() >= self.next_ping {
+            self.next_ping = Instant::now() + shared.options.heartbeat_interval;
             let peers: Vec<BrokerId> = shared
                 .links
                 .read()
@@ -1742,129 +1410,14 @@ fn tcp_apply_main(
                 }
             }
         }
-        // Wait for the next input, timer deadline, or heartbeat tick.
-        let deadline = timers
-            .peek()
-            .map_or(next_ping, |Reverse((d, _))| (*d).min(next_ping));
-        let wait = deadline.saturating_duration_since(Instant::now());
-        let staged = match stage_rx.recv_timeout(wait) {
-            Ok(i) => i,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        };
-        let outs = match staged {
-            TcpStaged::In(Input::Shutdown) => return,
-            TcpStaged::In(Input::CreateClient(c)) => {
-                broker.write().create_client(c);
-                continue;
-            }
-            TcpStaged::In(Input::FromClient(c, op)) => {
-                if broker.read().client(c).is_none() {
-                    // The client moved away while the command was in
-                    // flight; forward to the current home.
-                    let home = shared.registry.read().homes.get(&c).copied();
-                    if let Some(h) = home {
-                        if h != id {
-                            let _ = shared.inputs.read()[&h].send(Input::FromClient(c, op));
-                        }
-                    }
-                    continue;
-                }
-                broker.write().client_op(c, op)
-            }
-            TcpStaged::In(Input::FromBroker(from, msgs)) => {
-                broker.write().handle_batch(Hop::Broker(from), msgs)
-            }
-            TcpStaged::Prematched(from, msgs, pre) => {
-                broker
-                    .write()
-                    .handle_batch_prematched(Hop::Broker(from), msgs, pre)
-            }
-        };
-        dispatch(id, shared, &mut timers, &mut cancelled, outs);
-    }
-}
-
-/// [`Transport`] adapter for one broker step on the TCP overlay: a
-/// send batch becomes one wire frame buffered on the link, deliveries
-/// and movement events fan out over the client channels, timers stay
-/// thread-local. Links written to are remembered in `touched` and
-/// flushed **once per `OutputBatch`** by [`dispatch`] — N frames, one
-/// flush syscall per destination.
-struct TcpFlush<'a> {
-    id: BrokerId,
-    shared: &'a Arc<Shared>,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &'a mut BTreeSet<TimerToken>,
-    touched: BTreeSet<BrokerId>,
-}
-
-impl Transport for TcpFlush<'_> {
-    fn send_batch(&mut self, to: BrokerId, msgs: Vec<Message>) {
-        send_msgs(self.shared, self.id, to, msgs);
-        self.touched.insert(to);
+        Some(self.next_ping)
     }
 
-    fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>) {
-        let reg = self.shared.registry.read();
-        if let Some(tx) = reg.deliveries.get(&client) {
-            for p in publications {
-                let _ = tx.send(p);
-            }
-        }
-    }
-
-    fn control(&mut self, output: Output) {
-        match output {
-            Output::SetTimer { token, delay_ns } => {
-                self.cancelled.remove(&token);
-                self.timers.push(Reverse((
-                    Instant::now() + Duration::from_nanos(delay_ns),
-                    token,
-                )));
-            }
-            Output::CancelTimer { token } => {
-                self.cancelled.insert(token);
-            }
-            Output::MoveFinished {
-                m,
-                client,
-                committed,
-            } => {
-                let reg = self.shared.registry.read();
-                if let Some(tx) = reg.move_events.get(&client) {
-                    let _ = tx.send(MoveOutcome { m, committed });
-                }
-            }
-            Output::ClientArrived { client, .. } => {
-                self.shared.registry.write().homes.insert(client, self.id);
-            }
-            Output::Send { .. } | Output::DeliverToApp { .. } => {
-                unreachable!("flush_outputs routes batchable effects to the batch verbs")
-            }
-        }
-    }
-}
-
-fn dispatch(
-    id: BrokerId,
-    shared: &Arc<Shared>,
-    timers: &mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &mut BTreeSet<TimerToken>,
-    outs: Vec<Output>,
-) {
-    let mut flush = TcpFlush {
-        id,
-        shared,
-        timers,
-        cancelled,
-        touched: BTreeSet::new(),
-    };
-    flush_outputs(&mut flush, outs);
-    let touched = std::mem::take(&mut flush.touched);
-    drop(flush);
-    for peer in touched {
-        flush_link(shared, id, peer);
+    /// Marks the victim suspected at the transport layer too, so this
+    /// broker's own dialer toward it stands down instead of redialing
+    /// a hole in the overlay.
+    fn note_death(&mut self, dead: BrokerId) {
+        self.shared.suspected.write().insert(dead);
     }
 }
 
@@ -1949,7 +1502,75 @@ impl TcpNetworkBuilder {
         if let Some(par) = par {
             config.broker.parallelism = par;
         }
-        TcpNetwork::start_inner(topology, config, self.tcp, self.bind)
+        let (options, mut bind_addr) = (self.tcp, self.bind);
+        let topology = Arc::new(topology);
+        // Phase 1: bind all listeners.
+        let mut listeners: BTreeMap<BrokerId, TcpListener> = BTreeMap::new();
+        let mut addrs: BTreeMap<BrokerId, SocketAddr> = BTreeMap::new();
+        for b in topology.brokers() {
+            let addr = bind_addr(b);
+            let l = TcpListener::bind(&addr).map_err(|e| {
+                io::Error::new(e.kind(), format!("bind broker {b} listener at {addr}: {e}"))
+            })?;
+            addrs.insert(b, l.local_addr()?);
+            listeners.insert(b, l);
+        }
+        // Phase 2: shared state, acceptors, and the initial dials.
+        let (hub, input_rx) = Hub::new(topology.brokers());
+        let mut links: BTreeMap<BrokerId, BTreeMap<BrokerId, Arc<Link>>> = BTreeMap::new();
+        let mut pings: BTreeMap<BrokerId, AtomicU64> = BTreeMap::new();
+        for b in topology.brokers() {
+            pings.insert(b, AtomicU64::new(0));
+            let peers = topology
+                .neighbors(b)
+                .iter()
+                .map(|&n| (n, Arc::new(Link::new_down())))
+                .collect();
+            links.insert(b, peers);
+        }
+        let shared = Arc::new(Shared {
+            topology: Arc::clone(&topology),
+            config: config.clone(),
+            options,
+            hub,
+            links: RwLock::new(links),
+            addrs,
+            down: RwLock::new(BTreeSet::new()),
+            suspected: RwLock::new(BTreeSet::new()),
+            shutting_down: AtomicBool::new(false),
+            pings,
+            aux_threads: Mutex::new(Vec::new()),
+        });
+        let net = TcpNetwork {
+            shared: Arc::clone(&shared),
+            broker_handles: Mutex::new(BTreeMap::new()),
+            pending_rx: Mutex::new(BTreeMap::new()),
+            wals: topology
+                .brokers()
+                .map(|b| (b, MemoryLog::shared()))
+                .collect(),
+        };
+        for (b, listener) in listeners {
+            spawn_acceptor(&shared, b, listener)?;
+        }
+        // Dial each edge once, lower id dialing the higher (the same
+        // side redials after failures). The acceptors are already up,
+        // so one synchronous attempt per edge suffices here.
+        for (a, b) in topology.edges() {
+            dial_link(&shared, a, b, None)?;
+        }
+        // Phase 3: broker threads (from here on `net`'s Drop handles
+        // cleanup if a later spawn fails).
+        for (b, rx) in input_rx {
+            let mut broker = MobileBroker::new(b, Arc::clone(&topology), config.clone());
+            let wal = Arc::clone(&net.wals[&b]);
+            let wal: Arc<std::sync::Mutex<dyn DurabilityLog>> = wal;
+            broker
+                .attach_durability(wal)
+                .map_err(|e| io::Error::new(e.kind(), format!("attach WAL for {b}: {e}")))?;
+            net.spawn_broker(b, broker, Vec::new(), rx)?;
+        }
+        Ok(net)
     }
 }
 
@@ -1957,6 +1578,7 @@ impl TcpNetworkBuilder {
 mod tests {
     use super::*;
     use transmob_core::ProtocolKind;
+    use transmob_pubsub::{Filter, Publication, PublicationMsg};
 
     fn b(i: u32) -> BrokerId {
         BrokerId(i)
@@ -2098,6 +1720,133 @@ mod tests {
             .expect("sockets");
         let _c = net.create_client(b(1), c(1));
         drop(net); // must join without hanging
+    }
+
+    /// Width of a probe band: band `k >= 1` is `k * BAND ..` up to the
+    /// next, above the workload's `x` in `0..=100`.
+    const BAND: i64 = 1000;
+
+    fn x_of(n: &PublicationMsg) -> i64 {
+        match n.content.get("x") {
+            Some(transmob_pubsub::Value::Int(x)) => *x,
+            other => panic!("notification without an integer x: {other:?}"),
+        }
+    }
+
+    /// Has `s` subscribe to probe band `band`, then publishes probes
+    /// into it until one arrives. Per-client command order and FIFO
+    /// links make the arrival proof that everything `s` issued before
+    /// is installed along the whole path to `p`.
+    fn settle(p: &TcpClient, s: &TcpClient, band: i64) {
+        s.subscribe(range(band * BAND, (band + 1) * BAND - 1));
+        for k in 0..400 {
+            p.publish(Publication::new().with("x", band * BAND + k));
+            if s.recv_timeout(Duration::from_millis(25)).is_some() {
+                return;
+            }
+        }
+        panic!("no probe of band {band} ever arrived");
+    }
+
+    /// Publishes a closing probe into `band` (which `s` has settled
+    /// on) and returns the workload values `s` was notified of before
+    /// it, polling with `try_recv`. The publisher's publications travel
+    /// one FIFO path, so one it published earlier that is not in the
+    /// result was not delivered.
+    fn xs_until_probe(p: &TcpClient, s: &TcpClient, band: i64) -> Vec<i64> {
+        let closing = (band + 1) * BAND - 1;
+        p.publish(Publication::new().with("x", closing));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut seen = Vec::new();
+        loop {
+            match s.try_recv().map(|n| x_of(&n)) {
+                Some(x) if x == closing => return seen,
+                Some(x) if x < BAND => seen.push(x),
+                Some(_) => {} // a straggling settle probe
+                None => {
+                    assert!(Instant::now() < deadline, "closing probe never arrived");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+    }
+
+    /// `unsubscribe`, `unadvertise` and `try_recv` on a TCP client.
+    #[test]
+    fn withdrawals_over_real_sockets() {
+        let net = TcpNetwork::builder()
+            .overlay(Topology::chain(3))
+            .options(MobileBrokerConfig::reconfig())
+            .start()
+            .expect("sockets");
+        let p = net.create_client(b(1), c(1));
+        let s = net.create_client(b(3), c(2));
+        p.advertise(range(0, 100)); // advertisement 0
+        p.advertise(range(BAND, 100 * BAND)); // the probe bands
+        s.subscribe(range(0, 100)); // subscription 0
+        settle(&p, &s, 1);
+        p.publish(Publication::new().with("x", 1));
+        assert_eq!(xs_until_probe(&p, &s, 1), [1]);
+        assert!(s.try_recv().is_none());
+
+        // Queued at broker 3 before the publication is even issued.
+        s.unsubscribe(0);
+        p.publish(Publication::new().with("x", 2));
+        assert_eq!(xs_until_probe(&p, &s, 1), [0i64; 0]);
+
+        // With advertisement 0 withdrawn everywhere (the probe follows
+        // the withdrawal down the path), the same subscription finds
+        // nothing to travel toward, so broker 1 never learns of it.
+        p.unadvertise(0);
+        assert_eq!(xs_until_probe(&p, &s, 1), [0i64; 0]);
+        s.subscribe(range(0, 100));
+        settle(&p, &s, 2);
+        p.publish(Publication::new().with("x", 3));
+        assert_eq!(xs_until_probe(&p, &s, 2), [0i64; 0]);
+        net.shutdown();
+    }
+
+    /// `pause`/`resume` and `move_to_async` + `next_move_outcome` on a
+    /// TCP client.
+    #[test]
+    fn pause_and_async_move_over_real_sockets() {
+        let net = TcpNetwork::builder()
+            .overlay(Topology::chain(3))
+            .options(MobileBrokerConfig::reconfig())
+            .start()
+            .expect("sockets");
+        let p = net.create_client(b(1), c(1));
+        let s = net.create_client(b(3), c(2));
+        let witness = net.create_client(b(3), c(3));
+        p.advertise(range(0, 100 * BAND));
+        s.subscribe(range(0, 100));
+        witness.subscribe(range(0, 100));
+        settle(&p, &s, 1);
+        settle(&p, &witness, 2);
+        s.drain();
+
+        // Paused before the publications are issued; once the witness
+        // at the same broker has both, broker 3 has buffered both.
+        s.pause();
+        p.publish(Publication::new().with("x", 5));
+        p.publish(Publication::new().with("x", 6));
+        assert_eq!(xs_until_probe(&p, &witness, 2), [5, 6]);
+        assert!(s.try_recv().is_none(), "delivered while paused");
+        s.resume();
+        for x in [5, 6] {
+            let n = s.recv_timeout(Duration::from_secs(5)).expect("buffered");
+            assert_eq!(x_of(&n), x);
+        }
+
+        s.move_to_async(b(1), ProtocolKind::Reconfig);
+        let outcome = s
+            .next_move_outcome(Duration::from_secs(10))
+            .expect("movement outcome");
+        assert!(outcome.committed);
+        assert_eq!(net.home_of(c(2)), Some(b(1)));
+        p.publish(Publication::new().with("x", 7));
+        assert_eq!(xs_until_probe(&p, &s, 1), [7]);
+        net.shutdown();
     }
 
     fn wait_link_up(net: &TcpNetwork, a: BrokerId, z: BrokerId) {

@@ -49,8 +49,8 @@ fn tcp_delivers_and_moves_under_parallel_config() {
 }
 
 /// The same contention over real sockets with the pooled matching
-/// stage active: coalesced multi-message frames keep the TCP ingest
-/// stage pre-matching while movement commits take the write lock.
+/// stage active: a publisher floods frames through the broker loops
+/// that commit the subscriber's movements.
 /// Deliveries must stay duplicate-free and routing must follow the
 /// subscriber through every move.
 #[test]

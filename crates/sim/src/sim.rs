@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use transmob_broker::{Hop, OverlayBuilder, Topology};
-use transmob_core::transport::{flush_outputs, Transport};
+use transmob_core::transport::{flush_outputs, for_each_cause_run, Transport};
 use transmob_core::{
     ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, NetworkOptions,
     Output, ProtocolKind, TimerToken,
@@ -172,21 +172,6 @@ impl Sim {
     /// .options(..).network(..).seed(..).start()`.
     pub fn builder() -> SimBuilder {
         SimBuilder::default()
-    }
-
-    /// Builds a simulator over `topology` with every broker using
-    /// `config`, driven by `model`, seeded by `seed`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Sim::builder().overlay(..).options(..).network(..).seed(..).start()"
-    )]
-    pub fn new(
-        topology: Topology,
-        config: MobileBrokerConfig,
-        model: NetworkModel,
-        seed: u64,
-    ) -> Self {
-        Self::from_parts(topology, config, model, seed)
     }
 
     fn from_parts(
@@ -560,27 +545,9 @@ impl Sim {
                     });
                     return;
                 }
-                // Movement messages attribute to their own transaction;
-                // everything else inherits the batch's cause. Split the
-                // batch into maximal runs sharing an effective cause so
-                // output attribution matches unbatched processing.
-                let mut run: Vec<Message> = Vec::new();
-                let mut run_cause: Option<MoveId> = None;
-                for msg in msgs {
-                    let eff = match &msg {
-                        Message::Move(mv) => Some(mv.move_id()),
-                        Message::PubSub(_) | Message::BrokerDeath { .. } => cause,
-                    };
-                    if !run.is_empty() && eff != run_cause {
-                        let batch = std::mem::take(&mut run);
-                        self.exec_run(dst, from, run_cause, batch);
-                    }
-                    run_cause = eff;
-                    run.push(msg);
-                }
-                if !run.is_empty() {
-                    self.exec_run(dst, from, run_cause, run);
-                }
+                for_each_cause_run(msgs, cause, |cause, run| {
+                    self.exec_run(dst, from, cause, run)
+                });
             }
             EventKind::Cmd { client, op } => {
                 let Some(mut broker) = self.home.get(&client).copied() else {
@@ -895,11 +862,8 @@ impl Sim {
         }
         let mut wire: Vec<Message> = Vec::with_capacity(msgs.len());
         for msg in msgs {
-            let eff_cause = match &msg {
-                Message::Move(mv) => Some(mv.move_id()),
-                Message::PubSub(_) | Message::BrokerDeath { .. } => cause,
-            };
-            self.metrics.count_message(msg.kind(), eff_cause);
+            self.metrics
+                .count_message(msg.kind(), msg.effective_cause(cause));
             if self.link_faults.drop_prob > 0.0
                 && self.fault_rng.gen::<f64>() < self.link_faults.drop_prob
             {

@@ -105,7 +105,7 @@ if [[ "${CI_FAST:-0}" == "1" ]]; then
         trap 'rm -f "$cleanup"' EXIT
         CRITERION_QUICK=1 CRITERION_JSON="$out" \
             cargo bench -p transmob-bench -q --bench routing -- \
-            "${GATED[@]}" parallel_match broker_pipeline cyclic_routing
+            "${GATED[@]}" parallel_match cyclic_routing
         CRITERION_QUICK=1 CRITERION_JSON="$out" \
             cargo bench -p transmob-bench -q --bench tcp -- tcp_throughput
     fi
@@ -120,7 +120,7 @@ base = set()
 for line in open(sys.argv[2]):
     r = json.loads(line)
     base.add((r["group"], r["bench"]))
-gated = set(sys.argv[3:]) | {"parallel_match", "broker_pipeline", "cyclic_routing"}
+gated = set(sys.argv[3:]) | {"parallel_match", "cyclic_routing"}
 missing = sorted(k for k in base if k[0] in gated and k not in seen)
 if missing:
     sys.exit(f"bench_check: benchmarks vanished from the quick run: {missing}")

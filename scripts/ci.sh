@@ -26,10 +26,11 @@
 #      worker pool (INTERLEAVE_SEEDS scales the number of forced
 #      chunk-claim orders, default 64)
 #   6. TSAN tier — opt in with TSAN=1: rebuilds the pubsub tests (the
-#      matching worker pool) AND the pipelined runtime drivers (ingest/
-#      apply broker loop) with -Zsanitizer=thread (nightly) and runs
-#      them under ThreadSanitizer; prints a skip notice when not
-#      requested or when the toolchain cannot build it
+#      matching worker pool) AND the threaded runtimes (each broker is
+#      one thread now, but readers, dialers, acceptors, client handles
+#      and the registry still run beside it) with -Zsanitizer=thread
+#      (nightly) and runs them under ThreadSanitizer; prints a skip
+#      notice when not requested or when the toolchain cannot build it
 #   7. end-to-end benchmark package — bench_e2e/ is a workspace of its
 #      own (BENCHMARK.json runs it from a fresh checkout), so nothing
 #      above compiles it: a rename of an item its sources use would
@@ -82,7 +83,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
     TSAN_RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer"
     if [[ -n "$HOST" ]] && RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
         cargo +nightly build -q -p transmob-pubsub -p transmob-runtime --target "$HOST" 2>/dev/null; then
-        echo "ci: TSAN tier - matching worker pool + pipelined runtime under ThreadSanitizer"
+        echo "ci: TSAN tier - matching worker pool + threaded runtimes under ThreadSanitizer"
         RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
             TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
             INTERLEAVE_SEEDS="${INTERLEAVE_SEEDS:-16}" \
