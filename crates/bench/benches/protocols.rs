@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use transmob_broker::Topology;
-use transmob_core::{ClientOp, InstantNet, MobileBrokerConfig, ProtocolKind};
+use transmob_core::{ClientOp, InstantNet, MobileBrokerConfig, NetEvent, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId};
 use transmob_workloads::{full_space_adv, SubWorkload};
 
@@ -97,29 +97,51 @@ fn bench_move_by_path_length(c: &mut Criterion) {
 fn bench_move_by_population(c: &mut Criterion) {
     let mut g = c.benchmark_group("move_vs_bystanders");
     for n in [10usize, 100, 300] {
-        for (name, protocol, config) in [
-            (
-                "reconfig",
-                ProtocolKind::Reconfig,
-                MobileBrokerConfig::reconfig(),
-            ),
-            (
-                "covering",
-                ProtocolKind::Covering,
-                MobileBrokerConfig::covering(),
-            ),
-        ] {
-            let net = setup(8, n, config);
-            g.bench_with_input(BenchmarkId::new(name, n), &n, |bch, _| {
-                bch.iter_batched(
-                    || net.clone(),
-                    |mut net| {
-                        net.client_op(ClientId(500), ClientOp::MoveTo(b(2), black_box(protocol)));
-                    },
-                    criterion::BatchSize::SmallInput,
-                )
-            });
-        }
+        let net = setup(8, n, MobileBrokerConfig::covering());
+        g.bench_with_input(BenchmarkId::new("covering", n), &n, |bch, _| {
+            bch.iter_batched(
+                || net.clone(),
+                |mut net| {
+                    net.client_op(
+                        ClientId(500),
+                        ClientOp::MoveTo(b(2), black_box(ProtocolKind::Covering)),
+                    );
+                },
+                criterion::BatchSize::SmallInput,
+            )
+        });
+    }
+    // The paper's Claims 1 and 2 (Sec. 4.4): a reconfiguration touches
+    // the mover's own entries along the path, so its cost must not
+    // depend on how many bystander rows the path brokers hold. At
+    // these sizes a network is too big to clone per iteration; the
+    // mover ping-pongs B8 <-> B2 on one network instead (a committed
+    // reconfiguration leaves nothing behind, and both directions walk
+    // the same seven brokers), and a row is the mean of the two.
+    for n in [300usize, 3_000, 30_000] {
+        let mut net = setup(8, n, MobileBrokerConfig::reconfig());
+        let mut dest = [b(2), b(8)].into_iter().cycle();
+        g.bench_with_input(BenchmarkId::new("reconfig", n), &n, |bch, _| {
+            bch.iter(|| {
+                let to = dest.next().expect("cycle never ends");
+                net.client_op(
+                    ClientId(500),
+                    ClientOp::MoveTo(to, black_box(ProtocolKind::Reconfig)),
+                );
+                net.reset_traffic();
+                let committed = net.take_events().iter().any(|e| {
+                    matches!(
+                        e,
+                        NetEvent::MoveFinished {
+                            committed: true,
+                            ..
+                        }
+                    )
+                });
+                assert!(committed, "the measured movement did not commit");
+            })
+        });
+        assert_eq!(net.total_anomalies(), 0);
     }
     g.finish();
 }

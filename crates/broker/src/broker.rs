@@ -334,12 +334,17 @@ pub struct BrokerCore {
     clients: BTreeSet<ClientId>,
     config: BrokerConfig,
     stats: BrokerStats,
-    /// Out-of-band bookkeeping for pending (shadow) configurations:
-    /// per (entry, move), the forwarding-set addition to apply at
-    /// commit, and whether the entry was created by the transaction
-    /// (so abort removes it).
+    /// The pending (shadow) configurations, indexed by movement: one
+    /// entry per row whose `pending` is set, keyed by the movement that
+    /// set it, so [`BrokerCore::commit_move`] and
+    /// [`BrokerCore::abort_move`] take their movement's range instead
+    /// of scanning the tables. The value is what the row cannot hold:
+    /// the forwarding-set addition to apply at commit, and whether the
+    /// transaction created the row (so abort removes it). Written only
+    /// by `install_pending_*`, `take_pending` and the two row-removal
+    /// sites (`drop_pending`).
     #[serde(with = "crate::routing::serde_pairs")]
-    pending_meta: BTreeMap<PendingKey, PendingMeta>,
+    pending_meta: BTreeMap<(MoveId, PendingEntry), PendingMeta>,
     /// Exactly-once window for multi-path forwarding; only consulted
     /// when [`BrokerConfig::multipath`] is set, so tree deployments
     /// pay nothing for it.
@@ -347,11 +352,21 @@ pub struct BrokerCore {
     dedup: DedupWindow,
 }
 
-/// Key for out-of-band pending bookkeeping.
+/// The row a pending configuration sits on. Advertisements order
+/// before subscriptions and each kind by id: the order in which a
+/// commit rewrites a movement's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-enum PendingKey {
-    Sub(SubId, MoveId),
-    Adv(AdvId, MoveId),
+enum PendingEntry {
+    Adv(AdvId),
+    Sub(SubId),
+}
+
+impl PendingEntry {
+    /// The smallest value: where a movement's key range starts.
+    const FIRST: PendingEntry = PendingEntry::Adv(AdvId {
+        client: ClientId(0),
+        seq: 0,
+    });
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -421,6 +436,38 @@ impl BrokerCore {
     /// checkers).
     pub fn dedup_window(&self) -> &DedupWindow {
         &self.dedup
+    }
+
+    /// The movements with a pending (shadow) configuration installed
+    /// here, ascending. Empty once every movement through this broker
+    /// has committed or aborted.
+    pub fn pending_moves(&self) -> Vec<MoveId> {
+        let mut moves: Vec<MoveId> = self.pending_meta.keys().map(|(m, _)| *m).collect();
+        moves.dedup();
+        moves
+    }
+
+    /// Asserts the derived state against the rows: the PRT's own
+    /// invariants ([`Prt::check_invariants`]), and the per-move pending
+    /// index naming exactly the rows whose `pending` is set, under the
+    /// movement that set it. Test support.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.prt.check_invariants();
+        let advs = self.srt.iter().filter_map(|(id, e)| {
+            let p = e.pending.as_ref()?;
+            Some((p.move_id, PendingEntry::Adv(*id)))
+        });
+        let subs = self.prt.iter().filter_map(|(id, e)| {
+            let p = e.pending.as_ref()?;
+            Some((p.move_id, PendingEntry::Sub(*id)))
+        });
+        let on_rows: BTreeSet<(MoveId, PendingEntry)> = advs.chain(subs).collect();
+        let indexed: BTreeSet<(MoveId, PendingEntry)> = self.pending_meta.keys().copied().collect();
+        assert_eq!(
+            indexed, on_rows,
+            "pending index differs from the rows' pending configurations"
+        );
     }
 
     /// Registers a locally attached client.
@@ -773,6 +820,7 @@ impl BrokerCore {
         }
         // unwrap: presence checked above
         let entry = self.prt.remove(id).unwrap();
+        self.drop_pending(PendingEntry::Sub(id), &entry.pending);
         let mut out = Vec::new();
         for n in &entry.sent_to {
             out.push(BrokerOutput::ToBroker(*n, PubSubMsg::Unsubscribe(id)));
@@ -903,7 +951,7 @@ impl BrokerCore {
         // Pull rule: forward known intersecting subscriptions toward
         // the new advertisement.
         if let Hop::Broker(nf) = from {
-            out.extend(self.pull_subs_toward(id, nf));
+            out.extend(self.pull_subs_toward(id, nf).0);
         }
         out
     }
@@ -1032,6 +1080,7 @@ impl BrokerCore {
         }
         // unwrap: presence checked above
         let entry = self.srt.remove(id).unwrap();
+        self.drop_pending(PendingEntry::Adv(id), &entry.pending);
         let mut out = Vec::new();
         for n in &entry.sent_to {
             out.push(BrokerOutput::ToBroker(*n, PubSubMsg::Unadvertise(id)));
@@ -1151,9 +1200,14 @@ impl BrokerCore {
     /// neighbour `nf`, where advertisement `id` arrived from. Also used
     /// by the reconfiguration protocol (paper Sec. 4.4, PRT cases 1
     /// and 3) against a pending advertisement configuration.
-    pub fn pull_subs_toward(&mut self, id: AdvId, nf: BrokerId) -> Vec<BrokerOutput> {
+    ///
+    /// Returns the effects and the subscriptions the pull put on the
+    /// link (ascending; covering may quench a candidate, or retract it
+    /// again in favour of a later one), which is what a movement
+    /// records to undo on abort.
+    pub fn pull_subs_toward(&mut self, id: AdvId, nf: BrokerId) -> (Vec<BrokerOutput>, Vec<SubId>) {
         let Some(entry) = self.srt.get(id) else {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         };
         let filter = entry.adv.filter.clone();
         let mut out = Vec::new();
@@ -1167,10 +1221,16 @@ impl BrokerCore {
                 e.lasthop != Hop::Broker(nf) && !e.sent_to.contains(&nf)
             })
             .collect();
+        let mut pulled = Vec::new();
         for sid in candidates {
-            out.extend(self.forward_sub_to(sid, nf));
+            let forwarded = self.forward_sub_to(sid, nf);
+            if !forwarded.is_empty() {
+                pulled.push(sid);
+            }
+            out.extend(forwarded);
         }
-        out
+        pulled.retain(|sid| self.prt.get(*sid).is_some_and(|e| e.sent_to.contains(&nf)));
+        (out, pulled)
     }
 
     // ----- overlay repair --------------------------------------------
@@ -1358,19 +1418,6 @@ impl BrokerCore {
         for id in purge_subs {
             out.extend(self.handle_unsubscribe(Hop::Broker(dead), id));
         }
-        // The purge may have dropped entries that carried pending
-        // state; sweep the out-of-band bookkeeping so nothing leaks.
-        let (srt, prt) = (&self.srt, &self.prt);
-        self.pending_meta.retain(|k, _| match k {
-            PendingKey::Sub(id, m) => prt
-                .get(*id)
-                .and_then(|e| e.pending.as_ref())
-                .is_some_and(|p| p.move_id == *m),
-            PendingKey::Adv(id, m) => srt
-                .get(*id)
-                .and_then(|e| e.pending.as_ref())
-                .is_some_and(|p| p.move_id == *m),
-        });
         // Re-propagate the surviving advertisements over each new
         // edge.
         for &p in new_peers {
@@ -1467,14 +1514,16 @@ impl BrokerCore {
         if created {
             self.prt.insert(sub.clone(), new_lasthop);
         }
-        self.prt.update(sub.id, |entry| {
-            entry.pending = Some(PendingRoute {
+        let displaced = self.prt.update(sub.id, |entry| {
+            entry.pending.replace(PendingRoute {
                 move_id,
                 lasthop: new_lasthop,
             })
         });
+        // flatten: the row exists (pre-existing or just inserted)
+        self.drop_pending(PendingEntry::Sub(sub.id), &displaced.flatten());
         self.pending_meta.insert(
-            PendingKey::Sub(sub.id, move_id),
+            (move_id, PendingEntry::Sub(sub.id)),
             PendingMeta {
                 commit_sent_add,
                 created,
@@ -1497,17 +1546,52 @@ impl BrokerCore {
         }
         // unwrap: entry exists (pre-existing or just inserted)
         let entry = self.srt.get_mut(adv.id).unwrap();
-        entry.pending = Some(PendingRoute {
+        let displaced = entry.pending.replace(PendingRoute {
             move_id,
             lasthop: new_lasthop,
         });
+        self.drop_pending(PendingEntry::Adv(adv.id), &displaced);
         self.pending_meta.insert(
-            PendingKey::Adv(adv.id, move_id),
+            (move_id, PendingEntry::Adv(adv.id)),
             PendingMeta {
                 commit_sent_add,
                 created,
             },
         );
+    }
+
+    /// Forgets the index entry of a pending configuration that just
+    /// left its row (the row was removed, or another movement's
+    /// configuration displaced it), keeping `pending_meta` equal to
+    /// the set of rows whose `pending` is set.
+    fn drop_pending(&mut self, entry: PendingEntry, pending: &Option<PendingRoute>) {
+        if let Some(p) = pending {
+            self.pending_meta.remove(&(p.move_id, entry));
+        }
+    }
+
+    /// Removes and returns the index entries of `move_id`:
+    /// advertisements first, then subscriptions, each ascending by id.
+    fn take_pending(&mut self, move_id: MoveId) -> Vec<(PendingEntry, PendingMeta)> {
+        let taken: Vec<(PendingEntry, PendingMeta)> = self
+            .pending_meta
+            .range((move_id, PendingEntry::FIRST)..)
+            .take_while(|((m, _), _)| *m == move_id)
+            .map(|((_, entry), meta)| (*entry, *meta))
+            .collect();
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            taken.iter().map(|(entry, _)| *entry).collect::<Vec<_>>(),
+            (self.srt.pending_for(move_id).into_iter())
+                .map(PendingEntry::Adv)
+                .chain((self.prt.pending_for(move_id).into_iter()).map(PendingEntry::Sub))
+                .collect::<Vec<_>>(),
+            "pending index of {move_id:?} diverged from the table scans"
+        );
+        for (entry, _) in &taken {
+            self.pending_meta.remove(&(move_id, *entry));
+        }
+        taken
     }
 
     /// Commits every pending configuration installed under `move_id`:
@@ -1518,57 +1602,49 @@ impl BrokerCore {
     pub fn commit_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
         let mut out = Vec::new();
         let mut prune_links: BTreeSet<BrokerId> = BTreeSet::new();
-        for id in self.srt.pending_for(move_id) {
-            // unwrap: id came from pending_for on the same table
-            let entry = self.srt.get_mut(id).unwrap();
-            // unwrap: pending_for guarantees a pending config
-            let pending = entry.pending.take().unwrap();
-            let old_lasthop = entry.lasthop;
-            entry.lasthop = pending.lasthop;
-            if let Hop::Broker(nb) = pending.lasthop {
-                entry.sent_to.remove(&nb);
-                // The committed primary can no longer also be a
-                // redundant route.
-                entry.alt_lasthops.remove(&nb);
-            }
-            let meta = self
-                .pending_meta
-                .remove(&PendingKey::Adv(id, move_id))
-                .unwrap_or(PendingMeta {
-                    commit_sent_add: None,
-                    created: false,
-                });
-            if let Some(add) = meta.commit_sent_add {
-                // An overlay repair may have removed the old
-                // direction; never resurrect a link to a dead broker.
-                if self.neighbors.contains(&add) {
-                    entry.sent_to.insert(add);
-                }
-            }
-            if !meta.created {
-                if let Hop::Broker(old_n) = old_lasthop {
-                    prune_links.insert(old_n);
-                }
-            }
-        }
-        for id in self.prt.pending_for(move_id) {
-            let meta = self.pending_meta.remove(&PendingKey::Sub(id, move_id));
-            // As for the SRT above: never resurrect a dead link.
+        for (entry, meta) in self.take_pending(move_id) {
+            // An overlay repair may have removed the old direction;
+            // never resurrect a link to a dead broker.
             let sent_add = meta
-                .and_then(|m| m.commit_sent_add)
+                .commit_sent_add
                 .filter(|add| self.neighbors.contains(add));
-            self.prt.update(id, |entry| {
-                // unwrap: pending_for guarantees a pending config
-                let pending = entry.pending.take().unwrap();
-                entry.lasthop = pending.lasthop;
-                if let Hop::Broker(nb) = pending.lasthop {
-                    entry.sent_to.remove(&nb);
-                    // The committed primary can no longer also be a
-                    // redundant route.
-                    entry.alt_lasthops.remove(&nb);
+            match entry {
+                PendingEntry::Adv(id) => {
+                    let entry = self
+                        .srt
+                        .get_mut(id)
+                        .expect("an indexed pending configuration names a live row");
+                    let pending = (entry.pending.take())
+                        .expect("an indexed pending configuration is set on its row");
+                    let old_lasthop = entry.lasthop;
+                    entry.lasthop = pending.lasthop;
+                    if let Hop::Broker(nb) = pending.lasthop {
+                        entry.sent_to.remove(&nb);
+                        // The committed primary can no longer also be
+                        // a redundant route.
+                        entry.alt_lasthops.remove(&nb);
+                    }
+                    entry.sent_to.extend(sent_add);
+                    if !meta.created {
+                        if let Hop::Broker(old_n) = old_lasthop {
+                            prune_links.insert(old_n);
+                        }
+                    }
                 }
-                entry.sent_to.extend(sent_add);
-            });
+                PendingEntry::Sub(id) => {
+                    self.prt.update(id, |entry| {
+                        let pending = (entry.pending.take())
+                            .expect("an indexed pending configuration is set on its row");
+                        entry.lasthop = pending.lasthop;
+                        if let Hop::Broker(nb) = pending.lasthop {
+                            entry.sent_to.remove(&nb);
+                            // As for the SRT above.
+                            entry.alt_lasthops.remove(&nb);
+                        }
+                        entry.sent_to.extend(sent_add);
+                    });
+                }
+            }
         }
         // Prune subscriptions that pointed at the old advertisement
         // location (paper PRT case 2, realized as the generic prune).
@@ -1582,20 +1658,22 @@ impl BrokerCore {
     /// `move_id`: shadow configurations are dropped and entries created
     /// by the transaction are removed.
     pub fn abort_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
-        for id in self.srt.pending_for(move_id) {
-            let meta = self.pending_meta.remove(&PendingKey::Adv(id, move_id));
-            if meta.is_some_and(|m| m.created) {
-                self.srt.remove(id);
-            } else if let Some(entry) = self.srt.get_mut(id) {
-                entry.pending = None;
-            }
-        }
-        for id in self.prt.pending_for(move_id) {
-            let meta = self.pending_meta.remove(&PendingKey::Sub(id, move_id));
-            if meta.is_some_and(|m| m.created) {
-                self.prt.remove(id);
-            } else {
-                self.prt.update(id, |entry| entry.pending = None);
+        for (entry, meta) in self.take_pending(move_id) {
+            match (entry, meta.created) {
+                (PendingEntry::Adv(id), true) => {
+                    self.srt.remove(id);
+                }
+                (PendingEntry::Adv(id), false) => {
+                    if let Some(entry) = self.srt.get_mut(id) {
+                        entry.pending = None;
+                    }
+                }
+                (PendingEntry::Sub(id), true) => {
+                    self.prt.remove(id);
+                }
+                (PendingEntry::Sub(id), false) => {
+                    self.prt.update(id, |entry| entry.pending = None);
+                }
             }
         }
         Vec::new()

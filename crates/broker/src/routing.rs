@@ -376,7 +376,10 @@ impl Srt {
         self.entries.is_empty()
     }
 
-    /// Ids of rows with a pending configuration for `move_id`.
+    /// Ids of rows with a pending configuration for `move_id`, by
+    /// scanning the table: the oracle for the broker core's per-move
+    /// pending index, compiled into test and debug builds only.
+    #[cfg(any(test, debug_assertions))]
     pub fn pending_for(&self, move_id: MoveId) -> Vec<AdvId> {
         self.entries
             .iter()
@@ -854,7 +857,9 @@ impl Prt {
         self.entries.is_empty()
     }
 
-    /// Ids of rows with a pending configuration for `move_id`.
+    /// Ids of rows with a pending configuration for `move_id`, by
+    /// scanning the table; see [`Srt::pending_for`].
+    #[cfg(any(test, debug_assertions))]
     pub fn pending_for(&self, move_id: MoveId) -> Vec<SubId> {
         self.iter()
             .filter(|(_, e)| e.pending.as_ref().is_some_and(|p| p.move_id == move_id))

@@ -276,19 +276,10 @@ impl Topology {
         // BFS from src recording parents; in a tree this finds the
         // unique path, in a graph the deterministic shortest one.
         let mut parent: BTreeMap<BrokerId, BrokerId> = BTreeMap::new();
-        let mut queue = VecDeque::from([src]);
-        let mut seen = BTreeSet::from([src]);
-        'bfs: while let Some(b) = queue.pop_front() {
-            for n in &self.adjacency[&b] {
-                if seen.insert(*n) {
-                    parent.insert(*n, b);
-                    if *n == dst {
-                        break 'bfs;
-                    }
-                    queue.push_back(*n);
-                }
-            }
-        }
+        self.bfs(src, |n, from| {
+            parent.insert(n, from);
+            n == dst
+        });
         let mut path = vec![dst];
         let mut cur = dst;
         while cur != src {
@@ -297,6 +288,51 @@ impl Topology {
         }
         path.reverse();
         Some(Route { brokers: path })
+    }
+
+    /// The first-hop row of `src`: for every other broker, the
+    /// neighbour of `src` that [`Topology::route`] leaves through
+    /// (`first_hops(a)[&b] == route(a, b).brokers()[1]`). One BFS
+    /// answers every destination, so a broker that keeps its own row
+    /// routes a movement message with a lookup; the row is stale as
+    /// soon as the overlay mutates and must be recomputed then.
+    ///
+    /// Empty if `src` is not in the overlay.
+    pub fn first_hops(&self, src: BrokerId) -> BTreeMap<BrokerId, BrokerId> {
+        let mut row: BTreeMap<BrokerId, BrokerId> = BTreeMap::new();
+        if self.contains(src) {
+            self.bfs(src, |n, from| {
+                // Discovery order guarantees `from` already has its
+                // entry unless it is `src` itself.
+                let first = if from == src { n } else { row[&from] };
+                row.insert(n, first);
+                false
+            });
+        }
+        row
+    }
+
+    /// The one breadth-first walk behind [`Topology::route`] and
+    /// [`Topology::first_hops`]: from `src` over the sorted neighbour
+    /// sets, reporting each broker once as `(broker, discovered from)`
+    /// in discovery order, until `discovered` returns `true`. Sharing
+    /// the walk is what keeps the two tie-breaks identical on cyclic
+    /// overlays.
+    ///
+    /// `src` must be in the overlay.
+    fn bfs(&self, src: BrokerId, mut discovered: impl FnMut(BrokerId, BrokerId) -> bool) {
+        let mut queue = VecDeque::from([src]);
+        let mut seen = BTreeSet::from([src]);
+        while let Some(b) = queue.pop_front() {
+            for n in &self.adjacency[&b] {
+                if seen.insert(*n) {
+                    if discovered(*n, b) {
+                        return;
+                    }
+                    queue.push_back(*n);
+                }
+            }
+        }
     }
 
     /// Renders the overlay as Graphviz DOT (used by the `figures`

@@ -505,9 +505,9 @@ fn pending_adv_move_with_commit_prunes_stale_sub_paths() {
     net.broker_mut(b(4))
         .install_pending_adv(&a, m, Hop::Client(c(1)), Some(b(3)));
     // Case 1/3 fixups: pull intersecting subs toward the target.
-    net.with_broker(b(1), |br| ((), br.pull_subs_toward(a.id, b(2))));
-    net.with_broker(b(2), |br| ((), br.pull_subs_toward(a.id, b(3))));
-    net.with_broker(b(3), |br| ((), br.pull_subs_toward(a.id, b(4))));
+    net.with_broker(b(1), |br| ((), br.pull_subs_toward(a.id, b(2)).0));
+    net.with_broker(b(2), |br| ((), br.pull_subs_toward(a.id, b(3)).0));
+    net.with_broker(b(3), |br| ((), br.pull_subs_toward(a.id, b(4)).0));
     // The subscription must now extend to B4 so post-move publications
     // route.
     assert!(net.broker(b(4)).prt().get(s.id).is_some());

@@ -52,7 +52,7 @@ fn reconfigure_adv_move(net: &mut SyncNet, a: &Advertisement) {
     // Fix-ups: pull intersecting subscriptions toward the new
     // direction at every path broker.
     for (broker, toward) in [(1u32, 2u32), (2, 3), (3, 4), (4, 5)] {
-        net.with_broker(b(broker), |br| ((), br.pull_subs_toward(a.id, b(toward))));
+        net.with_broker(b(broker), |br| ((), br.pull_subs_toward(a.id, b(toward)).0));
     }
     // Commit pass (source → target, as the state transfer walks).
     for i in 1..=5u32 {
@@ -240,4 +240,104 @@ fn case3_subscription_from_source_direction_forwarded_onward() {
     let d = net.take_deliveries();
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].broker, b(1));
+}
+
+/// What a movement records for rollback at a path broker is the list
+/// [`BrokerCore::pull_subs_toward`] returns: the subscriptions the pull
+/// put on the link. Checked here against the before/after difference
+/// of `sent_to` over the whole PRT, without covering and with active
+/// covering in both id orders (a covered candidate is quenched, or
+/// forwarded and then retracted in favour of the covering one; neither
+/// may be reported). Then the abort path of a moving advertisement:
+/// dropping the shadow configuration and pruning exactly the reported
+/// links returns every table of the overlay to its pre-movement rows.
+///
+/// [`BrokerCore::pull_subs_toward`]: transmob_broker::BrokerCore::pull_subs_toward
+#[test]
+fn pull_reports_the_links_it_added_and_abort_undoes_exactly_those() {
+    let m = MoveId(78);
+    for config in [BrokerConfig::plain(), BrokerConfig::covering()] {
+        for (wide, narrow) in [(2u64, 3u64), (3, 2)] {
+            let mut net = SyncNet::builder()
+                .overlay(Topology::chain(5))
+                .options(config)
+                .start();
+            let a = Advertisement::new(AdvId::new(c(1), 0), range(0, 100));
+            net.client_send(b(1), c(1), PubSubMsg::Advertise(a.clone()));
+            // Both subscribers sit at B3, mid-path: their rows point at
+            // the publisher (B2) and not yet toward the target (B4).
+            let s_wide = Subscription::new(SubId::new(c(wide), 0), range(0, 100));
+            let s_narrow = Subscription::new(SubId::new(c(narrow), 0), range(10, 20));
+            net.client_send(b(3), c(wide), PubSubMsg::Subscribe(s_wide.clone()));
+            net.client_send(b(3), c(narrow), PubSubMsg::Subscribe(s_narrow.clone()));
+            let before: Vec<_> = (1..=5u32)
+                .map(|i| {
+                    let br = net.broker(b(i));
+                    (br.srt().clone(), br.prt().clone())
+                })
+                .collect();
+
+            // Prepare pass of the publisher's move B1 -> B5, recording
+            // the pulls as the movement layer does.
+            net.broker_mut(b(5))
+                .install_pending_adv(&a, m, Hop::Client(c(1)), Some(b(4)));
+            let mut fixups: Vec<(u32, SubId, BrokerId)> = Vec::new();
+            for (i, next, prev) in [
+                (4u32, 5u32, Some(3u32)),
+                (3, 4, Some(2)),
+                (2, 3, Some(1)),
+                (1, 2, None),
+            ] {
+                net.broker_mut(b(i))
+                    .install_pending_adv(&a, m, Hop::Broker(b(next)), prev.map(b));
+                let lacking: Vec<SubId> = (net.broker(b(i)).prt().iter())
+                    .filter(|(_, e)| !e.sent_to.contains(&b(next)))
+                    .map(|(id, _)| *id)
+                    .collect();
+                let pulled = net.with_broker(b(i), |br| {
+                    let (outs, pulled) = br.pull_subs_toward(a.id, b(next));
+                    (pulled, outs)
+                });
+                let gained: Vec<SubId> = (lacking.into_iter())
+                    .filter(|id| {
+                        let e = net.broker(b(i)).prt().get(*id);
+                        e.is_some_and(|e| e.sent_to.contains(&b(next)))
+                    })
+                    .collect();
+                assert_eq!(pulled, gained, "pull report at B{i} ({config:?})");
+                fixups.extend(pulled.into_iter().map(|id| (i, id, b(next))));
+            }
+            // B3 pulled toward B4; with covering only the wide
+            // subscription stays on the link.
+            let at_b3: Vec<SubId> = (fixups.iter())
+                .filter(|(i, ..)| *i == 3)
+                .map(|(_, id, _)| *id)
+                .collect();
+            if config.sub_covering.enabled() {
+                assert_eq!(at_b3, vec![s_wide.id]);
+            } else {
+                let mut both = vec![s_wide.id, s_narrow.id];
+                both.sort();
+                assert_eq!(at_b3, both);
+            }
+
+            // Abort pass, target -> source.
+            for i in (1..=5u32).rev() {
+                net.with_broker(b(i), |br| {
+                    let mut outs = br.abort_move(m);
+                    for (_, id, n) in fixups.iter().filter(|(at, ..)| *at == i) {
+                        outs.extend(br.prune_sub_link(*id, *n));
+                    }
+                    ((), outs)
+                });
+            }
+            for (i, (srt, prt)) in (1..=5u32).zip(&before) {
+                let br = net.broker(b(i));
+                br.check_invariants();
+                assert!(br.pending_moves().is_empty());
+                assert_eq!(br.srt(), srt, "SRT of B{i} after abort ({config:?})");
+                assert_eq!(br.prt(), prt, "PRT of B{i} after abort ({config:?})");
+            }
+        }
+    }
 }

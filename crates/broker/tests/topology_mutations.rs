@@ -46,10 +46,17 @@ fn assert_valid_tree(topo: &Topology) {
 
 /// `route` must agree with the mutated edge set: every pair is
 /// connected by a simple path whose consecutive hops are real edges,
-/// and `next_hop` is its second entry.
+/// and `next_hop` is its second entry, which is also what the
+/// first-hop row of the route's source holds for its destination.
 fn assert_routes_consistent(topo: &Topology) {
     let brokers: Vec<BrokerId> = topo.brokers().collect();
     for &a in &brokers {
+        let row = topo.first_hops(a);
+        assert_eq!(
+            row.len(),
+            brokers.len() - 1,
+            "the first-hop row of {a} must cover every other broker and only those"
+        );
         for &z in &brokers {
             let route = topo
                 .route(a, z)
@@ -70,6 +77,11 @@ fn assert_routes_consistent(topo: &Topology) {
                 );
             }
             assert_eq!(topo.next_hop(a, z), hops.get(1).copied());
+            assert_eq!(
+                row.get(&z),
+                hops.get(1),
+                "first-hop row of {a} disagrees with route {a} -> {z}"
+            );
         }
     }
 }
@@ -94,6 +106,54 @@ fn assert_change_accounts(
         derived, after,
         "TopologyChange does not account for the delta"
     );
+}
+
+/// The paper's Fig. 6 overlay (`transmob_workloads::default_14`, which
+/// this crate cannot name) plus the three cycle edges of the
+/// `sim-cyclic` benchmark workload: ties between equally short routes
+/// exist here, so the first-hop row must break them as `route` does.
+fn fig6_with_cycle_edges() -> Topology {
+    let edges = [
+        (1, 2),
+        (1, 3),
+        (3, 4),
+        (3, 5),
+        (5, 6),
+        (5, 7),
+        (4, 8),
+        (8, 9),
+        (9, 10),
+        (9, 11),
+        (8, 12),
+        (8, 13),
+        (12, 14),
+        (1, 13),
+        (2, 14),
+        (5, 12),
+    ];
+    Topology::from_edges(
+        (1..=14).map(BrokerId),
+        edges.map(|(a, b)| (BrokerId(a), BrokerId(b))),
+    )
+    .expect("a connected overlay")
+}
+
+/// First-hop rows against `route` for every ordered pair on the cyclic
+/// Fig. 6 overlay, and again on what every single `repair` and `leave`
+/// turns it into (a row computed before the mutation would be stale).
+#[test]
+fn first_hop_rows_follow_routes_on_a_cyclic_overlay_and_its_repairs() {
+    let topo = fig6_with_cycle_edges();
+    assert!(!topo.is_tree());
+    assert_routes_consistent(&topo);
+    for gone in topo.brokers() {
+        let mut repaired = topo.clone();
+        repaired.repair(gone).expect("not the last broker");
+        assert_routes_consistent(&repaired);
+        let mut left = topo.clone();
+        left.leave(gone).expect("not the last broker");
+        assert_routes_consistent(&left);
+    }
 }
 
 proptest! {

@@ -171,6 +171,11 @@ type PathMove = PathMoveRecord;
 pub struct MobileBroker {
     core: BrokerCore,
     topology: Arc<Topology>,
+    /// Destination → neighbour on the route there
+    /// ([`Topology::first_hops`] of this broker): derived from
+    /// `topology`, rebuilt where `topology` is assigned or repaired
+    /// and nowhere else, so forwarding a movement message is a lookup.
+    first_hop: BTreeMap<BrokerId, BrokerId>,
     config: MobileBrokerConfig,
     clients: BTreeMap<ClientId, HostedClient>,
     src_moves: BTreeMap<MoveId, SourceMove>,
@@ -202,6 +207,7 @@ impl MobileBroker {
         let neighbors = topology.neighbors(id).iter().copied();
         MobileBroker {
             core: BrokerCore::new(id, neighbors, config.broker),
+            first_hop: topology.first_hops(id),
             topology,
             config,
             clients: BTreeMap::new(),
@@ -498,6 +504,7 @@ impl MobileBroker {
         next_move_seq: u32,
     ) -> Self {
         MobileBroker {
+            first_hop: topology.first_hops(core.id()),
             core,
             topology,
             config,
@@ -524,7 +531,13 @@ impl MobileBroker {
     /// message instead of panicking; the endpoints' own death handling
     /// resolves the transaction.
     fn try_route_next(&self, to: BrokerId) -> Option<BrokerId> {
-        self.topology.next_hop(self.id(), to)
+        let next = self.first_hop.get(&to).copied();
+        debug_assert_eq!(
+            next,
+            self.topology.next_hop(self.id(), to),
+            "first-hop row diverged from the overlay's route"
+        );
+        next
     }
 
     /// Converts routing-core effects into driver effects, routing
@@ -1059,32 +1072,17 @@ impl MobileBroker {
         out
     }
 
-    /// Runs the pull rule for advertisement `id` toward `n`, recording
-    /// which subscriptions were newly forwarded (for rollback).
+    /// Runs the pull rule for advertisement `id` toward `n`, returning
+    /// the subscriptions it put on that link (for rollback).
     fn pull_with_record(
         &mut self,
         id: transmob_pubsub::AdvId,
         n: BrokerId,
         outs: &mut Vec<BrokerOutput>,
     ) -> Vec<(SubId, BrokerId)> {
-        let before: Vec<SubId> = self
-            .core
-            .prt()
-            .iter()
-            .filter(|(_, e)| !e.sent_to.contains(&n))
-            .map(|(sid, _)| *sid)
-            .collect();
-        outs.extend(self.core.pull_subs_toward(id, n));
-        before
-            .into_iter()
-            .filter(|sid| {
-                self.core
-                    .prt()
-                    .get(*sid)
-                    .is_some_and(|e| e.sent_to.contains(&n))
-            })
-            .map(|sid| (sid, n))
-            .collect()
+        let (pull_outs, pulled) = self.core.pull_subs_toward(id, n);
+        outs.extend(pull_outs);
+        pulled.into_iter().map(|sid| (sid, n)).collect()
     }
 
     fn on_reconfigure_at_source(
@@ -1483,6 +1481,7 @@ impl MobileBroker {
             }
         };
         let myid = self.id();
+        self.first_hop = self.topology.first_hops(myid);
         let new_peers: Vec<BrokerId> = change
             .added_edges
             .iter()
@@ -2159,6 +2158,36 @@ mod tests {
             other => panic!("expected forward, got {other:?}"),
         }
         assert_eq!(mid.anomalies(), 0);
+    }
+
+    #[test]
+    fn first_hop_row_follows_an_overlay_repair() {
+        // B2 dies: the repair bridges B1 - B3, and the row B1 routes
+        // by must say so for B3 and hold nothing for B2.
+        let mut b1 = broker_at(1);
+        let _ = b1.handle_broker_death(BrokerId(2));
+        let ack_from = |source| {
+            Message::Move(MoveMsg::Ack {
+                m: MoveId(5),
+                source,
+                target: BrokerId(1),
+            })
+        };
+        let outs = b1.handle(Hop::Client(ClientId(0)), ack_from(BrokerId(3)));
+        assert!(
+            matches!(
+                outs[..],
+                [Output::Send {
+                    to: BrokerId(3),
+                    ..
+                }]
+            ),
+            "expected a forward over the repair edge, got {outs:?}"
+        );
+        assert_eq!(b1.anomalies(), 0);
+        let outs = b1.handle(Hop::Client(ClientId(0)), ack_from(BrokerId(2)));
+        assert!(outs.is_empty(), "nothing routes toward a dead broker");
+        assert_eq!(b1.anomalies(), 1);
     }
 
     #[test]

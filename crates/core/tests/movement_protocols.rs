@@ -369,6 +369,69 @@ fn negotiate_timeout_aborts_and_resumes_at_source() {
     assert_eq!(net.total_anomalies(), 0);
 }
 
+/// A moving *publisher* whose reconfiguration message pulled a
+/// mid-path subscription toward the target (Sec. 4.4 PRT cases 1
+/// and 3) and is then aborted at every depth of the protocol: the
+/// fix-ups each path broker recorded must undo exactly what the pull
+/// added, so every routing table returns to its pre-movement rows.
+/// The commit side of the same setup is
+/// `reconfig_publisher_move_keeps_routing_consistent`.
+#[test]
+fn aborted_publisher_move_rolls_the_pulled_subscriptions_back() {
+    use transmob_core::TimerKind;
+    let mut config = MobileBrokerConfig::reconfig();
+    config.negotiate_timeout_ns = Some(1_000_000_000);
+    config.state_timeout_ns = Some(2_000_000_000);
+    let mut aborted = 0;
+    for steps in 1..12usize {
+        let mut net = InstantNet::builder()
+            .overlay(Topology::chain(5))
+            .options(config.clone())
+            .start();
+        net.create_client(b(1), c(1)); // moving publisher
+        net.create_client(b(3), c(2)); // stationary subscriber, mid-path
+        net.client_op(c(1), ClientOp::Advertise(range(0, 100)));
+        net.client_op(c(2), ClientOp::Subscribe(range(0, 100)));
+        let before: Vec<_> = (1..=5)
+            .map(|i| {
+                let core = net.broker(b(i)).core();
+                (core.srt().clone(), core.prt().clone())
+            })
+            .collect();
+        net.client_op_deferred(c(1), ClientOp::MoveTo(b(5), ProtocolKind::Reconfig));
+        net.step_n(steps);
+        let negotiate = (net.armed_timers().iter())
+            .find(|t| t.token.kind == TimerKind::Negotiate)
+            .copied();
+        let Some(timer) = negotiate else {
+            // Past the wait state at this depth: the move commits.
+            net.run();
+            assert_eq!(net.find_client(c(1)), Some(b(5)));
+            continue;
+        };
+        if steps >= 6 {
+            // The reconfiguration message is walking back: B4 has
+            // installed its shadow configuration, and from depth 6 on
+            // B3 has pulled the subscription toward it.
+            assert!(net.broker(b(4)).core().pending_moves().len() == 1);
+        }
+        net.fire_timer(timer.broker, timer.token);
+        net.run();
+        aborted += 1;
+        assert_eq!(net.find_client(c(1)), Some(b(1)), "depth {steps}");
+        for (i, (srt, prt)) in (1..=5).zip(&before) {
+            let core = net.broker(b(i)).core();
+            core.check_invariants();
+            assert!(core.pending_moves().is_empty(), "B{i} depth {steps}");
+            assert_eq!(core.srt(), srt, "SRT of B{i} after abort at depth {steps}");
+            assert_eq!(core.prt(), prt, "PRT of B{i} after abort at depth {steps}");
+        }
+        publish_x(&mut net, c(1), steps as i64);
+        assert_eq!(net.deliveries_to(c(2)).len(), 1, "depth {steps}");
+    }
+    assert!(aborted >= 6, "the injection never hit the prepare window");
+}
+
 #[test]
 fn per_move_traffic_attribution_covers_cascades() {
     let mut net = InstantNet::builder()

@@ -70,15 +70,11 @@ enum EventKind {
         client: ClientId,
         op: ClientOp,
     },
-    /// A protocol timer fires. `epoch` is the owner's timer epoch at
-    /// arm time: a state-loss restart bumps the epoch, so timers armed
-    /// before the crash are recognizably stale (they died with the
-    /// process) and are discarded at pop.
-    Timer {
-        broker: BrokerId,
-        token: TimerToken,
-        epoch: u64,
-    },
+    /// A protocol timer comes due. It fires only if it is still the
+    /// event the armed table names for `(broker, token)`; a cancelled,
+    /// re-armed or crash-destroyed timer leaves its event in the heap
+    /// to be discarded at pop.
+    Timer { broker: BrokerId, token: TimerToken },
     /// A scheduled broker crash (from a [`FaultPlan`]).
     Crash {
         broker: BrokerId,
@@ -142,7 +138,11 @@ pub struct Sim {
     rng: StdRng,
     /// Collected measurements.
     pub metrics: Metrics,
-    cancelled: BTreeSet<(BrokerId, TimerToken)>,
+    /// The armed timers: the sequence number of the heap event that
+    /// fires each. Arming overwrites (the earlier event goes stale),
+    /// cancelling removes, so a cancel leaves nothing behind and a
+    /// cancel of a never-armed token stores nothing.
+    armed: BTreeMap<(BrokerId, TimerToken), u64>,
     home: BTreeMap<ClientId, BrokerId>,
     plans: BTreeMap<ClientId, (MovementPlan, usize)>,
     plan_deadline: Option<SimTime>,
@@ -158,8 +158,6 @@ pub struct Sim {
     /// Per-broker durability logs ([`Sim::enable_durability`]); the
     /// source of truth for state-loss recovery.
     logs: BTreeMap<BrokerId, Arc<Mutex<MemoryLog>>>,
-    /// Bumped on every state-loss restart; see [`EventKind::Timer`].
-    timer_epoch: BTreeMap<BrokerId, u64>,
     partitions: Vec<Partition>,
     link_faults: LinkFaults,
     fault_rng: StdRng,
@@ -203,7 +201,7 @@ impl Sim {
             link_last_arrival: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(false),
-            cancelled: BTreeSet::new(),
+            armed: BTreeMap::new(),
             home: BTreeMap::new(),
             plans: BTreeMap::new(),
             plan_deadline: None,
@@ -212,7 +210,6 @@ impl Sim {
             held: BTreeMap::new(),
             events_processed: 0,
             logs: BTreeMap::new(),
-            timer_epoch: BTreeMap::new(),
             partitions: Vec::new(),
             link_faults: LinkFaults::none(),
             fault_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
@@ -284,10 +281,10 @@ impl Sim {
         self.faults_duplicated
     }
 
-    /// Outstanding cancelled-timer bookkeeping entries (leak check:
+    /// Timers armed and neither fired nor cancelled yet (leak check:
     /// quiescent runs must end at zero).
-    pub fn cancelled_timers(&self) -> usize {
-        self.cancelled.len()
+    pub fn armed_timers(&self) -> usize {
+        self.armed.len()
     }
 
     /// Enables the full delivery log (property-checking runs).
@@ -333,10 +330,11 @@ impl Sim {
         self.events_processed
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind) {
+    fn push(&mut self, time: SimTime, kind: EventKind) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Event { time, seq, kind });
+        seq
     }
 
     /// Pushes an event that *continues* an earlier one (an `Exec` for
@@ -657,35 +655,21 @@ impl Sim {
                 }
                 self.dispatch(broker, None, outs);
             }
-            EventKind::Timer {
-                broker,
-                token,
-                epoch,
-            } => {
-                if epoch < self.timer_epoch.get(&broker).copied().unwrap_or(0) {
-                    // Armed before a state-loss crash: the timer died
-                    // with the process. Do NOT consume a cancellation —
-                    // the restart swept those.
-                    return;
-                }
-                if self.cancelled.remove(&(broker, token)) {
-                    return;
-                }
-                if self.dead.contains(&broker) {
-                    return; // timers die with the broker
+            EventKind::Timer { broker, token } => {
+                if self.armed.get(&(broker, token)) != Some(&ev_seq) {
+                    return; // cancelled, re-armed since, or lost in a crash
                 }
                 if self.crashed.contains(&broker) {
+                    // Still armed: the held event keeps its sequence
+                    // number and fires after a warm restart.
                     self.held.entry(broker).or_default().push(Event {
                         time: self.clock,
                         seq: ev_seq,
-                        kind: EventKind::Timer {
-                            broker,
-                            token,
-                            epoch,
-                        },
+                        kind: EventKind::Timer { broker, token },
                     });
                     return;
                 }
+                self.armed.remove(&(broker, token));
                 let outs = self
                     .brokers
                     .get_mut(&broker)
@@ -736,7 +720,7 @@ impl Sim {
                 self.dead.insert(broker);
                 self.crashed.remove(&broker);
                 self.held.remove(&broker);
-                self.cancelled.retain(|(b, _)| *b != broker);
+                self.armed.retain(|(b, _), _| *b != broker); // timers die with the broker
                 self.logs.remove(&broker);
                 self.brokers.remove(&broker);
                 // Keep the sim's gods-eye overlay in sync so the
@@ -800,12 +784,9 @@ impl Sim {
     /// checkpoint, replay the WAL tail, re-arm in-flight movement
     /// timers, and re-attach the (now freshly checkpointed) log.
     fn recover_from_log(&mut self, broker: BrokerId) {
-        // Every pre-crash timer died with the process: bump the epoch
-        // so stale heap events are discarded at pop, and sweep their
-        // cancellation entries, which would otherwise never be consumed
-        // (the leak this satellite fixes).
-        *self.timer_epoch.entry(broker).or_insert(0) += 1;
-        self.cancelled.retain(|(b, _)| *b != broker);
+        // Every pre-crash timer died with the process: disarm them, so
+        // their heap events are discarded at pop.
+        self.armed.retain(|(b, _), _| *b != broker);
         let log = Arc::clone(self.logs.get(&broker).expect("durability enabled"));
         let (snapshot, records) = log.lock().expect("durability log poisoned").contents();
         let snapshot = snapshot.expect("attach_durability wrote the base checkpoint");
@@ -979,20 +960,12 @@ impl Transport for SimFlush<'_> {
         let src = self.src;
         match output {
             Output::SetTimer { token, delay_ns } => {
-                self.sim.cancelled.remove(&(src, token));
                 let t = self.sim.clock + SimDuration::from_nanos(delay_ns);
-                let epoch = self.sim.timer_epoch.get(&src).copied().unwrap_or(0);
-                self.sim.push(
-                    t,
-                    EventKind::Timer {
-                        broker: src,
-                        token,
-                        epoch,
-                    },
-                );
+                let seq = self.sim.push(t, EventKind::Timer { broker: src, token });
+                self.sim.armed.insert((src, token), seq);
             }
             Output::CancelTimer { token } => {
-                self.sim.cancelled.insert((src, token));
+                self.sim.armed.remove(&(src, token));
             }
             Output::MoveFinished {
                 m,
@@ -1358,13 +1331,12 @@ mod fault_tests {
         );
     }
 
-    /// Regression for the cancelled-timer leak: a committed movement
-    /// leaves cancellation entries whose heap events are still pending
-    /// far in the future; a state-loss crash discards those events
-    /// (epoch bump), so without the restart sweep the entries would
-    /// never be consumed.
+    /// A committed movement cancels its 30 s timers within
+    /// milliseconds: nothing stays armed, while their heap events wait
+    /// to be discarded. A state-loss crash in between must neither
+    /// fire nor re-arm them.
     #[test]
-    fn lossy_restart_sweeps_cancelled_timer_entries() {
+    fn cancelled_timers_leave_nothing_behind_across_a_lossy_restart() {
         let mut sim = durable_sim(4, 13);
         let t0 = sim.now();
         sim.schedule_cmd(
@@ -1372,21 +1344,68 @@ mod fault_tests {
             c(2),
             ClientOp::MoveTo(b(2), ProtocolKind::Reconfig),
         );
-        // Move commits in a few ms; the default 30 s timers it
-        // cancelled are still sitting in the heap.
         sim.run_until(t0 + SimDuration::from_secs(1));
-        assert!(
-            sim.cancelled_timers() > 0,
-            "test premise: outstanding cancellations after a committed move"
-        );
+        assert_eq!(sim.armed_timers(), 0, "a committed move left a timer armed");
         sim.crash_broker_lossy(b(2), sim.now() + SimDuration::from_millis(50));
         sim.run_to_quiescence();
-        assert_eq!(
-            sim.cancelled_timers(),
-            0,
-            "cancelled-timer bookkeeping leaked across a lossy restart"
-        );
+        assert_eq!(sim.armed_timers(), 0);
         assert_eq!(sim.total_anomalies(), 0);
+    }
+
+    /// The blocking variant arms no timer but still emits every
+    /// `CancelTimer`: a cancel of a never-armed token must store
+    /// nothing, however many movements run.
+    #[test]
+    fn blocking_run_stores_nothing_for_its_cancels() {
+        let mut sim = Sim::builder()
+            .overlay(Topology::chain(4))
+            .options(MobileBrokerConfig::reconfig().blocking())
+            .network(NetworkModel::cluster())
+            .seed(5)
+            .start();
+        sim.create_client(b(1), c(1));
+        for round in 0..6 {
+            let at = sim.now() + SimDuration::from_millis(100 * (round + 1));
+            let dest = if round % 2 == 0 { b(4) } else { b(1) };
+            sim.schedule_cmd(at, c(1), ClientOp::MoveTo(dest, ProtocolKind::Reconfig));
+        }
+        sim.run_to_quiescence();
+        assert_eq!(sim.find_client(c(1)), Some(b(1)));
+        assert_eq!(sim.armed_timers(), 0);
+        assert_eq!(sim.total_anomalies(), 0);
+    }
+
+    /// Re-arming a token supersedes the earlier deadline: the old heap
+    /// event is discarded and the timer fires once, at the new one.
+    #[test]
+    fn rearmed_timer_fires_at_the_new_deadline_only() {
+        let mut sim = Sim::builder()
+            .overlay(Topology::chain(2))
+            .options(MobileBrokerConfig::reconfig())
+            .network(NetworkModel::cluster())
+            .seed(3)
+            .start();
+        let token = TimerToken {
+            m: MoveId(77),
+            kind: transmob_core::TimerKind::Negotiate,
+        };
+        let arm = |sim: &mut Sim, delay_ns| {
+            sim.dispatch(b(1), None, vec![Output::SetTimer { token, delay_ns }]);
+        };
+        arm(&mut sim, 1_000_000);
+        sim.dispatch(b(1), None, vec![Output::CancelTimer { token }]);
+        arm(&mut sim, 5_000_000);
+        assert_eq!(sim.armed_timers(), 1);
+        let t0 = sim.now();
+        sim.run_until(t0 + SimDuration::from_millis(2));
+        assert_eq!(
+            sim.armed_timers(),
+            1,
+            "the superseded event fired the re-armed timer early"
+        );
+        sim.run_to_quiescence();
+        assert_eq!(sim.armed_timers(), 0);
+        assert_eq!(sim.now(), t0 + SimDuration::from_millis(5));
     }
 
     /// Partitions buffer traffic until the heal — nothing is lost.

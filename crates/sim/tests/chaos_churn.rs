@@ -25,6 +25,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use transmob_broker::Topology;
+use transmob_core::properties::NetworkView;
 use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
 use transmob_sim::{FaultPlan, NetworkModel, ScheduledDeath, Sim, SimDuration, SimTime};
@@ -189,6 +190,22 @@ fn run_case(case: &ChurnCase, protocol: ProtocolKind) -> Result<(), TestCaseErro
     properties::assert_single_instance(&sim)
         .map_err(|e| TestCaseError::fail(format!("{ctx}: {e}")))?;
     assert_app_exactly_once(&sim)?;
+
+    // Every survivor's derived routing state (forwarding column, match
+    // index, per-move pending index) equals what its rows say after
+    // the repair purge, and the movement left no shadow configuration
+    // behind on any of them.
+    for id in sim.view_broker_ids() {
+        let core = sim.broker(id).core();
+        core.check_invariants();
+        prop_assert_eq!(
+            core.pending_moves(),
+            Vec::new(),
+            "{}: shadow configuration left at {}",
+            ctx,
+            id
+        );
+    }
 
     // Atomicity: with the source coordinator alive, the movement must
     // resolve — committed or aborted, never wedged.

@@ -23,6 +23,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use transmob_broker::Topology;
+use transmob_core::properties::NetworkView;
 use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
 use transmob_sim::{
@@ -204,11 +205,16 @@ fn pubs_received_by_mover(sim: &Sim) -> usize {
 }
 
 /// The safety properties that hold under EVERY schedule, including
-/// message-dropping ones.
+/// message-dropping ones. Among them: every broker's derived routing
+/// state (forwarding column, match index, per-move pending index)
+/// equals what its rows say, recovered from a checkpoint or not.
 fn check_safety(sim: &Sim, ctx: &str) -> Result<(), TestCaseError> {
     properties::assert_single_instance(sim)
         .map_err(|e| TestCaseError::fail(format!("{ctx}: {e}")))?;
     assert_app_exactly_once(sim)?;
+    for id in sim.view_broker_ids() {
+        sim.broker(id).core().check_invariants();
+    }
     Ok(())
 }
 
@@ -230,6 +236,18 @@ fn check_loss_free(sim: &Sim, ctx: &str, expect_commit: bool) -> Result<(), Test
         "{}: mover missed publications",
         ctx
     );
+    // With no message lost the movement resolved at every broker of
+    // its path: no shadow configuration and no armed timer is left.
+    for id in sim.view_broker_ids() {
+        prop_assert_eq!(
+            sim.broker(id).core().pending_moves(),
+            Vec::new(),
+            "{}: shadow configuration left at {}",
+            ctx,
+            id
+        );
+    }
+    prop_assert_eq!(sim.armed_timers(), 0, "{}: timer left armed", ctx);
     if expect_commit {
         let outcomes: Vec<Option<bool>> = sim
             .metrics

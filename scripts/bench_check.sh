@@ -18,6 +18,12 @@
 #     Non-fast runs re-measure that ratio live with the dedicated
 #     dedup_gate binary (interleaved paired slices, immune to the
 #     between-row machine drift that criterion medians carry).
+#   - The baseline must record the move_vs_bystanders reconfig rows
+#     (one reconfiguration movement on a chain of 8 whose path brokers
+#     hold 300 / 3 000 / 30 000 bystander rows). The 30 000 / 300
+#     ratio is printed, not gated: the paper's claim is that it is ~1
+#     (a movement touches only the mover's own entries), and pass/fail
+#     timing decisions belong to paired end-to-end runs.
 #   - The TCP wire-protocol baseline BENCH_tcp.json must record the
 #     tcp_throughput group (bin/json x batch 64/256), tcp_latency p99
 #     rows and tcp_summary msgs/sec rows, with the binary codec >=2x
@@ -94,6 +100,15 @@ dratio = cy["tree_dedup/7"] / cy["tree/7"]
 if dratio > 1.10:
     sys.exit(f"bench_check: baseline dedup overhead {dratio:.2f}x > 1.10x on the tree")
 print(f"bench_check: baseline ok (cyclic_routing dedup overhead {dratio:.2f}x on the tree)")
+mv = {r["bench"]: r["ns_per_iter"] for r in rows if r["group"] == "move_vs_bystanders"}
+for need in ("reconfig/300", "reconfig/3000", "reconfig/30000"):
+    if need not in mv:
+        sys.exit(f"bench_check: baseline missing move_vs_bystanders/{need}")
+print(
+    f"bench_check: baseline ok (move_vs_bystanders reconfig {mv['reconfig/300'] / 1e3:.1f} us at 300 "
+    f"bystanders, {mv['reconfig/30000'] / 1e3:.1f} us at 30 000: "
+    f"{mv['reconfig/30000'] / mv['reconfig/300']:.2f}x, not gated)"
+)
 PY
 
 if [[ "${CI_FAST:-0}" == "1" ]]; then
