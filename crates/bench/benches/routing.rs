@@ -10,9 +10,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use transmob_broker::{
     BrokerConfig, BrokerCore, CoveringMode, Hop, Prt, PubSubMsg, Srt, SyncNet, Topology,
 };
+use transmob_core::{ClientOp, Message, MobileBroker, MobileBrokerConfig};
 use transmob_pubsub::{
-    AdvId, Advertisement, BrokerId, ClientId, Parallelism, PubId, Publication, PublicationMsg,
-    SubId, Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, Parallelism, PubId, Publication,
+    PublicationMsg, SubId, Subscription,
 };
 use transmob_workloads::{
     full_space_adv, wide_publication, wide_sub_filter, SubWorkload, ATTR, ATTR_TAG, ATTR_Y,
@@ -402,6 +403,47 @@ fn bench_cyclic_routing(c: &mut Criterion) {
     g.finish();
 }
 
+/// What one publication costs a broker that hosts `K` running
+/// subscribers who all match it (DESIGN.md §17): the match, `K` stub
+/// deliveries and `K` `DeliverToApp` outputs. The content is eight
+/// string attributes, so a per-subscriber copy of it would dominate.
+fn bench_delivery_fanout(c: &mut Criterion) {
+    let content: Publication = (0..8)
+        .map(|i| {
+            (
+                format!("attr{i}"),
+                format!("value-{i}-of-the-content").into(),
+            )
+        })
+        .collect();
+    let mut g = c.benchmark_group("delivery_fanout");
+    for k in [1u64, 40, 400] {
+        let topo = std::sync::Arc::new(Topology::chain(3));
+        let mut broker = MobileBroker::new(b(2), topo, MobileBrokerConfig::reconfig());
+        for i in 0..k {
+            let cid = ClientId(1000 + i);
+            broker.create_client(cid);
+            broker.client_op(
+                cid,
+                ClientOp::Subscribe(Filter::builder().any("attr0").build()),
+            );
+        }
+        // Fresh ids: a repeated one would stop at the stubs' dedup.
+        let mut next_id = 0u64;
+        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |bch, _| {
+            bch.iter(|| {
+                next_id += 1;
+                let p = PublicationMsg::new(PubId(next_id), ClientId(1), content.clone());
+                black_box(broker.handle(
+                    Hop::Broker(b(1)),
+                    Message::PubSub(PubSubMsg::Publish(black_box(p))),
+                ))
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_prt_matching_index_vs_linear,
@@ -413,6 +455,7 @@ criterion_group!(
     bench_advertise_flood,
     bench_publish_batch,
     bench_parallel_match,
-    bench_cyclic_routing
+    bench_cyclic_routing,
+    bench_delivery_fanout
 );
 criterion_main!(benches);

@@ -3,13 +3,18 @@
 //!
 //! The stub tracks the client's state-machine state (Fig. 4), its
 //! pub/sub profile, the notifications buffered while it is not
-//! running, the exactly-once dedup set, and the application commands
-//! queued during movement. The stub is pure data + transitions; the
-//! protocol logic that drives it lives in [`crate::MobileBroker`].
+//! running, the exactly-once dedup window, and the application
+//! commands queued during movement. A notification handed to the
+//! application is kept nowhere: the stub remembers its id for the next
+//! [`SEEN_WINDOW_CAP`] notifications and nothing else, so neither the
+//! stub nor the state transfer of a movement grows with the client's
+//! age. The stub is pure data + transitions; the protocol logic that
+//! drives it lives in [`crate::MobileBroker`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use transmob_pubsub::fasthash::FastSet;
 use transmob_pubsub::{
     AdvId, Advertisement, ClientId, Filter, PubId, PublicationMsg, SubId, Subscription,
 };
@@ -28,6 +33,82 @@ pub enum DeliverOutcome {
     Duplicate,
 }
 
+/// Number of surfaced publication ids a stub remembers for
+/// exactly-once delivery: a duplicate of any of the last
+/// `SEEN_WINDOW_CAP` notifications handed to the application is
+/// suppressed; an older one surfaces again.
+///
+/// A stub meets a duplicate only of a notification that was surfaced
+/// at a movement's source while the target copy already buffered (the
+/// merge drops it) or whose second copy was still in flight to the
+/// target (the delivery after the merge drops it), so the window has
+/// to out-last the notifications one client receives during one
+/// movement, not its history (DESIGN.md §17).
+pub const SEEN_WINDOW_CAP: usize = 1024;
+
+/// The last [`SEEN_WINDOW_CAP`] ids surfaced to the application: a
+/// ring in surfacing order beside a hash set of the same ids.
+/// Serialized as the ring alone, oldest first.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct SeenWindow {
+    ring: VecDeque<PubId>,
+    ids: FastSet<PubId>,
+}
+
+impl SeenWindow {
+    /// The window holding the last [`SEEN_WINDOW_CAP`] of `ids`
+    /// (oldest first, as [`SeenWindow::recent`] lists them).
+    fn from_recent(ids: &[PubId]) -> Self {
+        let ids = &ids[ids.len().saturating_sub(SEEN_WINDOW_CAP)..];
+        let mut w = SeenWindow::default();
+        w.ids.reserve(ids.len());
+        for id in ids {
+            w.insert(*id);
+        }
+        w
+    }
+
+    fn contains(&self, id: PubId) -> bool {
+        self.ids.contains(&id)
+    }
+
+    /// Remembers `id`, forgetting the oldest id if the window is
+    /// full; `false` if it was already remembered.
+    fn insert(&mut self, id: PubId) -> bool {
+        if !self.ids.insert(id) {
+            return false;
+        }
+        if self.ring.len() == SEEN_WINDOW_CAP {
+            // unwrap: the ring is full, so it has a front
+            let oldest = self.ring.pop_front().unwrap();
+            self.ids.remove(&oldest);
+        }
+        self.ring.push_back(id);
+        true
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// The remembered ids, oldest first.
+    fn recent(&self) -> Vec<PubId> {
+        self.ring.iter().copied().collect()
+    }
+}
+
+impl Serialize for SeenWindow {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        ser.collect_seq(self.ring.iter())
+    }
+}
+
+impl<'de> Deserialize<'de> for SeenWindow {
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        Ok(SeenWindow::from_recent(&Vec::deserialize(de)?))
+    }
+}
+
 /// A client's pub/sub stub as hosted by a broker's mobile container.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostedClient {
@@ -40,12 +121,8 @@ pub struct HostedClient {
     next_pub_seq: u32,
     buffered: Vec<PublicationMsg>,
     buffered_ids: BTreeSet<PubId>,
-    seen: BTreeSet<PubId>,
+    seen: SeenWindow,
     queued_ops: VecDeque<ClientOp>,
-    /// Notifications surfaced to the application, in order (the
-    /// N_i(·) streams of the paper's Sec. 3.4; consumed by the
-    /// property checkers and by `take_app_inbox`).
-    app_inbox: Vec<PublicationMsg>,
 }
 
 impl HostedClient {
@@ -61,9 +138,8 @@ impl HostedClient {
             next_pub_seq: 0,
             buffered: Vec::new(),
             buffered_ids: BTreeSet::new(),
-            seen: BTreeSet::new(),
+            seen: SeenWindow::default(),
             queued_ops: VecDeque::new(),
-            app_inbox: Vec::new(),
         }
     }
 
@@ -106,13 +182,14 @@ impl HostedClient {
     }
 
     /// Captures the transferable execution state (paper message (4)),
-    /// draining the buffer.
+    /// draining the buffer. `seen` carries the dedup window, at most
+    /// [`SEEN_WINDOW_CAP`] ids, oldest first.
     pub fn take_snapshot(&mut self) -> ClientSnapshot {
         let buffered = std::mem::take(&mut self.buffered);
         self.buffered_ids.clear();
         ClientSnapshot {
             buffered,
-            seen: self.seen.iter().copied().collect(),
+            seen: self.seen.recent(),
             queued_ops: std::mem::take(&mut self.queued_ops).into(),
             next_seq: (self.next_sub_seq, self.next_adv_seq, self.next_pub_seq),
         }
@@ -120,13 +197,19 @@ impl HostedClient {
 
     /// Merges a transferred snapshot into this (target) copy: the
     /// source-buffered notifications go *before* locally buffered
-    /// ones, both de-duplicated by publication id.
+    /// ones, both de-duplicated by publication id. The copy has
+    /// surfaced nothing yet, so its dedup window is the snapshot's: no
+    /// id of its own competes with the transferred ones for a place.
     pub fn merge_snapshot(&mut self, snap: ClientSnapshot) {
+        assert!(
+            self.seen.is_empty(),
+            "a snapshot is merged into a copy that has not started"
+        );
         let local = std::mem::take(&mut self.buffered);
         self.buffered_ids.clear();
-        self.seen.extend(snap.seen.iter().copied());
+        self.seen = SeenWindow::from_recent(&snap.seen);
         for p in snap.buffered.into_iter().chain(local) {
-            if !self.seen.contains(&p.id) && self.buffered_ids.insert(p.id) {
+            if !self.seen.contains(p.id) && self.buffered_ids.insert(p.id) {
                 self.buffered.push(p);
             }
         }
@@ -139,19 +222,19 @@ impl HostedClient {
     }
 
     /// Hands a notification to the stub; see [`DeliverOutcome`]. The
-    /// publication is cloned only where the stub keeps it.
+    /// stub keeps (a shared handle on) the publication only while it
+    /// buffers it.
     pub fn deliver(&mut self, p: &PublicationMsg) -> DeliverOutcome {
-        if self.seen.contains(&p.id) {
-            return DeliverOutcome::Duplicate;
-        }
         match self.state {
             ClientState::Started => {
-                self.seen.insert(p.id);
-                self.app_inbox.push(p.clone());
-                DeliverOutcome::Surfaced
+                if self.seen.insert(p.id) {
+                    DeliverOutcome::Surfaced
+                } else {
+                    DeliverOutcome::Duplicate
+                }
             }
             s if s.buffers_notifications() => {
-                if self.buffered_ids.insert(p.id) {
+                if !self.seen.contains(p.id) && self.buffered_ids.insert(p.id) {
                     self.buffered.push(p.clone());
                     DeliverOutcome::Buffered
                 } else {
@@ -165,14 +248,9 @@ impl HostedClient {
     /// Surfaces all buffered notifications (on start/resume); returns
     /// the newly surfaced ones in order.
     pub fn flush_buffered(&mut self) -> Vec<PublicationMsg> {
-        let mut out = Vec::new();
         self.buffered_ids.clear();
-        for p in std::mem::take(&mut self.buffered) {
-            if self.seen.insert(p.id) {
-                self.app_inbox.push(p.clone());
-                out.push(p);
-            }
-        }
+        let mut out = std::mem::take(&mut self.buffered);
+        out.retain(|p| self.seen.insert(p.id));
         out
     }
 
@@ -224,16 +302,6 @@ impl HostedClient {
         id
     }
 
-    /// Notifications surfaced to the application so far, in order.
-    pub fn app_inbox(&self) -> &[PublicationMsg] {
-        &self.app_inbox
-    }
-
-    /// Drains the surfaced-notification log.
-    pub fn take_app_inbox(&mut self) -> Vec<PublicationMsg> {
-        std::mem::take(&mut self.app_inbox)
-    }
-
     /// Number of notifications currently buffered.
     pub fn buffered_len(&self) -> usize {
         self.buffered.len()
@@ -259,7 +327,10 @@ mod tests {
         let mut c = HostedClient::started(ClientId(1));
         assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Surfaced);
         assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Duplicate);
-        assert_eq!(c.app_inbox().len(), 1);
+        assert_eq!(c.deliver(&pubmsg(2, 5)), DeliverOutcome::Surfaced);
+        // Nothing was buffered on the way.
+        assert_eq!(c.buffered_len(), 0);
+        assert!(c.flush_buffered().is_empty());
     }
 
     #[test]
@@ -270,11 +341,12 @@ mod tests {
         assert_eq!(c.deliver(&pubmsg(2, 6)), DeliverOutcome::Buffered);
         assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Duplicate);
         c.set_state(ClientState::Started);
-        let flushed = c.flush_buffered();
-        assert_eq!(flushed.len(), 2);
-        assert_eq!(flushed[0].id, PubId(1));
-        assert_eq!(c.app_inbox().len(), 2);
-        // A replay after flush is a duplicate.
+        assert_eq!(c.flush_buffered(), vec![pubmsg(1, 5), pubmsg(2, 6)]);
+        // The flush handed them over: a second one returns nothing…
+        assert_eq!(c.buffered_len(), 0);
+        assert!(c.flush_buffered().is_empty());
+        // …and a replay of either is a duplicate.
+        assert_eq!(c.deliver(&pubmsg(1, 5)), DeliverOutcome::Duplicate);
         assert_eq!(c.deliver(&pubmsg(2, 6)), DeliverOutcome::Duplicate);
     }
 
@@ -311,6 +383,106 @@ mod tests {
         tgt.set_state(ClientState::Started);
         // …and is suppressed by the transferred seen set.
         assert!(tgt.flush_buffered().is_empty());
+    }
+
+    /// A started stub delivered ids `0..n`, in order.
+    fn started_after(n: u64) -> HostedClient {
+        let mut c = HostedClient::started(ClientId(1));
+        for id in 0..n {
+            assert_eq!(c.deliver(&pubmsg(id, 0)), DeliverOutcome::Surfaced);
+        }
+        c
+    }
+
+    #[test]
+    fn seen_window_is_bounded_and_so_is_the_snapshot() {
+        let cap = SEEN_WINDOW_CAP as u64;
+        let mut c = started_after(10 * cap);
+        assert_eq!(c.seen.ring.len(), SEEN_WINDOW_CAP);
+        assert_eq!(c.seen.ids.len(), SEEN_WINDOW_CAP);
+        let snap = c.take_snapshot();
+        // The window travels whole, oldest first.
+        let expect: Vec<PubId> = (9 * cap..10 * cap).map(PubId).collect();
+        assert_eq!(snap.seen, expect);
+        // The source keeps its window (an aborted movement resumes here).
+        assert_eq!(
+            c.deliver(&pubmsg(10 * cap - 1, 0)),
+            DeliverOutcome::Duplicate
+        );
+    }
+
+    #[test]
+    fn full_window_survives_a_movement_round_trip() {
+        let cap = SEEN_WINDOW_CAP as u64;
+        let mut src = started_after(3 * cap);
+        src.set_state(ClientState::PauseMove);
+        let snap = src.take_snapshot();
+        let mut tgt = HostedClient::created_from_profile(ClientId(1), &src.profile());
+        // Copies of the newest and the oldest remembered id reach the
+        // target before the state does.
+        assert_eq!(
+            tgt.deliver(&pubmsg(3 * cap - 1, 0)),
+            DeliverOutcome::Buffered
+        );
+        assert_eq!(tgt.deliver(&pubmsg(2 * cap, 0)), DeliverOutcome::Buffered);
+        tgt.merge_snapshot(snap);
+        tgt.set_state(ClientState::Started);
+        assert!(tgt.flush_buffered().is_empty());
+        for id in 2 * cap..3 * cap {
+            assert_eq!(tgt.deliver(&pubmsg(id, 0)), DeliverOutcome::Duplicate);
+        }
+        // The merge kept the recency order: the next new id evicts the
+        // oldest one and no other.
+        assert_eq!(tgt.deliver(&pubmsg(3 * cap, 0)), DeliverOutcome::Surfaced);
+        assert_eq!(
+            tgt.deliver(&pubmsg(2 * cap + 1, 0)),
+            DeliverOutcome::Duplicate
+        );
+        assert_eq!(tgt.deliver(&pubmsg(2 * cap, 0)), DeliverOutcome::Surfaced);
+    }
+
+    /// The documented limit: the stub forgets what left the window.
+    #[test]
+    fn duplicate_older_than_the_window_surfaces_again() {
+        let cap = SEEN_WINDOW_CAP as u64;
+        let mut c = started_after(cap + 1);
+        assert_eq!(c.deliver(&pubmsg(1, 0)), DeliverOutcome::Duplicate);
+        assert_eq!(c.deliver(&pubmsg(0, 0)), DeliverOutcome::Surfaced);
+    }
+
+    #[test]
+    fn oversized_snapshot_keeps_the_newest_ids() {
+        let cap = SEEN_WINDOW_CAP as u64;
+        let snap = ClientSnapshot {
+            seen: (0..2 * cap).map(PubId).collect(),
+            ..ClientSnapshot::default()
+        };
+        let mut tgt = HostedClient::created_from_profile(ClientId(1), &ClientProfile::default());
+        tgt.merge_snapshot(snap);
+        tgt.set_state(ClientState::Started);
+        assert_eq!(tgt.take_snapshot().seen.len(), SEEN_WINDOW_CAP);
+        assert_eq!(
+            tgt.deliver(&pubmsg(2 * cap - 1, 0)),
+            DeliverOutcome::Duplicate
+        );
+        assert_eq!(tgt.deliver(&pubmsg(cap - 1, 0)), DeliverOutcome::Surfaced);
+    }
+
+    #[test]
+    #[should_panic(expected = "has not started")]
+    fn merging_into_a_copy_that_surfaced_something_is_a_bug() {
+        let mut c = started_after(1);
+        c.merge_snapshot(ClientSnapshot::default());
+    }
+
+    #[test]
+    fn stub_round_trips_through_serde_with_its_window_order() {
+        let cap = SEEN_WINDOW_CAP as u64;
+        let c = started_after(cap + 5);
+        let json = serde_json::to_string(&c).unwrap();
+        let mut back: HostedClient = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, c);
+        assert_eq!(back.take_snapshot().seen[0], PubId(5));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod states;
 pub mod transport;
 pub mod wire;
 
-pub use client_stub::{DeliverOutcome, HostedClient};
+pub use client_stub::{DeliverOutcome, HostedClient, SEEN_WINDOW_CAP};
 pub use durability::{
     DurabilityLog, DurabilityRecord, LoggedInput, MemoryLog, DURABILITY_FORMAT_VERSION,
 };

@@ -544,7 +544,7 @@ impl MobileBroker {
     /// client deliveries through the hosted stubs (with buffering and
     /// exactly-once dedup).
     fn absorb(&mut self, outputs: Vec<BrokerOutput>) -> Vec<Output> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(outputs.len());
         for o in outputs {
             match o {
                 BrokerOutput::ToBroker(n, msg) => out.push(Output::Send {

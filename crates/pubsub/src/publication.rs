@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -24,9 +25,38 @@ use crate::value::Value;
 /// assert_eq!(p.get("price"), Some(&Value::Int(120)));
 /// assert_eq!(p.len(), 2);
 /// ```
+///
+/// The attribute map is shared: a clone is a reference-count bump, so
+/// the copies a broker makes per forwarded link, per matched client and
+/// per buffer all point at one allocation. A holder that writes
+/// (`with`, `set`, `extend`) first takes a private copy unless it is
+/// the only holder, so no write is ever visible through another
+/// handle (DESIGN.md §17).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Publication {
-    attrs: BTreeMap<String, Value>,
+    #[serde(with = "shared_attrs")]
+    attrs: Arc<BTreeMap<String, Value>>,
+}
+
+/// Serializes the shared map through a reference, in the shape the
+/// plain map had.
+mod shared_attrs {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    use crate::value::Value;
+
+    type Attrs = BTreeMap<String, Value>;
+
+    pub fn serialize<S: Serializer>(attrs: &Arc<Attrs>, ser: S) -> Result<S::Ok, S::Error> {
+        Attrs::serialize(attrs, ser)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Arc<Attrs>, D::Error> {
+        Attrs::deserialize(de).map(Arc::new)
+    }
 }
 
 impl Publication {
@@ -38,14 +68,14 @@ impl Publication {
     /// Returns the publication with `attr` set to `value` (builder
     /// style; last write wins).
     pub fn with(mut self, attr: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.attrs.insert(attr.into(), value.into());
+        self.set(attr, value);
         self
     }
 
     /// Sets `attr` to `value` in place, returning the previous value if
     /// any.
     pub fn set(&mut self, attr: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
-        self.attrs.insert(attr.into(), value.into())
+        Arc::make_mut(&mut self.attrs).insert(attr.into(), value.into())
     }
 
     /// The value of `attr`, if present.
@@ -90,14 +120,14 @@ impl fmt::Display for Publication {
 impl FromIterator<(String, Value)> for Publication {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
         Publication {
-            attrs: iter.into_iter().collect(),
+            attrs: Arc::new(iter.into_iter().collect()),
         }
     }
 }
 
 impl Extend<(String, Value)> for Publication {
     fn extend<I: IntoIterator<Item = (String, Value)>>(&mut self, iter: I) {
-        self.attrs.extend(iter);
+        Arc::make_mut(&mut self.attrs).extend(iter);
     }
 }
 
@@ -140,6 +170,44 @@ mod tests {
         let p = Publication::new().with("a", 1).with("b", "x");
         assert_eq!(p.to_string(), "[a=1,b='x']");
         assert_eq!(Publication::new().to_string(), "[]");
+    }
+
+    #[test]
+    fn clone_shares_storage_until_one_holder_writes() {
+        let a = Publication::new().with("x", 1).with("name", "alpha");
+        let mut b = a.clone();
+        let c = a.clone();
+        assert!(Arc::ptr_eq(&a.attrs, &b.attrs));
+        assert_eq!(b.set("x", 2), Some(Value::Int(1)));
+        assert!(!Arc::ptr_eq(&a.attrs, &b.attrs));
+        assert_eq!(a.get("x"), Some(&Value::Int(1)));
+        assert_eq!(b.get("x"), Some(&Value::Int(2)));
+        // The builder and `extend` write to their own copy too.
+        let mut d = c.clone().with("y", 3);
+        d.extend([("z".to_owned(), Value::Int(4))]);
+        assert_eq!(d.len(), 4);
+        assert_eq!(c, a);
+        assert!(Arc::ptr_eq(&a.attrs, &c.attrs));
+        // A sole holder writes in place.
+        let before = Arc::as_ptr(&d.attrs);
+        d.set("w", 5);
+        assert_eq!(Arc::as_ptr(&d.attrs), before);
+    }
+
+    #[test]
+    fn eq_and_hash_ignore_sharing() {
+        use std::hash::{Hash, Hasher};
+        fn hash_of(p: &Publication) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        }
+        let a = Publication::new().with("x", 1).with("name", "alpha");
+        let shared = a.clone();
+        let rebuilt = Publication::new().with("name", "alpha").with("x", 1);
+        assert_eq!(shared, rebuilt);
+        assert_eq!(hash_of(&shared), hash_of(&rebuilt));
+        assert_ne!(shared, rebuilt.clone().with("x", 2));
     }
 
     #[test]

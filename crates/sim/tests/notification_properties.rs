@@ -7,9 +7,10 @@
 use std::collections::BTreeSet;
 
 use transmob_broker::Topology;
-use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
-use transmob_pubsub::{BrokerId, ClientId, Filter, PubId, Publication};
-use transmob_sim::{NetworkModel, Sim, SimDuration, SimTime};
+use transmob_core::properties::{self, NetworkView};
+use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind, SEEN_WINDOW_CAP};
+use transmob_pubsub::{BrokerId, ClientId, Filter, PubId, Publication, PublicationMsg};
+use transmob_sim::{MovementPlan, NetworkModel, Sim, SimDuration, SimTime};
 
 fn b(i: u32) -> BrokerId {
     BrokerId(i)
@@ -203,4 +204,83 @@ fn reconfig_survives_a_burst_of_background_churn() {
     assert_eq!(got.len(), unique.len(), "duplicates under churn");
     assert_eq!(unique, expected_ids(50), "losses under churn");
     assert_eq!(sim.total_anomalies(), 0);
+}
+
+/// The state transfer every copy of every client would send right
+/// now carries at most the stub's dedup window.
+fn assert_snapshots_bounded(sim: &Sim) {
+    for broker in sim.view_broker_ids() {
+        for (client, stub) in sim.broker(broker).clients() {
+            let seen = stub.clone().take_snapshot().seen.len();
+            assert!(
+                seen <= SEEN_WINDOW_CAP,
+                "{client} at {broker} would transfer {seen} ids"
+            );
+        }
+    }
+}
+
+#[test]
+fn mover_outliving_its_dedup_window_stays_exactly_once() {
+    // The subscriber ping-pongs B4 <-> B2 under a stream that crosses
+    // every movement and is more than twice as long as the stub's
+    // window: what the stub forgot is never what a movement duplicates.
+    let n_pubs = 2 * SEEN_WINDOW_CAP as u64 + 500;
+    let mut sim = Sim::builder()
+        .overlay(Topology::chain(4))
+        .options(MobileBrokerConfig::reconfig())
+        .network(NetworkModel::cluster())
+        .seed(3)
+        .start();
+    sim.enable_delivery_log();
+    sim.create_client(b(1), c(1));
+    sim.create_client(b(4), c(2));
+    sim.schedule_cmd(SimTime(0), c(1), ClientOp::Advertise(range(0, 1_000_000)));
+    sim.schedule_cmd(SimTime(0), c(2), ClientOp::Subscribe(range(0, 1_000_000)));
+    sim.run_to_quiescence();
+    let t0 = sim.now();
+    let gap = SimDuration::from_micros(500);
+    for k in 0..n_pubs {
+        sim.schedule_cmd(
+            t0 + gap.mul_f64(k as f64),
+            c(1),
+            ClientOp::Publish(Publication::new().with("x", k as i64)),
+        );
+    }
+    sim.install_plan(
+        c(2),
+        MovementPlan {
+            destinations: vec![b(2), b(4)],
+            pause: SimDuration::from_millis(20),
+            protocol: ProtocolKind::Reconfig,
+        },
+        t0 + SimDuration::from_millis(1),
+    );
+    let end = t0 + gap.mul_f64(n_pubs as f64);
+    sim.set_plan_deadline(end);
+    let mut t = t0;
+    while t < end {
+        t += SimDuration::from_millis(10);
+        sim.run_until(t);
+        assert_snapshots_bounded(&sim);
+    }
+    sim.run_to_quiescence();
+    assert_snapshots_bounded(&sim);
+
+    let committed = sim
+        .metrics
+        .finished_moves()
+        .filter(|(_, r)| r.committed == Some(true))
+        .count();
+    assert!(committed >= 20, "only {committed} movements completed");
+    assert_eq!(sim.total_anomalies(), 0);
+    let log = sim.metrics.delivery_log.as_ref().expect("log enabled");
+    let stream: Vec<PublicationMsg> = log
+        .iter()
+        .filter(|d| d.client == c(2))
+        .map(|d| PublicationMsg::new(d.publication, c(1), Publication::new()))
+        .collect();
+    assert!(stream.len() > 2 * SEEN_WINDOW_CAP);
+    properties::assert_exactly_once(&stream).unwrap();
+    properties::assert_all_delivered(&stream, &expected_ids(n_pubs)).unwrap();
 }

@@ -24,6 +24,11 @@
 #     ratio is printed, not gated: the paper's claim is that it is ~1
 #     (a movement touches only the mover's own entries), and pass/fail
 #     timing decisions belong to paired end-to-end runs.
+#   - The baseline must record the delivery_fanout rows (one
+#     publication at a MobileBroker hosting 1 / 40 / 400 running
+#     subscribers that all match, eight string attributes), each with
+#     the parent commit's time beside it. Printed, not gated: the
+#     end-to-end claim rests on paired `e2e` runs.
 #   - The TCP wire-protocol baseline BENCH_tcp.json must record the
 #     tcp_throughput group (bin/json x batch 64/256), tcp_latency p99
 #     rows and tcp_summary msgs/sec rows, with the binary codec >=2x
@@ -108,6 +113,18 @@ print(
     f"bench_check: baseline ok (move_vs_bystanders reconfig {mv['reconfig/300'] / 1e3:.1f} us at 300 "
     f"bystanders, {mv['reconfig/30000'] / 1e3:.1f} us at 30 000: "
     f"{mv['reconfig/30000'] / mv['reconfig/300']:.2f}x, not gated)"
+)
+df = {r["bench"]: r for r in rows if r["group"] == "delivery_fanout"}
+for need in ("1", "40", "400"):
+    if need not in df or "parent_ns_per_iter" not in df[need]:
+        sys.exit(f"bench_check: baseline missing delivery_fanout/{need} (with parent_ns_per_iter)")
+print(
+    "bench_check: baseline ok (delivery_fanout "
+    + ", ".join(
+        f"{df[k]['ns_per_iter'] / 1e3:.1f} us at {k} (parent {df[k]['parent_ns_per_iter'] / 1e3:.1f})"
+        for k in ("1", "40", "400")
+    )
+    + ", not gated)"
 )
 PY
 
