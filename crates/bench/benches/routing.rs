@@ -4,7 +4,11 @@
 //! - publication forwarding cost vs. PRT size (the congestion knob);
 //! - subscription handling with covering off / lazy / active;
 //! - the covering-release strategies — the paper's conservative
-//!   release vs. the precise variant — on the root-departure burst.
+//!   release vs. the precise variant — on the root-departure burst;
+//! - what a routing row costs to hold, in bytes, and a subscription to
+//!   install and forward, in time (DESIGN.md §18). The binary runs on
+//!   the byte-counting allocator for the former; it adds two
+//!   thread-local additions to every allocation of every group.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use transmob_broker::{
@@ -15,9 +19,13 @@ use transmob_pubsub::{
     AdvId, Advertisement, BrokerId, ClientId, Filter, Parallelism, PubId, Publication,
     PublicationMsg, SubId, Subscription,
 };
+use transmob_workloads::footprint::{measure, CountingAlloc};
 use transmob_workloads::{
     full_space_adv, wide_publication, wide_sub_filter, SubWorkload, ATTR, ATTR_TAG, ATTR_Y,
 };
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn b(i: u32) -> BrokerId {
     BrokerId(i)
@@ -444,6 +452,70 @@ fn bench_delivery_fanout(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a PRT of wide two-band rows holds per row once it has matched
+/// a publication (filters, rows, forwarding column, index and packed
+/// snapshot): the bytes are printed, and repeat exactly; the timed
+/// routine is the build they were counted on.
+fn bench_table_footprint(c: &mut Criterion) {
+    let probe = wide_publication(0);
+    let build = |n: usize| {
+        let prt = loaded_prt_wide(n, Parallelism::sequential());
+        black_box(prt.destinations(&probe));
+        prt
+    };
+    let mut g = c.benchmark_group("table_footprint");
+    for (name, n) in [("1k", 1_000usize), ("10k", 10_000)] {
+        let (prt, heap) = measure(|| build(n));
+        println!(
+            "bench: table_footprint/{name:<34} {:>14} bytes a row",
+            heap.live / prt.len() as isize
+        );
+        drop(prt);
+        g.bench_function(name, |bch| bch.iter(|| black_box(build(n))));
+    }
+    g.finish();
+}
+
+/// The subscribe path on a subscription whose filter the caller keeps
+/// a handle on, as a client stub or an upstream broker does:
+/// `prt_insert` installs it in (and withdraws it from) a 10 000-row
+/// PRT; `propagate` hands it to a broker of 1 000 rows that forwards
+/// it toward an advertisement, then unsubscribes.
+fn bench_subscribe_path(c: &mut Criterion) {
+    let mut g = c.benchmark_group("subscribe_path");
+    let cid = ClientId(1_000_000);
+    let sub = Subscription::new(SubId::new(cid, 0), wide_sub_filter(123_456));
+    let mut prt = loaded_prt_wide(10_000, Parallelism::sequential());
+    g.bench_function("prt_insert", |bch| {
+        bch.iter(|| {
+            prt.insert(black_box(sub.clone()), Hop::Client(cid));
+            black_box(prt.remove(sub.id))
+        })
+    });
+    let mut core = BrokerCore::new(b(1), [b(2), b(3)], BrokerConfig::plain());
+    core.handle(
+        Hop::Broker(b(2)),
+        PubSubMsg::Advertise(Advertisement::new(
+            AdvId::new(ClientId(1), 0),
+            Filter::new(vec![]),
+        )),
+    );
+    for i in 0..1_000 {
+        let from = ClientId(i as u64);
+        let row = Subscription::new(SubId::new(from, 0), wide_sub_filter(i));
+        core.handle(Hop::Client(from), PubSubMsg::Subscribe(row));
+    }
+    g.bench_function("propagate", |bch| {
+        bch.iter(|| {
+            let out = core.handle(Hop::Client(cid), PubSubMsg::Subscribe(sub.clone()));
+            debug_assert_eq!(out.len(), 1, "forwarded toward the advertiser");
+            black_box(out);
+            black_box(core.handle(Hop::Client(cid), PubSubMsg::Unsubscribe(sub.id)))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_prt_matching_index_vs_linear,
@@ -456,6 +528,8 @@ criterion_group!(
     bench_publish_batch,
     bench_parallel_match,
     bench_cyclic_routing,
-    bench_delivery_fanout
+    bench_delivery_fanout,
+    bench_table_footprint,
+    bench_subscribe_path
 );
 criterion_main!(benches);

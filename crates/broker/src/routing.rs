@@ -954,6 +954,36 @@ mod tests {
     }
 
     #[test]
+    fn rows_and_index_share_the_callers_filter_body() {
+        let s = sub(1, 0, 0, 10);
+        let a = adv(2, 0, 0, 10);
+        let mut prt = Prt::new();
+        let mut srt = Srt::new();
+        prt.insert(s.clone(), Hop::Client(ClientId(1)));
+        srt.insert(a.clone(), Hop::Client(ClientId(2)));
+        let row = prt.entries.get(&s.id).unwrap();
+        assert!(Filter::ptr_eq(&row.entry.sub.filter, &s.filter));
+        assert!(Filter::ptr_eq(prt.index.get(&row.n).unwrap(), &s.filter));
+        assert!(Filter::ptr_eq(
+            &srt.get(a.id).unwrap().adv.filter,
+            &a.filter
+        ));
+        assert!(Filter::ptr_eq(srt.index.get(&a.id).unwrap(), &a.filter));
+        // A row handed back by `remove` is still the caller's body.
+        assert!(Filter::ptr_eq(
+            &prt.remove(s.id).unwrap().sub.filter,
+            &s.filter
+        ));
+        // An equal filter built apart is a duplicate, not a conflict.
+        prt.insert(s.clone(), Hop::Client(ClientId(1)));
+        assert!(!prt.insert(sub(1, 0, 0, 10), Hop::Broker(BrokerId(3))));
+        assert!(Filter::ptr_eq(
+            &prt.get(s.id).unwrap().sub.filter,
+            &s.filter
+        ));
+    }
+
+    #[test]
     fn remove_returns_row() {
         let mut prt = Prt::new();
         let s = sub(1, 0, 0, 10);

@@ -547,6 +547,57 @@ fn broker_core_is_send_and_clonable() {
     let _clone = core.clone();
 }
 
+/// A subscription is one filter body from the client's message to
+/// the copy forwarded to the next broker: the row, and the `Subscribe`
+/// sent on, hold the handle that arrived.
+#[test]
+fn forwarded_subscription_shares_the_arriving_filter_body() {
+    let mut core = BrokerCore::new(b(2), [b(1), b(3)], BrokerConfig::covering());
+    core.attach_client(c(7));
+    core.handle(
+        Hop::Broker(b(1)),
+        PubSubMsg::Advertise(adv(1, 0, range(0, 100))),
+    );
+    let s = sub(7, 0, range(5, 15));
+    let out = core.handle(Hop::Client(c(7)), PubSubMsg::Subscribe(s.clone()));
+    let [BrokerOutput::ToBroker(to, PubSubMsg::Subscribe(forwarded))] = &out[..] else {
+        panic!("expected one forwarded subscription, got {out:?}");
+    };
+    assert_eq!(*to, b(1));
+    assert!(Filter::ptr_eq(&forwarded.filter, &s.filter));
+    assert!(Filter::ptr_eq(
+        &core.prt().get(s.id).unwrap().sub.filter,
+        &s.filter
+    ));
+    // The same subscription arriving again, decoded apart (an equal
+    // filter on another body), is the idempotent duplicate.
+    let again = sub(7, 0, range(5, 15));
+    assert!(!Filter::ptr_eq(&again.filter, &s.filter));
+    assert!(core
+        .handle(Hop::Client(c(7)), PubSubMsg::Subscribe(again))
+        .is_empty());
+    assert_eq!(core.stats().anomalies, 0);
+}
+
+/// Ids are bound to immutable filters: a second subscription under a
+/// live id with a genuinely different filter is reported, and the
+/// original row kept.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "re-issued with a different filter")]
+fn resubscription_with_a_different_filter_is_detected() {
+    let mut core = BrokerCore::new(b(1), [b(2)], BrokerConfig::plain());
+    core.attach_client(c(7));
+    core.handle(
+        Hop::Client(c(7)),
+        PubSubMsg::Subscribe(sub(7, 0, range(5, 15))),
+    );
+    core.handle(
+        Hop::Client(c(7)),
+        PubSubMsg::Subscribe(sub(7, 0, range(5, 16))),
+    );
+}
+
 /// One publication matching many rows whose active, pending and
 /// alternate hops overlap each other and the arrival direction: the
 /// emitted sequence is brokers ascending, then clients ascending, each

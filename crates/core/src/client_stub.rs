@@ -58,14 +58,14 @@ struct SeenWindow {
 impl SeenWindow {
     /// The window holding the last [`SEEN_WINDOW_CAP`] of `ids`
     /// (oldest first, as [`SeenWindow::recent`] lists them).
-    fn from_recent(ids: &[PubId]) -> Self {
-        let ids = &ids[ids.len().saturating_sub(SEEN_WINDOW_CAP)..];
-        let mut w = SeenWindow::default();
-        w.ids.reserve(ids.len());
-        for id in ids {
-            w.insert(*id);
-        }
-        w
+    fn from_recent(recent: &[PubId]) -> Self {
+        let recent = &recent[recent.len().saturating_sub(SEEN_WINDOW_CAP)..];
+        let mut ids = FastSet::with_capacity_and_hasher(recent.len(), Default::default());
+        let mut ring = VecDeque::with_capacity(recent.len());
+        // Only a decoded snapshot can name an id twice: its first
+        // mention keeps its place.
+        ring.extend(recent.iter().copied().filter(|id| ids.insert(*id)));
+        SeenWindow { ring, ids }
     }
 
     fn contains(&self, id: PubId) -> bool {
@@ -466,6 +466,18 @@ mod tests {
             DeliverOutcome::Duplicate
         );
         assert_eq!(tgt.deliver(&pubmsg(cap - 1, 0)), DeliverOutcome::Surfaced);
+    }
+
+    #[test]
+    fn snapshot_naming_an_id_twice_keeps_its_first_mention() {
+        let recent = [PubId(3), PubId(1), PubId(3), PubId(2), PubId(1)];
+        let built = SeenWindow::from_recent(&recent);
+        let mut inserted = SeenWindow::default();
+        for id in recent {
+            inserted.insert(id);
+        }
+        assert_eq!(built, inserted);
+        assert_eq!(built.recent(), vec![PubId(3), PubId(1), PubId(2)]);
     }
 
     #[test]

@@ -1,14 +1,27 @@
 //! The JSON text and binary wire bytes of a publication, a stamped
-//! publication and a client snapshot, as recorded before publication
-//! content moved behind a shared pointer: brokers of both kinds must
-//! keep understanding each other, and WAL records keep their shape.
+//! publication, a client snapshot, a filter, a subscription, an
+//! advertisement and a client profile, as recorded before publication
+//! content and filter bodies moved behind shared pointers: brokers of
+//! both kinds must keep understanding each other, and WAL records and
+//! checkpoints keep their shape.
 
-use transmob_core::{ClientOp, ClientSnapshot};
+use proptest::prelude::*;
+use transmob_core::{ClientOp, ClientProfile, ClientSnapshot};
 use transmob_pubsub::wire::{decode_one, encode_one, Wire};
-use transmob_pubsub::{ClientId, PubId, Publication, PublicationMsg};
+use transmob_pubsub::{
+    AdvId, Advertisement, ClientId, Filter, Op, Predicate, PubId, Publication, PublicationMsg,
+    SubId, Subscription,
+};
 
 const PUBLICATION_BYTES: &str = "0400046f70656e03010005707269636500f0010005726174696f01000000000000e03f000673796d626f6c020349424d";
 const PUBLICATION_JSON: &str = r#"{"attrs":{"open":{"Bool":true},"price":{"Int":120},"ratio":{"Float":0.5},"symbol":{"Str":"IBM"}}}"#;
+
+/// A numeric band, a string prefix, a `!=` exclusion and a presence
+/// test, given out of attribute order.
+const FILTER_BYTES: &str = "05000570726963650500140103010000000000205940000673796d626f6c07020249420006766f6c756d6501000000046f70656e060000";
+const FILTER_JSON: &str = r#"{"predicates":[{"attr":"price","op":"Ge","value":{"Int":10}},{"attr":"price","op":"Le","value":{"Float":100.5}},{"attr":"symbol","op":"StrPrefix","value":{"Str":"IB"}},{"attr":"volume","op":"Neq","value":{"Int":0}},{"attr":"open","op":"Any","value":{"Int":0}}],"constraints":{"open":"Present","price":{"Num":{"interval":{"lo":{"Incl":10.0},"hi":{"Incl":100.5}},"excluded":[]}},"symbol":{"Str":{"interval":{"lo":"Unbounded","hi":"Unbounded"},"excluded":[],"prefixes":["IB"],"suffixes":[],"contains":[]}},"volume":{"Num":{"interval":{"lo":"Unbounded","hi":"Unbounded"},"excluded":[0.0]}}}}"#;
+const ADV_FILTER_BYTES: &str = "0200057072696365050000000673796d626f6c00020349424d";
+const ADV_FILTER_JSON: &str = r#"{"predicates":[{"attr":"price","op":"Ge","value":{"Int":0}},{"attr":"symbol","op":"Eq","value":{"Str":"IBM"}}],"constraints":{"price":{"Num":{"interval":{"lo":{"Incl":0.0},"hi":"Unbounded"},"excluded":[]}},"symbol":{"Str":{"interval":{"lo":{"Incl":"IBM"},"hi":{"Incl":"IBM"}},"excluded":[],"prefixes":[],"suffixes":[],"contains":[]}}}}"#;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -20,6 +33,25 @@ fn publication() -> Publication {
         .with("price", 120)
         .with("ratio", 0.5)
         .with("open", true)
+}
+
+fn filter() -> Filter {
+    Filter::builder()
+        .ge("price", 10)
+        .le("price", 100.5)
+        .prefix("symbol", "IB")
+        .ne("volume", 0)
+        .any("open")
+        .build()
+}
+
+fn subscription(seq: u32) -> Subscription {
+    Subscription::new(SubId::new(ClientId(7), seq), filter())
+}
+
+fn advertisement() -> Advertisement {
+    let f = Filter::builder().ge("price", 0).eq("symbol", "IBM").build();
+    Advertisement::new(AdvId::new(ClientId(7), 1), f).with_ttl(5)
 }
 
 fn check<T>(value: &T, json: &str, bytes: &str)
@@ -77,4 +109,96 @@ fn client_snapshot_encodings_are_pinned() {
              00f0010301000000000000e03f04020349424d05010203"
         ),
     );
+}
+
+#[test]
+fn filter_encodings_are_pinned() {
+    check(&filter(), FILTER_JSON, FILTER_BYTES);
+    // A handle that shares its body encodes like one that does not.
+    let f = filter();
+    check(&f.clone(), FILTER_JSON, FILTER_BYTES);
+}
+
+#[test]
+fn subscription_and_advertisement_encodings_are_pinned() {
+    check(
+        &subscription(3),
+        &format!(r#"{{"id":{{"client":7,"seq":3}},"filter":{FILTER_JSON}}}"#),
+        &format!("0703{FILTER_BYTES}"),
+    );
+    check(
+        &advertisement(),
+        &format!(r#"{{"id":{{"client":7,"seq":1}},"filter":{ADV_FILTER_JSON},"ttl":5}}"#),
+        &format!("0701{ADV_FILTER_BYTES}0105"),
+    );
+}
+
+#[test]
+fn client_profile_encodings_are_pinned() {
+    let p = ClientProfile {
+        subs: vec![subscription(3), subscription(4)],
+        advs: vec![advertisement()],
+    };
+    check(
+        &p,
+        &format!(
+            r#"{{"subs":[{{"id":{{"client":7,"seq":3}},"filter":{FILTER_JSON}}},{{"id":{{"client":7,"seq":4}},"filter":{FILTER_JSON}}}],"advs":[{{"id":{{"client":7,"seq":1}},"filter":{ADV_FILTER_JSON},"ttl":5}}]}}"#
+        ),
+        // The second subscription and the advertisement name their
+        // attributes by the ids the first subscription interned.
+        &format!(
+            "020703{FILTER_BYTES}\
+             0704050105001401030100000000002059400207020249420\
+             30100000406000001070102010500000200020349424d0105"
+        ),
+    );
+}
+
+#[test]
+fn json_constraints_in_any_order_read_into_the_sorted_body() {
+    let f = Filter::builder().ge("x", 1).any("a").build();
+    let swapped = r#"{"predicates":[{"attr":"x","op":"Ge","value":{"Int":1}},{"attr":"a","op":"Any","value":{"Int":0}}],"constraints":{"x":{"Num":{"interval":{"lo":{"Incl":1.0},"hi":"Unbounded"},"excluded":[]}},"a":"Present"}}"#;
+    let back: Filter = serde_json::from_str(swapped).unwrap();
+    assert_eq!(back, f);
+    assert_eq!(
+        serde_json::to_string(&back).unwrap(),
+        serde_json::to_string(&f).unwrap()
+    );
+}
+
+fn arb_filter() -> impl Strategy<Value = Filter> {
+    const ATTRS: [&str; 5] = ["volume", "price", "symbol", "open", "a"];
+    proptest::collection::vec((0..ATTRS.len(), 0..Op::ALL.len(), -20i64..20), 0..6).prop_map(
+        |specs| {
+            let preds = specs.into_iter().map(|(ai, oi, v)| {
+                let op = Op::ALL[oi];
+                if op.is_string_op() || v % 3 == 0 {
+                    Predicate::new(ATTRS[ai], op, format!("s{v}"))
+                } else {
+                    Predicate::new(ATTRS[ai], op, v)
+                }
+            });
+            Filter::new(preds.collect())
+        },
+    )
+}
+
+proptest! {
+    /// Both codecs give back an equal filter whose constraints come
+    /// out in attribute order, one per attribute.
+    #[test]
+    fn filters_round_trip_sorted_through_both_codecs(f in arb_filter()) {
+        let json = serde_json::to_string(&f).unwrap();
+        let decoded = [
+            serde_json::from_str::<Filter>(&json).unwrap(),
+            decode_one::<Filter>(&encode_one(&f)).unwrap(),
+        ];
+        for back in decoded {
+            prop_assert_eq!(&back, &f);
+            let attrs: Vec<&str> = back.constraints().map(|(a, _)| a).collect();
+            prop_assert!(attrs.windows(2).all(|w| w[0] < w[1]), "{:?}", attrs);
+            prop_assert_eq!(attrs.len(), back.arity());
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json.clone());
+        }
+    }
 }

@@ -511,8 +511,9 @@ pub enum Constraint {
     Present,
     /// Numeric constraint.
     Num(NumConstraint),
-    /// String constraint.
-    Str(StrConstraint),
+    /// String constraint; boxed so that a constraint is the size of
+    /// its numeric variant whatever the kind.
+    Str(Box<StrConstraint>),
     /// Boolean constraint.
     Bool(BoolConstraint),
     /// Unsatisfiable (conflicting predicate kinds or empty range).
@@ -549,7 +550,7 @@ impl Constraint {
                 Constraint::Num(NumConstraint::default()).and_predicate(p)
             }
             (Constraint::Present, ValueKind::Str) => {
-                Constraint::Str(StrConstraint::default()).and_predicate(p)
+                Constraint::Str(Box::default()).and_predicate(p)
             }
             (Constraint::Present, ValueKind::Bool) => {
                 Constraint::Bool(BoolConstraint::default()).and_predicate(p)

@@ -12,9 +12,22 @@
 //! - [`Filter::overlaps`] — could some publication match both? This is
 //!   the advertisement/subscription *intersection* test that routes
 //!   subscriptions toward advertisements.
+//!
+//! # One allocation, many holders
+//!
+//! A [`Filter`] is a handle on an immutable, shared body: cloning one
+//! bumps a reference count and copies nothing, however many predicates
+//! it has. The client stub, every routing row on the subscription's
+//! path, the match index of each of those tables and every message
+//! that carries the subscription between them all hold the same body.
+//! That is sound because a filter has no mutating method: whoever
+//! wants a different filter builds a new one (DESIGN.md §18). The body
+//! itself is exact-sized: the predicates in a boxed slice, the
+//! constraints in a boxed slice sorted by attribute and probed by
+//! binary search.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,10 +53,68 @@ use crate::publication::Publication;
 ///     .with("symbol", "IBM");
 /// assert!(sub.matches(&p));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Clone` is O(1) and shares the body (module docs); equality compares
+/// bodies, and is immediate for two handles on one.
+#[derive(Debug, Clone)]
 pub struct Filter {
-    predicates: Vec<Predicate>,
-    constraints: BTreeMap<String, Constraint>,
+    body: Arc<Body>,
+}
+
+/// What a filter is made of; never written to once built. Field names
+/// and order are the serialized shape.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Body {
+    predicates: Box<[Predicate]>,
+    /// One entry per constrained attribute, ascending by attribute, no
+    /// attribute twice.
+    #[serde(with = "sorted_map")]
+    constraints: Box<[(Box<str>, Constraint)]>,
+}
+
+/// Serializes the sorted constraint slice as the attribute-keyed map
+/// it stands for, in attribute order; a decoded map is sorted (and a
+/// repeated key resolved, last one wins) by way of a `BTreeMap`.
+mod sorted_map {
+    use std::collections::BTreeMap;
+
+    use serde::{Deserialize, Deserializer, Serializer};
+
+    use crate::constraint::Constraint;
+
+    type Entries = Box<[(Box<str>, Constraint)]>;
+
+    pub fn serialize<S: Serializer>(entries: &Entries, ser: S) -> Result<S::Ok, S::Error> {
+        ser.collect_map(entries.iter().map(|(a, c)| (&**a, c)))
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Entries, D::Error> {
+        let map: BTreeMap<String, Constraint> = BTreeMap::deserialize(de)?;
+        Ok(map
+            .into_iter()
+            .map(|(a, c)| (a.into_boxed_str(), c))
+            .collect())
+    }
+}
+
+impl Serialize for Filter {
+    fn serialize<S: serde::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        self.body.serialize(ser)
+    }
+}
+
+impl<'de> Deserialize<'de> for Filter {
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        Body::deserialize(de).map(|body| Filter {
+            body: Arc::new(body),
+        })
+    }
+}
+
+impl PartialEq for Filter {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.body, &other.body) || self.body == other.body
+    }
 }
 
 impl Filter {
@@ -53,17 +124,22 @@ impl Filter {
     /// produce an unsatisfiable filter ([`Filter::is_satisfiable`]
     /// returns `false`, and it matches no publication).
     pub fn new(predicates: Vec<Predicate>) -> Self {
-        let mut by_attr: BTreeMap<String, Vec<&Predicate>> = BTreeMap::new();
-        for p in &predicates {
-            by_attr.entry(p.attr().to_owned()).or_default().push(p);
-        }
+        // Stable, so the predicates of one attribute fold in the order
+        // they were given.
+        let mut by_attr: Vec<&Predicate> = predicates.iter().collect();
+        by_attr.sort_by(|a, b| a.attr().cmp(b.attr()));
         let constraints = by_attr
-            .into_iter()
-            .map(|(attr, preds)| (attr, Constraint::from_predicates(preds)))
+            .chunk_by(|a, b| a.attr() == b.attr())
+            .map(|preds| {
+                let c = Constraint::from_predicates(preds.iter().copied());
+                (preds[0].attr().into(), c)
+            })
             .collect();
         Filter {
-            predicates,
-            constraints,
+            body: Arc::new(Body {
+                constraints,
+                predicates: predicates.into_boxed_slice(),
+            }),
         }
     }
 
@@ -74,28 +150,38 @@ impl Filter {
 
     /// The predicates the filter was built from.
     pub fn predicates(&self) -> &[Predicate] {
-        &self.predicates
+        &self.body.predicates
     }
 
     /// The normalized constraint on `attr`, if the filter constrains it.
     pub fn constraint(&self, attr: &str) -> Option<&Constraint> {
-        self.constraints.get(attr)
+        let entries = &self.body.constraints;
+        entries
+            .binary_search_by(|(a, _)| (**a).cmp(attr))
+            .ok()
+            .map(|i| &entries[i].1)
     }
 
     /// Iterates over `(attribute, constraint)` pairs in attribute order.
     pub fn constraints(&self) -> impl Iterator<Item = (&str, &Constraint)> {
-        self.constraints.iter().map(|(a, c)| (a.as_str(), c))
+        self.body.constraints.iter().map(|(a, c)| (&**a, c))
+    }
+
+    /// The `i`-th constraint in attribute order: what the match index
+    /// keeps beside a handle in place of a copy of the constraint.
+    pub(crate) fn constraint_at(&self, i: usize) -> &Constraint {
+        &self.body.constraints[i].1
     }
 
     /// Number of constrained attributes.
     pub fn arity(&self) -> usize {
-        self.constraints.len()
+        self.body.constraints.len()
     }
 
     /// Whether some publication could match (no provably-empty
     /// constraint).
     pub fn is_satisfiable(&self) -> bool {
-        !self.constraints.values().any(Constraint::is_empty)
+        !self.constraints().any(|(_, c)| c.is_empty())
     }
 
     /// Whether `publication` satisfies every constraint.
@@ -103,8 +189,7 @@ impl Filter {
     /// The publication must carry *every* constrained attribute (content
     /// based matching treats a missing attribute as unsatisfied).
     pub fn matches(&self, publication: &Publication) -> bool {
-        self.constraints
-            .iter()
+        self.constraints()
             .all(|(attr, c)| publication.get(attr).is_some_and(|v| c.satisfied_by(v)))
     }
 
@@ -118,9 +203,8 @@ impl Filter {
         if !other.is_satisfiable() {
             return true; // the empty set is covered by anything
         }
-        self.constraints
-            .iter()
-            .all(|(attr, c1)| other.constraints.get(attr).is_some_and(|c2| c1.covers(c2)))
+        self.constraints()
+            .all(|(attr, c1)| other.constraint(attr).is_some_and(|c2| c1.covers(c2)))
     }
 
     /// Intersection test: could some publication match both filters?
@@ -131,8 +215,8 @@ impl Filter {
         if !self.is_satisfiable() || !other.is_satisfiable() {
             return false;
         }
-        self.constraints.iter().all(|(attr, c1)| {
-            match other.constraints.get(attr) {
+        self.constraints().all(|(attr, c1)| {
+            match other.constraint(attr) {
                 Some(c2) => c1.overlaps(c2),
                 // The other filter does not constrain this attribute; a
                 // publication can carry any value here.
@@ -140,15 +224,22 @@ impl Filter {
             }
         })
     }
+
+    /// Whether the two handles share one body: sharing tests of the
+    /// crates that hold filters.
+    #[doc(hidden)]
+    pub fn ptr_eq(a: &Filter, b: &Filter) -> bool {
+        Arc::ptr_eq(&a.body, &b.body)
+    }
 }
 
 impl fmt::Display for Filter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.predicates.is_empty() {
+        if self.predicates().is_empty() {
             return f.write_str("{true}");
         }
         f.write_str("{")?;
-        for (i, p) in self.predicates.iter().enumerate() {
+        for (i, p) in self.predicates().iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
             }
@@ -347,6 +438,56 @@ mod tests {
         let f = Filter::builder().eq("x", 1).build();
         assert_eq!(f.to_string(), "{[x = 1]}");
         assert_eq!(Filter::new(vec![]).to_string(), "{true}");
+    }
+
+    #[test]
+    fn clone_shares_the_body_and_equality_ignores_sharing() {
+        let build = || {
+            Filter::builder()
+                .ge("x", 1)
+                .prefix("name", "al")
+                .ne("x", 4)
+                .any("seen")
+                .build()
+        };
+        let a = build();
+        let shared = a.clone();
+        assert!(Arc::ptr_eq(&a.body, &shared.body));
+        assert!(Filter::ptr_eq(&a, &shared));
+        assert_eq!(a, shared);
+        // Built again: another body, the same filter.
+        let rebuilt = build();
+        assert!(!Filter::ptr_eq(&a, &rebuilt));
+        assert_eq!(a, rebuilt);
+        assert_ne!(a, Filter::builder().ge("x", 1).build());
+    }
+
+    #[test]
+    fn constraints_are_sorted_whatever_the_predicate_order() {
+        let f = Filter::builder()
+            .le("y", 9)
+            .prefix("x", "a/")
+            .ge("b", 0)
+            .prefix("x", "a/b/")
+            .ge("y", 1)
+            .build();
+        let attrs: Vec<&str> = f.constraints().map(|(a, _)| a).collect();
+        assert_eq!(attrs, ["b", "x", "y"]);
+        assert_eq!(f.arity(), 3);
+        for (i, (attr, c)) in f.constraints().enumerate() {
+            assert_eq!(f.constraint(attr), Some(c));
+            assert_eq!(f.constraint_at(i), c);
+        }
+        assert_eq!(f.constraint("a"), None);
+        assert_eq!(f.constraint("z"), None);
+        // The predicates of one attribute fold in the order given.
+        let Some(Constraint::Str(x)) = f.constraint("x") else {
+            panic!("x is a string constraint");
+        };
+        assert_eq!(x.prefixes, ["a/", "a/b/"]);
+        // The body holds what it needs and no more.
+        assert_eq!(f.predicates().len(), 5);
+        assert!(std::mem::size_of::<Constraint>() <= 64);
     }
 
     #[test]

@@ -23,6 +23,19 @@
 //! its arity. Only filters constraining attributes the publication
 //! actually carries are ever touched.
 //!
+//! # Handles, not copies
+//!
+//! The index stores the [`Filter`] handle it is given ([`Filter`]'s
+//! clone is O(1) and shares one immutable body) and nothing of the
+//! filter besides: an attribute row that needs the authoritative
+//! constraint holds the handle and the constraint's position in the
+//! filter (`ConsRef`), the dual-endpoint rows hold two `f64` endpoints
+//! and a flag word, and a filter's arity is read off the filter. A
+//! row therefore costs the index a few dozen bytes per constrained
+//! attribute whatever the filter's size, and a table whose rows the
+//! caller also holds (a routing row, a client stub) holds each body
+//! once.
+//!
 //! # Data layout
 //!
 //! Per constrained attribute ([`AttrIndex`]):
@@ -163,7 +176,7 @@ use serde::{Deserialize, Serialize};
 use crate::fasthash::{FastHasher, FastMap};
 use crate::pool::{PoolStats, WorkerPool};
 
-use crate::constraint::{Bound, Constraint, Interval, TotalF64};
+use crate::constraint::{Bound, Constraint, Interval, NumConstraint, TotalF64};
 use crate::filter::Filter;
 use crate::publication::Publication;
 use crate::value::Value;
@@ -229,20 +242,93 @@ struct StrRow<K> {
     exact: bool,
 }
 
-/// One row of the dual-endpoint containment structure. The stored
-/// interval travels with the key so that containment/overlap
-/// verification is data-local (no tree lookup per candidate); rows
-/// whose constraint carries `!=` exclusions defer to the authoritative
-/// constraint instead, because exclusions can flip the exact relation
-/// at interval boundaries.
+/// A constraint of an indexed filter: the filter's handle and the
+/// constraint's position in it (attribute order), in place of a copy
+/// of the constraint.
 #[derive(Debug, Clone)]
+struct ConsRef {
+    filter: Filter,
+    at: usize,
+}
+
+impl ConsRef {
+    fn get(&self) -> &Constraint {
+        self.filter.constraint_at(self.at)
+    }
+}
+
+/// Bit in [`EndRow::flags`] and [`ExclRow::flags`]: the lower bound is
+/// exclusive (`>`).
+const LO_EXCL: u32 = 1;
+/// Bit in [`EndRow::flags`] and [`ExclRow::flags`]: the upper bound is
+/// exclusive (`<`).
+const HI_EXCL: u32 = 1 << 1;
+/// Bit in [`EndRow::flags`]: no lower bound (`lo` is [`TotalF64::MIN`]).
+const LO_OPEN: u32 = 1 << 2;
+/// Bit in [`EndRow::flags`]: no upper bound (`hi` is [`TotalF64::MAX`]).
+const HI_OPEN: u32 = 1 << 3;
+/// Bit in [`EndRow::flags`]: the constraint carries `!=` exclusions.
+const EXCLUSIONS: u32 = 1 << 4;
+
+/// One row of the dual-endpoint containment structure. The stored
+/// interval travels with the key, as its two effective endpoints and
+/// the flags that tell them from open or absent bounds, so that
+/// containment/overlap verification is data-local (no tree lookup per
+/// candidate); rows whose constraint carries `!=` exclusions defer to
+/// the authoritative constraint instead, because exclusions can flip
+/// the exact relation at interval boundaries.
+#[derive(Debug, Clone, Copy)]
 struct EndRow<K> {
     key: K,
     /// The key's dense slot id (see [`SlotTable`]); the packed
     /// snapshot is built from these rows.
     slot: u32,
-    interval: Interval<f64>,
-    has_exclusions: bool,
+    /// `LO_EXCL`, `HI_EXCL`, `LO_OPEN`, `HI_OPEN`, `EXCLUSIONS`.
+    flags: u32,
+    /// Effective endpoints ([`Interval::total_endpoints`]).
+    lo: f64,
+    hi: f64,
+}
+
+impl<K> EndRow<K> {
+    fn new(key: K, slot: u32, n: &NumConstraint) -> Self {
+        let (lo, hi) = n.interval.total_endpoints();
+        let side = |b: &Bound<f64>, excl: u32, open: u32| match b {
+            Bound::Incl(_) => 0,
+            Bound::Excl(_) => excl,
+            Bound::Unbounded => open,
+        };
+        EndRow {
+            key,
+            slot,
+            flags: side(n.interval.lo(), LO_EXCL, LO_OPEN)
+                | side(n.interval.hi(), HI_EXCL, HI_OPEN)
+                | if n.excluded.is_empty() { 0 } else { EXCLUSIONS },
+            lo: lo.0,
+            hi: hi.0,
+        }
+    }
+
+    fn has_exclusions(&self) -> bool {
+        self.flags & EXCLUSIONS != 0
+    }
+
+    /// The stored interval, rebuilt (nothing is allocated).
+    fn interval(&self) -> Interval<f64> {
+        let side = |v: f64, excl: u32, open: u32| {
+            if self.flags & open != 0 {
+                Bound::Unbounded
+            } else if self.flags & excl != 0 {
+                Bound::Excl(v)
+            } else {
+                Bound::Incl(v)
+            }
+        };
+        Interval::new(
+            side(self.lo, LO_EXCL, LO_OPEN),
+            side(self.hi, HI_EXCL, HI_OPEN),
+        )
+    }
 }
 
 fn drop_from_bucket<Q: Eq + Hash, K: PartialEq>(
@@ -306,9 +392,10 @@ fn min_side<K>(mut a: impl Iterator<Item = K>, mut b: impl Iterator<Item = K>) -
 /// the layout.
 #[derive(Debug, Clone)]
 struct AttrIndex<K> {
-    /// Authoritative constraint per key, also used for the overlap
-    /// disqualification scan (sorted so results come out ordered).
-    cons: BTreeMap<K, Constraint>,
+    /// Authoritative constraint per key, by reference into the key's
+    /// filter; also used for the overlap disqualification scan (sorted
+    /// so results come out ordered).
+    cons: BTreeMap<K, ConsRef>,
     num_eq: FastMap<u64, Vec<(K, u32)>>,
     /// Every numeric constraint (points included), keyed by its
     /// effective lower endpoint: one half of the dual-endpoint
@@ -343,18 +430,21 @@ impl<K: IndexKey> AttrIndex<K> {
     /// Indexes `c` under `key`. `snapshotted` says a packed snapshot
     /// of the table exists, which an interval row must then be probed
     /// beside.
-    fn insert(&mut self, key: K, slot: u32, c: &Constraint, snapshotted: bool) {
-        self.cons.insert(key, c.clone());
+    fn insert(&mut self, key: K, slot: u32, cons: ConsRef, snapshotted: bool) {
+        let c = cons.get();
         if let Constraint::Num(n) = c {
-            let (lo, hi) = n.interval.total_endpoints();
-            let row = EndRow {
-                key,
-                slot,
-                interval: n.interval.clone(),
-                has_exclusions: !n.excluded.is_empty(),
-            };
-            self.by_lo.entry(lo).or_default().push(row.clone());
-            self.by_hi.entry(hi).or_default().push(row);
+            let row = EndRow::new(key, slot, n);
+            // Most endpoints are one row's alone: start each list at
+            // one row, not at the four a first `push` reserves.
+            let one = || Vec::with_capacity(1);
+            self.by_lo
+                .entry(TotalF64(row.lo))
+                .or_insert_with(one)
+                .push(row);
+            self.by_hi
+                .entry(TotalF64(row.hi))
+                .or_insert_with(one)
+                .push(row);
         }
         match classify(c) {
             Bucket::Present => self.present.push((key, slot)),
@@ -363,7 +453,7 @@ impl<K: IndexKey> AttrIndex<K> {
                 if snapshotted {
                     self.fresh.push(VerifyRow {
                         slot,
-                        cons: c.clone(),
+                        cons: cons.clone(),
                     });
                 }
             }
@@ -381,18 +471,20 @@ impl<K: IndexKey> AttrIndex<K> {
             }
             Bucket::Other => self.other.push((key, slot)),
         }
+        self.cons.insert(key, cons);
     }
 
     fn remove(&mut self, key: K) {
-        let Some(c) = self.cons.remove(&key) else {
+        let Some(cons) = self.cons.remove(&key) else {
             return;
         };
-        if let Constraint::Num(n) = &c {
+        let c = cons.get();
+        if let Constraint::Num(n) = c {
             let (lo, hi) = n.interval.total_endpoints();
             drop_from_tree(&mut self.by_lo, lo, &key);
             drop_from_tree(&mut self.by_hi, hi, &key);
         }
-        match classify(&c) {
+        match classify(c) {
             Bucket::Present => self.present.retain(|(k, _)| *k != key),
             Bucket::NumEq(bits) => drop_from_bucket(&mut self.num_eq, &bits, &key),
             // Snapshot and `fresh` rows of the key stay behind, dead:
@@ -415,7 +507,7 @@ impl<K: IndexKey> AttrIndex<K> {
     fn str_satisfied(&self, s: &str, value: &Value, bump: &mut impl FnMut(u32)) {
         if let Some(rows) = self.str_eq.get(s) {
             for row in rows {
-                if row.exact || self.cons[&row.key].satisfied_by(value) {
+                if row.exact || self.cons[&row.key].get().satisfied_by(value) {
                     bump(row.slot);
                 }
             }
@@ -427,7 +519,7 @@ impl<K: IndexKey> AttrIndex<K> {
                 }
                 if let Some(rows) = self.str_pre.get(&s[..end]) {
                     for row in rows {
-                        if row.exact || self.cons[&row.key].satisfied_by(value) {
+                        if row.exact || self.cons[&row.key].get().satisfied_by(value) {
                             bump(row.slot);
                         }
                     }
@@ -443,7 +535,7 @@ impl<K: IndexKey> AttrIndex<K> {
             bump(s);
         }
         for &(k, s) in &self.other {
-            if self.cons[&k].satisfied_by(value) {
+            if self.cons[&k].get().satisfied_by(value) {
                 bump(s);
             }
         }
@@ -506,7 +598,7 @@ impl<K: IndexKey> AttrIndex<K> {
         for &(k, _) in &self.present {
             bump(k);
         }
-        let mut check = |k: K| self.cons[&k].covers(qc);
+        let mut check = |k: K| self.cons[&k].get().covers(qc);
         match qc {
             // Only `Present` covers `Present` (already bumped above).
             Constraint::Present => {}
@@ -518,10 +610,10 @@ impl<K: IndexKey> AttrIndex<K> {
                     // (stored exclusions are what make `covers` more
                     // than that, and the query's own exclusions never
                     // weaken it).
-                    let hit = if r.has_exclusions {
+                    let hit = if r.has_exclusions() {
                         check(r.key)
                     } else {
-                        n.interval.is_subset(&r.interval)
+                        n.interval.is_subset(&r.interval())
                     };
                     if hit {
                         bump(r.key);
@@ -538,7 +630,7 @@ impl<K: IndexKey> AttrIndex<K> {
     /// Calls `bump(key)` once per key whose constraint on this
     /// attribute is covered by `qc`. Exact per [`Constraint::covers`].
     fn count_covered_by(&self, qc: &Constraint, bump: &mut impl FnMut(K)) {
-        let mut check = |k: K| qc.covers(&self.cons[&k]);
+        let mut check = |k: K| qc.covers(self.cons[&k].get());
         match qc {
             // `Present` covers every stored constraint on the attribute.
             Constraint::Present => {
@@ -555,7 +647,7 @@ impl<K: IndexKey> AttrIndex<K> {
                 let q_clean = n.excluded.is_empty();
                 for r in self.num_contained_candidates(ql, qh) {
                     let hit = if q_clean {
-                        r.interval.is_subset(&n.interval)
+                        r.interval().is_subset(&n.interval)
                     } else {
                         check(r.key)
                     };
@@ -579,7 +671,7 @@ impl<K: IndexKey> AttrIndex<K> {
             return self.cons.keys().copied().collect();
         }
         let mut out: Vec<K> = self.present.iter().map(|&(k, _)| k).collect();
-        let mut check = |k: K| self.cons[&k].overlaps(qc);
+        let mut check = |k: K| self.cons[&k].get().overlaps(qc);
         let mut push = |k: K| out.push(k);
         match qc {
             Constraint::Num(n) => {
@@ -590,8 +682,8 @@ impl<K: IndexKey> AttrIndex<K> {
                 // case needing the authoritative relation.
                 let q_clean = n.excluded.is_empty();
                 for r in self.num_candidates(qh, ql) {
-                    let hit = if q_clean && !r.has_exclusions {
-                        r.interval.overlaps(&n.interval)
+                    let hit = if q_clean && !r.has_exclusions() {
+                        r.interval().overlaps(&n.interval)
                     } else {
                         check(r.key)
                     };
@@ -808,11 +900,6 @@ fn hw_threads() -> usize {
     })
 }
 
-/// Bit in [`ExclRow::flags`]: the lower bound is exclusive (`>`).
-const LO_EXCL: u32 = 1;
-/// Bit in [`ExclRow::flags`]: the upper bound is exclusive (`<`).
-const HI_EXCL: u32 = 1 << 1;
-
 /// One exclusion-free interval row of a [`PackedAttr`] scan array.
 ///
 /// The array's sort key — the *admission* endpoint — lives in a
@@ -840,14 +927,14 @@ struct ExclRow {
     flags: u32,
 }
 
-/// One interval row checked against its inlined authoritative
-/// constraint on every probe of its attribute, with no endpoint
-/// pruning: the rows with `!=` exclusions of a [`PackedAttr`], and the
-/// rows inserted since it was built ([`AttrIndex::fresh`]).
+/// One interval row checked against its authoritative constraint on
+/// every probe of its attribute, with no endpoint pruning: the rows
+/// with `!=` exclusions of a [`PackedAttr`], and the rows inserted
+/// since it was built ([`AttrIndex::fresh`]).
 #[derive(Debug, Clone)]
 struct VerifyRow {
     slot: u32,
-    cons: Constraint,
+    cons: ConsRef,
 }
 
 /// Whether the boundary-exclusive interval `r` contains `x`.
@@ -966,7 +1053,7 @@ impl PackedAttr {
             }
         }
         for v in &self.verify {
-            if v.cons.satisfied_by(value) {
+            if v.cons.get().satisfied_by(value) {
                 bump(v.slot);
             }
         }
@@ -1013,10 +1100,9 @@ thread_local! {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MatchIndex<K> {
-    /// Every indexed filter, satisfiable or not.
+    /// A handle on every indexed filter, satisfiable or not: the body
+    /// is the caller's, shared, never copied.
     filters: FastMap<K, Filter>,
-    /// Constraint count per satisfiable key.
-    arity: FastMap<K, usize>,
     /// Satisfiable keys, sorted (overlap candidates).
     sat: BTreeSet<K>,
     /// Satisfiable keys with no constraints: they match everything.
@@ -1049,7 +1135,6 @@ impl<K: IndexKey> Default for MatchIndex<K> {
     fn default() -> Self {
         MatchIndex {
             filters: FastMap::default(),
-            arity: FastMap::default(),
             sat: BTreeSet::new(),
             zero: BTreeSet::new(),
             unsat: BTreeSet::new(),
@@ -1095,14 +1180,7 @@ impl<K: IndexKey> MatchIndex<K> {
                 if self.unsat.contains(key) || self.zero.contains(key) {
                     continue;
                 }
-                let slot = self.slots.of[key];
-                for (attr, c) in filter.constraints() {
-                    shards[shard_of_in(par.shards, attr)]
-                        .attrs
-                        .entry(attr.to_owned())
-                        .or_insert_with(AttrIndex::new)
-                        .insert(*key, slot, c, false);
-                }
+                Self::index_constraints(&mut shards, *key, self.slots.of[key], filter, false);
             }
             self.shards = shards;
         }
@@ -1142,7 +1220,6 @@ impl<K: IndexKey> MatchIndex<K> {
             return;
         }
         self.sat.insert(key);
-        self.arity.insert(key, filter.arity());
         if filter.arity() == 0 {
             self.zero.insert(key);
             return;
@@ -1152,13 +1229,29 @@ impl<K: IndexKey> MatchIndex<K> {
         if self.slots.seed[slot as usize] == 0 {
             self.wide.insert(key);
         }
-        let nshards = self.shards.len();
-        for (attr, c) in filter.constraints() {
-            self.shards[shard_of_in(nshards, attr)]
+        Self::index_constraints(&mut self.shards, key, slot, filter, snapshotted);
+    }
+
+    /// Files a reference to every constraint of `filter` in the
+    /// structure of its attribute, in the shard that owns it.
+    fn index_constraints(
+        shards: &mut [Shard<K>],
+        key: K,
+        slot: u32,
+        filter: &Filter,
+        snapshotted: bool,
+    ) {
+        let nshards = shards.len();
+        for (at, (attr, _)) in filter.constraints().enumerate() {
+            let cons = ConsRef {
+                filter: filter.clone(),
+                at,
+            };
+            shards[shard_of_in(nshards, attr)]
                 .attrs
                 .entry(attr.to_owned())
                 .or_insert_with(AttrIndex::new)
-                .insert(key, slot, c, snapshotted);
+                .insert(key, slot, cons, snapshotted);
         }
     }
 
@@ -1172,7 +1265,6 @@ impl<K: IndexKey> MatchIndex<K> {
             return true;
         }
         self.sat.remove(key);
-        self.arity.remove(key);
         if self.zero.remove(key) {
             return true;
         }
@@ -1224,34 +1316,25 @@ impl<K: IndexKey> MatchIndex<K> {
             let mut attrs = PackedTables::default();
             for (attr, ai) in self.shards.iter().flat_map(|s| &s.attrs) {
                 let mut pa = PackedAttr::default();
-                for (lo, r) in ai
-                    .by_lo
-                    .iter()
-                    .flat_map(|(lo, rows)| rows.iter().map(move |r| (lo.0, r)))
-                {
-                    let (hi, hi_excl) = match r.interval.hi() {
-                        Bound::Unbounded => (TotalF64::MAX.0, false),
-                        Bound::Incl(v) => (*v, false),
-                        Bound::Excl(v) => (*v, true),
-                    };
-                    let lo_excl = matches!(r.interval.lo(), Bound::Excl(_));
-                    if r.has_exclusions {
+                for r in ai.by_lo.values().flatten() {
+                    let excl = r.flags & (LO_EXCL | HI_EXCL);
+                    if r.has_exclusions() {
                         pa.verify.push(VerifyRow {
                             slot: r.slot,
                             cons: ai.cons[&r.key].clone(),
                         });
-                    } else if lo_excl || hi_excl {
+                    } else if excl != 0 {
                         pa.excl_lo.push(ExclRow {
-                            lo,
-                            hi,
+                            lo: r.lo,
+                            hi: r.hi,
                             slot: r.slot,
-                            flags: ((lo_excl as u32) * LO_EXCL) | ((hi_excl as u32) * HI_EXCL),
+                            flags: excl,
                         });
-                    } else if r.interval.as_point().is_none() {
+                    } else if r.flags != 0 || r.lo.total_cmp(&r.hi) != Ordering::Equal {
                         // (Clean points are probed in `num_eq`.)
-                        pa.lo_bound.push(lo);
+                        pa.lo_bound.push(r.lo);
                         pa.lo_rows.push(CleanRow {
-                            bound: hi,
+                            bound: r.hi,
                             slot: r.slot,
                         });
                     }
@@ -1419,7 +1502,7 @@ impl<K: IndexKey> MatchIndex<K> {
                                 pa.scan(x, value, &mut bump);
                             }
                             for row in &ai.fresh {
-                                if row.cons.satisfied_by(value) {
+                                if row.cons.get().satisfied_by(value) {
                                     bump(row.slot);
                                 }
                             }
@@ -1493,7 +1576,7 @@ impl<K: IndexKey> MatchIndex<K> {
             assert_eq!(self.slots.keys[s], *k, "slot {slot} key mirror mismatch");
             assert_eq!(
                 self.slots.seed[s],
-                u16::try_from(self.arity[k]).unwrap_or(0),
+                u16::try_from(self.filters[k].arity()).unwrap_or(0),
                 "slot {slot} countdown seed mismatch"
             );
             assert_eq!(
@@ -1582,7 +1665,7 @@ impl<K: IndexKey> MatchIndex<K> {
             }
         }
         for (k, n) in counts {
-            if self.arity.get(&k) == Some(&n) {
+            if self.filters[&k].arity() == n {
                 out.push(k);
             }
         }
@@ -2122,6 +2205,53 @@ mod tests {
         ix.check_shard_invariants();
         assert_eq!(ix.matching(&full), vec![0, 2]);
         assert_eq!(ix.matching_batch(&[full, short]), vec![vec![0, 2]; 2]);
+    }
+
+    #[test]
+    fn index_holds_the_callers_body_not_a_copy() {
+        // An exclusion-carrying band (a `verify` row of the snapshot
+        // for the first key, a `fresh` row beside it for the second),
+        // a string and a point.
+        let f = Filter::builder()
+            .ge("x", 0)
+            .le("x", 10)
+            .ne("x", 5)
+            .eq("s", "alpha")
+            .eq("y", 3)
+            .build();
+        let hit = Publication::new()
+            .with("x", 4)
+            .with("s", "alpha")
+            .with("y", 3);
+        let mut ix = MatchIndex::new();
+        ix.insert(1u32, &f);
+        assert_eq!(ix.matching(&hit), vec![1]);
+        ix.insert(2u32, &f);
+        assert_eq!(ix.matching(&hit), vec![1, 2]);
+        for k in [1u32, 2] {
+            assert!(Filter::ptr_eq(ix.get(&k).unwrap(), &f));
+            for (attr, c) in f.constraints() {
+                let held = &ix.attr_index(attr).unwrap().cons[&k];
+                assert!(Filter::ptr_eq(&held.filter, &f), "{attr} of {k}");
+                assert!(std::ptr::eq(held.get(), c), "{attr} of {k}");
+            }
+        }
+        let verified: Vec<&VerifyRow> = ix.packed()["x"]
+            .verify
+            .iter()
+            .chain(&ix.attr_index("x").unwrap().fresh)
+            .collect();
+        assert_eq!(verified.len(), 2);
+        assert!(verified.iter().all(|r| Filter::ptr_eq(&r.cons.filter, &f)));
+        // Re-sharding rebuilds the attribute rows from the same handles.
+        ix.set_parallelism(Parallelism::sharded(3, 0));
+        for attr in ["x", "s", "y"] {
+            assert!(Filter::ptr_eq(
+                &ix.attr_index(attr).unwrap().cons[&2].filter,
+                &f
+            ));
+        }
+        assert_eq!(ix.matching(&hit), vec![1, 2]);
     }
 
     #[test]

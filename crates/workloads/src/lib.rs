@@ -5,11 +5,14 @@
 //! Publish/Subscribe Systems"* (ICDCS 2009): the paper's Fig. 6
 //! overlay topology (and the Fig. 13 grown variants), the Fig. 7
 //! subscription workloads with their exact covering structure, and the
-//! client populations / movement patterns of the Sec. 5 experiments.
+//! client populations / movement patterns of the Sec. 5 experiments;
+//! and, for the tests and benches that ask what holding those inputs
+//! costs, a byte-counting allocator ([`footprint`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod footprint;
 pub mod population;
 pub mod subscriptions;
 pub mod topology;

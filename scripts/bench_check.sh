@@ -29,6 +29,13 @@
 #     subscribers that all match, eight string attributes), each with
 #     the parent commit's time beside it. Printed, not gated: the
 #     end-to-end claim rests on paired `e2e` runs.
+#   - The baseline must record the table_footprint rows (bytes a row
+#     of a 1 000- and a 10 000-row PRT of wide two-band filters, by
+#     the counting allocator) and the subscribe_path rows (installing
+#     and forwarding a subscription whose filter the caller shares),
+#     each with the parent commit's figure beside it. Printed, not
+#     gated: crates/broker/tests/table_footprint.rs holds the byte
+#     budget, paired `e2e` runs the end-to-end claim.
 #   - The TCP wire-protocol baseline BENCH_tcp.json must record the
 #     tcp_throughput group (bin/json x batch 64/256), tcp_latency p99
 #     rows and tcp_summary msgs/sec rows, with the binary codec >=2x
@@ -123,6 +130,27 @@ print(
     + ", ".join(
         f"{df[k]['ns_per_iter'] / 1e3:.1f} us at {k} (parent {df[k]['parent_ns_per_iter'] / 1e3:.1f})"
         for k in ("1", "40", "400")
+    )
+    + ", not gated)"
+)
+tf = {r["bench"]: r for r in rows if r["group"] == "table_footprint"}
+for need in ("1k", "10k"):
+    if need not in tf or not {"bytes_per_row", "parent_bytes_per_row"} <= tf[need].keys():
+        sys.exit(f"bench_check: baseline missing table_footprint/{need} (with bytes_per_row and parent_bytes_per_row)")
+sp = {r["bench"]: r for r in rows if r["group"] == "subscribe_path"}
+for need in ("prt_insert", "propagate"):
+    if need not in sp or "parent_ns_per_iter" not in sp[need]:
+        sys.exit(f"bench_check: baseline missing subscribe_path/{need} (with parent_ns_per_iter)")
+print(
+    "bench_check: baseline ok (table_footprint "
+    + ", ".join(
+        f"{tf[k]['bytes_per_row']} B a row at {k} (parent {tf[k]['parent_bytes_per_row']})"
+        for k in ("1k", "10k")
+    )
+    + "; subscribe_path "
+    + ", ".join(
+        f"{k} {sp[k]['ns_per_iter'] / 1e3:.2f} us (parent {sp[k]['parent_ns_per_iter'] / 1e3:.2f})"
+        for k in ("prt_insert", "propagate")
     )
     + ", not gated)"
 )

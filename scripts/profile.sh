@@ -14,6 +14,14 @@
 # named by `dladdr` (`[malloc]`; `[?]` is what it cannot name, mostly
 # libc's local symbols such as its `memcpy` variants).
 #
+#   scripts/profile.sh --callers malloc --workload sim-reconfig --seed 1 --seconds 10 --trace 0
+#
+# additionally attributes the samples whose leaf frame's name contains
+# the substring (`malloc`, `?`, `memcpy`, `clone`, ...) to their
+# callers: the share of each pair of nearest named ancestors that are
+# not allocator plumbing, which is what turns "`[?]` 14 %" into "under
+# `handle_move`, under `SimFlush::send_batch`".
+#
 # Needs `cc`, `nm` and `python3`; prints a notice and exits 0 without
 # them. No CI tier runs this.
 set -euo pipefail
@@ -25,6 +33,12 @@ for tool in cc nm python3; do
         exit 0
     fi
 done
+
+callers=""
+if [[ "${1:-}" == "--callers" ]]; then
+    callers="${2:?--callers needs a substring of the leaf frame to attribute}"
+    shift 2
+fi
 
 dir=target/profile
 mkdir -p "$dir"
@@ -108,10 +122,17 @@ PROFILE_SAMPLES="$PWD/$dir/samples" LD_PRELOAD="$PWD/$dir/shim.so" "$exe" "$@" >
 tail -n 1 "$dir/stdout" | cut -c1-400
 
 nm -C --defined-only "$exe" >"$dir/symbols"
-python3 - "$dir" <<'PY'
+python3 - "$dir" "$callers" <<'PY'
 import bisect, collections, glob, re, sys
 
 ROOT = "Sim::run_until"
+CALLERS = sys.argv[2]
+# Frames that say nothing about who asked: unnamed ones, the
+# allocator's entry points and the standard library's growth paths.
+PLUMBING = re.compile(
+    r"^\[(\?|malloc|calloc|realloc|free|cfree|memalign|posix_memalign)\]$"
+    r"|__rust_|__rdl_|alloc::alloc::|alloc::raw_vec::|RawVec|CountingAlloc"
+)
 syms = []
 for line in open(sys.argv[1] + "/symbols"):
     parts = line.rstrip("\n").split(" ", 2)
@@ -128,7 +149,7 @@ def name(frame):
     return syms[i][1] if i >= 0 else "[?]"
 
 total = kept = 0
-self_n, incl_n = collections.Counter(), collections.Counter()
+self_n, incl_n, callers_n = collections.Counter(), collections.Counter(), collections.Counter()
 for path in glob.glob(sys.argv[1] + "/samples.*"):
     for line in open(path):
         frames = line.split()
@@ -146,6 +167,9 @@ for path in glob.glob(sys.argv[1] + "/samples.*"):
         self_n[stack[0]] += 1
         for s in set(stack):
             incl_n[s] += 1
+        if CALLERS and CALLERS in stack[0]:
+            named = [s for s in stack[1:] if not PLUMBING.search(s)]
+            callers_n[tuple(named[:2])] += 1
 
 print(f"profile: {total} samples at 997 Hz, {kept} under {ROOT}")
 if kept:
@@ -153,4 +177,13 @@ if kept:
         print(f"\n{title:>9}  function (top 30 by {title} share of the samples under {ROOT})")
         for s, n in counts.most_common(30):
             print(f"{100 * n / kept:8.1f}%  {s[:150]}")
+if CALLERS:
+    matched = sum(callers_n.values())
+    print(
+        f"\ncallers of leaf frames matching {CALLERS!r}: {matched} samples, "
+        f"{100 * matched / max(kept, 1):.1f}% of those under {ROOT}"
+    )
+    print("    share  nearest named caller  <  its caller (top 20, share of the matching samples)")
+    for pair, n in callers_n.most_common(20):
+        print(f"{100 * n / matched:8.1f}%  " + "  <  ".join(s[:90] for s in pair))
 PY
