@@ -183,9 +183,9 @@ fn loaded_prt(n: usize) -> Prt {
     prt
 }
 
-/// The tentpole ablation: publication matching through the counting
-/// match index vs. the linear reference scan, as the PRT grows.
-fn bench_prt_matching_index_vs_linear(c: &mut Criterion) {
+/// Publication matching through the counting match index, as the PRT
+/// grows.
+fn bench_prt_matching(c: &mut Criterion) {
     let mut g = c.benchmark_group("prt_matching");
     for n in [1_000usize, 10_000, 100_000] {
         let prt = loaded_prt(n);
@@ -193,16 +193,13 @@ fn bench_prt_matching_index_vs_linear(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("indexed", n), &n, |bch, _| {
             bch.iter(|| black_box(prt.matching(black_box(&p))))
         });
-        g.bench_with_input(BenchmarkId::new("linear", n), &n, |bch, _| {
-            bch.iter(|| black_box(prt.matching_linear(black_box(&p))))
-        });
     }
     g.finish();
 }
 
-/// Overlap (subscription-routing intersection) through the index vs.
-/// the linear scan, as the SRT grows.
-fn bench_srt_overlap_index_vs_linear(c: &mut Criterion) {
+/// Overlap (subscription-routing intersection) through the index, as
+/// the SRT grows.
+fn bench_srt_overlap(c: &mut Criterion) {
     let mut g = c.benchmark_group("srt_overlap");
     for n in [1_000usize, 10_000] {
         let mut srt = Srt::new();
@@ -217,19 +214,16 @@ fn bench_srt_overlap_index_vs_linear(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("indexed", n), &n, |bch, _| {
             bch.iter(|| black_box(srt.overlapping(black_box(&q))))
         });
-        g.bench_with_input(BenchmarkId::new("linear", n), &n, |bch, _| {
-            bch.iter(|| black_box(srt.overlapping_linear(black_box(&q))))
-        });
     }
     g.finish();
 }
 
-/// The containment ablation behind the release cascade: enumerating
+/// The containment queries behind the release cascade: enumerating
 /// the candidates a withdrawn root had quenched (`covered_by`, the
 /// `release_quenched_subs` hot path) and the quench check for a fresh
 /// subscription (`covering`), through the dual-endpoint containment
-/// index vs. the linear `Filter::covers` scan.
-fn bench_covering_release_index_vs_linear(c: &mut Criterion) {
+/// index.
+fn bench_covering_release(c: &mut Criterion) {
     let mut g = c.benchmark_group("covering_release");
     for n in [1_000usize, 10_000] {
         let prt = loaded_prt(n);
@@ -240,14 +234,8 @@ fn bench_covering_release_index_vs_linear(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("covered_by_indexed", n), &n, |bch, _| {
             bch.iter(|| black_box(prt.covered_by(black_box(&root))))
         });
-        g.bench_with_input(BenchmarkId::new("covered_by_linear", n), &n, |bch, _| {
-            bch.iter(|| black_box(prt.covered_by_linear(black_box(&root))))
-        });
         g.bench_with_input(BenchmarkId::new("covering_indexed", n), &n, |bch, _| {
             bch.iter(|| black_box(prt.covering(black_box(&leaf))))
-        });
-        g.bench_with_input(BenchmarkId::new("covering_linear", n), &n, |bch, _| {
-            bch.iter(|| black_box(prt.covering_linear(black_box(&leaf))))
         });
     }
     g.finish();
@@ -518,9 +506,9 @@ fn bench_subscribe_path(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_prt_matching_index_vs_linear,
-    bench_srt_overlap_index_vs_linear,
-    bench_covering_release_index_vs_linear,
+    bench_prt_matching,
+    bench_srt_overlap,
+    bench_covering_release,
     bench_publish_vs_table_size,
     bench_subscribe_by_covering_mode,
     bench_release_strategies,

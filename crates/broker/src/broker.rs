@@ -53,7 +53,7 @@ use transmob_pubsub::{
     PublicationMsg, SubId, Subscription,
 };
 
-use crate::messages::{BrokerOutput, Hop, MsgKind, OutputBatch, PubSubMsg};
+use crate::messages::{BrokerOutput, Hop, MsgKind, PubSubMsg};
 use crate::routing::{Destinations, PendingRoute, Prt, Srt};
 
 /// How aggressively a broker applies the covering optimization to
@@ -482,11 +482,6 @@ impl BrokerCore {
         self.clients.remove(&c);
     }
 
-    /// Whether `c` is attached to this broker.
-    pub fn has_client(&self, c: ClientId) -> bool {
-        self.clients.contains(&c)
-    }
-
     /// The attached clients.
     pub fn clients(&self) -> &BTreeSet<ClientId> {
         &self.clients
@@ -495,15 +490,15 @@ impl BrokerCore {
     /// Handles one routing-layer message arriving from `from`.
     ///
     /// Thin wrapper over [`BrokerCore::handle_batch`] — the batch call
-    /// is the one ingestion path; this flattens its single-element
-    /// result.
+    /// is the one ingestion path.
     pub fn handle(&mut self, from: Hop, msg: PubSubMsg) -> Vec<BrokerOutput> {
-        self.handle_batch(from, vec![msg]).into_flat()
+        self.handle_batch(from, vec![msg])
     }
 
     /// Handles a batch of routing-layer messages that arrived from
-    /// `from` in order, returning the combined effects grouped for
-    /// per-destination flushing.
+    /// `from` in order, returning the combined effects in emission
+    /// order (per-destination send order is the per-link FIFO the
+    /// consistency argument relies on).
     ///
     /// Semantically equivalent to folding [`BrokerCore::handle`] over
     /// the batch and concatenating the outputs (publications do not
@@ -511,7 +506,7 @@ impl BrokerCore {
     /// between), but maximal runs of consecutive publications are
     /// resolved to their destinations through one batch call
     /// ([`Prt::destinations_batch`]).
-    pub fn handle_batch(&mut self, from: Hop, msgs: Vec<PubSubMsg>) -> OutputBatch {
+    pub fn handle_batch(&mut self, from: Hop, msgs: Vec<PubSubMsg>) -> Vec<BrokerOutput> {
         self.handle_batch_prematched(from, msgs, None)
     }
 
@@ -548,7 +543,7 @@ impl BrokerCore {
         from: Hop,
         msgs: Vec<PubSubMsg>,
         mut pre: Option<&mut PrematchedRoutes>,
-    ) -> OutputBatch {
+    ) -> Vec<BrokerOutput> {
         // Deserialized cores rebuild their match indexes with the
         // default layout; re-apply the configured sharding lazily so
         // every ingestion path honours it.
@@ -558,7 +553,7 @@ impl BrokerCore {
             self.srt.set_parallelism(self.config.parallelism);
             self.prt.set_parallelism(self.config.parallelism);
         }
-        let mut batch = OutputBatch::new();
+        let mut batch = Vec::new();
         let mut run: Vec<PublicationMsg> = Vec::new();
         for msg in msgs {
             *self.stats.handled.entry(msg.kind()).or_insert(0) += 1;
@@ -591,7 +586,7 @@ impl BrokerCore {
         from: Hop,
         run: &mut Vec<PublicationMsg>,
         pre: &mut Option<&mut PrematchedRoutes>,
-        batch: &mut OutputBatch,
+        batch: &mut Vec<BrokerOutput>,
     ) {
         if run.is_empty() {
             return;

@@ -33,7 +33,7 @@ pub use broker::{
     BrokerConfig, BrokerCore, BrokerStats, CoveringMode, DedupWindow, PrematchedRoutes,
     DEDUP_WINDOW_CAP, MAX_PUB_HOPS,
 };
-pub use messages::{BrokerOutput, Hop, MsgKind, OutputBatch, PubSubMsg};
+pub use messages::{BrokerOutput, Hop, MsgKind, PubSubMsg};
 pub use overlay::OverlayBuilder;
 pub use routing::{AdvEntry, Destinations, PendingRoute, Prt, Srt, SubEntry};
 pub use sync_net::{Delivery, SyncNet, SyncNetBuilder};

@@ -160,113 +160,6 @@ pub enum BrokerOutput {
     Deliver(ClientId, PublicationMsg),
 }
 
-impl BrokerOutput {
-    /// The destination broker, if this output is a broker send.
-    pub fn broker_dest(&self) -> Option<BrokerId> {
-        match self {
-            BrokerOutput::ToBroker(b, _) => Some(*b),
-            BrokerOutput::Deliver(..) => None,
-        }
-    }
-}
-
-/// The effects of one [`crate::BrokerCore::handle_batch`] call.
-///
-/// Internally this is the flat, ordered effect list the broker core
-/// emitted — the order is authoritative (per-destination send order is
-/// the per-link FIFO the consistency argument relies on) and
-/// [`OutputBatch::into_flat`] recovers it exactly. The grouped views
-/// ([`OutputBatch::per_neighbor`], [`OutputBatch::deliveries`]) let a
-/// driver emit one coalesced frame per destination; grouping by
-/// destination preserves the relative order of effects sharing a
-/// destination, which is the only order the FIFO invariant constrains.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OutputBatch {
-    outputs: Vec<BrokerOutput>,
-}
-
-impl OutputBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        OutputBatch::default()
-    }
-
-    /// Wraps an already-flat effect list.
-    pub fn from_flat(outputs: Vec<BrokerOutput>) -> Self {
-        OutputBatch { outputs }
-    }
-
-    /// Appends one effect.
-    pub fn push(&mut self, output: BrokerOutput) {
-        self.outputs.push(output);
-    }
-
-    /// Appends a sequence of effects in order.
-    pub fn extend(&mut self, outputs: impl IntoIterator<Item = BrokerOutput>) {
-        self.outputs.extend(outputs);
-    }
-
-    /// Number of effects.
-    pub fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
-    }
-
-    /// Iterates the effects in emission order.
-    pub fn iter(&self) -> impl Iterator<Item = &BrokerOutput> {
-        self.outputs.iter()
-    }
-
-    /// The broker sends grouped by destination neighbour, each group
-    /// in emission order; destinations come out in id order.
-    pub fn per_neighbor(&self) -> std::collections::BTreeMap<BrokerId, Vec<&PubSubMsg>> {
-        let mut grouped: std::collections::BTreeMap<BrokerId, Vec<&PubSubMsg>> =
-            std::collections::BTreeMap::new();
-        for o in &self.outputs {
-            if let BrokerOutput::ToBroker(n, msg) = o {
-                grouped.entry(*n).or_default().push(msg);
-            }
-        }
-        grouped
-    }
-
-    /// The client deliveries, in emission order.
-    pub fn deliveries(&self) -> Vec<(ClientId, &PublicationMsg)> {
-        self.outputs
-            .iter()
-            .filter_map(|o| match o {
-                BrokerOutput::Deliver(c, p) => Some((*c, p)),
-                BrokerOutput::ToBroker(..) => None,
-            })
-            .collect()
-    }
-
-    /// The flat effect list in emission order (the exact sequence a
-    /// fold of single-message `handle` calls would have produced).
-    pub fn into_flat(self) -> Vec<BrokerOutput> {
-        self.outputs
-    }
-}
-
-impl IntoIterator for OutputBatch {
-    type Item = BrokerOutput;
-    type IntoIter = std::vec::IntoIter<BrokerOutput>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.outputs.into_iter()
-    }
-}
-
-impl From<Vec<BrokerOutput>> for OutputBatch {
-    fn from(outputs: Vec<BrokerOutput>) -> Self {
-        OutputBatch::from_flat(outputs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,39 +186,6 @@ mod tests {
             PubSubMsg::Unsubscribe(SubId::new(ClientId(1), 0)).kind(),
             MsgKind::Unsubscribe
         );
-    }
-
-    #[test]
-    fn output_batch_groups_by_destination_preserving_order() {
-        use transmob_pubsub::{PubId, Publication};
-        let pmsg = |i: u64| {
-            PublicationMsg::new(
-                PubId(i),
-                ClientId(1),
-                Publication::new().with("x", i as i64),
-            )
-        };
-        let flat = vec![
-            BrokerOutput::ToBroker(BrokerId(2), PubSubMsg::Publish(pmsg(1))),
-            BrokerOutput::Deliver(ClientId(9), pmsg(1)),
-            BrokerOutput::ToBroker(BrokerId(3), PubSubMsg::Publish(pmsg(2))),
-            BrokerOutput::ToBroker(BrokerId(2), PubSubMsg::Publish(pmsg(3))),
-            BrokerOutput::Deliver(ClientId(8), pmsg(3)),
-        ];
-        let batch = OutputBatch::from_flat(flat.clone());
-        assert_eq!(batch.len(), 5);
-        let grouped = batch.per_neighbor();
-        assert_eq!(grouped.len(), 2);
-        assert_eq!(
-            grouped[&BrokerId(2)],
-            vec![&PubSubMsg::Publish(pmsg(1)), &PubSubMsg::Publish(pmsg(3))]
-        );
-        assert_eq!(grouped[&BrokerId(3)], vec![&PubSubMsg::Publish(pmsg(2))]);
-        let deliveries = batch.deliveries();
-        assert_eq!(deliveries.len(), 2);
-        assert_eq!(deliveries[0].0, ClientId(9));
-        assert_eq!(deliveries[1].0, ClientId(8));
-        assert_eq!(batch.into_flat(), flat);
     }
 
     #[test]

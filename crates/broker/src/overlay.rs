@@ -1,10 +1,10 @@
 //! The unified overlay construction surface shared by every driver.
 //!
-//! [`OverlayBuilder`] collects the graph (edges or a preset shape) and
-//! the optional routing-core [`Parallelism`] layout; each driver's
-//! `builder()` entry point accepts it through `impl
-//! Into<OverlayBuilder>`, so a plain [`Topology`] works everywhere a
-//! builder does:
+//! [`OverlayBuilder`] collects the graph: brokers and edges, started
+//! empty, from a preset shape or from a [`Topology`], and extended
+//! with [`OverlayBuilder::edge`] either way. Each driver's `builder()`
+//! entry point accepts it through `impl Into<OverlayBuilder>`, so a
+//! plain [`Topology`] works everywhere a builder does:
 //!
 //! ```
 //! use transmob_broker::{BrokerConfig, OverlayBuilder, SyncNet, Topology};
@@ -21,13 +21,12 @@
 //! assert!(net.topology().is_tree());
 //! ```
 
-use transmob_pubsub::{BrokerId, Parallelism};
+use transmob_pubsub::BrokerId;
 
 use crate::topology::{Topology, TopologyError};
 
-/// Builder for a broker overlay: graph edges (or a preset shape) plus
-/// an optional [`Parallelism`] layout applied to every broker's match
-/// tables.
+/// Builder for a broker overlay: graph edges, optionally on top of a
+/// preset shape or an existing [`Topology`].
 ///
 /// The node set is inferred from the edge endpoints; use
 /// [`OverlayBuilder::broker`] for nodes that would otherwise be
@@ -36,10 +35,8 @@ use crate::topology::{Topology, TopologyError};
 /// silently).
 #[derive(Debug, Clone, Default)]
 pub struct OverlayBuilder {
-    built: Option<Topology>,
     brokers: Vec<BrokerId>,
     edges: Vec<(BrokerId, BrokerId)>,
-    parallelism: Option<Parallelism>,
 }
 
 impl OverlayBuilder {
@@ -89,14 +86,6 @@ impl OverlayBuilder {
         self
     }
 
-    /// Applies a sharding / worker-pool layout to every broker built
-    /// over this overlay (overrides the option struct's
-    /// `parallelism`).
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.parallelism = Some(par);
-        self
-    }
-
     /// Validates and builds the [`Topology`].
     ///
     /// # Errors
@@ -105,34 +94,20 @@ impl OverlayBuilder {
     /// (impossible here — endpoints imply nodes), duplicate edges or
     /// self-loops, an empty or disconnected graph.
     pub fn build(self) -> Result<Topology, TopologyError> {
-        Ok(self.into_parts()?.0)
-    }
-
-    /// Builds the topology and surfaces the parallelism override for
-    /// the driver to fold into its broker config.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OverlayBuilder::build`].
-    pub fn into_parts(self) -> Result<(Topology, Option<Parallelism>), TopologyError> {
-        if let Some(t) = self.built {
-            return Ok((t, self.parallelism));
-        }
         let mut brokers = self.brokers;
         for (a, b) in &self.edges {
             brokers.push(*a);
             brokers.push(*b);
         }
-        let t = Topology::from_edges(brokers, self.edges)?;
-        Ok((t, self.parallelism))
+        Topology::from_edges(brokers, self.edges)
     }
 }
 
 impl From<Topology> for OverlayBuilder {
     fn from(t: Topology) -> Self {
         OverlayBuilder {
-            built: Some(t),
-            ..OverlayBuilder::default()
+            brokers: t.brokers().collect(),
+            edges: t.edges(),
         }
     }
 }
@@ -177,18 +152,21 @@ mod tests {
 
     #[test]
     fn topology_passes_through_untouched() {
-        let t = Topology::ring(4);
-        let (t2, par) = OverlayBuilder::from(t.clone()).into_parts().unwrap();
-        assert_eq!(t, t2);
-        assert!(par.is_none());
+        for t in [Topology::ring(4), Topology::chain(1), Topology::star(5)] {
+            assert_eq!(OverlayBuilder::from(t.clone()).build().unwrap(), t);
+        }
     }
 
     #[test]
-    fn parallelism_survives_into_parts() {
-        let (_, par) = OverlayBuilder::chain(3)
-            .parallelism(Parallelism::sharded(4, 2))
-            .into_parts()
+    fn preset_keeps_edges_added_after_it() {
+        let t = OverlayBuilder::ring(4).edge(b(1), b(3)).build().unwrap();
+        assert_eq!(t.edge_count(), 5);
+        assert!(t.neighbors(b(1)).contains(&b(3)));
+
+        let t = OverlayBuilder::from(Topology::chain(3))
+            .edge(b(3), b(4))
+            .build()
             .unwrap();
-        assert!(par.is_some());
+        assert_eq!(t, Topology::chain(4));
     }
 }

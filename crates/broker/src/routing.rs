@@ -284,7 +284,8 @@ impl Srt {
     /// (the subscription-routing test). Served by the counting index.
     pub fn overlapping(&self, filter: &Filter) -> Vec<AdvId> {
         let out = self.index.overlapping(filter);
-        debug_assert_eq!(
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
             out,
             self.overlapping_linear(filter),
             "match index diverged from the linear overlap scan"
@@ -293,8 +294,9 @@ impl Srt {
     }
 
     /// Reference implementation of [`Srt::overlapping`]: the full
-    /// linear scan. Kept as the differential oracle for the index (and
-    /// as the benchmark baseline).
+    /// linear scan. The differential oracle for the index, compiled into
+    /// test and debug builds only.
+    #[cfg(any(test, debug_assertions))]
     pub fn overlapping_linear(&self, filter: &Filter) -> Vec<AdvId> {
         self.entries
             .iter()
@@ -324,7 +326,8 @@ impl Srt {
     /// containment structure of the counting index.
     pub fn covering(&self, filter: &Filter) -> Vec<AdvId> {
         let out = self.index.covering(filter);
-        debug_assert_eq!(
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
             out,
             self.covering_linear(filter),
             "match index diverged from the linear covering scan"
@@ -333,8 +336,9 @@ impl Srt {
     }
 
     /// Reference implementation of [`Srt::covering`]: the full linear
-    /// scan. Kept as the differential oracle for the index (and as the
-    /// benchmark baseline).
+    /// scan. The differential oracle for the index, compiled into
+    /// test and debug builds only.
+    #[cfg(any(test, debug_assertions))]
     pub fn covering_linear(&self, filter: &Filter) -> Vec<AdvId> {
         self.entries
             .iter()
@@ -348,7 +352,8 @@ impl Srt {
     /// containment structure of the counting index.
     pub fn covered_by(&self, filter: &Filter) -> Vec<AdvId> {
         let out = self.index.covered_by(filter);
-        debug_assert_eq!(
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
             out,
             self.covered_by_linear(filter),
             "match index diverged from the linear covered-by scan"
@@ -358,6 +363,7 @@ impl Srt {
 
     /// Reference implementation of [`Srt::covered_by`]: the full
     /// linear scan.
+    #[cfg(any(test, debug_assertions))]
     pub fn covered_by_linear(&self, filter: &Filter) -> Vec<AdvId> {
         self.entries
             .iter()
@@ -681,8 +687,9 @@ impl Prt {
     }
 
     /// Reference implementation of [`Prt::matching`]: the full linear
-    /// scan. Kept as the differential oracle for the index (and as the
-    /// benchmark baseline).
+    /// scan. The differential oracle for the index, compiled into
+    /// test and debug builds only.
+    #[cfg(any(test, debug_assertions))]
     pub fn matching_linear(&self, publication: &Publication) -> Vec<SubId> {
         self.iter()
             .filter(|(_, e)| e.sub.filter.matches(publication))
@@ -702,9 +709,9 @@ impl Prt {
             |row: &mut Vec<SubId>, n| row.push(ids[n as usize]),
             |row| row.sort_unstable(),
         );
-        #[cfg(debug_assertions)]
+        #[cfg(any(test, debug_assertions))]
         for (row, p) in out.iter().zip(publications) {
-            debug_assert_eq!(
+            assert_eq!(
                 *row,
                 self.matching_linear(p),
                 "match index diverged from the linear matching scan"
@@ -743,9 +750,9 @@ impl Prt {
             },
             Destinations::finish,
         );
-        #[cfg(debug_assertions)]
+        #[cfg(any(test, debug_assertions))]
         for (dests, p) in out.iter().zip(publications) {
-            debug_assert_eq!(
+            assert_eq!(
                 *dests,
                 self.destinations_linear(p),
                 "forwarding column diverged from the linear scan of the rows"
@@ -763,6 +770,7 @@ impl Prt {
 
     /// Reference implementation of [`Prt::destinations_batch`]: the
     /// linear scan of the rows, reading the hops off the entries.
+    #[cfg(any(test, debug_assertions))]
     pub fn destinations_linear(&self, publication: &Publication) -> Destinations {
         let mut dests = Destinations::default();
         for (_, e) in self.iter() {
@@ -784,7 +792,8 @@ impl Prt {
     /// the counting index.
     pub fn overlapping(&self, filter: &Filter) -> Vec<SubId> {
         let out = self.ids_of(self.index.overlapping(filter));
-        debug_assert_eq!(
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
             out,
             self.overlapping_linear(filter),
             "match index diverged from the linear overlap scan"
@@ -794,6 +803,7 @@ impl Prt {
 
     /// Reference implementation of [`Prt::overlapping`]: the full
     /// linear scan.
+    #[cfg(any(test, debug_assertions))]
     pub fn overlapping_linear(&self, filter: &Filter) -> Vec<SubId> {
         self.iter()
             .filter(|(_, e)| e.sub.filter.overlaps(filter))
@@ -806,7 +816,8 @@ impl Prt {
     /// containment structure of the counting index.
     pub fn covering(&self, filter: &Filter) -> Vec<SubId> {
         let out = self.ids_of(self.index.covering(filter));
-        debug_assert_eq!(
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
             out,
             self.covering_linear(filter),
             "match index diverged from the linear covering scan"
@@ -815,8 +826,9 @@ impl Prt {
     }
 
     /// Reference implementation of [`Prt::covering`]: the full linear
-    /// scan. Kept as the differential oracle for the index (and as the
-    /// benchmark baseline).
+    /// scan. The differential oracle for the index, compiled into
+    /// test and debug builds only.
+    #[cfg(any(test, debug_assertions))]
     pub fn covering_linear(&self, filter: &Filter) -> Vec<SubId> {
         self.iter()
             .filter(|(_, e)| e.sub.filter.covers(filter))
@@ -830,7 +842,8 @@ impl Prt {
     /// containment structure of the counting index.
     pub fn covered_by(&self, filter: &Filter) -> Vec<SubId> {
         let out = self.ids_of(self.index.covered_by(filter));
-        debug_assert_eq!(
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
             out,
             self.covered_by_linear(filter),
             "match index diverged from the linear covered-by scan"
@@ -840,6 +853,7 @@ impl Prt {
 
     /// Reference implementation of [`Prt::covered_by`]: the full
     /// linear scan.
+    #[cfg(any(test, debug_assertions))]
     pub fn covered_by_linear(&self, filter: &Filter) -> Vec<SubId> {
         self.iter()
             .filter(|(_, e)| filter.covers(&e.sub.filter))

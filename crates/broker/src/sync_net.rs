@@ -172,7 +172,7 @@ impl SyncNet {
             }
             let broker = self.brokers.get_mut(&dst).expect("unknown broker id");
             let outputs = broker.handle_batch(from, msgs);
-            self.route_outputs(dst, outputs.into_flat());
+            self.route_outputs(dst, outputs);
         }
     }
 
@@ -257,14 +257,10 @@ impl SyncNetBuilder {
     /// duplicate edges) — use [`OverlayBuilder::build`] directly for
     /// the typed [`crate::TopologyError`].
     pub fn start(self) -> SyncNet {
-        let (topology, par) = self
+        let topology = self
             .overlay
-            .into_parts()
+            .build()
             .expect("invalid overlay passed to SyncNet::builder()");
-        let mut config = self.config;
-        if let Some(par) = par {
-            config.parallelism = par;
-        }
-        SyncNet::from_parts(topology, config)
+        SyncNet::from_parts(topology, self.config)
     }
 }

@@ -8,9 +8,7 @@
 //! between batches while shadow (pending) routes are live.
 
 use proptest::prelude::*;
-use transmob_broker::{
-    BrokerConfig, BrokerCore, BrokerOutput, Hop, OutputBatch, Parallelism, PubSubMsg,
-};
+use transmob_broker::{BrokerConfig, BrokerCore, BrokerOutput, Hop, Parallelism, PubSubMsg};
 use transmob_pubsub::{
     AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, PubId, Publication, PublicationMsg,
     SubId, Subscription,
@@ -175,7 +173,7 @@ fn run_both(
     let mut run: Vec<PubSubMsg> = Vec::new();
     let flush = |core: &mut BrokerCore, run: &mut Vec<PubSubMsg>, out: &mut Vec<_>| {
         if !run.is_empty() {
-            out.extend(core.handle_batch(from, std::mem::take(run)).into_flat());
+            out.extend(core.handle_batch(from, std::mem::take(run)));
         }
     };
     for (i, op) in ops.iter().enumerate() {
@@ -230,14 +228,9 @@ proptest! {
     ) {
         let (folded, fold_out, batched, batch_out) =
             run_both(BrokerConfig::plain(), &sub_filters, adv_move, &ops);
-        // The flat sequences agree exactly; the grouped views below are
-        // therefore the stated per-destination consequences, asserted
-        // in the form the drivers consume them.
+        // The flat sequences agree exactly, and with them every
+        // per-destination order a driver could observe.
         prop_assert_eq!(&fold_out, &batch_out);
-        let fold_view = OutputBatch::from_flat(fold_out);
-        let batch_view = OutputBatch::from_flat(batch_out);
-        prop_assert_eq!(fold_view.deliveries(), batch_view.deliveries());
-        prop_assert_eq!(fold_view.per_neighbor(), batch_view.per_neighbor());
         prop_assert_eq!(state_json(&folded), state_json(&batched));
     }
 
@@ -274,10 +267,10 @@ proptest! {
             .collect();
         let mut whole = seeded(BrokerConfig::plain(), &sub_filters, false);
         let mut split = whole.clone();
-        let whole_out = whole.handle_batch(from, msgs.clone()).into_flat();
+        let whole_out = whole.handle_batch(from, msgs.clone());
         let mut split_out = Vec::new();
         for c in msgs.chunks(chunk) {
-            split_out.extend(split.handle_batch(from, c.to_vec()).into_flat());
+            split_out.extend(split.handle_batch(from, c.to_vec()));
         }
         prop_assert_eq!(whole_out, split_out);
         prop_assert_eq!(state_json(&whole), state_json(&split));
@@ -351,8 +344,7 @@ proptest! {
                 let msgs = std::mem::take(run);
                 let mut pre = core.prematch(&contents_of(&msgs));
                 out.extend(
-                    core.handle_batch_prematched(from, msgs, Some(&mut pre))
-                        .into_flat(),
+                    core.handle_batch_prematched(from, msgs, Some(&mut pre)),
                 );
             }
         };
@@ -424,8 +416,7 @@ proptest! {
             if !msgs.is_empty() {
                 batch_out.extend(
                     batched
-                        .handle_batch_prematched(from, msgs, Some(&mut pre))
-                        .into_flat(),
+                        .handle_batch_prematched(from, msgs, Some(&mut pre)),
                 );
             }
         };

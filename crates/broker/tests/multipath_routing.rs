@@ -116,9 +116,7 @@ fn surviving_arc_keeps_routing_when_one_arc_retracts() {
     // on it dies): the alt must be promoted, delivery must continue.
     let aid = AdvId::new(c(1), 0);
     net.with_broker(b(3), |core| {
-        let out = core
-            .handle_batch(Hop::Broker(primary_nb), vec![PubSubMsg::Unadvertise(aid)])
-            .into_flat();
+        let out = core.handle_batch(Hop::Broker(primary_nb), vec![PubSubMsg::Unadvertise(aid)]);
         ((), out)
     });
     let entry = net.broker(b(3)).srt().get(aid).unwrap();

@@ -18,7 +18,6 @@ use transmob_pubsub::{BrokerId, ClientId, MoveId, PublicationMsg};
 
 use crate::messages::{ClientOp, Message, Output, TimerToken};
 use crate::mobile_broker::{MobileBroker, MobileBrokerConfig};
-use crate::options::NetworkOptions;
 use crate::transport::{flush_outputs, for_each_cause_run, Transport};
 
 /// An observable event produced while draining the network.
@@ -144,24 +143,6 @@ impl InstantNet {
     /// Creates a fresh running client at `broker`.
     pub fn create_client(&mut self, broker: BrokerId, client: ClientId) {
         self.broker_mut(broker).create_client(client);
-    }
-
-    /// Replaces a broker wholesale (crash-recovery testing: swap in a
-    /// broker restored from a persisted snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replacement's id differs from `id` or is unknown.
-    pub fn replace_broker(&mut self, id: BrokerId, broker: MobileBroker) {
-        assert_eq!(broker.id(), id, "replacement broker id mismatch");
-        assert!(self.brokers.contains_key(&id), "unknown broker {id}");
-        self.brokers.insert(id, broker);
-    }
-
-    /// A clone of the shared topology handle (for restoring snapshots
-    /// against the same overlay).
-    pub fn topology_handle(&self) -> Arc<Topology> {
-        Arc::clone(&self.topology)
     }
 
     /// Issues an application command at the client's current broker and
@@ -443,7 +424,7 @@ impl crate::properties::NetworkView for InstantNet {
 #[derive(Debug, Default)]
 pub struct InstantNetBuilder {
     overlay: OverlayBuilder,
-    options: NetworkOptions,
+    options: MobileBrokerConfig,
 }
 
 impl InstantNetBuilder {
@@ -453,9 +434,22 @@ impl InstantNetBuilder {
         self
     }
 
-    /// Per-broker options ([`NetworkOptions`], [`MobileBrokerConfig`],
-    /// or a bare `BrokerConfig`).
-    pub fn options(mut self, options: impl Into<NetworkOptions>) -> Self {
+    /// Per-broker options: a [`MobileBrokerConfig`], or a bare
+    /// `BrokerConfig` under the default movement settings.
+    ///
+    /// ```
+    /// use transmob_broker::{BrokerConfig, Topology};
+    /// use transmob_core::{InstantNet, MobileBrokerConfig};
+    /// use transmob_pubsub::BrokerId;
+    ///
+    /// let start = |net: transmob_core::InstantNetBuilder| net.overlay(Topology::chain(2)).start();
+    /// let bare = start(InstantNet::builder().options(BrokerConfig::covering()));
+    /// let full = start(InstantNet::builder().options(MobileBrokerConfig::covering()));
+    /// let routing = |net: &InstantNet| net.broker(BrokerId(1)).core().config();
+    /// assert_eq!(routing(&bare), BrokerConfig::covering());
+    /// assert_eq!(routing(&bare), routing(&full));
+    /// ```
+    pub fn options(mut self, options: impl Into<MobileBrokerConfig>) -> Self {
         self.options = options.into();
         self
     }
@@ -468,14 +462,10 @@ impl InstantNetBuilder {
     /// duplicate edges) — use [`OverlayBuilder::build`] directly for
     /// the typed `TopologyError`.
     pub fn start(self) -> InstantNet {
-        let (topology, par) = self
+        let topology = self
             .overlay
-            .into_parts()
+            .build()
             .expect("invalid overlay passed to InstantNet::builder()");
-        let mut config = self.options.config;
-        if let Some(par) = par {
-            config.broker.parallelism = par;
-        }
-        InstantNet::from_parts(topology, config)
+        InstantNet::from_parts(topology, self.options)
     }
 }

@@ -58,7 +58,6 @@ pub mod instant_net;
 pub mod messages;
 pub mod mobile_broker;
 pub mod modelcheck;
-pub mod options;
 pub mod persistence;
 pub mod properties;
 pub mod states;
@@ -75,7 +74,6 @@ pub use messages::{
     TimerToken,
 };
 pub use mobile_broker::{MobileBroker, MobileBrokerConfig};
-pub use options::NetworkOptions;
 pub use persistence::BrokerSnapshot;
 pub use properties::NetworkView;
 pub use states::{ClientState, SourceCoordState, TargetCoordState};

@@ -123,6 +123,16 @@ impl MobileBrokerConfig {
     }
 }
 
+impl From<BrokerConfig> for MobileBrokerConfig {
+    /// A bare routing config under the default movement settings.
+    fn from(broker: BrokerConfig) -> Self {
+        MobileBrokerConfig {
+            broker,
+            ..MobileBrokerConfig::default()
+        }
+    }
+}
+
 /// Source-side bookkeeping for one movement transaction
 /// (serializable for [`crate::persistence`]; opaque otherwise).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -154,11 +164,6 @@ pub struct PathMoveRecord {
     fixups: Vec<(SubId, BrokerId)>,
 }
 
-// Internal aliases (the protocol code predates the public names).
-type SourceMove = SourceMoveRecord;
-type TargetMove = TargetMoveRecord;
-type PathMove = PathMoveRecord;
-
 /// A broker with its mobile container (coordinator + hosted clients).
 ///
 /// See the module docs for the protocol walk-throughs.
@@ -178,9 +183,9 @@ pub struct MobileBroker {
     first_hop: BTreeMap<BrokerId, BrokerId>,
     config: MobileBrokerConfig,
     clients: BTreeMap<ClientId, HostedClient>,
-    src_moves: BTreeMap<MoveId, SourceMove>,
-    tgt_moves: BTreeMap<MoveId, TargetMove>,
-    path_moves: BTreeMap<MoveId, PathMove>,
+    src_moves: BTreeMap<MoveId, SourceMoveRecord>,
+    tgt_moves: BTreeMap<MoveId, TargetMoveRecord>,
+    path_moves: BTreeMap<MoveId, PathMoveRecord>,
     next_move_seq: u32,
     anomalies: u64,
     /// Write-ahead durability, if attached (never serialized).
@@ -244,12 +249,6 @@ impl MobileBroker {
         self.clients.get(&id)
     }
 
-    /// Mutable access to a hosted client stub (driver use: draining the
-    /// application inbox).
-    pub fn client_mut(&mut self, id: ClientId) -> Option<&mut HostedClient> {
-        self.clients.get_mut(&id)
-    }
-
     /// Iterates the hosted clients.
     pub fn clients(&self) -> impl Iterator<Item = (&ClientId, &HostedClient)> {
         self.clients.iter()
@@ -289,11 +288,6 @@ impl MobileBroker {
         self.records_since_checkpoint = 0;
         self.log = Some(log);
         Ok(())
-    }
-
-    /// Whether a [`DurabilityLog`] is attached.
-    pub fn has_durability(&self) -> bool {
-        self.log.is_some()
     }
 
     /// Forces a checkpoint (snapshot + log truncation) now. No-op
@@ -690,7 +684,7 @@ impl MobileBroker {
         let profile = stub.profile();
         self.src_moves.insert(
             m,
-            SourceMove {
+            SourceMoveRecord {
                 client,
                 target: to,
                 state: SourceCoordState::Wait,
@@ -843,7 +837,7 @@ impl MobileBroker {
         let batch = self
             .core
             .handle_batch_prematched(from, std::mem::take(run), reborrow);
-        out.extend(self.absorb(batch.into_flat()));
+        out.extend(self.absorb(batch));
     }
 
     fn handle_apply(&mut self, from: Hop, msg: Message) -> Vec<Output> {
@@ -961,7 +955,7 @@ impl MobileBroker {
         };
         self.tgt_moves.insert(
             m,
-            TargetMove {
+            TargetMoveRecord {
                 client,
                 source,
                 state: TargetCoordState::Prepare,
@@ -1057,7 +1051,7 @@ impl MobileBroker {
             let pulled = self.pull_with_record(a.id, frm, &mut outs);
             fixups.extend(pulled);
         }
-        self.path_moves.insert(m, PathMove { fixups });
+        self.path_moves.insert(m, PathMoveRecord { fixups });
         let mut out = self.absorb(outs);
         out.push(Output::Send {
             to: back,
@@ -1803,7 +1797,7 @@ impl MobileBroker {
         }
         self.tgt_moves.insert(
             m,
-            TargetMove {
+            TargetMoveRecord {
                 client,
                 source,
                 state: TargetCoordState::Prepare,

@@ -50,7 +50,6 @@ pub mod fasthash;
 pub mod filter;
 pub mod index;
 pub mod message;
-pub mod parser;
 pub(crate) mod pool;
 pub mod predicate;
 pub mod publication;

@@ -58,11 +58,6 @@ impl Op {
     pub fn is_string_op(self) -> bool {
         matches!(self, Op::StrPrefix | Op::StrSuffix | Op::StrContains)
     }
-
-    /// Whether the operator is an ordering comparison.
-    pub fn is_ordering(self) -> bool {
-        matches!(self, Op::Lt | Op::Le | Op::Gt | Op::Ge)
-    }
 }
 
 impl fmt::Display for Op {

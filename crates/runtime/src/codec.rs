@@ -17,8 +17,8 @@
 //!
 //! One `serde_json` object per line — the wire format the runtime
 //! shipped before the binary codec, kept as a human-readable debug
-//! mode (`TRANSMOB_WIRE=json`) and as the oracle the codec proptests
-//! differentiate against.
+//! mode (`TcpOptions::wire`, set explicitly) and as the oracle the
+//! codec proptests differentiate against.
 //!
 //! # Robustness
 //!
@@ -51,16 +51,6 @@ pub enum WireMode {
 }
 
 impl WireMode {
-    /// Resolves the default mode from the `TRANSMOB_WIRE` environment
-    /// variable: `json` selects JSON framing, anything else (or unset)
-    /// selects binary.
-    pub fn from_env() -> WireMode {
-        match std::env::var("TRANSMOB_WIRE") {
-            Ok(v) if v.eq_ignore_ascii_case("json") => WireMode::Json,
-            _ => WireMode::Binary,
-        }
-    }
-
     /// The handshake token naming this mode on the wire.
     pub fn token(self) -> &'static str {
         match self {

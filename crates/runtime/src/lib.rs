@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use transmob_broker::{OverlayBuilder, Topology};
-use transmob_core::{Message, MobileBroker, MobileBrokerConfig, NetworkOptions};
+use transmob_core::{Message, MobileBroker, MobileBrokerConfig};
 use transmob_pubsub::{BrokerId, ClientId};
 
 pub use broker_loop::{Client, MoveOutcome};
@@ -156,7 +156,7 @@ impl Links for ChannelLinks<'_> {
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
     overlay: OverlayBuilder,
-    options: NetworkOptions,
+    options: MobileBrokerConfig,
 }
 
 impl NetworkBuilder {
@@ -166,9 +166,9 @@ impl NetworkBuilder {
         self
     }
 
-    /// Per-broker options ([`NetworkOptions`], [`MobileBrokerConfig`],
-    /// or a bare `BrokerConfig`).
-    pub fn options(mut self, options: impl Into<NetworkOptions>) -> Self {
+    /// Per-broker options: a [`MobileBrokerConfig`] or a bare
+    /// `BrokerConfig`.
+    pub fn options(mut self, options: impl Into<MobileBrokerConfig>) -> Self {
         self.options = options.into();
         self
     }
@@ -181,15 +181,11 @@ impl NetworkBuilder {
     /// duplicate edges) — use [`OverlayBuilder::build`] directly for
     /// the typed `TopologyError`.
     pub fn start(self) -> Network {
-        let (topology, par) = self
+        let topology = self
             .overlay
-            .into_parts()
+            .build()
             .expect("invalid overlay passed to Network::builder()");
-        let mut config = self.options.config;
-        if let Some(par) = par {
-            config.broker.parallelism = par;
-        }
-        Network::from_parts(topology, config)
+        Network::from_parts(topology, self.options)
     }
 }
 
@@ -208,6 +204,24 @@ mod tests {
     }
     fn range(lo: i64, hi: i64) -> Filter {
         Filter::builder().ge("x", lo).le("x", hi).build()
+    }
+
+    /// A bare routing config converts: under active covering the
+    /// covering-protocol movement commits either way.
+    #[test]
+    fn options_accept_a_routing_config_or_a_full_one() {
+        let check = |net: Network| {
+            let s = net.create_client(b(1), c(1));
+            assert!(s.move_to(b(2), ProtocolKind::Covering, Duration::from_secs(5)));
+            net.shutdown();
+        };
+        let overlay = || Network::builder().overlay(Topology::chain(2));
+        check(
+            overlay()
+                .options(transmob_broker::BrokerConfig::covering())
+                .start(),
+        );
+        check(overlay().options(MobileBrokerConfig::covering()).start());
     }
 
     #[test]

@@ -62,9 +62,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
 use transmob_broker::{OverlayBuilder, PubSubMsg, Topology};
-use transmob_core::{
-    DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, NetworkOptions, Output,
-};
+use transmob_core::{DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, Output};
 use transmob_pubsub::{BrokerId, ClientId};
 
 use crate::broker_loop::{self, Hub, Input, Links};
@@ -131,12 +129,11 @@ pub struct TcpOptions {
 }
 
 impl Default for TcpOptions {
-    /// Binary framing (JSON when `TRANSMOB_WIRE=json`, the debug/CI
-    /// differential mode), [`DEFAULT_DOWN_QUEUE_HWM`], today's timing
+    /// Binary framing, [`DEFAULT_DOWN_QUEUE_HWM`], today's timing
     /// constants, and suspicion disabled.
     fn default() -> Self {
         TcpOptions {
-            wire: WireMode::from_env(),
+            wire: WireMode::Binary,
             down_queue_hwm: DEFAULT_DOWN_QUEUE_HWM,
             heartbeat_interval: HEARTBEAT_INTERVAL,
             redial_base: REDIAL_BASE,
@@ -1426,7 +1423,7 @@ impl Links for TcpLinks<'_> {
 /// TCP-specific transport options and bind-address chooser.
 pub struct TcpNetworkBuilder {
     overlay: OverlayBuilder,
-    options: NetworkOptions,
+    options: MobileBrokerConfig,
     tcp: TcpOptions,
     bind: Box<dyn FnMut(BrokerId) -> String>,
 }
@@ -1444,7 +1441,7 @@ impl Default for TcpNetworkBuilder {
     fn default() -> Self {
         TcpNetworkBuilder {
             overlay: OverlayBuilder::default(),
-            options: NetworkOptions::default(),
+            options: MobileBrokerConfig::default(),
             tcp: TcpOptions::default(),
             bind: Box::new(|_| "127.0.0.1:0".to_string()),
         }
@@ -1458,9 +1455,9 @@ impl TcpNetworkBuilder {
         self
     }
 
-    /// Per-broker options ([`NetworkOptions`], [`MobileBrokerConfig`],
-    /// or a bare `BrokerConfig`).
-    pub fn options(mut self, options: impl Into<NetworkOptions>) -> Self {
+    /// Per-broker options: a [`MobileBrokerConfig`] or a bare
+    /// `BrokerConfig`.
+    pub fn options(mut self, options: impl Into<MobileBrokerConfig>) -> Self {
         self.options = options.into();
         self
     }
@@ -1494,15 +1491,11 @@ impl TcpNetworkBuilder {
     /// duplicate edges) — use `OverlayBuilder::build` directly for the
     /// typed `TopologyError`.
     pub fn start(self) -> io::Result<TcpNetwork> {
-        let (topology, par) = self
+        let topology = self
             .overlay
-            .into_parts()
+            .build()
             .expect("invalid overlay passed to TcpNetwork::builder()");
-        let mut config = self.options.config;
-        if let Some(par) = par {
-            config.broker.parallelism = par;
-        }
-        let (options, mut bind_addr) = (self.tcp, self.bind);
+        let (config, options, mut bind_addr) = (self.options, self.tcp, self.bind);
         let topology = Arc::new(topology);
         // Phase 1: bind all listeners.
         let mut listeners: BTreeMap<BrokerId, TcpListener> = BTreeMap::new();

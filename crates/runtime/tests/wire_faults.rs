@@ -43,12 +43,23 @@ fn assert_delivery(p: &TcpClient, s: &TcpClient, name: &str, val: i64) {
 
 /// Satellite bugfix 3: a peer that sends a corrupt frame must not make
 /// the reader die silently — the failure is counted, the link-down
-/// reason names the corruption, and the overlay heals by redial.
+/// reason names the corruption, and the overlay heals by redial
+/// (a kill and a restart), under either codec.
 #[test]
 fn corrupt_frame_is_counted_and_names_the_cause() {
+    for wire in [WireMode::Binary, WireMode::Json] {
+        corrupt_frame_case(wire);
+    }
+}
+
+fn corrupt_frame_case(wire: WireMode) {
     let net = TcpNetwork::builder()
         .overlay(Topology::chain(2))
         .options(MobileBrokerConfig::reconfig())
+        .tcp(TcpOptions {
+            wire,
+            ..TcpOptions::default()
+        })
         .start()
         .expect("sockets");
     let p = net.create_client(B1, ClientId(1));
@@ -114,12 +125,19 @@ fn corrupt_frame_is_counted_and_names_the_cause() {
 /// Satellite bugfix 2, end to end: a publication flood against a dead
 /// neighbour is bounded by the down-queue high-water mark (drops
 /// counted), while a subscription issued during the outage — a control
-/// frame — survives the overflow and works after the restart.
+/// frame — survives the overflow and works after the restart, under
+/// either codec.
 #[test]
 fn down_queue_bounds_flood_but_control_frames_survive() {
+    for wire in [WireMode::Binary, WireMode::Json] {
+        down_queue_case(wire);
+    }
+}
+
+fn down_queue_case(wire: WireMode) {
     const HWM: usize = 16;
     let options = TcpOptions {
-        wire: WireMode::from_env(),
+        wire,
         down_queue_hwm: HWM,
         ..TcpOptions::default()
     };

@@ -65,11 +65,6 @@ impl WalDurability {
         Ok(WalDurability { wal, snap_path })
     }
 
-    /// The snapshot file's path.
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snap_path
-    }
-
     /// Loads the stored checkpoint (if any) and the record tail, for
     /// `MobileBroker::recover`.
     ///

@@ -21,8 +21,8 @@ use rand::{Rng, SeedableRng};
 use transmob_broker::{Hop, OverlayBuilder, Topology};
 use transmob_core::transport::{flush_outputs, for_each_cause_run, Transport};
 use transmob_core::{
-    ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, NetworkOptions,
-    Output, ProtocolKind, TimerToken,
+    ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, Output,
+    ProtocolKind, TimerToken,
 };
 use transmob_pubsub::{BrokerId, ClientId, MoveId, PublicationMsg};
 
@@ -1037,6 +1037,16 @@ mod tests {
     }
 
     #[test]
+    fn options_accept_a_routing_config_or_a_full_one() {
+        let start = |sim: SimBuilder| sim.overlay(Topology::chain(2)).start();
+        let bare = start(Sim::builder().options(transmob_broker::BrokerConfig::covering()));
+        let full = start(Sim::builder().options(MobileBrokerConfig::covering()));
+        let routing = |sim: &Sim| sim.broker(b(1)).core().config();
+        assert_eq!(routing(&bare), transmob_broker::BrokerConfig::covering());
+        assert_eq!(routing(&bare), routing(&full));
+    }
+
+    #[test]
     fn publication_delivery_takes_network_time() {
         let mut sim = base_sim();
         sim.schedule_cmd(
@@ -1582,7 +1592,7 @@ mod timer_tests {
 #[derive(Debug)]
 pub struct SimBuilder {
     overlay: OverlayBuilder,
-    options: NetworkOptions,
+    options: MobileBrokerConfig,
     model: NetworkModel,
     seed: u64,
 }
@@ -1591,7 +1601,7 @@ impl Default for SimBuilder {
     fn default() -> Self {
         SimBuilder {
             overlay: OverlayBuilder::default(),
-            options: NetworkOptions::default(),
+            options: MobileBrokerConfig::default(),
             model: NetworkModel::cluster(),
             seed: 0,
         }
@@ -1605,9 +1615,9 @@ impl SimBuilder {
         self
     }
 
-    /// Per-broker options ([`NetworkOptions`], [`MobileBrokerConfig`],
-    /// or a bare `BrokerConfig`).
-    pub fn options(mut self, options: impl Into<NetworkOptions>) -> Self {
+    /// Per-broker options: a [`MobileBrokerConfig`] or a bare
+    /// `BrokerConfig`.
+    pub fn options(mut self, options: impl Into<MobileBrokerConfig>) -> Self {
         self.options = options.into();
         self
     }
@@ -1633,14 +1643,10 @@ impl SimBuilder {
     /// duplicate edges) — use `OverlayBuilder::build` directly for the
     /// typed `TopologyError`.
     pub fn start(self) -> Sim {
-        let (topology, par) = self
+        let topology = self
             .overlay
-            .into_parts()
+            .build()
             .expect("invalid overlay passed to Sim::builder()");
-        let mut config = self.options.config;
-        if let Some(par) = par {
-            config.broker.parallelism = par;
-        }
-        Sim::from_parts(topology, config, self.model, self.seed)
+        Sim::from_parts(topology, self.options, self.model, self.seed)
     }
 }

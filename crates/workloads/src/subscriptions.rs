@@ -214,18 +214,6 @@ impl SubWorkload {
             _ => self.instance(idx % 10, shift),
         }
     }
-
-    /// The index of the root (most-covering) group, if the workload
-    /// has one.
-    pub fn root_index(self) -> Option<usize> {
-        match self {
-            SubWorkload::Covered | SubWorkload::Chained | SubWorkload::Tree => Some(0),
-            SubWorkload::Distinct
-            | SubWorkload::Random
-            | SubWorkload::MultiAttr
-            | SubWorkload::StrPrefix => None,
-        }
-    }
 }
 
 impl fmt::Display for SubWorkload {

@@ -5,10 +5,7 @@
 # explicit skip notice for it:
 #
 #   1. formatting + lints + full workspace tests (hard failures; the
-#      vendored offline stubs under vendor/ are workspace-excluded),
-#      then the TCP runtime suites again under TRANSMOB_WIRE=json —
-#      the workspace pass exercised the default binary codec, this
-#      differential pass proves the JSON debug codec stays equivalent
+#      vendored offline stubs under vendor/ are workspace-excluded)
 #   2. chaos smoke — seeded fault schedules per protocol (recovery
 #      tier: crash/restart link faults; churn tier: permanent broker
 #      deaths + overlay self-repair, DESIGN.md §14; cyclic tier: the
@@ -45,9 +42,6 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
-# Differential codec pass: the same TCP suites over the JSON debug
-# framing (the workspace run above used the default binary codec).
-TRANSMOB_WIRE=json cargo test -p transmob-runtime -q
 
 # ---- tier 2: chaos smoke ----------------------------------------------
 if [[ "${CI_FAST:-0}" == "1" ]]; then
