@@ -16,8 +16,8 @@ use transmob_broker::{
 };
 use transmob_core::{ClientOp, Message, MobileBroker, MobileBrokerConfig};
 use transmob_pubsub::{
-    AdvId, Advertisement, BrokerId, ClientId, Filter, Parallelism, PubId, Publication,
-    PublicationMsg, SubId, Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, PubId, Publication, PublicationMsg, SubId,
+    Subscription,
 };
 use transmob_workloads::footprint::{measure, CountingAlloc};
 use transmob_workloads::{
@@ -304,36 +304,14 @@ fn bench_publish_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// A PRT of `n` wide-attribute two-band subscriptions: work in every
-/// shard, hits ≫ matches.
-fn loaded_prt_wide(n: usize, par: Parallelism) -> Prt {
+/// A PRT of `n` wide-attribute two-band subscriptions: hits ≫ matches.
+fn loaded_prt_wide(n: usize) -> Prt {
     let mut prt = Prt::new();
-    prt.set_parallelism(par);
     for i in 0..n {
         let sub = Subscription::new(SubId::new(ClientId(i as u64), i as u32), wide_sub_filter(i));
         prt.insert(sub, Hop::Client(ClientId(i as u64)));
     }
     prt
-}
-
-/// One 256-publication batch against 10k wide PRT rows, matched on the
-/// calling thread (`caller`) and spread over the worker pool (`pooled`:
-/// 4 workers, clamped to the machine's hardware threads).
-fn bench_parallel_match(c: &mut Criterion) {
-    const N: usize = 10_000;
-    const BATCH: usize = 256;
-    let pubs: Vec<Publication> = (0..BATCH).map(wide_publication).collect();
-    let mut g = c.benchmark_group("parallel_match");
-    for (name, par) in [
-        ("caller", Parallelism::sequential()),
-        ("pooled", Parallelism::sharded(4, 4)),
-    ] {
-        let prt = loaded_prt_wide(N, par);
-        g.bench_with_input(BenchmarkId::new(name, N), &N, |bch, _| {
-            bch.iter(|| black_box(prt.matching_batch(black_box(&pubs))))
-        });
-    }
-    g.finish();
 }
 
 /// End-to-end publication routing over a 7-broker overlay
@@ -447,7 +425,7 @@ fn bench_delivery_fanout(c: &mut Criterion) {
 fn bench_table_footprint(c: &mut Criterion) {
     let probe = wide_publication(0);
     let build = |n: usize| {
-        let prt = loaded_prt_wide(n, Parallelism::sequential());
+        let prt = loaded_prt_wide(n);
         black_box(prt.destinations(&probe));
         prt
     };
@@ -473,7 +451,7 @@ fn bench_subscribe_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("subscribe_path");
     let cid = ClientId(1_000_000);
     let sub = Subscription::new(SubId::new(cid, 0), wide_sub_filter(123_456));
-    let mut prt = loaded_prt_wide(10_000, Parallelism::sequential());
+    let mut prt = loaded_prt_wide(10_000);
     g.bench_function("prt_insert", |bch| {
         bch.iter(|| {
             prt.insert(black_box(sub.clone()), Hop::Client(cid));
@@ -514,7 +492,6 @@ criterion_group!(
     bench_release_strategies,
     bench_advertise_flood,
     bench_publish_batch,
-    bench_parallel_match,
     bench_cyclic_routing,
     bench_delivery_fanout,
     bench_table_footprint,

@@ -49,8 +49,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 use transmob_pubsub::fasthash::FastSet;
 use transmob_pubsub::{
-    AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, Parallelism, PubId, Publication,
-    PublicationMsg, SubId, Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, PubId, Publication, PublicationMsg,
+    SubId, Subscription,
 };
 
 use crate::messages::{BrokerOutput, Hop, MsgKind, PubSubMsg};
@@ -100,11 +100,6 @@ pub struct BrokerConfig {
     /// candidate; it is cheaper but requires a full table scan per
     /// candidate and is evaluated as an ablation.
     pub conservative_release: bool,
-    /// Sharding / worker-pool configuration applied to both routing
-    /// tables' match indexes. The default (one shard, zero workers) is
-    /// the classic single-threaded index; any configuration produces
-    /// identical routing decisions.
-    pub parallelism: Parallelism,
     /// Multi-path forwarding for cyclic overlays: duplicate
     /// advertisement/subscription arrivals are recorded as redundant
     /// routes (`alt_lasthops`), publications fan out along every known
@@ -141,12 +136,6 @@ impl BrokerConfig {
             conservative_release: false,
             ..BrokerConfig::covering()
         }
-    }
-
-    /// The same configuration with the given match-index sharding.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.parallelism = par;
-        self
     }
 
     /// The same configuration with multi-path forwarding enabled (for
@@ -385,15 +374,11 @@ impl BrokerCore {
         neighbors: impl IntoIterator<Item = BrokerId>,
         config: BrokerConfig,
     ) -> Self {
-        let mut srt = Srt::new();
-        let mut prt = Prt::new();
-        srt.set_parallelism(config.parallelism);
-        prt.set_parallelism(config.parallelism);
         BrokerCore {
             id,
             neighbors: neighbors.into_iter().collect(),
-            srt,
-            prt,
+            srt: Srt::new(),
+            prt: Prt::new(),
             clients: BTreeSet::new(),
             config,
             stats: BrokerStats::default(),
@@ -544,15 +529,6 @@ impl BrokerCore {
         msgs: Vec<PubSubMsg>,
         mut pre: Option<&mut PrematchedRoutes>,
     ) -> Vec<BrokerOutput> {
-        // Deserialized cores rebuild their match indexes with the
-        // default layout; re-apply the configured sharding lazily so
-        // every ingestion path honours it.
-        if self.prt.parallelism() != self.config.parallelism
-            || self.srt.parallelism() != self.config.parallelism
-        {
-            self.srt.set_parallelism(self.config.parallelism);
-            self.prt.set_parallelism(self.config.parallelism);
-        }
         let mut batch = Vec::new();
         let mut run: Vec<PublicationMsg> = Vec::new();
         for msg in msgs {

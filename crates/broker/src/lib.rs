@@ -18,6 +18,7 @@
 //! ([`BrokerCore::install_pending_sub`], [`BrokerCore::commit_move`],
 //! [`BrokerCore::abort_move`], ...).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -38,4 +39,3 @@ pub use overlay::OverlayBuilder;
 pub use routing::{AdvEntry, Destinations, PendingRoute, Prt, Srt, SubEntry};
 pub use sync_net::{Delivery, SyncNet, SyncNetBuilder};
 pub use topology::{Route, Topology, TopologyChange, TopologyError};
-pub use transmob_pubsub::Parallelism;

@@ -28,8 +28,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 use transmob_pubsub::{
-    AdvId, Advertisement, BrokerId, ClientId, Filter, MatchIndex, MoveId, Parallelism, Publication,
-    SubId, Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, MatchIndex, MoveId, Publication, SubId,
+    Subscription,
 };
 
 use crate::messages::Hop;
@@ -162,17 +162,6 @@ impl Srt {
     /// Creates an empty table.
     pub fn new() -> Self {
         Srt::default()
-    }
-
-    /// Reconfigures the match index's sharding / worker pool (answers
-    /// are identical under every configuration).
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.index.set_parallelism(par);
-    }
-
-    /// The match index's current sharding configuration.
-    pub fn parallelism(&self) -> Parallelism {
-        self.index.parallelism()
     }
 
     /// Rebuilds a table (and its match index) from persisted rows.
@@ -545,17 +534,6 @@ impl Prt {
         Prt::default()
     }
 
-    /// Reconfigures the match index's sharding / worker pool (answers
-    /// are identical under every configuration).
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.index.set_parallelism(par);
-    }
-
-    /// The match index's current sharding configuration.
-    pub fn parallelism(&self) -> Parallelism {
-        self.index.parallelism()
-    }
-
     /// Rebuilds a table (row numbers, forwarding column and match
     /// index included) from persisted rows.
     ///
@@ -885,7 +863,7 @@ impl Prt {
     /// map onto each other one to one (live and free numbers partition
     /// the column), every live cell equals the cell derived from its
     /// entry, and the index holds every row's filter under its number
-    /// and nothing else. Test support.
+    /// and nothing else, its own slot table consistent. Test support.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let Column { ids, cells, free } = &self.column;
@@ -912,6 +890,7 @@ impl Prt {
             );
         }
         assert_eq!(self.index.len(), self.entries.len(), "index size mismatch");
+        self.index.check_slot_invariants();
     }
 }
 

@@ -8,7 +8,7 @@
 //! between batches while shadow (pending) routes are live.
 
 use proptest::prelude::*;
-use transmob_broker::{BrokerConfig, BrokerCore, BrokerOutput, Hop, Parallelism, PubSubMsg};
+use transmob_broker::{BrokerConfig, BrokerCore, BrokerOutput, Hop, PubSubMsg};
 use transmob_pubsub::{
     AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, PubId, Publication, PublicationMsg,
     SubId, Subscription,
@@ -202,17 +202,6 @@ fn state_json(core: &BrokerCore) -> String {
     serde_json::to_string(core).expect("broker state serializes")
 }
 
-/// Case count for the parallel-vs-sequential schedule sweep. Scales
-/// with `CHAOS_CASES` like the sim chaos tier, so the nightly-sized
-/// chaos run also deepens this differential.
-fn par_cases() -> u32 {
-    std::env::var("CHAOS_CASES")
-        .ok()
-        .and_then(|s| s.parse::<u32>().ok())
-        .map(|n| (n / 4).clamp(16, 4096))
-        .unwrap_or(48)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -274,35 +263,6 @@ proptest! {
         }
         prop_assert_eq!(whole_out, split_out);
         prop_assert_eq!(state_json(&whole), state_json(&split));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(par_cases()))]
-
-    /// A broker configured for sharded tables and the parallel matching
-    /// stage produces exactly the outputs and routing state of the
-    /// sequential default over randomized movement schedules — commits
-    /// and aborts between batches, live shadow routes, covering off and
-    /// on both exercised by the other properties. `Parallelism` must be
-    /// invisible to everything but the clock.
-    #[test]
-    fn parallel_config_equals_sequential(
-        sub_filters in proptest::collection::vec(arb_filter(), 1..8),
-        adv_move in any::<bool>(),
-        ops in proptest::collection::vec(arb_op(), 1..40),
-    ) {
-        let (sfold, sfold_out, _sbatch, sbatch_out) =
-            run_both(BrokerConfig::plain(), &sub_filters, adv_move, &ops);
-        let par = BrokerConfig::plain().with_parallelism(Parallelism::sharded(4, 2));
-        let (pfold, pfold_out, pbatch, pbatch_out) =
-            run_both(par, &sub_filters, adv_move, &ops);
-        prop_assert_eq!(&pfold_out, &sfold_out);
-        prop_assert_eq!(&pbatch_out, &sbatch_out);
-        prop_assert_eq!(pfold.prt(), sfold.prt());
-        prop_assert_eq!(pfold.srt(), sfold.srt());
-        prop_assert_eq!(pbatch.prt(), sfold.prt());
-        prop_assert_eq!(pbatch.srt(), sfold.srt());
     }
 }
 

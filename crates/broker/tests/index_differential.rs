@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use transmob_broker::{Destinations, Hop, Parallelism, PendingRoute, Prt, Srt};
+use transmob_broker::{Destinations, Hop, PendingRoute, Prt, Srt};
 use transmob_pubsub::{
     AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, Publication, SubId, Subscription,
 };
@@ -219,15 +219,6 @@ fn apply_write(prt: &mut Prt, n: usize, op: u8, slot: u64, specs: &[PredSpec], a
     }
 }
 
-/// The same replay with the tables switched to a sharded layout and a
-/// live worker pool.
-fn replay_parallel(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
-    let (mut prt, mut srt) = replay(steps);
-    prt.set_parallelism(Parallelism::sharded(4, 2));
-    srt.set_parallelism(Parallelism::sharded(4, 2));
-    (prt, srt)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -304,44 +295,6 @@ proptest! {
         }
     }
 
-    /// Sharded tables answer every query family exactly like the
-    /// sequential tables and the linear scans, after churn: the
-    /// partitioned index is a pure layout change, never a semantic one.
-    #[test]
-    fn sharded_tables_agree_with_sequential_and_linear(
-        steps in arb_steps(),
-        q in arb_filter(),
-    ) {
-        let (prt, srt) = replay(&steps);
-        let (pprt, psrt) = replay_parallel(&steps);
-        for p in probe_pubs() {
-            prop_assert_eq!(pprt.matching(&p), prt.matching_linear(&p), "pub {}", p);
-        }
-        let query = build_filter(&q);
-        prop_assert_eq!(pprt.overlapping(&query), prt.overlapping_linear(&query));
-        prop_assert_eq!(psrt.overlapping(&query), srt.overlapping_linear(&query));
-        prop_assert_eq!(pprt.covering(&query), prt.covering_linear(&query));
-        prop_assert_eq!(pprt.covered_by(&query), prt.covered_by_linear(&query));
-        prop_assert_eq!(psrt.covering(&query), srt.covering_linear(&query));
-        prop_assert_eq!(psrt.covered_by(&query), srt.covered_by_linear(&query));
-    }
-
-    /// `matching_batch` spread over the worker pool on sharded tables
-    /// returns publication-for-publication exactly what it returns on
-    /// the caller thread, and what the linear scans return.
-    #[test]
-    fn pooled_batch_equals_caller_batch(steps in arb_steps()) {
-        let (prt, _) = replay(&steps);
-        let (pprt, _) = replay_parallel(&steps);
-        let pubs = probe_pubs();
-        let par = pprt.matching_batch(&pubs);
-        let seq = prt.matching_batch(&pubs);
-        prop_assert_eq!(&par, &seq);
-        for (i, p) in pubs.iter().enumerate() {
-            prop_assert_eq!(&par[i], &prt.matching_linear(p), "pub {}", p);
-        }
-    }
-
     /// Probes *between* the writes, on a table big enough that the
     /// index's packed snapshot is built, aged by inserts and removes
     /// beside it (freed slots parked, then reused after a rebuild) and
@@ -387,9 +340,8 @@ proptest! {
     /// rebuilt while row numbers are freed and handed out again (a
     /// freed number goes to the next insert at once, while the index
     /// slot it had is still parked). After every step the derived
-    /// state matches the rows, and the forwarding query (alone, as a
-    /// batch, and spread over a worker pool) answers what the rows
-    /// say.
+    /// state matches the rows, and the forwarding query (alone and as
+    /// a batch) answers what the rows say.
     #[test]
     fn destinations_follow_every_write(
         base in proptest::collection::vec((arb_filter(), 0u8..16), 40..80),
@@ -420,10 +372,6 @@ proptest! {
                 let want: Vec<Destinations> =
                     pubs.iter().map(|p| destinations_from_rows(&prt, p)).collect();
                 prop_assert_eq!(&prt.destinations_batch(&refs), &want, "step {}", n);
-                let mut pooled = prt.clone();
-                pooled.set_parallelism(Parallelism::sharded(4, 2));
-                pooled.check_invariants();
-                prop_assert_eq!(&pooled.destinations_batch(&refs), &want, "step {} pooled", n);
             }
         }
     }

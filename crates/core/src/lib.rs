@@ -49,6 +49,7 @@
 //! assert_eq!(net.deliveries_to(subscriber).len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

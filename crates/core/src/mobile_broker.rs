@@ -101,16 +101,6 @@ impl MobileBrokerConfig {
         }
     }
 
-    /// Applies a [`Parallelism`](transmob_broker::Parallelism) layout
-    /// to the embedded routing-core config: every driver that builds
-    /// brokers from this config (instant, simulated, sync-net, TCP)
-    /// gets sharded match tables and batches matched over the worker
-    /// pool, with routing decisions identical to the default layout.
-    pub fn with_parallelism(mut self, par: transmob_broker::Parallelism) -> Self {
-        self.broker = self.broker.with_parallelism(par);
-        self
-    }
-
     /// The blocking 3PC variant: no protocol timeouts at all. The
     /// paper's base protocol — movements never spuriously abort, but a
     /// crashed or partitioned peer wedges the coordinator until the

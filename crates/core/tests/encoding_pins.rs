@@ -3,14 +3,22 @@
 //! advertisement and a client profile, as recorded before publication
 //! content and filter bodies moved behind shared pointers: brokers of
 //! both kinds must keep understanding each other, and WAL records and
-//! checkpoints keep their shape.
+//! checkpoints keep their shape. A whole broker checkpoint is pinned as
+//! the commit before `BrokerConfig` lost its `parallelism` field wrote
+//! it.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use transmob_core::{ClientOp, ClientProfile, ClientSnapshot};
+use transmob_broker::{Hop, PubSubMsg, Topology};
+use transmob_core::{
+    BrokerSnapshot, ClientOp, ClientProfile, ClientSnapshot, Message, MobileBroker,
+    MobileBrokerConfig,
+};
 use transmob_pubsub::wire::{decode_one, encode_one, Wire};
 use transmob_pubsub::{
-    AdvId, Advertisement, ClientId, Filter, Op, Predicate, PubId, Publication, PublicationMsg,
-    SubId, Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, Op, Predicate, PubId, Publication,
+    PublicationMsg, SubId, Subscription,
 };
 
 const PUBLICATION_BYTES: &str = "0400046f70656e03010005707269636500f0010005726174696f01000000000000e03f000673796d626f6c020349424d";
@@ -22,6 +30,12 @@ const FILTER_BYTES: &str = "0500057072696365050014010301000000000020594000067379
 const FILTER_JSON: &str = r#"{"predicates":[{"attr":"price","op":"Ge","value":{"Int":10}},{"attr":"price","op":"Le","value":{"Float":100.5}},{"attr":"symbol","op":"StrPrefix","value":{"Str":"IB"}},{"attr":"volume","op":"Neq","value":{"Int":0}},{"attr":"open","op":"Any","value":{"Int":0}}],"constraints":{"open":"Present","price":{"Num":{"interval":{"lo":{"Incl":10.0},"hi":{"Incl":100.5}},"excluded":[]}},"symbol":{"Str":{"interval":{"lo":"Unbounded","hi":"Unbounded"},"excluded":[],"prefixes":["IB"],"suffixes":[],"contains":[]}},"volume":{"Num":{"interval":{"lo":"Unbounded","hi":"Unbounded"},"excluded":[0.0]}}}}"#;
 const ADV_FILTER_BYTES: &str = "0200057072696365050000000673796d626f6c00020349424d";
 const ADV_FILTER_JSON: &str = r#"{"predicates":[{"attr":"price","op":"Ge","value":{"Int":0}},{"attr":"symbol","op":"Eq","value":{"Str":"IBM"}}],"constraints":{"price":{"Num":{"interval":{"lo":{"Incl":0.0},"hi":"Unbounded"},"excluded":[]}},"symbol":{"Str":{"interval":{"lo":{"Incl":"IBM"},"hi":{"Incl":"IBM"}},"excluded":[],"prefixes":[],"suffixes":[],"contains":[]}}}}"#;
+
+/// The checkpoint of [`checkpointed_broker`] as the commit before this
+/// one wrote it: its `BrokerConfig` still names a matcher layout.
+const OLD_SNAPSHOT_JSON: &str = r#"{"core":{"id":2,"neighbors":[1,3],"srt":[[{"client":5,"seq":1},{"adv":{"id":{"client":5,"seq":1},"filter":{"predicates":[{"attr":"price","op":"Ge","value":{"Int":0}},{"attr":"symbol","op":"Eq","value":{"Str":"IBM"}}],"constraints":{"price":{"Num":{"interval":{"lo":{"Incl":0.0},"hi":"Unbounded"},"excluded":[]}},"symbol":{"Str":{"interval":{"lo":{"Incl":"IBM"},"hi":{"Incl":"IBM"}},"excluded":[],"prefixes":[],"suffixes":[],"contains":[]}}}},"ttl":null},"lasthop":{"Broker":1},"alt_lasthops":[],"sent_to":[3],"pending":null}]],"prt":[[{"client":7,"seq":0},{"sub":{"id":{"client":7,"seq":0},"filter":{"predicates":[{"attr":"price","op":"Ge","value":{"Int":100}}],"constraints":{"price":{"Num":{"interval":{"lo":{"Incl":100.0},"hi":"Unbounded"},"excluded":[]}}}}},"lasthop":{"Client":7},"alt_lasthops":[],"sent_to":[1],"pending":null}],[{"client":9,"seq":1},{"sub":{"id":{"client":9,"seq":1},"filter":{"predicates":[{"attr":"symbol","op":"Eq","value":{"Str":"IBM"}}],"constraints":{"symbol":{"Str":{"interval":{"lo":{"Incl":"IBM"},"hi":{"Incl":"IBM"}},"excluded":[],"prefixes":[],"suffixes":[],"contains":[]}}}}},"lasthop":{"Broker":3},"alt_lasthops":[],"sent_to":[1],"pending":null}]],"clients":[7],"config":{"sub_covering":"Off","adv_covering":"Off","conservative_release":false,"parallelism":{"shards":1,"workers":0},"multipath":false},"stats":{"handled":{"Advertise":1,"Subscribe":2},"anomalies":0,"reroutes":0},"pending_meta":[],"dedup":{"cur":[],"old":[],"cap":2048}},"clients":{"7":{"id":7,"state":"Started","subs":{"0":{"id":{"client":7,"seq":0},"filter":{"predicates":[{"attr":"price","op":"Ge","value":{"Int":100}}],"constraints":{"price":{"Num":{"interval":{"lo":{"Incl":100.0},"hi":"Unbounded"},"excluded":[]}}}}}},"advs":{},"next_sub_seq":1,"next_adv_seq":0,"next_pub_seq":0,"buffered":[],"buffered_ids":[],"seen":[],"queued_ops":[]}},"moves":{"src":[],"tgt":[],"path":[]},"next_move_seq":0,"topology":{"brokers":[1,2,3],"adjacency":{"1":[2],"2":[1,3],"3":[2]}}}"#;
+/// What only the old writer put there; a reader skips it.
+const OLD_LAYOUT_KEY: &str = r#""parallelism":{"shards":1,"workers":0},"#;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -152,6 +166,65 @@ fn client_profile_encodings_are_pinned() {
              30100000406000001070102010500000200020349424d0105"
         ),
     );
+}
+
+/// Broker 2 of a chain of three: a local subscriber, an advertisement
+/// learnt from broker 1 and a subscription learnt from broker 3.
+fn checkpointed_broker() -> MobileBroker {
+    let topo = Arc::new(Topology::chain(3));
+    let mut b = MobileBroker::new(BrokerId(2), topo, MobileBrokerConfig::reconfig());
+    b.create_client(ClientId(7));
+    let _ = b.client_op(
+        ClientId(7),
+        ClientOp::Subscribe(Filter::builder().ge("price", 100).build()),
+    );
+    let adv = Advertisement::new(
+        AdvId::new(ClientId(5), 1),
+        Filter::builder().ge("price", 0).eq("symbol", "IBM").build(),
+    );
+    let _ = b.handle(
+        Hop::Broker(BrokerId(1)),
+        Message::PubSub(PubSubMsg::Advertise(adv)),
+    );
+    let sub = Subscription::new(
+        SubId::new(ClientId(9), 1),
+        Filter::builder().eq("symbol", "IBM").build(),
+    );
+    let _ = b.handle(
+        Hop::Broker(BrokerId(3)),
+        Message::PubSub(PubSubMsg::Subscribe(sub)),
+    );
+    b
+}
+
+#[test]
+fn old_checkpoint_restores_and_routes_like_a_new_one() {
+    assert_eq!(OLD_SNAPSHOT_JSON.matches(OLD_LAYOUT_KEY).count(), 1);
+    let new_json = OLD_SNAPSHOT_JSON.replace(OLD_LAYOUT_KEY, "");
+    assert_eq!(
+        serde_json::to_string(&checkpointed_broker().snapshot()).unwrap(),
+        new_json
+    );
+    let publish = || {
+        let m = PublicationMsg::new(PubId((5 << 32) | 1), ClientId(5), publication());
+        Message::PubSub(PubSubMsg::Publish(m))
+    };
+    let want = checkpointed_broker().handle(Hop::Broker(BrokerId(1)), publish());
+    // To the local subscriber and on towards broker 3.
+    assert_eq!(want.len(), 2, "{want:?}");
+    for json in [OLD_SNAPSHOT_JSON, new_json.as_str()] {
+        let snap: BrokerSnapshot = serde_json::from_str(json).unwrap();
+        let mut restored = MobileBroker::restore(
+            Arc::new(Topology::chain(3)),
+            MobileBrokerConfig::reconfig(),
+            snap,
+        );
+        assert_eq!(
+            serde_json::to_string(&restored.snapshot()).unwrap(),
+            new_json
+        );
+        assert_eq!(restored.handle(Hop::Broker(BrokerId(1)), publish()), want);
+    }
 }
 
 #[test]

@@ -11,19 +11,11 @@
 //! The mixing step is the widely used `FxHash` construction
 //! (rotate-xor-multiply by a golden-ratio-derived odd constant).
 //!
-//! # Determinism across shards (audit note)
+//! # Determinism
 //!
-//! The sharded match index partitions attributes with a bare
-//! [`FastHasher`] (`shard_of_in`), and each shard owns its own
-//! [`FastMap`]s keyed by the same attribute strings. This is sound
-//! because the hasher carries **no per-instance state**:
+//! The hasher carries **no per-instance state**:
 //! [`BuildHasherDefault`] zero-initializes every hasher, so equal key
-//! bytes hash identically in every map, every shard, every process and
-//! every run. The shard an attribute maps to is a pure function of its
-//! bytes and the shard count — re-partitioning on a layout change and
-//! every later lookup can therefore never disagree about ownership,
-//! and a key is never "reused" across shards:
-//! it lives in exactly the one shard its hash names.
+//! bytes hash identically in every map, every process and every run.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -110,10 +102,9 @@ mod tests {
 
     #[test]
     fn hashing_is_stateless_and_reproducible() {
-        // The sharding partition function relies on every
-        // freshly-built hasher (bare or via `BuildHasherDefault`)
-        // agreeing on equal bytes; a per-instance seed would silently
-        // split one attribute across shards.
+        // Every freshly-built hasher (bare or via
+        // `BuildHasherDefault`) agrees on equal bytes: no per-instance
+        // seed.
         use std::hash::BuildHasher;
         let build = BuildHasherDefault::<FastHasher>::default();
         for key in ["", "x", "attr-name", "k00", "a-rather-longer-attribute"] {

@@ -96,11 +96,11 @@
 //!
 //! # The matching kernel
 //!
-//! One function, `MatchIndex::fold_chunk`, matches publications
-//! against the table, and it is a *fold*: the caller of
-//! [`MatchIndex::fold_matching`] supplies an accumulator per
-//! publication, a step called once per matching key, in no particular
-//! order, and a finisher called once after the last.
+//! One function, [`MatchIndex::fold_matching`], matches publications
+//! against the table, on the calling thread, and it is a *fold*: its
+//! caller supplies an accumulator per publication, a step called once
+//! per matching key, in no particular order, and a finisher called
+//! once after the last.
 //! [`MatchIndex::matching`] and [`MatchIndex::matching_batch`] are
 //! that fold into a vector, finished by the sort their contract
 //! promises; the broker's publication forwarding folds row numbers
@@ -142,19 +142,6 @@
 //! table (`REBUILD_FRACTION`) the snapshot is dropped, and the next
 //! probe builds a new one.
 //!
-//! # Sharding and scheduling
-//!
-//! The per-attribute structures are hash-partitioned into
-//! [`Parallelism::shards`] shards: attribute `a` lives in shard
-//! `FastHasher(a) % shards`, a pure function of the attribute name.
-//! [`Parallelism::workers`] decides only *where* the kernel runs: with
-//! two or more, a batch is split into contiguous publication chunks
-//! claimed off an atomic cursor by the caller and the index's
-//! persistent worker pool (lazily started, shared by clones), and the
-//! chunk results are stitched back in batch order; otherwise the whole
-//! batch runs on the caller. Either way every chunk goes through the
-//! same function, so the schedule cannot change an answer.
-//!
 //! # Oracle
 //!
 //! The reference is the linear scan: [`Filter::matches`] over every
@@ -167,24 +154,19 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
-use std::hash::{Hash, Hasher as _};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-use serde::{Deserialize, Serialize};
-
-use crate::fasthash::{FastHasher, FastMap};
-use crate::pool::{PoolStats, WorkerPool};
+use std::hash::Hash;
+use std::sync::{Arc, OnceLock};
 
 use crate::constraint::{Bound, Constraint, Interval, NumConstraint, TotalF64};
+use crate::fasthash::FastMap;
 use crate::filter::Filter;
 use crate::publication::Publication;
 use crate::value::Value;
 
 /// Key types a [`MatchIndex`] can index filters under (`AdvId`,
 /// `SubId`, …).
-pub trait IndexKey: Copy + Ord + Eq + Hash + Debug + Send + Sync {}
-impl<T: Copy + Ord + Eq + Hash + Debug + Send + Sync> IndexKey for T {}
+pub trait IndexKey: Copy + Ord + Eq + Hash + Debug {}
+impl<T: Copy + Ord + Eq + Hash + Debug> IndexKey for T {}
 
 /// Where a constraint lives inside an [`AttrIndex`]. Classification is
 /// a pure function of the constraint, so insert and remove agree.
@@ -702,60 +684,23 @@ impl<K: IndexKey> AttrIndex<K> {
     }
 }
 
-/// Sharding and worker-pool configuration for a [`MatchIndex`] (and,
-/// via the broker config, for every `Srt`/`Prt` in a deployment).
-///
-/// `shards` is the number of hash partitions of the attribute space
-/// (at least 1). `workers` schedules [`MatchIndex::matching_batch`]:
-/// with two or more, the batch is split into up to `workers`
-/// publication chunks matched on the index's persistent worker pool
-/// (lazily started on the first such batch, then reused for every
-/// batch after; clones of an index share one pool); with fewer, the
-/// batch is matched on the calling thread and the pool is never
-/// touched. The fan-out is bounded by the batch's publication count
-/// and by the machine's available parallelism — never by the shard
-/// count. (The seeded test entry point bypasses the hardware clamp so
-/// schedule tests exercise real threads anywhere.)
-///
-/// Neither field changes an answer: sharding is a physical layout, and
-/// every schedule runs the same kernel over the same chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Parallelism {
-    /// Hash-partition count for the per-attribute structures (≥ 1).
-    pub shards: usize,
-    /// Threads a batch of [`MatchIndex::matching_batch`] is spread
-    /// over; below 2 it stays on the caller.
-    pub workers: usize,
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism {
-            shards: 1,
-            workers: 0,
-        }
-    }
-}
+/// What is left of the matcher's layout option, which had one value in
+/// use: a field-less token. Its only caller is
+/// `bench_e2e/src/layers.rs`, which this tree may not edit; it goes
+/// with the next `benchmark` PR (ROADMAP, deletion list).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Parallelism;
 
 impl Parallelism {
-    /// One shard, matched on the calling thread.
+    /// Only caller: `bench_e2e/src/layers.rs`.
     pub fn sequential() -> Self {
-        Parallelism::default()
+        Parallelism
     }
 
-    /// `shards` hash partitions matched by a pool of `workers` threads.
-    pub fn sharded(shards: usize, workers: usize) -> Self {
-        Parallelism {
-            shards: shards.max(1),
-            workers,
-        }
-    }
-
-    fn normalized(self) -> Self {
-        Parallelism {
-            shards: self.shards.max(1),
-            workers: self.workers,
-        }
+    /// Only caller: `bench_e2e/src/layers.rs`.
+    pub fn sharded(_shards: usize, _workers: usize) -> Self {
+        Parallelism
     }
 }
 
@@ -769,34 +714,6 @@ impl Parallelism {
 const REBUILD_FRACTION: usize = 64;
 /// See [`REBUILD_FRACTION`].
 const REBUILD_FLOOR: usize = 16;
-
-/// The shard an attribute belongs to: a pure function of the attribute
-/// name (and the shard count), so insert, remove, and every query
-/// agree on the owning shard without coordination, and an attribute's
-/// entire bucket family is always co-located.
-fn shard_of_in(nshards: usize, attr: &str) -> usize {
-    if nshards <= 1 {
-        return 0;
-    }
-    let mut h = FastHasher::default();
-    h.write(attr.as_bytes());
-    (h.finish() % nshards as u64) as usize
-}
-
-/// One hash partition of the attribute space: the attribute structures
-/// whose names hash to this shard.
-#[derive(Debug, Clone)]
-struct Shard<K> {
-    attrs: FastMap<String, AttrIndex<K>>,
-}
-
-impl<K: IndexKey> Shard<K> {
-    fn new() -> Self {
-        Shard {
-            attrs: FastMap::default(),
-        }
-    }
-}
 
 /// Dense slot ids for the satisfiable, arity ≥ 1 keys.
 ///
@@ -867,39 +784,6 @@ impl<K: IndexKey> SlotTable<K> {
     }
 }
 
-/// Splitmix64-seeded Fisher–Yates shuffle; drives the seeded
-/// interleaving smoke's job-order permutations.
-fn shuffle_jobs(jobs: &mut [usize], seed: u64) {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    for i in (1..jobs.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        jobs.swap(i, j);
-    }
-}
-
-/// Detected hardware thread count, cached for the life of the process.
-///
-/// An unseeded batch never fans out wider than this: on a host with
-/// fewer cores than configured workers, extra pool threads add only
-/// handoff latency and cache thrash, never throughput. The seeded
-/// test entry bypasses the clamp so interleaving tests always
-/// exercise the configured fan-out with real threads.
-fn hw_threads() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 /// One exclusion-free interval row of a [`PackedAttr`] scan array.
 ///
 /// The array's sort key — the *admission* endpoint — lives in a
@@ -960,7 +844,7 @@ fn excl_hit(r: &ExclRow, x: f64) -> bool {
 /// qualifying prefix of each array and only the **smaller** prefix is
 /// scanned; every visited row needs just one comparison against its
 /// opposite endpoint. The scan is stateless, so probes need no
-/// batch-wide sorting and parallelize trivially.
+/// batch-wide sorting.
 #[derive(Debug, Default)]
 struct PackedAttr {
     /// Lower bounds of the clean rows, ascending in the total order;
@@ -1112,23 +996,16 @@ pub struct MatchIndex<K> {
     /// Keys of more constraints than a countdown cell can hold: the
     /// kernel checks their filters directly.
     wide: BTreeSet<K>,
-    /// The hash-partitioned attribute structures; always ≥ 1 shard.
-    shards: Vec<Shard<K>>,
+    /// The per-attribute structures, by attribute name.
+    attrs: FastMap<String, AttrIndex<K>>,
     /// Dense slot ids for the kernel's countdown (module docs).
     slots: SlotTable<K>,
-    par: Parallelism,
     /// The packed snapshot, built by the first probe that finds none
     /// and dropped by the write that makes it too old (module docs,
     /// "Rebuild policy").
     packed: OnceLock<Arc<PackedTables>>,
     /// Slot-bearing inserts and removes since `packed` was built.
     stale_writes: usize,
-    /// The persistent worker pool batches are spread over when
-    /// [`Parallelism::workers`] ≥ 2; no threads exist until the first
-    /// such batch. Clones share the pool (an index clone is a
-    /// routing-table snapshot, not a new deployment), so snapshots
-    /// never multiply threads.
-    pool: Arc<WorkerPool>,
 }
 
 impl<K: IndexKey> Default for MatchIndex<K> {
@@ -1139,60 +1016,25 @@ impl<K: IndexKey> Default for MatchIndex<K> {
             zero: BTreeSet::new(),
             unsat: BTreeSet::new(),
             wide: BTreeSet::new(),
-            shards: vec![Shard::new()],
+            attrs: FastMap::default(),
             slots: SlotTable::new(),
-            par: Parallelism::default(),
             packed: OnceLock::new(),
             stale_writes: 0,
-            pool: Arc::new(WorkerPool::new()),
         }
     }
 }
 
 impl<K: IndexKey> MatchIndex<K> {
-    /// Creates an empty index (one shard, matched on the caller).
+    /// Creates an empty index.
     pub fn new() -> Self {
         MatchIndex::default()
     }
 
-    /// Creates an empty index with the given sharding configuration.
-    pub fn with_parallelism(par: Parallelism) -> Self {
-        let mut ix = MatchIndex::default();
-        ix.set_parallelism(par);
-        ix
-    }
-
-    /// The current sharding configuration.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-
-    /// Reconfigures sharding. Changing the shard count redistributes
-    /// every attribute structure to its new owning shard (a rebuild of
-    /// the per-attribute buckets from the authoritative filters; slot
-    /// assignments survive); answers are identical before and after.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        let par = par.normalized();
-        if par.shards != self.shards.len() {
-            self.drop_snapshot();
-            let mut shards: Vec<Shard<K>> = (0..par.shards).map(|_| Shard::new()).collect();
-            for (key, filter) in &self.filters {
-                if self.unsat.contains(key) || self.zero.contains(key) {
-                    continue;
-                }
-                Self::index_constraints(&mut shards, *key, self.slots.of[key], filter, false);
-            }
-            self.shards = shards;
-        }
-        self.par = par;
-    }
-
-    /// The attribute structure owning `attr`, if any constraint on
-    /// `attr` is indexed.
-    fn attr_index(&self, attr: &str) -> Option<&AttrIndex<K>> {
-        self.shards[shard_of_in(self.shards.len(), attr)]
-            .attrs
-            .get(attr)
+    /// [`MatchIndex::new`]. Only caller: `bench_e2e/src/layers.rs`
+    /// (see [`Parallelism`]).
+    #[doc(hidden)]
+    pub fn with_parallelism(_par: Parallelism) -> Self {
+        MatchIndex::new()
     }
 
     /// Number of indexed filters.
@@ -1229,26 +1071,13 @@ impl<K: IndexKey> MatchIndex<K> {
         if self.slots.seed[slot as usize] == 0 {
             self.wide.insert(key);
         }
-        Self::index_constraints(&mut self.shards, key, slot, filter, snapshotted);
-    }
-
-    /// Files a reference to every constraint of `filter` in the
-    /// structure of its attribute, in the shard that owns it.
-    fn index_constraints(
-        shards: &mut [Shard<K>],
-        key: K,
-        slot: u32,
-        filter: &Filter,
-        snapshotted: bool,
-    ) {
-        let nshards = shards.len();
+        // A reference to every constraint, filed under its attribute.
         for (at, (attr, _)) in filter.constraints().enumerate() {
             let cons = ConsRef {
                 filter: filter.clone(),
                 at,
             };
-            shards[shard_of_in(nshards, attr)]
-                .attrs
+            self.attrs
                 .entry(attr.to_owned())
                 .or_insert_with(AttrIndex::new)
                 .insert(key, slot, cons, snapshotted);
@@ -1269,13 +1098,11 @@ impl<K: IndexKey> MatchIndex<K> {
             return true;
         }
         self.wide.remove(key);
-        let nshards = self.shards.len();
         for (attr, _) in filter.constraints() {
-            let shard = &mut self.shards[shard_of_in(nshards, attr)];
-            if let Some(ai) = shard.attrs.get_mut(attr) {
+            if let Some(ai) = self.attrs.get_mut(attr) {
                 ai.remove(*key);
                 if ai.is_empty() {
-                    shard.attrs.remove(attr);
+                    self.attrs.remove(attr);
                 }
             }
         }
@@ -1304,7 +1131,7 @@ impl<K: IndexKey> MatchIndex<K> {
         if self.packed.take().is_some() {
             self.stale_writes = 0;
             self.slots.unpark();
-            for ai in self.shards.iter_mut().flat_map(|s| s.attrs.values_mut()) {
+            for ai in self.attrs.values_mut() {
                 ai.fresh.clear();
             }
         }
@@ -1314,7 +1141,7 @@ impl<K: IndexKey> MatchIndex<K> {
     fn packed(&self) -> &PackedTables {
         self.packed.get_or_init(|| {
             let mut attrs = PackedTables::default();
-            for (attr, ai) in self.shards.iter().flat_map(|s| &s.attrs) {
+            for (attr, ai) in &self.attrs {
                 let mut pa = PackedAttr::default();
                 for r in ai.by_lo.values().flatten() {
                     let excl = r.flags & (LO_EXCL | HI_EXCL);
@@ -1349,7 +1176,7 @@ impl<K: IndexKey> MatchIndex<K> {
     }
 
     /// Keys of filters matching `publication`, sorted: the fold on a
-    /// batch of one (which never leaves the calling thread).
+    /// batch of one.
     pub fn matching(&self, publication: &Publication) -> Vec<K> {
         self.matching_batch(std::slice::from_ref(publication))
             .pop()
@@ -1360,103 +1187,24 @@ impl<K: IndexKey> MatchIndex<K> {
     /// returning one sorted key vector per publication (same order as
     /// `pubs`): [`MatchIndex::fold_matching`] into a vector, sorted.
     pub fn matching_batch(&self, pubs: &[Publication]) -> Vec<Vec<K>> {
-        self.matching_batch_scheduled(pubs, None)
-    }
-
-    fn matching_batch_scheduled(&self, pubs: &[Publication], seed: Option<u64>) -> Vec<Vec<K>> {
-        self.fold_scheduled(
+        self.fold_matching(
             pubs,
-            seed,
-            &Vec::with_capacity,
-            &|row: &mut Vec<K>, k| row.push(k),
-            &|row: &mut Vec<K>| row.sort_unstable(),
+            Vec::with_capacity,
+            |row: &mut Vec<K>, k| row.push(k),
+            |row: &mut Vec<K>| row.sort_unstable(),
         )
     }
 
-    /// Folds the keys matching each publication of `pubs` into one
-    /// accumulator a publication (same order as `pubs`): `init` makes
+    /// The matching kernel (module docs), on the calling thread: folds
+    /// the keys matching each publication of `pubs` into one
+    /// accumulator a publication (same order as `pubs`). `init` makes
     /// the accumulator, given the number of matching keys; `step` is
     /// called once per matching key, in no particular order; `finish`
     /// once after the last key (the place for a sort the accumulator's
-    /// contract promises). This is the one entry to the matching
-    /// kernel; callers that need no key list (publication forwarding
-    /// resolves keys straight to destinations) never build one.
-    ///
-    /// The batch is spread over the worker pool when
-    /// [`Parallelism::workers`] asks for it, so the closures may run
-    /// on pool threads; they must not probe a [`MatchIndex`] themselves
+    /// contract promises). Callers that need no key list (publication
+    /// forwarding resolves keys straight to destinations) never build
+    /// one. The closures must not probe a [`MatchIndex`] themselves
     /// (the kernel's per-thread scratch is borrowed while they run).
-    pub fn fold_matching<P, A>(
-        &self,
-        pubs: &[P],
-        init: impl Fn(usize) -> A + Sync,
-        step: impl Fn(&mut A, K) + Sync,
-        finish: impl Fn(&mut A) + Sync,
-    ) -> Vec<A>
-    where
-        P: Borrow<Publication> + Sync,
-        A: Send,
-    {
-        self.fold_scheduled(pubs, None, &init, &step, &finish)
-    }
-
-    /// Splits the batch into up to [`Parallelism::workers`] contiguous
-    /// publication chunks and runs the kernel on each.
-    ///
-    /// With a fan-out of two or more, chunks are claimed off an atomic
-    /// cursor by the caller and the persistent pool's workers, so a
-    /// straggler chunk never idles the rest of the pool; chunk results
-    /// are stitched back in batch order, so thread completion order is
-    /// irrelevant. `schedule_seed` permutes only the order chunks are
-    /// *claimed* in; chunk boundaries, and therefore all per-chunk
-    /// computations, are schedule-independent by construction.
-    /// Unseeded (production) batches additionally clamp the fan-out to
-    /// the detected hardware thread count — a narrower schedule of the
-    /// same chunks, which cannot change results.
-    fn fold_scheduled<P, A>(
-        &self,
-        pubs: &[P],
-        schedule_seed: Option<u64>,
-        init: &(impl Fn(usize) -> A + Sync),
-        step: &(impl Fn(&mut A, K) + Sync),
-        finish: &(impl Fn(&mut A) + Sync),
-    ) -> Vec<A>
-    where
-        P: Borrow<Publication> + Sync,
-        A: Send,
-    {
-        let npubs = pubs.len();
-        let fanout = match schedule_seed {
-            Some(_) => self.par.workers.min(npubs),
-            None => self.par.workers.min(hw_threads()).min(npubs),
-        };
-        if fanout < 2 {
-            return self.fold_chunk(pubs, init, step, finish);
-        }
-        let chunk = npubs.div_ceil(fanout);
-        let nchunks = npubs.div_ceil(chunk);
-        let mut order: Vec<usize> = (0..nchunks).collect();
-        if let Some(seed) = schedule_seed {
-            shuffle_jobs(&mut order, seed);
-        }
-        let results: Vec<Mutex<Vec<A>>> = (0..nchunks).map(|_| Mutex::new(Vec::new())).collect();
-        let cursor = AtomicUsize::new(0);
-        self.pool.run(nchunks, &|_| loop {
-            let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-            let Some(&ci) = order.get(i) else { break };
-            let pubs = &pubs[ci * chunk..((ci + 1) * chunk).min(npubs)];
-            let accs = self.fold_chunk(pubs, init, step, finish);
-            *results[ci].lock().unwrap_or_else(|p| p.into_inner()) = accs;
-        });
-        let mut out: Vec<A> = Vec::with_capacity(npubs);
-        for cell in results {
-            out.append(&mut cell.into_inner().unwrap_or_else(|p| p.into_inner()));
-        }
-        out
-    }
-
-    /// The matching kernel (module docs): the accumulator of every
-    /// publication of `pubs`, on the calling thread.
     ///
     /// Per publication, every probe decrements the cells of the slots
     /// whose constraint on the probed attribute the value satisfies —
@@ -1466,12 +1214,12 @@ impl<K: IndexKey> MatchIndex<K> {
     /// completed slots, the zero-arity keys and the `wide` keys whose
     /// filter matches are then handed to `step`, and the accumulator
     /// to `finish`.
-    fn fold_chunk<P: Borrow<Publication>, A>(
+    pub fn fold_matching<P: Borrow<Publication>, A>(
         &self,
         pubs: &[P],
-        init: &impl Fn(usize) -> A,
-        step: &impl Fn(&mut A, K),
-        finish: &impl Fn(&mut A),
+        init: impl Fn(usize) -> A,
+        step: impl Fn(&mut A, K),
+        finish: impl Fn(&mut A),
     ) -> Vec<A> {
         let packed = self.packed();
         SCRATCH.with_borrow_mut(|MatchScratch { cells, done }| {
@@ -1482,7 +1230,7 @@ impl<K: IndexKey> MatchIndex<K> {
                     cells.extend_from_slice(&self.slots.seed);
                     done.clear();
                     for (attr, value) in p.iter() {
-                        let Some(ai) = self.attr_index(attr) else {
+                        let Some(ai) = self.attrs.get(attr) else {
                             continue;
                         };
                         let mut bump = |slot: u32| {
@@ -1530,45 +1278,10 @@ impl<K: IndexKey> MatchIndex<K> {
         })
     }
 
-    /// Lifecycle counters of the index's persistent worker pool. Test
-    /// support: the pool-reuse, lazy-start and caller-thread no-spawn
-    /// regression tests pin the pool contract against these.
+    /// Asserts that the slot table covers exactly the satisfiable
+    /// arity ≥ 1 keys with consistent key/seed mirrors. Test support.
     #[doc(hidden)]
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// [`MatchIndex::matching_batch`] with the hardware clamp lifted
-    /// and a seeded chunk-claim order: the entry point of the seeded
-    /// interleaving smoke. Same answers for every seed.
-    #[doc(hidden)]
-    pub fn matching_batch_seeded(&self, pubs: &[Publication], seed: u64) -> Vec<Vec<K>> {
-        self.matching_batch_scheduled(pubs, Some(seed))
-    }
-
-    /// Asserts the internal sharding invariants: every attribute
-    /// structure lives in exactly the shard its hash names, and the
-    /// slot table covers exactly the satisfiable arity ≥ 1 keys with
-    /// consistent key/seed mirrors. Test support.
-    #[doc(hidden)]
-    pub fn check_shard_invariants(&self) {
-        let nshards = self.shards.len();
-        assert!(nshards >= 1, "shard vector must never be empty");
-        assert_eq!(nshards, self.par.shards, "shard count drifted from config");
-        let mut seen = BTreeSet::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            for attr in shard.attrs.keys() {
-                assert_eq!(
-                    shard_of_in(nshards, attr),
-                    s,
-                    "attribute {attr:?} is in shard {s}, not its owning shard"
-                );
-                assert!(
-                    seen.insert(attr.clone()),
-                    "attribute {attr:?} in two shards"
-                );
-            }
-        }
+    pub fn check_slot_invariants(&self) {
         let expected = self.sat.len() - self.zero.len();
         assert_eq!(self.slots.of.len(), expected, "slot table size mismatch");
         for (k, slot) in &self.slots.of {
@@ -1605,7 +1318,8 @@ impl<K: IndexKey> MatchIndex<K> {
         let mut relevant: Vec<(&AttrIndex<K>, Vec<K>)> = filter
             .constraints()
             .filter_map(|(attr, qc)| {
-                self.attr_index(attr)
+                self.attrs
+                    .get(attr)
                     .map(|ai| (ai, ai.overlap_qualified(qc)))
             })
             .collect();
@@ -1660,7 +1374,7 @@ impl<K: IndexKey> MatchIndex<K> {
         let mut out: Vec<K> = self.zero.iter().copied().collect();
         let mut counts: FastMap<K, usize> = FastMap::default();
         for (attr, qc) in filter.constraints() {
-            if let Some(ai) = self.attr_index(attr) {
+            if let Some(ai) = self.attrs.get(attr) {
                 ai.count_covering(qc, &mut |k| *counts.entry(k).or_insert(0) += 1);
             }
         }
@@ -1696,7 +1410,7 @@ impl<K: IndexKey> MatchIndex<K> {
             // (each attribute bumps a key at most once), so the
             // counting map is pure overhead on the release hot path.
             let (attr, qc) = filter.constraints().next().expect("arity 1");
-            if let Some(ai) = self.attr_index(attr) {
+            if let Some(ai) = self.attrs.get(attr) {
                 ai.count_covered_by(qc, &mut |k| out.push(k));
             }
             out.sort_unstable();
@@ -1704,7 +1418,7 @@ impl<K: IndexKey> MatchIndex<K> {
         }
         let mut counts: FastMap<K, usize> = FastMap::default();
         for (attr, qc) in filter.constraints() {
-            if let Some(ai) = self.attr_index(attr) {
+            if let Some(ai) = self.attrs.get(attr) {
                 ai.count_covered_by(qc, &mut |k| *counts.entry(k).or_insert(0) += 1);
             }
         }
@@ -2010,28 +1724,24 @@ mod tests {
     fn fold_steps_once_per_matching_key() {
         // Zero-arity keys and counted keys, publications passed by
         // reference: the fold hands every matching key to `step`
-        // exactly once and every accumulator to `finish` once, on the
-        // caller and spread over the pool.
-        let (table, mut ix) = build(assorted_filters());
+        // exactly once and every accumulator to `finish` once.
+        let (table, ix) = build(assorted_filters());
         let batch = probes();
         let refs: Vec<&Publication> = batch.iter().collect();
-        for workers in [0usize, 2] {
-            ix.set_parallelism(Parallelism::sharded(3, workers));
-            let got = ix.fold_matching(
-                &refs,
-                |_| BTreeMap::new(),
-                |seen, k| *seen.entry(k).or_insert(0usize) += 1,
-                |seen| assert_eq!(seen.insert(u32::MAX, 0), None, "finished twice"),
-            );
-            assert_eq!(got.len(), batch.len());
-            for (i, p) in batch.iter().enumerate() {
-                let want: BTreeMap<u32, usize> = linear_matching(&table, p)
-                    .into_iter()
-                    .map(|k| (k, 1))
-                    .chain([(u32::MAX, 0)])
-                    .collect();
-                assert_eq!(got[i], want, "workers={workers} probe {i} ({p})");
-            }
+        let got = ix.fold_matching(
+            &refs,
+            |_| BTreeMap::new(),
+            |seen, k| *seen.entry(k).or_insert(0usize) += 1,
+            |seen| assert_eq!(seen.insert(u32::MAX, 0), None, "finished twice"),
+        );
+        assert_eq!(got.len(), batch.len());
+        for (i, p) in batch.iter().enumerate() {
+            let want: BTreeMap<u32, usize> = linear_matching(&table, p)
+                .into_iter()
+                .map(|k| (k, 1))
+                .chain([(u32::MAX, 0)])
+                .collect();
+            assert_eq!(got[i], want, "probe {i} ({p})");
         }
     }
 
@@ -2100,50 +1810,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_configs_agree_with_linear_scan() {
-        // Sharding is a physical-layout change only: every shard count
-        // and worker count must answer all four query families exactly
-        // like the linear scans.
-        for shards in [1usize, 3, 8] {
-            for workers in [0usize, 2] {
-                let (table, mut ix) = build(assorted_filters());
-                ix.set_parallelism(Parallelism::sharded(shards, workers));
-                ix.check_shard_invariants();
-                let batch = probes();
-                let got = ix.matching_batch(&batch);
-                for (i, p) in batch.iter().enumerate() {
-                    assert_eq!(
-                        got[i],
-                        linear_matching(&table, p),
-                        "shards={shards} workers={workers} probe {i} ({p})"
-                    );
-                    assert_eq!(ix.matching(p), linear_matching(&table, p));
-                }
-                for q in assorted_filters() {
-                    assert_eq!(ix.overlapping(&q), linear_overlapping(&table, &q));
-                    assert_eq!(ix.covering(&q), linear_covering(&table, &q));
-                    assert_eq!(ix.covered_by(&q), linear_covered_by(&table, &q));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_pooled_schedules_match_linear_scan() {
-        let (table, mut ix) = build(assorted_filters());
-        ix.set_parallelism(Parallelism::sharded(5, 3));
-        let batch = probes();
-        let want: Vec<Vec<u32>> = batch.iter().map(|p| linear_matching(&table, p)).collect();
-        for seed in 0..16u64 {
-            assert_eq!(ix.matching_batch_seeded(&batch, seed), want, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn sharded_churn_recycles_slots_consistently() {
+    fn churn_recycles_slots_consistently() {
         let filters = assorted_filters();
         let (mut table, mut ix) = build(filters.clone());
-        ix.set_parallelism(Parallelism::sharded(4, 2));
         for k in (0..filters.len() as u32).step_by(2) {
             assert!(ix.remove(&k));
             table.remove(&k);
@@ -2154,10 +1823,10 @@ mod tests {
             ix.insert(k, f);
             table.insert(k, f.clone());
         }
-        // Upsert in place while sharded.
+        // Upsert in place.
         ix.insert(101, &Filter::builder().ge("y", 1).le("y", 2).build());
         table.insert(101, Filter::builder().ge("y", 1).le("y", 2).build());
-        ix.check_shard_invariants();
+        ix.check_slot_invariants();
         let batch = probes();
         let got = ix.matching_batch(&batch);
         for (i, p) in batch.iter().enumerate() {
@@ -2186,7 +1855,7 @@ mod tests {
             wide,
             Filter::builder().eq("w1", 1).any("w2").build(),
         ]);
-        ix.check_shard_invariants();
+        ix.check_slot_invariants();
         let mut full = Publication::new();
         for i in 0..WIDE {
             full.set(attr(i), 1);
@@ -2202,7 +1871,7 @@ mod tests {
         // Removal frees it like any other row.
         assert!(ix.remove(&1));
         table.remove(&1);
-        ix.check_shard_invariants();
+        ix.check_slot_invariants();
         assert_eq!(ix.matching(&full), vec![0, 2]);
         assert_eq!(ix.matching_batch(&[full, short]), vec![vec![0, 2]; 2]);
     }
@@ -2231,7 +1900,7 @@ mod tests {
         for k in [1u32, 2] {
             assert!(Filter::ptr_eq(ix.get(&k).unwrap(), &f));
             for (attr, c) in f.constraints() {
-                let held = &ix.attr_index(attr).unwrap().cons[&k];
+                let held = &ix.attrs[attr].cons[&k];
                 assert!(Filter::ptr_eq(&held.filter, &f), "{attr} of {k}");
                 assert!(std::ptr::eq(held.get(), c), "{attr} of {k}");
             }
@@ -2239,19 +1908,10 @@ mod tests {
         let verified: Vec<&VerifyRow> = ix.packed()["x"]
             .verify
             .iter()
-            .chain(&ix.attr_index("x").unwrap().fresh)
+            .chain(&ix.attrs["x"].fresh)
             .collect();
         assert_eq!(verified.len(), 2);
         assert!(verified.iter().all(|r| Filter::ptr_eq(&r.cons.filter, &f)));
-        // Re-sharding rebuilds the attribute rows from the same handles.
-        ix.set_parallelism(Parallelism::sharded(3, 0));
-        for attr in ["x", "s", "y"] {
-            assert!(Filter::ptr_eq(
-                &ix.attr_index(attr).unwrap().cons[&2].filter,
-                &f
-            ));
-        }
-        assert_eq!(ix.matching(&hit), vec![1, 2]);
     }
 
     #[test]
@@ -2273,7 +1933,7 @@ mod tests {
         assert!(ix.packed.get().is_some());
         assert_eq!(ix.slots.parked.len(), 1, "slot of 95 waits for the build");
         assert_eq!(ix.slots.keys.len(), 201, "and was not handed to 500");
-        assert_eq!(ix.attr_index("x").unwrap().fresh.len(), 1);
+        assert_eq!(ix.attrs["x"].fresh.len(), 1);
         assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
         assert!(ix.matching(&probe).contains(&500));
         assert!(!ix.matching(&probe).contains(&95));
@@ -2290,8 +1950,8 @@ mod tests {
         }
         assert!(ix.packed.get().is_none(), "too many writes: dropped");
         assert!(ix.slots.parked.is_empty());
-        assert!(ix.attr_index("x").unwrap().fresh.is_empty());
-        ix.check_shard_invariants();
+        assert!(ix.attrs["x"].fresh.is_empty());
+        ix.check_slot_invariants();
         assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
         assert!(ix.packed.get().is_some());
     }

@@ -42,6 +42,7 @@
 //! assert!(sub.matches(&quote));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -50,7 +51,6 @@ pub mod fasthash;
 pub mod filter;
 pub mod index;
 pub mod message;
-pub(crate) mod pool;
 pub mod predicate;
 pub mod publication;
 pub mod value;
@@ -62,7 +62,6 @@ pub use index::{MatchIndex, Parallelism};
 pub use message::{
     AdvId, Advertisement, BrokerId, ClientId, MoveId, PubId, PublicationMsg, SubId, Subscription,
 };
-pub use pool::PoolStats;
 pub use predicate::{Op, Predicate};
 pub use publication::Publication;
 pub use value::{Value, ValueKind};

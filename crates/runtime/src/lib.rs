@@ -37,6 +37,7 @@
 //! net.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -302,10 +303,57 @@ mod tests {
         net.shutdown();
     }
 
-    /// A publisher floods broker batches while the subscriber's
-    /// movement transactions commit on the same broker loops.
-    /// Every move must commit, deliveries must stay duplicate-free,
-    /// and routing must keep following the subscriber afterwards.
+    /// A publisher floods broker batches (`burst` publications, then
+    /// `pause`) while the subscriber's movement transactions commit on
+    /// the same broker loops. Every move must commit, deliveries must
+    /// stay duplicate-free, and routing must keep following the
+    /// subscriber afterwards. Shared with the TCP runtime's tests.
+    pub(crate) fn flood_during_moves(
+        p: Client,
+        s: &Client,
+        dests: &[BrokerId],
+        burst: i64,
+        pause: Duration,
+    ) {
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flood = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut x = 0i64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    p.publish(Publication::new().with("x", x));
+                    x += 1;
+                    if x % burst == 0 {
+                        std::thread::sleep(pause);
+                    }
+                }
+                p // keep the publisher handle alive for the epilogue
+            })
+        };
+        for (round, dest) in dests.iter().enumerate() {
+            assert!(
+                s.move_to(*dest, ProtocolKind::Reconfig, Duration::from_secs(15)),
+                "move {round} must commit under the publish flood"
+            );
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let p = flood.join().expect("flood thread");
+        std::thread::sleep(Duration::from_millis(400));
+        let got = s.drain();
+        let ids: std::collections::BTreeSet<_> = got.iter().map(|x| x.id).collect();
+        assert_eq!(
+            ids.len(),
+            got.len(),
+            "duplicate deliveries under contention"
+        );
+        // Liveness epilogue: routing still follows the subscriber.
+        p.publish(Publication::new().with("x", 99_999));
+        assert!(
+            s.recv_timeout(Duration::from_secs(5)).is_some(),
+            "delivery after the contended move sequence"
+        );
+    }
+
     #[test]
     fn publish_flood_during_moves_stays_consistent() {
         let net = Network::builder()
@@ -317,44 +365,12 @@ mod tests {
         p.advertise(range(0, 100_000));
         s.subscribe(range(0, 100_000));
         std::thread::sleep(Duration::from_millis(50));
-
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flood = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut x = 0i64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    p.publish(Publication::new().with("x", x));
-                    x += 1;
-                    if x % 16 == 0 {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                p // keep the publisher handle alive for the epilogue
-            })
-        };
-        for round in 0..4 {
-            let dest = if round % 2 == 0 { b(2) } else { b(4) };
-            assert!(
-                s.move_to(dest, ProtocolKind::Reconfig, Duration::from_secs(10)),
-                "move {round} must commit under the publish flood"
-            );
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let p = flood.join().expect("flood thread");
-        std::thread::sleep(Duration::from_millis(300));
-        let got = s.drain();
-        let ids: std::collections::BTreeSet<_> = got.iter().map(|x| x.id).collect();
-        assert_eq!(
-            ids.len(),
-            got.len(),
-            "duplicate deliveries under contention"
-        );
-        // Liveness epilogue: routing still follows the subscriber.
-        p.publish(Publication::new().with("x", 99_999));
-        assert!(
-            s.recv_timeout(Duration::from_secs(3)).is_some(),
-            "delivery after the contended move sequence"
+        flood_during_moves(
+            p,
+            &s,
+            &[b(2), b(4), b(2), b(4)],
+            16,
+            Duration::from_millis(1),
         );
         net.shutdown();
     }

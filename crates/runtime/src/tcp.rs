@@ -74,10 +74,9 @@ pub use crate::Client as TcpClient;
 /// Default heartbeat period: each broker pings every live link this
 /// often ([`TcpOptions::heartbeat_interval`]).
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
-/// Default first redial delay after a link drops
-/// ([`TcpOptions::redial_base`]).
+/// First redial delay after a link drops.
 pub const REDIAL_BASE: Duration = Duration::from_millis(25);
-/// Default redial backoff ceiling ([`TcpOptions::redial_cap`]).
+/// Redial backoff ceiling. Jitter never pushes a delay past it.
 pub const REDIAL_CAP: Duration = Duration::from_millis(400);
 /// Default silence threshold for broker-death suspicion
 /// ([`TcpOptions::failure_timeout`]; only consulted when
@@ -108,11 +107,6 @@ pub struct TcpOptions {
     /// doubles as write-path failure detection, so this bounds how
     /// long a silent peer death goes unnoticed by the sender side.
     pub heartbeat_interval: Duration,
-    /// First redial delay after a link drops (default [`REDIAL_BASE`]).
-    pub redial_base: Duration,
-    /// Redial backoff ceiling (default [`REDIAL_CAP`]). Jitter never
-    /// pushes a delay past it.
-    pub redial_cap: Duration,
     /// How long a down link's inbound silence lasts before the
     /// surviving endpoint *suspects the peer broker is permanently
     /// dead* (default [`FAILURE_TIMEOUT`]). Only consulted when
@@ -136,8 +130,6 @@ impl Default for TcpOptions {
             wire: WireMode::Binary,
             down_queue_hwm: DEFAULT_DOWN_QUEUE_HWM,
             heartbeat_interval: HEARTBEAT_INTERVAL,
-            redial_base: REDIAL_BASE,
-            redial_cap: REDIAL_CAP,
             failure_timeout: FAILURE_TIMEOUT,
             suspicion_after: None,
         }
@@ -977,12 +969,7 @@ fn maybe_redial(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
                 }
             };
             loop {
-                std::thread::sleep(redial_delay(
-                    opts.redial_base,
-                    opts.redial_cap,
-                    attempt,
-                    seed,
-                ));
+                std::thread::sleep(redial_delay(REDIAL_BASE, REDIAL_CAP, attempt, seed));
                 attempt += 1;
                 if shared2.shutting_down.load(Ordering::SeqCst)
                     || shared2.down.read().contains(&owner)
@@ -1796,6 +1783,23 @@ mod tests {
         settle(&p, &s, 2);
         p.publish(Publication::new().with("x", 3));
         assert_eq!(xs_until_probe(&p, &s, 2), [0i64; 0]);
+        net.shutdown();
+    }
+
+    /// [`crate::tests::flood_during_moves`] with every link a socket.
+    #[test]
+    fn publish_flood_during_moves_over_real_sockets() {
+        let net = TcpNetwork::builder()
+            .overlay(Topology::chain(3))
+            .options(MobileBrokerConfig::reconfig())
+            .start()
+            .expect("sockets");
+        let p = net.create_client(b(1), c(1));
+        let s = net.create_client(b(3), c(2));
+        p.advertise(range(0, 100_000));
+        s.subscribe(range(0, 100_000));
+        std::thread::sleep(Duration::from_millis(150));
+        crate::tests::flood_during_moves(p, &s, &[b(2), b(3)], 8, Duration::from_millis(2));
         net.shutdown();
     }
 

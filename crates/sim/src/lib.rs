@@ -21,6 +21,7 @@
 //!   per-movement causal attribution), movement duration, movement
 //!   throughput.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -1,14 +1,11 @@
-//! A wide-attribute workload for sharded match tables.
+//! A wide-attribute workload for the match tables.
 //!
 //! The paper's Fig. 7 workloads concentrate on one or two attributes,
-//! which is the right shape for covering structure but the *wrong*
-//! shape for exercising attribute sharding: with two attributes at
-//! most two shards ever hold rows. This module spreads subscriptions
-//! over [`WIDE_ATTRS`] numeric attributes so a sharded
-//! `MatchIndex` has real work in every partition, and tunes the
-//! selectivities so a publication produces many constraint hits but
-//! few full matches — the regime where the per-hit countdown cost
-//! dominates matching.
+//! which is the right shape for covering structure but leaves most of
+//! a `MatchIndex` idle. This module spreads subscriptions over
+//! [`WIDE_ATTRS`] numeric attributes, and tunes the selectivities so a
+//! publication produces many constraint hits but few full matches —
+//! the regime where the per-hit countdown cost dominates matching.
 //!
 //! Every generator is a pure function of its index arguments, so
 //! benches and differential tests reproduce byte-identical tables.

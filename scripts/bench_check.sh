@@ -7,10 +7,6 @@
 #     median more than 25% slower than the committed baseline fails
 #     the gate. Every baseline row carries the `nproc` it was recorded
 #     on; the bars mean something only against a box of that size.
-#   - The baseline must record the parallel_match group (one batch at
-#     10k rows matched on the caller thread and spread over the worker
-#     pool); the two rows run the same kernel, so no ratio between
-#     them is gated.
 #   - The baseline must record the cyclic_routing group (tree /
 #     tree_dedup / extra1 / extra3 at 7 brokers) with the forced-dedup
 #     tree row within 10% of the plain tree row — the multi-path PR's
@@ -95,15 +91,7 @@ rows = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 unstamped = sorted(f"{r['group']}/{r['bench']}" for r in rows if "nproc" not in r)
 if unstamped:
     sys.exit(f"bench_check: baseline rows without nproc: {unstamped}")
-pm = {r["bench"]: r["ns_per_iter"] for r in rows if r["group"] == "parallel_match"}
-for need in ("caller/10000", "pooled/10000"):
-    if need not in pm:
-        sys.exit(f"bench_check: baseline missing parallel_match/{need}")
-print(
-    f"bench_check: baseline ok (recorded on nproc {sorted({r['nproc'] for r in rows})}; "
-    f"parallel_match caller {pm['caller/10000'] / 1e6:.1f} ms, "
-    f"pooled {pm['pooled/10000'] / 1e6:.1f} ms a batch)"
-)
+print(f"bench_check: baseline ok (recorded on nproc {sorted({r['nproc'] for r in rows})})")
 cy = {r["bench"]: r["ns_per_iter"] for r in rows if r["group"] == "cyclic_routing"}
 for need in ("tree/7", "tree_dedup/7", "extra1/7", "extra3/7"):
     if need not in cy:
@@ -165,7 +153,7 @@ if [[ "${CI_FAST:-0}" == "1" ]]; then
         trap 'rm -f "$cleanup"' EXIT
         CRITERION_QUICK=1 CRITERION_JSON="$out" \
             cargo bench -p transmob-bench -q --bench routing -- \
-            "${GATED[@]}" parallel_match cyclic_routing
+            "${GATED[@]}" cyclic_routing
         CRITERION_QUICK=1 CRITERION_JSON="$out" \
             cargo bench -p transmob-bench -q --bench tcp -- tcp_throughput
     fi
@@ -180,7 +168,7 @@ base = set()
 for line in open(sys.argv[2]):
     r = json.loads(line)
     base.add((r["group"], r["bench"]))
-gated = set(sys.argv[3:]) | {"parallel_match", "cyclic_routing"}
+gated = set(sys.argv[3:]) | {"cyclic_routing"}
 missing = sorted(k for k in base if k[0] in gated and k not in seen)
 if missing:
     sys.exit(f"bench_check: benchmarks vanished from the quick run: {missing}")
@@ -198,7 +186,7 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 for _ in $(seq "$runs"); do
     CRITERION_JSON="$out" cargo bench -p transmob-bench -q --bench routing -- \
-        "${GATED[@]}" parallel_match cyclic_routing
+        "${GATED[@]}" cyclic_routing
 done
 
 python3 - "$out" "$BASELINE" "${GATED[@]}" <<'PY'
@@ -230,8 +218,6 @@ for key in sorted(k for k in meas if k[0] in gated):
 missing = sorted(k for k in base if k[0] in gated and k not in meas)
 if missing:
     sys.exit(f"bench_check: gated benchmarks vanished: {missing}")
-if not any(k[0] == "parallel_match" for k in meas):
-    sys.exit("bench_check: parallel_match group was not measured")
 missing_cy = [n for n in ("tree/7", "tree_dedup/7", "extra1/7", "extra3/7")
               if ("cyclic_routing", n) not in meas]
 if missing_cy:

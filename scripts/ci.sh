@@ -19,16 +19,13 @@
 #   4. bench-regression gate — scripts/bench_check.sh compares medians
 #      against the committed BENCH_routing.json (presence-only check
 #      under CI_FAST=1)
-#   5. seeded interleaving smoke for batch matching spread over the
-#      worker pool (INTERLEAVE_SEEDS scales the number of forced
-#      chunk-claim orders, default 64)
-#   6. TSAN tier — opt in with TSAN=1: rebuilds the pubsub tests (the
-#      matching worker pool) AND the threaded runtimes (each broker is
-#      one thread now, but readers, dialers, acceptors, client handles
-#      and the registry still run beside it) with -Zsanitizer=thread
-#      (nightly) and runs them under ThreadSanitizer; prints a skip
-#      notice when not requested or when the toolchain cannot build it
-#   7. end-to-end benchmark package — bench_e2e/ is a workspace of its
+#   5. TSAN tier — opt in with TSAN=1: rebuilds the threaded runtimes
+#      (each broker is one thread, but readers, dialers, acceptors,
+#      client handles and the registry run beside it) with
+#      -Zsanitizer=thread (nightly) and runs them under
+#      ThreadSanitizer; prints a skip notice when not requested or
+#      when the toolchain cannot build it
+#   6. end-to-end benchmark package — bench_e2e/ is a workspace of its
 #      own (BENCHMARK.json runs it from a fresh checkout), so nothing
 #      above compiles it: a rename of an item its sources use would
 #      break the PR driver's benchmark with every other tier green.
@@ -63,11 +60,7 @@ CRITERION_QUICK=1 CRITERION_JSON="$QUICK_JSON" cargo bench -p transmob-bench -q
 # ---- tier 4: bench-regression gate ------------------------------------
 BENCH_QUICK_JSON="$QUICK_JSON" scripts/bench_check.sh
 
-# ---- tier 5: parallel interleaving smoke ------------------------------
-INTERLEAVE_SEEDS="${INTERLEAVE_SEEDS:-64}" \
-    cargo test -p transmob-pubsub --test parallel_interleavings -q
-
-# ---- tier 6: TSAN -----------------------------------------------------
+# ---- tier 5: TSAN -----------------------------------------------------
 # The offline toolchain has no rust-src, so std is not instrumented:
 # the build needs -Cunsafe-allow-abi-mismatch=sanitizer, an explicit
 # --target (host proc-macros must stay unsanitized), and the libtest
@@ -76,12 +69,11 @@ if [[ "${TSAN:-0}" == "1" ]]; then
     HOST=$(rustc +nightly -vV 2>/dev/null | awk '/^host:/ {print $2}')
     TSAN_RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer"
     if [[ -n "$HOST" ]] && RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
-        cargo +nightly build -q -p transmob-pubsub -p transmob-runtime --target "$HOST" 2>/dev/null; then
-        echo "ci: TSAN tier - matching worker pool + threaded runtimes under ThreadSanitizer"
+        cargo +nightly build -q -p transmob-runtime --target "$HOST" 2>/dev/null; then
+        echo "ci: TSAN tier - threaded runtimes under ThreadSanitizer"
         RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
             TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
-            INTERLEAVE_SEEDS="${INTERLEAVE_SEEDS:-16}" \
-            cargo +nightly test -q -p transmob-pubsub -p transmob-runtime --target "$HOST" -- --test-threads=1
+            cargo +nightly test -q -p transmob-runtime --target "$HOST" -- --test-threads=1
     else
         echo "ci: TSAN=1 but this toolchain cannot build -Zsanitizer=thread - skipping TSAN tier"
     fi
@@ -89,7 +81,7 @@ else
     echo "ci: TSAN tier skipped (opt in with TSAN=1)"
 fi
 
-# ---- tier 7: end-to-end benchmark package -----------------------------
+# ---- tier 6: end-to-end benchmark package -----------------------------
 if [[ "${CI_FAST:-0}" == "1" ]]; then
     echo "ci: CI_FAST=1 - skipping the bench_e2e tier (its tests and e2e --smoke)"
 else
