@@ -21,33 +21,13 @@
 //!   global state graph and verifying its two safety claims
 //!   ([`modelcheck`]);
 //! - executable **transaction properties** used as test oracles
-//!   ([`properties`], the paper's Sec. 3);
-//! - a deterministic instant-network driver ([`InstantNet`]) for
-//!   protocol tests and failure injection.
+//!   ([`properties`], the paper's Sec. 3).
 //!
-//! # Examples
-//!
-//! Move a subscriber across a 5-broker chain without losing or
-//! duplicating notifications:
-//!
-//! ```
-//! use transmob_core::{ClientOp, InstantNet, MobileBrokerConfig, NetEvent, ProtocolKind};
-//! use transmob_broker::Topology;
-//! use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
-//!
-//! let mut net = InstantNet::builder().overlay(Topology::chain(5)).options(MobileBrokerConfig::reconfig()).start();
-//! let publisher = ClientId(1);
-//! let subscriber = ClientId(2);
-//! net.create_client(BrokerId(1), publisher);
-//! net.create_client(BrokerId(5), subscriber);
-//! net.client_op(publisher, ClientOp::Advertise(Filter::builder().ge("x", 0).build()));
-//! net.client_op(subscriber, ClientOp::Subscribe(Filter::builder().ge("x", 0).build()));
-//! net.client_op(publisher, ClientOp::Publish(Publication::new().with("x", 1)));
-//! net.client_op(subscriber, ClientOp::MoveTo(BrokerId(2), ProtocolKind::Reconfig));
-//! net.client_op(publisher, ClientOp::Publish(Publication::new().with("x", 2)));
-//! assert_eq!(net.find_client(subscriber), Some(BrokerId(2)));
-//! assert_eq!(net.deliveries_to(subscriber).len(), 2);
-//! ```
+//! The brokers are sans-IO: a driver hands each one its inputs and
+//! ships its [`Output`]s. The virtual-time driver (timed runs, and the
+//! hand-stepped protocol tests of this crate's state machines) is
+//! `transmob_sim::Sim`, whose crate docs carry the worked example; the
+//! threaded ones are in `transmob-runtime`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +35,6 @@
 
 pub mod client_stub;
 pub mod durability;
-pub mod instant_net;
 pub mod messages;
 pub mod mobile_broker;
 pub mod modelcheck;
@@ -69,7 +48,6 @@ pub use client_stub::{DeliverOutcome, HostedClient, SEEN_WINDOW_CAP};
 pub use durability::{
     DurabilityLog, DurabilityRecord, LoggedInput, MemoryLog, DURABILITY_FORMAT_VERSION,
 };
-pub use instant_net::{ArmedTimer, InstantNet, InstantNetBuilder, NetEvent};
 pub use messages::{
     ClientOp, ClientProfile, ClientSnapshot, Message, MoveMsg, Output, ProtocolKind, TimerKind,
     TimerToken,

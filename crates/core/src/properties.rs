@@ -18,14 +18,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use transmob_broker::{Hop, Prt, Topology};
-use transmob_pubsub::{BrokerId, ClientId, PubId, Publication, PublicationMsg};
+use transmob_pubsub::{BrokerId, ClientId, PubId, Publication};
 
 use crate::mobile_broker::MobileBroker;
 use crate::states::ClientState;
 
 /// Read-only access to a network of brokers, so the property checkers
-/// run over any driver — [`crate::InstantNet`], the discrete-event
-/// simulator, or anything else hosting [`MobileBroker`]s.
+/// run over whatever hosts the [`MobileBroker`]s: `transmob_sim::Sim`
+/// implements it, from the crate above this one.
 pub trait NetworkView {
     /// The overlay topology.
     fn view_topology(&self) -> &Topology;
@@ -162,19 +162,20 @@ pub fn check_routing_consistency<N: NetworkView + ?Sized>(
     Ok(())
 }
 
-/// Checks notification atomicity (Sec. 3.4): the stream surfaced to a
-/// client's application contains no duplicate publication ids.
+/// Checks notification atomicity (Sec. 3.4): the stream of publication
+/// ids surfaced to a client's application contains no duplicate.
 ///
 /// # Errors
 ///
 /// Returns the first duplicated id.
-pub fn assert_exactly_once(stream: &[PublicationMsg]) -> Result<(), PropertyViolation> {
+pub fn assert_exactly_once(
+    stream: impl IntoIterator<Item = PubId>,
+) -> Result<(), PropertyViolation> {
     let mut seen: BTreeSet<PubId> = BTreeSet::new();
-    for p in stream {
-        if !seen.insert(p.id) {
+    for id in stream {
+        if !seen.insert(id) {
             return Err(PropertyViolation(format!(
-                "publication {} delivered more than once",
-                p.id
+                "publication {id} delivered more than once"
             )));
         }
     }
@@ -182,16 +183,16 @@ pub fn assert_exactly_once(stream: &[PublicationMsg]) -> Result<(), PropertyViol
 }
 
 /// Checks eventual completeness: every id in `expected` appears in the
-/// client's surfaced stream.
+/// stream of publication ids surfaced to the client.
 ///
 /// # Errors
 ///
 /// Returns the set of missing ids.
 pub fn assert_all_delivered(
-    stream: &[PublicationMsg],
+    stream: impl IntoIterator<Item = PubId>,
     expected: &BTreeSet<PubId>,
 ) -> Result<(), PropertyViolation> {
-    let got: BTreeSet<PubId> = stream.iter().map(|p| p.id).collect();
+    let got: BTreeSet<PubId> = stream.into_iter().collect();
     let missing: Vec<String> = expected.difference(&got).map(|p| p.to_string()).collect();
     if missing.is_empty() {
         Ok(())

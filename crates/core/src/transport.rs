@@ -1,15 +1,14 @@
 //! The driver-side transport abstraction: how a batch of broker
 //! effects reaches the wire.
 //!
-//! Every driver (the instantaneous [`crate::InstantNet`], the
-//! discrete-event simulator, the TCP runtime) ends each broker step
-//! with the same chore: walk the [`Output`] list, group consecutive
-//! sends sharing a destination into one frame, surface client
-//! deliveries, and apply the control effects (timers, movement
-//! events). [`Transport`] is the three-verb interface a driver
-//! implements; [`flush_outputs`] is the one shared coalescing walk, so
-//! the grouping policy — and its ordering guarantees — live in exactly
-//! one place.
+//! Every driver (the discrete-event simulator, the threaded channel
+//! and TCP runtimes) ends each broker step with the same chore: walk
+//! the [`Output`] list, group consecutive sends sharing a destination
+//! into one frame, surface client deliveries, and apply the control
+//! effects (timers, movement events). [`Transport`] is the three-verb
+//! interface a driver implements; [`flush_outputs`] is the one shared
+//! coalescing walk, so the grouping policy — and its ordering
+//! guarantees — live in exactly one place.
 //!
 //! # Ordering contract
 //!

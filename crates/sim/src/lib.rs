@@ -20,6 +20,40 @@
 //! - [`Metrics`] — the paper's metrics: network traffic (with
 //!   per-movement causal attribution), movement duration, movement
 //!   throughput.
+//!
+//! # Examples
+//!
+//! Move a subscriber across a 5-broker chain without losing or
+//! duplicating notifications. Under [`NetworkModel::instant`] nothing
+//! takes time and each command is issued by hand and run until the
+//! network is quiet (the protocol tests' way of driving the
+//! simulator; the experiments schedule commands on the virtual clock
+//! under [`NetworkModel::cluster`] instead):
+//!
+//! ```
+//! use transmob_broker::Topology;
+//! use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
+//! use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
+//! use transmob_sim::{NetworkModel, Sim};
+//!
+//! let mut net = Sim::builder()
+//!     .overlay(Topology::chain(5))
+//!     .options(MobileBrokerConfig::reconfig())
+//!     .network(NetworkModel::instant())
+//!     .start();
+//! net.enable_delivery_log();
+//! let publisher = ClientId(1);
+//! let subscriber = ClientId(2);
+//! net.create_client(BrokerId(1), publisher);
+//! net.create_client(BrokerId(5), subscriber);
+//! net.client_op(publisher, ClientOp::Advertise(Filter::builder().ge("x", 0).build()));
+//! net.client_op(subscriber, ClientOp::Subscribe(Filter::builder().ge("x", 0).build()));
+//! net.client_op(publisher, ClientOp::Publish(Publication::new().with("x", 1)));
+//! net.client_op(subscriber, ClientOp::MoveTo(BrokerId(2), ProtocolKind::Reconfig));
+//! net.client_op(publisher, ClientOp::Publish(Publication::new().with("x", 2)));
+//! assert_eq!(net.find_client(subscriber), Some(BrokerId(2)));
+//! assert_eq!(net.metrics.deliveries_to(subscriber).len(), 2);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -131,6 +131,19 @@ impl Metrics {
         }
     }
 
+    /// The publication ids surfaced to `client`, in delivery order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the delivery log is enabled.
+    pub fn deliveries_to(&self, client: ClientId) -> Vec<PubId> {
+        let log = self.delivery_log.as_ref().expect("delivery log enabled");
+        log.iter()
+            .filter(|d| d.client == client)
+            .map(|d| d.publication)
+            .collect()
+    }
+
     /// Clears counters and finished-move records, marking `at` as the
     /// start of the measured phase (the paper ignores the setup phase
     /// to avoid skewing steady-state results).

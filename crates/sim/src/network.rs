@@ -15,6 +15,9 @@
 //! - [`NetworkModel::planetlab`] — the shared wide-area testbed
 //!   (heterogeneous tens-of-ms link latencies, slower and noisier
 //!   processing), seeded per run.
+//!
+//! A third, [`NetworkModel::instant`], costs nothing anywhere: the
+//! protocol tests' global-FIFO network.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,6 +112,27 @@ impl NetworkModel {
         )
     }
 
+    /// The zero-cost network: no processing, serialization or latency,
+    /// no jitter. Every event is stamped with the current instant, so
+    /// the simulator's `(time, sequence)` order degenerates to send
+    /// order: one global FIFO of frames. Protocol tests run on it and
+    /// step it by hand (`Sim::client_op`, `Sim::step_n`,
+    /// `Sim::fire_timer`).
+    pub fn instant() -> Self {
+        NetworkModel::uniform(
+            LinkModel {
+                latency: SimDuration::ZERO,
+                serialize: SimDuration::ZERO,
+                jitter: 0.0,
+            },
+            NodeModel {
+                process: SimDuration::ZERO,
+                per_entry: SimDuration::ZERO,
+                jitter: 0.0,
+            },
+        )
+    }
+
     /// The PlanetLab wide-area testbed: heterogeneous link latencies
     /// (drawn per link from a heavy-ish tailed range, deterministic
     /// per `seed`), high jitter, slow shared-node processing.
@@ -195,11 +219,6 @@ impl NetworkModel {
     pub fn sample_latency(&self, a: BrokerId, b: BrokerId, rng: &mut StdRng) -> SimDuration {
         let l = self.link(a, b);
         jittered(l.latency, l.jitter, rng)
-    }
-
-    /// The serialization cost of the edge `a`–`b` (deterministic).
-    pub fn serialize_cost(&self, a: BrokerId, b: BrokerId) -> SimDuration {
-        self.link(a, b).serialize
     }
 }
 

@@ -11,6 +11,15 @@
 //! fault model (Sec. 3.5), a crashed broker's algorithmic and queue
 //! state is persisted: messages addressed to it are *delayed*, not
 //! lost, and processing resumes at restart.
+//!
+//! The same loop is also driven by hand, which is how the protocol
+//! tests inject failures mid-transaction: [`Sim::client_op_deferred`]
+//! issues a command on the spot, [`Sim::step_n`] executes a chosen
+//! number of frames, [`Sim::fire_timer`] fires a timer that is still
+//! armed, [`Sim::drain_queue`] loses what is in flight and
+//! [`Sim::settle`] runs everything that needs no timer to fire. Under
+//! [`NetworkModel::instant`] nothing takes time, the event order is
+//! send order, and these verbs step one global FIFO of frames.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -44,24 +53,22 @@ pub struct MovementPlan {
     pub protocol: ProtocolKind,
 }
 
+/// One wire frame: the message batch a neighbour flushed to `dst` in
+/// one go, and the movement it is attributed to.
+#[derive(Debug)]
+struct Frame {
+    dst: BrokerId,
+    from: Hop,
+    msgs: Vec<Message>,
+    cause: Option<MoveId>,
+}
+
 #[derive(Debug)]
 enum EventKind {
-    /// A message batch (one wire frame — everything a neighbour
-    /// flushed to this broker in one go) arrives at a broker's input
-    /// queue.
-    Arrive {
-        dst: BrokerId,
-        from: Hop,
-        msgs: Vec<Message>,
-        cause: Option<MoveId>,
-    },
-    /// A broker finishes processing a message batch.
-    Exec {
-        dst: BrokerId,
-        from: Hop,
-        msgs: Vec<Message>,
-        cause: Option<MoveId>,
-    },
+    /// A frame arrives at a broker's input queue.
+    Arrive(Frame),
+    /// A broker finishes processing a frame.
+    Exec(Frame),
     /// A client command reaches the client's current broker.
     Cmd { client: ClientId, op: ClientOp },
     /// A client command is processed by its broker.
@@ -281,10 +288,11 @@ impl Sim {
         self.faults_duplicated
     }
 
-    /// Timers armed and neither fired nor cancelled yet (leak check:
-    /// quiescent runs must end at zero).
-    pub fn armed_timers(&self) -> usize {
-        self.armed.len()
+    /// Timers armed and neither fired nor cancelled yet, in key order
+    /// (leak check: quiescent runs must end with none; failure
+    /// injection: what [`Sim::fire_timer`] can fire).
+    pub fn armed_timers(&self) -> Vec<(BrokerId, TimerToken)> {
+        self.armed.keys().copied().collect()
     }
 
     /// Enables the full delivery log (property-checking runs).
@@ -309,6 +317,16 @@ impl Sim {
     /// Panics if `id` is unknown.
     pub fn broker(&self, id: BrokerId) -> &MobileBroker {
         &self.brokers[&id]
+    }
+
+    /// Mutable access to a broker (test set-up, e.g.
+    /// `set_accept_moves`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is unknown.
+    pub fn broker_mut(&mut self, id: BrokerId) -> &mut MobileBroker {
+        self.brokers.get_mut(&id).expect("unknown broker")
     }
 
     /// The broker a client currently calls home (its command target).
@@ -351,10 +369,7 @@ impl Sim {
     /// Creates (attaches and starts) a client at `broker`, effective
     /// immediately.
     pub fn create_client(&mut self, broker: BrokerId, client: ClientId) {
-        self.brokers
-            .get_mut(&broker)
-            .expect("unknown broker")
-            .create_client(client);
+        self.broker_mut(broker).create_client(client);
         self.home.insert(client, broker);
     }
 
@@ -388,14 +403,7 @@ impl Sim {
     /// model), its timers are deferred, and its algorithmic state
     /// survives untouched.
     pub fn crash_broker(&mut self, broker: BrokerId, restart_at: SimTime) {
-        self.crashed.insert(broker);
-        self.push(
-            restart_at,
-            EventKind::Restart {
-                broker,
-                kind: CrashKind::Warm,
-            },
-        );
+        self.crash(broker, restart_at, CrashKind::Warm);
     }
 
     /// Crashes a broker *with state loss* until `restart_at`: the
@@ -413,13 +421,20 @@ impl Sim {
             self.logs.contains_key(&broker),
             "state-loss crash requires Sim::enable_durability()"
         );
+        self.crash(broker, restart_at, CrashKind::StateLoss);
+    }
+
+    /// Takes `broker` down now and schedules its restart. A broker
+    /// that is already down or dead stays as it is: the first crash
+    /// wins, so one outage never gets a second restart.
+    fn crash(&mut self, broker: BrokerId, restart_at: SimTime, kind: CrashKind) {
+        if self.crashed.contains(&broker) || self.dead.contains(&broker) {
+            return;
+        }
         self.crashed.insert(broker);
         self.push(
-            restart_at,
-            EventKind::Restart {
-                broker,
-                kind: CrashKind::StateLoss,
-            },
+            restart_at.max(self.clock),
+            EventKind::Restart { broker, kind },
         );
     }
 
@@ -442,39 +457,152 @@ impl Sim {
     /// Runs until the event queue is empty or the clock passes
     /// `until` (events after `until` remain queued).
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(ev) = self.heap.peek() {
-            if ev.time > until {
-                break;
-            }
-            // unwrap: peeked above
-            let ev = self.heap.pop().unwrap();
-            self.clock = self.clock.max(ev.time);
-            self.events_processed += 1;
-            self.step(ev);
+        while self.heap.peek().is_some_and(|ev| ev.time <= until) {
+            self.advance(true);
         }
         self.clock = self.clock.max(until);
     }
 
     /// Runs until no events remain.
     pub fn run_to_quiescence(&mut self) {
-        while let Some(ev) = self.heap.pop() {
+        while self.advance(true).is_some() {}
+    }
+
+    /// Runs everything that needs no timer to fire: stops when the
+    /// earliest event left is an armed timer, or when none is left.
+    /// Timers are the caller's to fire ([`Sim::fire_timer`]). Under
+    /// [`NetworkModel::instant`] this drains the frame queue.
+    pub fn settle(&mut self) {
+        while self.advance(false).is_some() {}
+    }
+
+    /// Executes at most `n` frames (partial execution for mid-protocol
+    /// failure injection) and returns how many it executed; it stops
+    /// early where [`Sim::settle`] would. One step is one frame handled
+    /// by its broker: the frame's arrival, and any other event passed
+    /// on the way, runs but is not counted.
+    pub fn step_n(&mut self, n: usize) -> usize {
+        let mut done = 0;
+        while done < n {
+            match self.advance(false) {
+                Some(frame_executed) => done += usize::from(frame_executed),
+                None => break,
+            }
+        }
+        done
+    }
+
+    /// Issues an application command at the client's current broker
+    /// and [settles](Sim::settle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the client is not hosted anywhere.
+    pub fn client_op(&mut self, client: ClientId, op: ClientOp) {
+        self.client_op_deferred(client, op);
+        self.settle();
+    }
+
+    /// Issues an application command at the client's current broker
+    /// and stops there. The command executes on the spot, ahead of
+    /// every frame in flight (a [scheduled](Sim::schedule_cmd) one
+    /// queues behind them), and what it sends stays queued: with
+    /// [`Sim::step_n`] and [`Sim::fire_timer`] this lets tests inject
+    /// failures mid-protocol (e.g. fire the negotiate timeout while the
+    /// negotiate message is still in flight).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the client is not hosted anywhere.
+    pub fn client_op_deferred(&mut self, client: ClientId, op: ClientOp) {
+        let broker = self.find_client(client).expect("client not hosted");
+        self.exec_cmd(broker, client, op);
+    }
+
+    /// Fires an armed timer now, whatever its deadline (failure
+    /// injection), then [settles](Sim::settle). Returns `false`, and
+    /// does nothing, if no such timer is armed.
+    pub fn fire_timer(&mut self, broker: BrokerId, token: TimerToken) -> bool {
+        if !self.armed.contains_key(&(broker, token)) {
+            return false;
+        }
+        self.fire(broker, token);
+        self.settle();
+        true
+    }
+
+    /// Loses every frame in flight, on a link or waiting for its
+    /// broker (crash-style failure injection); returns how many.
+    pub fn drain_queue(&mut self) -> usize {
+        let before = self.heap.len();
+        self.heap
+            .retain(|ev| !matches!(ev.kind, EventKind::Arrive(_) | EventKind::Exec(_)));
+        before - self.heap.len()
+    }
+
+    /// Pops the earliest event, moves the clock to it and runs it: the
+    /// one place the heap is popped. Returns whether the event was a
+    /// frame its broker executed, or `None` when nothing is left to
+    /// run.
+    ///
+    /// With `fire_timers` off (hand-stepping) an armed timer at the
+    /// top ends the run, and the events of timers cancelled or
+    /// re-armed since are dropped as if they had never been queued:
+    /// not counted, and the clock does not move to them.
+    fn advance(&mut self, fire_timers: bool) -> Option<bool> {
+        loop {
+            if !fire_timers && self.heap.peek().is_some_and(|ev| self.is_armed_timer(ev)) {
+                return None;
+            }
+            let ev = self.heap.pop()?;
+            if !fire_timers && matches!(ev.kind, EventKind::Timer { .. }) {
+                continue;
+            }
             self.clock = self.clock.max(ev.time);
             self.events_processed += 1;
-            self.step(ev);
+            return Some(self.step(ev));
         }
     }
 
-    fn step(&mut self, ev: Event) {
+    /// Whether `ev` is the event the armed table names for its timer
+    /// (a cancelled, re-armed or crash-destroyed timer's event is not).
+    fn is_armed_timer(&self, ev: &Event) -> bool {
+        matches!(ev.kind, EventKind::Timer { broker, token }
+            if self.armed.get(&(broker, token)) == Some(&ev.seq))
+    }
+
+    /// Parks an event addressed to a crashed broker in its persisted
+    /// queue, under the sequence number it arrived with, for replay at
+    /// restart.
+    fn hold(&mut self, broker: BrokerId, seq: u64, kind: EventKind) {
+        self.held.entry(broker).or_default().push(Event {
+            time: self.clock,
+            seq,
+            kind,
+        });
+    }
+
+    /// Books `broker`'s next service slot (the broker is a FIFO
+    /// server) and returns when it completes.
+    fn service_done(&mut self, broker: BrokerId) -> SimTime {
+        let free = self.broker_free.get(&broker).copied();
+        let start = free.unwrap_or(SimTime::ZERO).max(self.clock);
+        let core = self.brokers[&broker].core();
+        let entries = core.prt().len() + core.srt().len();
+        let done = start + self.model.sample_process(broker, entries, &mut self.rng);
+        self.broker_free.insert(broker, done);
+        done
+    }
+
+    /// Runs one event. Returns whether it was a frame its broker
+    /// executed (not one queued for service, held, or lost).
+    fn step(&mut self, ev: Event) -> bool {
         let ev_seq = ev.seq;
         match ev.kind {
-            EventKind::Arrive {
-                dst,
-                from,
-                msgs,
-                cause,
-            } => {
+            EventKind::Arrive(frame) => {
+                let dst = frame.dst;
                 if self.dead.contains(&dst) {
-                    return; // dead broker: mail is lost, not held
+                    return false; // dead broker: mail is lost, not held
                 }
                 if self.crashed.contains(&dst) {
                     // Persisted queue: hold in arrival order and replay
@@ -482,74 +610,41 @@ impl Sim {
                     // outage or the reconfiguration message could
                     // overtake in-flight publications, violating the
                     // ordering the paper's consistency proof relies on.
-                    self.held.entry(dst).or_default().push(Event {
-                        time: self.clock,
-                        seq: ev_seq,
-                        kind: EventKind::Arrive {
-                            dst,
-                            from,
-                            msgs,
-                            cause,
-                        },
-                    });
-                    return;
+                    self.hold(dst, ev_seq, EventKind::Arrive(frame));
+                    return false;
                 }
-                let start = self
-                    .broker_free
-                    .get(&dst)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO)
-                    .max(self.clock);
-                let entries = {
-                    let core = self.brokers[&dst].core();
-                    core.prt().len() + core.srt().len()
-                };
-                let done = start + self.model.sample_process(dst, entries, &mut self.rng);
-                self.broker_free.insert(dst, done);
-                self.push_continuation(
-                    done,
-                    ev_seq,
-                    EventKind::Exec {
-                        dst,
-                        from,
-                        msgs,
-                        cause,
-                    },
-                );
+                let done = self.service_done(dst);
+                self.push_continuation(done, ev_seq, EventKind::Exec(frame));
             }
-            EventKind::Exec {
-                dst,
-                from,
-                msgs,
-                cause,
-            } => {
-                if self.dead.contains(&dst) {
-                    return; // died between queueing and processing
+            EventKind::Exec(frame) => {
+                if self.dead.contains(&frame.dst) {
+                    return false; // died between queueing and processing
                 }
-                if self.crashed.contains(&dst) {
+                if self.crashed.contains(&frame.dst) {
                     // The broker died between queueing and processing:
                     // the batch goes back to the persisted input queue
                     // (as an Arrive, so it pays processing again after
                     // the restart).
-                    self.held.entry(dst).or_default().push(Event {
-                        time: self.clock,
-                        seq: ev_seq,
-                        kind: EventKind::Arrive {
-                            dst,
-                            from,
-                            msgs,
-                            cause,
-                        },
-                    });
-                    return;
+                    self.hold(frame.dst, ev_seq, EventKind::Arrive(frame));
+                    return false;
                 }
+                // Each cause-uniform run goes through the broker's
+                // batch entry point (defined as the per-message fold).
+                let Frame {
+                    dst,
+                    from,
+                    msgs,
+                    cause,
+                } = frame;
                 for_each_cause_run(msgs, cause, |cause, run| {
-                    self.exec_run(dst, from, cause, run)
+                    let outs = self.broker_mut(dst).handle_batch(from, run);
+                    self.dispatch(dst, cause, outs);
                 });
+                return true;
             }
             EventKind::Cmd { client, op } => {
                 let Some(mut broker) = self.home.get(&client).copied() else {
-                    return; // client gone (never created or destroyed)
+                    return false; // client gone (never created or destroyed)
                 };
                 if self.dead.contains(&broker) {
                     // The client's home died. If a stub survives
@@ -564,30 +659,15 @@ impl Sim {
                         None => {
                             self.home.remove(&client);
                             self.plans.remove(&client);
-                            return;
+                            return false;
                         }
                     }
                 }
                 if self.crashed.contains(&broker) {
-                    self.held.entry(broker).or_default().push(Event {
-                        time: self.clock,
-                        seq: ev_seq,
-                        kind: EventKind::Cmd { client, op },
-                    });
-                    return;
+                    self.hold(broker, ev_seq, EventKind::Cmd { client, op });
+                    return false;
                 }
-                let start = self
-                    .broker_free
-                    .get(&broker)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO)
-                    .max(self.clock);
-                let entries = {
-                    let core = self.brokers[&broker].core();
-                    core.prt().len() + core.srt().len()
-                };
-                let done = start + self.model.sample_process(broker, entries, &mut self.rng);
-                self.broker_free.insert(broker, done);
+                let done = self.service_done(broker);
                 self.push_continuation(done, ev_seq, EventKind::CmdExec { broker, client, op });
             }
             EventKind::CmdExec { broker, client, op } => {
@@ -596,104 +676,42 @@ impl Sim {
                     // retry as a Cmd, which re-resolves the client's
                     // home (or declares the client gone).
                     self.push(self.clock, EventKind::Cmd { client, op });
-                    return;
-                }
-                if self.crashed.contains(&broker) {
+                } else if self.crashed.contains(&broker) {
                     // Crashed mid-processing: back to the persisted
                     // queue (as a Cmd, which also re-resolves the
                     // client's home after recovery).
-                    self.held.entry(broker).or_default().push(Event {
-                        time: self.clock,
-                        seq: ev_seq,
-                        kind: EventKind::Cmd { client, op },
-                    });
-                    return;
-                }
-                if self.brokers[&broker].client(client).is_none() {
+                    self.hold(broker, ev_seq, EventKind::Cmd { client, op });
+                } else if self.brokers[&broker].client(client).is_none() {
                     // The client moved away between command arrival and
                     // execution (its stub was cleaned up when the
                     // transaction acked). Re-resolve its home and
                     // retry; the home map was updated in the same step
                     // as the cleanup, so the retry lands correctly.
                     self.push(self.clock, EventKind::Cmd { client, op });
-                    return;
+                } else {
+                    self.exec_cmd(broker, client, op);
                 }
-                let is_move = matches!(op, ClientOp::MoveTo(..));
-                let target = match op {
-                    ClientOp::MoveTo(t, _) => Some(t),
-                    _ => None,
-                };
-                let outs = self
-                    .brokers
-                    .get_mut(&broker)
-                    .expect("unknown broker")
-                    .client_op(client, op);
-                if is_move {
-                    // Register the movement start: find the move id in
-                    // the outputs (negotiate/request send, or an
-                    // immediate MoveFinished for degenerate moves).
-                    for o in &outs {
-                        let m = match o {
-                            Output::Send {
-                                msg: Message::Move(mv),
-                                ..
-                            } => Some(mv.move_id()),
-                            Output::MoveFinished { m, .. } => Some(*m),
-                            _ => None,
-                        };
-                        if let Some(m) = m {
-                            self.metrics.move_started(
-                                m,
-                                client,
-                                broker,
-                                target.unwrap_or(broker),
-                                self.clock,
-                            );
-                            break;
-                        }
-                    }
-                }
-                self.dispatch(broker, None, outs);
             }
             EventKind::Timer { broker, token } => {
                 if self.armed.get(&(broker, token)) != Some(&ev_seq) {
-                    return; // cancelled, re-armed since, or lost in a crash
+                    return false; // cancelled, re-armed since, or lost in a crash
                 }
                 if self.crashed.contains(&broker) {
                     // Still armed: the held event keeps its sequence
                     // number and fires after a warm restart.
-                    self.held.entry(broker).or_default().push(Event {
-                        time: self.clock,
-                        seq: ev_seq,
-                        kind: EventKind::Timer { broker, token },
-                    });
-                    return;
+                    self.hold(broker, ev_seq, EventKind::Timer { broker, token });
+                    return false;
                 }
-                self.armed.remove(&(broker, token));
-                let outs = self
-                    .brokers
-                    .get_mut(&broker)
-                    .expect("unknown broker")
-                    .handle_timer(token);
-                self.dispatch(broker, Some(token.m), outs);
+                self.fire(broker, token);
             }
             EventKind::Crash {
                 broker,
                 restart_at,
                 kind,
-            } => {
-                if self.crashed.contains(&broker) || self.dead.contains(&broker) {
-                    return; // already down; the first crash wins
-                }
-                self.crashed.insert(broker);
-                self.push(
-                    restart_at.max(self.clock),
-                    EventKind::Restart { broker, kind },
-                );
-            }
+            } => self.crash(broker, restart_at, kind),
             EventKind::Restart { broker, kind } => {
                 if self.dead.contains(&broker) {
-                    return; // death trumps a pending restart
+                    return false; // death trumps a pending restart
                 }
                 self.crashed.remove(&broker);
                 if kind == CrashKind::StateLoss {
@@ -715,7 +733,7 @@ impl Sim {
             }
             EventKind::Die { broker } => {
                 if self.dead.contains(&broker) {
-                    return;
+                    return false;
                 }
                 self.dead.insert(broker);
                 self.crashed.remove(&broker);
@@ -758,26 +776,55 @@ impl Sim {
             }
             EventKind::Detect { observer, dead } => {
                 if self.dead.contains(&observer) {
-                    return;
+                    return false;
                 }
                 if self.crashed.contains(&observer) {
                     // The observer is down (but not dead): it detects
                     // after it comes back.
-                    self.held.entry(observer).or_default().push(Event {
-                        time: self.clock,
-                        seq: ev_seq,
-                        kind: EventKind::Detect { observer, dead },
-                    });
-                    return;
+                    self.hold(observer, ev_seq, EventKind::Detect { observer, dead });
+                    return false;
                 }
-                let outs = self
-                    .brokers
-                    .get_mut(&observer)
-                    .expect("unknown broker")
-                    .handle_broker_death(dead);
+                let outs = self.broker_mut(observer).handle_broker_death(dead);
                 self.dispatch(observer, None, outs);
             }
         }
+        false
+    }
+
+    /// Executes a client command at `broker`, which hosts the client,
+    /// and ships what it produces. A `MOVE` registers the movement's
+    /// start under the id found in the outputs: the negotiate/request
+    /// send, or an immediate `MoveFinished` for a degenerate move.
+    fn exec_cmd(&mut self, broker: BrokerId, client: ClientId, op: ClientOp) {
+        let target = match op {
+            ClientOp::MoveTo(target, _) => Some(target),
+            _ => None,
+        };
+        let outs = self.broker_mut(broker).client_op(client, op);
+        if let Some(target) = target {
+            let started = outs.iter().find_map(|o| match o {
+                Output::Send {
+                    msg: Message::Move(mv),
+                    ..
+                } => Some(mv.move_id()),
+                Output::MoveFinished { m, .. } => Some(*m),
+                _ => None,
+            });
+            if let Some(m) = started {
+                self.metrics
+                    .move_started(m, client, broker, target, self.clock);
+            }
+        }
+        self.dispatch(broker, None, outs);
+    }
+
+    /// Fires `broker`'s armed timer `token`: disarms it (its heap event
+    /// goes stale) and ships what the handler produces, attributed to
+    /// the timer's movement.
+    fn fire(&mut self, broker: BrokerId, token: TimerToken) {
+        self.armed.remove(&(broker, token));
+        let outs = self.broker_mut(broker).handle_timer(token);
+        self.dispatch(broker, Some(token.m), outs);
     }
 
     /// Rebuilds a broker after a state-loss crash: restore the last
@@ -803,17 +850,6 @@ impl Sim {
         self.brokers.insert(broker, rebuilt);
         // Re-arm timers for movements that were in flight at the crash.
         self.dispatch(broker, None, timer_outs);
-    }
-
-    /// Applies one cause-uniform run through the broker's batch entry
-    /// point (defined as the per-message fold) and ships the effects.
-    fn exec_run(&mut self, dst: BrokerId, from: Hop, cause: Option<MoveId>, msgs: Vec<Message>) {
-        let outs = self
-            .brokers
-            .get_mut(&dst)
-            .expect("unknown broker")
-            .handle_batch(from, msgs);
-        self.dispatch(dst, cause, outs);
     }
 
     fn dispatch(&mut self, src: BrokerId, cause: Option<MoveId>, outs: Vec<Output>) {
@@ -880,31 +916,37 @@ impl Sim {
         // Link: FIFO serialization server + latency, paid once per
         // frame.
         let key = (src, to);
+        let link = self.model.link(src, to);
         let depart = self
             .link_free
             .get(&key)
             .copied()
             .unwrap_or(SimTime::ZERO)
             .max(base)
-            + self.model.serialize_cost(src, to);
+            + link.serialize;
         self.link_free.insert(key, depart);
         let mut arrive = depart + self.model.sample_latency(src, to, &mut self.rng);
-        // Clamp to preserve per-link FIFO despite jitter.
-        if let Some(last) = self.link_last_arrival.get(&key) {
-            if arrive <= *last {
-                arrive = *last + SimDuration::from_nanos(1);
+        // Clamp to preserve per-link FIFO despite jitter. A link
+        // without jitter needs none: departures never decrease, the
+        // latency is constant, and frames arriving at one instant run
+        // in send order (the sequence number breaks the tie). Clamping
+        // there would push the second of two same-instant frames behind
+        // traffic sent later on other links.
+        if link.jitter > 0.0 {
+            if let Some(last) = self.link_last_arrival.get(&key) {
+                if arrive <= *last {
+                    arrive = *last + SimDuration::from_nanos(1);
+                }
             }
+            self.link_last_arrival.insert(key, arrive);
         }
-        self.link_last_arrival.insert(key, arrive);
-        self.push(
-            arrive,
-            EventKind::Arrive {
-                dst: to,
-                from: Hop::Broker(src),
-                msgs: wire,
-                cause,
-            },
-        );
+        let frame = Frame {
+            dst: to,
+            from: Hop::Broker(src),
+            msgs: wire,
+            cause,
+        };
+        self.push(arrive, EventKind::Arrive(frame));
     }
 
     /// The broker currently holding any stub for `client` (any state).
@@ -1000,10 +1042,6 @@ impl transmob_core::properties::NetworkView for Sim {
 
     fn view_broker(&self, id: BrokerId) -> &MobileBroker {
         &self.brokers[&id]
-    }
-
-    fn view_find_client(&self, client: ClientId) -> Option<BrokerId> {
-        self.find_client(client)
     }
 }
 
@@ -1146,11 +1184,16 @@ mod tests {
         // Crash a mid-path broker, publish through it, then restart.
         let t0 = sim.now();
         sim.crash_broker(b(3), t0 + SimDuration::from_secs(2));
+        // The first crash wins: a second call on a broker that is
+        // already down must not schedule an earlier restart.
+        sim.crash_broker(b(3), t0 + SimDuration::from_secs(1));
         sim.schedule_cmd(
             t0 + SimDuration::from_millis(1),
             c(1),
             ClientOp::Publish(Publication::new().with("x", 9)),
         );
+        sim.run_until(t0 + SimDuration::from_millis(1500));
+        assert_eq!(sim.metrics.delivery_count, 0, "B3 came back a second early");
         sim.run_to_quiescence();
         assert_eq!(sim.metrics.delivery_count, 1, "publication lost in crash");
         // Delivery had to wait out the crash.
@@ -1216,13 +1259,82 @@ mod fifo_tests {
             );
         }
         sim.run_to_quiescence();
-        let log = sim.metrics.delivery_log.as_ref().unwrap();
-        let seqs: Vec<u64> = log
-            .iter()
-            .filter(|d| d.client == ClientId(2))
-            .map(|d| d.publication.0 & 0xffff_ffff)
+        let seqs: Vec<u64> = (sim.metrics.deliveries_to(ClientId(2)).iter())
+            .map(|p| p.0 & 0xffff_ffff)
             .collect();
         assert_eq!(seqs.len(), 100, "publications lost");
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "per-link FIFO violated: {seqs:?}"
+        );
+    }
+
+    fn band(lo: i64, hi: i64) -> Filter {
+        Filter::builder().ge("x", lo).le("x", hi).build()
+    }
+
+    /// B1–B2–B3–B4 under `model`: a publisher at B2 (client 2), a
+    /// subscriber to 0..=9 at B1 (client 1) and one to 10..=19 at B4
+    /// (client 4).
+    fn two_sided(model: NetworkModel) -> Sim {
+        let mut sim = Sim::builder()
+            .overlay(Topology::chain(4))
+            .options(MobileBrokerConfig::reconfig())
+            .network(model)
+            .start();
+        sim.enable_delivery_log();
+        for i in [1, 2, 4] {
+            sim.create_client(BrokerId(i), ClientId(i.into()));
+        }
+        sim.client_op(ClientId(2), ClientOp::Advertise(band(0, 19)));
+        sim.client_op(ClientId(1), ClientOp::Subscribe(band(0, 9)));
+        sim.client_op(ClientId(4), ClientOp::Subscribe(band(10, 19)));
+        sim
+    }
+
+    fn publish(sim: &mut Sim, x: i64) {
+        let op = ClientOp::Publish(Publication::new().with("x", x));
+        sim.client_op_deferred(ClientId(2), op);
+    }
+
+    /// Under the instant model the event order is send order, across
+    /// links: frames A1, B1, A2 leave B2 at one instant on links
+    /// B2→B3, B2→B1, B2→B3 and are executed in that order, ahead of
+    /// the frames they cause. A FIFO clamp on the jitter-free link
+    /// would stamp A2 a nanosecond late and run A1's forward at B4
+    /// before it.
+    #[test]
+    fn instant_frames_run_in_send_order_across_links() {
+        let mut sim = two_sided(NetworkModel::instant());
+        publish(&mut sim, 10); // A1
+        publish(&mut sim, 5); // B1
+        publish(&mut sim, 11); // A2
+        assert_eq!(sim.step_n(3), 3);
+        let received = |sim: &Sim, i| sim.metrics.deliveries_to(ClientId(i)).len();
+        assert_eq!(received(&sim, 1), 1, "B1 not executed");
+        assert_eq!(received(&sim, 4), 0, "A1's forward ran before A2");
+        assert_eq!(sim.step_n(9), 2, "A1 and A2 each cross B3→B4");
+        assert_eq!(received(&sim, 4), 2);
+        assert_eq!(sim.now(), SimTime::ZERO, "nothing takes time");
+    }
+
+    /// Without jitter a link needs no clamp to stay FIFO: departures
+    /// are spaced by the serialization time and the latency is
+    /// constant.
+    #[test]
+    fn jitter_free_link_is_fifo_without_a_clamp() {
+        let mut lan = crate::network::LinkModel::lan();
+        lan.jitter = 0.0;
+        let mut sim = two_sided(NetworkModel::uniform(lan, NetworkModel::cluster().node));
+        for k in 0..50 {
+            publish(&mut sim, 10 + k % 10);
+        }
+        sim.settle();
+        assert!(sim.link_last_arrival.is_empty(), "the clamp was consulted");
+        let seqs: Vec<u64> = (sim.metrics.deliveries_to(ClientId(4)).iter())
+            .map(|p| p.0 & 0xffff_ffff)
+            .collect();
+        assert_eq!(seqs.len(), 50, "publications lost");
         assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
             "per-link FIFO violated: {seqs:?}"
@@ -1355,10 +1467,14 @@ mod fault_tests {
             ClientOp::MoveTo(b(2), ProtocolKind::Reconfig),
         );
         sim.run_until(t0 + SimDuration::from_secs(1));
-        assert_eq!(sim.armed_timers(), 0, "a committed move left a timer armed");
+        assert_eq!(
+            sim.armed_timers(),
+            [],
+            "a committed move left a timer armed"
+        );
         sim.crash_broker_lossy(b(2), sim.now() + SimDuration::from_millis(50));
         sim.run_to_quiescence();
-        assert_eq!(sim.armed_timers(), 0);
+        assert_eq!(sim.armed_timers(), []);
         assert_eq!(sim.total_anomalies(), 0);
     }
 
@@ -1381,7 +1497,7 @@ mod fault_tests {
         }
         sim.run_to_quiescence();
         assert_eq!(sim.find_client(c(1)), Some(b(1)));
-        assert_eq!(sim.armed_timers(), 0);
+        assert_eq!(sim.armed_timers(), []);
         assert_eq!(sim.total_anomalies(), 0);
     }
 
@@ -1405,16 +1521,16 @@ mod fault_tests {
         arm(&mut sim, 1_000_000);
         sim.dispatch(b(1), None, vec![Output::CancelTimer { token }]);
         arm(&mut sim, 5_000_000);
-        assert_eq!(sim.armed_timers(), 1);
+        assert_eq!(sim.armed_timers(), [(b(1), token)]);
         let t0 = sim.now();
         sim.run_until(t0 + SimDuration::from_millis(2));
         assert_eq!(
             sim.armed_timers(),
-            1,
+            [(b(1), token)],
             "the superseded event fired the re-armed timer early"
         );
         sim.run_to_quiescence();
-        assert_eq!(sim.armed_timers(), 0);
+        assert_eq!(sim.armed_timers(), []);
         assert_eq!(sim.now(), t0 + SimDuration::from_millis(5));
     }
 

@@ -5,10 +5,9 @@
 //! Sec. 4.1/4.2.
 
 use transmob_broker::Topology;
-use transmob_core::{
-    properties, ClientOp, InstantNet, MobileBrokerConfig, NetEvent, ProtocolKind, TimerKind,
-};
+use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind, TimerKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
+use transmob_sim::{NetworkModel, Sim};
 
 fn b(i: u32) -> BrokerId {
     BrokerId(i)
@@ -28,11 +27,13 @@ fn timed_config() -> MobileBrokerConfig {
     }
 }
 
-fn setup(n: u32, config: MobileBrokerConfig) -> InstantNet {
-    let mut net = InstantNet::builder()
+fn setup(n: u32, config: MobileBrokerConfig) -> Sim {
+    let mut net = Sim::builder()
         .overlay(Topology::chain(n))
         .options(config)
+        .network(NetworkModel::instant())
         .start();
+    net.enable_delivery_log();
     net.create_client(b(1), c(1));
     net.create_client(b(n), c(2));
     net.client_op(c(1), ClientOp::Advertise(range(0, 100)));
@@ -40,7 +41,7 @@ fn setup(n: u32, config: MobileBrokerConfig) -> InstantNet {
     net
 }
 
-fn publish(net: &mut InstantNet, x: i64) {
+fn publish(net: &mut Sim, x: i64) {
     net.client_op(c(1), ClientOp::Publish(Publication::new().with("x", x)));
 }
 
@@ -49,30 +50,25 @@ fn negotiate_timeout_before_any_delivery_aborts_cleanly() {
     let mut net = setup(5, timed_config());
     // Start the move but do not let the negotiate travel at all.
     net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
-    let timer = net
+    let (broker, token) = net
         .armed_timers()
-        .iter()
-        .find(|t| t.token.kind == TimerKind::Negotiate)
-        .copied()
+        .into_iter()
+        .find(|(_, t)| t.kind == TimerKind::Negotiate)
         .expect("negotiate timer armed");
-    assert!(net.fire_timer(timer.broker, timer.token));
+    assert!(net.fire_timer(broker, token));
     // The movement aborted; the client resumed at the source.
-    let events = net.take_events();
-    assert!(events.iter().any(|e| matches!(
-        e,
-        NetEvent::MoveFinished {
-            committed: false,
-            ..
-        }
-    )));
+    assert!(net
+        .metrics
+        .finished_moves()
+        .any(|(_, r)| r.committed == Some(false)));
     assert_eq!(net.find_client(c(2)), Some(b(5)));
     // The network is fully clean: a publication arrives exactly once,
     // and the late negotiate (still queued when the timer fired) plus
     // the abort sweep left no pendings behind.
     publish(&mut net, 10);
-    let stream = net.deliveries_to(c(2));
+    let stream = net.metrics.deliveries_to(c(2));
     assert_eq!(stream.len(), 1);
-    properties::assert_exactly_once(&stream).unwrap();
+    properties::assert_exactly_once(stream).unwrap();
     properties::assert_single_instance(&net).unwrap();
     for i in 1..=5 {
         let core = net.broker(b(i)).core();
@@ -94,23 +90,22 @@ fn negotiate_timeout_crossing_reconfigure_in_flight() {
         let mut net = setup(5, timed_config());
         net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
         net.step_n(steps);
-        let Some(timer) = net
+        let Some((broker, token)) = net
             .armed_timers()
-            .iter()
-            .find(|t| t.token.kind == TimerKind::Negotiate)
-            .copied()
+            .into_iter()
+            .find(|(_, t)| t.kind == TimerKind::Negotiate)
         else {
             // The protocol already passed the wait state: nothing to
             // inject at this depth.
-            net.run();
+            net.settle();
             continue;
         };
-        net.fire_timer(timer.broker, timer.token);
-        net.run();
+        net.fire_timer(broker, token);
+        net.settle();
         // Whatever the interleaving, the invariants hold:
         properties::assert_single_instance(&net).unwrap();
         publish(&mut net, 10 + steps as i64);
-        let stream = net.deliveries_to(c(2));
+        let stream = net.metrics.deliveries_to(c(2));
         assert_eq!(
             stream.len(),
             1,
@@ -137,18 +132,17 @@ fn state_timeout_after_source_crash_equivalent() {
     // Walk the negotiate to the target (3 hops) and let it prepare,
     // but stop before the reconfigure reaches the source.
     net.step_n(4);
-    let state_timer = net
+    let (broker, token) = net
         .armed_timers()
-        .iter()
-        .find(|t| t.token.kind == TimerKind::State)
-        .copied()
+        .into_iter()
+        .find(|(_, t)| t.kind == TimerKind::State)
         .expect("target prepared and armed the state timer");
     // Drop everything still in flight (simulates a source crash whose
     // messages never materialize).
     let dropped = net.drain_queue();
     assert!(dropped > 0);
-    net.fire_timer(state_timer.broker, state_timer.token);
-    net.run();
+    net.fire_timer(broker, token);
+    net.settle();
     // Target copy destroyed; only the (crashed, here: silent) source
     // copy remains.
     assert_eq!(net.find_client(c(2)), Some(b(5)));
@@ -168,7 +162,7 @@ fn blocking_variant_never_times_out() {
     let mut net = setup(4, MobileBrokerConfig::reconfig().blocking());
     net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
     assert!(net.armed_timers().is_empty(), "blocking mode armed a timer");
-    net.run();
+    net.settle();
     assert!(net.armed_timers().is_empty());
     assert_eq!(net.find_client(c(2)), Some(b(2)));
 }
@@ -183,10 +177,10 @@ fn default_config_arms_finite_timeouts() {
     assert!(
         net.armed_timers()
             .iter()
-            .any(|t| t.token.kind == TimerKind::Negotiate),
+            .any(|(_, t)| t.kind == TimerKind::Negotiate),
         "default config must arm the negotiate timer"
     );
-    net.run();
+    net.settle();
     // A completed move leaves no timer behind.
     assert!(net.armed_timers().is_empty());
     assert_eq!(net.find_client(c(2)), Some(b(2)));
@@ -196,17 +190,16 @@ fn default_config_arms_finite_timeouts() {
 fn covering_timeout_on_request_aborts() {
     let mut net = setup(5, timed_config());
     net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Covering));
-    let timer = net
+    let (broker, token) = net
         .armed_timers()
-        .iter()
-        .find(|t| t.token.kind == TimerKind::Negotiate)
-        .copied()
+        .into_iter()
+        .find(|(_, t)| t.kind == TimerKind::Negotiate)
         .expect("request timer armed");
-    net.fire_timer(timer.broker, timer.token);
-    net.run();
+    net.fire_timer(broker, token);
+    net.settle();
     assert_eq!(net.find_client(c(2)), Some(b(5)));
     publish(&mut net, 42);
-    assert_eq!(net.deliveries_to(c(2)).len(), 1);
+    assert_eq!(net.metrics.deliveries_to(c(2)).len(), 1);
 }
 
 #[test]
@@ -214,15 +207,15 @@ fn aborted_then_retried_move_succeeds() {
     let mut net = setup(5, timed_config());
     // Abort the first attempt immediately.
     net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
-    let timer = net.armed_timers()[0];
-    net.fire_timer(timer.broker, timer.token);
-    net.run();
+    let (broker, token) = net.armed_timers()[0];
+    net.fire_timer(broker, token);
+    net.settle();
     assert_eq!(net.find_client(c(2)), Some(b(5)));
     // Retry: must commit normally.
     net.client_op(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
     assert_eq!(net.find_client(c(2)), Some(b(2)));
     publish(&mut net, 10);
-    let stream = net.deliveries_to(c(2));
+    let stream = net.metrics.deliveries_to(c(2));
     assert_eq!(stream.len(), 1);
-    properties::assert_exactly_once(&stream).unwrap();
+    properties::assert_exactly_once(stream).unwrap();
 }

@@ -111,19 +111,9 @@ fn inject(sim: &mut Sim, case: &ChurnCase, protocol: ProtocolKind) {
 /// Exactly-once at the application layer, across repair re-propagation
 /// and transient multi-path forwarding.
 fn assert_app_exactly_once(sim: &Sim) -> Result<(), TestCaseError> {
-    let log = sim
-        .metrics
-        .delivery_log
-        .as_ref()
-        .expect("delivery log enabled");
-    let mut seen = BTreeSet::new();
-    for d in log {
-        prop_assert!(
-            seen.insert((d.client, d.publication)),
-            "publication {} surfaced twice to {}",
-            d.publication,
-            d.client
-        );
+    for client in [MOVER, STATIC_SUB] {
+        properties::assert_exactly_once(sim.metrics.deliveries_to(client))
+            .map_err(|e| TestCaseError::fail(format!("{client}: {e}")))?;
     }
     Ok(())
 }

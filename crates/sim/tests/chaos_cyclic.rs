@@ -122,19 +122,9 @@ fn inject(sim: &mut Sim, case: &ChurnCase, protocol: ProtocolKind) {
 /// publication racing around the ring, only the dedup windows stand
 /// between the subscribers and duplicate deliveries.
 fn assert_app_exactly_once(sim: &Sim) -> Result<(), TestCaseError> {
-    let log = sim
-        .metrics
-        .delivery_log
-        .as_ref()
-        .expect("delivery log enabled");
-    let mut seen = BTreeSet::new();
-    for d in log {
-        prop_assert!(
-            seen.insert((d.client, d.publication)),
-            "publication {} surfaced twice to {}",
-            d.publication,
-            d.client
-        );
+    for client in [MOVER, STATIC_SUB] {
+        properties::assert_exactly_once(sim.metrics.deliveries_to(client))
+            .map_err(|e| TestCaseError::fail(format!("{client}: {e}")))?;
     }
     Ok(())
 }

@@ -177,31 +177,13 @@ fn inject(sim: &mut Sim, case: &ChaosCase, protocol: ProtocolKind) {
 /// publication twice, across crashes and wire duplication (the stub's
 /// transferred `seen` set is what makes this hold).
 fn assert_app_exactly_once(sim: &Sim) -> Result<(), TestCaseError> {
-    let log = sim
-        .metrics
-        .delivery_log
-        .as_ref()
-        .expect("delivery log enabled");
-    let mut seen = BTreeSet::new();
-    for d in log {
-        prop_assert!(
-            seen.insert((d.client, d.publication)),
-            "publication {} surfaced twice to {}",
-            d.publication,
-            d.client
-        );
-    }
-    Ok(())
+    // The mover is the only subscriber.
+    properties::assert_exactly_once(sim.metrics.deliveries_to(MOVER))
+        .map_err(|e| TestCaseError::fail(format!("{MOVER}: {e}")))
 }
 
 fn pubs_received_by_mover(sim: &Sim) -> usize {
-    sim.metrics
-        .delivery_log
-        .as_ref()
-        .expect("delivery log enabled")
-        .iter()
-        .filter(|d| d.client == MOVER)
-        .count()
+    sim.metrics.deliveries_to(MOVER).len()
 }
 
 /// The safety properties that hold under EVERY schedule, including
@@ -247,7 +229,7 @@ fn check_loss_free(sim: &Sim, ctx: &str, expect_commit: bool) -> Result<(), Test
             id
         );
     }
-    prop_assert_eq!(sim.armed_timers(), 0, "{}: timer left armed", ctx);
+    prop_assert_eq!(sim.armed_timers(), [], "{}: timer left armed", ctx);
     if expect_commit {
         let outcomes: Vec<Option<bool>> = sim
             .metrics

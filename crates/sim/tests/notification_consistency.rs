@@ -11,8 +11,9 @@
 
 use std::collections::BTreeSet;
 
-use transmob_core::{ClientOp, InstantNet, MobileBrokerConfig, ProtocolKind};
+use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, PubId, Publication};
+use transmob_sim::{NetworkModel, Sim};
 use transmob_workloads::default_14;
 
 fn b(i: u32) -> BrokerId {
@@ -23,6 +24,17 @@ fn c(i: u64) -> ClientId {
 }
 fn range(lo: i64, hi: i64) -> Filter {
     Filter::builder().ge("x", lo).le("x", hi).build()
+}
+
+/// The Fig. 6 overlay with nothing taking time and the delivery log on.
+fn instant_14(config: MobileBrokerConfig) -> Sim {
+    let mut net = Sim::builder()
+        .overlay(default_14())
+        .options(config)
+        .network(NetworkModel::instant())
+        .start();
+    net.enable_delivery_log();
+    net
 }
 
 /// Runs the reference schedule; `target_accepts` flips the admission
@@ -36,10 +48,7 @@ fn run(
         ProtocolKind::Reconfig => MobileBrokerConfig::reconfig(),
         ProtocolKind::Covering => MobileBrokerConfig::covering(),
     };
-    let mut net = InstantNet::builder()
-        .overlay(default_14())
-        .options(config)
-        .start();
+    let mut net = instant_14(config);
     let publisher = c(1);
     let mover = c(2);
     let observer = c(3);
@@ -64,8 +73,8 @@ fn run(
             ClientOp::Publish(Publication::new().with("x", x)),
         );
     }
-    let mover_set: BTreeSet<PubId> = net.deliveries_to(mover).iter().map(|p| p.id).collect();
-    let observer_stream: Vec<PubId> = net.deliveries_to(observer).iter().map(|p| p.id).collect();
+    let mover_set: BTreeSet<PubId> = net.metrics.deliveries_to(mover).into_iter().collect();
+    let observer_stream: Vec<PubId> = net.metrics.deliveries_to(observer);
     (mover_set, observer_stream, net.find_client(mover))
 }
 
@@ -105,19 +114,17 @@ fn consistency_moved_equals_stayed_covering_quiescent() {
 fn rejected_move_emits_reject_not_timeout() {
     // The admission rejection travels the explicit Reject path (paper
     // message (3)); no timers are involved and no pendings linger.
-    let mut net = InstantNet::builder()
-        .overlay(default_14())
-        .options(MobileBrokerConfig::reconfig())
-        .start();
+    let mut net = instant_14(MobileBrokerConfig::reconfig());
     net.create_client(b(13), c(2));
     net.client_op(c(2), ClientOp::Subscribe(range(0, 500)));
     net.broker_mut(b(2)).set_accept_moves(false);
     net.client_op(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
     assert_eq!(net.find_client(c(2)), Some(b(13)));
     assert!(net.armed_timers().is_empty());
-    for (id, broker) in net.brokers() {
+    for id in net.topology().brokers() {
+        let core = net.broker(id).core();
         assert!(
-            broker.core().prt().iter().all(|(_, e)| e.pending.is_none()),
+            core.prt().iter().all(|(_, e)| e.pending.is_none()),
             "pending left at {id} after rejection"
         );
     }
@@ -130,10 +137,7 @@ fn isolation_mover_publications_reach_others_exactly_once() {
     // stream whether it moves or not, and every other client receives
     // each publication exactly once. Here the mover publishes around a
     // movement; the observer's stream must be loss- and dup-free.
-    let mut net = InstantNet::builder()
-        .overlay(default_14())
-        .options(MobileBrokerConfig::reconfig())
-        .start();
+    let mut net = instant_14(MobileBrokerConfig::reconfig());
     let mover = c(2);
     let observer = c(3);
     net.create_client(b(13), mover);
@@ -145,7 +149,7 @@ fn isolation_mover_publications_reach_others_exactly_once() {
     net.client_op(mover, ClientOp::Publish(Publication::new().with("x", 2)));
     net.client_op(mover, ClientOp::MoveTo(b(7), ProtocolKind::Reconfig));
     net.client_op(mover, ClientOp::Publish(Publication::new().with("x", 3)));
-    let stream: Vec<PubId> = net.deliveries_to(observer).iter().map(|p| p.id).collect();
+    let stream: Vec<PubId> = net.metrics.deliveries_to(observer);
     let unique: BTreeSet<PubId> = stream.iter().copied().collect();
     assert_eq!(stream.len(), 3, "observer missed a mover publication");
     assert_eq!(unique.len(), 3, "observer saw duplicates");

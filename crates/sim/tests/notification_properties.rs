@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use transmob_broker::Topology;
 use transmob_core::properties::{self, NetworkView};
 use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind, SEEN_WINDOW_CAP};
-use transmob_pubsub::{BrokerId, ClientId, Filter, PubId, Publication, PublicationMsg};
+use transmob_pubsub::{BrokerId, ClientId, Filter, PubId, Publication};
 use transmob_sim::{MovementPlan, NetworkModel, Sim, SimDuration, SimTime};
 
 fn b(i: u32) -> BrokerId {
@@ -23,14 +23,15 @@ fn range(lo: i64, hi: i64) -> Filter {
 }
 
 /// Streams `n_pubs` publications (one per `gap`) while the subscriber
-/// moves B6 → B2 in the middle of the stream; returns
-/// (delivered ids, duplicate count).
+/// moves B6 → B2 in the middle of the stream; returns the delivered
+/// ids, having checked that none was delivered twice (the stub dedup
+/// holds under every protocol).
 fn stream_across_move(
     protocol: ProtocolKind,
     config: MobileBrokerConfig,
     n_pubs: u64,
     seed: u64,
-) -> (BTreeSet<PubId>, usize) {
+) -> BTreeSet<PubId> {
     let mut sim = Sim::builder()
         .overlay(Topology::chain(6))
         .options(config)
@@ -61,15 +62,10 @@ fn stream_across_move(
     );
     sim.run_to_quiescence();
     assert_eq!(sim.home_of(c(2)), Some(b(2)), "movement did not commit");
-    let log = sim.metrics.delivery_log.as_ref().expect("log enabled");
-    let all: Vec<PubId> = log
-        .iter()
-        .filter(|d| d.client == c(2))
-        .map(|d| d.publication)
-        .collect();
-    let unique: BTreeSet<PubId> = all.iter().copied().collect();
-    let dups = all.len() - unique.len();
-    (unique, dups)
+    let all = sim.metrics.deliveries_to(c(2));
+    properties::assert_exactly_once(all.iter().copied())
+        .unwrap_or_else(|e| panic!("{protocol:?} seed {seed}: {e}"));
+    all.into_iter().collect()
 }
 
 fn expected_ids(n: u64) -> BTreeSet<PubId> {
@@ -79,13 +75,12 @@ fn expected_ids(n: u64) -> BTreeSet<PubId> {
 #[test]
 fn reconfig_never_loses_or_duplicates_in_flight_publications() {
     for seed in [1u64, 2, 3, 4, 5] {
-        let (unique, dups) = stream_across_move(
+        let unique = stream_across_move(
             ProtocolKind::Reconfig,
             MobileBrokerConfig::reconfig(),
             40,
             seed,
         );
-        assert_eq!(dups, 0, "duplicates under reconfig (seed {seed})");
         assert_eq!(
             unique,
             expected_ids(40),
@@ -103,13 +98,12 @@ fn covering_break_before_make_can_lose_in_flight_publications() {
     // loses messages (and quantify).
     let mut any_loss = 0usize;
     for seed in [1u64, 2, 3, 4, 5] {
-        let (unique, dups) = stream_across_move(
+        let unique = stream_across_move(
             ProtocolKind::Covering,
             MobileBrokerConfig::covering(),
             40,
             seed,
         );
-        assert_eq!(dups, 0, "the stub dedup must still hold (seed {seed})");
         any_loss += 40 - unique.len();
     }
     assert!(
@@ -129,8 +123,7 @@ fn covering_make_before_break_closes_the_loss_window() {
         ..MobileBrokerConfig::covering()
     };
     for seed in [1u64, 2, 3] {
-        let (unique, dups) = stream_across_move(ProtocolKind::Covering, config.clone(), 40, seed);
-        assert_eq!(dups, 0, "stub dedup failed (seed {seed})");
+        let unique = stream_across_move(ProtocolKind::Covering, config.clone(), 40, seed);
         assert_eq!(
             unique,
             expected_ids(40),
@@ -194,14 +187,9 @@ fn reconfig_survives_a_burst_of_background_churn() {
         ClientOp::MoveTo(b(2), ProtocolKind::Reconfig),
     );
     sim.run_to_quiescence();
-    let log = sim.metrics.delivery_log.as_ref().expect("log enabled");
-    let got: Vec<PubId> = log
-        .iter()
-        .filter(|d| d.client == c(2))
-        .map(|d| d.publication)
-        .collect();
-    let unique: BTreeSet<PubId> = got.iter().copied().collect();
-    assert_eq!(got.len(), unique.len(), "duplicates under churn");
+    let got = sim.metrics.deliveries_to(c(2));
+    properties::assert_exactly_once(got.iter().copied()).expect("duplicates under churn");
+    let unique: BTreeSet<PubId> = got.into_iter().collect();
     assert_eq!(unique, expected_ids(50), "losses under churn");
     assert_eq!(sim.total_anomalies(), 0);
 }
@@ -274,13 +262,8 @@ fn mover_outliving_its_dedup_window_stays_exactly_once() {
         .count();
     assert!(committed >= 20, "only {committed} movements completed");
     assert_eq!(sim.total_anomalies(), 0);
-    let log = sim.metrics.delivery_log.as_ref().expect("log enabled");
-    let stream: Vec<PublicationMsg> = log
-        .iter()
-        .filter(|d| d.client == c(2))
-        .map(|d| PublicationMsg::new(d.publication, c(1), Publication::new()))
-        .collect();
+    let stream = sim.metrics.deliveries_to(c(2));
     assert!(stream.len() > 2 * SEEN_WINDOW_CAP);
-    properties::assert_exactly_once(&stream).unwrap();
-    properties::assert_all_delivered(&stream, &expected_ids(n_pubs)).unwrap();
+    properties::assert_exactly_once(stream.iter().copied()).unwrap();
+    properties::assert_all_delivered(stream, &expected_ids(n_pubs)).unwrap();
 }

@@ -8,8 +8,10 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use transmob_core::{properties, ClientOp, InstantNet, MobileBrokerConfig, ProtocolKind};
+use transmob_broker::Topology;
+use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
+use transmob_sim::{NetworkModel, Sim};
 use transmob_workloads::{default_14, full_space_adv, SubWorkload, ATTR};
 
 const N_CLIENTS: u64 = 12;
@@ -37,15 +39,35 @@ fn filters() -> Vec<Filter> {
         .collect()
 }
 
+/// A network where nothing takes time, with the delivery log on.
+fn instant(topology: Topology, config: MobileBrokerConfig) -> Sim {
+    let mut net = Sim::builder()
+        .overlay(topology)
+        .options(config)
+        .network(NetworkModel::instant())
+        .start();
+    net.enable_delivery_log();
+    net
+}
+
+/// Publishes `probe` from `publisher` and returns the subscribers
+/// (ids from 1000) it was delivered to.
+fn probe_receivers(net: &mut Sim, publisher: ClientId, probe: Publication) -> BTreeSet<ClientId> {
+    net.metrics.reset_measurement(net.now());
+    net.client_op(publisher, ClientOp::Publish(probe));
+    let log = net.metrics.delivery_log.as_ref().expect("log enabled");
+    log.iter()
+        .map(|d| d.client)
+        .filter(|c| c.0 >= 1000)
+        .collect()
+}
+
 fn run_and_probe(moves: &[Move], protocol: ProtocolKind) -> Result<(), TestCaseError> {
     let config = match protocol {
         ProtocolKind::Reconfig => MobileBrokerConfig::reconfig(),
         ProtocolKind::Covering => MobileBrokerConfig::covering(),
     };
-    let mut net = InstantNet::builder()
-        .overlay(default_14())
-        .options(config)
-        .start();
+    let mut net = instant(default_14(), config);
     let publisher = ClientId(500);
     net.create_client(BrokerId(6), publisher);
     net.client_op(publisher, ClientOp::Advertise(full_space_adv()));
@@ -71,13 +93,7 @@ fn run_and_probe(moves: &[Move], protocol: ProtocolKind) -> Result<(), TestCaseE
             .filter(|(_, f)| f.matches(&probe))
             .map(|(i, _)| ClientId(1000 + i as u64))
             .collect();
-        net.take_events();
-        net.client_op(publisher, ClientOp::Publish(probe.clone()));
-        let got: BTreeSet<ClientId> = net
-            .deliveries_to_all()
-            .into_iter()
-            .filter(|c| c.0 >= 1000)
-            .collect();
+        let got = probe_receivers(&mut net, publisher, probe);
         prop_assert_eq!(
             &got,
             &expected,
@@ -110,15 +126,9 @@ proptest! {
 /// Fig. 6 overlay and a random tree; after every quiescent state the
 /// structural SRT invariant (paper Sec. 3.5 clause (ii)) must hold and
 /// publications must reach all matching subscribers.
-fn run_publisher_moves(
-    topology: transmob_broker::Topology,
-    moves: &[Move],
-) -> Result<(), TestCaseError> {
+fn run_publisher_moves(topology: Topology, moves: &[Move]) -> Result<(), TestCaseError> {
     let brokers: Vec<BrokerId> = topology.brokers().collect();
-    let mut net = InstantNet::builder()
-        .overlay(topology)
-        .options(MobileBrokerConfig::reconfig())
-        .start();
+    let mut net = instant(topology, MobileBrokerConfig::reconfig());
     // Three moving publishers, four stationary subscribers.
     let fs = filters();
     for i in 0..3u64 {
@@ -149,13 +159,7 @@ fn run_publisher_moves(
             .filter(|(_, f)| f.matches(&probe))
             .map(|(i, _)| ClientId(1000 + i as u64))
             .collect();
-        net.take_events();
-        net.client_op(ClientId(500 + k as u64 % 3), ClientOp::Publish(probe));
-        let got: BTreeSet<ClientId> = net
-            .deliveries_to_all()
-            .into_iter()
-            .filter(|c| c.0 >= 1000)
-            .collect();
+        let got = probe_receivers(&mut net, ClientId(500 + k as u64 % 3), probe);
         prop_assert_eq!(&got, &expected, "probe {} diverged after {:?}", x, moves);
     }
     prop_assert_eq!(net.total_anomalies(), 0);

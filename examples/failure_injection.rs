@@ -16,7 +16,7 @@
 
 use transmob::broker::Topology;
 use transmob::core::modelcheck::{explore, ExploreConfig};
-use transmob::core::{ClientOp, InstantNet, MobileBrokerConfig, NetEvent, ProtocolKind};
+use transmob::core::{ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob::pubsub::{BrokerId, ClientId, Filter, Publication};
 use transmob::sim::{NetworkModel, Sim, SimDuration, SimTime};
 
@@ -42,10 +42,14 @@ fn main() {
     );
 
     // --- 2. Rejected movement ----------------------------------------
-    let mut net = InstantNet::builder()
+    // Nothing takes time and the commands are issued by hand, each
+    // run until the network is quiet.
+    let mut net = Sim::builder()
         .overlay(Topology::chain(4))
         .options(MobileBrokerConfig::reconfig())
+        .network(NetworkModel::instant())
         .start();
+    net.enable_delivery_log();
     net.create_client(BrokerId(1), ClientId(1));
     net.create_client(BrokerId(4), ClientId(2));
     net.client_op(
@@ -61,15 +65,7 @@ fn main() {
         ClientId(2),
         ClientOp::MoveTo(BrokerId(99), ProtocolKind::Reconfig),
     );
-    let aborted = net.take_events().iter().any(|e| {
-        matches!(
-            e,
-            NetEvent::MoveFinished {
-                committed: false,
-                ..
-            }
-        )
-    });
+    let aborted = (net.metrics.finished_moves()).any(|(_, r)| r.committed == Some(false));
     net.client_op(
         ClientId(1),
         ClientOp::Publish(Publication::new().with("x", 1)),
@@ -77,10 +73,10 @@ fn main() {
     println!(
         "rejected movement: aborted={aborted}, client still served at {:?}, {} delivery",
         net.find_client(ClientId(2)).expect("client hosted"),
-        net.deliveries_to(ClientId(2)).len()
+        net.metrics.deliveries_to(ClientId(2)).len()
     );
     assert!(aborted);
-    assert_eq!(net.deliveries_to(ClientId(2)).len(), 1);
+    assert_eq!(net.metrics.deliveries_to(ClientId(2)).len(), 1);
 
     // --- 3. Crash during movement (simulator) ------------------------
     let mut sim = Sim::builder()
