@@ -304,14 +304,39 @@ fn bench_publish_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// A PRT of `n` wide-attribute two-band subscriptions: hits ≫ matches.
-fn loaded_prt_wide(n: usize) -> Prt {
+/// A PRT of `n` wide-attribute two-band subscriptions (hits ≫
+/// matches) dealt round-robin to `hops` local clients; `hops == n` is a
+/// hop of its own per row.
+fn loaded_prt_wide(n: usize, hops: usize) -> Prt {
     let mut prt = Prt::new();
     for i in 0..n {
         let sub = Subscription::new(SubId::new(ClientId(i as u64), i as u32), wide_sub_filter(i));
-        prt.insert(sub, Hop::Client(ClientId(i as u64)));
+        prt.insert(sub, Hop::Client(ClientId((i % hops) as u64)));
     }
     prt
+}
+
+/// The forwarding query on 10 000 wide rows by how many hops the table
+/// names (DESIGN.md §7, "From match to destinations"): with one or
+/// twenty the destinations are complete after a few attributes and the
+/// match stops there; with a hop per row they never are, which prices
+/// the unsaturated path and a 10 000-entry census. 64 publications an
+/// iteration.
+fn bench_forwarding_saturation(c: &mut Criterion) {
+    const ROWS: usize = 10_000;
+    let pubs: Vec<Publication> = (0..64).map(wide_publication).collect();
+    let mut g = c.benchmark_group("forwarding_saturation");
+    for (name, hops) in [("one_hop", 1), ("twenty_hops", 20), ("hop_per_row", ROWS)] {
+        let prt = loaded_prt_wide(ROWS, hops);
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                for p in &pubs {
+                    black_box(prt.destinations(black_box(p)));
+                }
+            })
+        });
+    }
+    g.finish();
 }
 
 /// End-to-end publication routing over a 7-broker overlay
@@ -425,7 +450,7 @@ fn bench_delivery_fanout(c: &mut Criterion) {
 fn bench_table_footprint(c: &mut Criterion) {
     let probe = wide_publication(0);
     let build = |n: usize| {
-        let prt = loaded_prt_wide(n);
+        let prt = loaded_prt_wide(n, n);
         black_box(prt.destinations(&probe));
         prt
     };
@@ -451,7 +476,7 @@ fn bench_subscribe_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("subscribe_path");
     let cid = ClientId(1_000_000);
     let sub = Subscription::new(SubId::new(cid, 0), wide_sub_filter(123_456));
-    let mut prt = loaded_prt_wide(10_000);
+    let mut prt = loaded_prt_wide(10_000, 10_000);
     g.bench_function("prt_insert", |bch| {
         bch.iter(|| {
             prt.insert(black_box(sub.clone()), Hop::Client(cid));
@@ -492,6 +517,7 @@ criterion_group!(
     bench_release_strategies,
     bench_advertise_flood,
     bench_publish_batch,
+    bench_forwarding_saturation,
     bench_cyclic_routing,
     bench_delivery_fanout,
     bench_table_footprint,

@@ -27,6 +27,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
+use transmob_pubsub::fasthash::FastMap;
 use transmob_pubsub::{
     AdvId, Advertisement, BrokerId, ClientId, Filter, MatchIndex, MoveId, Publication, SubId,
     Subscription,
@@ -414,6 +415,20 @@ impl Destinations {
         self.clients.sort_unstable();
         self.clients.dedup();
     }
+
+    /// Whether these are all `hops` distinct hops the table names, so
+    /// that no further row can add one. The lists may still hold
+    /// repeats, so their length bounds the distinct count from above:
+    /// below `hops` the answer is no, for a length comparison; only at
+    /// or above it are they tidied and counted.
+    fn saturated(&mut self, hops: usize) -> bool {
+        if self.brokers.len() + self.clients.len() < hops {
+            return false;
+        }
+        self.finish();
+        debug_assert!(self.brokers.len() + self.clients.len() <= hops);
+        self.brokers.len() + self.clients.len() == hops
+    }
 }
 
 /// One cell of the PRT's forwarding column: everything publication
@@ -434,6 +449,48 @@ impl Cell {
             alts: (!e.alt_lasthops.is_empty()).then(|| e.alt_lasthops.iter().copied().collect()),
         }
     }
+
+    /// Every hop a publication matching the row is forwarded to.
+    fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
+        let alts = self.alts.iter().flat_map(|alts| alts.iter());
+        [Some(self.lasthop), self.pending]
+            .into_iter()
+            .flatten()
+            .chain(alts.map(|b| Hop::Broker(*b)))
+    }
+}
+
+/// The *hop census* of a forwarding column: every distinct hop a live
+/// cell names, with the number of times the live cells name it. Its
+/// size is the most destinations a publication can have at this
+/// broker, which is what lets [`Prt::destinations_batch`] stop
+/// matching early. It must never under-count (a probe would end before
+/// a destination was found), so every cell is counted when it goes
+/// live and un-counted when it is replaced or its row removed.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Census(FastMap<Hop, u32>);
+
+impl Census {
+    fn count(&mut self, cell: &Cell) {
+        for hop in cell.hops() {
+            *self.0.entry(hop).or_insert(0) += 1;
+        }
+    }
+
+    fn uncount(&mut self, cell: &Cell) {
+        for hop in cell.hops() {
+            let n = self.0.get_mut(&hop).expect("a live cell's hop is counted");
+            *n -= 1;
+            if *n == 0 {
+                self.0.remove(&hop);
+            }
+        }
+    }
+
+    /// How many distinct hops the live cells name.
+    fn len(&self) -> usize {
+        self.0.len()
+    }
 }
 
 /// The PRT's dense row numbers and the forwarding column they index.
@@ -449,10 +506,13 @@ struct Column {
     /// Row number → forwarding cell (stale for the numbers in `free`).
     cells: Vec<Cell>,
     free: Vec<u32>,
+    /// The census of the live cells.
+    census: Census,
 }
 
 impl Column {
     fn alloc(&mut self, id: SubId, cell: Cell) -> u32 {
+        self.census.count(&cell);
         match self.free.pop() {
             Some(n) => {
                 self.ids[n as usize] = id;
@@ -465,6 +525,23 @@ impl Column {
                 self.cells.push(cell);
                 n
             }
+        }
+    }
+
+    /// Frees row number `n`. Its cell stays behind until the number is
+    /// handed out again, so its hops leave the census here.
+    fn release(&mut self, n: u32) {
+        self.census.uncount(&self.cells[n as usize]);
+        self.free.push(n);
+    }
+
+    /// Replaces the cell of live row `n`.
+    fn set(&mut self, n: u32, cell: Cell) {
+        let live = &mut self.cells[n as usize];
+        if *live != cell {
+            self.census.count(&cell);
+            self.census.uncount(live);
+            *live = cell;
         }
     }
 }
@@ -484,16 +561,19 @@ struct Row {
 /// a matching publication is forwarded to. Publication forwarding
 /// ([`Prt::destinations_batch`]) folds the index's matching row
 /// numbers through the column straight into destination sets: it never
-/// lists the matching rows and never touches the row map. The filter
+/// lists the matching rows and never touches the row map, and it stops
+/// matching once the set holds every hop the column names (its hop
+/// `Census`), since no further row could add one. The filter
 /// queries ([`Prt::matching`], [`Prt::overlapping`], [`Prt::covering`],
 /// [`Prt::covered_by`]) translate row numbers back to ids and answer
 /// sorted by id, exactly like the linear scans they are asserted
 /// against in debug builds.
 ///
-/// Index and column are derived state with one writer each side of the
-/// row map: [`Prt::insert`] and [`Prt::remove`] for rows coming and
-/// going, [`Prt::update`] for the hop bookkeeping of a live row, which
-/// re-derives that row's cell when the caller's closure returns.
+/// Index, column and census are derived state with one writer each
+/// side of the row map: [`Prt::insert`] and [`Prt::remove`] for rows
+/// coming and going, [`Prt::update`] for the hop bookkeeping of a live
+/// row, which re-derives that row's cell, and re-counts its hops if it
+/// changed, when the caller's closure returns.
 /// Equality and serialization see the rows only; deserialization
 /// rebuilds the rest. Never mutate a row's filter through
 /// [`Prt::update`]: replacing a filter requires remove-then-insert.
@@ -609,7 +689,7 @@ impl Prt {
         self.version = self.version.wrapping_add(1);
         let row = self.entries.remove(&id)?;
         self.index.remove(&row.n);
-        self.column.free.push(row.n);
+        self.column.release(row.n);
         Some(row.entry)
     }
 
@@ -621,13 +701,13 @@ impl Prt {
     /// The one way to write to a live row: runs `f` on the entry (hop,
     /// forwarding-set and pending bookkeeping; never the filter, see
     /// the type docs), then bumps the routing version and re-derives
-    /// the row's forwarding cell. Returns what `f` returned, or `None`
+    /// the row's forwarding cell (and with it the hop census). Returns what `f` returned, or `None`
     /// (with nothing touched) if the id is not in the table.
     pub fn update<R>(&mut self, id: SubId, f: impl FnOnce(&mut SubEntry) -> R) -> Option<R> {
         let row = self.entries.get_mut(&id)?;
         self.version = self.version.wrapping_add(1);
         let out = f(&mut row.entry);
-        self.column.cells[row.n as usize] = Cell::of(&row.entry);
+        self.column.set(row.n, Cell::of(&row.entry));
         Some(out)
     }
 
@@ -683,8 +763,9 @@ impl Prt {
         let ids = &self.column.ids;
         let out = self.index.fold_matching(
             publications,
-            Vec::with_capacity,
+            Vec::new,
             |row: &mut Vec<SubId>, n| row.push(ids[n as usize]),
+            |_| false,
             |row| row.sort_unstable(),
         );
         #[cfg(any(test, debug_assertions))]
@@ -709,23 +790,19 @@ impl Prt {
     /// This is the index's fold ([`MatchIndex::fold_matching`]) with
     /// the forwarding column as its step: per matching row number one
     /// cell is read, and neither the matching ids nor the row map are
-    /// ever consulted. Asserted against
-    /// [`Prt::destinations_linear`] in debug builds.
+    /// ever consulted. The fold is saturated, and the match ends, once
+    /// the destinations are every hop of the column's census: what is
+    /// owed is a set of hops, and no further row can add one. Asserted
+    /// against [`Prt::destinations_linear`], which scans every row, in
+    /// debug builds.
     pub fn destinations_batch(&self, publications: &[&Publication]) -> Vec<Destinations> {
         let cells = &self.column.cells;
+        let hops = self.column.census.len();
         let out = self.index.fold_matching(
             publications,
-            |_| Destinations::default(),
-            |dests, n| {
-                let cell = &cells[n as usize];
-                dests.add(cell.lasthop);
-                if let Some(hop) = cell.pending {
-                    dests.add(hop);
-                }
-                for b in cell.alts.iter().flat_map(|alts| alts.iter()) {
-                    dests.add(Hop::Broker(*b));
-                }
-            },
+            Destinations::default,
+            |dests, n| cells[n as usize].hops().for_each(|hop| dests.add(hop)),
+            |dests| dests.saturated(hops),
             Destinations::finish,
         );
         #[cfg(any(test, debug_assertions))]
@@ -862,11 +939,17 @@ impl Prt {
     /// Asserts the derived state against the rows: row numbers and ids
     /// map onto each other one to one (live and free numbers partition
     /// the column), every live cell equals the cell derived from its
-    /// entry, and the index holds every row's filter under its number
-    /// and nothing else, its own slot table consistent. Test support.
+    /// entry, the hop census equals the one counted from the entries,
+    /// and the index holds every row's filter under its number and
+    /// nothing else, its own slot table consistent. Test support.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let Column { ids, cells, free } = &self.column;
+        let Column {
+            ids,
+            cells,
+            free,
+            census,
+        } = &self.column;
         assert_eq!(ids.len(), cells.len(), "column halves differ in length");
         assert_eq!(
             self.entries.len() + free.len(),
@@ -875,7 +958,9 @@ impl Prt {
         );
         let mut seen: BTreeSet<u32> = free.iter().copied().collect();
         assert_eq!(seen.len(), free.len(), "a row number is free twice");
+        let mut recount = Census::default();
         for (id, row) in &self.entries {
+            recount.count(&Cell::of(&row.entry));
             assert!(seen.insert(row.n), "row number {} held twice", row.n);
             assert_eq!(ids[row.n as usize], *id, "row {} names another id", row.n);
             assert_eq!(
@@ -889,6 +974,7 @@ impl Prt {
                 "index filter of {id} differs from the row's"
             );
         }
+        assert_eq!(*census, recount, "hop census differs from the rows'");
         assert_eq!(self.index.len(), self.entries.len(), "index size mismatch");
         self.index.check_slot_invariants();
     }
@@ -1106,6 +1192,82 @@ mod tests {
         let v = prt.routing_version();
         assert_eq!(prt.update(SubId::new(ClientId(8), 0), |_| ()), None);
         assert_eq!(prt.routing_version(), v);
+    }
+
+    /// The census as sorted `(hop, mentions)` pairs.
+    fn census(prt: &Prt) -> Vec<(Hop, u32)> {
+        let mut out: Vec<(Hop, u32)> = prt.column.census.0.iter().map(|(h, n)| (*h, *n)).collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn census_and_destinations_follow_a_hops_last_mention() {
+        let (b2, b4, b7) = (BrokerId(2), BrokerId(4), BrokerId(7));
+        let (c3, c9) = (ClientId(3), ClientId(9));
+        let dests = |brokers: &[BrokerId], clients: &[ClientId]| Destinations {
+            brokers: brokers.to_vec(),
+            clients: clients.to_vec(),
+        };
+        // Every row matches the probe, so each answer below is the
+        // whole census, reached before the last row is looked at.
+        let p = Publication::new().with("x", 5);
+        let (s1, s2, s3) = (sub(1, 0, 0, 10), sub(2, 0, 0, 10), sub(3, 0, 0, 10));
+        let mut prt = Prt::new();
+        prt.insert(s1.clone(), Hop::Broker(b2));
+        prt.insert(s2.clone(), Hop::Broker(b2));
+        prt.insert(s3.clone(), Hop::Client(c3));
+        assert_eq!(census(&prt), [(Hop::Broker(b2), 2), (Hop::Client(c3), 1)]);
+        assert_eq!(prt.destinations(&p), dests(&[b2], &[c3]));
+        // The last row naming a hop is removed.
+        prt.remove(s3.id);
+        assert_eq!(census(&prt), [(Hop::Broker(b2), 2)]);
+        assert_eq!(prt.destinations(&p), dests(&[b2], &[]));
+        // Re-pointed, one mention at a time.
+        prt.update(s2.id, |e| e.lasthop = Hop::Broker(b4));
+        assert_eq!(census(&prt), [(Hop::Broker(b2), 1), (Hop::Broker(b4), 1)]);
+        assert_eq!(prt.destinations(&p), dests(&[b2, b4], &[]));
+        prt.update(s1.id, |e| e.lasthop = Hop::Broker(b4));
+        assert_eq!(census(&prt), [(Hop::Broker(b4), 2)]);
+        assert_eq!(prt.destinations(&p), dests(&[b4], &[]));
+        // A pending hop is one more mention; an abort takes it back.
+        pend(&mut prt, s1.id, 1, Hop::Client(c9));
+        assert_eq!(census(&prt), [(Hop::Broker(b4), 2), (Hop::Client(c9), 1)]);
+        assert_eq!(prt.destinations(&p), dests(&[b4], &[c9]));
+        prt.update(s1.id, |e| e.pending = None);
+        assert_eq!(census(&prt), [(Hop::Broker(b4), 2)]);
+        assert_eq!(prt.destinations(&p), dests(&[b4], &[]));
+        // A commit moves the row to it.
+        pend(&mut prt, s1.id, 2, Hop::Client(c9));
+        prt.update(s1.id, |e| e.lasthop = e.pending.take().unwrap().lasthop);
+        assert_eq!(census(&prt), [(Hop::Broker(b4), 1), (Hop::Client(c9), 1)]);
+        assert_eq!(prt.destinations(&p), dests(&[b4], &[c9]));
+        // Alternates count like any hop, also one the row already names.
+        prt.update(s2.id, |e| e.alt_lasthops.extend([b4, b7]));
+        assert_eq!(
+            census(&prt),
+            [
+                (Hop::Broker(b4), 2),
+                (Hop::Broker(b7), 1),
+                (Hop::Client(c9), 1)
+            ]
+        );
+        assert_eq!(prt.destinations(&p), dests(&[b4, b7], &[c9]));
+        // A write that leaves the cell as it was leaves the census too.
+        prt.update(s2.id, |e| e.sent_to.insert(b7));
+        prt.check_invariants();
+        // Clone copies the census; a rebuild from the rows recounts it.
+        assert_eq!(prt.clone().column.census, prt.column.census);
+        let rebuilt: Prt = serde_json::from_str(&serde_json::to_string(&prt).unwrap()).unwrap();
+        assert_eq!(rebuilt.column.census, prt.column.census);
+        rebuilt.check_invariants();
+        prt.remove(s2.id);
+        assert_eq!(census(&prt), [(Hop::Client(c9), 1)]);
+        assert_eq!(prt.destinations(&p), dests(&[], &[c9]));
+        prt.remove(s1.id);
+        assert_eq!(census(&prt), []);
+        assert_eq!(prt.destinations(&p), Destinations::default());
+        prt.check_invariants();
     }
 
     #[test]

@@ -150,27 +150,55 @@ fn destinations_from_rows(prt: &Prt, p: &Publication) -> Destinations {
 }
 
 /// A hop drawn from a small pool of brokers and local clients, so that
-/// rows share destinations and `from`-like collisions are common.
-fn hop_of(seed: u8) -> Hop {
-    if seed.is_multiple_of(2) {
+/// rows share destinations and `from`-like collisions are common, and
+/// an alternate broker to go with it.
+fn hop_of(seed: u8) -> (Hop, BrokerId) {
+    let hop = if seed.is_multiple_of(2) {
         Hop::Broker(BrokerId(1 + u32::from(seed / 2 % 4)))
     } else {
         Hop::Client(ClientId(100 + u64::from(seed / 2 % 4)))
+    };
+    (hop, BrokerId(1 + u32::from(seed % 6)))
+}
+
+/// The same from a pool of `pool` hops (1 to 3) in all, alternates
+/// included: nearly every publication that matches anything reaches
+/// every hop the table names, which is where the forwarding fold stops
+/// early.
+fn hop_of_few(pool: u8) -> impl Fn(u8) -> (Hop, BrokerId) {
+    const POOL: [Hop; 3] = [
+        Hop::Broker(BrokerId(1)),
+        Hop::Client(ClientId(100)),
+        Hop::Broker(BrokerId(2)),
+    ];
+    move |seed| {
+        let alt = BrokerId(if pool == 3 {
+            1 + u32::from(seed % 2)
+        } else {
+            1
+        });
+        (POOL[usize::from(seed % pool)], alt)
     }
 }
 
 /// One write of the forwarding-column proptest, applied the way the
 /// broker core applies it (everything on a live row through
-/// `Prt::update`).
-fn apply_write(prt: &mut Prt, n: usize, op: u8, slot: u64, specs: &[PredSpec], arg: u8) {
+/// `Prt::update`); `hop` and `alt` are the hops it may install.
+fn apply_write(
+    prt: &mut Prt,
+    n: usize,
+    op: u8,
+    slot: u64,
+    specs: &[PredSpec],
+    (hop, alt): (Hop, BrokerId),
+) {
     let sid = SubId::new(ClientId(slot), 0);
-    let alt = BrokerId(1 + u32::from(arg % 6));
     match op % 10 {
         // Inserts refill freed ids (and so freed row numbers) and add
         // new ones.
         0 | 1 => {
             if prt.get(sid).is_none() {
-                prt.insert(Subscription::new(sid, build_filter(specs)), hop_of(arg));
+                prt.insert(Subscription::new(sid, build_filter(specs)), hop);
             }
         }
         2 => {
@@ -178,14 +206,14 @@ fn apply_write(prt: &mut Prt, n: usize, op: u8, slot: u64, specs: &[PredSpec], a
         }
         // Lasthop re-point.
         3 => {
-            prt.update(sid, |e| e.lasthop = hop_of(arg));
+            prt.update(sid, |e| e.lasthop = hop);
         }
         // Pending install, commit, abort.
         4 => {
             prt.update(sid, |e| {
                 e.pending = Some(PendingRoute {
                     move_id: MoveId(n as u64),
-                    lasthop: hop_of(arg),
+                    lasthop: hop,
                 })
             });
         }
@@ -217,6 +245,61 @@ fn apply_write(prt: &mut Prt, n: usize, op: u8, slot: u64, specs: &[PredSpec], a
             });
         }
     }
+}
+
+/// One base row and one step of the forwarding-column proptests.
+type BaseRow = (Vec<PredSpec>, u8);
+type WriteStep = (u8, u64, Vec<PredSpec>, u8, usize);
+
+fn arb_base() -> impl Strategy<Value = Vec<BaseRow>> {
+    proptest::collection::vec((arb_filter(), 0u8..16), 40..80)
+}
+
+fn arb_writes() -> impl Strategy<Value = Vec<WriteStep>> {
+    proptest::collection::vec(
+        (0u8..10, 0u64..100, arb_filter(), 0u8..16, 0usize..3),
+        1..120,
+    )
+}
+
+/// The body of the forwarding-column proptests: `base` rows, then
+/// `steps` writes with probes between them, every hop drawn by `hops`.
+/// After every step the derived state matches the rows, and the
+/// forwarding query (alone and as a batch) answers what the rows say.
+fn destinations_follow(
+    base: &[BaseRow],
+    steps: &[WriteStep],
+    hops: impl Fn(u8) -> (Hop, BrokerId),
+) -> Result<(), TestCaseError> {
+    let mut prt = Prt::new();
+    for (i, (specs, arg)) in base.iter().enumerate() {
+        let sid = SubId::new(ClientId(i as u64), 0);
+        prt.insert(Subscription::new(sid, build_filter(specs)), hops(*arg).0);
+    }
+    let pubs = probe_pubs();
+    let refs: Vec<&Publication> = pubs.iter().collect();
+    for (n, (op, slot, specs, arg, probes)) in steps.iter().enumerate() {
+        apply_write(&mut prt, n, *op, *slot, specs, hops(*arg));
+        prt.check_invariants();
+        // 0 probes: consecutive writes with no probe between them.
+        for p in pubs.iter().cycle().skip(n).take(*probes) {
+            prop_assert_eq!(
+                prt.destinations(p),
+                destinations_from_rows(&prt, p),
+                "step {} pub {}",
+                n,
+                p
+            );
+        }
+        if *probes == 2 {
+            let want: Vec<Destinations> = pubs
+                .iter()
+                .map(|p| destinations_from_rows(&prt, p))
+                .collect();
+            prop_assert_eq!(&prt.destinations_batch(&refs), &want, "step {}", n);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -340,40 +423,24 @@ proptest! {
     /// rebuilt while row numbers are freed and handed out again (a
     /// freed number goes to the next insert at once, while the index
     /// slot it had is still parked). After every step the derived
-    /// state matches the rows, and the forwarding query (alone and as
-    /// a batch) answers what the rows say.
+    /// state (cells, hop census) matches the rows, and the forwarding
+    /// query (alone and as a batch) answers what the rows say.
     #[test]
-    fn destinations_follow_every_write(
-        base in proptest::collection::vec((arb_filter(), 0u8..16), 40..80),
-        steps in proptest::collection::vec(
-            (0u8..10, 0u64..100, arb_filter(), 0u8..16, 0usize..3),
-            1..120,
-        ),
+    fn destinations_follow_every_write(base in arb_base(), steps in arb_writes()) {
+        destinations_follow(&base, &steps, hop_of)?;
+    }
+
+    /// The same over one to three hops in all, so that most probes end
+    /// early, saturated, and every write kind moves the census the
+    /// saturation test reads: a hop's last mention going (or a new hop
+    /// coming) must change where the next probe stops.
+    #[test]
+    fn destinations_follow_every_write_over_few_hops(
+        pool in 1u8..=3,
+        base in arb_base(),
+        steps in arb_writes(),
     ) {
-        let mut prt = Prt::new();
-        for (i, (specs, arg)) in base.iter().enumerate() {
-            let sid = SubId::new(ClientId(i as u64), 0);
-            prt.insert(Subscription::new(sid, build_filter(specs)), hop_of(*arg));
-        }
-        let pubs = probe_pubs();
-        let refs: Vec<&Publication> = pubs.iter().collect();
-        for (n, (op, slot, specs, arg, probes)) in steps.iter().enumerate() {
-            apply_write(&mut prt, n, *op, *slot, specs, *arg);
-            prt.check_invariants();
-            // 0 probes: consecutive writes with no probe between them.
-            for p in pubs.iter().cycle().skip(n).take(*probes) {
-                prop_assert_eq!(
-                    prt.destinations(p),
-                    destinations_from_rows(&prt, p),
-                    "step {} pub {}", n, p
-                );
-            }
-            if *probes == 2 {
-                let want: Vec<Destinations> =
-                    pubs.iter().map(|p| destinations_from_rows(&prt, p)).collect();
-                prop_assert_eq!(&prt.destinations_batch(&refs), &want, "step {}", n);
-            }
-        }
+        destinations_follow(&base, &steps, hop_of_few(pool))?;
     }
 
     /// Serde round-trip rebuilds an index that still agrees with the

@@ -97,15 +97,29 @@
 //! # The matching kernel
 //!
 //! One function, [`MatchIndex::fold_matching`], matches publications
-//! against the table, on the calling thread, and it is a *fold*: its
-//! caller supplies an accumulator per publication, a step called once
-//! per matching key, in no particular order, and a finisher called
-//! once after the last.
+//! against the table, on the calling thread, and it is a *fold* that
+//! may stop: its caller supplies an accumulator per publication, a
+//! step called with matching keys, in no particular order, a test that
+//! says when the accumulator is *saturated* (no further key could
+//! change it), and a finisher called once, last.
 //! [`MatchIndex::matching`] and [`MatchIndex::matching_batch`] are
-//! that fold into a vector, finished by the sort their contract
-//! promises; the broker's publication forwarding folds row numbers
-//! straight into destination sets and never lists the matching keys
-//! at all.
+//! that fold into a vector, never saturated, finished by the sort
+//! their contract promises; the broker's publication forwarding folds
+//! row numbers straight into destination sets, never lists the
+//! matching keys at all, and is saturated once the set holds every hop
+//! its table names (Carzaniga and Wolf's forwarding short-cut: with
+//! every interface matched, no further filter changes the decision).
+//!
+//! What the closures may assume: `step` sees a key at most once per
+//! publication, and only a key whose filter matches it; `saturated` is
+//! asked after the zero-arity keys and after each probed attribute
+//! that completed at least one key, and the first `true` ends the
+//! publication's probes: the remaining attributes are not probed, the
+//! `wide` keys not checked and `step` not called again, so a saturated
+//! accumulator has seen *some* matching keys, not all of them;
+//! `finish` runs exactly once whichever way the probes ended, so it
+//! may not assume the accumulator is complete unless `saturated` never
+//! answers `true`. Each publication of a batch starts afresh.
 //!
 //! The kernel works *publication-major*: per publication, a countdown
 //! cell per stored filter (a dense *slot* id, seeded with the filter's
@@ -1185,40 +1199,45 @@ impl<K: IndexKey> MatchIndex<K> {
 
     /// [`MatchIndex::matching`] for every publication of a batch,
     /// returning one sorted key vector per publication (same order as
-    /// `pubs`): [`MatchIndex::fold_matching`] into a vector, sorted.
+    /// `pubs`): [`MatchIndex::fold_matching`] into a vector that is
+    /// never saturated, sorted.
     pub fn matching_batch(&self, pubs: &[Publication]) -> Vec<Vec<K>> {
         self.fold_matching(
             pubs,
-            Vec::with_capacity,
+            Vec::new,
             |row: &mut Vec<K>, k| row.push(k),
+            |_| false,
             |row: &mut Vec<K>| row.sort_unstable(),
         )
     }
 
-    /// The matching kernel (module docs), on the calling thread: folds
-    /// the keys matching each publication of `pubs` into one
-    /// accumulator a publication (same order as `pubs`). `init` makes
-    /// the accumulator, given the number of matching keys; `step` is
-    /// called once per matching key, in no particular order; `finish`
-    /// once after the last key (the place for a sort the accumulator's
-    /// contract promises). Callers that need no key list (publication
-    /// forwarding resolves keys straight to destinations) never build
-    /// one. The closures must not probe a [`MatchIndex`] themselves
-    /// (the kernel's per-thread scratch is borrowed while they run).
+    /// The matching kernel, on the calling thread: folds the keys
+    /// matching each publication of `pubs` into one accumulator a
+    /// publication (same order as `pubs`). `init` makes the
+    /// accumulator; `step` takes a matching key; `saturated` says that
+    /// no further key could change the accumulator, which ends that
+    /// publication's probes; `finish` runs once, last (the place for a
+    /// sort the accumulator's contract promises). The module docs
+    /// ("The matching kernel") say when each is called and what it may
+    /// assume; a fold that is never saturated is stepped with every
+    /// matching key, once. The closures must not probe a
+    /// [`MatchIndex`] themselves (the kernel's per-thread scratch is
+    /// borrowed while they run).
     ///
     /// Per publication, every probe decrements the cells of the slots
     /// whose constraint on the probed attribute the value satisfies —
     /// at most once per slot and attribute — and a cell reaching zero
     /// completes its slot. Saturating at zero keeps a slot seeded with
     /// 0 dead however often stale or uncounted rows bump it. The
-    /// completed slots, the zero-arity keys and the `wide` keys whose
-    /// filter matches are then handed to `step`, and the accumulator
-    /// to `finish`.
+    /// zero-arity keys are stepped before the first probe, the slots an
+    /// attribute completed after its probe, and the `wide` keys whose
+    /// filter matches last, if the fold is still unsaturated by then.
     pub fn fold_matching<P: Borrow<Publication>, A>(
         &self,
         pubs: &[P],
-        init: impl Fn(usize) -> A,
+        init: impl Fn() -> A,
         step: impl Fn(&mut A, K),
+        saturated: impl Fn(&mut A) -> bool,
         finish: impl Fn(&mut A),
     ) -> Vec<A> {
         let packed = self.packed();
@@ -1226,49 +1245,61 @@ impl<K: IndexKey> MatchIndex<K> {
             pubs.iter()
                 .map(|p| {
                     let p = p.borrow();
-                    cells.clear();
-                    cells.extend_from_slice(&self.slots.seed);
-                    done.clear();
-                    for (attr, value) in p.iter() {
-                        let Some(ai) = self.attrs.get(attr) else {
-                            continue;
-                        };
-                        let mut bump = |slot: u32| {
-                            let cell = &mut cells[slot as usize];
-                            if *cell == 1 {
-                                done.push(slot);
+                    let mut acc = init();
+                    'probes: {
+                        if !self.zero.is_empty() {
+                            for &k in &self.zero {
+                                step(&mut acc, k);
                             }
-                            *cell = cell.saturating_sub(1);
-                        };
-                        if let Some(x) = value.as_f64() {
-                            if let Some(keys) = ai.num_eq.get(&x.to_bits()) {
-                                for &(_, slot) in keys {
-                                    bump(slot);
-                                }
+                            if saturated(&mut acc) {
+                                break 'probes;
                             }
-                            if let Some(pa) = packed.get(attr) {
-                                pa.scan(x, value, &mut bump);
-                            }
-                            for row in &ai.fresh {
-                                if row.cons.get().satisfied_by(value) {
-                                    bump(row.slot);
-                                }
-                            }
-                        } else if let Some(s) = value.as_str() {
-                            ai.str_satisfied(s, value, &mut bump);
                         }
-                        ai.common_satisfied(value, &mut bump);
-                    }
-                    let mut acc = init(self.zero.len() + done.len() + self.wide.len());
-                    for &k in &self.zero {
-                        step(&mut acc, k);
-                    }
-                    for &slot in done.iter() {
-                        step(&mut acc, self.slots.keys[slot as usize]);
-                    }
-                    for k in &self.wide {
-                        if self.filters[k].matches(p) {
-                            step(&mut acc, *k);
+                        cells.clear();
+                        cells.extend_from_slice(&self.slots.seed);
+                        for (attr, value) in p.iter() {
+                            let Some(ai) = self.attrs.get(attr) else {
+                                continue;
+                            };
+                            done.clear();
+                            let mut bump = |slot: u32| {
+                                let cell = &mut cells[slot as usize];
+                                if *cell == 1 {
+                                    done.push(slot);
+                                }
+                                *cell = cell.saturating_sub(1);
+                            };
+                            if let Some(x) = value.as_f64() {
+                                if let Some(keys) = ai.num_eq.get(&x.to_bits()) {
+                                    for &(_, slot) in keys {
+                                        bump(slot);
+                                    }
+                                }
+                                if let Some(pa) = packed.get(attr) {
+                                    pa.scan(x, value, &mut bump);
+                                }
+                                for row in &ai.fresh {
+                                    if row.cons.get().satisfied_by(value) {
+                                        bump(row.slot);
+                                    }
+                                }
+                            } else if let Some(s) = value.as_str() {
+                                ai.str_satisfied(s, value, &mut bump);
+                            }
+                            ai.common_satisfied(value, &mut bump);
+                            if !done.is_empty() {
+                                for &slot in done.iter() {
+                                    step(&mut acc, self.slots.keys[slot as usize]);
+                                }
+                                if saturated(&mut acc) {
+                                    break 'probes;
+                                }
+                            }
+                        }
+                        for k in &self.wide {
+                            if self.filters[k].matches(p) {
+                                step(&mut acc, *k);
+                            }
                         }
                     }
                     finish(&mut acc);
@@ -1730,8 +1761,9 @@ mod tests {
         let refs: Vec<&Publication> = batch.iter().collect();
         let got = ix.fold_matching(
             &refs,
-            |_| BTreeMap::new(),
+            BTreeMap::new,
             |seen, k| *seen.entry(k).or_insert(0usize) += 1,
+            |_| false,
             |seen| assert_eq!(seen.insert(u32::MAX, 0), None, "finished twice"),
         );
         assert_eq!(got.len(), batch.len());
@@ -1743,6 +1775,90 @@ mod tests {
                 .collect();
             assert_eq!(got[i], want, "probe {i} ({p})");
         }
+    }
+
+    /// A fold into the keys stepped and whether saturation was
+    /// reported, which it is as soon as it is asked: `step` asserts it
+    /// never runs after that.
+    fn fold_until_first_asked(ix: &MatchIndex<u32>, pubs: &[Publication]) -> Vec<(Vec<u32>, bool)> {
+        ix.fold_matching(
+            pubs,
+            || (Vec::new(), false),
+            |(keys, said), k| {
+                assert!(!*said, "key {k} stepped after saturation");
+                keys.push(k);
+            },
+            |(_, said)| {
+                *said = true;
+                true
+            },
+            |(keys, _)| keys.sort_unstable(),
+        )
+    }
+
+    #[test]
+    fn saturated_fold_is_not_stepped_again_and_the_batch_goes_on() {
+        let (table, ix) = build(vec![
+            Filter::builder().ge("x", 0).le("x", 10).build(),
+            Filter::builder().ge("y", 0).le("y", 10).build(),
+            Filter::builder().ge("x", 0).le("y", 10).build(),
+            Filter::builder().eq("x", 5).build(),
+        ]);
+        let batch = vec![
+            Publication::new().with("x", 5).with("y", 5),
+            Publication::new().with("y", 5),
+            Publication::new().with("x", 50),
+            Publication::new().with("x", 7).with("y", 5),
+        ];
+        // Attributes are probed in name order: `x` completes keys 0
+        // and 3 and the fold says it has enough, so `y` is never
+        // probed and keys 1 and 2 never stepped. The next publications
+        // start afresh; one that completes nothing is never asked.
+        assert_eq!(
+            fold_until_first_asked(&ix, &batch),
+            vec![
+                (vec![0, 3], true),
+                (vec![1], true),
+                (vec![], false),
+                (vec![0], true),
+            ]
+        );
+        // An accumulator that is never saturated sees every key.
+        assert_eq!(ix.matching(&batch[0]), vec![0, 1, 2, 3]);
+        for p in &batch {
+            assert_eq!(ix.matching(p), linear_matching(&table, p), "probe {p}");
+        }
+    }
+
+    #[test]
+    fn zero_arity_keys_saturate_before_any_probe() {
+        let everything = || Filter::new(vec![]);
+        let p = Publication::new().with("x", 5);
+        let (_, ix) = build(vec![everything(), everything()]);
+        let asked = std::cell::Cell::new(0);
+        let got = ix.fold_matching(
+            std::slice::from_ref(&p),
+            Vec::new,
+            |keys: &mut Vec<u32>, k| keys.push(k),
+            |_| {
+                asked.set(asked.get() + 1);
+                true
+            },
+            |keys| keys.sort_unstable(),
+        );
+        assert_eq!(got, vec![vec![0, 1]]);
+        assert_eq!(asked.get(), 1);
+        // Beside a counted row that matches too: saturated by the
+        // zero-arity keys, the fold never sets up the countdown.
+        let (table, ix) = build(vec![everything(), Filter::builder().ge("x", 0).build()]);
+        SCRATCH.with_borrow_mut(|s| s.cells.clear());
+        assert_eq!(
+            fold_until_first_asked(&ix, std::slice::from_ref(&p)),
+            vec![(vec![0], true)]
+        );
+        SCRATCH.with_borrow(|s| assert!(s.cells.is_empty(), "probed after saturation"));
+        assert_eq!(ix.matching(&p), linear_matching(&table, &p));
+        SCRATCH.with_borrow(|s| assert_eq!(s.cells.len(), 1));
     }
 
     #[test]
@@ -1868,6 +1984,10 @@ mod tests {
         }
         assert_eq!(ix.matching(&full), vec![0, 1, 2]);
         assert_eq!(ix.matching(&short), vec![0, 2]);
+        // Wide keys come last: a fold saturated by then skips them, an
+        // unsaturated one (`matching`, above) still finds them.
+        let early = fold_until_first_asked(&ix, std::slice::from_ref(&full));
+        assert_eq!(early, vec![(vec![0], true)]);
         // Removal frees it like any other row.
         assert!(ix.remove(&1));
         table.remove(&1);

@@ -521,9 +521,11 @@ impl Sim {
 
     /// Fires an armed timer now, whatever its deadline (failure
     /// injection), then [settles](Sim::settle). Returns `false`, and
-    /// does nothing, if no such timer is armed.
+    /// does nothing, if no such timer is armed or its broker is
+    /// crashed: a broker that is down runs no handler, and the timer
+    /// stays armed for after its restart, as on the timed path.
     pub fn fire_timer(&mut self, broker: BrokerId, token: TimerToken) -> bool {
-        if !self.armed.contains_key(&(broker, token)) {
+        if !self.armed.contains_key(&(broker, token)) || self.crashed.contains(&broker) {
             return false;
         }
         self.fire(broker, token);

@@ -7,7 +7,7 @@
 use transmob_broker::Topology;
 use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind, TimerKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
-use transmob_sim::{NetworkModel, Sim};
+use transmob_sim::{NetworkModel, Sim, SimDuration};
 
 fn b(i: u32) -> BrokerId {
     BrokerId(i)
@@ -218,4 +218,35 @@ fn aborted_then_retried_move_succeeds() {
     let stream = net.metrics.deliveries_to(c(2));
     assert_eq!(stream.len(), 1);
     properties::assert_exactly_once(stream).unwrap();
+}
+
+#[test]
+fn a_crashed_brokers_timer_cannot_be_fired() {
+    // The timed path holds a crashed broker's timer until restart;
+    // firing it by hand must not run the handler of a broker that is
+    // down either.
+    let mut net = setup(5, timed_config());
+    net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
+    let (broker, token) = net
+        .armed_timers()
+        .into_iter()
+        .find(|(_, t)| t.kind == TimerKind::Negotiate)
+        .expect("negotiate timer armed");
+    assert_eq!(broker, b(5));
+    // Back up before the timer's own deadline (1 s).
+    let restart_at = net.now() + SimDuration::from_millis(500);
+    net.crash_broker(b(5), restart_at);
+    let traffic = net.metrics.total_traffic();
+    assert!(!net.fire_timer(broker, token), "B5 is down");
+    assert_eq!(net.metrics.total_traffic(), traffic, "a down broker sent");
+    assert!(net.armed_timers().contains(&(broker, token)), "still armed");
+    // Restarted, B5 takes the replies it was held back from and the
+    // movement commits, its timer never having fired.
+    net.settle();
+    assert!(net.now() >= restart_at);
+    assert!(net.armed_timers().is_empty());
+    assert_eq!(net.find_client(c(2)), Some(b(2)));
+    properties::assert_single_instance(&net).unwrap();
+    publish(&mut net, 10);
+    assert_eq!(net.metrics.deliveries_to(c(2)).len(), 1);
 }
