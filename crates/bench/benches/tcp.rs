@@ -111,9 +111,12 @@ fn append_json_row(group: &str, bench: &str, field: &str, value: f64, iters: usi
         .append(true)
         .open(path)
     {
+        // Stamped like the vendored criterion's rows: the figures mean
+        // something only against a box of that size.
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
         let _ = writeln!(
             file,
-            "{{\"group\":\"{group}\",\"bench\":\"{bench}\",\"{field}\":{value:.1},\"iters\":{iters}}}"
+            "{{\"group\":\"{group}\",\"bench\":\"{bench}\",\"{field}\":{value:.1},\"iters\":{iters},\"nproc\":{nproc}}}"
         );
     }
 }

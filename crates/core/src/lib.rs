@@ -56,4 +56,4 @@ pub use mobile_broker::{MobileBroker, MobileBrokerConfig};
 pub use persistence::BrokerSnapshot;
 pub use properties::NetworkView;
 pub use states::{ClientState, SourceCoordState, TargetCoordState};
-pub use transport::{flush_outputs, Transport};
+pub use transport::{flush_outputs, TimerTable, Transport};

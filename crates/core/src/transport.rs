@@ -20,6 +20,11 @@
 //! deliveries and control effects all survive verbatim. A transport
 //! may ship one batch as one frame, but must hand its contents to the
 //! receiver in order.
+//!
+//! [`TimerTable`] is what a driver's [`Transport::control`] arms and
+//! cancels: the one place a timer's deadline is kept.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use transmob_pubsub::{BrokerId, ClientId, MoveId, PublicationMsg};
 
@@ -118,6 +123,65 @@ pub fn for_each_cause_run(
     }
     if !run.is_empty() {
         apply(run_cause, run);
+    }
+}
+
+/// A driver's armed protocol timers: a key has at most one deadline,
+/// and every entry of `queue` is the current deadline of some key. So a
+/// cancel leaves nothing behind, a cancel of a key that was never armed
+/// stores nothing, and a re-arm fires at the new deadline only. The
+/// threaded loop keeps one per broker at `<TimerToken, Instant>`, the
+/// simulator one for all at `<(broker, token), (virtual time, seq)>`.
+#[derive(Debug)]
+pub struct TimerTable<K, D> {
+    deadlines: BTreeMap<K, D>,
+    queue: BTreeSet<(D, K)>,
+}
+
+impl<K, D> Default for TimerTable<K, D> {
+    fn default() -> Self {
+        TimerTable {
+            deadlines: BTreeMap::new(),
+            queue: BTreeSet::new(),
+        }
+    }
+}
+
+impl<K: Ord + Copy, D: Ord + Copy> TimerTable<K, D> {
+    /// Arms `key` to fire at `at`, replacing any earlier deadline.
+    pub fn arm(&mut self, key: K, at: D) {
+        self.cancel(key);
+        self.deadlines.insert(key, at);
+        self.queue.insert((at, key));
+    }
+
+    /// Disarms `key`; a no-op if it is not armed.
+    pub fn cancel(&mut self, key: K) {
+        if let Some(at) = self.deadlines.remove(&key) {
+            self.queue.remove(&(at, key));
+        }
+    }
+
+    /// Whether `key` is armed.
+    pub fn is_armed(&self, key: K) -> bool {
+        self.deadlines.contains_key(&key)
+    }
+
+    /// The armed keys, in key order.
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.deadlines.keys().copied()
+    }
+
+    /// The armed timers, earliest deadline first.
+    pub fn by_deadline(&self) -> impl Iterator<Item = (D, K)> + '_ {
+        self.queue.iter().copied()
+    }
+
+    /// Removes and returns the earliest timer due at `now`.
+    pub fn pop_due(&mut self, now: D) -> Option<K> {
+        let &(_, key) = self.queue.first().filter(|(at, _)| *at <= now)?;
+        self.cancel(key);
+        Some(key)
     }
 }
 

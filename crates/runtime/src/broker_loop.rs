@@ -1,18 +1,18 @@
 //! What a threaded broker is, once: the input queue, the client-facing
-//! registry and handle, the timer table, and the single-threaded loop
-//! that owns one [`MobileBroker`] by value. The channel runtime
+//! registry and handle, and the single-threaded loop that owns one
+//! [`MobileBroker`] by value and its [`TimerTable`]. The channel runtime
 //! ([`crate::Network`]) and the TCP runtime ([`crate::tcp::TcpNetwork`])
 //! both run [`run`]; what differs between them — how a batch reaches a
 //! neighbour — sits behind [`Links`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 use transmob_broker::Hop;
-use transmob_core::transport::{flush_outputs, Transport};
+use transmob_core::transport::{flush_outputs, TimerTable, Transport};
 use transmob_core::{ClientOp, Message, MobileBroker, Output, ProtocolKind, TimerToken};
 use transmob_pubsub::{BrokerId, ClientId, Filter, MoveId, Publication, PublicationMsg};
 
@@ -231,46 +231,6 @@ impl Client {
     }
 }
 
-/// The armed protocol timers of one broker, keyed by token: a token has
-/// at most one deadline, and every entry of `queue` is the current
-/// deadline of some token. So a cancel leaves nothing behind, and a
-/// re-arm fires at the new deadline only.
-#[derive(Debug, Default)]
-pub(crate) struct TimerTable {
-    deadlines: BTreeMap<TimerToken, Instant>,
-    queue: BTreeSet<(Instant, TimerToken)>,
-}
-
-impl TimerTable {
-    /// Arms `token` to fire at `at`, replacing any earlier deadline.
-    pub(crate) fn arm(&mut self, token: TimerToken, at: Instant) {
-        self.cancel(token);
-        self.deadlines.insert(token, at);
-        self.queue.insert((at, token));
-    }
-
-    /// Disarms `token`; a no-op if it is not armed.
-    pub(crate) fn cancel(&mut self, token: TimerToken) {
-        if let Some(at) = self.deadlines.remove(&token) {
-            self.queue.remove(&(at, token));
-        }
-    }
-
-    /// Removes and returns the earliest timer due at `now`.
-    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<TimerToken> {
-        let &(at, token) = self.queue.first()?;
-        if at > now {
-            return None;
-        }
-        self.cancel(token);
-        Some(token)
-    }
-
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.queue.first().map(|&(at, _)| at)
-    }
-}
-
 /// How one broker's batches reach its neighbours: the only thing the
 /// two threaded runtimes do differently.
 pub(crate) trait Links {
@@ -297,7 +257,7 @@ struct Step<'a, L> {
     id: BrokerId,
     hub: &'a Hub,
     links: L,
-    timers: TimerTable,
+    timers: TimerTable<TimerToken, Instant>,
 }
 
 impl<L: Links> Step<'_, L> {
@@ -383,12 +343,8 @@ pub(crate) fn run<L: Links>(
             let outs = broker.handle_timer(token);
             step.flush(outs);
         }
-        let wake = step
-            .timers
-            .next_deadline()
-            .into_iter()
-            .chain(step.links.tick())
-            .min();
+        let next_timer = step.timers.by_deadline().next().map(|(at, _)| at);
+        let wake = next_timer.into_iter().chain(step.links.tick()).min();
         let input = match wake {
             Some(at) => match rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
                 Ok(input) => input,
@@ -437,7 +393,7 @@ pub(crate) fn run<L: Links>(
 mod tests {
     use super::*;
     use transmob_broker::{PubSubMsg, Topology};
-    use transmob_core::{MobileBrokerConfig, MoveMsg, TimerKind};
+    use transmob_core::{MobileBrokerConfig, MoveMsg};
     use transmob_pubsub::{SubId, Subscription, Value};
 
     fn b(i: u32) -> BrokerId {
@@ -449,51 +405,6 @@ mod tests {
     fn range(lo: i64, hi: i64) -> Filter {
         Filter::builder().ge("x", lo).le("x", hi).build()
     }
-    fn token(m: u64) -> TimerToken {
-        TimerToken {
-            m: MoveId(m),
-            kind: TimerKind::Negotiate,
-        }
-    }
-    fn is_empty(t: &TimerTable) -> bool {
-        t.deadlines.is_empty() && t.queue.is_empty()
-    }
-
-    #[test]
-    fn cancel_of_a_never_armed_token_leaves_the_table_empty() {
-        let mut t = TimerTable::default();
-        t.cancel(token(1));
-        assert!(is_empty(&t));
-        assert_eq!(t.next_deadline(), None);
-    }
-
-    #[test]
-    fn rearmed_token_fires_once_at_the_second_deadline() {
-        let t0 = Instant::now();
-        let ms = Duration::from_millis;
-        let mut t = TimerTable::default();
-        t.arm(token(1), t0 + ms(10));
-        t.cancel(token(1));
-        t.arm(token(1), t0 + ms(50));
-        assert_eq!(t.next_deadline(), Some(t0 + ms(50)));
-        assert_eq!(t.pop_due(t0 + ms(20)), None, "fired at the old deadline");
-        assert_eq!(t.pop_due(t0 + ms(60)), Some(token(1)));
-        assert_eq!(t.pop_due(t0 + ms(60)), None, "fired twice");
-        assert!(is_empty(&t));
-    }
-
-    #[test]
-    fn arm_cancel_pairs_leave_the_table_empty() {
-        let at = Instant::now() + Duration::from_secs(30);
-        let mut t = TimerTable::default();
-        for m in 0..10_000 {
-            t.arm(token(m), at);
-            t.cancel(token(m));
-        }
-        assert!(is_empty(&t));
-        assert_eq!(t.pop_due(at), None);
-    }
-
     /// What the loop asked of its links, in order.
     #[derive(Debug, PartialEq)]
     enum Call {

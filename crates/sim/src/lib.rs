@@ -14,7 +14,10 @@
 //! the substitution argument.
 //!
 //! - [`Sim`] — the driver: events, virtual clock, FIFO queueing,
-//!   timers, crash/restart injection, movement plans.
+//!   timers, crash/restart injection, movement plans. Timers wait in
+//!   the `TimerTable` the threaded loop also uses, not in the event
+//!   queue: one that is cancelled is never an event, and a run to
+//!   quiescence ends at the last thing that happened.
 //! - [`NetworkModel`] — performance models with
 //!   [`NetworkModel::cluster`] and [`NetworkModel::planetlab`] presets.
 //! - [`Metrics`] — the paper's metrics: network traffic (with

@@ -2,8 +2,9 @@
 //!
 //! [`Sim`] hosts one [`MobileBroker`] per overlay node and advances a
 //! virtual clock over a priority queue of events. Brokers and links
-//! are FIFO servers (see [`crate::network`]); protocol timers fire as
-//! events; client commands (including `MOVE`) are injected on a
+//! are FIFO servers (see [`crate::network`]); protocol timers wait in
+//! a [`TimerTable`] beside the queue and count as an event only when
+//! they fire; client commands (including `MOVE`) are injected on a
 //! schedule; and repeated movement patterns — the paper's "move, pause
 //! ten seconds, move again" clients — run as [`MovementPlan`]s.
 //!
@@ -28,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use transmob_broker::{Hop, OverlayBuilder, Topology};
-use transmob_core::transport::{flush_outputs, for_each_cause_run, Transport};
+use transmob_core::transport::{flush_outputs, for_each_cause_run, TimerTable, Transport};
 use transmob_core::{
     ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, Output,
     ProtocolKind, TimerToken,
@@ -77,11 +78,6 @@ enum EventKind {
         client: ClientId,
         op: ClientOp,
     },
-    /// A protocol timer comes due. It fires only if it is still the
-    /// event the armed table names for `(broker, token)`; a cancelled,
-    /// re-armed or crash-destroyed timer leaves its event in the heap
-    /// to be discarded at pop.
-    Timer { broker: BrokerId, token: TimerToken },
     /// A scheduled broker crash (from a [`FaultPlan`]).
     Crash {
         broker: BrokerId,
@@ -103,6 +99,9 @@ enum EventKind {
 /// sim's stand-in for the TCP runtime's heartbeat-timeout plus
 /// redial-exhaustion suspicion window).
 const DETECTION_DELAY: SimDuration = SimDuration(50_000_000);
+
+/// The bound of a run that has none.
+const FOREVER: SimTime = SimTime(u64::MAX);
 
 #[derive(Debug)]
 struct Event {
@@ -145,11 +144,10 @@ pub struct Sim {
     rng: StdRng,
     /// Collected measurements.
     pub metrics: Metrics,
-    /// The armed timers: the sequence number of the heap event that
-    /// fires each. Arming overwrites (the earlier event goes stale),
-    /// cancelling removes, so a cancel leaves nothing behind and a
-    /// cancel of a never-armed token stores nothing.
-    armed: BTreeMap<(BrokerId, TimerToken), u64>,
+    /// Every broker's armed timers. A deadline carries the sequence
+    /// number drawn at arming, so a timer and a heap event of the same
+    /// instant run in the order they were scheduled.
+    armed: TimerTable<(BrokerId, TimerToken), (SimTime, u64)>,
     home: BTreeMap<ClientId, BrokerId>,
     plans: BTreeMap<ClientId, (MovementPlan, usize)>,
     plan_deadline: Option<SimTime>,
@@ -208,7 +206,7 @@ impl Sim {
             link_last_arrival: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(false),
-            armed: BTreeMap::new(),
+            armed: TimerTable::default(),
             home: BTreeMap::new(),
             plans: BTreeMap::new(),
             plan_deadline: None,
@@ -290,9 +288,10 @@ impl Sim {
 
     /// Timers armed and neither fired nor cancelled yet, in key order
     /// (leak check: quiescent runs must end with none; failure
-    /// injection: what [`Sim::fire_timer`] can fire).
+    /// injection: what [`Sim::fire_timer`] can fire). A crashed
+    /// broker's stay listed: they wait for its restart.
     pub fn armed_timers(&self) -> Vec<(BrokerId, TimerToken)> {
-        self.armed.keys().copied().collect()
+        self.armed.keys().collect()
     }
 
     /// Enables the full delivery log (property-checking runs).
@@ -348,11 +347,15 @@ impl Sim {
         self.events_processed
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind) -> u64 {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Event { time, seq, kind });
         seq
+    }
+
+    fn push(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.next_seq();
+        self.heap.push(Event { time, seq, kind });
     }
 
     /// Pushes an event that *continues* an earlier one (an `Exec` for
@@ -400,8 +403,8 @@ impl Sim {
 
     /// Crashes a broker warm until `restart_at`: messages addressed to
     /// it are delayed (queue state persists, per the paper's fault
-    /// model), its timers are deferred, and its algorithmic state
-    /// survives untouched.
+    /// model), its timers wait (one that comes due meanwhile fires at
+    /// the restart), and its algorithmic state survives untouched.
     pub fn crash_broker(&mut self, broker: BrokerId, restart_at: SimTime) {
         self.crash(broker, restart_at, CrashKind::Warm);
     }
@@ -454,26 +457,25 @@ impl Sim {
         &self.dead
     }
 
-    /// Runs until the event queue is empty or the clock passes
-    /// `until` (events after `until` remain queued).
+    /// Runs until nothing is left to run or the clock passes `until`
+    /// (events and timers after `until` remain).
     pub fn run_until(&mut self, until: SimTime) {
-        while self.heap.peek().is_some_and(|ev| ev.time <= until) {
-            self.advance(true);
-        }
+        while self.advance(until, true).is_some() {}
         self.clock = self.clock.max(until);
     }
 
-    /// Runs until no events remain.
+    /// Runs until no event remains and no timer can come due.
     pub fn run_to_quiescence(&mut self) {
-        while self.advance(true).is_some() {}
+        while self.advance(FOREVER, true).is_some() {}
     }
 
-    /// Runs everything that needs no timer to fire: stops when the
-    /// earliest event left is an armed timer, or when none is left.
-    /// Timers are the caller's to fire ([`Sim::fire_timer`]). Under
-    /// [`NetworkModel::instant`] this drains the frame queue.
+    /// Runs everything that needs no timer to fire: stops when a timer
+    /// comes due before the earliest event left, or when none is left.
+    /// Timers are the caller's to fire ([`Sim::fire_timer`]), and a
+    /// crashed broker's cannot come due before its restart has run.
+    /// Under [`NetworkModel::instant`] this drains the frame queue.
     pub fn settle(&mut self) {
-        while self.advance(false).is_some() {}
+        while self.advance(FOREVER, false).is_some() {}
     }
 
     /// Executes at most `n` frames (partial execution for mid-protocol
@@ -484,7 +486,7 @@ impl Sim {
     pub fn step_n(&mut self, n: usize) -> usize {
         let mut done = 0;
         while done < n {
-            match self.advance(false) {
+            match self.advance(FOREVER, false) {
                 Some(frame_executed) => done += usize::from(frame_executed),
                 None => break,
             }
@@ -525,7 +527,7 @@ impl Sim {
     /// crashed: a broker that is down runs no handler, and the timer
     /// stays armed for after its restart, as on the timed path.
     pub fn fire_timer(&mut self, broker: BrokerId, token: TimerToken) -> bool {
-        if !self.armed.contains_key(&(broker, token)) || self.crashed.contains(&broker) {
+        if !self.armed.is_armed((broker, token)) || self.crashed.contains(&broker) {
             return false;
         }
         self.fire(broker, token);
@@ -542,35 +544,33 @@ impl Sim {
         before - self.heap.len()
     }
 
-    /// Pops the earliest event, moves the clock to it and runs it: the
-    /// one place the heap is popped. Returns whether the event was a
-    /// frame its broker executed, or `None` when nothing is left to
-    /// run.
-    ///
-    /// With `fire_timers` off (hand-stepping) an armed timer at the
-    /// top ends the run, and the events of timers cancelled or
-    /// re-armed since are dropped as if they had never been queued:
-    /// not counted, and the clock does not move to them.
-    fn advance(&mut self, fire_timers: bool) -> Option<bool> {
-        loop {
-            if !fire_timers && self.heap.peek().is_some_and(|ev| self.is_armed_timer(ev)) {
-                return None;
-            }
-            let ev = self.heap.pop()?;
-            if !fire_timers && matches!(ev.kind, EventKind::Timer { .. }) {
-                continue;
-            }
-            self.clock = self.clock.max(ev.time);
-            self.events_processed += 1;
-            return Some(self.step(ev));
+    /// Runs what comes next, if that is no later than `until`: the
+    /// earlier, by `(time, seq)`, of the heap's head and the first
+    /// armed timer whose broker is up. The one place the heap is popped
+    /// and a due timer fires. Returns whether the event was a frame its
+    /// broker executed, or `None` when nothing ran: with `fire_timers`
+    /// off (hand-stepping) a timer that comes next ends the run instead.
+    fn advance(&mut self, until: SimTime, fire_timers: bool) -> Option<bool> {
+        let head = self.heap.peek().map(|ev| (ev.time, ev.seq));
+        let timer = (self.armed.by_deadline())
+            .find(|(_, (broker, _))| !self.crashed.contains(broker))
+            .filter(|&(at, _)| head.is_none_or(|head| at < head));
+        let (time, _) = timer.map(|(at, _)| at).or(head)?;
+        if time > until || (timer.is_some() && !fire_timers) {
+            return None;
         }
-    }
-
-    /// Whether `ev` is the event the armed table names for its timer
-    /// (a cancelled, re-armed or crash-destroyed timer's event is not).
-    fn is_armed_timer(&self, ev: &Event) -> bool {
-        matches!(ev.kind, EventKind::Timer { broker, token }
-            if self.armed.get(&(broker, token)) == Some(&ev.seq))
+        self.clock = self.clock.max(time);
+        self.events_processed += 1;
+        Some(match timer {
+            Some((_, (broker, token))) => {
+                self.fire(broker, token);
+                false
+            }
+            None => {
+                let ev = self.heap.pop().expect("peeked above");
+                self.step(ev)
+            }
+        })
     }
 
     /// Parks an event addressed to a crashed broker in its persisted
@@ -694,18 +694,6 @@ impl Sim {
                     self.exec_cmd(broker, client, op);
                 }
             }
-            EventKind::Timer { broker, token } => {
-                if self.armed.get(&(broker, token)) != Some(&ev_seq) {
-                    return false; // cancelled, re-armed since, or lost in a crash
-                }
-                if self.crashed.contains(&broker) {
-                    // Still armed: the held event keeps its sequence
-                    // number and fires after a warm restart.
-                    self.hold(broker, ev_seq, EventKind::Timer { broker, token });
-                    return false;
-                }
-                self.fire(broker, token);
-            }
             EventKind::Crash {
                 broker,
                 restart_at,
@@ -716,19 +704,25 @@ impl Sim {
                     return false; // death trumps a pending restart
                 }
                 self.crashed.remove(&broker);
-                if kind == CrashKind::StateLoss {
-                    self.recover_from_log(broker);
+                match kind {
+                    CrashKind::StateLoss => self.recover_from_log(broker),
+                    // A timer that came due during the outage fires
+                    // now, in arming order among the inputs replayed
+                    // below: it keeps its sequence number, as they do.
+                    CrashKind::Warm => {
+                        let overdue: Vec<_> = (self.armed.by_deadline())
+                            .take_while(|&((at, _), _)| at < self.clock)
+                            .filter(|(_, (b, _))| *b == broker)
+                            .collect();
+                        for ((_, seq), key) in overdue {
+                            self.armed.arm(key, (self.clock, seq));
+                        }
+                    }
                 }
                 // Replay the persisted queue in original order; the
                 // original sequence numbers keep held events ahead of
                 // anything that arrives after the restart instant.
                 for mut held in self.held.remove(&broker).unwrap_or_default() {
-                    if kind == CrashKind::StateLoss && matches!(held.kind, EventKind::Timer { .. })
-                    {
-                        // Timers are volatile; recovery re-armed what
-                        // in-flight movements still need.
-                        continue;
-                    }
                     held.time = self.clock;
                     self.heap.push(held);
                 }
@@ -740,7 +734,7 @@ impl Sim {
                 self.dead.insert(broker);
                 self.crashed.remove(&broker);
                 self.held.remove(&broker);
-                self.armed.retain(|(b, _), _| *b != broker); // timers die with the broker
+                self.disarm(broker); // timers die with the broker
                 self.logs.remove(&broker);
                 self.brokers.remove(&broker);
                 // Keep the sim's gods-eye overlay in sync so the
@@ -820,22 +814,27 @@ impl Sim {
         self.dispatch(broker, None, outs);
     }
 
-    /// Fires `broker`'s armed timer `token`: disarms it (its heap event
-    /// goes stale) and ships what the handler produces, attributed to
-    /// the timer's movement.
+    /// Fires `broker`'s armed timer `token`: disarms it and ships what
+    /// the handler produces, attributed to the timer's movement.
     fn fire(&mut self, broker: BrokerId, token: TimerToken) {
-        self.armed.remove(&(broker, token));
+        self.armed.cancel((broker, token));
         let outs = self.broker_mut(broker).handle_timer(token);
         self.dispatch(broker, Some(token.m), outs);
+    }
+
+    /// Cancels every timer of `broker`.
+    fn disarm(&mut self, broker: BrokerId) {
+        let gone: Vec<_> = self.armed.keys().filter(|(b, _)| *b == broker).collect();
+        for key in gone {
+            self.armed.cancel(key);
+        }
     }
 
     /// Rebuilds a broker after a state-loss crash: restore the last
     /// checkpoint, replay the WAL tail, re-arm in-flight movement
     /// timers, and re-attach the (now freshly checkpointed) log.
     fn recover_from_log(&mut self, broker: BrokerId) {
-        // Every pre-crash timer died with the process: disarm them, so
-        // their heap events are discarded at pop.
-        self.armed.retain(|(b, _), _| *b != broker);
+        self.disarm(broker); // every pre-crash timer died with the process
         let log = Arc::clone(self.logs.get(&broker).expect("durability enabled"));
         let (snapshot, records) = log.lock().expect("durability log poisoned").contents();
         let snapshot = snapshot.expect("attach_durability wrote the base checkpoint");
@@ -1004,13 +1003,11 @@ impl Transport for SimFlush<'_> {
         let src = self.src;
         match output {
             Output::SetTimer { token, delay_ns } => {
-                let t = self.sim.clock + SimDuration::from_nanos(delay_ns);
-                let seq = self.sim.push(t, EventKind::Timer { broker: src, token });
-                self.sim.armed.insert((src, token), seq);
+                let at = self.sim.clock + SimDuration::from_nanos(delay_ns);
+                let seq = self.sim.next_seq();
+                self.sim.armed.arm((src, token), (at, seq));
             }
-            Output::CancelTimer { token } => {
-                self.sim.armed.remove(&(src, token));
-            }
+            Output::CancelTimer { token } => self.sim.armed.cancel((src, token)),
             Output::MoveFinished {
                 m,
                 client,
@@ -1456,9 +1453,9 @@ mod fault_tests {
     }
 
     /// A committed movement cancels its 30 s timers within
-    /// milliseconds: nothing stays armed, while their heap events wait
-    /// to be discarded. A state-loss crash in between must neither
-    /// fire nor re-arm them.
+    /// milliseconds, and a cancelled timer is nothing: not armed, not
+    /// an event, not somewhere for the clock to go. A state-loss crash
+    /// in between must neither fire nor re-arm one.
     #[test]
     fn cancelled_timers_leave_nothing_behind_across_a_lossy_restart() {
         let mut sim = durable_sim(4, 13);
@@ -1468,13 +1465,28 @@ mod fault_tests {
             c(2),
             ClientOp::MoveTo(b(2), ProtocolKind::Reconfig),
         );
-        sim.run_until(t0 + SimDuration::from_secs(1));
+        sim.run_to_quiescence();
+        assert_eq!(sim.home_of(c(2)), Some(b(2)), "the movement committed");
         assert_eq!(
             sim.armed_timers(),
             [],
             "a committed move left a timer armed"
         );
-        sim.crash_broker_lossy(b(2), sim.now() + SimDuration::from_millis(50));
+        assert!(
+            sim.now() < t0 + SimDuration::from_secs(1),
+            "the clock ran on to a cancelled deadline: {}",
+            sim.now()
+        );
+        let events = sim.events_processed();
+        let restart_at = sim.now() + SimDuration::from_millis(50);
+        sim.crash_broker_lossy(b(2), restart_at);
+        // Across the restart and both cancelled 30 s deadlines.
+        sim.run_until(t0 + SimDuration::from_secs(31));
+        assert_eq!(
+            sim.events_processed(),
+            events + 1,
+            "only the restart was left to run"
+        );
         sim.run_to_quiescence();
         assert_eq!(sim.armed_timers(), []);
         assert_eq!(sim.total_anomalies(), 0);
@@ -1503,8 +1515,9 @@ mod fault_tests {
         assert_eq!(sim.total_anomalies(), 0);
     }
 
-    /// Re-arming a token supersedes the earlier deadline: the old heap
-    /// event is discarded and the timer fires once, at the new one.
+    /// `SetTimer` and `CancelTimer` reach the timer table, and a
+    /// re-armed timer fires once, at the new deadline: that is where
+    /// the clock ends.
     #[test]
     fn rearmed_timer_fires_at_the_new_deadline_only() {
         let mut sim = Sim::builder()

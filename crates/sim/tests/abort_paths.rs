@@ -7,7 +7,7 @@
 use transmob_broker::Topology;
 use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind, TimerKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
-use transmob_sim::{NetworkModel, Sim, SimDuration};
+use transmob_sim::{NetworkModel, Sim, SimDuration, SimTime};
 
 fn b(i: u32) -> BrokerId {
     BrokerId(i)
@@ -249,4 +249,100 @@ fn a_crashed_brokers_timer_cannot_be_fired() {
     properties::assert_single_instance(&net).unwrap();
     publish(&mut net, 10);
     assert_eq!(net.metrics.deliveries_to(c(2)).len(), 1);
+}
+
+fn negotiate_timer(net: &Sim) -> (BrokerId, transmob_core::TimerToken) {
+    net.armed_timers()
+        .into_iter()
+        .find(|(_, t)| t.kind == TimerKind::Negotiate)
+        .expect("negotiate timer armed")
+}
+
+#[test]
+fn timer_due_in_a_warm_outage_fires_once_at_the_restart_in_arming_order() {
+    let mut net = setup(5, timed_config());
+    // An advertisement flooding from B1 has been executed by B2..B4;
+    // its last frame, B4 to B5, is on the wire.
+    net.create_client(b(1), c(3));
+    net.client_op_deferred(c(3), ClientOp::Advertise(range(200, 300)));
+    assert_eq!(net.step_n(3), 3);
+    let srt_rows = |net: &Sim| net.broker(b(5)).core().srt().len();
+    let rows = srt_rows(&net);
+    // B5 starts the movement, arming the 1 s negotiate timer behind
+    // that frame, and goes down until after the deadline.
+    net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
+    let (broker, token) = negotiate_timer(&net);
+    assert_eq!(broker, b(5));
+    let restart_at = net.now() + SimDuration::from_millis(1500);
+    net.crash_broker(b(5), restart_at);
+    assert!(!net.fire_timer(broker, token), "B5 is down");
+    // A down broker's timer cannot come due, so settling runs past the
+    // deadline and through the restart. There the timer is due, in the
+    // order it was armed among the inputs B5 was held back from: the
+    // advertisement sent before it replays first, the target's reply
+    // sent after it waits behind it.
+    net.settle();
+    assert_eq!(net.now(), restart_at);
+    assert_eq!(
+        srt_rows(&net),
+        rows + 1,
+        "the timer overtook the earlier frame"
+    );
+    assert!(
+        net.armed_timers().contains(&(broker, token)),
+        "the reply overtook it"
+    );
+    assert_eq!(net.metrics.finished_count(), 0);
+    // On the clock it fires there and then, once: the movement aborts
+    // at the restart instant, and the late reply finds it gone.
+    net.run_to_quiescence();
+    let ends: Vec<_> = (net.metrics.finished_moves())
+        .map(|(_, r)| (r.committed, r.end))
+        .collect();
+    assert_eq!(ends, [(Some(false), Some(restart_at))]);
+    assert!(net.armed_timers().is_empty());
+    assert_eq!(net.find_client(c(2)), Some(b(5)));
+    properties::assert_single_instance(&net).unwrap();
+}
+
+#[test]
+fn timer_due_in_a_state_loss_outage_is_lost_and_the_recovered_one_fires() {
+    let mut net = setup(5, timed_config());
+    net.enable_durability();
+    net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
+    let armed = net.armed_timers();
+    assert_eq!(armed, [negotiate_timer(&net)]);
+    // The negotiate is lost, and B5 loses its state until after the
+    // 1 s deadline.
+    assert!(net.drain_queue() > 0);
+    let restart_at = net.now() + SimDuration::from_millis(1500);
+    net.crash_broker_lossy(b(5), restart_at);
+    net.run_until(restart_at);
+    // The timer died with the process: nothing fired, at its deadline
+    // or at the restart. Recovery armed the movement's timer afresh.
+    assert_eq!(net.metrics.finished_count(), 0);
+    assert_eq!(net.armed_timers(), armed);
+    net.run_to_quiescence();
+    let ends: Vec<_> = (net.metrics.finished_moves())
+        .map(|(_, r)| (r.committed, r.end))
+        .collect();
+    let refired_at = restart_at + SimDuration::from_secs(1);
+    assert_eq!(ends, [(Some(false), Some(refired_at))]);
+    assert!(net.armed_timers().is_empty());
+    assert_eq!(net.find_client(c(2)), Some(b(5)));
+}
+
+#[test]
+fn a_dead_brokers_timers_die_with_it() {
+    let mut net = setup(5, timed_config());
+    net.client_op_deferred(c(2), ClientOp::MoveTo(b(2), ProtocolKind::Reconfig));
+    assert_eq!(negotiate_timer(&net).0, b(5));
+    net.drain_queue();
+    net.kill_broker(net.now(), b(5));
+    net.run_to_quiescence();
+    assert!(net.armed_timers().is_empty());
+    assert!(
+        net.now() < SimTime::ZERO + SimDuration::from_secs(1),
+        "the clock ran on to a dead broker's deadline"
+    );
 }

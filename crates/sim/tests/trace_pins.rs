@@ -2,9 +2,18 @@
 //! protocol whose virtual clock, event count, traffic and movement
 //! metrics must repeat to the last bit. A change to the event loop,
 //! the link model or the timer bookkeeping that is meant to be
-//! invisible to timed runs keeps these constants; a change that moves
-//! them on purpose (e.g. taking timers out of the event heap) re-pins
-//! them in a PR that changes nothing else.
+//! invisible to timed runs keeps these constants.
+//!
+//! What the pins cover since timers left the event heap: `now()` is
+//! the instant of the last event that ran (the last movement's last
+//! frame, within milliseconds of the plan deadline), and
+//! `events_processed()` counts events that ran: frames, commands and
+//! the timers that fired, of which these runs have none. A cancelled
+//! timer is in neither. That change moved exactly those two fields (two
+//! cancelled 30 s timers a movement; the clock no longer runs on to
+//! their deadlines); traffic, median latency and messages per move
+//! kept their constants, as they must under any change that keeps the
+//! `(time, seq)` order of the events that do run.
 
 use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Publication};
@@ -83,8 +92,8 @@ fn reconfig_ping_pong_trace_is_pinned() {
     assert_eq!(
         ping_pong(ProtocolKind::Reconfig),
         (
-            SimTime(51_054_007_843),
-            20_764,
+            SimTime(21_078_153_879),
+            19_968,
             9_192,
             4620734675005548702,
             4626317059427865420
@@ -97,8 +106,8 @@ fn covering_ping_pong_trace_is_pinned() {
     assert_eq!(
         ping_pong(ProtocolKind::Covering),
         (
-            SimTime(51_026_078_641),
-            21_746,
+            SimTime(21_076_699_474),
+            20_948,
             12_003,
             4622096673308106457,
             4628279638482997053

@@ -42,7 +42,8 @@
 #     tcp_throughput group (bin/json x batch 64/256), tcp_latency p99
 #     rows and tcp_summary msgs/sec rows, with the binary codec >=2x
 #     the JSON message rate at batch 256 — the ISSUE 7 acceptance bar.
-#     Non-fast runs re-measure that ratio live.
+#     Its rows carry `nproc` like the routing baseline's. Non-fast runs
+#     re-measure that ratio live.
 #   - CI_FAST=1 skips re-measurement (single-iteration timings are
 #     meaningless) and only checks the baseline shape plus that every
 #     gated benchmark still runs; set BENCH_QUICK_JSON=<file> to reuse
@@ -61,6 +62,9 @@ python3 - "$TCP_BASELINE" <<'PY'
 import json, sys
 
 rows = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+unstamped = sorted(f"{r['group']}/{r['bench']}" for r in rows if "nproc" not in r)
+if unstamped:
+    sys.exit(f"bench_check: {sys.argv[1]} rows without nproc: {unstamped}")
 def latest(group, field="ns_per_iter"):
     out = {}
     for r in rows:
@@ -84,7 +88,8 @@ ratio = thr["json/256"] / thr["bin/256"]
 if ratio < 2.0:
     sys.exit(f"bench_check: baseline binary codec only {ratio:.2f}x JSON at batch 256 (< 2x)")
 print(
-    f"bench_check: tcp baseline ok (binary {ratio:.1f}x JSON msg rate at batch 256, "
+    f"bench_check: tcp baseline ok (recorded on nproc {sorted({r['nproc'] for r in rows})}, "
+    f"binary {ratio:.1f}x JSON msg rate at batch 256, "
     f"p99 bin {lat['bin/p99']/1e3:.0f}us vs json {lat['json/p99']/1e3:.0f}us)"
 )
 PY
