@@ -316,21 +316,47 @@ fn loaded_prt_wide(n: usize, hops: usize) -> Prt {
     prt
 }
 
-/// The forwarding query on 10 000 wide rows by how many hops the table
-/// names (DESIGN.md §7, "From match to destinations"): with one or
-/// twenty the destinations are complete after a few attributes and the
+/// A transit broker of the `sim-cyclic` workload: `n` single-band
+/// `SubWorkload::Distinct` rows dealt to two neighbouring brokers, each
+/// group's successive instances alternating between them, as a group
+/// reached over both sides of a cycle is.
+fn loaded_prt_transit(n: usize) -> Prt {
+    let mut prt = Prt::new();
+    for i in 0..n {
+        let sub = Subscription::new(
+            SubId::new(ClientId(i as u64), 0),
+            SubWorkload::Distinct.assign(i),
+        );
+        // `assign(i)` is group `i % 10`, instance `i / 10`.
+        prt.insert(sub, Hop::Broker(b(2 + (i / 10 % 2) as u32)));
+    }
+    prt
+}
+
+/// The forwarding query by how many hops the table names (DESIGN.md
+/// §7, "From match to destinations"). On 10 000 wide rows: with one or
+/// twenty hops the destinations are complete after a few rows and the
 /// match stops there; with a hop per row they never are, which prices
-/// the unsaturated path and a 10 000-entry census. 64 publications an
-/// iteration.
+/// the unsaturated path and a 10 000-id census. `transit_400` is the
+/// `sim-cyclic` transit shape, 400 one-band rows on two hops probed
+/// inside the bands, where up to 40 rows match a probe and the second
+/// of them completes the set. 64 publications an iteration.
 fn bench_forwarding_saturation(c: &mut Criterion) {
     const ROWS: usize = 10_000;
-    let pubs: Vec<Publication> = (0..64).map(wide_publication).collect();
+    let wide: Vec<Publication> = (0..64).map(wide_publication).collect();
+    let distinct: Vec<Publication> = (0..64i64)
+        .map(|k| Publication::new().with(ATTR, 50_000 + 2_000 * ((k * 7) % 10) + (k * 37) % 840))
+        .collect();
     let mut g = c.benchmark_group("forwarding_saturation");
-    for (name, hops) in [("one_hop", 1), ("twenty_hops", 20), ("hop_per_row", ROWS)] {
-        let prt = loaded_prt_wide(ROWS, hops);
+    for (name, prt, pubs) in [
+        ("one_hop", loaded_prt_wide(ROWS, 1), &wide),
+        ("twenty_hops", loaded_prt_wide(ROWS, 20), &wide),
+        ("hop_per_row", loaded_prt_wide(ROWS, ROWS), &wide),
+        ("transit_400", loaded_prt_transit(400), &distinct),
+    ] {
         g.bench_function(name, |bch| {
             bch.iter(|| {
-                for p in &pubs {
+                for p in pubs {
                     black_box(prt.destinations(black_box(p)));
                 }
             })

@@ -24,6 +24,7 @@
 //! [`Srt`] stays a plain id-keyed map with an id-keyed index.
 
 use std::collections::btree_map::Entry;
+use std::collections::hash_map;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
@@ -385,6 +386,18 @@ impl Srt {
     }
 }
 
+impl SubEntry {
+    /// Every hop a publication matching the row is forwarded to: the
+    /// active lasthop, the pending one, the alternates, in that order.
+    fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
+        let pending = self.pending.as_ref().map(|p| p.lasthop);
+        [Some(self.lasthop), pending]
+            .into_iter()
+            .flatten()
+            .chain(self.alt_lasthops.iter().map(|b| Hop::Broker(*b)))
+    }
+}
+
 /// Where one publication goes from this broker: the answer of
 /// [`Prt::destinations_batch`]. Both lists are ascending and
 /// duplicate-free, and forwarding emits them in this order (brokers,
@@ -397,99 +410,197 @@ pub struct Destinations {
     pub clients: Vec<ClientId>,
 }
 
-impl Destinations {
-    /// Records `hop`. Runs of one hop (most rows of a broker share
-    /// their direction) collapse here; [`Destinations::finish`] removes
-    /// the repeats that were not adjacent.
-    fn add(&mut self, hop: Hop) {
-        match hop {
-            Hop::Broker(b) if self.brokers.last() != Some(&b) => self.brokers.push(b),
-            Hop::Client(c) if self.clients.last() != Some(&c) => self.clients.push(c),
-            _ => {}
-        }
-    }
-
-    fn finish(&mut self) {
-        self.brokers.sort_unstable();
-        self.brokers.dedup();
-        self.clients.sort_unstable();
-        self.clients.dedup();
-    }
-
-    /// Whether these are all `hops` distinct hops the table names, so
-    /// that no further row can add one. The lists may still hold
-    /// repeats, so their length bounds the distinct count from above:
-    /// below `hops` the answer is no, for a length comparison; only at
-    /// or above it are they tidied and counted.
-    fn saturated(&mut self, hops: usize) -> bool {
-        if self.brokers.len() + self.clients.len() < hops {
-            return false;
-        }
-        self.finish();
-        debug_assert!(self.brokers.len() + self.clients.len() <= hops);
-        self.brokers.len() + self.clients.len() == hops
-    }
+thread_local! {
+    /// A zeroed seen-bit buffer handed from one forwarding accumulator
+    /// to the next, so that a publication's fold allocates none: with a
+    /// census of thousands of hops a fresh one cost each publication a
+    /// large zeroed allocation. Reuse is all it buys; an accumulator
+    /// that finds it taken starts an empty one.
+    static SEEN: std::cell::Cell<Vec<u64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// One cell of the PRT's forwarding column: everything publication
-/// forwarding reads of a row.
-#[derive(Debug, Clone, PartialEq)]
-struct Cell {
-    lasthop: Hop,
-    pending: Option<Hop>,
-    /// The row's `alt_lasthops`; `None` for the many rows without any.
-    alts: Option<Box<[BrokerId]>>,
+/// The forwarding fold's accumulator: the destinations found so far,
+/// each pushed once, and a seen-bit per census id that keeps it so.
+struct Reach {
+    dests: Destinations,
+    seen: Vec<u64>,
 }
 
-impl Cell {
-    fn of(e: &SubEntry) -> Cell {
-        Cell {
-            lasthop: e.lasthop,
-            pending: e.pending.as_ref().map(|p| p.lasthop),
-            alts: (!e.alt_lasthops.is_empty()).then(|| e.alt_lasthops.iter().copied().collect()),
+impl Reach {
+    /// An empty accumulator for a census whose ids are below `width`.
+    fn new(width: usize) -> Reach {
+        let mut seen = SEEN.take();
+        seen.resize(width.div_ceil(64), 0);
+        Reach {
+            dests: Destinations::default(),
+            seen,
         }
     }
 
-    /// Every hop a publication matching the row is forwarded to.
-    fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
-        let alts = self.alts.iter().flat_map(|alts| alts.iter());
-        [Some(self.lasthop), self.pending]
-            .into_iter()
-            .flatten()
-            .chain(alts.map(|b| Hop::Broker(*b)))
-    }
-}
-
-/// The *hop census* of a forwarding column: every distinct hop a live
-/// cell names, with the number of times the live cells name it. Its
-/// size is the most destinations a publication can have at this
-/// broker, which is what lets [`Prt::destinations_batch`] stop
-/// matching early. It must never under-count (a probe would end before
-/// a destination was found), so every cell is counted when it goes
-/// live and un-counted when it is replaced or its row removed.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Census(FastMap<Hop, u32>);
-
-impl Census {
-    fn count(&mut self, cell: &Cell) {
-        for hop in cell.hops() {
-            *self.0.entry(hop).or_insert(0) += 1;
-        }
-    }
-
-    fn uncount(&mut self, cell: &Cell) {
-        for hop in cell.hops() {
-            let n = self.0.get_mut(&hop).expect("a live cell's hop is counted");
-            *n -= 1;
-            if *n == 0 {
-                self.0.remove(&hop);
+    /// Records `hop`, whose census id is `id`, unless it is recorded
+    /// already.
+    #[inline]
+    fn add(&mut self, id: u32, hop: Hop) {
+        let (word, bit) = (&mut self.seen[id as usize / 64], 1u64 << (id % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            match hop {
+                Hop::Broker(b) => self.dests.brokers.push(b),
+                Hop::Client(c) => self.dests.clients.push(c),
             }
         }
     }
 
+    /// How many distinct hops are recorded.
+    fn found(&self) -> usize {
+        self.dests.brokers.len() + self.dests.clients.len()
+    }
+
+    /// Puts the lists, which hold no repeats, in ascending order, and
+    /// hands the seen-bits back, zeroed.
+    fn finish(&mut self) {
+        self.dests.brokers.sort_unstable();
+        self.dests.clients.sort_unstable();
+        self.seen.fill(0);
+        SEEN.set(std::mem::take(&mut self.seen));
+    }
+}
+
+/// One cell of the PRT's forwarding column: everything publication
+/// forwarding reads of a row, which is the census ids of the row's
+/// hops ([`SubEntry::hops`] order) and the active lasthop itself.
+#[derive(Debug, Clone)]
+struct Cell {
+    /// Every step of the forwarding fold records the active lasthop, so
+    /// the hop is kept beside its id: a table of many hops would
+    /// otherwise pay a second random load, from the census, per row.
+    lasthop: Hop,
+    lasthop_id: u32,
+    /// Inline: a movement installs and clears it, and neither may cost
+    /// an allocation.
+    pending: Option<u32>,
+    /// The ids of the `alt_lasthops`; empty, which allocates nothing,
+    /// for the many rows without any.
+    alts: Box<[u32]>,
+}
+
+impl Cell {
+    /// Calls `f` with every id, in [`SubEntry::hops`] order.
+    #[inline]
+    fn for_each_id(&self, mut f: impl FnMut(u32)) {
+        f(self.lasthop_id);
+        if let Some(id) = self.pending {
+            f(id);
+        }
+        for &id in self.alts.iter() {
+            f(id);
+        }
+    }
+
+    /// [`Cell::for_each_id`] with each id's hop, the lasthop's read off
+    /// the cell and the others off `census`: the forwarding fold's step.
+    /// Plain code, not an iterator, because a chained iterator's fold
+    /// was not inlined into the step.
+    #[inline]
+    fn for_each_hop(&self, census: &Census, mut f: impl FnMut(u32, Hop)) {
+        f(self.lasthop_id, self.lasthop);
+        if let Some(id) = self.pending {
+            f(id, census.hops[id as usize]);
+        }
+        for &id in self.alts.iter() {
+            f(id, census.hops[id as usize]);
+        }
+    }
+}
+
+/// The *hop census* of a forwarding column: every distinct hop a live
+/// cell names, under a dense `u32` id, with the number of times the
+/// live cells name it. Its size is the most destinations a publication
+/// can have at this broker, which is what lets
+/// [`Prt::destinations_batch`] stop matching early. It must never
+/// under-count (a probe would end before a destination was found), so
+/// every cell is counted when it goes live and un-counted when it is
+/// replaced or its row removed. A hop keeps its id while any live cell
+/// names it; the id is freed, for another hop to take, when its last
+/// mention goes.
+#[derive(Debug, Clone, Default)]
+struct Census {
+    /// Hop → id, for every live hop.
+    ids: FastMap<Hop, u32>,
+    /// Id → hop (stale for the ids in `free`).
+    hops: Vec<Hop>,
+    /// Id → how many times the live cells name its hop; 0 for the ids
+    /// in `free`.
+    mentions: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl Census {
+    /// Counts one mention of every hop of `e` and returns the cell
+    /// that names them by id.
+    fn count(&mut self, e: &SubEntry) -> Cell {
+        let lasthop_id = self.mention(e.lasthop);
+        let pending = e.pending.as_ref().map(|p| self.mention(p.lasthop));
+        let mut alts = Vec::with_capacity(e.alt_lasthops.len());
+        alts.extend(e.alt_lasthops.iter().map(|b| self.mention(Hop::Broker(*b))));
+        Cell {
+            lasthop: e.lasthop,
+            lasthop_id,
+            pending,
+            alts: alts.into_boxed_slice(),
+        }
+    }
+
+    fn uncount(&mut self, cell: &Cell) {
+        cell.for_each_id(|id| {
+            let n = &mut self.mentions[id as usize];
+            *n -= 1;
+            if *n == 0 {
+                self.ids.remove(&self.hops[id as usize]);
+                self.free.push(id);
+            }
+        });
+    }
+
+    fn mention(&mut self, hop: Hop) -> u32 {
+        let id = match self.ids.entry(hop) {
+            hash_map::Entry::Occupied(o) => *o.get(),
+            hash_map::Entry::Vacant(v) => *v.insert(match self.free.pop() {
+                Some(id) => {
+                    self.hops[id as usize] = hop;
+                    id
+                }
+                None => {
+                    self.hops.push(hop);
+                    self.mentions.push(0);
+                    u32::try_from(self.hops.len() - 1).expect("fewer than 2^32 hops")
+                }
+            }),
+        };
+        self.mentions[id as usize] += 1;
+        id
+    }
+
+    /// Whether `cell` names exactly the hops of `e`, in order.
+    fn names(&self, cell: &Cell, e: &SubEntry) -> bool {
+        let hop = |id: u32| self.hops[id as usize];
+        cell.lasthop == e.lasthop
+            && cell.pending.map(hop) == e.pending.as_ref().map(|p| p.lasthop)
+            && cell.alts.len() == e.alt_lasthops.len()
+            && (cell.alts.iter())
+                .zip(&e.alt_lasthops)
+                .all(|(&id, &b)| hop(id) == Hop::Broker(b))
+    }
+
     /// How many distinct hops the live cells name.
     fn len(&self) -> usize {
-        self.0.len()
+        self.ids.len()
+    }
+
+    /// One more than the highest id handed out: the seen-bits an
+    /// accumulator needs.
+    fn width(&self) -> usize {
+        self.hops.len()
     }
 }
 
@@ -511,8 +622,8 @@ struct Column {
 }
 
 impl Column {
-    fn alloc(&mut self, id: SubId, cell: Cell) -> u32 {
-        self.census.count(&cell);
+    fn alloc(&mut self, id: SubId, e: &SubEntry) -> u32 {
+        let cell = self.census.count(e);
         match self.free.pop() {
             Some(n) => {
                 self.ids[n as usize] = id;
@@ -535,13 +646,14 @@ impl Column {
         self.free.push(n);
     }
 
-    /// Replaces the cell of live row `n`.
-    fn set(&mut self, n: u32, cell: Cell) {
-        let live = &mut self.cells[n as usize];
-        if *live != cell {
-            self.census.count(&cell);
-            self.census.uncount(live);
-            *live = cell;
+    /// Re-derives the cell of live row `n` from its entry `e`. The new
+    /// hops are counted before the old ones are un-counted, so a hop
+    /// the row keeps keeps its id.
+    fn set(&mut self, n: u32, e: &SubEntry) {
+        if !self.census.names(&self.cells[n as usize], e) {
+            let cell = self.census.count(e);
+            let old = std::mem::replace(&mut self.cells[n as usize], cell);
+            self.census.uncount(&old);
         }
     }
 }
@@ -558,12 +670,14 @@ struct Row {
 /// Every row has a dense `u32` *row number* ([`Column`]). The
 /// attribute-indexed counting [`MatchIndex`] is keyed by it, and the
 /// *forwarding column* beside the rows holds, per row number, the hops
-/// a matching publication is forwarded to. Publication forwarding
+/// a matching publication is forwarded to, each named by its dense id
+/// in the column's hop `Census`. Publication forwarding
 /// ([`Prt::destinations_batch`]) folds the index's matching row
-/// numbers through the column straight into destination sets: it never
-/// lists the matching rows and never touches the row map, and it stops
-/// matching once the set holds every hop the column names (its hop
-/// `Census`), since no further row could add one. The filter
+/// numbers through the column straight into destination sets, one
+/// seen-bit per census id: it never lists the matching rows, never
+/// touches the row map and never sorts to find repeats, and it stops
+/// matching at the row that makes the set every hop of the census,
+/// since no further row could add one. The filter
 /// queries ([`Prt::matching`], [`Prt::overlapping`], [`Prt::covering`],
 /// [`Prt::covered_by`]) translate row numbers back to ids and answer
 /// sorted by id, exactly like the linear scans they are asserted
@@ -633,7 +747,7 @@ impl Prt {
                     }
                 }
                 Entry::Vacant(v) => {
-                    let n = prt.column.alloc(id, Cell::of(&entry));
+                    let n = prt.column.alloc(id, &entry);
                     prt.index.insert(n, &entry.sub.filter);
                     v.insert(Row { n, entry });
                 }
@@ -676,7 +790,7 @@ impl Prt {
                     sent_to: BTreeSet::new(),
                     pending: None,
                 };
-                let n = self.column.alloc(entry.sub.id, Cell::of(&entry));
+                let n = self.column.alloc(entry.sub.id, &entry);
                 self.index.insert(n, &entry.sub.filter);
                 v.insert(Row { n, entry });
                 true
@@ -707,7 +821,7 @@ impl Prt {
         let row = self.entries.get_mut(&id)?;
         self.version = self.version.wrapping_add(1);
         let out = f(&mut row.entry);
-        self.column.set(row.n, Cell::of(&row.entry));
+        self.column.set(row.n, &row.entry);
         Some(out)
     }
 
@@ -790,21 +904,28 @@ impl Prt {
     /// This is the index's fold ([`MatchIndex::fold_matching`]) with
     /// the forwarding column as its step: per matching row number one
     /// cell is read, and neither the matching ids nor the row map are
-    /// ever consulted. The fold is saturated, and the match ends, once
-    /// the destinations are every hop of the column's census: what is
-    /// owed is a set of hops, and no further row can add one. Asserted
+    /// ever consulted. A hop is recorded the first time a row names its
+    /// census id, so the count of hops found is the length of the
+    /// lists. The fold is saturated, and the match ends at the row that
+    /// completes it, once that count is the census size: what is owed
+    /// is a set of hops, and no further row can add one. Asserted
     /// against [`Prt::destinations_linear`], which scans every row, in
     /// debug builds.
     pub fn destinations_batch(&self, publications: &[&Publication]) -> Vec<Destinations> {
-        let cells = &self.column.cells;
-        let hops = self.column.census.len();
-        let out = self.index.fold_matching(
-            publications,
-            Destinations::default,
-            |dests, n| cells[n as usize].hops().for_each(|hop| dests.add(hop)),
-            |dests| dests.saturated(hops),
-            Destinations::finish,
-        );
+        let Column { cells, census, .. } = &self.column;
+        let (hops, width) = (census.len(), census.width());
+        let out: Vec<Destinations> = self
+            .index
+            .fold_matching(
+                publications,
+                || Reach::new(width),
+                |reach, n| cells[n as usize].for_each_hop(census, |id, hop| reach.add(id, hop)),
+                |reach| reach.found() == hops,
+                Reach::finish,
+            )
+            .into_iter()
+            .map(|reach| reach.dests)
+            .collect();
         #[cfg(any(test, debug_assertions))]
         for (dests, p) in out.iter().zip(publications) {
             assert_eq!(
@@ -824,23 +945,26 @@ impl Prt {
     }
 
     /// Reference implementation of [`Prt::destinations_batch`]: the
-    /// linear scan of the rows, reading the hops off the entries.
+    /// linear scan of the rows, reading the hops off the entries into
+    /// ordered sets.
     #[cfg(any(test, debug_assertions))]
     pub fn destinations_linear(&self, publication: &Publication) -> Destinations {
-        let mut dests = Destinations::default();
+        let mut brokers = BTreeSet::new();
+        let mut clients = BTreeSet::new();
         for (_, e) in self.iter() {
             if e.sub.filter.matches(publication) {
-                dests.add(e.lasthop);
-                if let Some(p) = &e.pending {
-                    dests.add(p.lasthop);
-                }
-                for b in &e.alt_lasthops {
-                    dests.add(Hop::Broker(*b));
+                for hop in e.hops() {
+                    match hop {
+                        Hop::Broker(b) => brokers.insert(b),
+                        Hop::Client(c) => clients.insert(c),
+                    };
                 }
             }
         }
-        dests.finish();
-        dests
+        Destinations {
+            brokers: brokers.into_iter().collect(),
+            clients: clients.into_iter().collect(),
+        }
     }
 
     /// Ids of subscriptions whose filter overlaps `filter`. Served by
@@ -938,10 +1062,12 @@ impl Prt {
 
     /// Asserts the derived state against the rows: row numbers and ids
     /// map onto each other one to one (live and free numbers partition
-    /// the column), every live cell equals the cell derived from its
-    /// entry, the hop census equals the one counted from the entries,
-    /// and the index holds every row's filter under its number and
-    /// nothing else, its own slot table consistent. Test support.
+    /// the column), every live cell holds the census ids of its entry's
+    /// hops, every live hop's id names it back, the mention counts are
+    /// the ones counted from the entries and the free ids are exactly
+    /// the unmentioned ones, and the index holds every row's filter
+    /// under its number and nothing else, its own slot table
+    /// consistent. Test support.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let Column {
@@ -958,14 +1084,24 @@ impl Prt {
         );
         let mut seen: BTreeSet<u32> = free.iter().copied().collect();
         assert_eq!(seen.len(), free.len(), "a row number is free twice");
-        let mut recount = Census::default();
+        let mut recount: BTreeMap<Hop, u32> = BTreeMap::new();
         for (id, row) in &self.entries {
-            recount.count(&Cell::of(&row.entry));
             assert!(seen.insert(row.n), "row number {} held twice", row.n);
             assert_eq!(ids[row.n as usize], *id, "row {} names another id", row.n);
-            assert_eq!(
-                cells[row.n as usize],
-                Cell::of(&row.entry),
+            let derived: Vec<u32> = row
+                .entry
+                .hops()
+                .map(|hop| {
+                    *recount.entry(hop).or_insert(0) += 1;
+                    *census.ids.get(&hop).expect("a live row's hop has an id")
+                })
+                .collect();
+            let cell = &cells[row.n as usize];
+            let mut held = Vec::new();
+            cell.for_each_id(|id| held.push(id));
+            assert_eq!(held, derived, "forwarding cell of {id} is stale");
+            assert!(
+                census.names(cell, &row.entry),
                 "forwarding cell of {id} is stale"
             );
             assert_eq!(
@@ -974,7 +1110,22 @@ impl Prt {
                 "index filter of {id} differs from the row's"
             );
         }
-        assert_eq!(*census, recount, "hop census differs from the rows'");
+        assert_eq!(census.ids.len(), recount.len(), "census names a dead hop");
+        assert_eq!(census.hops.len(), census.mentions.len());
+        for (hop, n) in &recount {
+            let id = census.ids[hop] as usize;
+            assert_eq!(census.hops[id], *hop, "census id {id} names another hop");
+            assert_eq!(census.mentions[id], *n, "mentions of {hop:?} miscounted");
+        }
+        let unmentioned: Vec<u32> = (0..census.hops.len() as u32)
+            .filter(|&id| census.mentions[id as usize] == 0)
+            .collect();
+        let mut free_ids = census.free.clone();
+        free_ids.sort_unstable();
+        assert_eq!(
+            free_ids, unmentioned,
+            "free census ids are not the unmentioned ones"
+        );
         assert_eq!(self.index.len(), self.entries.len(), "index size mismatch");
         self.index.check_slot_invariants();
     }
@@ -1196,9 +1347,93 @@ mod tests {
 
     /// The census as sorted `(hop, mentions)` pairs.
     fn census(prt: &Prt) -> Vec<(Hop, u32)> {
-        let mut out: Vec<(Hop, u32)> = prt.column.census.0.iter().map(|(h, n)| (*h, *n)).collect();
+        let c = &prt.column.census;
+        let mut out: Vec<(Hop, u32)> = c
+            .ids
+            .iter()
+            .map(|(hop, id)| (*hop, c.mentions[*id as usize]))
+            .collect();
         out.sort_unstable();
         out
+    }
+
+    fn census_id(prt: &Prt, hop: Hop) -> Option<u32> {
+        prt.column.census.ids.get(&hop).copied()
+    }
+
+    #[test]
+    fn a_census_id_is_reused_only_after_its_hops_last_mention_goes() {
+        let (b2, b4, b7, b9) = (BrokerId(2), BrokerId(4), BrokerId(7), BrokerId(9));
+        let (s1, s2, s3) = (sub(1, 0, 0, 10), sub(2, 0, 0, 10), sub(3, 0, 0, 10));
+        let mut prt = Prt::new();
+        prt.insert(s1.clone(), Hop::Broker(b2));
+        prt.insert(s2.clone(), Hop::Broker(b2));
+        prt.insert(s3.clone(), Hop::Broker(b4));
+        assert_eq!(census_id(&prt, Hop::Broker(b2)), Some(0));
+        assert_eq!(census_id(&prt, Hop::Broker(b4)), Some(1));
+        // One of two mentions goes: the id stays taken, and a new hop
+        // gets a new one.
+        prt.remove(s1.id);
+        prt.insert(sub(4, 0, 0, 10), Hop::Broker(b9));
+        assert_eq!(census_id(&prt, Hop::Broker(b2)), Some(0));
+        assert_eq!(census_id(&prt, Hop::Broker(b9)), Some(2));
+        // A row re-pointed away and back keeps the hop's id while
+        // another row names it.
+        prt.update(s2.id, |e| e.alt_lasthops.insert(b4));
+        prt.update(s2.id, |e| e.alt_lasthops.clear());
+        assert_eq!(census_id(&prt, Hop::Broker(b4)), Some(1));
+        // The last mention goes: the id is free, and the next new hop
+        // takes it.
+        prt.remove(s2.id);
+        assert_eq!(census_id(&prt, Hop::Broker(b2)), None);
+        prt.update(s3.id, |e| e.lasthop = Hop::Broker(b7));
+        assert_eq!(census_id(&prt, Hop::Broker(b7)), Some(0));
+        assert_eq!(census_id(&prt, Hop::Broker(b4)), None);
+        assert_eq!(census(&prt), [(Hop::Broker(b7), 1), (Hop::Broker(b9), 1)]);
+        prt.check_invariants();
+        assert_eq!(
+            prt.destinations(&Publication::new().with("x", 5)).brokers,
+            vec![b7, b9]
+        );
+    }
+
+    #[test]
+    fn rows_that_name_one_hop_apart_yield_it_once() {
+        // Three bands the probe hits, scanned in ascending lower
+        // bound, point at b2, b4, b2; a fourth it misses names b7, so
+        // the census (3 hops) is never reached and every matching row
+        // is stepped. b2's second mention is not adjacent to its first.
+        let (b2, b4, b7) = (BrokerId(2), BrokerId(4), BrokerId(7));
+        let mut prt = Prt::new();
+        prt.insert(sub(1, 0, 0, 10), Hop::Broker(b2));
+        prt.insert(sub(2, 0, 1, 10), Hop::Broker(b4));
+        prt.insert(sub(3, 0, 2, 10), Hop::Broker(b2));
+        prt.insert(sub(4, 0, 50, 60), Hop::Broker(b7));
+        let p = Publication::new().with("x", 5);
+        assert_eq!(prt.matching(&p).len(), 3);
+        assert_eq!(
+            prt.destinations(&p),
+            Destinations {
+                brokers: vec![b2, b4],
+                clients: vec![],
+            }
+        );
+        // The same through alternates of one row and the lasthop of
+        // another, brokers and clients mixed.
+        prt.update(SubId::new(ClientId(2), 0), |e| {
+            e.alt_lasthops.extend([b2, b7]);
+            e.lasthop = Hop::Client(ClientId(5));
+        });
+        prt.update(SubId::new(ClientId(3), 0), |e| {
+            e.lasthop = Hop::Client(ClientId(5))
+        });
+        assert_eq!(
+            prt.destinations(&p),
+            Destinations {
+                brokers: vec![b2, b7],
+                clients: vec![ClientId(5)],
+            }
+        );
     }
 
     #[test]
@@ -1257,9 +1492,9 @@ mod tests {
         prt.update(s2.id, |e| e.sent_to.insert(b7));
         prt.check_invariants();
         // Clone copies the census; a rebuild from the rows recounts it.
-        assert_eq!(prt.clone().column.census, prt.column.census);
+        assert_eq!(census(&prt.clone()), census(&prt));
         let rebuilt: Prt = serde_json::from_str(&serde_json::to_string(&prt).unwrap()).unwrap();
-        assert_eq!(rebuilt.column.census, prt.column.census);
+        assert_eq!(census(&rebuilt), census(&prt));
         rebuilt.check_invariants();
         prt.remove(s2.id);
         assert_eq!(census(&prt), [(Hop::Client(c9), 1)]);

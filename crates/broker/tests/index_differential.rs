@@ -11,6 +11,7 @@
 #![cfg(debug_assertions)]
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use proptest::prelude::*;
 use transmob_broker::{Destinations, Hop, PendingRoute, Prt, Srt};
@@ -181,6 +182,17 @@ fn hop_of_few(pool: u8) -> impl Fn(u8) -> (Hop, BrokerId) {
     }
 }
 
+/// The same from a pool of 100 local clients, alternates drawn from six
+/// brokers: a census of up to 106 hops, so the forwarding fold's
+/// seen-bits span more than one word and census ids are freed and
+/// handed to other hops all the time.
+fn hop_of_many(seed: u8) -> (Hop, BrokerId) {
+    (
+        Hop::Client(ClientId(100 + u64::from(seed % 100))),
+        BrokerId(1 + u32::from(seed % 6)),
+    )
+}
+
 /// One write of the forwarding-column proptest, applied the way the
 /// broker core applies it (everything on a live row through
 /// `Prt::update`); `hop` and `alt` are the hops it may install.
@@ -251,13 +263,16 @@ fn apply_write(
 type BaseRow = (Vec<PredSpec>, u8);
 type WriteStep = (u8, u64, Vec<PredSpec>, u8, usize);
 
-fn arb_base() -> impl Strategy<Value = Vec<BaseRow>> {
-    proptest::collection::vec((arb_filter(), 0u8..16), 40..80)
+/// `rows` base rows whose hops are drawn from seeds below `seeds`.
+fn arb_base(rows: Range<usize>, seeds: u8) -> impl Strategy<Value = Vec<BaseRow>> {
+    proptest::collection::vec((arb_filter(), 0..seeds), rows)
 }
 
-fn arb_writes() -> impl Strategy<Value = Vec<WriteStep>> {
+/// Writes to the ids below `slots`, their hops drawn from seeds below
+/// `seeds`.
+fn arb_writes(slots: u64, seeds: u8) -> impl Strategy<Value = Vec<WriteStep>> {
     proptest::collection::vec(
-        (0u8..10, 0u64..100, arb_filter(), 0u8..16, 0usize..3),
+        (0u8..10, 0..slots, arb_filter(), 0..seeds, 0usize..3),
         1..120,
     )
 }
@@ -426,7 +441,10 @@ proptest! {
     /// state (cells, hop census) matches the rows, and the forwarding
     /// query (alone and as a batch) answers what the rows say.
     #[test]
-    fn destinations_follow_every_write(base in arb_base(), steps in arb_writes()) {
+    fn destinations_follow_every_write(
+        base in arb_base(40..80, 16),
+        steps in arb_writes(100, 16),
+    ) {
         destinations_follow(&base, &steps, hop_of)?;
     }
 
@@ -437,10 +455,22 @@ proptest! {
     #[test]
     fn destinations_follow_every_write_over_few_hops(
         pool in 1u8..=3,
-        base in arb_base(),
-        steps in arb_writes(),
+        base in arb_base(40..80, 16),
+        steps in arb_writes(100, 16),
     ) {
         destinations_follow(&base, &steps, hop_of_few(pool))?;
+    }
+
+    /// The same over about a hundred hops: more rows than the few-hop
+    /// tables, so the census usually outgrows one word of seen-bits,
+    /// and its ids are freed and taken by other hops as rows come, go
+    /// and are re-pointed.
+    #[test]
+    fn destinations_follow_every_write_over_many_hops(
+        base in arb_base(100..160, 100),
+        steps in arb_writes(160, 100),
+    ) {
+        destinations_follow(&base, &steps, hop_of_many)?;
     }
 
     /// Serde round-trip rebuilds an index that still agrees with the

@@ -112,10 +112,10 @@
 //!
 //! What the closures may assume: `step` sees a key at most once per
 //! publication, and only a key whose filter matches it; `saturated` is
-//! asked after the zero-arity keys and after each probed attribute
-//! that completed at least one key, and the first `true` ends the
-//! publication's probes: the remaining attributes are not probed, the
-//! `wide` keys not checked and `step` not called again, so a saturated
+//! asked after every `step`, and the first `true` ends the
+//! publication's probes where they stand: the rest of the row list
+//! being scanned, the remaining attributes and the `wide` keys are
+//! never read, and `step` is not called again, so a saturated
 //! accumulator has seen *some* matching keys, not all of them;
 //! `finish` runs exactly once whichever way the probes ended, so it
 //! may not assume the accumulator is complete unless `saturated` never
@@ -124,9 +124,9 @@
 //! The kernel works *publication-major*: per publication, a countdown
 //! cell per stored filter (a dense *slot* id, seeded with the filter's
 //! arity by one bulk copy) is decremented once for every satisfied
-//! constraint, and a cell reaching zero completes its key. The cells
-//! of one publication fit the cache however the probes scatter over
-//! them.
+//! constraint, and the probe whose decrement takes a cell to zero
+//! steps its key then and there. The cells of one publication fit the
+//! cache however the probes scatter over them.
 //!
 //! Point, string, presence and fallback constraints are probed in the
 //! live per-attribute buckets above. General numeric intervals are
@@ -169,6 +169,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 use crate::constraint::{Bound, Constraint, Interval, NumConstraint, TotalF64};
@@ -499,12 +500,18 @@ impl<K: IndexKey> AttrIndex<K> {
     /// The string probe: the point bucket plus every prefix of the
     /// published string. `exact` rows bump straight from the bucket;
     /// the rest verify against the authoritative constraint. Like
-    /// every probe, it calls `bump(slot)` at most once per key.
-    fn str_satisfied(&self, s: &str, value: &Value, bump: &mut impl FnMut(u32)) {
+    /// every probe, it calls `bump(slot)` at most once per key, and it
+    /// stops at the first `bump` that breaks, passing the break on.
+    fn str_satisfied(
+        &self,
+        s: &str,
+        value: &Value,
+        bump: &mut impl FnMut(u32) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if let Some(rows) = self.str_eq.get(s) {
             for row in rows {
                 if row.exact || self.cons[&row.key].get().satisfied_by(value) {
-                    bump(row.slot);
+                    bump(row.slot)?;
                 }
             }
         }
@@ -516,25 +523,31 @@ impl<K: IndexKey> AttrIndex<K> {
                 if let Some(rows) = self.str_pre.get(&s[..end]) {
                     for row in rows {
                         if row.exact || self.cons[&row.key].get().satisfied_by(value) {
-                            bump(row.slot);
+                            bump(row.slot)?;
                         }
                     }
                 }
             }
         }
+        ControlFlow::Continue(())
     }
 
     /// The kind-independent buckets: presence constraints (satisfied
     /// by any value) and the verified fallback scan.
-    fn common_satisfied(&self, value: &Value, bump: &mut impl FnMut(u32)) {
+    fn common_satisfied(
+        &self,
+        value: &Value,
+        bump: &mut impl FnMut(u32) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         for &(_, s) in &self.present {
-            bump(s);
+            bump(s)?;
         }
         for &(k, s) in &self.other {
             if self.cons[&k].get().satisfied_by(value) {
-                bump(s);
+                bump(s)?;
             }
         }
+        ControlFlow::Continue(())
     }
 
     /// Numeric candidates from the dual-endpoint maps: rows whose
@@ -910,9 +923,15 @@ impl PackedAttr {
 
     /// Calls `bump(slot)` once for every interval row satisfied by the
     /// numeric probe `x` (of `value`). Exact: no false positives, no
-    /// false negatives, at most one bump per row.
+    /// false negatives, at most one bump per row. The first `bump`
+    /// that breaks ends the scan and is passed on.
     #[inline]
-    fn scan(&self, x: f64, value: &Value, bump: &mut impl FnMut(u32)) {
+    fn scan(
+        &self,
+        x: f64,
+        value: &Value,
+        bump: &mut impl FnMut(u32) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let lo_cnt = self
             .lo_bound
             .partition_point(|lo| lo.total_cmp(&x) != Ordering::Greater);
@@ -922,13 +941,13 @@ impl PackedAttr {
         if lo_cnt <= hi_cnt {
             for r in &self.lo_rows[..lo_cnt] {
                 if x.total_cmp(&r.bound) != Ordering::Greater {
-                    bump(r.slot);
+                    bump(r.slot)?;
                 }
             }
         } else {
             for r in &self.hi_rows[..hi_cnt] {
                 if r.bound.total_cmp(&x) != Ordering::Greater {
-                    bump(r.slot);
+                    bump(r.slot)?;
                 }
             }
         }
@@ -946,15 +965,16 @@ impl PackedAttr {
             };
             for r in side {
                 if excl_hit(r, x) {
-                    bump(r.slot);
+                    bump(r.slot)?;
                 }
             }
         }
         for v in &self.verify {
             if v.cons.get().satisfied_by(value) {
-                bump(v.slot);
+                bump(v.slot)?;
             }
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -963,19 +983,22 @@ impl PackedAttr {
 /// share it; each clone's own writes age it separately.
 type PackedTables = FastMap<String, PackedAttr>;
 
-/// Reusable per-thread buffers of the matching kernel.
-#[derive(Default)]
-struct MatchScratch {
-    /// Per slot, the constraints the publication being probed has yet
-    /// to satisfy, copied from [`SlotTable::seed`]; 0 is a slot that
-    /// is done or was never to complete.
-    cells: Vec<u16>,
-    /// Slots the publication being probed has completed.
-    done: Vec<u32>,
+/// Hands a matching key to the fold, out of line: that keeps the
+/// decrement, which a wide table runs many times per completion, small
+/// enough to be inlined into every probe loop. Every key goes through
+/// here, so the fold's closures have one call site and are inlined
+/// into this function.
+#[inline(never)]
+fn complete<K>(take: &mut impl FnMut(K) -> ControlFlow<()>, key: K) -> ControlFlow<()> {
+    take(key)
 }
 
 thread_local! {
-    static SCRATCH: RefCell<MatchScratch> = RefCell::default();
+    /// The matching kernel's reusable per-thread countdown: per slot,
+    /// the constraints the publication being probed has yet to
+    /// satisfy, copied from [`SlotTable::seed`]; 0 is a slot that is
+    /// done or was never to complete.
+    static CELLS: RefCell<Vec<u16>> = RefCell::default();
 }
 
 /// A counting match index over `(key, Filter)` pairs.
@@ -1226,12 +1249,12 @@ impl<K: IndexKey> MatchIndex<K> {
     ///
     /// Per publication, every probe decrements the cells of the slots
     /// whose constraint on the probed attribute the value satisfies —
-    /// at most once per slot and attribute — and a cell reaching zero
-    /// completes its slot. Saturating at zero keeps a slot seeded with
-    /// 0 dead however often stale or uncounted rows bump it. The
-    /// zero-arity keys are stepped before the first probe, the slots an
-    /// attribute completed after its probe, and the `wide` keys whose
-    /// filter matches last, if the fold is still unsaturated by then.
+    /// at most once per slot and attribute — and the decrement that
+    /// takes a cell to zero steps its key. Saturating at zero keeps a
+    /// slot seeded with 0 dead however often stale or uncounted rows
+    /// bump it. The zero-arity keys are stepped before the first probe
+    /// and the `wide` keys whose filter matches after the last, if the
+    /// fold is still unsaturated by then.
     pub fn fold_matching<P: Borrow<Publication>, A>(
         &self,
         pubs: &[P],
@@ -1241,72 +1264,87 @@ impl<K: IndexKey> MatchIndex<K> {
         finish: impl Fn(&mut A),
     ) -> Vec<A> {
         let packed = self.packed();
-        SCRATCH.with_borrow_mut(|MatchScratch { cells, done }| {
+        CELLS.with_borrow_mut(|cells| {
             pubs.iter()
                 .map(|p| {
-                    let p = p.borrow();
                     let mut acc = init();
-                    'probes: {
-                        if !self.zero.is_empty() {
-                            for &k in &self.zero {
-                                step(&mut acc, k);
-                            }
-                            if saturated(&mut acc) {
-                                break 'probes;
-                            }
+                    let _ = self.probe_publication(p.borrow(), packed, cells, &mut |k| {
+                        step(&mut acc, k);
+                        if saturated(&mut acc) {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
                         }
-                        cells.clear();
-                        cells.extend_from_slice(&self.slots.seed);
-                        for (attr, value) in p.iter() {
-                            let Some(ai) = self.attrs.get(attr) else {
-                                continue;
-                            };
-                            done.clear();
-                            let mut bump = |slot: u32| {
-                                let cell = &mut cells[slot as usize];
-                                if *cell == 1 {
-                                    done.push(slot);
-                                }
-                                *cell = cell.saturating_sub(1);
-                            };
-                            if let Some(x) = value.as_f64() {
-                                if let Some(keys) = ai.num_eq.get(&x.to_bits()) {
-                                    for &(_, slot) in keys {
-                                        bump(slot);
-                                    }
-                                }
-                                if let Some(pa) = packed.get(attr) {
-                                    pa.scan(x, value, &mut bump);
-                                }
-                                for row in &ai.fresh {
-                                    if row.cons.get().satisfied_by(value) {
-                                        bump(row.slot);
-                                    }
-                                }
-                            } else if let Some(s) = value.as_str() {
-                                ai.str_satisfied(s, value, &mut bump);
-                            }
-                            ai.common_satisfied(value, &mut bump);
-                            if !done.is_empty() {
-                                for &slot in done.iter() {
-                                    step(&mut acc, self.slots.keys[slot as usize]);
-                                }
-                                if saturated(&mut acc) {
-                                    break 'probes;
-                                }
-                            }
-                        }
-                        for k in &self.wide {
-                            if self.filters[k].matches(p) {
-                                step(&mut acc, *k);
-                            }
-                        }
-                    }
+                    });
                     finish(&mut acc);
                     acc
                 })
                 .collect()
         })
+    }
+
+    /// The kernel's body for one publication: hands every key matching
+    /// `p` to `take`, the moment it is known to match, until `take`
+    /// breaks. Not inlined into the batch loop, so that a profile
+    /// names the match kernel; the probe loops and their decrements are
+    /// inlined into it, `take` runs in [`complete`].
+    #[inline(never)]
+    fn probe_publication(
+        &self,
+        p: &Publication,
+        packed: &PackedTables,
+        cells: &mut Vec<u16>,
+        take: &mut impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        for &k in &self.zero {
+            complete(take, k)?;
+        }
+        cells.clear();
+        cells.extend_from_slice(&self.slots.seed);
+        let keys = &self.slots.keys;
+        let mut bump = |slot: u32| {
+            let cell = &mut cells[slot as usize];
+            match *cell {
+                0 => ControlFlow::Continue(()),
+                1 => {
+                    *cell = 0;
+                    complete(take, keys[slot as usize])
+                }
+                _ => {
+                    *cell -= 1;
+                    ControlFlow::Continue(())
+                }
+            }
+        };
+        for (attr, value) in p.iter() {
+            let Some(ai) = self.attrs.get(attr) else {
+                continue;
+            };
+            if let Some(x) = value.as_f64() {
+                if let Some(keys) = ai.num_eq.get(&x.to_bits()) {
+                    for &(_, slot) in keys {
+                        bump(slot)?;
+                    }
+                }
+                if let Some(pa) = packed.get(attr) {
+                    pa.scan(x, value, &mut bump)?;
+                }
+                for row in &ai.fresh {
+                    if row.cons.get().satisfied_by(value) {
+                        bump(row.slot)?;
+                    }
+                }
+            } else if let Some(s) = value.as_str() {
+                ai.str_satisfied(s, value, &mut bump)?;
+            }
+            ai.common_satisfied(value, &mut bump)?;
+        }
+        for k in &self.wide {
+            if self.filters[k].matches(p) {
+                complete(take, *k)?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Asserts that the slot table covers exactly the satisfiable
@@ -1810,14 +1848,18 @@ mod tests {
             Publication::new().with("x", 50),
             Publication::new().with("x", 7).with("y", 5),
         ];
-        // Attributes are probed in name order: `x` completes keys 0
-        // and 3 and the fold says it has enough, so `y` is never
-        // probed and keys 1 and 2 never stepped. The next publications
-        // start afresh; one that completes nothing is never asked.
+        // Attributes are probed in name order, and an attribute's point
+        // bucket before its intervals. `x = 5` steps key 3 and the fold
+        // says it has enough, so key 0, which the same attribute's
+        // interval scan would complete next, is never stepped, and `y`
+        // is never probed. On `y = 5` the scan steps key 1 and stops;
+        // key 2, whose `y` row it had already counted, still waits for
+        // `x`. The next publications start afresh; one that completes
+        // nothing is never asked.
         assert_eq!(
             fold_until_first_asked(&ix, &batch),
             vec![
-                (vec![0, 3], true),
+                (vec![3], true),
                 (vec![1], true),
                 (vec![], false),
                 (vec![0], true),
@@ -1846,19 +1888,58 @@ mod tests {
             },
             |keys| keys.sort_unstable(),
         );
-        assert_eq!(got, vec![vec![0, 1]]);
+        // Asked after the first step, saturated: the second zero-arity
+        // key is never stepped.
+        assert_eq!(got, vec![vec![0]]);
         assert_eq!(asked.get(), 1);
+        assert_eq!(ix.matching(&p), vec![0, 1]);
         // Beside a counted row that matches too: saturated by the
         // zero-arity keys, the fold never sets up the countdown.
         let (table, ix) = build(vec![everything(), Filter::builder().ge("x", 0).build()]);
-        SCRATCH.with_borrow_mut(|s| s.cells.clear());
+        CELLS.with_borrow_mut(Vec::clear);
         assert_eq!(
             fold_until_first_asked(&ix, std::slice::from_ref(&p)),
             vec![(vec![0], true)]
         );
-        SCRATCH.with_borrow(|s| assert!(s.cells.is_empty(), "probed after saturation"));
+        CELLS.with_borrow(|cells| assert!(cells.is_empty(), "probed after saturation"));
         assert_eq!(ix.matching(&p), linear_matching(&table, &p));
-        SCRATCH.with_borrow(|s| assert_eq!(s.cells.len(), 1));
+        CELLS.with_borrow(|cells| assert_eq!(cells.len(), 1));
+    }
+
+    #[test]
+    fn a_fold_saturated_by_its_first_row_stops_mid_attribute() {
+        // 1 000 one-constraint bands that all contain the probe: the
+        // first row the scan reaches completes its key, and the fold
+        // is saturated after that one step.
+        const ROWS: usize = 1_000;
+        let p = Publication::new().with("x", 5_000);
+        let (table, ix) = build(
+            (0..ROWS as i64)
+                .map(|i| Filter::builder().ge("x", i).le("x", 10_000 + i).build())
+                .collect(),
+        );
+        let (stepped, asked) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        let got = ix.fold_matching(
+            std::slice::from_ref(&p),
+            || (),
+            |_, _| stepped.set(stepped.get() + 1),
+            |_| {
+                asked.set(asked.get() + 1);
+                true
+            },
+            |_| {},
+        );
+        assert_eq!(got.len(), 1);
+        assert_eq!((stepped.get(), asked.get()), (1, 1));
+        // The rest of the attribute was never read: every other row's
+        // countdown still holds its seed.
+        CELLS.with_borrow(|cells| {
+            assert_eq!(cells.len(), ROWS);
+            assert_eq!(cells.iter().filter(|&&c| c == 1).count(), ROWS - 1);
+        });
+        // A fold that is never saturated still sees every row.
+        assert_eq!(ix.matching(&p).len(), ROWS);
+        assert_eq!(ix.matching(&p), linear_matching(&table, &p));
     }
 
     #[test]
@@ -1985,7 +2066,9 @@ mod tests {
         assert_eq!(ix.matching(&full), vec![0, 1, 2]);
         assert_eq!(ix.matching(&short), vec![0, 2]);
         // Wide keys come last: a fold saturated by then skips them, an
-        // unsaturated one (`matching`, above) still finds them.
+        // unsaturated one (`matching`, above) still finds them. The
+        // first attribute, `w0`, completes key 0, which saturates this
+        // fold before `w1` completes key 2.
         let early = fold_until_first_asked(&ix, std::slice::from_ref(&full));
         assert_eq!(early, vec![(vec![0], true)]);
         // Removal frees it like any other row.

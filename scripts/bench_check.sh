@@ -34,10 +34,11 @@
 #     budget, paired `e2e` runs the end-to-end claim.
 #   - The baseline must record the forwarding_saturation rows (the
 #     forwarding query on 10 000 wide rows whose hops are one, twenty
-#     or one per row), each with the parent commit's time beside it.
-#     hop_per_row can never saturate, so its ratio to the parent is
-#     what the early exit costs a table it cannot help. Printed, not
-#     gated: pass/fail timing belongs to paired `e2e` runs.
+#     or one per row, and on transit_400, the sim-cyclic transit shape
+#     of 400 one-band rows on two hops), each with the parent commit's
+#     time beside it. hop_per_row can never saturate, so its ratio to
+#     the parent is what the early exit costs a table it cannot help.
+#     Printed, not gated: pass/fail timing belongs to paired `e2e` runs.
 #   - The TCP wire-protocol baseline BENCH_tcp.json must record the
 #     tcp_throughput group (bin/json x batch 64/256), tcp_latency p99
 #     rows and tcp_summary msgs/sec rows, with the binary codec >=2x
@@ -154,14 +155,15 @@ print(
     + ", not gated)"
 )
 fs = {r["bench"]: r for r in rows if r["group"] == "forwarding_saturation"}
-for need in ("one_hop", "twenty_hops", "hop_per_row"):
+fs_rows = ("one_hop", "twenty_hops", "hop_per_row", "transit_400")
+for need in fs_rows:
     if need not in fs or "parent_ns_per_iter" not in fs[need]:
         sys.exit(f"bench_check: baseline missing forwarding_saturation/{need} (with parent_ns_per_iter)")
 print(
     "bench_check: baseline ok (forwarding_saturation "
     + ", ".join(
-        f"{k} {fs[k]['ns_per_iter'] / 1e3:.0f} us (parent {fs[k]['parent_ns_per_iter'] / 1e3:.0f})"
-        for k in ("one_hop", "twenty_hops", "hop_per_row")
+        f"{k} {fs[k]['ns_per_iter'] / 1e3:.1f} us (parent {fs[k]['parent_ns_per_iter'] / 1e3:.1f})"
+        for k in fs_rows
     )
     + f"; hop_per_row {fs['hop_per_row']['ns_per_iter'] / fs['hop_per_row']['parent_ns_per_iter']:.2f}x the parent, not gated)"
 )
