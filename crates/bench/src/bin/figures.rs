@@ -15,10 +15,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use transmob_bench::{run_experiment, ExperimentConfig, ExperimentResult};
-use transmob_core::modelcheck::{explore, ExploreConfig};
-use transmob_core::ProtocolKind;
-use transmob_pubsub::BrokerId;
-use transmob_sim::{NetworkModel, SimDuration};
+use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
+use transmob_pubsub::{BrokerId, ClientId};
+use transmob_sim::{explore, NetworkModel, Sim, SimDuration};
 use transmob_workloads as wl;
 use transmob_workloads::SubWorkload;
 
@@ -122,36 +121,63 @@ fn summary_row(label: &str, r: &ExperimentResult) {
 
 const PROTOCOLS: [ProtocolKind; 2] = [ProtocolKind::Reconfig, ProtocolKind::Covering];
 
+/// One reconfiguration movement on chain(3): subscriber C2 moves from
+/// B3 to B1, where its publisher C1 is, and B1 admits it if `accept`;
+/// `durable` lets a crash lose state. Nothing takes time: the explorer
+/// orders every step.
+fn one_movement(config: MobileBrokerConfig, accept: bool, durable: bool) -> impl Fn() -> Sim {
+    move || {
+        let mut sim = Sim::builder()
+            .overlay(transmob_broker::Topology::chain(3))
+            .options(config.clone())
+            .network(NetworkModel::instant())
+            .start();
+        let band = transmob_pubsub::Filter::builder().ge("x", 0).build();
+        sim.create_client(BrokerId(1), ClientId(1));
+        sim.create_client(BrokerId(3), ClientId(2));
+        sim.client_op(ClientId(1), ClientOp::Advertise(band.clone()));
+        sim.client_op(ClientId(2), ClientOp::Subscribe(band));
+        sim.broker_mut(BrokerId(1)).set_accept_moves(accept);
+        if durable {
+            sim.enable_durability();
+        }
+        let (now, to) = (sim.now(), BrokerId(1));
+        sim.schedule_cmd(
+            now,
+            ClientId(2),
+            ClientOp::MoveTo(to, ProtocolKind::Reconfig),
+        );
+        sim
+    }
+}
+
 fn fig5(o: &Opts) {
-    println!("== Fig. 5: global reachable state graph (model checker) ==");
-    let ex = explore(ExploreConfig::fig5());
-    println!("  reachable coordinator-pair states: {:?}", ex.labels());
-    println!(
-        "  final states: {:?}",
-        ex.finals.iter().map(|g| g.label()).collect::<Vec<_>>()
-    );
-    ex.check_final_states().expect("paper property (1)");
-    ex.check_at_most_one_started().expect("paper property (2)");
-    println!(
-        "  properties (1) and (2) verified over {} states",
-        ex.states.len()
-    );
-    let dot = ex.to_dot();
-    fs::create_dir_all(&o.out).expect("create results dir");
-    let path = o.out.join("fig5.dot");
-    fs::write(&path, &dot).expect("write dot");
-    println!("  [saved {}]", path.display());
-    let failures = explore(ExploreConfig::failures());
-    failures
-        .check_final_states()
-        .expect("property (1) w/ crashes");
-    failures
-        .check_at_most_one_started()
-        .expect("property (2) w/ crashes");
-    println!(
-        "  with crash+timeout failures: {} states, invariants hold",
-        failures.states.len()
-    );
+    println!("== Fig. 5: global reachable state graph (every schedule of one movement) ==");
+    let modes = [
+        ("blocking", MobileBrokerConfig::reconfig().blocking(), 0),
+        ("timeouts", MobileBrokerConfig::reconfig(), 0),
+        ("timeouts + one crash", MobileBrokerConfig::reconfig(), 1),
+    ];
+    for (mode, config, faults) in modes {
+        let root = |accept| {
+            let build = one_movement(config.clone(), accept, faults > 0);
+            explore(build, faults).unwrap_or_else(|v| panic!("{mode}: {v}"))
+        };
+        let mut ex = root(true);
+        ex.merge(root(false));
+        println!(
+            "  {mode}: properties (1), (2) and progress hold over {} states",
+            ex.states
+        );
+        println!("    reachable coordinator-pair states: {:?}", ex.labels());
+        println!("    final states: {:?}", ex.final_labels());
+        if mode == "blocking" {
+            fs::create_dir_all(&o.out).expect("create results dir");
+            let path = o.out.join("fig5.dot");
+            fs::write(&path, ex.to_dot()).expect("write dot");
+            println!("  [saved {}]", path.display());
+        }
+    }
 }
 
 /// Regenerates the Fig. 7 subscription-workload covering structures as
@@ -378,7 +404,6 @@ fn fig14(o: &Opts) {
 
 /// The DESIGN.md design-choice ablations at experiment scale.
 fn ablations(o: &Opts) {
-    use transmob_core::MobileBrokerConfig;
     let (n, pause, duration) = scale(o);
     println!("== Ablations (covered workload, {n} clients) ==");
     let mut out: Vec<(String, ExperimentResult)> = Vec::new();
@@ -455,9 +480,8 @@ fn ablations(o: &Opts) {
 /// (advertisement reconfiguration with the three PRT fix-up cases)
 /// against stationary subscribers.
 fn publishers(o: &Opts) {
-    use transmob_core::{ClientOp, MobileBrokerConfig};
-    use transmob_pubsub::{ClientId, Publication};
-    use transmob_sim::{MovementPlan, Sim, SimTime};
+    use transmob_pubsub::Publication;
+    use transmob_sim::{MovementPlan, SimTime};
     let (n, pause, duration) = scale(o);
     let n_pub = n / 4; // moving publishers
     let n_sub = n; // stationary subscribers
@@ -588,9 +612,8 @@ fn throughput(o: &Opts) {
 /// anomalies may have been counted, and the delivered/published ratio
 /// must be sane. This is the release-confidence run.
 fn soak(o: &Opts) {
-    use transmob_core::{ClientOp, MobileBrokerConfig};
-    use transmob_pubsub::{ClientId, Publication};
-    use transmob_sim::{MovementPlan, Sim, SimTime};
+    use transmob_pubsub::Publication;
+    use transmob_sim::{MovementPlan, SimTime};
     let (n, _, duration) = scale(o);
     let duration = duration * 2;
     println!("== Soak: {n} mixed clients, random routes, mixed protocols, {duration}s ==");

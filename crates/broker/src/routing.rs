@@ -667,7 +667,7 @@ struct Row {
 
 /// The Publication Routing Table.
 ///
-/// Every row has a dense `u32` *row number* ([`Column`]). The
+/// Every row has a dense `u32` *row number* (`Column`). The
 /// attribute-indexed counting [`MatchIndex`] is keyed by it, and the
 /// *forwarding column* beside the rows holds, per row number, the hops
 /// a matching publication is forwarded to, each named by its dense id

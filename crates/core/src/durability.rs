@@ -41,6 +41,8 @@ use transmob_pubsub::{BrokerId, ClientId};
 
 use crate::messages::{ClientOp, Message, TimerToken};
 use crate::persistence::BrokerSnapshot;
+#[cfg(doc)]
+use crate::{MobileBroker, MobileBrokerConfig, Output};
 
 /// Version tag carried by every [`DurabilityRecord`] (the versioned
 /// envelope the ROADMAP persistence item asked for): recovery refuses

@@ -284,23 +284,28 @@ impl MoveMsg {
             MoveMsg::Reconfigure { .. } | MoveMsg::StateTransfer { .. } | MoveMsg::AbortMove { .. }
         )
     }
+
+    /// The message's name in the protocol conversation (`"negotiate"`,
+    /// `"state"`, …).
+    pub fn name(&self) -> &'static str {
+        match self {
+            MoveMsg::Negotiate { .. } => "negotiate",
+            MoveMsg::Reject { .. } => "reject",
+            MoveMsg::Reconfigure { .. } => "reconfigure",
+            MoveMsg::StateTransfer { .. } => "state",
+            MoveMsg::Ack { .. } => "ack",
+            MoveMsg::AbortMove { .. } => "abort",
+            MoveMsg::CovRequest { .. } => "cov-request",
+            MoveMsg::CovAccept { .. } => "cov-accept",
+            MoveMsg::CovTransfer { .. } => "cov-transfer",
+            MoveMsg::CovDone { .. } => "cov-done",
+        }
+    }
 }
 
 impl fmt::Display for MoveMsg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (name, m) = match self {
-            MoveMsg::Negotiate { m, .. } => ("negotiate", m),
-            MoveMsg::Reject { m, .. } => ("reject", m),
-            MoveMsg::Reconfigure { m, .. } => ("reconfigure", m),
-            MoveMsg::StateTransfer { m, .. } => ("state", m),
-            MoveMsg::Ack { m, .. } => ("ack", m),
-            MoveMsg::AbortMove { m, .. } => ("abort", m),
-            MoveMsg::CovRequest { m, .. } => ("cov-request", m),
-            MoveMsg::CovAccept { m, .. } => ("cov-accept", m),
-            MoveMsg::CovTransfer { m, .. } => ("cov-transfer", m),
-            MoveMsg::CovDone { m, .. } => ("cov-done", m),
-        };
-        write!(f, "{name}({m})")
+        write!(f, "{}({})", self.name(), self.move_id())
     }
 }
 

@@ -250,6 +250,20 @@ impl MobileBroker {
         self.anomalies
     }
 
+    /// This broker's source-coordinator state (Fig. 4) for movement
+    /// `m`, while it keeps a record: `Wait` or `Prepare`. The record
+    /// goes when the movement finishes, committed or aborted.
+    pub fn source_state(&self, m: MoveId) -> Option<SourceCoordState> {
+        self.src_moves.get(&m).map(|r| r.state)
+    }
+
+    /// This broker's target-coordinator state (Fig. 4) for movement
+    /// `m`, if it keeps a record. A target that rejects the movement
+    /// keeps none.
+    pub fn target_state(&self, m: MoveId) -> Option<TargetCoordState> {
+        self.tgt_moves.get(&m).map(|r| r.state)
+    }
+
     /// Creates (attaches and starts) a fresh client at this broker.
     pub fn create_client(&mut self, id: ClientId) {
         let outer = self.begin_input(|| LoggedInput::CreateClient { client: id });

@@ -12,11 +12,10 @@
 //! 2. in **any** reachable global state, at most one client copy is
 //!    `Started`.
 //!
-//! [`crate::modelcheck`] verifies both claims by exhaustive search of
-//! the global state graph (the paper's Fig. 5);
-//! [`source_client_states`] / [`target_client_states`] encode the
-//! concurrent-state table embedded in Fig. 4 and are asserted during
-//! protocol execution in debug builds.
+//! `transmob_sim::explore` checks both claims on every schedule of a
+//! movement between real brokers, the paper's Fig. 5 graph projected
+//! from the code; [`source_client_states`] / [`target_client_states`]
+//! encode the concurrent-state table embedded in Fig. 4.
 
 use std::fmt;
 
@@ -219,9 +218,10 @@ mod tests {
 
     #[test]
     fn fig4_table_never_allows_two_started() {
-        // Over the coordinator-state pairs reachable per Fig. 5, the
-        // concurrent-state table admits at most one Started client —
-        // the static shadow of the model-checked invariant.
+        // Over the coordinator-state pairs the brokers reach (Fig. 5
+        // plus the timeout labels), the concurrent-state table admits
+        // at most one Started client — the static shadow of the
+        // explored invariant.
         use SourceCoordState as S;
         use TargetCoordState as T;
         let reachable = [
@@ -229,8 +229,10 @@ mod tests {
             (S::Wait, T::Init),
             (S::Wait, T::Prepare),
             (S::Wait, T::Abort),
+            (S::Abort, T::Init),
             (S::Abort, T::Abort),
             (S::Abort, T::Prepare),
+            (S::Prepare, T::Abort),
             (S::Prepare, T::Prepare),
             (S::Prepare, T::Commit),
             (S::Commit, T::Commit),

@@ -38,7 +38,7 @@
 //!
 //! # Data layout
 //!
-//! Per constrained attribute ([`AttrIndex`]):
+//! Per constrained attribute (`AttrIndex`):
 //!
 //! - numeric **point** constraints (`x = c`, no exclusions) live in a
 //!   hash map keyed by the *bit pattern* of the point. Under
@@ -70,7 +70,7 @@
 //!
 //! (inclusive comparisons on effective endpoints in the `total_cmp`
 //! order; exclusivity flags and `!=` exclusions only ever *shrink* the
-//! true relation, so these are prune conditions). Each [`AttrIndex`]
+//! true relation, so these are prune conditions). Each `AttrIndex`
 //! therefore keeps every numeric constraint — point or interval — in
 //! two additional ordered maps: `by_lo`, keyed by the effective lower
 //! endpoint, and `by_hi`, keyed by the effective upper endpoint. Each

@@ -40,7 +40,7 @@ use transmob_pubsub::BrokerId;
 use crate::time::SimTime;
 
 /// What a crash destroys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashKind {
     /// Everything persists (the paper's Sec. 3.5 idealization); the
     /// broker resumes exactly where it stopped.

@@ -23,6 +23,9 @@
 //! - [`Metrics`] — the paper's metrics: network traffic (with
 //!   per-movement causal attribution), movement duration, movement
 //!   throughput.
+//! - [`explore()`] — every schedule of a scenario on [`Sim`], checked
+//!   against the paper's safety properties and projected onto its
+//!   Fig. 5 state graph.
 //!
 //! # Examples
 //!
@@ -63,6 +66,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod durable;
+pub mod explore;
 pub mod fault;
 pub mod metrics;
 pub mod network;
@@ -71,9 +75,10 @@ pub mod time;
 pub mod wal;
 
 pub use durable::WalDurability;
+pub use explore::{explore, Exploration, Final, Violation};
 pub use fault::{CrashKind, FaultPlan, LinkFaults, Partition, ScheduledCrash, ScheduledDeath};
 pub use metrics::{DeliveryRecord, Metrics, MoveRecord};
 pub use network::{LinkModel, NetworkModel, NodeModel};
-pub use sim::{MovementPlan, Sim, SimBuilder};
+pub use sim::{Choice, MovementPlan, Sim, SimBuilder};
 pub use time::{SimDuration, SimTime};
 pub use wal::{SyncPolicy, Wal};

@@ -21,9 +21,13 @@
 //! [`Sim::settle`] runs everything that needs no timer to fire. Under
 //! [`NetworkModel::instant`] nothing takes time, the event order is
 //! send order, and these verbs step one global FIFO of frames.
+//! [`Sim::enabled`] lists everything that could run next and
+//! [`Sim::run`] runs any one of them, which is how the schedule
+//! explorer ([`crate::explore()`]) picks its orders.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -53,6 +57,19 @@ pub struct MovementPlan {
     pub pause: SimDuration,
     /// Which protocol each movement uses.
     pub protocol: ProtocolKind,
+}
+
+/// One thing that can run next, as [`Sim::enabled`] lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Choice {
+    /// The queued event with this sequence number: the head frame of a
+    /// link, received and executed (one step as [`Sim::step_n`] counts
+    /// it), or a command, likewise, or a crash, restart, death or
+    /// detection.
+    Queued(u64),
+    /// An armed timer of a broker that is up, fired whatever its
+    /// deadline.
+    Timer(BrokerId, TimerToken),
 }
 
 /// One wire frame: the message batch a neighbour flushed to `dst` in
@@ -145,6 +162,24 @@ impl EventQueue {
             .take()
             .expect("a keyed slot holds its event");
         Some((seq, kind))
+    }
+
+    /// The pending events as `(time, seq, body)`, in no particular
+    /// order.
+    fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &EventKind)> {
+        self.keys.iter().map(|&Reverse((time, seq, slot))| {
+            let body = self.slab[slot as usize].as_ref();
+            (time, seq, body.expect("a keyed slot holds its event"))
+        })
+    }
+
+    /// Removes the pending event `seq`, wherever it sorts: its time and
+    /// body.
+    fn remove(&mut self, seq: u64) -> Option<(SimTime, EventKind)> {
+        let &Reverse((time, _, slot)) = self.keys.iter().find(|key| key.0 .1 == seq)?;
+        self.keys.retain(|key| key.0 .1 != seq);
+        self.free.push(slot);
+        Some((time, self.slab[slot as usize].take()?))
     }
 
     /// Drops every event `lose` picks; returns how many.
@@ -576,6 +611,151 @@ impl Sim {
     pub fn drain_queue(&mut self) -> usize {
         let frame = |kind: &EventKind| matches!(kind, EventKind::Arrive(_) | EventKind::Exec(_));
         self.queue.discard(frame)
+    }
+
+    /// Everything that could run next, earliest `(time, seq)` first:
+    /// the head frame of each directed link, each armed timer of a
+    /// broker that is up (whatever its deadline, as
+    /// [`Sim::fire_timer`] allows), and each pending non-frame event.
+    /// The clock-driven loop always runs the first; a schedule
+    /// explorer ([`crate::explore()`]) picks any.
+    pub fn enabled(&self) -> Vec<Choice> {
+        let mut heads: BTreeMap<(Hop, BrokerId), (SimTime, u64)> = BTreeMap::new();
+        let mut next = Vec::new();
+        for (time, seq, kind) in self.queue.iter() {
+            match kind {
+                EventKind::Arrive(f) | EventKind::Exec(f) => {
+                    let head = heads.entry((f.from, f.dst)).or_insert((time, seq));
+                    if seq < head.1 {
+                        *head = (time, seq);
+                    }
+                }
+                _ => next.push(((time, seq), Choice::Queued(seq))),
+            }
+        }
+        next.extend(heads.into_values().map(|at| (at, Choice::Queued(at.1))));
+        let up = |(_, (broker, _)): &(_, (BrokerId, _))| !self.crashed.contains(broker);
+        let timers = self.armed.by_deadline().filter(up);
+        next.extend(timers.map(|(at, (broker, token))| (at, Choice::Timer(broker, token))));
+        next.sort_unstable_by_key(|&(at, _)| at);
+        next.into_iter().map(|(_, choice)| choice).collect()
+    }
+
+    /// Runs one choice [`Sim::enabled`] listed, through the handlers
+    /// the clock-driven loop uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choice` is not enabled.
+    pub fn run(&mut self, choice: Choice) {
+        self.events_processed += 1;
+        match choice {
+            Choice::Timer(broker, token) => {
+                let up = !self.crashed.contains(&broker);
+                assert!(
+                    up && self.armed.is_armed((broker, token)),
+                    "{choice:?} is not enabled"
+                );
+                self.fire(broker, token);
+            }
+            Choice::Queued(seq) => {
+                let (time, kind) = self.queue.remove(seq).expect("an enabled choice");
+                self.clock = self.clock.max(time);
+                self.step(seq, kind);
+                // An `Exec` continues its `Arrive`, a `CmdExec` its `Cmd`,
+                // under the same sequence number: one step.
+                if let Some((time, kind)) = self.queue.remove(seq) {
+                    self.clock = self.clock.max(time);
+                    self.events_processed += 1;
+                    self.step(seq, kind);
+                }
+            }
+        }
+    }
+
+    /// What `choice` does, in words: `"B2→B1 negotiate"`, `"C2 moves to
+    /// B1 (reconfig)"`, `"B1 fires its state timer"`.
+    pub(crate) fn describe(&self, choice: Choice) -> String {
+        let seq = match choice {
+            Choice::Timer(broker, token) => {
+                let kind = format!("{:?}", token.kind).to_lowercase();
+                return format!("{broker} fires its {kind} timer");
+            }
+            Choice::Queued(seq) => seq,
+        };
+        let (_, _, kind) = self.queue.iter().find(|e| e.1 == seq).expect("enabled");
+        match kind {
+            EventKind::Arrive(f) | EventKind::Exec(f) => {
+                let name = |msg: &Message| match msg {
+                    Message::Move(mv) => mv.name().to_owned(),
+                    _ => msg.kind().to_string(),
+                };
+                let names: Vec<String> = f.msgs.iter().map(name).collect();
+                format!("{}→{} {}", f.from, f.dst, names.join("+"))
+            }
+            EventKind::Cmd { client, op } => match op {
+                ClientOp::MoveTo(to, protocol) => format!("{client} moves to {to} ({protocol})"),
+                ClientOp::Publish(_) => format!("{client} publishes"),
+                _ => format!("{client} runs {op:?}"),
+            },
+            EventKind::Restart { broker, kind } => match kind {
+                CrashKind::Warm => format!("{broker} restarts"),
+                CrashKind::StateLoss => format!("{broker} restarts from its log"),
+            },
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// The messages on the wire or waiting for their broker.
+    pub(crate) fn in_flight(&self) -> impl Iterator<Item = &Message> {
+        self.queue.iter().flat_map(|(_, _, kind)| match kind {
+            EventKind::Arrive(f) | EventKind::Exec(f) => f.msgs.as_slice(),
+            _ => &[],
+        })
+    }
+
+    /// The crashed brokers, down until their restart runs.
+    pub(crate) fn crashed(&self) -> &BTreeSet<BrokerId> {
+        &self.crashed
+    }
+
+    /// Feeds into `state` what a run's future and its checks depend on:
+    /// each broker's serialized snapshot, the frames queued on each link
+    /// in send order, the other pending and the held events, the armed
+    /// timers, the crashed and dead brokers, the clients' homes, the
+    /// movements' outcomes and the deliveries; not the clock, nor the
+    /// sequence numbers.
+    pub(crate) fn digest(&self, state: &mut impl Hasher) {
+        for (id, broker) in &self.brokers {
+            let snapshot = serde_json::to_string(&broker.snapshot());
+            (id, snapshot.expect("a broker snapshot serializes")).hash(state);
+        }
+        let debug = |kind: &EventKind| format!("{kind:?}");
+        let (mut frames, mut others) = (Vec::new(), Vec::new());
+        for (_, seq, kind) in self.queue.iter() {
+            match kind {
+                EventKind::Arrive(f) | EventKind::Exec(f) => {
+                    frames.push(((f.from, f.dst, seq), kind))
+                }
+                _ => others.push(debug(kind)),
+            }
+        }
+        frames.sort_unstable_by_key(|&(link_and_seq, _)| link_and_seq);
+        others.sort_unstable();
+        let frames: Vec<String> = frames.into_iter().map(|(_, kind)| debug(kind)).collect();
+        let held: Vec<String> = (self.held.values().flatten())
+            .map(|e| debug(&e.1))
+            .collect();
+        (frames, others, held).hash(state);
+        let timers: Vec<_> = self.armed.keys().collect();
+        (timers, &self.crashed, &self.dead, &self.home).hash(state);
+        for (m, rec) in &self.metrics.moves {
+            (m, rec.committed).hash(state);
+        }
+        let log = self.metrics.delivery_log.iter().flatten();
+        let mut delivered: Vec<_> = log.map(|d| (d.client, d.publication)).collect();
+        delivered.sort_unstable();
+        delivered.hash(state);
     }
 
     /// Runs what comes next, if that is no later than `until`: the
@@ -1888,6 +2068,102 @@ mod queue_tests {
         assert_eq!(sim.queue.free.len(), peak, "every slot is free again");
         assert!(sim.metrics.finished_moves().count() > 300);
         assert_eq!(sim.total_anomalies(), 0);
+    }
+
+    fn publish(sim: &mut Sim, x: i64) {
+        let op = ClientOp::Publish(Publication::new().with("x", x));
+        sim.client_op_deferred(ClientId(2), op);
+    }
+
+    /// B1–B2–B3–B4 under the instant model: a publisher at B2
+    /// (client 2), a subscriber to 0..=9 at B1 and one to 10..=19 at
+    /// B4, which has started moving to B3.
+    fn two_sided() -> Sim {
+        let band = |lo: i64| Filter::builder().ge("x", lo).le("x", lo + 9).build();
+        let mut sim = Sim::builder()
+            .overlay(Topology::chain(4))
+            .options(MobileBrokerConfig::reconfig())
+            .network(NetworkModel::instant())
+            .start();
+        sim.enable_delivery_log();
+        for i in [1, 2, 4] {
+            sim.create_client(BrokerId(i), ClientId(i.into()));
+        }
+        let both = Filter::builder().ge("x", 0).le("x", 19).build();
+        sim.client_op(ClientId(2), ClientOp::Advertise(both));
+        sim.client_op(ClientId(1), ClientOp::Subscribe(band(0)));
+        sim.client_op(ClientId(4), ClientOp::Subscribe(band(10)));
+        let to = ClientOp::MoveTo(BrokerId(3), ProtocolKind::Reconfig);
+        sim.client_op_deferred(ClientId(4), to);
+        sim
+    }
+
+    fn digest(sim: &Sim) -> u64 {
+        let mut state = std::hash::DefaultHasher::new();
+        sim.digest(&mut state);
+        state.finish()
+    }
+
+    #[test]
+    fn running_the_earliest_choice_each_time_is_settle_event_for_event() {
+        let build = || {
+            let mut sim = two_sided();
+            for x in [10, 5, 11] {
+                publish(&mut sim, x);
+            }
+            let op = ClientOp::Publish(Publication::new().with("x", 12));
+            sim.schedule_cmd(SimTime::ZERO, ClientId(2), op);
+            sim
+        };
+        let (mut settled, mut chosen) = (build(), build());
+        while let Some(&first) = chosen.enabled().first() {
+            if matches!(first, Choice::Timer(..)) {
+                break;
+            }
+            chosen.run(first);
+            while settled.events_processed() < chosen.events_processed() {
+                assert!(settled.advance(FOREVER, false).is_some(), "settle stopped");
+            }
+            assert_eq!(settled.events_processed(), chosen.events_processed());
+            assert_eq!(digest(&settled), digest(&chosen));
+            assert_eq!(settled.metrics.delivery_log, chosen.metrics.delivery_log);
+        }
+        assert_eq!(settled.advance(FOREVER, false), None, "settle runs on");
+        assert!(chosen.events_processed() > 20, "too short a run");
+        assert_eq!(chosen.metrics.delivery_count, 4);
+    }
+
+    #[test]
+    fn running_a_later_links_head_first_keeps_every_link_fifo() {
+        let mut sim = two_sided();
+        let moving = sim.enabled();
+        publish(&mut sim, 10); // A1, on B2→B3
+        publish(&mut sim, 5); // B1, on B2→B1
+        publish(&mut sim, 11); // A2, on B2→B3
+        let heads: Vec<Choice> = (sim.enabled().into_iter())
+            .filter(|c| !moving.contains(c))
+            .collect();
+        let [a1, b1] = heads[..] else {
+            panic!("one head frame per link, earliest first: {heads:?}");
+        };
+        assert_eq!(sim.describe(a1), "B2→B3 publish");
+        assert_eq!(sim.describe(b1), "B2→B1 publish");
+        sim.run(b1);
+        assert!(sim.enabled().contains(&a1), "A2 overtook A1 on B2→B3");
+        // Latest first from here on, timers aside: each link still runs
+        // in send order.
+        let latest = |sim: &Sim| {
+            let untimed = |c: &Choice| !matches!(c, Choice::Timer(..));
+            sim.enabled().into_iter().rfind(untimed)
+        };
+        while let Some(choice) = latest(&sim) {
+            sim.run(choice);
+        }
+        let seqs: Vec<u64> = (sim.metrics.deliveries_to(ClientId(4)).iter())
+            .map(|p| p.0 & 0xffff_ffff)
+            .collect();
+        assert_eq!(seqs, [0, 2], "A1 then A2");
+        assert_eq!(sim.find_client(ClientId(4)), Some(BrokerId(3)));
     }
 }
 

@@ -1,10 +1,11 @@
 //! Failure injection: the movement transaction under rejection,
-//! timeout and broker crash, plus the exhaustive Fig. 5 model check.
+//! timeout and broker crash, plus every schedule of one movement.
 //!
 //! Demonstrates the paper's safety claims operationally:
 //!
-//! 1. the model checker regenerates the Fig. 5 global state graph and
-//!    verifies both safety properties, with and without failures;
+//! 1. the schedule explorer runs one movement between real brokers in
+//!    every order, regenerates the Fig. 5 global state graph from them
+//!    and checks both safety properties, with and without timeouts;
 //! 2. a rejected movement leaves the client running at the source;
 //! 3. a broker crash delays — but never loses — messages (the paper's
 //!    Sec. 3.5 fault model), and a movement started during the outage
@@ -15,30 +16,45 @@
 //! ```
 
 use transmob::broker::Topology;
-use transmob::core::modelcheck::{explore, ExploreConfig};
 use transmob::core::{ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob::pubsub::{BrokerId, ClientId, Filter, Publication};
-use transmob::sim::{NetworkModel, Sim, SimDuration, SimTime};
+use transmob::sim::{explore, Exploration, NetworkModel, Sim, SimDuration, SimTime};
+
+/// Every schedule of one movement on a 3-broker chain, C2 moving from
+/// B3 to B1, once with B1 admitting it and once rejecting it.
+fn every_schedule(config: MobileBrokerConfig) -> Exploration {
+    let root = |accept: bool| {
+        let config = config.clone();
+        let build = move || {
+            let mut net = Sim::builder()
+                .overlay(Topology::chain(3))
+                .options(config.clone())
+                .network(NetworkModel::instant())
+                .start();
+            net.create_client(BrokerId(3), ClientId(2));
+            net.broker_mut(BrokerId(1)).set_accept_moves(accept);
+            let to = ClientOp::MoveTo(BrokerId(1), ProtocolKind::Reconfig);
+            net.schedule_cmd(SimTime(0), ClientId(2), to);
+            net
+        };
+        explore(build, 0).expect("both safety properties hold on every schedule")
+    };
+    let mut ex = root(true);
+    ex.merge(root(false));
+    ex
+}
 
 fn main() {
-    // --- 1. Model check (Fig. 5) -------------------------------------
-    let ex = explore(ExploreConfig::fig5());
-    println!("Fig. 5 reachable coordinator states: {:?}", ex.labels());
-    ex.check_final_states()
-        .expect("exactly one started+clean in finals");
-    ex.check_at_most_one_started()
-        .expect("at most one started everywhere");
-    let with_failures = explore(ExploreConfig::failures());
-    with_failures
-        .check_final_states()
-        .expect("safe with crashes");
-    with_failures
-        .check_at_most_one_started()
-        .expect("isolated with crashes");
+    // --- 1. Every schedule (Fig. 5) ----------------------------------
+    let blocking = every_schedule(MobileBrokerConfig::reconfig().blocking());
     println!(
-        "model check: {} states failure-free, {} with crash+timeout — all safe\n",
-        ex.states.len(),
-        with_failures.states.len()
+        "Fig. 5 reachable coordinator states: {:?}",
+        blocking.labels()
+    );
+    let timeouts = every_schedule(MobileBrokerConfig::reconfig());
+    println!(
+        "every schedule: {} states blocking, {} with timeouts — all safe\n",
+        blocking.states, timeouts.states
     );
 
     // --- 2. Rejected movement ----------------------------------------

@@ -4,14 +4,16 @@
 # Tiers, in order — every invocation runs each tier or prints an
 # explicit skip notice for it:
 #
-#   1. formatting + lints + full workspace tests (hard failures; the
-#      vendored offline stubs under vendor/ are workspace-excluded)
+#   1. formatting + lints + rustdoc links (-D warnings) + full
+#      workspace tests (hard failures; the vendored offline stubs under
+#      vendor/ are workspace-excluded)
 #   2. chaos smoke — seeded fault schedules per protocol (recovery
 #      tier: crash/restart link faults; churn tier: permanent broker
 #      deaths + overlay self-repair, DESIGN.md §14; cyclic tier: the
 #      same churn contract on a ring overlay with multi-path
 #      forwarding, DESIGN.md §15); scales via CHAOS_CASES
-#      (e.g. CHAOS_CASES=5000), skipped under CI_FAST=1
+#      (e.g. CHAOS_CASES=5000); plus the schedule explorer on chain(4)
+#      under one crash; skipped under CI_FAST=1
 #   3. bench smoke — every criterion bench, one iteration each
 #      (CRITERION_QUICK, see vendor/criterion), so bench code cannot
 #      silently rot between perf PRs; captured once and reused by the
@@ -35,14 +37,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# ---- tier 1: fmt + lints + tests --------------------------------------
+# ---- tier 1: fmt + lints + rustdoc links + tests ----------------------
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
+    -p transmob -p transmob-pubsub -p transmob-broker -p transmob-core \
+    -p transmob-sim -p transmob-runtime -p transmob-workloads -p transmob-bench
 cargo test --workspace -q
 
 # ---- tier 2: chaos smoke ----------------------------------------------
 if [[ "${CI_FAST:-0}" == "1" ]]; then
-    echo "ci: CI_FAST=1 - skipping chaos smoke"
+    echo "ci: CI_FAST=1 - skipping chaos smoke and the chain(4) explorer"
 else
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-sim --test chaos_recovery -q
@@ -50,6 +55,8 @@ else
         cargo test -p transmob-sim --test chaos_churn -q
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-sim --test chaos_cyclic -q
+    # The schedule explorer's wider alphabet (chain(4), one crash).
+    cargo test -p transmob-sim --test explore -q -- --ignored
 fi
 
 # ---- tier 3: bench smoke (single pass, capture reused below) ----------

@@ -9,11 +9,12 @@
 //! * [`broker`] — routing tables (SRT/PRT), the broker core, covering
 //!   optimizations, and the synchronous test network.
 //! * [`core`] — the movement transaction: coordinator protocol,
-//!   mobile-client stub, model checker.
-//! * [`sim`] — discrete-event simulator and metrics.
+//!   mobile-client stub, property oracles.
+//! * [`sim`] — discrete-event simulator, metrics and the schedule
+//!   explorer.
 //! * [`workloads`] — paper-style workload generators.
 //! * [`runtime`] — threaded/TCP runtimes driving real brokers.
-//! * [`bench`] — shared benchmark harness helpers.
+//! * [`bench`](mod@bench) — shared benchmark harness helpers.
 
 pub use transmob_bench as bench;
 pub use transmob_broker as broker;
