@@ -48,7 +48,7 @@ use crate::{MobileBroker, MobileBrokerConfig, Output};
 /// envelope the ROADMAP persistence item asked for): recovery refuses
 /// records written by an incompatible build instead of misreplaying
 /// them.
-pub const DURABILITY_FORMAT_VERSION: u32 = 1;
+pub const DURABILITY_FORMAT_VERSION: u32 = 2;
 
 /// One external broker input, as logged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -323,13 +323,39 @@ mod tests {
         assert!(matches!(
             timers[0],
             Output::SetTimer {
-                token: TimerToken {
-                    kind: crate::messages::TimerKind::Negotiate,
-                    ..
-                },
+                token: TimerToken::Negotiate(_),
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_fired_suspicion_replays_to_the_same_repaired_topology() {
+        let topo = Arc::new(Topology::chain(4));
+        let config = MobileBrokerConfig {
+            suspect_after_ns: Some(50_000_000),
+            ..MobileBrokerConfig::reconfig()
+        };
+        let mut b = MobileBroker::new(BrokerId(2), Arc::clone(&topo), config.clone());
+        let log = MemoryLog::shared();
+        b.attach_durability(log.clone()).unwrap();
+        let armed = b.handle_link(BrokerId(3), false);
+        assert!(matches!(armed[..], [Output::SetTimer { .. }]));
+        let _ = b.handle_timer(TimerToken::Suspect(BrokerId(3)));
+        assert!(!b.topology().contains(BrokerId(3)));
+
+        let (snap, records) = log.lock().unwrap().contents();
+        let inputs: Vec<_> = records.iter().map(|r| &r.input).collect();
+        assert_eq!(
+            inputs,
+            [&LoggedInput::Timer {
+                token: TimerToken::Suspect(BrokerId(3))
+            }],
+            "the report is not logged, the fired timer is"
+        );
+        let (recovered, _) = MobileBroker::recover(topo, config, snap.unwrap(), &records);
+        assert_eq!(recovered.topology(), b.topology());
+        assert_eq!(recovered.core().neighbors(), b.core().neighbors());
     }
 
     #[test]

@@ -51,8 +51,7 @@ pub use durability::{
     DurabilityLog, DurabilityRecord, LoggedInput, MemoryLog, DURABILITY_FORMAT_VERSION,
 };
 pub use messages::{
-    ClientOp, ClientProfile, ClientSnapshot, Message, MoveMsg, Output, ProtocolKind, TimerKind,
-    TimerToken,
+    ClientOp, ClientProfile, ClientSnapshot, Message, MoveMsg, Output, ProtocolKind, TimerToken,
 };
 pub use mobile_broker::{MobileBroker, MobileBrokerConfig};
 pub use persistence::BrokerSnapshot;

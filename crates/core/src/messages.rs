@@ -371,22 +371,30 @@ impl fmt::Display for Message {
     }
 }
 
-/// A timer a [`crate::MobileBroker`] asks its driver to arm.
+/// A timer a [`crate::MobileBroker`] asks its driver to arm: a
+/// movement's protocol timeout, or the suspicion of one neighbour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct TimerToken {
-    /// The movement the timer belongs to.
-    pub m: MoveId,
-    /// What the timer guards.
-    pub kind: TimerKind,
+pub enum TimerToken {
+    /// Source of the movement, in `Wait`: no `approve`/`reject` arrived
+    /// in time.
+    Negotiate(MoveId),
+    /// Target of the movement, in `Prepare`: no `state` arrived in time.
+    State(MoveId),
+    /// The link to this neighbour has stayed down for
+    /// [`crate::MobileBrokerConfig::suspect_after_ns`]: the neighbour is
+    /// declared dead ([`crate::MobileBroker::handle_link`]).
+    Suspect(BrokerId),
 }
 
-/// What a protocol timer guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum TimerKind {
-    /// Source, `Wait`: no `approve`/`reject` arrived in time.
-    Negotiate,
-    /// Target, `Prepare`: no `state` arrived in time.
-    State,
+impl TimerToken {
+    /// The movement the timer guards; `None` for a suspicion, which
+    /// names a broker.
+    pub fn move_id(self) -> Option<MoveId> {
+        match self {
+            TimerToken::Negotiate(m) | TimerToken::State(m) => Some(m),
+            TimerToken::Suspect(_) => None,
+        }
+    }
 }
 
 /// Effects produced by a [`crate::MobileBroker`]. The driver (the

@@ -36,8 +36,7 @@ use transmob_pubsub::{BrokerId, ClientId, MoveId, Publication, PublicationMsg, S
 use crate::client_stub::{DeliverOutcome, HostedClient};
 use crate::durability::{DurabilityLog, DurabilityRecord, LoggedInput, DURABILITY_FORMAT_VERSION};
 use crate::messages::{
-    ClientOp, ClientProfile, ClientSnapshot, Message, MoveMsg, Output, ProtocolKind, TimerKind,
-    TimerToken,
+    ClientOp, ClientProfile, ClientSnapshot, Message, MoveMsg, Output, ProtocolKind, TimerToken,
 };
 use crate::persistence::BrokerSnapshot;
 use crate::states::{ClientState, SourceCoordState, TargetCoordState};
@@ -68,6 +67,13 @@ pub struct MobileBrokerConfig {
     /// truncate) after this many logged inputs. `0` disables periodic
     /// checkpoints (explicit [`MobileBroker::checkpoint_now`] only).
     pub checkpoint_every: u32,
+    /// The failure detector's one deadline: a neighbour whose link the
+    /// driver reports down ([`MobileBroker::handle_link`]) and not up
+    /// again within this long is declared permanently dead, and the
+    /// overlay repairs around it. `None` (the default) never suspects:
+    /// every outage is a crash that comes back (the paper's Sec. 3.5
+    /// fault model).
+    pub suspect_after_ns: Option<u64>,
 }
 
 /// Default movement-protocol timeout: far above any simulated or
@@ -83,6 +89,7 @@ impl Default for MobileBrokerConfig {
             state_timeout_ns: Some(DEFAULT_MOVE_TIMEOUT_NS),
             make_before_break: false,
             checkpoint_every: 64,
+            suspect_after_ns: None,
         }
     }
 }
@@ -374,10 +381,7 @@ impl MobileBroker {
             for (m, rec) in &self.src_moves {
                 if rec.state == SourceCoordState::Wait {
                     out.push(Output::SetTimer {
-                        token: TimerToken {
-                            m: *m,
-                            kind: TimerKind::Negotiate,
-                        },
+                        token: TimerToken::Negotiate(*m),
                         delay_ns,
                     });
                 }
@@ -387,10 +391,7 @@ impl MobileBroker {
             for (m, rec) in &self.tgt_moves {
                 if rec.state == TargetCoordState::Prepare {
                     out.push(Output::SetTimer {
-                        token: TimerToken {
-                            m: *m,
-                            kind: TimerKind::State,
-                        },
+                        token: TimerToken::State(*m),
                         delay_ns,
                     });
                 }
@@ -719,10 +720,7 @@ impl MobileBroker {
         });
         if let Some(delay_ns) = self.config.negotiate_timeout_ns {
             out.push(Output::SetTimer {
-                token: TimerToken {
-                    m,
-                    kind: TimerKind::Negotiate,
-                },
+                token: TimerToken::Negotiate(m),
                 delay_ns,
             });
         }
@@ -992,10 +990,7 @@ impl MobileBroker {
         }];
         if let Some(delay_ns) = self.config.state_timeout_ns {
             out.push(Output::SetTimer {
-                token: TimerToken {
-                    m,
-                    kind: TimerKind::State,
-                },
+                token: TimerToken::State(m),
                 delay_ns,
             });
         }
@@ -1139,10 +1134,7 @@ impl MobileBroker {
         outs.extend(self.core.commit_move(m));
         let mut out = self.absorb(outs);
         out.push(Output::CancelTimer {
-            token: TimerToken {
-                m,
-                kind: TimerKind::Negotiate,
-            },
+            token: TimerToken::Negotiate(m),
         });
         out.push(Output::Send {
             to: frm,
@@ -1239,10 +1231,7 @@ impl MobileBroker {
         // unwrap: record presence checked above
         self.tgt_moves.get_mut(&m).unwrap().state = TargetCoordState::Commit;
         out.push(Output::CancelTimer {
-            token: TimerToken {
-                m,
-                kind: TimerKind::State,
-            },
+            token: TimerToken::State(m),
         });
         out.push(Output::ClientArrived { m, client });
         out.extend(self.forward_or_emit_toward(source, MoveMsg::Ack { m, source, target }));
@@ -1293,10 +1282,7 @@ impl MobileBroker {
             return Vec::new();
         };
         let mut out = vec![Output::CancelTimer {
-            token: TimerToken {
-                m,
-                kind: TimerKind::Negotiate,
-            },
+            token: TimerToken::Negotiate(m),
         }];
         out.extend(self.resume_client(rec.client));
         out.push(Output::MoveFinished {
@@ -1366,10 +1352,7 @@ impl MobileBroker {
                     }
                     out.extend(self.resume_client(rec.client));
                     out.push(Output::CancelTimer {
-                        token: TimerToken {
-                            m,
-                            kind: TimerKind::Negotiate,
-                        },
+                        token: TimerToken::Negotiate(m),
                     });
                     out.push(Output::MoveFinished {
                         m,
@@ -1390,10 +1373,7 @@ impl MobileBroker {
                     self.clients.remove(&client);
                     self.core.detach_client(client);
                     out.push(Output::CancelTimer {
-                        token: TimerToken {
-                            m,
-                            kind: TimerKind::State,
-                        },
+                        token: TimerToken::State(m),
                     });
                 }
             }
@@ -1442,6 +1422,32 @@ impl MobileBroker {
 
     // ----- overlay repair ------------------------------------------------
 
+    /// The driver's report that the link to neighbour `peer` went down
+    /// (`up == false`) or came back (`up == true`). Down arms the
+    /// suspicion timer [`TimerToken::Suspect`] for `peer` at
+    /// [`MobileBrokerConfig::suspect_after_ns`]; up cancels it. When
+    /// it fires, `peer` is declared dead as by
+    /// [`MobileBroker::handle_broker_death`], and the fired timer is
+    /// the logged input. A report is not logged: it only arms or
+    /// disarms a timer, and timers die with the process.
+    ///
+    /// Does nothing when suspicion is off or `peer` is not in this
+    /// broker's topology (never known, or already excised).
+    pub fn handle_link(&mut self, peer: BrokerId, up: bool) -> Vec<Output> {
+        let Some(delay_ns) = self.config.suspect_after_ns else {
+            return Vec::new();
+        };
+        if peer == self.id() || !self.topology.contains(peer) {
+            return Vec::new();
+        }
+        let token = TimerToken::Suspect(peer);
+        vec![if up {
+            Output::CancelTimer { token }
+        } else {
+            Output::SetTimer { token, delay_ns }
+        }]
+    }
+
     /// Declares `dead` permanently failed: repairs the local topology
     /// copy (reconnecting the orphaned subtrees through the dead
     /// broker's smallest-id neighbour), rebuilds the affected routing
@@ -1480,6 +1486,14 @@ impl MobileBroker {
         };
         let myid = self.id();
         self.first_hop = self.topology.first_hops(myid);
+        let mut out = Vec::new();
+        if self.config.suspect_after_ns.is_some() {
+            // A death learned from the flood settles this broker's own
+            // suspicion of the same neighbour.
+            out.push(Output::CancelTimer {
+                token: TimerToken::Suspect(dead),
+            });
+        }
         let new_peers: Vec<BrokerId> = change
             .added_edges
             .iter()
@@ -1494,7 +1508,7 @@ impl MobileBroker {
             })
             .collect();
         let (core_outs, doomed) = self.core.repair_neighbors(dead, &new_peers);
-        let mut out = self.absorb(core_outs);
+        out.extend(self.absorb(core_outs));
         // Roll back the shadow configurations of movements whose
         // reconfiguration path came through the dead broker. Endpoints
         // resolve their coordinator records below instead.
@@ -1567,10 +1581,7 @@ impl MobileBroker {
                     }
                     out.extend(self.absorb(outs));
                     out.push(Output::CancelTimer {
-                        token: TimerToken {
-                            m,
-                            kind: TimerKind::Negotiate,
-                        },
+                        token: TimerToken::Negotiate(m),
                     });
                     out.extend(self.resume_client(rec.client));
                     out.push(Output::MoveFinished {
@@ -1616,10 +1627,7 @@ impl MobileBroker {
                     let outs = self.core.abort_move(m);
                     out.extend(self.absorb(outs));
                     out.push(Output::CancelTimer {
-                        token: TimerToken {
-                            m,
-                            kind: TimerKind::State,
-                        },
+                        token: TimerToken::State(m),
                     });
                     out.extend(self.sweep_abort(m, rec.client, rec.source, myid, dead, pre));
                 }
@@ -1712,9 +1720,8 @@ impl MobileBroker {
     }
 
     fn handle_timer_apply(&mut self, token: TimerToken) -> Vec<Output> {
-        match token.kind {
-            TimerKind::Negotiate => {
-                let m = token.m;
+        match token {
+            TimerToken::Negotiate(m) => {
                 let Some(rec) = self.src_moves.get_mut(&m) else {
                     return Vec::new(); // finished meanwhile
                 };
@@ -1745,8 +1752,7 @@ impl MobileBroker {
                 ));
                 out
             }
-            TimerKind::State => {
-                let m = token.m;
+            TimerToken::State(m) => {
                 let Some(rec) = self.tgt_moves.get_mut(&m) else {
                     return Vec::new();
                 };
@@ -1776,6 +1782,7 @@ impl MobileBroker {
                 ));
                 out
             }
+            TimerToken::Suspect(peer) => self.broker_death_apply(peer),
         }
     }
 
@@ -1811,10 +1818,7 @@ impl MobileBroker {
         let mut out = self.forward_or_emit_toward(source, MoveMsg::CovAccept { m, source, target });
         if let Some(delay_ns) = self.config.state_timeout_ns {
             out.push(Output::SetTimer {
-                token: TimerToken {
-                    m,
-                    kind: TimerKind::State,
-                },
+                token: TimerToken::State(m),
                 delay_ns,
             });
         }
@@ -1834,10 +1838,7 @@ impl MobileBroker {
         };
         let source = self.id();
         let mut out = vec![Output::CancelTimer {
-            token: TimerToken {
-                m,
-                kind: TimerKind::Negotiate,
-            },
+            token: TimerToken::Negotiate(m),
         }];
         // unwrap: the moving client is hosted here until cleanup
         let stub = self.clients.get_mut(&client).unwrap();
@@ -1953,10 +1954,7 @@ impl MobileBroker {
         // unwrap: record presence checked above
         self.tgt_moves.get_mut(&m).unwrap().state = TargetCoordState::Commit;
         out.push(Output::CancelTimer {
-            token: TimerToken {
-                m,
-                kind: TimerKind::State,
-            },
+            token: TimerToken::State(m),
         });
         out.push(Output::ClientArrived { m, client });
         out.extend(self.forward_or_emit_toward(source, MoveMsg::CovDone { m, source, target }));
@@ -2186,6 +2184,75 @@ mod tests {
         let outs = b1.handle(Hop::Client(ClientId(0)), ack_from(BrokerId(2)));
         assert!(outs.is_empty(), "nothing routes toward a dead broker");
         assert_eq!(b1.anomalies(), 1);
+    }
+
+    /// B2 of chain(3) with a failure detector: a down link means a
+    /// dead broker after 50 ms.
+    fn suspecting_b2() -> MobileBroker {
+        let config = MobileBrokerConfig {
+            suspect_after_ns: Some(50_000_000),
+            ..MobileBrokerConfig::reconfig()
+        };
+        MobileBroker::new(BrokerId(2), Arc::new(Topology::chain(3)), config)
+    }
+
+    #[test]
+    fn link_down_arms_exactly_one_suspicion_timer() {
+        let outs = suspecting_b2().handle_link(BrokerId(3), false);
+        assert_eq!(
+            outs,
+            [Output::SetTimer {
+                token: TimerToken::Suspect(BrokerId(3)),
+                delay_ns: 50_000_000,
+            }]
+        );
+    }
+
+    #[test]
+    fn link_up_cancels_the_suspicion() {
+        let mut b2 = suspecting_b2();
+        let _ = b2.handle_link(BrokerId(3), false);
+        let outs = b2.handle_link(BrokerId(3), true);
+        assert_eq!(
+            outs,
+            [Output::CancelTimer {
+                token: TimerToken::Suspect(BrokerId(3)),
+            }]
+        );
+        assert!(b2.topology().contains(BrokerId(3)), "nothing repaired");
+    }
+
+    #[test]
+    fn a_fired_suspicion_floods_the_death_once() {
+        let mut b2 = suspecting_b2();
+        let _ = b2.handle_link(BrokerId(3), false);
+        let token = TimerToken::Suspect(BrokerId(3));
+        let outs = b2.handle_timer(token);
+        let floods: Vec<BrokerId> = (outs.iter())
+            .filter_map(|o| match o {
+                Output::Send {
+                    to,
+                    msg: Message::BrokerDeath { dead: BrokerId(3) },
+                } => Some(*to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(floods, [BrokerId(1)], "one notice to each survivor");
+        assert!(!b2.topology().contains(BrokerId(3)));
+        // A second firing, or a report about the excised peer, is a
+        // no-op.
+        assert!(b2.handle_timer(token).is_empty());
+        assert!(b2.handle_link(BrokerId(3), false).is_empty());
+    }
+
+    #[test]
+    fn link_reports_without_a_detector_or_about_a_stranger_do_nothing() {
+        let mut plain = broker_at(2);
+        assert!(plain.handle_link(BrokerId(3), false).is_empty());
+        assert!(plain.handle_link(BrokerId(3), true).is_empty());
+        let mut b2 = suspecting_b2();
+        assert!(b2.handle_link(BrokerId(9), false).is_empty());
+        assert!(b2.handle_link(BrokerId(9), true).is_empty());
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl<K: Ord + Copy, D: Ord + Copy> TimerTable<K, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::TimerKind;
+    use crate::messages::TimerToken;
     use transmob_broker::PubSubMsg;
     use transmob_pubsub::{PubId, Publication};
 
@@ -264,10 +264,7 @@ mod tests {
                 msg: publish(4),
             },
             Output::CancelTimer {
-                token: crate::messages::TimerToken {
-                    m: MoveId(0),
-                    kind: TimerKind::Negotiate,
-                },
+                token: TimerToken::Negotiate(MoveId(0)),
             },
             Output::Send {
                 to: BrokerId(2),
@@ -284,10 +281,7 @@ mod tests {
                 Call::Deliver(ClientId(9), 2),
                 Call::Send(BrokerId(2), 1),
                 Call::Control(Output::CancelTimer {
-                    token: crate::messages::TimerToken {
-                        m: MoveId(0),
-                        kind: TimerKind::Negotiate,
-                    },
+                    token: TimerToken::Negotiate(MoveId(0)),
                 }),
                 Call::Send(BrokerId(2), 1),
             ]

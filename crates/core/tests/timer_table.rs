@@ -8,14 +8,11 @@
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
-use transmob_core::{TimerKind, TimerTable, TimerToken};
+use transmob_core::{TimerTable, TimerToken};
 use transmob_pubsub::{BrokerId, MoveId};
 
 fn token(m: u64) -> TimerToken {
-    TimerToken {
-        m: MoveId(m),
-        kind: TimerKind::Negotiate,
-    }
+    TimerToken::Negotiate(MoveId(m))
 }
 
 fn instant_ms() -> impl Fn(u64) -> Instant {

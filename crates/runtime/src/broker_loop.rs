@@ -29,6 +29,8 @@ pub struct MoveOutcome {
 /// source of work, so per-sender FIFO on it is per-link FIFO.
 pub(crate) enum Input {
     FromBroker(BrokerId, Vec<Message>),
+    /// The link to a neighbour went down (`false`) or came back up.
+    Link(BrokerId, bool),
     FromClient(ClientId, ClientOp),
     CreateClient(ClientId),
     Shutdown,
@@ -247,7 +249,8 @@ pub(crate) trait Links {
         None
     }
 
-    /// A death notice for `dead` arrived from a neighbour.
+    /// This broker declared `dead` dead: its own suspicion timer fired,
+    /// or a neighbour's death notice arrived.
     fn note_death(&mut self, _dead: BrokerId) {}
 }
 
@@ -340,6 +343,9 @@ pub(crate) fn run<L: Links>(
     loop {
         let now = Instant::now();
         while let Some(token) = step.timers.pop_due(now) {
+            if let TimerToken::Suspect(dead) = token {
+                step.links.note_death(dead);
+            }
             let outs = broker.handle_timer(token);
             step.flush(outs);
         }
@@ -376,6 +382,7 @@ pub(crate) fn run<L: Links>(
                 }
                 broker.client_op(c, op)
             }
+            Input::Link(peer, up) => broker.handle_link(peer, up),
             Input::FromBroker(from, msgs) => {
                 for m in &msgs {
                     if let Message::BrokerDeath { dead } = m {
@@ -572,6 +579,27 @@ mod tests {
         assert_eq!(order, ["negotiate", "abort", "adv"]);
         let outcome = mover.next_move_outcome(Duration::ZERO).expect("outcome");
         assert!(!outcome.committed);
+    }
+
+    #[test]
+    fn a_link_down_past_the_deadline_is_a_death_the_links_hear_of() {
+        let (hub, rx) = Hub::new(Topology::chain(3).brokers());
+        let config = MobileBrokerConfig {
+            suspect_after_ns: Some(0),
+            ..MobileBrokerConfig::reconfig()
+        };
+        let down = Input::Link(b(3), false);
+        let links = run_inputs(
+            &hub,
+            &rx[&b(2)],
+            b(2),
+            Topology::chain(3),
+            config,
+            vec![down],
+        );
+        assert!(links.calls.contains(&Call::Death(b(3))));
+        let notice = Message::BrokerDeath { dead: b(3) };
+        assert_eq!(links.shipped(), [(b(1), &notice)]);
     }
 
     #[test]

@@ -27,6 +27,10 @@
 //! - a peer disconnect (socket EOF, write error, or a failed
 //!   heartbeat) marks the link **down**; protocol messages queue at
 //!   the surviving endpoint instead of being dropped;
+//! - the link going down, and coming back, is reported to its owning
+//!   broker, whose one failure detector decides whether a link that
+//!   stays down means a dead peer
+//!   ([`MobileBrokerConfig::suspect_after_ns`], DESIGN.md §14);
 //! - the link's dialer side redials with capped exponential backoff
 //!   ([`REDIAL_BASE`] doubling up to [`REDIAL_CAP`]) until the peer
 //!   accepts again, then flushes the queued frames in order;
@@ -60,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Receiver;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use transmob_broker::{OverlayBuilder, PubSubMsg, Topology};
 use transmob_core::{DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, Output};
 use transmob_pubsub::{BrokerId, ClientId};
@@ -78,10 +82,6 @@ pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 pub const REDIAL_BASE: Duration = Duration::from_millis(25);
 /// Redial backoff ceiling. Jitter never pushes a delay past it.
 pub const REDIAL_CAP: Duration = Duration::from_millis(400);
-/// Default silence threshold for broker-death suspicion
-/// ([`TcpOptions::failure_timeout`]; only consulted when
-/// [`TcpOptions::suspicion_after`] is set).
-pub const FAILURE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Handshake read deadline (a half-open peer must not wedge a dialer).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
@@ -106,32 +106,20 @@ pub struct TcpOptions {
     /// Heartbeat period (default [`HEARTBEAT_INTERVAL`]). The probe
     /// doubles as write-path failure detection, so this bounds how
     /// long a silent peer death goes unnoticed by the sender side.
+    /// Whether a link that stays down means a dead broker is the
+    /// broker's call, not the transport's
+    /// ([`MobileBrokerConfig::suspect_after_ns`]).
     pub heartbeat_interval: Duration,
-    /// How long a down link's inbound silence lasts before the
-    /// surviving endpoint *suspects the peer broker is permanently
-    /// dead* (default [`FAILURE_TIMEOUT`]). Only consulted when
-    /// [`TcpOptions::suspicion_after`] is set; it is the acceptor
-    /// side's detector — the dialer side detects by redial exhaustion.
-    pub failure_timeout: Duration,
-    /// Consecutive failed redials after which the dialer promotes the
-    /// link failure to broker-death suspicion and triggers the overlay
-    /// self-repair (`MobileBroker::handle_broker_death`). `None` (the
-    /// default) disables suspicion entirely: links queue and redial
-    /// forever, which is the right model when every outage is a
-    /// crash/restart rather than churn.
-    pub suspicion_after: Option<u32>,
 }
 
 impl Default for TcpOptions {
-    /// Binary framing, [`DEFAULT_DOWN_QUEUE_HWM`], today's timing
-    /// constants, and suspicion disabled.
+    /// Binary framing, [`DEFAULT_DOWN_QUEUE_HWM`] and
+    /// [`HEARTBEAT_INTERVAL`].
     fn default() -> Self {
         TcpOptions {
             wire: WireMode::Binary,
             down_queue_hwm: DEFAULT_DOWN_QUEUE_HWM,
             heartbeat_interval: HEARTBEAT_INTERVAL,
-            failure_timeout: FAILURE_TIMEOUT,
-            suspicion_after: None,
         }
     }
 }
@@ -331,12 +319,12 @@ struct Shared {
     /// Brokers currently killed: their acceptor refuses connections
     /// and their links neither flush nor redial.
     down: RwLock<BTreeSet<BrokerId>>,
-    /// Brokers suspected permanently dead (redial exhaustion or
-    /// heartbeat silence past [`TcpOptions::failure_timeout`], or a
-    /// `BrokerDeath` flood notice). A suspected broker's links stop
-    /// redialing and it cannot rejoin — the overlay has repaired
-    /// around it.
-    suspected: RwLock<BTreeSet<BrokerId>>,
+    /// `excised[owner]`: the peers `owner`'s broker declared dead, by
+    /// its own suspicion timer or by a `BrokerDeath` it received. Each
+    /// entry is one broker's own record, written by its loop only:
+    /// its endpoints toward them are gone, and its acceptor refuses
+    /// them.
+    excised: RwLock<BTreeMap<BrokerId, BTreeSet<BrokerId>>>,
     shutting_down: AtomicBool,
     /// Heartbeats received, per broker (failure-detector liveness).
     pings: BTreeMap<BrokerId, AtomicU64>,
@@ -431,11 +419,12 @@ impl TcpNetwork {
         Some(at.elapsed())
     }
 
-    /// Brokers this overlay suspects permanently dead (the overlay has
-    /// self-repaired around them). Empty unless
-    /// [`TcpOptions::suspicion_after`] is set.
+    /// Brokers some broker of this overlay has declared permanently
+    /// dead (the union of the brokers' own records). Empty unless
+    /// [`MobileBrokerConfig::suspect_after_ns`] is set.
     pub fn suspected(&self) -> BTreeSet<BrokerId> {
-        self.shared.suspected.read().clone()
+        let excised = self.shared.excised.read();
+        excised.values().flatten().copied().collect()
     }
 
     /// Total heartbeats `broker` has received from its neighbours.
@@ -532,7 +521,7 @@ impl TcpNetwork {
                 format!("broker {broker} is not killed"),
             ));
         }
-        if self.shared.suspected.read().contains(&broker) {
+        if self.suspected().contains(&broker) {
             // The overlay declared it dead and repaired around it; its
             // old edges no longer exist. Coming back is a *join*, not a
             // restart.
@@ -658,23 +647,68 @@ fn link_of(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Option<Arc<Link>
         .cloned()
 }
 
-/// `link_of`, creating the endpoint if it does not exist yet. Overlay
-/// self-repair adds edges that were not in the static topology; the
-/// endpoints for them materialize lazily — on the anchor side when the
-/// repair outputs are dispatched, on the far side when the anchor's
-/// dial arrives.
-fn ensure_link(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Arc<Link> {
+/// `link_of`, creating the endpoint if it does not exist yet, unless
+/// `owner` excised `peer`. Overlay self-repair adds edges that were not
+/// in the static topology; the endpoints for them materialize lazily —
+/// on the anchor side when the repair outputs are dispatched, on the
+/// far side when the anchor's dial arrives.
+fn ensure_link(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Option<Arc<Link>> {
     if let Some(link) = link_of(shared, owner, peer) {
-        return link;
+        return Some(link);
     }
+    // Under the map's write lock, where `note_death` records an
+    // excision and drops the endpoint in one step.
     let mut links = shared.links.write();
-    Arc::clone(
-        links
-            .entry(owner)
-            .or_default()
+    if is_excised(shared, owner, peer) {
+        return None;
+    }
+    let endpoints = links.entry(owner).or_default();
+    Some(Arc::clone(
+        endpoints
             .entry(peer)
             .or_insert_with(|| Arc::new(Link::new_down())),
-    )
+    ))
+}
+
+/// Whether `owner`'s broker has declared `peer` dead.
+fn is_excised(shared: &Shared, owner: BrokerId, peer: BrokerId) -> bool {
+    (shared.excised.read().get(&owner)).is_some_and(|dead| dead.contains(&peer))
+}
+
+/// Takes `owner`'s link to `peer` from up to down: severs the socket,
+/// moves the frames written since the last flush and then `unsent` to
+/// the down-queue, records `reason`, reports the link down to `owner`'s
+/// failure detector (`Input::Link`), and kicks the redial loop. The one
+/// place a link goes down; a link that is already down only gets the
+/// kick.
+fn take_down(
+    shared: &Arc<Shared>,
+    owner: BrokerId,
+    peer: BrokerId,
+    link: &Link,
+    mut st: MutexGuard<'_, LinkState>,
+    reason: &str,
+    unsent: Vec<Message>,
+) {
+    let LinkState::Up { sock, pending, .. } = &mut *st else {
+        drop(st);
+        maybe_redial(shared, owner, peer);
+        return;
+    };
+    let _ = sock.shutdown(std::net::Shutdown::Both);
+    let mut queued: VecDeque<Message> = std::mem::take(pending).into();
+    let mut queued_pubs = count_droppable(&queued);
+    let hwm = shared.options.down_queue_hwm;
+    enqueue_down(&link.stats, &mut queued, &mut queued_pubs, unsent, hwm);
+    link.note_down(reason);
+    *st = LinkState::Down {
+        queued,
+        queued_pubs,
+        redialing: false,
+    };
+    drop(st);
+    shared.hub.send(owner, Input::Link(peer, false));
+    maybe_redial(shared, owner, peer);
 }
 
 /// Writes one protocol-message frame on `owner`'s link to `peer`
@@ -685,91 +719,65 @@ fn ensure_link(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Arc<Link> {
 fn send_msgs(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId, msgs: Vec<Message>) {
     // Auto-vivify: repair edges are not in the static link map; the
     // first frame the repair routes over one creates the endpoint.
-    let link = ensure_link(shared, owner, peer);
-    let kick = {
-        let mut st = link.state.lock();
-        match &mut *st {
-            LinkState::Up {
-                w,
-                sock,
-                enc,
-                pending,
-                ..
-            } => {
-                let frame = Frame::Msg {
-                    from: owner.0,
-                    msgs,
-                };
-                let write_ok = match enc.encode(&frame) {
-                    Ok(bytes) => w.write_all(bytes).is_ok(),
-                    Err(e) => {
-                        // A frame that cannot be serialized (JSON mode
-                        // only; binary encoding is total) must never
-                        // vanish silently: count it, and in debug
-                        // builds treat any non-injected failure as a
-                        // bug.
-                        link.stats
-                            .serialize_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        debug_assert!(
-                            e.0.contains("injected"),
-                            "frame serialize failed on {owner}->{peer}: {e}"
-                        );
-                        return;
-                    }
-                };
-                let Frame::Msg { msgs, .. } = frame else {
-                    unreachable!()
-                };
-                if write_ok {
-                    link.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    pending.extend(msgs);
-                    false
-                } else {
-                    // Peer disconnect detected on the write path (the
-                    // heartbeat guarantees this fires within one
-                    // interval of a silent peer death). Unflushed
-                    // frames join the failed one in the down-queue.
-                    let _ = sock.shutdown(std::net::Shutdown::Both);
-                    let mut queued: VecDeque<Message> = std::mem::take(pending).into();
-                    let mut queued_pubs = count_droppable(&queued);
-                    enqueue_down(
-                        &link.stats,
-                        &mut queued,
-                        &mut queued_pubs,
-                        msgs,
-                        shared.options.down_queue_hwm,
+    let Some(link) = ensure_link(shared, owner, peer) else {
+        return; // a broker sends nothing to a peer it excised
+    };
+    let mut st = link.state.lock();
+    let unsent = match &mut *st {
+        LinkState::Up {
+            w, enc, pending, ..
+        } => {
+            let frame = Frame::Msg {
+                from: owner.0,
+                msgs,
+            };
+            let write_ok = match enc.encode(&frame) {
+                Ok(bytes) => w.write_all(bytes).is_ok(),
+                Err(e) => {
+                    // A frame that cannot be serialized (JSON mode
+                    // only; binary encoding is total) must never
+                    // vanish silently: count it, and in debug
+                    // builds treat any non-injected failure as a
+                    // bug.
+                    link.stats
+                        .serialize_failures
+                        .fetch_add(1, Ordering::Relaxed);
+                    debug_assert!(
+                        e.0.contains("injected"),
+                        "frame serialize failed on {owner}->{peer}: {e}"
                     );
-                    link.note_down("write failed");
-                    *st = LinkState::Down {
-                        queued,
-                        queued_pubs,
-                        redialing: false,
-                    };
-                    true
+                    return;
                 }
+            };
+            let Frame::Msg { msgs, .. } = frame else {
+                unreachable!()
+            };
+            if write_ok {
+                link.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+                pending.extend(msgs);
+                return;
             }
-            LinkState::Down {
-                queued,
-                queued_pubs,
-                ..
-            } => {
-                enqueue_down(
-                    &link.stats,
-                    queued,
-                    queued_pubs,
-                    msgs,
-                    shared.options.down_queue_hwm,
-                );
-                // A static edge already has a dialer knocking; a fresh
-                // repair edge does not — kick one (no-op when one runs).
-                true
-            }
+            // Peer disconnect detected on the write path (the
+            // heartbeat guarantees this fires within one interval of
+            // a silent peer death): the failed frame joins the
+            // unflushed ones in the down-queue.
+            msgs
+        }
+        LinkState::Down {
+            queued,
+            queued_pubs,
+            ..
+        } => {
+            let hwm = shared.options.down_queue_hwm;
+            enqueue_down(&link.stats, queued, queued_pubs, msgs, hwm);
+            drop(st);
+            // A static edge already has a dialer knocking; a fresh
+            // repair edge does not — kick one (no-op when one runs).
+            maybe_redial(shared, owner, peer);
+            return;
         }
     };
-    if kick {
-        maybe_redial(shared, owner, peer);
-    }
+    take_down(shared, owner, peer, &link, st, "write failed", unsent);
 }
 
 /// Sends one heartbeat on `owner`'s link to `peer`, flushing
@@ -780,55 +788,43 @@ fn send_ping(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
     let Some(link) = link_of(shared, owner, peer) else {
         return;
     };
-    let went_down = {
-        let mut st = link.state.lock();
-        match &mut *st {
-            LinkState::Up {
-                w,
-                sock,
-                enc,
-                pending,
-                ..
-            } => {
-                let frame = Frame::Ping { from: owner.0 };
-                let write_ok = match enc.encode(&frame) {
-                    Ok(bytes) => w.write_all(bytes).and_then(|()| w.flush()).is_ok(),
-                    Err(e) => {
-                        link.stats
-                            .serialize_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        debug_assert!(
-                            e.0.contains("injected"),
-                            "ping serialize failed on {owner}->{peer}: {e}"
-                        );
-                        return;
-                    }
-                };
-                if write_ok {
-                    link.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    link.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                    // The flush carried any batched frames with it.
-                    pending.clear();
-                    false
-                } else {
-                    let _ = sock.shutdown(std::net::Shutdown::Both);
-                    let queued: VecDeque<Message> = std::mem::take(pending).into();
-                    let queued_pubs = count_droppable(&queued);
-                    link.note_down("heartbeat write failed");
-                    *st = LinkState::Down {
-                        queued,
-                        queued_pubs,
-                        redialing: false,
-                    };
-                    true
-                }
-            }
-            LinkState::Down { .. } => false,
-        }
+    let mut st = link.state.lock();
+    let LinkState::Up {
+        w, enc, pending, ..
+    } = &mut *st
+    else {
+        return;
     };
-    if went_down {
-        maybe_redial(shared, owner, peer);
+    match enc.encode(&Frame::Ping { from: owner.0 }) {
+        Ok(bytes) => {
+            if w.write_all(bytes).and_then(|()| w.flush()).is_ok() {
+                link.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+                link.stats.flushes.fetch_add(1, Ordering::Relaxed);
+                // The flush carried any batched frames with it.
+                pending.clear();
+                return;
+            }
+        }
+        Err(e) => {
+            link.stats
+                .serialize_failures
+                .fetch_add(1, Ordering::Relaxed);
+            debug_assert!(
+                e.0.contains("injected"),
+                "ping serialize failed on {owner}->{peer}: {e}"
+            );
+            return;
+        }
     }
+    take_down(
+        shared,
+        owner,
+        peer,
+        &link,
+        st,
+        "heartbeat write failed",
+        Vec::new(),
+    );
 }
 
 /// Flushes `owner`'s link to `peer` — called once per broker step
@@ -839,37 +835,19 @@ fn flush_link(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
     let Some(link) = link_of(shared, owner, peer) else {
         return;
     };
-    let went_down = {
-        let mut st = link.state.lock();
-        match &mut *st {
-            LinkState::Up {
-                w, sock, pending, ..
-            } => {
-                if pending.is_empty() {
-                    false // nothing written since the last flush
-                } else if w.flush().is_ok() {
-                    link.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                    pending.clear();
-                    false
-                } else {
-                    let _ = sock.shutdown(std::net::Shutdown::Both);
-                    let queued: VecDeque<Message> = std::mem::take(pending).into();
-                    let queued_pubs = count_droppable(&queued);
-                    link.note_down("flush failed");
-                    *st = LinkState::Down {
-                        queued,
-                        queued_pubs,
-                        redialing: false,
-                    };
-                    true
-                }
-            }
-            LinkState::Down { .. } => false,
-        }
+    let mut st = link.state.lock();
+    let LinkState::Up { w, pending, .. } = &mut *st else {
+        return;
     };
-    if went_down {
-        maybe_redial(shared, owner, peer);
+    if pending.is_empty() {
+        return; // nothing written since the last flush
     }
+    if w.flush().is_ok() {
+        link.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        pending.clear();
+        return;
+    }
+    take_down(shared, owner, peer, &link, st, "flush failed", Vec::new());
 }
 
 /// Marks `owner`'s link to `peer` down (reader-side disconnect),
@@ -891,29 +869,16 @@ fn mark_link_down(
     let Some(link) = link_of(shared, owner, peer) else {
         return;
     };
-    {
-        let mut st = link.state.lock();
-        if link.generation.load(Ordering::SeqCst) != generation {
-            return;
-        }
-        if let LinkState::Up { sock, pending, .. } = &mut *st {
-            let _ = sock.shutdown(std::net::Shutdown::Both);
-            let queued: VecDeque<Message> = std::mem::take(pending).into();
-            let queued_pubs = count_droppable(&queued);
-            link.note_down(reason);
-            *st = LinkState::Down {
-                queued,
-                queued_pubs,
-                redialing: false,
-            };
-        }
+    let st = link.state.lock();
+    if link.generation.load(Ordering::SeqCst) != generation {
+        return;
     }
-    maybe_redial(shared, owner, peer);
+    take_down(shared, owner, peer, &link, st, reason, Vec::new());
 }
 
 /// Starts a redial thread for the (owner → peer) link if owner is the
-/// edge's dialer, the link is down, no redialer is running yet, and
-/// the peer is not suspected dead.
+/// edge's dialer, the link is down and no redialer is running yet. An
+/// excised peer has no endpoint left to redial.
 ///
 /// The thread captures the link generation it was authorized under;
 /// every wake-up re-validates it, so a dialer stranded in a backoff
@@ -925,10 +890,7 @@ fn maybe_redial(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
     if owner > peer {
         return; // the peer dials this edge
     }
-    if shared.shutting_down.load(Ordering::SeqCst)
-        || shared.down.read().contains(&owner)
-        || shared.suspected.read().contains(&peer)
-    {
+    if shared.shutting_down.load(Ordering::SeqCst) || shared.down.read().contains(&owner) {
         return;
     }
     let Some(link) = link_of(shared, owner, peer) else {
@@ -955,7 +917,6 @@ fn maybe_redial(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
     let handle = std::thread::Builder::new()
         .name(format!("tcp-redial-{owner}-{peer}"))
         .spawn(move || {
-            let opts = &shared2.options;
             let mut attempt = 0u32;
             // Clears the redial flag iff this thread still owns it.
             let stand_down = |shared: &Arc<Shared>| {
@@ -973,13 +934,13 @@ fn maybe_redial(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
                 attempt += 1;
                 if shared2.shutting_down.load(Ordering::SeqCst)
                     || shared2.down.read().contains(&owner)
-                    || shared2.suspected.read().contains(&peer)
                 {
                     stand_down(&shared2);
                     return;
                 }
                 // A kill/restart (or a competing install) moved the
-                // link to a new generation: this dialer is stale.
+                // link to a new generation, or the peer was excised:
+                // this dialer is stale.
                 let Some(link) = link_of(&shared2, owner, peer) else {
                     return;
                 };
@@ -988,15 +949,6 @@ fn maybe_redial(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
                 }
                 if dial_link(&shared2, owner, peer, Some(my_gen)).is_ok() {
                     return; // install_link cleared the flag
-                }
-                if let Some(limit) = opts.suspicion_after {
-                    if attempt >= limit {
-                        // Redial exhaustion: promote the dead link to a
-                        // dead *broker* and let the overlay self-repair.
-                        stand_down(&shared2);
-                        suspect_broker(&shared2, owner, peer);
-                        return;
-                    }
                 }
             }
         });
@@ -1008,23 +960,6 @@ fn maybe_redial(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
             }
         }
     }
-}
-
-/// Promotes a suspicion into the protocol: marks `dead` suspected
-/// (first detector wins — the `BrokerDeath` flood reaches everyone
-/// else) and injects the death notice into `owner`'s own input queue,
-/// where the broker runs `MobileBroker::handle_broker_death`: repair
-/// the topology copy, rebuild routing state, resolve crossed
-/// movements, flood the notice — including over fresh repair edges,
-/// whose TCP links materialize on first send.
-fn suspect_broker(shared: &Arc<Shared>, owner: BrokerId, dead: BrokerId) {
-    if !shared.suspected.write().insert(dead) {
-        return; // already suspected; the flood is doing its job
-    }
-    shared.hub.send(
-        owner,
-        Input::FromBroker(dead, vec![Message::BrokerDeath { dead }]),
-    );
 }
 
 /// Dials `peer` on behalf of `owner` and installs the connection.
@@ -1099,7 +1034,13 @@ fn install_link(
     stream: TcpStream,
     expect_generation: Option<u64>,
 ) -> io::Result<()> {
-    let link = ensure_link(shared, owner, peer);
+    let Some(link) = ensure_link(shared, owner, peer) else {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        return Err(io::Error::new(
+            io::ErrorKind::ConnectionRefused,
+            format!("{owner} excised {peer}"),
+        ));
+    };
     // Every dialed and accepted stream passes through here. Frames are
     // written through a `BufWriter` flushed once per output batch, so
     // Nagle's algorithm has nothing to coalesce and only adds a
@@ -1107,98 +1048,99 @@ fn install_link(
     stream.set_nodelay(true)?;
     let reader_stream = stream.try_clone()?;
     let sock = stream.try_clone()?;
-    let reader_generation;
-    {
-        let mut st = link.state.lock();
-        // Checked under the link lock: `stop` sets the flag before its
-        // sever pass takes these locks, so no connection can slip in
-        // after the pass and leave a reader blocked on a live socket.
-        if shared.shutting_down.load(Ordering::SeqCst) || shared.down.read().contains(&owner) {
+    let mut st = link.state.lock();
+    // Checked under the link lock: `stop` sets the flag before its
+    // sever pass takes these locks, so no connection can slip in
+    // after the pass and leave a reader blocked on a live socket.
+    if shared.shutting_down.load(Ordering::SeqCst) || shared.down.read().contains(&owner) {
+        let _ = sock.shutdown(std::net::Shutdown::Both);
+        return Err(io::Error::new(io::ErrorKind::Interrupted, "shutting down"));
+    }
+    if let Some(expect) = expect_generation {
+        if link.generation.load(Ordering::SeqCst) != expect {
             let _ = sock.shutdown(std::net::Shutdown::Both);
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "shutting down"));
-        }
-        if let Some(expect) = expect_generation {
-            if link.generation.load(Ordering::SeqCst) != expect {
-                let _ = sock.shutdown(std::net::Shutdown::Both);
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "link generation moved during dial",
-                ));
-            }
-        }
-        let mut queued = match std::mem::replace(&mut *st, LinkState::fresh_down()) {
-            LinkState::Up {
-                sock: old, pending, ..
-            } => {
-                let _ = old.shutdown(std::net::Shutdown::Both);
-                pending.into()
-            }
-            LinkState::Down { queued, .. } => queued,
-        };
-        let mut enc = FrameEncoder::new(shared.options.wire);
-        let mut w = BufWriter::new(stream);
-        let mut failed = false;
-        let mut frames = 0u64;
-        for chunk in queued.make_contiguous().chunks(RECONNECT_CHUNK) {
-            let frame = Frame::Msg {
-                from: owner.0,
-                msgs: chunk.to_vec(),
-            };
-            match enc.encode(&frame) {
-                Ok(bytes) => {
-                    if w.write_all(bytes).is_err() {
-                        failed = true;
-                        break;
-                    }
-                    frames += 1;
-                }
-                Err(e) => {
-                    link.stats
-                        .serialize_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    debug_assert!(
-                        e.0.contains("injected"),
-                        "reconnect frame serialize failed on {owner}->{peer}: {e}"
-                    );
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if !failed && w.flush().is_err() {
-            failed = true;
-        }
-        if failed {
-            // The fresh socket died mid-flush. Requeue everything —
-            // some frames may arrive twice, which the movement
-            // protocol's duplicate-tolerant handlers absorb.
-            let queued_pubs = count_droppable(&queued);
-            *st = LinkState::Down {
-                queued,
-                queued_pubs,
-                redialing: false,
-            };
             return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "reconnect flush failed",
+                io::ErrorKind::Interrupted,
+                "link generation moved during dial",
             ));
         }
-        link.stats.frames_sent.fetch_add(frames, Ordering::Relaxed);
-        if frames > 0 {
-            link.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        }
-        link.stats.connects.fetch_add(1, Ordering::Relaxed);
-        // New connection, new generation: retires any reader or dialer
-        // of the previous one.
-        reader_generation = link.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        *st = LinkState::Up {
-            w,
-            sock,
-            enc,
-            pending: Vec::new(),
-        };
-        *link.last_heard.lock() = Instant::now();
     }
+    let mut queued = match std::mem::replace(&mut *st, LinkState::fresh_down()) {
+        LinkState::Up {
+            sock: old, pending, ..
+        } => {
+            let _ = old.shutdown(std::net::Shutdown::Both);
+            pending.into()
+        }
+        LinkState::Down { queued, .. } => queued,
+    };
+    let mut enc = FrameEncoder::new(shared.options.wire);
+    let mut w = BufWriter::new(stream);
+    let mut written = true;
+    let mut frames = 0u64;
+    for chunk in queued.make_contiguous().chunks(RECONNECT_CHUNK) {
+        let frame = Frame::Msg {
+            from: owner.0,
+            msgs: chunk.to_vec(),
+        };
+        match enc.encode(&frame) {
+            Ok(bytes) => {
+                written = w.write_all(bytes).is_ok();
+                if !written {
+                    break;
+                }
+                frames += 1;
+            }
+            Err(e) => {
+                link.stats
+                    .serialize_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                debug_assert!(
+                    e.0.contains("injected"),
+                    "reconnect frame serialize failed on {owner}->{peer}: {e}"
+                );
+                written = false;
+                break;
+            }
+        }
+    }
+    let flushed = written && w.flush().is_ok();
+    // New connection, new generation: retires any reader or dialer of
+    // the previous one, and the dialer of this one if it fails below.
+    let reader_generation = link.generation.fetch_add(1, Ordering::SeqCst) + 1;
+    let pending = if flushed { Vec::new() } else { queued.into() };
+    *st = LinkState::Up {
+        w,
+        sock,
+        enc,
+        pending,
+    };
+    if !flushed {
+        // The fresh socket died mid-flush. Requeue everything — some
+        // frames may arrive twice, which the movement protocol's
+        // duplicate-tolerant handlers absorb.
+        take_down(
+            shared,
+            owner,
+            peer,
+            &link,
+            st,
+            "reconnect flush failed",
+            Vec::new(),
+        );
+        return Err(io::Error::new(
+            io::ErrorKind::BrokenPipe,
+            "reconnect flush failed",
+        ));
+    }
+    link.stats.frames_sent.fetch_add(frames, Ordering::Relaxed);
+    if frames > 0 {
+        link.stats.flushes.fetch_add(1, Ordering::Relaxed);
+    }
+    link.stats.connects.fetch_add(1, Ordering::Relaxed);
+    *link.last_heard.lock() = Instant::now();
+    drop(st);
+    shared.hub.send(owner, Input::Link(peer, true));
     spawn_reader(shared, owner, peer, reader_stream, reader_generation)
 }
 
@@ -1312,8 +1254,8 @@ fn spawn_acceptor(shared: &Arc<Shared>, owner: BrokerId, listener: TcpListener) 
             if shared2.down.read().contains(&owner) {
                 continue; // process down: refuse, dialer keeps retrying
             }
-            if shared2.suspected.read().contains(&peer) {
-                continue; // the overlay already repaired around it
+            if is_excised(&shared2, owner, peer) {
+                continue; // this broker already repaired around it
             }
             let ok = (|| -> io::Result<()> {
                 let mut w = BufWriter::new(stream.try_clone()?);
@@ -1371,37 +1313,31 @@ impl Links for TcpLinks<'_> {
                 .get(&id)
                 .map(|m| m.keys().copied().collect())
                 .unwrap_or_default();
-            for &n in &peers {
+            for n in peers {
                 send_ping(shared, id, n);
-            }
-            // Acceptor-side failure detector: the dialer of a down
-            // link detects a dead peer by redial exhaustion, but the
-            // accepting endpoint never dials — it suspects on inbound
-            // silence past the failure timeout instead.
-            if shared.options.suspicion_after.is_some() {
-                for &n in &peers {
-                    if shared.suspected.read().contains(&n) {
-                        continue;
-                    }
-                    let Some(link) = link_of(shared, id, n) else {
-                        continue;
-                    };
-                    let is_down = matches!(*link.state.lock(), LinkState::Down { .. });
-                    let heard = *link.last_heard.lock();
-                    if is_down && heard.elapsed() >= shared.options.failure_timeout {
-                        suspect_broker(shared, id, n);
-                    }
-                }
             }
         }
         Some(self.next_ping)
     }
 
-    /// Marks the victim suspected at the transport layer too, so this
-    /// broker's own dialer toward it stands down instead of redialing
-    /// a hole in the overlay.
+    /// Records the excision in this broker's own record and drops its
+    /// endpoint toward `dead`, so its dialer stands down instead of
+    /// redialing a hole in the overlay and its acceptor refuses `dead`.
     fn note_death(&mut self, dead: BrokerId) {
-        self.shared.suspected.write().insert(dead);
+        let (id, shared) = (self.id, self.shared);
+        let endpoint = {
+            let mut links = shared.links.write();
+            shared.excised.write().entry(id).or_default().insert(dead);
+            links.get_mut(&id).and_then(|peers| peers.remove(&dead))
+        };
+        if let Some(link) = endpoint {
+            let mut st = link.state.lock();
+            if let LinkState::Up { sock, .. } = &*st {
+                let _ = sock.shutdown(std::net::Shutdown::Both);
+            }
+            link.generation.fetch_add(1, Ordering::SeqCst);
+            *st = LinkState::fresh_down();
+        }
     }
 }
 
@@ -1516,7 +1452,7 @@ impl TcpNetworkBuilder {
             links: RwLock::new(links),
             addrs,
             down: RwLock::new(BTreeSet::new()),
-            suspected: RwLock::new(BTreeSet::new()),
+            excised: RwLock::new(BTreeMap::new()),
             shutting_down: AtomicBool::new(false),
             pings,
             aux_threads: Mutex::new(Vec::new()),

@@ -1,6 +1,6 @@
-//! Overlay churn over real sockets: a broker dies *permanently*, the
-//! survivors' failure detectors promote the silent link to
-//! broker-death suspicion ([`TcpOptions::suspicion_after`]), the
+//! Overlay churn over real sockets: a broker dies *permanently*, each
+//! survivor whose link to it stays down past
+//! [`MobileBrokerConfig::suspect_after_ns`] declares it dead, the
 //! overlay self-repairs around the hole, and a publication published
 //! after the repair reaches every surviving matching subscriber
 //! exactly once (DESIGN.md §14).
@@ -23,13 +23,17 @@ fn everything() -> Filter {
 }
 
 /// Aggressive detector settings so the test converges in hundreds of
-/// milliseconds: suspect after 4 failed redials or 400 ms of inbound
-/// silence on a down link.
+/// milliseconds: a link down for 400 ms means a dead broker.
+fn churn_config() -> MobileBrokerConfig {
+    MobileBrokerConfig {
+        suspect_after_ns: Some(400_000_000),
+        ..MobileBrokerConfig::reconfig()
+    }
+}
+
 fn churn_options() -> TcpOptions {
     TcpOptions {
         heartbeat_interval: Duration::from_millis(25),
-        failure_timeout: Duration::from_millis(400),
-        suspicion_after: Some(4),
         ..TcpOptions::default()
     }
 }
@@ -51,7 +55,7 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 fn suspicion_promotes_death_and_repair_restores_delivery() {
     let net = TcpNetwork::builder()
         .overlay(Topology::chain(4))
-        .options(MobileBrokerConfig::reconfig())
+        .options(churn_config())
         .tcp(churn_options())
         .bind(|_| "127.0.0.1:0".to_string())
         .start()
@@ -68,10 +72,10 @@ fn suspicion_promotes_death_and_repair_restores_delivery() {
     assert!(near_sub.recv_timeout(Duration::from_secs(5)).is_some());
     assert!(far_sub.recv_timeout(Duration::from_secs(5)).is_some());
 
-    // Permanent death of the path broker B3. B2 (the dialer of edge
-    // 2–3) suspects by redial exhaustion; B4 (the acceptor of edge
-    // 3–4) suspects by inbound silence; whoever fires first floods the
-    // death notice, and the repair's bypass edge 2–4 materializes as a
+    // Permanent death of the path broker B3. Its links to B2 and B4 go
+    // down at once; whichever survivor's suspicion timer fires first
+    // floods the death notice (the other cancels its own timer on
+    // receipt), and the repair's bypass edge 2–4 materializes as a
     // real socket.
     net.kill_broker(b(3));
     wait_for("suspicion of broker 3", || net.suspected().contains(&b(3)));

@@ -107,16 +107,14 @@ enum EventKind {
     /// A broker dies permanently (overlay churn); it never restarts
     /// and its queue state is lost with it.
     Die { broker: BrokerId },
-    /// A survivor's failure detector declares `dead` gone, triggering
-    /// the overlay self-repair on `observer`.
-    Detect { observer: BrokerId, dead: BrokerId },
+    /// `observer`'s link to `peer` went down or came back, reported to
+    /// `observer`'s failure detector ([`MobileBroker::handle_link`]).
+    Link {
+        observer: BrokerId,
+        peer: BrokerId,
+        up: bool,
+    },
 }
-
-/// Per-link failure-detection delay: how long after a permanent death
-/// a survivor with a live link to the victim declares it gone (the
-/// sim's stand-in for the TCP runtime's heartbeat-timeout plus
-/// redial-exhaustion suspicion window).
-const DETECTION_DELAY: SimDuration = SimDuration(50_000_000);
 
 /// The bound of a run that has none.
 const FOREVER: SimTime = SimTime(u64::MAX);
@@ -320,15 +318,21 @@ impl Sim {
     /// reseeded from `plan.seed`, so the simulation's own randomness is
     /// untouched and runs are reproducible per (sim seed, plan).
     ///
+    /// A partition reports its link down to both endpoints at `from`
+    /// and up again at `until`.
+    ///
     /// # Panics
     ///
     /// Panics if the plan contains a state-loss crash and durability is
-    /// not enabled.
+    /// not enabled, or a death and the brokers run no failure detector.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         assert!(
             !plan.needs_durability() || self.durability_enabled(),
             "state-loss crashes require Sim::enable_durability()"
         );
+        if !plan.deaths.is_empty() {
+            self.assert_detector();
+        }
         self.fault_rng = StdRng::seed_from_u64(plan.seed ^ 0x9e37_79b9_7f4a_7c15);
         self.partitions.extend_from_slice(&plan.partitions);
         self.link_faults = plan.link;
@@ -345,6 +349,22 @@ impl Sim {
         for d in &plan.deaths {
             self.push(d.at, EventKind::Die { broker: d.broker });
         }
+        for p in &plan.partitions {
+            for (at, up) in [(p.from, false), (p.until, true)] {
+                for (observer, peer) in [(p.a, p.b), (p.b, p.a)] {
+                    self.push(at, EventKind::Link { observer, peer, up });
+                }
+            }
+        }
+    }
+
+    /// A permanent death is only ever noticed by a failure detector:
+    /// without one the survivors would wait for the victim forever.
+    fn assert_detector(&self) {
+        assert!(
+            self.config.suspect_after_ns.is_some(),
+            "killing a broker needs a failure detector: set MobileBrokerConfig::suspect_after_ns"
+        );
     }
 
     /// Messages dropped by [`LinkFaults::drop_prob`] so far.
@@ -514,12 +534,18 @@ impl Sim {
 
     /// Schedules the permanent death of `broker` at `at` (overlay
     /// churn). The broker never restarts: messages addressed to it are
-    /// dropped, its held queue and timers are discarded, and after a
-    /// detection delay every survivor holding a live link to it runs
-    /// the overlay self-repair
-    /// ([`MobileBroker::handle_broker_death`]), whose repair flood
-    /// then reaches the rest of the overlay.
+    /// dropped, and its held queue and timers are discarded. Every
+    /// survivor holding a link to it gets a link-down report one
+    /// sampled link latency later ([`MobileBroker::handle_link`]);
+    /// its suspicion timer then runs the overlay self-repair, whose
+    /// flood reaches the rest of the overlay.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the brokers run a failure detector
+    /// ([`MobileBrokerConfig::suspect_after_ns`]).
     pub fn kill_broker(&mut self, at: SimTime, broker: BrokerId) {
+        self.assert_detector();
         self.push(at, EventKind::Die { broker });
     }
 
@@ -535,9 +561,17 @@ impl Sim {
         self.clock = self.clock.max(until);
     }
 
+    /// Runs the next event or due timer, as [`Sim::run_to_quiescence`]
+    /// would; returns `false`, and does nothing, when none is left.
+    /// Checking a property after every call checks it in every state
+    /// of the run.
+    pub fn run_next(&mut self) -> bool {
+        self.advance(FOREVER, true).is_some()
+    }
+
     /// Runs until no event remains and no timer can come due.
     pub fn run_to_quiescence(&mut self) {
-        while self.advance(FOREVER, true).is_some() {}
+        while self.run_next() {}
     }
 
     /// Runs everything that needs no timer to fire: stops when a timer
@@ -678,7 +712,11 @@ impl Sim {
     pub(crate) fn describe(&self, choice: Choice) -> String {
         let seq = match choice {
             Choice::Timer(broker, token) => {
-                let kind = format!("{:?}", token.kind).to_lowercase();
+                let kind = match token {
+                    TimerToken::Negotiate(_) => "negotiate".to_owned(),
+                    TimerToken::State(_) => "state".to_owned(),
+                    TimerToken::Suspect(peer) => format!("{peer} suspicion"),
+                };
                 return format!("{broker} fires its {kind} timer");
             }
             Choice::Queued(seq) => seq,
@@ -952,11 +990,9 @@ impl Sim {
                 let _ = Arc::make_mut(&mut self.topology).repair(broker);
                 // Clients whose only stub lived here are gone; their
                 // queued commands drop at the Cmd re-resolution.
-                // Per-link failure detectors: every survivor that still
-                // carries a live link to the victim (per its *own*,
-                // possibly already-repaired overlay copy) notices
-                // independently after the detection delay; the repair
-                // flood spreads the declaration from there.
+                // Every survivor that still carries a link to the victim
+                // (per its *own*, possibly already-repaired overlay copy)
+                // sees that link go down one link latency later.
                 let observers: Vec<BrokerId> = self
                     .brokers
                     .iter()
@@ -966,30 +1002,33 @@ impl Sim {
                     })
                     .map(|(id, _)| *id)
                     .collect();
-                for obs in observers {
-                    // Jitter the per-link detection so repairs do not
-                    // start in lockstep (they race in the TCP runtime).
-                    let jitter = SimDuration::from_nanos(self.rng.gen_range(0..1_000_000));
-                    self.push(
-                        self.clock + DETECTION_DELAY + jitter,
-                        EventKind::Detect {
-                            observer: obs,
-                            dead: broker,
-                        },
-                    );
+                for observer in observers {
+                    let latency = self.model.sample_latency(broker, observer, &mut self.rng);
+                    let report = EventKind::Link {
+                        observer,
+                        peer: broker,
+                        up: false,
+                    };
+                    self.push(self.clock + latency, report);
                 }
             }
-            EventKind::Detect { observer, dead } => {
+            EventKind::Link { observer, peer, up } => {
                 if self.dead.contains(&observer) {
                     return false;
                 }
                 if self.crashed.contains(&observer) {
-                    // The observer is down (but not dead): it detects
-                    // after it comes back.
-                    self.hold(observer, ev_seq, EventKind::Detect { observer, dead });
+                    // The observer is down (but not dead): it hears the
+                    // report after it comes back.
+                    self.hold(observer, ev_seq, EventKind::Link { observer, peer, up });
                     return false;
                 }
-                let outs = self.broker_mut(observer).handle_broker_death(dead);
+                // A link comes back only to a live peer, and only once
+                // no other partition still holds it.
+                let held = (self.partitions.iter()).any(|p| p.covers(observer, peer, self.clock));
+                if up && (self.dead.contains(&peer) || held) {
+                    return false;
+                }
+                let outs = self.broker_mut(observer).handle_link(peer, up);
                 self.dispatch(observer, None, outs);
             }
         }
@@ -1024,11 +1063,12 @@ impl Sim {
     }
 
     /// Fires `broker`'s armed timer `token`: disarms it and ships what
-    /// the handler produces, attributed to the timer's movement.
+    /// the handler produces, attributed to the timer's movement, if it
+    /// has one.
     fn fire(&mut self, broker: BrokerId, token: TimerToken) {
         self.armed.cancel((broker, token));
         let outs = self.broker_mut(broker).handle_timer(token);
-        self.dispatch(broker, Some(token.m), outs);
+        self.dispatch(broker, token.move_id(), outs);
     }
 
     /// Cancels every timer of `broker`.
@@ -1735,10 +1775,7 @@ mod fault_tests {
             .network(NetworkModel::cluster())
             .seed(3)
             .start();
-        let token = TimerToken {
-            m: MoveId(77),
-            kind: transmob_core::TimerKind::Negotiate,
-        };
+        let token = TimerToken::Negotiate(MoveId(77));
         let arm = |sim: &mut Sim, delay_ns| {
             sim.dispatch(b(1), None, vec![Output::SetTimer { token, delay_ns }]);
         };

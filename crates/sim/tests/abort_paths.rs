@@ -5,7 +5,7 @@
 //! Sec. 4.1/4.2.
 
 use transmob_broker::Topology;
-use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind, TimerKind};
+use transmob_core::{properties, ClientOp, MobileBrokerConfig, ProtocolKind, TimerToken};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
 use transmob_sim::{NetworkModel, Sim, SimDuration, SimTime};
 
@@ -23,6 +23,7 @@ fn timed_config() -> MobileBrokerConfig {
     MobileBrokerConfig {
         negotiate_timeout_ns: Some(1_000_000_000),
         state_timeout_ns: Some(2_000_000_000),
+        suspect_after_ns: Some(50_000_000),
         ..MobileBrokerConfig::reconfig()
     }
 }
@@ -53,7 +54,7 @@ fn negotiate_timeout_before_any_delivery_aborts_cleanly() {
     let (broker, token) = net
         .armed_timers()
         .into_iter()
-        .find(|(_, t)| t.kind == TimerKind::Negotiate)
+        .find(|(_, t)| matches!(t, TimerToken::Negotiate(_)))
         .expect("negotiate timer armed");
     assert!(net.fire_timer(broker, token));
     // The movement aborted; the client resumed at the source.
@@ -93,7 +94,7 @@ fn negotiate_timeout_crossing_reconfigure_in_flight() {
         let Some((broker, token)) = net
             .armed_timers()
             .into_iter()
-            .find(|(_, t)| t.kind == TimerKind::Negotiate)
+            .find(|(_, t)| matches!(t, TimerToken::Negotiate(_)))
         else {
             // The protocol already passed the wait state: nothing to
             // inject at this depth.
@@ -135,7 +136,7 @@ fn state_timeout_after_source_crash_equivalent() {
     let (broker, token) = net
         .armed_timers()
         .into_iter()
-        .find(|(_, t)| t.kind == TimerKind::State)
+        .find(|(_, t)| matches!(t, TimerToken::State(_)))
         .expect("target prepared and armed the state timer");
     // Drop everything still in flight (simulates a source crash whose
     // messages never materialize).
@@ -177,7 +178,7 @@ fn default_config_arms_finite_timeouts() {
     assert!(
         net.armed_timers()
             .iter()
-            .any(|(_, t)| t.kind == TimerKind::Negotiate),
+            .any(|(_, t)| matches!(t, TimerToken::Negotiate(_))),
         "default config must arm the negotiate timer"
     );
     net.settle();
@@ -193,7 +194,7 @@ fn covering_timeout_on_request_aborts() {
     let (broker, token) = net
         .armed_timers()
         .into_iter()
-        .find(|(_, t)| t.kind == TimerKind::Negotiate)
+        .find(|(_, t)| matches!(t, TimerToken::Negotiate(_)))
         .expect("request timer armed");
     net.fire_timer(broker, token);
     net.settle();
@@ -230,7 +231,7 @@ fn a_crashed_brokers_timer_cannot_be_fired() {
     let (broker, token) = net
         .armed_timers()
         .into_iter()
-        .find(|(_, t)| t.kind == TimerKind::Negotiate)
+        .find(|(_, t)| matches!(t, TimerToken::Negotiate(_)))
         .expect("negotiate timer armed");
     assert_eq!(broker, b(5));
     // Back up before the timer's own deadline (1 s).
@@ -251,10 +252,10 @@ fn a_crashed_brokers_timer_cannot_be_fired() {
     assert_eq!(net.metrics.deliveries_to(c(2)).len(), 1);
 }
 
-fn negotiate_timer(net: &Sim) -> (BrokerId, transmob_core::TimerToken) {
+fn negotiate_timer(net: &Sim) -> (BrokerId, TimerToken) {
     net.armed_timers()
         .into_iter()
-        .find(|(_, t)| t.kind == TimerKind::Negotiate)
+        .find(|(_, t)| matches!(t, TimerToken::Negotiate(_)))
         .expect("negotiate timer armed")
 }
 

@@ -57,13 +57,21 @@ fn arb_case() -> impl Strategy<Value = ChurnCase> {
     })
 }
 
+/// Survivors declare a neighbour dead once its link has been down
+/// this long.
+const SUSPECT_AFTER_NS: u64 = 50_000_000;
+
 fn config_for(protocol: ProtocolKind) -> MobileBrokerConfig {
-    match protocol {
+    let config = match protocol {
         ProtocolKind::Reconfig => MobileBrokerConfig::reconfig(),
         ProtocolKind::Covering => MobileBrokerConfig {
             make_before_break: true,
             ..MobileBrokerConfig::covering()
         },
+    };
+    MobileBrokerConfig {
+        suspect_after_ns: Some(SUSPECT_AFTER_NS),
+        ..config
     }
 }
 

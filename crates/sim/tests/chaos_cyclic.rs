@@ -9,7 +9,7 @@
 //!   arc must leave delivery intact *immediately* — publications fan
 //!   out over both arcs, so the copy travelling the surviving arc
 //!   arrives while the failure detector is still inside its
-//!   `DETECTION_DELAY` window and no repair has run anywhere.
+//!   `suspect_after_ns` window and no repair has run anywhere.
 //! - **Exactly-once on redundant routes**: with two copies of every
 //!   publication racing around the ring, the per-broker dedup windows
 //!   (not repair, not luck) must keep the application-layer log
@@ -45,11 +45,6 @@ const PATH: BrokerId = SUB_HOME;
 /// movement route.
 const ARC: BrokerId = BrokerId(5);
 
-/// Mirrors `sim::DETECTION_DELAY` (private): survivors declare a dead
-/// neighbour gone this long after the death. The degradation test
-/// must finish its probe well inside this window.
-const DETECTION_DELAY: SimDuration = SimDuration(50_000_000);
-
 /// One randomized churn schedule on the ring: who dies, and when
 /// (offset after the MOVE command, spanning every protocol phase).
 #[derive(Debug, Clone)]
@@ -67,13 +62,21 @@ fn arb_case() -> impl Strategy<Value = ChurnCase> {
     })
 }
 
+/// Survivors declare a neighbour dead once its link has been down
+/// this long.
+const SUSPECT_AFTER_NS: u64 = 50_000_000;
+
 fn config_for(protocol: ProtocolKind) -> MobileBrokerConfig {
-    match protocol {
+    let config = match protocol {
         ProtocolKind::Reconfig => MobileBrokerConfig::reconfig(),
         ProtocolKind::Covering => MobileBrokerConfig {
             make_before_break: true,
             ..MobileBrokerConfig::covering()
         },
+    };
+    MobileBrokerConfig {
+        suspect_after_ns: Some(SUSPECT_AFTER_NS),
+        ..config
     }
 }
 
@@ -263,9 +266,10 @@ fn surviving_arc_delivers_inside_the_detection_window() {
             ClientOp::Publish(Publication::new().with("x", 77)),
         );
         // Run to a horizon strictly inside the detection window: the
-        // victim is dead but no survivor has declared it yet.
+        // victim is dead but no survivor's suspicion timer has fired.
+        let suspect_after = config_for(ProtocolKind::Reconfig).suspect_after_ns;
         let horizon = t0 + SimDuration::from_millis(20);
-        assert!(horizon < death_at + DETECTION_DELAY);
+        assert!(horizon < death_at + SimDuration::from_nanos(suspect_after.expect("detector")));
         sim.run_until(horizon);
         assert!(sim.dead_brokers().contains(&victim));
         // No survivor has detected the death yet: every live broker's
@@ -275,7 +279,7 @@ fn surviving_arc_delivers_inside_the_detection_window() {
         for id in sim.view_broker_ids() {
             assert!(
                 sim.view_broker(id).topology().contains(victim),
-                "survivor {id} repaired before the detection delay elapsed"
+                "survivor {id} repaired before its suspicion timer fired"
             );
         }
         let log = sim

@@ -357,7 +357,7 @@ fn negotiate_timeout_aborts_and_resumes_at_source() {
 /// `reconfig_publisher_move_keeps_routing_consistent`.
 #[test]
 fn aborted_publisher_move_rolls_the_pulled_subscriptions_back() {
-    use transmob_core::TimerKind;
+    use transmob_core::TimerToken;
     let mut config = MobileBrokerConfig::reconfig();
     config.negotiate_timeout_ns = Some(1_000_000_000);
     config.state_timeout_ns = Some(2_000_000_000);
@@ -377,7 +377,7 @@ fn aborted_publisher_move_rolls_the_pulled_subscriptions_back() {
         net.client_op_deferred(c(1), ClientOp::MoveTo(b(5), ProtocolKind::Reconfig));
         net.step_n(steps);
         let negotiate =
-            (net.armed_timers().into_iter()).find(|(_, t)| t.kind == TimerKind::Negotiate);
+            (net.armed_timers().into_iter()).find(|(_, t)| matches!(t, TimerToken::Negotiate(_)));
         let Some((broker, token)) = negotiate else {
             // Past the wait state at this depth: the move commits.
             net.settle();

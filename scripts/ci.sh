@@ -13,7 +13,8 @@
 #      same churn contract on a ring overlay with multi-path
 #      forwarding, DESIGN.md §15); scales via CHAOS_CASES
 #      (e.g. CHAOS_CASES=5000); plus the schedule explorer on chain(4)
-#      under one crash; skipped under CI_FAST=1
+#      under one crash, and the TCP churn test 20 times over; skipped
+#      under CI_FAST=1
 #   3. bench smoke — every criterion bench, one iteration each
 #      (CRITERION_QUICK, see vendor/criterion), so bench code cannot
 #      silently rot between perf PRs; captured once and reused by the
@@ -57,6 +58,11 @@ else
         cargo test -p transmob-sim --test chaos_cyclic -q
     # The schedule explorer's wider alphabet (chain(4), one crash).
     cargo test -p transmob-sim --test explore -q -- --ignored
+    # The wall-clock churn test over real sockets, repeated: a detector
+    # race shows up as an occasional failure, not a steady one.
+    for _ in $(seq 20); do
+        cargo test -p transmob-runtime --test tcp_churn -q
+    done
 fi
 
 # ---- tier 3: bench smoke (single pass, capture reused below) ----------
