@@ -1628,7 +1628,7 @@ impl BrokerCore {
     /// Rolls back every pending configuration installed under
     /// `move_id`: shadow configurations are dropped and entries created
     /// by the transaction are removed.
-    pub fn abort_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
+    pub fn abort_move(&mut self, move_id: MoveId) {
         for (entry, meta) in self.take_pending(move_id) {
             match (entry, meta.created) {
                 (PendingEntry::Adv(id), true) => {
@@ -1647,6 +1647,5 @@ impl BrokerCore {
                 }
             }
         }
-        Vec::new()
     }
 }

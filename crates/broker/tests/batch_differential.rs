@@ -189,8 +189,8 @@ fn run_both(
             }
             Resolved::Abort(mid) => {
                 flush(&mut batched, &mut run, &mut batch_out);
-                fold_out.extend(folded.abort_move(mid));
-                batch_out.extend(batched.abort_move(mid));
+                folded.abort_move(mid);
+                batched.abort_move(mid);
             }
         }
     }
@@ -321,8 +321,8 @@ proptest! {
                 }
                 Resolved::Abort(mid) => {
                     flush(&mut batched, &mut run, &mut batch_out);
-                    fold_out.extend(folded.abort_move(mid));
-                    batch_out.extend(batched.abort_move(mid));
+                    folded.abort_move(mid);
+                    batched.abort_move(mid);
                 }
             }
         }
@@ -366,8 +366,8 @@ proptest! {
                     fold_out.extend(folded.commit_move(m));
                     batch_out.extend(batched.commit_move(m));
                 } else {
-                    fold_out.extend(folded.abort_move(m));
-                    batch_out.extend(batched.abort_move(m));
+                    folded.abort_move(m);
+                    batched.abort_move(m);
                 }
             }
             for msg in msgs.iter() {

@@ -324,7 +324,8 @@ fn pull_reports_the_links_it_added_and_abort_undoes_exactly_those() {
             // Abort pass, target -> source.
             for i in (1..=5u32).rev() {
                 net.with_broker(b(i), |br| {
-                    let mut outs = br.abort_move(m);
+                    br.abort_move(m);
+                    let mut outs = Vec::new();
                     for (_, id, n) in fixups.iter().filter(|(at, ..)| *at == i) {
                         outs.extend(br.prune_sub_link(*id, *n));
                     }

@@ -137,7 +137,6 @@ pub struct SourceMoveRecord {
     client: ClientId,
     target: BrokerId,
     state: SourceCoordState,
-    #[allow(dead_code)] // kept for diagnostics in Debug output
     protocol: ProtocolKind,
     /// Reconfiguration fix-ups performed here (for rollback).
     fixups: Vec<(SubId, BrokerId)>,
@@ -150,8 +149,19 @@ pub struct TargetMoveRecord {
     client: ClientId,
     source: BrokerId,
     state: TargetCoordState,
-    #[allow(dead_code)]
     protocol: ProtocolKind,
+}
+
+impl TargetMoveRecord {
+    /// The target's answer to a committed transfer of movement `m`:
+    /// `Ack` (reconfiguration) or `CovDone` (covering).
+    fn done(&self, m: MoveId, target: BrokerId) -> MoveMsg {
+        let source = self.source;
+        match self.protocol {
+            ProtocolKind::Reconfig => MoveMsg::Ack { m, source, target },
+            ProtocolKind::Covering => MoveMsg::CovDone { m, source, target },
+        }
+    }
 }
 
 /// Bookkeeping at an intermediate broker on the reconfiguration path
@@ -853,9 +863,9 @@ impl MobileBroker {
         }
     }
 
+    /// Sends a routed movement message one hop toward its destination.
     fn forward_move(&mut self, msg: MoveMsg) -> Vec<Output> {
-        let dest = msg.destination();
-        match self.try_route_next(dest) {
+        match self.try_route_next(msg.destination()) {
             Some(next) => vec![Output::Send {
                 to: next,
                 msg: Message::Move(msg),
@@ -883,7 +893,13 @@ impl MobileBroker {
                 target,
                 profile,
                 protocol,
-            } => self.on_negotiate(m, client, source, target, profile, protocol),
+            } => self.on_request(m, client, source, target, protocol, Some(profile)),
+            MoveMsg::CovRequest {
+                m,
+                client,
+                source,
+                target,
+            } => self.on_request(m, client, source, target, ProtocolKind::Covering, None),
             MoveMsg::Reject { m, .. } => self.on_reject(m),
             MoveMsg::Reconfigure {
                 m,
@@ -899,7 +915,7 @@ impl MobileBroker {
                 target,
                 snapshot,
             } => self.on_state_transfer(m, client, source, target, snapshot),
-            MoveMsg::Ack { m, .. } => self.on_ack(m),
+            MoveMsg::Ack { m, .. } | MoveMsg::CovDone { m, .. } => self.on_done(m),
             MoveMsg::AbortMove {
                 m,
                 client,
@@ -907,53 +923,72 @@ impl MobileBroker {
                 target,
                 toward,
             } => self.on_abort_move(m, client, source, target, toward),
-            MoveMsg::CovRequest {
-                m,
-                client,
-                source,
-                target,
-            } => self.on_cov_request(m, client, source, target),
             MoveMsg::CovAccept { m, .. } => self.on_cov_accept(m),
             MoveMsg::CovTransfer {
                 m,
                 client,
-                source,
-                target,
                 profile,
                 snapshot,
-            } => self.on_cov_transfer(m, client, source, target, profile, snapshot),
-            MoveMsg::CovDone { m, .. } => self.on_cov_done(m),
+                ..
+            } => self.on_cov_transfer(m, client, profile, snapshot),
         }
     }
 
-    // ----- reconfiguration protocol, target side ----------------------
+    // ----- target side: Init → Prepare ---------------------------------
 
-    fn on_negotiate(
+    /// A movement request at its target, `Negotiate` (with the profile
+    /// to shadow-install) or `CovRequest` (`profile` is `None`): Init →
+    /// Prepare, answered with `Reconfigure` or `CovAccept`, or a
+    /// `Reject` when this broker takes no movers.
+    fn on_request(
         &mut self,
         m: MoveId,
         client: ClientId,
         source: BrokerId,
         target: BrokerId,
-        profile: ClientProfile,
         protocol: ProtocolKind,
+        profile: Option<ClientProfile>,
     ) -> Vec<Output> {
         debug_assert_eq!(target, self.id());
         if !self.config.accept_moves {
-            return self.forward_or_emit_toward(source, MoveMsg::Reject { m, source, target });
+            return self.forward_move(MoveMsg::Reject { m, source, target });
         }
         if self.tgt_moves.contains_key(&m) {
-            // Duplicate negotiate (wire duplication, or a retransmit
+            // Duplicate request (wire duplication, or a retransmit
             // replayed from a recovered peer's queue): the first one
-            // already created the copy — recreating it here would wipe
-            // whatever the copy has buffered during the prepare window.
+            // already answered and armed the state timer, and the
+            // transaction may have progressed past Prepare. Running it
+            // again would wipe whatever the copy has buffered during
+            // the prepare window.
             self.anomalies += 1;
             return Vec::new();
         }
-        let Some(back) = self.try_route_next(source) else {
-            // The source died while its negotiate was in flight:
-            // there is no coordinator left to converse with.
-            self.anomalies += 1;
-            return Vec::new();
+        let reply = match profile {
+            Some(profile) => {
+                let Some(back) = self.try_route_next(source) else {
+                    // The source died while its negotiate was in
+                    // flight: there is no coordinator left to converse
+                    // with.
+                    self.anomalies += 1;
+                    return Vec::new();
+                };
+                // Create the client copy (state `Created`) and install
+                // the shadow routing configuration at the target
+                // itself: the client's entries will point at the local
+                // client, so nothing is pulled.
+                let copy = HostedClient::created_from_profile(client, &profile);
+                self.clients.insert(client, copy);
+                self.core.attach_client(client);
+                self.install_shadows(m, &profile, Hop::Client(client), Some(back));
+                MoveMsg::Reconfigure {
+                    m,
+                    client,
+                    source,
+                    target,
+                    profile,
+                }
+            }
+            None => MoveMsg::CovAccept { m, source, target },
         };
         self.tgt_moves.insert(
             m,
@@ -964,30 +999,7 @@ impl MobileBroker {
                 protocol,
             },
         );
-        // Create the client copy (state `Created`).
-        let copy = HostedClient::created_from_profile(client, &profile);
-        self.clients.insert(client, copy);
-        self.core.attach_client(client);
-        // Install the shadow routing configuration at the target
-        // itself: the client's entries will point at the local client.
-        for s in &profile.subs {
-            self.core
-                .install_pending_sub(s, m, Hop::Client(client), Some(back));
-        }
-        for a in &profile.advs {
-            self.core
-                .install_pending_adv(a, m, Hop::Client(client), Some(back));
-        }
-        let mut out = vec![Output::Send {
-            to: back,
-            msg: Message::Move(MoveMsg::Reconfigure {
-                m,
-                client,
-                source,
-                target,
-                profile,
-            }),
-        }];
+        let mut out = self.forward_move(reply);
         if let Some(delay_ns) = self.config.state_timeout_ns {
             out.push(Output::SetTimer {
                 token: TimerToken::State(m),
@@ -995,19 +1007,6 @@ impl MobileBroker {
             });
         }
         out
-    }
-
-    fn forward_or_emit_toward(&mut self, dest: BrokerId, msg: MoveMsg) -> Vec<Output> {
-        match self.try_route_next(dest) {
-            Some(next) => vec![Output::Send {
-                to: next,
-                msg: Message::Move(msg),
-            }],
-            None => {
-                self.anomalies += 1;
-                Vec::new()
-            }
-        }
     }
 
     // ----- reconfiguration message, walked target → source ------------
@@ -1038,20 +1037,8 @@ impl MobileBroker {
             self.anomalies += 1;
             return Vec::new();
         };
-        let mut fixups = Vec::new();
-        let mut outs: Vec<BrokerOutput> = Vec::new();
-        for s in &profile.subs {
-            self.core
-                .install_pending_sub(s, m, Hop::Broker(frm), Some(back));
-        }
-        for a in &profile.advs {
-            self.core
-                .install_pending_adv(a, m, Hop::Broker(frm), Some(back));
-            let pulled = self.pull_with_record(a.id, frm, &mut outs);
-            fixups.extend(pulled);
-        }
+        let (fixups, mut out) = self.install_shadows(m, &profile, Hop::Broker(frm), Some(back));
         self.path_moves.insert(m, PathMoveRecord { fixups });
-        let mut out = self.absorb(outs);
         out.push(Output::Send {
             to: back,
             msg: Message::Move(MoveMsg::Reconfigure {
@@ -1065,18 +1052,36 @@ impl MobileBroker {
         out
     }
 
-    /// Runs the pull rule for advertisement `id` toward `n`, returning
-    /// the subscriptions it put on that link (for rollback).
-    fn pull_with_record(
+    /// Installs movement `m`'s shadow configuration of `profile`: the
+    /// client's entries will point at `to`, and `back` is the next hop
+    /// toward the source (`None` at the source itself). Toward a
+    /// neighbour, the pull rule runs for each advertisement. Returns
+    /// the subscriptions it put on that link (the Sec. 4.4 fix-ups,
+    /// kept for rollback) and what it sent.
+    fn install_shadows(
         &mut self,
-        id: transmob_pubsub::AdvId,
-        n: BrokerId,
-        outs: &mut Vec<BrokerOutput>,
-    ) -> Vec<(SubId, BrokerId)> {
-        let (pull_outs, pulled) = self.core.pull_subs_toward(id, n);
-        outs.extend(pull_outs);
-        pulled.into_iter().map(|sid| (sid, n)).collect()
+        m: MoveId,
+        profile: &ClientProfile,
+        to: Hop,
+        back: Option<BrokerId>,
+    ) -> (Vec<(SubId, BrokerId)>, Vec<Output>) {
+        for s in &profile.subs {
+            self.core.install_pending_sub(s, m, to, back);
+        }
+        let mut fixups = Vec::new();
+        let mut outs = Vec::new();
+        for a in &profile.advs {
+            self.core.install_pending_adv(a, m, to, back);
+            if let Hop::Broker(n) = to {
+                let (pull_outs, pulled) = self.core.pull_subs_toward(a.id, n);
+                outs.extend(pull_outs);
+                fixups.extend(pulled.into_iter().map(|sid| (sid, n)));
+            }
+        }
+        (fixups, self.absorb(outs))
     }
+
+    // ----- source side: Wait → Prepare ----------------------------------
 
     fn on_reconfigure_at_source(
         &mut self,
@@ -1087,52 +1092,26 @@ impl MobileBroker {
         profile: ClientProfile,
     ) -> Vec<Output> {
         let source = self.id();
-        match self.src_moves.get(&m).map(|r| r.state) {
+        match self.source_state(m) {
             Some(SourceCoordState::Wait) => {}
-            Some(SourceCoordState::Abort) | None => {
+            None => {
                 // We already gave up on this movement (timeout): undo
                 // the reconfiguration along the path.
-                return self.forward_or_emit_toward(
-                    target,
-                    MoveMsg::AbortMove {
-                        m,
-                        client,
-                        source,
-                        target,
-                        toward: target,
-                    },
-                );
+                return self.abort_pass(m, client, source, target, target);
             }
-            _ => {
+            Some(_) => {
                 self.anomalies += 1;
                 return Vec::new();
             }
         }
         // Install the shadow configuration at the source: entries flip
         // from the local client to the path toward the target.
-        let mut outs: Vec<BrokerOutput> = Vec::new();
-        let mut fixups = Vec::new();
-        for s in &profile.subs {
-            self.core.install_pending_sub(s, m, Hop::Broker(frm), None);
-        }
-        for a in &profile.advs {
-            self.core.install_pending_adv(a, m, Hop::Broker(frm), None);
-            fixups.extend(self.pull_with_record(a.id, frm, &mut outs));
-        }
-        // Coordinator: wait → prepare. Client: pause_move →
-        // prepare_stop, then capture its state.
-        // unwrap: state checked above
-        let rec = self.src_moves.get_mut(&m).unwrap();
-        rec.state = SourceCoordState::Prepare;
-        rec.fixups = fixups;
-        // unwrap: the moving client is hosted here until cleanup
-        let stub = self.clients.get_mut(&client).unwrap();
-        stub.set_state(ClientState::PrepareStop);
-        let snapshot = stub.take_snapshot();
+        let (fixups, mut out) = self.install_shadows(m, &profile, Hop::Broker(frm), None);
+        let snapshot = self.prepare_source(m, fixups);
         // Local hop of the commit pass, then send `state` (message (4))
         // which commits hop-by-hop on its way to the target.
-        outs.extend(self.core.commit_move(m));
-        let mut out = self.absorb(outs);
+        let outs = self.core.commit_move(m);
+        out.extend(self.absorb(outs));
         out.push(Output::CancelTimer {
             token: TimerToken::Negotiate(m),
         });
@@ -1149,7 +1128,50 @@ impl MobileBroker {
         out
     }
 
-    // ----- commit pass, walked source → target -------------------------
+    fn on_cov_accept(&mut self, m: MoveId) -> Vec<Output> {
+        if self.source_state(m) != Some(SourceCoordState::Wait) {
+            self.anomalies += 1;
+            return Vec::new();
+        }
+        let snapshot = self.prepare_source(m, Vec::new());
+        let rec = &self.src_moves[&m];
+        let (client, target) = (rec.client, rec.target);
+        let profile = self.clients[&client].profile();
+        let mut out = vec![Output::CancelTimer {
+            token: TimerToken::Negotiate(m),
+        }];
+        if !self.config.make_before_break {
+            // Traditional order: retract everything at the source
+            // first. The covering optimization now quenches or
+            // cascades as the workload dictates.
+            out.extend(self.route_profile(client, &profile, false));
+        }
+        out.extend(self.forward_move(MoveMsg::CovTransfer {
+            m,
+            client,
+            source: self.id(),
+            target,
+            profile,
+            snapshot,
+        }));
+        out
+    }
+
+    /// Source Wait → Prepare for a record its caller found waiting:
+    /// keeps the fix-ups made here for rollback, and stops the moving
+    /// client (`pause_move` → `prepare_stop`) to capture its state.
+    fn prepare_source(&mut self, m: MoveId, fixups: Vec<(SubId, BrokerId)>) -> ClientSnapshot {
+        // unwrap: callers checked that the record waits
+        let rec = self.src_moves.get_mut(&m).unwrap();
+        rec.state = SourceCoordState::Prepare;
+        rec.fixups = fixups;
+        // unwrap: the moving client is hosted here until cleanup
+        let stub = self.clients.get_mut(&rec.client).unwrap();
+        stub.set_state(ClientState::PrepareStop);
+        stub.take_snapshot()
+    }
+
+    // ----- commit: the state reaches the target --------------------------
 
     fn on_state_transfer(
         &mut self,
@@ -1161,32 +1183,22 @@ impl MobileBroker {
     ) -> Vec<Output> {
         if self.id() != target {
             // Intermediate broker: commit the shadow configuration and
-            // walk on.
+            // walk on. If the target died mid-commit, the committed
+            // hops stay consistent with the ones behind us; the
+            // source's death handling resurrects the client.
             let outs = self.core.commit_move(m);
             self.path_moves.remove(&m);
             let mut out = self.absorb(outs);
-            match self.try_route_next(target) {
-                Some(next) => out.push(Output::Send {
-                    to: next,
-                    msg: Message::Move(MoveMsg::StateTransfer {
-                        m,
-                        client,
-                        source,
-                        target,
-                        snapshot,
-                    }),
-                }),
-                None => {
-                    // The target died mid-commit: the committed hops
-                    // stay consistent with the ones behind us; the
-                    // source's death handling resurrects the client.
-                    self.anomalies += 1;
-                }
-            }
+            out.extend(self.forward_move(MoveMsg::StateTransfer {
+                m,
+                client,
+                source,
+                target,
+                snapshot,
+            }));
             return out;
         }
-        // Target: commit, start the client, ack.
-        match self.tgt_moves.get(&m).map(|r| r.state) {
+        match self.target_state(m) {
             Some(TargetCoordState::Prepare) => {}
             Some(TargetCoordState::Commit) => {
                 // Retransmitted/duplicated commit pass: the transfer
@@ -1200,72 +1212,129 @@ impl MobileBroker {
                 // Late state after a local abort: the client copy is
                 // gone. Undo the commit pass we cannot apply.
                 self.anomalies += 1;
-                return self.forward_or_emit_toward(
-                    source,
-                    MoveMsg::AbortMove {
-                        m,
-                        client,
-                        source,
-                        target,
-                        toward: source,
-                    },
-                );
+                return self.abort_pass(m, client, source, target, source);
             }
         }
         let outs = self.core.commit_move(m);
         let mut out = self.absorb(outs);
         // unwrap: target-move record in Prepare implies the copy exists
-        let stub = self.clients.get_mut(&client).unwrap();
-        stub.merge_snapshot(snapshot);
-        stub.set_state(ClientState::Started);
-        for p in stub.flush_buffered() {
-            out.push(Output::DeliverToApp {
-                client,
-                publication: p,
-            });
+        self.clients
+            .get_mut(&client)
+            .unwrap()
+            .merge_snapshot(snapshot);
+        out.extend(self.commit_target(m, client));
+        out
+    }
+
+    fn on_cov_transfer(
+        &mut self,
+        m: MoveId,
+        client: ClientId,
+        profile: ClientProfile,
+        snapshot: ClientSnapshot,
+    ) -> Vec<Output> {
+        match self.target_state(m) {
+            Some(TargetCoordState::Prepare) => {}
+            Some(TargetCoordState::Commit) => {
+                // Late flush: the client already runs here; surface the
+                // remaining buffered notifications (dedup applies) and
+                // execute commands that straggled in at the source.
+                let mut out = Vec::new();
+                if self.clients.contains_key(&client) {
+                    for p in snapshot.buffered {
+                        // unwrap: presence checked just above and
+                        // client_op below never removes the stub
+                        let stub = self.clients.get_mut(&client).unwrap();
+                        if stub.deliver(&p) == DeliverOutcome::Surfaced {
+                            out.push(Output::DeliverToApp {
+                                client,
+                                publication: p,
+                            });
+                        }
+                    }
+                    for op in snapshot.queued_ops {
+                        out.extend(self.client_op(client, op));
+                    }
+                }
+                return out;
+            }
+            _ => {
+                self.anomalies += 1;
+                return Vec::new();
+            }
         }
-        let ops = stub.drain_ops();
-        for op in ops {
-            out.extend(self.client_op(client, op));
-        }
-        // unwrap: record presence checked above
-        self.tgt_moves.get_mut(&m).unwrap().state = TargetCoordState::Commit;
+        let mut copy = HostedClient::created_from_profile(client, &profile);
+        copy.merge_snapshot(snapshot);
+        self.clients.insert(client, copy);
+        self.core.attach_client(client);
+        // Reissue the profile at the target: normal propagation, with
+        // whatever covering behaviour the broker network is configured
+        // for.
+        let mut out = self.route_profile(client, &profile, true);
+        out.extend(self.commit_target(m, client));
+        out
+    }
+
+    /// Target Prepare → Commit, once the copy holds the transferred
+    /// state: starts the copy (buffered notifications surface, queued
+    /// commands run), disarms the state timer and answers the source.
+    fn commit_target(&mut self, m: MoveId, client: ClientId) -> Vec<Output> {
+        let mut out = self.resume_client(client);
+        let target = self.id();
+        // unwrap: callers checked the record is in Prepare
+        let rec = self.tgt_moves.get_mut(&m).unwrap();
+        rec.state = TargetCoordState::Commit;
+        let done = rec.done(m, target);
         out.push(Output::CancelTimer {
             token: TimerToken::State(m),
         });
         out.push(Output::ClientArrived { m, client });
-        out.extend(self.forward_or_emit_toward(source, MoveMsg::Ack { m, source, target }));
+        out.extend(self.forward_move(done));
         out
     }
 
-    fn on_ack(&mut self, m: MoveId) -> Vec<Output> {
+    /// `Ack` (reconfiguration) or `CovDone` (covering): the target runs
+    /// the client.
+    fn on_done(&mut self, m: MoveId) -> Vec<Output> {
         let Some(rec) = self.src_moves.remove(&m) else {
             self.anomalies += 1;
             return Vec::new();
         };
+        let mut out = Vec::new();
+        if rec.protocol == ProtocolKind::Covering && self.config.make_before_break {
+            // Retract the profile only now that the target runs; the
+            // notifications buffered here in the meantime ship in the
+            // late transfer.
+            let profile = (self.clients.get(&rec.client))
+                .map(HostedClient::profile)
+                .unwrap_or_default();
+            out = self.route_profile(rec.client, &profile, false);
+        }
+        out.extend(self.commit_source(m, rec));
+        out
+    }
+
+    /// Source Prepare → Commit, for a record its caller removed. Client:
+    /// `prepare_stop` → `clean`, and the container drops it. Anything
+    /// that reached the source copy *after* the snapshot was taken
+    /// (commands issued by a slow application, notifications still in
+    /// flight) is flushed to the target in a late transfer; the
+    /// target's dedup suppresses what it already has.
+    fn commit_source(&mut self, m: MoveId, rec: SourceMoveRecord) -> Vec<Output> {
         debug_assert_eq!(rec.state, SourceCoordState::Prepare);
         let mut out = Vec::new();
-        // Client: prepare_stop → clean; container cleanup. Anything
-        // that reached the source copy *after* the snapshot was taken
-        // (commands issued by a slow application, notifications still
-        // in flight) is flushed to the target in a late transfer; the
-        // target's dedup suppresses what it already has.
         if let Some(mut stub) = self.clients.remove(&rec.client) {
             let late = stub.take_snapshot();
             if !late.buffered.is_empty() || !late.queued_ops.is_empty() {
-                out.extend(self.forward_or_emit_toward(
-                    rec.target,
-                    MoveMsg::CovTransfer {
-                        m,
-                        client: rec.client,
-                        source: self.id(),
-                        target: rec.target,
-                        profile: ClientProfile::default(),
-                        snapshot: late,
-                    },
-                ));
+                out.extend(self.forward_move(MoveMsg::CovTransfer {
+                    m,
+                    client: rec.client,
+                    source: self.id(),
+                    target: rec.target,
+                    profile: ClientProfile::default(),
+                    snapshot: late,
+                }));
             }
-            stub.set_state(ClientState::Clean);
         }
         self.core.detach_client(rec.client);
         out.push(Output::MoveFinished {
@@ -1276,14 +1345,80 @@ impl MobileBroker {
         out
     }
 
+    // ----- abort ---------------------------------------------------------
+
     fn on_reject(&mut self, m: MoveId) -> Vec<Output> {
         let Some(rec) = self.src_moves.remove(&m) else {
             self.anomalies += 1;
             return Vec::new();
         };
-        let mut out = vec![Output::CancelTimer {
-            token: TimerToken::Negotiate(m),
-        }];
+        self.abort_source(m, rec)
+    }
+
+    /// One hop of the abort pass: every broker it crosses rolls back,
+    /// and the endpoint it runs `toward` aborts its coordinator.
+    fn on_abort_move(
+        &mut self,
+        m: MoveId,
+        client: ClientId,
+        source: BrokerId,
+        target: BrokerId,
+        toward: BrokerId,
+    ) -> Vec<Output> {
+        if self.id() == toward {
+            if toward == source {
+                if let Some(rec) = self.src_moves.remove(&m) {
+                    return self.abort_source(m, rec);
+                }
+            } else if let Some(state) = self.target_state(m) {
+                if state != TargetCoordState::Commit {
+                    return self.abort_target(m, client);
+                }
+                // A stale abort (e.g. triggered by a duplicated
+                // negotiate replay at the source after cleanup) must
+                // not destroy a copy that already committed and runs
+                // here.
+                self.anomalies += 1;
+            }
+        }
+        // Roll back shadow configurations and any fix-ups recorded on
+        // the path (a source rolls back its own in `abort_source`).
+        let fixups = (self.path_moves.remove(&m))
+            .map(|p| p.fixups)
+            .unwrap_or_default();
+        let mut out = self.roll_back(m, fixups);
+        if self.id() != toward {
+            out.extend(self.abort_pass(m, client, source, target, toward));
+        }
+        out
+    }
+
+    /// Source Wait/Prepare → Abort, for a record its caller removed:
+    /// disarms the negotiate timer (armed only in Wait), rolls back,
+    /// makes the client routable here again and resumes it. The caller
+    /// sends the abort pass, if one is due.
+    fn abort_source(&mut self, m: MoveId, rec: SourceMoveRecord) -> Vec<Output> {
+        let mut out = Vec::new();
+        if rec.state == SourceCoordState::Wait {
+            out.push(Output::CancelTimer {
+                token: TimerToken::Negotiate(m),
+            });
+        }
+        out.extend(self.roll_back(m, rec.fixups));
+        if rec.state == SourceCoordState::Prepare {
+            // The source already flipped its routing away from the
+            // local client (commit pass sent, or the covering protocol
+            // retracted the profile): plain rollback cannot help
+            // because the pendings are gone. Re-issue the profile so
+            // the resurrected client is routable again (idempotent:
+            // the insert-or-adopt semantics of subscribe/advertise
+            // flip surviving entries back toward the client and
+            // re-propagate).
+            match self.clients.get(&rec.client).map(HostedClient::profile) {
+                Some(profile) => out.extend(self.route_profile(rec.client, &profile, true)),
+                None => self.anomalies += 1,
+            }
+        }
         out.extend(self.resume_client(rec.client));
         out.push(Output::MoveFinished {
             m,
@@ -1293,8 +1428,55 @@ impl MobileBroker {
         out
     }
 
-    /// Resumes a client at the source after an aborted/rejected
-    /// movement: buffered notifications surface, queued commands run.
+    /// Target Prepare → Abort: destroys the client copy, rolls back
+    /// and disarms the state timer. The record stays, marked `Abort`;
+    /// the caller drops it if it must, and sends the abort pass if one
+    /// is due.
+    fn abort_target(&mut self, m: MoveId, client: ClientId) -> Vec<Output> {
+        if let Some(rec) = self.tgt_moves.get_mut(&m) {
+            rec.state = TargetCoordState::Abort;
+        }
+        self.clients.remove(&client);
+        self.core.detach_client(client);
+        let mut out = self.roll_back(m, Vec::new());
+        out.push(Output::CancelTimer {
+            token: TimerToken::State(m),
+        });
+        out
+    }
+
+    /// Drops movement `m`'s shadow configurations here and prunes the
+    /// subscriptions its fix-ups pulled onto a link.
+    fn roll_back(&mut self, m: MoveId, fixups: Vec<(SubId, BrokerId)>) -> Vec<Output> {
+        self.core.abort_move(m);
+        let mut outs = Vec::new();
+        for (sid, n) in fixups {
+            outs.extend(self.core.prune_sub_link(sid, n));
+        }
+        self.absorb(outs)
+    }
+
+    /// Sends movement `m`'s abort pass on toward `toward`.
+    fn abort_pass(
+        &mut self,
+        m: MoveId,
+        client: ClientId,
+        source: BrokerId,
+        target: BrokerId,
+        toward: BrokerId,
+    ) -> Vec<Output> {
+        self.forward_move(MoveMsg::AbortMove {
+            m,
+            client,
+            source,
+            target,
+            toward,
+        })
+    }
+
+    /// Starts a paused client here: buffered notifications surface,
+    /// queued commands run. Resumes the source's client after an
+    /// aborted movement and starts the target's copy on commit.
     fn resume_client(&mut self, client: ClientId) -> Vec<Output> {
         let mut out = Vec::new();
         let Some(stub) = self.clients.get_mut(&client) else {
@@ -1315,107 +1497,26 @@ impl MobileBroker {
         out
     }
 
-    // ----- abort pass ---------------------------------------------------
-
-    fn on_abort_move(
+    /// Issues (`issue`) or retracts a client's whole profile through
+    /// the routing layer, as its own commands would: subscriptions
+    /// first, then advertisements.
+    fn route_profile(
         &mut self,
-        m: MoveId,
         client: ClientId,
-        source: BrokerId,
-        target: BrokerId,
-        toward: BrokerId,
+        profile: &ClientProfile,
+        issue: bool,
     ) -> Vec<Output> {
-        // Roll back shadow configurations and any recorded fix-ups.
-        let mut outs: Vec<BrokerOutput> = self.core.abort_move(m);
-        let fixups: Vec<(SubId, BrokerId)> = if let Some(pm) = self.path_moves.remove(&m) {
-            pm.fixups
-        } else if let Some(sm) = self.src_moves.get(&m) {
-            sm.fixups.clone()
-        } else {
-            Vec::new()
-        };
-        for (sid, n) in fixups {
-            outs.extend(self.core.prune_sub_link(sid, n));
-        }
-        let mut out = self.absorb(outs);
-        if self.id() == toward {
-            if toward == source {
-                if let Some(rec) = self.src_moves.remove(&m) {
-                    if rec.state == SourceCoordState::Prepare {
-                        // The source already flipped its routing away
-                        // from the local client (commit pass sent, or
-                        // the covering protocol retracted the profile):
-                        // plain rollback cannot help because the
-                        // pendings are gone. Re-issue the profile so
-                        // the resurrected client is routable again.
-                        out.extend(self.reissue_profile(rec.client));
-                    }
-                    out.extend(self.resume_client(rec.client));
-                    out.push(Output::CancelTimer {
-                        token: TimerToken::Negotiate(m),
-                    });
-                    out.push(Output::MoveFinished {
-                        m,
-                        client: rec.client,
-                        committed: false,
-                    });
-                }
-            } else if let Some(rec) = self.tgt_moves.get_mut(&m) {
-                if rec.state == TargetCoordState::Commit {
-                    // A stale abort (e.g. triggered by a duplicated
-                    // negotiate replay at the source after cleanup)
-                    // must not destroy a copy that already committed
-                    // and runs here.
-                    self.anomalies += 1;
-                } else {
-                    rec.state = TargetCoordState::Abort;
-                    // Destroy the client copy.
-                    self.clients.remove(&client);
-                    self.core.detach_client(client);
-                    out.push(Output::CancelTimer {
-                        token: TimerToken::State(m),
-                    });
-                }
-            }
-        } else {
-            out.extend(self.forward_or_emit_toward(
-                toward,
-                MoveMsg::AbortMove {
-                    m,
-                    client,
-                    source,
-                    target,
-                    toward,
-                },
-            ));
-        }
-        out
-    }
-
-    /// Re-issues a hosted client's full profile into the routing layer
-    /// (idempotent: the insert-or-adopt semantics of
-    /// `handle_subscribe`/`handle_advertise` flip surviving entries
-    /// back toward the client and re-propagate). Used when rolling
-    /// back a movement that already committed its source-side routing
-    /// flip.
-    fn reissue_profile(&mut self, client: ClientId) -> Vec<Output> {
-        let Some(stub) = self.clients.get(&client) else {
-            self.anomalies += 1;
-            return Vec::new();
-        };
-        let profile = stub.profile();
-        let mut outs: Vec<BrokerOutput> = Vec::new();
-        for s in &profile.subs {
-            outs.extend(
-                self.core
-                    .handle(Hop::Client(client), PubSubMsg::Subscribe(s.clone())),
-            );
-        }
-        for a in &profile.advs {
-            outs.extend(
-                self.core
-                    .handle(Hop::Client(client), PubSubMsg::Advertise(a.clone())),
-            );
+        let subs = profile.subs.iter().map(|s| match issue {
+            true => PubSubMsg::Subscribe(s.clone()),
+            false => PubSubMsg::Unsubscribe(s.id),
+        });
+        let advs = profile.advs.iter().map(|a| match issue {
+            true => PubSubMsg::Advertise(a.clone()),
+            false => PubSubMsg::Unadvertise(a.id),
+        });
+        let mut outs = Vec::new();
+        for msg in subs.chain(advs) {
+            outs.extend(self.core.handle(Hop::Client(client), msg));
         }
         self.absorb(outs)
     }
@@ -1521,11 +1622,7 @@ impl MobileBroker {
                 .remove(&m)
                 .map(|p| p.fixups)
                 .unwrap_or_default();
-            let mut outs = self.core.abort_move(m);
-            for (sid, n) in fixups {
-                outs.extend(self.core.prune_sub_link(sid, n));
-            }
-            out.extend(self.absorb(outs));
+            out.extend(self.roll_back(m, fixups));
         }
         out.extend(self.resolve_moves_after_death(dead, &pre));
         // Flood the notice over every surviving link.
@@ -1563,107 +1660,44 @@ impl MobileBroker {
             other == dead || pre.route(myid, other).is_some_and(|r| r.contains(dead))
         };
         let mut out = Vec::new();
-        let src_ids: Vec<MoveId> = self
-            .src_moves
-            .iter()
+        let src_ids: Vec<MoveId> = (self.src_moves.iter())
             .filter(|(_, r)| crossed(r.target))
+            .filter(|(_, r)| r.state == SourceCoordState::Wait || r.target == dead)
             .map(|(m, _)| *m)
             .collect();
         for m in src_ids {
             // unwrap: ids collected from the map just above
-            let rec = self.src_moves.get(&m).unwrap().clone();
-            match rec.state {
-                SourceCoordState::Wait => {
-                    self.src_moves.remove(&m);
-                    let mut outs = self.core.abort_move(m);
-                    for (sid, n) in rec.fixups {
-                        outs.extend(self.core.prune_sub_link(sid, n));
-                    }
-                    out.extend(self.absorb(outs));
-                    out.push(Output::CancelTimer {
-                        token: TimerToken::Negotiate(m),
-                    });
-                    out.extend(self.resume_client(rec.client));
-                    out.push(Output::MoveFinished {
-                        m,
-                        client: rec.client,
-                        committed: false,
-                    });
-                    out.extend(self.sweep_abort(m, rec.client, myid, rec.target, dead, pre));
-                }
-                SourceCoordState::Prepare if rec.target == dead => {
-                    self.src_moves.remove(&m);
-                    let mut outs = self.core.abort_move(m);
-                    for (sid, n) in rec.fixups {
-                        outs.extend(self.core.prune_sub_link(sid, n));
-                    }
-                    out.extend(self.absorb(outs));
-                    out.extend(self.reissue_profile(rec.client));
-                    out.extend(self.resume_client(rec.client));
-                    out.push(Output::MoveFinished {
-                        m,
-                        client: rec.client,
-                        committed: false,
-                    });
-                    out.extend(self.sweep_abort(m, rec.client, myid, rec.target, dead, pre));
-                }
-                _ => {}
-            }
+            let rec = self.src_moves.remove(&m).unwrap();
+            let (client, target) = (rec.client, rec.target);
+            out.extend(self.abort_source(m, rec));
+            out.extend(self.sweep_abort(m, client, myid, target, dead, pre));
         }
-        let tgt_ids: Vec<MoveId> = self
-            .tgt_moves
-            .iter()
+        let tgt_ids: Vec<MoveId> = (self.tgt_moves.iter())
             .filter(|(_, r)| crossed(r.source))
             .map(|(m, _)| *m)
             .collect();
         for m in tgt_ids {
-            // unwrap: ids collected from the map just above
-            let rec = self.tgt_moves.get(&m).unwrap().clone();
-            if rec.source == dead {
-                if rec.state == TargetCoordState::Prepare {
+            let rec = &self.tgt_moves[&m];
+            let (client, source, state) = (rec.client, rec.source, rec.state);
+            if source == dead {
+                if state == TargetCoordState::Prepare {
+                    out.extend(self.abort_target(m, client));
                     self.tgt_moves.remove(&m);
-                    self.clients.remove(&rec.client);
-                    self.core.detach_client(rec.client);
-                    let outs = self.core.abort_move(m);
-                    out.extend(self.absorb(outs));
-                    out.push(Output::CancelTimer {
-                        token: TimerToken::State(m),
-                    });
-                    out.extend(self.sweep_abort(m, rec.client, rec.source, myid, dead, pre));
+                    out.extend(self.sweep_abort(m, client, source, myid, dead, pre));
                 }
                 // Commit: the client runs here; the source can no
                 // longer clean up, which is fine — it is gone.
-            } else {
-                match rec.state {
-                    TargetCoordState::Commit => {
-                        let msg = match rec.protocol {
-                            ProtocolKind::Reconfig => MoveMsg::Ack {
-                                m,
-                                source: rec.source,
-                                target: myid,
-                            },
-                            ProtocolKind::Covering => MoveMsg::CovDone {
-                                m,
-                                source: rec.source,
-                                target: myid,
-                            },
-                        };
-                        out.extend(self.forward_or_emit_toward(rec.source, msg));
-                    }
-                    TargetCoordState::Abort => {
-                        out.extend(self.forward_or_emit_toward(
-                            rec.source,
-                            MoveMsg::AbortMove {
-                                m,
-                                client: rec.client,
-                                source: rec.source,
-                                target: myid,
-                                toward: rec.source,
-                            },
-                        ));
-                    }
-                    TargetCoordState::Prepare | TargetCoordState::Init => {} // state timer pending
+                continue;
+            }
+            match state {
+                TargetCoordState::Commit => {
+                    let done = rec.done(m, myid);
+                    out.extend(self.forward_move(done));
                 }
+                TargetCoordState::Abort => {
+                    out.extend(self.abort_pass(m, client, source, myid, source));
+                }
+                TargetCoordState::Prepare | TargetCoordState::Init => {} // state timer pending
             }
         }
         out
@@ -1697,16 +1731,7 @@ impl MobileBroker {
         if !self.topology.contains(toward) {
             return Vec::new();
         }
-        self.forward_or_emit_toward(
-            toward,
-            MoveMsg::AbortMove {
-                m,
-                client,
-                source,
-                target,
-                toward,
-            },
-        )
+        self.abort_pass(m, client, source, target, toward)
     }
 
     // ----- timers --------------------------------------------------------
@@ -1722,302 +1747,31 @@ impl MobileBroker {
     fn handle_timer_apply(&mut self, token: TimerToken) -> Vec<Output> {
         match token {
             TimerToken::Negotiate(m) => {
-                let Some(rec) = self.src_moves.get_mut(&m) else {
+                if self.source_state(m) != Some(SourceCoordState::Wait) {
                     return Vec::new(); // finished meanwhile
-                };
-                if rec.state != SourceCoordState::Wait {
-                    return Vec::new();
                 }
-                rec.state = SourceCoordState::Abort;
-                let client = rec.client;
-                let target = rec.target;
-                let source = self.id();
-                self.src_moves.remove(&m);
-                let mut out = self.resume_client(client);
-                out.push(Output::MoveFinished {
-                    m,
-                    client,
-                    committed: false,
-                });
+                // unwrap: state checked just above
+                let rec = self.src_moves.remove(&m).unwrap();
+                let (client, target) = (rec.client, rec.target);
+                let mut out = self.abort_source(m, rec);
                 // Sweep any partially installed reconfiguration.
-                out.extend(self.forward_or_emit_toward(
-                    target,
-                    MoveMsg::AbortMove {
-                        m,
-                        client,
-                        source,
-                        target,
-                        toward: target,
-                    },
-                ));
+                out.extend(self.abort_pass(m, client, self.id(), target, target));
                 out
             }
             TimerToken::State(m) => {
-                let Some(rec) = self.tgt_moves.get_mut(&m) else {
-                    return Vec::new();
-                };
-                if rec.state != TargetCoordState::Prepare {
+                if self.target_state(m) != Some(TargetCoordState::Prepare) {
                     return Vec::new();
                 }
-                rec.state = TargetCoordState::Abort;
-                let client = rec.client;
-                let source = rec.source;
-                let target = self.id();
+                let rec = &self.tgt_moves[&m];
+                let (client, source) = (rec.client, rec.source);
                 // Destroy the copy and sweep the path back to the
                 // source.
-                self.clients.remove(&client);
-                self.core.detach_client(client);
-                let mut outs = self.core.abort_move(m);
-                let mut out = Vec::new();
-                out.append(&mut self.absorb(std::mem::take(&mut outs)));
-                out.extend(self.forward_or_emit_toward(
-                    source,
-                    MoveMsg::AbortMove {
-                        m,
-                        client,
-                        source,
-                        target,
-                        toward: source,
-                    },
-                ));
+                let mut out = self.abort_target(m, client);
+                out.extend(self.abort_pass(m, client, source, self.id(), source));
                 out
             }
             TimerToken::Suspect(peer) => self.broker_death_apply(peer),
         }
-    }
-
-    // ----- covering (traditional) protocol -------------------------------
-
-    fn on_cov_request(
-        &mut self,
-        m: MoveId,
-        client: ClientId,
-        source: BrokerId,
-        target: BrokerId,
-    ) -> Vec<Output> {
-        debug_assert_eq!(target, self.id());
-        if !self.config.accept_moves {
-            return self.forward_or_emit_toward(source, MoveMsg::Reject { m, source, target });
-        }
-        if self.tgt_moves.contains_key(&m) {
-            // Duplicate request: re-running the accept would re-arm the
-            // state timer and re-send the accept for a transaction that
-            // may have progressed past Prepare.
-            self.anomalies += 1;
-            return Vec::new();
-        }
-        self.tgt_moves.insert(
-            m,
-            TargetMoveRecord {
-                client,
-                source,
-                state: TargetCoordState::Prepare,
-                protocol: ProtocolKind::Covering,
-            },
-        );
-        let mut out = self.forward_or_emit_toward(source, MoveMsg::CovAccept { m, source, target });
-        if let Some(delay_ns) = self.config.state_timeout_ns {
-            out.push(Output::SetTimer {
-                token: TimerToken::State(m),
-                delay_ns,
-            });
-        }
-        out
-    }
-
-    fn on_cov_accept(&mut self, m: MoveId) -> Vec<Output> {
-        let (client, target) = match self.src_moves.get_mut(&m) {
-            Some(rec) if rec.state == SourceCoordState::Wait => {
-                rec.state = SourceCoordState::Prepare;
-                (rec.client, rec.target)
-            }
-            _ => {
-                self.anomalies += 1;
-                return Vec::new();
-            }
-        };
-        let source = self.id();
-        let mut out = vec![Output::CancelTimer {
-            token: TimerToken::Negotiate(m),
-        }];
-        // unwrap: the moving client is hosted here until cleanup
-        let stub = self.clients.get_mut(&client).unwrap();
-        stub.set_state(ClientState::PrepareStop);
-        let profile = stub.profile();
-        let snapshot = stub.take_snapshot();
-        if !self.config.make_before_break {
-            // Traditional order: retract everything at the source
-            // first. The covering optimization now quenches or
-            // cascades as the workload dictates.
-            let mut outs: Vec<BrokerOutput> = Vec::new();
-            for s in &profile.subs {
-                outs.extend(
-                    self.core
-                        .handle(Hop::Client(client), PubSubMsg::Unsubscribe(s.id)),
-                );
-            }
-            for a in &profile.advs {
-                outs.extend(
-                    self.core
-                        .handle(Hop::Client(client), PubSubMsg::Unadvertise(a.id)),
-                );
-            }
-            out.extend(self.absorb(outs));
-        }
-        out.extend(self.forward_or_emit_toward(
-            target,
-            MoveMsg::CovTransfer {
-                m,
-                client,
-                source,
-                target,
-                profile,
-                snapshot,
-            },
-        ));
-        out
-    }
-
-    fn on_cov_transfer(
-        &mut self,
-        m: MoveId,
-        client: ClientId,
-        source: BrokerId,
-        target: BrokerId,
-        profile: ClientProfile,
-        snapshot: ClientSnapshot,
-    ) -> Vec<Output> {
-        match self.tgt_moves.get(&m).map(|r| r.state) {
-            Some(TargetCoordState::Prepare) => {}
-            Some(TargetCoordState::Commit) => {
-                // Late flush: the client already runs here; surface the
-                // remaining buffered notifications (dedup applies) and
-                // execute commands that straggled in at the source.
-                let mut out = Vec::new();
-                if self.clients.contains_key(&client) {
-                    for p in snapshot.buffered {
-                        // unwrap: presence checked just above and
-                        // client_op below never removes the stub
-                        let stub = self.clients.get_mut(&client).unwrap();
-                        if stub.deliver(&p) == DeliverOutcome::Surfaced {
-                            out.push(Output::DeliverToApp {
-                                client,
-                                publication: p,
-                            });
-                        }
-                    }
-                    for op in snapshot.queued_ops {
-                        out.extend(self.client_op(client, op));
-                    }
-                }
-                return out;
-            }
-            _ => {
-                self.anomalies += 1;
-                return Vec::new();
-            }
-        }
-        let mut copy = HostedClient::created_from_profile(client, &profile);
-        copy.merge_snapshot(snapshot);
-        self.clients.insert(client, copy);
-        self.core.attach_client(client);
-        // Reissue the profile at the target: normal propagation, with
-        // whatever covering behaviour the broker network is configured
-        // for.
-        let mut outs: Vec<BrokerOutput> = Vec::new();
-        for s in &profile.subs {
-            outs.extend(
-                self.core
-                    .handle(Hop::Client(client), PubSubMsg::Subscribe(s.clone())),
-            );
-        }
-        for a in &profile.advs {
-            outs.extend(
-                self.core
-                    .handle(Hop::Client(client), PubSubMsg::Advertise(a.clone())),
-            );
-        }
-        let mut out = self.absorb(outs);
-        // unwrap: the copy was inserted above
-        let stub = self.clients.get_mut(&client).unwrap();
-        stub.set_state(ClientState::Started);
-        for p in stub.flush_buffered() {
-            out.push(Output::DeliverToApp {
-                client,
-                publication: p,
-            });
-        }
-        let ops = stub.drain_ops();
-        for op in ops {
-            out.extend(self.client_op(client, op));
-        }
-        // unwrap: record presence checked above
-        self.tgt_moves.get_mut(&m).unwrap().state = TargetCoordState::Commit;
-        out.push(Output::CancelTimer {
-            token: TimerToken::State(m),
-        });
-        out.push(Output::ClientArrived { m, client });
-        out.extend(self.forward_or_emit_toward(source, MoveMsg::CovDone { m, source, target }));
-        out
-    }
-
-    fn on_cov_done(&mut self, m: MoveId) -> Vec<Output> {
-        let Some(rec) = self.src_moves.remove(&m) else {
-            self.anomalies += 1;
-            return Vec::new();
-        };
-        let client = rec.client;
-        let mut out = Vec::new();
-        if self.config.make_before_break {
-            // Retract the profile only now that the target runs, and
-            // ship any notifications buffered here in the meantime.
-            let profile = self
-                .clients
-                .get(&client)
-                .map(HostedClient::profile)
-                .unwrap_or_default();
-            let mut outs: Vec<BrokerOutput> = Vec::new();
-            for s in &profile.subs {
-                outs.extend(
-                    self.core
-                        .handle(Hop::Client(client), PubSubMsg::Unsubscribe(s.id)),
-                );
-            }
-            for a in &profile.advs {
-                outs.extend(
-                    self.core
-                        .handle(Hop::Client(client), PubSubMsg::Unadvertise(a.id)),
-                );
-            }
-            out.extend(self.absorb(outs));
-        }
-        // Flush anything that straggled in after the snapshot
-        // (commands from a slow application; buffered notifications in
-        // the make-before-break variant).
-        if let Some(stub) = self.clients.get_mut(&client) {
-            let late = stub.take_snapshot();
-            if !late.buffered.is_empty() || !late.queued_ops.is_empty() {
-                out.extend(self.forward_or_emit_toward(
-                    rec.target,
-                    MoveMsg::CovTransfer {
-                        m,
-                        client,
-                        source: self.id(),
-                        target: rec.target,
-                        profile: ClientProfile::default(),
-                        snapshot: late,
-                    },
-                ));
-            }
-        }
-        self.clients.remove(&client);
-        self.core.detach_client(client);
-        out.push(Output::MoveFinished {
-            m,
-            client,
-            committed: true,
-        });
-        out
     }
 }
 

@@ -15,7 +15,9 @@ use std::sync::OnceLock;
 use transmob_broker::Topology;
 use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
-use transmob_sim::{explore, CrashKind, Exploration, NetworkModel, Sim};
+use transmob_sim::{
+    explore, CrashKind, Exploration, LinkModel, NetworkModel, NodeModel, Sim, SimDuration,
+};
 
 const PUBLISHER: ClientId = ClientId(1);
 const MOVER: ClientId = ClientId(2);
@@ -52,27 +54,38 @@ fn scenario(protocol: ProtocolKind, mode: Mode, accept: bool) -> impl Fn() -> Si
             Mode::Blocking => config.blocking(),
             Mode::Timeouts | Mode::Faults => config,
         };
-        let mut sim = Sim::builder()
-            .overlay(Topology::chain(3))
-            .options(config)
-            .network(NetworkModel::instant())
-            .start();
-        let band = Filter::builder().ge("x", 0).le("x", 100).build();
-        sim.create_client(TARGET, PUBLISHER);
-        sim.create_client(SOURCE, MOVER);
-        sim.client_op(PUBLISHER, ClientOp::Advertise(band.clone()));
-        sim.client_op(MOVER, ClientOp::Subscribe(band));
+        let mut sim = chain3(config, NetworkModel::instant());
         sim.broker_mut(TARGET).set_accept_moves(accept);
         let now = sim.now();
         sim.schedule_cmd(now, MOVER, ClientOp::MoveTo(TARGET, protocol));
         if mode == Mode::Faults {
             sim.enable_durability();
         } else {
-            let publish = ClientOp::Publish(Publication::new().with("x", 5));
-            sim.schedule_cmd(now, PUBLISHER, publish);
+            sim.schedule_cmd(now, PUBLISHER, publish());
         }
         sim
     }
+}
+
+/// Chain(3) on `network`: the publisher at B1 advertises, the mover at
+/// B3 subscribes, and nothing else is scheduled yet.
+fn chain3(config: MobileBrokerConfig, network: NetworkModel) -> Sim {
+    let mut sim = Sim::builder()
+        .overlay(Topology::chain(3))
+        .options(config)
+        .network(network)
+        .start();
+    let band = Filter::builder().ge("x", 0).le("x", 100).build();
+    sim.create_client(TARGET, PUBLISHER);
+    sim.create_client(SOURCE, MOVER);
+    sim.client_op(PUBLISHER, ClientOp::Advertise(band.clone()));
+    sim.client_op(MOVER, ClientOp::Subscribe(band));
+    sim
+}
+
+/// The one publication the failure-free and timeout modes schedule.
+fn publish() -> ClientOp {
+    ClientOp::Publish(Publication::new().with("x", 5))
 }
 
 fn root(protocol: ProtocolKind, mode: Mode, accept: bool) -> Exploration {
@@ -190,11 +203,21 @@ fn dot_export_mentions_all_labels() {
     assert!(dot.contains("\"wS,pT\" -> \"pS,pT\" [label=\"B2→B3 reconfigure\"]"));
 }
 
+/// The state counts of both roots together, pinned exactly: a change
+/// meant to keep the coordinator's behaviour keeps every one of them.
+fn states(protocol: ProtocolKind, mode: Mode) -> usize {
+    explored(protocol, mode).states
+}
+
 #[test]
 fn state_space_is_small_and_finite() {
-    // Measured: 86 states blocking and 589 with timeouts (both roots).
-    assert!(explored(ProtocolKind::Reconfig, Mode::Blocking).states <= 90);
-    assert!(explored(ProtocolKind::Reconfig, Mode::Timeouts).states <= 600);
+    for (protocol, blocking, timeouts) in [
+        (ProtocolKind::Reconfig, 86, 589),
+        (ProtocolKind::Covering, 89, 396),
+    ] {
+        assert_eq!(states(protocol, Mode::Blocking), blocking, "{protocol}");
+        assert_eq!(states(protocol, Mode::Timeouts), timeouts, "{protocol}");
+    }
 }
 
 #[test]
@@ -237,8 +260,8 @@ fn recovered_runs_can_still_commit() {
 
 #[test]
 fn recovery_graph_makes_progress_and_stays_finite() {
-    // Measured: 1 922 states (both roots).
-    assert!(explored(ProtocolKind::Reconfig, Mode::Faults).states <= 2_000);
+    assert_eq!(states(ProtocolKind::Reconfig, Mode::Faults), 1_922);
+    assert_eq!(states(ProtocolKind::Covering, Mode::Faults), 1_238);
 }
 
 #[test]
@@ -375,6 +398,74 @@ fn timeout_losses_are_a_state_timer_firing_behind_the_state_transfer() {
     assert_eq!(lost, pinned);
     let finals = ex.finals.len();
     assert_eq!((lost.len(), finals), (3, 10), "3 of the 10 finals lose");
+}
+
+/// One-way link delay of the timed runs below; nothing else costs
+/// time.
+const LINK_NS: u64 = 1_000_000;
+
+/// From `negotiate` reaching B1 to `state` reaching B1, the movement
+/// crosses four links: `reconfigure` B1→B2→B3, then `state` B3→B2→B1.
+const TRANSFER_NS: u64 = 4 * LINK_NS;
+
+/// The explored scenario, timed: C2 moves B3→B1 and C1 publishes with
+/// the move, over links of [`LINK_NS`], with B1's state timer at
+/// `state_timeout_ns`. Runs to quiescence.
+fn timed(state_timeout_ns: u64) -> Sim {
+    let link = LinkModel {
+        latency: SimDuration::from_nanos(LINK_NS),
+        serialize: SimDuration::ZERO,
+        jitter: 0.0,
+    };
+    let node = NodeModel {
+        process: SimDuration::ZERO,
+        per_entry: SimDuration::ZERO,
+        jitter: 0.0,
+    };
+    let config = MobileBrokerConfig {
+        state_timeout_ns: Some(state_timeout_ns),
+        ..MobileBrokerConfig::reconfig()
+    };
+    let mut sim = chain3(config, NetworkModel::uniform(link, node));
+    sim.enable_delivery_log();
+    let now = sim.now();
+    let to_b1 = ClientOp::MoveTo(TARGET, ProtocolKind::Reconfig);
+    sim.schedule_cmd(now, MOVER, to_b1);
+    sim.schedule_cmd(now, PUBLISHER, publish());
+    sim.run_to_quiescence();
+    sim
+}
+
+/// The outcome of each movement of a timed run.
+fn outcomes(sim: &Sim) -> Vec<Option<bool>> {
+    sim.metrics.moves.values().map(|r| r.committed).collect()
+}
+
+#[test]
+fn a_state_timeout_above_the_transfer_time_commits_and_delivers_once() {
+    // The bounded-delay side of DESIGN.md §9: the state reaches B1 long
+    // before its timer could fire.
+    let sim = timed(10 * TRANSFER_NS);
+    assert_eq!(outcomes(&sim), [Some(true)]);
+    assert_eq!(sim.find_client(MOVER), Some(TARGET));
+    assert_eq!(sim.metrics.deliveries_to(MOVER).len(), 1);
+    assert_eq!(sim.total_anomalies(), 0);
+}
+
+#[test]
+fn a_state_timeout_below_the_transfer_time_loses_the_publication() {
+    // The losses the explorer pins
+    // (`timeout_losses_are_a_state_timer_firing_behind_the_state_transfer`),
+    // on a clock. B1's timer fires while the state, which carries the
+    // publication C2 buffered at B3, is on B3→B2. B1 destroys its copy
+    // and aborts; the late state is answered with a second abort pass,
+    // and C2 resumes at B3 without the publication: the source's
+    // buffer went out with the state.
+    let sim = timed(TRANSFER_NS * 5 / 8);
+    assert_eq!(outcomes(&sim), [Some(false)]);
+    assert_eq!(sim.find_client(MOVER), Some(SOURCE));
+    assert_eq!(sim.metrics.deliveries_to(MOVER), []);
+    assert_eq!(sim.total_anomalies(), 1, "the late state at B1");
 }
 
 #[test]

@@ -15,6 +15,9 @@
 //! kept their constants, as they must under any change that keeps the
 //! `(time, seq)` order of the events that do run.
 
+use std::collections::BTreeMap;
+
+use transmob_core::properties::NetworkView;
 use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Publication};
 use transmob_sim::{MovementPlan, NetworkModel, Sim, SimDuration, SimTime};
@@ -28,7 +31,8 @@ type Trace = (SimTime, u64, u64, u64, u64);
 /// `default_14()`, a publisher at B6 publishing ten times a second,
 /// 40 `Covered` subscribers ping-ponging 1↔13 and 2↔14 with a
 /// two-second pause for 20 virtual seconds, `cluster()` timing, seed 1.
-fn ping_pong(protocol: ProtocolKind) -> Trace {
+/// Runs to quiescence.
+fn ping_pong(protocol: ProtocolKind) -> Sim {
     let config = match protocol {
         ProtocolKind::Reconfig => MobileBrokerConfig::reconfig(),
         ProtocolKind::Covering => MobileBrokerConfig::covering(),
@@ -78,6 +82,10 @@ fn ping_pong(protocol: ProtocolKind) -> Trace {
     sim.run_until(t0 + span);
     sim.run_to_quiescence();
     assert_eq!(sim.total_anomalies(), 0);
+    sim
+}
+
+fn trace(sim: &Sim) -> Trace {
     (
         sim.now(),
         sim.events_processed(),
@@ -90,7 +98,7 @@ fn ping_pong(protocol: ProtocolKind) -> Trace {
 #[test]
 fn reconfig_ping_pong_trace_is_pinned() {
     assert_eq!(
-        ping_pong(ProtocolKind::Reconfig),
+        trace(&ping_pong(ProtocolKind::Reconfig)),
         (
             SimTime(21_078_153_879),
             19_968,
@@ -104,7 +112,7 @@ fn reconfig_ping_pong_trace_is_pinned() {
 #[test]
 fn covering_ping_pong_trace_is_pinned() {
     assert_eq!(
-        ping_pong(ProtocolKind::Covering),
+        trace(&ping_pong(ProtocolKind::Covering)),
         (
             SimTime(21_076_699_474),
             20_948,
@@ -113,4 +121,33 @@ fn covering_ping_pong_trace_is_pinned() {
             4628279638482997053
         )
     );
+}
+
+/// The honest negative: a target never retires its record. Nothing
+/// removes a target record in Commit or Abort unless its source dies,
+/// so at the end of the ping-pong every broker holds one record per
+/// movement it was ever the target of, while every source and path
+/// record is gone. Retiring them needs a protocol rule first: the
+/// duplicate-`StateTransfer` and late-`CovTransfer` arms read a
+/// committed target's record (ROADMAP open items).
+#[test]
+fn target_records_are_never_retired() {
+    for (protocol, movements) in [(ProtocolKind::Reconfig, 398), (ProtocolKind::Covering, 399)] {
+        let sim = ping_pong(protocol);
+        let mut targeted: BTreeMap<BrokerId, usize> = BTreeMap::new();
+        for rec in sim.metrics.moves.values() {
+            *targeted.entry(rec.target).or_default() += 1;
+        }
+        let mut kept: BTreeMap<BrokerId, usize> = BTreeMap::new();
+        for id in sim.view_broker_ids() {
+            let moves = sim.broker(id).snapshot().moves;
+            assert!(moves.src.is_empty(), "{protocol}: source record at {id}");
+            assert!(moves.path.is_empty(), "{protocol}: path record at {id}");
+            if !moves.tgt.is_empty() {
+                kept.insert(id, moves.tgt.len());
+            }
+        }
+        assert_eq!(kept, targeted, "{protocol}");
+        assert_eq!(kept.values().sum::<usize>(), movements, "{protocol}");
+    }
 }

@@ -10,8 +10,8 @@
 #   2. chaos smoke — seeded fault schedules per protocol (recovery
 #      tier: crash/restart link faults; churn tier: permanent broker
 #      deaths + overlay self-repair, DESIGN.md §14; cyclic tier: the
-#      same churn contract on a ring overlay with multi-path
-#      forwarding, DESIGN.md §15); scales via CHAOS_CASES
+#      same churn contract, through the same harness, on a ring overlay
+#      with multi-path forwarding, DESIGN.md §15); scales via CHAOS_CASES
 #      (e.g. CHAOS_CASES=5000); plus the schedule explorer on chain(4)
 #      under one crash, and the TCP churn test 20 times over; skipped
 #      under CI_FAST=1
