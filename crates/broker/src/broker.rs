@@ -363,7 +363,8 @@ struct PendingMeta {
     /// Neighbour to add to `sent_to` at commit (the old subscriber /
     /// publisher direction, over which later retractions travel).
     commit_sent_add: Option<BrokerId>,
-    /// The entry did not exist before the transaction installed it.
+    /// The entry did not exist before the transaction installed it, or
+    /// lost its active route while the transaction was pending.
     created: bool,
 }
 
@@ -789,8 +790,28 @@ impl BrokerCore {
                 return Vec::new();
             }
         }
-        // unwrap: presence checked above
-        let entry = self.prt.remove(id).unwrap();
+        if let Some(p) = &entry.pending {
+            // The subscriber is moving and the row already holds its
+            // post-commit route: the retraction withdraws only the
+            // route the commit replaces. The row now stands on the
+            // movement alone, as if the movement had created it: a
+            // commit keeps it, an abort removes it (and retracts it
+            // downstream, as this retraction would have).
+            let key = (p.move_id, PendingEntry::Sub(id));
+            if let Some(meta) = self.pending_meta.get_mut(&key) {
+                meta.created = true;
+            }
+            return Vec::new();
+        }
+        self.remove_sub_row(id)
+    }
+
+    /// Removes subscription `id`'s row, retracts it on every link it
+    /// was forwarded over, and releases what it quenched there.
+    fn remove_sub_row(&mut self, id: SubId) -> Vec<BrokerOutput> {
+        let Some(entry) = self.prt.remove(id) else {
+            return Vec::new();
+        };
         self.drop_pending(PendingEntry::Sub(id), &entry.pending);
         let mut out = Vec::new();
         for n in &entry.sent_to {
@@ -1627,8 +1648,10 @@ impl BrokerCore {
 
     /// Rolls back every pending configuration installed under
     /// `move_id`: shadow configurations are dropped and entries created
-    /// by the transaction are removed.
-    pub fn abort_move(&mut self, move_id: MoveId) {
+    /// by the transaction are removed, a subscription's retracted on
+    /// the links it was forwarded over (returned).
+    pub fn abort_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
+        let mut out = Vec::new();
         for (entry, meta) in self.take_pending(move_id) {
             match (entry, meta.created) {
                 (PendingEntry::Adv(id), true) => {
@@ -1639,13 +1662,12 @@ impl BrokerCore {
                         entry.pending = None;
                     }
                 }
-                (PendingEntry::Sub(id), true) => {
-                    self.prt.remove(id);
-                }
+                (PendingEntry::Sub(id), true) => out.extend(self.remove_sub_row(id)),
                 (PendingEntry::Sub(id), false) => {
                     self.prt.update(id, |entry| entry.pending = None);
                 }
             }
         }
+        out
     }
 }

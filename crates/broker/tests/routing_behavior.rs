@@ -698,3 +698,49 @@ fn publication_fanout_order_over_active_pending_and_alternate_hops() {
     want.extend(fanout(&[1, 2, 3, 6], &[50, 51, 52], &p6));
     assert_eq!(core.handle_batch(Hop::Broker(b(4)), batch), want);
 }
+
+/// A retraction from a moving subscription's old direction withdraws
+/// only the route the commit replaces: the row keeps its pending route
+/// and commits on it, or, if the movement aborts, goes and is retracted
+/// on the links it was forwarded over (a race two crossing movements
+/// produce on real threads).
+#[test]
+fn retraction_during_a_subscription_move_spares_the_pending_route() {
+    for commit in [true, false] {
+        let mut core = BrokerCore::new(b(2), [b(1), b(3)], BrokerConfig::plain());
+        core.handle(
+            Hop::Broker(b(1)),
+            PubSubMsg::Advertise(adv(1, 0, range(0, 100))),
+        );
+        let s = sub(2, 0, range(0, 100));
+        let forwarded = core.handle(Hop::Broker(b(3)), PubSubMsg::Subscribe(s.clone()));
+        assert_eq!(
+            forwarded,
+            [BrokerOutput::ToBroker(
+                b(1),
+                PubSubMsg::Subscribe(s.clone())
+            )]
+        );
+        // The subscriber moves from B3's side to B1's; B3 retracts the
+        // old route before the commit reaches B2.
+        let m = MoveId(9);
+        core.install_pending_sub(&s, m, Hop::Broker(b(1)), Some(b(3)));
+        assert!(core
+            .handle(Hop::Broker(b(3)), PubSubMsg::Unsubscribe(s.id))
+            .is_empty());
+        if commit {
+            core.commit_move(m);
+            assert_eq!(
+                core.prt().get(s.id).map(|e| e.lasthop),
+                Some(Hop::Broker(b(1)))
+            );
+        } else {
+            let retracted = core.abort_move(m);
+            assert!(core.prt().get(s.id).is_none());
+            assert_eq!(
+                retracted,
+                [BrokerOutput::ToBroker(b(1), PubSubMsg::Unsubscribe(s.id))]
+            );
+        }
+    }
+}

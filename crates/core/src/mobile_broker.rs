@@ -1279,17 +1279,22 @@ impl MobileBroker {
     /// state: starts the copy (buffered notifications surface, queued
     /// commands run), disarms the state timer and answers the source.
     fn commit_target(&mut self, m: MoveId, client: ClientId) -> Vec<Output> {
-        let mut out = self.resume_client(client);
         let target = self.id();
         // unwrap: callers checked the record is in Prepare
         let rec = self.tgt_moves.get_mut(&m).unwrap();
         rec.state = TargetCoordState::Commit;
         let done = rec.done(m, target);
-        out.push(Output::CancelTimer {
-            token: TimerToken::State(m),
-        });
-        out.push(Output::ClientArrived { m, client });
+        let mut out = vec![
+            Output::CancelTimer {
+                token: TimerToken::State(m),
+            },
+            Output::ClientArrived { m, client },
+        ];
+        // The answer leaves before anything the resumed client does: a
+        // movement it queued back to the source then reaches the
+        // source behind the answer, after the old copy is gone.
         out.extend(self.forward_move(done));
+        out.extend(self.resume_client(client));
         out
     }
 
@@ -1448,8 +1453,7 @@ impl MobileBroker {
     /// Drops movement `m`'s shadow configurations here and prunes the
     /// subscriptions its fix-ups pulled onto a link.
     fn roll_back(&mut self, m: MoveId, fixups: Vec<(SubId, BrokerId)>) -> Vec<Output> {
-        self.core.abort_move(m);
-        let mut outs = Vec::new();
+        let mut outs = self.core.abort_move(m);
         for (sid, n) in fixups {
             outs.extend(self.core.prune_sub_link(sid, n));
         }

@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use transmob_broker::{Hop, Prt, Topology};
 use transmob_pubsub::{BrokerId, ClientId, PubId, Publication};
@@ -25,7 +26,8 @@ use crate::states::ClientState;
 
 /// Read-only access to a network of brokers, so the property checkers
 /// run over whatever hosts the [`MobileBroker`]s: `transmob_sim::Sim`
-/// implements it, from the crate above this one.
+/// implements it, from the crate above this one, and [`Frozen`] does
+/// for brokers copied out of running threads.
 pub trait NetworkView {
     /// The overlay topology.
     fn view_topology(&self) -> &Topology;
@@ -43,6 +45,31 @@ pub trait NetworkView {
         self.view_broker_ids()
             .into_iter()
             .find(|b| self.view_broker(*b).client(client).is_some())
+    }
+}
+
+/// Copies of a network's brokers, taken out of whatever runs them (the
+/// threaded runtimes' `brokers()`), with the overlay they were built
+/// on.
+#[derive(Debug, Clone)]
+pub struct Frozen {
+    /// The overlay topology.
+    pub topology: Arc<Topology>,
+    /// Every broker, by id.
+    pub brokers: BTreeMap<BrokerId, MobileBroker>,
+}
+
+impl NetworkView for Frozen {
+    fn view_topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    fn view_broker_ids(&self) -> Vec<BrokerId> {
+        self.brokers.keys().copied().collect()
+    }
+
+    fn view_broker(&self, id: BrokerId) -> &MobileBroker {
+        &self.brokers[&id]
     }
 }
 

@@ -3,15 +3,19 @@
 //! [`MobileBroker`] by value and its [`TimerTable`]. The channel runtime
 //! ([`crate::Network`]) and the TCP runtime ([`crate::tcp::TcpNetwork`])
 //! both run [`run`]; what differs between them — how a batch reaches a
-//! neighbour — sits behind [`Links`].
+//! neighbour — sits behind [`Links`]. Both handles read the network
+//! through the [`Hub`]: whether it has settled ([`Hub::quiesce`]) and
+//! what every broker holds ([`Hub::brokers`]).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
-use transmob_broker::Hop;
+use transmob_broker::{Hop, Topology};
+use transmob_core::properties::Frozen;
 use transmob_core::transport::{flush_outputs, TimerTable, Transport};
 use transmob_core::{ClientOp, Message, MobileBroker, Output, ProtocolKind, TimerToken};
 use transmob_pubsub::{BrokerId, ClientId, Filter, MoveId, Publication, PublicationMsg};
@@ -33,8 +37,46 @@ pub(crate) enum Input {
     Link(BrokerId, bool),
     FromClient(ClientId, ClientOp),
     CreateClient(ClientId),
+    /// Answer with a copy of the broker ([`Hub::brokers`]).
+    Inspect(Sender<MobileBroker>),
     Shutdown,
 }
+
+impl Input {
+    /// How many inputs this counts as for the barrier: a batch counts
+    /// its messages (a link may split a batch, or drop one message of
+    /// it), a shutdown nothing, anything else one.
+    fn weight(&self) -> u64 {
+        match self {
+            Input::FromBroker(_, msgs) => msgs.len() as u64,
+            Input::Shutdown => 0,
+            _ => 1,
+        }
+    }
+}
+
+/// One broker's side of the quiescence barrier ([`Hub::quiesce`]).
+#[derive(Debug, Default)]
+struct Tally {
+    /// Inputs for this broker, counted where they were made: by the
+    /// hub as it queues them, and by the loop that ships a batch here.
+    made: AtomicU64,
+    /// Inputs this broker's loop finished applying, or a link dropped
+    /// on their way here.
+    ended: AtomicU64,
+    /// Whether the loop held an armed protocol timer after its last
+    /// step.
+    armed: AtomicBool,
+}
+
+/// One broker's tally as the barrier read it: made, ended, armed.
+type Reading = (u64, u64, bool);
+
+/// How long the barrier waits between two readings that disagree.
+const POLL: Duration = Duration::from_micros(200);
+
+/// How long [`Hub::brokers`] waits for one broker's answer.
+const INSPECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 #[derive(Debug, Default)]
 struct Registry {
@@ -45,13 +87,14 @@ struct Registry {
 
 /// The client-facing side of a running network, shared by its handle,
 /// its clients and its broker loops: where each client lives, where its
-/// notifications and movement outcomes go, and each broker's input
-/// queue.
+/// notifications and movement outcomes go, each broker's input queue,
+/// and the barrier's count of what each queue was given and finished.
 #[derive(Debug)]
 pub(crate) struct Hub {
     registry: RwLock<Registry>,
     /// Locked because TCP's kill/restart swaps a broker's queue.
     inputs: RwLock<BTreeMap<BrokerId, Sender<Input>>>,
+    tallies: BTreeMap<BrokerId, Tally>,
 }
 
 impl Hub {
@@ -68,19 +111,87 @@ impl Hub {
         }
         let hub = Hub {
             registry: RwLock::new(Registry::default()),
+            tallies: inputs.keys().map(|&b| (b, Tally::default())).collect(),
             inputs: RwLock::new(inputs),
         };
         (Arc::new(hub), receivers)
     }
 
-    /// Queues `input` at `broker`. A send to a broker whose loop has
-    /// ended is dropped, like a frame to a dead process.
+    /// Counts `input` as made for `broker`, then queues it there.
     ///
     /// # Panics
     ///
     /// Panics if `broker` is not in the overlay.
     pub(crate) fn send(&self, broker: BrokerId, input: Input) {
-        let _ = self.inputs.read()[&broker].send(input);
+        self.made(broker, input.weight());
+        self.enqueue(broker, input);
+    }
+
+    /// Queues `input` at `broker` without counting it: its messages
+    /// were counted when a loop shipped them. A send to a broker whose
+    /// loop has ended is dropped, like a frame to a dead process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `broker` is not in the overlay.
+    pub(crate) fn enqueue(&self, broker: BrokerId, input: Input) {
+        if let Err(lost) = self.inputs.read()[&broker].send(input) {
+            self.discard(broker, lost.0.weight());
+        }
+    }
+
+    /// Counts `n` inputs made for `broker`, before its loop can see
+    /// them.
+    fn made(&self, broker: BrokerId, n: u64) {
+        self.tallies[&broker].made.fetch_add(n, Ordering::SeqCst);
+    }
+
+    /// Counts `n` inputs for `broker` as ended without reaching it: a
+    /// link dropped them.
+    pub(crate) fn discard(&self, broker: BrokerId, n: u64) {
+        self.tallies[&broker].ended.fetch_add(n, Ordering::SeqCst);
+    }
+
+    /// Waits up to `timeout` for the network to be quiescent, and
+    /// returns whether it was: every input made for a broker — a client
+    /// command, a link report, a shipped message — was applied or
+    /// dropped, and no loop holds an armed protocol timer. Heartbeats
+    /// are not inputs. The count is exact while no broker is killed: a
+    /// kill loses the inputs queued at the victim and the bytes in its
+    /// sockets uncounted, after which this may never return `true`.
+    pub(crate) fn quiesce(&self, timeout: Duration) -> bool {
+        settled(Instant::now() + timeout, || {
+            let load = |t: &Tally| {
+                let made = t.made.load(Ordering::SeqCst);
+                let ended = t.ended.load(Ordering::SeqCst);
+                (made, ended, t.armed.load(Ordering::SeqCst))
+            };
+            self.tallies.values().map(load).collect()
+        })
+    }
+
+    /// A copy of every broker, each taken by its own loop between two
+    /// inputs: one state of the network once [`Hub::quiesce`] returned
+    /// `true` and nothing was issued since.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a broker does not answer within ten seconds (a killed
+    /// one).
+    pub(crate) fn brokers(&self, topology: &Arc<Topology>) -> Frozen {
+        let copy = |&b: &BrokerId| {
+            let (tx, rx) = unbounded();
+            self.send(b, Input::Inspect(tx));
+            let answer = rx.recv_timeout(INSPECT_TIMEOUT);
+            (
+                b,
+                answer.unwrap_or_else(|_| panic!("broker {b} did not answer")),
+            )
+        };
+        Frozen {
+            topology: Arc::clone(topology),
+            brokers: self.tallies.keys().map(copy).collect(),
+        }
     }
 
     /// A clone of `broker`'s current input sender.
@@ -135,6 +246,34 @@ impl Hub {
             deliveries: drx,
             moves: mrx,
         }
+    }
+}
+
+/// The barrier's rule over successive readings of every broker's tally:
+/// quiescent once two consecutive readings are identical, every broker
+/// ended all that was made for it, and none holds an armed timer. The
+/// counters only grow and an input is made before its receiver can see
+/// it, so two identical readings mean nothing was made or ended between
+/// them and the second is one instant of the network (Mattern's
+/// four-counter termination detection). One reading is not enough: it
+/// may read a sender's tally before a send and the receiver's after
+/// the receipt.
+fn settled(deadline: Instant, mut read: impl FnMut() -> Vec<Reading>) -> bool {
+    let quiet = |r: &[Reading]| {
+        r.iter()
+            .all(|&(made, ended, armed)| made == ended && !armed)
+    };
+    let mut last = read();
+    loop {
+        let now = read();
+        if now == last && quiet(&now) {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(POLL);
+        last = now;
     }
 }
 
@@ -264,14 +403,21 @@ struct Step<'a, L> {
 }
 
 impl<L: Links> Step<'_, L> {
+    /// Ships one step's outputs, then records for the barrier whether a
+    /// timer is left armed.
     fn flush(&mut self, outs: Vec<Output>) {
         flush_outputs(self, outs);
         self.links.finish_step();
+        let armed = self.timers.keys().next().is_some();
+        self.hub.tallies[&self.id]
+            .armed
+            .store(armed, Ordering::SeqCst);
     }
 }
 
 impl<L: Links> Transport for Step<'_, L> {
     fn send_batch(&mut self, to: BrokerId, msgs: Vec<Message>) {
+        self.hub.made(to, msgs.len() as u64);
         self.links.ship(to, msgs);
     }
 
@@ -322,9 +468,10 @@ impl<L: Links> Transport for Step<'_, L> {
 ///
 /// Each round: fire the due timers, let the links tick, wait for the
 /// next input or the earlier of the two deadlines, apply the input,
-/// ship its outputs. One input at a time and per-sender FIFO on `rx`
-/// are all the movement protocols' consistency argument asks of a
-/// driver (DESIGN.md §2), which is why the broker is owned, not locked.
+/// ship its outputs, count it ended. One input at a time and
+/// per-sender FIFO on `rx` are all the movement protocols' consistency
+/// argument asks of a driver (DESIGN.md §2), which is why the broker is
+/// owned, not locked.
 pub(crate) fn run<L: Links>(
     mut broker: MobileBroker,
     initial_outs: Vec<Output>,
@@ -362,26 +509,29 @@ pub(crate) fn run<L: Links>(
                 Err(_) => return,
             },
         };
+        let weight = input.weight();
         let outs = match input {
             Input::Shutdown => return,
             Input::CreateClient(c) => {
                 broker.create_client(c);
-                continue;
+                Vec::new()
             }
-            Input::FromClient(c, op) => {
-                if broker.client(c).is_none() {
-                    // The client moved away while the command was in
-                    // flight; forward it to the current home (the
-                    // registry is updated before the source cleans up,
-                    // so re-resolution always progresses). A client
-                    // gone entirely has its command dropped.
-                    if let Some(home) = hub.home_of(c).filter(|h| *h != id) {
-                        hub.send(home, Input::FromClient(c, op));
-                    }
-                    continue;
+            Input::Inspect(reply) => {
+                let _ = reply.send(broker.clone());
+                Vec::new()
+            }
+            Input::FromClient(c, op) if broker.client(c).is_none() => {
+                // The client moved away while the command was in
+                // flight; forward it to the current home (the registry
+                // is updated before the source cleans up, so
+                // re-resolution always progresses). A client gone
+                // entirely has its command dropped.
+                if let Some(home) = hub.home_of(c).filter(|h| *h != id) {
+                    hub.send(home, Input::FromClient(c, op));
                 }
-                broker.client_op(c, op)
+                Vec::new()
             }
+            Input::FromClient(c, op) => broker.client_op(c, op),
             Input::Link(peer, up) => broker.handle_link(peer, up),
             Input::FromBroker(from, msgs) => {
                 for m in &msgs {
@@ -393,6 +543,7 @@ pub(crate) fn run<L: Links>(
             }
         };
         step.flush(outs);
+        hub.tallies[&id].ended.fetch_add(weight, Ordering::SeqCst);
     }
 }
 
@@ -630,5 +781,69 @@ mod tests {
             }
         }
         assert!(matches!(rx[&b(1)].try_recv(), Ok(Input::FromClient(..))));
+    }
+
+    /// The barrier over brokers whose links deliver nothing: not
+    /// quiescent while an input waits in a queue, while a shipped
+    /// message waits for its receiver, or while a protocol timer is
+    /// armed; quiescent once each has drained.
+    #[test]
+    fn quiesce_waits_for_queued_shipped_and_timed_work() {
+        let (hub, rx) = Hub::new(Topology::chain(2).brokers());
+        let idle = Duration::from_millis(5);
+        let run_b1 =
+            |config, inputs| run_inputs(&hub, &rx[&b(1)], b(1), Topology::chain(2), config, inputs);
+        hub.send(b(1), Input::CreateClient(c(1)));
+        assert!(!hub.quiesce(idle), "an input is queued");
+        run_b1(MobileBrokerConfig::reconfig(), Vec::new());
+        assert!(hub.quiesce(idle));
+
+        let advertise = Input::FromClient(c(1), ClientOp::Advertise(range(0, 9)));
+        let links = run_b1(
+            MobileBrokerConfig::reconfig(),
+            vec![Input::CreateClient(c(1)), advertise],
+        );
+        assert!(!hub.quiesce(idle), "a shipped message is not yet applied");
+        for (to, m) in links.shipped() {
+            hub.enqueue(to, Input::FromBroker(b(1), vec![m.clone()]));
+        }
+        let b2 = &rx[&b(2)];
+        run_inputs(
+            &hub,
+            b2,
+            b(2),
+            Topology::chain(2),
+            MobileBrokerConfig::reconfig(),
+            Vec::new(),
+        );
+        assert!(hub.quiesce(idle));
+
+        let config = MobileBrokerConfig {
+            suspect_after_ns: Some(3_600_000_000_000),
+            ..MobileBrokerConfig::reconfig()
+        };
+        run_b1(config.clone(), vec![Input::Link(b(2), false)]);
+        assert!(!hub.quiesce(idle), "a suspicion timer is armed");
+        run_b1(
+            config,
+            vec![Input::Link(b(2), false), Input::Link(b(2), true)],
+        );
+        assert!(hub.quiesce(idle));
+    }
+
+    /// One balanced reading is not quiescence: it may have read a
+    /// sender before a send and the receiver after the receipt. Only
+    /// two equal balanced readings in a row are.
+    #[test]
+    fn quiescence_takes_two_equal_readings() {
+        let balanced_then_busy = [
+            vec![(1, 1, false), (0, 0, false)],
+            vec![(1, 1, false), (1, 1, false)],
+            vec![(1, 2, false), (2, 1, false)],
+        ];
+        let mut readings = balanced_then_busy.into_iter().cycle();
+        assert!(!settled(Instant::now(), || readings.next().unwrap()));
+        let mut readings = std::iter::repeat(vec![(3, 3, false), (1, 1, false)]);
+        assert!(settled(Instant::now(), || readings.next().unwrap()));
     }
 }

@@ -26,7 +26,8 @@
 //! let subscriber = net.create_client(BrokerId(3), ClientId(2));
 //! publisher.advertise(Filter::builder().ge("x", 0).build());
 //! subscriber.subscribe(Filter::builder().ge("x", 0).build());
-//! std::thread::sleep(Duration::from_millis(50));
+//! // The barrier: both (un)subscriptions are in place on every broker.
+//! assert!(net.quiesce(Duration::from_secs(5)));
 //! publisher.publish(Publication::new().with("x", 7));
 //! let n = subscriber.recv_timeout(Duration::from_secs(2)).expect("delivery");
 //! assert_eq!(n.publisher, ClientId(1));
@@ -47,8 +48,10 @@ pub mod tcp;
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use transmob_broker::{OverlayBuilder, Topology};
+use transmob_core::properties::Frozen;
 use transmob_core::{Message, MobileBroker, MobileBrokerConfig};
 use transmob_pubsub::{BrokerId, ClientId};
 
@@ -120,6 +123,20 @@ impl Network {
         self.hub.home_of(client)
     }
 
+    /// Waits up to `timeout` for the network to settle: every command,
+    /// message and link report applied, no protocol timer armed.
+    /// Returns whether it did (DESIGN.md §12, "The barrier").
+    pub fn quiesce(&self, timeout: Duration) -> bool {
+        self.hub.quiesce(timeout)
+    }
+
+    /// A copy of every broker, for the property checkers of
+    /// [`transmob_core::properties`]; one state of the network when
+    /// taken right after [`Network::quiesce`] returned `true`.
+    pub fn brokers(&self) -> Frozen {
+        self.hub.brokers(&self.topology)
+    }
+
     /// Stops all broker threads and waits for them to finish.
     pub fn shutdown(mut self) {
         self.stop_threads();
@@ -148,7 +165,7 @@ struct ChannelLinks<'a> {
 
 impl Links for ChannelLinks<'_> {
     fn ship(&mut self, to: BrokerId, msgs: Vec<Message>) {
-        self.hub.send(to, Input::FromBroker(self.id, msgs));
+        self.hub.enqueue(to, Input::FromBroker(self.id, msgs));
     }
 }
 
@@ -193,9 +210,8 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-    use transmob_core::ProtocolKind;
-    use transmob_pubsub::{Filter, Publication};
+    use transmob_core::{properties, ProtocolKind};
+    use transmob_pubsub::{Filter, PubId, Publication};
 
     fn b(i: u32) -> BrokerId {
         BrokerId(i)
@@ -203,8 +219,97 @@ mod tests {
     fn c(i: u64) -> ClientId {
         ClientId(i)
     }
-    fn range(lo: i64, hi: i64) -> Filter {
-        Filter::builder().ge("x", lo).le("x", hi).build()
+    fn start(topology: Topology, config: MobileBrokerConfig) -> Network {
+        Network::builder().overlay(topology).options(config).start()
+    }
+
+    /// A publisher at B1 and a subscriber at `far`, in place once the
+    /// barrier says so; one publication, then one after each movement
+    /// of the subscriber, with a barrier after each (a covering move
+    /// loses what is in flight by design). Every movement must commit
+    /// and the subscriber must end with each publication exactly once.
+    /// Shared with the TCP runtime's tests.
+    pub(crate) fn move_and_deliver(
+        hub: &Arc<Hub>,
+        far: BrokerId,
+        moves: &[(BrokerId, ProtocolKind)],
+    ) {
+        let wait = Duration::from_secs(10);
+        let everything = || Filter::builder().ge("x", 0).le("x", 100).build();
+        let (p, s) = (hub.create_client(b(1), c(1)), hub.create_client(far, c(2)));
+        p.advertise(everything());
+        s.subscribe(everything());
+        assert!(hub.quiesce(wait));
+        p.publish(Publication::new().with("x", 0));
+        assert!(hub.quiesce(wait));
+        for (round, &(to, protocol)) in moves.iter().enumerate() {
+            assert!(s.move_to(to, protocol, wait), "move {round} must commit");
+            assert_eq!(hub.home_of(c(2)), Some(to));
+            p.publish(Publication::new().with("x", round as i64 + 1));
+            assert!(hub.quiesce(wait));
+        }
+        let ids: Vec<PubId> = s.drain().iter().map(|n| n.id).collect();
+        assert_eq!(ids.len(), moves.len() + 1, "lost notifications: {ids:?}");
+        properties::assert_exactly_once(ids).expect("no duplicates");
+    }
+
+    /// A publisher at B1 floods broker batches (`burst` publications,
+    /// then `pause`) while the subscriber, first at `far`, moves through
+    /// `dests` on the same broker loops. Every move must commit and,
+    /// once the barrier holds, the subscriber must have every flooded
+    /// publication exactly once; routing keeps following it afterwards.
+    /// Shared with the TCP runtime's tests.
+    pub(crate) fn flood_during_moves(
+        hub: &Arc<Hub>,
+        far: BrokerId,
+        dests: &[BrokerId],
+        burst: i64,
+        pause: Duration,
+    ) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let wait = Duration::from_secs(15);
+        let everything = || Filter::builder().ge("x", 0).build();
+        let (p, s) = (hub.create_client(b(1), c(1)), hub.create_client(far, c(2)));
+        p.advertise(everything());
+        s.subscribe(everything());
+        assert!(hub.quiesce(wait));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (started, first_burst) = std::sync::mpsc::channel();
+        let flood = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut x = 0i64;
+                while x < burst || !stop.load(Ordering::Relaxed) {
+                    p.publish(Publication::new().with("x", x));
+                    x += 1;
+                    if x % burst == 0 {
+                        let _ = started.send(());
+                        std::thread::sleep(pause);
+                    }
+                }
+                (p, x) // the publisher handle outlives the flood
+            })
+        };
+        first_burst.recv().expect("the flood starts");
+        for (round, &to) in dests.iter().enumerate() {
+            let committed = s.move_to(to, ProtocolKind::Reconfig, wait);
+            if !committed {
+                stop.store(true, Ordering::Relaxed);
+            }
+            assert!(
+                committed,
+                "move {round} must commit under the publish flood"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        let (p, published) = flood.join().expect("flood thread");
+        assert!(hub.quiesce(wait));
+        let ids: Vec<PubId> = s.drain().iter().map(|n| n.id).collect();
+        assert_eq!(ids.len() as i64, published, "lost notifications");
+        properties::assert_exactly_once(ids).expect("no duplicates");
+        p.publish(Publication::new().with("x", published));
+        assert!(hub.quiesce(wait));
+        assert_eq!(s.drain().len(), 1, "delivery after the contended moves");
     }
 
     /// A bare routing config converts: under active covering the
@@ -227,160 +332,59 @@ mod tests {
 
     #[test]
     fn end_to_end_delivery() {
-        let net = Network::builder()
-            .overlay(Topology::chain(4))
-            .options(MobileBrokerConfig::reconfig())
-            .start();
-        let p = net.create_client(b(1), c(1));
-        let s = net.create_client(b(4), c(2));
-        p.advertise(range(0, 100));
-        s.subscribe(range(0, 100));
-        std::thread::sleep(Duration::from_millis(50));
-        p.publish(Publication::new().with("x", 5));
-        let got = s.recv_timeout(Duration::from_secs(2)).expect("delivery");
-        assert_eq!(got.publisher, c(1));
-        net.shutdown();
+        let net = start(Topology::chain(4), MobileBrokerConfig::reconfig());
+        move_and_deliver(&net.hub, b(4), &[]);
     }
 
     #[test]
     fn reconfig_move_over_threads() {
-        let net = Network::builder()
-            .overlay(Topology::chain(5))
-            .options(MobileBrokerConfig::reconfig())
-            .start();
-        let p = net.create_client(b(1), c(1));
-        let s = net.create_client(b(5), c(2));
-        p.advertise(range(0, 100));
-        s.subscribe(range(0, 100));
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(s.move_to(b(2), ProtocolKind::Reconfig, Duration::from_secs(5)));
-        assert_eq!(net.home_of(c(2)), Some(b(2)));
-        p.publish(Publication::new().with("x", 5));
-        assert!(s.recv_timeout(Duration::from_secs(2)).is_some());
-        net.shutdown();
+        let net = start(Topology::chain(5), MobileBrokerConfig::reconfig());
+        move_and_deliver(&net.hub, b(5), &[(b(2), ProtocolKind::Reconfig)]);
     }
 
     #[test]
     fn covering_move_over_threads() {
-        let net = Network::builder()
-            .overlay(Topology::chain(5))
-            .options(MobileBrokerConfig::covering())
-            .start();
-        let p = net.create_client(b(1), c(1));
-        let s = net.create_client(b(5), c(2));
-        p.advertise(range(0, 100));
-        s.subscribe(range(0, 100));
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(s.move_to(b(3), ProtocolKind::Covering, Duration::from_secs(5)));
-        p.publish(Publication::new().with("x", 5));
-        assert!(s.recv_timeout(Duration::from_secs(2)).is_some());
-        net.shutdown();
+        let net = start(Topology::chain(5), MobileBrokerConfig::covering());
+        move_and_deliver(&net.hub, b(5), &[(b(3), ProtocolKind::Covering)]);
     }
 
     #[test]
     fn no_duplicates_across_repeated_moves() {
-        let net = Network::builder()
-            .overlay(Topology::chain(4))
-            .options(MobileBrokerConfig::reconfig())
-            .start();
-        let p = net.create_client(b(1), c(1));
-        let s = net.create_client(b(4), c(2));
-        p.advertise(range(0, 100));
-        s.subscribe(range(0, 100));
-        std::thread::sleep(Duration::from_millis(50));
-        let mut total = 0;
-        for round in 0..3 {
-            let dest = if round % 2 == 0 { b(1) } else { b(4) };
-            assert!(s.move_to(dest, ProtocolKind::Reconfig, Duration::from_secs(5)));
-            p.publish(Publication::new().with("x", round));
-            total += 1;
-        }
-        std::thread::sleep(Duration::from_millis(200));
-        let got = s.drain();
-        assert_eq!(got.len(), total);
-        let ids: std::collections::BTreeSet<_> = got.iter().map(|x| x.id).collect();
-        assert_eq!(ids.len(), total, "duplicate deliveries");
-        net.shutdown();
+        let net = start(Topology::chain(4), MobileBrokerConfig::reconfig());
+        let moves = [b(1), b(4), b(1)].map(|to| (to, ProtocolKind::Reconfig));
+        move_and_deliver(&net.hub, b(4), &moves);
     }
 
-    /// A publisher floods broker batches (`burst` publications, then
-    /// `pause`) while the subscriber's movement transactions commit on
-    /// the same broker loops. Every move must commit, deliveries must
-    /// stay duplicate-free, and routing must keep following the
-    /// subscriber afterwards. Shared with the TCP runtime's tests.
-    pub(crate) fn flood_during_moves(
-        p: Client,
-        s: &Client,
-        dests: &[BrokerId],
-        burst: i64,
-        pause: Duration,
-    ) {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flood = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut x = 0i64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    p.publish(Publication::new().with("x", x));
-                    x += 1;
-                    if x % burst == 0 {
-                        std::thread::sleep(pause);
-                    }
-                }
-                p // keep the publisher handle alive for the epilogue
-            })
-        };
-        for (round, dest) in dests.iter().enumerate() {
-            assert!(
-                s.move_to(*dest, ProtocolKind::Reconfig, Duration::from_secs(15)),
-                "move {round} must commit under the publish flood"
-            );
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let p = flood.join().expect("flood thread");
-        std::thread::sleep(Duration::from_millis(400));
-        let got = s.drain();
-        let ids: std::collections::BTreeSet<_> = got.iter().map(|x| x.id).collect();
+    /// The barrier waits a movement out: not quiescent right after it
+    /// is issued, quiescent once its outcome is queued and one copy of
+    /// the client runs.
+    #[test]
+    fn quiesce_waits_for_a_movement() {
+        let net = start(Topology::chain(6), MobileBrokerConfig::reconfig());
+        let s = net.create_client(b(6), c(1));
+        assert!(net.quiesce(Duration::from_secs(10)));
+        s.move_to_async(b(1), ProtocolKind::Reconfig);
+        assert!(!net.quiesce(Duration::ZERO));
+        assert!(net.quiesce(Duration::from_secs(10)));
+        let outcome = s.next_move_outcome(Duration::ZERO).expect("outcome queued");
+        assert!(outcome.committed);
+        properties::assert_single_instance(&net.brokers()).expect("one copy");
         assert_eq!(
-            ids.len(),
-            got.len(),
-            "duplicate deliveries under contention"
-        );
-        // Liveness epilogue: routing still follows the subscriber.
-        p.publish(Publication::new().with("x", 99_999));
-        assert!(
-            s.recv_timeout(Duration::from_secs(5)).is_some(),
-            "delivery after the contended move sequence"
+            net.brokers().brokers[&b(1)].client(c(1)).map(|_| ()),
+            Some(())
         );
     }
 
     #[test]
     fn publish_flood_during_moves_stays_consistent() {
-        let net = Network::builder()
-            .overlay(Topology::chain(4))
-            .options(MobileBrokerConfig::reconfig())
-            .start();
-        let p = net.create_client(b(1), c(1));
-        let s = net.create_client(b(4), c(2));
-        p.advertise(range(0, 100_000));
-        s.subscribe(range(0, 100_000));
-        std::thread::sleep(Duration::from_millis(50));
-        flood_during_moves(
-            p,
-            &s,
-            &[b(2), b(4), b(2), b(4)],
-            16,
-            Duration::from_millis(1),
-        );
-        net.shutdown();
+        let net = start(Topology::chain(4), MobileBrokerConfig::reconfig());
+        let dests = [b(2), b(4), b(2), b(4)];
+        flood_during_moves(&net.hub, b(4), &dests, 16, Duration::from_millis(1));
     }
 
     #[test]
     fn drop_shuts_down_threads() {
-        let net = Network::builder()
-            .overlay(Topology::chain(2))
-            .options(MobileBrokerConfig::reconfig())
-            .start();
+        let net = start(Topology::chain(2), MobileBrokerConfig::reconfig());
         let _cl = net.create_client(b(1), c(1));
         drop(net); // must not hang
     }

@@ -17,6 +17,10 @@ const B1: BrokerId = BrokerId(1);
 const B2: BrokerId = BrokerId(2);
 const B3: BrokerId = BrokerId(3);
 
+/// How long a barrier may take. The barrier stays exact across these
+/// kills: each one hits a broker with nothing queued for it.
+const SETTLE: Duration = Duration::from_secs(10);
+
 fn range(lo: i64, hi: i64) -> Filter {
     Filter::builder().ge("x", lo).le("x", hi).build()
 }
@@ -39,7 +43,7 @@ fn setup(
     let s = net.create_client(B3, MOVER);
     p.advertise(range(0, 100));
     s.subscribe(range(0, 100));
-    std::thread::sleep(Duration::from_millis(150));
+    assert!(net.quiesce(SETTLE));
     p.publish(Publication::new().with("x", 1));
     assert!(
         s.recv_timeout(Duration::from_secs(3)).is_some(),
@@ -78,9 +82,8 @@ fn inflight_move_commits_after_target_restart() {
 
     // The moved client receives the next publication exactly once.
     p.publish(Publication::new().with("x", 2));
-    assert!(s.recv_timeout(Duration::from_secs(3)).is_some());
-    std::thread::sleep(Duration::from_millis(150));
-    assert!(s.drain().is_empty(), "duplicate delivery after recovery");
+    assert!(net.quiesce(SETTLE));
+    assert_eq!(s.drain().len(), 1, "one delivery after recovery");
     net.shutdown();
 }
 
@@ -92,11 +95,7 @@ fn killed_source_recovers_hosted_client_from_wal() {
     let (net, p, s) = setup(MobileBrokerConfig::reconfig());
     net.kill_broker(B3);
     net.restart_broker(B3).expect("restart");
-    // Give the redial loops a moment to re-knit the overlay (pubs that
-    // race the reconnect just queue at B2 and flush, so this sleep is
-    // comfort, not correctness).
-    std::thread::sleep(Duration::from_millis(300));
-
+    // A publication racing the reconnect queues at B2 and flushes.
     p.publish(Publication::new().with("x", 3));
     assert!(
         s.recv_timeout(Duration::from_secs(5)).is_some(),
@@ -110,9 +109,8 @@ fn killed_source_recovers_hosted_client_from_wal() {
     );
     assert_eq!(net.home_of(MOVER), Some(B2));
     p.publish(Publication::new().with("x", 4));
-    assert!(s.recv_timeout(Duration::from_secs(3)).is_some());
-    std::thread::sleep(Duration::from_millis(150));
-    assert!(s.drain().is_empty(), "duplicate delivery after move");
+    assert!(net.quiesce(SETTLE));
+    assert_eq!(s.drain().len(), 1, "one delivery after the move");
     net.shutdown();
 }
 
@@ -151,7 +149,6 @@ fn killed_source_mid_movement_aborts_cleanly_after_restart() {
     assert_eq!(net.home_of(MOVER), Some(B3), "client resumed at source");
     // Bring the target machine back too; the overlay re-knits.
     net.restart_broker(B2).expect("restart target");
-    std::thread::sleep(Duration::from_millis(300));
     p.publish(Publication::new().with("x", 5));
     assert!(
         s.recv_timeout(Duration::from_secs(5)).is_some(),

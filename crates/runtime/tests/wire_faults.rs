@@ -7,9 +7,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use std::collections::BTreeSet;
 use transmob_broker::Topology;
-use transmob_core::{MobileBrokerConfig, ProtocolKind};
-use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
+
+use transmob_core::{properties, MobileBrokerConfig, ProtocolKind};
+use transmob_pubsub::{BrokerId, ClientId, Filter, PubId, Publication};
 use transmob_runtime::codec::WireMode;
 use transmob_runtime::tcp::{TcpClient, TcpNetwork, TcpOptions};
 
@@ -28,17 +30,15 @@ fn wait_until(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Publishes with a retry loop until the subscriber hears one — the
-/// subscription may still be propagating through a freshly healed
-/// overlay.
-fn assert_delivery(p: &TcpClient, s: &TcpClient, name: &str, val: i64) {
-    for _ in 0..15 {
-        p.publish(Publication::new().with(name, val));
-        if s.recv_timeout(Duration::from_millis(500)).is_some() {
-            return;
-        }
-    }
-    panic!("no delivery of {name}={val} after overlay healed");
+/// How long a barrier may take. The barrier stays exact across these
+/// kills: each one hits a broker with nothing queued for it.
+const SETTLE: Duration = Duration::from_secs(10);
+
+/// Publishes once and demands exactly one delivery.
+fn assert_delivery(net: &TcpNetwork, p: &TcpClient, s: &TcpClient, name: &str, val: i64) {
+    p.publish(Publication::new().with(name, val));
+    assert!(net.quiesce(SETTLE));
+    assert_eq!(s.drain().len(), 1, "one delivery of {name}={val}");
 }
 
 /// Satellite bugfix 3: a peer that sends a corrupt frame must not make
@@ -66,12 +66,8 @@ fn corrupt_frame_case(wire: WireMode) {
     let s = net.create_client(B2, ClientId(2));
     p.advertise(attr("x", 0, 100));
     s.subscribe(attr("x", 0, 100));
-    std::thread::sleep(Duration::from_millis(150));
-    p.publish(Publication::new().with("x", 1));
-    assert!(
-        s.recv_timeout(Duration::from_secs(3)).is_some(),
-        "baseline delivery"
-    );
+    assert!(net.quiesce(SETTLE));
+    assert_delivery(&net, &p, &s, "x", 1);
 
     // Take the real peer down, then pose as broker 2 on a fresh
     // connection and frame garbage at broker 1.
@@ -118,7 +114,7 @@ fn corrupt_frame_case(wire: WireMode) {
     wait_until("link heals after restart", Duration::from_secs(5), || {
         net.link_up(B1, B2) && net.link_up(B2, B1)
     });
-    assert_delivery(&p, &s, "x", 2);
+    assert_delivery(&net, &p, &s, "x", 2);
     net.shutdown();
 }
 
@@ -154,12 +150,8 @@ fn down_queue_case(wire: WireMode) {
     p.advertise(attr("x", 0, 1_000_000));
     s.subscribe(attr("x", 0, 1_000_000));
     a2.advertise(attr("y", 0, 100));
-    std::thread::sleep(Duration::from_millis(150));
-    p.publish(Publication::new().with("x", 1));
-    assert!(
-        s.recv_timeout(Duration::from_secs(3)).is_some(),
-        "baseline delivery"
-    );
+    assert!(net.quiesce(SETTLE));
+    assert_delivery(&net, &p, &s, "x", 1);
 
     net.kill_broker(B2);
     wait_until("B1 notices the outage", Duration::from_secs(3), || {
@@ -179,9 +171,13 @@ fn down_queue_case(wire: WireMode) {
     );
     // A subscription issued mid-outage rides the same queue as a
     // control frame; the mark must evict a publication, not this.
+    let dropped = || net.link_stats(B1, B2).expect("stats").dropped_publications;
+    let before = dropped();
     let s3 = net.create_client(B1, ClientId(4));
     s3.subscribe(attr("y", 0, 100));
-    std::thread::sleep(Duration::from_millis(100));
+    wait_until("the subscription queues", Duration::from_secs(3), || {
+        dropped() > before
+    });
 
     net.restart_broker(B2).expect("restart");
     wait_until("link heals after restart", Duration::from_secs(5), || {
@@ -189,7 +185,7 @@ fn down_queue_case(wire: WireMode) {
     });
     // The retained tail of the flood flushes to the recovered
     // subscriber — no more than the mark allowed to stay queued.
-    std::thread::sleep(Duration::from_millis(500));
+    assert!(net.quiesce(SETTLE));
     let retained = s.drain().len();
     assert!(
         retained >= 1,
@@ -201,7 +197,7 @@ fn down_queue_case(wire: WireMode) {
     );
     // The control frame survived the overflow: the mid-outage
     // subscription routes publications after the restart.
-    assert_delivery(&a2, &s3, "y", 7);
+    assert_delivery(&net, &a2, &s3, "y", 7);
     net.shutdown();
 }
 
@@ -211,7 +207,7 @@ fn down_queue_case(wire: WireMode) {
 /// an implementation detail, never semantics.
 #[test]
 fn binary_and_json_modes_agree_end_to_end() {
-    let run = |wire: WireMode| -> Vec<u64> {
+    let run = |wire: WireMode| -> BTreeSet<PubId> {
         let options = TcpOptions {
             wire,
             ..TcpOptions::default()
@@ -228,7 +224,7 @@ fn binary_and_json_modes_agree_end_to_end() {
         let s = net.create_client(BrokerId(3), ClientId(2));
         p.advertise(attr("x", 0, 100));
         s.subscribe(attr("x", 0, 100));
-        std::thread::sleep(Duration::from_millis(150));
+        assert!(net.quiesce(SETTLE));
         for i in 0..5 {
             p.publish(Publication::new().with("x", i));
         }
@@ -239,18 +235,11 @@ fn binary_and_json_modes_agree_end_to_end() {
         for i in 5..10 {
             p.publish(Publication::new().with("x", i));
         }
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.len() < 10 && std::time::Instant::now() < deadline {
-            if let Some(msg) = s.recv_timeout(Duration::from_millis(200)) {
-                got.push(msg.id.0);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(s.drain().is_empty(), "duplicate deliveries under {wire}");
+        assert!(net.quiesce(SETTLE));
+        let got: Vec<PubId> = s.drain().iter().map(|n| n.id).collect();
+        properties::assert_exactly_once(got.iter().copied()).expect("no duplicates");
         net.shutdown();
-        got.sort_unstable();
-        got
+        got.into_iter().collect::<BTreeSet<_>>()
     };
     let binary = run(WireMode::Binary);
     let json = run(WireMode::Json);

@@ -35,7 +35,7 @@ use rand::{Rng, SeedableRng};
 use transmob_broker::{Hop, OverlayBuilder, Topology};
 use transmob_core::transport::{flush_outputs, for_each_cause_run, TimerTable, Transport};
 use transmob_core::{
-    ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, Output,
+    ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, MoveMsg, Output,
     ProtocolKind, TimerToken,
 };
 use transmob_pubsub::fasthash::FastMap;
@@ -953,7 +953,10 @@ impl Sim {
                 }
                 self.crashed.remove(&broker);
                 match kind {
-                    CrashKind::StateLoss => self.recover_from_log(broker),
+                    CrashKind::StateLoss => {
+                        self.recover_from_log(broker);
+                        self.report_links_down(broker);
+                    }
                     // A timer that came due during the outage fires
                     // now, in arming order among the inputs replayed
                     // below: it keeps its sequence number, as they do.
@@ -1046,15 +1049,13 @@ impl Sim {
         };
         let outs = self.broker_mut(broker).client_op(client, op);
         if let Some(target) = target {
-            let started = outs.iter().find_map(|o| match o {
-                Output::Send {
-                    msg: Message::Move(mv),
-                    ..
-                } => Some(mv.move_id()),
+            // A movement that finishes on the spot sends no request;
+            // one that does is recorded where the request ships.
+            let finished = outs.iter().find_map(|o| match o {
                 Output::MoveFinished { m, .. } => Some(*m),
                 _ => None,
             });
-            if let Some(m) = started {
+            if let Some(m) = finished {
                 self.metrics
                     .move_started(m, client, broker, target, self.clock);
             }
@@ -1102,6 +1103,25 @@ impl Sim {
         self.dispatch(broker, None, timer_outs);
     }
 
+    /// Reports to a broker rebuilt from its log each of its links that
+    /// is down at this instant (the peer dead, or a partition holding
+    /// the link). Link reports are not logged, so without this the
+    /// rebuilt broker would forget a suspicion the lost one had armed.
+    fn report_links_down(&mut self, broker: BrokerId) {
+        let peers: Vec<BrokerId> = (self.brokers[&broker].topology())
+            .neighbors(broker)
+            .iter()
+            .copied()
+            .collect();
+        for peer in peers {
+            let held = (self.partitions.iter()).any(|p| p.covers(broker, peer, self.clock));
+            if self.dead.contains(&peer) || held {
+                let outs = self.broker_mut(broker).handle_link(peer, false);
+                self.dispatch(broker, None, outs);
+            }
+        }
+    }
+
     fn dispatch(&mut self, src: BrokerId, cause: Option<MoveId>, outs: Vec<Output>) {
         let mut flush = SimFlush {
             sim: self,
@@ -1129,6 +1149,20 @@ impl Sim {
         }
         let mut wire: Vec<Message> = Vec::with_capacity(msgs.len());
         for msg in msgs {
+            // A movement starts where its source ships the request,
+            // whether a command issued it or a client resumed at a new
+            // home runs one it had queued.
+            if let Message::Move(
+                mv @ (MoveMsg::Negotiate { client, source, .. }
+                | MoveMsg::CovRequest { client, source, .. }),
+            ) = &msg
+            {
+                if *source == src {
+                    let (m, target) = (mv.move_id(), mv.destination());
+                    self.metrics
+                        .move_started(m, *client, src, target, self.clock);
+                }
+            }
             self.metrics
                 .count_message(msg.kind(), msg.effective_cause(cause));
             if self.link_faults.drop_prob > 0.0
@@ -1263,15 +1297,13 @@ impl Transport for SimFlush<'_> {
                 committed,
             } => {
                 self.sim.metrics.move_finished(m, committed, self.sim.clock);
-                if committed {
-                    if let Some(rec) = self.sim.metrics.moves.get(&m) {
-                        let target = rec.target;
-                        self.sim.home.insert(client, target);
-                    }
-                }
                 self.sim.schedule_next_plan_move(client);
             }
-            Output::ClientArrived { .. } => {}
+            Output::ClientArrived { m: _, client } => {
+                // Commands issued from now on route to the new home, as
+                // on the threaded runtimes.
+                self.sim.home.insert(client, src);
+            }
             Output::Send { .. } | Output::DeliverToApp { .. } => {
                 unreachable!("flush_outputs routes batchable effects to the batch verbs")
             }

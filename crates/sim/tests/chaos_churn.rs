@@ -67,3 +67,37 @@ fn repair_restores_delivery_with_no_movement() {
 fn churn_runs_are_deterministic_per_seed() {
     assert_deterministic(Overlay::Chain, PATH);
 }
+
+/// A broker rebuilt from its log re-arms the suspicion its lost self
+/// had armed: chain(3), B3 dies, B2 hears of it and crashes with state
+/// loss before its suspicion fires; after the restart B2 must still
+/// declare B3 dead and repair around it.
+#[test]
+fn state_loss_restart_still_suspects_a_dead_neighbour() {
+    use transmob_broker::Topology;
+    use transmob_core::MobileBrokerConfig;
+    use transmob_pubsub::BrokerId;
+    use transmob_sim::{NetworkModel, Sim};
+
+    let (b2, b3) = (BrokerId(2), BrokerId(3));
+    let mut sim = Sim::builder()
+        .overlay(Topology::chain(3))
+        .options(MobileBrokerConfig {
+            suspect_after_ns: Some(50_000_000),
+            ..MobileBrokerConfig::reconfig()
+        })
+        .network(NetworkModel::cluster())
+        .start();
+    sim.enable_durability();
+    let ms = SimDuration::from_millis;
+    sim.kill_broker(sim.now(), b3);
+    sim.run_until(sim.now() + ms(10)); // B2's report arrived, suspicion armed
+    assert!(sim.armed_timers().iter().any(|&(b, _)| b == b2));
+    sim.crash_broker_lossy(b2, sim.now() + ms(10));
+    sim.run_to_quiescence();
+    assert!(
+        !sim.broker(b2).topology().contains(b3),
+        "the restarted B2 never repaired around the dead B3"
+    );
+    assert!(!sim.broker(BrokerId(1)).topology().contains(b3));
+}

@@ -62,7 +62,8 @@ fn main() {
                 .build(),
         );
     }
-    std::thread::sleep(Duration::from_millis(150));
+    // The barrier: every subscription is in place on every broker.
+    assert!(net.quiesce(Duration::from_secs(5)));
 
     let act = |who: u32, what: &str| {
         Publication::new()
@@ -79,10 +80,8 @@ fn main() {
     // Phase 1: players act, the manager reacts with world ticks.
     near.publish(act(1, "chop-tree"));
     far.publish(act(2, "light-fire"));
-    let mut actions_seen = 0;
-    while manager.recv_timeout(Duration::from_millis(500)).is_some() {
-        actions_seen += 1;
-    }
+    assert!(net.quiesce(Duration::from_secs(5)));
+    let actions_seen = manager.drain().len();
     println!("manager saw {actions_seen} player actions at B2");
     manager.publish(tick(1));
 
@@ -102,7 +101,7 @@ fn main() {
     manager.publish(tick(2));
 
     // Both players received every tick exactly once.
-    std::thread::sleep(Duration::from_millis(200));
+    assert!(net.quiesce(Duration::from_secs(5)));
     for (name, p) in [("near", &near), ("far", &far)] {
         let ticks = p.drain();
         let unique: std::collections::BTreeSet<_> = ticks.iter().map(|t| t.id).collect();

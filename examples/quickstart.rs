@@ -30,7 +30,8 @@ fn main() {
             .lt("price", 100)
             .build(),
     );
-    std::thread::sleep(Duration::from_millis(100)); // let routing settle
+    // The barrier: both routing entries are in place on every broker.
+    assert!(net.quiesce(Duration::from_secs(5)));
 
     publisher.publish(Publication::new().with("symbol", "IBM").with("price", 88));
     let quote = subscriber

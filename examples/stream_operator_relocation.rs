@@ -55,7 +55,7 @@ fn main() {
             .any("avg")
             .build(),
     );
-    std::thread::sleep(Duration::from_millis(100));
+    assert!(net.quiesce(Duration::from_secs(5)));
 
     let reading = |c: i64| {
         Publication::new()

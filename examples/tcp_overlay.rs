@@ -27,7 +27,8 @@ fn main() -> std::io::Result<()> {
     let subscriber = net.create_client(BrokerId(13), ClientId(2));
     publisher.advertise(Filter::builder().eq("feed", "alerts").any("sev").build());
     subscriber.subscribe(Filter::builder().eq("feed", "alerts").ge("sev", 3).build());
-    std::thread::sleep(Duration::from_millis(150));
+    // The barrier: the subscription is in place on every broker.
+    assert!(net.quiesce(Duration::from_secs(5)));
 
     publisher.publish(Publication::new().with("feed", "alerts").with("sev", 5));
     let alert = subscriber

@@ -6,15 +6,17 @@
 #
 #   1. formatting + lints + rustdoc links (-D warnings) + full
 #      workspace tests (hard failures; the vendored offline stubs under
-#      vendor/ are workspace-excluded)
+#      vendor/ are workspace-excluded) + one run of each threaded
+#      example (they assert their own outcomes)
 #   2. chaos smoke — seeded fault schedules per protocol (recovery
 #      tier: crash/restart link faults; churn tier: permanent broker
 #      deaths + overlay self-repair, DESIGN.md §14; cyclic tier: the
 #      same churn contract, through the same harness, on a ring overlay
 #      with multi-path forwarding, DESIGN.md §15); scales via CHAOS_CASES
-#      (e.g. CHAOS_CASES=5000); plus the schedule explorer on chain(4)
-#      under one crash, and the TCP churn test 20 times over; skipped
-#      under CI_FAST=1
+#      (e.g. CHAOS_CASES=5000); plus the scenario-script suite on all
+#      four drivers at the same case count, the schedule explorer on
+#      chain(4) under one crash, and the TCP churn test 20 times over;
+#      skipped under CI_FAST=1
 #   3. bench smoke — every criterion bench, one iteration each
 #      (CRITERION_QUICK, see vendor/criterion), so bench code cannot
 #      silently rot between perf PRs; captured once and reused by the
@@ -45,6 +47,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
     -p transmob -p transmob-pubsub -p transmob-broker -p transmob-core \
     -p transmob-sim -p transmob-runtime -p transmob-workloads -p transmob-bench
 cargo test --workspace -q
+for example in quickstart tcp_overlay stream_operator_relocation game_world_migration; do
+    cargo run -q --example "$example" > /dev/null
+done
 
 # ---- tier 2: chaos smoke ----------------------------------------------
 if [[ "${CI_FAST:-0}" == "1" ]]; then
@@ -56,6 +61,8 @@ else
         cargo test -p transmob-sim --test chaos_churn -q
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-sim --test chaos_cyclic -q
+    CHAOS_CASES="${CHAOS_CASES:-32}" \
+        cargo test -p transmob-runtime --test scripts -q
     # The schedule explorer's wider alphabet (chain(4), one crash).
     cargo test -p transmob-sim --test explore -q -- --ignored
     # The wall-clock churn test over real sockets, repeated: a detector
