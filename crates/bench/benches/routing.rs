@@ -220,7 +220,7 @@ fn bench_srt_overlap(c: &mut Criterion) {
 
 /// The containment queries behind the release cascade: enumerating
 /// the candidates a withdrawn root had quenched (`covered_by`, the
-/// `release_quenched_subs` hot path) and the quench check for a fresh
+/// `release_quenched` hot path) and the quench check for a fresh
 /// subscription (`covering`), through the dual-endpoint containment
 /// index.
 fn bench_covering_release(c: &mut Criterion) {

@@ -54,7 +54,7 @@ use transmob_pubsub::{
 };
 
 use crate::messages::{BrokerOutput, Hop, MsgKind, PubSubMsg};
-use crate::routing::{Destinations, PendingRoute, Prt, Srt};
+use crate::routing::{Destinations, Entry, PendingRoute, Prt, Routed, Srt, Table};
 
 /// How aggressively a broker applies the covering optimization to
 /// subscription (or advertisement) propagation.
@@ -433,12 +433,13 @@ impl BrokerCore {
         moves
     }
 
-    /// Asserts the derived state against the rows: the PRT's own
-    /// invariants ([`Prt::check_invariants`]), and the per-move pending
-    /// index naming exactly the rows whose `pending` is set, under the
-    /// movement that set it. Test support.
+    /// Asserts the derived state against the rows: each table's own
+    /// invariants ([`Table::check_invariants`]), and the per-move
+    /// pending index naming exactly the rows whose `pending` is set,
+    /// under the movement that set it. Test support.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        self.srt.check_invariants();
         self.prt.check_invariants();
         let advs = self.srt.iter().filter_map(|(id, e)| {
             let p = e.pending.as_ref()?;
@@ -491,13 +492,13 @@ impl BrokerCore {
     /// mutate routing state, so a run of them commutes with nothing in
     /// between), but maximal runs of consecutive publications are
     /// resolved to their destinations through one batch call
-    /// ([`Prt::destinations_batch`]).
+    /// ([`Table::destinations_batch`]).
     pub fn handle_batch(&mut self, from: Hop, msgs: Vec<PubSubMsg>) -> Vec<BrokerOutput> {
         self.handle_batch_prematched(from, msgs, None)
     }
 
     /// The routing-state version stamp guarding pre-computed routes
-    /// (see [`Prt::routing_version`]).
+    /// (see [`Table::routing_version`]).
     pub fn routing_version(&self) -> u64 {
         self.prt.routing_version()
     }
@@ -539,12 +540,14 @@ impl BrokerCore {
                 other => {
                     self.flush_publish_run(from, &mut run, &mut pre, &mut batch);
                     batch.extend(match other {
-                        PubSubMsg::Advertise(a) => self.handle_advertise(from, a),
-                        PubSubMsg::Unadvertise(id) => self.handle_unadvertise(from, id),
-                        PubSubMsg::Subscribe(s) => self.handle_subscribe(from, s),
-                        PubSubMsg::Unsubscribe(id) => self.handle_unsubscribe(from, id),
-                        PubSubMsg::RepairAdv(a) => self.handle_repair_adv(from, a),
-                        PubSubMsg::RepairSub(s) => self.handle_repair_sub(from, s),
+                        PubSubMsg::Advertise(a) => self.handle_add(from, a),
+                        PubSubMsg::Unadvertise(id) => {
+                            self.handle_retract::<Advertisement>(from, id)
+                        }
+                        PubSubMsg::Subscribe(s) => self.handle_add(from, s),
+                        PubSubMsg::Unsubscribe(id) => self.handle_retract::<Subscription>(from, id),
+                        PubSubMsg::RepairAdv(a) => self.handle_repair(from, a),
+                        PubSubMsg::RepairSub(s) => self.handle_repair(from, s),
                         PubSubMsg::Publish(_) => unreachable!("publications batched above"),
                     });
                 }
@@ -609,153 +612,110 @@ impl BrokerCore {
         }
     }
 
-    // ----- subscriptions ---------------------------------------------
+    // ----- routing rules, one copy for both tables ---------------------
 
-    fn handle_subscribe(&mut self, from: Hop, sub: Subscription) -> Vec<BrokerOutput> {
-        let id = sub.id;
-        let (clients, multipath) = (&self.clients, self.config.multipath);
-        let reroutes = &mut self.stats.reroutes;
-        let known = self.prt.update(id, |entry| {
-            if entry.sub.filter != sub.filter {
-                debug_assert!(
-                    false,
-                    "subscription {id} re-issued with a different filter (kept {}, ignored {})",
-                    entry.sub.filter, sub.filter
-                );
-                eprintln!(
-                    "transmob-broker: ignoring re-subscription of {id} with a different filter; the original row is kept"
-                );
-            }
-            if entry.lasthop != from {
-                if Self::anchored_here(clients, entry.lasthop) {
-                    // The subscriber is attached HERE: the entry is
-                    // authoritative and only a movement commit may
-                    // re-point it. Adopting an overlay direction would
-                    // let a later retraction on that link (e.g. an
-                    // overlay-repair purge racing this re-propagation)
-                    // annihilate the client's own subscription.
-                    *reroutes += 1;
-                } else if let (true, Hop::Broker(nb)) = (multipath, from) {
-                    // Cyclic overlay: the subscription reached this
-                    // broker over a second path. Keep the
-                    // first-arrival parent as the primary route and
-                    // record the new direction as a redundant one;
-                    // publications fan out along both.
-                    entry.alt_lasthops.insert(nb);
-                } else {
-                    // A re-route while the old and new subscription
-                    // trees overlap (make-before-break, overlay
-                    // repair): adopt the newest direction.
-                    entry.lasthop = from;
-                    *reroutes += 1;
-                }
-            }
-        });
-        if known.is_none() {
-            self.prt.insert(sub, from);
+    /// An advertisement or subscription arriving from `from`: inserted,
+    /// or, if its row exists, the new direction adopted; then forwarded
+    /// on ([`Kind::propagate`]).
+    fn handle_add<T: Kind>(&mut self, from: Hop, item: T) -> Vec<BrokerOutput> {
+        let id = item.id();
+        if !T::table_mut(self).insert(item, from) {
+            self.adopt_route::<T>(id, from);
         }
-        self.propagate_sub(id)
+        T::propagate(self, id, from)
     }
 
-    /// Forwards subscription `id` toward every intersecting
-    /// advertisement it has not reached yet, honouring covering.
-    fn propagate_sub(&mut self, id: SubId) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        let Some(entry) = self.prt.get(id) else {
-            return out;
-        };
-        let own_hop = entry.lasthop;
-        let filter = entry.sub.filter.clone();
-        // Collect the neighbours hosting (the direction of) intersecting
-        // advertisements, in the active, any pending, and (under
-        // multi-path forwarding) every redundant configuration.
-        let mut targets: BTreeSet<BrokerId> = BTreeSet::new();
-        for (aid, active, pending) in self.srt.overlapping_routes(&filter) {
-            for hop in [Some(active), pending].into_iter().flatten() {
-                if let Hop::Broker(n) = hop {
-                    if Hop::Broker(n) != own_hop {
-                        targets.insert(n);
-                    }
-                }
-            }
-            if self.config.multipath {
-                if let Some(e) = self.srt.get(aid) {
-                    for n in &e.alt_lasthops {
-                        if Hop::Broker(*n) != own_hop {
-                            targets.insert(*n);
-                        }
-                    }
-                }
-            }
+    /// Row `id` arrived again, from `from`.
+    fn adopt_route<T: Kind>(&mut self, id: T::Id, from: Hop) {
+        let lasthop = T::table(self).get(id).expect("the row is present").lasthop;
+        if lasthop == from {
+            return;
         }
-        for n in targets {
-            out.extend(self.forward_sub_to(id, n));
+        if self.anchored_here(lasthop) {
+            // The client is attached HERE: the entry is authoritative
+            // and only a movement commit may re-point it. Adopting an
+            // overlay direction would let a later retraction on that
+            // link (e.g. an overlay-repair purge racing this
+            // re-propagation) annihilate the client's own entry.
+            self.stats.reroutes += 1;
+        } else if let (true, Hop::Broker(nb)) = (self.config.multipath, from) {
+            // Cyclic overlay: the item reached this broker over a
+            // second path. Keep the first-arrival parent as the primary
+            // route and record the new direction as a redundant one
+            // (an advertisement's routing "tree" becomes a DAG rooted
+            // at the advertiser); traffic follows both.
+            T::table_mut(self).update(id, |e| e.alt_lasthops.insert(nb));
+        } else {
+            // A re-route while the old and new trees overlap
+            // (make-before-break, overlay repair): adopt the newest
+            // direction.
+            T::table_mut(self).update(id, |e| e.lasthop = from);
+            self.stats.reroutes += 1;
         }
-        out
-    }
-
-    /// Forwards subscription `id` to neighbour `n` unless it was
-    /// already sent or is quenched by covering; in active covering
-    /// mode, retracts subscriptions it covers on that link.
-    fn forward_sub_to(&mut self, id: SubId, n: BrokerId) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        let Some(entry) = self.prt.get(id) else {
-            return out;
-        };
-        if entry.lasthop == Hop::Broker(n)
-            || entry.sent_to.contains(&n)
-            || entry.alt_lasthops.contains(&n)
-        {
-            return out;
-        }
-        let filter = entry.sub.filter.clone();
-        if self.config.sub_covering.enabled() && self.sub_quenched_on(n, id, &filter) {
-            return out;
-        }
-        let sub = entry.sub.clone();
-        self.prt.update(id, |e| e.sent_to.insert(n));
-        out.push(BrokerOutput::ToBroker(n, PubSubMsg::Subscribe(sub)));
-        if self.config.sub_covering == CoveringMode::Active {
-            // Retract previously-forwarded subscriptions now covered on
-            // this link. The containment index enumerates the covered
-            // candidates; the hop conditions are checked per survivor.
-            let retract: Vec<SubId> = self
-                .prt
-                .covered_by(&filter)
-                .into_iter()
-                .filter(|oid| {
-                    // unwrap: ids come straight out of the table's index
-                    let e = self.prt.get(*oid).unwrap();
-                    *oid != id && e.sent_to.contains(&n) && !e.sub.filter.covers(&filter)
-                })
-                .collect();
-            for oid in retract {
-                self.prt.update(oid, |e| e.sent_to.remove(&n));
-                out.push(BrokerOutput::ToBroker(n, PubSubMsg::Unsubscribe(oid)));
-            }
-        }
-        out
-    }
-
-    /// Whether subscription `id` with `filter` is quenched on link `n`
-    /// by some covering subscription already forwarded there.
-    fn sub_quenched_on(&self, n: BrokerId, id: SubId, filter: &Filter) -> bool {
-        self.prt.covering(filter).into_iter().any(|oid| {
-            // unwrap: ids come straight out of the table's index
-            let e = self.prt.get(oid).unwrap();
-            oid != id && e.sent_to.contains(&n) && e.lasthop != Hop::Broker(n)
-        })
     }
 
     /// Whether `hop` is a client currently attached to this broker —
     /// the one case where a routing entry's lasthop is ground truth
     /// rather than learned overlay state.
-    fn anchored_here(clients: &BTreeSet<ClientId>, hop: Hop) -> bool {
-        matches!(hop, Hop::Client(c) if clients.contains(&c))
+    fn anchored_here(&self, hop: Hop) -> bool {
+        matches!(hop, Hop::Client(c) if self.clients.contains(&c))
     }
 
-    fn handle_unsubscribe(&mut self, from: Hop, id: SubId) -> Vec<BrokerOutput> {
-        let Some(entry) = self.prt.get(id) else {
+    /// Forwards row `id` to neighbour `n` unless it came from there,
+    /// was already sent there, or is quenched by covering; in active
+    /// covering mode, retracts the rows it covers on that link.
+    fn forward_to<T: Kind>(&mut self, id: T::Id, n: BrokerId) -> Vec<BrokerOutput> {
+        let Some(entry) = T::table(self).get(id) else {
+            return Vec::new();
+        };
+        if entry.lasthop == Hop::Broker(n)
+            || entry.sent_to.contains(&n)
+            || entry.alt_lasthops.contains(&n)
+        {
+            return Vec::new();
+        }
+        let filter = entry.item.filter().clone();
+        let covering = T::covering(&self.config);
+        if covering.enabled() && self.quenched_on::<T>(n, id, &filter) {
+            return Vec::new();
+        }
+        let Some(msg) = entry.item.forward_msg() else {
+            return Vec::new();
+        };
+        T::table_mut(self).update(id, |e| e.sent_to.insert(n));
+        let mut out = vec![BrokerOutput::ToBroker(n, msg)];
+        if covering == CoveringMode::Active {
+            // Retract previously-forwarded rows now covered on this
+            // link. The containment index enumerates the covered
+            // candidates; the hop conditions are checked per survivor.
+            let table = T::table(self);
+            let retract: Vec<T::Id> = (table.covered_by(&filter).into_iter())
+                .filter(|oid| {
+                    let e = table.get(*oid).expect("ids come out of the table's index");
+                    *oid != id && e.sent_to.contains(&n) && !e.item.filter().covers(&filter)
+                })
+                .collect();
+            for oid in retract {
+                T::table_mut(self).update(oid, |e| e.sent_to.remove(&n));
+                out.push(BrokerOutput::ToBroker(n, T::retract_msg(oid)));
+            }
+        }
+        out
+    }
+
+    /// Whether row `id` with `filter` is quenched on link `n` by some
+    /// covering row already forwarded there.
+    fn quenched_on<T: Kind>(&self, n: BrokerId, id: T::Id, filter: &Filter) -> bool {
+        let table = T::table(self);
+        table.covering(filter).into_iter().any(|oid| {
+            let e = table.get(oid).expect("ids come out of the table's index");
+            oid != id && e.sent_to.contains(&n) && e.lasthop != Hop::Broker(n)
+        })
+    }
+
+    /// A retraction of row `id` arriving from `from`.
+    fn handle_retract<T: Kind>(&mut self, from: Hop, id: T::Id) -> Vec<BrokerOutput> {
+        let Some(entry) = T::table(self).get(id) else {
             // Stale retraction: the entry was already removed by a
             // crossing retraction (idempotent outcome).
             self.stats.reroutes += 1;
@@ -766,513 +726,135 @@ impl BrokerCore {
                 if entry.alt_lasthops.contains(&nb) {
                     // One of several redundant routes retracted; the
                     // entry stays, justified by the primary route.
-                    self.prt.update(id, |e| e.alt_lasthops.remove(&nb));
-                    return Vec::new();
+                    T::table_mut(self).update(id, |e| e.alt_lasthops.remove(&nb));
+                    return T::route_withdrawn(self, nb);
                 }
             }
-            // Unsubscriptions travel the reverse of the subscription
-            // path; a mismatch means the entry was re-routed while the
+            // Retractions travel the reverse of the forwarding path; a
+            // mismatch means the entry was re-routed while the
             // retraction was in flight — ignore the stale retraction.
             self.stats.reroutes += 1;
             return Vec::new();
         }
         if self.config.multipath {
-            if let Some(&next) = entry.alt_lasthops.iter().next() {
+            if let Some(&next) = entry.alt_lasthops.first() {
                 // The primary route retracted but redundant routes
-                // survive: promote the smallest one instead of
-                // removing the entry. The other arms of the
-                // retraction will strip the remaining routes; only
-                // the last one removes the entry and cascades.
-                self.prt.update(id, |e| {
+                // survive: promote the smallest one instead of removing
+                // the entry. The other arms of the retraction will
+                // strip the remaining routes; only the last one removes
+                // the entry and cascades.
+                let old = entry.lasthop;
+                T::table_mut(self).update(id, |e| {
                     e.alt_lasthops.remove(&next);
                     e.lasthop = Hop::Broker(next);
                 });
-                return Vec::new();
+                return match old {
+                    Hop::Broker(old) => T::route_withdrawn(self, old),
+                    Hop::Client(_) => Vec::new(),
+                };
             }
         }
-        if let Some(p) = &entry.pending {
-            // The subscriber is moving and the row already holds its
-            // post-commit route: the retraction withdraws only the
-            // route the commit replaces. The row now stands on the
-            // movement alone, as if the movement had created it: a
-            // commit keeps it, an abort removes it (and retracts it
-            // downstream, as this retraction would have).
-            let key = (p.move_id, PendingEntry::Sub(id));
-            if let Some(meta) = self.pending_meta.get_mut(&key) {
-                meta.created = true;
-            }
-            return Vec::new();
-        }
-        self.remove_sub_row(id)
+        T::last_route_retracted(self, id)
     }
 
-    /// Removes subscription `id`'s row, retracts it on every link it
-    /// was forwarded over, and releases what it quenched there.
-    fn remove_sub_row(&mut self, id: SubId) -> Vec<BrokerOutput> {
-        let Some(entry) = self.prt.remove(id) else {
+    /// Removes row `id`, retracts it on every link it was forwarded
+    /// over, withdraws its route ([`Kind::route_withdrawn`]), and
+    /// releases what it quenched.
+    fn remove_row<T: Kind>(&mut self, id: T::Id) -> Vec<BrokerOutput> {
+        let Some(entry) = T::table_mut(self).remove(id) else {
             return Vec::new();
         };
-        self.drop_pending(PendingEntry::Sub(id), &entry.pending);
-        let mut out = Vec::new();
-        for n in &entry.sent_to {
-            out.push(BrokerOutput::ToBroker(*n, PubSubMsg::Unsubscribe(id)));
+        self.drop_pending(T::pending_key(id), &entry.pending);
+        let mut out: Vec<BrokerOutput> = (entry.sent_to.iter())
+            .map(|n| BrokerOutput::ToBroker(*n, T::retract_msg(id)))
+            .collect();
+        if let Hop::Broker(n) = entry.lasthop {
+            out.extend(T::route_withdrawn(self, n));
         }
-        // Covering release: subscriptions quenched by the removed one
-        // must now be forwarded.
-        if self.config.sub_covering.enabled() {
+        if T::covering(&self.config).enabled() {
             for n in &entry.sent_to {
-                out.extend(self.release_quenched_subs(*n, Some(&entry.sub.filter)));
+                out.extend(self.release_quenched::<T>(*n, entry.item.filter()));
             }
         }
         out
     }
 
     /// Re-evaluates link `n` after `removed` was withdrawn from it: any
-    /// subscription that needs the link (an intersecting advertisement
-    /// lies that way) and has not been sent is forwarded now. This
-    /// implements the covering-release cascade of the paper's
-    /// pathological case.
+    /// row it covered that the link needs ([`Kind::needed_on`]) and
+    /// that has not been sent there is forwarded now. This implements
+    /// the covering-release cascade of the paper's pathological case.
     ///
-    /// With `conservative_release` (the paper's behaviour) every
-    /// candidate the withdrawn filter covered is re-forwarded, even if
-    /// another covering subscription is still forwarded on the link —
-    /// re-quenching is left to the downstream broker. The precise
-    /// variant suppresses candidates still covered locally (the quench
-    /// check inside `forward_sub_to`).
-    fn release_quenched_subs(
-        &mut self,
-        n: BrokerId,
-        removed: Option<&Filter>,
-    ) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        let conservative = self.config.conservative_release && removed.is_some();
-        // The containment index enumerates what the withdrawn filter
-        // covered; without one, every row is a candidate.
-        let covered: Vec<SubId> = match removed {
-            Some(r) => self.prt.covered_by(r),
-            None => self.prt.iter().map(|(id, _)| *id).collect(),
-        };
-        let candidates: Vec<SubId> = covered
-            .into_iter()
+    /// With `conservative_release` (the paper's behaviour) every such
+    /// candidate is re-forwarded, even if another covering row is still
+    /// forwarded on the link — re-quenching is left to the downstream
+    /// broker. The precise variant suppresses candidates still covered
+    /// locally (the quench check inside `forward_to`).
+    fn release_quenched<T: Kind>(&mut self, n: BrokerId, removed: &Filter) -> Vec<BrokerOutput> {
+        let table = T::table(self);
+        let candidates: Vec<T::Id> = (table.covered_by(removed).into_iter())
             .filter(|id| {
-                // unwrap: ids come straight out of the table's index
-                let e = self.prt.get(*id).unwrap();
+                let e = table.get(*id).expect("ids come out of the table's index");
                 e.lasthop != Hop::Broker(n) && !e.sent_to.contains(&n)
             })
             .collect();
+        let mut out = Vec::new();
         for id in candidates {
-            // unwrap: candidate ids drawn from the table and the only
-            // mutation below is forwarding on the same id
-            let filter = self.prt.get(id).unwrap().sub.filter.clone();
-            let needed =
-                self.srt
-                    .overlapping_routes(&filter)
-                    .iter()
-                    .any(|(aid, active, pending)| {
-                        *active == Hop::Broker(n)
-                            || *pending == Some(Hop::Broker(n))
-                            || (self.config.multipath
-                                && self
-                                    .srt
-                                    .get(*aid)
-                                    .is_some_and(|e| e.alt_lasthops.contains(&n)))
-                    });
-            if !needed {
+            if !T::needed_on(self, id, n) {
                 continue;
             }
-            if conservative {
-                out.extend(self.forward_sub_unchecked(id, n));
+            if self.config.conservative_release {
+                out.extend(self.forward_unchecked::<T>(id, n));
             } else {
-                out.extend(self.forward_sub_to(id, n));
+                out.extend(self.forward_to::<T>(id, n));
             }
         }
         out
     }
 
-    /// Forwards subscription `id` to `n` bypassing the quench check
+    /// Forwards row `id` to `n` bypassing the quench check
     /// (conservative covering release).
-    fn forward_sub_unchecked(&mut self, id: SubId, n: BrokerId) -> Vec<BrokerOutput> {
-        let sub = self.prt.update(id, |entry| {
-            let skip = entry.lasthop == Hop::Broker(n)
-                || entry.alt_lasthops.contains(&n)
-                || !entry.sent_to.insert(n);
-            (!skip).then(|| entry.sub.clone())
+    fn forward_unchecked<T: Kind>(&mut self, id: T::Id, n: BrokerId) -> Vec<BrokerOutput> {
+        let msg = T::table_mut(self).update(id, |e| {
+            if e.lasthop == Hop::Broker(n) || e.alt_lasthops.contains(&n) || e.sent_to.contains(&n)
+            {
+                return None;
+            }
+            let msg = e.item.forward_msg()?;
+            e.sent_to.insert(n);
+            Some(msg)
         });
-        match sub.flatten() {
-            Some(sub) => vec![BrokerOutput::ToBroker(n, PubSubMsg::Subscribe(sub))],
-            None => Vec::new(),
-        }
-    }
-
-    // ----- advertisements --------------------------------------------
-
-    fn handle_advertise(&mut self, from: Hop, adv: Advertisement) -> Vec<BrokerOutput> {
-        let id = adv.id;
-        if let Some(entry) = self.srt.get_mut(id) {
-            if entry.adv.filter != adv.filter {
-                debug_assert!(
-                    false,
-                    "advertisement {id} re-issued with a different filter (kept {}, ignored {})",
-                    entry.adv.filter, adv.filter
-                );
-                eprintln!(
-                    "transmob-broker: ignoring re-advertisement of {id} with a different filter; the original row is kept"
-                );
-            }
-            if entry.lasthop != from {
-                if Self::anchored_here(&self.clients, entry.lasthop) {
-                    // Locally-anchored advertisement: authoritative,
-                    // see the matching guard in `handle_subscribe`.
-                    self.stats.reroutes += 1;
-                } else if let (true, Hop::Broker(nb)) = (self.config.multipath, from) {
-                    // Second arm of the advertisement flood on a
-                    // cyclic overlay: record the redundant direction
-                    // (the per-advertisement routing "tree" becomes a
-                    // DAG rooted at the advertiser); the pull below
-                    // extends known subscriptions along it.
-                    entry.alt_lasthops.insert(nb);
-                } else {
-                    entry.lasthop = from;
-                    self.stats.reroutes += 1;
-                }
-            }
-        } else {
-            self.srt.insert(adv, from);
-        }
-        let mut out = self.propagate_adv(id);
-        // Pull rule: forward known intersecting subscriptions toward
-        // the new advertisement.
-        if let Hop::Broker(nf) = from {
-            out.extend(self.pull_subs_toward(id, nf).0);
-        }
-        out
-    }
-
-    /// Floods advertisement `id` to every neighbour it has not reached,
-    /// honouring advertisement covering.
-    fn propagate_adv(&mut self, id: AdvId) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        let Some(entry) = self.srt.get(id) else {
-            return out;
-        };
-        let own_hop = entry.lasthop;
-        let targets: Vec<BrokerId> = self
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|n| {
-                Hop::Broker(*n) != own_hop
-                    && !entry.sent_to.contains(n)
-                    && !entry.alt_lasthops.contains(n)
-            })
-            .collect();
-        for n in targets {
-            out.extend(self.forward_adv_to(id, n));
-        }
-        out
-    }
-
-    /// The flood copy of an advertisement: its residual TTL budget
-    /// decremented by the hop about to be taken, or `None` when the
-    /// budget is exhausted and the flood must stop here.
-    fn flood_copy(adv: &Advertisement) -> Option<Advertisement> {
-        let mut a = adv.clone();
-        match &mut a.ttl {
-            Some(0) => return None,
-            Some(t) => *t -= 1,
-            None => {}
-        }
-        Some(a)
-    }
-
-    fn forward_adv_to(&mut self, id: AdvId, n: BrokerId) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        let Some(entry) = self.srt.get(id) else {
-            return out;
-        };
-        if entry.lasthop == Hop::Broker(n)
-            || entry.sent_to.contains(&n)
-            || entry.alt_lasthops.contains(&n)
-        {
-            return out;
-        }
-        let filter = entry.adv.filter.clone();
-        if self.config.adv_covering.enabled() && self.adv_quenched_on(n, id, &filter) {
-            return out;
-        }
-        let Some(adv) = Self::flood_copy(&entry.adv) else {
-            return out;
-        };
-        // unwrap: entry existence checked above
-        self.srt.get_mut(id).unwrap().sent_to.insert(n);
-        out.push(BrokerOutput::ToBroker(n, PubSubMsg::Advertise(adv)));
-        if self.config.adv_covering == CoveringMode::Active {
-            let retract: Vec<AdvId> = self
-                .srt
-                .covered_by(&filter)
-                .into_iter()
-                .filter(|oid| {
-                    // unwrap: ids come straight out of the table's index
-                    let e = self.srt.get(*oid).unwrap();
-                    *oid != id && e.sent_to.contains(&n) && !e.adv.filter.covers(&filter)
-                })
-                .collect();
-            for oid in retract {
-                // unwrap: ids were just drawn from the table
-                self.srt.get_mut(oid).unwrap().sent_to.remove(&n);
-                out.push(BrokerOutput::ToBroker(n, PubSubMsg::Unadvertise(oid)));
-            }
-        }
-        out
-    }
-
-    fn adv_quenched_on(&self, n: BrokerId, id: AdvId, filter: &Filter) -> bool {
-        self.srt.covering(filter).into_iter().any(|oid| {
-            // unwrap: ids come straight out of the table's index
-            let e = self.srt.get(oid).unwrap();
-            oid != id && e.sent_to.contains(&n) && e.lasthop != Hop::Broker(n)
-        })
-    }
-
-    fn handle_unadvertise(&mut self, from: Hop, id: AdvId) -> Vec<BrokerOutput> {
-        let Some(entry) = self.srt.get(id) else {
-            self.stats.reroutes += 1;
-            return Vec::new();
-        };
-        if entry.lasthop != from {
-            if let (true, Hop::Broker(nb)) = (self.config.multipath, from) {
-                if entry.alt_lasthops.contains(&nb) {
-                    // A redundant route retracted; the entry stays,
-                    // but subscriptions forwarded toward the vanished
-                    // direction may have lost their justification.
-                    // unwrap: presence checked above
-                    self.srt.get_mut(id).unwrap().alt_lasthops.remove(&nb);
-                    return self.prune_subs_on_link(nb);
-                }
-            }
-            self.stats.reroutes += 1;
-            return Vec::new();
-        }
-        if self.config.multipath {
-            if let Some(&next) = entry.alt_lasthops.iter().next() {
-                // Primary route retracted, redundant routes survive:
-                // promote the smallest one; the retraction's other
-                // arms strip the rest. Subscriptions pulled toward
-                // the old primary direction are re-examined.
-                let old = entry.lasthop;
-                // unwrap: presence checked above
-                let e = self.srt.get_mut(id).unwrap();
-                e.alt_lasthops.remove(&next);
-                e.lasthop = Hop::Broker(next);
-                if let Hop::Broker(old_n) = old {
-                    return self.prune_subs_on_link(old_n);
-                }
-                return Vec::new();
-            }
-        }
-        // unwrap: presence checked above
-        let entry = self.srt.remove(id).unwrap();
-        self.drop_pending(PendingEntry::Adv(id), &entry.pending);
-        let mut out = Vec::new();
-        for n in &entry.sent_to {
-            out.push(BrokerOutput::ToBroker(*n, PubSubMsg::Unadvertise(id)));
-        }
-        // Prune rule: subscriptions forwarded toward the removed
-        // advertisement are retracted from that link when no other
-        // intersecting advertisement remains there.
-        if let Hop::Broker(nl) = entry.lasthop {
-            out.extend(self.prune_subs_on_link(nl));
-        }
-        // Covering release for advertisements: previously-quenched
-        // advertisements must now flood.
-        if self.config.adv_covering.enabled() {
-            let release_links: Vec<BrokerId> = entry.sent_to.iter().copied().collect();
-            for n in release_links {
-                out.extend(self.release_quenched_advs(n, Some(&entry.adv.filter)));
-            }
-        }
-        out
-    }
-
-    /// Retracts subscriptions from link `n` when no intersecting
-    /// advertisement (active or pending) remains in that direction.
-    fn prune_subs_on_link(&mut self, n: BrokerId) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        let candidates: Vec<SubId> = self
-            .prt
-            .iter()
-            .filter(|(_, e)| e.sent_to.contains(&n))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in candidates {
-            out.extend(self.prune_sub_link(id, n));
-        }
-        out
-    }
-
-    /// Retracts subscription `id` from link `n` if no intersecting
-    /// advertisement (active or pending) lies that way. Used by the
-    /// prune rule and by movement-transaction rollback.
-    pub fn prune_sub_link(&mut self, id: SubId, n: BrokerId) -> Vec<BrokerOutput> {
-        let Some(entry) = self.prt.get(id) else {
-            return Vec::new();
-        };
-        if !entry.sent_to.contains(&n) {
-            return Vec::new();
-        }
-        let filter = entry.sub.filter.clone();
-        let still_needed =
-            self.srt
-                .overlapping_routes(&filter)
-                .iter()
-                .any(|(aid, active, pending)| {
-                    *active == Hop::Broker(n)
-                        || *pending == Some(Hop::Broker(n))
-                        || (self.config.multipath
-                            && self
-                                .srt
-                                .get(*aid)
-                                .is_some_and(|e| e.alt_lasthops.contains(&n)))
-                });
-        if still_needed {
-            return Vec::new();
-        }
-        self.prt.update(id, |e| e.sent_to.remove(&n));
-        vec![BrokerOutput::ToBroker(n, PubSubMsg::Unsubscribe(id))]
-    }
-
-    fn release_quenched_advs(
-        &mut self,
-        n: BrokerId,
-        removed: Option<&Filter>,
-    ) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        let conservative = self.config.conservative_release && removed.is_some();
-        let covered: Vec<AdvId> = match removed {
-            Some(r) => self.srt.covered_by(r),
-            None => self.srt.iter().map(|(id, _)| *id).collect(),
-        };
-        let candidates: Vec<AdvId> = covered
+        msg.flatten()
+            .map(|msg| BrokerOutput::ToBroker(n, msg))
             .into_iter()
-            .filter(|id| {
-                // unwrap: ids come straight out of the table's index
-                let e = self.srt.get(*id).unwrap();
-                e.lasthop != Hop::Broker(n) && !e.sent_to.contains(&n)
-            })
-            .collect();
-        for id in candidates {
-            if conservative {
-                out.extend(self.forward_adv_unchecked(id, n));
-            } else {
-                out.extend(self.forward_adv_to(id, n));
-            }
-        }
-        out
+            .collect()
     }
 
-    /// Floods advertisement `id` to `n` bypassing the quench check
-    /// (conservative covering release).
-    fn forward_adv_unchecked(&mut self, id: AdvId, n: BrokerId) -> Vec<BrokerOutput> {
-        let Some(entry) = self.srt.get_mut(id) else {
-            return Vec::new();
-        };
-        if entry.lasthop == Hop::Broker(n) || entry.alt_lasthops.contains(&n) {
-            return Vec::new();
-        }
-        let Some(adv) = Self::flood_copy(&entry.adv) else {
-            return Vec::new();
-        };
-        if !entry.sent_to.insert(n) {
-            return Vec::new();
-        }
-        vec![BrokerOutput::ToBroker(n, PubSubMsg::Advertise(adv))]
-    }
-
-    /// Pull rule: forwards every intersecting subscription toward
-    /// neighbour `nf`, where advertisement `id` arrived from. Also used
-    /// by the reconfiguration protocol (paper Sec. 4.4, PRT cases 1
-    /// and 3) against a pending advertisement configuration.
-    ///
-    /// Returns the effects and the subscriptions the pull put on the
-    /// link (ascending; covering may quench a candidate, or retract it
-    /// again in favour of a later one), which is what a movement
-    /// records to undo on abort.
-    pub fn pull_subs_toward(&mut self, id: AdvId, nf: BrokerId) -> (Vec<BrokerOutput>, Vec<SubId>) {
-        let Some(entry) = self.srt.get(id) else {
-            return (Vec::new(), Vec::new());
-        };
-        let filter = entry.adv.filter.clone();
-        let mut out = Vec::new();
-        let candidates: Vec<SubId> = self
-            .prt
-            .overlapping(&filter)
-            .into_iter()
-            .filter(|sid| {
-                // unwrap: ids come straight out of the table's index
-                let e = self.prt.get(*sid).unwrap();
-                e.lasthop != Hop::Broker(nf) && !e.sent_to.contains(&nf)
-            })
-            .collect();
-        let mut pulled = Vec::new();
-        for sid in candidates {
-            let forwarded = self.forward_sub_to(sid, nf);
-            if !forwarded.is_empty() {
-                pulled.push(sid);
-            }
-            out.extend(forwarded);
-        }
-        pulled.retain(|sid| self.prt.get(*sid).is_some_and(|e| e.sent_to.contains(&nf)));
-        (out, pulled)
-    }
-
-    // ----- overlay repair --------------------------------------------
-
-    fn handle_repair_adv(&mut self, from: Hop, adv: Advertisement) -> Vec<BrokerOutput> {
-        if let Some(entry) = self.srt.get(adv.id) {
+    /// An advertisement or subscription re-propagated by an overlay
+    /// repair: the insert-or-adopt of a plain one, whose lasthop
+    /// adoption is exactly what makes a repair flood converge
+    /// regardless of whether it arrives before or after this broker ran
+    /// its own purge. The onward flood and the pulled subscriptions
+    /// keep the repair tag so repair traffic stays identifiable across
+    /// the overlay.
+    fn handle_repair<T: Kind>(&mut self, from: Hop, item: T) -> Vec<BrokerOutput> {
+        if let Some(entry) = T::table(self).get(item.id()) {
             if !entry.alt_lasthops.is_empty() {
                 // The entry already holds multiple routes, so "adopt
-                // the new unique route" — the tree-repair semantics
-                // below — has no well-defined target and would
-                // silently pick one. Publications already fan out
+                // the new unique route" has no well-defined target and
+                // would silently pick one. Traffic already fans out
                 // along every surviving route under the multi-path
                 // forwarder, so the re-propagation is a no-op here.
                 debug_assert!(
                     self.config.multipath,
-                    "advertisement {} holds multiple routes but multi-path \
-                     forwarding is disabled; repair re-propagation would \
-                     silently pick one of them",
-                    adv.id
+                    "{} {} holds multiple routes but multi-path forwarding is \
+                     disabled; repair re-propagation would silently pick one of them",
+                    T::NOUN,
+                    item.id()
                 );
                 return Vec::new();
             }
         }
-        // Same idempotent insert-or-adopt semantics as a plain
-        // advertisement — the lasthop adoption in `handle_advertise`
-        // is exactly what makes a repair flood converge regardless of
-        // whether it arrives before or after this broker ran its own
-        // purge. The onward flood and the pulled subscriptions keep
-        // the repair tag so repair traffic stays identifiable across
-        // the overlay.
-        Self::tag_repair(self.handle_advertise(from, adv))
-    }
-
-    fn handle_repair_sub(&mut self, from: Hop, sub: Subscription) -> Vec<BrokerOutput> {
-        if let Some(entry) = self.prt.get(sub.id) {
-            if !entry.alt_lasthops.is_empty() {
-                // See `handle_repair_adv`: with multiple routes on
-                // the entry there is no unique route to re-point, and
-                // the multi-path forwarder already covers delivery.
-                debug_assert!(
-                    self.config.multipath,
-                    "subscription {} holds multiple routes but multi-path \
-                     forwarding is disabled; repair re-propagation would \
-                     silently pick one of them",
-                    sub.id
-                );
-                return Vec::new();
-            }
-        }
-        Self::tag_repair(self.handle_subscribe(from, sub))
+        Self::tag_repair(self.handle_add(from, item))
     }
 
     /// Rewrites forward-direction propagation (advertise / subscribe)
@@ -1292,6 +874,103 @@ impl BrokerCore {
             })
             .collect()
     }
+
+    // ----- rules of one kind -----------------------------------------
+
+    /// The neighbours toward the advertisements overlapping `filter`:
+    /// each one's active, pending and redundant directions. A
+    /// subscription is forwarded toward them, and is needed on no
+    /// other link.
+    fn adv_directions(&self, filter: &Filter) -> BTreeSet<BrokerId> {
+        let mut dirs = BTreeSet::new();
+        for id in self.srt.overlapping(filter) {
+            let entry = self.srt.get(id).expect("ids come out of the table's index");
+            for hop in entry.hops() {
+                if let Hop::Broker(n) = hop {
+                    dirs.insert(n);
+                }
+            }
+        }
+        dirs
+    }
+
+    /// The flood copy of an advertisement: its residual TTL budget
+    /// decremented by the hop about to be taken, or `None` when the
+    /// budget is exhausted and the flood must stop here.
+    fn flood_copy(adv: &Advertisement) -> Option<Advertisement> {
+        let mut a = adv.clone();
+        match &mut a.ttl {
+            Some(0) => return None,
+            Some(t) => *t -= 1,
+            None => {}
+        }
+        Some(a)
+    }
+
+    /// Retracts subscriptions from link `n` when no intersecting
+    /// advertisement (active or pending) remains in that direction.
+    fn prune_subs_on_link(&mut self, n: BrokerId) -> Vec<BrokerOutput> {
+        let candidates: Vec<SubId> = (self.prt.iter())
+            .filter(|(_, e)| e.sent_to.contains(&n))
+            .map(|(id, _)| *id)
+            .collect();
+        let mut out = Vec::new();
+        for id in candidates {
+            out.extend(self.prune_sub_link(id, n));
+        }
+        out
+    }
+
+    /// Retracts subscription `id` from link `n` if no intersecting
+    /// advertisement (active or pending) lies that way. Used by the
+    /// prune rule and by movement-transaction rollback.
+    pub fn prune_sub_link(&mut self, id: SubId, n: BrokerId) -> Vec<BrokerOutput> {
+        let Some(entry) = self.prt.get(id) else {
+            return Vec::new();
+        };
+        if !entry.sent_to.contains(&n) || self.adv_directions(&entry.item.filter).contains(&n) {
+            return Vec::new();
+        }
+        self.prt.update(id, |e| e.sent_to.remove(&n));
+        vec![BrokerOutput::ToBroker(n, PubSubMsg::Unsubscribe(id))]
+    }
+
+    /// Pull rule: forwards every intersecting subscription toward
+    /// neighbour `nf`, where advertisement `id` arrived from. Also used
+    /// by the reconfiguration protocol (paper Sec. 4.4, PRT cases 1
+    /// and 3) against a pending advertisement configuration.
+    ///
+    /// Returns the effects and the subscriptions the pull put on the
+    /// link (ascending; covering may quench a candidate, or retract it
+    /// again in favour of a later one), which is what a movement
+    /// records to undo on abort.
+    pub fn pull_subs_toward(&mut self, id: AdvId, nf: BrokerId) -> (Vec<BrokerOutput>, Vec<SubId>) {
+        let Some(entry) = self.srt.get(id) else {
+            return (Vec::new(), Vec::new());
+        };
+        let candidates: Vec<SubId> = (self.prt.overlapping(&entry.item.filter).into_iter())
+            .filter(|sid| {
+                let e = self
+                    .prt
+                    .get(*sid)
+                    .expect("ids come out of the table's index");
+                e.lasthop != Hop::Broker(nf) && !e.sent_to.contains(&nf)
+            })
+            .collect();
+        let mut out = Vec::new();
+        let mut pulled = Vec::new();
+        for sid in candidates {
+            let forwarded = self.forward_to::<Subscription>(sid, nf);
+            if !forwarded.is_empty() {
+                pulled.push(sid);
+            }
+            out.extend(forwarded);
+        }
+        pulled.retain(|sid| self.prt.get(*sid).is_some_and(|e| e.sent_to.contains(&nf)));
+        (out, pulled)
+    }
+
+    // ----- overlay repair --------------------------------------------
 
     /// Applies an overlay repair at this broker after `dead` was
     /// declared dead: mutates the neighbour set (`new_peers` are the
@@ -1325,114 +1004,78 @@ impl BrokerCore {
                 self.neighbors.insert(*p);
             }
         }
-        // Movements whose shadow configuration routes via the dead
-        // broker: collected before the purge, which may remove the
-        // very entries holding them.
         let mut doomed: BTreeSet<MoveId> = BTreeSet::new();
-        for (_, e) in self.srt.iter() {
-            if let Some(p) = &e.pending {
-                if p.lasthop == Hop::Broker(dead) {
-                    doomed.insert(p.move_id);
-                }
-            }
-        }
-        for (_, e) in self.prt.iter() {
-            if let Some(p) = &e.pending {
-                if p.lasthop == Hop::Broker(dead) {
-                    doomed.insert(p.move_id);
-                }
-            }
-        }
-        // Redundant multi-path routes through the dead broker are
-        // gone; strip them first so the purge below promotes only
-        // *surviving* alternates when a primary route dies.
-        let alt_advs: Vec<AdvId> = self
-            .srt
-            .iter()
-            .filter(|(_, e)| e.alt_lasthops.contains(&dead))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in alt_advs {
-            // unwrap: ids drawn from the table just above
-            self.srt.get_mut(id).unwrap().alt_lasthops.remove(&dead);
-        }
-        let alt_subs: Vec<SubId> = self
-            .prt
-            .iter()
-            .filter(|(_, e)| e.alt_lasthops.contains(&dead))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in alt_subs {
-            self.prt.update(id, |e| e.alt_lasthops.remove(&dead));
-        }
-        // Forwarding sets must stop referencing the dead link before
-        // the purge cascades, so no retraction is addressed to it.
-        let stale_advs: Vec<AdvId> = self
-            .srt
-            .iter()
-            .filter(|(_, e)| e.sent_to.contains(&dead))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stale_advs {
-            // unwrap: ids drawn from the table just above
-            self.srt.get_mut(id).unwrap().sent_to.remove(&dead);
-        }
-        let stale_subs: Vec<SubId> = self
-            .prt
-            .iter()
-            .filter(|(_, e)| e.sent_to.contains(&dead))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stale_subs {
-            self.prt.update(id, |e| e.sent_to.remove(&dead));
-        }
+        self.forget_link::<Advertisement>(dead, &mut doomed);
+        self.forget_link::<Subscription>(dead, &mut doomed);
         // Purge: withdraw every entry learned over the dead link
         // exactly as if the dead broker had retracted it. The
-        // `lasthop == from` check in the retraction handlers holds by
+        // `lasthop == from` check of the retraction holds by
         // construction, and the resulting cascade cleans the entry
         // from every surviving broker downstream.
-        let mut out = Vec::new();
-        let purge_advs: Vec<AdvId> = self
-            .srt
-            .iter()
-            .filter(|(_, e)| e.lasthop == Hop::Broker(dead))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in purge_advs {
-            out.extend(self.handle_unadvertise(Hop::Broker(dead), id));
-        }
-        let purge_subs: Vec<SubId> = self
-            .prt
-            .iter()
-            .filter(|(_, e)| e.lasthop == Hop::Broker(dead))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in purge_subs {
-            out.extend(self.handle_unsubscribe(Hop::Broker(dead), id));
-        }
+        let mut out = self.purge::<Advertisement>(dead);
+        out.extend(self.purge::<Subscription>(dead));
         // Re-propagate the surviving advertisements over each new
         // edge.
         for &p in new_peers {
             if p == self.id {
                 continue;
             }
-            let push: Vec<AdvId> = self
-                .srt
-                .iter()
+            let push: Vec<AdvId> = (self.srt.iter())
                 .filter(|(_, e)| e.lasthop != Hop::Broker(p) && !e.sent_to.contains(&p))
                 .map(|(id, _)| *id)
                 .collect();
             for id in push {
-                // unwrap: ids drawn from the table just above
-                let entry = self.srt.get_mut(id).unwrap();
-                let Some(adv) = Self::flood_copy(&entry.adv) else {
-                    continue;
-                };
-                entry.sent_to.insert(p);
-                out.push(BrokerOutput::ToBroker(p, PubSubMsg::RepairAdv(adv)));
+                let copy = self.srt.update(id, |e| {
+                    let adv = Self::flood_copy(&e.item)?;
+                    e.sent_to.insert(p);
+                    Some(adv)
+                });
+                if let Some(adv) = copy.flatten() {
+                    out.push(BrokerOutput::ToBroker(p, PubSubMsg::RepairAdv(adv)));
+                }
             }
         }
         (out, doomed.into_iter().collect())
+    }
+
+    /// The first half of a repair, per table: collects the movements
+    /// whose shadow configuration routes via the dead broker (before
+    /// the purge, which may remove the very entries holding them), and
+    /// forgets the dead link as a redundant route and as a forwarding
+    /// target, so the purge promotes only *surviving* alternates and
+    /// addresses no retraction to the dead link.
+    fn forget_link<T: Kind>(&mut self, dead: BrokerId, doomed: &mut BTreeSet<MoveId>) {
+        let table = T::table(self);
+        for (_, e) in table.iter() {
+            match &e.pending {
+                Some(p) if p.lasthop == Hop::Broker(dead) => doomed.insert(p.move_id),
+                _ => false,
+            };
+        }
+        let touched: Vec<T::Id> = (table.iter())
+            .filter(|(_, e)| e.alt_lasthops.contains(&dead) || e.sent_to.contains(&dead))
+            .map(|(id, _)| *id)
+            .collect();
+        for id in touched {
+            T::table_mut(self).update(id, |e| {
+                e.alt_lasthops.remove(&dead);
+                e.sent_to.remove(&dead);
+            });
+        }
+    }
+
+    /// Retracts every row of the table learned over the dead link, as
+    /// if the dead broker had.
+    fn purge<T: Kind>(&mut self, dead: BrokerId) -> Vec<BrokerOutput> {
+        let learned: Vec<T::Id> = (T::table(self).iter())
+            .filter(|(_, e)| e.lasthop == Hop::Broker(dead))
+            .map(|(id, _)| *id)
+            .collect();
+        let mut out = Vec::new();
+        for id in learned {
+            out.extend(self.handle_retract::<T>(Hop::Broker(dead), id));
+        }
+        out
     }
 
     // ----- publications ----------------------------------------------
@@ -1502,25 +1145,7 @@ impl BrokerCore {
         new_lasthop: Hop,
         commit_sent_add: Option<BrokerId>,
     ) {
-        let created = self.prt.get(sub.id).is_none();
-        if created {
-            self.prt.insert(sub.clone(), new_lasthop);
-        }
-        let displaced = self.prt.update(sub.id, |entry| {
-            entry.pending.replace(PendingRoute {
-                move_id,
-                lasthop: new_lasthop,
-            })
-        });
-        // flatten: the row exists (pre-existing or just inserted)
-        self.drop_pending(PendingEntry::Sub(sub.id), &displaced.flatten());
-        self.pending_meta.insert(
-            (move_id, PendingEntry::Sub(sub.id)),
-            PendingMeta {
-                commit_sent_add,
-                created,
-            },
-        );
+        self.install_pending(sub, move_id, new_lasthop, commit_sent_add);
     }
 
     /// Installs the pending configuration for a moving advertisement;
@@ -1532,19 +1157,31 @@ impl BrokerCore {
         new_lasthop: Hop,
         commit_sent_add: Option<BrokerId>,
     ) {
-        let created = self.srt.get(adv.id).is_none();
+        self.install_pending(adv, move_id, new_lasthop, commit_sent_add);
+    }
+
+    fn install_pending<T: Kind>(
+        &mut self,
+        item: &T,
+        move_id: MoveId,
+        new_lasthop: Hop,
+        commit_sent_add: Option<BrokerId>,
+    ) {
+        let (id, table) = (item.id(), T::table_mut(self));
+        let created = table.get(id).is_none();
         if created {
-            self.srt.insert(adv.clone(), new_lasthop);
+            table.insert(item.clone(), new_lasthop);
         }
-        // unwrap: entry exists (pre-existing or just inserted)
-        let entry = self.srt.get_mut(adv.id).unwrap();
-        let displaced = entry.pending.replace(PendingRoute {
-            move_id,
-            lasthop: new_lasthop,
+        let displaced = table.update(id, |entry| {
+            entry.pending.replace(PendingRoute {
+                move_id,
+                lasthop: new_lasthop,
+            })
         });
-        self.drop_pending(PendingEntry::Adv(adv.id), &displaced);
+        // flatten: the row exists (pre-existing or just inserted)
+        self.drop_pending(T::pending_key(id), &displaced.flatten());
         self.pending_meta.insert(
-            (move_id, PendingEntry::Adv(adv.id)),
+            (move_id, T::pending_key(id)),
             PendingMeta {
                 commit_sent_add,
                 created,
@@ -1592,7 +1229,6 @@ impl BrokerCore {
     /// subscriptions whose justification disappeared are pruned (the
     /// paper's PRT case 2).
     pub fn commit_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
         let mut prune_links: BTreeSet<BrokerId> = BTreeSet::new();
         for (entry, meta) in self.take_pending(move_id) {
             // An overlay repair may have removed the old direction;
@@ -1602,72 +1238,209 @@ impl BrokerCore {
                 .filter(|add| self.neighbors.contains(add));
             match entry {
                 PendingEntry::Adv(id) => {
-                    let entry = self
-                        .srt
-                        .get_mut(id)
-                        .expect("an indexed pending configuration names a live row");
-                    let pending = (entry.pending.take())
-                        .expect("an indexed pending configuration is set on its row");
-                    let old_lasthop = entry.lasthop;
-                    entry.lasthop = pending.lasthop;
-                    if let Hop::Broker(nb) = pending.lasthop {
-                        entry.sent_to.remove(&nb);
-                        // The committed primary can no longer also be
-                        // a redundant route.
-                        entry.alt_lasthops.remove(&nb);
-                    }
-                    entry.sent_to.extend(sent_add);
-                    if !meta.created {
-                        if let Hop::Broker(old_n) = old_lasthop {
-                            prune_links.insert(old_n);
-                        }
+                    let old = self.commit_row::<Advertisement>(id, sent_add);
+                    if let (false, Hop::Broker(old)) = (meta.created, old) {
+                        prune_links.insert(old);
                     }
                 }
                 PendingEntry::Sub(id) => {
-                    self.prt.update(id, |entry| {
-                        let pending = (entry.pending.take())
-                            .expect("an indexed pending configuration is set on its row");
-                        entry.lasthop = pending.lasthop;
-                        if let Hop::Broker(nb) = pending.lasthop {
-                            entry.sent_to.remove(&nb);
-                            // As for the SRT above.
-                            entry.alt_lasthops.remove(&nb);
-                        }
-                        entry.sent_to.extend(sent_add);
-                    });
+                    self.commit_row::<Subscription>(id, sent_add);
                 }
             }
         }
         // Prune subscriptions that pointed at the old advertisement
         // location (paper PRT case 2, realized as the generic prune).
+        let mut out = Vec::new();
         for n in prune_links {
             out.extend(self.prune_subs_on_link(n));
         }
         out
     }
 
+    /// Commits row `id`'s pending configuration, adding `sent_add` to
+    /// its forwarding set, and returns the lasthop it replaced.
+    fn commit_row<T: Kind>(&mut self, id: T::Id, sent_add: Option<BrokerId>) -> Hop {
+        let commit = |entry: &mut Entry<T>| {
+            let pending =
+                (entry.pending.take()).expect("an indexed pending configuration is set on its row");
+            let old = std::mem::replace(&mut entry.lasthop, pending.lasthop);
+            if let Hop::Broker(nb) = pending.lasthop {
+                entry.sent_to.remove(&nb);
+                // The committed primary can no longer also be a
+                // redundant route.
+                entry.alt_lasthops.remove(&nb);
+            }
+            entry.sent_to.extend(sent_add);
+            old
+        };
+        (T::table_mut(self).update(id, commit))
+            .expect("an indexed pending configuration names a live row")
+    }
+
     /// Rolls back every pending configuration installed under
     /// `move_id`: shadow configurations are dropped and entries created
-    /// by the transaction are removed, a subscription's retracted on
-    /// the links it was forwarded over (returned).
+    /// by the transaction are removed, a subscription's retracted on the
+    /// links it was forwarded over (returned).
     pub fn abort_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
         let mut out = Vec::new();
         for (entry, meta) in self.take_pending(move_id) {
-            match (entry, meta.created) {
-                (PendingEntry::Adv(id), true) => {
-                    self.srt.remove(id);
-                }
-                (PendingEntry::Adv(id), false) => {
-                    if let Some(entry) = self.srt.get_mut(id) {
-                        entry.pending = None;
-                    }
-                }
-                (PendingEntry::Sub(id), true) => out.extend(self.remove_sub_row(id)),
-                (PendingEntry::Sub(id), false) => {
-                    self.prt.update(id, |entry| entry.pending = None);
-                }
-            }
+            out.extend(match entry {
+                PendingEntry::Adv(id) => self.abort_row::<Advertisement>(id, meta.created),
+                PendingEntry::Sub(id) => self.abort_row::<Subscription>(id, meta.created),
+            });
         }
         out
+    }
+
+    fn abort_row<T: Kind>(&mut self, id: T::Id, created: bool) -> Vec<BrokerOutput> {
+        if created {
+            return T::drop_created(self, id);
+        }
+        T::table_mut(self).update(id, |entry| entry.pending = None);
+        Vec::new()
+    }
+}
+
+/// What the routing rules of [`BrokerCore`] need to know about a kind
+/// of routed item beyond its table: the messages that carry it, the
+/// covering mode it is forwarded under, the key of its pending
+/// configurations, and the rules that hold for one kind only. The
+/// rules themselves (`handle_add`, `forward_to`, `handle_retract`,
+/// `release_quenched`, `install_pending`, …) are written once, over
+/// this trait.
+trait Kind: Routed {
+    fn table(core: &BrokerCore) -> &Table<Self>;
+    fn table_mut(core: &mut BrokerCore) -> &mut Table<Self>;
+    fn covering(config: &BrokerConfig) -> CoveringMode;
+    fn pending_key(id: Self::Id) -> PendingEntry;
+    /// The message that forwards the item one hop, or `None` when it
+    /// must stop here.
+    fn forward_msg(&self) -> Option<PubSubMsg>;
+    /// The message that retracts row `id`.
+    fn retract_msg(id: Self::Id) -> PubSubMsg;
+    /// Forwards row `id`, just inserted or re-routed from `from`.
+    fn propagate(core: &mut BrokerCore, id: Self::Id, from: Hop) -> Vec<BrokerOutput>;
+    /// Whether covering release forwards row `id` to link `n`.
+    fn needed_on(core: &BrokerCore, id: Self::Id, n: BrokerId) -> bool;
+    /// A route of this kind toward neighbour `n` was withdrawn.
+    fn route_withdrawn(core: &mut BrokerCore, n: BrokerId) -> Vec<BrokerOutput>;
+    /// The last route of row `id` was retracted.
+    fn last_route_retracted(core: &mut BrokerCore, id: Self::Id) -> Vec<BrokerOutput>;
+    /// A movement that created row `id` aborted.
+    fn drop_created(core: &mut BrokerCore, id: Self::Id) -> Vec<BrokerOutput>;
+}
+
+impl Kind for Advertisement {
+    fn table(core: &BrokerCore) -> &Srt {
+        &core.srt
+    }
+    fn table_mut(core: &mut BrokerCore) -> &mut Srt {
+        &mut core.srt
+    }
+    fn covering(config: &BrokerConfig) -> CoveringMode {
+        config.adv_covering
+    }
+    fn pending_key(id: AdvId) -> PendingEntry {
+        PendingEntry::Adv(id)
+    }
+    /// The flood copy, while the TTL lasts.
+    fn forward_msg(&self) -> Option<PubSubMsg> {
+        BrokerCore::flood_copy(self).map(PubSubMsg::Advertise)
+    }
+    fn retract_msg(id: AdvId) -> PubSubMsg {
+        PubSubMsg::Unadvertise(id)
+    }
+    /// Floods to every neighbour; then the pull rule forwards the known
+    /// intersecting subscriptions toward the advertisement.
+    fn propagate(core: &mut BrokerCore, id: AdvId, from: Hop) -> Vec<BrokerOutput> {
+        let neighbors: Vec<BrokerId> = core.neighbors.iter().copied().collect();
+        let mut out = Vec::new();
+        for n in neighbors {
+            out.extend(core.forward_to::<Self>(id, n));
+        }
+        if let Hop::Broker(nf) = from {
+            out.extend(core.pull_subs_toward(id, nf).0);
+        }
+        out
+    }
+    /// An advertisement floods everywhere.
+    fn needed_on(_: &BrokerCore, _: AdvId, _: BrokerId) -> bool {
+        true
+    }
+    /// The prune rule: subscriptions forwarded toward the withdrawn
+    /// direction are retracted from that link when no other
+    /// intersecting advertisement remains there.
+    fn route_withdrawn(core: &mut BrokerCore, n: BrokerId) -> Vec<BrokerOutput> {
+        core.prune_subs_on_link(n)
+    }
+    fn last_route_retracted(core: &mut BrokerCore, id: AdvId) -> Vec<BrokerOutput> {
+        core.remove_row::<Self>(id)
+    }
+    /// Dropped, with no retraction.
+    fn drop_created(core: &mut BrokerCore, id: AdvId) -> Vec<BrokerOutput> {
+        core.srt.remove(id);
+        Vec::new()
+    }
+}
+
+impl Kind for Subscription {
+    fn table(core: &BrokerCore) -> &Prt {
+        &core.prt
+    }
+    fn table_mut(core: &mut BrokerCore) -> &mut Prt {
+        &mut core.prt
+    }
+    fn covering(config: &BrokerConfig) -> CoveringMode {
+        config.sub_covering
+    }
+    fn pending_key(id: SubId) -> PendingEntry {
+        PendingEntry::Sub(id)
+    }
+    fn forward_msg(&self) -> Option<PubSubMsg> {
+        Some(PubSubMsg::Subscribe(self.clone()))
+    }
+    fn retract_msg(id: SubId) -> PubSubMsg {
+        PubSubMsg::Unsubscribe(id)
+    }
+    /// Forwards toward every intersecting advertisement, honouring
+    /// covering.
+    fn propagate(core: &mut BrokerCore, id: SubId, _: Hop) -> Vec<BrokerOutput> {
+        let Some(entry) = core.prt.get(id) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for n in core.adv_directions(&entry.item.filter) {
+            out.extend(core.forward_to::<Self>(id, n));
+        }
+        out
+    }
+    /// Only where an intersecting advertisement lies.
+    fn needed_on(core: &BrokerCore, id: SubId, n: BrokerId) -> bool {
+        let entry = core.prt.get(id).expect("release candidates are live rows");
+        core.adv_directions(&entry.item.filter).contains(&n)
+    }
+    fn route_withdrawn(_: &mut BrokerCore, _: BrokerId) -> Vec<BrokerOutput> {
+        Vec::new()
+    }
+    fn last_route_retracted(core: &mut BrokerCore, id: SubId) -> Vec<BrokerOutput> {
+        let pending = core.prt.get(id).and_then(|e| e.pending.as_ref());
+        if let Some(p) = pending {
+            // The subscriber is moving and the row already holds its
+            // post-commit route: the retraction withdraws only the
+            // route the commit replaces. The row now stands on the
+            // movement alone, as if the movement had created it: a
+            // commit keeps it, an abort removes it (and retracts it
+            // downstream, as this retraction would have).
+            let key = (p.move_id, PendingEntry::Sub(id));
+            if let Some(meta) = core.pending_meta.get_mut(&key) {
+                meta.created = true;
+            }
+            return Vec::new();
+        }
+        core.remove_row::<Self>(id)
+    }
+    /// Removed and retracted downstream.
+    fn drop_created(core: &mut BrokerCore, id: SubId) -> Vec<BrokerOutput> {
+        core.remove_row::<Self>(id)
     }
 }

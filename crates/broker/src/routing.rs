@@ -12,21 +12,24 @@
 //! that window (duplicates are suppressed per destination and, at the
 //! client stub, by publication id).
 //!
-//! The two tables are built differently because they are used
-//! differently. Every publication on every broker of its path asks the
-//! PRT "where does this go", so [`Prt`] numbers its rows densely, keys
-//! its match index by row number and keeps a *forwarding column* of
-//! hops beside the rows: a publication is resolved to its
-//! [`Destinations`] by folding the matching row numbers through the
-//! column, without listing the rows or walking the row map
-//! (DESIGN.md §7, "From match to destinations"). The SRT holds a few
-//! dozen advertisements and is only consulted on the control path, so
-//! [`Srt`] stays a plain id-keyed map with an id-keyed index.
+//! Both tables are one type, [`Table`], over what they route
+//! ([`Routed`]): the rows, their dense row numbers, the match index
+//! keyed by row number, and every write and filter query are written
+//! once. The tables differ only in what they keep beside the rows
+//! ([`Routed::Column`]). Every publication on every broker of its path
+//! asks the PRT "where does this go", so the PRT keeps a *forwarding
+//! column* ([`Forwarding`]) of hops per row number: a publication is
+//! resolved to its [`Destinations`] by folding the matching row
+//! numbers through the column, without listing the rows or walking the
+//! row map (DESIGN.md §7, "From match to destinations"). The SRT is
+//! only consulted on the control path and keeps nothing beside.
 
-use std::collections::btree_map::Entry;
-use std::collections::hash_map;
+use std::collections::{btree_map, hash_map};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
+use serde::de::{DeserializeOwned, Deserializer};
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 use transmob_pubsub::fasthash::FastMap;
 use transmob_pubsub::{
@@ -76,129 +79,290 @@ pub struct PendingRoute {
     pub lasthop: Hop,
 }
 
-/// One SRT row: an advertisement, where it came from, and where it has
-/// been forwarded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdvEntry {
-    /// The advertisement.
-    pub adv: Advertisement,
-    /// Neighbour (or local client) the advertisement arrived from
-    /// first: the *primary* parent in this advertisement's routing
-    /// tree.
+/// What a routing table routes: advertisements (the SRT) or
+/// subscriptions (the PRT). Ids are bound to immutable filters.
+pub trait Routed: Clone + PartialEq + fmt::Debug + Serialize + DeserializeOwned {
+    /// The item's id: the table's key.
+    type Id: Copy + Ord + fmt::Debug + fmt::Display + Serialize + DeserializeOwned;
+    /// What the table keeps per row number beside its rows.
+    type Column: Column<Self>;
+    /// The key the item is persisted under in its row: `"adv"` or
+    /// `"sub"`.
+    const KEY: &'static str;
+    /// What the item is called in reports.
+    const NOUN: &'static str;
+    /// The item's id.
+    fn id(&self) -> Self::Id;
+    /// The item's filter.
+    fn filter(&self) -> &Filter;
+}
+
+impl Routed for Advertisement {
+    type Id = AdvId;
+    type Column = ();
+    const KEY: &'static str = "adv";
+    const NOUN: &'static str = "advertisement";
+    fn id(&self) -> AdvId {
+        self.id
+    }
+    fn filter(&self) -> &Filter {
+        &self.filter
+    }
+}
+
+impl Routed for Subscription {
+    type Id = SubId;
+    type Column = Forwarding;
+    const KEY: &'static str = "sub";
+    const NOUN: &'static str = "subscription";
+    fn id(&self) -> SubId {
+        self.id
+    }
+    fn filter(&self) -> &Filter {
+        &self.filter
+    }
+}
+
+/// One routing-table row: an advertisement (SRT) or a subscription
+/// (PRT), where it came from, and where it has been forwarded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Entry<T> {
+    /// The advertisement or subscription.
+    pub item: T,
+    /// Neighbour (or local client) the item arrived from first: the
+    /// *primary* direction toward the advertiser (SRT), the one
+    /// publications are forwarded in (PRT).
     pub lasthop: Hop,
     /// On cyclic overlays (multipath mode): additional neighbours the
-    /// same advertisement later arrived from. Each is a redundant
-    /// route toward the advertiser; subscriptions are forwarded along
-    /// these too, so publications reach this broker over every
-    /// surviving path. Always empty on tree overlays.
-    #[serde(default)]
+    /// same item later arrived from. Each is a redundant route:
+    /// subscriptions are forwarded along an advertisement's, and
+    /// publications along a subscription's, so traffic follows every
+    /// surviving path (the per-broker dedup window keeps delivery
+    /// exactly-once). Always empty on tree overlays.
     pub alt_lasthops: BTreeSet<BrokerId>,
-    /// Neighbours this broker forwarded the advertisement to.
+    /// Neighbours this broker forwarded the item to.
     pub sent_to: BTreeSet<BrokerId>,
     /// Shadow configuration installed by an in-flight movement.
     pub pending: Option<PendingRoute>,
 }
 
-/// One PRT row: a subscription, where it came from, and where it has
-/// been forwarded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SubEntry {
-    /// The subscription.
-    pub sub: Subscription,
-    /// Neighbour (or local client) the subscription arrived from
-    /// first; this is the primary direction publications are forwarded
-    /// in.
-    pub lasthop: Hop,
-    /// On cyclic overlays (multipath mode): additional neighbours the
-    /// same subscription later arrived from. Publications matching the
-    /// row are forwarded along these hops as well; the per-broker
-    /// dedup window keeps delivery exactly-once. Always empty on tree
-    /// overlays.
+/// One SRT row.
+pub type AdvEntry = Entry<Advertisement>;
+/// One PRT row.
+pub type SubEntry = Entry<Subscription>;
+
+impl<T> Entry<T> {
+    /// Every hop the row routes toward: the active lasthop, the pending
+    /// one, the alternates, in that order.
+    pub(crate) fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
+        let pending = self.pending.as_ref().map(|p| p.lasthop);
+        [Some(self.lasthop), pending]
+            .into_iter()
+            .flatten()
+            .chain(self.alt_lasthops.iter().map(|b| Hop::Broker(*b)))
+    }
+}
+
+/// A row persists as a map whose first key is its kind's
+/// ([`Routed::KEY`]) and holds the item, followed by the hop
+/// bookkeeping, so a checkpoint names what each table routes.
+impl<T: Routed> Serialize for Entry<T> {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        ser.collect_map([
+            (T::KEY, Field::Item(&self.item)),
+            ("lasthop", Field::Hop(&self.lasthop)),
+            ("alt_lasthops", Field::Brokers(&self.alt_lasthops)),
+            ("sent_to", Field::Brokers(&self.sent_to)),
+            ("pending", Field::Pending(&self.pending)),
+        ])
+    }
+}
+
+/// One field of a persisted row, serialized as what it holds.
+enum Field<'a, T> {
+    Item(&'a T),
+    Hop(&'a Hop),
+    Brokers(&'a BTreeSet<BrokerId>),
+    Pending(&'a Option<PendingRoute>),
+}
+
+impl<T: Serialize> Serialize for Field<'_, T> {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        match self {
+            Field::Item(v) => v.serialize(ser),
+            Field::Hop(v) => v.serialize(ser),
+            Field::Brokers(v) => v.serialize(ser),
+            Field::Pending(v) => v.serialize(ser),
+        }
+    }
+}
+
+/// A persisted row of either kind: it names every kind's key, and a
+/// row reads the one its kind persists under.
+#[derive(Deserialize)]
+struct Persisted<T> {
     #[serde(default)]
-    pub alt_lasthops: BTreeSet<BrokerId>,
-    /// Neighbours this broker forwarded the subscription to.
-    pub sent_to: BTreeSet<BrokerId>,
-    /// Shadow configuration installed by an in-flight movement.
-    pub pending: Option<PendingRoute>,
+    adv: Option<T>,
+    #[serde(default)]
+    sub: Option<T>,
+    lasthop: Hop,
+    #[serde(default)]
+    alt_lasthops: BTreeSet<BrokerId>,
+    sent_to: BTreeSet<BrokerId>,
+    pending: Option<PendingRoute>,
 }
 
-/// The Subscription Routing Table.
-///
-/// Filter queries ([`Srt::overlapping`]) are served by an
-/// attribute-indexed counting [`MatchIndex`] kept in sync with the
-/// rows; the index is rebuilt from the rows on deserialization and
-/// asserted against the linear-scan oracle in debug builds.
-///
-/// The mutable accessors ([`Srt::get_mut`], [`Srt::iter_mut`]) exist
-/// for the `lasthop`/`sent_to`/`pending` bookkeeping of the broker
-/// core; callers must not mutate an entry's *filter* through them, or
-/// the index would go stale. Replacing a filter requires
-/// remove-then-insert.
-#[derive(Debug, Clone, Default)]
-pub struct Srt {
-    entries: BTreeMap<AdvId, AdvEntry>,
-    index: MatchIndex<AdvId>,
+impl<'de, T: Routed> Deserialize<'de> for Entry<T> {
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        let row = Persisted::<T>::deserialize(de)?;
+        let item = if T::KEY == "adv" { row.adv } else { row.sub };
+        Ok(Entry {
+            item: item
+                .ok_or_else(|| serde::de::Error::custom(format!("missing field `{}`", T::KEY)))?,
+            lasthop: row.lasthop,
+            alt_lasthops: row.alt_lasthops,
+            sent_to: row.sent_to,
+            pending: row.pending,
+        })
+    }
 }
 
-impl PartialEq for Srt {
+/// What a table keeps per row number beside its rows, written only by
+/// the table's own writers: [`Table::insert`] fills a number,
+/// [`Table::remove`] frees one, and [`Table::update`] refreshes one
+/// after its row's hops may have changed. The SRT keeps nothing (`()`);
+/// the PRT keeps its forwarding column ([`Forwarding`]).
+pub trait Column<T>: Clone + fmt::Debug + Default {
+    /// Row number `n` went live holding `e`: a number freed before, or
+    /// the next new one.
+    fn fill(&mut self, n: u32, e: &Entry<T>);
+    /// Row number `n` was freed.
+    fn free(&mut self, n: u32);
+    /// Live row number `n` now holds `e`.
+    fn refresh(&mut self, n: u32, e: &Entry<T>);
+    /// Asserts the column against the live rows, given as `(number,
+    /// row)`, of a table that has handed out `width` numbers. Test
+    /// support.
+    fn check<'a>(&self, width: usize, live: impl Iterator<Item = (u32, &'a Entry<T>)>)
+    where
+        T: 'a;
+}
+
+impl<T> Column<T> for () {
+    fn fill(&mut self, _: u32, _: &Entry<T>) {}
+    fn free(&mut self, _: u32) {}
+    fn refresh(&mut self, _: u32, _: &Entry<T>) {}
+    fn check<'a>(&self, _: usize, _: impl Iterator<Item = (u32, &'a Entry<T>)>)
+    where
+        T: 'a,
+    {
+    }
+}
+
+/// One row of a [`Table`]: the entry and its row number.
+#[derive(Debug, Clone)]
+struct Row<T> {
+    n: u32,
+    entry: Entry<T>,
+}
+
+/// A routing table: the SRT ([`Srt`]) or the PRT ([`Prt`]).
+///
+/// Every row has a dense `u32` *row number*: a row keeps its number for
+/// as long as it lives, and a removed row's number goes to the free
+/// list and is handed to a later insert. The numbers are private to
+/// one table instance: they are never serialized, and a table rebuilt
+/// from its rows numbers them afresh. The attribute-indexed counting
+/// [`MatchIndex`] is keyed by row number, and the filter queries
+/// ([`Table::overlapping`], [`Table::covering`], [`Table::covered_by`])
+/// translate numbers back to ids and answer sorted by id, exactly like
+/// the linear scans they are asserted against in debug builds.
+///
+/// Index and column ([`Routed::Column`]) are derived state with one
+/// writer each side of the row map: [`Table::insert`] and
+/// [`Table::remove`] for rows coming and going, [`Table::update`] for
+/// the hop bookkeeping of a live row, which refreshes the row's column
+/// cell when the caller's closure returns. Equality and serialization
+/// see the rows only; deserialization rebuilds the rest. Never mutate
+/// a row's filter through [`Table::update`]: replacing a filter
+/// requires remove-then-insert.
+#[derive(Debug, Clone)]
+pub struct Table<T: Routed> {
+    rows: BTreeMap<T::Id, Row<T>>,
+    /// Row number → id (stale for the numbers in `free`).
+    ids: Vec<T::Id>,
+    free: Vec<u32>,
+    index: MatchIndex<u32>,
+    column: T::Column,
+}
+
+/// The Subscription Routing Table: advertisements.
+pub type Srt = Table<Advertisement>;
+/// The Publication Routing Table: subscriptions, with the forwarding
+/// column.
+pub type Prt = Table<Subscription>;
+
+impl<T: Routed> Default for Table<T> {
+    fn default() -> Self {
+        Table {
+            rows: BTreeMap::new(),
+            ids: Vec::new(),
+            free: Vec::new(),
+            index: MatchIndex::new(),
+            column: T::Column::default(),
+        }
+    }
+}
+
+impl<T: Routed> PartialEq for Table<T> {
     fn eq(&self, other: &Self) -> bool {
-        // The index is derived state; two tables are equal iff their
-        // rows are.
-        self.entries == other.entries
+        self.iter().eq(other.iter())
     }
 }
 
-impl Serialize for Srt {
-    fn serialize<S: serde::ser::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
-        serde_pairs::serialize(&self.entries, ser)
+impl<T: Routed> Serialize for Table<T> {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        ser.collect_seq(self.iter())
     }
 }
 
-impl<'de> Deserialize<'de> for Srt {
-    fn deserialize<D: serde::de::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-        Srt::from_pairs(Vec::deserialize(de)?).map_err(serde::de::Error::custom)
+impl<'de, T: Routed> Deserialize<'de> for Table<T> {
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        Self::from_pairs(Vec::deserialize(de)?).map_err(serde::de::Error::custom)
     }
 }
 
-impl Srt {
+impl<T: Routed> Table<T> {
     /// Creates an empty table.
     pub fn new() -> Self {
-        Srt::default()
+        Self::default()
     }
 
-    /// Rebuilds a table (and its match index) from persisted rows.
+    /// Rebuilds a table (row numbers, column and match index included)
+    /// from persisted rows.
     ///
     /// Ids are bound to immutable filters (the same invariant the live
     /// insert path enforces), so a persisted snapshot carrying one id
-    /// twice with *conflicting* filters is corrupt and is rejected
-    /// rather than silently resolved last-writer-wins. Byte-identical
+    /// twice with *conflicting* rows is corrupt and is rejected rather
+    /// than silently resolved last-writer-wins. Byte-identical
     /// duplicate rows are tolerated (first wins), mirroring the
-    /// idempotent duplicate suppression of [`Srt::insert`].
-    fn from_pairs(pairs: Vec<(AdvId, AdvEntry)>) -> Result<Self, String> {
-        let mut entries: BTreeMap<AdvId, AdvEntry> = BTreeMap::new();
-        for (id, e) in pairs {
-            match entries.entry(id) {
-                Entry::Occupied(existing) => {
-                    if *existing.get() != e {
-                        return Err(format!(
-                            "SRT snapshot carries advertisement {id} twice with \
-                             conflicting rows"
-                        ));
-                    }
-                }
-                Entry::Vacant(v) => {
-                    v.insert(e);
+    /// idempotent duplicate suppression of [`Table::insert`].
+    fn from_pairs(pairs: Vec<(T::Id, Entry<T>)>) -> Result<Self, String> {
+        let mut table = Self::new();
+        for (id, entry) in pairs {
+            if let Some((kept, dup)) = table.add(id, entry) {
+                if *kept != dup {
+                    return Err(format!(
+                        "routing-table snapshot carries {} {id} twice with conflicting rows",
+                        T::NOUN
+                    ));
                 }
             }
         }
-        let mut index = MatchIndex::new();
-        for (id, e) in &entries {
-            index.insert(*id, &e.adv.filter);
-        }
-        Ok(Srt { entries, index })
+        Ok(table)
     }
 
-    /// Inserts an advertisement arriving from `lasthop`. Returns `false`
+    /// Inserts an item arriving from `lasthop`. Returns `false`
     /// (leaving the row untouched) if the id is already present.
     ///
     /// A re-insert with the *same* filter is the normal idempotent
@@ -206,75 +370,123 @@ impl Srt {
     /// filter under the same id is a protocol violation (ids are bound
     /// to immutable filters); it is reported — loudly in debug builds —
     /// and the original row is kept.
-    pub fn insert(&mut self, adv: Advertisement, lasthop: Hop) -> bool {
-        match self.entries.entry(adv.id) {
-            Entry::Occupied(existing) => {
-                if existing.get().adv.filter != adv.filter {
-                    debug_assert!(
-                        false,
-                        "advertisement {} re-inserted with a different filter \
-                         (kept {}, ignored {})",
-                        adv.id,
-                        existing.get().adv.filter,
-                        adv.filter
-                    );
-                    eprintln!(
-                        "transmob-broker: ignoring re-advertisement of {} with a \
-                         different filter; the original row is kept",
-                        adv.id
-                    );
-                }
-                false
-            }
-            Entry::Vacant(v) => {
-                self.index.insert(adv.id, &adv.filter);
-                v.insert(AdvEntry {
-                    adv,
-                    lasthop,
-                    alt_lasthops: BTreeSet::new(),
-                    sent_to: BTreeSet::new(),
-                    pending: None,
-                });
-                true
-            }
+    pub fn insert(&mut self, item: T, lasthop: Hop) -> bool {
+        let id = item.id();
+        let entry = Entry {
+            item,
+            lasthop,
+            alt_lasthops: BTreeSet::new(),
+            sent_to: BTreeSet::new(),
+            pending: None,
+        };
+        let Some((kept, ignored)) = self.add(id, entry) else {
+            return true;
+        };
+        let (kept, ignored) = (kept.item.filter(), ignored.item.filter());
+        if kept != ignored {
+            debug_assert!(
+                false,
+                "{} {id} re-issued with a different filter (kept {kept}, ignored {ignored})",
+                T::NOUN
+            );
+            eprintln!(
+                "transmob-broker: ignoring {} {id} re-issued with a different filter; \
+                 the original row is kept",
+                T::NOUN
+            );
         }
+        false
     }
 
-    /// Removes an advertisement, returning its row.
-    pub fn remove(&mut self, id: AdvId) -> Option<AdvEntry> {
-        let row = self.entries.remove(&id);
-        if row.is_some() {
-            self.index.remove(&id);
-        }
-        row
+    /// Numbers, indexes and stores `entry` under `id`, unless the id is
+    /// taken: then the table is left as it was, and the row kept is
+    /// returned with the one turned away.
+    fn add(&mut self, id: T::Id, entry: Entry<T>) -> Option<(&Entry<T>, Entry<T>)> {
+        let slot = match self.rows.entry(id) {
+            btree_map::Entry::Occupied(kept) => return Some((&kept.into_mut().entry, entry)),
+            btree_map::Entry::Vacant(slot) => slot,
+        };
+        let n = match self.free.pop() {
+            Some(n) => {
+                self.ids[n as usize] = id;
+                n
+            }
+            None => {
+                self.ids.push(id);
+                u32::try_from(self.ids.len() - 1).expect("fewer than 2^32 rows")
+            }
+        };
+        self.index.insert(n, entry.item.filter());
+        self.column.fill(n, &entry);
+        slot.insert(Row { n, entry });
+        None
+    }
+
+    /// Removes an item, returning its row.
+    pub fn remove(&mut self, id: T::Id) -> Option<Entry<T>> {
+        let row = self.rows.remove(&id)?;
+        self.index.remove(&row.n);
+        self.column.free(row.n);
+        self.free.push(row.n);
+        Some(row.entry)
     }
 
     /// Looks up a row.
-    pub fn get(&self, id: AdvId) -> Option<&AdvEntry> {
-        self.entries.get(&id)
+    pub fn get(&self, id: T::Id) -> Option<&Entry<T>> {
+        self.rows.get(&id).map(|row| &row.entry)
     }
 
-    /// Looks up a row mutably (for hop bookkeeping — never mutate the
-    /// filter; see the type docs).
-    pub fn get_mut(&mut self, id: AdvId) -> Option<&mut AdvEntry> {
-        self.entries.get_mut(&id)
+    /// The one way to write to a live row: runs `f` on the entry (hop,
+    /// forwarding-set and pending bookkeeping; never the filter, see
+    /// the type docs), then refreshes the row's column cell. Returns
+    /// what `f` returned, or `None` (with nothing touched) if the id is
+    /// not in the table.
+    pub fn update<R>(&mut self, id: T::Id, f: impl FnOnce(&mut Entry<T>) -> R) -> Option<R> {
+        let row = self.rows.get_mut(&id)?;
+        let out = f(&mut row.entry);
+        self.column.refresh(row.n, &row.entry);
+        Some(out)
     }
 
     /// Iterates all rows.
-    pub fn iter(&self) -> impl Iterator<Item = (&AdvId, &AdvEntry)> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (&T::Id, &Entry<T>)> {
+        self.rows.iter().map(|(id, row)| (id, &row.entry))
     }
 
-    /// Iterates all rows mutably (for hop bookkeeping — never mutate
-    /// the filter; see the type docs).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&AdvId, &mut AdvEntry)> {
-        self.entries.iter_mut()
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
     }
 
-    /// Ids of advertisements whose filter overlaps `filter`
-    /// (the subscription-routing test). Served by the counting index.
-    pub fn overlapping(&self, filter: &Filter) -> Vec<AdvId> {
-        let out = self.index.overlapping(filter);
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Row numbers out of the index → ids, sorted by id (the order the
+    /// linear scans produce).
+    fn ids_of(&self, rows: Vec<u32>) -> Vec<T::Id> {
+        let mut ids: Vec<T::Id> = rows.into_iter().map(|n| self.ids[n as usize]).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The ids of the rows whose filter passes `test`, by scanning
+    /// every row: the differential oracle of the indexed queries,
+    /// compiled into test and debug builds only.
+    #[cfg(any(test, debug_assertions))]
+    fn scan(&self, test: impl Fn(&Filter) -> bool) -> Vec<T::Id> {
+        self.iter()
+            .filter(|(_, e)| test(e.item.filter()))
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    /// Ids of items whose filter overlaps `filter` (the
+    /// subscription-routing and pull test). Served by the counting
+    /// index.
+    pub fn overlapping(&self, filter: &Filter) -> Vec<T::Id> {
+        let out = self.ids_of(self.index.overlapping(filter));
         #[cfg(any(test, debug_assertions))]
         assert_eq!(
             out,
@@ -284,39 +496,31 @@ impl Srt {
         out
     }
 
-    /// Reference implementation of [`Srt::overlapping`]: the full
-    /// linear scan. The differential oracle for the index, compiled into
-    /// test and debug builds only.
+    /// Reference implementation of [`Table::overlapping`]: the full
+    /// linear scan.
     #[cfg(any(test, debug_assertions))]
-    pub fn overlapping_linear(&self, filter: &Filter) -> Vec<AdvId> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.adv.filter.overlaps(filter))
-            .map(|(id, _)| *id)
-            .collect()
+    pub fn overlapping_linear(&self, filter: &Filter) -> Vec<T::Id> {
+        self.scan(|f| f.overlaps(filter))
     }
 
     /// Overlap query joined with the routing hops the broker needs:
     /// for every overlapping row, its id, active lasthop, and pending
-    /// (shadow) lasthop if a movement transaction is in flight. This
-    /// is the one API the broker core routes subscriptions through, so
-    /// active and pending configurations are considered in one place.
-    pub fn overlapping_routes(&self, filter: &Filter) -> Vec<(AdvId, Hop, Option<Hop>)> {
+    /// (shadow) lasthop if a movement transaction is in flight.
+    pub fn overlapping_routes(&self, filter: &Filter) -> Vec<(T::Id, Hop, Option<Hop>)> {
         self.overlapping(filter)
             .into_iter()
             .map(|id| {
-                // unwrap: the index never returns ids without a row
-                let e = &self.entries[&id];
+                let e = &self.rows[&id].entry;
                 (id, e.lasthop, e.pending.as_ref().map(|p| p.lasthop))
             })
             .collect()
     }
 
-    /// Ids of advertisements whose filter *covers* `filter` (the
-    /// advertisement-quench test). Served by the dual-endpoint
-    /// containment structure of the counting index.
-    pub fn covering(&self, filter: &Filter) -> Vec<AdvId> {
-        let out = self.index.covering(filter);
+    /// Ids of items whose filter *covers* `filter` (the quench test).
+    /// Served by the dual-endpoint containment structure of the
+    /// counting index.
+    pub fn covering(&self, filter: &Filter) -> Vec<T::Id> {
+        let out = self.ids_of(self.index.covering(filter));
         #[cfg(any(test, debug_assertions))]
         assert_eq!(
             out,
@@ -326,23 +530,19 @@ impl Srt {
         out
     }
 
-    /// Reference implementation of [`Srt::covering`]: the full linear
-    /// scan. The differential oracle for the index, compiled into
-    /// test and debug builds only.
+    /// Reference implementation of [`Table::covering`]: the full
+    /// linear scan.
     #[cfg(any(test, debug_assertions))]
-    pub fn covering_linear(&self, filter: &Filter) -> Vec<AdvId> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.adv.filter.covers(filter))
-            .map(|(id, _)| *id)
-            .collect()
+    pub fn covering_linear(&self, filter: &Filter) -> Vec<T::Id> {
+        self.scan(|f| f.covers(filter))
     }
 
-    /// Ids of advertisements `filter` covers (the active-retraction /
-    /// covering-release candidate set). Served by the dual-endpoint
+    /// Ids of items `filter` covers (the active-retraction /
+    /// covering-release candidate set that dominates the paper's
+    /// mobility unsubscribe bursts). Served by the dual-endpoint
     /// containment structure of the counting index.
-    pub fn covered_by(&self, filter: &Filter) -> Vec<AdvId> {
-        let out = self.index.covered_by(filter);
+    pub fn covered_by(&self, filter: &Filter) -> Vec<T::Id> {
+        let out = self.ids_of(self.index.covered_by(filter));
         #[cfg(any(test, debug_assertions))]
         assert_eq!(
             out,
@@ -352,49 +552,56 @@ impl Srt {
         out
     }
 
-    /// Reference implementation of [`Srt::covered_by`]: the full
+    /// Reference implementation of [`Table::covered_by`]: the full
     /// linear scan.
     #[cfg(any(test, debug_assertions))]
-    pub fn covered_by_linear(&self, filter: &Filter) -> Vec<AdvId> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| filter.covers(&e.adv.filter))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    pub fn covered_by_linear(&self, filter: &Filter) -> Vec<T::Id> {
+        self.scan(|f| filter.covers(f))
     }
 
     /// Ids of rows with a pending configuration for `move_id`, by
     /// scanning the table: the oracle for the broker core's per-move
     /// pending index, compiled into test and debug builds only.
     #[cfg(any(test, debug_assertions))]
-    pub fn pending_for(&self, move_id: MoveId) -> Vec<AdvId> {
-        self.entries
-            .iter()
+    pub fn pending_for(&self, move_id: MoveId) -> Vec<T::Id> {
+        self.iter()
             .filter(|(_, e)| e.pending.as_ref().is_some_and(|p| p.move_id == move_id))
             .map(|(id, _)| *id)
             .collect()
     }
-}
 
-impl SubEntry {
-    /// Every hop a publication matching the row is forwarded to: the
-    /// active lasthop, the pending one, the alternates, in that order.
-    fn hops(&self) -> impl Iterator<Item = Hop> + '_ {
-        let pending = self.pending.as_ref().map(|p| p.lasthop);
-        [Some(self.lasthop), pending]
-            .into_iter()
-            .flatten()
-            .chain(self.alt_lasthops.iter().map(|b| Hop::Broker(*b)))
+    /// Asserts the derived state against the rows: row numbers and ids
+    /// map onto each other one to one (live and free numbers partition
+    /// the numbers handed out), the index holds every row's filter
+    /// under its number and nothing else, its own slot table
+    /// consistent, and the column agrees with the rows
+    /// ([`Column::check`]). Test support.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        assert_eq!(
+            self.rows.len() + self.free.len(),
+            self.ids.len(),
+            "live and free row numbers do not partition the numbers handed out"
+        );
+        let mut seen: BTreeSet<u32> = self.free.iter().copied().collect();
+        assert_eq!(seen.len(), self.free.len(), "a row number is free twice");
+        for (id, row) in &self.rows {
+            assert!(seen.insert(row.n), "row number {} held twice", row.n);
+            assert_eq!(
+                self.ids[row.n as usize], *id,
+                "row {} names another id",
+                row.n
+            );
+            assert_eq!(
+                self.index.get(&row.n),
+                Some(row.entry.item.filter()),
+                "index filter of {id} differs from the row's"
+            );
+        }
+        assert_eq!(self.index.len(), self.rows.len(), "index size mismatch");
+        self.index.check_slot_invariants();
+        let live = self.rows.values().map(|row| (row.n, &row.entry));
+        self.column.check(self.ids.len(), live);
     }
 }
 
@@ -468,7 +675,7 @@ impl Reach {
 
 /// One cell of the PRT's forwarding column: everything publication
 /// forwarding reads of a row, which is the census ids of the row's
-/// hops ([`SubEntry::hops`] order) and the active lasthop itself.
+/// hops ([`Entry::hops`] order) and the active lasthop itself.
 #[derive(Debug, Clone)]
 struct Cell {
     /// Every step of the forwarding fold records the active lasthop, so
@@ -485,7 +692,7 @@ struct Cell {
 }
 
 impl Cell {
-    /// Calls `f` with every id, in [`SubEntry::hops`] order.
+    /// Calls `f` with every id, in [`Entry::hops`] order.
     #[inline]
     fn for_each_id(&self, mut f: impl FnMut(u32)) {
         f(self.lasthop_id);
@@ -604,277 +811,139 @@ impl Census {
     }
 }
 
-/// The PRT's dense row numbers and the forwarding column they index.
+/// The PRT's forwarding column ([`Routed::Column`] of a subscription):
+/// per row number the row's forwarding cell, the census of their hops,
+/// and the routing-state version.
 ///
-/// A row keeps its number for as long as it lives; a removed row's
-/// number goes to the free list and is handed to a later insert. The
-/// numbers are private to one table instance: they are never
-/// serialized, and a table rebuilt from its rows numbers them afresh.
+/// Publication forwarding ([`Table::destinations_batch`]) folds the
+/// index's matching row numbers through the cells straight into
+/// destination sets, one seen-bit per census id: it never lists the
+/// matching rows, never touches the row map and never sorts to find
+/// repeats, and it stops matching at the row that makes the set every
+/// hop of the census, since no further row could add one.
 #[derive(Debug, Clone, Default)]
-struct Column {
-    /// Row number → subscription id (stale for the numbers in `free`).
-    ids: Vec<SubId>,
-    /// Row number → forwarding cell (stale for the numbers in `free`).
+pub struct Forwarding {
+    /// Row number → forwarding cell (stale for the table's free
+    /// numbers).
     cells: Vec<Cell>,
-    free: Vec<u32>,
     /// The census of the live cells.
     census: Census,
+    /// Routing-state version: bumped by every write that could change
+    /// what [`Table::destinations_batch`] answers (row churn *and*
+    /// every [`Table::update`], counted conservatively). A caller that
+    /// pre-computes destinations stamps them with this and discards
+    /// them if the table has moved on ([`Table::routing_version`]).
+    version: u64,
 }
 
-impl Column {
-    fn alloc(&mut self, id: SubId, e: &SubEntry) -> u32 {
+impl Column<Subscription> for Forwarding {
+    fn fill(&mut self, n: u32, e: &SubEntry) {
+        self.version = self.version.wrapping_add(1);
         let cell = self.census.count(e);
-        match self.free.pop() {
-            Some(n) => {
-                self.ids[n as usize] = id;
-                self.cells[n as usize] = cell;
-                n
-            }
-            None => {
-                let n = u32::try_from(self.ids.len()).expect("fewer than 2^32 PRT rows");
-                self.ids.push(id);
-                self.cells.push(cell);
-                n
-            }
+        match self.cells.get_mut(n as usize) {
+            Some(slot) => *slot = cell,
+            None => self.cells.push(cell),
         }
     }
 
-    /// Frees row number `n`. Its cell stays behind until the number is
-    /// handed out again, so its hops leave the census here.
-    fn release(&mut self, n: u32) {
+    /// The freed number's cell stays behind until the number is handed
+    /// out again, so its hops leave the census here.
+    fn free(&mut self, n: u32) {
+        self.version = self.version.wrapping_add(1);
         self.census.uncount(&self.cells[n as usize]);
-        self.free.push(n);
     }
 
-    /// Re-derives the cell of live row `n` from its entry `e`. The new
-    /// hops are counted before the old ones are un-counted, so a hop
-    /// the row keeps keeps its id.
-    fn set(&mut self, n: u32, e: &SubEntry) {
+    /// Re-derives the cell from the entry. The new hops are counted
+    /// before the old ones are un-counted, so a hop the row keeps keeps
+    /// its id.
+    fn refresh(&mut self, n: u32, e: &SubEntry) {
+        self.version = self.version.wrapping_add(1);
         if !self.census.names(&self.cells[n as usize], e) {
             let cell = self.census.count(e);
             let old = std::mem::replace(&mut self.cells[n as usize], cell);
             self.census.uncount(&old);
         }
     }
-}
 
-/// One PRT row: the entry and its row number.
-#[derive(Debug, Clone)]
-struct Row {
-    n: u32,
-    entry: SubEntry,
-}
-
-/// The Publication Routing Table.
-///
-/// Every row has a dense `u32` *row number* (`Column`). The
-/// attribute-indexed counting [`MatchIndex`] is keyed by it, and the
-/// *forwarding column* beside the rows holds, per row number, the hops
-/// a matching publication is forwarded to, each named by its dense id
-/// in the column's hop `Census`. Publication forwarding
-/// ([`Prt::destinations_batch`]) folds the index's matching row
-/// numbers through the column straight into destination sets, one
-/// seen-bit per census id: it never lists the matching rows, never
-/// touches the row map and never sorts to find repeats, and it stops
-/// matching at the row that makes the set every hop of the census,
-/// since no further row could add one. The filter
-/// queries ([`Prt::matching`], [`Prt::overlapping`], [`Prt::covering`],
-/// [`Prt::covered_by`]) translate row numbers back to ids and answer
-/// sorted by id, exactly like the linear scans they are asserted
-/// against in debug builds.
-///
-/// Index, column and census are derived state with one writer each
-/// side of the row map: [`Prt::insert`] and [`Prt::remove`] for rows
-/// coming and going, [`Prt::update`] for the hop bookkeeping of a live
-/// row, which re-derives that row's cell, and re-counts its hops if it
-/// changed, when the caller's closure returns.
-/// Equality and serialization see the rows only; deserialization
-/// rebuilds the rest. Never mutate a row's filter through
-/// [`Prt::update`]: replacing a filter requires remove-then-insert.
-#[derive(Debug, Clone, Default)]
-pub struct Prt {
-    entries: BTreeMap<SubId, Row>,
-    column: Column,
-    index: MatchIndex<u32>,
-    /// Routing-state version: bumped by every write that could change
-    /// what [`Prt::destinations_batch`] answers (row churn *and* every
-    /// [`Prt::update`], counted conservatively). A caller that
-    /// pre-computes destinations stamps them with this and discards
-    /// them if the table has moved on ([`Prt::routing_version`]).
-    version: u64,
-}
-
-impl PartialEq for Prt {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl Serialize for Prt {
-    fn serialize<S: serde::ser::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
-        ser.collect_seq(self.iter())
-    }
-}
-
-impl<'de> Deserialize<'de> for Prt {
-    fn deserialize<D: serde::de::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-        Prt::from_pairs(Vec::deserialize(de)?).map_err(serde::de::Error::custom)
-    }
-}
-
-impl Prt {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Prt::default()
-    }
-
-    /// Rebuilds a table (row numbers, forwarding column and match
-    /// index included) from persisted rows.
-    ///
-    /// Same contract as [`Srt::from_pairs`]: one id appearing twice
-    /// with conflicting rows marks the snapshot corrupt and is
-    /// rejected; byte-identical duplicates are tolerated (first wins).
-    fn from_pairs(pairs: Vec<(SubId, SubEntry)>) -> Result<Self, String> {
-        let mut prt = Prt::new();
-        for (id, entry) in pairs {
-            match prt.entries.entry(id) {
-                Entry::Occupied(existing) => {
-                    if existing.get().entry != entry {
-                        return Err(format!(
-                            "PRT snapshot carries subscription {id} twice with \
-                             conflicting rows"
-                        ));
-                    }
-                }
-                Entry::Vacant(v) => {
-                    let n = prt.column.alloc(id, &entry);
-                    prt.index.insert(n, &entry.sub.filter);
-                    v.insert(Row { n, entry });
-                }
-            }
+    /// Every live cell holds the census ids of its entry's hops, every
+    /// live hop's id names it back, the mention counts are the ones
+    /// counted from the entries and the free ids are exactly the
+    /// unmentioned ones.
+    fn check<'a>(&self, width: usize, live: impl Iterator<Item = (u32, &'a SubEntry)>) {
+        let Forwarding { cells, census, .. } = self;
+        assert_eq!(
+            cells.len(),
+            width,
+            "forwarding column and row numbers differ in length"
+        );
+        let mut recount: BTreeMap<Hop, u32> = BTreeMap::new();
+        for (n, e) in live {
+            let id = e.item.id;
+            let derived: Vec<u32> = e
+                .hops()
+                .map(|hop| {
+                    *recount.entry(hop).or_insert(0) += 1;
+                    *census.ids.get(&hop).expect("a live row's hop has an id")
+                })
+                .collect();
+            let cell = &cells[n as usize];
+            let mut held = Vec::new();
+            cell.for_each_id(|id| held.push(id));
+            assert_eq!(held, derived, "forwarding cell of {id} is stale");
+            assert!(census.names(cell, e), "forwarding cell of {id} is stale");
         }
-        Ok(prt)
-    }
-
-    /// Inserts a subscription arriving from `lasthop`. Returns `false`
-    /// (leaving the row untouched) if the id is already present.
-    ///
-    /// Same contract as [`Srt::insert`]: equal-filter re-inserts are
-    /// silent duplicate suppression, differing-filter re-inserts are a
-    /// reported protocol violation and the original row is kept.
-    pub fn insert(&mut self, sub: Subscription, lasthop: Hop) -> bool {
-        self.version = self.version.wrapping_add(1);
-        match self.entries.entry(sub.id) {
-            Entry::Occupied(existing) => {
-                let kept = &existing.get().entry.sub.filter;
-                if *kept != sub.filter {
-                    debug_assert!(
-                        false,
-                        "subscription {} re-inserted with a different filter \
-                         (kept {}, ignored {})",
-                        sub.id, kept, sub.filter
-                    );
-                    eprintln!(
-                        "transmob-broker: ignoring re-subscription of {} with a \
-                         different filter; the original row is kept",
-                        sub.id
-                    );
-                }
-                false
-            }
-            Entry::Vacant(v) => {
-                let entry = SubEntry {
-                    sub,
-                    lasthop,
-                    alt_lasthops: BTreeSet::new(),
-                    sent_to: BTreeSet::new(),
-                    pending: None,
-                };
-                let n = self.column.alloc(entry.sub.id, &entry);
-                self.index.insert(n, &entry.sub.filter);
-                v.insert(Row { n, entry });
-                true
-            }
+        assert_eq!(census.ids.len(), recount.len(), "census names a dead hop");
+        assert_eq!(census.hops.len(), census.mentions.len());
+        for (hop, n) in &recount {
+            let id = census.ids[hop] as usize;
+            assert_eq!(census.hops[id], *hop, "census id {id} names another hop");
+            assert_eq!(census.mentions[id], *n, "mentions of {hop:?} miscounted");
         }
-    }
-
-    /// Removes a subscription, returning its row.
-    pub fn remove(&mut self, id: SubId) -> Option<SubEntry> {
-        self.version = self.version.wrapping_add(1);
-        let row = self.entries.remove(&id)?;
-        self.index.remove(&row.n);
-        self.column.release(row.n);
-        Some(row.entry)
-    }
-
-    /// Looks up a row.
-    pub fn get(&self, id: SubId) -> Option<&SubEntry> {
-        self.entries.get(&id).map(|row| &row.entry)
-    }
-
-    /// The one way to write to a live row: runs `f` on the entry (hop,
-    /// forwarding-set and pending bookkeeping; never the filter, see
-    /// the type docs), then bumps the routing version and re-derives
-    /// the row's forwarding cell (and with it the hop census). Returns what `f` returned, or `None`
-    /// (with nothing touched) if the id is not in the table.
-    pub fn update<R>(&mut self, id: SubId, f: impl FnOnce(&mut SubEntry) -> R) -> Option<R> {
-        let row = self.entries.get_mut(&id)?;
-        self.version = self.version.wrapping_add(1);
-        let out = f(&mut row.entry);
-        self.column.set(row.n, &row.entry);
-        Some(out)
-    }
-
-    /// Iterates all rows.
-    pub fn iter(&self) -> impl Iterator<Item = (&SubId, &SubEntry)> {
-        self.entries.iter().map(|(id, row)| (id, &row.entry))
-    }
-
-    /// The routing-state version stamp (see the `version` field): two
-    /// equal stamps from the same table guarantee
-    /// [`Prt::destinations_batch`] would answer identically.
-    pub fn routing_version(&self) -> u64 {
-        self.version
-    }
-
-    /// Row numbers out of the index → ids, sorted by id (the order the
-    /// linear scans produce).
-    fn ids_of(&self, rows: Vec<u32>) -> Vec<SubId> {
-        let mut ids: Vec<SubId> = rows
-            .into_iter()
-            .map(|n| self.column.ids[n as usize])
+        let unmentioned: Vec<u32> = (0..census.hops.len() as u32)
+            .filter(|&id| census.mentions[id as usize] == 0)
             .collect();
-        ids.sort_unstable();
-        ids
+        let mut free_ids = census.free.clone();
+        free_ids.sort_unstable();
+        assert_eq!(
+            free_ids, unmentioned,
+            "free census ids are not the unmentioned ones"
+        );
+    }
+}
+
+/// The PRT's publication queries: matching, and forwarding through the
+/// column.
+impl Table<Subscription> {
+    /// The routing-state version stamp (see [`Forwarding`]): two equal
+    /// stamps from the same table guarantee
+    /// [`Table::destinations_batch`] would answer identically.
+    pub fn routing_version(&self) -> u64 {
+        self.column.version
     }
 
     /// Ids of subscriptions whose filter matches `publication`, sorted
     /// (the publication-forwarding test, for callers that want the
     /// rows; forwarding itself goes through
-    /// [`Prt::destinations_batch`]). Served by the counting index.
+    /// [`Table::destinations_batch`]). Served by the counting index.
     pub fn matching(&self, publication: &Publication) -> Vec<SubId> {
         self.matching_batch(std::slice::from_ref(publication))
             .pop()
             .expect("one result row per publication")
     }
 
-    /// Reference implementation of [`Prt::matching`]: the full linear
-    /// scan. The differential oracle for the index, compiled into
-    /// test and debug builds only.
+    /// Reference implementation of [`Table::matching`]: the full
+    /// linear scan.
     #[cfg(any(test, debug_assertions))]
     pub fn matching_linear(&self, publication: &Publication) -> Vec<SubId> {
-        self.iter()
-            .filter(|(_, e)| e.sub.filter.matches(publication))
-            .map(|(id, _)| *id)
-            .collect()
+        self.scan(|f| f.matches(publication))
     }
 
-    /// [`Prt::matching`] for every publication of a batch, in batch
+    /// [`Table::matching`] for every publication of a batch, in batch
     /// order: the index's fold ([`MatchIndex::fold_matching`]) into id
     /// vectors, sorted; asserted against the linear scan in debug
     /// builds.
     pub fn matching_batch(&self, publications: &[Publication]) -> Vec<Vec<SubId>> {
-        let ids = &self.column.ids;
+        let ids = &self.ids;
         let out = self.index.fold_matching(
             publications,
             Vec::new,
@@ -909,10 +978,10 @@ impl Prt {
     /// lists. The fold is saturated, and the match ends at the row that
     /// completes it, once that count is the census size: what is owed
     /// is a set of hops, and no further row can add one. Asserted
-    /// against [`Prt::destinations_linear`], which scans every row, in
-    /// debug builds.
+    /// against [`Table::destinations_linear`], which scans every row,
+    /// in debug builds.
     pub fn destinations_batch(&self, publications: &[&Publication]) -> Vec<Destinations> {
-        let Column { cells, census, .. } = &self.column;
+        let Forwarding { cells, census, .. } = &self.column;
         let (hops, width) = (census.len(), census.width());
         let out: Vec<Destinations> = self
             .index
@@ -937,14 +1006,14 @@ impl Prt {
         out
     }
 
-    /// [`Prt::destinations_batch`] for one publication.
+    /// [`Table::destinations_batch`] for one publication.
     pub fn destinations(&self, publication: &Publication) -> Destinations {
         self.destinations_batch(&[publication])
             .pop()
             .expect("one destination set per publication")
     }
 
-    /// Reference implementation of [`Prt::destinations_batch`]: the
+    /// Reference implementation of [`Table::destinations_batch`]: the
     /// linear scan of the rows, reading the hops off the entries into
     /// ordered sets.
     #[cfg(any(test, debug_assertions))]
@@ -952,7 +1021,7 @@ impl Prt {
         let mut brokers = BTreeSet::new();
         let mut clients = BTreeSet::new();
         for (_, e) in self.iter() {
-            if e.sub.filter.matches(publication) {
+            if e.item.filter.matches(publication) {
                 for hop in e.hops() {
                     match hop {
                         Hop::Broker(b) => brokers.insert(b),
@@ -965,169 +1034,6 @@ impl Prt {
             brokers: brokers.into_iter().collect(),
             clients: clients.into_iter().collect(),
         }
-    }
-
-    /// Ids of subscriptions whose filter overlaps `filter`. Served by
-    /// the counting index.
-    pub fn overlapping(&self, filter: &Filter) -> Vec<SubId> {
-        let out = self.ids_of(self.index.overlapping(filter));
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            out,
-            self.overlapping_linear(filter),
-            "match index diverged from the linear overlap scan"
-        );
-        out
-    }
-
-    /// Reference implementation of [`Prt::overlapping`]: the full
-    /// linear scan.
-    #[cfg(any(test, debug_assertions))]
-    pub fn overlapping_linear(&self, filter: &Filter) -> Vec<SubId> {
-        self.iter()
-            .filter(|(_, e)| e.sub.filter.overlaps(filter))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Ids of subscriptions whose filter *covers* `filter` (the
-    /// subscription-quench test). Served by the dual-endpoint
-    /// containment structure of the counting index.
-    pub fn covering(&self, filter: &Filter) -> Vec<SubId> {
-        let out = self.ids_of(self.index.covering(filter));
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            out,
-            self.covering_linear(filter),
-            "match index diverged from the linear covering scan"
-        );
-        out
-    }
-
-    /// Reference implementation of [`Prt::covering`]: the full linear
-    /// scan. The differential oracle for the index, compiled into
-    /// test and debug builds only.
-    #[cfg(any(test, debug_assertions))]
-    pub fn covering_linear(&self, filter: &Filter) -> Vec<SubId> {
-        self.iter()
-            .filter(|(_, e)| e.sub.filter.covers(filter))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Ids of subscriptions `filter` covers (the active-retraction /
-    /// covering-release candidate set that dominates the paper's
-    /// mobility unsubscribe bursts). Served by the dual-endpoint
-    /// containment structure of the counting index.
-    pub fn covered_by(&self, filter: &Filter) -> Vec<SubId> {
-        let out = self.ids_of(self.index.covered_by(filter));
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            out,
-            self.covered_by_linear(filter),
-            "match index diverged from the linear covered-by scan"
-        );
-        out
-    }
-
-    /// Reference implementation of [`Prt::covered_by`]: the full
-    /// linear scan.
-    #[cfg(any(test, debug_assertions))]
-    pub fn covered_by_linear(&self, filter: &Filter) -> Vec<SubId> {
-        self.iter()
-            .filter(|(_, e)| filter.covers(&e.sub.filter))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Ids of rows with a pending configuration for `move_id`, by
-    /// scanning the table; see [`Srt::pending_for`].
-    #[cfg(any(test, debug_assertions))]
-    pub fn pending_for(&self, move_id: MoveId) -> Vec<SubId> {
-        self.iter()
-            .filter(|(_, e)| e.pending.as_ref().is_some_and(|p| p.move_id == move_id))
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Asserts the derived state against the rows: row numbers and ids
-    /// map onto each other one to one (live and free numbers partition
-    /// the column), every live cell holds the census ids of its entry's
-    /// hops, every live hop's id names it back, the mention counts are
-    /// the ones counted from the entries and the free ids are exactly
-    /// the unmentioned ones, and the index holds every row's filter
-    /// under its number and nothing else, its own slot table
-    /// consistent. Test support.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        let Column {
-            ids,
-            cells,
-            free,
-            census,
-        } = &self.column;
-        assert_eq!(ids.len(), cells.len(), "column halves differ in length");
-        assert_eq!(
-            self.entries.len() + free.len(),
-            ids.len(),
-            "live and free row numbers do not partition the column"
-        );
-        let mut seen: BTreeSet<u32> = free.iter().copied().collect();
-        assert_eq!(seen.len(), free.len(), "a row number is free twice");
-        let mut recount: BTreeMap<Hop, u32> = BTreeMap::new();
-        for (id, row) in &self.entries {
-            assert!(seen.insert(row.n), "row number {} held twice", row.n);
-            assert_eq!(ids[row.n as usize], *id, "row {} names another id", row.n);
-            let derived: Vec<u32> = row
-                .entry
-                .hops()
-                .map(|hop| {
-                    *recount.entry(hop).or_insert(0) += 1;
-                    *census.ids.get(&hop).expect("a live row's hop has an id")
-                })
-                .collect();
-            let cell = &cells[row.n as usize];
-            let mut held = Vec::new();
-            cell.for_each_id(|id| held.push(id));
-            assert_eq!(held, derived, "forwarding cell of {id} is stale");
-            assert!(
-                census.names(cell, &row.entry),
-                "forwarding cell of {id} is stale"
-            );
-            assert_eq!(
-                self.index.get(&row.n),
-                Some(&row.entry.sub.filter),
-                "index filter of {id} differs from the row's"
-            );
-        }
-        assert_eq!(census.ids.len(), recount.len(), "census names a dead hop");
-        assert_eq!(census.hops.len(), census.mentions.len());
-        for (hop, n) in &recount {
-            let id = census.ids[hop] as usize;
-            assert_eq!(census.hops[id], *hop, "census id {id} names another hop");
-            assert_eq!(census.mentions[id], *n, "mentions of {hop:?} miscounted");
-        }
-        let unmentioned: Vec<u32> = (0..census.hops.len() as u32)
-            .filter(|&id| census.mentions[id as usize] == 0)
-            .collect();
-        let mut free_ids = census.free.clone();
-        free_ids.sort_unstable();
-        assert_eq!(
-            free_ids, unmentioned,
-            "free census ids are not the unmentioned ones"
-        );
-        assert_eq!(self.index.len(), self.entries.len(), "index size mismatch");
-        self.index.check_slot_invariants();
     }
 }
 
@@ -1191,24 +1097,27 @@ mod tests {
         let mut srt = Srt::new();
         prt.insert(s.clone(), Hop::Client(ClientId(1)));
         srt.insert(a.clone(), Hop::Client(ClientId(2)));
-        let row = prt.entries.get(&s.id).unwrap();
-        assert!(Filter::ptr_eq(&row.entry.sub.filter, &s.filter));
+        let row = prt.rows.get(&s.id).unwrap();
+        assert!(Filter::ptr_eq(&row.entry.item.filter, &s.filter));
         assert!(Filter::ptr_eq(prt.index.get(&row.n).unwrap(), &s.filter));
         assert!(Filter::ptr_eq(
-            &srt.get(a.id).unwrap().adv.filter,
+            &srt.get(a.id).unwrap().item.filter,
             &a.filter
         ));
-        assert!(Filter::ptr_eq(srt.index.get(&a.id).unwrap(), &a.filter));
+        assert!(Filter::ptr_eq(
+            srt.index.get(&srt.rows[&a.id].n).unwrap(),
+            &a.filter
+        ));
         // A row handed back by `remove` is still the caller's body.
         assert!(Filter::ptr_eq(
-            &prt.remove(s.id).unwrap().sub.filter,
+            &prt.remove(s.id).unwrap().item.filter,
             &s.filter
         ));
         // An equal filter built apart is a duplicate, not a conflict.
         prt.insert(s.clone(), Hop::Client(ClientId(1)));
         assert!(!prt.insert(sub(1, 0, 0, 10), Hop::Broker(BrokerId(3))));
         assert!(Filter::ptr_eq(
-            &prt.get(s.id).unwrap().sub.filter,
+            &prt.get(s.id).unwrap().item.filter,
             &s.filter
         ));
     }
@@ -1520,7 +1429,7 @@ mod tests {
             prt.insert(sub(c, 0, 0, 10), Hop::Broker(BrokerId(c as u32)));
         }
         prt.check_invariants();
-        assert_eq!(prt.column.ids.len(), 5);
+        assert_eq!(prt.ids.len(), 5);
         assert_eq!(
             prt.destinations(&Publication::new().with("x", 5)),
             Destinations {
@@ -1560,7 +1469,7 @@ mod tests {
         // table numbers its rows afresh, serializes byte-identically
         // and forwards identically.
         prt2.check_invariants();
-        assert_ne!(prt.column.ids, prt2.column.ids);
+        assert_ne!(prt.ids, prt2.ids);
         assert_eq!(serde_json::to_string(&prt2).unwrap(), json);
         // The rebuilt indexes answer queries (the debug oracle inside
         // matching/overlapping cross-checks them against the scan).
@@ -1627,7 +1536,7 @@ mod tests {
         // A snapshot carrying one id twice with different filters must
         // not load last-writer-wins: the rebuild path rejects it.
         let mk = |lo: i64, hi: i64| SubEntry {
-            sub: sub(1, 0, lo, hi),
+            item: sub(1, 0, lo, hi),
             lasthop: Hop::Client(ClientId(1)),
             alt_lasthops: BTreeSet::new(),
             sent_to: BTreeSet::new(),
@@ -1650,7 +1559,7 @@ mod tests {
         assert_eq!(prt.len(), 1);
 
         let mk_adv = |lo: i64, hi: i64| AdvEntry {
-            adv: adv(1, 0, lo, hi),
+            item: adv(1, 0, lo, hi),
             lasthop: Hop::Broker(BrokerId(2)),
             alt_lasthops: BTreeSet::new(),
             sent_to: BTreeSet::new(),

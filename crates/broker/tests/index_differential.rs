@@ -111,12 +111,12 @@ fn replay(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
                         lasthop: Hop::Broker(BrokerId(9)),
                     })
                 });
-                if let Some(e) = srt.get_mut(aid) {
+                srt.update(aid, |e| {
                     e.pending = Some(PendingRoute {
                         move_id: MoveId(i as u64),
                         lasthop: Hop::Broker(BrokerId(9)),
-                    });
-                }
+                    })
+                });
             }
         }
     }
@@ -380,16 +380,16 @@ proptest! {
         let (prt, srt) = replay(&steps);
         let query = build_filter(&q);
         for id in prt.covering(&query) {
-            prop_assert!(prt.get(id).unwrap().sub.filter.covers(&query));
+            prop_assert!(prt.get(id).unwrap().item.filter.covers(&query));
         }
         for id in prt.covered_by(&query) {
-            prop_assert!(query.covers(&prt.get(id).unwrap().sub.filter));
+            prop_assert!(query.covers(&prt.get(id).unwrap().item.filter));
         }
         for id in srt.covering(&query) {
-            prop_assert!(srt.get(id).unwrap().adv.filter.covers(&query));
+            prop_assert!(srt.get(id).unwrap().item.filter.covers(&query));
         }
         for id in srt.covered_by(&query) {
-            prop_assert!(query.covers(&srt.get(id).unwrap().adv.filter));
+            prop_assert!(query.covers(&srt.get(id).unwrap().item.filter));
         }
     }
 

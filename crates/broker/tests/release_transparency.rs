@@ -20,7 +20,7 @@
 //!    (quiescent-per-op) execution of the same operations.
 //!
 //! Both suites also toggle advertisements, so the adv-side quench /
-//! retract / `release_quenched_advs` cascade is raced the same way.
+//! retract / `release_quenched` cascade is raced the same way.
 
 use std::collections::BTreeSet;
 

@@ -566,7 +566,7 @@ fn forwarded_subscription_shares_the_arriving_filter_body() {
     assert_eq!(*to, b(1));
     assert!(Filter::ptr_eq(&forwarded.filter, &s.filter));
     assert!(Filter::ptr_eq(
-        &core.prt().get(s.id).unwrap().sub.filter,
+        &core.prt().get(s.id).unwrap().item.filter,
         &s.filter
     ));
     // The same subscription arriving again, decoded apart (an equal
@@ -742,5 +742,46 @@ fn retraction_during_a_subscription_move_spares_the_pending_route() {
                 [BrokerOutput::ToBroker(b(1), PubSubMsg::Unsubscribe(s.id))]
             );
         }
+    }
+}
+
+/// The advertisement side of the case above behaves differently, and
+/// this pins how: a retraction from the active side of an advertisement
+/// row that carries a pending route removes the row, pending route and
+/// all, and retracts it toward the post-commit hop; the movement's
+/// later commit or abort finds nothing left to finish.
+#[test]
+fn an_unadvertise_from_the_active_side_drops_a_pending_advertisement_route() {
+    for commit in [true, false] {
+        let mut core = BrokerCore::new(b(2), [b(1), b(3)], BrokerConfig::plain());
+        let a = adv(3, 0, range(0, 100));
+        let flooded = core.handle(Hop::Broker(b(3)), PubSubMsg::Advertise(a.clone()));
+        assert_eq!(
+            flooded,
+            [BrokerOutput::ToBroker(
+                b(1),
+                PubSubMsg::Advertise(a.clone())
+            )]
+        );
+        // The publisher moves from B3's side to B1's; B3 retracts the
+        // old route before the commit reaches B2.
+        let m = MoveId(9);
+        core.install_pending_adv(&a, m, Hop::Broker(b(1)), Some(b(3)));
+        let retracted = core.handle(Hop::Broker(b(3)), PubSubMsg::Unadvertise(a.id));
+        assert_eq!(
+            retracted,
+            [BrokerOutput::ToBroker(b(1), PubSubMsg::Unadvertise(a.id))]
+        );
+        assert!(core.srt().get(a.id).is_none());
+        assert!(core.pending_moves().is_empty());
+        core.check_invariants();
+        let finished = if commit {
+            core.commit_move(m)
+        } else {
+            core.abort_move(m)
+        };
+        assert!(finished.is_empty());
+        assert!(core.srt().get(a.id).is_none());
+        core.check_invariants();
     }
 }

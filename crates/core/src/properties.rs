@@ -108,7 +108,7 @@ where
         }
         let prt = prt_of(b);
         for (_, e) in prt.iter() {
-            if !e.sub.filter.matches(probe) {
+            if !e.item.filter.matches(probe) {
                 continue;
             }
             for hop in [Some(e.lasthop), e.pending.as_ref().map(|p| p.lasthop)]

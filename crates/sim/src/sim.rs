@@ -65,7 +65,7 @@ pub enum Choice {
     /// The queued event with this sequence number: the head frame of a
     /// link, received and executed (one step as [`Sim::step_n`] counts
     /// it), or a command, likewise, or a crash, restart, death or
-    /// detection.
+    /// link report.
     Queued(u64),
     /// An armed timer of a broker that is up, fired whatever its
     /// deadline.

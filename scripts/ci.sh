@@ -15,7 +15,8 @@
 #      with multi-path forwarding, DESIGN.md §15); scales via CHAOS_CASES
 #      (e.g. CHAOS_CASES=5000); plus the scenario-script suite on all
 #      four drivers at the same case count, the schedule explorer on
-#      chain(4) under one crash, and the TCP churn test 20 times over;
+#      chain(4) under one crash, the TCP churn test 20 times over, and
+#      one release run of `figures all` and `figures ablations`;
 #      skipped under CI_FAST=1
 #   3. bench smoke — every criterion bench, one iteration each
 #      (CRITERION_QUICK, see vendor/criterion), so bench code cannot
@@ -53,7 +54,7 @@ done
 
 # ---- tier 2: chaos smoke ----------------------------------------------
 if [[ "${CI_FAST:-0}" == "1" ]]; then
-    echo "ci: CI_FAST=1 - skipping chaos smoke and the chain(4) explorer"
+    echo "ci: CI_FAST=1 - skipping chaos smoke, the chain(4) explorer and the figure runs"
 else
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-sim --test chaos_recovery -q
@@ -70,6 +71,13 @@ else
     for _ in $(seq 20); do
         cargo test -p transmob-runtime --test tcp_churn -q
     done
+    # The figure binary: every figure, and the ablations (conservative
+    # and precise covering release, lazy quench, make-before-break) over
+    # a full covered workload on the simulator.
+    FIG_DIR=$(mktemp -d)
+    cargo run --release -q -p transmob-bench --bin figures -- all --out "$FIG_DIR" > /dev/null
+    cargo run --release -q -p transmob-bench --bin figures -- ablations --out "$FIG_DIR" > /dev/null
+    rm -rf "$FIG_DIR"
 fi
 
 # ---- tier 3: bench smoke (single pass, capture reused below) ----------
