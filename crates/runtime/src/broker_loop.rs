@@ -20,6 +20,8 @@ use transmob_core::transport::{flush_outputs, TimerTable, Transport};
 use transmob_core::{ClientOp, Message, MobileBroker, Output, ProtocolKind, TimerToken};
 use transmob_pubsub::{BrokerId, ClientId, Filter, MoveId, Publication, PublicationMsg};
 
+use crate::tcp::LinkEvent;
+
 /// The outcome of a movement, delivered to the issuing client's handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoveOutcome {
@@ -33,12 +35,13 @@ pub struct MoveOutcome {
 /// source of work, so per-sender FIFO on it is per-link FIFO.
 pub(crate) enum Input {
     FromBroker(BrokerId, Vec<Message>),
-    /// The link to a neighbour went down (`false`) or came back up.
-    Link(BrokerId, bool),
+    /// A thread of the TCP runtime hands the loop news of one of its
+    /// links ([`Links::event`]).
+    Link(LinkEvent),
     FromClient(ClientId, ClientOp),
     CreateClient(ClientId),
-    /// Answer with a copy of the broker ([`Hub::brokers`]).
-    Inspect(Sender<MobileBroker>),
+    /// Run this on the broker between two inputs ([`Hub::ask`]).
+    Inspect(Box<dyn FnOnce(&MobileBroker) + Send>),
     Shutdown,
 }
 
@@ -127,6 +130,16 @@ impl Hub {
         self.enqueue(broker, input);
     }
 
+    /// Counts `input` as made for `broker`, then queues it on `tx`, a
+    /// queue of that broker's that its loop may have left: a thread the
+    /// loop spawned speaks only to the loop that spawned it.
+    pub(crate) fn send_on(&self, tx: &Sender<Input>, broker: BrokerId, input: Input) {
+        self.made(broker, input.weight());
+        if let Err(lost) = tx.send(input) {
+            self.discard(broker, lost.0.weight());
+        }
+    }
+
     /// Queues `input` at `broker` without counting it: its messages
     /// were counted when a loop shipped them. A send to a broker whose
     /// loop has ended is dropped, like a frame to a dead process.
@@ -154,11 +167,13 @@ impl Hub {
 
     /// Waits up to `timeout` for the network to be quiescent, and
     /// returns whether it was: every input made for a broker — a client
-    /// command, a link report, a shipped message — was applied or
+    /// command, a link event, a shipped message — was applied or
     /// dropped, and no loop holds an armed protocol timer. Heartbeats
     /// are not inputs. The count is exact while no broker is killed: a
-    /// kill loses the inputs queued at the victim and the bytes in its
-    /// sockets uncounted, after which this may never return `true`.
+    /// killed loop still applies what was queued before the kill, but
+    /// what reaches its old queue behind the `Shutdown`, the bytes left
+    /// unread in its sockets and its own down-queues are lost
+    /// uncounted, after which this may never return `true`.
     pub(crate) fn quiesce(&self, timeout: Duration) -> bool {
         settled(Instant::now() + timeout, || {
             let load = |t: &Tally| {
@@ -180,12 +195,10 @@ impl Hub {
     /// one).
     pub(crate) fn brokers(&self, topology: &Arc<Topology>) -> Frozen {
         let copy = |&b: &BrokerId| {
-            let (tx, rx) = unbounded();
-            self.send(b, Input::Inspect(tx));
-            let answer = rx.recv_timeout(INSPECT_TIMEOUT);
+            let answer = self.ask(b, MobileBroker::clone);
             (
                 b,
-                answer.unwrap_or_else(|_| panic!("broker {b} did not answer")),
+                answer.unwrap_or_else(|| panic!("broker {b} did not answer")),
             )
         };
         Frozen {
@@ -194,13 +207,29 @@ impl Hub {
         }
     }
 
+    /// What `f` says of `broker`, run by its loop between two inputs;
+    /// `None` if no answer came within ten seconds (a killed broker).
+    pub(crate) fn ask<T: Send + 'static>(
+        &self,
+        broker: BrokerId,
+        f: impl FnOnce(&MobileBroker) -> T + Send + 'static,
+    ) -> Option<T> {
+        let (tx, rx) = unbounded();
+        let reply = move |b: &MobileBroker| {
+            let _ = tx.send(f(b));
+        };
+        self.send(broker, Input::Inspect(Box::new(reply)));
+        rx.recv_timeout(INSPECT_TIMEOUT).ok()
+    }
+
     /// A clone of `broker`'s current input sender.
     pub(crate) fn sender(&self, broker: BrokerId) -> Sender<Input> {
         self.inputs.read()[&broker].clone()
     }
 
-    /// Gives `broker` a fresh input queue, shutting down the loop that
-    /// drains the old one (whose undelivered inputs die with it).
+    /// Gives `broker` a fresh input queue, and queues a `Shutdown`
+    /// behind whatever the old one holds: the loop that drains it
+    /// applies those inputs first, then stops.
     pub(crate) fn replace_queue(&self, broker: BrokerId) -> Receiver<Input> {
         let (tx, rx) = unbounded();
         if let Some(old) = self.inputs.write().insert(broker, tx) {
@@ -378,19 +407,21 @@ pub(crate) trait Links {
     /// Ships one coalesced batch to neighbour `to`, contents in order.
     fn ship(&mut self, to: BrokerId, msgs: Vec<Message>);
 
-    /// One input's outputs have all been shipped: push out anything
-    /// [`Links::ship`] buffered.
-    fn finish_step(&mut self) {}
+    /// One step's outputs have all been shipped: push out anything
+    /// [`Links::ship`] buffered, keep the links in line with the
+    /// broker's `topology` and do what falls due. Returns the link
+    /// reports the broker must hear, `(peer, up)`, in order.
+    fn finish_step(&mut self, _topology: &Topology) -> Vec<(BrokerId, bool)> {
+        Vec::new()
+    }
 
-    /// Periodic link upkeep, called before each wait. Returns when the
-    /// loop must wake for the next round even if no input arrives.
-    fn tick(&mut self) -> Option<Instant> {
+    /// When the loop must run a step even if no input arrives.
+    fn next_wake(&self) -> Option<Instant> {
         None
     }
 
-    /// This broker declared `dead` dead: its own suspicion timer fired,
-    /// or a neighbour's death notice arrived.
-    fn note_death(&mut self, _dead: BrokerId) {}
+    /// News of a link from a thread of the TCP runtime.
+    fn event(&mut self, _event: LinkEvent, _topology: &Topology) {}
 }
 
 /// The loop's [`Transport`]: one broker step's outputs go to the links,
@@ -398,16 +429,20 @@ pub(crate) trait Links {
 struct Step<'a, L> {
     id: BrokerId,
     hub: &'a Hub,
-    links: L,
+    links: &'a mut L,
     timers: TimerTable<TimerToken, Instant>,
 }
 
 impl<L: Links> Step<'_, L> {
-    /// Ships one step's outputs, then records for the barrier whether a
-    /// timer is left armed.
-    fn flush(&mut self, outs: Vec<Output>) {
+    /// Ships one step's outputs, lets the links finish the step and
+    /// applies their link reports (which only arm or cancel a timer),
+    /// then records for the barrier whether a timer is left armed.
+    fn flush(&mut self, broker: &mut MobileBroker, outs: Vec<Output>) {
         flush_outputs(self, outs);
-        self.links.finish_step();
+        for (peer, up) in self.links.finish_step(broker.topology()) {
+            let outs = broker.handle_link(peer, up);
+            flush_outputs(self, outs);
+        }
         let armed = self.timers.keys().next().is_some();
         self.hub.tallies[&self.id]
             .armed
@@ -466,8 +501,8 @@ impl<L: Links> Transport for Step<'_, L> {
 /// broker produced before the loop existed (timers re-armed by crash
 /// recovery).
 ///
-/// Each round: fire the due timers, let the links tick, wait for the
-/// next input or the earlier of the two deadlines, apply the input,
+/// Each round: fire the due timers, wait for the next input or the
+/// earlier of the next timer and the links' next wake, apply the input,
 /// ship its outputs, count it ended. One input at a time and
 /// per-sender FIFO on `rx` are all the movement protocols' consistency
 /// argument asks of a driver (DESIGN.md §2), which is why the broker is
@@ -477,7 +512,7 @@ pub(crate) fn run<L: Links>(
     initial_outs: Vec<Output>,
     rx: &Receiver<Input>,
     hub: &Hub,
-    links: L,
+    links: &mut L,
 ) {
     let id = broker.id();
     let mut step = Step {
@@ -486,22 +521,22 @@ pub(crate) fn run<L: Links>(
         links,
         timers: TimerTable::default(),
     };
-    step.flush(initial_outs);
+    step.flush(&mut broker, initial_outs);
     loop {
         let now = Instant::now();
         while let Some(token) = step.timers.pop_due(now) {
-            if let TimerToken::Suspect(dead) = token {
-                step.links.note_death(dead);
-            }
             let outs = broker.handle_timer(token);
-            step.flush(outs);
+            step.flush(&mut broker, outs);
         }
         let next_timer = step.timers.by_deadline().next().map(|(at, _)| at);
-        let wake = next_timer.into_iter().chain(step.links.tick()).min();
+        let wake = next_timer.into_iter().chain(step.links.next_wake()).min();
         let input = match wake {
             Some(at) => match rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
                 Ok(input) => input,
-                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Timeout) => {
+                    step.flush(&mut broker, Vec::new());
+                    continue;
+                }
                 Err(RecvTimeoutError::Disconnected) => return,
             },
             None => match rx.recv() {
@@ -516,8 +551,8 @@ pub(crate) fn run<L: Links>(
                 broker.create_client(c);
                 Vec::new()
             }
-            Input::Inspect(reply) => {
-                let _ = reply.send(broker.clone());
+            Input::Inspect(f) => {
+                f(&broker);
                 Vec::new()
             }
             Input::FromClient(c, op) if broker.client(c).is_none() => {
@@ -532,17 +567,13 @@ pub(crate) fn run<L: Links>(
                 Vec::new()
             }
             Input::FromClient(c, op) => broker.client_op(c, op),
-            Input::Link(peer, up) => broker.handle_link(peer, up),
-            Input::FromBroker(from, msgs) => {
-                for m in &msgs {
-                    if let Message::BrokerDeath { dead } = m {
-                        step.links.note_death(*dead);
-                    }
-                }
-                broker.handle_batch(Hop::Broker(from), msgs)
+            Input::Link(event) => {
+                step.links.event(event, broker.topology());
+                Vec::new()
             }
+            Input::FromBroker(from, msgs) => broker.handle_batch(Hop::Broker(from), msgs),
         };
-        step.flush(outs);
+        step.flush(&mut broker, outs);
         hub.tallies[&id].ended.fetch_add(weight, Ordering::SeqCst);
     }
 }
@@ -567,24 +598,25 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Call {
         Ship(BrokerId, Vec<Message>),
-        FinishStep,
-        Death(BrokerId),
+        /// A finished step, with the brokers its topology held.
+        FinishStep(Vec<BrokerId>),
     }
 
     #[derive(Default)]
     struct FakeLinks {
         calls: Vec<Call>,
+        /// Link reports handed to the loop at the first finished step.
+        reports: Vec<(BrokerId, bool)>,
     }
 
-    impl Links for &mut FakeLinks {
+    impl Links for FakeLinks {
         fn ship(&mut self, to: BrokerId, msgs: Vec<Message>) {
             self.calls.push(Call::Ship(to, msgs));
         }
-        fn finish_step(&mut self) {
-            self.calls.push(Call::FinishStep);
-        }
-        fn note_death(&mut self, dead: BrokerId) {
-            self.calls.push(Call::Death(dead));
+        fn finish_step(&mut self, topology: &Topology) -> Vec<(BrokerId, bool)> {
+            self.calls
+                .push(Call::FinishStep(topology.brokers().collect()));
+            std::mem::take(&mut self.reports)
         }
     }
 
@@ -612,12 +644,29 @@ mod tests {
         config: MobileBrokerConfig,
         inputs: Vec<Input>,
     ) -> FakeLinks {
+        run_reporting(hub, rx, id, topology, config, inputs, Vec::new())
+    }
+
+    /// [`run_inputs`], with links that hand the broker `reports` when
+    /// it starts.
+    fn run_reporting(
+        hub: &Hub,
+        rx: &Receiver<Input>,
+        id: BrokerId,
+        topology: Topology,
+        config: MobileBrokerConfig,
+        inputs: Vec<Input>,
+        reports: Vec<(BrokerId, bool)>,
+    ) -> FakeLinks {
         for input in inputs {
             hub.send(id, input);
         }
         hub.send(id, Input::Shutdown);
         let broker = MobileBroker::new(id, Arc::new(topology), config);
-        let mut links = FakeLinks::default();
+        let mut links = FakeLinks {
+            reports,
+            ..FakeLinks::default()
+        };
         run(broker, Vec::new(), rx, hub, &mut links);
         links
     }
@@ -732,6 +781,9 @@ mod tests {
         assert!(!outcome.committed);
     }
 
+    /// The links hear of a death through the topology they are handed:
+    /// once a down report outlives the deadline, the step that declares
+    /// the death hands them a topology without the dead broker.
     #[test]
     fn a_link_down_past_the_deadline_is_a_death_the_links_hear_of() {
         let (hub, rx) = Hub::new(Topology::chain(3).brokers());
@@ -739,16 +791,23 @@ mod tests {
             suspect_after_ns: Some(0),
             ..MobileBrokerConfig::reconfig()
         };
-        let down = Input::Link(b(3), false);
-        let links = run_inputs(
+        let links = run_reporting(
             &hub,
             &rx[&b(2)],
             b(2),
             Topology::chain(3),
             config,
-            vec![down],
+            Vec::new(),
+            vec![(b(3), false)],
         );
-        assert!(links.calls.contains(&Call::Death(b(3))));
+        let seen: Vec<&Vec<BrokerId>> = (links.calls.iter())
+            .filter_map(|call| match call {
+                Call::FinishStep(brokers) => Some(brokers),
+                Call::Ship(..) => None,
+            })
+            .collect();
+        assert_eq!(seen.first(), Some(&&vec![b(1), b(2), b(3)]));
+        assert_eq!(seen.last(), Some(&&vec![b(1), b(2)]));
         let notice = Message::BrokerDeath { dead: b(3) };
         assert_eq!(links.shipped(), [(b(1), &notice)]);
     }
@@ -770,12 +829,13 @@ mod tests {
         hub.send(b(1), advertise(3));
         let is_ship = |call: &Call| matches!(call, Call::Ship(BrokerId(2), _));
         assert_eq!(links.calls.iter().filter(|c| is_ship(c)).count(), 2);
-        assert!(links.calls.contains(&Call::Death(b(7))));
+        // Initial step, three inputs' steps and the death notice's.
+        let steps = links.calls.len() - 2;
+        assert_eq!(steps, 5, "one finished step an input: {:?}", links.calls);
         for (i, call) in links.calls.iter().enumerate() {
             if is_ship(call) {
-                assert_eq!(
-                    links.calls[i + 1],
-                    Call::FinishStep,
+                assert!(
+                    matches!(links.calls[i + 1], Call::FinishStep(_)),
                     "a shipped batch was left unflushed"
                 );
             }
@@ -822,12 +882,20 @@ mod tests {
             suspect_after_ns: Some(3_600_000_000_000),
             ..MobileBrokerConfig::reconfig()
         };
-        run_b1(config.clone(), vec![Input::Link(b(2), false)]);
+        let report_b1 = |config, reports| {
+            run_reporting(
+                &hub,
+                &rx[&b(1)],
+                b(1),
+                Topology::chain(2),
+                config,
+                Vec::new(),
+                reports,
+            )
+        };
+        report_b1(config.clone(), vec![(b(2), false)]);
         assert!(!hub.quiesce(idle), "a suspicion timer is armed");
-        run_b1(
-            config,
-            vec![Input::Link(b(2), false), Input::Link(b(2), true)],
-        );
+        report_b1(config, vec![(b(2), false), (b(2), true)]);
         assert!(hub.quiesce(idle));
     }
 

@@ -89,8 +89,8 @@ impl Network {
                 std::thread::Builder::new()
                     .name(format!("broker-{b}"))
                     .spawn(move || {
-                        let links = ChannelLinks { id: b, hub: &hub };
-                        broker_loop::run(broker, Vec::new(), &rx, &hub, links);
+                        let mut links = ChannelLinks { id: b, hub: &hub };
+                        broker_loop::run(broker, Vec::new(), &rx, &hub, &mut links);
                     })
                     .expect("spawn broker thread")
             })
@@ -157,7 +157,7 @@ impl Drop for Network {
 }
 
 /// The channel runtime's [`Links`]: a neighbour's input queue is the
-/// link, so there is nothing to flush, probe or stand down.
+/// link, so there is nothing to flush, probe or redial.
 struct ChannelLinks<'a> {
     id: BrokerId,
     hub: &'a Hub,

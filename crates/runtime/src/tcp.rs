@@ -10,32 +10,54 @@
 //!
 //! Each broker runs the single-threaded loop it shares with
 //! [`crate::Network`]; this module is that loop's link layer
-//! (`TcpLinks`) and everything a socket needs around it. Frames
-//! written during one broker step are buffered and flushed with a
-//! single syscall per touched link (`TcpLinks` tracks the touched
-//! set), so the coalescer's batching survives all the way to
-//! the socket. Per-link [`LinkStats`] count frames, flushes, decode
-//! failures, serialize failures and publication drops, and a link
-//! taken down records *why* ([`TcpNetwork::link_stats`]).
+//! (`TcpLinks`) and everything a socket needs around it. The loop owns
+//! its *endpoints* — its end of each overlay link — outright: one
+//! toward each neighbour of its broker's own topology, one for an
+//! accepted connection from any broker that topology still contains,
+//! none toward a broker it no longer contains. Frames written during
+//! one broker step are buffered and flushed with a single syscall per
+//! touched endpoint, so the coalescer's batching survives all the way
+//! to the socket. Per-endpoint [`LinkStats`] count frames, flushes,
+//! decode failures, serialize failures and publication drops, and an
+//! endpoint taken down records *why* ([`TcpNetwork::link_stats`]).
+//!
+//! # Threads
+//!
+//! | Thread | What it may touch |
+//! |---|---|
+//! | broker loop `tcp-broker-{b}` | its broker, its endpoints (sockets, encoders, down-queues, connection numbers, redial schedule), its endpoints' mirrors |
+//! | reader `tcp-reader-{b}-{peer}` | one socket's read half; its endpoint mirror's last-heard time and ping count. Frames and the loss of the connection go to its loop's queue |
+//! | dialer `tcp-dial-{b}-{peer}` | one connect and handshake; the stream or the failure goes to its loop's queue |
+//! | acceptor `tcp-accept-{b}` | its listener; reads which brokers are killed; an admitted stream goes to the broker's current queue |
+//! | caller of [`TcpNetwork`] | the killed set, the input queues, the thread handles; reads the mirrors and asks the loops |
+//!
+//! A reader or dialer speaks only to the loop that spawned it, on that
+//! loop's own queue: once the loop has stopped, nobody reads it. An
+//! event names its connection by number, and only the loop compares
+//! numbers, so a superseded connection can neither install nor tear
+//! down anything.
 //!
 //! # Failure detection and crash recovery
 //!
 //! Each broker drives a [`DurabilityLog`] (write-ahead command log +
-//! periodic checkpoint) and sends heartbeat frames over every link, so
-//! the overlay survives a broker process dying:
+//! periodic checkpoint) and pings every connected endpoint, so the
+//! overlay survives a broker process dying:
 //!
-//! - a peer disconnect (socket EOF, write error, or a failed
-//!   heartbeat) marks the link **down**; protocol messages queue at
-//!   the surviving endpoint instead of being dropped;
-//! - the link going down, and coming back, is reported to its owning
-//!   broker, whose one failure detector decides whether a link that
+//! - an endpoint reports itself down to its broker when it is created
+//!   and when its connection is lost (socket EOF, read or write
+//!   error), and up when a connection is installed; protocol messages
+//!   queue at a down endpoint instead of being dropped;
+//! - the broker's one failure detector decides whether a link that
 //!   stays down means a dead peer
 //!   ([`MobileBrokerConfig::suspect_after_ns`], DESIGN.md §14);
-//! - the link's dialer side redials with capped exponential backoff
-//!   ([`REDIAL_BASE`] doubling up to [`REDIAL_CAP`]) until the peer
-//!   accepts again, then flushes the queued frames in order;
-//! - [`TcpNetwork::kill_broker`] crashes one broker (thread torn down,
-//!   sockets severed, undelivered inputs lost) and
+//! - the lower-id end of a link dials it, and redials with capped
+//!   exponential backoff ([`REDIAL_BASE`] doubling up to
+//!   [`REDIAL_CAP`]), one attempt at a time, until the peer accepts
+//!   again; then the queued messages go out in order;
+//! - [`TcpNetwork::kill_broker`] crashes one broker: its loop applies
+//!   what was queued before the kill, then stops and closes its
+//!   sockets; what reaches its old queue after that, the bytes unread
+//!   in its sockets and its down-queues are lost.
 //!   [`TcpNetwork::restart_broker`] resumes it from its durability
 //!   log, re-arming the timers of any in-flight movement — so a
 //!   movement that was mid-flight when the broker died still commits
@@ -57,14 +79,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Receiver;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use crossbeam::channel::{Receiver, Sender};
+use parking_lot::{Mutex, RwLock};
 use transmob_broker::{OverlayBuilder, PubSubMsg, Topology};
 use transmob_core::properties::Frozen;
 use transmob_core::{DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, Output};
@@ -104,12 +126,15 @@ pub struct TcpOptions {
     /// control and movement-protocol frames are never dropped, even if
     /// that means exceeding the mark.
     pub down_queue_hwm: usize,
-    /// Heartbeat period (default [`HEARTBEAT_INTERVAL`]). The probe
-    /// doubles as write-path failure detection, so this bounds how
-    /// long a silent peer death goes unnoticed by the sender side.
-    /// Whether a link that stays down means a dead broker is the
-    /// broker's call, not the transport's
-    /// ([`MobileBrokerConfig::suspect_after_ns`]).
+    /// Heartbeat period (default [`HEARTBEAT_INTERVAL`]). Each ping is
+    /// a flushed write, so a connection the peer has reset fails at the
+    /// next ping at the latest and the endpoint goes down. A peer that
+    /// vanishes without a reset (power loss, a partition) is not
+    /// detected this way: the write lands in the kernel's send buffer
+    /// and succeeds. Its silence shows in
+    /// [`TcpNetwork::peer_silence`], which nothing acts on. Whether a
+    /// link that stays down means a dead broker is the broker's call,
+    /// not the transport's ([`MobileBrokerConfig::suspect_after_ns`]).
     pub heartbeat_interval: Duration,
 }
 
@@ -151,10 +176,16 @@ pub fn redial_delay(base: Duration, cap: Duration, attempt: u32, seed: u64) -> D
     (half + jitter).min(cap)
 }
 
-/// Counters for one link endpoint, surviving reconnects (they belong
-/// to the edge, not the socket).
-#[derive(Debug, Default)]
-struct LinkStatCells {
+/// What the caller's thread may read of one endpoint: counters that
+/// belong to the edge and survive reconnects and restarts, whether it
+/// is up, and when it last heard from the peer. The owning loop writes
+/// it, except the last-heard time and the ping count, which the
+/// endpoint's reader bumps per frame.
+#[derive(Debug)]
+struct Mirror {
+    up: AtomicBool,
+    last_heard: Mutex<Instant>,
+    pings: AtomicU64,
     frames_sent: AtomicU64,
     flushes: AtomicU64,
     serialize_failures: AtomicU64,
@@ -162,6 +193,27 @@ struct LinkStatCells {
     dropped_publications: AtomicU64,
     connects: AtomicU64,
     down_reason: Mutex<Option<String>>,
+}
+
+impl Mirror {
+    fn new() -> Mirror {
+        Mirror {
+            up: AtomicBool::new(false),
+            last_heard: Mutex::new(Instant::now()),
+            pings: AtomicU64::new(0),
+            frames_sent: AtomicU64::new(0),
+            flushes: AtomicU64::new(0),
+            serialize_failures: AtomicU64::new(0),
+            decode_failures: AtomicU64::new(0),
+            dropped_publications: AtomicU64::new(0),
+            connects: AtomicU64::new(0),
+            down_reason: Mutex::new(None),
+        }
+    }
+
+    fn count(cell: &AtomicU64, n: u64) {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// A snapshot of one link endpoint's counters
@@ -185,83 +237,12 @@ pub struct LinkStats {
     /// mark ([`TcpOptions::down_queue_hwm`]).
     pub dropped_publications: u64,
     /// Connections installed on this endpoint (initial dial plus every
-    /// reconnect). Exactly one per link generation — a stale dialer or
-    /// reader from a superseded generation can neither install nor
-    /// tear down, so churn tests can pin this count.
+    /// reconnect): one per connection, since a superseded dial or
+    /// reader can neither install nor tear down, so churn tests can
+    /// pin this count.
     pub connects: u64,
     /// Why the link last went down (`None` if it never did).
     pub down_reason: Option<String>,
-}
-
-/// One endpoint of an overlay link (this broker's writer toward one
-/// neighbour).
-///
-/// While down, outbound protocol **messages** (not serialized frames)
-/// queue here and are re-encoded on reconnect: the binary codec's
-/// string table belongs to a single connection, so bytes encoded
-/// against the old connection's table would desync a redialed peer.
-enum LinkState {
-    Up {
-        w: BufWriter<TcpStream>,
-        /// A clone kept for `shutdown()` so the blocked reader thread
-        /// observes EOF when the link is torn down.
-        sock: TcpStream,
-        /// This connection's frame encoder (owns the outgoing string
-        /// table; dies with the socket).
-        enc: FrameEncoder,
-        /// Messages written into `w` since the last successful flush.
-        /// If the link dies before they reach the socket they move to
-        /// the down-queue and are resent on reconnect.
-        pending: Vec<Message>,
-    },
-    Down {
-        queued: VecDeque<Message>,
-        /// How many of `queued` are publications (the droppable kind),
-        /// maintained incrementally for the high-water-mark check.
-        queued_pubs: usize,
-        /// A redial thread for this link is already running.
-        redialing: bool,
-    },
-}
-
-impl LinkState {
-    fn fresh_down() -> LinkState {
-        LinkState::Down {
-            queued: VecDeque::new(),
-            queued_pubs: 0,
-            redialing: false,
-        }
-    }
-}
-
-struct Link {
-    state: Mutex<LinkState>,
-    /// When a frame (of any kind) last arrived from the peer.
-    last_heard: Mutex<Instant>,
-    /// The link's generation: bumped under the state lock whenever a
-    /// new connection is installed or the state is forcibly reset
-    /// (kill, shutdown). Redial threads and readers capture the
-    /// generation they were spawned for and stand down when it has
-    /// moved on — this is what makes "exactly one dialer, exactly one
-    /// authoritative connection per link" hold across kill/restart
-    /// races.
-    generation: AtomicU64,
-    stats: LinkStatCells,
-}
-
-impl Link {
-    fn new_down() -> Self {
-        Link {
-            state: Mutex::new(LinkState::fresh_down()),
-            last_heard: Mutex::new(Instant::now()),
-            generation: AtomicU64::new(0),
-            stats: LinkStatCells::default(),
-        }
-    }
-
-    fn note_down(&self, reason: &str) {
-        *self.stats.down_reason.lock() = Some(reason.to_string());
-    }
 }
 
 /// Whether a message is a publication — the only kind the down-queue
@@ -271,41 +252,58 @@ fn is_droppable(m: &Message) -> bool {
     matches!(m, Message::PubSub(PubSubMsg::Publish(_)))
 }
 
-fn count_droppable<'a>(msgs: impl IntoIterator<Item = &'a Message>) -> usize {
-    msgs.into_iter().filter(|m| is_droppable(m)).count()
+/// A down endpoint's outbound **messages** (not serialized frames):
+/// they are re-encoded on reconnect, because the binary codec's string
+/// table belongs to a single connection, so bytes encoded against the
+/// old connection's table would desync a redialed peer.
+#[derive(Debug, Default)]
+struct DownQueue {
+    msgs: VecDeque<Message>,
+    /// How many of `msgs` are publications (the droppable kind),
+    /// maintained incrementally for the high-water-mark check.
+    pubs: usize,
 }
 
-/// Appends `msgs` to a down link's queue, then enforces the high-water
-/// mark by dropping the **oldest publications** (never protocol or
-/// movement frames), and returns how many it dropped. The scan is
-/// linear per drop — overflow is the pathological case, not the steady
-/// state.
-fn enqueue_down(
-    stats: &LinkStatCells,
-    queued: &mut VecDeque<Message>,
-    queued_pubs: &mut usize,
-    msgs: impl IntoIterator<Item = Message>,
-    hwm: usize,
-) -> u64 {
+/// Appends `msgs` to a down endpoint's queue, then enforces the
+/// high-water mark by dropping the **oldest publications** (never
+/// protocol or movement frames), and returns how many it dropped. The
+/// scan is linear per drop — overflow is the pathological case, not
+/// the steady state.
+fn enqueue_down(queue: &mut DownQueue, msgs: impl IntoIterator<Item = Message>, hwm: usize) -> u64 {
     let mut dropped = 0;
     for m in msgs {
-        if is_droppable(&m) {
-            *queued_pubs += 1;
-        }
-        queued.push_back(m);
+        queue.pubs += usize::from(is_droppable(&m));
+        queue.msgs.push_back(m);
     }
-    while queued.len() > hwm && *queued_pubs > 0 {
-        let Some(idx) = queued.iter().position(is_droppable) else {
+    while queue.msgs.len() > hwm && queue.pubs > 0 {
+        let Some(idx) = queue.msgs.iter().position(is_droppable) else {
             break;
         };
-        queued.remove(idx);
-        *queued_pubs -= 1;
+        queue.msgs.remove(idx);
+        queue.pubs -= 1;
         dropped += 1;
     }
-    stats
-        .dropped_publications
-        .fetch_add(dropped, Ordering::Relaxed);
     dropped
+}
+
+/// News of one link, handed to its broker's loop by a reader, a dialer
+/// or the acceptor ([`Input::Link`]).
+pub(crate) enum LinkEvent {
+    /// A handshaken connection to `peer`: the loop's dial number
+    /// `conn`, or accepted (`None`).
+    Connected {
+        peer: BrokerId,
+        conn: Option<u64>,
+        stream: TcpStream,
+    },
+    /// Connection (or dial) number `conn` to `peer` ended, for
+    /// `reason`; `corrupt` if a frame failed to decode.
+    Lost {
+        peer: BrokerId,
+        conn: u64,
+        reason: String,
+        corrupt: bool,
+    },
 }
 
 struct Shared {
@@ -313,28 +311,18 @@ struct Shared {
     config: MobileBrokerConfig,
     options: TcpOptions,
     /// Client registry and each broker's input queue (swapped on
-    /// kill/restart; readers clone the sender at spawn time).
+    /// kill/restart).
     hub: Arc<Hub>,
-    /// `links[owner][peer]`: owner's endpoint of the owner–peer edge.
-    /// Starts as the static overlay's edge set; overlay self-repair
-    /// adds endpoints for the new repair edges at runtime (lock order:
-    /// this map's lock strictly before any `Link::state` mutex).
-    links: RwLock<BTreeMap<BrokerId, BTreeMap<BrokerId, Arc<Link>>>>,
     /// Every broker's listener address (stable across kill/restart —
     /// the "machine" keeps its port, only the process dies).
     addrs: BTreeMap<BrokerId, SocketAddr>,
-    /// Brokers currently killed: their acceptor refuses connections
-    /// and their links neither flush nor redial.
+    /// Brokers currently killed: their acceptor refuses connections.
     down: RwLock<BTreeSet<BrokerId>>,
-    /// `excised[owner]`: the peers `owner`'s broker declared dead, by
-    /// its own suspicion timer or by a `BrokerDeath` it received. Each
-    /// entry is one broker's own record, written by its loop only:
-    /// its endpoints toward them are gone, and its acceptor refuses
-    /// them.
-    excised: RwLock<BTreeMap<BrokerId, BTreeSet<BrokerId>>>,
     shutting_down: AtomicBool,
-    /// Heartbeats received, per broker (failure-detector liveness).
-    pings: BTreeMap<BrokerId, AtomicU64>,
+    /// `mirrors[owner][peer]`: what the caller's thread may read of
+    /// owner's endpoint toward peer; written by owner's loop, which
+    /// drops the entry with the endpoint when peer leaves its topology.
+    mirrors: BTreeMap<BrokerId, RwLock<BTreeMap<BrokerId, Arc<Mirror>>>>,
     /// Reader/dialer/acceptor threads, joined at shutdown.
     aux_threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -342,6 +330,44 @@ struct Shared {
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Shared({} brokers)", self.addrs.len())
+    }
+}
+
+impl Shared {
+    fn new(
+        topology: Arc<Topology>,
+        config: MobileBrokerConfig,
+        options: TcpOptions,
+        hub: Arc<Hub>,
+        addrs: BTreeMap<BrokerId, SocketAddr>,
+    ) -> Shared {
+        Shared {
+            mirrors: topology.brokers().map(|b| (b, RwLock::default())).collect(),
+            topology,
+            config,
+            options,
+            hub,
+            addrs,
+            down: RwLock::new(BTreeSet::new()),
+            shutting_down: AtomicBool::new(false),
+            aux_threads: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn mirror(&self, owner: BrokerId, peer: BrokerId) -> Option<Arc<Mirror>> {
+        self.mirrors.get(&owner)?.read().get(&peer).cloned()
+    }
+
+    /// Spawns a helper thread, joined at shutdown; `false` if the OS
+    /// would not.
+    fn spawn(&self, name: String, f: impl FnOnce() + Send + 'static) -> bool {
+        match std::thread::Builder::new().name(name).spawn(f) {
+            Ok(handle) => {
+                self.aux_threads.lock().push(handle);
+                true
+            }
+            Err(_) => false,
+        }
     }
 }
 
@@ -379,17 +405,18 @@ impl TcpNetwork {
         initial_outs: Vec<Output>,
         rx: Receiver<Input>,
     ) -> io::Result<()> {
+        // A counted no-op the loop takes only after its first step, in
+        // which its endpoints report down: the barrier waits for it.
+        self.shared.hub.send(b, Input::Inspect(Box::new(|_| {})));
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name(format!("tcp-broker-{b}"))
             .spawn(move || {
-                let links = TcpLinks {
-                    id: b,
-                    next_ping: Instant::now() + shared.options.heartbeat_interval,
-                    touched: BTreeSet::new(),
-                    shared: &shared,
-                };
-                broker_loop::run(broker, initial_outs, &rx, &shared.hub, links);
+                let mut links = TcpLinks::new(b, Arc::clone(&shared));
+                broker_loop::run(broker, initial_outs, &rx, &shared.hub, &mut links);
+                // The queue closes before the sockets do: a reader the
+                // close wakes finds nobody to tell.
+                drop(rx);
             })
             .map_err(|e| io::Error::new(e.kind(), format!("spawn broker thread {b}: {e}")))?;
         self.broker_handles.lock().insert(b, handle);
@@ -414,36 +441,51 @@ impl TcpNetwork {
     /// Whether `owner`'s endpoint of the link to `peer` is currently
     /// connected (failure-detector view).
     pub fn link_up(&self, owner: BrokerId, peer: BrokerId) -> bool {
-        link_of(&self.shared, owner, peer)
-            .is_some_and(|l| matches!(*l.state.lock(), LinkState::Up { .. }))
+        (self.shared.mirror(owner, peer)).is_some_and(|m| m.up.load(Ordering::SeqCst))
     }
 
     /// How long ago `owner` last heard anything (heartbeat or protocol
     /// frame) from `peer`.
     pub fn peer_silence(&self, owner: BrokerId, peer: BrokerId) -> Option<Duration> {
-        let link = link_of(&self.shared, owner, peer)?;
-        let at = *link.last_heard.lock();
+        let at = *self.shared.mirror(owner, peer)?.last_heard.lock();
         Some(at.elapsed())
     }
 
-    /// Brokers some broker of this overlay has declared permanently
-    /// dead (the union of the brokers' own records). Empty unless
-    /// [`MobileBrokerConfig::suspect_after_ns`] is set.
+    /// Brokers some live broker of this overlay has declared
+    /// permanently dead: those missing from its own topology. Empty
+    /// unless [`MobileBrokerConfig::suspect_after_ns`] is set.
     pub fn suspected(&self) -> BTreeSet<BrokerId> {
-        let excised = self.shared.excised.read();
-        excised.values().flatten().copied().collect()
+        let all: BTreeSet<BrokerId> = self.shared.topology.brokers().collect();
+        let live: Vec<BrokerId> = {
+            let down = self.shared.down.read();
+            all.iter().filter(|b| !down.contains(b)).copied().collect()
+        };
+        let members =
+            |broker: &MobileBroker| -> BTreeSet<BrokerId> { broker.topology().brokers().collect() };
+        let mut dead = BTreeSet::new();
+        for b in live {
+            if let Some(kept) = self.shared.hub.ask(b, members) {
+                dead.extend(all.difference(&kept));
+            }
+        }
+        dead
     }
 
     /// Total heartbeats `broker` has received from its neighbours.
     pub fn heartbeats_seen(&self, broker: BrokerId) -> u64 {
-        self.shared
-            .pings
-            .get(&broker)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        let Some(mirrors) = self.shared.mirrors.get(&broker) else {
+            return 0;
+        };
+        let pings = mirrors
+            .read()
+            .values()
+            .map(|m| m.pings.load(Ordering::Relaxed))
+            .sum();
+        pings
     }
 
     /// Waits up to `timeout` for the network to settle: every command,
-    /// message and link report applied or dropped, no protocol timer
+    /// message and link event applied or dropped, no protocol timer
     /// armed; heartbeats do not count. Returns whether it did. Not
     /// exact across [`TcpNetwork::kill_broker`] (DESIGN.md §12, "The
     /// barrier").
@@ -472,59 +514,38 @@ impl TcpNetwork {
         self.shared.addrs.get(&broker).copied()
     }
 
-    /// Counters for `owner`'s endpoint of the link to `peer`. The
-    /// counters belong to the edge and survive reconnects.
+    /// Counters for `owner`'s endpoint of the link to `peer`: `None`
+    /// once `owner` has no endpoint toward `peer` (it declared `peer`
+    /// dead). The counters belong to the edge and survive reconnects.
     pub fn link_stats(&self, owner: BrokerId, peer: BrokerId) -> Option<LinkStats> {
-        let link = link_of(&self.shared, owner, peer)?;
-        let s = &link.stats;
-        let down_reason = s.down_reason.lock().clone();
+        let m = self.shared.mirror(owner, peer)?;
+        let down_reason = m.down_reason.lock().clone();
         Some(LinkStats {
-            frames_sent: s.frames_sent.load(Ordering::Relaxed),
-            flushes: s.flushes.load(Ordering::Relaxed),
-            serialize_failures: s.serialize_failures.load(Ordering::Relaxed),
-            decode_failures: s.decode_failures.load(Ordering::Relaxed),
-            dropped_publications: s.dropped_publications.load(Ordering::Relaxed),
-            connects: s.connects.load(Ordering::Relaxed),
+            frames_sent: m.frames_sent.load(Ordering::Relaxed),
+            flushes: m.flushes.load(Ordering::Relaxed),
+            serialize_failures: m.serialize_failures.load(Ordering::Relaxed),
+            decode_failures: m.decode_failures.load(Ordering::SeqCst),
+            dropped_publications: m.dropped_publications.load(Ordering::Relaxed),
+            connects: m.connects.load(Ordering::Relaxed),
             down_reason,
         })
     }
 
-    /// Crashes `broker`: its thread is torn down, its sockets severed
-    /// (neighbours observe the disconnect and start queueing +
-    /// redialing), and any inputs it had not yet applied are lost.
-    /// Its durability log — everything appended before the crash —
-    /// survives for [`TcpNetwork::restart_broker`].
+    /// Crashes `broker`. Its loop first applies every input queued
+    /// before the kill (commands, frames, link events), then stops and
+    /// closes its sockets, so its neighbours see the disconnect, queue
+    /// and redial. Lost with it: what reaches its old
+    /// queue behind the kill, the bytes left unread in its sockets, and
+    /// the messages its own endpoints had queued. Its durability log —
+    /// everything appended before the crash — survives for
+    /// [`TcpNetwork::restart_broker`].
     pub fn kill_broker(&self, broker: BrokerId) {
-        // Mark down first so reader-side disconnect handling neither
-        // redials on this broker's behalf nor lets its acceptor admit
-        // new connections while it is dead.
+        // Its acceptor refuses from now on; dialers keep backing off.
         self.shared.down.write().insert(broker);
-        // Fresh input channel: frames and commands sent from now on
-        // wait for the restarted process; the old channel (with any
-        // undelivered inputs) dies with the thread.
+        // Fresh input queue: inputs sent from now on wait for the
+        // restarted process.
         let rx = self.shared.hub.replace_queue(broker);
         self.pending_rx.lock().insert(broker, rx);
-        // Sever every link endpoint; drop anything it had queued. The
-        // generation bump (under the state lock) retires any redial
-        // thread or reader still running for the old process — this is
-        // what prevents a stale dialer surviving the kill from racing
-        // the restart's fresh one.
-        let peers: Vec<Arc<Link>> = self
-            .shared
-            .links
-            .read()
-            .get(&broker)
-            .map(|m| m.values().cloned().collect())
-            .unwrap_or_default();
-        for link in peers {
-            let mut st = link.state.lock();
-            if let LinkState::Up { sock, .. } = &*st {
-                let _ = sock.shutdown(std::net::Shutdown::Both);
-            }
-            link.generation.fetch_add(1, Ordering::SeqCst);
-            link.note_down("broker killed");
-            *st = LinkState::fresh_down();
-        }
         if let Some(h) = self.broker_handles.lock().remove(&broker) {
             let _ = h.join();
         }
@@ -533,16 +554,17 @@ impl TcpNetwork {
     /// Restarts a broker previously crashed with
     /// [`TcpNetwork::kill_broker`]: rebuilds its state from the
     /// durability log (checkpoint + record replay), re-arms the timers
-    /// of any in-flight movement, reports each of its links down until
-    /// that link is installed again (so its failure detector suspects
-    /// a neighbour that never returns), rejoins the overlay (dialing
-    /// out and accepting again), and flushes whatever its neighbours
-    /// queued during the outage.
+    /// of any in-flight movement, and starts its loop, which derives
+    /// its endpoints from the recovered topology (each reports itself
+    /// down until a connection is installed, so its failure detector
+    /// suspects a neighbour that never returns), dials and accepts
+    /// again, and takes in whatever its neighbours queued during the
+    /// outage.
     ///
     /// # Errors
     ///
-    /// Fails if the broker is not currently killed, or on thread-spawn
-    /// / log errors.
+    /// Fails if the broker is not currently killed, if the overlay has
+    /// repaired around it, or on thread-spawn / log errors.
     pub fn restart_broker(&self, broker: BrokerId) -> io::Result<()> {
         if !self.pending_rx.lock().contains_key(&broker) {
             return Err(io::Error::new(
@@ -556,7 +578,7 @@ impl TcpNetwork {
             // restart.
             return Err(io::Error::new(
                 io::ErrorKind::AddrNotAvailable,
-                format!("broker {broker} was excised by overlay self-repair"),
+                format!("broker {broker} was repaired around by the overlay"),
             ));
         }
         let log = Arc::clone(&self.wals[&broker]);
@@ -591,33 +613,8 @@ impl TcpNetwork {
                 format!("broker {broker} was restarted concurrently"),
             )
         })?;
-        let peers: Vec<BrokerId> = self
-            .shared
-            .links
-            .read()
-            .get(&broker)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        // Link reports are not logged, so the recovered broker knows of
-        // no outage: report every link down, queued before the acceptor
-        // admits anyone, and let each link that comes back report
-        // itself up (`install_link`). A neighbour that never returns is
-        // then suspected like any other (DESIGN.md §14).
-        for &n in &peers {
-            self.shared.hub.send(broker, Input::Link(n, false));
-        }
         self.shared.down.write().remove(&broker);
-        self.spawn_broker(broker, recovered, timer_outs, rx)?;
-        // Rejoin the overlay: redial the edges this broker dials (its
-        // current link map — repair edges included); for the rest, the
-        // surviving dialer's backoff loop is already knocking and will
-        // get through now that the acceptor answers.
-        for n in peers {
-            if broker < n {
-                maybe_redial(&self.shared, broker, n);
-            }
-        }
-        Ok(())
+        self.spawn_broker(broker, recovered, timer_outs, rx)
     }
 
     /// Stops all broker threads, closes every socket so reader threads
@@ -629,30 +626,14 @@ impl TcpNetwork {
     fn stop(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         self.shared.hub.shutdown_all();
-        let all_links: Vec<Arc<Link>> = self
-            .shared
-            .links
-            .read()
-            .values()
-            .flat_map(|m| m.values().cloned())
-            .collect();
-        for link in all_links {
-            let mut st = link.state.lock();
-            if let LinkState::Up { sock, .. } = &*st {
-                let _ = sock.shutdown(std::net::Shutdown::Both);
-            }
-            link.generation.fetch_add(1, Ordering::SeqCst);
-            *st = LinkState::fresh_down();
-        }
         // Wake each acceptor so it can observe the flag and exit.
         for addr in self.shared.addrs.values() {
             let _ = TcpStream::connect_timeout(addr, Duration::from_millis(200));
         }
+        // A loop closes its sockets as it stops, which ends its readers.
         for (_, h) in std::mem::take(&mut *self.broker_handles.lock()) {
             let _ = h.join();
         }
-        // Aux threads exit on EOF / the flag; redial threads wake from
-        // their (capped) backoff sleep and observe the flag.
         loop {
             let batch = std::mem::take(&mut *self.shared.aux_threads.lock());
             if batch.is_empty() {
@@ -672,355 +653,15 @@ impl Drop for TcpNetwork {
 }
 
 // ---------------------------------------------------------------------
-// Link management
+// The threads around a loop: dialer, reader, acceptor
 // ---------------------------------------------------------------------
 
-fn link_of(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Option<Arc<Link>> {
-    shared
-        .links
-        .read()
-        .get(&owner)
-        .and_then(|m| m.get(&peer))
-        .cloned()
-}
-
-/// `link_of`, creating the endpoint if it does not exist yet, unless
-/// `owner` excised `peer`. Overlay self-repair adds edges that were not
-/// in the static topology; the endpoints for them materialize lazily —
-/// on the anchor side when the repair outputs are dispatched, on the
-/// far side when the anchor's dial arrives.
-fn ensure_link(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Option<Arc<Link>> {
-    if let Some(link) = link_of(shared, owner, peer) {
-        return Some(link);
-    }
-    // Under the map's write lock, where `note_death` records an
-    // excision and drops the endpoint in one step.
-    let mut links = shared.links.write();
-    if is_excised(shared, owner, peer) {
-        return None;
-    }
-    let endpoints = links.entry(owner).or_default();
-    Some(Arc::clone(
-        endpoints
-            .entry(peer)
-            .or_insert_with(|| Arc::new(Link::new_down())),
-    ))
-}
-
-/// Whether `owner`'s broker has declared `peer` dead.
-fn is_excised(shared: &Shared, owner: BrokerId, peer: BrokerId) -> bool {
-    (shared.excised.read().get(&owner)).is_some_and(|dead| dead.contains(&peer))
-}
-
-/// Takes `owner`'s link to `peer` from up to down: severs the socket,
-/// moves the frames written since the last flush and then `unsent` to
-/// the down-queue, records `reason`, reports the link down to `owner`'s
-/// failure detector (`Input::Link`), and kicks the redial loop. The one
-/// place a link goes down; a link that is already down only gets the
-/// kick.
-fn take_down(
-    shared: &Arc<Shared>,
-    owner: BrokerId,
-    peer: BrokerId,
-    link: &Link,
-    mut st: MutexGuard<'_, LinkState>,
-    reason: &str,
-    unsent: Vec<Message>,
-) {
-    let LinkState::Up { sock, pending, .. } = &mut *st else {
-        drop(st);
-        maybe_redial(shared, owner, peer);
-        return;
-    };
-    let _ = sock.shutdown(std::net::Shutdown::Both);
-    let mut queued: VecDeque<Message> = std::mem::take(pending).into();
-    let mut queued_pubs = count_droppable(&queued);
-    let hwm = shared.options.down_queue_hwm;
-    let dropped = enqueue_down(&link.stats, &mut queued, &mut queued_pubs, unsent, hwm);
-    shared.hub.discard(peer, dropped);
-    link.note_down(reason);
-    *st = LinkState::Down {
-        queued,
-        queued_pubs,
-        redialing: false,
-    };
-    drop(st);
-    shared.hub.send(owner, Input::Link(peer, false));
-    maybe_redial(shared, owner, peer);
-}
-
-/// Writes one protocol-message frame on `owner`'s link to `peer`
-/// **without flushing** — the broker loop flushes each touched link
-/// once per step ([`flush_link`]). While the link is down the
-/// messages queue un-encoded (the binary string table belongs to a
-/// single connection), bounded by the down-queue high-water mark.
-/// Messages dropped here are counted ended for the barrier.
-fn send_msgs(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId, msgs: Vec<Message>) {
-    let n = msgs.len() as u64;
-    // Auto-vivify: repair edges are not in the static link map; the
-    // first frame the repair routes over one creates the endpoint.
-    let Some(link) = ensure_link(shared, owner, peer) else {
-        shared.hub.discard(peer, n);
-        return; // a broker sends nothing to a peer it excised
-    };
-    let mut st = link.state.lock();
-    let unsent = match &mut *st {
-        LinkState::Up {
-            w, enc, pending, ..
-        } => {
-            let frame = Frame::Msg {
-                from: owner.0,
-                msgs,
-            };
-            let write_ok = match enc.encode(&frame) {
-                Ok(bytes) => w.write_all(bytes).is_ok(),
-                Err(e) => {
-                    // A frame that cannot be serialized (JSON mode
-                    // only; binary encoding is total) must never
-                    // vanish silently: count it, and in debug
-                    // builds treat any non-injected failure as a
-                    // bug.
-                    link.stats
-                        .serialize_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.hub.discard(peer, n);
-                    debug_assert!(
-                        e.0.contains("injected"),
-                        "frame serialize failed on {owner}->{peer}: {e}"
-                    );
-                    return;
-                }
-            };
-            let Frame::Msg { msgs, .. } = frame else {
-                unreachable!()
-            };
-            if write_ok {
-                link.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                pending.extend(msgs);
-                return;
-            }
-            // Peer disconnect detected on the write path (the
-            // heartbeat guarantees this fires within one interval of
-            // a silent peer death): the failed frame joins the
-            // unflushed ones in the down-queue.
-            msgs
-        }
-        LinkState::Down {
-            queued,
-            queued_pubs,
-            ..
-        } => {
-            let hwm = shared.options.down_queue_hwm;
-            let dropped = enqueue_down(&link.stats, queued, queued_pubs, msgs, hwm);
-            drop(st);
-            shared.hub.discard(peer, dropped);
-            // A static edge already has a dialer knocking; a fresh
-            // repair edge does not — kick one (no-op when one runs).
-            maybe_redial(shared, owner, peer);
-            return;
-        }
-    };
-    take_down(shared, owner, peer, &link, st, "write failed", unsent);
-}
-
-/// Sends one heartbeat on `owner`'s link to `peer`, flushing
-/// immediately (the probe doubles as write-path failure detection, so
-/// it must actually hit the socket). Skipped while the link is down —
-/// a stale ping carries no information.
-fn send_ping(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
-    let Some(link) = link_of(shared, owner, peer) else {
-        return;
-    };
-    let mut st = link.state.lock();
-    let LinkState::Up {
-        w, enc, pending, ..
-    } = &mut *st
-    else {
-        return;
-    };
-    match enc.encode(&Frame::Ping { from: owner.0 }) {
-        Ok(bytes) => {
-            if w.write_all(bytes).and_then(|()| w.flush()).is_ok() {
-                link.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                link.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                // The flush carried any batched frames with it.
-                pending.clear();
-                return;
-            }
-        }
-        Err(e) => {
-            link.stats
-                .serialize_failures
-                .fetch_add(1, Ordering::Relaxed);
-            debug_assert!(
-                e.0.contains("injected"),
-                "ping serialize failed on {owner}->{peer}: {e}"
-            );
-            return;
-        }
-    }
-    take_down(
-        shared,
-        owner,
-        peer,
-        &link,
-        st,
-        "heartbeat write failed",
-        Vec::new(),
-    );
-}
-
-/// Flushes `owner`'s link to `peer` — called once per broker step
-/// for each link the batch wrote to, turning N frames into one flush
-/// syscall. A flush failure demotes the unflushed frames to the
-/// down-queue (they are resent on reconnect).
-fn flush_link(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
-    let Some(link) = link_of(shared, owner, peer) else {
-        return;
-    };
-    let mut st = link.state.lock();
-    let LinkState::Up { w, pending, .. } = &mut *st else {
-        return;
-    };
-    if pending.is_empty() {
-        return; // nothing written since the last flush
-    }
-    if w.flush().is_ok() {
-        link.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        pending.clear();
-        return;
-    }
-    take_down(shared, owner, peer, &link, st, "flush failed", Vec::new());
-}
-
-/// Marks `owner`'s link to `peer` down (reader-side disconnect),
-/// recording `reason` so chaos tests can assert *why* the link died,
-/// and kicks the redial loop if this endpoint is the dialer. Frames
-/// written but not yet flushed move to the down-queue for resend.
-///
-/// `generation` is the connection the caller observed dying: if the
-/// link has since moved on (a newer connection was installed, or a
-/// kill reset the state), the stale teardown is a no-op — a reader
-/// from a superseded socket must not kill its healthy successor.
-fn mark_link_down(
-    shared: &Arc<Shared>,
-    owner: BrokerId,
-    peer: BrokerId,
-    reason: &str,
-    generation: u64,
-) {
-    let Some(link) = link_of(shared, owner, peer) else {
-        return;
-    };
-    let st = link.state.lock();
-    if link.generation.load(Ordering::SeqCst) != generation {
-        return;
-    }
-    take_down(shared, owner, peer, &link, st, reason, Vec::new());
-}
-
-/// Starts a redial thread for the (owner → peer) link if owner is the
-/// edge's dialer, the link is down and no redialer is running yet. An
-/// excised peer has no endpoint left to redial.
-///
-/// The thread captures the link generation it was authorized under;
-/// every wake-up re-validates it, so a dialer stranded in a backoff
-/// sleep across a kill/restart of `owner` stands down instead of
-/// racing the restart's fresh dialer (the duplicate used to install a
-/// second connection whose leftover reader then tore down the healthy
-/// one).
-fn maybe_redial(shared: &Arc<Shared>, owner: BrokerId, peer: BrokerId) {
-    if owner > peer {
-        return; // the peer dials this edge
-    }
-    if shared.shutting_down.load(Ordering::SeqCst) || shared.down.read().contains(&owner) {
-        return;
-    }
-    let Some(link) = link_of(shared, owner, peer) else {
-        return;
-    };
-    let my_gen = {
-        let mut st = link.state.lock();
-        match &mut *st {
-            LinkState::Down { redialing, .. } => {
-                if *redialing {
-                    return;
-                }
-                *redialing = true;
-            }
-            LinkState::Up { .. } => return,
-        }
-        link.generation.load(Ordering::SeqCst)
-    };
-    let shared2 = Arc::clone(shared);
-    // The jitter seed only has to decorrelate the links of one
-    // process; edge identity plus generation does that and keeps runs
-    // reproducible.
-    let seed = (u64::from(owner.0) << 40) ^ (u64::from(peer.0) << 20) ^ my_gen;
-    let handle = std::thread::Builder::new()
-        .name(format!("tcp-redial-{owner}-{peer}"))
-        .spawn(move || {
-            let mut attempt = 0u32;
-            // Clears the redial flag iff this thread still owns it.
-            let stand_down = |shared: &Arc<Shared>| {
-                if let Some(link) = link_of(shared, owner, peer) {
-                    let mut st = link.state.lock();
-                    if link.generation.load(Ordering::SeqCst) == my_gen {
-                        if let LinkState::Down { redialing, .. } = &mut *st {
-                            *redialing = false;
-                        }
-                    }
-                }
-            };
-            loop {
-                std::thread::sleep(redial_delay(REDIAL_BASE, REDIAL_CAP, attempt, seed));
-                attempt += 1;
-                if shared2.shutting_down.load(Ordering::SeqCst)
-                    || shared2.down.read().contains(&owner)
-                {
-                    stand_down(&shared2);
-                    return;
-                }
-                // A kill/restart (or a competing install) moved the
-                // link to a new generation, or the peer was excised:
-                // this dialer is stale.
-                let Some(link) = link_of(&shared2, owner, peer) else {
-                    return;
-                };
-                if link.generation.load(Ordering::SeqCst) != my_gen {
-                    return;
-                }
-                if dial_link(&shared2, owner, peer, Some(my_gen)).is_ok() {
-                    return; // install_link cleared the flag
-                }
-            }
-        });
-    match handle {
-        Ok(h) => shared.aux_threads.lock().push(h),
-        Err(_) => {
-            if let LinkState::Down { redialing, .. } = &mut *link.state.lock() {
-                *redialing = false;
-            }
-        }
-    }
-}
-
-/// Dials `peer` on behalf of `owner` and installs the connection.
-/// Handshake: dialer sends its broker id and wire-mode token, acceptor
-/// answers `ok` only if its broker process is actually up and the
-/// codec matches — so queued frames are never flushed into a dead (or
-/// differently-framed) peer.
-///
-/// `expect_generation` (redial path) makes the install conditional: if
-/// the link's generation moved while the dial was in flight (owner
-/// killed, competing install), the fresh socket is discarded instead
-/// of installed on behalf of a world that no longer exists.
-fn dial_link(
-    shared: &Arc<Shared>,
-    owner: BrokerId,
-    peer: BrokerId,
-    expect_generation: Option<u64>,
-) -> io::Result<()> {
+/// Dials `peer` on behalf of `owner` and returns the handshaken
+/// stream. Handshake: dialer sends its broker id and wire-mode token,
+/// acceptor answers `ok` only if its broker process is actually up and
+/// the codec matches — so queued frames are never flushed into a dead
+/// (or differently-framed) peer.
+fn dial(shared: &Shared, owner: BrokerId, peer: BrokerId) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(shared.addrs[&peer])?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     {
@@ -1053,338 +694,558 @@ fn dial_link(
         ));
     }
     stream.set_read_timeout(None)?;
-    install_link(shared, owner, peer, stream, expect_generation)
+    Ok(stream)
 }
 
-/// How many queued messages a reconnect packs into one frame when it
-/// drains the down-queue.
-const RECONNECT_CHUNK: usize = 256;
-
-/// Installs a fresh socket as `owner`'s endpoint toward `peer`,
-/// re-encoding and flushing any messages queued while the link was
-/// down, and spawns the reader for the inbound direction. Latest
-/// connection wins: a previously installed socket is severed (its
-/// unflushed messages carry over to the new connection).
-///
-/// The fresh connection gets a fresh [`FrameEncoder`] — the binary
-/// string table is per-connection state, negotiated from empty on both
-/// sides, which is exactly why the down-queue holds [`Message`]s and
-/// not pre-serialized bytes.
-fn install_link(
-    shared: &Arc<Shared>,
-    owner: BrokerId,
-    peer: BrokerId,
-    stream: TcpStream,
-    expect_generation: Option<u64>,
-) -> io::Result<()> {
-    let Some(link) = ensure_link(shared, owner, peer) else {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        return Err(io::Error::new(
-            io::ErrorKind::ConnectionRefused,
-            format!("{owner} excised {peer}"),
-        ));
-    };
-    // Every dialed and accepted stream passes through here. Frames are
-    // written through a `BufWriter` flushed once per output batch, so
-    // Nagle's algorithm has nothing to coalesce and only adds a
-    // delayed ACK (40 ms) to each write-write-read exchange.
-    stream.set_nodelay(true)?;
-    let reader_stream = stream.try_clone()?;
-    let sock = stream.try_clone()?;
-    let mut st = link.state.lock();
-    // Checked under the link lock: `stop` sets the flag before its
-    // sever pass takes these locks, so no connection can slip in
-    // after the pass and leave a reader blocked on a live socket.
-    if shared.shutting_down.load(Ordering::SeqCst) || shared.down.read().contains(&owner) {
-        let _ = sock.shutdown(std::net::Shutdown::Both);
-        return Err(io::Error::new(io::ErrorKind::Interrupted, "shutting down"));
-    }
-    if let Some(expect) = expect_generation {
-        if link.generation.load(Ordering::SeqCst) != expect {
-            let _ = sock.shutdown(std::net::Shutdown::Both);
-            return Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "link generation moved during dial",
-            ));
-        }
-    }
-    let mut queued = match std::mem::replace(&mut *st, LinkState::fresh_down()) {
-        LinkState::Up {
-            sock: old, pending, ..
-        } => {
-            let _ = old.shutdown(std::net::Shutdown::Both);
-            pending.into()
-        }
-        LinkState::Down { queued, .. } => queued,
-    };
-    let mut enc = FrameEncoder::new(shared.options.wire);
-    let mut w = BufWriter::new(stream);
-    let mut written = true;
-    let mut frames = 0u64;
-    for chunk in queued.make_contiguous().chunks(RECONNECT_CHUNK) {
-        let frame = Frame::Msg {
-            from: owner.0,
-            msgs: chunk.to_vec(),
-        };
-        match enc.encode(&frame) {
-            Ok(bytes) => {
-                written = w.write_all(bytes).is_ok();
-                if !written {
-                    break;
-                }
-                frames += 1;
-            }
-            Err(e) => {
-                link.stats
-                    .serialize_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                debug_assert!(
-                    e.0.contains("injected"),
-                    "reconnect frame serialize failed on {owner}->{peer}: {e}"
-                );
-                written = false;
-                break;
-            }
-        }
-    }
-    let flushed = written && w.flush().is_ok();
-    // New connection, new generation: retires any reader or dialer of
-    // the previous one, and the dialer of this one if it fails below.
-    let reader_generation = link.generation.fetch_add(1, Ordering::SeqCst) + 1;
-    let pending = if flushed { Vec::new() } else { queued.into() };
-    *st = LinkState::Up {
-        w,
-        sock,
-        enc,
-        pending,
-    };
-    if !flushed {
-        // The fresh socket died mid-flush. Requeue everything — some
-        // frames may arrive twice, which the movement protocol's
-        // duplicate-tolerant handlers absorb.
-        take_down(
-            shared,
-            owner,
-            peer,
-            &link,
-            st,
-            "reconnect flush failed",
-            Vec::new(),
-        );
-        return Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "reconnect flush failed",
-        ));
-    }
-    link.stats.frames_sent.fetch_add(frames, Ordering::Relaxed);
-    if frames > 0 {
-        link.stats.flushes.fetch_add(1, Ordering::Relaxed);
-    }
-    link.stats.connects.fetch_add(1, Ordering::Relaxed);
-    *link.last_heard.lock() = Instant::now();
-    drop(st);
-    shared.hub.send(owner, Input::Link(peer, true));
-    spawn_reader(shared, owner, peer, reader_stream, reader_generation)
-}
-
-/// Reads frames from one socket (in the overlay's wire mode) and
-/// feeds them to the owning broker's input channel. Exits on EOF,
-/// socket error, or a corrupt frame — marking the link down with a
-/// reason that distinguishes the three, and counting corruption in
-/// the link stats.
+/// Reads frames from connection `conn` of `owner`'s endpoint toward
+/// `peer` (in the overlay's wire mode) and feeds them to `owner`'s loop
+/// on `tx`, its own queue. On EOF, a socket error or a corrupt frame it
+/// tells the loop the connection is lost, with a reason that
+/// distinguishes the three. `false` if the thread would not spawn.
 fn spawn_reader(
     shared: &Arc<Shared>,
-    owner: BrokerId,
-    peer: BrokerId,
+    tx: &Sender<Input>,
+    (owner, peer, conn): (BrokerId, BrokerId, u64),
     stream: TcpStream,
-    generation: u64,
-) -> io::Result<()> {
-    // Snapshot the current input sender: a reader that outlives a
-    // kill/restart must not feed the reborn broker from a stale
-    // socket's thread (its sends just fail and the thread exits).
-    let tx = shared.hub.sender(owner);
-    let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("tcp-reader-{owner}-{peer}"))
-        .spawn(move || {
-            let mut reader = BufReader::new(stream);
-            let mut dec = FrameDecoder::new(shared2.options.wire);
-            let reason = loop {
-                match dec.read_frame(&mut reader) {
-                    Ok(Some(frame)) => {
-                        if let Some(link) = link_of(&shared2, owner, peer) {
-                            *link.last_heard.lock() = Instant::now();
-                        }
-                        match frame {
-                            Frame::Ping { .. } => {
-                                if let Some(c) = shared2.pings.get(&owner) {
-                                    c.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            Frame::Msg { from, msgs } => {
-                                if tx.send(Input::FromBroker(BrokerId(from), msgs)).is_err() {
-                                    break "broker gone".to_string();
-                                }
+    mirror: Arc<Mirror>,
+) -> bool {
+    let (shared2, tx) = (Arc::clone(shared), tx.clone());
+    shared.spawn(format!("tcp-reader-{owner}-{peer}"), move || {
+        let mut reader = BufReader::new(stream);
+        let mut dec = FrameDecoder::new(shared2.options.wire);
+        let (reason, corrupt) = loop {
+            match dec.read_frame(&mut reader) {
+                Ok(Some(frame)) => {
+                    *mirror.last_heard.lock() = Instant::now();
+                    match frame {
+                        Frame::Ping { .. } => Mirror::count(&mirror.pings, 1),
+                        Frame::Msg { from, msgs } => {
+                            if tx.send(Input::FromBroker(BrokerId(from), msgs)).is_err() {
+                                return; // the loop is gone
                             }
                         }
-                    }
-                    Ok(None) => break "peer closed".to_string(),
-                    Err(ReadError::Io(e)) => break format!("read error: {e}"),
-                    Err(ReadError::Corrupt(e)) => {
-                        // Corrupt peer: count it and drop the link —
-                        // the codec is desynced, so no later frame on
-                        // this connection can be trusted.
-                        if let Some(link) = link_of(&shared2, owner, peer) {
-                            link.stats.decode_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        break format!("corrupt frame: {e}");
                     }
                 }
-            };
-            if !shared2.shutting_down.load(Ordering::SeqCst) {
-                mark_link_down(&shared2, owner, peer, &reason, generation);
+                Ok(None) => break ("peer closed".to_string(), false),
+                Err(ReadError::Io(e)) => break (format!("read error: {e}"), false),
+                // The codec is desynced: no later frame on this
+                // connection can be trusted.
+                Err(ReadError::Corrupt(e)) => break (format!("corrupt frame: {e}"), true),
             }
-        })
-        .map_err(|e| io::Error::new(e.kind(), format!("spawn reader for {owner}: {e}")))?;
-    shared.aux_threads.lock().push(handle);
-    Ok(())
+        };
+        let lost = LinkEvent::Lost {
+            peer,
+            conn,
+            reason,
+            corrupt,
+        };
+        shared2.hub.send_on(&tx, owner, Input::Link(lost));
+    })
 }
 
 /// Accepts connections for one broker forever. A connection is only
 /// admitted (handshake answered with `ok`) while the broker process is
-/// up; during a kill window dialers keep backing off and retrying.
+/// up; during a kill window dialers keep backing off and retrying. An
+/// admitted stream goes to the broker's loop, which decides whether to
+/// keep it.
 fn spawn_acceptor(shared: &Arc<Shared>, owner: BrokerId, listener: TcpListener) -> io::Result<()> {
     let shared2 = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("tcp-accept-{owner}"))
-        .spawn(move || loop {
-            let Ok((stream, _)) = listener.accept() else {
-                return;
-            };
-            if shared2.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
+    let accept = move || loop {
+        let Ok((stream, _)) = listener.accept() else {
+            return;
+        };
+        if shared2.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
+        if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
+            continue;
+        }
+        let mut r = BufReader::new(match stream.try_clone() {
+            Ok(s) => s,
+            Err(_) => continue,
+        });
+        let mut line = String::new();
+        if r.read_line(&mut line).is_err() {
+            continue;
+        }
+        let mut fields = line.split_whitespace();
+        let Some(Ok(peer)) = fields.next().map(|f| f.parse::<u32>().map(BrokerId)) else {
+            continue;
+        };
+        // The mode token guards against a peer (or test harness)
+        // framing the stream differently: refuse rather than feed
+        // the decoder a foreign format.
+        if let Some(tok) = fields.next() {
+            if WireMode::from_token(tok) != Some(shared2.options.wire) {
                 continue;
             }
-            let mut r = BufReader::new(match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue,
-            });
-            let mut line = String::new();
-            if r.read_line(&mut line).is_err() {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            let Some(Ok(peer)) = fields.next().map(|f| f.parse::<u32>().map(BrokerId)) else {
-                continue;
-            };
-            // The mode token guards against a peer (or test harness)
-            // framing the stream differently: refuse rather than feed
-            // the decoder a foreign format.
-            if let Some(tok) = fields.next() {
-                if WireMode::from_token(tok) != Some(shared2.options.wire) {
-                    continue;
-                }
-            }
-            // Any broker of this overlay may dial in: overlay
-            // self-repair creates edges the static topology never had,
-            // and the anchor's dial for one must not be refused. A
-            // shutdown wake-up (no valid id) still falls out here.
-            if peer == owner || !shared2.addrs.contains_key(&peer) {
-                continue;
-            }
-            if shared2.down.read().contains(&owner) {
-                continue; // process down: refuse, dialer keeps retrying
-            }
-            if is_excised(&shared2, owner, peer) {
-                continue; // this broker already repaired around it
-            }
-            let ok = (|| -> io::Result<()> {
-                let mut w = BufWriter::new(stream.try_clone()?);
-                writeln!(w, "ok")?;
-                w.flush()?;
-                stream.set_read_timeout(None)?;
-                Ok(())
-            })();
-            if ok.is_ok() {
-                let _ = install_link(&shared2, owner, peer, stream, None);
-            }
-        })
-        .map_err(|e| io::Error::new(e.kind(), format!("spawn acceptor for {owner}: {e}")))?;
-    shared.aux_threads.lock().push(handle);
-    Ok(())
+        }
+        // Any broker of this overlay may dial in: overlay self-repair
+        // creates edges the static topology never had. A shutdown
+        // wake-up (no valid id) still falls out here.
+        if peer == owner || !shared2.addrs.contains_key(&peer) {
+            continue;
+        }
+        if shared2.down.read().contains(&owner) {
+            continue; // process down: refuse, dialer keeps retrying
+        }
+        let ok = (|| -> io::Result<()> {
+            let mut w = BufWriter::new(stream.try_clone()?);
+            writeln!(w, "ok")?;
+            w.flush()?;
+            stream.set_read_timeout(None)
+        })();
+        if ok.is_ok() {
+            let conn = None;
+            let accepted = LinkEvent::Connected { peer, conn, stream };
+            shared2.hub.send(owner, Input::Link(accepted));
+        }
+    };
+    if shared.spawn(format!("tcp-accept-{owner}"), accept) {
+        Ok(())
+    } else {
+        Err(io::Error::other(format!("spawn acceptor for {owner}")))
+    }
 }
 
 // ---------------------------------------------------------------------
 // The broker loop's link layer
 // ---------------------------------------------------------------------
 
-/// The TCP runtime's [`Links`] for one broker: a shipped batch becomes
-/// one wire frame buffered on the link, and the links written to
-/// during one step are flushed **once** when it finishes — N frames,
-/// one flush syscall per destination.
-struct TcpLinks<'a> {
+/// How many queued messages a reconnect packs into one frame when it
+/// drains the down-queue.
+const RECONNECT_CHUNK: usize = 256;
+
+/// One connection of an endpoint, while it is up. Dropping it closes
+/// the socket, which ends its reader.
+struct Conn {
+    /// The connection's number, unique within its endpoint.
+    n: u64,
+    w: BufWriter<TcpStream>,
+    /// This connection's frame encoder (owns the outgoing string
+    /// table; dies with the socket).
+    enc: FrameEncoder,
+    /// Messages written into `w` since the last successful flush. If
+    /// the connection dies before they reach the socket they move to
+    /// the down-queue and are resent on reconnect.
+    pending: Vec<Message>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        let _ = self.w.get_ref().shutdown(Shutdown::Both);
+    }
+}
+
+impl Conn {
+    /// Buffers one frame of `msgs` (no flush). A frame that cannot be
+    /// serialized (JSON mode only; binary encoding is total) is counted
+    /// and dropped: `Ok(false)`. A failed write hands `msgs` back.
+    fn write(
+        &mut self,
+        from: BrokerId,
+        msgs: Vec<Message>,
+        mirror: &Mirror,
+    ) -> Result<bool, Vec<Message>> {
+        let frame = Frame::Msg { from: from.0, msgs };
+        let written = match self.enc.encode(&frame) {
+            Ok(bytes) => self.w.write_all(bytes).is_ok(),
+            Err(e) => {
+                Mirror::count(&mirror.serialize_failures, 1);
+                debug_assert!(e.0.contains("injected"), "frame serialize failed: {e}");
+                return Ok(false);
+            }
+        };
+        let Frame::Msg { msgs, .. } = frame else {
+            unreachable!()
+        };
+        if !written {
+            return Err(msgs);
+        }
+        Mirror::count(&mirror.frames_sent, 1);
+        self.pending.extend(msgs);
+        Ok(true)
+    }
+}
+
+/// One broker's end of one overlay link, owned by its loop.
+struct Endpoint {
+    /// The newest connection number: the installed connection's, or
+    /// the dial's in flight.
+    conn: u64,
+    /// The connection, while up.
+    up: Option<Conn>,
+    /// What waits for a connection, while down.
+    queue: DownQueue,
+    /// When to dial next: set while the endpoint is down, dials its
+    /// edge and has no dial in flight.
+    dial_at: Option<Instant>,
+    /// Failed dials since the endpoint went down (the backoff step).
+    attempt: u32,
+    mirror: Arc<Mirror>,
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.mirror.up.store(false, Ordering::SeqCst);
+    }
+}
+
+impl Endpoint {
+    /// Schedules the next dial with [`redial_delay`], if `owner` is the
+    /// side that dials the edge (the lower id).
+    fn schedule_dial(&mut self, owner: BrokerId, peer: BrokerId) {
+        if owner < peer {
+            // The jitter seed only has to decorrelate the links of one
+            // process; edge identity plus connection number does that
+            // and keeps runs reproducible.
+            let seed = (u64::from(owner.0) << 40) ^ (u64::from(peer.0) << 20) ^ self.conn;
+            let delay = redial_delay(REDIAL_BASE, REDIAL_CAP, self.attempt, seed);
+            self.dial_at = Some(Instant::now() + delay);
+        }
+    }
+
+    /// Messages this endpoint holds that have not reached the socket.
+    fn held(&self) -> u64 {
+        let pending = self.up.as_ref().map_or(0, |c| c.pending.len());
+        (pending + self.queue.msgs.len()) as u64
+    }
+}
+
+/// The TCP runtime's [`Links`] for one broker: its endpoints, owned by
+/// its loop. A shipped batch becomes one wire frame buffered on the
+/// endpoint, and the endpoints written to during one step are flushed
+/// **once** when it finishes — N frames, one flush syscall per
+/// destination.
+struct TcpLinks {
     id: BrokerId,
-    shared: &'a Arc<Shared>,
+    shared: Arc<Shared>,
+    /// This loop's own input queue, for the threads it spawns.
+    tx: Sender<Input>,
+    endpoints: BTreeMap<BrokerId, Endpoint>,
     touched: BTreeSet<BrokerId>,
+    /// Link reports for the broker, handed over at the end of the step.
+    reports: Vec<(BrokerId, bool)>,
     next_ping: Instant,
 }
 
-impl Links for TcpLinks<'_> {
-    fn ship(&mut self, to: BrokerId, msgs: Vec<Message>) {
-        send_msgs(self.shared, self.id, to, msgs);
-        self.touched.insert(to);
-    }
-
-    fn finish_step(&mut self) {
-        for peer in std::mem::take(&mut self.touched) {
-            flush_link(self.shared, self.id, peer);
+impl TcpLinks {
+    fn new(id: BrokerId, shared: Arc<Shared>) -> TcpLinks {
+        TcpLinks {
+            id,
+            tx: shared.hub.sender(id),
+            next_ping: Instant::now() + shared.options.heartbeat_interval,
+            shared,
+            endpoints: BTreeMap::new(),
+            touched: BTreeSet::new(),
+            reports: Vec::new(),
         }
     }
 
-    fn tick(&mut self) -> Option<Instant> {
-        let (id, shared) = (self.id, self.shared);
-        // Heartbeat every live link (the probe doubles as write-path
-        // failure detection). The peer set is the *current* link map,
-        // not the static topology — overlay repair adds edges.
-        if Instant::now() >= self.next_ping {
-            self.next_ping = Instant::now() + shared.options.heartbeat_interval;
-            let peers: Vec<BrokerId> = shared
-                .links
-                .read()
-                .get(&id)
-                .map(|m| m.keys().copied().collect())
-                .unwrap_or_default();
-            for n in peers {
-                send_ping(shared, id, n);
+    /// Creates the endpoint toward `peer` if there is none: down,
+    /// reported down, dialing at once if this side dials the edge.
+    fn open(&mut self, peer: BrokerId) -> &mut Endpoint {
+        let id = self.id;
+        let Self {
+            shared,
+            endpoints,
+            reports,
+            ..
+        } = self;
+        endpoints.entry(peer).or_insert_with(|| {
+            let mut mirrors = shared.mirrors[&id].write();
+            let mirror = mirrors
+                .entry(peer)
+                .or_insert_with(|| Arc::new(Mirror::new()));
+            reports.push((peer, false));
+            Endpoint {
+                conn: 0,
+                up: None,
+                queue: DownQueue::default(),
+                dial_at: (id < peer).then(Instant::now),
+                attempt: 0,
+                mirror: Arc::clone(mirror),
             }
-        }
-        Some(self.next_ping)
+        })
     }
 
-    /// Records the excision in this broker's own record and drops its
-    /// endpoint toward `dead`, and what the endpoint still held, so its
-    /// dialer stands down instead of redialing a hole in the overlay
-    /// and its acceptor refuses `dead`.
-    fn note_death(&mut self, dead: BrokerId) {
-        let (id, shared) = (self.id, self.shared);
-        let endpoint = {
-            let mut links = shared.links.write();
-            shared.excised.write().entry(id).or_default().insert(dead);
-            links.get_mut(&id).and_then(|peers| peers.remove(&dead))
+    /// Installs `stream` as connection `n` of the endpoint toward
+    /// `peer`, superseding any connection it had, and sends what was
+    /// waiting on it. The fresh connection gets a fresh
+    /// [`FrameEncoder`]: the binary string table is per-connection
+    /// state, negotiated from empty on both sides.
+    fn install(&mut self, peer: BrokerId, n: u64, stream: TcpStream) {
+        let (id, wire) = (self.id, self.shared.options.wire);
+        // Frames are written through a `BufWriter` flushed once per
+        // step, so Nagle's algorithm has nothing to coalesce and only
+        // adds a delayed ACK (40 ms) to each write-write-read exchange.
+        let reader = stream.set_nodelay(true).and_then(|()| stream.try_clone());
+        let mirror = Arc::clone(&self.open(peer).mirror);
+        let spawned = reader.is_ok_and(|reader| {
+            spawn_reader(&self.shared, &self.tx, (id, peer, n), reader, mirror)
+        });
+        if !spawned {
+            return self.lost(peer, n, "reader thread failed to spawn");
+        }
+        let ep = self.endpoints.get_mut(&peer).expect("opened above");
+        let mut backlog: Vec<Message> = ep
+            .up
+            .take()
+            .map(|mut c| std::mem::take(&mut c.pending))
+            .unwrap_or_default();
+        backlog.extend(ep.queue.msgs.drain(..));
+        ep.queue.pubs = 0;
+        ep.up = Some(Conn {
+            n,
+            w: BufWriter::new(stream),
+            enc: FrameEncoder::new(wire),
+            pending: Vec::new(),
+        });
+        (ep.dial_at, ep.attempt) = (None, 0);
+        *ep.mirror.last_heard.lock() = Instant::now();
+        Mirror::count(&ep.mirror.connects, 1);
+        ep.mirror.up.store(true, Ordering::SeqCst);
+        self.reports.push((peer, true));
+        let mut backlog = backlog.into_iter();
+        loop {
+            let chunk: Vec<Message> = backlog.by_ref().take(RECONNECT_CHUNK).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            self.ship(peer, chunk);
+        }
+    }
+
+    /// Takes the endpoint toward `peer` down: closes its socket, queues
+    /// what it had written since the last flush and then `unsent`,
+    /// records `reason`, reports it down and schedules a redial. The
+    /// one place an endpoint goes down.
+    fn teardown(&mut self, peer: BrokerId, reason: &str, unsent: Vec<Message>) {
+        let hwm = self.shared.options.down_queue_hwm;
+        let Some(ep) = self.endpoints.get_mut(&peer) else {
+            return;
         };
-        if let Some(link) = endpoint {
-            let mut st = link.state.lock();
-            if let LinkState::Up { sock, .. } = &*st {
-                let _ = sock.shutdown(std::net::Shutdown::Both);
+        let Some(mut conn) = ep.up.take() else {
+            return;
+        };
+        let msgs = std::mem::take(&mut conn.pending).into_iter().chain(unsent);
+        drop(conn);
+        let dropped = enqueue_down(&mut ep.queue, msgs, hwm);
+        Mirror::count(&ep.mirror.dropped_publications, dropped);
+        self.shared.hub.discard(peer, dropped);
+        *ep.mirror.down_reason.lock() = Some(reason.to_string());
+        ep.mirror.up.store(false, Ordering::SeqCst);
+        ep.attempt = 0;
+        ep.schedule_dial(self.id, peer);
+        self.reports.push((peer, false));
+    }
+
+    /// Connection or dial `conn` toward `peer` ended: an installed one
+    /// takes the endpoint down, a dial in flight schedules the next
+    /// one, and anything superseded is ignored.
+    fn lost(&mut self, peer: BrokerId, conn: u64, reason: &str) {
+        let Some(ep) = self.endpoints.get_mut(&peer) else {
+            return;
+        };
+        match &ep.up {
+            Some(c) if c.n == conn => self.teardown(peer, reason, Vec::new()),
+            None if ep.conn == conn && ep.dial_at.is_none() => {
+                ep.attempt += 1;
+                ep.schedule_dial(self.id, peer);
             }
-            link.generation.fetch_add(1, Ordering::SeqCst);
-            let held = match std::mem::replace(&mut *st, LinkState::fresh_down()) {
-                LinkState::Up { pending, .. } => pending.len(),
-                LinkState::Down { queued, .. } => queued.len(),
-            };
-            shared.hub.discard(dead, held as u64);
+            _ => {}
+        }
+    }
+
+    /// Starts the next dial of the endpoint toward `peer`, on a thread
+    /// of its own that hands the loop the outcome.
+    fn spawn_dial(&mut self, peer: BrokerId) {
+        let owner = self.id;
+        let ep = self.endpoints.get_mut(&peer).expect("dialing endpoint");
+        ep.dial_at = None;
+        ep.conn += 1;
+        let n = ep.conn;
+        let (shared, tx) = (Arc::clone(&self.shared), self.tx.clone());
+        let spawned = self
+            .shared
+            .spawn(format!("tcp-dial-{owner}-{peer}"), move || {
+                let event = match dial(&shared, owner, peer) {
+                    Ok(stream) => LinkEvent::Connected {
+                        peer,
+                        conn: Some(n),
+                        stream,
+                    },
+                    Err(e) => LinkEvent::Lost {
+                        peer,
+                        conn: n,
+                        reason: format!("dial failed: {e}"),
+                        corrupt: false,
+                    },
+                };
+                shared.hub.send_on(&tx, owner, Input::Link(event));
+            });
+        if !spawned {
+            self.lost(peer, n, "dial thread failed to spawn");
+        }
+    }
+
+    /// Sends one heartbeat toward `peer`, flushing at once: a write on
+    /// a connection the peer has reset fails here. Skipped while the
+    /// endpoint is down — a stale ping carries no information.
+    fn ping(&mut self, peer: BrokerId) {
+        let from = self.id.0;
+        let Some(ep) = self.endpoints.get_mut(&peer) else {
+            return;
+        };
+        let Some(conn) = &mut ep.up else {
+            return;
+        };
+        match conn.enc.encode(&Frame::Ping { from }) {
+            Ok(bytes) => {
+                if conn
+                    .w
+                    .write_all(bytes)
+                    .and_then(|()| conn.w.flush())
+                    .is_ok()
+                {
+                    Mirror::count(&ep.mirror.frames_sent, 1);
+                    Mirror::count(&ep.mirror.flushes, 1);
+                    // The flush carried any batched frames with it.
+                    conn.pending.clear();
+                    return;
+                }
+            }
+            Err(e) => {
+                Mirror::count(&ep.mirror.serialize_failures, 1);
+                debug_assert!(e.0.contains("injected"), "ping serialize failed: {e}");
+                return;
+            }
+        }
+        self.teardown(peer, "heartbeat write failed", Vec::new());
+    }
+
+    /// Flushes the endpoint toward `peer` if the step wrote to it. A
+    /// failed flush demotes the unflushed messages to the down-queue.
+    fn flush(&mut self, peer: BrokerId) {
+        let Some(ep) = self.endpoints.get_mut(&peer) else {
+            return;
+        };
+        let Some(conn) = &mut ep.up else {
+            return;
+        };
+        if conn.pending.is_empty() {
+            return;
+        }
+        if conn.w.flush().is_ok() {
+            Mirror::count(&ep.mirror.flushes, 1);
+            conn.pending.clear();
+            return;
+        }
+        self.teardown(peer, "flush failed", Vec::new());
+    }
+}
+
+impl Links for TcpLinks {
+    /// Writes one frame toward `to` **without flushing**; while the
+    /// endpoint is down the messages queue un-encoded, bounded by the
+    /// down-queue high-water mark. Messages dropped here are counted
+    /// ended for the barrier.
+    fn ship(&mut self, to: BrokerId, msgs: Vec<Message>) {
+        self.touched.insert(to);
+        let (id, hwm) = (self.id, self.shared.options.down_queue_hwm);
+        let n = msgs.len() as u64;
+        let ep = self.open(to);
+        let dropped = match &mut ep.up {
+            Some(conn) => match conn.write(id, msgs, &ep.mirror) {
+                Ok(true) => 0,
+                Ok(false) => n,
+                Err(unsent) => return self.teardown(to, "write failed", unsent),
+            },
+            None => {
+                let dropped = enqueue_down(&mut ep.queue, msgs, hwm);
+                Mirror::count(&ep.mirror.dropped_publications, dropped);
+                dropped
+            }
+        };
+        self.shared.hub.discard(to, dropped);
+    }
+
+    /// Flushes each endpoint the step wrote to, brings the endpoints in
+    /// line with `topology` (one toward each neighbour, none toward a
+    /// broker it no longer contains), pings when the heartbeat is due
+    /// and starts the dials that are due.
+    fn finish_step(&mut self, topology: &Topology) -> Vec<(BrokerId, bool)> {
+        for peer in std::mem::take(&mut self.touched) {
+            self.flush(peer);
+        }
+        let (id, shared) = (self.id, &self.shared);
+        self.endpoints.retain(|&peer, ep| {
+            let keep = topology.contains(peer);
+            if !keep {
+                shared.hub.discard(peer, ep.held());
+                shared.mirrors[&id].write().remove(&peer);
+            }
+            keep
+        });
+        for &n in topology.neighbors(id) {
+            self.open(n);
+        }
+        let now = Instant::now();
+        if now >= self.next_ping {
+            self.next_ping = now + self.shared.options.heartbeat_interval;
+            let peers: Vec<BrokerId> = self.endpoints.keys().copied().collect();
+            for peer in peers {
+                self.ping(peer);
+            }
+        }
+        let due: Vec<BrokerId> = (self.endpoints.iter())
+            .filter(|(_, ep)| ep.dial_at.is_some_and(|at| at <= now))
+            .map(|(&peer, _)| peer)
+            .collect();
+        for peer in due {
+            self.spawn_dial(peer);
+        }
+        std::mem::take(&mut self.reports)
+    }
+
+    fn next_wake(&self) -> Option<Instant> {
+        let dials = self.endpoints.values().filter_map(|ep| ep.dial_at);
+        dials.chain([self.next_ping]).min()
+    }
+
+    /// A connection is installed if it comes from a broker `topology`
+    /// still contains and, when dialed, from the endpoint's newest
+    /// dial; an accepted one supersedes whatever was there (latest
+    /// wins). A lost one goes to [`TcpLinks::lost`].
+    fn event(&mut self, event: LinkEvent, topology: &Topology) {
+        match event {
+            LinkEvent::Connected { peer, conn, stream } => {
+                if !topology.contains(peer) {
+                    return; // dropping the stream closes it
+                }
+                let ep = self.open(peer);
+                let n = match conn {
+                    Some(n) if n == ep.conn => n,
+                    Some(_) => return, // a superseded dial
+                    None => {
+                        ep.conn += 1;
+                        ep.conn
+                    }
+                };
+                self.install(peer, n, stream);
+            }
+            LinkEvent::Lost {
+                peer,
+                conn,
+                reason,
+                corrupt,
+            } => {
+                self.lost(peer, conn, &reason);
+                if let Some(ep) = self.endpoints.get(&peer).filter(|_| corrupt) {
+                    // After the reason: a reader of the count sees it.
+                    ep.mirror.decode_failures.fetch_add(1, Ordering::SeqCst);
+                }
+            }
         }
     }
 }
@@ -1447,14 +1308,14 @@ impl TcpNetworkBuilder {
         self
     }
 
-    /// Binds the listeners, connects every overlay edge, and starts
-    /// the broker threads.
+    /// Binds the listeners and starts the broker threads; each loop
+    /// then dials the overlay edges it owns.
     ///
     /// # Errors
     ///
-    /// Propagates socket bind/connect and thread-spawn errors; any
-    /// threads already started are shut down and joined before the
-    /// error is returned.
+    /// Propagates socket bind and thread-spawn errors; any threads
+    /// already started are shut down and joined before the error is
+    /// returned.
     ///
     /// # Panics
     ///
@@ -1479,32 +1340,10 @@ impl TcpNetworkBuilder {
             addrs.insert(b, l.local_addr()?);
             listeners.insert(b, l);
         }
-        // Phase 2: shared state, acceptors, and the initial dials.
+        // Phase 2: shared state and acceptors.
         let (hub, input_rx) = Hub::new(topology.brokers());
-        let mut links: BTreeMap<BrokerId, BTreeMap<BrokerId, Arc<Link>>> = BTreeMap::new();
-        let mut pings: BTreeMap<BrokerId, AtomicU64> = BTreeMap::new();
-        for b in topology.brokers() {
-            pings.insert(b, AtomicU64::new(0));
-            let peers = topology
-                .neighbors(b)
-                .iter()
-                .map(|&n| (n, Arc::new(Link::new_down())))
-                .collect();
-            links.insert(b, peers);
-        }
-        let shared = Arc::new(Shared {
-            topology: Arc::clone(&topology),
-            config: config.clone(),
-            options,
-            hub,
-            links: RwLock::new(links),
-            addrs,
-            down: RwLock::new(BTreeSet::new()),
-            excised: RwLock::new(BTreeMap::new()),
-            shutting_down: AtomicBool::new(false),
-            pings,
-            aux_threads: Mutex::new(Vec::new()),
-        });
+        let shared = Shared::new(Arc::clone(&topology), config.clone(), options, hub, addrs);
+        let shared = Arc::new(shared);
         let net = TcpNetwork {
             shared: Arc::clone(&shared),
             broker_handles: Mutex::new(BTreeMap::new()),
@@ -1516,12 +1355,6 @@ impl TcpNetworkBuilder {
         };
         for (b, listener) in listeners {
             spawn_acceptor(&shared, b, listener)?;
-        }
-        // Dial each edge once, lower id dialing the higher (the same
-        // side redials after failures). The acceptors are already up,
-        // so one synchronous attempt per edge suffices here.
-        for (a, b) in topology.edges() {
-            dial_link(&shared, a, b, None)?;
         }
         // Phase 3: broker threads (from here on `net`'s Drop handles
         // cleanup if a later spawn fails).
@@ -1706,33 +1539,50 @@ mod tests {
         )))
     }
 
+    /// Broker 1's links of a `chain(2)` with no loop around them, handed
+    /// one accepted connection toward broker 2, and that connection's
+    /// far end. No heartbeat falls due while a test runs.
+    fn lone_links() -> (TcpLinks, TcpStream, Topology) {
+        let topology = Topology::chain(2);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let options = TcpOptions {
+            heartbeat_interval: Duration::from_secs(3600),
+            ..TcpOptions::default()
+        };
+        let (hub, _queues) = Hub::new(topology.brokers());
+        let addrs = topology.brokers().map(|b| (b, addr)).collect();
+        let config = MobileBrokerConfig::reconfig();
+        let shared = Shared::new(Arc::new(topology.clone()), config, options, hub, addrs);
+        let mut links = TcpLinks::new(b(1), Arc::new(shared));
+        let far = TcpStream::connect(addr).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let accepted = LinkEvent::Connected {
+            peer: b(2),
+            conn: None,
+            stream,
+        };
+        links.event(accepted, &topology);
+        (links, far, topology)
+    }
+
+    fn stats(links: &TcpLinks) -> Arc<Mirror> {
+        links.shared.mirror(b(1), b(2)).expect("mirror")
+    }
+
     /// Satellite bugfix 4: frames written during one batch share a
     /// single flush instead of one syscall each.
     #[test]
     fn batched_frames_share_one_flush() {
-        let net = TcpNetwork::builder()
-            .overlay(Topology::chain(2))
-            .options(MobileBrokerConfig::reconfig())
-            .start()
-            .expect("sockets");
-        wait_link_up(&net, b(1), b(2));
-        let before = net.link_stats(b(1), b(2)).expect("stats");
+        let (mut links, _far, topology) = lone_links();
         for i in 0..3 {
-            send_msgs(&net.shared, b(1), b(2), vec![pub_msg(i)]);
+            links.ship(b(2), vec![pub_msg(i)]);
         }
-        flush_link(&net.shared, b(1), b(2));
-        let after = net.link_stats(b(1), b(2)).expect("stats");
-        let frames = after.frames_sent - before.frames_sent;
-        let flushes = after.flushes - before.flushes;
-        assert!(frames >= 3, "three frames were written, saw {frames}");
-        // Concurrent heartbeats add one frame *and* one flush each, so
-        // the batched writes show up as a surplus of frames: 3 frames,
-        // at most 1 flush of our own.
-        assert!(
-            frames - flushes >= 2,
-            "3 frames must share one flush: frames={frames} flushes={flushes}"
-        );
-        net.shutdown();
+        let reports = links.finish_step(&topology);
+        assert_eq!(reports, [(b(2), false), (b(2), true)]);
+        let m = stats(&links);
+        assert_eq!(m.frames_sent.load(Ordering::Relaxed), 3);
+        assert_eq!(m.flushes.load(Ordering::Relaxed), 1, "3 frames, one flush");
     }
 
     /// Satellite bugfix 2: the down-queue high-water mark drops the
@@ -1740,25 +1590,21 @@ mod tests {
     /// frames, and counts every drop.
     #[test]
     fn down_queue_drops_oldest_publications_never_protocol() {
-        let stats = LinkStatCells::default();
-        let mut queued = VecDeque::new();
-        let mut pubs = 0usize;
+        let mut queue = DownQueue::default();
         let ctl = Message::Move(transmob_core::MoveMsg::Ack {
             m: transmob_pubsub::MoveId(1),
             source: b(1),
             target: b(2),
         });
-        enqueue_down(&stats, &mut queued, &mut pubs, (0..4).map(pub_msg), 4);
-        assert_eq!(queued.len(), 4);
-        assert_eq!(stats.dropped_publications.load(Ordering::Relaxed), 0);
+        assert_eq!(enqueue_down(&mut queue, (0..4).map(pub_msg), 4), 0);
+        assert_eq!(queue.msgs.len(), 4);
         // A protocol frame pushes past the mark: the oldest publication
         // is dropped, the protocol frame stays.
-        enqueue_down(&stats, &mut queued, &mut pubs, [ctl.clone()], 4);
-        assert_eq!(queued.len(), 4);
-        assert_eq!(pubs, 3);
-        assert_eq!(stats.dropped_publications.load(Ordering::Relaxed), 1);
-        assert!(queued.iter().any(|m| matches!(m, Message::Move(_))));
-        match &queued[0] {
+        assert_eq!(enqueue_down(&mut queue, [ctl.clone()], 4), 1);
+        assert_eq!(queue.msgs.len(), 4);
+        assert_eq!(queue.pubs, 3);
+        assert!(queue.msgs.iter().any(|m| matches!(m, Message::Move(_))));
+        match &queue.msgs[0] {
             Message::PubSub(PubSubMsg::Publish(p)) => {
                 assert_eq!(p.id, transmob_pubsub::PubId(1), "oldest pub must go first");
             }
@@ -1766,18 +1612,10 @@ mod tests {
         }
         // A queue of nothing but protocol frames may exceed the mark:
         // correctness-bearing messages are never sacrificed.
-        let stats2 = LinkStatCells::default();
-        let mut queued2 = VecDeque::new();
-        let mut pubs2 = 0usize;
-        enqueue_down(
-            &stats2,
-            &mut queued2,
-            &mut pubs2,
-            std::iter::repeat_with(|| ctl.clone()).take(6),
-            4,
-        );
-        assert_eq!(queued2.len(), 6);
-        assert_eq!(stats2.dropped_publications.load(Ordering::Relaxed), 0);
+        let mut controls = DownQueue::default();
+        let six = std::iter::repeat_with(|| ctl.clone()).take(6);
+        assert_eq!(enqueue_down(&mut controls, six, 4), 0);
+        assert_eq!(controls.msgs.len(), 6);
     }
 
     /// The redial backoff schedule: capped exponential envelope with
@@ -1814,40 +1652,40 @@ mod tests {
     }
 
     /// Satellite bugfix (churn PR): a reader whose connection was
-    /// superseded must not tear down the fresh connection — the
-    /// generation guard makes the stale teardown a no-op.
+    /// superseded must not tear down the fresh connection — the loop
+    /// compares connection numbers, so the stale loss is a no-op.
     #[test]
     fn stale_reader_cannot_tear_down_fresh_connection() {
-        let net = TcpNetwork::builder()
-            .overlay(Topology::chain(2))
-            .options(MobileBrokerConfig::reconfig())
-            .start()
-            .expect("sockets");
-        wait_link_up(&net, b(1), b(2));
-        let link = link_of(&net.shared, b(1), b(2)).expect("link");
-        let current = link.generation.load(Ordering::SeqCst);
-        // A teardown on behalf of the previous generation: no-op.
-        mark_link_down(&net.shared, b(1), b(2), "stale reader", current - 1);
+        let (mut links, _far, topology) = lone_links();
+        let live = links.endpoints[&b(2)].up.as_ref().expect("installed").n;
+        let lost = |conn, reason: &str| LinkEvent::Lost {
+            peer: b(2),
+            conn,
+            reason: reason.to_string(),
+            corrupt: false,
+        };
+        // The loss of the previous connection: no-op.
+        links.event(lost(live - 1, "stale reader"), &topology);
         assert!(
-            net.link_up(b(1), b(2)),
-            "stale-generation teardown must not kill the live connection"
+            links.endpoints[&b(2)].up.is_some(),
+            "a stale loss must not kill the live connection"
         );
-        // The same teardown with the live generation takes it down
-        // (and the redialer heals it again).
-        mark_link_down(&net.shared, b(1), b(2), "live reader", current);
-        assert_eq!(
-            net.link_stats(b(1), b(2)).expect("stats").down_reason,
-            Some("live reader".to_string())
-        );
-        wait_link_up(&net, b(1), b(2));
-        net.shutdown();
+        assert!(stats(&links).up.load(Ordering::SeqCst));
+        // The loss of the live connection takes it down, and the
+        // endpoint (the edge's dialer) schedules a redial.
+        links.event(lost(live, "live reader"), &topology);
+        let ep = &links.endpoints[&b(2)];
+        assert!(ep.up.is_none() && ep.dial_at.is_some());
+        let reason = stats(&links).down_reason.lock().clone();
+        assert_eq!(reason.as_deref(), Some("live reader"));
+        assert!(!stats(&links).up.load(Ordering::SeqCst));
     }
 
-    /// Satellite bugfix (churn PR): a dialer stranded in its backoff
-    /// sleep across a kill/restart of its own broker stands down
-    /// instead of installing a duplicate connection. Pinned via the
-    /// per-link connect counter: after the restart churn settles,
-    /// exactly one new connection may exist on the edge.
+    /// Satellite bugfix (churn PR): a kill/restart of the dialing
+    /// broker while its redial backs off leaves exactly one dialer, the
+    /// restarted loop's. Pinned via the per-link connect counter: after
+    /// the restart churn settles, no further connection appears on the
+    /// edge.
     #[test]
     fn restart_during_active_redial_spawns_no_duplicate_dialer() {
         let net = TcpNetwork::builder()
@@ -1866,20 +1704,19 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(!net.link_up(b(1), b(2)), "kill must take the link down");
-        // Let the dialer's backoff grow toward the cap so it is very
-        // likely mid-sleep during the kill/restart below.
+        // Let the dialer's backoff grow toward the cap so a redial is
+        // very likely scheduled during the kill/restart below.
         std::thread::sleep(Duration::from_millis(250));
-        // Kill and restart the *dialer* while its redial thread is
-        // stranded in backoff: the kill bumps the link generation, the
-        // restart authorizes a fresh dialer.
+        // Kill and restart the *dialer* while its redial is scheduled:
+        // the schedule dies with the loop, and the restarted loop dials
+        // afresh.
         net.kill_broker(b(1));
         net.restart_broker(b(1)).expect("restart dialer");
         net.restart_broker(b(2)).expect("restart acceptor");
         wait_link_up(&net, b(1), b(2));
         let connects_after_heal = net.link_stats(b(1), b(2)).expect("stats").connects;
-        // Wait out the redial cap: a stale dialer that survived the
-        // kill would wake, dial, and install a duplicate connection in
-        // this window. With the generation guard it stands down.
+        // Wait out the redial cap: a dialer that survived the kill would
+        // dial and install a duplicate connection in this window.
         std::thread::sleep(REDIAL_CAP + Duration::from_millis(200));
         let connects_settled = net.link_stats(b(1), b(2)).expect("stats").connects;
         assert_eq!(
@@ -1895,32 +1732,24 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     fn serialize_failure_is_counted_not_silent() {
-        let net = TcpNetwork::builder()
-            .overlay(Topology::chain(2))
-            .options(MobileBrokerConfig::reconfig())
-            .start()
-            .expect("sockets");
-        wait_link_up(&net, b(1), b(2));
-        {
-            let link = link_of(&net.shared, b(1), b(2)).expect("link");
-            match &mut *link.state.lock() {
-                LinkState::Up { enc, .. } => enc.inject_encode_failure(),
-                LinkState::Down { .. } => panic!("link down"),
-            };
-        }
-        // Either this send or a concurrent heartbeat consumes the
-        // injected failure, counting it under the link's lock before
-        // this send can take it; both paths must count it.
-        send_msgs(&net.shared, b(1), b(2), vec![pub_msg(1)]);
-        let counted = net.link_stats(b(1), b(2)).expect("stats");
+        let (mut links, _far, topology) = lone_links();
+        let ep = links.endpoints.get_mut(&b(2)).expect("endpoint");
+        ep.up
+            .as_mut()
+            .expect("installed")
+            .enc
+            .inject_encode_failure();
+        links.ship(b(2), vec![pub_msg(1)]);
+        links.finish_step(&topology);
+        let m = stats(&links);
         assert_eq!(
-            counted.serialize_failures, 1,
+            m.serialize_failures.load(Ordering::Relaxed),
+            1,
             "the injected serialize failure must be counted"
         );
         assert!(
-            net.link_up(b(1), b(2)),
+            m.up.load(Ordering::SeqCst),
             "a serialize failure must not take the link down"
         );
-        net.shutdown();
     }
 }

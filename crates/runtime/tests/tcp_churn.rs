@@ -10,7 +10,7 @@ use std::time::Duration;
 use transmob_broker::Topology;
 use transmob_core::MobileBrokerConfig;
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
-use transmob_runtime::tcp::{TcpNetwork, TcpOptions};
+use transmob_runtime::tcp::{TcpNetwork, TcpOptions, REDIAL_CAP};
 
 fn b(i: u32) -> BrokerId {
     BrokerId(i)
@@ -101,6 +101,47 @@ fn suspicion_promotes_death_and_repair_restores_delivery() {
         .restart_broker(b(3))
         .expect_err("excised broker must not restart");
     assert_eq!(err.kind(), std::io::ErrorKind::AddrNotAvailable, "{err}");
+    net.shutdown();
+}
+
+/// The endpoint rule: once B2 of a chain is dead for good and the
+/// repair is done, neither survivor keeps an endpoint toward it, and
+/// the bypass edge B1–B3 is one connection on each side that stays
+/// one, over which a publication is delivered exactly once.
+#[test]
+fn a_dead_neighbour_keeps_no_endpoint_and_the_bypass_connects_once() {
+    let net = TcpNetwork::builder()
+        .overlay(Topology::chain(3))
+        .options(churn_config())
+        .tcp(churn_options())
+        .start()
+        .expect("sockets");
+    let publisher = net.create_client(b(1), c(1));
+    let sub = net.create_client(b(3), c(2));
+    publisher.advertise(everything());
+    sub.subscribe(everything());
+    assert!(net.quiesce(SETTLE));
+
+    net.kill_broker(b(2));
+    wait_for("suspicion of broker 2", || net.suspected().contains(&b(2)));
+    wait_for("repair edge 1-3 up", || {
+        net.link_up(b(1), b(3)) && net.link_up(b(3), b(1))
+    });
+    assert!(net.quiesce(SETTLE));
+    assert_eq!(net.link_stats(b(1), b(2)), None, "B1 kept an endpoint");
+    assert_eq!(net.link_stats(b(3), b(2)), None, "B3 kept an endpoint");
+    let connects = || {
+        let of = |x, y| net.link_stats(x, y).map(|s| s.connects);
+        (of(b(1), b(3)), of(b(3), b(1)))
+    };
+    assert_eq!(connects(), (Some(1), Some(1)));
+    // Long enough for any second dialer to get through.
+    std::thread::sleep(REDIAL_CAP + Duration::from_millis(200));
+    assert_eq!(connects(), (Some(1), Some(1)));
+
+    publisher.publish(Publication::new().with("x", 9));
+    assert!(net.quiesce(SETTLE));
+    assert_eq!(sub.drain().len(), 1, "one delivery over the bypass");
     net.shutdown();
 }
 

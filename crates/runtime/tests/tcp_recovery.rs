@@ -157,6 +157,33 @@ fn killed_source_mid_movement_aborts_cleanly_after_restart() {
     net.shutdown();
 }
 
+/// A kill drops nothing already queued at the victim: its loop applies
+/// every input queued before the kill, then stops. A subscription
+/// issued the moment before B3 is killed is therefore applied, logged
+/// and forwarded, and after the restart a publication from B1 reaches
+/// the subscriber.
+#[test]
+fn a_command_queued_before_a_kill_survives_the_restart() {
+    let net = TcpNetwork::builder()
+        .overlay(Topology::chain(3))
+        .options(MobileBrokerConfig::reconfig())
+        .start()
+        .expect("sockets");
+    let p = net.create_client(B1, PUBLISHER);
+    let s = net.create_client(B3, MOVER);
+    p.advertise(range(0, 100));
+    assert!(net.quiesce(SETTLE));
+    s.subscribe(range(0, 100));
+    net.kill_broker(B3);
+    net.restart_broker(B3).expect("restart");
+    p.publish(Publication::new().with("x", 6));
+    assert!(
+        s.recv_timeout(Duration::from_secs(5)).is_some(),
+        "the subscription queued before the kill must survive it"
+    );
+    net.shutdown();
+}
+
 /// The failure detector's view: heartbeats flow while healthy, the
 /// link drops within a few heartbeat intervals of a kill, and both
 /// heartbeats and connectivity resume after the restart.

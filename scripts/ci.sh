@@ -26,8 +26,9 @@
 #      against the committed BENCH_routing.json (presence-only check
 #      under CI_FAST=1)
 #   5. TSAN tier — opt in with TSAN=1: rebuilds the threaded runtimes
-#      (each broker is one thread, but readers, dialers, acceptors,
-#      client handles and the registry run beside it) with
+#      (each broker is one thread that owns its links; readers, dialers,
+#      acceptors and client handles share only the input queues, the
+#      client registry and the per-link stat mirrors with it) with
 #      -Zsanitizer=thread (nightly) and runs them under
 #      ThreadSanitizer; prints a skip notice when not requested or
 #      when the toolchain cannot build it
@@ -70,6 +71,14 @@ else
     # race shows up as an occasional failure, not a steady one.
     for _ in $(seq 20); do
         cargo test -p transmob-runtime --test tcp_churn -q
+    done
+    # The other socket suites, repeated for the same reason: each loop
+    # owns its endpoints, and readers, dialers and acceptors race to
+    # hand it their news.
+    for _ in $(seq 10); do
+        cargo test -p transmob-runtime --test tcp_recovery -q
+        cargo test -p transmob-runtime --test wire_faults -q
+        cargo test -p transmob-runtime --lib -q tcp::
     done
     # The figure binary: every figure, and the ablations (conservative
     # and precise covering release, lazy quench, make-before-break) over
