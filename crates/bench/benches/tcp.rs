@@ -1,10 +1,9 @@
 //! Wire-protocol benchmarks for the TCP runtime: frame throughput of
-//! the binary codec against the JSON debug codec over a real loopback
-//! socket pair, and end-to-end publish→notify latency through a full
-//! [`TcpNetwork`]. Recorded into `BENCH_tcp.json`
-//! (`CRITERION_JSON=BENCH_tcp.json cargo bench -p transmob-bench
-//! --bench tcp`); `scripts/bench_check.sh` gates the binary codec at
-//! ≥ 2× the JSON message rate for 256-message batches.
+//! the binary codec over a real loopback socket pair, and end-to-end
+//! publish→notify latency through a full [`TcpNetwork`]. Recorded into
+//! `BENCH_tcp.json` (`CRITERION_JSON=BENCH_tcp.json cargo bench -p
+//! transmob-bench --bench tcp`); `scripts/bench_check.sh` checks that
+//! the rows are there, stamped with the `nproc` they ran on.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -16,7 +15,7 @@ use transmob_broker::{PubSubMsg, Topology};
 use transmob_core::{Message, MobileBrokerConfig};
 use transmob_pubsub::{BrokerId, ClientId, Filter, PubId, Publication, PublicationMsg};
 use transmob_runtime::codec::{Frame, FrameDecoder, FrameEncoder, WireMode};
-use transmob_runtime::tcp::{TcpNetwork, TcpOptions, DEFAULT_DOWN_QUEUE_HWM};
+use transmob_runtime::tcp::TcpNetwork;
 
 /// A connected loopback socket pair.
 fn sock_pair() -> (TcpStream, TcpStream) {
@@ -51,41 +50,39 @@ fn make_batch(n: usize) -> Vec<Message> {
 /// included; msgs/sec follows as `batch / ns_per_iter`.
 fn bench_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("tcp_throughput");
-    for mode in [WireMode::Binary, WireMode::Json] {
-        for batch in [64usize, 256] {
-            let frame = Frame::Msg {
-                from: 1,
-                msgs: make_batch(batch),
-            };
-            g.bench_with_input(BenchmarkId::new(mode.token(), batch), &frame, |b, frame| {
-                let (w_sock, r_sock) = sock_pair();
-                let (ack_tx, ack_rx) = mpsc::channel::<usize>();
-                let reader = std::thread::spawn(move || {
-                    let mut r = BufReader::new(r_sock);
-                    let mut dec = FrameDecoder::new(mode);
-                    while let Ok(Some(f)) = dec.read_frame(&mut r) {
-                        if let Frame::Msg { msgs, .. } = f {
-                            if ack_tx.send(msgs.len()).is_err() {
-                                break;
-                            }
+    for batch in [64usize, 256] {
+        let frame = Frame::Msg {
+            from: 1,
+            msgs: make_batch(batch),
+        };
+        g.bench_with_input(BenchmarkId::new("bin", batch), &frame, |b, frame| {
+            let (w_sock, r_sock) = sock_pair();
+            let (ack_tx, ack_rx) = mpsc::channel::<usize>();
+            let reader = std::thread::spawn(move || {
+                let mut r = BufReader::new(r_sock);
+                let mut dec = FrameDecoder::new(WireMode::Binary);
+                while let Ok(Some(f)) = dec.read_frame(&mut r) {
+                    if let Frame::Msg { msgs, .. } = f {
+                        if ack_tx.send(msgs.len()).is_err() {
+                            break;
                         }
                     }
-                });
-                let mut enc = FrameEncoder::new(mode);
-                let mut w = BufWriter::new(w_sock.try_clone().expect("clone"));
-                b.iter(|| {
-                    let bytes = enc.encode(frame).expect("encoding is total");
-                    w.write_all(bytes).expect("write");
-                    w.flush().expect("flush");
-                    // The ack bounds the in-flight window so the
-                    // loopback buffer cannot absorb the benchmark.
-                    ack_rx.recv().expect("reader ack")
-                });
-                drop(w);
-                let _ = w_sock.shutdown(Shutdown::Both);
-                let _ = reader.join();
+                }
             });
-        }
+            let mut enc = FrameEncoder::new(WireMode::Binary);
+            let mut w = BufWriter::new(w_sock.try_clone().expect("clone"));
+            b.iter(|| {
+                let bytes = enc.encode(frame).expect("encoding is total");
+                w.write_all(bytes).expect("write");
+                w.flush().expect("flush");
+                // The ack bounds the in-flight window so the
+                // loopback buffer cannot absorb the benchmark.
+                ack_rx.recv().expect("reader ack")
+            });
+            drop(w);
+            let _ = w_sock.shutdown(Shutdown::Both);
+            let _ = reader.join();
+        });
     }
     g.finish();
 }
@@ -123,15 +120,10 @@ fn append_json_row(group: &str, bench: &str, field: &str, value: f64, iters: usi
 
 /// Publish→notify latency through a full two-broker overlay; returns
 /// the p99 in nanoseconds.
-fn measure_p99_latency(mode: WireMode, samples: usize) -> u64 {
+fn measure_p99_latency(samples: usize) -> u64 {
     let net = TcpNetwork::builder()
         .overlay(Topology::chain(2))
         .options(MobileBrokerConfig::reconfig())
-        .tcp(TcpOptions {
-            wire: mode,
-            down_queue_hwm: DEFAULT_DOWN_QUEUE_HWM,
-            ..TcpOptions::default()
-        })
         .bind(|_| "127.0.0.1:0".to_string())
         .start()
         .expect("sockets");
@@ -157,26 +149,17 @@ fn measure_p99_latency(mode: WireMode, samples: usize) -> u64 {
     lat[(lat.len() * 99 / 100).min(lat.len() - 1)]
 }
 
-/// The manually measured tail: p99 end-to-end latency per codec, plus
+/// The manually measured tail: p99 end-to-end latency, plus
 /// msgs/sec summary rows derived from the `tcp_throughput` timings
 /// already appended to `CRITERION_JSON`.
 fn latency_and_summary() {
     let quick = std::env::var_os("CRITERION_QUICK").is_some();
     let samples = if quick { 5 } else { 300 };
-    for mode in [WireMode::Binary, WireMode::Json] {
-        let label = format!("tcp_latency/{}/p99", mode.token());
-        if !label_selected(&label) {
-            continue;
-        }
-        let p99 = measure_p99_latency(mode, samples);
+    let label = "tcp_latency/bin/p99";
+    if label_selected(label) {
+        let p99 = measure_p99_latency(samples);
         println!("bench: {label:<50} {p99:>14} ns (p99 of {samples})");
-        append_json_row(
-            "tcp_latency",
-            &format!("{}/p99", mode.token()),
-            "ns_per_iter",
-            p99 as f64,
-            samples,
-        );
+        append_json_row("tcp_latency", "bin/p99", "ns_per_iter", p99 as f64, samples);
     }
     // msgs/sec summary: derived from the last recorded timing of each
     // tcp_throughput bench (batch size is the bench id's suffix).

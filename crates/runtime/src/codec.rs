@@ -1,8 +1,4 @@
-//! Frame codec for the TCP overlay: length-prefixed binary (the
-//! default) or newline-delimited JSON (the debug/interop mode and
-//! differential oracle).
-//!
-//! # Binary framing
+//! Frame codec for the TCP overlay: length-prefixed binary frames.
 //!
 //! Each frame is `varint(payload_len) ++ payload`. The payload starts
 //! with a frame tag (`1` = protocol messages, `2` = heartbeat),
@@ -12,13 +8,6 @@
 //! decoder each keep a string table that grows as frames flow and is
 //! discarded with the connection, so a redialed link always starts
 //! from an empty table on both sides.
-//!
-//! # JSON framing
-//!
-//! One `serde_json` object per line — the wire format the runtime
-//! shipped before the binary codec, kept as a human-readable debug
-//! mode (`TcpOptions::wire`, set explicitly) and as the oracle the
-//! codec proptests differentiate against.
 //!
 //! # Robustness
 //!
@@ -32,7 +21,6 @@
 use std::fmt;
 use std::io::{self, BufRead, Read};
 
-use serde::{Deserialize, Serialize};
 use transmob_core::Message;
 use transmob_pubsub::wire::{StrDecTable, StrEncTable, Wire, WireError, WireReader, WireWriter};
 
@@ -40,43 +28,18 @@ use transmob_pubsub::wire::{StrDecTable, StrEncTable, Wire, WireError, WireReade
 /// length prefix beyond this is rejected before any allocation.
 pub const MAX_FRAME: usize = 1 << 26;
 
-/// Which framing a `TcpNetwork` puts on its sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The one framing of the TCP overlay.
+// Kept only because `bench_e2e` names it; ROADMAP item 2's first PR deletes it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum WireMode {
     /// Length-prefixed binary frames with interned attribute keys.
     #[default]
     Binary,
-    /// Newline-delimited JSON (debug/interop; the differential oracle).
-    Json,
-}
-
-impl WireMode {
-    /// The handshake token naming this mode on the wire.
-    pub fn token(self) -> &'static str {
-        match self {
-            WireMode::Binary => "bin",
-            WireMode::Json => "json",
-        }
-    }
-
-    /// Parses a handshake token.
-    pub fn from_token(tok: &str) -> Option<WireMode> {
-        match tok {
-            "bin" => Some(WireMode::Binary),
-            "json" => Some(WireMode::Json),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for WireMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
 }
 
 /// One wire frame of the TCP overlay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// A batch of protocol messages from a neighbouring broker — one
     /// frame, one write, contents applied in order at the receiver
@@ -122,7 +85,6 @@ impl std::error::Error for ReadError {}
 /// gets a fresh encoder (and the peer a fresh decoder).
 #[derive(Debug)]
 pub struct FrameEncoder {
-    mode: WireMode,
     strs: StrEncTable,
     payload: Vec<u8>,
     out: Vec<u8>,
@@ -137,10 +99,10 @@ pub struct FrameEncoder {
 }
 
 impl FrameEncoder {
-    /// A fresh encoder for a new connection in `mode`.
-    pub fn new(mode: WireMode) -> FrameEncoder {
+    /// A fresh encoder for a new connection.
+    // `bench_e2e` passes the argument; ROADMAP item 2's first PR deletes it.
+    pub fn new(_: WireMode) -> FrameEncoder {
         FrameEncoder {
-            mode,
             strs: StrEncTable::new(),
             payload: Vec::new(),
             out: Vec::new(),
@@ -153,18 +115,11 @@ impl FrameEncoder {
 
     /// Test hook (debug builds only): makes the next [`FrameEncoder::encode`]
     /// call fail with an error marked `injected`, so the transport's
-    /// serialize-failure accounting can be exercised — the vendored
-    /// JSON serializer is total over the protocol types, and binary
-    /// encoding is total by construction, so a real failure cannot be
-    /// provoked from outside.
+    /// serialize-failure accounting can be exercised — binary encoding
+    /// is total by construction, so a real failure cannot be provoked.
     #[cfg(debug_assertions)]
     pub fn inject_encode_failure(&mut self) {
         self.fail_next = true;
-    }
-
-    /// The framing this encoder produces.
-    pub fn mode(&self) -> WireMode {
-        self.mode
     }
 
     /// Number of attribute keys interned so far on this connection.
@@ -172,16 +127,15 @@ impl FrameEncoder {
         self.strs.len()
     }
 
-    /// Encodes `frame`, returning the complete on-wire bytes (length
-    /// prefix included for binary, trailing newline for JSON). The
-    /// returned slice borrows the encoder's internal buffer and is
-    /// valid until the next `encode` call.
+    /// Encodes `frame`, returning the complete on-wire bytes, length
+    /// prefix included. The returned slice borrows the encoder's
+    /// internal buffer and is valid until the next `encode` call.
     ///
     /// # Errors
     ///
-    /// Binary encoding is total; only the JSON mode can fail (a
-    /// serializer error), and the caller must surface that — never
-    /// drop the frame silently.
+    /// Binary encoding is total; only the debug-build fault hook
+    /// ([`FrameEncoder::inject_encode_failure`]) makes it fail, and the
+    /// caller must surface that — never drop the frame silently.
     pub fn encode(&mut self, frame: &Frame) -> Result<&[u8], WireError> {
         #[cfg(debug_assertions)]
         if self.fail_next {
@@ -189,46 +143,35 @@ impl FrameEncoder {
             return Err(WireError("injected encode failure".into()));
         }
         self.out.clear();
-        match self.mode {
-            WireMode::Json => {
-                let line = serde_json::to_string(frame)
-                    .map_err(|e| WireError(format!("json serialize failed: {e}")))?;
-                self.out.extend_from_slice(line.as_bytes());
-                self.out.push(b'\n');
+        self.payload.clear();
+        let mut w = WireWriter::new(&mut self.payload, &mut self.strs);
+        match frame {
+            Frame::Msg { from, msgs } => {
+                w.byte(TAG_MSG);
+                w.varint(u64::from(*from));
+                msgs.enc(&mut w);
             }
-            WireMode::Binary => {
-                self.payload.clear();
-                let mut w = WireWriter::new(&mut self.payload, &mut self.strs);
-                match frame {
-                    Frame::Msg { from, msgs } => {
-                        w.byte(TAG_MSG);
-                        w.varint(u64::from(*from));
-                        msgs.enc(&mut w);
-                    }
-                    Frame::Ping { from } => {
-                        w.byte(TAG_PING);
-                        w.varint(u64::from(*from));
-                    }
-                }
-                let mut prefix = [0u8; 10];
-                let n = write_varint(&mut prefix, self.payload.len() as u64);
-                self.out.extend_from_slice(&prefix[..n]);
-                self.out.extend_from_slice(&self.payload);
-                #[cfg(debug_assertions)]
-                {
-                    // The mirror consumes the same string-table state
-                    // stream the real peer will, so it must see every
-                    // frame exactly once, in order — which it does:
-                    // encode() is called once per frame under the link
-                    // lock.
-                    let decoded = decode_payload(&self.payload, &mut self.mirror)
-                        .expect("debug oracle: binary frame does not decode");
-                    assert_eq!(
-                        &decoded, frame,
-                        "debug oracle: binary round-trip changed the frame"
-                    );
-                }
+            Frame::Ping { from } => {
+                w.byte(TAG_PING);
+                w.varint(u64::from(*from));
             }
+        }
+        let mut prefix = [0u8; 10];
+        let n = write_varint(&mut prefix, self.payload.len() as u64);
+        self.out.extend_from_slice(&prefix[..n]);
+        self.out.extend_from_slice(&self.payload);
+        #[cfg(debug_assertions)]
+        {
+            // The mirror consumes the same string-table state stream
+            // the real peer will, so it must see every frame exactly
+            // once, in order — which it does: one connection has one
+            // owner, and it calls encode() once per frame.
+            let decoded = decode_payload(&self.payload, &mut self.mirror)
+                .expect("debug oracle: binary frame does not decode");
+            assert_eq!(
+                &decoded, frame,
+                "debug oracle: binary round-trip changed the frame"
+            );
         }
         Ok(&self.out)
     }
@@ -238,71 +181,47 @@ impl FrameEncoder {
 /// table; a reconnect gets a fresh decoder.
 #[derive(Debug)]
 pub struct FrameDecoder {
-    mode: WireMode,
     strs: StrDecTable,
     payload: Vec<u8>,
-    line: String,
 }
 
 impl FrameDecoder {
-    /// A fresh decoder for a new connection in `mode`.
-    pub fn new(mode: WireMode) -> FrameDecoder {
+    /// A fresh decoder for a new connection.
+    // `bench_e2e` passes the argument; ROADMAP item 2's first PR deletes it.
+    pub fn new(_: WireMode) -> FrameDecoder {
         FrameDecoder {
-            mode,
             strs: StrDecTable::new(),
             payload: Vec::new(),
-            line: String::new(),
         }
-    }
-
-    /// The framing this decoder expects.
-    pub fn mode(&self) -> WireMode {
-        self.mode
     }
 
     /// Reads one frame. `Ok(None)` is clean EOF at a frame boundary;
     /// EOF inside a frame is corruption (the peer died mid-write or
     /// the stream desynced).
     pub fn read_frame(&mut self, r: &mut impl BufRead) -> Result<Option<Frame>, ReadError> {
-        match self.mode {
-            WireMode::Json => {
-                self.line.clear();
-                match r.read_line(&mut self.line) {
-                    Ok(0) => Ok(None),
-                    Ok(_) => serde_json::from_str::<Frame>(self.line.trim_end())
-                        .map(Some)
-                        .map_err(|e| ReadError::Corrupt(WireError(format!("json frame: {e}")))),
-                    Err(e) => Err(ReadError::Io(e)),
-                }
-            }
-            WireMode::Binary => {
-                let len = match read_varint(r) {
-                    Ok(Some(len)) => len,
-                    Ok(None) => return Ok(None),
-                    Err(e) => return Err(e),
-                };
-                if len > MAX_FRAME as u64 {
-                    return Err(ReadError::Corrupt(WireError(format!(
-                        "frame length {len} exceeds cap {MAX_FRAME}"
-                    ))));
-                }
-                self.payload.resize(len as usize, 0);
-                if let Err(e) = r.read_exact(&mut self.payload) {
-                    return Err(if e.kind() == io::ErrorKind::UnexpectedEof {
-                        ReadError::Corrupt(WireError("eof inside frame payload".into()))
-                    } else {
-                        ReadError::Io(e)
-                    });
-                }
-                decode_payload(&self.payload, &mut self.strs)
-                    .map(Some)
-                    .map_err(ReadError::Corrupt)
-            }
+        let Some(len) = read_varint(r)? else {
+            return Ok(None);
+        };
+        if len > MAX_FRAME as u64 {
+            return Err(ReadError::Corrupt(WireError(format!(
+                "frame length {len} exceeds cap {MAX_FRAME}"
+            ))));
         }
+        self.payload.resize(len as usize, 0);
+        if let Err(e) = r.read_exact(&mut self.payload) {
+            return Err(if e.kind() == io::ErrorKind::UnexpectedEof {
+                ReadError::Corrupt(WireError("eof inside frame payload".into()))
+            } else {
+                ReadError::Io(e)
+            });
+        }
+        decode_payload(&self.payload, &mut self.strs)
+            .map(Some)
+            .map_err(ReadError::Corrupt)
     }
 
-    /// Decodes one binary frame payload (no length prefix) against
-    /// this connection's string table. Exposed for the codec tests.
+    /// Decodes one frame payload (no length prefix) against this
+    /// connection's string table. Exposed for the codec tests.
     pub fn decode_payload(&mut self, payload: &[u8]) -> Result<Frame, WireError> {
         decode_payload(payload, &mut self.strs)
     }
@@ -425,22 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn json_stream_round_trips_multiple_frames() {
-        let mut enc = FrameEncoder::new(WireMode::Json);
-        let frames = vec![pub_frame(2, 2), Frame::Ping { from: 2 }];
-        let mut wire = Vec::new();
-        for f in &frames {
-            wire.extend_from_slice(enc.encode(f).unwrap());
-        }
-        let mut dec = FrameDecoder::new(WireMode::Json);
-        let mut cur = Cursor::new(wire);
-        for f in &frames {
-            assert_eq!(&dec.read_frame(&mut cur).unwrap().unwrap(), f);
-        }
-        assert!(dec.read_frame(&mut cur).unwrap().is_none());
-    }
-
-    #[test]
     fn interning_makes_later_frames_smaller() {
         let mut enc = FrameEncoder::new(WireMode::Binary);
         let first = enc.encode(&pub_frame(1, 4)).unwrap().len();
@@ -489,16 +392,6 @@ mod tests {
         // A valid tag but trailing junk after the frame body.
         let mut cur = Cursor::new(vec![3, TAG_PING, 1, 0xaa]);
         let mut dec = FrameDecoder::new(WireMode::Binary);
-        assert!(matches!(
-            dec.read_frame(&mut cur),
-            Err(ReadError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn json_garbage_line_is_corruption() {
-        let mut dec = FrameDecoder::new(WireMode::Json);
-        let mut cur = Cursor::new(b"this is not json\n".to_vec());
         assert!(matches!(
             dec.read_frame(&mut cur),
             Err(ReadError::Corrupt(_))

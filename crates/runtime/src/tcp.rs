@@ -1,12 +1,11 @@
 //! A TCP transport for the broker overlay: every overlay link is a
 //! real socket carrying length-prefixed binary frames of the protocol
-//! [`Message`]s (newline-delimited JSON in the debug/interop mode —
-//! see [`WireMode`] and DESIGN.md §13) — the same bytes a multi-host
-//! deployment would put on the wire. Brokers still run as threads of
-//! this process (the paper's cluster ran one broker per machine; the
-//! transport, serialization and framing are what this module makes
-//! real), and clients attach through in-process handles exactly as
-//! with [`crate::Network`].
+//! [`Message`]s ([`crate::codec`], DESIGN.md §13) — the same bytes a
+//! multi-host deployment would put on the wire. Brokers still run as
+//! threads of this process (the paper's cluster ran one broker per
+//! machine; the transport, serialization and framing are what this
+//! module makes real), and clients attach through in-process handles
+//! exactly as with [`crate::Network`].
 //!
 //! Each broker runs the single-threaded loop it shares with
 //! [`crate::Network`]; this module is that loop's link layer
@@ -78,7 +77,7 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,8 +97,15 @@ use crate::codec::{Frame, FrameDecoder, FrameEncoder, ReadError, WireMode};
 /// A client handle on a [`TcpNetwork`]: the one [`crate::Client`].
 pub use crate::Client as TcpClient;
 
-/// Default heartbeat period: each broker pings every live link this
-/// often ([`TcpOptions::heartbeat_interval`]).
+/// Heartbeat period: each broker pings every connected endpoint this
+/// often. Each ping is a flushed write, so a connection the peer has
+/// reset fails at the next ping at the latest and the endpoint goes
+/// down. A peer that vanishes without a reset (power loss, a
+/// partition) is not detected this way: the write lands in the
+/// kernel's send buffer and succeeds. Its silence shows in
+/// [`TcpNetwork::peer_silence`], which nothing acts on. Whether a link
+/// that stays down means a dead broker is the broker's call, not the
+/// transport's ([`MobileBrokerConfig::suspect_after_ns`]).
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 /// First redial delay after a link drops.
 pub const REDIAL_BASE: Duration = Duration::from_millis(25);
@@ -108,46 +114,22 @@ pub const REDIAL_CAP: Duration = Duration::from_millis(400);
 /// Handshake read deadline (a half-open peer must not wedge a dialer).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Default high-water mark for a down link's outbound queue, in
-/// messages. Generous enough that no protocol conversation ever nears
-/// it; small enough that a long partition under publication flood
-/// cannot grow memory without bound.
+/// High-water mark for each down endpoint's outbound queue, in
+/// messages. On overflow the oldest queued *publications* are dropped
+/// (and counted in [`LinkStats::dropped_publications`]); subscription
+/// control and movement-protocol frames are never dropped, even if that
+/// means exceeding the mark. Generous enough that no protocol
+/// conversation ever nears it; small enough that a long partition under
+/// publication flood cannot grow memory without bound.
 pub const DEFAULT_DOWN_QUEUE_HWM: usize = 8192;
 
-/// Transport tuning for one [`TcpNetwork`].
-#[derive(Debug, Clone)]
+/// Transport options of a [`TcpNetwork`]: there is one configuration.
+// Kept only because `bench_e2e` names it; ROADMAP item 2's first PR deletes it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
 pub struct TcpOptions {
-    /// Frame codec for every link of this overlay (all endpoints share
-    /// it; the handshake refuses mode mismatches).
+    /// The frame codec: binary, the only one.
     pub wire: WireMode,
-    /// High-water mark for each down link's outbound queue. On
-    /// overflow the oldest queued *publications* are dropped (and
-    /// counted in [`LinkStats::dropped_publications`]); subscription
-    /// control and movement-protocol frames are never dropped, even if
-    /// that means exceeding the mark.
-    pub down_queue_hwm: usize,
-    /// Heartbeat period (default [`HEARTBEAT_INTERVAL`]). Each ping is
-    /// a flushed write, so a connection the peer has reset fails at the
-    /// next ping at the latest and the endpoint goes down. A peer that
-    /// vanishes without a reset (power loss, a partition) is not
-    /// detected this way: the write lands in the kernel's send buffer
-    /// and succeeds. Its silence shows in
-    /// [`TcpNetwork::peer_silence`], which nothing acts on. Whether a
-    /// link that stays down means a dead broker is the broker's call,
-    /// not the transport's ([`MobileBrokerConfig::suspect_after_ns`]).
-    pub heartbeat_interval: Duration,
-}
-
-impl Default for TcpOptions {
-    /// Binary framing, [`DEFAULT_DOWN_QUEUE_HWM`] and
-    /// [`HEARTBEAT_INTERVAL`].
-    fn default() -> Self {
-        TcpOptions {
-            wire: WireMode::Binary,
-            down_queue_hwm: DEFAULT_DOWN_QUEUE_HWM,
-            heartbeat_interval: HEARTBEAT_INTERVAL,
-        }
-    }
 }
 
 /// The `attempt`-th redial delay (0-based): capped exponential backoff
@@ -226,15 +208,16 @@ pub struct LinkStats {
     /// broker loop flushes once per step, so under batched
     /// load this stays well below `frames_sent`.
     pub flushes: u64,
-    /// Frames that failed to serialize (JSON mode only — binary
-    /// encoding is total). Each one is counted, never dropped
-    /// silently.
+    /// Frames that failed to encode. Binary encoding is total, so only
+    /// the debug-build fault hook produces one
+    /// ([`FrameEncoder::inject_encode_failure`]); each is counted, never
+    /// dropped silently.
     pub serialize_failures: u64,
     /// Inbound frames that failed to decode; each takes the link down
     /// with a reason naming the corruption.
     pub decode_failures: u64,
     /// Publications dropped from the down-queue by the high-water
-    /// mark ([`TcpOptions::down_queue_hwm`]).
+    /// mark ([`DEFAULT_DOWN_QUEUE_HWM`]).
     pub dropped_publications: u64,
     /// Connections installed on this endpoint (initial dial plus every
     /// reconnect): one per connection, since a superseded dial or
@@ -309,7 +292,6 @@ pub(crate) enum LinkEvent {
 struct Shared {
     topology: Arc<Topology>,
     config: MobileBrokerConfig,
-    options: TcpOptions,
     /// Client registry and each broker's input queue (swapped on
     /// kill/restart).
     hub: Arc<Hub>,
@@ -337,7 +319,6 @@ impl Shared {
     fn new(
         topology: Arc<Topology>,
         config: MobileBrokerConfig,
-        options: TcpOptions,
         hub: Arc<Hub>,
         addrs: BTreeMap<BrokerId, SocketAddr>,
     ) -> Shared {
@@ -345,7 +326,6 @@ impl Shared {
             mirrors: topology.brokers().map(|b| (b, RwLock::default())).collect(),
             topology,
             config,
-            options,
             hub,
             addrs,
             down: RwLock::new(BTreeSet::new()),
@@ -393,7 +373,7 @@ impl std::fmt::Debug for TcpNetwork {
 
 impl TcpNetwork {
     /// The builder entry point: `TcpNetwork::builder().overlay(..)
-    /// .options(..).bind(..).tcp(..).start()`.
+    /// .options(..).bind(..).start()`.
     pub fn builder() -> TcpNetworkBuilder {
         TcpNetworkBuilder::default()
     }
@@ -502,11 +482,6 @@ impl TcpNetwork {
     /// Panics while a broker is killed.
     pub fn brokers(&self) -> Frozen {
         self.shared.hub.brokers(&self.shared.topology)
-    }
-
-    /// The frame codec this overlay runs.
-    pub fn wire_mode(&self) -> WireMode {
-        self.shared.options.wire
     }
 
     /// The listener address of `broker` (stable across kill/restart).
@@ -657,16 +632,16 @@ impl Drop for TcpNetwork {
 // ---------------------------------------------------------------------
 
 /// Dials `peer` on behalf of `owner` and returns the handshaken
-/// stream. Handshake: dialer sends its broker id and wire-mode token,
-/// acceptor answers `ok` only if its broker process is actually up and
-/// the codec matches — so queued frames are never flushed into a dead
-/// (or differently-framed) peer.
+/// stream. Handshake: the dialer sends its broker id on a line of its
+/// own, and the acceptor answers `ok` only to exactly that line and
+/// only if its broker process is actually up — so queued frames are
+/// never flushed into a dead peer.
 fn dial(shared: &Shared, owner: BrokerId, peer: BrokerId) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(shared.addrs[&peer])?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     {
         let mut w = BufWriter::new(stream.try_clone()?);
-        writeln!(w, "{} {}", owner.0, shared.options.wire.token())?;
+        writeln!(w, "{}", owner.0)?;
         w.flush()?;
     }
     // Read the reply byte-by-byte: the peer flushes queued protocol
@@ -674,7 +649,6 @@ fn dial(shared: &Shared, owner: BrokerId, peer: BrokerId) -> io::Result<TcpStrea
     // would swallow those bytes before the reader thread exists.
     let mut line = String::new();
     {
-        use std::io::Read;
         let mut one = [0u8; 1];
         let mut raw = stream.try_clone()?;
         loop {
@@ -698,10 +672,10 @@ fn dial(shared: &Shared, owner: BrokerId, peer: BrokerId) -> io::Result<TcpStrea
 }
 
 /// Reads frames from connection `conn` of `owner`'s endpoint toward
-/// `peer` (in the overlay's wire mode) and feeds them to `owner`'s loop
-/// on `tx`, its own queue. On EOF, a socket error or a corrupt frame it
-/// tells the loop the connection is lost, with a reason that
-/// distinguishes the three. `false` if the thread would not spawn.
+/// `peer` and feeds them to `owner`'s loop on `tx`, its own queue. On
+/// EOF, a socket error or a corrupt frame it tells the loop the
+/// connection is lost, with a reason that distinguishes the three.
+/// `false` if the thread would not spawn.
 fn spawn_reader(
     shared: &Arc<Shared>,
     tx: &Sender<Input>,
@@ -712,7 +686,7 @@ fn spawn_reader(
     let (shared2, tx) = (Arc::clone(shared), tx.clone());
     shared.spawn(format!("tcp-reader-{owner}-{peer}"), move || {
         let mut reader = BufReader::new(stream);
-        let mut dec = FrameDecoder::new(shared2.options.wire);
+        let mut dec = FrameDecoder::new(WireMode::Binary);
         let (reason, corrupt) = loop {
             match dec.read_frame(&mut reader) {
                 Ok(Some(frame)) => {
@@ -760,29 +734,23 @@ fn spawn_acceptor(shared: &Arc<Shared>, owner: BrokerId, listener: TcpListener) 
         if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
             continue;
         }
-        let mut r = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        });
-        let mut line = String::new();
-        if r.read_line(&mut line).is_err() {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let Some(Ok(peer)) = fields.next().map(|f| f.parse::<u32>().map(BrokerId)) else {
+        let Ok(clone) = stream.try_clone() else {
             continue;
         };
-        // The mode token guards against a peer (or test harness)
-        // framing the stream differently: refuse rather than feed
-        // the decoder a foreign format.
-        if let Some(tok) = fields.next() {
-            if WireMode::from_token(tok) != Some(shared2.options.wire) {
-                continue;
-            }
+        // The hello is one broker id and a newline, nothing else; a
+        // longer line is cut off and refused.
+        let mut line = String::new();
+        if BufReader::new(clone).take(16).read_line(&mut line).is_err() {
+            continue;
         }
+        let hello = line.strip_suffix('\n');
+        let digits = hello.filter(|id| id.bytes().all(|b| b.is_ascii_digit()));
+        let Some(Ok(peer)) = digits.map(|id| id.parse().map(BrokerId)) else {
+            continue;
+        };
         // Any broker of this overlay may dial in: overlay self-repair
         // creates edges the static topology never had. A shutdown
-        // wake-up (no valid id) still falls out here.
+        // wake-up (no hello) still falls out here.
         if peer == owner || !shared2.addrs.contains_key(&peer) {
             continue;
         }
@@ -839,8 +807,8 @@ impl Drop for Conn {
 
 impl Conn {
     /// Buffers one frame of `msgs` (no flush). A frame that cannot be
-    /// serialized (JSON mode only; binary encoding is total) is counted
-    /// and dropped: `Ok(false)`. A failed write hands `msgs` back.
+    /// encoded (only under the debug-build fault hook) is counted and
+    /// dropped: `Ok(false)`. A failed write hands `msgs` back.
     fn write(
         &mut self,
         from: BrokerId,
@@ -934,7 +902,7 @@ impl TcpLinks {
         TcpLinks {
             id,
             tx: shared.hub.sender(id),
-            next_ping: Instant::now() + shared.options.heartbeat_interval,
+            next_ping: Instant::now() + HEARTBEAT_INTERVAL,
             shared,
             endpoints: BTreeMap::new(),
             touched: BTreeSet::new(),
@@ -975,7 +943,7 @@ impl TcpLinks {
     /// [`FrameEncoder`]: the binary string table is per-connection
     /// state, negotiated from empty on both sides.
     fn install(&mut self, peer: BrokerId, n: u64, stream: TcpStream) {
-        let (id, wire) = (self.id, self.shared.options.wire);
+        let id = self.id;
         // Frames are written through a `BufWriter` flushed once per
         // step, so Nagle's algorithm has nothing to coalesce and only
         // adds a delayed ACK (40 ms) to each write-write-read exchange.
@@ -998,7 +966,7 @@ impl TcpLinks {
         ep.up = Some(Conn {
             n,
             w: BufWriter::new(stream),
-            enc: FrameEncoder::new(wire),
+            enc: FrameEncoder::new(WireMode::Binary),
             pending: Vec::new(),
         });
         (ep.dial_at, ep.attempt) = (None, 0);
@@ -1021,7 +989,6 @@ impl TcpLinks {
     /// records `reason`, reports it down and schedules a redial. The
     /// one place an endpoint goes down.
     fn teardown(&mut self, peer: BrokerId, reason: &str, unsent: Vec<Message>) {
-        let hwm = self.shared.options.down_queue_hwm;
         let Some(ep) = self.endpoints.get_mut(&peer) else {
             return;
         };
@@ -1030,7 +997,7 @@ impl TcpLinks {
         };
         let msgs = std::mem::take(&mut conn.pending).into_iter().chain(unsent);
         drop(conn);
-        let dropped = enqueue_down(&mut ep.queue, msgs, hwm);
+        let dropped = enqueue_down(&mut ep.queue, msgs, DEFAULT_DOWN_QUEUE_HWM);
         Mirror::count(&ep.mirror.dropped_publications, dropped);
         self.shared.hub.discard(peer, dropped);
         *ep.mirror.down_reason.lock() = Some(reason.to_string());
@@ -1152,7 +1119,7 @@ impl Links for TcpLinks {
     /// ended for the barrier.
     fn ship(&mut self, to: BrokerId, msgs: Vec<Message>) {
         self.touched.insert(to);
-        let (id, hwm) = (self.id, self.shared.options.down_queue_hwm);
+        let id = self.id;
         let n = msgs.len() as u64;
         let ep = self.open(to);
         let dropped = match &mut ep.up {
@@ -1162,7 +1129,7 @@ impl Links for TcpLinks {
                 Err(unsent) => return self.teardown(to, "write failed", unsent),
             },
             None => {
-                let dropped = enqueue_down(&mut ep.queue, msgs, hwm);
+                let dropped = enqueue_down(&mut ep.queue, msgs, DEFAULT_DOWN_QUEUE_HWM);
                 Mirror::count(&ep.mirror.dropped_publications, dropped);
                 dropped
             }
@@ -1192,7 +1159,7 @@ impl Links for TcpLinks {
         }
         let now = Instant::now();
         if now >= self.next_ping {
-            self.next_ping = now + self.shared.options.heartbeat_interval;
+            self.next_ping = now + HEARTBEAT_INTERVAL;
             let peers: Vec<BrokerId> = self.endpoints.keys().copied().collect();
             for peer in peers {
                 self.ping(peer);
@@ -1252,11 +1219,10 @@ impl Links for TcpLinks {
 
 /// Builder for [`TcpNetwork`] — the same `builder().overlay(..)
 /// .options(..).start()` surface every driver exposes, plus the
-/// TCP-specific transport options and bind-address chooser.
+/// bind-address chooser.
 pub struct TcpNetworkBuilder {
     overlay: OverlayBuilder,
     options: MobileBrokerConfig,
-    tcp: TcpOptions,
     bind: Box<dyn FnMut(BrokerId) -> String>,
 }
 
@@ -1264,7 +1230,6 @@ impl std::fmt::Debug for TcpNetworkBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpNetworkBuilder")
             .field("overlay", &self.overlay)
-            .field("tcp", &self.tcp)
             .finish_non_exhaustive()
     }
 }
@@ -1274,7 +1239,6 @@ impl Default for TcpNetworkBuilder {
         TcpNetworkBuilder {
             overlay: OverlayBuilder::default(),
             options: MobileBrokerConfig::default(),
-            tcp: TcpOptions::default(),
             bind: Box::new(|_| "127.0.0.1:0".to_string()),
         }
     }
@@ -1294,10 +1258,11 @@ impl TcpNetworkBuilder {
         self
     }
 
-    /// Transport options (frame codec, queue bounds, heartbeat and
-    /// redial timing).
-    pub fn tcp(mut self, options: TcpOptions) -> Self {
-        self.tcp = options;
+    /// Transport options: there is one configuration, so this changes
+    /// nothing.
+    // Kept only because `bench_e2e` calls it; ROADMAP item 2's first PR deletes it.
+    #[doc(hidden)]
+    pub fn tcp(self, _: TcpOptions) -> Self {
         self
     }
 
@@ -1327,7 +1292,7 @@ impl TcpNetworkBuilder {
             .overlay
             .build()
             .expect("invalid overlay passed to TcpNetwork::builder()");
-        let (config, options, mut bind_addr) = (self.options, self.tcp, self.bind);
+        let (config, mut bind_addr) = (self.options, self.bind);
         let topology = Arc::new(topology);
         // Phase 1: bind all listeners.
         let mut listeners: BTreeMap<BrokerId, TcpListener> = BTreeMap::new();
@@ -1342,7 +1307,7 @@ impl TcpNetworkBuilder {
         }
         // Phase 2: shared state and acceptors.
         let (hub, input_rx) = Hub::new(topology.brokers());
-        let shared = Shared::new(Arc::clone(&topology), config.clone(), options, hub, addrs);
+        let shared = Shared::new(Arc::clone(&topology), config.clone(), hub, addrs);
         let shared = Arc::new(shared);
         let net = TcpNetwork {
             shared: Arc::clone(&shared),
@@ -1386,19 +1351,6 @@ mod tests {
     fn start(topology: Topology, config: MobileBrokerConfig) -> TcpNetwork {
         let net = TcpNetwork::builder().overlay(topology).options(config);
         net.start().expect("sockets")
-    }
-
-    #[test]
-    fn delivery_over_real_sockets() {
-        let net = start(Topology::chain(4), MobileBrokerConfig::reconfig());
-        crate::tests::move_and_deliver(&net.shared.hub, b(4), &[]);
-    }
-
-    #[test]
-    fn transactional_move_over_real_sockets() {
-        let net = start(Topology::chain(5), MobileBrokerConfig::reconfig());
-        let moves = [(b(2), ProtocolKind::Reconfig)];
-        crate::tests::move_and_deliver(&net.shared.hub, b(5), &moves);
     }
 
     #[test]
@@ -1546,15 +1498,12 @@ mod tests {
         let topology = Topology::chain(2);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let options = TcpOptions {
-            heartbeat_interval: Duration::from_secs(3600),
-            ..TcpOptions::default()
-        };
         let (hub, _queues) = Hub::new(topology.brokers());
         let addrs = topology.brokers().map(|b| (b, addr)).collect();
         let config = MobileBrokerConfig::reconfig();
-        let shared = Shared::new(Arc::new(topology.clone()), config, options, hub, addrs);
+        let shared = Shared::new(Arc::new(topology.clone()), config, hub, addrs);
         let mut links = TcpLinks::new(b(1), Arc::new(shared));
+        links.next_ping = Instant::now() + Duration::from_secs(3600);
         let far = TcpStream::connect(addr).expect("connect");
         let (stream, _) = listener.accept().expect("accept");
         let accepted = LinkEvent::Connected {

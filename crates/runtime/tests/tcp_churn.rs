@@ -10,7 +10,7 @@ use std::time::Duration;
 use transmob_broker::Topology;
 use transmob_core::MobileBrokerConfig;
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
-use transmob_runtime::tcp::{TcpNetwork, TcpOptions, REDIAL_CAP};
+use transmob_runtime::tcp::{TcpNetwork, REDIAL_CAP};
 
 fn b(i: u32) -> BrokerId {
     BrokerId(i)
@@ -28,13 +28,6 @@ fn churn_config() -> MobileBrokerConfig {
     MobileBrokerConfig {
         suspect_after_ns: Some(400_000_000),
         ..MobileBrokerConfig::reconfig()
-    }
-}
-
-fn churn_options() -> TcpOptions {
-    TcpOptions {
-        heartbeat_interval: Duration::from_millis(25),
-        ..TcpOptions::default()
     }
 }
 
@@ -60,7 +53,6 @@ fn suspicion_promotes_death_and_repair_restores_delivery() {
     let net = TcpNetwork::builder()
         .overlay(Topology::chain(4))
         .options(churn_config())
-        .tcp(churn_options())
         .bind(|_| "127.0.0.1:0".to_string())
         .start()
         .expect("sockets");
@@ -113,7 +105,6 @@ fn a_dead_neighbour_keeps_no_endpoint_and_the_bypass_connects_once() {
     let net = TcpNetwork::builder()
         .overlay(Topology::chain(3))
         .options(churn_config())
-        .tcp(churn_options())
         .start()
         .expect("sockets");
     let publisher = net.create_client(b(1), c(1));
@@ -178,7 +169,6 @@ fn restarted_broker_suspects_a_neighbour_that_never_returns() {
     let net = TcpNetwork::builder()
         .overlay(Topology::chain(3))
         .options(churn_config())
-        .tcp(churn_options())
         .start()
         .expect("sockets");
     net.kill_broker(b(3));

@@ -1,5 +1,5 @@
 //! The broker overlay over real TCP sockets: every overlay link is a
-//! loopback socket carrying JSON-framed protocol messages — the bytes
+//! loopback socket carrying binary-framed protocol messages — the bytes
 //! a multi-host deployment would put on the wire. Runs the quickstart
 //! scenario (subscribe, publish, transactional move) end to end over
 //! that transport.
