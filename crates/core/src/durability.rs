@@ -8,10 +8,9 @@
 //! [`Output`] effects), the cheapest faithful durability scheme is
 //! *command logging*: append every external input to a
 //! [`DurabilityLog`] **before** applying it, checkpoint a
-//! [`BrokerSnapshot`] every [`MobileBrokerConfig::checkpoint_every`]
-//! records (truncating the log tail the snapshot supersedes), and on
-//! recovery replay `snapshot + records` with the regenerated outputs
-//! discarded. Every movement-protocol state transition and every
+//! [`BrokerSnapshot`] every [`CHECKPOINT_EVERY`] records (truncating
+//! the log tail the snapshot supersedes), and on recovery replay
+//! `snapshot + records` with the regenerated outputs discarded. Every movement-protocol state transition and every
 //! SRT/PRT mutation is a deterministic function of the input sequence,
 //! so replaying the inputs reproduces them exactly.
 //!
@@ -23,12 +22,15 @@
 //! and a movement whose messages died with the crash aborts cleanly
 //! when they fire. See DESIGN.md §9 for the full contract.
 //!
-//! Only *external* inputs are logged. Handlers re-issue client
+//! Only *external* inputs are logged. Every one of them enters the
+//! broker through one private function that appends it, applies it and
+//! runs the checkpoint rule; recovery replays each record through the
+//! same apply step ([`MobileBroker::recover_from_log`] rebuilds a
+//! broker from a [`MemoryLog`] in one call). Handlers re-issue client
 //! commands internally (draining a resumed stub's queued commands, for
-//! example); those nested calls happen again during replay of the
-//! outer input, so logging them too would double-execute them. The
-//! broker tracks its input nesting depth and appends at depth zero
-//! only.
+//! example) by calling the apply step directly: those re-issues happen
+//! again during replay of the outer input, so logging them too would
+//! double-execute them.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -42,7 +44,12 @@ use transmob_pubsub::{BrokerId, ClientId};
 use crate::messages::{ClientOp, Message, TimerToken};
 use crate::persistence::BrokerSnapshot;
 #[cfg(doc)]
-use crate::{MobileBroker, MobileBrokerConfig, Output};
+use crate::{MobileBroker, Output};
+
+/// A broker with a [`DurabilityLog`] attached checkpoints (snapshot +
+/// truncate) after this many logged inputs, so replay after a crash
+/// applies at most this many records plus the last input batch.
+pub const CHECKPOINT_EVERY: u32 = 64;
 
 /// Version tag carried by every [`DurabilityRecord`] (the versioned
 /// envelope the ROADMAP persistence item asked for): recovery refuses
@@ -361,25 +368,21 @@ mod tests {
     #[test]
     fn periodic_checkpoint_truncates_the_log() {
         let topo = Arc::new(Topology::chain(3));
-        let config = MobileBrokerConfig {
-            checkpoint_every: 4,
-            ..MobileBrokerConfig::reconfig()
-        };
+        let config = MobileBrokerConfig::reconfig();
         let mut b = MobileBroker::new(BrokerId(1), Arc::clone(&topo), config.clone());
         let log = MemoryLog::shared();
         b.attach_durability(log.clone()).unwrap();
         b.create_client(c(1));
-        for k in 0..9 {
-            let _ = b.client_op(c(1), ClientOp::Publish(Publication::new().with("x", k)));
+        for k in 0..CHECKPOINT_EVERY + 5 {
+            let _ = b.client_op(
+                c(1),
+                ClientOp::Publish(Publication::new().with("x", i64::from(k))),
+            );
         }
-        // 10 inputs with a checkpoint every 4: the tail is short.
+        // CHECKPOINT_EVERY + 6 inputs: one checkpoint, a short tail.
         let guard = log.lock().unwrap();
         assert!(guard.has_checkpoint());
-        assert!(
-            guard.records_len() < 4,
-            "log not truncated: {} records",
-            guard.records_len()
-        );
+        assert_eq!(guard.records_len(), 6, "log not truncated");
         drop(guard);
         // And the checkpoint+tail still recovers the full state.
         let (snap, records) = log.lock().unwrap().contents();

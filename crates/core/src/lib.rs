@@ -48,7 +48,8 @@ pub mod wire;
 
 pub use client_stub::{DeliverOutcome, HostedClient, SeenWindow, SEEN_WINDOW_CAP};
 pub use durability::{
-    DurabilityLog, DurabilityRecord, LoggedInput, MemoryLog, DURABILITY_FORMAT_VERSION,
+    DurabilityLog, DurabilityRecord, LoggedInput, MemoryLog, CHECKPOINT_EVERY,
+    DURABILITY_FORMAT_VERSION,
 };
 pub use messages::{
     ClientOp, ClientProfile, ClientSnapshot, Message, MoveMsg, Output, ProtocolKind, TimerToken,

@@ -25,6 +25,7 @@
 //! them.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
@@ -34,7 +35,10 @@ use transmob_broker::{
 use transmob_pubsub::{BrokerId, ClientId, MoveId, Publication, PublicationMsg, SubId};
 
 use crate::client_stub::{DeliverOutcome, HostedClient};
-use crate::durability::{DurabilityLog, DurabilityRecord, LoggedInput, DURABILITY_FORMAT_VERSION};
+use crate::durability::{
+    DurabilityLog, DurabilityRecord, LoggedInput, MemoryLog, CHECKPOINT_EVERY,
+    DURABILITY_FORMAT_VERSION,
+};
 use crate::messages::{
     ClientOp, ClientProfile, ClientSnapshot, Message, MoveMsg, Output, ProtocolKind, TimerToken,
 };
@@ -63,10 +67,6 @@ pub struct MobileBrokerConfig {
     /// retracting at the source (make-before-break), trading duplicate
     /// suppression work for no message loss.
     pub make_before_break: bool,
-    /// With a [`DurabilityLog`] attached, checkpoint (snapshot +
-    /// truncate) after this many logged inputs. `0` disables periodic
-    /// checkpoints (explicit [`MobileBroker::checkpoint_now`] only).
-    pub checkpoint_every: u32,
     /// The failure detector's one deadline: a neighbour whose link the
     /// driver reports down ([`MobileBroker::handle_link`]) and not up
     /// again within this long is declared permanently dead, and the
@@ -88,7 +88,6 @@ impl Default for MobileBrokerConfig {
             negotiate_timeout_ns: Some(DEFAULT_MOVE_TIMEOUT_NS),
             state_timeout_ns: Some(DEFAULT_MOVE_TIMEOUT_NS),
             make_before_break: false,
-            checkpoint_every: 64,
             suspect_after_ns: None,
         }
     }
@@ -197,8 +196,6 @@ pub struct MobileBroker {
     anomalies: u64,
     /// Write-ahead durability, if attached (never serialized).
     log: Option<Arc<Mutex<dyn DurabilityLog>>>,
-    /// Input nesting depth: only depth-0 (external) inputs are logged.
-    input_depth: u32,
     records_since_checkpoint: u32,
 }
 
@@ -229,7 +226,6 @@ impl MobileBroker {
             next_move_seq: 0,
             anomalies: 0,
             log: None,
-            input_depth: 0,
             records_since_checkpoint: 0,
         }
     }
@@ -281,12 +277,59 @@ impl MobileBroker {
         self.tgt_moves.get(&m).map(|r| r.state)
     }
 
+    /// This broker's configuration, as set at construction and by
+    /// [`MobileBroker::set_accept_moves`].
+    pub fn config(&self) -> &MobileBrokerConfig {
+        &self.config
+    }
+
     /// Creates (attaches and starts) a fresh client at this broker.
     pub fn create_client(&mut self, id: ClientId) {
-        let outer = self.begin_input(|| LoggedInput::CreateClient { client: id });
-        self.clients.insert(id, HostedClient::started(id));
-        self.core.attach_client(id);
-        self.end_input(outer);
+        let _ = self.input(LoggedInput::CreateClient { client: id });
+    }
+
+    // ================= external inputs ================================
+
+    /// The one way a single external input enters the broker: appended
+    /// write-ahead to the attached log (if any), applied, then the
+    /// checkpoint rule. Handlers that re-issue a client command call
+    /// `client_op_apply` instead, so replay does not run it twice.
+    fn input(&mut self, input: LoggedInput) -> Vec<Output> {
+        if let Some(log) = &self.log {
+            log.lock()
+                .expect("durability log poisoned")
+                .append(&DurabilityRecord::new(input.clone()))
+                .expect("durability append failed: refusing to run ahead of the log");
+            self.records_since_checkpoint += 1;
+        }
+        let out = self.apply(input);
+        self.checkpoint_if_due();
+        out
+    }
+
+    /// Applies one external input, unlogged: [`MobileBroker::input`]
+    /// and recovery replay both go through here.
+    fn apply(&mut self, input: LoggedInput) -> Vec<Output> {
+        match input {
+            LoggedInput::Message { from, msg } => self.apply_messages(from, vec![msg], None),
+            LoggedInput::ClientOp { client, op } => self.client_op_apply(client, op),
+            LoggedInput::Timer { token } => self.handle_timer_apply(token),
+            LoggedInput::CreateClient { client } => {
+                self.clients.insert(client, HostedClient::started(client));
+                self.core.attach_client(client);
+                Vec::new()
+            }
+            LoggedInput::BrokerDeath { dead } => self.broker_death_apply(dead),
+        }
+    }
+
+    /// Checkpoints once [`CHECKPOINT_EVERY`] inputs were logged since
+    /// the last checkpoint (never without a log: nothing is counted).
+    fn checkpoint_if_due(&mut self) {
+        if self.records_since_checkpoint >= CHECKPOINT_EVERY {
+            self.checkpoint_now()
+                .expect("durability checkpoint failed: refusing to run ahead of the log");
+        }
     }
 
     // ================= durability =====================================
@@ -294,7 +337,7 @@ impl MobileBroker {
     /// Attaches a write-ahead [`DurabilityLog`]: the broker immediately
     /// checkpoints its current state into it (the recovery base), then
     /// appends every external input before applying it and checkpoints
-    /// again every [`MobileBrokerConfig::checkpoint_every`] inputs.
+    /// again every [`CHECKPOINT_EVERY`] inputs.
     ///
     /// # Errors
     ///
@@ -336,13 +379,14 @@ impl MobileBroker {
     /// `Prepare` its state timer — without them a movement whose
     /// messages died with the crash would wedge instead of aborting.
     ///
-    /// Replay applies each input through the normal handlers and
-    /// discards the regenerated outputs (the pre-crash execution
-    /// already emitted them; at-least-once redelivery of the ones the
-    /// crash destroyed is the driver's concern). The recovered broker
-    /// has no log attached — call [`MobileBroker::attach_durability`]
-    /// again to resume logging (which re-checkpoints, establishing the
-    /// new base).
+    /// Replay applies each record through the one function live inputs
+    /// go through, one record at a time, and discards the regenerated
+    /// outputs (the pre-crash execution already emitted them;
+    /// at-least-once redelivery of the ones the crash destroyed is the
+    /// driver's concern). The recovered broker has no log attached —
+    /// call [`MobileBroker::attach_durability`] again to resume logging
+    /// (which re-checkpoints, establishing the new base), or rebuild
+    /// with [`MobileBroker::recover_from_log`], which does both.
     ///
     /// Returns the broker and the `SetTimer` outputs to arm.
     ///
@@ -363,24 +407,41 @@ impl MobileBroker {
                 "unknown durability record version {}",
                 rec.v
             );
-            match rec.input.clone() {
-                LoggedInput::Message { from, msg } => {
-                    let _ = broker.handle(from, msg);
-                }
-                LoggedInput::ClientOp { client, op } => {
-                    let _ = broker.client_op(client, op);
-                }
-                LoggedInput::Timer { token } => {
-                    let _ = broker.handle_timer(token);
-                }
-                LoggedInput::CreateClient { client } => broker.create_client(client),
-                LoggedInput::BrokerDeath { dead } => {
-                    let _ = broker.handle_broker_death(dead);
-                }
-            }
+            let _ = broker.apply(rec.input.clone());
         }
         let timers = broker.rearm_timers();
         (broker, timers)
+    }
+
+    /// Rebuilds a broker from `log` after a state-loss crash:
+    /// [`MobileBroker::recover`] from its checkpoint and records, then
+    /// the same log re-attached (a fresh checkpoint of the rebuilt
+    /// state truncates the replayed records).
+    ///
+    /// Returns the broker and the `SetTimer` outputs to arm.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` if the log holds no checkpoint (it was never
+    /// attached), or the re-attaching checkpoint's storage error.
+    pub fn recover_from_log(
+        topology: Arc<Topology>,
+        config: MobileBrokerConfig,
+        log: Arc<Mutex<MemoryLog>>,
+    ) -> io::Result<(MobileBroker, Vec<Output>)> {
+        let (checkpoint, records) = log
+            .lock()
+            .map_err(|_| io::Error::other("durability log poisoned"))?
+            .contents();
+        let checkpoint = checkpoint.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "durability log holds no checkpoint",
+            )
+        })?;
+        let (mut broker, timers) = MobileBroker::recover(topology, config, checkpoint, &records);
+        broker.attach_durability(log)?;
+        Ok((broker, timers))
     }
 
     /// The `SetTimer` outputs an in-flight movement needs after
@@ -408,64 +469,6 @@ impl MobileBroker {
             }
         }
         out
-    }
-
-    /// Enters one input frame. At depth 0 (an *external* input — not a
-    /// handler re-issuing a command internally) the input is appended
-    /// to the attached log before anything is applied (write-ahead).
-    fn begin_input(&mut self, make: impl FnOnce() -> LoggedInput) -> bool {
-        let outer = self.input_depth == 0;
-        self.input_depth += 1;
-        if outer {
-            if let Some(log) = &self.log {
-                let rec = DurabilityRecord::new(make());
-                log.lock()
-                    .expect("durability log poisoned")
-                    .append(&rec)
-                    .expect("durability append failed: refusing to run ahead of the log");
-                self.records_since_checkpoint += 1;
-            }
-        }
-        outer
-    }
-
-    /// Enters one input frame covering a whole message batch: at depth
-    /// 0 every message is appended write-ahead through one
-    /// [`DurabilityLog::append_batch`] call before anything is applied.
-    fn begin_input_batch(&mut self, from: Hop, msgs: &[Message]) -> bool {
-        let outer = self.input_depth == 0;
-        self.input_depth += 1;
-        if outer {
-            if let Some(log) = &self.log {
-                let records: Vec<DurabilityRecord> = msgs
-                    .iter()
-                    .map(|msg| {
-                        DurabilityRecord::new(LoggedInput::Message {
-                            from,
-                            msg: msg.clone(),
-                        })
-                    })
-                    .collect();
-                log.lock()
-                    .expect("durability log poisoned")
-                    .append_batch(&records)
-                    .expect("durability append failed: refusing to run ahead of the log");
-                self.records_since_checkpoint += records.len() as u32;
-            }
-        }
-        outer
-    }
-
-    /// Leaves an input frame; at depth 0 runs the periodic checkpoint.
-    fn end_input(&mut self, outer: bool) {
-        self.input_depth -= 1;
-        if outer
-            && self.config.checkpoint_every > 0
-            && self.records_since_checkpoint >= self.config.checkpoint_every
-        {
-            self.checkpoint_now()
-                .expect("durability checkpoint failed: refusing to run ahead of the log");
-        }
     }
 
     /// Sets whether this broker accepts incoming clients (the paper's
@@ -524,7 +527,6 @@ impl MobileBroker {
             next_move_seq,
             anomalies: 0,
             log: None,
-            input_depth: 0,
             records_since_checkpoint: 0,
         }
     }
@@ -587,13 +589,7 @@ impl MobileBroker {
     /// Panics if the client is not hosted here (drivers address
     /// commands to the client's current broker).
     pub fn client_op(&mut self, client: ClientId, op: ClientOp) -> Vec<Output> {
-        let outer = self.begin_input(|| LoggedInput::ClientOp {
-            client,
-            op: op.clone(),
-        });
-        let out = self.client_op_apply(client, op);
-        self.end_input(outer);
-        out
+        self.input(LoggedInput::ClientOp { client, op })
     }
 
     fn client_op_apply(&mut self, client: ClientId, op: ClientOp) -> Vec<Output> {
@@ -741,13 +737,7 @@ impl MobileBroker {
 
     /// Handles one incoming message from a neighbouring broker.
     pub fn handle(&mut self, from: Hop, msg: Message) -> Vec<Output> {
-        let outer = self.begin_input(|| LoggedInput::Message {
-            from,
-            msg: msg.clone(),
-        });
-        let out = self.handle_apply(from, msg);
-        self.end_input(outer);
-        out
+        self.input(LoggedInput::Message { from, msg })
     }
 
     /// Handles a batch of incoming messages that arrived together from
@@ -798,21 +788,47 @@ impl MobileBroker {
         self.handle_batch_apply(from, msgs, Some(&mut pre))
     }
 
+    /// Logs a message batch write-ahead through one
+    /// [`DurabilityLog::append_batch`] call, applies it, then runs the
+    /// checkpoint rule: [`MobileBroker::input`] for a whole batch.
     fn handle_batch_apply(
         &mut self,
         from: Hop,
-        mut msgs: Vec<Message>,
+        msgs: Vec<Message>,
+        pre: Option<&mut PrematchedRoutes>,
+    ) -> Vec<Output> {
+        if msgs.is_empty() {
+            return Vec::new();
+        }
+        if let Some(log) = &self.log {
+            let records: Vec<DurabilityRecord> = (msgs.iter())
+                .map(|msg| {
+                    DurabilityRecord::new(LoggedInput::Message {
+                        from,
+                        msg: msg.clone(),
+                    })
+                })
+                .collect();
+            log.lock()
+                .expect("durability log poisoned")
+                .append_batch(&records)
+                .expect("durability append failed: refusing to run ahead of the log");
+            self.records_since_checkpoint += records.len() as u32;
+        }
+        let out = self.apply_messages(from, msgs, pre);
+        self.checkpoint_if_due();
+        out
+    }
+
+    /// Applies messages from one hop in order, unlogged: maximal runs
+    /// of consecutive pub/sub messages go through the routing core's
+    /// batch entry point, each other message through its handler.
+    fn apply_messages(
+        &mut self,
+        from: Hop,
+        msgs: Vec<Message>,
         mut pre: Option<&mut PrematchedRoutes>,
     ) -> Vec<Output> {
-        match msgs.len() {
-            // The single-message shortcut keeps the durability log's
-            // record shape; any pre-computed route for it is simply
-            // unused (it dies with `pre`).
-            0 => return Vec::new(),
-            1 => return self.handle(from, msgs.pop().expect("len checked")),
-            _ => {}
-        }
-        let outer = self.begin_input_batch(from, &msgs);
         let mut out = Vec::new();
         let mut run: Vec<PubSubMsg> = Vec::new();
         for msg in msgs {
@@ -829,7 +845,6 @@ impl MobileBroker {
             }
         }
         self.flush_pubsub_run(from, &mut run, &mut pre, &mut out);
-        self.end_input(outer);
         out
     }
 
@@ -850,17 +865,6 @@ impl MobileBroker {
             .core
             .handle_batch_prematched(from, std::mem::take(run), reborrow);
         out.extend(self.absorb(batch));
-    }
-
-    fn handle_apply(&mut self, from: Hop, msg: Message) -> Vec<Output> {
-        match msg {
-            Message::PubSub(p) => {
-                let outs = self.core.handle(from, p);
-                self.absorb(outs)
-            }
-            Message::Move(mv) => self.handle_move(from, mv),
-            Message::BrokerDeath { dead } => self.broker_death_apply(dead),
-        }
     }
 
     /// Sends a routed movement message one hop toward its destination.
@@ -1253,7 +1257,7 @@ impl MobileBroker {
                         }
                     }
                     for op in snapshot.queued_ops {
-                        out.extend(self.client_op(client, op));
+                        out.extend(self.client_op_apply(client, op));
                     }
                 }
                 return out;
@@ -1496,7 +1500,7 @@ impl MobileBroker {
         }
         let ops = stub.drain_ops();
         for op in ops {
-            out.extend(self.client_op(client, op));
+            out.extend(self.client_op_apply(client, op));
         }
         out
     }
@@ -1566,10 +1570,7 @@ impl MobileBroker {
     /// write-ahead like any other external input; replay re-derives
     /// the repair deterministically from `(topology, dead)`.
     pub fn handle_broker_death(&mut self, dead: BrokerId) -> Vec<Output> {
-        let outer = self.begin_input(|| LoggedInput::BrokerDeath { dead });
-        let out = self.broker_death_apply(dead);
-        self.end_input(outer);
-        out
+        self.input(LoggedInput::BrokerDeath { dead })
     }
 
     fn broker_death_apply(&mut self, dead: BrokerId) -> Vec<Output> {
@@ -1742,10 +1743,7 @@ impl MobileBroker {
 
     /// Handles a fired protocol timer (driver callback).
     pub fn handle_timer(&mut self, token: TimerToken) -> Vec<Output> {
-        let outer = self.begin_input(|| LoggedInput::Timer { token });
-        let out = self.handle_timer_apply(token);
-        self.end_input(outer);
-        out
+        self.input(LoggedInput::Timer { token })
     }
 
     fn handle_timer_apply(&mut self, token: TimerToken) -> Vec<Output> {

@@ -556,29 +556,12 @@ impl TcpNetwork {
                 format!("broker {broker} was repaired around by the overlay"),
             ));
         }
-        let log = Arc::clone(&self.wals[&broker]);
-        let (snapshot, records) = log
-            .lock()
-            .map_err(|_| io::Error::other(format!("broker {broker} WAL mutex poisoned")))?
-            .contents();
-        let Some(snapshot) = snapshot else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("broker {broker} durability log holds no checkpoint"),
-            ));
-        };
-        let (mut recovered, timer_outs) = MobileBroker::recover(
+        let (recovered, timer_outs) = MobileBroker::recover_from_log(
             Arc::clone(&self.shared.topology),
             self.shared.config.clone(),
-            snapshot,
-            &records,
-        );
-        // Re-attach the log; this checkpoints the recovered state and
-        // truncates the replayed records.
-        let wal: Arc<std::sync::Mutex<dyn DurabilityLog>> = log;
-        recovered
-            .attach_durability(wal)
-            .map_err(|e| io::Error::new(e.kind(), format!("re-attach WAL for {broker}: {e}")))?;
+            Arc::clone(&self.wals[&broker]),
+        )
+        .map_err(|e| io::Error::new(e.kind(), format!("recover broker {broker}: {e}")))?;
         // Recovery succeeded; only now consume the pending channel so a
         // failed attempt leaves the broker cleanly killed and
         // retryable.

@@ -412,3 +412,41 @@ fn withdrawals_agree_on_every_driver() {
     };
     run_everywhere(&script, expected);
 }
+
+/// A covering-protocol movement there and back, each alone between
+/// barriers with publications before, between and after: every
+/// publication reaches the subscriber once, wherever it is, and both
+/// movements commit.
+#[test]
+fn covering_moves_agree_with_the_oracle_on_every_driver() {
+    let (p, s) = (ClientId(1), ClientId(2));
+    let publish = |x: i64| Step::Op(p, ClientOp::Publish(Publication::new().with(ATTR, x)));
+    let covering_move =
+        |to: u32| Step::Op(s, ClientOp::MoveTo(BrokerId(to), ProtocolKind::Covering));
+    let everything = Filter::builder().ge(ATTR, 0).le(ATTR, 1000).build();
+    let steps = vec![
+        Step::Create(p, BrokerId(1)),
+        Step::Create(s, BrokerId(5)),
+        Step::Op(p, ClientOp::Advertise(full_space_adv())),
+        Step::Op(s, ClientOp::Subscribe(everything)),
+        Step::Barrier,
+        publish(10),
+        Step::Barrier,
+        covering_move(2),
+        Step::Barrier,
+        publish(20),
+        publish(30),
+        Step::Barrier,
+        covering_move(5),
+        Step::Barrier,
+        publish(40),
+        Step::Barrier,
+    ];
+    let script = Script {
+        name: "covering moves".into(),
+        topology: Topology::chain(5),
+        config: MobileBrokerConfig::covering(),
+        steps,
+    };
+    run_everywhere(&script, oracle(&script));
+}

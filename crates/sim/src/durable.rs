@@ -137,7 +137,7 @@ mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
     use transmob_broker::Topology;
-    use transmob_core::{ClientOp, MobileBroker, MobileBrokerConfig};
+    use transmob_core::{ClientOp, MobileBroker, MobileBrokerConfig, CHECKPOINT_EVERY};
     use transmob_pubsub::{ClientId, Filter};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -194,16 +194,14 @@ mod tests {
         let mut b = MobileBroker::new(
             BrokerId(1),
             Arc::clone(&topo),
-            MobileBrokerConfig {
-                checkpoint_every: 2,
-                ..MobileBrokerConfig::reconfig()
-            },
+            MobileBrokerConfig::reconfig(),
         );
         let log: Arc<Mutex<dyn DurabilityLog>> =
             Arc::new(Mutex::new(WalDurability::open(&dir, BrokerId(1)).unwrap()));
         b.attach_durability(log).unwrap();
         b.create_client(ClientId(1));
-        for _ in 0..5 {
+        let subs = CHECKPOINT_EVERY + 4;
+        for _ in 0..subs {
             let _ = b.client_op(
                 ClientId(1),
                 ClientOp::Subscribe(Filter::builder().ge("x", 0).build()),
@@ -212,7 +210,8 @@ mod tests {
         let store = WalDurability::open(&dir, BrokerId(1)).unwrap();
         let (snap, records) = store.load().unwrap();
         assert!(snap.is_some());
-        assert!(records.len() < 2, "WAL not truncated by checkpoints");
+        // CHECKPOINT_EVERY + 5 inputs: one checkpoint, a tail of five.
+        assert_eq!(records.len(), 5, "WAL not truncated by the checkpoint");
         let (recovered, _) = MobileBroker::recover(
             topo,
             MobileBrokerConfig::reconfig(),
@@ -221,7 +220,7 @@ mod tests {
         );
         assert_eq!(
             recovered.client(ClientId(1)).unwrap().profile().subs.len(),
-            5
+            subs as usize
         );
         fs::remove_dir_all(dir).unwrap();
     }

@@ -503,9 +503,9 @@ impl Sim {
     /// Crashes a broker *with state loss* until `restart_at`: the
     /// in-memory broker and all of its timers are destroyed, and the
     /// restart rebuilds it from its durability log (checkpoint + WAL
-    /// replay) via `MobileBroker::recover`, re-arming the timers of
-    /// in-flight movements. Queued messages still wait out the outage
-    /// (persistent queues).
+    /// replay) via `MobileBroker::recover_from_log`, re-arming the
+    /// timers of in-flight movements. Queued messages still wait out
+    /// the outage (persistent queues).
     ///
     /// # Panics
     ///
@@ -1080,24 +1080,17 @@ impl Sim {
         }
     }
 
-    /// Rebuilds a broker after a state-loss crash: restore the last
-    /// checkpoint, replay the WAL tail, re-arm in-flight movement
-    /// timers, and re-attach the (now freshly checkpointed) log.
+    /// Rebuilds a broker after a state-loss crash
+    /// ([`MobileBroker::recover_from_log`]) under the lost broker's own
+    /// configuration, which a test may have changed
+    /// (`set_accept_moves`), and re-arms in-flight movement timers.
     fn recover_from_log(&mut self, broker: BrokerId) {
         self.disarm(broker); // every pre-crash timer died with the process
         let log = Arc::clone(self.logs.get(&broker).expect("durability enabled"));
-        let (snapshot, records) = log.lock().expect("durability log poisoned").contents();
-        let snapshot = snapshot.expect("attach_durability wrote the base checkpoint");
-        let (mut rebuilt, timer_outs) = MobileBroker::recover(
-            Arc::clone(&self.topology),
-            self.config.clone(),
-            snapshot,
-            &records,
-        );
-        let dyn_log: Arc<Mutex<dyn DurabilityLog>> = log;
-        rebuilt
-            .attach_durability(dyn_log)
-            .expect("in-memory durability cannot fail");
+        let config = self.brokers[&broker].config().clone();
+        let (rebuilt, timer_outs) =
+            MobileBroker::recover_from_log(Arc::clone(&self.topology), config, log)
+                .expect("attach_durability wrote the base checkpoint");
         self.brokers.insert(broker, rebuilt);
         // Re-arm timers for movements that were in flight at the crash.
         self.dispatch(broker, None, timer_outs);
@@ -1687,6 +1680,30 @@ mod fault_tests {
         );
         sim.run_to_quiescence();
         assert_eq!(sim.metrics.delivery_count, 1);
+    }
+
+    /// A broker's admission setting is configuration, not logged
+    /// state: a target told to refuse movers still refuses them after
+    /// it is rebuilt from its log.
+    #[test]
+    fn a_refusing_target_still_refuses_after_a_state_loss_restart() {
+        let mut sim = durable_sim(3, 5);
+        sim.broker_mut(b(1)).set_accept_moves(false);
+        sim.crash_broker_lossy(b(1), sim.now() + SimDuration::from_millis(100));
+        sim.run_to_quiescence();
+        assert!(!sim.broker(b(1)).config().accept_moves);
+        sim.schedule_cmd(
+            sim.now() + SimDuration::from_millis(1),
+            c(2),
+            ClientOp::MoveTo(b(1), ProtocolKind::Reconfig),
+        );
+        sim.run_to_quiescence();
+        let outcomes: Vec<Option<bool>> = (sim.metrics.finished_moves())
+            .map(|(_, r)| r.committed)
+            .collect();
+        assert_eq!(outcomes, vec![Some(false)], "the move must be rejected");
+        assert_eq!(sim.home_of(c(2)), Some(b(3)));
+        assert_eq!(sim.total_anomalies(), 0);
     }
 
     /// Source-side variant: the broker hosting the moving client dies

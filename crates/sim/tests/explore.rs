@@ -260,8 +260,12 @@ fn recovered_runs_can_still_commit() {
 
 #[test]
 fn recovery_graph_makes_progress_and_stays_finite() {
-    assert_eq!(states(ProtocolKind::Reconfig, Mode::Faults), 1_922);
-    assert_eq!(states(ProtocolKind::Covering, Mode::Faults), 1_238);
+    // A target rebuilt from its log keeps its own configuration: under
+    // the reject root it still refuses the mover after a state-loss
+    // restart, and the runs in which the restarted target accepted it
+    // are gone.
+    assert_eq!(states(ProtocolKind::Reconfig, Mode::Faults), 1_817);
+    assert_eq!(states(ProtocolKind::Covering, Mode::Faults), 1_169);
 }
 
 #[test]

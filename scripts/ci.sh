@@ -7,7 +7,9 @@
 #   1. formatting + lints + rustdoc links (-D warnings) + full
 #      workspace tests (hard failures; the vendored offline stubs under
 #      vendor/ are workspace-excluded) + one run of each threaded
-#      example (they assert their own outcomes)
+#      example and of the `Sim` example `failure_injection` (they
+#      assert their own outcomes; `protocol_comparison`, ~14 s in
+#      debug on two cores, is only compiled)
 #   2. chaos smoke — seeded fault schedules per protocol (recovery
 #      tier: crash/restart link faults; churn tier: permanent broker
 #      deaths + overlay self-repair, DESIGN.md §14; cyclic tier: the
@@ -49,7 +51,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
     -p transmob -p transmob-pubsub -p transmob-broker -p transmob-core \
     -p transmob-sim -p transmob-runtime -p transmob-workloads -p transmob-bench
 cargo test --workspace -q
-for example in quickstart tcp_overlay stream_operator_relocation game_world_migration; do
+for example in quickstart tcp_overlay stream_operator_relocation game_world_migration \
+    failure_injection; do
     cargo run -q --example "$example" > /dev/null
 done
 
