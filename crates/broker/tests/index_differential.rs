@@ -7,6 +7,13 @@
 //! scan in debug builds; this test states the property explicitly. The
 //! scans are compiled into test and debug builds only, so the suite is
 //! too.
+//!
+//! Numeric operands are integers, quarters, `0.0` and `-0.0`; bands
+//! span widths from 0 to 10¹⁷, so the packed snapshot holds many width
+//! classes (one rounds its widths), and every table is probed on, just
+//! below and just above each endpoint its filters name.
+//!
+//! The case count honours `CHAOS_CASES` (default 96).
 
 #![cfg(debug_assertions)]
 
@@ -21,24 +28,65 @@ use transmob_pubsub::{
 
 const ATTRS: [&str; 3] = ["x", "y", "t"];
 const WORDS: [&str; 5] = ["alpha", "alps", "beta", "al", ""];
+/// Band widths over many binades; at 10¹⁷ an endpoint's quarter is
+/// lost to rounding, so a band's float width can fall short of its
+/// exact one.
+const WIDTHS: [f64; 8] = [0.0, 0.25, 1.0, 15.0, 1_000.0, 1e9, 1e17, 3.0];
+/// Operator shapes of [`apply_spec`].
+const KINDS: u8 = 12;
 
-/// One predicate spec: attribute, operator shape, operand seed.
+fn cases() -> u32 {
+    std::env::var("CHAOS_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(96)
+}
+
+/// One predicate spec: attribute, operator shape (and band width),
+/// operand seed.
 type PredSpec = (usize, u8, i64);
+
+/// A numeric operand from a seed: whole numbers from even seeds,
+/// quarters from odd ones, `-0.0` from 1 (and `0.0` from 0).
+fn num(v: i64) -> f64 {
+    match v {
+        1 => -0.0,
+        v if v % 2 == 0 => (v / 2) as f64,
+        v => v as f64 / 4.0,
+    }
+}
+
+/// The numeric endpoints a spec names: a band's two, a one-sided
+/// bound's one, none for the other shapes.
+fn endpoints((_, kind, v): PredSpec) -> Vec<f64> {
+    let lo = num(v);
+    match kind % KINDS {
+        0 | 1 | 3 | 4 | 8 | 9 => vec![lo],
+        2 | 10 | 11 => vec![lo, lo + WIDTHS[usize::from(kind / KINDS) % WIDTHS.len()]],
+        _ => vec![],
+    }
+}
 
 fn apply_spec(
     b: transmob_pubsub::FilterBuilder,
     (ai, kind, v): PredSpec,
 ) -> transmob_pubsub::FilterBuilder {
     let a = ATTRS[ai % ATTRS.len()];
-    match kind % 8 {
-        0 => b.ge(a, v),
-        1 => b.le(a, v),
-        2 => b.ge(a, v).le(a, v + 15),
-        3 => b.eq(a, v),
-        4 => b.ne(a, v),
+    let x = num(v);
+    let hi = x + WIDTHS[usize::from(kind / KINDS) % WIDTHS.len()];
+    match kind % KINDS {
+        0 => b.ge(a, x),
+        1 => b.le(a, x),
+        2 => b.ge(a, x).le(a, hi),
+        3 => b.eq(a, x),
+        4 => b.ne(a, x),
         5 => b.eq(a, WORDS[(v.unsigned_abs() as usize) % WORDS.len()]),
         6 => b.prefix(a, WORDS[(v.unsigned_abs() as usize) % WORDS.len()]),
-        _ => b.any(a),
+        7 => b.any(a),
+        8 => b.gt(a, x),
+        9 => b.lt(a, x),
+        10 => b.gt(a, x).le(a, hi),
+        _ => b.ge(a, x).lt(a, hi),
     }
 }
 
@@ -50,7 +98,7 @@ fn build_filter(specs: &[PredSpec]) -> Filter {
 }
 
 fn arb_filter() -> impl Strategy<Value = Vec<PredSpec>> {
-    proptest::collection::vec((0usize..3, 0u8..8, -30i64..30), 1..4)
+    proptest::collection::vec((0usize..3, 0u8..KINDS * 8, -30i64..30), 1..4)
 }
 
 /// A churn step over the table: insert under a sequence id, remove a
@@ -64,6 +112,9 @@ fn probe_pubs() -> Vec<Publication> {
     for x in [-35i64, -10, 0, 7, 15, 29, 45] {
         out.push(Publication::new().with("x", x).with("y", -x));
     }
+    for x in [-0.0, 0.25, -7.25, 1e9, 1e17] {
+        out.push(Publication::new().with("x", x).with("y", x));
+    }
     for w in WORDS {
         out.push(Publication::new().with("t", w).with("x", 5));
     }
@@ -76,51 +127,98 @@ fn probe_pubs() -> Vec<Publication> {
     out
 }
 
-/// Builds a PRT and an SRT by replaying the step sequence; steps 0/1
-/// insert (sometimes colliding on the id, re-using the stored filter
-/// so the duplicate path stays legal), step 2 removes, step 3 installs
-/// a pending route.
+/// Publications on, just below and just above every numeric endpoint
+/// the filters of `specs` name, each endpoint on every attribute at
+/// once: the probes where an inclusive or exclusive bound, a width
+/// class's window edge or a `-0.0` decides.
+fn edge_pubs<'a>(specs: impl IntoIterator<Item = &'a [PredSpec]>) -> Vec<Publication> {
+    let mut xs: Vec<f64> = specs
+        .into_iter()
+        .flatten()
+        .flat_map(|s| endpoints(*s))
+        .flat_map(|x| [x.next_down(), x, x.next_up()])
+        .collect();
+    xs.sort_unstable_by(f64::total_cmp);
+    xs.dedup_by(|a, b| a.total_cmp(b).is_eq());
+    xs.into_iter()
+        .map(|x| Publication::new().with("x", x).with("y", x).with("t", x))
+        .collect()
+}
+
+/// The fixed probes and the edge probes of every filter of `steps`.
+fn step_pubs(steps: &[(u8, u64, Vec<PredSpec>)]) -> Vec<Publication> {
+    let mut out = probe_pubs();
+    out.extend(edge_pubs(steps.iter().map(|(_, _, specs)| &specs[..])));
+    out
+}
+
+/// Applies step `i` of a replay to a PRT and an SRT: ops 0/1 insert
+/// (sometimes colliding on the id, re-using the stored filter so the
+/// duplicate path stays legal), op 2 removes, op 3 installs a pending
+/// route.
+fn apply_step(
+    prt: &mut Prt,
+    srt: &mut Srt,
+    i: usize,
+    (op, slot, specs): &(u8, u64, Vec<PredSpec>),
+) {
+    let sid = SubId::new(ClientId(*slot), 0);
+    let aid = AdvId::new(ClientId(*slot), 0);
+    match op % 4 {
+        0 | 1 => {
+            // Re-inserting an occupied id with a different filter is a
+            // protocol violation the table reports; keep the replay
+            // legal by only inserting into free slots.
+            if prt.get(sid).is_none() {
+                let f = build_filter(specs);
+                prt.insert(Subscription::new(sid, f), Hop::Client(ClientId(*slot)));
+            }
+            if srt.get(aid).is_none() {
+                let f = build_filter(specs);
+                srt.insert(Advertisement::new(aid, f), Hop::Broker(BrokerId(2)));
+            }
+        }
+        2 => {
+            prt.remove(sid);
+            srt.remove(aid);
+        }
+        _ => {
+            prt.update(sid, |e| {
+                e.pending = Some(PendingRoute {
+                    move_id: MoveId(i as u64),
+                    lasthop: Hop::Broker(BrokerId(9)),
+                })
+            });
+            srt.update(aid, |e| {
+                e.pending = Some(PendingRoute {
+                    move_id: MoveId(i as u64),
+                    lasthop: Hop::Broker(BrokerId(9)),
+                })
+            });
+        }
+    }
+}
+
+/// Builds a PRT and an SRT by replaying the step sequence
+/// ([`apply_step`]).
 fn replay(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
     let mut prt = Prt::new();
     let mut srt = Srt::new();
-    for (i, (op, slot, specs)) in steps.iter().enumerate() {
-        let sid = SubId::new(ClientId(*slot), 0);
-        let aid = AdvId::new(ClientId(*slot), 0);
-        match op % 4 {
-            0 | 1 => {
-                // Re-inserting an occupied id with a different filter is
-                // a protocol violation the table reports; keep the
-                // replay legal by only inserting into free slots.
-                if prt.get(sid).is_none() {
-                    let f = build_filter(specs);
-                    prt.insert(Subscription::new(sid, f), Hop::Client(ClientId(*slot)));
-                }
-                if srt.get(aid).is_none() {
-                    let f = build_filter(specs);
-                    srt.insert(Advertisement::new(aid, f), Hop::Broker(BrokerId(2)));
-                }
-            }
-            2 => {
-                prt.remove(sid);
-                srt.remove(aid);
-            }
-            _ => {
-                prt.update(sid, |e| {
-                    e.pending = Some(PendingRoute {
-                        move_id: MoveId(i as u64),
-                        lasthop: Hop::Broker(BrokerId(9)),
-                    })
-                });
-                srt.update(aid, |e| {
-                    e.pending = Some(PendingRoute {
-                        move_id: MoveId(i as u64),
-                        lasthop: Hop::Broker(BrokerId(9)),
-                    })
-                });
-            }
-        }
+    for (i, step) in steps.iter().enumerate() {
+        apply_step(&mut prt, &mut srt, i, step);
     }
     (prt, srt)
+}
+
+/// Every indexed query on both tables ≡ its linear scan, for `query`.
+fn queries_equal_linear(prt: &Prt, srt: &Srt, query: &Filter) -> Result<(), TestCaseError> {
+    prop_assert_eq!(prt.overlapping(query), prt.overlapping_linear(query));
+    prop_assert_eq!(srt.overlapping(query), srt.overlapping_linear(query));
+    prop_assert_eq!(prt.covering(query), prt.covering_linear(query));
+    prop_assert_eq!(prt.covered_by(query), prt.covered_by_linear(query));
+    prop_assert_eq!(srt.covering(query), srt.covering_linear(query));
+    prop_assert_eq!(srt.covered_by(query), srt.covered_by_linear(query));
+    Ok(())
 }
 
 /// What `destinations` must answer, from first principles: the linear
@@ -318,13 +416,14 @@ fn destinations_follow(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// Indexed publication matching ≡ the linear scan, after churn.
+    /// Indexed publication matching ≡ the linear scan, after churn,
+    /// on every endpoint of the replayed filters and beside it.
     #[test]
     fn prt_matching_equals_linear(steps in arb_steps()) {
         let (prt, _) = replay(&steps);
-        for p in probe_pubs() {
+        for p in step_pubs(&steps) {
             prop_assert_eq!(prt.matching(&p), prt.matching_linear(&p), "pub {}", p);
         }
     }
@@ -372,6 +471,31 @@ proptest! {
         prop_assert_eq!(srt.covered_by(&query), srt.covered_by_linear(&query));
     }
 
+    /// Containment and overlap queries first asked after `quiet`
+    /// writes, so the first one derives the index's endpoint maps from
+    /// the rows the writes left, then asked between every further
+    /// write, so each insert and remove must keep the maps it finds:
+    /// at every query, ≡ the linear scans on both tables.
+    #[test]
+    fn containment_after_writes_equals_linear(
+        steps in arb_steps(),
+        quiet in 0usize..30,
+        queries in proptest::collection::vec(arb_filter(), 1..6),
+    ) {
+        let (mut prt, mut srt) = (Prt::new(), Srt::new());
+        let quiet = quiet.min(steps.len());
+        for (i, step) in steps[..quiet].iter().enumerate() {
+            apply_step(&mut prt, &mut srt, i, step);
+        }
+        for (i, step) in steps.iter().enumerate().skip(quiet) {
+            queries_equal_linear(&prt, &srt, &build_filter(&queries[i % queries.len()]))?;
+            apply_step(&mut prt, &mut srt, i, step);
+        }
+        for q in &queries {
+            queries_equal_linear(&prt, &srt, &build_filter(q))?;
+        }
+    }
+
     /// The containment answers are semantically right, not merely
     /// scan-consistent: every reported id really stands in the claimed
     /// `Filter::covers` relation with the query.
@@ -408,6 +532,12 @@ proptest! {
             let sid = SubId::new(ClientId(i as u64), 0);
             prt.insert(Subscription::new(sid, build_filter(specs)), Hop::Client(ClientId(1)));
         }
+        // Every endpoint of the base table, as one batch: this builds
+        // the snapshot the writes below age.
+        let edges = edge_pubs(base.iter().map(|s| &s[..]));
+        for (p, got) in edges.iter().zip(prt.matching_batch(&edges)) {
+            prop_assert_eq!(got, prt.matching_linear(p), "base pub {}", p);
+        }
         let pubs = probe_pubs();
         for (n, (op, slot, specs, probes)) in steps.iter().enumerate() {
             let sid = SubId::new(ClientId(*slot), 0);
@@ -419,12 +549,15 @@ proptest! {
                 prt.insert(Subscription::new(sid, build_filter(specs)), Hop::Client(ClientId(1)));
             }
             // 0 probes: consecutive writes with no probe between them.
-            for p in pubs.iter().cycle().skip(n).take(*probes) {
+            // Otherwise also on every endpoint of the step's filter.
+            let edges = if *probes == 0 { Vec::new() } else { edge_pubs([&specs[..]]) };
+            for p in pubs.iter().cycle().skip(n).take(*probes).chain(&edges) {
                 prop_assert_eq!(prt.matching(p), prt.matching_linear(p), "step {} pub {}", n, p);
             }
             if *probes == 3 {
-                let got = prt.matching_batch(&pubs);
-                for (i, p) in pubs.iter().enumerate() {
+                let batch: Vec<Publication> = pubs.iter().chain(&edges).cloned().collect();
+                let got = prt.matching_batch(&batch);
+                for (i, p) in batch.iter().enumerate() {
                     prop_assert_eq!(&got[i], &prt.matching_linear(p), "step {} pub {}", n, p);
                 }
             }

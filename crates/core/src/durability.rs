@@ -190,6 +190,16 @@ impl MemoryLog {
         )
     }
 
+    /// Moves the stored checkpoint and the records appended since out
+    /// of the log, for [`MobileBroker::recover_from_log`], which
+    /// re-attaches the log (a fresh checkpoint) right after: nothing is
+    /// copied. `None`, with the log untouched, if it holds no
+    /// checkpoint.
+    pub(crate) fn take(&mut self) -> Option<(BrokerSnapshot, Vec<DurabilityRecord>)> {
+        let checkpoint = self.checkpoint.take()?;
+        Some((checkpoint, std::mem::take(&mut self.records).into()))
+    }
+
     /// Number of records since the last checkpoint.
     pub fn records_len(&self) -> usize {
         self.records.len()
@@ -288,7 +298,7 @@ mod tests {
             Arc::clone(&topo),
             MobileBrokerConfig::reconfig(),
             snap.expect("attach writes a checkpoint"),
-            &records,
+            records,
         );
         assert!(timers.is_empty(), "no movement in flight");
         assert_eq!(recovered.id(), b.id());
@@ -319,7 +329,7 @@ mod tests {
             Arc::clone(&topo),
             MobileBrokerConfig::reconfig(),
             snap.unwrap(),
-            &records,
+            records,
         );
         assert_eq!(
             recovered.client(c(1)).unwrap().state(),
@@ -360,7 +370,7 @@ mod tests {
             }],
             "the report is not logged, the fired timer is"
         );
-        let (recovered, _) = MobileBroker::recover(topo, config, snap.unwrap(), &records);
+        let (recovered, _) = MobileBroker::recover(topo, config, snap.unwrap(), records);
         assert_eq!(recovered.topology(), b.topology());
         assert_eq!(recovered.core().neighbors(), b.core().neighbors());
     }
@@ -387,7 +397,7 @@ mod tests {
         // And the checkpoint+tail still recovers the full state.
         let (snap, records) = log.lock().unwrap().contents();
         let (recovered, _) =
-            MobileBroker::recover(Arc::clone(&topo), config, snap.unwrap(), &records);
+            MobileBroker::recover(Arc::clone(&topo), config, snap.unwrap(), records);
         assert_eq!(recovered.core().srt().len(), b.core().srt().len());
     }
 
@@ -405,6 +415,6 @@ mod tests {
             v: DURABILITY_FORMAT_VERSION + 1,
             input: LoggedInput::CreateClient { client: c(1) },
         };
-        let _ = MobileBroker::recover(topo, MobileBrokerConfig::reconfig(), snap, &[bad]);
+        let _ = MobileBroker::recover(topo, MobileBrokerConfig::reconfig(), snap, vec![bad]);
     }
 }

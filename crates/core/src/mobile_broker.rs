@@ -398,7 +398,7 @@ impl MobileBroker {
         topology: Arc<Topology>,
         config: MobileBrokerConfig,
         checkpoint: BrokerSnapshot,
-        records: &[DurabilityRecord],
+        records: Vec<DurabilityRecord>,
     ) -> (MobileBroker, Vec<Output>) {
         let mut broker = MobileBroker::restore(topology, config, checkpoint);
         for rec in records {
@@ -407,16 +407,16 @@ impl MobileBroker {
                 "unknown durability record version {}",
                 rec.v
             );
-            let _ = broker.apply(rec.input.clone());
+            let _ = broker.apply(rec.input);
         }
         let timers = broker.rearm_timers();
         (broker, timers)
     }
 
     /// Rebuilds a broker from `log` after a state-loss crash:
-    /// [`MobileBroker::recover`] from its checkpoint and records, then
-    /// the same log re-attached (a fresh checkpoint of the rebuilt
-    /// state truncates the replayed records).
+    /// [`MobileBroker::recover`] from its checkpoint and records, moved
+    /// out of the log rather than copied, then the same log re-attached
+    /// (a fresh checkpoint of the rebuilt state takes their place).
     ///
     /// Returns the broker and the `SetTimer` outputs to arm.
     ///
@@ -432,14 +432,14 @@ impl MobileBroker {
         let (checkpoint, records) = log
             .lock()
             .map_err(|_| io::Error::other("durability log poisoned"))?
-            .contents();
-        let checkpoint = checkpoint.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "durability log holds no checkpoint",
-            )
-        })?;
-        let (mut broker, timers) = MobileBroker::recover(topology, config, checkpoint, &records);
+            .take()
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "durability log holds no checkpoint",
+                )
+            })?;
+        let (mut broker, timers) = MobileBroker::recover(topology, config, checkpoint, records);
         broker.attach_durability(log)?;
         Ok((broker, timers))
     }

@@ -27,27 +27,31 @@
 //!
 //! The index stores the [`Filter`] handle it is given ([`Filter`]'s
 //! clone is O(1) and shares one immutable body) and nothing of the
-//! filter besides: an attribute row that needs the authoritative
-//! constraint holds the handle and the constraint's position in the
-//! filter (`ConsRef`), the dual-endpoint rows hold two `f64` endpoints
-//! and a flag word, and a filter's arity is read off the filter. A
-//! row therefore costs the index a few dozen bytes per constrained
-//! attribute whatever the filter's size, and a table whose rows the
-//! caller also holds (a routing row, a client stub) holds each body
-//! once.
+//! filter besides: an attribute row holds the handle and the
+//! constraint's position in the filter (`ConsRef`), beside two `f64`
+//! endpoints, a flag word and the key's slot, and a filter's arity is
+//! read off the filter. A row therefore costs the index a few dozen
+//! bytes per constrained attribute whatever the filter's size, and a
+//! table whose rows the caller also holds (a routing row, a client
+//! stub) holds each body once.
 //!
 //! # Data layout
 //!
-//! Per constrained attribute (`AttrIndex`):
+//! Per constrained attribute (`AttrIndex`), every constraint is
+//! written once into one record keyed by the row's key (`cons`): the
+//! constraint by reference and, for a numeric one, its effective
+//! endpoints and bound flags (`Ends`). An insert or a remove is one
+//! keyed write there plus one in the bucket below that probes the
+//! constraint; nothing else is written for a table that is only
+//! matched against.
 //!
 //! - numeric **point** constraints (`x = c`, no exclusions) live in a
 //!   hash map keyed by the *bit pattern* of the point. Under
 //!   `f64::total_cmp` — the order all numeric constraints use — two
 //!   floats are equal iff their bit patterns are equal, so a single
 //!   hash probe with `value.to_bits()` is exact.
-//! - general numeric **interval** constraints live in the
-//!   dual-endpoint maps below, and are probed through the packed
-//!   snapshot the matching kernel derives from them.
+//! - general numeric **interval** constraints are probed through the
+//!   packed snapshot the matching kernel derives from the records.
 //! - string constraints pinned to a **single value** (`s = "v"`) live
 //!   in a hash map keyed by that value; constraints with **prefix**
 //!   conjuncts are bucketed under their first prefix, probed by
@@ -58,6 +62,10 @@
 //! - everything else (booleans, exotic string shapes) falls back to a
 //!   per-attribute scan with exact verification — still restricted to
 //!   attributes the publication carries.
+//!
+//! The attribute's name is copied into the table only by the insert
+//! that first constrains it, and a string bucket's key only by the
+//! insert that opens the bucket.
 //!
 //! # Dual-endpoint containment structure
 //!
@@ -70,17 +78,26 @@
 //!
 //! (inclusive comparisons on effective endpoints in the `total_cmp`
 //! order; exclusivity flags and `!=` exclusions only ever *shrink* the
-//! true relation, so these are prune conditions). Each `AttrIndex`
-//! therefore keeps every numeric constraint — point or interval — in
-//! two additional ordered maps: `by_lo`, keyed by the effective lower
-//! endpoint, and `by_hi`, keyed by the effective upper endpoint. Each
-//! query becomes a *pair of range scans*, one per endpoint map, run in
-//! lock-step; whichever side exhausts first already enumerates every
-//! row satisfying its half of the conjunction, so the candidate set is
-//! the smaller enumeration and total work is bounded by twice the
-//! smaller side (instead of a per-constraint sweep of the attribute).
-//! Candidates are then verified against the authoritative
-//! [`Constraint`] relation.
+//! true relation, so these are prune conditions). The containment
+//! queries ([`MatchIndex::overlapping`], [`MatchIndex::covering`],
+//! [`MatchIndex::covered_by`]) therefore read every numeric constraint
+//! — point or interval — from two ordered maps (`EndMaps`): `by_lo`,
+//! keyed by the effective lower endpoint, and `by_hi`, keyed by the
+//! effective upper endpoint. Each query becomes a *pair of range
+//! scans*, one per endpoint map, run in lock-step; whichever side
+//! exhausts first already enumerates every row satisfying its half of
+//! the conjunction, so the candidate set is the smaller enumeration
+//! and total work is bounded by twice the smaller side (instead of a
+//! per-constraint sweep of the attribute). Candidates are then
+//! verified against the authoritative [`Constraint`] relation.
+//!
+//! The maps are derived from the attribute's records by the first
+//! containment query on the attribute, and from then on every insert
+//! and remove on it keeps them up to date. A table that is asked such
+//! queries (an SRT, a PRT under covering or pulled from by an
+//! advertisement) pays for the derivation once and for the upkeep on
+//! every write, as it would for maps kept from the start; a table only
+//! matched against never builds them.
 //!
 //! # Soundness
 //!
@@ -130,20 +147,43 @@
 //!
 //! Point, string, presence and fallback constraints are probed in the
 //! live per-attribute buckets above. General numeric intervals are
-//! probed in a *packed snapshot* of the table, `PackedTables`: per
-//! attribute the rows are stored twice, sorted ascending by lower
-//! bound and descending by upper bound, with the sort endpoints in
-//! parallel `f64` arrays. Two binary searches bound the qualifying
-//! prefix of each array and only the **smaller** prefix is scanned,
-//! every visited row costing one comparison against its opposite
-//! endpoint. Rows with an exclusive bound keep both endpoints; rows
-//! with `!=` exclusions are checked against their constraint.
+//! probed in a *packed snapshot* of the table, `PackedTables`, built
+//! per attribute from the records:
+//!
+//! - the clean rows with two finite bounds are grouped into **width
+//!   classes** by the binade of `hi − lo`, each class a run of rows
+//!   ascending by lower bound (sort key in a parallel `f64` array) that
+//!   keeps its largest width as its `reach`. A row of the class can
+//!   contain the probe `x` only if its lower bound lies in
+//!   `[x − reach, x]`, so two binary searches a class bound that
+//!   window, and every row in it costs one comparison against its upper
+//!   bound. A visited row either matches or lies within its class's
+//!   reach of `x`, and the widths of a class share a binade, so the
+//!   rows read beyond those reported are the class's rows that end
+//!   within one reach below `x`, whatever the table's size. The
+//!   window's lower end is pushed below `x − reach` by more
+//!   than float rounding can move either term (`window_start`), so no
+//!   row is skipped, and each visited row is checked exactly in the
+//!   `total_cmp` order.
+//! - clean rows with an unbounded side are stored twice, sorted
+//!   ascending by lower bound and descending by upper bound; two binary
+//!   searches bound the qualifying prefix of each array and only the
+//!   **smaller** prefix is scanned, each row costing one comparison.
+//! - rows with an exclusive bound keep both endpoints and are scanned
+//!   the same min-side way; rows with `!=` exclusions are checked
+//!   against their constraint.
+//!
+//! The snapshot of an attribute takes one sort of its clean finite
+//! rows, by width class and lower bound, and every array is filled
+//! from a sorted list of known length, so the snapshot carries no
+//! spare capacity.
 //!
 //! # Rebuild policy
 //!
 //! The snapshot is built lazily by the first probe that finds none,
 //! so any number of writes without a probe between them (a broker's
-//! set-up) cost nothing. Once it exists, writes do not rebuild it:
+//! set-up, a recovery's replay) cost nothing but their records. Once
+//! it exists, writes do not rebuild it:
 //!
 //! - an interval row inserted since the build is appended to its
 //!   attribute's `fresh` list, which every numeric probe of that
@@ -155,6 +195,10 @@
 //! Once the writes since the build exceed a fixed fraction of the
 //! table (`REBUILD_FRACTION`) the snapshot is dropped, and the next
 //! probe builds a new one.
+//!
+//! The endpoint maps of the containment queries follow the other
+//! policy ("Dual-endpoint containment structure"): built on first use,
+//! then kept by every write, never dropped.
 //!
 //! # Oracle
 //!
@@ -172,7 +216,7 @@ use std::hash::Hash;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
-use crate::constraint::{Bound, Constraint, Interval, NumConstraint, TotalF64};
+use crate::constraint::{Bound, Constraint, Interval, TotalF64};
 use crate::fasthash::FastMap;
 use crate::filter::Filter;
 use crate::publication::Publication;
@@ -184,19 +228,21 @@ pub trait IndexKey: Copy + Ord + Eq + Hash + Debug {}
 impl<T: Copy + Ord + Eq + Hash + Debug> IndexKey for T {}
 
 /// Where a constraint lives inside an [`AttrIndex`]. Classification is
-/// a pure function of the constraint, so insert and remove agree.
-enum Bucket {
+/// a pure function of the constraint, so insert and remove agree. The
+/// string buckets borrow their key from the constraint: a bucket that
+/// exists already is found without allocating.
+enum Bucket<'a> {
     Present,
     NumEq(u64),
     /// Any other numeric constraint: probed through the packed
-    /// snapshot built from the dual-endpoint maps.
+    /// snapshot built from the attribute's rows.
     NumRange,
-    StrEq(String, bool),
-    StrPre(String, bool),
+    StrEq(&'a str, bool),
+    StrPre(&'a str, bool),
     Other,
 }
 
-fn classify(c: &Constraint) -> Bucket {
+fn classify(c: &Constraint) -> Bucket<'_> {
     match c {
         Constraint::Present => Bucket::Present,
         Constraint::Num(n) => {
@@ -213,10 +259,10 @@ fn classify(c: &Constraint) -> Bucket {
             // constraint.
             let plain = s.excluded.is_empty() && s.suffixes.is_empty() && s.contains.is_empty();
             if let Some(p) = s.interval.as_point() {
-                Bucket::StrEq(p.clone(), plain && s.prefixes.is_empty())
+                Bucket::StrEq(p, plain && s.prefixes.is_empty())
             } else if let Some(p) = s.prefixes.first() {
                 let exact = plain && s.prefixes.len() == 1 && s.interval == Interval::full();
-                Bucket::StrPre(p.clone(), exact)
+                Bucket::StrPre(p, exact)
             } else {
                 Bucket::Other
             }
@@ -254,56 +300,76 @@ impl ConsRef {
     }
 }
 
-/// Bit in [`EndRow::flags`] and [`ExclRow::flags`]: the lower bound is
+/// Bit in [`Ends::flags`] and [`ExclRow::flags`]: the lower bound is
 /// exclusive (`>`).
 const LO_EXCL: u32 = 1;
-/// Bit in [`EndRow::flags`] and [`ExclRow::flags`]: the upper bound is
+/// Bit in [`Ends::flags`] and [`ExclRow::flags`]: the upper bound is
 /// exclusive (`<`).
 const HI_EXCL: u32 = 1 << 1;
-/// Bit in [`EndRow::flags`]: no lower bound (`lo` is [`TotalF64::MIN`]).
+/// Bit in [`Ends::flags`]: no lower bound (`lo` is [`TotalF64::MIN`]).
 const LO_OPEN: u32 = 1 << 2;
-/// Bit in [`EndRow::flags`]: no upper bound (`hi` is [`TotalF64::MAX`]).
+/// Bit in [`Ends::flags`]: no upper bound (`hi` is [`TotalF64::MAX`]).
 const HI_OPEN: u32 = 1 << 3;
-/// Bit in [`EndRow::flags`]: the constraint carries `!=` exclusions.
+/// Bit in [`Ends::flags`]: the constraint carries `!=` exclusions.
 const EXCLUSIONS: u32 = 1 << 4;
+/// Bit in [`Ends::flags`]: the constraint is numeric, so the
+/// endpoints mean something; without it the other fields are 0.
+const NUM: u32 = 1 << 5;
 
-/// One row of the dual-endpoint containment structure. The stored
-/// interval travels with the key, as its two effective endpoints and
-/// the flags that tell them from open or absent bounds, so that
-/// containment/overlap verification is data-local (no tree lookup per
-/// candidate); rows whose constraint carries `!=` exclusions defer to
-/// the authoritative constraint instead, because exclusions can flip
-/// the exact relation at interval boundaries.
+/// A numeric constraint's interval as the index keeps it: its two
+/// effective endpoints and the flags that tell them from open or
+/// absent bounds, beside the key's slot. Containment/overlap
+/// verification and the packed snapshot read it without touching the
+/// filter; rows whose constraint carries `!=` exclusions defer to the
+/// authoritative constraint instead, because exclusions can flip the
+/// exact relation at interval boundaries.
 #[derive(Debug, Clone, Copy)]
-struct EndRow<K> {
-    key: K,
-    /// The key's dense slot id (see [`SlotTable`]); the packed
-    /// snapshot is built from these rows.
+struct Ends {
+    /// The key's dense slot id (see [`SlotTable`]).
     slot: u32,
-    /// `LO_EXCL`, `HI_EXCL`, `LO_OPEN`, `HI_OPEN`, `EXCLUSIONS`.
+    /// `NUM`, and for a numeric constraint `LO_EXCL`, `HI_EXCL`,
+    /// `LO_OPEN`, `HI_OPEN`, `EXCLUSIONS`.
     flags: u32,
     /// Effective endpoints ([`Interval::total_endpoints`]).
     lo: f64,
     hi: f64,
 }
 
-impl<K> EndRow<K> {
-    fn new(key: K, slot: u32, n: &NumConstraint) -> Self {
+impl Ends {
+    fn new(slot: u32, c: &Constraint) -> Self {
+        let Constraint::Num(n) = c else {
+            return Ends {
+                slot,
+                flags: 0,
+                lo: 0.0,
+                hi: 0.0,
+            };
+        };
         let (lo, hi) = n.interval.total_endpoints();
         let side = |b: &Bound<f64>, excl: u32, open: u32| match b {
             Bound::Incl(_) => 0,
             Bound::Excl(_) => excl,
             Bound::Unbounded => open,
         };
-        EndRow {
-            key,
+        Ends {
             slot,
-            flags: side(n.interval.lo(), LO_EXCL, LO_OPEN)
+            flags: NUM
+                | side(n.interval.lo(), LO_EXCL, LO_OPEN)
                 | side(n.interval.hi(), HI_EXCL, HI_OPEN)
                 | if n.excluded.is_empty() { 0 } else { EXCLUSIONS },
             lo: lo.0,
             hi: hi.0,
         }
+    }
+
+    fn is_num(&self) -> bool {
+        self.flags & NUM != 0
+    }
+
+    /// A numeric constraint that is not a clean point (those are
+    /// probed in `num_eq`): a row of the packed snapshot.
+    fn is_interval(&self) -> bool {
+        self.is_num() && (self.flags != NUM || self.lo.total_cmp(&self.hi) != Ordering::Equal)
     }
 
     fn has_exclusions(&self) -> bool {
@@ -328,6 +394,29 @@ impl<K> EndRow<K> {
     }
 }
 
+/// One constraint of an attribute: the authoritative constraint by
+/// reference, and for a numeric one its interval ([`Ends`]). The one
+/// record a write makes per constrained attribute.
+#[derive(Debug, Clone)]
+struct AttrRow {
+    cons: ConsRef,
+    ends: Ends,
+}
+
+impl AttrRow {
+    fn get(&self) -> &Constraint {
+        self.cons.get()
+    }
+}
+
+/// One row of the dual-endpoint containment structure: a numeric
+/// constraint's [`Ends`] under its key.
+#[derive(Debug, Clone, Copy)]
+struct EndRow<K> {
+    key: K,
+    ends: Ends,
+}
+
 fn drop_from_bucket<Q: Eq + Hash, K: PartialEq>(
     map: &mut FastMap<Q, Vec<(K, u32)>>,
     bucket: &Q,
@@ -341,6 +430,15 @@ fn drop_from_bucket<Q: Eq + Hash, K: PartialEq>(
     }
 }
 
+fn push_str_row<K>(map: &mut FastMap<String, Vec<StrRow<K>>>, bucket: &str, row: StrRow<K>) {
+    match map.get_mut(bucket) {
+        Some(rows) => rows.push(row),
+        None => {
+            map.insert(bucket.to_owned(), vec![row]);
+        }
+    }
+}
+
 fn drop_str_row<K: PartialEq>(map: &mut FastMap<String, Vec<StrRow<K>>>, bucket: &str, key: &K) {
     if let Some(rows) = map.get_mut(bucket) {
         rows.retain(|r| r.key != *key);
@@ -350,11 +448,8 @@ fn drop_str_row<K: PartialEq>(map: &mut FastMap<String, Vec<StrRow<K>>>, bucket:
     }
 }
 
-fn drop_from_tree<K: PartialEq>(
-    map: &mut BTreeMap<TotalF64, Vec<EndRow<K>>>,
-    at: TotalF64,
-    key: &K,
-) {
+fn drop_from_tree<K: PartialEq>(map: &mut BTreeMap<TotalF64, Vec<EndRow<K>>>, at: f64, key: &K) {
+    let at = TotalF64(at);
     if let Some(rows) = map.get_mut(&at) {
         rows.retain(|r| r.key != *key);
         if rows.is_empty() {
@@ -385,21 +480,52 @@ fn min_side<K>(mut a: impl Iterator<Item = K>, mut b: impl Iterator<Item = K>) -
     }
 }
 
+/// The dual-endpoint containment structure of one attribute (module
+/// docs): every numeric row keyed by its effective lower endpoint and,
+/// again, by its effective upper endpoint.
+#[derive(Debug, Clone)]
+struct EndMaps<K> {
+    by_lo: BTreeMap<TotalF64, Vec<EndRow<K>>>,
+    by_hi: BTreeMap<TotalF64, Vec<EndRow<K>>>,
+}
+
+impl<K: IndexKey> EndMaps<K> {
+    fn insert(&mut self, row: EndRow<K>) {
+        // Most endpoints are one row's alone: start each list at one
+        // row, not at the four a first `push` reserves.
+        let one = || Vec::with_capacity(1);
+        self.by_lo
+            .entry(TotalF64(row.ends.lo))
+            .or_insert_with(one)
+            .push(row);
+        self.by_hi
+            .entry(TotalF64(row.ends.hi))
+            .or_insert_with(one)
+            .push(row);
+    }
+
+    fn remove(&mut self, key: K, ends: &Ends) {
+        drop_from_tree(&mut self.by_lo, ends.lo, &key);
+        drop_from_tree(&mut self.by_hi, ends.hi, &key);
+    }
+}
+
 /// The per-attribute constraint structures; see the module docs for
 /// the layout.
 #[derive(Debug, Clone)]
 struct AttrIndex<K> {
-    /// Authoritative constraint per key, by reference into the key's
-    /// filter; also used for the overlap disqualification scan (sorted
-    /// so results come out ordered).
-    cons: BTreeMap<K, ConsRef>,
+    /// The one record per key: the authoritative constraint, by
+    /// reference into the key's filter, and its interval if numeric.
+    /// Also the overlap disqualification scan (sorted so results come
+    /// out ordered) and the source of the packed snapshot and the
+    /// endpoint maps.
+    cons: BTreeMap<K, AttrRow>,
     num_eq: FastMap<u64, Vec<(K, u32)>>,
-    /// Every numeric constraint (points included), keyed by its
-    /// effective lower endpoint: one half of the dual-endpoint
-    /// containment structure (module docs).
-    by_lo: BTreeMap<TotalF64, Vec<EndRow<K>>>,
-    /// The same rows keyed by their effective upper endpoint.
-    by_hi: BTreeMap<TotalF64, Vec<EndRow<K>>>,
+    /// The dual-endpoint containment structure, derived from `cons` by
+    /// the first containment query on the attribute and kept up to
+    /// date by every write from then on (module docs, "Rebuild
+    /// policy").
+    ends: OnceLock<EndMaps<K>>,
     /// Interval rows inserted since the packed snapshot was built
     /// (module docs, "Rebuild policy"); empty while there is none.
     fresh: Vec<VerifyRow>,
@@ -414,8 +540,7 @@ impl<K: IndexKey> AttrIndex<K> {
         AttrIndex {
             cons: BTreeMap::new(),
             num_eq: FastMap::default(),
-            by_lo: BTreeMap::new(),
-            by_hi: BTreeMap::new(),
+            ends: OnceLock::new(),
             fresh: Vec::new(),
             str_eq: FastMap::default(),
             str_pre: FastMap::default(),
@@ -429,19 +554,11 @@ impl<K: IndexKey> AttrIndex<K> {
     /// beside.
     fn insert(&mut self, key: K, slot: u32, cons: ConsRef, snapshotted: bool) {
         let c = cons.get();
-        if let Constraint::Num(n) = c {
-            let row = EndRow::new(key, slot, n);
-            // Most endpoints are one row's alone: start each list at
-            // one row, not at the four a first `push` reserves.
-            let one = || Vec::with_capacity(1);
-            self.by_lo
-                .entry(TotalF64(row.lo))
-                .or_insert_with(one)
-                .push(row);
-            self.by_hi
-                .entry(TotalF64(row.hi))
-                .or_insert_with(one)
-                .push(row);
+        let ends = Ends::new(slot, c);
+        if let Some(maps) = self.ends.get_mut() {
+            if ends.is_num() {
+                maps.insert(EndRow { key, ends });
+            }
         }
         match classify(c) {
             Bucket::Present => self.present.push((key, slot)),
@@ -455,46 +572,59 @@ impl<K: IndexKey> AttrIndex<K> {
                 }
             }
             Bucket::StrEq(s, exact) => {
-                self.str_eq
-                    .entry(s)
-                    .or_default()
-                    .push(StrRow { key, slot, exact })
+                push_str_row(&mut self.str_eq, s, StrRow { key, slot, exact })
             }
             Bucket::StrPre(p, exact) => {
-                self.str_pre
-                    .entry(p)
-                    .or_default()
-                    .push(StrRow { key, slot, exact })
+                push_str_row(&mut self.str_pre, p, StrRow { key, slot, exact })
             }
             Bucket::Other => self.other.push((key, slot)),
         }
-        self.cons.insert(key, cons);
+        self.cons.insert(key, AttrRow { cons, ends });
     }
 
     fn remove(&mut self, key: K) {
-        let Some(cons) = self.cons.remove(&key) else {
+        let Some(row) = self.cons.remove(&key) else {
             return;
         };
-        let c = cons.get();
-        if let Constraint::Num(n) = c {
-            let (lo, hi) = n.interval.total_endpoints();
-            drop_from_tree(&mut self.by_lo, lo, &key);
-            drop_from_tree(&mut self.by_hi, hi, &key);
+        if let Some(maps) = self.ends.get_mut() {
+            if row.ends.is_num() {
+                maps.remove(key, &row.ends);
+            }
         }
-        match classify(c) {
+        match classify(row.get()) {
             Bucket::Present => self.present.retain(|(k, _)| *k != key),
             Bucket::NumEq(bits) => drop_from_bucket(&mut self.num_eq, &bits, &key),
             // Snapshot and `fresh` rows of the key stay behind, dead:
             // its countdown seed is zero until the next build.
             Bucket::NumRange => {}
-            Bucket::StrEq(s, _) => drop_str_row(&mut self.str_eq, &s, &key),
-            Bucket::StrPre(p, _) => drop_str_row(&mut self.str_pre, &p, &key),
+            Bucket::StrEq(s, _) => drop_str_row(&mut self.str_eq, s, &key),
+            Bucket::StrPre(p, _) => drop_str_row(&mut self.str_pre, p, &key),
             Bucket::Other => self.other.retain(|(k, _)| *k != key),
         }
     }
 
     fn is_empty(&self) -> bool {
         self.cons.is_empty()
+    }
+
+    /// The dual-endpoint maps, derived from `cons` first if no
+    /// containment query has asked for them yet.
+    fn end_maps(&self) -> &EndMaps<K> {
+        self.ends.get_or_init(|| {
+            let mut maps = EndMaps {
+                by_lo: BTreeMap::new(),
+                by_hi: BTreeMap::new(),
+            };
+            for (&key, row) in &self.cons {
+                if row.ends.is_num() {
+                    maps.insert(EndRow {
+                        key,
+                        ends: row.ends,
+                    });
+                }
+            }
+            maps
+        })
     }
 
     /// The string probe: the point bucket plus every prefix of the
@@ -555,20 +685,22 @@ impl<K: IndexKey> AttrIndex<K> {
     /// `lo ≤ lo_max` and `hi ≥ hi_min` (module docs), enumerated from
     /// whichever endpoint map is more selective.
     fn num_candidates(&self, lo_max: TotalF64, hi_min: TotalF64) -> Vec<&EndRow<K>> {
+        let maps = self.end_maps();
         min_side(
-            self.by_lo
+            maps.by_lo
                 .range(..=lo_max)
                 .flat_map(|(_, rows)| rows.iter()),
-            self.by_hi.range(hi_min..).flat_map(|(_, rows)| rows.iter()),
+            maps.by_hi.range(hi_min..).flat_map(|(_, rows)| rows.iter()),
         )
     }
 
     /// The flipped prune (`lo ≥ lo_min`, `hi ≤ hi_max`): candidate
     /// rows *contained in* the queried endpoint window.
     fn num_contained_candidates(&self, lo_min: TotalF64, hi_max: TotalF64) -> Vec<&EndRow<K>> {
+        let maps = self.end_maps();
         min_side(
-            self.by_lo.range(lo_min..).flat_map(|(_, rows)| rows.iter()),
-            self.by_hi
+            maps.by_lo.range(lo_min..).flat_map(|(_, rows)| rows.iter()),
+            maps.by_hi
                 .range(..=hi_max)
                 .flat_map(|(_, rows)| rows.iter()),
         )
@@ -619,10 +751,10 @@ impl<K: IndexKey> AttrIndex<K> {
                     // (stored exclusions are what make `covers` more
                     // than that, and the query's own exclusions never
                     // weaken it).
-                    let hit = if r.has_exclusions() {
+                    let hit = if r.ends.has_exclusions() {
                         check(r.key)
                     } else {
-                        n.interval.is_subset(&r.interval())
+                        n.interval.is_subset(&r.ends.interval())
                     };
                     if hit {
                         bump(r.key);
@@ -656,7 +788,7 @@ impl<K: IndexKey> AttrIndex<K> {
                 let q_clean = n.excluded.is_empty();
                 for r in self.num_contained_candidates(ql, qh) {
                     let hit = if q_clean {
-                        r.interval().is_subset(&n.interval)
+                        r.ends.interval().is_subset(&n.interval)
                     } else {
                         check(r.key)
                     };
@@ -691,8 +823,8 @@ impl<K: IndexKey> AttrIndex<K> {
                 // case needing the authoritative relation.
                 let q_clean = n.excluded.is_empty();
                 for r in self.num_candidates(qh, ql) {
-                    let hit = if q_clean && !r.has_exclusions() {
-                        r.interval().overlaps(&n.interval)
+                    let hit = if q_clean && !r.ends.has_exclusions() {
+                        r.ends.interval().overlaps(&n.interval)
                     } else {
                         check(r.key)
                     };
@@ -862,28 +994,104 @@ fn excl_hit(r: &ExclRow, x: f64) -> bool {
     }
 }
 
+/// The binade of a finite width `hi − lo`: its biased exponent, the
+/// same for every width within a factor of two of another.
+fn binade(width: f64) -> u16 {
+    ((width.to_bits() >> 52) & 0x7ff) as u16
+}
+
+/// How far [`window_start`] pushes `x − reach` down, relative to the
+/// magnitudes involved: 2⁻⁵⁰, four times the two roundings it covers.
+const WINDOW_SLACK: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// The least lower bound a row of a width class of reach `reach` can
+/// have and still contain `x`, widened past float rounding.
+///
+/// A row holds `x` only if `x ≤ hi`, so its lower bound is at least
+/// `x − (hi − lo)`. Its exact width exceeds the rounded one its class
+/// took the maximum of by at most a relative 2⁻⁵³, and `x − reach` is
+/// rounded by at most a relative 2⁻⁵³ as well; [`WINDOW_SLACK`] of
+/// their magnitudes covers both, and `next_down` takes the bound
+/// strictly below a zero, which `total_cmp` splits in two. A `NaN`
+/// bound (from a `NaN` or infinite probe) becomes `-∞`: every row of a
+/// class has finite bounds, so the window then starts at the class's
+/// first row.
+fn window_start(x: f64, reach: f64) -> f64 {
+    let start = x - reach;
+    let start = (start - (start.abs() + reach) * WINDOW_SLACK).next_down();
+    if start.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        start
+    }
+}
+
+/// The two parallel arrays of a [`PackedAttr`] scan, filled from
+/// sorted rows: per row, the sort key and a [`CleanRow`] holding the
+/// other endpoint, as `ends` names them.
+fn columns<'a>(
+    rows: impl ExactSizeIterator<Item = &'a Ends> + Clone,
+    ends: impl Fn(&Ends) -> (f64, f64),
+) -> (Vec<f64>, Vec<CleanRow>) {
+    let keys = rows.clone().map(|e| ends(e).0).collect();
+    let rows = rows
+        .map(|e| CleanRow {
+            bound: ends(e).1,
+            slot: e.slot,
+        })
+        .collect();
+    (keys, rows)
+}
+
+/// One width class of a [`PackedAttr`]: the clean rows with two finite
+/// bounds whose width `hi − lo` lies in one binade, a run of the class
+/// arrays.
+#[derive(Debug, Clone, Copy)]
+struct WidthClass {
+    /// Where the run ends in `class_lo` / `class_rows`; it starts
+    /// where the previous class's ends.
+    end: u32,
+    /// The largest width of the class.
+    reach: f64,
+}
+
 /// The packed numeric probe tables of one attribute.
 ///
 /// A probe value `x` satisfies a clean interval row iff `lo ≤ x` *and*
-/// `x ≤ hi` (total order). The rows are stored twice — sorted
-/// ascending by `lo` and descending by `hi` — with the sort endpoints
-/// in parallel `f64` arrays. Per probe, two binary searches bound the
-/// qualifying prefix of each array and only the **smaller** prefix is
-/// scanned; every visited row needs just one comparison against its
-/// opposite endpoint. The scan is stateless, so probes need no
-/// batch-wide sorting.
+/// `x ≤ hi` (total order). The clean rows with two finite bounds are
+/// grouped into *width classes* by the binade of `hi − lo`: each class
+/// is a run of rows ascending by lower bound, the lower bounds in a
+/// parallel `f64` array, and keeps its largest width as its `reach`. A
+/// row of a class can hold `x` only if its lower bound lies in
+/// `[x − reach, x]` ([`window_start`]), so per class two binary searches
+/// bound that window, and every row in it costs one comparison against
+/// its upper bound: a visited row either matches or lies within its
+/// class's reach of `x`.
+///
+/// Clean rows with an unbounded side (or a width no `f64` holds) are
+/// stored twice instead, sorted ascending by lower bound and descending
+/// by upper bound; two binary searches bound the qualifying prefix of
+/// each array and only the **smaller** prefix is scanned. The scan is
+/// stateless, so probes need no batch-wide sorting.
 #[derive(Debug, Default)]
 struct PackedAttr {
-    /// Lower bounds of the clean rows, ascending in the total order;
-    /// parallel to `lo_rows`.
+    /// Lower bounds of the clean finite rows, class after class, each
+    /// class ascending in the total order; parallel to `class_rows`.
+    class_lo: Vec<f64>,
+    /// The same rows; `bound` is the upper bound.
+    class_rows: Vec<CleanRow>,
+    /// The width classes, by ascending binade.
+    classes: Vec<WidthClass>,
+    /// Lower bounds of the clean rows with an unbounded side,
+    /// ascending in the total order; parallel to `lo_rows`.
     lo_bound: Vec<f64>,
-    /// Clean rows sorted ascending by lower bound; `bound` is the
+    /// Those rows sorted ascending by lower bound; `bound` is the
     /// upper bound.
     lo_rows: Vec<CleanRow>,
     /// Upper bounds of the same rows, descending; parallel to
     /// `hi_rows`.
     hi_bound: Vec<f64>,
-    /// Clean rows sorted descending by upper bound; `bound` is the
+    /// Those rows sorted descending by upper bound; `bound` is the
     /// lower bound.
     hi_rows: Vec<CleanRow>,
     /// Boundary-exclusive rows, ascending by lower bound.
@@ -895,30 +1103,62 @@ struct PackedAttr {
 }
 
 impl PackedAttr {
-    fn is_empty(&self) -> bool {
-        self.lo_rows.is_empty() && self.excl_lo.is_empty() && self.verify.is_empty()
-    }
+    /// The probe tables of one attribute's rows, or `None` if none of
+    /// them is an interval. The clean finite rows take one sort, by
+    /// width class and lower bound, and every array is filled from a
+    /// sorted list of known length, so none carries spare capacity.
+    fn build<'a>(rows: impl Iterator<Item = &'a AttrRow>) -> Option<Self> {
+        let mut pa = PackedAttr::default();
+        let mut finite: Vec<(u16, Ends)> = Vec::new();
+        let mut open: Vec<Ends> = Vec::new();
+        for r in rows {
+            let e = r.ends;
+            if !e.is_interval() {
+                continue;
+            }
+            let width = e.hi - e.lo;
+            if e.has_exclusions() {
+                pa.verify.push(VerifyRow {
+                    slot: e.slot,
+                    cons: r.cons.clone(),
+                });
+            } else if e.flags & (LO_EXCL | HI_EXCL) != 0 {
+                pa.excl_lo.push(ExclRow {
+                    lo: e.lo,
+                    hi: e.hi,
+                    slot: e.slot,
+                    flags: e.flags & (LO_EXCL | HI_EXCL),
+                });
+            } else if e.flags & (LO_OPEN | HI_OPEN) == 0 && width.is_finite() {
+                finite.push((binade(width), e));
+            } else {
+                open.push(e);
+            }
+        }
+        if finite.is_empty() && open.is_empty() && pa.excl_lo.is_empty() && pa.verify.is_empty() {
+            return None;
+        }
 
-    /// Derives the `hi`-sorted duals once every row has been pushed
-    /// into the `lo`-sorted halves (which arrive pre-sorted from the
-    /// lower-endpoint map's ascending iteration).
-    fn finish(&mut self) {
-        let mut ix: Vec<u32> = (0..self.lo_rows.len() as u32).collect();
-        ix.sort_unstable_by(|&a, &b| {
-            self.lo_rows[b as usize]
-                .bound
-                .total_cmp(&self.lo_rows[a as usize].bound)
-        });
-        self.hi_bound = ix.iter().map(|&i| self.lo_rows[i as usize].bound).collect();
-        self.hi_rows = ix
-            .iter()
-            .map(|&i| CleanRow {
-                bound: self.lo_bound[i as usize],
-                slot: self.lo_rows[i as usize].slot,
-            })
-            .collect();
-        self.excl_hi = self.excl_lo.clone();
-        self.excl_hi.sort_unstable_by(|a, b| b.hi.total_cmp(&a.hi));
+        finite.sort_unstable_by(|(a, ae), (b, be)| a.cmp(b).then(ae.lo.total_cmp(&be.lo)));
+        (pa.class_lo, pa.class_rows) = columns(finite.iter().map(|(_, e)| e), |e| (e.lo, e.hi));
+        for run in finite.chunk_by(|(a, _), (b, _)| a == b) {
+            let end = pa.classes.last().map_or(0, |c| c.end) + run.len() as u32;
+            let reach = run.iter().map(|(_, e)| e.hi - e.lo).fold(0.0, f64::max);
+            pa.classes.push(WidthClass { end, reach });
+        }
+
+        open.sort_unstable_by(|a, b| a.lo.total_cmp(&b.lo));
+        (pa.lo_bound, pa.lo_rows) = columns(open.iter(), |e| (e.lo, e.hi));
+        open.sort_unstable_by(|a, b| b.hi.total_cmp(&a.hi));
+        (pa.hi_bound, pa.hi_rows) = columns(open.iter(), |e| (e.hi, e.lo));
+
+        pa.excl_lo.sort_unstable_by(|a, b| a.lo.total_cmp(&b.lo));
+        pa.excl_lo.shrink_to_fit();
+        pa.excl_hi = pa.excl_lo.clone();
+        pa.excl_hi.sort_unstable_by(|a, b| b.hi.total_cmp(&a.hi));
+        pa.verify.shrink_to_fit();
+        pa.classes.shrink_to_fit();
+        Some(pa)
     }
 
     /// Calls `bump(slot)` once for every interval row satisfied by the
@@ -932,22 +1172,38 @@ impl PackedAttr {
         value: &Value,
         bump: &mut impl FnMut(u32) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let lo_cnt = self
-            .lo_bound
-            .partition_point(|lo| lo.total_cmp(&x) != Ordering::Greater);
-        let hi_cnt = self
-            .hi_bound
-            .partition_point(|hi| hi.total_cmp(&x) != Ordering::Less);
-        if lo_cnt <= hi_cnt {
-            for r in &self.lo_rows[..lo_cnt] {
+        let mut start = 0;
+        for class in &self.classes {
+            let end = class.end as usize;
+            let lo = &self.class_lo[start..end];
+            let stop = lo.partition_point(|lo| lo.total_cmp(&x) != Ordering::Greater);
+            let floor = window_start(x, class.reach);
+            let from = lo[..stop].partition_point(|lo| lo.total_cmp(&floor) == Ordering::Less);
+            for r in &self.class_rows[start + from..start + stop] {
                 if x.total_cmp(&r.bound) != Ordering::Greater {
                     bump(r.slot)?;
                 }
             }
-        } else {
-            for r in &self.hi_rows[..hi_cnt] {
-                if r.bound.total_cmp(&x) != Ordering::Greater {
-                    bump(r.slot)?;
+            start = end;
+        }
+        if !self.lo_rows.is_empty() {
+            let lo_cnt = self
+                .lo_bound
+                .partition_point(|lo| lo.total_cmp(&x) != Ordering::Greater);
+            let hi_cnt = self
+                .hi_bound
+                .partition_point(|hi| hi.total_cmp(&x) != Ordering::Less);
+            if lo_cnt <= hi_cnt {
+                for r in &self.lo_rows[..lo_cnt] {
+                    if x.total_cmp(&r.bound) != Ordering::Greater {
+                        bump(r.slot)?;
+                    }
+                }
+            } else {
+                for r in &self.hi_rows[..hi_cnt] {
+                    if r.bound.total_cmp(&x) != Ordering::Greater {
+                        bump(r.slot)?;
+                    }
                 }
             }
         }
@@ -1108,16 +1364,21 @@ impl<K: IndexKey> MatchIndex<K> {
         if self.slots.seed[slot as usize] == 0 {
             self.wide.insert(key);
         }
-        // A reference to every constraint, filed under its attribute.
+        // A reference to every constraint, filed under its attribute;
+        // the name is copied only for an attribute new to the table.
         for (at, (attr, _)) in filter.constraints().enumerate() {
             let cons = ConsRef {
                 filter: filter.clone(),
                 at,
             };
-            self.attrs
-                .entry(attr.to_owned())
-                .or_insert_with(AttrIndex::new)
-                .insert(key, slot, cons, snapshotted);
+            match self.attrs.get_mut(attr) {
+                Some(ai) => ai.insert(key, slot, cons, snapshotted),
+                None => {
+                    let mut ai = AttrIndex::new();
+                    ai.insert(key, slot, cons, snapshotted);
+                    self.attrs.insert(attr.to_owned(), ai);
+                }
+            }
         }
     }
 
@@ -1177,37 +1438,11 @@ impl<K: IndexKey> MatchIndex<K> {
     /// The packed snapshot, built first if there is none.
     fn packed(&self) -> &PackedTables {
         self.packed.get_or_init(|| {
-            let mut attrs = PackedTables::default();
-            for (attr, ai) in &self.attrs {
-                let mut pa = PackedAttr::default();
-                for r in ai.by_lo.values().flatten() {
-                    let excl = r.flags & (LO_EXCL | HI_EXCL);
-                    if r.has_exclusions() {
-                        pa.verify.push(VerifyRow {
-                            slot: r.slot,
-                            cons: ai.cons[&r.key].clone(),
-                        });
-                    } else if excl != 0 {
-                        pa.excl_lo.push(ExclRow {
-                            lo: r.lo,
-                            hi: r.hi,
-                            slot: r.slot,
-                            flags: excl,
-                        });
-                    } else if r.flags != 0 || r.lo.total_cmp(&r.hi) != Ordering::Equal {
-                        // (Clean points are probed in `num_eq`.)
-                        pa.lo_bound.push(r.lo);
-                        pa.lo_rows.push(CleanRow {
-                            bound: r.hi,
-                            slot: r.slot,
-                        });
-                    }
-                }
-                if !pa.is_empty() {
-                    pa.finish();
-                    attrs.insert(attr.clone(), pa);
-                }
-            }
+            let attrs = self
+                .attrs
+                .iter()
+                .filter_map(|(attr, ai)| Some((attr.clone(), PackedAttr::build(ai.cons.values())?)))
+                .collect();
             Arc::new(attrs)
         })
     }
@@ -2104,7 +2339,7 @@ mod tests {
             assert!(Filter::ptr_eq(ix.get(&k).unwrap(), &f));
             for (attr, c) in f.constraints() {
                 let held = &ix.attrs[attr].cons[&k];
-                assert!(Filter::ptr_eq(&held.filter, &f), "{attr} of {k}");
+                assert!(Filter::ptr_eq(&held.cons.filter, &f), "{attr} of {k}");
                 assert!(std::ptr::eq(held.get(), c), "{attr} of {k}");
             }
         }
@@ -2157,5 +2392,81 @@ mod tests {
         ix.check_slot_invariants();
         assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
         assert!(ix.packed.get().is_some());
+    }
+
+    #[test]
+    fn endpoint_maps_wait_for_a_containment_query() {
+        let band = |lo: i64| Filter::builder().ge("x", lo).le("x", lo + 10).build();
+        let (mut table, mut ix) = build((0..50).map(band).collect());
+        let probe = Publication::new().with("x", 20);
+        assert_eq!(ix.matching(&probe), linear_matching(&table, &probe));
+        assert!(
+            ix.attrs["x"].ends.get().is_none(),
+            "not built by writes or matching"
+        );
+
+        // The first containment query derives them from the records...
+        let q = Filter::builder().ge("x", 15).le("x", 18).build();
+        assert_eq!(ix.covering(&q), linear_covering(&table, &q));
+        let maps = ix.attrs["x"].ends.get().expect("built by the query");
+        assert_eq!(maps.by_lo.values().map(Vec::len).sum::<usize>(), 50);
+        // ...and every write from then on keeps them.
+        ix.insert(100, &band(12));
+        table.insert(100, band(12));
+        assert!(ix.remove(&8));
+        table.remove(&8);
+        for q in [q, band(12), Filter::builder().ge("x", 30).build()] {
+            assert_eq!(ix.covering(&q), linear_covering(&table, &q), "query {q}");
+            assert_eq!(
+                ix.covered_by(&q),
+                linear_covered_by(&table, &q),
+                "query {q}"
+            );
+            assert_eq!(
+                ix.overlapping(&q),
+                linear_overlapping(&table, &q),
+                "query {q}"
+            );
+        }
+        let maps = ix.attrs["x"].ends.get().unwrap();
+        assert_eq!(maps.by_hi.values().map(Vec::len).sum::<usize>(), 50);
+    }
+
+    #[test]
+    fn width_classes_lose_no_row_to_rounding_or_signed_zero() {
+        // A band of width 0 from `-0.0` to `0.0`, and a band whose float
+        // width (10¹⁷, the class's reach) falls a quarter short of its
+        // exact one: a window that started at `x − reach` unwidened
+        // would miss both at their upper end. Beside them, bands in
+        // other binades and one with an open side.
+        let (table, ix) = build(vec![
+            Filter::builder().ge("x", -0.0).le("x", 0.0).build(),
+            Filter::builder().ge("x", -0.25).le("x", 1e17).build(),
+            Filter::builder().ge("x", 0.25).le("x", 1.25).build(),
+            Filter::builder().ge("x", -1e9).le("x", 0.0).build(),
+            Filter::builder().ge("x", 0.5).build(),
+        ]);
+        let packed = &ix.packed()["x"];
+        assert_eq!(packed.classes.len(), 4);
+        assert_eq!(packed.lo_rows.len(), 1);
+        for x in [
+            -0.0,
+            0.0,
+            1e17,
+            1e17f64.next_up(),
+            -0.25,
+            1.25,
+            -1e9,
+            0.5,
+            -1.0,
+        ] {
+            let p = Publication::new().with("x", x);
+            assert_eq!(ix.matching(&p), linear_matching(&table, &p), "x = {x:e}");
+        }
+        assert_eq!(
+            ix.matching(&Publication::new().with("x", 0.0)),
+            vec![0, 1, 3]
+        );
+        assert_eq!(ix.matching(&Publication::new().with("x", 1e17)), vec![1, 4]);
     }
 }

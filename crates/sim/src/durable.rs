@@ -177,7 +177,7 @@ mod tests {
             topo,
             MobileBrokerConfig::reconfig(),
             snap.expect("attach wrote the base checkpoint"),
-            &records,
+            records,
         );
         assert!(timers.is_empty());
         assert_eq!(
@@ -212,12 +212,8 @@ mod tests {
         assert!(snap.is_some());
         // CHECKPOINT_EVERY + 5 inputs: one checkpoint, a tail of five.
         assert_eq!(records.len(), 5, "WAL not truncated by the checkpoint");
-        let (recovered, _) = MobileBroker::recover(
-            topo,
-            MobileBrokerConfig::reconfig(),
-            snap.unwrap(),
-            &records,
-        );
+        let (recovered, _) =
+            MobileBroker::recover(topo, MobileBrokerConfig::reconfig(), snap.unwrap(), records);
         assert_eq!(
             recovered.client(ClientId(1)).unwrap().profile().subs.len(),
             subs as usize
