@@ -36,6 +36,6 @@ pub use broker::{
 };
 pub use messages::{BrokerOutput, Hop, MsgKind, PubSubMsg};
 pub use overlay::OverlayBuilder;
-pub use routing::{AdvEntry, Destinations, PendingRoute, Prt, Srt, SubEntry};
+pub use routing::{AdvEntry, Destinations, HopSet, PendingRoute, Prt, Srt, SubEntry};
 pub use sync_net::{Delivery, SyncNet, SyncNetBuilder};
 pub use topology::{Route, Topology, TopologyChange, TopologyError};

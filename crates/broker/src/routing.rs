@@ -139,11 +139,194 @@ pub struct Entry<T> {
     /// publications along a subscription's, so traffic follows every
     /// surviving path (the per-broker dedup window keeps delivery
     /// exactly-once). Always empty on tree overlays.
-    pub alt_lasthops: BTreeSet<BrokerId>,
+    pub alt_lasthops: HopSet,
     /// Neighbours this broker forwarded the item to.
-    pub sent_to: BTreeSet<BrokerId>,
+    pub sent_to: HopSet,
     /// Shadow configuration installed by an in-flight movement.
     pub pending: Option<PendingRoute>,
+}
+
+/// How many brokers a [`HopSet`] holds without a heap allocation.
+const INLINE_HOPS: usize = 5;
+
+/// A sorted set of neighbours: a row's forwarding set (`sent_to`) or
+/// its redundant routes (`alt_lasthops`). Up to five brokers sit in the
+/// set itself, which is the size of an empty `BTreeSet`; a row names
+/// none or one on a tree and a few on the cyclic overlays, so a row
+/// allocates nothing for its hops. A larger set is one boxed slice. It
+/// offers the `BTreeSet` methods the broker calls and persists as a
+/// `BTreeSet` does: a sorted sequence (DESIGN.md §18).
+#[derive(Clone)]
+pub struct HopSet(Hops);
+
+/// Inline exactly when the set fits: a spilled set that shrinks to
+/// [`INLINE_HOPS`] moves back.
+#[derive(Clone)]
+enum Hops {
+    Inline(u8, [BrokerId; INLINE_HOPS]),
+    Spilled(Box<[BrokerId]>),
+}
+
+impl Default for HopSet {
+    fn default() -> Self {
+        HopSet(Hops::Inline(0, [BrokerId(0); INLINE_HOPS]))
+    }
+}
+
+impl HopSet {
+    /// An empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The set of `ids`, which are sorted and distinct.
+    fn from_sorted(ids: Vec<BrokerId>) -> Self {
+        if ids.len() > INLINE_HOPS {
+            return HopSet(Hops::Spilled(ids.into_boxed_slice()));
+        }
+        let mut inline = [BrokerId(0); INLINE_HOPS];
+        inline[..ids.len()].copy_from_slice(&ids);
+        HopSet(Hops::Inline(ids.len() as u8, inline))
+    }
+
+    /// The brokers, in order.
+    fn as_slice(&self) -> &[BrokerId] {
+        match &self.0 {
+            Hops::Inline(len, ids) => &ids[..*len as usize],
+            Hops::Spilled(ids) => ids,
+        }
+    }
+
+    /// Number of brokers.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Whether `b` is in the set.
+    pub fn contains(&self, b: &BrokerId) -> bool {
+        self.as_slice().binary_search(b).is_ok()
+    }
+
+    /// The brokers, in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, BrokerId> {
+        self.as_slice().iter()
+    }
+
+    /// The lowest broker.
+    pub fn first(&self) -> Option<&BrokerId> {
+        self.as_slice().first()
+    }
+
+    /// Adds `b`, reporting whether it was new.
+    pub fn insert(&mut self, b: BrokerId) -> bool {
+        let Err(at) = self.as_slice().binary_search(&b) else {
+            return false;
+        };
+        match &mut self.0 {
+            Hops::Inline(len, ids) if (*len as usize) < INLINE_HOPS => {
+                ids.copy_within(at..*len as usize, at + 1);
+                ids[at] = b;
+                *len += 1;
+            }
+            _ => {
+                let old = self.as_slice();
+                let mut ids = Vec::with_capacity(old.len() + 1);
+                ids.extend_from_slice(&old[..at]);
+                ids.push(b);
+                ids.extend_from_slice(&old[at..]);
+                *self = HopSet::from_sorted(ids);
+            }
+        }
+        true
+    }
+
+    /// Removes `b`, reporting whether it was there.
+    pub fn remove(&mut self, b: &BrokerId) -> bool {
+        let Ok(at) = self.as_slice().binary_search(b) else {
+            return false;
+        };
+        match &mut self.0 {
+            Hops::Inline(len, ids) => {
+                ids.copy_within(at + 1..*len as usize, at);
+                *len -= 1;
+            }
+            Hops::Spilled(old) => {
+                let mut ids = Vec::with_capacity(old.len() - 1);
+                ids.extend_from_slice(&old[..at]);
+                ids.extend_from_slice(&old[at + 1..]);
+                *self = HopSet::from_sorted(ids);
+            }
+        }
+        true
+    }
+
+    /// Removes and returns the lowest broker.
+    pub fn pop_first(&mut self) -> Option<BrokerId> {
+        let first = *self.first()?;
+        self.remove(&first);
+        Some(first)
+    }
+
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        *self = HopSet::new();
+    }
+}
+
+impl PartialEq for HopSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for HopSet {}
+
+impl fmt::Debug for HopSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a HopSet {
+    type Item = &'a BrokerId;
+    type IntoIter = std::slice::Iter<'a, BrokerId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl Extend<BrokerId> for HopSet {
+    fn extend<I: IntoIterator<Item = BrokerId>>(&mut self, iter: I) {
+        for b in iter {
+            self.insert(b);
+        }
+    }
+}
+
+impl FromIterator<BrokerId> for HopSet {
+    fn from_iter<I: IntoIterator<Item = BrokerId>>(iter: I) -> Self {
+        let mut ids: Vec<BrokerId> = iter.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        HopSet::from_sorted(ids)
+    }
+}
+
+impl Serialize for HopSet {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        ser.collect_seq(self.iter())
+    }
+}
+
+impl<'de> Deserialize<'de> for HopSet {
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        Ok(Vec::<BrokerId>::deserialize(de)?.into_iter().collect())
+    }
 }
 
 /// One SRT row.
@@ -182,7 +365,7 @@ impl<T: Routed> Serialize for Entry<T> {
 enum Field<'a, T> {
     Item(&'a T),
     Hop(&'a Hop),
-    Brokers(&'a BTreeSet<BrokerId>),
+    Brokers(&'a HopSet),
     Pending(&'a Option<PendingRoute>),
 }
 
@@ -207,8 +390,8 @@ struct Persisted<T> {
     sub: Option<T>,
     lasthop: Hop,
     #[serde(default)]
-    alt_lasthops: BTreeSet<BrokerId>,
-    sent_to: BTreeSet<BrokerId>,
+    alt_lasthops: HopSet,
+    sent_to: HopSet,
     pending: Option<PendingRoute>,
 }
 
@@ -375,8 +558,8 @@ impl<T: Routed> Table<T> {
         let entry = Entry {
             item,
             lasthop,
-            alt_lasthops: BTreeSet::new(),
-            sent_to: BTreeSet::new(),
+            alt_lasthops: HopSet::new(),
+            sent_to: HopSet::new(),
             pending: None,
         };
         let Some((kept, ignored)) = self.add(id, entry) else {
@@ -1538,8 +1721,8 @@ mod tests {
         let mk = |lo: i64, hi: i64| SubEntry {
             item: sub(1, 0, lo, hi),
             lasthop: Hop::Client(ClientId(1)),
-            alt_lasthops: BTreeSet::new(),
-            sent_to: BTreeSet::new(),
+            alt_lasthops: HopSet::new(),
+            sent_to: HopSet::new(),
             pending: None,
         };
         let conflicting = vec![
@@ -1561,8 +1744,8 @@ mod tests {
         let mk_adv = |lo: i64, hi: i64| AdvEntry {
             item: adv(1, 0, lo, hi),
             lasthop: Hop::Broker(BrokerId(2)),
-            alt_lasthops: BTreeSet::new(),
-            sent_to: BTreeSet::new(),
+            alt_lasthops: HopSet::new(),
+            sent_to: HopSet::new(),
             pending: None,
         };
         let conflicting = vec![
@@ -1584,5 +1767,63 @@ mod tests {
         pend(&mut prt, s1.id, 9, Hop::Broker(BrokerId(3)));
         assert_eq!(prt.pending_for(MoveId(9)), vec![s1.id]);
         assert!(prt.pending_for(MoveId(8)).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// A hop set answers every method the broker calls as a
+        /// `BTreeSet` does, on both sides of the inline capacity, and
+        /// persists as one.
+        #[test]
+        fn a_hop_set_is_a_btree_set(
+            ops in proptest::collection::vec(
+                (0usize..6, 0u32..9, proptest::collection::vec(0u32..9, 0..4)),
+                0..40,
+            )
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut set = HopSet::new();
+            let mut model = BTreeSet::new();
+            for (op, b, batch) in ops {
+                let b = BrokerId(b);
+                let batch = batch.into_iter().map(BrokerId);
+                match op {
+                    0 | 1 => prop_assert_eq!(set.insert(b), model.insert(b)),
+                    2 => prop_assert_eq!(set.remove(&b), model.remove(&b)),
+                    3 => prop_assert_eq!(set.pop_first(), model.pop_first()),
+                    4 => {
+                        set.extend(batch.clone());
+                        model.extend(batch);
+                    }
+                    _ => {
+                        set.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.is_empty(), model.is_empty());
+                prop_assert_eq!(set.first(), model.first());
+                for id in (0..10).map(BrokerId) {
+                    prop_assert_eq!(set.contains(&id), model.contains(&id));
+                }
+                prop_assert!(set.iter().eq(model.iter()));
+                prop_assert!((&set).into_iter().eq(&model));
+                prop_assert_eq!(&set, &model.iter().rev().copied().collect::<HopSet>());
+                let json = serde_json::to_string(&set).unwrap();
+                prop_assert_eq!(&json, &serde_json::to_string(&model).unwrap());
+                prop_assert_eq!(&serde_json::from_str::<HopSet>(&json).unwrap(), &set);
+            }
+        }
+    }
+
+    #[test]
+    fn a_hop_set_reads_a_sequence_as_a_set() {
+        let set: HopSet = serde_json::from_str("[9,3,9,1,7,5,2,3]").unwrap();
+        assert_eq!(
+            format!("{set:?}"),
+            "{BrokerId(1), BrokerId(2), BrokerId(3), BrokerId(5), BrokerId(7), BrokerId(9)}"
+        );
+        assert_eq!(serde_json::to_string(&set).unwrap(), "[1,2,3,5,7,9]");
     }
 }

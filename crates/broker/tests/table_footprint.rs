@@ -13,10 +13,13 @@
 //! With one record per constrained attribute and the endpoint maps left
 //! unbuilt until a containment query asks (none does here), a row holds
 //! 1 077 bytes (1 052 at 1 000); the budget is that plus under 10 %.
+//! A row forwarded to one neighbour then held 1 131, a B-tree leaf
+//! more for its one-element `sent_to`; with the neighbours inline in
+//! the row it holds no more than a local one (1 075).
 
 use transmob_broker::{Hop, Prt};
 use transmob_core::ClientProfile;
-use transmob_pubsub::{AdvId, Advertisement, ClientId, Publication, SubId, Subscription};
+use transmob_pubsub::{AdvId, Advertisement, BrokerId, ClientId, Publication, SubId, Subscription};
 use transmob_workloads::footprint::{measure, CountingAlloc};
 use transmob_workloads::{wide_publication, wide_sub_filter};
 
@@ -54,13 +57,19 @@ fn copying_a_subscription_copies_no_filter() {
 
 /// Live heap bytes a row of an `n`-row PRT, filters included, once a
 /// publication has been matched (so the packed snapshot of the index
-/// is part of the bill).
-fn bytes_per_row(n: usize) -> usize {
+/// is part of the bill); with `forward`, every row has been forwarded
+/// to that neighbour.
+fn bytes_per_row(n: usize, forward: Option<BrokerId>) -> usize {
     let probe: Publication = wide_publication(0);
     let (prt, heap) = measure(|| {
         let mut prt = Prt::new();
         for i in 0..n {
-            prt.insert(wide_sub(i), Hop::Client(ClientId(7)));
+            let sub = wide_sub(i);
+            let id = sub.id;
+            prt.insert(sub, Hop::Client(ClientId(7)));
+            if let Some(b) = forward {
+                prt.update(id, |e| e.sent_to.insert(b));
+            }
         }
         std::hint::black_box(prt.destinations(&probe));
         prt
@@ -72,7 +81,7 @@ fn bytes_per_row(n: usize) -> usize {
 #[test]
 fn a_routing_row_stays_under_its_byte_budget() {
     const BUDGET: usize = 1_180;
-    let per_row = bytes_per_row(10_000);
+    let per_row = bytes_per_row(10_000, None);
     println!("table_footprint: {per_row} bytes a row at 10 000 rows");
     assert!(
         per_row < BUDGET,
@@ -80,7 +89,19 @@ fn a_routing_row_stays_under_its_byte_budget() {
     );
     // The forwarding column and the slot table are the only parts
     // that grow by doubling; nothing else may depend on table size.
-    let small = bytes_per_row(1_000);
+    let small = bytes_per_row(1_000, None);
     println!("table_footprint: {small} bytes a row at 1 000 rows");
     assert!(small < BUDGET, "{small} bytes a row at 1 000 rows");
+}
+
+#[test]
+fn a_forwarded_row_costs_no_more_than_a_local_one() {
+    // A row's forwarding set holds its few neighbours inline.
+    let local = bytes_per_row(10_000, None);
+    let forwarded = bytes_per_row(10_000, Some(BrokerId(3)));
+    println!("table_footprint: {forwarded} bytes a forwarded row at 10 000 rows");
+    assert!(
+        forwarded <= local,
+        "{forwarded} bytes a forwarded row, {local} a local one"
+    );
 }

@@ -1348,8 +1348,10 @@ impl<K: IndexKey> MatchIndex<K> {
     /// Indexes `filter` under `key`. Replaces any previous filter for
     /// the key (upsert semantics).
     pub fn insert(&mut self, key: K, filter: &Filter) {
-        self.remove(&key);
-        self.filters.insert(key, filter.clone());
+        // One probe of `filters`: only a live key has rows to tear down.
+        if let Some(old) = self.filters.insert(key, filter.clone()) {
+            self.unfile(&key, &old);
+        }
         if !filter.is_satisfiable() {
             self.unsat.insert(key);
             return;
@@ -1388,12 +1390,19 @@ impl<K: IndexKey> MatchIndex<K> {
         let Some(filter) = self.filters.remove(key) else {
             return false;
         };
+        self.unfile(key, &filter);
+        true
+    }
+
+    /// Tears down what indexing `filter` under `key` filed beside
+    /// `filters`: its set memberships, attribute rows and slot.
+    fn unfile(&mut self, key: &K, filter: &Filter) {
         if self.unsat.remove(key) {
-            return true;
+            return;
         }
         self.sat.remove(key);
         if self.zero.remove(key) {
-            return true;
+            return;
         }
         self.wide.remove(key);
         for (attr, _) in filter.constraints() {
@@ -1406,7 +1415,6 @@ impl<K: IndexKey> MatchIndex<K> {
         }
         let snapshotted = self.age_snapshot();
         self.slots.release(key, snapshotted);
-        true
     }
 
     /// Counts one slot-bearing write against the packed snapshot and
@@ -2288,10 +2296,7 @@ mod tests {
             Filter::builder().eq("w1", 1).any("w2").build(),
         ]);
         ix.check_slot_invariants();
-        let mut full = Publication::new();
-        for i in 0..WIDE {
-            full.set(attr(i), 1);
-        }
+        let full: Publication = (0..WIDE).map(|i| (attr(i), Value::Int(1))).collect();
         let mut short = full.clone();
         short.set(attr(WIDE - 1), -1);
         let narrow = Publication::new().with("w0", 5);

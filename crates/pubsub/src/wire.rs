@@ -268,35 +268,61 @@ impl<'a> WireReader<'a> {
 
     /// Reads a length-prefixed raw string.
     pub fn str_raw(&mut self) -> Result<String, WireError> {
+        self.str_in_frame().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed raw string, borrowed from the payload.
+    fn str_in_frame(&mut self) -> Result<&'a str, WireError> {
         let n = self.count()?;
-        let bytes = &self.buf[self.pos..self.pos + n];
-        let s = std::str::from_utf8(bytes)
-            .map_err(|e| WireError(format!("invalid utf-8 in string: {e}")))?
-            .to_owned();
+        let buf: &'a [u8] = self.buf;
+        let s = std::str::from_utf8(&buf[self.pos..self.pos + n])
+            .map_err(|e| WireError(format!("invalid utf-8 in string: {e}")))?;
         self.pos += n;
         Ok(s)
     }
 
     /// Reads an interned attribute key (see [`WireWriter::attr`]).
     pub fn attr(&mut self) -> Result<String, WireError> {
+        let key = self.attr_key()?;
+        Ok(self.key(&key).to_owned())
+    }
+
+    /// Reads an interned attribute key without copying its name: a
+    /// first use enters the table (one copy per key per connection)
+    /// and the key names it in the payload.
+    fn attr_key(&mut self) -> Result<Key<'a>, WireError> {
         let code = self.varint()?;
         if code == 0 {
-            let s = self.str_raw()?;
+            let s = self.str_in_frame()?;
             if self.strs.strs.len() < MAX_INTERNED_STRINGS {
-                self.strs.strs.push(s.clone());
+                self.strs.strs.push(s.to_owned());
             }
-            Ok(s)
-        } else {
-            let idx = (code - 1) as usize;
-            match self.strs.strs.get(idx) {
-                Some(s) => Ok(s.clone()),
-                None => err(format!(
-                    "interned string id {idx} out of range (table has {})",
-                    self.strs.strs.len()
-                )),
-            }
+            return Ok(Key::Frame(s));
+        }
+        let idx = (code - 1) as usize;
+        if idx >= self.strs.strs.len() {
+            return err(format!(
+                "interned string id {idx} out of range (table has {})",
+                self.strs.strs.len()
+            ));
+        }
+        Ok(Key::Table(idx))
+    }
+
+    /// The name `key` stands for.
+    fn key(&self, key: &Key<'a>) -> &str {
+        match *key {
+            Key::Frame(s) => s,
+            Key::Table(idx) => &self.strs.strs[idx],
         }
     }
+}
+
+/// An attribute key as read: a name in the payload, or an entry of the
+/// connection's table.
+enum Key<'a> {
+    Frame(&'a str),
+    Table(usize),
 }
 
 /// Structural binary encode/decode for one wire-visible type.
@@ -439,15 +465,25 @@ impl Wire for Publication {
             value.enc(w);
         }
     }
+    /// Fills the publication from the payload and the connection's
+    /// table: the names are copied once, into the publication's block.
     fn dec(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = r.count()?;
         let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
-            let attr = r.attr()?;
-            let value = Value::dec(r)?;
-            pairs.push((attr, value));
+            let key = r.attr_key()?;
+            pairs.push((key, Value::dec(r)?));
         }
-        Ok(pairs.into_iter().collect())
+        let pairs: Vec<_> = pairs.into_iter().map(|(k, v)| (r.key(&k), v)).collect();
+        // A block addresses its names with `u32` offsets; only names
+        // interned from many huge frames could sum past that.
+        let names: usize = pairs.iter().map(|(a, _)| a.len()).sum();
+        if u32::try_from(names).is_err() {
+            return err(format!(
+                "attribute names of {names} bytes in one publication"
+            ));
+        }
+        Ok(Publication::from_pairs(pairs))
     }
 }
 

@@ -7,9 +7,9 @@
 # a small SIGPROF sampler into it (`setitimer(ITIMER_PROF)` at 997 Hz,
 # `backtrace()` per tick, stacks written at exit), resolves the stacks
 # against `nm -C` of the binary and prints each function's self and
-# inclusive share. Only samples with `Sim::run_until` on the stack
-# count, i.e. the timed phase of the `sim-*` workloads: set-up, the
-# oracle and the report are left out. Inlined callees are charged to
+# inclusive share. By default only samples with `Sim::run_until` on
+# the stack count, i.e. the timed phase of the `sim-*` workloads:
+# set-up, the oracle and the report are left out (`--root`, below). Inlined callees are charged to
 # the function they were inlined into; frames outside the binary are
 # named by `dladdr` (`[malloc]`; `[?]` is what it cannot name, mostly
 # libc's local symbols such as its `memcpy` variants).
@@ -21,6 +21,14 @@
 # callers: the share of each pair of nearest named ancestors that are
 # not allocator plumbing, which is what turns "`[?]` 14 %" into "under
 # `handle_move`, under `SimFlush::send_batch`".
+#
+#   scripts/profile.sh --root Sim::run_to_quiescence --workload sim-match --seed 1 --seconds 10 --trace 0
+#
+# counts the samples under another function instead of
+# `Sim::run_until` (any substring of a frame's name): here the set-up,
+# which settles the subscriptions by running the Sim to quiescence.
+# `--root` and `--callers` go before the `e2e` arguments, in either
+# order.
 #
 # Needs `cc`, `nm` and `python3`; prints a notice and exits 0 without
 # them. No CI tier runs this.
@@ -35,10 +43,20 @@ for tool in cc nm python3; do
 done
 
 callers=""
-if [[ "${1:-}" == "--callers" ]]; then
-    callers="${2:?--callers needs a substring of the leaf frame to attribute}"
-    shift 2
-fi
+root="Sim::run_until"
+while true; do
+    case "${1:-}" in
+    --callers)
+        callers="${2:?--callers needs a substring of the leaf frame to attribute}"
+        shift 2
+        ;;
+    --root)
+        root="${2:?--root needs a substring of the function whose samples count}"
+        shift 2
+        ;;
+    *) break ;;
+    esac
+done
 
 dir=target/profile
 mkdir -p "$dir"
@@ -122,11 +140,11 @@ PROFILE_SAMPLES="$PWD/$dir/samples" LD_PRELOAD="$PWD/$dir/shim.so" "$exe" "$@" >
 tail -n 1 "$dir/stdout" | cut -c1-400
 
 nm -C --defined-only "$exe" >"$dir/symbols"
-python3 - "$dir" "$callers" <<'PY'
+python3 - "$dir" "$callers" "$root" <<'PY'
 import bisect, collections, glob, re, sys
 
-ROOT = "Sim::run_until"
 CALLERS = sys.argv[2]
+ROOT = sys.argv[3]
 # Frames that say nothing about who asked: unnamed ones, the
 # allocator's entry points and the standard library's growth paths.
 PLUMBING = re.compile(
