@@ -183,14 +183,44 @@ fn loaded_prt(n: usize) -> Prt {
     prt
 }
 
+/// A PRT of `n` single-attribute filters on [`ATTR`], row `i` built by
+/// `filter(i, v)` with `v` spread over `0..3000`.
+fn shaped_prt(n: usize, filter: impl Fn(usize, i64) -> Filter) -> Prt {
+    let mut prt = Prt::new();
+    for i in 0..n {
+        let v = (i * 7_919 % 3_000) as i64;
+        let sub = Subscription::new(SubId::new(ClientId(i as u64), 0), filter(i, v));
+        prt.insert(sub, Hop::Client(ClientId(i as u64)));
+    }
+    prt
+}
+
 /// Publication matching through the counting match index, as the PRT
-/// grows.
+/// grows; then, at 10 000 rows, the shapes no gated workload has:
+/// one-sided filters (`≥ v` and `≤ v` alternating) and bands with two
+/// exclusive bounds (`> v` and `< v + 100`).
 fn bench_prt_matching(c: &mut Criterion) {
     let mut g = c.benchmark_group("prt_matching");
+    let p = Publication::new().with(ATTR, 1500);
     for n in [1_000usize, 10_000, 100_000] {
         let prt = loaded_prt(n);
-        let p = Publication::new().with(ATTR, 1500);
         g.bench_with_input(BenchmarkId::new("indexed", n), &n, |bch, _| {
+            bch.iter(|| black_box(prt.matching(black_box(&p))))
+        });
+    }
+    let n = 10_000;
+    let one_sided = shaped_prt(n, |i, v| {
+        if i % 2 == 0 {
+            Filter::builder().ge(ATTR, v).build()
+        } else {
+            Filter::builder().le(ATTR, v).build()
+        }
+    });
+    let exclusive = shaped_prt(n, |_, v| {
+        Filter::builder().gt(ATTR, v).lt(ATTR, v + 100).build()
+    });
+    for (name, prt) in [("one_sided", one_sided), ("exclusive", exclusive)] {
+        g.bench_with_input(BenchmarkId::new(name, n), &n, |bch, _| {
             bch.iter(|| black_box(prt.matching(black_box(&p))))
         });
     }

@@ -10,8 +10,10 @@
 //!
 //! Numeric operands are integers, quarters, `0.0` and `-0.0`; bands
 //! span widths from 0 to 10¹⁷, so the packed snapshot holds many width
-//! classes (one rounds its widths), and every table is probed on, just
-//! below and just above each endpoint its filters name.
+//! classes (one rounds its widths), and one band's width (2·10³⁰⁸)
+//! overflows. Every table is probed on, just below and just above each
+//! endpoint its filters name, and at `±∞` and a `NaN`, which a value
+//! decoded off the wire can be.
 //!
 //! The case count honours `CHAOS_CASES` (default 96).
 
@@ -33,7 +35,9 @@ const WORDS: [&str; 5] = ["alpha", "alps", "beta", "al", ""];
 /// exact one.
 const WIDTHS: [f64; 8] = [0.0, 0.25, 1.0, 15.0, 1_000.0, 1e9, 1e17, 3.0];
 /// Operator shapes of [`apply_spec`].
-const KINDS: u8 = 12;
+const KINDS: u8 = 13;
+/// The bound of the band whose width overflows.
+const HUGE: f64 = 1e308;
 
 fn cases() -> u32 {
     std::env::var("CHAOS_CASES")
@@ -63,6 +67,7 @@ fn endpoints((_, kind, v): PredSpec) -> Vec<f64> {
     match kind % KINDS {
         0 | 1 | 3 | 4 | 8 | 9 => vec![lo],
         2 | 10 | 11 => vec![lo, lo + WIDTHS[usize::from(kind / KINDS) % WIDTHS.len()]],
+        12 => vec![-HUGE, HUGE],
         _ => vec![],
     }
 }
@@ -86,7 +91,8 @@ fn apply_spec(
         8 => b.gt(a, x),
         9 => b.lt(a, x),
         10 => b.gt(a, x).le(a, hi),
-        _ => b.ge(a, x).lt(a, hi),
+        11 => b.ge(a, x).lt(a, hi),
+        _ => b.ge(a, -HUGE).le(a, HUGE),
     }
 }
 
@@ -112,7 +118,18 @@ fn probe_pubs() -> Vec<Publication> {
     for x in [-35i64, -10, 0, 7, 15, 29, 45] {
         out.push(Publication::new().with("x", x).with("y", -x));
     }
-    for x in [-0.0, 0.25, -7.25, 1e9, 1e17] {
+    // `Value::float` refuses a `NaN`; `From<f64>`, as the wire
+    // decoder uses it, does not.
+    for x in [
+        -0.0,
+        0.25,
+        -7.25,
+        1e9,
+        1e17,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ] {
         out.push(Publication::new().with("x", x).with("y", x));
     }
     for w in WORDS {
@@ -625,6 +642,46 @@ proptest! {
         prop_assert_eq!(prt2.covered_by(&query), prt.covered_by_linear(&query));
         prop_assert_eq!(srt2.covering(&query), srt.covering_linear(&query));
         prop_assert_eq!(srt2.covered_by(&query), srt.covered_by_linear(&query));
+    }
+}
+
+/// Every row shape with an open side or `!=` exclusions on one
+/// attribute, beside bands: `<` with `!=`, `!=` alone (open on both
+/// sides), `>`, `≥`, `<`, `≤` alone, and a band whose width overflows.
+/// Probed on and beside every bound, at `±∞` and at `NaN`s of either
+/// sign, matching and forwarding agree with the scan.
+#[test]
+fn open_and_excluding_rows_on_one_attribute_match_exactly() {
+    let b = Filter::builder;
+    let filters = [
+        b().lt("x", 5).ne("x", 3).build(),
+        b().ne("x", 4).build(),
+        b().ge("x", -HUGE).le("x", HUGE).build(),
+        b().gt("x", 2).build(),
+        b().ge("x", 2).build(),
+        b().lt("x", 2).build(),
+        b().le("x", 2).build(),
+        b().gt("x", 0).lt("x", 9).build(),
+        b().ge("x", 0).le("x", 10).build(),
+        b().ge("x", 1).le("x", 6).ne("x", 6).build(),
+    ];
+    let mut prt = Prt::new();
+    for (i, f) in filters.into_iter().enumerate() {
+        let sid = SubId::new(ClientId(i as u64), 0);
+        prt.insert(Subscription::new(sid, f), Hop::Client(ClientId(i as u64)));
+    }
+    let mut xs = vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+    for x in [-HUGE, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0, 10.0, HUGE] {
+        xs.extend([x.next_down(), x, x.next_up(), -x]);
+    }
+    for x in xs {
+        let p = Publication::new().with("x", x);
+        assert_eq!(prt.matching(&p), prt.matching_linear(&p), "pub {p}");
+        assert_eq!(
+            prt.destinations(&p),
+            destinations_from_rows(&prt, &p),
+            "pub {p}"
+        );
     }
 }
 

@@ -146,37 +146,48 @@
 //! cache however the probes scatter over them.
 //!
 //! Point, string, presence and fallback constraints are probed in the
-//! live per-attribute buckets above. General numeric intervals are
-//! probed in a *packed snapshot* of the table, `PackedTables`, built
-//! per attribute from the records:
+//! live per-attribute buckets above. Every other numeric constraint is
+//! an *interval row*, and the interval rows are probed in a *packed
+//! snapshot* of the table, `PackedTables`, built per attribute from the
+//! records. It holds each row once, in one layout, and one scan probes
+//! them all:
 //!
-//! - the clean rows with two finite bounds are grouped into **width
-//!   classes** by the binade of `hi − lo`, each class a run of rows
-//!   ascending by lower bound (sort key in a parallel `f64` array) that
-//!   keeps its largest width as its `reach`. A row of the class can
-//!   contain the probe `x` only if its lower bound lies in
-//!   `[x − reach, x]`, so two binary searches a class bound that
-//!   window, and every row in it costs one comparison against its upper
-//!   bound. A visited row either matches or lies within its class's
-//!   reach of `x`, and the widths of a class share a binade, so the
-//!   rows read beyond those reported are the class's rows that end
-//!   within one reach below `x`, whatever the table's size. The
-//!   window's lower end is pushed below `x − reach` by more
-//!   than float rounding can move either term (`window_start`), so no
-//!   row is skipped, and each visited row is checked exactly in the
-//!   `total_cmp` order.
-//! - clean rows with an unbounded side are stored twice, sorted
-//!   ascending by lower bound and descending by upper bound; two binary
-//!   searches bound the qualifying prefix of each array and only the
-//!   **smaller** prefix is scanned, each row costing one comparison.
-//! - rows with an exclusive bound keep both endpoints and are scanned
-//!   the same min-side way; rows with `!=` exclusions are checked
-//!   against their constraint.
+//! - a row is 16 bytes: its upper bound, its slot, and the bits a
+//!   visit checks beyond one comparison (an exclusive bound, `!=`
+//!   exclusions). Its lower bound sits in a parallel `f64` array.
+//! - the rows are grouped into **width classes** by the binade of
+//!   `hi − lo`, each class a run ascending by lower bound that keeps its
+//!   largest width as its `reach`. A row of the class can contain the
+//!   probe `x` only if its lower bound lies in `[x − reach, x]`, so two
+//!   binary searches a class bound that window, and every row in it
+//!   costs one comparison against its upper bound. A visited row either
+//!   matches or lies within its class's reach of `x`, and the widths of
+//!   a class share a binade, so the rows read beyond those reported are
+//!   the class's rows that end within one reach below `x`, whatever the
+//!   table's size. The window's lower end is pushed below `x − reach`
+//!   by more than float rounding can move either term (`window_start`),
+//!   so no row is skipped, and each visited row is checked exactly in
+//!   the `total_cmp` order.
+//! - rows with bits sit in classes of their own, so a class of closed
+//!   bands tests one bound a row and nothing else. The scan is one loop,
+//!   compiled once for each kind of class; in a flagged class a visited
+//!   row also checks its exclusive bits, and a `!=` row its constraint,
+//!   which a side list of the snapshot holds.
+//! - an open side is the `NaN`-encoded [`TotalF64::MIN`] or
+//!   [`TotalF64::MAX`], so a row with one has a `NaN` width. Those rows
+//!   and the rows whose width overflows form the **unbounded class**
+//!   (binade `0x7ff`). Its reach is `∞` and its window starts at
+//!   [`TotalF64::MIN`], below `−∞`, so a row open on both sides is in
+//!   it. A row open above is visited only where it matches.
+//! - a row open only below is stored **reflected**, `[−hi, −lo]` with its
+//!   two exclusive bits swapped, in classes of their own probed at `−x`.
+//!   Negation reverses the `total_cmp` order exactly, so the reflected
+//!   row holds `−x` iff the row holds `x`, and a probe visits it only
+//!   where `hi ≥ x`.
 //!
-//! The snapshot of an attribute takes one sort of its clean finite
-//! rows, by width class and lower bound, and every array is filled
-//! from a sorted list of known length, so the snapshot carries no
-//! spare capacity.
+//! The snapshot of an attribute takes one sort of its rows, by class
+//! and lower bound, and every array is filled from a sorted list of
+//! known length, so the snapshot carries no spare capacity.
 //!
 //! # Rebuild policy
 //!
@@ -300,17 +311,18 @@ impl ConsRef {
     }
 }
 
-/// Bit in [`Ends::flags`] and [`ExclRow::flags`]: the lower bound is
+/// Bit in [`Ends::flags`] and [`Row::flags`]: the lower bound is
 /// exclusive (`>`).
 const LO_EXCL: u32 = 1;
-/// Bit in [`Ends::flags`] and [`ExclRow::flags`]: the upper bound is
+/// Bit in [`Ends::flags`] and [`Row::flags`]: the upper bound is
 /// exclusive (`<`).
 const HI_EXCL: u32 = 1 << 1;
 /// Bit in [`Ends::flags`]: no lower bound (`lo` is [`TotalF64::MIN`]).
 const LO_OPEN: u32 = 1 << 2;
 /// Bit in [`Ends::flags`]: no upper bound (`hi` is [`TotalF64::MAX`]).
 const HI_OPEN: u32 = 1 << 3;
-/// Bit in [`Ends::flags`]: the constraint carries `!=` exclusions.
+/// Bit in [`Ends::flags`] and [`Row::flags`]: the constraint carries
+/// `!=` exclusions.
 const EXCLUSIONS: u32 = 1 << 4;
 /// Bit in [`Ends::flags`]: the constraint is numeric, so the
 /// endpoints mean something; without it the other fields are 0.
@@ -943,62 +955,46 @@ impl<K: IndexKey> SlotTable<K> {
     }
 }
 
-/// One exclusion-free interval row of a [`PackedAttr`] scan array.
-///
-/// The array's sort key — the *admission* endpoint — lives in a
-/// parallel `f64` array probed by binary search, so a row carries only
-/// the opposite endpoint and the min-side scan verifies each visited
-/// row with a single total-order comparison.
+/// One interval row of a [`PackedAttr`], 16 bytes. Its lower bound,
+/// the sort key within its width class, lives in a parallel `f64`
+/// array probed by binary search, so a row carries the far (upper)
+/// bound, the slot and the bits a visit checks after its one
+/// comparison.
 #[derive(Debug, Clone, Copy)]
-struct CleanRow {
-    /// The non-admission endpoint: the upper bound in the `lo`-sorted
-    /// array, the lower bound in the `hi`-sorted array.
-    bound: f64,
+struct Row {
+    /// The upper bound: [`TotalF64::MAX`] for a row open above.
+    hi: f64,
     /// The row's dense slot id.
     slot: u32,
-}
-
-/// One boundary-exclusive interval row (`>` / `<` bounds, no `!=`
-/// exclusions), carried in full because the exclusivity checks need
-/// exact endpoint equality on both sides.
-#[derive(Debug, Clone, Copy)]
-struct ExclRow {
-    lo: f64,
-    hi: f64,
-    slot: u32,
-    /// `LO_EXCL` / `HI_EXCL` bits.
+    /// `LO_EXCL`, `HI_EXCL` and `EXCLUSIONS`; 0 for a closed band.
     flags: u32,
 }
 
-/// One interval row checked against its authoritative constraint on
-/// every probe of its attribute, with no endpoint pruning: the rows
-/// with `!=` exclusions of a [`PackedAttr`], and the rows inserted
-/// since it was built ([`AttrIndex::fresh`]).
+/// One interval row checked against its authoritative constraint: the
+/// rows inserted since the packed snapshot was built
+/// ([`AttrIndex::fresh`]), and the snapshot's side list of `!=` rows.
 #[derive(Debug, Clone)]
 struct VerifyRow {
     slot: u32,
     cons: ConsRef,
 }
 
-/// Whether the boundary-exclusive interval `r` contains `x`.
-fn excl_hit(r: &ExclRow, x: f64) -> bool {
-    match r.lo.total_cmp(&x) {
-        Ordering::Greater => return false,
-        Ordering::Equal if r.flags & LO_EXCL != 0 => return false,
-        _ => {}
-    }
-    match x.total_cmp(&r.hi) {
-        Ordering::Greater => false,
-        Ordering::Equal if r.flags & HI_EXCL != 0 => false,
-        _ => true,
-    }
-}
-
-/// The binade of a finite width `hi − lo`: its biased exponent, the
-/// same for every width within a factor of two of another.
+/// The binade of a width `hi − lo`: its biased exponent, the same for
+/// every width within a factor of two of another. A width no `f64`
+/// holds, or a `NaN` one (an open side), has binade [`UNBOUNDED`].
 fn binade(width: f64) -> u16 {
     ((width.to_bits() >> 52) & 0x7ff) as u16
 }
+
+/// The class key of the rows with an open side or a width that
+/// overflows: the binade of an infinite or `NaN` width.
+const UNBOUNDED: u16 = 0x7ff;
+/// The class key of the rows unbounded only below, which are stored
+/// reflected ([`PackedAttr`]); sorts after every binade.
+const REFLECTED: u16 = 0x800;
+/// Bit of a class key: the class's rows carry bits ([`Row::flags`]);
+/// such classes sort after the rest.
+const FLAGGED: u16 = 0x1000;
 
 /// How far [`window_start`] pushes `x − reach` down, relative to the
 /// magnitudes involved: 2⁻⁵⁰, four times the two roundings it covers.
@@ -1012,153 +1008,142 @@ const WINDOW_SLACK: f64 = 1.0 / (1u64 << 50) as f64;
 /// took the maximum of by at most a relative 2⁻⁵³, and `x − reach` is
 /// rounded by at most a relative 2⁻⁵³ as well; [`WINDOW_SLACK`] of
 /// their magnitudes covers both, and `next_down` takes the bound
-/// strictly below a zero, which `total_cmp` splits in two. A `NaN`
-/// bound (from a `NaN` or infinite probe) becomes `-∞`: every row of a
-/// class has finite bounds, so the window then starts at the class's
-/// first row.
+/// strictly below a zero, which `total_cmp` splits in two. A start of
+/// `−∞` or `NaN` (an infinite reach, an infinite or `NaN` probe)
+/// becomes [`TotalF64::MIN`], which lies below `−∞`: the window then
+/// starts at the class's first row, a row open on both sides included.
 fn window_start(x: f64, reach: f64) -> f64 {
     let start = x - reach;
     let start = (start - (start.abs() + reach) * WINDOW_SLACK).next_down();
-    if start.is_nan() {
-        f64::NEG_INFINITY
+    if start.is_nan() || start == f64::NEG_INFINITY {
+        TotalF64::MIN.0
     } else {
         start
     }
 }
 
-/// The two parallel arrays of a [`PackedAttr`] scan, filled from
-/// sorted rows: per row, the sort key and a [`CleanRow`] holding the
-/// other endpoint, as `ends` names them.
-fn columns<'a>(
-    rows: impl ExactSizeIterator<Item = &'a Ends> + Clone,
-    ends: impl Fn(&Ends) -> (f64, f64),
-) -> (Vec<f64>, Vec<CleanRow>) {
-    let keys = rows.clone().map(|e| ends(e).0).collect();
-    let rows = rows
-        .map(|e| CleanRow {
-            bound: ends(e).1,
-            slot: e.slot,
-        })
-        .collect();
-    (keys, rows)
-}
-
-/// One width class of a [`PackedAttr`]: the clean rows with two finite
-/// bounds whose width `hi − lo` lies in one binade, a run of the class
-/// arrays.
+/// One width class of a [`PackedAttr`]: a run of its arrays.
 #[derive(Debug, Clone, Copy)]
 struct WidthClass {
-    /// Where the run ends in `class_lo` / `class_rows`; it starts
-    /// where the previous class's ends.
+    /// Where the run ends in `lo` / `rows`; it starts where the
+    /// previous class's ends.
     end: u32,
-    /// The largest width of the class.
+    /// The class holds rows unbounded only below, reflected, and is
+    /// probed at `−x`.
+    reflected: bool,
+    /// Every row of the class has bits to check after its upper bound
+    /// (none of the other classes' rows has).
+    flagged: bool,
+    /// The largest width of the class; `∞` for the unbounded and the
+    /// reflected classes.
     reach: f64,
 }
 
-/// The packed numeric probe tables of one attribute.
+/// The packed numeric probe table of one attribute: every interval row
+/// of it, once.
 ///
-/// A probe value `x` satisfies a clean interval row iff `lo ≤ x` *and*
-/// `x ≤ hi` (total order). The clean rows with two finite bounds are
-/// grouped into *width classes* by the binade of `hi − lo`: each class
-/// is a run of rows ascending by lower bound, the lower bounds in a
-/// parallel `f64` array, and keeps its largest width as its `reach`. A
-/// row of a class can hold `x` only if its lower bound lies in
-/// `[x − reach, x]` ([`window_start`]), so per class two binary searches
-/// bound that window, and every row in it costs one comparison against
-/// its upper bound: a visited row either matches or lies within its
-/// class's reach of `x`.
+/// A probe value `x` satisfies a row iff `lo ≤ x` *and* `x ≤ hi` (total
+/// order), neither bound exclusive where it equals `x`, and `x` is not
+/// one of the row's `!=` exclusions. The rows are grouped into *width
+/// classes* by the binade of `hi − lo`: each class is a run of rows
+/// ascending by lower bound, the lower bounds in a parallel `f64`
+/// array, and keeps its largest width as its `reach`. A row of a class
+/// can hold `x` only if its lower bound lies in `[x − reach, x]`
+/// ([`window_start`]), so per class two binary searches bound that
+/// window, and every row in it costs one comparison against its upper
+/// bound: a visited row either matches or lies within its class's
+/// reach of `x`. Rows with bits (an exclusive bound, `!=` exclusions)
+/// form classes of their own, so a class of closed bands tests one
+/// bound a row and nothing else; a visited row of a flagged class
+/// checks its bits, and a `!=` row its constraint, found in the side
+/// list `excluding`.
 ///
-/// Clean rows with an unbounded side (or a width no `f64` holds) are
-/// stored twice instead, sorted ascending by lower bound and descending
-/// by upper bound; two binary searches bound the qualifying prefix of
-/// each array and only the **smaller** prefix is scanned. The scan is
+/// A row with an open side takes its missing bound from
+/// [`TotalF64::MIN`] / [`TotalF64::MAX`], `NaN`s outside `±∞`, so its
+/// width is `NaN`; with the rows whose width overflows they form the
+/// class of binade [`UNBOUNDED`], whose reach is `∞` and whose window
+/// starts at its first row. A row open above is visited only if
+/// `lo ≤ x`, and then matches. A row open only below is stored
+/// *reflected*, `[−hi, −lo]` with its two exclusive bits swapped, in
+/// classes of their own probed at `−x`: negation reverses the
+/// `total_cmp` order exactly, so the reflected row holds `−x` iff the
+/// row holds `x`, and is visited only if `hi ≥ x`. The scan is
 /// stateless, so probes need no batch-wide sorting.
 #[derive(Debug, Default)]
 struct PackedAttr {
-    /// Lower bounds of the clean finite rows, class after class, each
-    /// class ascending in the total order; parallel to `class_rows`.
-    class_lo: Vec<f64>,
-    /// The same rows; `bound` is the upper bound.
-    class_rows: Vec<CleanRow>,
-    /// The width classes, by ascending binade.
+    /// Lower bounds of the rows, class after class, each class
+    /// ascending in the total order; parallel to `rows`.
+    lo: Vec<f64>,
+    /// The rows.
+    rows: Vec<Row>,
+    /// The width classes by key: the binades ascending, then the
+    /// reflected class, first of the rows without bits, then of those
+    /// with.
     classes: Vec<WidthClass>,
-    /// Lower bounds of the clean rows with an unbounded side,
-    /// ascending in the total order; parallel to `lo_rows`.
-    lo_bound: Vec<f64>,
-    /// Those rows sorted ascending by lower bound; `bound` is the
-    /// upper bound.
-    lo_rows: Vec<CleanRow>,
-    /// Upper bounds of the same rows, descending; parallel to
-    /// `hi_rows`.
-    hi_bound: Vec<f64>,
-    /// Those rows sorted descending by upper bound; `bound` is the
-    /// lower bound.
-    hi_rows: Vec<CleanRow>,
-    /// Boundary-exclusive rows, ascending by lower bound.
-    excl_lo: Vec<ExclRow>,
-    /// The same rows, descending by upper bound.
-    excl_hi: Vec<ExclRow>,
-    /// `!=`-carrying rows, scanned per probe without pruning.
-    verify: Vec<VerifyRow>,
+    /// The `!=` rows' constraints, by slot.
+    excluding: Vec<VerifyRow>,
 }
 
 impl PackedAttr {
-    /// The probe tables of one attribute's rows, or `None` if none of
-    /// them is an interval. The clean finite rows take one sort, by
-    /// width class and lower bound, and every array is filled from a
-    /// sorted list of known length, so none carries spare capacity.
+    /// The probe table of one attribute's rows, or `None` if none of
+    /// them is an interval. The rows take one sort, by class and lower
+    /// bound, and every array is filled from a sorted list of known
+    /// length, so none carries spare capacity.
     fn build<'a>(rows: impl Iterator<Item = &'a AttrRow>) -> Option<Self> {
-        let mut pa = PackedAttr::default();
-        let mut finite: Vec<(u16, Ends)> = Vec::new();
-        let mut open: Vec<Ends> = Vec::new();
+        let mut excluding = Vec::new();
+        let mut keyed: Vec<(u16, f64, Row)> = Vec::new();
         for r in rows {
             let e = r.ends;
             if !e.is_interval() {
                 continue;
             }
-            let width = e.hi - e.lo;
             if e.has_exclusions() {
-                pa.verify.push(VerifyRow {
+                excluding.push(VerifyRow {
                     slot: e.slot,
                     cons: r.cons.clone(),
                 });
-            } else if e.flags & (LO_EXCL | HI_EXCL) != 0 {
-                pa.excl_lo.push(ExclRow {
-                    lo: e.lo,
-                    hi: e.hi,
-                    slot: e.slot,
-                    flags: e.flags & (LO_EXCL | HI_EXCL),
-                });
-            } else if e.flags & (LO_OPEN | HI_OPEN) == 0 && width.is_finite() {
-                finite.push((binade(width), e));
-            } else {
-                open.push(e);
             }
+            let flags = e.flags & (LO_EXCL | HI_EXCL | EXCLUSIONS);
+            // Unbounded only below: stored reflected.
+            let (key, lo, hi, flags) = if e.flags & (LO_OPEN | HI_OPEN) == LO_OPEN {
+                let swapped = flags & EXCLUSIONS | (flags & LO_EXCL) << 1 | (flags & HI_EXCL) >> 1;
+                (REFLECTED, -e.hi, -e.lo, swapped)
+            } else {
+                (binade(e.hi - e.lo), e.lo, e.hi, flags)
+            };
+            let key = if flags == 0 { key } else { key | FLAGGED };
+            let slot = e.slot;
+            keyed.push((key, lo, Row { hi, slot, flags }));
         }
-        if finite.is_empty() && open.is_empty() && pa.excl_lo.is_empty() && pa.verify.is_empty() {
+        if keyed.is_empty() {
             return None;
         }
-
-        finite.sort_unstable_by(|(a, ae), (b, be)| a.cmp(b).then(ae.lo.total_cmp(&be.lo)));
-        (pa.class_lo, pa.class_rows) = columns(finite.iter().map(|(_, e)| e), |e| (e.lo, e.hi));
-        for run in finite.chunk_by(|(a, _), (b, _)| a == b) {
-            let end = pa.classes.last().map_or(0, |c| c.end) + run.len() as u32;
-            let reach = run.iter().map(|(_, e)| e.hi - e.lo).fold(0.0, f64::max);
-            pa.classes.push(WidthClass { end, reach });
+        keyed.sort_unstable_by(|(a, al, _), (b, bl, _)| a.cmp(b).then(al.total_cmp(bl)));
+        let mut classes = Vec::new();
+        for run in keyed.chunk_by(|(a, ..), (b, ..)| a == b) {
+            let end = classes.last().map_or(0, |c: &WidthClass| c.end) + run.len() as u32;
+            let key = run[0].0;
+            let reach = if key & !FLAGGED >= UNBOUNDED {
+                f64::INFINITY
+            } else {
+                run.iter().map(|(_, lo, r)| r.hi - lo).fold(0.0, f64::max)
+            };
+            classes.push(WidthClass {
+                end,
+                reflected: key & REFLECTED != 0,
+                flagged: key & FLAGGED != 0,
+                reach,
+            });
         }
-
-        open.sort_unstable_by(|a, b| a.lo.total_cmp(&b.lo));
-        (pa.lo_bound, pa.lo_rows) = columns(open.iter(), |e| (e.lo, e.hi));
-        open.sort_unstable_by(|a, b| b.hi.total_cmp(&a.hi));
-        (pa.hi_bound, pa.hi_rows) = columns(open.iter(), |e| (e.hi, e.lo));
-
-        pa.excl_lo.sort_unstable_by(|a, b| a.lo.total_cmp(&b.lo));
-        pa.excl_lo.shrink_to_fit();
-        pa.excl_hi = pa.excl_lo.clone();
-        pa.excl_hi.sort_unstable_by(|a, b| b.hi.total_cmp(&a.hi));
-        pa.verify.shrink_to_fit();
-        pa.classes.shrink_to_fit();
-        Some(pa)
+        classes.shrink_to_fit();
+        excluding.sort_unstable_by_key(|v| v.slot);
+        excluding.shrink_to_fit();
+        Some(PackedAttr {
+            lo: keyed.iter().map(|(_, lo, _)| *lo).collect(),
+            rows: keyed.iter().map(|(.., r)| *r).collect(),
+            classes,
+            excluding,
+        })
     }
 
     /// Calls `bump(slot)` once for every interval row satisfied by the
@@ -1175,62 +1160,62 @@ impl PackedAttr {
         let mut start = 0;
         for class in &self.classes {
             let end = class.end as usize;
-            let lo = &self.class_lo[start..end];
-            let stop = lo.partition_point(|lo| lo.total_cmp(&x) != Ordering::Greater);
+            let x = if class.reflected { -x } else { x };
+            let (lo, rows) = (&self.lo[start..end], &self.rows[start..end]);
             let floor = window_start(x, class.reach);
-            let from = lo[..stop].partition_point(|lo| lo.total_cmp(&floor) == Ordering::Less);
-            for r in &self.class_rows[start + from..start + stop] {
-                if x.total_cmp(&r.bound) != Ordering::Greater {
-                    bump(r.slot)?;
-                }
+            if class.flagged {
+                self.scan_class::<true>(lo, rows, x, floor, value, bump)?;
+            } else {
+                self.scan_class::<false>(lo, rows, x, floor, value, bump)?;
             }
             start = end;
         }
-        if !self.lo_rows.is_empty() {
-            let lo_cnt = self
-                .lo_bound
-                .partition_point(|lo| lo.total_cmp(&x) != Ordering::Greater);
-            let hi_cnt = self
-                .hi_bound
-                .partition_point(|hi| hi.total_cmp(&x) != Ordering::Less);
-            if lo_cnt <= hi_cnt {
-                for r in &self.lo_rows[..lo_cnt] {
-                    if x.total_cmp(&r.bound) != Ordering::Greater {
-                        bump(r.slot)?;
-                    }
-                }
-            } else {
-                for r in &self.hi_rows[..hi_cnt] {
-                    if r.bound.total_cmp(&x) != Ordering::Greater {
-                        bump(r.slot)?;
-                    }
-                }
-            }
-        }
-        if !self.excl_lo.is_empty() {
-            let el = self
-                .excl_lo
-                .partition_point(|r| r.lo.total_cmp(&x) != Ordering::Greater);
-            let eh = self
-                .excl_hi
-                .partition_point(|r| r.hi.total_cmp(&x) != Ordering::Less);
-            let side = if el <= eh {
-                &self.excl_lo[..el]
-            } else {
-                &self.excl_hi[..eh]
-            };
-            for r in side {
-                if excl_hit(r, x) {
-                    bump(r.slot)?;
-                }
-            }
-        }
-        for v in &self.verify {
-            if v.cons.get().satisfied_by(value) {
-                bump(v.slot)?;
+        ControlFlow::Continue(())
+    }
+
+    /// The window scan of one class, its lower bounds `lo` and its
+    /// `rows`, from `floor` up to `x`; `FLAGGED` says the class's rows
+    /// have bits to check. One loop, compiled once for each kind of
+    /// class: testing a flag word on every visited row made matching on
+    /// a table of 10 000 closed two-band rows about 10 % slower.
+    #[inline(always)]
+    fn scan_class<const FLAGGED: bool>(
+        &self,
+        lo: &[f64],
+        rows: &[Row],
+        x: f64,
+        floor: f64,
+        value: &Value,
+        bump: &mut impl FnMut(u32) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let stop = lo.partition_point(|lo| lo.total_cmp(&x) != Ordering::Greater);
+        let from = lo[..stop].partition_point(|lo| lo.total_cmp(&floor) == Ordering::Less);
+        for (i, r) in rows[from..stop].iter().enumerate() {
+            if x.total_cmp(&r.hi) != Ordering::Greater
+                && (!FLAGGED || self.flagged_hit(r, lo[from + i], x, value))
+            {
+                bump(r.slot)?;
             }
         }
         ControlFlow::Continue(())
+    }
+
+    /// The rest of the test of a visited row of a flagged class, whose
+    /// lower bound `lo` and upper bound admit `x` inclusively: neither
+    /// exclusive bound equals `x`, and a `!=` row's constraint holds
+    /// `value`.
+    fn flagged_hit(&self, r: &Row, lo: f64, x: f64, value: &Value) -> bool {
+        let on = |bit: u32, bound: f64| r.flags & bit != 0 && bound.total_cmp(&x).is_eq();
+        if on(LO_EXCL, lo) || on(HI_EXCL, r.hi) {
+            return false;
+        }
+        r.flags & EXCLUSIONS == 0 || {
+            let at = self
+                .excluding
+                .binary_search_by_key(&r.slot, |v| v.slot)
+                .expect("every `!=` row is in the side list");
+            self.excluding[at].cons.get().satisfied_by(value)
+        }
     }
 }
 
@@ -2188,9 +2173,9 @@ mod tests {
     #[test]
     fn kernel_handles_boundary_cases() {
         // Rows whose bounds collide with probe values in every
-        // open/closed combination (clean, boundary-exclusive and
-        // `!=`-carrying snapshot tiers, point buckets), probed below,
-        // on, between and past every endpoint, with repeats.
+        // open/closed combination (closed, exclusive, `!=`-carrying,
+        // open and reflected snapshot rows, point buckets), probed
+        // below, on, between and past every endpoint, with repeats.
         let (table, ix) = build(vec![
             Filter::builder().ge("x", 0).le("x", 10).build(),
             Filter::builder().gt("x", 0).le("x", 10).build(),
@@ -2321,8 +2306,9 @@ mod tests {
 
     #[test]
     fn index_holds_the_callers_body_not_a_copy() {
-        // An exclusion-carrying band (a `verify` row of the snapshot
-        // for the first key, a `fresh` row beside it for the second),
+        // An exclusion-carrying band (in the snapshot's `excluding`
+        // side list for the first key, a `fresh` row beside it for the
+        // second),
         // a string and a point.
         let f = Filter::builder()
             .ge("x", 0)
@@ -2349,7 +2335,7 @@ mod tests {
             }
         }
         let verified: Vec<&VerifyRow> = ix.packed()["x"]
-            .verify
+            .excluding
             .iter()
             .chain(&ix.attrs["x"].fresh)
             .collect();
@@ -2451,9 +2437,15 @@ mod tests {
             Filter::builder().ge("x", -1e9).le("x", 0.0).build(),
             Filter::builder().ge("x", 0.5).build(),
         ]);
+        // Four finite classes, and the open row alone in the unbounded
+        // class after them.
         let packed = &ix.packed()["x"];
-        assert_eq!(packed.classes.len(), 4);
-        assert_eq!(packed.lo_rows.len(), 1);
+        let finite = packed.classes.iter().filter(|c| c.reach.is_finite());
+        assert_eq!(finite.count(), 4);
+        assert_eq!(packed.classes.len(), 5);
+        let open = packed.classes[4];
+        assert!(!open.reflected);
+        assert_eq!(open.end - packed.classes[3].end, 1);
         for x in [
             -0.0,
             0.0,
@@ -2473,5 +2465,94 @@ mod tests {
             vec![0, 1, 3]
         );
         assert_eq!(ix.matching(&Publication::new().with("x", 1e17)), vec![1, 4]);
+    }
+
+    #[test]
+    fn each_interval_row_is_stored_once() {
+        // The differential suite's operator shapes at three operands:
+        // among them the `!=`-only rows (open on both sides) and the
+        // band whose width overflows; beside them `!=` on a bounded and
+        // on a one-sided row.
+        let shapes = |x: f64| {
+            let b = Filter::builder;
+            [
+                b().ge("x", x).build(),
+                b().le("x", x).build(),
+                b().ge("x", x).le("x", x + 15.0).build(),
+                b().eq("x", x).build(),
+                b().ne("x", x).build(),
+                b().eq("x", "alpha").build(),
+                b().prefix("x", "al").build(),
+                b().any("x").build(),
+                b().gt("x", x).build(),
+                b().lt("x", x).build(),
+                b().gt("x", x).le("x", x + 1.0).build(),
+                b().ge("x", x).lt("x", x + 1e9).build(),
+                b().lt("x", x).ne("x", x - 1.0).build(),
+                b().ge("x", x).le("x", x + 3.0).ne("x", x + 1.0).build(),
+                b().ge("x", -1e308).le("x", 1e308).build(),
+            ]
+        };
+        let (table, ix) = build([-2.5, -0.0, 7.0].into_iter().flat_map(shapes).collect());
+        let packed = &ix.packed()["x"];
+        let bits = LO_EXCL | HI_EXCL | EXCLUSIONS;
+        let swap = |f: u32| f & EXCLUSIONS | (f & LO_EXCL) << 1 | (f & HI_EXCL) >> 1;
+        // Every row read back as (slot, lo, hi, bits), a reflected one
+        // reflected again.
+        let mut stored = Vec::new();
+        let mut start = 0;
+        for class in &packed.classes {
+            for (lo, r) in packed.lo[start..class.end as usize]
+                .iter()
+                .zip(&packed.rows[start..class.end as usize])
+            {
+                assert_eq!(r.flags != 0, class.flagged, "flagged class of {r:?}");
+                stored.push(if class.reflected {
+                    (r.slot, (-r.hi).to_bits(), (-lo).to_bits(), swap(r.flags))
+                } else {
+                    (r.slot, lo.to_bits(), r.hi.to_bits(), r.flags)
+                });
+            }
+            start = class.end as usize;
+        }
+        assert_eq!((start, packed.lo.len()), (packed.rows.len(), start));
+        // `≤` rows in one reflected class, `<` rows (with `!=` or not)
+        // in a flagged one.
+        assert_eq!(packed.classes.iter().filter(|c| c.reflected).count(), 2);
+        stored.sort_unstable();
+        let records = &ix.attrs["x"].cons;
+        let mut want: Vec<_> = records
+            .values()
+            .map(|r| r.ends)
+            .filter(Ends::is_interval)
+            .map(|e| (e.slot, e.lo.to_bits(), e.hi.to_bits(), e.flags & bits))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(stored, want);
+        // The side list holds exactly the `!=` rows, each by the
+        // caller's constraint.
+        let side: Vec<u32> = packed.excluding.iter().map(|v| v.slot).collect();
+        let excl: Vec<u32> = want
+            .iter()
+            .filter(|r| r.3 & EXCLUSIONS != 0)
+            .map(|r| r.0)
+            .collect();
+        assert_eq!(side, excl);
+        for v in &packed.excluding {
+            let key = ix.slots.keys[v.slot as usize];
+            assert!(std::ptr::eq(v.cons.get(), records[&key].get()));
+        }
+        // And the table answers what the scan does, on and beside every
+        // bound, at the infinities and at `NaN`s of either sign.
+        let mut xs = vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+        for x in [-2.5f64, -0.0, 7.0, 1e308, -1e308] {
+            for y in [x, x + 1.0, x - 1.0, x + 3.0, x + 15.0, x + 1e9] {
+                xs.extend([y.next_down(), y, y.next_up()]);
+            }
+        }
+        for x in xs {
+            let p = Publication::new().with("x", x);
+            assert_eq!(ix.matching(&p), linear_matching(&table, &p), "x = {x:e}");
+        }
     }
 }

@@ -1,12 +1,23 @@
 //! Network and node performance models.
 //!
-//! The simulator models each broker as a single-server FIFO queue (a
-//! fixed per-message processing cost plus jitter) and each overlay link
-//! as a serialization server plus propagation latency. Congestion —
-//! the mechanism behind the paper's covering-protocol latency blow-ups
-//! — emerges from these queues: a burst of (un)subscription messages
-//! delays every message behind it, including the movement-protocol
-//! messages whose end-to-end time is the measured movement latency.
+//! The simulator models each broker as a single-server FIFO queue and
+//! each overlay link as a serialization server plus propagation
+//! latency. Congestion — the mechanism behind the paper's
+//! covering-protocol latency blow-ups — is meant to emerge from these
+//! queues: a burst of (un)subscription messages delaying every message
+//! behind it, including the movement-protocol messages whose end-to-end
+//! time is the measured movement latency.
+//!
+//! What the simulator charges today is per *frame*, not per message:
+//! all of one step's messages to one neighbour travel as one frame, and
+//! `Sim::service_done` draws one processing time ([`NodeModel::process`]
+//! plus the table term, jittered) for the whole frame at its receiver,
+//! while `Sim::ship_batch` books one serialization slot
+//! ([`LinkModel::serialize`]) and one latency sample for it on the link.
+//! A burst of N messages to one neighbour therefore costs one service
+//! time, and message complexity does not become queueing. Charging per
+//! message, as the paper's FIFO server does, is the pending model fix
+//! (ROADMAP item 1).
 //!
 //! Two presets reproduce the paper's testbeds:
 //!
@@ -30,7 +41,8 @@ use crate::time::SimDuration;
 pub struct LinkModel {
     /// Propagation latency.
     pub latency: SimDuration,
-    /// Per-message serialization time (the link is a FIFO server).
+    /// Serialization time of one frame, however many messages it
+    /// carries (the link is a FIFO server; see the module docs).
     pub serialize: SimDuration,
     /// Multiplicative jitter amplitude on the latency (0.1 = ±10%).
     pub jitter: f64,
@@ -50,10 +62,12 @@ impl LinkModel {
 /// Performance model of a broker node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeModel {
-    /// Base per-message processing time (the broker is a FIFO server).
+    /// Base processing time of one frame, however many messages it
+    /// carries (the broker is a FIFO server; see the module docs).
     pub process: SimDuration,
-    /// Additional processing time per routing-table entry: matching a
-    /// message against the SRT/PRT grows with table size, which is how
+    /// Additional processing time per routing-table entry, charged
+    /// with [`NodeModel::process`] once a frame: matching a message
+    /// against the SRT/PRT grows with table size, which is how
     /// densely-populated endpoint brokers become the congestion points
     /// the paper's covering-protocol latencies reflect.
     pub per_entry: SimDuration,
