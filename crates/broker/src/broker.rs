@@ -44,6 +44,7 @@
 //! roll back the transaction. The movement *protocol* itself lives in
 //! `transmob-core`.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
@@ -53,7 +54,7 @@ use transmob_pubsub::{
     SubId, Subscription,
 };
 
-use crate::messages::{BrokerOutput, Hop, MsgKind, PubSubMsg};
+use crate::messages::{BrokerOutput, Effects, Hop, MsgKind, PubSubMsg};
 use crate::routing::{Destinations, Entry, PendingRoute, Prt, Routed, Srt, Table};
 
 /// How aggressively a broker applies the covering optimization to
@@ -341,6 +342,19 @@ pub struct BrokerCore {
     dedup: DedupWindow,
 }
 
+thread_local! {
+    /// The destination lists of the publication being routed, handed
+    /// from one publication to the next so that, once they have grown,
+    /// routing one allocates none for them. A broker that finds them
+    /// taken starts empty ones.
+    static DESTS: Cell<Destinations> = const {
+        Cell::new(Destinations {
+            brokers: Vec::new(),
+            clients: Vec::new(),
+        })
+    };
+}
+
 /// The row a pending configuration sits on. Advertisements order
 /// before subscriptions and each kind by id: the order in which a
 /// commit rewrites a movement's rows.
@@ -476,23 +490,19 @@ impl BrokerCore {
 
     /// Handles one routing-layer message arriving from `from`.
     ///
-    /// Thin wrapper over [`BrokerCore::handle_batch`] — the batch call
-    /// is the one ingestion path.
+    /// Thin wrapper over [`BrokerCore::handle_into`], the one ingestion
+    /// path.
     pub fn handle(&mut self, from: Hop, msg: PubSubMsg) -> Vec<BrokerOutput> {
-        self.handle_batch(from, vec![msg])
+        let mut out = Vec::new();
+        self.handle_into(from, msg, None, &mut out);
+        out
     }
 
     /// Handles a batch of routing-layer messages that arrived from
     /// `from` in order, returning the combined effects in emission
     /// order (per-destination send order is the per-link FIFO the
-    /// consistency argument relies on).
-    ///
-    /// Semantically equivalent to folding [`BrokerCore::handle`] over
-    /// the batch and concatenating the outputs (publications do not
-    /// mutate routing state, so a run of them commutes with nothing in
-    /// between), but maximal runs of consecutive publications are
-    /// resolved to their destinations through one batch call
-    /// ([`Table::destinations_batch`]).
+    /// consistency argument relies on): [`BrokerCore::handle_into`]
+    /// folded over the batch.
     pub fn handle_batch(&mut self, from: Hop, msgs: Vec<PubSubMsg>) -> Vec<BrokerOutput> {
         self.handle_batch_prematched(from, msgs, None)
     }
@@ -523,92 +533,86 @@ impl BrokerCore {
     /// publication sequence. Stale pre-computations (version stamp
     /// mismatch — the routing state mutated since the match stage,
     /// including *mid-batch* by a subscription in this very batch) are
-    /// discarded and the affected runs re-matched; results are
-    /// identical either way (asserted in debug builds).
+    /// ignored from there on and the publications matched afresh;
+    /// results are identical either way (asserted in debug builds).
     pub fn handle_batch_prematched(
         &mut self,
         from: Hop,
         msgs: Vec<PubSubMsg>,
         mut pre: Option<&mut PrematchedRoutes>,
     ) -> Vec<BrokerOutput> {
-        let mut batch = Vec::new();
-        let mut run: Vec<PublicationMsg> = Vec::new();
+        let mut out = Vec::new();
         for msg in msgs {
-            *self.stats.handled.entry(msg.kind()).or_insert(0) += 1;
-            match msg {
-                PubSubMsg::Publish(p) => run.push(p),
-                other => {
-                    self.flush_publish_run(from, &mut run, &mut pre, &mut batch);
-                    batch.extend(match other {
-                        PubSubMsg::Advertise(a) => self.handle_add(from, a),
-                        PubSubMsg::Unadvertise(id) => {
-                            self.handle_retract::<Advertisement>(from, id)
-                        }
-                        PubSubMsg::Subscribe(s) => self.handle_add(from, s),
-                        PubSubMsg::Unsubscribe(id) => self.handle_retract::<Subscription>(from, id),
-                        PubSubMsg::RepairAdv(a) => self.handle_repair(from, a),
-                        PubSubMsg::RepairSub(s) => self.handle_repair(from, s),
-                        PubSubMsg::Publish(_) => unreachable!("publications batched above"),
-                    });
-                }
-            }
+            self.handle_into(from, msg, pre.as_deref_mut(), &mut out);
         }
-        self.flush_publish_run(from, &mut run, &mut pre, &mut batch);
-        batch
+        out
     }
 
-    /// Routes an accumulated run of publications through one batch
-    /// match — or through still-fresh pre-computed routes — emitting
-    /// the same effects, in the same order, as routing them one by
-    /// one.
-    fn flush_publish_run(
+    /// Handles one routing-layer message arriving from `from`, writing
+    /// its effects into `effects`, which the caller owns and may keep
+    /// from one step to the next. A publication takes the next set of
+    /// `pre` (see [`BrokerCore::handle_batch_prematched`]) while its
+    /// stamp is current, and is matched here otherwise.
+    pub fn handle_into(
         &mut self,
         from: Hop,
-        run: &mut Vec<PublicationMsg>,
-        pre: &mut Option<&mut PrematchedRoutes>,
-        batch: &mut Vec<BrokerOutput>,
+        msg: PubSubMsg,
+        pre: Option<&mut PrematchedRoutes>,
+        effects: &mut impl Effects,
     ) {
-        if run.is_empty() {
-            return;
-        }
-        // Take the run's pre-computed routes if the stamp is still
-        // current; drop the whole pre-computation the moment it goes
-        // stale (the version only moves forward, so it cannot become
-        // valid again).
-        let mut routes = match pre {
-            Some(p) if p.version == self.prt.routing_version() => {
-                Some(p.routes.by_ref().take(run.len()).collect::<Vec<_>>())
-            }
-            _ => {
-                *pre = None;
-                None
-            }
+        *self.stats.handled.entry(msg.kind()).or_insert(0) += 1;
+        let outs = match msg {
+            PubSubMsg::Publish(p) => return self.route_publication(from, p, pre, effects),
+            PubSubMsg::Advertise(a) => self.handle_add(from, a),
+            PubSubMsg::Unadvertise(id) => self.handle_retract::<Advertisement>(from, id),
+            PubSubMsg::Subscribe(s) => self.handle_add(from, s),
+            PubSubMsg::Unsubscribe(id) => self.handle_retract::<Subscription>(from, id),
+            PubSubMsg::RepairAdv(a) => self.handle_repair(from, a),
+            PubSubMsg::RepairSub(s) => self.handle_repair(from, s),
         };
-        if self.config.multipath {
+        for o in outs {
+            effects.emit(o);
+        }
+    }
+
+    /// Routes one publication through its pre-computed destination
+    /// set, if `pre` is still current, or through a fresh match into
+    /// the reused lists of `DESTS`.
+    fn route_publication(
+        &mut self,
+        from: Hop,
+        p: PublicationMsg,
+        pre: Option<&mut PrematchedRoutes>,
+        effects: &mut impl Effects,
+    ) {
+        // The version only moves forward, so a stale pre-computation
+        // never becomes valid again.
+        let version = self.prt.routing_version();
+        let routed = pre
+            .filter(|pre| pre.version == version)
+            .and_then(|pre| pre.routes.next());
+        if self.config.multipath && !self.dedup.insert(p.id) {
             // A publication already forwarded and delivered here via
             // another path of the cyclic overlay is dropped before it
             // costs a match. (Its pre-computed set was taken above,
             // keeping the cursor aligned, and goes with it.)
-            let fresh: Vec<bool> = run.iter().map(|p| self.dedup.insert(p.id)).collect();
-            let mut keep = fresh.iter();
-            run.retain(|_| *keep.next().expect("one flag per publication"));
-            if let Some(rows) = &mut routes {
-                let mut keep = fresh.iter();
-                rows.retain(|_| *keep.next().expect("one flag per publication"));
-            }
+            return;
         }
-        let fresh = || {
-            let contents: Vec<&Publication> = run.iter().map(|p| &p.content).collect();
-            self.prt.destinations_batch(&contents)
-        };
-        let routes = routes.unwrap_or_else(fresh);
-        debug_assert_eq!(
-            routes,
-            fresh(),
-            "pre-computed destinations diverged from the current routing state"
-        );
-        for (p, dests) in run.drain(..).zip(routes) {
-            batch.extend(self.emit_publish(from, p, dests));
+        match routed {
+            Some(dests) => {
+                debug_assert_eq!(
+                    dests,
+                    self.prt.destinations(&p.content),
+                    "pre-computed destinations diverged from the current routing state"
+                );
+                self.emit_publish(from, p, &dests, effects);
+            }
+            None => {
+                let mut dests = DESTS.take();
+                self.prt.destinations_into(&p.content, &mut dests);
+                self.emit_publish(from, p, &dests, effects);
+                DESTS.set(dests);
+            }
         }
     }
 
@@ -1082,33 +1086,28 @@ impl BrokerCore {
 
     /// Turns one publication's destination set (active, pending and,
     /// on cyclic overlays, redundant hops of every matching row,
-    /// already merged by [`Prt::destinations_batch`]) into forwarding
+    /// already merged by [`Prt::destinations_into`]) into forwarding
     /// effects: brokers ascending, then clients ascending, the arrival
     /// direction suppressed.
     fn emit_publish(
         &mut self,
         from: Hop,
         p: PublicationMsg,
-        dests: Destinations,
-    ) -> Vec<BrokerOutput> {
+        dests: &Destinations,
+        effects: &mut impl Effects,
+    ) {
         let multipath = self.config.multipath;
-        let Destinations {
-            mut brokers,
-            mut clients,
-        } = dests;
-        match from {
-            Hop::Broker(n) => brokers.retain(|b| *b != n),
-            Hop::Client(c) => clients.retain(|d| *d != c),
-        }
-        if multipath && p.hops >= MAX_PUB_HOPS && !brokers.is_empty() {
+        let brokers = (dests.brokers.iter().copied()).filter(|&b| Hop::Broker(b) != from);
+        let clients = (dests.clients.iter().copied()).filter(|&c| Hop::Client(c) != from);
+        let mut forward = brokers.clone().next().is_some();
+        if multipath && p.hops >= MAX_PUB_HOPS && forward {
             // Backstop bound: the dedup window should have terminated
             // any cycle long before this; count the drop so tests see
             // it.
             self.stats.anomalies += 1;
-            brokers.clear();
+            forward = false;
         }
-        let mut out = Vec::with_capacity(brokers.len() + clients.len());
-        if !brokers.is_empty() {
+        if forward {
             // The hop count only moves on cyclic overlays, keeping
             // acyclic forwarding byte-identical to previous releases.
             let mut fwd = p.clone();
@@ -1116,13 +1115,12 @@ impl BrokerCore {
                 fwd.hops += 1;
             }
             for n in brokers {
-                out.push(BrokerOutput::ToBroker(n, PubSubMsg::Publish(fwd.clone())));
+                effects.emit(BrokerOutput::ToBroker(n, PubSubMsg::Publish(fwd.clone())));
             }
         }
         for c in clients {
-            out.push(BrokerOutput::Deliver(c, p.clone()));
+            effects.emit(BrokerOutput::Deliver(c, p.clone()));
         }
-        out
     }
 
     // ----- movement-transaction support ------------------------------

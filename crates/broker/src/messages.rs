@@ -160,6 +160,22 @@ pub enum BrokerOutput {
     Deliver(ClientId, PublicationMsg),
 }
 
+/// Where a [`crate::BrokerCore`] step writes its effects, in emission
+/// order. A `Vec<BrokerOutput>` collects them; a host that turns them
+/// into effects of its own passes a sink that converts each one as it
+/// is emitted, so an effect is built once, where it ends up
+/// ([`crate::BrokerCore::handle_into`]).
+pub trait Effects {
+    /// Takes the next effect.
+    fn emit(&mut self, effect: BrokerOutput);
+}
+
+impl Effects for Vec<BrokerOutput> {
+    fn emit(&mut self, effect: BrokerOutput) {
+        self.push(effect);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -817,14 +817,14 @@ struct Reach {
 }
 
 impl Reach {
-    /// An empty accumulator for a census whose ids are below `width`.
-    fn new(width: usize) -> Reach {
+    /// An empty accumulator for a census whose ids are below `width`,
+    /// recording into `dests`' lists (emptied first).
+    fn new(mut dests: Destinations, width: usize) -> Reach {
+        dests.brokers.clear();
+        dests.clients.clear();
         let mut seen = SEEN.take();
         seen.resize(width.div_ceil(64), 0);
-        Reach {
-            dests: Destinations::default(),
-            seen,
-        }
+        Reach { dests, seen }
     }
 
     /// Records `hop`, whose census id is `id`, unless it is recorded
@@ -1153,8 +1153,8 @@ impl Table<Subscription> {
     /// must receive traffic) and multi-path forwarding are honoured in
     /// one place.
     ///
-    /// This is the index's fold ([`MatchIndex::fold_matching`]) with
-    /// the forwarding column as its step: per matching row number one
+    /// Each publication is the index's fold ([`MatchIndex::fold_into`])
+    /// with the forwarding column as its step: per matching row number one
     /// cell is read, and neither the matching ids nor the row map are
     /// ever consulted. A hop is recorded the first time a row names its
     /// census id, so the count of hops found is the length of the
@@ -1164,36 +1164,38 @@ impl Table<Subscription> {
     /// against [`Table::destinations_linear`], which scans every row,
     /// in debug builds.
     pub fn destinations_batch(&self, publications: &[&Publication]) -> Vec<Destinations> {
+        publications.iter().map(|p| self.destinations(p)).collect()
+    }
+
+    /// [`Table::destinations_batch`] for one publication, written over
+    /// `dests`: the lists keep their capacity, so a broker that routes
+    /// its publications one by one through one `Destinations` allocates
+    /// nothing for them once the lists have grown.
+    pub fn destinations_into(&self, publication: &Publication, dests: &mut Destinations) {
         let Forwarding { cells, census, .. } = &self.column;
         let (hops, width) = (census.len(), census.width());
-        let out: Vec<Destinations> = self
-            .index
-            .fold_matching(
-                publications,
-                || Reach::new(width),
-                |reach, n| cells[n as usize].for_each_hop(census, |id, hop| reach.add(id, hop)),
-                |reach| reach.found() == hops,
-                Reach::finish,
-            )
-            .into_iter()
-            .map(|reach| reach.dests)
-            .collect();
+        let mut reach = Reach::new(std::mem::take(dests), width);
+        self.index.fold_into(
+            publication,
+            &mut reach,
+            |reach, n| cells[n as usize].for_each_hop(census, |id, hop| reach.add(id, hop)),
+            |reach| reach.found() == hops,
+        );
+        reach.finish();
+        *dests = reach.dests;
         #[cfg(any(test, debug_assertions))]
-        for (dests, p) in out.iter().zip(publications) {
-            assert_eq!(
-                *dests,
-                self.destinations_linear(p),
-                "forwarding column diverged from the linear scan of the rows"
-            );
-        }
-        out
+        assert_eq!(
+            *dests,
+            self.destinations_linear(publication),
+            "forwarding column diverged from the linear scan of the rows"
+        );
     }
 
     /// [`Table::destinations_batch`] for one publication.
     pub fn destinations(&self, publication: &Publication) -> Destinations {
-        self.destinations_batch(&[publication])
-            .pop()
-            .expect("one destination set per publication")
+        let mut dests = Destinations::default();
+        self.destinations_into(publication, &mut dests);
+        dests
     }
 
     /// Reference implementation of [`Table::destinations_batch`]: the

@@ -315,8 +315,11 @@ impl fmt::Display for MoveMsg {
 pub enum Message {
     /// Routing-layer message.
     PubSub(PubSubMsg),
-    /// Movement-protocol message.
-    Move(MoveMsg),
+    /// Movement-protocol message, boxed: its profile and snapshot
+    /// would otherwise make every message, and every [`Output`], as
+    /// large as the largest movement body. A forwarded movement message
+    /// keeps its box across the hop.
+    Move(Box<MoveMsg>),
     /// Overlay-repair notice: `dead` has been declared permanently
     /// failed. Flooded over every surviving link; each receiver
     /// repairs its topology copy deterministically and re-floods, so
@@ -357,7 +360,7 @@ impl From<PubSubMsg> for Message {
 
 impl From<MoveMsg> for Message {
     fn from(m: MoveMsg) -> Self {
-        Message::Move(m)
+        Message::Move(Box::new(m))
     }
 }
 
@@ -486,6 +489,15 @@ mod tests {
         }
         .into();
         assert_eq!(msg.kind(), transmob_broker::MsgKind::MoveCtl);
+    }
+
+    /// Every effect of a broker step is moved at least once, so the
+    /// size of the two enums is paid per effect: a new fat variant
+    /// belongs in a box.
+    #[test]
+    fn messages_and_outputs_stay_small() {
+        assert!(std::mem::size_of::<Message>() <= 48);
+        assert!(std::mem::size_of::<Output>() <= 56);
     }
 
     #[test]

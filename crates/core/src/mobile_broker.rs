@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 use transmob_broker::{
-    BrokerConfig, BrokerCore, BrokerOutput, Hop, PrematchedRoutes, PubSubMsg, Topology,
+    BrokerConfig, BrokerCore, BrokerOutput, Effects, Hop, PrematchedRoutes, PubSubMsg, Topology,
 };
 use transmob_pubsub::{BrokerId, ClientId, MoveId, Publication, PublicationMsg, SubId};
 
@@ -285,7 +285,7 @@ impl MobileBroker {
 
     /// Creates (attaches and starts) a fresh client at this broker.
     pub fn create_client(&mut self, id: ClientId) {
-        let _ = self.input(LoggedInput::CreateClient { client: id });
+        self.input(LoggedInput::CreateClient { client: id }, &mut Vec::new());
     }
 
     // ================= external inputs ================================
@@ -294,7 +294,7 @@ impl MobileBroker {
     /// write-ahead to the attached log (if any), applied, then the
     /// checkpoint rule. Handlers that re-issue a client command call
     /// `client_op_apply` instead, so replay does not run it twice.
-    fn input(&mut self, input: LoggedInput) -> Vec<Output> {
+    fn input(&mut self, input: LoggedInput, out: &mut Vec<Output>) {
         if let Some(log) = &self.log {
             log.lock()
                 .expect("durability log poisoned")
@@ -302,24 +302,23 @@ impl MobileBroker {
                 .expect("durability append failed: refusing to run ahead of the log");
             self.records_since_checkpoint += 1;
         }
-        let out = self.apply(input);
+        self.apply(input, out);
         self.checkpoint_if_due();
-        out
     }
 
-    /// Applies one external input, unlogged: [`MobileBroker::input`]
-    /// and recovery replay both go through here.
-    fn apply(&mut self, input: LoggedInput) -> Vec<Output> {
+    /// Applies one external input, unlogged, appending its effects to
+    /// `out`: [`MobileBroker::input`] and recovery replay both go
+    /// through here.
+    fn apply(&mut self, input: LoggedInput, out: &mut Vec<Output>) {
         match input {
-            LoggedInput::Message { from, msg } => self.apply_messages(from, vec![msg], None),
-            LoggedInput::ClientOp { client, op } => self.client_op_apply(client, op),
-            LoggedInput::Timer { token } => self.handle_timer_apply(token),
+            LoggedInput::Message { from, msg } => self.apply_messages(from, [msg], None, out),
+            LoggedInput::ClientOp { client, op } => self.client_op_apply(client, op, out),
+            LoggedInput::Timer { token } => self.handle_timer_apply(token, out),
             LoggedInput::CreateClient { client } => {
                 self.clients.insert(client, HostedClient::started(client));
                 self.core.attach_client(client);
-                Vec::new()
             }
-            LoggedInput::BrokerDeath { dead } => self.broker_death_apply(dead),
+            LoggedInput::BrokerDeath { dead } => self.broker_death_apply(dead, out),
         }
     }
 
@@ -401,13 +400,15 @@ impl MobileBroker {
         records: Vec<DurabilityRecord>,
     ) -> (MobileBroker, Vec<Output>) {
         let mut broker = MobileBroker::restore(topology, config, checkpoint);
+        let mut discarded = Vec::new();
         for rec in records {
             assert_eq!(
                 rec.v, DURABILITY_FORMAT_VERSION,
                 "unknown durability record version {}",
                 rec.v
             );
-            let _ = broker.apply(rec.input);
+            broker.apply(rec.input, &mut discarded);
+            discarded.clear();
         }
         let timers = broker.rearm_timers();
         (broker, timers)
@@ -551,33 +552,33 @@ impl MobileBroker {
         next
     }
 
-    /// Converts routing-core effects into driver effects, routing
-    /// client deliveries through the hosted stubs (with buffering and
-    /// exactly-once dedup).
-    fn absorb(&mut self, outputs: Vec<BrokerOutput>) -> Vec<Output> {
-        let mut out = Vec::with_capacity(outputs.len());
+    /// Converts routing-core effects into driver effects at the end of
+    /// `out`, routing client deliveries through the hosted stubs (see
+    /// [`Absorb`]).
+    fn absorb(&mut self, outputs: Vec<BrokerOutput>, out: &mut Vec<Output>) {
+        let mut sink = Absorb {
+            clients: &mut self.clients,
+            out,
+        };
         for o in outputs {
-            match o {
-                BrokerOutput::ToBroker(n, msg) => out.push(Output::Send {
-                    to: n,
-                    msg: Message::PubSub(msg),
-                }),
-                BrokerOutput::Deliver(cid, publication) => {
-                    if let Some(stub) = self.clients.get_mut(&cid) {
-                        if stub.deliver(&publication) == DeliverOutcome::Surfaced {
-                            out.push(Output::DeliverToApp {
-                                client: cid,
-                                publication,
-                            });
-                        }
-                    }
-                    // A delivery for a client we no longer host can
-                    // only be a leftover of a committed movement whose
-                    // duplicate the target-side dedup will suppress.
-                }
-            }
+            sink.emit(o);
         }
-        out
+    }
+
+    /// Hands one routing-layer message to the core, whose effects land
+    /// at the end of `out` as driver effects, each built once.
+    fn route(
+        &mut self,
+        from: Hop,
+        msg: PubSubMsg,
+        pre: Option<&mut PrematchedRoutes>,
+        out: &mut Vec<Output>,
+    ) {
+        let mut sink = Absorb {
+            clients: &mut self.clients,
+            out,
+        };
+        self.core.handle_into(from, msg, pre, &mut sink);
     }
 
     // ================= client commands ================================
@@ -589,10 +590,18 @@ impl MobileBroker {
     /// Panics if the client is not hosted here (drivers address
     /// commands to the client's current broker).
     pub fn client_op(&mut self, client: ClientId, op: ClientOp) -> Vec<Output> {
-        self.input(LoggedInput::ClientOp { client, op })
+        let mut out = Vec::new();
+        self.client_op_into(client, op, &mut out);
+        out
     }
 
-    fn client_op_apply(&mut self, client: ClientId, op: ClientOp) -> Vec<Output> {
+    /// [`MobileBroker::client_op`], appending the effects to `out`, a
+    /// buffer the driver keeps from one step to the next.
+    pub fn client_op_into(&mut self, client: ClientId, op: ClientOp, out: &mut Vec<Output>) {
+        self.input(LoggedInput::ClientOp { client, op }, out);
+    }
+
+    fn client_op_apply(&mut self, client: ClientId, op: ClientOp, out: &mut Vec<Output>) {
         let stub = self
             .clients
             .get_mut(&client)
@@ -605,65 +614,40 @@ impl MobileBroker {
                 ))
         {
             stub.queue_op(op);
-            return Vec::new();
+            return;
         }
+        let from = Hop::Client(client);
         match op {
             ClientOp::Subscribe(filter) => {
                 let s = stub.new_subscription(filter);
-                let outs = self
-                    .core
-                    .handle(Hop::Client(client), PubSubMsg::Subscribe(s));
-                self.absorb(outs)
+                self.route(from, PubSubMsg::Subscribe(s), None, out);
             }
             ClientOp::Unsubscribe(seq) => match stub.remove_subscription(seq) {
-                Some(s) => {
-                    let outs = self
-                        .core
-                        .handle(Hop::Client(client), PubSubMsg::Unsubscribe(s.id));
-                    self.absorb(outs)
-                }
-                None => {
-                    self.anomalies += 1;
-                    Vec::new()
-                }
+                Some(s) => self.route(from, PubSubMsg::Unsubscribe(s.id), None, out),
+                None => self.anomalies += 1,
             },
             ClientOp::Advertise(filter) => {
                 let a = stub.new_advertisement(filter);
-                let outs = self
-                    .core
-                    .handle(Hop::Client(client), PubSubMsg::Advertise(a));
-                self.absorb(outs)
+                self.route(from, PubSubMsg::Advertise(a), None, out);
             }
             ClientOp::Unadvertise(seq) => match stub.remove_advertisement(seq) {
-                Some(a) => {
-                    let outs = self
-                        .core
-                        .handle(Hop::Client(client), PubSubMsg::Unadvertise(a.id));
-                    self.absorb(outs)
-                }
-                None => {
-                    self.anomalies += 1;
-                    Vec::new()
-                }
+                Some(a) => self.route(from, PubSubMsg::Unadvertise(a.id), None, out),
+                None => self.anomalies += 1,
             },
             ClientOp::Publish(content) => {
                 let p = PublicationMsg::new(stub.next_pub_id(), client, content);
-                let outs = self.core.handle(Hop::Client(client), PubSubMsg::Publish(p));
-                self.absorb(outs)
+                self.route(from, PubSubMsg::Publish(p), None, out);
             }
             ClientOp::Pause => {
                 // started | pause_oper → pause_oper (idempotent).
                 stub.set_state(ClientState::PauseOper);
-                Vec::new()
             }
             ClientOp::Resume => {
                 if stub.state() == ClientState::PauseOper {
-                    self.resume_client(client)
-                } else {
-                    Vec::new()
+                    self.resume_client(client, out);
                 }
             }
-            ClientOp::MoveTo(to, protocol) => self.start_move(client, to, protocol),
+            ClientOp::MoveTo(to, protocol) => self.start_move(client, to, protocol, out),
         }
     }
 
@@ -678,15 +662,17 @@ impl MobileBroker {
         client: ClientId,
         to: BrokerId,
         protocol: ProtocolKind,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         if to == self.id() || !self.topology.contains(to) {
             // Degenerate movement: nothing to do (or unknown target).
             let m = self.fresh_move_id();
-            return vec![Output::MoveFinished {
+            out.push(Output::MoveFinished {
                 m,
                 client,
                 committed: to == self.id(),
-            }];
+            });
+            return;
         }
         let m = self.fresh_move_id();
         // unwrap: caller contract of client_op — the stub exists
@@ -703,7 +689,6 @@ impl MobileBroker {
                 fixups: Vec::new(),
             },
         );
-        let mut out = Vec::new();
         let msg = match protocol {
             ProtocolKind::Reconfig => MoveMsg::Negotiate {
                 m,
@@ -722,7 +707,7 @@ impl MobileBroker {
         };
         out.push(Output::Send {
             to: self.route_next(to),
-            msg: Message::Move(msg),
+            msg: msg.into(),
         });
         if let Some(delay_ns) = self.config.negotiate_timeout_ns {
             out.push(Output::SetTimer {
@@ -730,14 +715,15 @@ impl MobileBroker {
                 delay_ns,
             });
         }
-        out
     }
 
     // ================= message handling ===============================
 
     /// Handles one incoming message from a neighbouring broker.
     pub fn handle(&mut self, from: Hop, msg: Message) -> Vec<Output> {
-        self.input(LoggedInput::Message { from, msg })
+        let mut out = Vec::new();
+        self.input(LoggedInput::Message { from, msg }, &mut out);
+        out
     }
 
     /// Handles a batch of incoming messages that arrived together from
@@ -745,15 +731,23 @@ impl MobileBroker {
     ///
     /// Defined as the sequential fold of [`MobileBroker::handle`]: the
     /// outputs are the concatenation, in order, of what per-message
-    /// handling would emit. Batching buys two amortizations: the whole
+    /// handling would emit. Batching buys one amortization: the whole
     /// batch is logged with one [`DurabilityLog::append_batch`] call
     /// (one flush on file-backed logs; the records stay individual, so
-    /// crash recovery can still replay a prefix), and maximal runs of
-    /// consecutive pub/sub messages go through
-    /// [`BrokerCore::handle_batch`], which amortizes publication
-    /// matching across the run.
+    /// crash recovery can still replay a prefix). Thin wrapper over
+    /// [`MobileBroker::handle_batch_into`].
     pub fn handle_batch(&mut self, from: Hop, msgs: Vec<Message>) -> Vec<Output> {
-        self.handle_batch_apply(from, msgs, None)
+        let mut out = Vec::new();
+        self.handle_batch_into(from, msgs, &mut out);
+        out
+    }
+
+    /// [`MobileBroker::handle_batch`], appending the effects to `out`,
+    /// a buffer the driver keeps from one step to the next: the step's
+    /// effects are written there once, as they are made, and a pub/sub
+    /// message's go straight from the routing core into it.
+    pub fn handle_batch_into(&mut self, from: Hop, msgs: Vec<Message>, out: &mut Vec<Output>) {
+        self.handle_batch_apply(from, msgs, None, out);
     }
 
     /// The read-locked *match* stage of a pipelined broker loop:
@@ -785,7 +779,9 @@ impl MobileBroker {
         msgs: Vec<Message>,
         mut pre: PrematchedRoutes,
     ) -> Vec<Output> {
-        self.handle_batch_apply(from, msgs, Some(&mut pre))
+        let mut out = Vec::new();
+        self.handle_batch_apply(from, msgs, Some(&mut pre), &mut out);
+        out
     }
 
     /// Logs a message batch write-ahead through one
@@ -796,9 +792,10 @@ impl MobileBroker {
         from: Hop,
         msgs: Vec<Message>,
         pre: Option<&mut PrematchedRoutes>,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         if msgs.is_empty() {
-            return Vec::new();
+            return;
         }
         if let Some(log) = &self.log {
             let records: Vec<DurabilityRecord> = (msgs.iter())
@@ -815,81 +812,79 @@ impl MobileBroker {
                 .expect("durability append failed: refusing to run ahead of the log");
             self.records_since_checkpoint += records.len() as u32;
         }
-        let out = self.apply_messages(from, msgs, pre);
+        self.apply_messages(from, msgs, pre, out);
         self.checkpoint_if_due();
-        out
     }
 
-    /// Applies messages from one hop in order, unlogged: maximal runs
-    /// of consecutive pub/sub messages go through the routing core's
-    /// batch entry point, each other message through its handler.
+    /// Applies messages from one hop in order, unlogged: a pub/sub
+    /// message goes through the routing core (taking its publication's
+    /// set of `pre`, if any), each other message through its handler.
     fn apply_messages(
         &mut self,
         from: Hop,
-        msgs: Vec<Message>,
+        msgs: impl IntoIterator<Item = Message>,
         mut pre: Option<&mut PrematchedRoutes>,
-    ) -> Vec<Output> {
-        let mut out = Vec::new();
-        let mut run: Vec<PubSubMsg> = Vec::new();
-        for msg in msgs {
-            match msg {
-                Message::PubSub(p) => run.push(p),
-                Message::Move(mv) => {
-                    self.flush_pubsub_run(from, &mut run, &mut pre, &mut out);
-                    out.extend(self.handle_move(from, mv));
-                }
-                Message::BrokerDeath { dead } => {
-                    self.flush_pubsub_run(from, &mut run, &mut pre, &mut out);
-                    out.extend(self.broker_death_apply(dead));
-                }
-            }
-        }
-        self.flush_pubsub_run(from, &mut run, &mut pre, &mut out);
-        out
-    }
-
-    /// Applies a buffered run of consecutive pub/sub messages through
-    /// the routing core's batch entry point.
-    fn flush_pubsub_run(
-        &mut self,
-        from: Hop,
-        run: &mut Vec<PubSubMsg>,
-        pre: &mut Option<&mut PrematchedRoutes>,
         out: &mut Vec<Output>,
     ) {
-        if run.is_empty() {
-            return;
+        for msg in msgs {
+            match msg {
+                Message::PubSub(p) => self.route(from, p, pre.as_deref_mut(), out),
+                Message::Move(mv) => self.handle_move(from, mv, out),
+                Message::BrokerDeath { dead } => self.broker_death_apply(dead, out),
+            }
         }
-        let reborrow = pre.as_mut().map(|p| &mut **p);
-        let batch = self
-            .core
-            .handle_batch_prematched(from, std::mem::take(run), reborrow);
-        out.extend(self.absorb(batch));
     }
 
-    /// Sends a routed movement message one hop toward its destination.
-    fn forward_move(&mut self, msg: MoveMsg) -> Vec<Output> {
+    /// Sends a routed movement message one hop toward its destination,
+    /// in the box it arrived in, if it arrived.
+    fn forward_move(&mut self, msg: impl Into<Box<MoveMsg>>, out: &mut Vec<Output>) {
+        let msg = msg.into();
         match self.try_route_next(msg.destination()) {
-            Some(next) => vec![Output::Send {
+            Some(next) => out.push(Output::Send {
                 to: next,
                 msg: Message::Move(msg),
-            }],
+            }),
             None => {
                 // The destination fell out of the overlay (broker
                 // death): drop the message; the endpoints' death
                 // handling resolves the transaction.
                 self.anomalies += 1;
-                Vec::new()
             }
         }
     }
 
-    fn handle_move(&mut self, from: Hop, msg: MoveMsg) -> Vec<Output> {
+    fn handle_move(&mut self, from: Hop, msg: Box<MoveMsg>, out: &mut Vec<Output>) {
         // Routed messages are only acted on at their destination.
         if !msg.is_hop_by_hop() && msg.destination() != self.id() {
-            return self.forward_move(msg);
+            return self.forward_move(msg, out);
         }
-        match msg {
+        match *msg {
+            // The hop-by-hop messages walk on in their box.
+            MoveMsg::Reconfigure { .. } => self.on_reconfigure(from, msg, out),
+            MoveMsg::StateTransfer { .. } => self.on_state_transfer(msg, out),
+            MoveMsg::AbortMove { .. } => self.on_abort_move(msg, out),
+            MoveMsg::Negotiate { .. } | MoveMsg::CovRequest { .. } => self.on_request(msg, out),
+            MoveMsg::Reject { m, .. } => self.on_reject(m, out),
+            MoveMsg::Ack { m, .. } | MoveMsg::CovDone { m, .. } => self.on_done(m, out),
+            MoveMsg::CovAccept { m, .. } => self.on_cov_accept(m, out),
+            MoveMsg::CovTransfer {
+                m,
+                client,
+                profile,
+                snapshot,
+                ..
+            } => self.on_cov_transfer(m, client, profile, snapshot, out),
+        }
+    }
+
+    // ----- target side: Init → Prepare ---------------------------------
+
+    /// A movement request at its target, `Negotiate` (with the profile
+    /// to shadow-install) or `CovRequest`: Init → Prepare, answered
+    /// with `Reconfigure` or `CovAccept`, or a `Reject` when this
+    /// broker takes no movers. The answer leaves in the request's box.
+    fn on_request(&mut self, mut msg: Box<MoveMsg>, out: &mut Vec<Output>) {
+        let (m, client, source, target, protocol, profile) = match &mut *msg {
             MoveMsg::Negotiate {
                 m,
                 client,
@@ -897,65 +892,26 @@ impl MobileBroker {
                 target,
                 profile,
                 protocol,
-            } => self.on_request(m, client, source, target, protocol, Some(profile)),
+            } => (
+                *m,
+                *client,
+                *source,
+                *target,
+                *protocol,
+                Some(std::mem::take(profile)),
+            ),
             MoveMsg::CovRequest {
                 m,
                 client,
                 source,
                 target,
-            } => self.on_request(m, client, source, target, ProtocolKind::Covering, None),
-            MoveMsg::Reject { m, .. } => self.on_reject(m),
-            MoveMsg::Reconfigure {
-                m,
-                client,
-                source,
-                target,
-                profile,
-            } => self.on_reconfigure(from, m, client, source, target, profile),
-            MoveMsg::StateTransfer {
-                m,
-                client,
-                source,
-                target,
-                snapshot,
-            } => self.on_state_transfer(m, client, source, target, snapshot),
-            MoveMsg::Ack { m, .. } | MoveMsg::CovDone { m, .. } => self.on_done(m),
-            MoveMsg::AbortMove {
-                m,
-                client,
-                source,
-                target,
-                toward,
-            } => self.on_abort_move(m, client, source, target, toward),
-            MoveMsg::CovAccept { m, .. } => self.on_cov_accept(m),
-            MoveMsg::CovTransfer {
-                m,
-                client,
-                profile,
-                snapshot,
-                ..
-            } => self.on_cov_transfer(m, client, profile, snapshot),
-        }
-    }
-
-    // ----- target side: Init → Prepare ---------------------------------
-
-    /// A movement request at its target, `Negotiate` (with the profile
-    /// to shadow-install) or `CovRequest` (`profile` is `None`): Init →
-    /// Prepare, answered with `Reconfigure` or `CovAccept`, or a
-    /// `Reject` when this broker takes no movers.
-    fn on_request(
-        &mut self,
-        m: MoveId,
-        client: ClientId,
-        source: BrokerId,
-        target: BrokerId,
-        protocol: ProtocolKind,
-        profile: Option<ClientProfile>,
-    ) -> Vec<Output> {
+            } => (*m, *client, *source, *target, ProtocolKind::Covering, None),
+            _ => unreachable!("dispatched on the variant"),
+        };
         debug_assert_eq!(target, self.id());
         if !self.config.accept_moves {
-            return self.forward_move(MoveMsg::Reject { m, source, target });
+            *msg = MoveMsg::Reject { m, source, target };
+            return self.forward_move(msg, out);
         }
         if self.tgt_moves.contains_key(&m) {
             // Duplicate request (wire duplication, or a retransmit
@@ -965,7 +921,7 @@ impl MobileBroker {
             // again would wipe whatever the copy has buffered during
             // the prepare window.
             self.anomalies += 1;
-            return Vec::new();
+            return;
         }
         let reply = match profile {
             Some(profile) => {
@@ -974,7 +930,7 @@ impl MobileBroker {
                     // flight: there is no coordinator left to converse
                     // with.
                     self.anomalies += 1;
-                    return Vec::new();
+                    return;
                 };
                 // Create the client copy (state `Created`) and install
                 // the shadow routing configuration at the target
@@ -983,7 +939,7 @@ impl MobileBroker {
                 let copy = HostedClient::created_from_profile(client, &profile);
                 self.clients.insert(client, copy);
                 self.core.attach_client(client);
-                self.install_shadows(m, &profile, Hop::Client(client), Some(back));
+                self.install_shadows(m, &profile, Hop::Client(client), Some(back), out);
                 MoveMsg::Reconfigure {
                     m,
                     client,
@@ -1003,33 +959,54 @@ impl MobileBroker {
                 protocol,
             },
         );
-        let mut out = self.forward_move(reply);
+        *msg = reply;
+        self.forward_move(msg, out);
         if let Some(delay_ns) = self.config.state_timeout_ns {
             out.push(Output::SetTimer {
                 token: TimerToken::State(m),
                 delay_ns,
             });
         }
-        out
     }
 
     // ----- reconfiguration message, walked target → source ------------
 
-    fn on_reconfigure(
-        &mut self,
-        from: Hop,
-        m: MoveId,
-        client: ClientId,
-        source: BrokerId,
-        target: BrokerId,
-        profile: ClientProfile,
-    ) -> Vec<Output> {
+    /// `Reconfigure` at a path broker or at the source; `msg` walks on
+    /// toward the source in its box.
+    fn on_reconfigure(&mut self, from: Hop, mut msg: Box<MoveMsg>, out: &mut Vec<Output>) {
+        let MoveMsg::Reconfigure {
+            m,
+            client,
+            source,
+            target,
+            ref profile,
+        } = *msg
+        else {
+            unreachable!("dispatched on the variant")
+        };
         let Hop::Broker(frm) = from else {
             self.anomalies += 1;
-            return Vec::new();
+            return;
         };
         if self.id() == source {
-            return self.on_reconfigure_at_source(frm, m, client, target, profile);
+            let Some(snapshot) =
+                self.on_reconfigure_at_source(frm, m, client, target, profile, out)
+            else {
+                return;
+            };
+            // Message (4) leaves in the box message (2) came in.
+            *msg = MoveMsg::StateTransfer {
+                m,
+                client,
+                source,
+                target,
+                snapshot,
+            };
+            out.push(Output::Send {
+                to: frm,
+                msg: Message::Move(msg),
+            });
+            return;
         }
         // Intermediate broker: install shadow configuration pointing at
         // the target direction, perform the Sec. 4.4 PRT fix-ups, and
@@ -1039,21 +1016,14 @@ impl MobileBroker {
             // walking toward it; the target's state timer aborts the
             // movement.
             self.anomalies += 1;
-            return Vec::new();
+            return;
         };
-        let (fixups, mut out) = self.install_shadows(m, &profile, Hop::Broker(frm), Some(back));
+        let fixups = self.install_shadows(m, profile, Hop::Broker(frm), Some(back), out);
         self.path_moves.insert(m, PathMoveRecord { fixups });
         out.push(Output::Send {
             to: back,
-            msg: Message::Move(MoveMsg::Reconfigure {
-                m,
-                client,
-                source,
-                target,
-                profile,
-            }),
+            msg: Message::Move(msg),
         });
-        out
     }
 
     /// Installs movement `m`'s shadow configuration of `profile`: the
@@ -1061,104 +1031,101 @@ impl MobileBroker {
     /// toward the source (`None` at the source itself). Toward a
     /// neighbour, the pull rule runs for each advertisement. Returns
     /// the subscriptions it put on that link (the Sec. 4.4 fix-ups,
-    /// kept for rollback) and what it sent.
+    /// kept for rollback); what it sent lands in `out`.
     fn install_shadows(
         &mut self,
         m: MoveId,
         profile: &ClientProfile,
         to: Hop,
         back: Option<BrokerId>,
-    ) -> (Vec<(SubId, BrokerId)>, Vec<Output>) {
+        out: &mut Vec<Output>,
+    ) -> Vec<(SubId, BrokerId)> {
         for s in &profile.subs {
             self.core.install_pending_sub(s, m, to, back);
         }
         let mut fixups = Vec::new();
-        let mut outs = Vec::new();
         for a in &profile.advs {
             self.core.install_pending_adv(a, m, to, back);
             if let Hop::Broker(n) = to {
                 let (pull_outs, pulled) = self.core.pull_subs_toward(a.id, n);
-                outs.extend(pull_outs);
+                self.absorb(pull_outs, out);
                 fixups.extend(pulled.into_iter().map(|sid| (sid, n)));
             }
         }
-        (fixups, self.absorb(outs))
+        fixups
     }
 
     // ----- source side: Wait → Prepare ----------------------------------
 
+    /// `Reconfigure` at the source: installs the shadows, takes the
+    /// client's snapshot and commits the local hop. Returns the
+    /// snapshot that message (4) carries to `frm`, or `None` when no
+    /// commit pass is due.
     fn on_reconfigure_at_source(
         &mut self,
         frm: BrokerId,
         m: MoveId,
         client: ClientId,
         target: BrokerId,
-        profile: ClientProfile,
-    ) -> Vec<Output> {
+        profile: &ClientProfile,
+        out: &mut Vec<Output>,
+    ) -> Option<ClientSnapshot> {
         let source = self.id();
         match self.source_state(m) {
             Some(SourceCoordState::Wait) => {}
             None => {
                 // We already gave up on this movement (timeout): undo
                 // the reconfiguration along the path.
-                return self.abort_pass(m, client, source, target, target);
+                self.abort_pass(m, client, source, target, target, out);
+                return None;
             }
             Some(_) => {
                 self.anomalies += 1;
-                return Vec::new();
+                return None;
             }
         }
         // Install the shadow configuration at the source: entries flip
         // from the local client to the path toward the target.
-        let (fixups, mut out) = self.install_shadows(m, &profile, Hop::Broker(frm), None);
+        let fixups = self.install_shadows(m, profile, Hop::Broker(frm), None, out);
         let snapshot = self.prepare_source(m, fixups);
-        // Local hop of the commit pass, then send `state` (message (4))
-        // which commits hop-by-hop on its way to the target.
+        // Local hop of the commit pass, then (at the caller) `state`
+        // (message (4)), which commits hop-by-hop on its way to the
+        // target.
         let outs = self.core.commit_move(m);
-        out.extend(self.absorb(outs));
+        self.absorb(outs, out);
         out.push(Output::CancelTimer {
             token: TimerToken::Negotiate(m),
         });
-        out.push(Output::Send {
-            to: frm,
-            msg: Message::Move(MoveMsg::StateTransfer {
-                m,
-                client,
-                source,
-                target,
-                snapshot,
-            }),
-        });
-        out
+        Some(snapshot)
     }
 
-    fn on_cov_accept(&mut self, m: MoveId) -> Vec<Output> {
+    fn on_cov_accept(&mut self, m: MoveId, out: &mut Vec<Output>) {
         if self.source_state(m) != Some(SourceCoordState::Wait) {
             self.anomalies += 1;
-            return Vec::new();
+            return;
         }
         let snapshot = self.prepare_source(m, Vec::new());
         let rec = &self.src_moves[&m];
         let (client, target) = (rec.client, rec.target);
         let profile = self.clients[&client].profile();
-        let mut out = vec![Output::CancelTimer {
+        out.push(Output::CancelTimer {
             token: TimerToken::Negotiate(m),
-        }];
+        });
         if !self.config.make_before_break {
             // Traditional order: retract everything at the source
             // first. The covering optimization now quenches or
             // cascades as the workload dictates.
-            out.extend(self.route_profile(client, &profile, false));
+            self.route_profile(client, &profile, false, out);
         }
-        out.extend(self.forward_move(MoveMsg::CovTransfer {
+        let transfer = MoveMsg::CovTransfer {
             m,
             client,
             source: self.id(),
             target,
             profile,
             snapshot,
-        }));
-        out
+        };
+        self.forward_move(transfer, out);
     }
 
     /// Source Wait → Prepare for a record its caller found waiting:
@@ -1177,14 +1144,19 @@ impl MobileBroker {
 
     // ----- commit: the state reaches the target --------------------------
 
-    fn on_state_transfer(
-        &mut self,
-        m: MoveId,
-        client: ClientId,
-        source: BrokerId,
-        target: BrokerId,
-        snapshot: ClientSnapshot,
-    ) -> Vec<Output> {
+    /// `StateTransfer` at a path broker, which commits and passes `msg`
+    /// on in its box, or at the target.
+    fn on_state_transfer(&mut self, msg: Box<MoveMsg>, out: &mut Vec<Output>) {
+        let MoveMsg::StateTransfer {
+            m,
+            client,
+            source,
+            target,
+            ..
+        } = *msg
+        else {
+            unreachable!("dispatched on the variant")
+        };
         if self.id() != target {
             // Intermediate broker: commit the shadow configuration and
             // walk on. If the target died mid-commit, the committed
@@ -1192,15 +1164,8 @@ impl MobileBroker {
             // source's death handling resurrects the client.
             let outs = self.core.commit_move(m);
             self.path_moves.remove(&m);
-            let mut out = self.absorb(outs);
-            out.extend(self.forward_move(MoveMsg::StateTransfer {
-                m,
-                client,
-                source,
-                target,
-                snapshot,
-            }));
-            return out;
+            self.absorb(outs, out);
+            return self.forward_move(msg, out);
         }
         match self.target_state(m) {
             Some(TargetCoordState::Prepare) => {}
@@ -1210,24 +1175,26 @@ impl MobileBroker {
                 // chase the ack down the path and tear a committed
                 // movement back open at the source.
                 self.anomalies += 1;
-                return Vec::new();
+                return;
             }
             _ => {
                 // Late state after a local abort: the client copy is
                 // gone. Undo the commit pass we cannot apply.
                 self.anomalies += 1;
-                return self.abort_pass(m, client, source, target, source);
+                return self.abort_pass(m, client, source, target, source, out);
             }
         }
+        let MoveMsg::StateTransfer { snapshot, .. } = *msg else {
+            unreachable!("dispatched on the variant")
+        };
         let outs = self.core.commit_move(m);
-        let mut out = self.absorb(outs);
+        self.absorb(outs, out);
         // unwrap: target-move record in Prepare implies the copy exists
         self.clients
             .get_mut(&client)
             .unwrap()
             .merge_snapshot(snapshot);
-        out.extend(self.commit_target(m, client));
-        out
+        self.commit_target(m, client, out);
     }
 
     fn on_cov_transfer(
@@ -1236,14 +1203,14 @@ impl MobileBroker {
         client: ClientId,
         profile: ClientProfile,
         snapshot: ClientSnapshot,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         match self.target_state(m) {
             Some(TargetCoordState::Prepare) => {}
             Some(TargetCoordState::Commit) => {
                 // Late flush: the client already runs here; surface the
                 // remaining buffered notifications (dedup applies) and
                 // execute commands that straggled in at the source.
-                let mut out = Vec::new();
                 if self.clients.contains_key(&client) {
                     for p in snapshot.buffered {
                         // unwrap: presence checked just above and
@@ -1257,14 +1224,14 @@ impl MobileBroker {
                         }
                     }
                     for op in snapshot.queued_ops {
-                        out.extend(self.client_op_apply(client, op));
+                        self.client_op_apply(client, op, out);
                     }
                 }
-                return out;
+                return;
             }
             _ => {
                 self.anomalies += 1;
-                return Vec::new();
+                return;
             }
         }
         let mut copy = HostedClient::created_from_profile(client, &profile);
@@ -1274,42 +1241,37 @@ impl MobileBroker {
         // Reissue the profile at the target: normal propagation, with
         // whatever covering behaviour the broker network is configured
         // for.
-        let mut out = self.route_profile(client, &profile, true);
-        out.extend(self.commit_target(m, client));
-        out
+        self.route_profile(client, &profile, true, out);
+        self.commit_target(m, client, out);
     }
 
     /// Target Prepare → Commit, once the copy holds the transferred
     /// state: starts the copy (buffered notifications surface, queued
     /// commands run), disarms the state timer and answers the source.
-    fn commit_target(&mut self, m: MoveId, client: ClientId) -> Vec<Output> {
+    fn commit_target(&mut self, m: MoveId, client: ClientId, out: &mut Vec<Output>) {
         let target = self.id();
         // unwrap: callers checked the record is in Prepare
         let rec = self.tgt_moves.get_mut(&m).unwrap();
         rec.state = TargetCoordState::Commit;
         let done = rec.done(m, target);
-        let mut out = vec![
-            Output::CancelTimer {
-                token: TimerToken::State(m),
-            },
-            Output::ClientArrived { m, client },
-        ];
+        out.push(Output::CancelTimer {
+            token: TimerToken::State(m),
+        });
+        out.push(Output::ClientArrived { m, client });
         // The answer leaves before anything the resumed client does: a
         // movement it queued back to the source then reaches the
         // source behind the answer, after the old copy is gone.
-        out.extend(self.forward_move(done));
-        out.extend(self.resume_client(client));
-        out
+        self.forward_move(done, out);
+        self.resume_client(client, out);
     }
 
     /// `Ack` (reconfiguration) or `CovDone` (covering): the target runs
     /// the client.
-    fn on_done(&mut self, m: MoveId) -> Vec<Output> {
+    fn on_done(&mut self, m: MoveId, out: &mut Vec<Output>) {
         let Some(rec) = self.src_moves.remove(&m) else {
             self.anomalies += 1;
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
         if rec.protocol == ProtocolKind::Covering && self.config.make_before_break {
             // Retract the profile only now that the target runs; the
             // notifications buffered here in the meantime ship in the
@@ -1317,10 +1279,9 @@ impl MobileBroker {
             let profile = (self.clients.get(&rec.client))
                 .map(HostedClient::profile)
                 .unwrap_or_default();
-            out = self.route_profile(rec.client, &profile, false);
+            self.route_profile(rec.client, &profile, false, out);
         }
-        out.extend(self.commit_source(m, rec));
-        out
+        self.commit_source(m, rec, out);
     }
 
     /// Source Prepare → Commit, for a record its caller removed. Client:
@@ -1329,20 +1290,20 @@ impl MobileBroker {
     /// (commands issued by a slow application, notifications still in
     /// flight) is flushed to the target in a late transfer; the
     /// target's dedup suppresses what it already has.
-    fn commit_source(&mut self, m: MoveId, rec: SourceMoveRecord) -> Vec<Output> {
+    fn commit_source(&mut self, m: MoveId, rec: SourceMoveRecord, out: &mut Vec<Output>) {
         debug_assert_eq!(rec.state, SourceCoordState::Prepare);
-        let mut out = Vec::new();
         if let Some(mut stub) = self.clients.remove(&rec.client) {
             let late = stub.take_snapshot();
             if !late.buffered.is_empty() || !late.queued_ops.is_empty() {
-                out.extend(self.forward_move(MoveMsg::CovTransfer {
+                let transfer = MoveMsg::CovTransfer {
                     m,
                     client: rec.client,
                     source: self.id(),
                     target: rec.target,
                     profile: ClientProfile::default(),
                     snapshot: late,
-                }));
+                };
+                self.forward_move(transfer, out);
             }
         }
         self.core.detach_client(rec.client);
@@ -1351,37 +1312,40 @@ impl MobileBroker {
             client: rec.client,
             committed: true,
         });
-        out
     }
 
     // ----- abort ---------------------------------------------------------
 
-    fn on_reject(&mut self, m: MoveId) -> Vec<Output> {
+    fn on_reject(&mut self, m: MoveId, out: &mut Vec<Output>) {
         let Some(rec) = self.src_moves.remove(&m) else {
             self.anomalies += 1;
-            return Vec::new();
+            return;
         };
-        self.abort_source(m, rec)
+        self.abort_source(m, rec, out);
     }
 
     /// One hop of the abort pass: every broker it crosses rolls back,
-    /// and the endpoint it runs `toward` aborts its coordinator.
-    fn on_abort_move(
-        &mut self,
-        m: MoveId,
-        client: ClientId,
-        source: BrokerId,
-        target: BrokerId,
-        toward: BrokerId,
-    ) -> Vec<Output> {
+    /// and the endpoint it runs `toward` aborts its coordinator; `msg`
+    /// walks on in its box.
+    fn on_abort_move(&mut self, msg: Box<MoveMsg>, out: &mut Vec<Output>) {
+        let MoveMsg::AbortMove {
+            m,
+            client,
+            source,
+            toward,
+            ..
+        } = *msg
+        else {
+            unreachable!("dispatched on the variant")
+        };
         if self.id() == toward {
             if toward == source {
                 if let Some(rec) = self.src_moves.remove(&m) {
-                    return self.abort_source(m, rec);
+                    return self.abort_source(m, rec, out);
                 }
             } else if let Some(state) = self.target_state(m) {
                 if state != TargetCoordState::Commit {
-                    return self.abort_target(m, client);
+                    return self.abort_target(m, client, out);
                 }
                 // A stale abort (e.g. triggered by a duplicated
                 // negotiate replay at the source after cleanup) must
@@ -1395,25 +1359,23 @@ impl MobileBroker {
         let fixups = (self.path_moves.remove(&m))
             .map(|p| p.fixups)
             .unwrap_or_default();
-        let mut out = self.roll_back(m, fixups);
+        self.roll_back(m, fixups, out);
         if self.id() != toward {
-            out.extend(self.abort_pass(m, client, source, target, toward));
+            self.forward_move(msg, out);
         }
-        out
     }
 
     /// Source Wait/Prepare → Abort, for a record its caller removed:
     /// disarms the negotiate timer (armed only in Wait), rolls back,
     /// makes the client routable here again and resumes it. The caller
     /// sends the abort pass, if one is due.
-    fn abort_source(&mut self, m: MoveId, rec: SourceMoveRecord) -> Vec<Output> {
-        let mut out = Vec::new();
+    fn abort_source(&mut self, m: MoveId, rec: SourceMoveRecord, out: &mut Vec<Output>) {
         if rec.state == SourceCoordState::Wait {
             out.push(Output::CancelTimer {
                 token: TimerToken::Negotiate(m),
             });
         }
-        out.extend(self.roll_back(m, rec.fixups));
+        self.roll_back(m, rec.fixups, out);
         if rec.state == SourceCoordState::Prepare {
             // The source already flipped its routing away from the
             // local client (commit pass sent, or the covering protocol
@@ -1424,44 +1386,43 @@ impl MobileBroker {
             // flip surviving entries back toward the client and
             // re-propagate).
             match self.clients.get(&rec.client).map(HostedClient::profile) {
-                Some(profile) => out.extend(self.route_profile(rec.client, &profile, true)),
+                Some(profile) => self.route_profile(rec.client, &profile, true, out),
                 None => self.anomalies += 1,
             }
         }
-        out.extend(self.resume_client(rec.client));
+        self.resume_client(rec.client, out);
         out.push(Output::MoveFinished {
             m,
             client: rec.client,
             committed: false,
         });
-        out
     }
 
     /// Target Prepare → Abort: destroys the client copy, rolls back
     /// and disarms the state timer. The record stays, marked `Abort`;
     /// the caller drops it if it must, and sends the abort pass if one
     /// is due.
-    fn abort_target(&mut self, m: MoveId, client: ClientId) -> Vec<Output> {
+    fn abort_target(&mut self, m: MoveId, client: ClientId, out: &mut Vec<Output>) {
         if let Some(rec) = self.tgt_moves.get_mut(&m) {
             rec.state = TargetCoordState::Abort;
         }
         self.clients.remove(&client);
         self.core.detach_client(client);
-        let mut out = self.roll_back(m, Vec::new());
+        self.roll_back(m, Vec::new(), out);
         out.push(Output::CancelTimer {
             token: TimerToken::State(m),
         });
-        out
     }
 
     /// Drops movement `m`'s shadow configurations here and prunes the
     /// subscriptions its fix-ups pulled onto a link.
-    fn roll_back(&mut self, m: MoveId, fixups: Vec<(SubId, BrokerId)>) -> Vec<Output> {
-        let mut outs = self.core.abort_move(m);
+    fn roll_back(&mut self, m: MoveId, fixups: Vec<(SubId, BrokerId)>, out: &mut Vec<Output>) {
+        let outs = self.core.abort_move(m);
+        self.absorb(outs, out);
         for (sid, n) in fixups {
-            outs.extend(self.core.prune_sub_link(sid, n));
+            let outs = self.core.prune_sub_link(sid, n);
+            self.absorb(outs, out);
         }
-        self.absorb(outs)
     }
 
     /// Sends movement `m`'s abort pass on toward `toward`.
@@ -1472,24 +1433,25 @@ impl MobileBroker {
         source: BrokerId,
         target: BrokerId,
         toward: BrokerId,
-    ) -> Vec<Output> {
-        self.forward_move(MoveMsg::AbortMove {
+        out: &mut Vec<Output>,
+    ) {
+        let pass = MoveMsg::AbortMove {
             m,
             client,
             source,
             target,
             toward,
-        })
+        };
+        self.forward_move(pass, out);
     }
 
     /// Starts a paused client here: buffered notifications surface,
     /// queued commands run. Resumes the source's client after an
     /// aborted movement and starts the target's copy on commit.
-    fn resume_client(&mut self, client: ClientId) -> Vec<Output> {
-        let mut out = Vec::new();
+    fn resume_client(&mut self, client: ClientId, out: &mut Vec<Output>) {
         let Some(stub) = self.clients.get_mut(&client) else {
             self.anomalies += 1;
-            return out;
+            return;
         };
         stub.set_state(ClientState::Started);
         for p in stub.flush_buffered() {
@@ -1500,9 +1462,8 @@ impl MobileBroker {
         }
         let ops = stub.drain_ops();
         for op in ops {
-            out.extend(self.client_op_apply(client, op));
+            self.client_op_apply(client, op, out);
         }
-        out
     }
 
     /// Issues (`issue`) or retracts a client's whole profile through
@@ -1513,7 +1474,8 @@ impl MobileBroker {
         client: ClientId,
         profile: &ClientProfile,
         issue: bool,
-    ) -> Vec<Output> {
+        out: &mut Vec<Output>,
+    ) {
         let subs = profile.subs.iter().map(|s| match issue {
             true => PubSubMsg::Subscribe(s.clone()),
             false => PubSubMsg::Unsubscribe(s.id),
@@ -1522,11 +1484,9 @@ impl MobileBroker {
             true => PubSubMsg::Advertise(a.clone()),
             false => PubSubMsg::Unadvertise(a.id),
         });
-        let mut outs = Vec::new();
         for msg in subs.chain(advs) {
-            outs.extend(self.core.handle(Hop::Client(client), msg));
+            self.route(Hop::Client(client), msg, None, out);
         }
-        self.absorb(outs)
     }
 
     // ----- overlay repair ------------------------------------------------
@@ -1570,12 +1530,14 @@ impl MobileBroker {
     /// write-ahead like any other external input; replay re-derives
     /// the repair deterministically from `(topology, dead)`.
     pub fn handle_broker_death(&mut self, dead: BrokerId) -> Vec<Output> {
-        self.input(LoggedInput::BrokerDeath { dead })
+        let mut out = Vec::new();
+        self.input(LoggedInput::BrokerDeath { dead }, &mut out);
+        out
     }
 
-    fn broker_death_apply(&mut self, dead: BrokerId) -> Vec<Output> {
+    fn broker_death_apply(&mut self, dead: BrokerId, out: &mut Vec<Output>) {
         if dead == self.id() || !self.topology.contains(dead) {
-            return Vec::new();
+            return;
         }
         // Keep the pre-repair overlay: movement resolution below needs
         // to know which old routes crossed the dead broker.
@@ -1586,13 +1548,12 @@ impl MobileBroker {
                 Ok(c) => c,
                 Err(_) => {
                     self.anomalies += 1;
-                    return Vec::new();
+                    return;
                 }
             }
         };
         let myid = self.id();
         self.first_hop = self.topology.first_hops(myid);
-        let mut out = Vec::new();
         if self.config.suspect_after_ns.is_some() {
             // A death learned from the flood settles this broker's own
             // suspicion of the same neighbour.
@@ -1614,7 +1575,7 @@ impl MobileBroker {
             })
             .collect();
         let (core_outs, doomed) = self.core.repair_neighbors(dead, &new_peers);
-        out.extend(self.absorb(core_outs));
+        self.absorb(core_outs, out);
         // Roll back the shadow configurations of movements whose
         // reconfiguration path came through the dead broker. Endpoints
         // resolve their coordinator records below instead.
@@ -1627,18 +1588,16 @@ impl MobileBroker {
                 .remove(&m)
                 .map(|p| p.fixups)
                 .unwrap_or_default();
-            out.extend(self.roll_back(m, fixups));
+            self.roll_back(m, fixups, out);
         }
-        out.extend(self.resolve_moves_after_death(dead, &pre));
+        self.resolve_moves_after_death(dead, &pre, out);
         // Flood the notice over every surviving link.
-        let peers: Vec<BrokerId> = self.topology.neighbors(myid).iter().copied().collect();
-        for n in peers {
+        for &n in self.topology.neighbors(myid) {
             out.push(Output::Send {
                 to: n,
                 msg: Message::BrokerDeath { dead },
             });
         }
-        out
     }
 
     /// Resolves this broker's movement coordinator records after
@@ -1659,12 +1618,11 @@ impl MobileBroker {
     /// broker, the terminal message we may have lost with it —
     /// `Ack`/`CovDone` after commit, `AbortMove` after a local abort —
     /// is re-sent; both are idempotent at the source.
-    fn resolve_moves_after_death(&mut self, dead: BrokerId, pre: &Topology) -> Vec<Output> {
+    fn resolve_moves_after_death(&mut self, dead: BrokerId, pre: &Topology, out: &mut Vec<Output>) {
         let myid = self.id();
         let crossed = |other: BrokerId| {
             other == dead || pre.route(myid, other).is_some_and(|r| r.contains(dead))
         };
-        let mut out = Vec::new();
         let src_ids: Vec<MoveId> = (self.src_moves.iter())
             .filter(|(_, r)| crossed(r.target))
             .filter(|(_, r)| r.state == SourceCoordState::Wait || r.target == dead)
@@ -1674,8 +1632,10 @@ impl MobileBroker {
             // unwrap: ids collected from the map just above
             let rec = self.src_moves.remove(&m).unwrap();
             let (client, target) = (rec.client, rec.target);
-            out.extend(self.abort_source(m, rec));
-            out.extend(self.sweep_abort(m, client, myid, target, dead, pre));
+            self.abort_source(m, rec, out);
+            if let Some(toward) = self.sweep_toward(myid, target, dead, pre) {
+                self.abort_pass(m, client, myid, target, toward, out);
+            }
         }
         let tgt_ids: Vec<MoveId> = (self.tgt_moves.iter())
             .filter(|(_, r)| crossed(r.source))
@@ -1686,9 +1646,11 @@ impl MobileBroker {
             let (client, source, state) = (rec.client, rec.source, rec.state);
             if source == dead {
                 if state == TargetCoordState::Prepare {
-                    out.extend(self.abort_target(m, client));
+                    self.abort_target(m, client, out);
                     self.tgt_moves.remove(&m);
-                    out.extend(self.sweep_abort(m, client, source, myid, dead, pre));
+                    if let Some(toward) = self.sweep_toward(source, myid, dead, pre) {
+                        self.abort_pass(m, client, source, myid, toward, out);
+                    }
                 }
                 // Commit: the client runs here; the source can no
                 // longer clean up, which is fine — it is gone.
@@ -1697,82 +1659,110 @@ impl MobileBroker {
             match state {
                 TargetCoordState::Commit => {
                     let done = rec.done(m, myid);
-                    out.extend(self.forward_move(done));
+                    self.forward_move(done, out);
                 }
                 TargetCoordState::Abort => {
-                    out.extend(self.abort_pass(m, client, source, myid, source));
+                    self.abort_pass(m, client, source, myid, source, out);
                 }
                 TargetCoordState::Prepare | TargetCoordState::Init => {} // state timer pending
             }
         }
-        out
     }
 
-    /// Emits the abort pass for movement `m` down the surviving part
-    /// of the *old* route toward `far` (the remote end of the
-    /// transaction). When `far` is the dead broker itself the pass
-    /// stops at the last surviving broker before it; otherwise it runs
-    /// to `far` over the repaired overlay, which contains every
-    /// survivor of the old path (the repair replaces the dead broker
-    /// with at most its anchor neighbour).
-    fn sweep_abort(
-        &mut self,
-        m: MoveId,
-        client: ClientId,
+    /// Where the abort pass of a movement between `source` and `target`
+    /// runs after `dead` died: down the surviving part of the *old*
+    /// route toward `far` (the remote end of the transaction). When
+    /// `far` is the dead broker itself the pass stops at the last
+    /// surviving broker before it; otherwise it runs to `far` over the
+    /// repaired overlay, which contains every survivor of the old path
+    /// (the repair replaces the dead broker with at most its anchor
+    /// neighbour). `None` when no pass is due.
+    fn sweep_toward(
+        &self,
         source: BrokerId,
         target: BrokerId,
         dead: BrokerId,
         pre: &Topology,
-    ) -> Vec<Output> {
+    ) -> Option<BrokerId> {
         let far = if source == self.id() { target } else { source };
         let toward = if far == dead {
-            match pre.route(self.id(), far).and_then(|r| r.pre(dead)) {
-                Some(x) if x != self.id() => x,
-                _ => return Vec::new(),
-            }
+            pre.route(self.id(), far)
+                .and_then(|r| r.pre(dead))
+                .filter(|&x| x != self.id())?
         } else {
             far
         };
-        if !self.topology.contains(toward) {
-            return Vec::new();
-        }
-        self.abort_pass(m, client, source, target, toward)
+        self.topology.contains(toward).then_some(toward)
     }
 
     // ----- timers --------------------------------------------------------
 
     /// Handles a fired protocol timer (driver callback).
     pub fn handle_timer(&mut self, token: TimerToken) -> Vec<Output> {
-        self.input(LoggedInput::Timer { token })
+        let mut out = Vec::new();
+        self.input(LoggedInput::Timer { token }, &mut out);
+        out
     }
 
-    fn handle_timer_apply(&mut self, token: TimerToken) -> Vec<Output> {
+    fn handle_timer_apply(&mut self, token: TimerToken, out: &mut Vec<Output>) {
         match token {
             TimerToken::Negotiate(m) => {
                 if self.source_state(m) != Some(SourceCoordState::Wait) {
-                    return Vec::new(); // finished meanwhile
+                    return; // finished meanwhile
                 }
                 // unwrap: state checked just above
                 let rec = self.src_moves.remove(&m).unwrap();
                 let (client, target) = (rec.client, rec.target);
-                let mut out = self.abort_source(m, rec);
+                self.abort_source(m, rec, out);
                 // Sweep any partially installed reconfiguration.
-                out.extend(self.abort_pass(m, client, self.id(), target, target));
-                out
+                self.abort_pass(m, client, self.id(), target, target, out);
             }
             TimerToken::State(m) => {
                 if self.target_state(m) != Some(TargetCoordState::Prepare) {
-                    return Vec::new();
+                    return;
                 }
                 let rec = &self.tgt_moves[&m];
                 let (client, source) = (rec.client, rec.source);
                 // Destroy the copy and sweep the path back to the
                 // source.
-                let mut out = self.abort_target(m, client);
-                out.extend(self.abort_pass(m, client, source, self.id(), source));
-                out
+                self.abort_target(m, client, out);
+                self.abort_pass(m, client, source, self.id(), source, out);
             }
-            TimerToken::Suspect(peer) => self.broker_death_apply(peer),
+            TimerToken::Suspect(peer) => self.broker_death_apply(peer, out),
+        }
+    }
+}
+
+/// The conversion of routing-core effects into driver effects, as a
+/// sink the core writes into: a send becomes [`Output::Send`] at the
+/// end of `out`; a delivery goes through the hosted client's stub
+/// (buffering and exactly-once dedup) and becomes
+/// [`Output::DeliverToApp`] only if the stub surfaces it.
+struct Absorb<'a> {
+    clients: &'a mut BTreeMap<ClientId, HostedClient>,
+    out: &'a mut Vec<Output>,
+}
+
+impl Effects for Absorb<'_> {
+    fn emit(&mut self, effect: BrokerOutput) {
+        match effect {
+            BrokerOutput::ToBroker(n, msg) => self.out.push(Output::Send {
+                to: n,
+                msg: Message::PubSub(msg),
+            }),
+            BrokerOutput::Deliver(cid, publication) => {
+                if let Some(stub) = self.clients.get_mut(&cid) {
+                    if stub.deliver(&publication) == DeliverOutcome::Surfaced {
+                        self.out.push(Output::DeliverToApp {
+                            client: cid,
+                            publication,
+                        });
+                    }
+                }
+                // A delivery for a client we no longer host can only
+                // be a leftover of a committed movement whose
+                // duplicate the target-side dedup will suppress.
+            }
         }
     }
 }
@@ -1883,12 +1873,12 @@ mod tests {
             profile: crate::messages::ClientProfile::default(),
             protocol: ProtocolKind::Reconfig,
         };
-        let outs = target.handle(Hop::Broker(BrokerId(2)), Message::Move(nego));
+        let outs = target.handle(Hop::Broker(BrokerId(2)), nego.into());
         assert_eq!(outs.len(), 1);
         match &outs[0] {
             Output::Send { to, msg } => {
                 assert_eq!(*to, BrokerId(2));
-                assert!(matches!(msg, Message::Move(MoveMsg::Reject { .. })));
+                assert!(matches!(msg, Message::Move(mv) if matches!(**mv, MoveMsg::Reject { .. })));
             }
             other => panic!("expected a reject send, got {other:?}"),
         }
@@ -1903,7 +1893,7 @@ mod tests {
             source: BrokerId(1),
             target: BrokerId(3),
         };
-        let outs = mid.handle(Hop::Broker(BrokerId(3)), Message::Move(ack));
+        let outs = mid.handle(Hop::Broker(BrokerId(3)), ack.into());
         assert_eq!(outs.len(), 1);
         match &outs[0] {
             Output::Send { to, .. } => assert_eq!(*to, BrokerId(1)),
@@ -1919,7 +1909,7 @@ mod tests {
         let mut b1 = broker_at(1);
         let _ = b1.handle_broker_death(BrokerId(2));
         let ack_from = |source| {
-            Message::Move(MoveMsg::Ack {
+            Message::from(MoveMsg::Ack {
                 m: MoveId(5),
                 source,
                 target: BrokerId(1),
@@ -2023,22 +2013,22 @@ mod tests {
             profile: crate::messages::ClientProfile::default(),
             protocol: ProtocolKind::Reconfig,
         };
-        let outs = b.handle(Hop::Broker(BrokerId(2)), Message::Move(nego.clone()));
+        let outs = b.handle(Hop::Broker(BrokerId(2)), nego.clone().into());
         assert!(matches!(
             &outs[0],
             Output::Send {
-                msg: Message::Move(MoveMsg::Reject { .. }),
+                msg: Message::Move(mv),
                 ..
-            }
+            } if matches!(**mv, MoveMsg::Reject { .. })
         ));
         b.set_accept_moves(true);
-        let outs = b.handle(Hop::Broker(BrokerId(2)), Message::Move(nego));
+        let outs = b.handle(Hop::Broker(BrokerId(2)), nego.into());
         assert!(outs.iter().any(|o| matches!(
             o,
             Output::Send {
-                msg: Message::Move(MoveMsg::Reconfigure { .. }),
+                msg: Message::Move(mv),
                 ..
-            }
+            } if matches!(**mv, MoveMsg::Reconfigure { .. })
         )));
     }
 }

@@ -44,60 +44,60 @@ pub trait Transport {
     /// application layer, in order.
     fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>);
 
+    /// Surfaces one notification that is not followed by another to
+    /// the same client: a run of one, which needs no vector. The
+    /// default makes the batch call.
+    fn deliver(&mut self, client: ClientId, publication: PublicationMsg) {
+        self.deliver_batch(client, vec![publication]);
+    }
+
     /// Applies a control effect (timers, movement lifecycle events).
     /// Never receives [`Output::Send`] or [`Output::DeliverToApp`] —
     /// [`flush_outputs`] routes those through the batch verbs.
     fn control(&mut self, output: Output);
 }
 
-/// An in-progress coalescing run.
-enum Run {
-    Send(BrokerId, Vec<Message>),
-    Deliver(ClientId, Vec<PublicationMsg>),
-}
-
-fn flush_run<T: Transport + ?Sized>(transport: &mut T, run: &mut Option<Run>) {
-    match run.take() {
-        Some(Run::Send(to, msgs)) => transport.send_batch(to, msgs),
-        Some(Run::Deliver(client, pubs)) => transport.deliver_batch(client, pubs),
-        None => {}
-    }
-}
-
 /// Walks one effect list, merging maximal runs of consecutive
 /// same-destination sends (and consecutive same-client deliveries)
 /// into single [`Transport::send_batch`] / [`Transport::deliver_batch`]
-/// calls. Everything else flushes the current run and goes through
+/// calls; a delivery with no same-client neighbour goes through
+/// [`Transport::deliver`]. Everything else goes through
 /// [`Transport::control`], so the call sequence replays the effect
-/// list's total order exactly.
-pub fn flush_outputs<T: Transport + ?Sized>(transport: &mut T, outputs: Vec<Output>) {
-    let mut run: Option<Run> = None;
-    for o in outputs {
+/// list's total order exactly. A driver that keeps one effect buffer
+/// across steps passes `buffer.drain(..)`.
+pub fn flush_outputs<T: Transport + ?Sized>(
+    transport: &mut T,
+    outputs: impl IntoIterator<Item = Output>,
+) {
+    let mut outputs = outputs.into_iter().peekable();
+    while let Some(o) = outputs.next() {
         match o {
-            Output::Send { to, msg } => match &mut run {
-                Some(Run::Send(dest, msgs)) if *dest == to => msgs.push(msg),
-                _ => {
-                    flush_run(transport, &mut run);
-                    run = Some(Run::Send(to, vec![msg]));
+            Output::Send { to, msg } => {
+                let mut msgs = vec![msg];
+                let same = |o: &Output| matches!(o, Output::Send { to: t, .. } if *t == to);
+                while let Some(Output::Send { msg, .. }) = outputs.next_if(same) {
+                    msgs.push(msg);
                 }
-            },
+                transport.send_batch(to, msgs);
+            }
             Output::DeliverToApp {
                 client,
                 publication,
-            } => match &mut run {
-                Some(Run::Deliver(c, pubs)) if *c == client => pubs.push(publication),
-                _ => {
-                    flush_run(transport, &mut run);
-                    run = Some(Run::Deliver(client, vec![publication]));
+            } => {
+                let same = |o: &Output| matches!(o, Output::DeliverToApp { client: c, .. } if *c == client);
+                if !outputs.peek().is_some_and(same) {
+                    transport.deliver(client, publication);
+                    continue;
                 }
-            },
-            other => {
-                flush_run(transport, &mut run);
-                transport.control(other);
+                let mut pubs = vec![publication];
+                while let Some(Output::DeliverToApp { publication, .. }) = outputs.next_if(same) {
+                    pubs.push(publication);
+                }
+                transport.deliver_batch(client, pubs);
             }
+            other => transport.control(other),
         }
     }
-    flush_run(transport, &mut run);
 }
 
 /// Splits one received batch, whose sender's step was charged to
@@ -105,24 +105,21 @@ pub fn flush_outputs<T: Transport + ?Sized>(transport: &mut T, outputs: Vec<Outp
 /// the same movement ([`Message::effective_cause`]) and hands each run
 /// to `apply` in order. A driver that attributes traffic to movements
 /// applies each run as one batch, so the attribution of the outputs
-/// matches unbatched processing.
+/// matches unbatched processing. A batch with one cause throughout is
+/// handed on as it came, without a copy.
 pub fn for_each_cause_run(
-    msgs: Vec<Message>,
+    mut msgs: Vec<Message>,
     inherited: Option<MoveId>,
     mut apply: impl FnMut(Option<MoveId>, Vec<Message>),
 ) {
-    let mut run: Vec<Message> = Vec::new();
-    let mut run_cause = None;
-    for msg in msgs {
-        let cause = msg.effective_cause(inherited);
-        if !run.is_empty() && cause != run_cause {
-            apply(run_cause, std::mem::take(&mut run));
-        }
-        run_cause = cause;
-        run.push(msg);
-    }
-    if !run.is_empty() {
-        apply(run_cause, run);
+    while let Some(first) = msgs.first() {
+        let cause = first.effective_cause(inherited);
+        let end = (msgs.iter())
+            .position(|m| m.effective_cause(inherited) != cause)
+            .unwrap_or(msgs.len());
+        // Splitting at the end allocates nothing.
+        let rest = msgs.split_off(end);
+        apply(cause, std::mem::replace(&mut msgs, rest));
     }
 }
 
@@ -196,6 +193,7 @@ mod tests {
     enum Call {
         Send(BrokerId, usize),
         Deliver(ClientId, usize),
+        DeliverOne(ClientId, PubId),
         Control(Output),
     }
 
@@ -203,6 +201,7 @@ mod tests {
     struct Recorder {
         calls: Vec<Call>,
         shipped: Vec<Message>,
+        delivered: Vec<PubId>,
     }
 
     impl Transport for Recorder {
@@ -212,18 +211,34 @@ mod tests {
         }
         fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>) {
             self.calls.push(Call::Deliver(client, publications.len()));
+            self.delivered.extend(publications.iter().map(|p| p.id));
+        }
+        fn deliver(&mut self, client: ClientId, publication: PublicationMsg) {
+            self.calls.push(Call::DeliverOne(client, publication.id));
+            self.delivered.push(publication.id);
         }
         fn control(&mut self, output: Output) {
             self.calls.push(Call::Control(output));
         }
     }
 
+    /// A transport with the batch verbs only: single deliveries reach
+    /// it through the provided [`Transport::deliver`].
+    #[derive(Default)]
+    struct BatchesOnly {
+        delivered: Vec<(ClientId, usize)>,
+    }
+
+    impl Transport for BatchesOnly {
+        fn send_batch(&mut self, _: BrokerId, _: Vec<Message>) {}
+        fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>) {
+            self.delivered.push((client, publications.len()));
+        }
+        fn control(&mut self, _: Output) {}
+    }
+
     fn publish(i: u64) -> Message {
-        Message::PubSub(PubSubMsg::Publish(PublicationMsg::new(
-            PubId(i),
-            ClientId(1),
-            Publication::new().with("x", i as i64),
-        )))
+        Message::PubSub(PubSubMsg::Publish(pmsg(i)))
     }
 
     fn pmsg(i: u64) -> PublicationMsg {
@@ -234,42 +249,49 @@ mod tests {
         )
     }
 
+    fn send(to: u32, i: u64) -> Output {
+        Output::Send {
+            to: BrokerId(to),
+            msg: publish(i),
+        }
+    }
+
+    fn deliver(client: u64, i: u64) -> Output {
+        Output::DeliverToApp {
+            client: ClientId(client),
+            publication: pmsg(i),
+        }
+    }
+
     #[test]
     fn consecutive_runs_coalesce_and_order_is_preserved() {
+        let cancel = Output::CancelTimer {
+            token: TimerToken::Negotiate(MoveId(0)),
+        };
         let outs = vec![
-            Output::Send {
-                to: BrokerId(2),
-                msg: publish(1),
-            },
-            Output::Send {
-                to: BrokerId(2),
-                msg: publish(2),
-            },
-            Output::Send {
-                to: BrokerId(3),
-                msg: publish(3),
-            },
-            Output::DeliverToApp {
-                client: ClientId(9),
-                publication: pmsg(1),
-            },
-            Output::DeliverToApp {
-                client: ClientId(9),
-                publication: pmsg(2),
-            },
+            send(2, 1),
+            send(2, 2),
+            send(3, 3),
+            deliver(9, 1),
+            deliver(9, 2),
             // Interleaved destination: must NOT merge with the earlier
             // BrokerId(2) run (that would reorder across destinations).
-            Output::Send {
-                to: BrokerId(2),
-                msg: publish(4),
-            },
-            Output::CancelTimer {
-                token: TimerToken::Negotiate(MoveId(0)),
-            },
-            Output::Send {
-                to: BrokerId(2),
-                msg: publish(5),
-            },
+            send(2, 4),
+            cancel.clone(),
+            send(2, 5),
+            // Single deliveries, each to another client, then a run
+            // of three to one client.
+            deliver(7, 3),
+            deliver(8, 3),
+            deliver(7, 4),
+            deliver(7, 5),
+            deliver(7, 6),
+            // A delivery between two sends to one broker splits them.
+            send(4, 6),
+            deliver(8, 7),
+            send(4, 7),
+            // A single delivery last: nothing follows to peek at.
+            deliver(9, 8),
         ];
         let mut rec = Recorder::default();
         flush_outputs(&mut rec, outs);
@@ -280,38 +302,70 @@ mod tests {
                 Call::Send(BrokerId(3), 1),
                 Call::Deliver(ClientId(9), 2),
                 Call::Send(BrokerId(2), 1),
-                Call::Control(Output::CancelTimer {
-                    token: TimerToken::Negotiate(MoveId(0)),
-                }),
+                Call::Control(cancel),
                 Call::Send(BrokerId(2), 1),
+                Call::DeliverOne(ClientId(7), PubId(3)),
+                Call::DeliverOne(ClientId(8), PubId(3)),
+                Call::Deliver(ClientId(7), 3),
+                Call::Send(BrokerId(4), 1),
+                Call::DeliverOne(ClientId(8), PubId(7)),
+                Call::Send(BrokerId(4), 1),
+                Call::DeliverOne(ClientId(9), PubId(8)),
             ]
         );
-        // Flattening the shipped batches recovers the send order.
-        assert_eq!(
-            rec.shipped,
-            vec![publish(1), publish(2), publish(3), publish(4), publish(5)]
-        );
+        // Flattening the shipped batches recovers the send order, and
+        // the delivered ones the delivery order.
+        let sent = [1, 2, 3, 4, 5, 6, 7].map(publish);
+        assert_eq!(rec.shipped, sent);
+        let delivered = [1, 2, 3, 3, 4, 5, 6, 7, 8].map(PubId);
+        assert_eq!(rec.delivered, delivered);
+    }
+
+    #[test]
+    fn a_single_delivery_defaults_to_a_batch_of_one() {
+        let mut rec = BatchesOnly::default();
+        flush_outputs(&mut rec, vec![deliver(7, 1), deliver(8, 2), deliver(8, 3)]);
+        assert_eq!(rec.delivered, [(ClientId(7), 1), (ClientId(8), 2)]);
+    }
+
+    fn ack(m: u64) -> Message {
+        Message::from(crate::messages::MoveMsg::Ack {
+            m: MoveId(m),
+            source: BrokerId(1),
+            target: BrokerId(2),
+        })
     }
 
     #[test]
     fn cause_runs_are_maximal_and_in_order() {
-        let ack = |m| {
-            Message::Move(crate::messages::MoveMsg::Ack {
-                m: MoveId(m),
-                source: BrokerId(1),
-                target: BrokerId(2),
-            })
-        };
         let msgs = vec![publish(1), ack(1), ack(1), publish(2), publish(3), ack(2)];
         let mut runs = Vec::new();
-        for_each_cause_run(msgs, Some(MoveId(9)), |cause, run| {
-            runs.push((cause.map(|m| m.0), run.len()));
+        for_each_cause_run(msgs.clone(), Some(MoveId(9)), |cause, run| {
+            runs.push((cause.map(|m| m.0), run));
         });
+        let lens: Vec<_> = runs.iter().map(|(c, run)| (*c, run.len())).collect();
         assert_eq!(
-            runs,
+            lens,
             vec![(Some(9), 1), (Some(1), 2), (Some(9), 2), (Some(2), 1)]
         );
+        let flat: Vec<Message> = runs.into_iter().flat_map(|(_, run)| run).collect();
+        assert_eq!(flat, msgs, "the runs, joined, are the frame");
         for_each_cause_run(Vec::new(), None, |_, _| panic!("empty batch has no runs"));
+    }
+
+    #[test]
+    fn a_single_cause_frame_passes_through_uncopied() {
+        for msgs in [vec![publish(1), publish(2)], vec![ack(3), ack(3), ack(3)]] {
+            let mut msgs = msgs;
+            msgs.reserve(5);
+            let (ptr, cap, len) = (msgs.as_ptr(), msgs.capacity(), msgs.len());
+            let mut calls = 0;
+            for_each_cause_run(msgs, None, |_, run| {
+                calls += 1;
+                assert_eq!((run.as_ptr(), run.capacity(), run.len()), (ptr, cap, len));
+            });
+            assert_eq!(calls, 1);
+        }
     }
 
     #[test]

@@ -336,7 +336,7 @@ impl Wire for Message {
     fn dec(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.byte()? {
             0 => Ok(Message::PubSub(PubSubMsg::dec(r)?)),
-            1 => Ok(Message::Move(MoveMsg::dec(r)?)),
+            1 => Ok(Message::Move(Box::new(MoveMsg::dec(r)?))),
             2 => Ok(Message::BrokerDeath {
                 dead: BrokerId::dec(r)?,
             }),
@@ -455,7 +455,7 @@ mod tests {
             },
         ];
         for msg in &msgs {
-            let env = Message::Move(msg.clone());
+            let env = Message::from(msg.clone());
             let bytes = encode_one(&env);
             assert_eq!(decode_one::<Message>(&bytes).expect("decode"), env);
         }
@@ -470,7 +470,7 @@ mod tests {
 
     #[test]
     fn binary_is_denser_than_json_for_a_state_transfer() {
-        let env = Message::Move(MoveMsg::StateTransfer {
+        let env = Message::from(MoveMsg::StateTransfer {
             m: MoveId(1),
             client: ClientId(4),
             source: BrokerId(0),

@@ -192,7 +192,7 @@ impl Driver {
             else {
                 continue;
             };
-            let (m, client, target, protocol, profile) = match mv {
+            let (m, client, target, protocol, profile) = match *mv {
                 MoveMsg::Negotiate {
                     m,
                     client,
@@ -230,7 +230,7 @@ impl Driver {
         if !self.live.topology().contains(peer) {
             return;
         }
-        let outs = self.live.handle(Hop::Broker(peer), Message::Move(mv));
+        let outs = self.live.handle(Hop::Broker(peer), mv.into());
         self.note(outs);
     }
 

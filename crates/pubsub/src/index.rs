@@ -119,13 +119,16 @@
 //! step called with matching keys, in no particular order, a test that
 //! says when the accumulator is *saturated* (no further key could
 //! change it), and a finisher called once, last.
+//! [`MatchIndex::fold_into`] is its body for one publication, into an
+//! accumulator the caller keeps from one publication to the next.
 //! [`MatchIndex::matching`] and [`MatchIndex::matching_batch`] are
 //! that fold into a vector, never saturated, finished by the sort
 //! their contract promises; the broker's publication forwarding folds
-//! row numbers straight into destination sets, never lists the
-//! matching keys at all, and is saturated once the set holds every hop
-//! its table names (Carzaniga and Wolf's forwarding short-cut: with
-//! every interface matched, no further filter changes the decision).
+//! (`fold_into`) row numbers straight into destination sets, never
+//! lists the matching keys at all, and is saturated once the set holds
+//! every hop its table names (Carzaniga and Wolf's forwarding
+//! short-cut: with every interface matched, no further filter changes
+//! the decision).
 //!
 //! What the closures may assume: `step` sees a key at most once per
 //! publication, and only a key whose filter matches it; `saturated` is
@@ -1491,24 +1494,38 @@ impl<K: IndexKey> MatchIndex<K> {
         saturated: impl Fn(&mut A) -> bool,
         finish: impl Fn(&mut A),
     ) -> Vec<A> {
+        pubs.iter()
+            .map(|p| {
+                let mut acc = init();
+                self.fold_into(p.borrow(), &mut acc, &step, &saturated);
+                finish(&mut acc);
+                acc
+            })
+            .collect()
+    }
+
+    /// [`MatchIndex::fold_matching`] for one publication, into an
+    /// accumulator the caller owns: neither made nor finished here, so
+    /// a caller that routes publications one by one keeps one and its
+    /// buffers from one publication to the next.
+    pub fn fold_into<A>(
+        &self,
+        p: &Publication,
+        acc: &mut A,
+        step: impl Fn(&mut A, K),
+        saturated: impl Fn(&mut A) -> bool,
+    ) {
         let packed = self.packed();
         CELLS.with_borrow_mut(|cells| {
-            pubs.iter()
-                .map(|p| {
-                    let mut acc = init();
-                    let _ = self.probe_publication(p.borrow(), packed, cells, &mut |k| {
-                        step(&mut acc, k);
-                        if saturated(&mut acc) {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    });
-                    finish(&mut acc);
-                    acc
-                })
-                .collect()
-        })
+            let _ = self.probe_publication(p, packed, cells, &mut |k| {
+                step(acc, k);
+                if saturated(acc) {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+        });
     }
 
     /// The kernel's body for one publication: hands every key matching

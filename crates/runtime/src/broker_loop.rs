@@ -769,8 +769,11 @@ mod tests {
             .map(|(to, m)| {
                 assert_eq!(to, b(2));
                 match m {
-                    Message::Move(MoveMsg::Negotiate { .. }) => "negotiate",
-                    Message::Move(MoveMsg::AbortMove { .. }) => "abort",
+                    Message::Move(mv) => match **mv {
+                        MoveMsg::Negotiate { .. } => "negotiate",
+                        MoveMsg::AbortMove { .. } => "abort",
+                        _ => panic!("unexpected {mv}"),
+                    },
                     Message::PubSub(PubSubMsg::Advertise(_)) => "adv",
                     other => panic!("unexpected {other}"),
                 }

@@ -1523,7 +1523,7 @@ mod tests {
     #[test]
     fn down_queue_drops_oldest_publications_never_protocol() {
         let mut queue = DownQueue::default();
-        let ctl = Message::Move(transmob_core::MoveMsg::Ack {
+        let ctl = Message::from(transmob_core::MoveMsg::Ack {
             m: transmob_pubsub::MoveId(1),
             source: b(1),
             target: b(2),

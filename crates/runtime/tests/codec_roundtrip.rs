@@ -158,7 +158,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_pubsub().prop_map(Message::PubSub),
         arb_pubsub().prop_map(Message::PubSub),
         arb_pubsub().prop_map(Message::PubSub),
-        arb_move().prop_map(Message::Move),
+        arb_move().prop_map(Message::from),
     ]
 }
 

@@ -227,7 +227,7 @@ impl Run {
         }
         if let Some((&m, _)) = self.sim.metrics.moves.first_key_value() {
             let reject = |msg: &Message| match msg {
-                Message::Move(mv @ MoveMsg::Reject { .. }) => mv.move_id() == m,
+                Message::Move(mv) => matches!(**mv, MoveMsg::Reject { m: r, .. } if r == m),
                 _ => false,
             };
             self.rejected |= self.sim.in_flight().any(reject);

@@ -237,6 +237,10 @@ pub struct Sim {
     fault_rng: StdRng,
     faults_dropped: u64,
     faults_duplicated: u64,
+    /// One broker step's effects: the broker writes them, and
+    /// [`Sim::dispatch`] drains them. Kept across steps for its
+    /// capacity.
+    outputs: Vec<Output>,
 }
 
 impl Sim {
@@ -289,6 +293,7 @@ impl Sim {
             fault_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             faults_dropped: 0,
             faults_duplicated: 0,
+            outputs: Vec::new(),
         }
     }
 
@@ -886,10 +891,12 @@ impl Sim {
                     msgs,
                     cause,
                 } = frame;
+                let mut outs = std::mem::take(&mut self.outputs);
                 for_each_cause_run(msgs, cause, |cause, run| {
-                    let outs = self.broker_mut(dst).handle_batch(from, run);
-                    self.dispatch(dst, cause, outs);
+                    self.broker_mut(dst).handle_batch_into(from, run, &mut outs);
+                    self.dispatch(dst, cause, &mut outs);
                 });
+                self.outputs = outs;
                 return true;
             }
             EventKind::Cmd { client, op } => {
@@ -1031,8 +1038,8 @@ impl Sim {
                 if up && (self.dead.contains(&peer) || held) {
                     return false;
                 }
-                let outs = self.broker_mut(observer).handle_link(peer, up);
-                self.dispatch(observer, None, outs);
+                let mut outs = self.broker_mut(observer).handle_link(peer, up);
+                self.dispatch(observer, None, &mut outs);
             }
         }
         false
@@ -1047,7 +1054,9 @@ impl Sim {
             ClientOp::MoveTo(target, _) => Some(target),
             _ => None,
         };
-        let outs = self.broker_mut(broker).client_op(client, op);
+        let mut outs = std::mem::take(&mut self.outputs);
+        self.broker_mut(broker)
+            .client_op_into(client, op, &mut outs);
         if let Some(target) = target {
             // A movement that finishes on the spot sends no request;
             // one that does is recorded where the request ships.
@@ -1060,7 +1069,8 @@ impl Sim {
                     .move_started(m, client, broker, target, self.clock);
             }
         }
-        self.dispatch(broker, None, outs);
+        self.dispatch(broker, None, &mut outs);
+        self.outputs = outs;
     }
 
     /// Fires `broker`'s armed timer `token`: disarms it and ships what
@@ -1068,8 +1078,8 @@ impl Sim {
     /// has one.
     fn fire(&mut self, broker: BrokerId, token: TimerToken) {
         self.armed.cancel((broker, token));
-        let outs = self.broker_mut(broker).handle_timer(token);
-        self.dispatch(broker, token.move_id(), outs);
+        let mut outs = self.broker_mut(broker).handle_timer(token);
+        self.dispatch(broker, token.move_id(), &mut outs);
     }
 
     /// Cancels every timer of `broker`.
@@ -1088,12 +1098,12 @@ impl Sim {
         self.disarm(broker); // every pre-crash timer died with the process
         let log = Arc::clone(self.logs.get(&broker).expect("durability enabled"));
         let config = self.brokers[&broker].config().clone();
-        let (rebuilt, timer_outs) =
+        let (rebuilt, mut timer_outs) =
             MobileBroker::recover_from_log(Arc::clone(&self.topology), config, log)
                 .expect("attach_durability wrote the base checkpoint");
         self.brokers.insert(broker, rebuilt);
         // Re-arm timers for movements that were in flight at the crash.
-        self.dispatch(broker, None, timer_outs);
+        self.dispatch(broker, None, &mut timer_outs);
     }
 
     /// Reports to a broker rebuilt from its log each of its links that
@@ -1109,19 +1119,20 @@ impl Sim {
         for peer in peers {
             let held = (self.partitions.iter()).any(|p| p.covers(broker, peer, self.clock));
             if self.dead.contains(&peer) || held {
-                let outs = self.broker_mut(broker).handle_link(peer, false);
-                self.dispatch(broker, None, outs);
+                let mut outs = self.broker_mut(broker).handle_link(peer, false);
+                self.dispatch(broker, None, &mut outs);
             }
         }
     }
 
-    fn dispatch(&mut self, src: BrokerId, cause: Option<MoveId>, outs: Vec<Output>) {
+    /// Ships one step's effects, leaving `outs` empty.
+    fn dispatch(&mut self, src: BrokerId, cause: Option<MoveId>, outs: &mut Vec<Output>) {
         let mut flush = SimFlush {
             sim: self,
             src,
             cause,
         };
-        flush_outputs(&mut flush, outs);
+        flush_outputs(&mut flush, outs.drain(..));
     }
 
     /// Ships one coalesced frame over the (src → to) link: per-message
@@ -1140,39 +1151,30 @@ impl Sim {
         if self.dead.contains(&to) {
             return; // link to a dead broker: frames vanish
         }
-        let mut wire: Vec<Message> = Vec::with_capacity(msgs.len());
-        for msg in msgs {
+        for msg in &msgs {
             // A movement starts where its source ships the request,
             // whether a command issued it or a client resumed at a new
             // home runs one it had queued.
-            if let Message::Move(
-                mv @ (MoveMsg::Negotiate { client, source, .. }
-                | MoveMsg::CovRequest { client, source, .. }),
-            ) = &msg
-            {
-                if *source == src {
-                    let (m, target) = (mv.move_id(), mv.destination());
-                    self.metrics
-                        .move_started(m, *client, src, target, self.clock);
+            if let Message::Move(mv) = msg {
+                if let MoveMsg::Negotiate { client, source, .. }
+                | MoveMsg::CovRequest { client, source, .. } = **mv
+                {
+                    if source == src {
+                        let (m, target) = (mv.move_id(), mv.destination());
+                        self.metrics
+                            .move_started(m, client, src, target, self.clock);
+                    }
                 }
             }
             self.metrics
                 .count_message(msg.kind(), msg.effective_cause(cause));
-            if self.link_faults.drop_prob > 0.0
-                && self.fault_rng.gen::<f64>() < self.link_faults.drop_prob
-            {
-                self.faults_dropped += 1;
-                continue;
-            }
-            let duplicate = self.link_faults.dup_prob > 0.0
-                && self.fault_rng.gen::<f64>() < self.link_faults.dup_prob;
-            let echo = duplicate.then(|| msg.clone());
-            wire.push(msg);
-            if let Some(echo) = echo {
-                self.faults_duplicated += 1;
-                wire.push(echo);
-            }
         }
+        // On a reliable link the frame is the batch as it came.
+        let faulty = self.link_faults.drop_prob > 0.0 || self.link_faults.dup_prob > 0.0;
+        let wire = match faulty {
+            true => self.draw_link_faults(msgs),
+            false => msgs,
+        };
         if wire.is_empty() {
             return;
         }
@@ -1226,6 +1228,29 @@ impl Sim {
         self.push(arrive, EventKind::Arrive(frame));
     }
 
+    /// The messages of one frame that survive the link's drop draws,
+    /// each followed by its copy where the duplication draw says so.
+    fn draw_link_faults(&mut self, msgs: Vec<Message>) -> Vec<Message> {
+        let mut wire = Vec::with_capacity(msgs.len());
+        for msg in msgs {
+            if self.link_faults.drop_prob > 0.0
+                && self.fault_rng.gen::<f64>() < self.link_faults.drop_prob
+            {
+                self.faults_dropped += 1;
+                continue;
+            }
+            let duplicate = self.link_faults.dup_prob > 0.0
+                && self.fault_rng.gen::<f64>() < self.link_faults.dup_prob;
+            let echo = duplicate.then(|| msg.clone());
+            wire.push(msg);
+            if let Some(echo) = echo {
+                self.faults_duplicated += 1;
+                wire.push(echo);
+            }
+        }
+        wire
+    }
+
     /// The broker currently holding any stub for `client` (any state).
     pub fn find_client(&self, client: ClientId) -> Option<BrokerId> {
         self.brokers
@@ -1269,10 +1294,14 @@ impl Transport for SimFlush<'_> {
 
     fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>) {
         for publication in publications {
-            self.sim
-                .metrics
-                .count_delivery(self.sim.clock, client, publication.id);
+            self.deliver(client, publication);
         }
+    }
+
+    fn deliver(&mut self, client: ClientId, publication: PublicationMsg) {
+        self.sim
+            .metrics
+            .count_delivery(self.sim.clock, client, publication.id);
     }
 
     fn control(&mut self, output: Output) {
@@ -1826,10 +1855,10 @@ mod fault_tests {
             .start();
         let token = TimerToken::Negotiate(MoveId(77));
         let arm = |sim: &mut Sim, delay_ns| {
-            sim.dispatch(b(1), None, vec![Output::SetTimer { token, delay_ns }]);
+            sim.dispatch(b(1), None, &mut vec![Output::SetTimer { token, delay_ns }]);
         };
         arm(&mut sim, 1_000_000);
-        sim.dispatch(b(1), None, vec![Output::CancelTimer { token }]);
+        sim.dispatch(b(1), None, &mut vec![Output::CancelTimer { token }]);
         arm(&mut sim, 5_000_000);
         assert_eq!(sim.armed_timers(), [(b(1), token)]);
         let t0 = sim.now();

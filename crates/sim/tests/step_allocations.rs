@@ -1,0 +1,156 @@
+//! What broker steps cost in heap allocations, counted by an allocator
+//! that counts (DESIGN.md §19): no clock, so the counts repeat exactly
+//! and the budgets can be tight. Two fixed `Sim`s on virtual time: the
+//! `sim-cyclic` overlay (`default_14` plus three cycle-closing edges)
+//! with stationary `Distinct` subscribers, counted per delivered
+//! publication, and the reconfiguration protocol's ping-pong on
+//! `default_14`, counted per committed movement.
+//!
+//! Each budget sits a quarter above the count this file measured when
+//! a step came to allocate per frame rather than per effect; the
+//! counts before that, and after, are in CHANGES.md. Debug builds run
+//! the routing tables' linear-scan oracle on every match, which
+//! allocates, so they have budgets of their own.
+//!
+//! `cargo test -p transmob-sim --test step_allocations -- --nocapture`
+//! prints the counts.
+
+use std::collections::BTreeSet;
+
+use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
+use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
+use transmob_sim::{MovementPlan, NetworkModel, Sim, SimDuration, SimTime};
+use transmob_workloads::footprint::{measure, CountingAlloc};
+use transmob_workloads::{default_14, paper_default, SubWorkload};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const PUBLISHERS: [u32; 3] = [6, 10, 14];
+
+/// Release and debug budgets: a quarter above the measured counts.
+const fn budget(release: f64, debug: f64) -> f64 {
+    if cfg!(debug_assertions) {
+        debug * 1.25
+    } else {
+        release * 1.25
+    }
+}
+
+fn publisher(j: usize) -> ClientId {
+    ClientId(1 + j as u64)
+}
+
+/// A `Sim` on `topology` whose publishers at [`PUBLISHERS`] advertise
+/// the whole space and whose subscribers hold one filter each, run
+/// quiescent.
+fn settled(topology: transmob_broker::Topology, workload: SubWorkload, n: usize) -> Sim {
+    let mut sim = Sim::builder()
+        .overlay(topology)
+        .options(MobileBrokerConfig::reconfig())
+        .network(NetworkModel::cluster())
+        .seed(1)
+        .start();
+    let everything = Filter::builder().ge("x", 0).le("x", 100_000).build();
+    for (j, &home) in PUBLISHERS.iter().enumerate() {
+        sim.create_client(BrokerId(home), publisher(j));
+        sim.schedule_cmd(
+            SimTime::ZERO,
+            publisher(j),
+            ClientOp::Advertise(everything.clone()),
+        );
+    }
+    for c in paper_default(n, workload) {
+        sim.create_client(c.start, c.id);
+        sim.schedule_cmd(
+            SimTime(1_000_000),
+            c.id,
+            ClientOp::Subscribe(c.subscription),
+        );
+    }
+    sim.run_to_quiescence();
+    sim
+}
+
+#[test]
+fn a_publication_on_the_cyclic_overlay_stays_under_its_allocation_budget() {
+    const PUBLICATIONS: usize = 120;
+    let budget = budget(10.9, 24.4);
+    let mut topology = default_14();
+    for (x, y) in [(1, 13), (2, 14), (5, 12)] {
+        topology
+            .add_edge(BrokerId(x), BrokerId(y))
+            .expect("cycle-closing edge between existing brokers");
+    }
+    let mut sim = settled(topology, SubWorkload::Distinct, 40);
+    // Contents inside the `Distinct` groups, as `sim-cyclic`'s are, and
+    // clear of their edges, where the shifted instances part; each
+    // publisher every 20 ms, interleaved.
+    let start = sim.now() + SimDuration::from_millis(100);
+    for i in 0..PUBLICATIONS {
+        let k = i as i64;
+        let x = 50_000 + 2_000 * ((k * 7) % 10) + 50 + (k * 37) % 700;
+        let at = start + SimDuration::from_micros(i as u64 * 20_000 / 3);
+        let j = i % PUBLISHERS.len();
+        sim.schedule_cmd(
+            at,
+            publisher(j),
+            ClientOp::Publish(Publication::new().with("x", x)),
+        );
+    }
+    // The log is reserved up front, so that its growth is not charged
+    // to the steps.
+    sim.metrics.delivery_log = Some(Vec::with_capacity(PUBLICATIONS * 40));
+    let ((), heap) = measure(|| sim.run_to_quiescence());
+    let log = sim.metrics.delivery_log.as_ref().expect("log enabled");
+    let delivered: BTreeSet<_> = log.iter().map(|d| d.publication).collect();
+    assert_eq!(
+        delivered.len(),
+        PUBLICATIONS,
+        "every publication reaches a subscriber"
+    );
+    let per_pub = heap.allocs as f64 / PUBLICATIONS as f64;
+    println!(
+        "step_allocations: {per_pub:.1} allocations a publication ({} deliveries)",
+        log.len()
+    );
+    assert!(
+        per_pub <= budget,
+        "{per_pub:.1} a publication (budget {budget:.1})"
+    );
+}
+
+#[test]
+fn a_movement_on_the_tree_stays_under_its_allocation_budget() {
+    let budget = budget(31.9, 205.0);
+    let mut sim = settled(default_14(), SubWorkload::Covered, 40);
+    let start = sim.now() + SimDuration::from_millis(100);
+    let pause = SimDuration::from_secs(1);
+    let movers = paper_default(40, SubWorkload::Covered);
+    let n = movers.len() as f64;
+    for (i, c) in movers.into_iter().enumerate() {
+        let plan = MovementPlan {
+            destinations: c.route,
+            pause,
+            protocol: ProtocolKind::Reconfig,
+        };
+        sim.install_plan(c.id, plan, start + pause.mul_f64(i as f64 / n));
+    }
+    sim.set_plan_deadline(start + SimDuration::from_secs(10));
+    let ((), heap) = measure(|| sim.run_to_quiescence());
+    let committed = (sim.metrics.finished_moves())
+        .filter(|(_, r)| r.committed == Some(true))
+        .count();
+    assert_eq!(
+        committed,
+        sim.metrics.finished_count(),
+        "no movement aborts"
+    );
+    assert!(committed >= 300, "{committed} movements committed");
+    let per_move = heap.allocs as f64 / committed as f64;
+    println!("step_allocations: {per_move:.1} allocations a movement ({committed} committed)");
+    assert!(
+        per_move <= budget,
+        "{per_move:.1} a movement (budget {budget:.1})"
+    );
+}

@@ -14,6 +14,7 @@
 //! let (v, heap) = measure(|| vec![0u8; 100]);
 //! assert_eq!(heap.allocated, 100);
 //! assert_eq!(heap.live, 100);
+//! assert_eq!(heap.allocs, 1);
 //! drop(v);
 //! ```
 //!
@@ -30,6 +31,9 @@ thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     /// Bytes this thread has ever asked for.
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    /// Calls this thread has made to `alloc`, `alloc_zeroed` and
+    /// `realloc`.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting the bytes that pass through it.
@@ -42,6 +46,7 @@ pub struct CountingAlloc;
 fn charge(size: usize) {
     let _ = LIVE.try_with(|live| live.set(live.get() + size as isize));
     let _ = ALLOCATED.try_with(|total| total.set(total.get() + size));
+    let _ = ALLOCS.try_with(|calls| calls.set(calls.get() + 1));
 }
 
 fn release(size: usize) {
@@ -97,17 +102,21 @@ pub struct Heap {
     /// Bytes asked of the allocator, freed again or not (a grown
     /// block counts its new size).
     pub allocated: usize,
+    /// Calls to `alloc`, `alloc_zeroed` and `realloc` (a grown block
+    /// is one more).
+    pub allocs: usize,
 }
 
 /// Runs `f` and reports what it did to the calling thread's heap,
 /// beside its result (which is alive, and counted, when the report is
 /// taken). All zero unless [`CountingAlloc`] is the global allocator.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Heap) {
-    let (live, allocated) = (LIVE.get(), ALLOCATED.get());
+    let (live, allocated, allocs) = (LIVE.get(), ALLOCATED.get(), ALLOCS.get());
     let out = f();
     let heap = Heap {
         live: LIVE.get() - live,
         allocated: ALLOCATED.get() - allocated,
+        allocs: ALLOCS.get() - allocs,
     };
     (out, heap)
 }

@@ -30,6 +30,16 @@
 # `--root` and `--callers` go before the `e2e` arguments, in either
 # order.
 #
+#   scripts/profile.sh --allocs --workload sim-cyclic --seed 1 --seconds 10 --trace 0
+#
+# samples nothing: it preloads a shim that counts the calls to
+# `malloc`, `calloc`, `realloc` and the aligned allocators instead, and
+# runs the binary twice, once for a single round (`--seconds 0.001`
+# appended) and once as given, for several. The difference is what the
+# extra rounds cost, set-up included, so it prints the allocations an
+# operation of one round makes. All threads count, so on the threaded
+# workloads the number includes the runtime's own.
+#
 # Needs `cc`, `nm` and `python3`; prints a notice and exits 0 without
 # them. No CI tier runs this.
 set -euo pipefail
@@ -44,8 +54,13 @@ done
 
 callers=""
 root="Sim::run_until"
+allocs=""
 while true; do
     case "${1:-}" in
+    --allocs)
+        allocs=1
+        shift
+        ;;
     --callers)
         callers="${2:?--callers needs a substring of the leaf frame to attribute}"
         shift 2
@@ -61,6 +76,69 @@ done
 dir=target/profile
 mkdir -p "$dir"
 rm -f "$dir"/samples.*
+exe=bench_e2e/target/release/e2e
+
+if [ -n "$allocs" ]; then
+    cat >"$dir/allocs.c" <<'C'
+#define _GNU_SOURCE
+#include <stdio.h>
+#include <stdlib.h>
+
+extern void *__libc_malloc(size_t);
+extern void *__libc_calloc(size_t, size_t);
+extern void *__libc_realloc(void *, size_t);
+extern void *__libc_memalign(size_t, size_t);
+
+static unsigned long calls;
+#define COUNT __atomic_fetch_add(&calls, 1, __ATOMIC_RELAXED)
+
+void *malloc(size_t n) { COUNT; return __libc_malloc(n); }
+void *calloc(size_t k, size_t n) { COUNT; return __libc_calloc(k, n); }
+void *realloc(void *p, size_t n) { COUNT; return __libc_realloc(p, n); }
+void *aligned_alloc(size_t align, size_t n) { COUNT; return __libc_memalign(align, n); }
+int posix_memalign(void **out, size_t align, size_t n) {
+    COUNT;
+    void *p = __libc_memalign(align, n);
+    if (!p) return 12; /* ENOMEM */
+    *out = p;
+    return 0;
+}
+
+__attribute__((destructor)) static void finish(void) {
+    FILE *out = fopen(getenv("PROFILE_ALLOCS"), "w");
+    if (!out) return;
+    fprintf(out, "%lu\n", __atomic_load_n(&calls, __ATOMIC_RELAXED));
+    fclose(out);
+}
+C
+    cc -O2 -shared -fPIC -o "$dir/allocs.so" "$dir/allocs.c"
+    cargo build --release --offline --quiet --manifest-path bench_e2e/Cargo.toml
+    # One round, then as many as the arguments' --seconds allow (the
+    # last --seconds given wins).
+    for run in one several; do
+        extra=()
+        [ "$run" = one ] && extra=(--seconds 0.001)
+        PROFILE_ALLOCS="$PWD/$dir/allocs.$run" LD_PRELOAD="$PWD/$dir/allocs.so" \
+            "$exe" "$@" "${extra[@]}" >"$dir/stdout.$run"
+    done
+    python3 - "$dir" <<'PY'
+import re, sys
+
+runs = {}
+for run in ("one", "several"):
+    out = open(f"{sys.argv[1]}/stdout.{run}").read()
+    m = re.search(r"^# (\S+): (\d+) round\(s\) of (\d+) ops", out, re.M)
+    calls = int(open(f"{sys.argv[1]}/allocs.{run}").read())
+    runs[run] = (m.group(1), int(m.group(2)), int(m.group(3)), calls)
+name, r1, ops, a1 = runs["one"]
+_, rn, _, an = runs["several"]
+if rn <= r1:
+    sys.exit(f"allocs: the run as given made {rn} round(s); give it more --seconds")
+print(f"allocs: {name}: {a1} calls in {r1} round, {an} in {rn} rounds of {ops} ops")
+print(f"allocs: {(an - a1) / ((rn - r1) * ops):.1f} allocations an operation of one round")
+PY
+    exit 0
+fi
 
 cat >"$dir/shim.c" <<'C'
 #define _GNU_SOURCE
@@ -134,7 +212,6 @@ C
 cc -O2 -shared -fPIC -o "$dir/shim.so" "$dir/shim.c" -ldl
 
 cargo build --release --offline --quiet --manifest-path bench_e2e/Cargo.toml
-exe=bench_e2e/target/release/e2e
 
 PROFILE_SAMPLES="$PWD/$dir/samples" LD_PRELOAD="$PWD/$dir/shim.so" "$exe" "$@" >"$dir/stdout"
 tail -n 1 "$dir/stdout" | cut -c1-400
