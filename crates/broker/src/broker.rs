@@ -1,11 +1,14 @@
 //! The broker routing state machine.
 //!
 //! [`BrokerCore`] is a *pure, synchronous* state machine: it owns the
-//! SRT/PRT routing tables and maps one input message to a list of
-//! [`BrokerOutput`] effects. It performs no I/O and holds no clock, so
-//! the same implementation is hosted unchanged by the discrete-event
-//! simulator (`transmob-sim`) and by the threaded runtime
-//! (`transmob-runtime`).
+//! SRT/PRT routing tables and writes the [`BrokerOutput`] effects of
+//! one input message, in emission order, into the [`Effects`] sink its
+//! caller hands it. Every rule, down to the deepest cascade step,
+//! writes into that one sink; only [`BrokerCore::handle`] collects
+//! effects into a `Vec` of its own. It performs no I/O and holds no
+//! clock, so the same implementation is hosted unchanged by the
+//! discrete-event simulator (`transmob-sim`) and by the threaded
+//! runtime (`transmob-runtime`).
 //!
 //! The routing semantics are the paper's (Sec. 2):
 //!
@@ -488,23 +491,16 @@ impl BrokerCore {
         &self.clients
     }
 
-    /// Handles one routing-layer message arriving from `from`.
+    /// Handles one routing-layer message arriving from `from`,
+    /// collecting its effects in emission order.
     ///
-    /// Thin wrapper over [`BrokerCore::handle_into`], the one ingestion
-    /// path.
+    /// The one `Vec`-collecting convenience, for tests and benches:
+    /// [`BrokerCore::handle_into`] into a fresh vector. A batch is the
+    /// fold of [`BrokerCore::handle_into`] over its messages.
     pub fn handle(&mut self, from: Hop, msg: PubSubMsg) -> Vec<BrokerOutput> {
         let mut out = Vec::new();
         self.handle_into(from, msg, None, &mut out);
         out
-    }
-
-    /// Handles a batch of routing-layer messages that arrived from
-    /// `from` in order, returning the combined effects in emission
-    /// order (per-destination send order is the per-link FIFO the
-    /// consistency argument relies on): [`BrokerCore::handle_into`]
-    /// folded over the batch.
-    pub fn handle_batch(&mut self, from: Hop, msgs: Vec<PubSubMsg>) -> Vec<BrokerOutput> {
-        self.handle_batch_prematched(from, msgs, None)
     }
 
     /// The routing-state version stamp guarding pre-computed routes
@@ -517,10 +513,10 @@ impl BrokerCore {
     /// state without mutating anything: the read-locked *match* stage
     /// of a pipelined broker loop. The result is stamped with
     /// [`BrokerCore::routing_version`]; the write-locked *apply* stage
-    /// ([`BrokerCore::handle_batch_prematched`]) consumes the routes
-    /// only while the stamp still matches, so a movement commit or
-    /// subscription churn sneaking in between simply invalidates the
-    /// pre-computation instead of corrupting routing.
+    /// ([`BrokerCore::handle_into`] over the same publications)
+    /// consumes the routes only while the stamp still matches, so a
+    /// movement commit or subscription churn sneaking in between simply
+    /// invalidates the pre-computation instead of corrupting routing.
     pub fn prematch(&self, contents: &[&Publication]) -> PrematchedRoutes {
         PrematchedRoutes {
             version: self.prt.routing_version(),
@@ -528,31 +524,15 @@ impl BrokerCore {
         }
     }
 
-    /// [`BrokerCore::handle_batch`], optionally consuming routes
-    /// pre-computed by [`BrokerCore::prematch`] on the same
-    /// publication sequence. Stale pre-computations (version stamp
-    /// mismatch — the routing state mutated since the match stage,
-    /// including *mid-batch* by a subscription in this very batch) are
-    /// ignored from there on and the publications matched afresh;
-    /// results are identical either way (asserted in debug builds).
-    pub fn handle_batch_prematched(
-        &mut self,
-        from: Hop,
-        msgs: Vec<PubSubMsg>,
-        mut pre: Option<&mut PrematchedRoutes>,
-    ) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
-        for msg in msgs {
-            self.handle_into(from, msg, pre.as_deref_mut(), &mut out);
-        }
-        out
-    }
-
     /// Handles one routing-layer message arriving from `from`, writing
     /// its effects into `effects`, which the caller owns and may keep
-    /// from one step to the next. A publication takes the next set of
-    /// `pre` (see [`BrokerCore::handle_batch_prematched`]) while its
-    /// stamp is current, and is matched here otherwise.
+    /// from one step to the next: the one ingestion path. A
+    /// publication takes the next set of `pre` (see
+    /// [`BrokerCore::prematch`]) while its stamp is current, and is
+    /// matched here otherwise. A stale stamp (the routing state mutated
+    /// since the match stage, maybe by an earlier message of the same
+    /// batch) stays stale; the result is identical either way
+    /// (asserted in debug builds).
     pub fn handle_into(
         &mut self,
         from: Hop,
@@ -561,17 +541,14 @@ impl BrokerCore {
         effects: &mut impl Effects,
     ) {
         *self.stats.handled.entry(msg.kind()).or_insert(0) += 1;
-        let outs = match msg {
-            PubSubMsg::Publish(p) => return self.route_publication(from, p, pre, effects),
-            PubSubMsg::Advertise(a) => self.handle_add(from, a),
-            PubSubMsg::Unadvertise(id) => self.handle_retract::<Advertisement>(from, id),
-            PubSubMsg::Subscribe(s) => self.handle_add(from, s),
-            PubSubMsg::Unsubscribe(id) => self.handle_retract::<Subscription>(from, id),
-            PubSubMsg::RepairAdv(a) => self.handle_repair(from, a),
-            PubSubMsg::RepairSub(s) => self.handle_repair(from, s),
-        };
-        for o in outs {
-            effects.emit(o);
+        match msg {
+            PubSubMsg::Publish(p) => self.route_publication(from, p, pre, effects),
+            PubSubMsg::Advertise(a) => self.handle_add(from, a, effects),
+            PubSubMsg::Unadvertise(id) => self.handle_retract::<Advertisement>(from, id, effects),
+            PubSubMsg::Subscribe(s) => self.handle_add(from, s, effects),
+            PubSubMsg::Unsubscribe(id) => self.handle_retract::<Subscription>(from, id, effects),
+            PubSubMsg::RepairAdv(a) => self.handle_repair(from, a, effects),
+            PubSubMsg::RepairSub(s) => self.handle_repair(from, s, effects),
         }
     }
 
@@ -621,12 +598,12 @@ impl BrokerCore {
     /// An advertisement or subscription arriving from `from`: inserted,
     /// or, if its row exists, the new direction adopted; then forwarded
     /// on ([`Kind::propagate`]).
-    fn handle_add<T: Kind>(&mut self, from: Hop, item: T) -> Vec<BrokerOutput> {
+    fn handle_add<T: Kind>(&mut self, from: Hop, item: T, effects: &mut impl Effects) {
         let id = item.id();
         if !T::table_mut(self).insert(item, from) {
             self.adopt_route::<T>(id, from);
         }
-        T::propagate(self, id, from)
+        T::propagate(self, id, from, effects);
     }
 
     /// Row `id` arrived again, from `from`.
@@ -668,26 +645,27 @@ impl BrokerCore {
     /// Forwards row `id` to neighbour `n` unless it came from there,
     /// was already sent there, or is quenched by covering; in active
     /// covering mode, retracts the rows it covers on that link.
-    fn forward_to<T: Kind>(&mut self, id: T::Id, n: BrokerId) -> Vec<BrokerOutput> {
+    /// Returns whether it forwarded.
+    fn forward_to<T: Kind>(&mut self, id: T::Id, n: BrokerId, effects: &mut impl Effects) -> bool {
         let Some(entry) = T::table(self).get(id) else {
-            return Vec::new();
+            return false;
         };
         if entry.lasthop == Hop::Broker(n)
             || entry.sent_to.contains(&n)
             || entry.alt_lasthops.contains(&n)
         {
-            return Vec::new();
+            return false;
         }
         let filter = entry.item.filter().clone();
         let covering = T::covering(&self.config);
         if covering.enabled() && self.quenched_on::<T>(n, id, &filter) {
-            return Vec::new();
+            return false;
         }
         let Some(msg) = entry.item.forward_msg() else {
-            return Vec::new();
+            return false;
         };
         T::table_mut(self).update(id, |e| e.sent_to.insert(n));
-        let mut out = vec![BrokerOutput::ToBroker(n, msg)];
+        effects.emit(BrokerOutput::ToBroker(n, msg));
         if covering == CoveringMode::Active {
             // Retract previously-forwarded rows now covered on this
             // link. The containment index enumerates the covered
@@ -701,10 +679,10 @@ impl BrokerCore {
                 .collect();
             for oid in retract {
                 T::table_mut(self).update(oid, |e| e.sent_to.remove(&n));
-                out.push(BrokerOutput::ToBroker(n, T::retract_msg(oid)));
+                effects.emit(BrokerOutput::ToBroker(n, T::retract_msg(oid)));
             }
         }
-        out
+        true
     }
 
     /// Whether row `id` with `filter` is quenched on link `n` by some
@@ -718,12 +696,12 @@ impl BrokerCore {
     }
 
     /// A retraction of row `id` arriving from `from`.
-    fn handle_retract<T: Kind>(&mut self, from: Hop, id: T::Id) -> Vec<BrokerOutput> {
+    fn handle_retract<T: Kind>(&mut self, from: Hop, id: T::Id, effects: &mut impl Effects) {
         let Some(entry) = T::table(self).get(id) else {
             // Stale retraction: the entry was already removed by a
             // crossing retraction (idempotent outcome).
             self.stats.reroutes += 1;
-            return Vec::new();
+            return;
         };
         if entry.lasthop != from {
             if let (true, Hop::Broker(nb)) = (self.config.multipath, from) {
@@ -731,14 +709,14 @@ impl BrokerCore {
                     // One of several redundant routes retracted; the
                     // entry stays, justified by the primary route.
                     T::table_mut(self).update(id, |e| e.alt_lasthops.remove(&nb));
-                    return T::route_withdrawn(self, nb);
+                    return T::route_withdrawn(self, nb, effects);
                 }
             }
             // Retractions travel the reverse of the forwarding path; a
             // mismatch means the entry was re-routed while the
             // retraction was in flight — ignore the stale retraction.
             self.stats.reroutes += 1;
-            return Vec::new();
+            return;
         }
         if self.config.multipath {
             if let Some(&next) = entry.alt_lasthops.first() {
@@ -752,35 +730,34 @@ impl BrokerCore {
                     e.alt_lasthops.remove(&next);
                     e.lasthop = Hop::Broker(next);
                 });
-                return match old {
-                    Hop::Broker(old) => T::route_withdrawn(self, old),
-                    Hop::Client(_) => Vec::new(),
-                };
+                if let Hop::Broker(old) = old {
+                    T::route_withdrawn(self, old, effects);
+                }
+                return;
             }
         }
-        T::last_route_retracted(self, id)
+        T::last_route_retracted(self, id, effects);
     }
 
     /// Removes row `id`, retracts it on every link it was forwarded
     /// over, withdraws its route ([`Kind::route_withdrawn`]), and
     /// releases what it quenched.
-    fn remove_row<T: Kind>(&mut self, id: T::Id) -> Vec<BrokerOutput> {
+    fn remove_row<T: Kind>(&mut self, id: T::Id, effects: &mut impl Effects) {
         let Some(entry) = T::table_mut(self).remove(id) else {
-            return Vec::new();
+            return;
         };
         self.drop_pending(T::pending_key(id), &entry.pending);
-        let mut out: Vec<BrokerOutput> = (entry.sent_to.iter())
-            .map(|n| BrokerOutput::ToBroker(*n, T::retract_msg(id)))
-            .collect();
+        for n in &entry.sent_to {
+            effects.emit(BrokerOutput::ToBroker(*n, T::retract_msg(id)));
+        }
         if let Hop::Broker(n) = entry.lasthop {
-            out.extend(T::route_withdrawn(self, n));
+            T::route_withdrawn(self, n, effects);
         }
         if T::covering(&self.config).enabled() {
             for n in &entry.sent_to {
-                out.extend(self.release_quenched::<T>(*n, entry.item.filter()));
+                self.release_quenched::<T>(*n, entry.item.filter(), effects);
             }
         }
-        out
     }
 
     /// Re-evaluates link `n` after `removed` was withdrawn from it: any
@@ -793,7 +770,12 @@ impl BrokerCore {
     /// forwarded on the link — re-quenching is left to the downstream
     /// broker. The precise variant suppresses candidates still covered
     /// locally (the quench check inside `forward_to`).
-    fn release_quenched<T: Kind>(&mut self, n: BrokerId, removed: &Filter) -> Vec<BrokerOutput> {
+    fn release_quenched<T: Kind>(
+        &mut self,
+        n: BrokerId,
+        removed: &Filter,
+        effects: &mut impl Effects,
+    ) {
         let table = T::table(self);
         let candidates: Vec<T::Id> = (table.covered_by(removed).into_iter())
             .filter(|id| {
@@ -801,23 +783,21 @@ impl BrokerCore {
                 e.lasthop != Hop::Broker(n) && !e.sent_to.contains(&n)
             })
             .collect();
-        let mut out = Vec::new();
         for id in candidates {
             if !T::needed_on(self, id, n) {
                 continue;
             }
             if self.config.conservative_release {
-                out.extend(self.forward_unchecked::<T>(id, n));
+                self.forward_unchecked::<T>(id, n, effects);
             } else {
-                out.extend(self.forward_to::<T>(id, n));
+                self.forward_to::<T>(id, n, effects);
             }
         }
-        out
     }
 
     /// Forwards row `id` to `n` bypassing the quench check
     /// (conservative covering release).
-    fn forward_unchecked<T: Kind>(&mut self, id: T::Id, n: BrokerId) -> Vec<BrokerOutput> {
+    fn forward_unchecked<T: Kind>(&mut self, id: T::Id, n: BrokerId, effects: &mut impl Effects) {
         let msg = T::table_mut(self).update(id, |e| {
             if e.lasthop == Hop::Broker(n) || e.alt_lasthops.contains(&n) || e.sent_to.contains(&n)
             {
@@ -827,10 +807,9 @@ impl BrokerCore {
             e.sent_to.insert(n);
             Some(msg)
         });
-        msg.flatten()
-            .map(|msg| BrokerOutput::ToBroker(n, msg))
-            .into_iter()
-            .collect()
+        if let Some(msg) = msg.flatten() {
+            effects.emit(BrokerOutput::ToBroker(n, msg));
+        }
     }
 
     /// An advertisement or subscription re-propagated by an overlay
@@ -838,9 +817,9 @@ impl BrokerCore {
     /// adoption is exactly what makes a repair flood converge
     /// regardless of whether it arrives before or after this broker ran
     /// its own purge. The onward flood and the pulled subscriptions
-    /// keep the repair tag so repair traffic stays identifiable across
-    /// the overlay.
-    fn handle_repair<T: Kind>(&mut self, from: Hop, item: T) -> Vec<BrokerOutput> {
+    /// keep the repair tag ([`RepairTag`]) so repair traffic stays
+    /// identifiable across the overlay.
+    fn handle_repair<T: Kind>(&mut self, from: Hop, item: T, effects: &mut impl Effects) {
         if let Some(entry) = T::table(self).get(item.id()) {
             if !entry.alt_lasthops.is_empty() {
                 // The entry already holds multiple routes, so "adopt
@@ -855,28 +834,10 @@ impl BrokerCore {
                     T::NOUN,
                     item.id()
                 );
-                return Vec::new();
+                return;
             }
         }
-        Self::tag_repair(self.handle_add(from, item))
-    }
-
-    /// Rewrites forward-direction propagation (advertise / subscribe)
-    /// triggered by a repair message as repair variants; retractions
-    /// pass through untouched.
-    fn tag_repair(outputs: Vec<BrokerOutput>) -> Vec<BrokerOutput> {
-        outputs
-            .into_iter()
-            .map(|o| match o {
-                BrokerOutput::ToBroker(n, PubSubMsg::Advertise(a)) => {
-                    BrokerOutput::ToBroker(n, PubSubMsg::RepairAdv(a))
-                }
-                BrokerOutput::ToBroker(n, PubSubMsg::Subscribe(s)) => {
-                    BrokerOutput::ToBroker(n, PubSubMsg::RepairSub(s))
-                }
-                other => other,
-            })
-            .collect()
+        self.handle_add(from, item, &mut RepairTag(effects));
     }
 
     // ----- rules of one kind -----------------------------------------
@@ -913,30 +874,28 @@ impl BrokerCore {
 
     /// Retracts subscriptions from link `n` when no intersecting
     /// advertisement (active or pending) remains in that direction.
-    fn prune_subs_on_link(&mut self, n: BrokerId) -> Vec<BrokerOutput> {
+    fn prune_subs_on_link(&mut self, n: BrokerId, effects: &mut impl Effects) {
         let candidates: Vec<SubId> = (self.prt.iter())
             .filter(|(_, e)| e.sent_to.contains(&n))
             .map(|(id, _)| *id)
             .collect();
-        let mut out = Vec::new();
         for id in candidates {
-            out.extend(self.prune_sub_link(id, n));
+            self.prune_sub_link(id, n, effects);
         }
-        out
     }
 
     /// Retracts subscription `id` from link `n` if no intersecting
     /// advertisement (active or pending) lies that way. Used by the
     /// prune rule and by movement-transaction rollback.
-    pub fn prune_sub_link(&mut self, id: SubId, n: BrokerId) -> Vec<BrokerOutput> {
+    pub fn prune_sub_link(&mut self, id: SubId, n: BrokerId, effects: &mut impl Effects) {
         let Some(entry) = self.prt.get(id) else {
-            return Vec::new();
+            return;
         };
         if !entry.sent_to.contains(&n) || self.adv_directions(&entry.item.filter).contains(&n) {
-            return Vec::new();
+            return;
         }
         self.prt.update(id, |e| e.sent_to.remove(&n));
-        vec![BrokerOutput::ToBroker(n, PubSubMsg::Unsubscribe(id))]
+        effects.emit(BrokerOutput::ToBroker(n, PubSubMsg::Unsubscribe(id)));
     }
 
     /// Pull rule: forwards every intersecting subscription toward
@@ -944,13 +903,18 @@ impl BrokerCore {
     /// by the reconfiguration protocol (paper Sec. 4.4, PRT cases 1
     /// and 3) against a pending advertisement configuration.
     ///
-    /// Returns the effects and the subscriptions the pull put on the
-    /// link (ascending; covering may quench a candidate, or retract it
-    /// again in favour of a later one), which is what a movement
-    /// records to undo on abort.
-    pub fn pull_subs_toward(&mut self, id: AdvId, nf: BrokerId) -> (Vec<BrokerOutput>, Vec<SubId>) {
+    /// Returns the subscriptions the pull put on the link (ascending;
+    /// covering may quench a candidate, or retract it again in favour
+    /// of a later one), which is what a movement records to undo on
+    /// abort.
+    pub fn pull_subs_toward(
+        &mut self,
+        id: AdvId,
+        nf: BrokerId,
+        effects: &mut impl Effects,
+    ) -> Vec<SubId> {
         let Some(entry) = self.srt.get(id) else {
-            return (Vec::new(), Vec::new());
+            return Vec::new();
         };
         let candidates: Vec<SubId> = (self.prt.overlapping(&entry.item.filter).into_iter())
             .filter(|sid| {
@@ -961,17 +925,14 @@ impl BrokerCore {
                 e.lasthop != Hop::Broker(nf) && !e.sent_to.contains(&nf)
             })
             .collect();
-        let mut out = Vec::new();
         let mut pulled = Vec::new();
         for sid in candidates {
-            let forwarded = self.forward_to::<Subscription>(sid, nf);
-            if !forwarded.is_empty() {
+            if self.forward_to::<Subscription>(sid, nf, effects) {
                 pulled.push(sid);
             }
-            out.extend(forwarded);
         }
         pulled.retain(|sid| self.prt.get(*sid).is_some_and(|e| e.sent_to.contains(&nf)));
-        (out, pulled)
+        pulled
     }
 
     // ----- overlay repair --------------------------------------------
@@ -993,15 +954,15 @@ impl BrokerCore {
     /// downstream broker re-quenches), whereas quenching against
     /// not-yet-repaired state could suppress a needed route.
     ///
-    /// Returns the effects plus the ids of movement transactions whose
-    /// pending (shadow) configuration references the dead broker —
-    /// those can no longer commit toward it and must be aborted by the
-    /// movement layer.
+    /// Returns the ids of movement transactions whose pending (shadow)
+    /// configuration references the dead broker — those can no longer
+    /// commit toward it and must be aborted by the movement layer.
     pub fn repair_neighbors(
         &mut self,
         dead: BrokerId,
         new_peers: &[BrokerId],
-    ) -> (Vec<BrokerOutput>, Vec<MoveId>) {
+        effects: &mut impl Effects,
+    ) -> Vec<MoveId> {
         self.neighbors.remove(&dead);
         for p in new_peers {
             if *p != self.id {
@@ -1016,8 +977,8 @@ impl BrokerCore {
         // `lasthop == from` check of the retraction holds by
         // construction, and the resulting cascade cleans the entry
         // from every surviving broker downstream.
-        let mut out = self.purge::<Advertisement>(dead);
-        out.extend(self.purge::<Subscription>(dead));
+        self.purge::<Advertisement>(dead, effects);
+        self.purge::<Subscription>(dead, effects);
         // Re-propagate the surviving advertisements over each new
         // edge.
         for &p in new_peers {
@@ -1035,11 +996,11 @@ impl BrokerCore {
                     Some(adv)
                 });
                 if let Some(adv) = copy.flatten() {
-                    out.push(BrokerOutput::ToBroker(p, PubSubMsg::RepairAdv(adv)));
+                    effects.emit(BrokerOutput::ToBroker(p, PubSubMsg::RepairAdv(adv)));
                 }
             }
         }
-        (out, doomed.into_iter().collect())
+        doomed.into_iter().collect()
     }
 
     /// The first half of a repair, per table: collects the movements
@@ -1070,16 +1031,14 @@ impl BrokerCore {
 
     /// Retracts every row of the table learned over the dead link, as
     /// if the dead broker had.
-    fn purge<T: Kind>(&mut self, dead: BrokerId) -> Vec<BrokerOutput> {
+    fn purge<T: Kind>(&mut self, dead: BrokerId, effects: &mut impl Effects) {
         let learned: Vec<T::Id> = (T::table(self).iter())
             .filter(|(_, e)| e.lasthop == Hop::Broker(dead))
             .map(|(id, _)| *id)
             .collect();
-        let mut out = Vec::new();
         for id in learned {
-            out.extend(self.handle_retract::<T>(Hop::Broker(dead), id));
+            self.handle_retract::<T>(Hop::Broker(dead), id, effects);
         }
-        out
     }
 
     // ----- publications ----------------------------------------------
@@ -1226,7 +1185,7 @@ impl BrokerCore {
     /// forwarding sets are re-oriented, and (for advertisement moves)
     /// subscriptions whose justification disappeared are pruned (the
     /// paper's PRT case 2).
-    pub fn commit_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
+    pub fn commit_move(&mut self, move_id: MoveId, effects: &mut impl Effects) {
         let mut prune_links: BTreeSet<BrokerId> = BTreeSet::new();
         for (entry, meta) in self.take_pending(move_id) {
             // An overlay repair may have removed the old direction;
@@ -1248,11 +1207,9 @@ impl BrokerCore {
         }
         // Prune subscriptions that pointed at the old advertisement
         // location (paper PRT case 2, realized as the generic prune).
-        let mut out = Vec::new();
         for n in prune_links {
-            out.extend(self.prune_subs_on_link(n));
+            self.prune_subs_on_link(n, effects);
         }
-        out
     }
 
     /// Commits row `id`'s pending configuration, adding `sent_add` to
@@ -1278,24 +1235,21 @@ impl BrokerCore {
     /// Rolls back every pending configuration installed under
     /// `move_id`: shadow configurations are dropped and entries created
     /// by the transaction are removed, a subscription's retracted on the
-    /// links it was forwarded over (returned).
-    pub fn abort_move(&mut self, move_id: MoveId) -> Vec<BrokerOutput> {
-        let mut out = Vec::new();
+    /// links it was forwarded over.
+    pub fn abort_move(&mut self, move_id: MoveId, effects: &mut impl Effects) {
         for (entry, meta) in self.take_pending(move_id) {
-            out.extend(match entry {
-                PendingEntry::Adv(id) => self.abort_row::<Advertisement>(id, meta.created),
-                PendingEntry::Sub(id) => self.abort_row::<Subscription>(id, meta.created),
-            });
+            match entry {
+                PendingEntry::Adv(id) => self.abort_row::<Advertisement>(id, meta.created, effects),
+                PendingEntry::Sub(id) => self.abort_row::<Subscription>(id, meta.created, effects),
+            }
         }
-        out
     }
 
-    fn abort_row<T: Kind>(&mut self, id: T::Id, created: bool) -> Vec<BrokerOutput> {
+    fn abort_row<T: Kind>(&mut self, id: T::Id, created: bool, effects: &mut impl Effects) {
         if created {
-            return T::drop_created(self, id);
+            return T::drop_created(self, id, effects);
         }
         T::table_mut(self).update(id, |entry| entry.pending = None);
-        Vec::new()
     }
 }
 
@@ -1317,15 +1271,15 @@ trait Kind: Routed {
     /// The message that retracts row `id`.
     fn retract_msg(id: Self::Id) -> PubSubMsg;
     /// Forwards row `id`, just inserted or re-routed from `from`.
-    fn propagate(core: &mut BrokerCore, id: Self::Id, from: Hop) -> Vec<BrokerOutput>;
+    fn propagate(core: &mut BrokerCore, id: Self::Id, from: Hop, effects: &mut impl Effects);
     /// Whether covering release forwards row `id` to link `n`.
     fn needed_on(core: &BrokerCore, id: Self::Id, n: BrokerId) -> bool;
     /// A route of this kind toward neighbour `n` was withdrawn.
-    fn route_withdrawn(core: &mut BrokerCore, n: BrokerId) -> Vec<BrokerOutput>;
+    fn route_withdrawn(core: &mut BrokerCore, n: BrokerId, effects: &mut impl Effects);
     /// The last route of row `id` was retracted.
-    fn last_route_retracted(core: &mut BrokerCore, id: Self::Id) -> Vec<BrokerOutput>;
+    fn last_route_retracted(core: &mut BrokerCore, id: Self::Id, effects: &mut impl Effects);
     /// A movement that created row `id` aborted.
-    fn drop_created(core: &mut BrokerCore, id: Self::Id) -> Vec<BrokerOutput>;
+    fn drop_created(core: &mut BrokerCore, id: Self::Id, effects: &mut impl Effects);
 }
 
 impl Kind for Advertisement {
@@ -1350,16 +1304,14 @@ impl Kind for Advertisement {
     }
     /// Floods to every neighbour; then the pull rule forwards the known
     /// intersecting subscriptions toward the advertisement.
-    fn propagate(core: &mut BrokerCore, id: AdvId, from: Hop) -> Vec<BrokerOutput> {
+    fn propagate(core: &mut BrokerCore, id: AdvId, from: Hop, effects: &mut impl Effects) {
         let neighbors: Vec<BrokerId> = core.neighbors.iter().copied().collect();
-        let mut out = Vec::new();
         for n in neighbors {
-            out.extend(core.forward_to::<Self>(id, n));
+            core.forward_to::<Self>(id, n, effects);
         }
         if let Hop::Broker(nf) = from {
-            out.extend(core.pull_subs_toward(id, nf).0);
+            core.pull_subs_toward(id, nf, effects);
         }
-        out
     }
     /// An advertisement floods everywhere.
     fn needed_on(_: &BrokerCore, _: AdvId, _: BrokerId) -> bool {
@@ -1368,16 +1320,15 @@ impl Kind for Advertisement {
     /// The prune rule: subscriptions forwarded toward the withdrawn
     /// direction are retracted from that link when no other
     /// intersecting advertisement remains there.
-    fn route_withdrawn(core: &mut BrokerCore, n: BrokerId) -> Vec<BrokerOutput> {
-        core.prune_subs_on_link(n)
+    fn route_withdrawn(core: &mut BrokerCore, n: BrokerId, effects: &mut impl Effects) {
+        core.prune_subs_on_link(n, effects);
     }
-    fn last_route_retracted(core: &mut BrokerCore, id: AdvId) -> Vec<BrokerOutput> {
-        core.remove_row::<Self>(id)
+    fn last_route_retracted(core: &mut BrokerCore, id: AdvId, effects: &mut impl Effects) {
+        core.remove_row::<Self>(id, effects);
     }
     /// Dropped, with no retraction.
-    fn drop_created(core: &mut BrokerCore, id: AdvId) -> Vec<BrokerOutput> {
+    fn drop_created(core: &mut BrokerCore, id: AdvId, _: &mut impl Effects) {
         core.srt.remove(id);
-        Vec::new()
     }
 }
 
@@ -1402,25 +1353,21 @@ impl Kind for Subscription {
     }
     /// Forwards toward every intersecting advertisement, honouring
     /// covering.
-    fn propagate(core: &mut BrokerCore, id: SubId, _: Hop) -> Vec<BrokerOutput> {
+    fn propagate(core: &mut BrokerCore, id: SubId, _: Hop, effects: &mut impl Effects) {
         let Some(entry) = core.prt.get(id) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
         for n in core.adv_directions(&entry.item.filter) {
-            out.extend(core.forward_to::<Self>(id, n));
+            core.forward_to::<Self>(id, n, effects);
         }
-        out
     }
     /// Only where an intersecting advertisement lies.
     fn needed_on(core: &BrokerCore, id: SubId, n: BrokerId) -> bool {
         let entry = core.prt.get(id).expect("release candidates are live rows");
         core.adv_directions(&entry.item.filter).contains(&n)
     }
-    fn route_withdrawn(_: &mut BrokerCore, _: BrokerId) -> Vec<BrokerOutput> {
-        Vec::new()
-    }
-    fn last_route_retracted(core: &mut BrokerCore, id: SubId) -> Vec<BrokerOutput> {
+    fn route_withdrawn(_: &mut BrokerCore, _: BrokerId, _: &mut impl Effects) {}
+    fn last_route_retracted(core: &mut BrokerCore, id: SubId, effects: &mut impl Effects) {
         let pending = core.prt.get(id).and_then(|e| e.pending.as_ref());
         if let Some(p) = pending {
             // The subscriber is moving and the row already holds its
@@ -1433,12 +1380,31 @@ impl Kind for Subscription {
             if let Some(meta) = core.pending_meta.get_mut(&key) {
                 meta.created = true;
             }
-            return Vec::new();
+            return;
         }
-        core.remove_row::<Self>(id)
+        core.remove_row::<Self>(id, effects);
     }
     /// Removed and retracted downstream.
-    fn drop_created(core: &mut BrokerCore, id: SubId) -> Vec<BrokerOutput> {
-        core.remove_row::<Self>(id)
+    fn drop_created(core: &mut BrokerCore, id: SubId, effects: &mut impl Effects) {
+        core.remove_row::<Self>(id, effects);
+    }
+}
+
+/// The sink a repair message's own effects pass through: the
+/// forward-direction propagation it triggers (advertise / subscribe)
+/// goes on as its repair variant; retractions pass through untouched.
+struct RepairTag<'a, E>(&'a mut E);
+
+impl<E: Effects> Effects for RepairTag<'_, E> {
+    fn emit(&mut self, effect: BrokerOutput) {
+        self.0.emit(match effect {
+            BrokerOutput::ToBroker(n, PubSubMsg::Advertise(a)) => {
+                BrokerOutput::ToBroker(n, PubSubMsg::RepairAdv(a))
+            }
+            BrokerOutput::ToBroker(n, PubSubMsg::Subscribe(s)) => {
+                BrokerOutput::ToBroker(n, PubSubMsg::RepairSub(s))
+            }
+            other => other,
+        });
     }
 }

@@ -12,7 +12,10 @@
 //! The central type is [`BrokerCore`], a pure synchronous state
 //! machine driven by either the discrete-event simulator
 //! (`transmob-sim`), the threaded runtime (`transmob-runtime`), or the
-//! instantaneous [`SyncNet`] used in tests. The transactional movement
+//! instantaneous [`SyncNet`] used in tests. Each of its rules writes
+//! its effects into the one [`Effects`] sink the driver hands it; only
+//! [`BrokerCore::handle`] collects them into a `Vec`, for tests and
+//! benches. The transactional movement
 //! protocols — the paper's contribution — live in `transmob-core` and
 //! use the pending-configuration hooks this crate exposes
 //! ([`BrokerCore::install_pending_sub`], [`BrokerCore::commit_move`],

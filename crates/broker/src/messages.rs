@@ -161,10 +161,14 @@ pub enum BrokerOutput {
 }
 
 /// Where a [`crate::BrokerCore`] step writes its effects, in emission
-/// order. A `Vec<BrokerOutput>` collects them; a host that turns them
-/// into effects of its own passes a sink that converts each one as it
-/// is emitted, so an effect is built once, where it ends up
-/// ([`crate::BrokerCore::handle_into`]).
+/// order. Every effectful rule of the core ([`crate::BrokerCore::handle_into`],
+/// [`crate::BrokerCore::commit_move`], [`crate::BrokerCore::abort_move`],
+/// [`crate::BrokerCore::pull_subs_toward`],
+/// [`crate::BrokerCore::repair_neighbors`], …) takes the caller's sink
+/// and returns only what is not an effect. A `Vec<BrokerOutput>`
+/// collects them; a host that turns them into effects of its own
+/// passes a sink that converts each one as it is emitted, so an effect
+/// is built once, where it ends up.
 pub trait Effects {
     /// Takes the next effect.
     fn emit(&mut self, effect: BrokerOutput);

@@ -133,51 +133,38 @@ impl SyncNet {
         self.queue.push_back((broker, Hop::Client(client), msg));
     }
 
-    /// Applies `f` to one broker and routes the outputs it returns,
-    /// then runs to quiescence. Used by movement protocols that
-    /// manipulate broker state directly.
+    /// Applies `f` to one broker, routes the outputs it writes into
+    /// the buffer it is handed, then runs to quiescence. Used by
+    /// movement protocols that manipulate broker state directly.
     pub fn with_broker<R>(
         &mut self,
         id: BrokerId,
-        f: impl FnOnce(&mut BrokerCore) -> (R, Vec<BrokerOutput>),
+        f: impl FnOnce(&mut BrokerCore, &mut Vec<BrokerOutput>) -> R,
     ) -> R {
         let broker = self.brokers.get_mut(&id).expect("unknown broker id");
-        let (r, outputs) = f(broker);
-        self.route_outputs(id, outputs);
+        let mut outputs = Vec::new();
+        let r = f(broker, &mut outputs);
+        self.route_outputs(id, &mut outputs);
         self.run();
         r
     }
 
     /// Drains the message queue, routing every output until the
-    /// network is quiescent.
-    ///
-    /// Consecutive queue entries sharing a destination and arrival
-    /// direction are ingested through one [`BrokerCore::handle_batch`]
-    /// call. The batch call is defined as the sequential fold of the
-    /// per-message handling, and its effects are appended in the same
-    /// order the fold would emit them, so the global processing order
-    /// (and thus convergence and traffic) is unchanged.
+    /// network is quiescent: each message in turn through
+    /// [`BrokerCore::handle_into`], into one buffer reused across
+    /// messages.
     pub fn run(&mut self) {
+        let mut outputs = Vec::new();
         while let Some((dst, from, msg)) = self.queue.pop_front() {
             *self.traffic.entry(msg.kind()).or_insert(0) += 1;
-            let mut msgs = vec![msg];
-            while let Some((d2, f2, _)) = self.queue.front() {
-                if *d2 != dst || *f2 != from {
-                    break;
-                }
-                // unwrap: front() just matched
-                let (_, _, m) = self.queue.pop_front().unwrap();
-                *self.traffic.entry(m.kind()).or_insert(0) += 1;
-                msgs.push(m);
-            }
             let broker = self.brokers.get_mut(&dst).expect("unknown broker id");
-            let outputs = broker.handle_batch(from, msgs);
-            self.route_outputs(dst, outputs);
+            broker.handle_into(from, msg, None, &mut outputs);
+            self.route_outputs(dst, &mut outputs);
         }
     }
 
-    fn route_outputs(&mut self, src: BrokerId, outputs: Vec<BrokerOutput>) {
-        for o in outputs {
+    fn route_outputs(&mut self, src: BrokerId, outputs: &mut Vec<BrokerOutput>) {
+        for o in outputs.drain(..) {
             match o {
                 BrokerOutput::ToBroker(n, msg) => {
                     self.queue.push_back((n, Hop::Broker(src), msg));

@@ -1,6 +1,7 @@
 //! Differential suite for the batch ingestion path: on randomized
-//! operation scripts, [`BrokerCore::handle_batch`] over each maximal
-//! run of consecutive messages must produce exactly the effects of
+//! operation scripts, a batch — [`BrokerCore::handle_into`] folded over
+//! each maximal run of consecutive messages into one effect list, as
+//! the drivers ingest a frame — must produce exactly the effects of
 //! folding [`BrokerCore::handle`] one message at a time — the same
 //! flat effect sequence (hence the same client-delivery list and the
 //! same per-neighbor message multisets) and the same final broker
@@ -8,7 +9,7 @@
 //! between batches while shadow (pending) routes are live.
 
 use proptest::prelude::*;
-use transmob_broker::{BrokerConfig, BrokerCore, BrokerOutput, Hop, PubSubMsg};
+use transmob_broker::{BrokerConfig, BrokerCore, BrokerOutput, Hop, PrematchedRoutes, PubSubMsg};
 use transmob_pubsub::{
     AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, PubId, Publication, PublicationMsg,
     SubId, Subscription,
@@ -120,6 +121,27 @@ fn resolve(op: &OpSpec, i: usize) -> Resolved {
     }
 }
 
+/// A batch of messages that arrived from `from` in order: the fold of
+/// [`BrokerCore::handle_into`] over it into one effect list, each
+/// publication taking its set of `pre` while the stamp is current.
+fn handle_batch_prematched(
+    core: &mut BrokerCore,
+    from: Hop,
+    msgs: Vec<PubSubMsg>,
+    mut pre: Option<&mut PrematchedRoutes>,
+) -> Vec<BrokerOutput> {
+    let mut out = Vec::new();
+    for msg in msgs {
+        core.handle_into(from, msg, pre.as_deref_mut(), &mut out);
+    }
+    out
+}
+
+/// [`handle_batch_prematched`] with nothing pre-computed.
+fn handle_batch(core: &mut BrokerCore, from: Hop, msgs: Vec<PubSubMsg>) -> Vec<BrokerOutput> {
+    handle_batch_prematched(core, from, msgs, None)
+}
+
 /// A broker with local client subscriptions, an upstream advertisement,
 /// and live pending (shadow) routes: every other subscription — and,
 /// when `adv_move` is set, the advertisement itself — is mid-move
@@ -157,7 +179,7 @@ fn seeded(config: BrokerConfig, sub_filters: &[Vec<PredSpec>], adv_move: bool) -
 }
 
 /// Runs the script both ways — folding `handle` per message vs.
-/// `handle_batch` over maximal consecutive-message runs — applying the
+/// [`handle_batch`] over maximal consecutive-message runs — applying the
 /// same movement commits/aborts at the same boundaries on both cores.
 fn run_both(
     config: BrokerConfig,
@@ -173,7 +195,7 @@ fn run_both(
     let mut run: Vec<PubSubMsg> = Vec::new();
     let flush = |core: &mut BrokerCore, run: &mut Vec<PubSubMsg>, out: &mut Vec<_>| {
         if !run.is_empty() {
-            out.extend(core.handle_batch(from, std::mem::take(run)));
+            out.extend(handle_batch(core, from, std::mem::take(run)));
         }
     };
     for (i, op) in ops.iter().enumerate() {
@@ -184,13 +206,13 @@ fn run_both(
             }
             Resolved::Commit(mid) => {
                 flush(&mut batched, &mut run, &mut batch_out);
-                fold_out.extend(folded.commit_move(mid));
-                batch_out.extend(batched.commit_move(mid));
+                folded.commit_move(mid, &mut fold_out);
+                batched.commit_move(mid, &mut batch_out);
             }
             Resolved::Abort(mid) => {
                 flush(&mut batched, &mut run, &mut batch_out);
-                folded.abort_move(mid);
-                batched.abort_move(mid);
+                folded.abort_move(mid, &mut Vec::new());
+                batched.abort_move(mid, &mut Vec::new());
             }
         }
     }
@@ -237,7 +259,7 @@ proptest! {
     }
 
     /// Chunked batching composes: splitting one message stream into
-    /// arbitrary consecutive chunks of `handle_batch` calls yields the
+    /// arbitrary consecutive chunks of [`handle_batch`] calls yields the
     /// maximal-batch result (associativity of the ingestion path).
     #[test]
     fn batch_splitting_is_associative(
@@ -256,10 +278,10 @@ proptest! {
             .collect();
         let mut whole = seeded(BrokerConfig::plain(), &sub_filters, false);
         let mut split = whole.clone();
-        let whole_out = whole.handle_batch(from, msgs.clone());
+        let whole_out = handle_batch(&mut whole, from, msgs.clone());
         let mut split_out = Vec::new();
         for c in msgs.chunks(chunk) {
-            split_out.extend(split.handle_batch(from, c.to_vec()));
+            split_out.extend(handle_batch(&mut split, from, c.to_vec()));
         }
         prop_assert_eq!(whole_out, split_out);
         prop_assert_eq!(state_json(&whole), state_json(&split));
@@ -281,8 +303,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The pipelined ingestion path — `prematch` under a fresh stamp,
-    /// then `handle_batch_prematched` — is a pure transport
-    /// optimization exactly like `handle_batch`: same flat effects and
+    /// then [`handle_batch_prematched`] — is a pure transport
+    /// optimization exactly like [`handle_batch`]: same flat effects and
     /// same final state as the one-message fold. Runs that mix
     /// subscribes/advertises between publishes invalidate the stamp
     /// *mid-batch*, so the internal staleness fallback is exercised by
@@ -304,7 +326,7 @@ proptest! {
                 let msgs = std::mem::take(run);
                 let mut pre = core.prematch(&contents_of(&msgs));
                 out.extend(
-                    core.handle_batch_prematched(from, msgs, Some(&mut pre)),
+                    handle_batch_prematched(core, from, msgs, Some(&mut pre)),
                 );
             }
         };
@@ -316,13 +338,13 @@ proptest! {
                 }
                 Resolved::Commit(mid) => {
                     flush(&mut batched, &mut run, &mut batch_out);
-                    fold_out.extend(folded.commit_move(mid));
-                    batch_out.extend(batched.commit_move(mid));
+                    folded.commit_move(mid, &mut fold_out);
+                    batched.commit_move(mid, &mut batch_out);
                 }
                 Resolved::Abort(mid) => {
                     flush(&mut batched, &mut run, &mut batch_out);
-                    folded.abort_move(mid);
-                    batched.abort_move(mid);
+                    folded.abort_move(mid, &mut Vec::new());
+                    batched.abort_move(mid, &mut Vec::new());
                 }
             }
         }
@@ -363,11 +385,11 @@ proptest! {
             let mut pre = batched.prematch(&contents_of(&msgs));
             if let Some((m, commit)) = mid {
                 if commit {
-                    fold_out.extend(folded.commit_move(m));
-                    batch_out.extend(batched.commit_move(m));
+                    folded.commit_move(m, fold_out);
+                    batched.commit_move(m, batch_out);
                 } else {
-                    folded.abort_move(m);
-                    batched.abort_move(m);
+                    folded.abort_move(m, &mut Vec::new());
+                    batched.abort_move(m, &mut Vec::new());
                 }
             }
             for msg in msgs.iter() {
@@ -375,8 +397,7 @@ proptest! {
             }
             if !msgs.is_empty() {
                 batch_out.extend(
-                    batched
-                        .handle_batch_prematched(from, msgs, Some(&mut pre)),
+                    handle_batch_prematched(batched, from, msgs, Some(&mut pre)),
                 );
             }
         };

@@ -115,9 +115,13 @@ fn surviving_arc_keeps_routing_when_one_arc_retracts() {
     // Retract the primary arc (as the repair path does when a broker
     // on it dies): the alt must be promoted, delivery must continue.
     let aid = AdvId::new(c(1), 0);
-    net.with_broker(b(3), |core| {
-        let out = core.handle_batch(Hop::Broker(primary_nb), vec![PubSubMsg::Unadvertise(aid)]);
-        ((), out)
+    net.with_broker(b(3), |core, out| {
+        core.handle_into(
+            Hop::Broker(primary_nb),
+            PubSubMsg::Unadvertise(aid),
+            None,
+            out,
+        )
     });
     let entry = net.broker(b(3)).srt().get(aid).unwrap();
     assert_ne!(entry.lasthop, primary, "alt promoted to primary");

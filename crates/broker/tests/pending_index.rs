@@ -115,16 +115,16 @@ fn apply(core: &mut BrokerCore, op: &Op) {
             core.install_pending_adv(&adv(k), MoveId(m), hop(h), None);
         }
         Op::Commit(m) => {
-            core.commit_move(MoveId(m));
+            core.commit_move(MoveId(m), &mut Vec::new());
         }
         Op::Abort(m) => {
-            core.abort_move(MoveId(m));
+            core.abort_move(MoveId(m), &mut Vec::new());
         }
         Op::Repair(i) => {
             // A link dies once; later draws of the same neighbour
             // would purge through a link the core no longer has.
             if core.neighbors().contains(&NEIGHBORS[i]) && core.neighbors().len() > 1 {
-                core.repair_neighbors(NEIGHBORS[i], &[]);
+                core.repair_neighbors(NEIGHBORS[i], &[], &mut Vec::new());
             }
         }
         Op::RoundTrip => {
@@ -152,9 +152,9 @@ proptest! {
         // Quiescence: every movement resolves one way or the other.
         for m in 0..MOVES {
             if m % 2 == 0 {
-                core.commit_move(MoveId(m));
+                core.commit_move(MoveId(m), &mut Vec::new());
             } else {
-                core.abort_move(MoveId(m));
+                core.abort_move(MoveId(m), &mut Vec::new());
             }
             core.check_invariants();
         }

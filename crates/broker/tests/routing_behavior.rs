@@ -413,7 +413,8 @@ fn pending_sub_config_routes_to_both_until_commit() {
     assert_eq!(brokers, vec![1, 4]);
     // Commit everywhere: old path gone, new delivery only at B4.
     for i in 1..=4 {
-        let outs = net.broker_mut(b(i)).commit_move(m);
+        let mut outs = Vec::new();
+        net.broker_mut(b(i)).commit_move(m, &mut outs);
         assert!(outs.is_empty(), "sub move commit should not prune");
     }
     publish(&mut net, b(4), 1, 2, 10);
@@ -446,7 +447,7 @@ fn pending_sub_abort_restores_original_routing() {
         .install_pending_sub(&s, m, Hop::Client(c(2)), Some(b(2)));
     let before = net.broker(b(1)).prt().get(s.id).unwrap().lasthop;
     for i in 1..=3 {
-        net.broker_mut(b(i)).abort_move(m);
+        net.broker_mut(b(i)).abort_move(m, &mut Vec::new());
     }
     // Entry unchanged at B1/B2; created entry at B3 removed.
     assert_eq!(net.broker(b(1)).prt().get(s.id).unwrap().lasthop, before);
@@ -475,7 +476,7 @@ fn pending_created_entry_removed_on_abort() {
     net.broker_mut(b(2))
         .install_pending_sub(&s, m, Hop::Broker(b(3)), Some(b(1)));
     assert!(net.broker(b(2)).prt().get(s.id).is_some());
-    net.broker_mut(b(2)).abort_move(m);
+    net.broker_mut(b(2)).abort_move(m, &mut Vec::new());
     assert!(net.broker(b(2)).prt().get(s.id).is_none());
 }
 
@@ -505,15 +506,15 @@ fn pending_adv_move_with_commit_prunes_stale_sub_paths() {
     net.broker_mut(b(4))
         .install_pending_adv(&a, m, Hop::Client(c(1)), Some(b(3)));
     // Case 1/3 fixups: pull intersecting subs toward the target.
-    net.with_broker(b(1), |br| ((), br.pull_subs_toward(a.id, b(2)).0));
-    net.with_broker(b(2), |br| ((), br.pull_subs_toward(a.id, b(3)).0));
-    net.with_broker(b(3), |br| ((), br.pull_subs_toward(a.id, b(4)).0));
+    net.with_broker(b(1), |br, out| br.pull_subs_toward(a.id, b(2), out));
+    net.with_broker(b(2), |br, out| br.pull_subs_toward(a.id, b(3), out));
+    net.with_broker(b(3), |br, out| br.pull_subs_toward(a.id, b(4), out));
     // The subscription must now extend to B4 so post-move publications
     // route.
     assert!(net.broker(b(4)).prt().get(s.id).is_some());
     // Commit hop-by-hop.
     for i in [4u32, 3, 2, 1] {
-        net.with_broker(b(i), |br| ((), br.commit_move(m)));
+        net.with_broker(b(i), |br, out| br.commit_move(m, out));
     }
     // Publications from the new location reach the subscriber.
     publish(&mut net, b(4), 1, 1, 10);
@@ -696,7 +697,11 @@ fn publication_fanout_order_over_active_pending_and_alternate_hops() {
     ];
     let mut want = fanout(&[1, 2, 3, 6], &[50, 51, 52], &p5);
     want.extend(fanout(&[1, 2, 3, 6], &[50, 51, 52], &p6));
-    assert_eq!(core.handle_batch(Hop::Broker(b(4)), batch), want);
+    let mut got = Vec::new();
+    for msg in batch {
+        core.handle_into(Hop::Broker(b(4)), msg, None, &mut got);
+    }
+    assert_eq!(got, want);
 }
 
 /// A retraction from a moving subscription's old direction withdraws
@@ -729,13 +734,14 @@ fn retraction_during_a_subscription_move_spares_the_pending_route() {
             .handle(Hop::Broker(b(3)), PubSubMsg::Unsubscribe(s.id))
             .is_empty());
         if commit {
-            core.commit_move(m);
+            core.commit_move(m, &mut Vec::new());
             assert_eq!(
                 core.prt().get(s.id).map(|e| e.lasthop),
                 Some(Hop::Broker(b(1)))
             );
         } else {
-            let retracted = core.abort_move(m);
+            let mut retracted = Vec::new();
+            core.abort_move(m, &mut retracted);
             assert!(core.prt().get(s.id).is_none());
             assert_eq!(
                 retracted,
@@ -775,13 +781,52 @@ fn an_unadvertise_from_the_active_side_drops_a_pending_advertisement_route() {
         assert!(core.srt().get(a.id).is_none());
         assert!(core.pending_moves().is_empty());
         core.check_invariants();
-        let finished = if commit {
-            core.commit_move(m)
+        let mut finished = Vec::new();
+        if commit {
+            core.commit_move(m, &mut finished);
         } else {
-            core.abort_move(m)
-        };
+            core.abort_move(m, &mut finished);
+        }
         assert!(finished.is_empty());
         assert!(core.srt().get(a.id).is_none());
         core.check_invariants();
     }
+}
+
+/// An advertisement re-propagated by an overlay repair keeps its tag on
+/// what it sets off here: the onward flood goes on as `RepairAdv` and
+/// the subscription it pulls as `RepairSub`, while the covering
+/// retraction of the narrower advertisement it now covers goes on as a
+/// plain `Unadvertise`.
+#[test]
+fn a_repair_advertisement_tags_its_flood_and_its_pull_but_not_its_retractions() {
+    let mut core = BrokerCore::new(b(2), [b(1), b(3)], BrokerConfig::covering());
+    let narrow = adv(1, 0, range(0, 10));
+    let flooded = core.handle(Hop::Broker(b(1)), PubSubMsg::Advertise(narrow.clone()));
+    assert_eq!(
+        flooded,
+        [BrokerOutput::ToBroker(b(3), PubSubMsg::Advertise(narrow))]
+    );
+    // One subscription routes toward the narrow advertisement; the
+    // other overlaps no advertisement yet and stays here.
+    let routed = sub(3, 0, range(0, 10));
+    let waiting = sub(3, 1, range(50, 60));
+    assert_eq!(
+        core.handle(Hop::Broker(b(3)), PubSubMsg::Subscribe(routed.clone())),
+        [BrokerOutput::ToBroker(b(1), PubSubMsg::Subscribe(routed))]
+    );
+    assert!(core
+        .handle(Hop::Broker(b(3)), PubSubMsg::Subscribe(waiting.clone()))
+        .is_empty());
+
+    let wide = adv(1, 1, range(0, 100));
+    let outs = core.handle(Hop::Broker(b(1)), PubSubMsg::RepairAdv(wide.clone()));
+    assert_eq!(
+        outs,
+        [
+            BrokerOutput::ToBroker(b(3), PubSubMsg::RepairAdv(wide)),
+            BrokerOutput::ToBroker(b(3), PubSubMsg::Unadvertise(AdvId::new(c(1), 0))),
+            BrokerOutput::ToBroker(b(1), PubSubMsg::RepairSub(waiting)),
+        ]
+    );
 }

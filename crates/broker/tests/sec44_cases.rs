@@ -52,11 +52,13 @@ fn reconfigure_adv_move(net: &mut SyncNet, a: &Advertisement) {
     // Fix-ups: pull intersecting subscriptions toward the new
     // direction at every path broker.
     for (broker, toward) in [(1u32, 2u32), (2, 3), (3, 4), (4, 5)] {
-        net.with_broker(b(broker), |br| ((), br.pull_subs_toward(a.id, b(toward)).0));
+        net.with_broker(b(broker), |br, out| {
+            br.pull_subs_toward(a.id, b(toward), out)
+        });
     }
     // Commit pass (source → target, as the state transfer walks).
     for i in 1..=5u32 {
-        net.with_broker(b(i), |br| ((), br.commit_move(m)));
+        net.with_broker(b(i), |br, out| br.commit_move(m, out));
     }
 }
 
@@ -294,10 +296,8 @@ fn pull_reports_the_links_it_added_and_abort_undoes_exactly_those() {
                     .filter(|(_, e)| !e.sent_to.contains(&b(next)))
                     .map(|(id, _)| *id)
                     .collect();
-                let pulled = net.with_broker(b(i), |br| {
-                    let (outs, pulled) = br.pull_subs_toward(a.id, b(next));
-                    (pulled, outs)
-                });
+                let pulled =
+                    net.with_broker(b(i), |br, out| br.pull_subs_toward(a.id, b(next), out));
                 let gained: Vec<SubId> = (lacking.into_iter())
                     .filter(|id| {
                         let e = net.broker(b(i)).prt().get(*id);
@@ -323,13 +323,11 @@ fn pull_reports_the_links_it_added_and_abort_undoes_exactly_those() {
 
             // Abort pass, target -> source.
             for i in (1..=5u32).rev() {
-                net.with_broker(b(i), |br| {
-                    br.abort_move(m);
-                    let mut outs = Vec::new();
+                net.with_broker(b(i), |br, out| {
+                    br.abort_move(m, &mut Vec::new());
                     for (_, id, n) in fixups.iter().filter(|(at, ..)| *at == i) {
-                        outs.extend(br.prune_sub_link(*id, *n));
+                        br.prune_sub_link(*id, *n, out);
                     }
-                    ((), outs)
                 });
             }
             for (i, (srt, prt)) in (1..=5u32).zip(&before) {

@@ -552,19 +552,6 @@ impl MobileBroker {
         next
     }
 
-    /// Converts routing-core effects into driver effects at the end of
-    /// `out`, routing client deliveries through the hosted stubs (see
-    /// [`Absorb`]).
-    fn absorb(&mut self, outputs: Vec<BrokerOutput>, out: &mut Vec<Output>) {
-        let mut sink = Absorb {
-            clients: &mut self.clients,
-            out,
-        };
-        for o in outputs {
-            sink.emit(o);
-        }
-    }
-
     /// Hands one routing-layer message to the core, whose effects land
     /// at the end of `out` as driver effects, each built once.
     fn route(
@@ -574,11 +561,8 @@ impl MobileBroker {
         pre: Option<&mut PrematchedRoutes>,
         out: &mut Vec<Output>,
     ) {
-        let mut sink = Absorb {
-            clients: &mut self.clients,
-            out,
-        };
-        self.core.handle_into(from, msg, pre, &mut sink);
+        let sink = &mut Absorb::new(&mut self.clients, out);
+        self.core.handle_into(from, msg, pre, sink);
     }
 
     // ================= client commands ================================
@@ -589,6 +573,11 @@ impl MobileBroker {
     ///
     /// Panics if the client is not hosted here (drivers address
     /// commands to the client's current broker).
+    ///
+    /// Every driver calls [`MobileBroker::client_op_into`]; this
+    /// `Vec`-returning form is left for tests and the end-to-end
+    /// benchmark's replay, and the benchmark PR of ROADMAP item 2 may
+    /// delete it.
     pub fn client_op(&mut self, client: ClientId, op: ClientOp) -> Vec<Output> {
         let mut out = Vec::new();
         self.client_op_into(client, op, &mut out);
@@ -735,7 +724,9 @@ impl MobileBroker {
     /// batch is logged with one [`DurabilityLog::append_batch`] call
     /// (one flush on file-backed logs; the records stay individual, so
     /// crash recovery can still replay a prefix). Thin wrapper over
-    /// [`MobileBroker::handle_batch_into`].
+    /// [`MobileBroker::handle_batch_into`], which every driver calls;
+    /// this form is left for tests and the end-to-end benchmark's
+    /// replay, and the benchmark PR of ROADMAP item 2 may delete it.
     pub fn handle_batch(&mut self, from: Hop, msgs: Vec<Message>) -> Vec<Output> {
         let mut out = Vec::new();
         self.handle_batch_into(from, msgs, &mut out);
@@ -1047,8 +1038,8 @@ impl MobileBroker {
         for a in &profile.advs {
             self.core.install_pending_adv(a, m, to, back);
             if let Hop::Broker(n) = to {
-                let (pull_outs, pulled) = self.core.pull_subs_toward(a.id, n);
-                self.absorb(pull_outs, out);
+                let sink = &mut Absorb::new(&mut self.clients, out);
+                let pulled = self.core.pull_subs_toward(a.id, n, sink);
                 fixups.extend(pulled.into_iter().map(|sid| (sid, n)));
             }
         }
@@ -1091,8 +1082,8 @@ impl MobileBroker {
         // Local hop of the commit pass, then (at the caller) `state`
         // (message (4)), which commits hop-by-hop on its way to the
         // target.
-        let outs = self.core.commit_move(m);
-        self.absorb(outs, out);
+        self.core
+            .commit_move(m, &mut Absorb::new(&mut self.clients, out));
         out.push(Output::CancelTimer {
             token: TimerToken::Negotiate(m),
         });
@@ -1162,9 +1153,9 @@ impl MobileBroker {
             // walk on. If the target died mid-commit, the committed
             // hops stay consistent with the ones behind us; the
             // source's death handling resurrects the client.
-            let outs = self.core.commit_move(m);
+            self.core
+                .commit_move(m, &mut Absorb::new(&mut self.clients, out));
             self.path_moves.remove(&m);
-            self.absorb(outs, out);
             return self.forward_move(msg, out);
         }
         match self.target_state(m) {
@@ -1187,8 +1178,8 @@ impl MobileBroker {
         let MoveMsg::StateTransfer { snapshot, .. } = *msg else {
             unreachable!("dispatched on the variant")
         };
-        let outs = self.core.commit_move(m);
-        self.absorb(outs, out);
+        self.core
+            .commit_move(m, &mut Absorb::new(&mut self.clients, out));
         // unwrap: target-move record in Prepare implies the copy exists
         self.clients
             .get_mut(&client)
@@ -1417,11 +1408,10 @@ impl MobileBroker {
     /// Drops movement `m`'s shadow configurations here and prunes the
     /// subscriptions its fix-ups pulled onto a link.
     fn roll_back(&mut self, m: MoveId, fixups: Vec<(SubId, BrokerId)>, out: &mut Vec<Output>) {
-        let outs = self.core.abort_move(m);
-        self.absorb(outs, out);
+        let sink = &mut Absorb::new(&mut self.clients, out);
+        self.core.abort_move(m, sink);
         for (sid, n) in fixups {
-            let outs = self.core.prune_sub_link(sid, n);
-            self.absorb(outs, out);
+            self.core.prune_sub_link(sid, n, sink);
         }
     }
 
@@ -1574,8 +1564,8 @@ impl MobileBroker {
                 }
             })
             .collect();
-        let (core_outs, doomed) = self.core.repair_neighbors(dead, &new_peers);
-        self.absorb(core_outs, out);
+        let sink = &mut Absorb::new(&mut self.clients, out);
+        let doomed = self.core.repair_neighbors(dead, &new_peers, sink);
         // Roll back the shadow configurations of movements whose
         // reconfiguration path came through the dead broker. Endpoints
         // resolve their coordinator records below instead.
@@ -1741,6 +1731,12 @@ impl MobileBroker {
 struct Absorb<'a> {
     clients: &'a mut BTreeMap<ClientId, HostedClient>,
     out: &'a mut Vec<Output>,
+}
+
+impl<'a> Absorb<'a> {
+    fn new(clients: &'a mut BTreeMap<ClientId, HostedClient>, out: &'a mut Vec<Output>) -> Self {
+        Absorb { clients, out }
+    }
 }
 
 impl Effects for Absorb<'_> {

@@ -434,14 +434,14 @@ struct Step<'a, L> {
 }
 
 impl<L: Links> Step<'_, L> {
-    /// Ships one step's outputs, lets the links finish the step and
-    /// applies their link reports (which only arm or cancel a timer),
-    /// then records for the barrier whether a timer is left armed.
-    fn flush(&mut self, broker: &mut MobileBroker, outs: Vec<Output>) {
-        flush_outputs(self, outs);
+    /// Ships one step's outputs, draining `outs`, lets the links
+    /// finish the step and applies their link reports (which only arm
+    /// or cancel a timer), then records for the barrier whether a timer
+    /// is left armed.
+    fn flush(&mut self, broker: &mut MobileBroker, outs: &mut Vec<Output>) {
+        flush_outputs(self, outs.drain(..));
         for (peer, up) in self.links.finish_step(broker.topology()) {
-            let outs = broker.handle_link(peer, up);
-            flush_outputs(self, outs);
+            flush_outputs(self, broker.handle_link(peer, up));
         }
         let armed = self.timers.keys().next().is_some();
         self.hub.tallies[&self.id]
@@ -503,10 +503,11 @@ impl<L: Links> Transport for Step<'_, L> {
 ///
 /// Each round: fire the due timers, wait for the next input or the
 /// earlier of the next timer and the links' next wake, apply the input,
-/// ship its outputs, count it ended. One input at a time and
-/// per-sender FIFO on `rx` are all the movement protocols' consistency
-/// argument asks of a driver (DESIGN.md §2), which is why the broker is
-/// owned, not locked.
+/// ship its outputs, count it ended. Every step writes its outputs
+/// into one buffer that the loop keeps from step to step. One input at
+/// a time and per-sender FIFO on `rx` are all the movement protocols'
+/// consistency argument asks of a driver (DESIGN.md §2), which is why
+/// the broker is owned, not locked.
 pub(crate) fn run<L: Links>(
     mut broker: MobileBroker,
     initial_outs: Vec<Output>,
@@ -521,12 +522,13 @@ pub(crate) fn run<L: Links>(
         links,
         timers: TimerTable::default(),
     };
-    step.flush(&mut broker, initial_outs);
+    let mut outs = initial_outs;
+    step.flush(&mut broker, &mut outs);
     loop {
         let now = Instant::now();
         while let Some(token) = step.timers.pop_due(now) {
-            let outs = broker.handle_timer(token);
-            step.flush(&mut broker, outs);
+            outs.extend(broker.handle_timer(token));
+            step.flush(&mut broker, &mut outs);
         }
         let next_timer = step.timers.by_deadline().next().map(|(at, _)| at);
         let wake = next_timer.into_iter().chain(step.links.next_wake()).min();
@@ -534,7 +536,7 @@ pub(crate) fn run<L: Links>(
             Some(at) => match rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
                 Ok(input) => input,
                 Err(RecvTimeoutError::Timeout) => {
-                    step.flush(&mut broker, Vec::new());
+                    step.flush(&mut broker, &mut outs);
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => return,
@@ -545,16 +547,10 @@ pub(crate) fn run<L: Links>(
             },
         };
         let weight = input.weight();
-        let outs = match input {
+        match input {
             Input::Shutdown => return,
-            Input::CreateClient(c) => {
-                broker.create_client(c);
-                Vec::new()
-            }
-            Input::Inspect(f) => {
-                f(&broker);
-                Vec::new()
-            }
+            Input::CreateClient(c) => broker.create_client(c),
+            Input::Inspect(f) => f(&broker),
             Input::FromClient(c, op) if broker.client(c).is_none() => {
                 // The client moved away while the command was in
                 // flight; forward it to the current home (the registry
@@ -564,16 +560,14 @@ pub(crate) fn run<L: Links>(
                 if let Some(home) = hub.home_of(c).filter(|h| *h != id) {
                     hub.send(home, Input::FromClient(c, op));
                 }
-                Vec::new()
             }
-            Input::FromClient(c, op) => broker.client_op(c, op),
-            Input::Link(event) => {
-                step.links.event(event, broker.topology());
-                Vec::new()
+            Input::FromClient(c, op) => broker.client_op_into(c, op, &mut outs),
+            Input::Link(event) => step.links.event(event, broker.topology()),
+            Input::FromBroker(from, msgs) => {
+                broker.handle_batch_into(Hop::Broker(from), msgs, &mut outs)
             }
-            Input::FromBroker(from, msgs) => broker.handle_batch(Hop::Broker(from), msgs),
-        };
-        step.flush(&mut broker, outs);
+        }
+        step.flush(&mut broker, &mut outs);
         hub.tallies[&id].ended.fetch_add(weight, Ordering::SeqCst);
     }
 }

@@ -223,36 +223,6 @@ mod tests {
         Network::builder().overlay(topology).options(config).start()
     }
 
-    /// A publisher at B1 and a subscriber at `far`, in place once the
-    /// barrier says so; one publication, then one after each movement
-    /// of the subscriber, with a barrier after each (a covering move
-    /// loses what is in flight by design). Every movement must commit
-    /// and the subscriber must end with each publication exactly once.
-    /// Shared with the TCP runtime's tests.
-    pub(crate) fn move_and_deliver(
-        hub: &Arc<Hub>,
-        far: BrokerId,
-        moves: &[(BrokerId, ProtocolKind)],
-    ) {
-        let wait = Duration::from_secs(10);
-        let everything = || Filter::builder().ge("x", 0).le("x", 100).build();
-        let (p, s) = (hub.create_client(b(1), c(1)), hub.create_client(far, c(2)));
-        p.advertise(everything());
-        s.subscribe(everything());
-        assert!(hub.quiesce(wait));
-        p.publish(Publication::new().with("x", 0));
-        assert!(hub.quiesce(wait));
-        for (round, &(to, protocol)) in moves.iter().enumerate() {
-            assert!(s.move_to(to, protocol, wait), "move {round} must commit");
-            assert_eq!(hub.home_of(c(2)), Some(to));
-            p.publish(Publication::new().with("x", round as i64 + 1));
-            assert!(hub.quiesce(wait));
-        }
-        let ids: Vec<PubId> = s.drain().iter().map(|n| n.id).collect();
-        assert_eq!(ids.len(), moves.len() + 1, "lost notifications: {ids:?}");
-        properties::assert_exactly_once(ids).expect("no duplicates");
-    }
-
     /// A publisher at B1 floods broker batches (`burst` publications,
     /// then `pause`) while the subscriber, first at `far`, moves through
     /// `dests` on the same broker loops. Every move must commit and,
@@ -328,12 +298,6 @@ mod tests {
                 .start(),
         );
         check(overlay().options(MobileBrokerConfig::covering()).start());
-    }
-
-    #[test]
-    fn covering_move_over_threads() {
-        let net = start(Topology::chain(5), MobileBrokerConfig::covering());
-        move_and_deliver(&net.hub, b(5), &[(b(3), ProtocolKind::Covering)]);
     }
 
     /// The barrier waits a movement out: not quiescent right after it

@@ -1336,13 +1336,6 @@ mod tests {
         net.start().expect("sockets")
     }
 
-    #[test]
-    fn covering_protocol_over_real_sockets() {
-        let net = start(Topology::chain(4), MobileBrokerConfig::covering());
-        let moves = [(b(2), ProtocolKind::Covering)];
-        crate::tests::move_and_deliver(&net.shared.hub, b(4), &moves);
-    }
-
     /// [`crate::tests::flood_during_moves`] with every link a socket.
     #[test]
     fn publish_flood_during_moves_over_real_sockets() {

@@ -1,14 +1,18 @@
 //! What broker steps cost in heap allocations, counted by an allocator
 //! that counts (DESIGN.md §19): no clock, so the counts repeat exactly
-//! and the budgets can be tight. Two fixed `Sim`s on virtual time: the
-//! `sim-cyclic` overlay (`default_14` plus three cycle-closing edges)
-//! with stationary `Distinct` subscribers, counted per delivered
-//! publication, and the reconfiguration protocol's ping-pong on
-//! `default_14`, counted per committed movement.
+//! and the budgets can be tight. Three fixed `Sim`s on virtual time:
+//! the `sim-cyclic` overlay (`default_14` plus three cycle-closing
+//! edges) with stationary `Distinct` subscribers, counted per delivered
+//! publication; the reconfiguration protocol's ping-pong on
+//! `default_14`, counted per committed movement; and a covering
+//! subscription issued and withdrawn over `Covered` subscribers under
+//! active covering, counted per subscribe–unsubscribe round (the
+//! control path: the retraction of covered rows, then their release).
 //!
 //! Each budget sits a quarter above the count this file measured when
-//! a step came to allocate per frame rather than per effect; the
-//! counts before that, and after, are in CHANGES.md. Debug builds run
+//! it was set (a step came to allocate per frame rather than per
+//! effect; the control path's rules came to write into the step's
+//! sink); the counts before, and after, are in CHANGES.md. Debug builds run
 //! the routing tables' linear-scan oracle on every match, which
 //! allocates, so they have budgets of their own.
 //!
@@ -17,6 +21,7 @@
 
 use std::collections::BTreeSet;
 
+use transmob_broker::MsgKind;
 use transmob_core::{ClientOp, MobileBrokerConfig, ProtocolKind};
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication};
 use transmob_sim::{MovementPlan, NetworkModel, Sim, SimDuration, SimTime};
@@ -41,13 +46,18 @@ fn publisher(j: usize) -> ClientId {
     ClientId(1 + j as u64)
 }
 
-/// A `Sim` on `topology` whose publishers at [`PUBLISHERS`] advertise
-/// the whole space and whose subscribers hold one filter each, run
-/// quiescent.
-fn settled(topology: transmob_broker::Topology, workload: SubWorkload, n: usize) -> Sim {
+/// A `Sim` on `topology` under `config` whose publishers at
+/// [`PUBLISHERS`] advertise the whole space and whose subscribers hold
+/// one filter each, run quiescent.
+fn settled(
+    topology: transmob_broker::Topology,
+    config: MobileBrokerConfig,
+    workload: SubWorkload,
+    n: usize,
+) -> Sim {
     let mut sim = Sim::builder()
         .overlay(topology)
-        .options(MobileBrokerConfig::reconfig())
+        .options(config)
         .network(NetworkModel::cluster())
         .seed(1)
         .start();
@@ -82,7 +92,12 @@ fn a_publication_on_the_cyclic_overlay_stays_under_its_allocation_budget() {
             .add_edge(BrokerId(x), BrokerId(y))
             .expect("cycle-closing edge between existing brokers");
     }
-    let mut sim = settled(topology, SubWorkload::Distinct, 40);
+    let mut sim = settled(
+        topology,
+        MobileBrokerConfig::reconfig(),
+        SubWorkload::Distinct,
+        40,
+    );
     // Contents inside the `Distinct` groups, as `sim-cyclic`'s are, and
     // clear of their edges, where the shifted instances part; each
     // publisher every 20 ms, interleaved.
@@ -123,7 +138,12 @@ fn a_publication_on_the_cyclic_overlay_stays_under_its_allocation_budget() {
 #[test]
 fn a_movement_on_the_tree_stays_under_its_allocation_budget() {
     let budget = budget(31.9, 205.0);
-    let mut sim = settled(default_14(), SubWorkload::Covered, 40);
+    let mut sim = settled(
+        default_14(),
+        MobileBrokerConfig::reconfig(),
+        SubWorkload::Covered,
+        40,
+    );
     let start = sim.now() + SimDuration::from_millis(100);
     let pause = SimDuration::from_secs(1);
     let movers = paper_default(40, SubWorkload::Covered);
@@ -152,5 +172,54 @@ fn a_movement_on_the_tree_stays_under_its_allocation_budget() {
     assert!(
         per_move <= budget,
         "{per_move:.1} a movement (budget {budget:.1})"
+    );
+}
+
+#[test]
+fn a_covering_subscription_and_its_withdrawal_stay_under_their_allocation_budget() {
+    const ROUNDS: u32 = 20;
+    let budget = budget(678.0, 790.0);
+    let mut sim = settled(
+        default_14(),
+        MobileBrokerConfig::covering(),
+        SubWorkload::Covered,
+        40,
+    );
+    // PRT rows and retractions handled, over every broker.
+    let census = |sim: &Sim| -> (usize, u64) {
+        (1..=14).fold((0, 0), |(rows, retracted), b| {
+            let core = sim.broker(BrokerId(b)).core();
+            let handled = core.stats().handled.get(&MsgKind::Unsubscribe);
+            (rows + core.prt().len(), retracted + handled.unwrap_or(&0))
+        })
+    };
+    let (rows_before, retracted_before) = census(&sim);
+    // A client at a leaf broker away from the publishers, covering
+    // every subscriber's filter.
+    let cover = ClientId(1_000_000);
+    sim.create_client(BrokerId(4), cover);
+    let everything = Filter::builder().ge("x", 0).le("x", 100_000).build();
+    let start = sim.now() + SimDuration::from_millis(100);
+    for round in 0..ROUNDS {
+        let at = start + SimDuration::from_millis(200 * u64::from(round));
+        sim.schedule_cmd(at, cover, ClientOp::Subscribe(everything.clone()));
+        let later = at + SimDuration::from_millis(100);
+        sim.schedule_cmd(later, cover, ClientOp::Unsubscribe(round));
+    }
+    let ((), heap) = measure(|| sim.run_to_quiescence());
+    let (rows_after, retracted_after) = census(&sim);
+    assert_eq!(
+        rows_after, rows_before,
+        "every round leaves the tables as it found them"
+    );
+    let retracted = retracted_after - retracted_before;
+    let per_round = heap.allocs as f64 / f64::from(ROUNDS);
+    println!(
+        "step_allocations: {per_round:.1} allocations a covering round ({} retractions handled a round)",
+        retracted / u64::from(ROUNDS)
+    );
+    assert!(
+        per_round <= budget,
+        "{per_round:.1} a covering round (budget {budget:.1})"
     );
 }
