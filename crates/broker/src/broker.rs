@@ -58,7 +58,7 @@ use transmob_pubsub::{
 };
 
 use crate::messages::{BrokerOutput, Effects, Hop, MsgKind, PubSubMsg};
-use crate::routing::{Destinations, Entry, PendingRoute, Prt, Routed, Srt, Table};
+use crate::routing::{Destinations, Entry, HopSet, PendingRoute, Prt, Routed, Srt, Table};
 
 /// How aggressively a broker applies the covering optimization to
 /// subscription (or advertisement) propagation.
@@ -842,12 +842,12 @@ impl BrokerCore {
 
     // ----- rules of one kind -----------------------------------------
 
-    /// The neighbours toward the advertisements overlapping `filter`:
-    /// each one's active, pending and redundant directions. A
-    /// subscription is forwarded toward them, and is needed on no
+    /// The neighbours toward the advertisements overlapping `filter`,
+    /// ascending: each one's active, pending and redundant directions.
+    /// A subscription is forwarded toward them, and is needed on no
     /// other link.
-    fn adv_directions(&self, filter: &Filter) -> BTreeSet<BrokerId> {
-        let mut dirs = BTreeSet::new();
+    fn adv_directions(&self, filter: &Filter) -> HopSet {
+        let mut dirs = HopSet::new();
         for id in self.srt.overlapping(filter) {
             let entry = self.srt.get(id).expect("ids come out of the table's index");
             for hop in entry.hops() {
@@ -899,8 +899,8 @@ impl BrokerCore {
     }
 
     /// Pull rule: forwards every intersecting subscription toward
-    /// neighbour `nf`, where advertisement `id` arrived from. Also used
-    /// by the reconfiguration protocol (paper Sec. 4.4, PRT cases 1
+    /// neighbour `nf`, where advertisement `id` arrived from. The
+    /// reconfiguration protocol runs it (paper Sec. 4.4, PRT cases 1
     /// and 3) against a pending advertisement configuration.
     ///
     /// Returns the subscriptions the pull put on the link (ascending;
@@ -913,8 +913,24 @@ impl BrokerCore {
         nf: BrokerId,
         effects: &mut impl Effects,
     ) -> Vec<SubId> {
+        let mut pulled = Vec::new();
+        self.pull(id, nf, effects, |sid| pulled.push(sid));
+        pulled.retain(|sid| self.prt.get(*sid).is_some_and(|e| e.sent_to.contains(&nf)));
+        pulled
+    }
+
+    /// The pull rule of [`BrokerCore::pull_subs_toward`], handing each
+    /// subscription it forwarded to `forwarded`. The advertisement
+    /// flood records nothing; a movement records what to undo.
+    fn pull(
+        &mut self,
+        id: AdvId,
+        nf: BrokerId,
+        effects: &mut impl Effects,
+        mut forwarded: impl FnMut(SubId),
+    ) {
         let Some(entry) = self.srt.get(id) else {
-            return Vec::new();
+            return;
         };
         let candidates: Vec<SubId> = (self.prt.overlapping(&entry.item.filter).into_iter())
             .filter(|sid| {
@@ -925,14 +941,11 @@ impl BrokerCore {
                 e.lasthop != Hop::Broker(nf) && !e.sent_to.contains(&nf)
             })
             .collect();
-        let mut pulled = Vec::new();
         for sid in candidates {
             if self.forward_to::<Subscription>(sid, nf, effects) {
-                pulled.push(sid);
+                forwarded(sid);
             }
         }
-        pulled.retain(|sid| self.prt.get(*sid).is_some_and(|e| e.sent_to.contains(&nf)));
-        pulled
     }
 
     // ----- overlay repair --------------------------------------------
@@ -1310,7 +1323,7 @@ impl Kind for Advertisement {
             core.forward_to::<Self>(id, n, effects);
         }
         if let Hop::Broker(nf) = from {
-            core.pull_subs_toward(id, nf, effects);
+            core.pull(id, nf, effects, |_| {});
         }
     }
     /// An advertisement floods everywhere.
@@ -1357,7 +1370,8 @@ impl Kind for Subscription {
         let Some(entry) = core.prt.get(id) else {
             return;
         };
-        for n in core.adv_directions(&entry.item.filter) {
+        let dirs = core.adv_directions(&entry.item.filter);
+        for &n in dirs.iter() {
             core.forward_to::<Self>(id, n, effects);
         }
     }

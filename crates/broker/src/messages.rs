@@ -133,6 +133,21 @@ pub enum MsgKind {
     RepairSub,
 }
 
+impl MsgKind {
+    /// Every kind, in order: `ALL[k as usize] == k`, so a counter per
+    /// kind can be an array.
+    pub const ALL: [MsgKind; 8] = [
+        MsgKind::Advertise,
+        MsgKind::Unadvertise,
+        MsgKind::Subscribe,
+        MsgKind::Unsubscribe,
+        MsgKind::Publish,
+        MsgKind::MoveCtl,
+        MsgKind::RepairAdv,
+        MsgKind::RepairSub,
+    ];
+}
+
 impl fmt::Display for MsgKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -193,6 +208,14 @@ mod tests {
         let c: Hop = ClientId(7).into();
         assert_eq!(c.as_client(), Some(ClientId(7)));
         assert_eq!(c.to_string(), "C7");
+    }
+
+    #[test]
+    fn every_kind_sits_at_its_own_index_in_order() {
+        for (i, kind) in MsgKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
+        assert!(MsgKind::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

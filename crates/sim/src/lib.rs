@@ -70,6 +70,7 @@ pub mod explore;
 pub mod fault;
 pub mod metrics;
 pub mod network;
+mod queue;
 pub mod sim;
 pub mod time;
 pub mod wal;

@@ -9,10 +9,15 @@
 //!   coordinator finishes the transaction (commit or abort), in
 //!   virtual time.
 //! - **Movement throughput**: completed movements per unit time.
+//!
+//! Every link message is counted as it ships, so counting one costs
+//! O(1): a counter per [`MsgKind`] in an array, and the movement it is
+//! charged to found where its [`MoveId`] says ([`MoveRecords`]).
 
 use std::collections::BTreeMap;
+use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use transmob_broker::MsgKind;
 use transmob_pubsub::{BrokerId, ClientId, MoveId, PubId};
 
@@ -56,13 +61,190 @@ pub struct DeliveryRecord {
     pub publication: PubId,
 }
 
+/// Messages transmitted over links, one counter a [`MsgKind`]. It
+/// serializes as the map of the kinds counted so far, in kind order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Traffic([u64; MsgKind::ALL.len()]);
+
+impl Traffic {
+    /// Messages of `kind` so far.
+    pub fn get(&self, kind: MsgKind) -> u64 {
+        self.0[kind as usize]
+    }
+
+    /// The kinds counted so far and their counts, in kind order.
+    pub fn iter(&self) -> impl Iterator<Item = (MsgKind, u64)> + '_ {
+        (MsgKind::ALL.into_iter().zip(self.0)).filter(|&(_, n)| n > 0)
+    }
+
+    /// Messages of every kind.
+    pub fn total(&self) -> u64 {
+        self.0.iter().sum()
+    }
+}
+
+impl Serialize for Traffic {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.collect_map(self.iter())
+    }
+}
+
+impl<'de> Deserialize<'de> for Traffic {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut traffic = Traffic::default();
+        for (kind, n) in BTreeMap::<MsgKind, u64>::deserialize(deserializer)? {
+            traffic.0[kind as usize] = n;
+        }
+        Ok(traffic)
+    }
+}
+
+/// The movement records, in ascending [`MoveId`] order, with the
+/// lookups of a `BTreeMap<MoveId, MoveRecord>`, and serialized as one.
+///
+/// A `MoveId` is `broker << 32 | seq`, and a broker numbers its
+/// movements 0, 1, 2, …, so the records are filed in one lane a broker,
+/// each in ascending sequence. A record is found where its sequence
+/// number says, counted back from the lane's newest: no search while
+/// every movement since it has a record, a binary search within the
+/// lane when one has none.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MoveRecords {
+    /// Ordered by broker; none is empty.
+    lanes: Vec<Lane>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Lane {
+    broker: u64,
+    /// Ordered by `MoveId`; never empty.
+    recs: Vec<(MoveId, MoveRecord)>,
+}
+
+impl Lane {
+    /// Where `m`'s record is in this lane, or where it would go.
+    fn find(&self, m: MoveId) -> Result<usize, usize> {
+        let newest = self.recs.last().expect("lanes are never empty").0;
+        let Some(back) = newest.0.checked_sub(m.0) else {
+            return Err(self.recs.len()); // newer than every record
+        };
+        let guess = usize::try_from(back).ok();
+        let guess = guess.and_then(|back| (self.recs.len() - 1).checked_sub(back));
+        match guess {
+            Some(i) if self.recs[i].0 == m => Ok(i),
+            _ => self.recs.binary_search_by_key(&m, |(id, _)| *id),
+        }
+    }
+}
+
+impl MoveRecords {
+    /// The lane of `m`'s broker, or where it would go.
+    fn lane(&self, m: MoveId) -> Result<usize, usize> {
+        (self.lanes).binary_search_by_key(&(m.0 >> 32), |lane| lane.broker)
+    }
+
+    /// The record of movement `m`.
+    pub fn get(&self, m: &MoveId) -> Option<&MoveRecord> {
+        let lane = &self.lanes[self.lane(*m).ok()?];
+        Some(&lane.recs[lane.find(*m).ok()?].1)
+    }
+
+    fn get_mut(&mut self, m: MoveId) -> Option<&mut MoveRecord> {
+        let lane = self.lane(m).ok()?;
+        let lane = &mut self.lanes[lane];
+        let i = lane.find(m).ok()?;
+        Some(&mut lane.recs[i].1)
+    }
+
+    /// Files `rec` under `m` unless `m` has a record already.
+    fn insert_new(&mut self, m: MoveId, rec: MoveRecord) {
+        match self.lane(m) {
+            Ok(i) => {
+                let lane = &mut self.lanes[i];
+                if let Err(at) = lane.find(m) {
+                    lane.recs.insert(at, (m, rec));
+                }
+            }
+            Err(i) => {
+                let lane = Lane {
+                    broker: m.0 >> 32,
+                    recs: vec![(m, rec)],
+                };
+                self.lanes.insert(i, lane);
+            }
+        }
+    }
+
+    /// Keeps the records `keep` picks; it may change them on the way.
+    fn retain(&mut self, mut keep: impl FnMut(&mut MoveRecord) -> bool) {
+        for lane in &mut self.lanes {
+            lane.recs.retain_mut(|(_, r)| keep(r));
+        }
+        self.lanes.retain(|lane| !lane.recs.is_empty());
+    }
+
+    /// How many movements have a record.
+    pub fn len(&self) -> usize {
+        self.lanes.iter().map(|l| l.recs.len()).sum()
+    }
+
+    /// Whether no movement has a record.
+    pub fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
+    }
+
+    /// The records and their movements, in ascending `MoveId` order.
+    pub fn iter(&self) -> impl Iterator<Item = (&MoveId, &MoveRecord)> {
+        (self.lanes.iter()).flat_map(|l| l.recs.iter().map(|(m, r)| (m, r)))
+    }
+
+    /// The movements, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &MoveId> {
+        self.iter().map(|(m, _)| m)
+    }
+
+    /// The records, in ascending `MoveId` order.
+    pub fn values(&self) -> impl Iterator<Item = &MoveRecord> {
+        self.iter().map(|(_, r)| r)
+    }
+
+    /// The record of the lowest `MoveId`.
+    pub fn first_key_value(&self) -> Option<(&MoveId, &MoveRecord)> {
+        self.iter().next()
+    }
+}
+
+impl Index<&MoveId> for MoveRecords {
+    type Output = MoveRecord;
+
+    fn index(&self, m: &MoveId) -> &MoveRecord {
+        self.get(m).expect("no record of that movement")
+    }
+}
+
+impl Serialize for MoveRecords {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.collect_map(self.iter())
+    }
+}
+
+impl<'de> Deserialize<'de> for MoveRecords {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut moves = MoveRecords::default();
+        for (m, rec) in BTreeMap::<MoveId, MoveRecord>::deserialize(deserializer)? {
+            moves.insert_new(m, rec);
+        }
+        Ok(moves)
+    }
+}
+
 /// All measurements of one simulation run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Metrics {
     /// Messages transmitted over links, by kind.
-    pub traffic: BTreeMap<MsgKind, u64>,
+    pub traffic: Traffic,
     /// Per-movement records.
-    pub moves: BTreeMap<MoveId, MoveRecord>,
+    pub moves: MoveRecords,
     /// Total application-layer deliveries.
     pub delivery_count: u64,
     /// Full delivery log (enabled for property-checking runs).
@@ -83,9 +265,9 @@ impl Metrics {
 
     /// Records one link transmission.
     pub fn count_message(&mut self, kind: MsgKind, cause: Option<MoveId>) {
-        *self.traffic.entry(kind).or_insert(0) += 1;
+        self.traffic.0[kind as usize] += 1;
         if let Some(m) = cause {
-            if let Some(rec) = self.moves.get_mut(&m) {
+            if let Some(rec) = self.moves.get_mut(m) {
                 rec.messages += 1;
             }
         }
@@ -100,7 +282,7 @@ impl Metrics {
         target: BrokerId,
         at: SimTime,
     ) {
-        self.moves.entry(m).or_insert(MoveRecord {
+        let rec = MoveRecord {
             client,
             source,
             target,
@@ -108,12 +290,13 @@ impl Metrics {
             end: None,
             committed: None,
             messages: 0,
-        });
+        };
+        self.moves.insert_new(m, rec);
     }
 
     /// Registers the completion of a movement.
     pub fn move_finished(&mut self, m: MoveId, committed: bool, at: SimTime) {
-        if let Some(rec) = self.moves.get_mut(&m) {
+        if let Some(rec) = self.moves.get_mut(m) {
             rec.end = Some(at);
             rec.committed = Some(committed);
         }
@@ -148,11 +331,11 @@ impl Metrics {
     /// start of the measured phase (the paper ignores the setup phase
     /// to avoid skewing steady-state results).
     pub fn reset_measurement(&mut self, at: SimTime) {
-        self.traffic.clear();
-        self.moves.retain(|_, r| r.end.is_none());
-        for r in self.moves.values_mut() {
+        self.traffic = Traffic::default();
+        self.moves.retain(|r| {
             r.messages = 0;
-        }
+            r.end.is_none()
+        });
         self.delivery_count = 0;
         if let Some(log) = &mut self.delivery_log {
             log.clear();
@@ -223,7 +406,7 @@ impl Metrics {
 
     /// Total link messages, all kinds.
     pub fn total_traffic(&self) -> u64 {
-        self.traffic.values().sum()
+        self.traffic.total()
     }
 }
 
@@ -289,6 +472,86 @@ mod tests {
         }
         let t = x.throughput_per_sec(SimTime(2_000_000_000));
         assert!((t - 5.0).abs() < 1e-9);
+    }
+
+    /// A `MoveId` numbered by `broker`.
+    fn mv(broker: u64, seq: u64) -> MoveId {
+        MoveId(broker << 32 | seq)
+    }
+
+    #[test]
+    fn move_records_keep_the_order_and_lookups_of_a_map() {
+        let mut x = Metrics::new(false);
+        let mut reference: BTreeMap<MoveId, MoveRecord> = BTreeMap::new();
+        // Interleaved brokers, a gap, a late start below the newest,
+        // a repeated start (the first record stays) and a broker
+        // numbered above 2^31.
+        let order = [
+            mv(3, 0),
+            mv(1, 0),
+            mv(3, 1),
+            mv(1, 1),
+            mv(3, 4),
+            mv(3, 2),
+            mv(1, 1),
+            mv(0x8000_0001, 7),
+            mv(2, 9),
+            mv(3, 5),
+        ];
+        for (k, &m) in order.iter().enumerate() {
+            let at = SimTime(k as u64);
+            x.move_started(m, ClientId(k as u64), BrokerId(1), BrokerId(2), at);
+            reference.entry(m).or_insert_with(|| x.moves[&m].clone());
+            x.count_message(MsgKind::MoveCtl, Some(m));
+            reference.get_mut(&m).unwrap().messages += 1;
+        }
+        x.count_message(MsgKind::MoveCtl, Some(mv(3, 3))); // never started
+        x.move_finished(mv(3, 2), true, SimTime(100));
+        reference.get_mut(&mv(3, 2)).unwrap().end = Some(SimTime(100));
+        reference.get_mut(&mv(3, 2)).unwrap().committed = Some(true);
+        let got: Vec<_> = x.moves.iter().map(|(m, r)| (*m, r.clone())).collect();
+        let want: Vec<_> = reference.iter().map(|(m, r)| (*m, r.clone())).collect();
+        assert_eq!(got, want);
+        assert_eq!(x.moves.len(), reference.len());
+        assert_eq!(x.moves.get(&mv(3, 3)), None);
+        assert_eq!(x.moves.first_key_value().map(|(m, _)| *m), Some(mv(1, 0)));
+        assert_eq!(x.traffic.get(MsgKind::MoveCtl), order.len() as u64 + 1);
+        x.reset_measurement(SimTime(200));
+        reference.retain(|_, r| r.end.is_none());
+        assert_eq!(x.moves.len(), reference.len());
+        assert!(x.moves.keys().eq(reference.keys()));
+        assert!(x.moves.values().all(|r| r.messages == 0));
+    }
+
+    #[test]
+    fn metrics_serialize_as_with_ordered_maps() {
+        let mut x = Metrics::new(true);
+        x.move_started(mv(2, 0), ClientId(1), BrokerId(2), BrokerId(1), SimTime(3));
+        x.move_started(mv(1, 5), ClientId(2), BrokerId(1), BrokerId(2), SimTime(4));
+        x.count_message(MsgKind::Subscribe, Some(mv(1, 5)));
+        x.count_message(MsgKind::Advertise, None);
+        x.count_message(MsgKind::Subscribe, None);
+        x.count_delivery(SimTime(9), ClientId(2), PubId(7));
+        /// `Metrics` as it was when both were ordered maps.
+        #[derive(Serialize)]
+        struct MapShaped {
+            traffic: BTreeMap<MsgKind, u64>,
+            moves: BTreeMap<MoveId, MoveRecord>,
+            delivery_count: u64,
+            delivery_log: Option<Vec<DeliveryRecord>>,
+            measure_from: SimTime,
+        }
+        let map_shaped = MapShaped {
+            traffic: x.traffic.iter().collect(),
+            moves: (x.moves.iter()).map(|(m, r)| (*m, r.clone())).collect(),
+            delivery_count: x.delivery_count,
+            delivery_log: x.delivery_log.clone(),
+            measure_from: x.measure_from,
+        };
+        let json = serde_json::to_string(&x).unwrap();
+        assert_eq!(json, serde_json::to_string(&map_shaped).unwrap());
+        let back: Metrics = serde_json::from_str(&json).unwrap();
+        assert_eq!((back.traffic, back.moves), (x.traffic, x.moves));
     }
 
     #[test]

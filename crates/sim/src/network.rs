@@ -49,6 +49,11 @@ pub struct LinkModel {
 }
 
 impl LinkModel {
+    /// Samples a propagation latency on this link.
+    pub fn sample_latency(&self, rng: &mut StdRng) -> SimDuration {
+        jittered(self.latency, self.jitter, rng)
+    }
+
     /// A LAN-class link.
     pub fn lan() -> Self {
         LinkModel {
@@ -75,7 +80,20 @@ pub struct NodeModel {
     pub jitter: f64,
 }
 
-/// The full network model: per-link and per-node parameters.
+impl NodeModel {
+    /// Samples the processing delay of one frame at a broker whose
+    /// routing tables hold `table_entries` rows.
+    pub fn sample_process(&self, table_entries: usize, rng: &mut StdRng) -> SimDuration {
+        let base = self.process
+            + SimDuration::from_nanos(self.per_entry.as_nanos() * table_entries as u64);
+        jittered(base, self.jitter, rng)
+    }
+}
+
+/// The full network model: per-link and per-node parameters. A driver
+/// that looks a model up on every frame resolves it once instead
+/// ([`NetworkModel::node_model`], [`NetworkModel::link`]) and samples
+/// the resolved one.
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     default_link: LinkModel,
@@ -223,16 +241,12 @@ impl NetworkModel {
         table_entries: usize,
         rng: &mut StdRng,
     ) -> SimDuration {
-        let node = self.node_model(broker);
-        let base = node.process
-            + SimDuration::from_nanos(node.per_entry.as_nanos() * table_entries as u64);
-        jittered(base, node.jitter, rng)
+        self.node_model(broker).sample_process(table_entries, rng)
     }
 
     /// Samples a propagation latency for the edge `a`–`b`.
     pub fn sample_latency(&self, a: BrokerId, b: BrokerId, rng: &mut StdRng) -> SimDuration {
-        let l = self.link(a, b);
-        jittered(l.latency, l.jitter, rng)
+        self.link(a, b).sample_latency(rng)
     }
 }
 

@@ -1,12 +1,15 @@
 //! The discrete-event simulation driver.
 //!
 //! [`Sim`] hosts one [`MobileBroker`] per overlay node and advances a
-//! virtual clock over a priority queue of events. Brokers and links
-//! are FIFO servers (see [`crate::network`]); protocol timers wait in
-//! a [`TimerTable`] beside the queue and count as an event only when
-//! they fire; client commands (including `MOVE`) are injected on a
-//! schedule; and repeated movement patterns — the paper's "move, pause
-//! ten seconds, move again" clients — run as [`MovementPlan`]s.
+//! virtual clock over a two-tier queue of events (`crate::queue`).
+//! Brokers and links are FIFO servers (see [`crate::network`]) whose
+//! state sits in tables indexed by broker and by directed link, so an
+//! event's bookkeeping does not grow with the events pending or the
+//! movements recorded. Protocol timers wait in a [`TimerTable`] beside
+//! the queue and count as an event only when they fire; client
+//! commands (including `MOVE`) are injected on a schedule; and
+//! repeated movement patterns — the paper's "move, pause ten seconds,
+//! move again" clients — run as [`MovementPlan`]s.
 //!
 //! Failure injection: brokers can crash and restart. Per the paper's
 //! fault model (Sec. 3.5), a crashed broker's algorithmic and queue
@@ -25,8 +28,7 @@
 //! [`Sim::run`] runs any one of them, which is how the schedule
 //! explorer ([`crate::explore()`]) picks its orders.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
@@ -38,12 +40,12 @@ use transmob_core::{
     ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, MoveMsg, Output,
     ProtocolKind, TimerToken,
 };
-use transmob_pubsub::fasthash::FastMap;
 use transmob_pubsub::{BrokerId, ClientId, MoveId, PublicationMsg};
 
 use crate::fault::{CrashKind, FaultPlan, LinkFaults, Partition};
 use crate::metrics::Metrics;
-use crate::network::NetworkModel;
+use crate::network::{LinkModel, NetworkModel, NodeModel};
+use crate::queue::{EventQueue, Tier};
 use crate::time::{SimDuration, SimTime};
 
 /// A repeating movement pattern for one client: cycle through
@@ -119,83 +121,61 @@ enum EventKind {
 /// The bound of a run that has none.
 const FOREVER: SimTime = SimTime(u64::MAX);
 
-/// The pending events, earliest `(time, seq)` first: a heap of
-/// 24-byte keys over a slab of event bodies, so a sift moves a key and
-/// never an event. A popped or dropped event's slot goes on the free
-/// list and is the next one filled, so the slab is as long as the most
-/// events ever pending at once. The sequence number is unique among
-/// pending events, so the slot never decides the order.
-#[derive(Debug, Default)]
-struct EventQueue {
-    keys: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    slab: Vec<Option<EventKind>>,
-    free: Vec<u32>,
-}
-
-impl EventQueue {
-    fn push(&mut self, time: SimTime, seq: u64, kind: EventKind) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(kind);
-                slot
-            }
-            None => {
-                self.slab.push(Some(kind));
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
-            }
-        };
-        self.keys.push(Reverse((time, seq, slot)));
-    }
-
-    /// The `(time, seq)` of the earliest event.
-    fn peek(&self) -> Option<(SimTime, u64)> {
-        self.keys.peek().map(|&Reverse((time, seq, _))| (time, seq))
-    }
-
-    /// Removes the earliest event: its sequence number and body.
-    fn pop(&mut self) -> Option<(u64, EventKind)> {
-        let Reverse((_, seq, slot)) = self.keys.pop()?;
-        self.free.push(slot);
-        let kind = self.slab[slot as usize]
-            .take()
-            .expect("a keyed slot holds its event");
-        Some((seq, kind))
-    }
-
-    /// The pending events as `(time, seq, body)`, in no particular
-    /// order.
-    fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &EventKind)> {
-        self.keys.iter().map(|&Reverse((time, seq, slot))| {
-            let body = self.slab[slot as usize].as_ref();
-            (time, seq, body.expect("a keyed slot holds its event"))
-        })
-    }
-
-    /// Removes the pending event `seq`, wherever it sorts: its time and
-    /// body.
-    fn remove(&mut self, seq: u64) -> Option<(SimTime, EventKind)> {
-        let &Reverse((time, _, slot)) = self.keys.iter().find(|key| key.0 .1 == seq)?;
-        self.keys.retain(|key| key.0 .1 != seq);
-        self.free.push(slot);
-        Some((time, self.slab[slot as usize].take()?))
-    }
-
-    /// Drops every event `lose` picks; returns how many.
-    fn discard(&mut self, lose: impl Fn(&EventKind) -> bool) -> usize {
-        let before = self.keys.len();
-        let (slab, free) = (&mut self.slab, &mut self.free);
-        self.keys.retain(|&Reverse((_, _, slot))| {
-            let body = &mut slab[slot as usize];
-            let keep = !body.as_ref().is_some_and(&lose);
-            if !keep {
-                *body = None;
-                free.push(slot);
-            }
-            keep
-        });
-        before - self.keys.len()
+impl EventKind {
+    /// A command waits on the agenda, scheduled ahead of the clock;
+    /// whatever the run produced waits near it.
+    fn tier(&self) -> Tier {
+        match self {
+            EventKind::Cmd { .. } => Tier::Agenda,
+            _ => Tier::Near,
+        }
     }
 }
+
+/// Whether a broker's server runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Up,
+    /// Down until its restart runs: what arrives meanwhile is held.
+    Crashed,
+    /// Gone for good (overlay churn): what arrives is dropped.
+    Dead,
+}
+
+/// One broker and its FIFO server.
+#[derive(Debug)]
+struct Server {
+    id: BrokerId,
+    /// `None` once the broker died.
+    broker: Option<MobileBroker>,
+    status: Status,
+    /// When the server finishes the last frame or command it took.
+    free: SimTime,
+    /// The broker's node model, resolved once.
+    node: NodeModel,
+    /// Events addressed to the broker while it is crashed, in arrival
+    /// order under their sequence numbers (the paper's persisted-queue
+    /// fault model), replayed at restart.
+    held: Vec<(u64, EventKind)>,
+    /// The broker's durability log ([`Sim::enable_durability`]): the
+    /// source of truth for state-loss recovery.
+    log: Option<Arc<Mutex<MemoryLog>>>,
+}
+
+/// One directed link's FIFO serialization server.
+#[derive(Debug)]
+struct Link {
+    /// The edge's model, resolved once.
+    model: LinkModel,
+    /// When the link finishes serializing the last frame it took.
+    free: SimTime,
+    /// When its last frame arrives; kept on a jittered link only, for
+    /// the FIFO clamp.
+    last_arrival: Option<SimTime>,
+}
+
+/// An empty entry of [`Sim`]'s slot and link indexes.
+const NONE: u32 = u32::MAX;
 
 /// The discrete-event simulator.
 #[derive(Debug)]
@@ -203,13 +183,18 @@ pub struct Sim {
     topology: Arc<Topology>,
     model: NetworkModel,
     config: MobileBrokerConfig,
-    brokers: BTreeMap<BrokerId, MobileBroker>,
+    /// Every broker's server, in ascending id order.
+    servers: Vec<Server>,
+    /// The `servers` index of each broker id (`NONE` for an id the
+    /// overlay does not hold).
+    slot_of: Vec<u32>,
+    /// Each directed link's index in `links`, at `src * servers.len() +
+    /// dst` by server index; `NONE` until it carries its first frame.
+    link_at: Vec<u32>,
+    links: Vec<Link>,
     clock: SimTime,
-    queue: EventQueue,
+    queue: EventQueue<EventKind>,
     seq: u64,
-    broker_free: FastMap<BrokerId, SimTime>,
-    link_free: FastMap<(BrokerId, BrokerId), SimTime>,
-    link_last_arrival: FastMap<(BrokerId, BrokerId), SimTime>,
     rng: StdRng,
     /// Collected measurements.
     pub metrics: Metrics,
@@ -220,18 +205,7 @@ pub struct Sim {
     home: BTreeMap<ClientId, BrokerId>,
     plans: BTreeMap<ClientId, (MovementPlan, usize)>,
     plan_deadline: Option<SimTime>,
-    crashed: BTreeSet<BrokerId>,
-    /// Permanently dead brokers (overlay churn). Unlike `crashed`,
-    /// traffic addressed to a dead broker is *dropped*, not held.
-    dead: BTreeSet<BrokerId>,
-    /// Events addressed to a crashed broker, held in arrival order
-    /// under their sequence numbers (the paper's persisted-queue fault
-    /// model) and replayed at restart.
-    held: BTreeMap<BrokerId, Vec<(u64, EventKind)>>,
     events_processed: u64,
-    /// Per-broker durability logs ([`Sim::enable_durability`]); the
-    /// source of truth for state-loss recovery.
-    logs: BTreeMap<BrokerId, Arc<Mutex<MemoryLog>>>,
     partitions: Vec<Partition>,
     link_faults: LinkFaults,
     fault_rng: StdRng,
@@ -257,37 +231,41 @@ impl Sim {
         seed: u64,
     ) -> Self {
         let topology = Arc::new(topology);
-        let brokers = topology
-            .brokers()
-            .map(|b| {
-                (
-                    b,
-                    MobileBroker::new(b, Arc::clone(&topology), config.clone()),
-                )
+        let servers: Vec<Server> = (topology.brokers())
+            .map(|id| Server {
+                id,
+                broker: Some(MobileBroker::new(id, Arc::clone(&topology), config.clone())),
+                status: Status::Up,
+                free: SimTime::ZERO,
+                node: model.node_model(id),
+                held: Vec::new(),
+                log: None,
             })
             .collect();
+        let top = servers.last().map_or(0, |s| s.id.0 as usize + 1);
+        let mut slot_of = vec![NONE; top];
+        for (slot, server) in servers.iter().enumerate() {
+            slot_of[server.id.0 as usize] = u32::try_from(slot).expect("fewer than 2^32 brokers");
+        }
+        let link_at = vec![NONE; servers.len() * servers.len()];
         Sim {
             topology,
             model,
             config,
-            brokers,
+            servers,
+            slot_of,
+            link_at,
+            links: Vec::new(),
             clock: SimTime::ZERO,
             queue: EventQueue::default(),
             seq: 0,
-            broker_free: FastMap::default(),
-            link_free: FastMap::default(),
-            link_last_arrival: FastMap::default(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(false),
             armed: TimerTable::default(),
             home: BTreeMap::new(),
             plans: BTreeMap::new(),
             plan_deadline: None,
-            crashed: BTreeSet::new(),
-            dead: BTreeSet::new(),
-            held: BTreeMap::new(),
             events_processed: 0,
-            logs: BTreeMap::new(),
             partitions: Vec::new(),
             link_faults: LinkFaults::none(),
             fault_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
@@ -302,19 +280,22 @@ impl Sim {
     /// logged before it is applied, and periodic checkpoints truncate
     /// the tail. Required before any [`CrashKind::StateLoss`] crash.
     pub fn enable_durability(&mut self) {
-        for (id, broker) in self.brokers.iter_mut() {
+        for server in &mut self.servers {
+            let Some(broker) = &mut server.broker else {
+                continue;
+            };
             let log = MemoryLog::shared();
             let dyn_log: Arc<Mutex<dyn DurabilityLog>> = log.clone();
             broker
                 .attach_durability(dyn_log)
                 .expect("in-memory durability cannot fail");
-            self.logs.insert(*id, log);
+            server.log = Some(log);
         }
     }
 
     /// Whether [`Sim::enable_durability`] has run.
     pub fn durability_enabled(&self) -> bool {
-        !self.logs.is_empty()
+        self.servers.iter().any(|s| s.log.is_some())
     }
 
     /// Schedules every fault in `plan`: crashes become events, link
@@ -411,7 +392,7 @@ impl Sim {
     ///
     /// Panics if `id` is unknown.
     pub fn broker(&self, id: BrokerId) -> &MobileBroker {
-        &self.brokers[&id]
+        self.server(id).broker.as_ref().expect("a live broker")
     }
 
     /// Mutable access to a broker (test set-up, e.g.
@@ -421,7 +402,50 @@ impl Sim {
     ///
     /// Panics if `id` is unknown.
     pub fn broker_mut(&mut self, id: BrokerId) -> &mut MobileBroker {
-        self.brokers.get_mut(&id).expect("unknown broker")
+        self.server_mut(id).broker.as_mut().expect("a live broker")
+    }
+
+    /// The index of `id`'s server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is unknown.
+    fn slot(&self, id: BrokerId) -> usize {
+        match self.slot_of.get(id.0 as usize) {
+            Some(&slot) if slot != NONE => slot as usize,
+            _ => panic!("unknown broker {id}"),
+        }
+    }
+
+    fn server(&self, id: BrokerId) -> &Server {
+        &self.servers[self.slot(id)]
+    }
+
+    fn server_mut(&mut self, id: BrokerId) -> &mut Server {
+        let slot = self.slot(id);
+        &mut self.servers[slot]
+    }
+
+    /// Whether `id` is down until its restart runs.
+    fn is_crashed(&self, id: BrokerId) -> bool {
+        self.server(id).status == Status::Crashed
+    }
+
+    /// Whether `id` died for good.
+    fn is_dead(&self, id: BrokerId) -> bool {
+        self.server(id).status == Status::Dead
+    }
+
+    /// The brokers that are alive (up or crashed), in ascending id
+    /// order.
+    fn live(&self) -> impl Iterator<Item = (BrokerId, &MobileBroker)> {
+        (self.servers.iter()).filter_map(|s| Some((s.id, s.broker.as_ref()?)))
+    }
+
+    /// The brokers whose status is `status`, ascending.
+    fn with_status(&self, status: Status) -> Vec<BrokerId> {
+        let servers = self.servers.iter().filter(|s| s.status == status);
+        servers.map(|s| s.id).collect()
     }
 
     /// The broker a client currently calls home (its command target).
@@ -432,9 +456,8 @@ impl Sim {
     /// Total protocol/routing anomalies across brokers (healthy runs:
     /// zero).
     pub fn total_anomalies(&self) -> u64 {
-        self.brokers
-            .values()
-            .map(|b| b.anomalies() + b.core().stats().anomalies)
+        self.live()
+            .map(|(_, b)| b.anomalies() + b.core().stats().anomalies)
             .sum()
     }
 
@@ -451,7 +474,7 @@ impl Sim {
 
     fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq();
-        self.queue.push(time, seq, kind);
+        self.queue.push(time, seq, kind.tier(), kind);
     }
 
     /// Pushes an event that *continues* an earlier one (an `Exec` for
@@ -462,7 +485,7 @@ impl Sim {
     /// or replay could reorder a link's FIFO (e.g. an abort overtaking
     /// the ack it chased).
     fn push_continuation(&mut self, time: SimTime, seq: u64, kind: EventKind) {
-        self.queue.push(time, seq, kind);
+        self.queue.push(time, seq, kind.tier(), kind);
     }
 
     /// Creates (attaches and starts) a client at `broker`, effective
@@ -517,7 +540,7 @@ impl Sim {
     /// Panics unless [`Sim::enable_durability`] has run.
     pub fn crash_broker_lossy(&mut self, broker: BrokerId, restart_at: SimTime) {
         assert!(
-            self.logs.contains_key(&broker),
+            self.server(broker).log.is_some(),
             "state-loss crash requires Sim::enable_durability()"
         );
         self.crash(broker, restart_at, CrashKind::StateLoss);
@@ -527,10 +550,11 @@ impl Sim {
     /// that is already down or dead stays as it is: the first crash
     /// wins, so one outage never gets a second restart.
     fn crash(&mut self, broker: BrokerId, restart_at: SimTime, kind: CrashKind) {
-        if self.crashed.contains(&broker) || self.dead.contains(&broker) {
+        let server = self.server_mut(broker);
+        if server.status != Status::Up {
             return;
         }
-        self.crashed.insert(broker);
+        server.status = Status::Crashed;
         self.push(
             restart_at.max(self.clock),
             EventKind::Restart { broker, kind },
@@ -554,9 +578,9 @@ impl Sim {
         self.push(at, EventKind::Die { broker });
     }
 
-    /// Brokers that have died permanently so far.
-    pub fn dead_brokers(&self) -> &BTreeSet<BrokerId> {
-        &self.dead
+    /// Brokers that have died permanently so far, ascending.
+    pub fn dead_brokers(&self) -> Vec<BrokerId> {
+        self.with_status(Status::Dead)
     }
 
     /// Runs until nothing is left to run or the clock passes `until`
@@ -637,7 +661,7 @@ impl Sim {
     /// crashed: a broker that is down runs no handler, and the timer
     /// stays armed for after its restart, as on the timed path.
     pub fn fire_timer(&mut self, broker: BrokerId, token: TimerToken) -> bool {
-        if !self.armed.is_armed((broker, token)) || self.crashed.contains(&broker) {
+        if !self.armed.is_armed((broker, token)) || self.is_crashed(broker) {
             return false;
         }
         self.fire(broker, token);
@@ -673,7 +697,7 @@ impl Sim {
             }
         }
         next.extend(heads.into_values().map(|at| (at, Choice::Queued(at.1))));
-        let up = |(_, (broker, _)): &(_, (BrokerId, _))| !self.crashed.contains(broker);
+        let up = |(_, (broker, _)): &(_, (BrokerId, _))| !self.is_crashed(*broker);
         let timers = self.armed.by_deadline().filter(up);
         next.extend(timers.map(|(at, (broker, token))| (at, Choice::Timer(broker, token))));
         next.sort_unstable_by_key(|&(at, _)| at);
@@ -690,7 +714,7 @@ impl Sim {
         self.events_processed += 1;
         match choice {
             Choice::Timer(broker, token) => {
-                let up = !self.crashed.contains(&broker);
+                let up = !self.is_crashed(broker);
                 assert!(
                     up && self.armed.is_armed((broker, token)),
                     "{choice:?} is not enabled"
@@ -757,9 +781,9 @@ impl Sim {
         })
     }
 
-    /// The crashed brokers, down until their restart runs.
-    pub(crate) fn crashed(&self) -> &BTreeSet<BrokerId> {
-        &self.crashed
+    /// The crashed brokers, down until their restart runs, ascending.
+    pub(crate) fn crashed(&self) -> Vec<BrokerId> {
+        self.with_status(Status::Crashed)
     }
 
     /// Feeds into `state` what a run's future and its checks depend on:
@@ -769,7 +793,7 @@ impl Sim {
     /// movements' outcomes and the deliveries; not the clock, nor the
     /// sequence numbers.
     pub(crate) fn digest(&self, state: &mut impl Hasher) {
-        for (id, broker) in &self.brokers {
+        for (id, broker) in self.live() {
             let snapshot = serde_json::to_string(&broker.snapshot());
             (id, snapshot.expect("a broker snapshot serializes")).hash(state);
         }
@@ -786,13 +810,14 @@ impl Sim {
         frames.sort_unstable_by_key(|&(link_and_seq, _)| link_and_seq);
         others.sort_unstable();
         let frames: Vec<String> = frames.into_iter().map(|(_, kind)| debug(kind)).collect();
-        let held: Vec<String> = (self.held.values().flatten())
+        let held: Vec<String> = (self.servers.iter().flat_map(|s| &s.held))
             .map(|e| debug(&e.1))
             .collect();
         (frames, others, held).hash(state);
         let timers: Vec<_> = self.armed.keys().collect();
-        (timers, &self.crashed, &self.dead, &self.home).hash(state);
-        for (m, rec) in &self.metrics.moves {
+        let (crashed, dead) = (self.crashed(), self.dead_brokers());
+        (timers, crashed, dead, &self.home).hash(state);
+        for (m, rec) in self.metrics.moves.iter() {
             (m, rec.committed).hash(state);
         }
         let log = self.metrics.delivery_log.iter().flatten();
@@ -811,7 +836,7 @@ impl Sim {
     fn advance(&mut self, until: SimTime, fire_timers: bool) -> Option<bool> {
         let head = self.queue.peek();
         let timer = (self.armed.by_deadline())
-            .find(|(_, (broker, _))| !self.crashed.contains(broker))
+            .find(|(_, (broker, _))| !self.is_crashed(*broker))
             .filter(|&(at, _)| head.is_none_or(|head| at < head));
         let (time, _) = timer.map(|(at, _)| at).or(head)?;
         if time > until || (timer.is_some() && !fire_timers) {
@@ -835,19 +860,19 @@ impl Sim {
     /// queue, under the sequence number it arrived with, for replay at
     /// restart.
     fn hold(&mut self, broker: BrokerId, seq: u64, kind: EventKind) {
-        self.held.entry(broker).or_default().push((seq, kind));
+        self.server_mut(broker).held.push((seq, kind));
     }
 
     /// Books `broker`'s next service slot (the broker is a FIFO
     /// server) and returns when it completes.
     fn service_done(&mut self, broker: BrokerId) -> SimTime {
-        let free = self.broker_free.get(&broker).copied();
-        let start = free.unwrap_or(SimTime::ZERO).max(self.clock);
-        let core = self.brokers[&broker].core();
+        let slot = self.slot(broker);
+        let server = &mut self.servers[slot];
+        let core = server.broker.as_ref().expect("a live broker").core();
         let entries = core.prt().len() + core.srt().len();
-        let done = start + self.model.sample_process(broker, entries, &mut self.rng);
-        self.broker_free.insert(broker, done);
-        done
+        let start = server.free.max(self.clock);
+        server.free = start + server.node.sample_process(entries, &mut self.rng);
+        server.free
     }
 
     /// Runs one event. Returns whether it was a frame its broker
@@ -856,10 +881,11 @@ impl Sim {
         match kind {
             EventKind::Arrive(frame) => {
                 let dst = frame.dst;
-                if self.dead.contains(&dst) {
+                let status = self.server(dst).status;
+                if status == Status::Dead {
                     return false; // dead broker: mail is lost, not held
                 }
-                if self.crashed.contains(&dst) {
+                if status == Status::Crashed {
                     // Persisted queue: hold in arrival order and replay
                     // at restart — per-link FIFO must survive the
                     // outage or the reconfiguration message could
@@ -872,10 +898,11 @@ impl Sim {
                 self.push_continuation(done, ev_seq, EventKind::Exec(frame));
             }
             EventKind::Exec(frame) => {
-                if self.dead.contains(&frame.dst) {
+                let status = self.server(frame.dst).status;
+                if status == Status::Dead {
                     return false; // died between queueing and processing
                 }
-                if self.crashed.contains(&frame.dst) {
+                if status == Status::Crashed {
                     // The broker died between queueing and processing:
                     // the batch goes back to the persisted input queue
                     // (as an Arrive, so it pays processing again after
@@ -903,7 +930,7 @@ impl Sim {
                 let Some(mut broker) = self.home.get(&client).copied() else {
                     return false; // client gone (never created or destroyed)
                 };
-                if self.dead.contains(&broker) {
+                if self.is_dead(broker) {
                     // The client's home died. If a stub survives
                     // elsewhere (the movement machinery resurrected or
                     // committed it), re-home the client there;
@@ -920,7 +947,7 @@ impl Sim {
                         }
                     }
                 }
-                if self.crashed.contains(&broker) {
+                if self.is_crashed(broker) {
                     self.hold(broker, ev_seq, EventKind::Cmd { client, op });
                     return false;
                 }
@@ -928,17 +955,18 @@ impl Sim {
                 self.push_continuation(done, ev_seq, EventKind::CmdExec { broker, client, op });
             }
             EventKind::CmdExec { broker, client, op } => {
-                if self.dead.contains(&broker) {
+                let server = self.server(broker);
+                if server.status == Status::Dead {
                     // Died between command arrival and execution:
                     // retry as a Cmd, which re-resolves the client's
                     // home (or declares the client gone).
                     self.push(self.clock, EventKind::Cmd { client, op });
-                } else if self.crashed.contains(&broker) {
+                } else if server.status == Status::Crashed {
                     // Crashed mid-processing: back to the persisted
                     // queue (as a Cmd, which also re-resolves the
                     // client's home after recovery).
                     self.hold(broker, ev_seq, EventKind::Cmd { client, op });
-                } else if self.brokers[&broker].client(client).is_none() {
+                } else if (server.broker.as_ref()).is_some_and(|b| b.client(client).is_none()) {
                     // The client moved away between command arrival and
                     // execution (its stub was cleaned up when the
                     // transaction acked). Re-resolve its home and
@@ -955,10 +983,11 @@ impl Sim {
                 kind,
             } => self.crash(broker, restart_at, kind),
             EventKind::Restart { broker, kind } => {
-                if self.dead.contains(&broker) {
+                let server = self.server_mut(broker);
+                if server.status == Status::Dead {
                     return false; // death trumps a pending restart
                 }
-                self.crashed.remove(&broker);
+                server.status = Status::Up;
                 match kind {
                     CrashKind::StateLoss => {
                         self.recover_from_log(broker);
@@ -980,20 +1009,21 @@ impl Sim {
                 // Replay the persisted queue in original order; the
                 // original sequence numbers keep held events ahead of
                 // anything that arrives after the restart instant.
-                for (seq, kind) in self.held.remove(&broker).unwrap_or_default() {
-                    self.queue.push(self.clock, seq, kind);
+                for (seq, kind) in std::mem::take(&mut self.server_mut(broker).held) {
+                    self.queue.push(self.clock, seq, kind.tier(), kind);
                 }
             }
             EventKind::Die { broker } => {
-                if self.dead.contains(&broker) {
+                let server = self.server_mut(broker);
+                if server.status == Status::Dead {
                     return false;
                 }
-                self.dead.insert(broker);
-                self.crashed.remove(&broker);
-                self.held.remove(&broker);
+                server.status = Status::Dead;
+                server.held = Vec::new();
+                server.log = None;
+                server.broker = None;
                 self.disarm(broker); // timers die with the broker
-                self.logs.remove(&broker);
-                self.brokers.remove(&broker);
+
                 // Keep the sim's gods-eye overlay in sync so the
                 // property checkers (NetworkView) see the post-churn
                 // topology the survivors converge to.
@@ -1004,13 +1034,12 @@ impl Sim {
                 // (per its *own*, possibly already-repaired overlay copy)
                 // sees that link go down one link latency later.
                 let observers: Vec<BrokerId> = self
-                    .brokers
-                    .iter()
+                    .live()
                     .filter(|(id, b)| {
                         let topo = b.topology();
                         topo.contains(broker) && topo.neighbors(broker).contains(id)
                     })
-                    .map(|(id, _)| *id)
+                    .map(|(id, _)| id)
                     .collect();
                 for observer in observers {
                     let latency = self.model.sample_latency(broker, observer, &mut self.rng);
@@ -1023,10 +1052,11 @@ impl Sim {
                 }
             }
             EventKind::Link { observer, peer, up } => {
-                if self.dead.contains(&observer) {
+                let status = self.server(observer).status;
+                if status == Status::Dead {
                     return false;
                 }
-                if self.crashed.contains(&observer) {
+                if status == Status::Crashed {
                     // The observer is down (but not dead): it hears the
                     // report after it comes back.
                     self.hold(observer, ev_seq, EventKind::Link { observer, peer, up });
@@ -1035,7 +1065,7 @@ impl Sim {
                 // A link comes back only to a live peer, and only once
                 // no other partition still holds it.
                 let held = (self.partitions.iter()).any(|p| p.covers(observer, peer, self.clock));
-                if up && (self.dead.contains(&peer) || held) {
+                if up && (self.is_dead(peer) || held) {
                     return false;
                 }
                 let mut outs = self.broker_mut(observer).handle_link(peer, up);
@@ -1096,12 +1126,13 @@ impl Sim {
     /// (`set_accept_moves`), and re-arms in-flight movement timers.
     fn recover_from_log(&mut self, broker: BrokerId) {
         self.disarm(broker); // every pre-crash timer died with the process
-        let log = Arc::clone(self.logs.get(&broker).expect("durability enabled"));
-        let config = self.brokers[&broker].config().clone();
+        let server = self.server(broker);
+        let log = Arc::clone(server.log.as_ref().expect("durability enabled"));
+        let config = self.broker(broker).config().clone();
         let (rebuilt, mut timer_outs) =
             MobileBroker::recover_from_log(Arc::clone(&self.topology), config, log)
                 .expect("attach_durability wrote the base checkpoint");
-        self.brokers.insert(broker, rebuilt);
+        self.server_mut(broker).broker = Some(rebuilt);
         // Re-arm timers for movements that were in flight at the crash.
         self.dispatch(broker, None, &mut timer_outs);
     }
@@ -1111,14 +1142,14 @@ impl Sim {
     /// the link). Link reports are not logged, so without this the
     /// rebuilt broker would forget a suspicion the lost one had armed.
     fn report_links_down(&mut self, broker: BrokerId) {
-        let peers: Vec<BrokerId> = (self.brokers[&broker].topology())
+        let peers: Vec<BrokerId> = (self.broker(broker).topology())
             .neighbors(broker)
             .iter()
             .copied()
             .collect();
         for peer in peers {
             let held = (self.partitions.iter()).any(|p| p.covers(broker, peer, self.clock));
-            if self.dead.contains(&peer) || held {
+            if self.is_dead(peer) || held {
                 let mut outs = self.broker_mut(broker).handle_link(peer, false);
                 self.dispatch(broker, None, &mut outs);
             }
@@ -1148,7 +1179,7 @@ impl Sim {
         to: BrokerId,
         msgs: Vec<Message>,
     ) {
-        if self.dead.contains(&to) {
+        if self.is_dead(to) {
             return; // link to a dead broker: frames vanish
         }
         for msg in &msgs {
@@ -1194,30 +1225,23 @@ impl Sim {
         }
         // Link: FIFO serialization server + latency, paid once per
         // frame.
-        let key = (src, to);
-        let link = self.model.link(src, to);
-        let depart = self
-            .link_free
-            .get(&key)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-            .max(base)
-            + link.serialize;
-        self.link_free.insert(key, depart);
-        let mut arrive = depart + self.model.sample_latency(src, to, &mut self.rng);
+        let link = self.link(src, to);
+        let link = &mut self.links[link];
+        link.free = link.free.max(base) + link.model.serialize;
+        let mut arrive = link.free + link.model.sample_latency(&mut self.rng);
         // Clamp to preserve per-link FIFO despite jitter. A link
         // without jitter needs none: departures never decrease, the
         // latency is constant, and frames arriving at one instant run
         // in send order (the sequence number breaks the tie). Clamping
         // there would push the second of two same-instant frames behind
         // traffic sent later on other links.
-        if link.jitter > 0.0 {
-            if let Some(last) = self.link_last_arrival.get(&key) {
-                if arrive <= *last {
-                    arrive = *last + SimDuration::from_nanos(1);
+        if link.model.jitter > 0.0 {
+            if let Some(last) = link.last_arrival {
+                if arrive <= last {
+                    arrive = last + SimDuration::from_nanos(1);
                 }
             }
-            self.link_last_arrival.insert(key, arrive);
+            link.last_arrival = Some(arrive);
         }
         let frame = Frame {
             dst: to,
@@ -1226,6 +1250,21 @@ impl Sim {
             cause,
         };
         self.push(arrive, EventKind::Arrive(frame));
+    }
+
+    /// The index in `links` of the directed link `src → to`, which the
+    /// first call sets up with the edge's model.
+    fn link(&mut self, src: BrokerId, to: BrokerId) -> usize {
+        let at = self.slot(src) * self.servers.len() + self.slot(to);
+        if self.link_at[at] == NONE {
+            self.link_at[at] = u32::try_from(self.links.len()).expect("fewer than 2^32 links");
+            self.links.push(Link {
+                model: self.model.link(src, to),
+                free: SimTime::ZERO,
+                last_arrival: None,
+            });
+        }
+        self.link_at[at] as usize
     }
 
     /// The messages of one frame that survive the link's drop draws,
@@ -1253,10 +1292,9 @@ impl Sim {
 
     /// The broker currently holding any stub for `client` (any state).
     pub fn find_client(&self, client: ClientId) -> Option<BrokerId> {
-        self.brokers
-            .iter()
+        self.live()
             .find(|(_, b)| b.client(client).is_some())
-            .map(|(id, _)| *id)
+            .map(|(id, _)| id)
     }
 
     fn schedule_next_plan_move(&mut self, client: ClientId) {
@@ -1339,11 +1377,11 @@ impl transmob_core::properties::NetworkView for Sim {
     }
 
     fn view_broker_ids(&self) -> Vec<BrokerId> {
-        self.brokers.keys().copied().collect()
+        self.live().map(|(id, _)| id).collect()
     }
 
     fn view_broker(&self, id: BrokerId) -> &MobileBroker {
-        &self.brokers[&id]
+        self.broker(id)
     }
 }
 
@@ -1632,7 +1670,10 @@ mod fifo_tests {
             publish(&mut sim, 10 + k % 10);
         }
         sim.settle();
-        assert!(sim.link_last_arrival.is_empty(), "the clamp was consulted");
+        assert!(
+            sim.links.iter().all(|l| l.last_arrival.is_none()),
+            "the clamp was consulted"
+        );
         let seqs: Vec<u64> = (sim.metrics.deliveries_to(ClientId(4)).iter())
             .map(|p| p.0 & 0xffff_ffff)
             .collect();
@@ -2056,7 +2097,7 @@ mod queue_tests {
 
     /// Pops the head, checking that it is `expect` and that the body
     /// came out of the slot its key named.
-    fn pop_expecting(q: &mut EventQueue, expect: (SimTime, u64)) {
+    fn pop_expecting(q: &mut EventQueue<EventKind>, expect: (SimTime, u64)) {
         assert_eq!(q.peek(), Some(expect));
         let (seq, kind) = q.pop().unwrap();
         assert_eq!(seq, expect.1);
@@ -2076,7 +2117,9 @@ mod queue_tests {
         let mut q = EventQueue::default();
         let mut pending: Vec<(SimTime, u64)> = Vec::new();
         for (k, &(time, seq)) in keys.iter().enumerate() {
-            q.push(time, seq, body(seq));
+            // Either tier: the order is the keys' alone.
+            let tier = [Tier::Agenda, Tier::Near][k % 2];
+            q.push(time, seq, tier, body(seq));
             pending.push((time, seq));
             // Pop between pushes too, so slots are reused mid-run.
             if k % 3 == 2 {
@@ -2090,12 +2133,8 @@ mod queue_tests {
         }
         assert_eq!(q.peek(), None);
         assert!(q.pop().is_none());
-        assert_eq!(q.free.len(), q.slab.len(), "a popped slot was not freed");
-        assert!(q.slab.iter().all(Option::is_none));
-    }
-
-    fn live(q: &EventQueue) -> usize {
-        q.slab.iter().filter(|body| body.is_some()).count()
+        assert_eq!(q.free_slots(), q.slots(), "a popped slot was not freed");
+        assert_eq!(q.live(), 0);
     }
 
     #[test]
@@ -2122,18 +2161,23 @@ mod queue_tests {
             let op = ClientOp::Publish(Publication::new().with("x", x));
             sim.schedule_cmd(SimTime(1_000), ClientId(1), op);
         }
-        let slots = sim.queue.slab.len();
-        assert_eq!(live(&sim.queue), 5);
+        // Both tiers share one slab: the frames wait near the clock,
+        // the commands on the agenda.
+        let slots = sim.queue.slots();
+        assert_eq!(sim.queue.live(), 5);
+        assert_eq!(sim.queue.tier_len(Tier::Near), 3);
+        assert_eq!(sim.queue.tier_len(Tier::Agenda), 2);
         assert_eq!(sim.drain_queue(), 3, "three frames were in flight");
-        assert_eq!(sim.queue.keys.len(), 2, "the scheduled commands stay");
-        assert_eq!(live(&sim.queue), 2);
-        assert_eq!(sim.queue.free.len(), slots - 2);
+        assert_eq!(sim.queue.len(), 2, "the scheduled commands stay");
+        assert_eq!(sim.queue.tier_len(Tier::Agenda), 2);
+        assert_eq!(sim.queue.live(), 2);
+        assert_eq!(sim.queue.free_slots(), slots - 2);
         assert_eq!(sim.drain_queue(), 0);
         // The freed slots take the next frames.
         for x in 0..3 {
             publish(&mut sim, x);
         }
-        assert_eq!(sim.queue.slab.len(), slots);
+        assert_eq!(sim.queue.slots(), slots);
         sim.settle();
         assert_eq!(sim.metrics.deliveries_to(ClientId(3)).len(), 5);
     }
@@ -2173,14 +2217,15 @@ mod queue_tests {
             sim.schedule_cmd(start + SimDuration::from_millis(5 * k), ClientId(1), op);
         }
         // One `advance` pops at most one event before it pushes any, so
-        // the count after each is the most pending during it.
-        let mut peak = sim.queue.keys.len();
+        // the count after each, over both tiers, is the most pending
+        // during it.
+        let mut peak = sim.queue.len();
         while sim.advance(FOREVER, true).is_some() {
-            peak = peak.max(sim.queue.keys.len());
+            peak = peak.max(sim.queue.len());
         }
         assert!(sim.events_processed() > 20 * peak as u64, "too short a run");
-        assert_eq!(sim.queue.slab.len(), peak);
-        assert_eq!(sim.queue.free.len(), peak, "every slot is free again");
+        assert_eq!(sim.queue.slots(), peak);
+        assert_eq!(sim.queue.free_slots(), peak, "every slot is free again");
         assert!(sim.metrics.finished_moves().count() > 300);
         assert_eq!(sim.total_anomalies(), 0);
     }

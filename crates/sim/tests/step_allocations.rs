@@ -12,7 +12,8 @@
 //! Each budget sits a quarter above the count this file measured when
 //! it was set (a step came to allocate per frame rather than per
 //! effect; the control path's rules came to write into the step's
-//! sink); the counts before, and after, are in CHANGES.md. Debug builds run
+//! sink; a subscription's directions came to be collected inline); the
+//! counts before, and after, are in CHANGES.md. Debug builds run
 //! the routing tables' linear-scan oracle on every match, which
 //! allocates, so they have budgets of their own.
 //!
@@ -178,7 +179,7 @@ fn a_movement_on_the_tree_stays_under_its_allocation_budget() {
 #[test]
 fn a_covering_subscription_and_its_withdrawal_stay_under_their_allocation_budget() {
     const ROUNDS: u32 = 20;
-    let budget = budget(678.0, 790.0);
+    let budget = budget(633.0, 745.0);
     let mut sim = settled(
         default_14(),
         MobileBrokerConfig::covering(),

@@ -16,8 +16,9 @@
 #      same churn contract, through the same harness, on a ring overlay
 #      with multi-path forwarding, DESIGN.md §15); scales via CHAOS_CASES
 #      (e.g. CHAOS_CASES=5000); plus the scenario-script suite on all
-#      four drivers and the match index's differential oracle
-#      (index_differential) at the same case count, the schedule explorer on
+#      four drivers, the match index's differential oracle
+#      (index_differential) and the Sim's event-queue differential
+#      (transmob-sim's queue::tests) at the same case count, the schedule explorer on
 #      chain(4) under one crash, the TCP churn test 20 times over, and
 #      one release run of `figures all` and `figures ablations`;
 #      skipped under CI_FAST=1
@@ -71,6 +72,8 @@ else
         cargo test -p transmob-runtime --test scripts -q
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-broker --test index_differential -q
+    CHAOS_CASES="${CHAOS_CASES:-32}" \
+        cargo test -p transmob-sim --lib -q queue::
     # The schedule explorer's wider alphabet (chain(4), one crash).
     cargo test -p transmob-sim --test explore -q -- --ignored
     # The wall-clock churn test over real sockets, repeated: a detector

@@ -12,7 +12,12 @@
 # set-up, the oracle and the report are left out (`--root`, below). Inlined callees are charged to
 # the function they were inlined into; frames outside the binary are
 # named by `dladdr` (`[malloc]`; `[?]` is what it cannot name, mostly
-# libc's local symbols such as its `memcpy` variants).
+# libc's local symbols such as its `memcpy` variants). Right after the
+# sample count it prints the driver share: the share of those samples with no
+# `MobileBroker::` frame on the stack, i.e. what the driver (on the
+# `sim-*` workloads, the `Sim`) spends on its own bookkeeping rather
+# than on broker steps. A change to the driver states its before and
+# after as this one number.
 #
 #   scripts/profile.sh --callers malloc --workload sim-reconfig --seed 1 --seconds 10 --trace 0
 #
@@ -243,7 +248,7 @@ def name(frame):
     i = bisect.bisect_right(starts, int(frame[1:], 16) - 1) - 1
     return syms[i][1] if i >= 0 else "[?]"
 
-total = kept = 0
+total = kept = driver = 0
 self_n, incl_n, callers_n = collections.Counter(), collections.Counter(), collections.Counter()
 for path in glob.glob(sys.argv[1] + "/samples.*"):
     for line in open(path):
@@ -259,6 +264,7 @@ for path in glob.glob(sys.argv[1] + "/samples.*"):
             continue
         stack = stack[: under + 1]
         kept += 1
+        driver += not any("MobileBroker::" in s for s in stack)
         self_n[stack[0]] += 1
         for s in set(stack):
             incl_n[s] += 1
@@ -267,6 +273,11 @@ for path in glob.glob(sys.argv[1] + "/samples.*"):
             callers_n[tuple(named[:2])] += 1
 
 print(f"profile: {total} samples at 997 Hz, {kept} under {ROOT}")
+if kept:
+    print(
+        f"profile: driver share {100 * driver / kept:.1f}%: the samples under {ROOT} "
+        "with no MobileBroker:: frame, i.e. the driver's own bookkeeping"
+    )
 if kept:
     for title, counts in (("self", self_n), ("inclusive", incl_n)):
         print(f"\n{title:>9}  function (top 30 by {title} share of the samples under {ROOT})")
