@@ -53,8 +53,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 use transmob_pubsub::fasthash::FastSet;
 use transmob_pubsub::{
-    AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, PubId, Publication, PublicationMsg,
-    SubId, Subscription,
+    AdvId, Advertisement, BrokerId, ClientId, Filter, MoveId, PubId, PublicationMsg, SubId,
+    Subscription,
 };
 
 use crate::messages::{BrokerOutput, Effects, Hop, MsgKind, PubSubMsg};
@@ -299,23 +299,6 @@ pub struct BrokerStats {
     pub reroutes: u64,
 }
 
-/// Destination sets pre-computed by [`BrokerCore::prematch`] for the
-/// publish messages of one batch, in batch order, stamped with the
-/// routing version they were matched under. The *match* stage of a
-/// pipelined broker loop produces one of these under a read lock; the
-/// *apply* stage consumes it under the write lock, falling back to
-/// fresh matching if the stamp has gone stale. No driver of this
-/// workspace pipelines since the threaded runtimes went back to one
-/// thread a broker (DESIGN.md §12); the end-to-end benchmark's replay
-/// is the remaining caller.
-#[derive(Debug, Clone)]
-pub struct PrematchedRoutes {
-    version: u64,
-    /// Publish runs of the batch take their sets off the front, in
-    /// order, across multiple flushes.
-    routes: std::vec::IntoIter<Destinations>,
-}
-
 /// The broker routing state machine. See the module docs for the
 /// semantics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -499,50 +482,19 @@ impl BrokerCore {
     /// fold of [`BrokerCore::handle_into`] over its messages.
     pub fn handle(&mut self, from: Hop, msg: PubSubMsg) -> Vec<BrokerOutput> {
         let mut out = Vec::new();
-        self.handle_into(from, msg, None, &mut out);
+        self.handle_into(from, msg, &mut out);
         out
-    }
-
-    /// The routing-state version stamp guarding pre-computed routes
-    /// (see [`Table::routing_version`]).
-    pub fn routing_version(&self) -> u64 {
-        self.prt.routing_version()
-    }
-
-    /// Matches a batch's publications against the *current* routing
-    /// state without mutating anything: the read-locked *match* stage
-    /// of a pipelined broker loop. The result is stamped with
-    /// [`BrokerCore::routing_version`]; the write-locked *apply* stage
-    /// ([`BrokerCore::handle_into`] over the same publications)
-    /// consumes the routes only while the stamp still matches, so a
-    /// movement commit or subscription churn sneaking in between simply
-    /// invalidates the pre-computation instead of corrupting routing.
-    pub fn prematch(&self, contents: &[&Publication]) -> PrematchedRoutes {
-        PrematchedRoutes {
-            version: self.prt.routing_version(),
-            routes: self.prt.destinations_batch(contents).into_iter(),
-        }
     }
 
     /// Handles one routing-layer message arriving from `from`, writing
     /// its effects into `effects`, which the caller owns and may keep
     /// from one step to the next: the one ingestion path. A
-    /// publication takes the next set of `pre` (see
-    /// [`BrokerCore::prematch`]) while its stamp is current, and is
-    /// matched here otherwise. A stale stamp (the routing state mutated
-    /// since the match stage, maybe by an earlier message of the same
-    /// batch) stays stale; the result is identical either way
-    /// (asserted in debug builds).
-    pub fn handle_into(
-        &mut self,
-        from: Hop,
-        msg: PubSubMsg,
-        pre: Option<&mut PrematchedRoutes>,
-        effects: &mut impl Effects,
-    ) {
+    /// publication is matched here, against the routing state as this
+    /// message finds it.
+    pub fn handle_into(&mut self, from: Hop, msg: PubSubMsg, effects: &mut impl Effects) {
         *self.stats.handled.entry(msg.kind()).or_insert(0) += 1;
         match msg {
-            PubSubMsg::Publish(p) => self.route_publication(from, p, pre, effects),
+            PubSubMsg::Publish(p) => self.route_publication(from, p, effects),
             PubSubMsg::Advertise(a) => self.handle_add(from, a, effects),
             PubSubMsg::Unadvertise(id) => self.handle_retract::<Advertisement>(from, id, effects),
             PubSubMsg::Subscribe(s) => self.handle_add(from, s, effects),
@@ -552,45 +504,19 @@ impl BrokerCore {
         }
     }
 
-    /// Routes one publication through its pre-computed destination
-    /// set, if `pre` is still current, or through a fresh match into
-    /// the reused lists of `DESTS`.
-    fn route_publication(
-        &mut self,
-        from: Hop,
-        p: PublicationMsg,
-        pre: Option<&mut PrematchedRoutes>,
-        effects: &mut impl Effects,
-    ) {
-        // The version only moves forward, so a stale pre-computation
-        // never becomes valid again.
-        let version = self.prt.routing_version();
-        let routed = pre
-            .filter(|pre| pre.version == version)
-            .and_then(|pre| pre.routes.next());
+    /// Routes one publication through a fresh match
+    /// ([`Prt::destinations_into`]) into the reused lists of `DESTS`.
+    fn route_publication(&mut self, from: Hop, p: PublicationMsg, effects: &mut impl Effects) {
         if self.config.multipath && !self.dedup.insert(p.id) {
             // A publication already forwarded and delivered here via
             // another path of the cyclic overlay is dropped before it
-            // costs a match. (Its pre-computed set was taken above,
-            // keeping the cursor aligned, and goes with it.)
+            // costs a match.
             return;
         }
-        match routed {
-            Some(dests) => {
-                debug_assert_eq!(
-                    dests,
-                    self.prt.destinations(&p.content),
-                    "pre-computed destinations diverged from the current routing state"
-                );
-                self.emit_publish(from, p, &dests, effects);
-            }
-            None => {
-                let mut dests = DESTS.take();
-                self.prt.destinations_into(&p.content, &mut dests);
-                self.emit_publish(from, p, &dests, effects);
-                DESTS.set(dests);
-            }
-        }
+        let mut dests = DESTS.take();
+        self.prt.destinations_into(&p.content, &mut dests);
+        self.emit_publish(from, p, &dests, effects);
+        DESTS.set(dests);
     }
 
     // ----- routing rules, one copy for both tables ---------------------

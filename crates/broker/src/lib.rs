@@ -34,8 +34,8 @@ pub mod topology;
 pub mod wire;
 
 pub use broker::{
-    BrokerConfig, BrokerCore, BrokerStats, CoveringMode, DedupWindow, PrematchedRoutes,
-    DEDUP_WINDOW_CAP, MAX_PUB_HOPS,
+    BrokerConfig, BrokerCore, BrokerStats, CoveringMode, DedupWindow, DEDUP_WINDOW_CAP,
+    MAX_PUB_HOPS,
 };
 pub use messages::{BrokerOutput, Effects, Hop, MsgKind, PubSubMsg};
 pub use overlay::OverlayBuilder;

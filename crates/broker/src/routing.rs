@@ -686,19 +686,6 @@ impl<T: Routed> Table<T> {
         self.scan(|f| f.overlaps(filter))
     }
 
-    /// Overlap query joined with the routing hops the broker needs:
-    /// for every overlapping row, its id, active lasthop, and pending
-    /// (shadow) lasthop if a movement transaction is in flight.
-    pub fn overlapping_routes(&self, filter: &Filter) -> Vec<(T::Id, Hop, Option<Hop>)> {
-        self.overlapping(filter)
-            .into_iter()
-            .map(|id| {
-                let e = &self.rows[&id].entry;
-                (id, e.lasthop, e.pending.as_ref().map(|p| p.lasthop))
-            })
-            .collect()
-    }
-
     /// Ids of items whose filter *covers* `filter` (the quench test).
     /// Served by the dual-endpoint containment structure of the
     /// counting index.
@@ -789,7 +776,7 @@ impl<T: Routed> Table<T> {
 }
 
 /// Where one publication goes from this broker: the answer of
-/// [`Prt::destinations_batch`]. Both lists are ascending and
+/// [`Prt::destinations_into`]. Both lists are ascending and
 /// duplicate-free, and forwarding emits them in this order (brokers,
 /// then clients).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -907,7 +894,7 @@ impl Cell {
 /// cell names, under a dense `u32` id, with the number of times the
 /// live cells name it. Its size is the most destinations a publication
 /// can have at this broker, which is what lets
-/// [`Prt::destinations_batch`] stop matching early. It must never
+/// [`Prt::destinations_into`] stop matching early. It must never
 /// under-count (a probe would end before a destination was found), so
 /// every cell is counted when it goes live and un-counted when it is
 /// replaced or its row removed. A hop keeps its id while any live cell
@@ -995,10 +982,10 @@ impl Census {
 }
 
 /// The PRT's forwarding column ([`Routed::Column`] of a subscription):
-/// per row number the row's forwarding cell, the census of their hops,
-/// and the routing-state version.
+/// per row number the row's forwarding cell, and the census of their
+/// hops.
 ///
-/// Publication forwarding ([`Table::destinations_batch`]) folds the
+/// Publication forwarding ([`Table::destinations_into`]) folds the
 /// index's matching row numbers through the cells straight into
 /// destination sets, one seen-bit per census id: it never lists the
 /// matching rows, never touches the row map and never sorts to find
@@ -1011,17 +998,10 @@ pub struct Forwarding {
     cells: Vec<Cell>,
     /// The census of the live cells.
     census: Census,
-    /// Routing-state version: bumped by every write that could change
-    /// what [`Table::destinations_batch`] answers (row churn *and*
-    /// every [`Table::update`], counted conservatively). A caller that
-    /// pre-computes destinations stamps them with this and discards
-    /// them if the table has moved on ([`Table::routing_version`]).
-    version: u64,
 }
 
 impl Column<Subscription> for Forwarding {
     fn fill(&mut self, n: u32, e: &SubEntry) {
-        self.version = self.version.wrapping_add(1);
         let cell = self.census.count(e);
         match self.cells.get_mut(n as usize) {
             Some(slot) => *slot = cell,
@@ -1032,7 +1012,6 @@ impl Column<Subscription> for Forwarding {
     /// The freed number's cell stays behind until the number is handed
     /// out again, so its hops leave the census here.
     fn free(&mut self, n: u32) {
-        self.version = self.version.wrapping_add(1);
         self.census.uncount(&self.cells[n as usize]);
     }
 
@@ -1040,7 +1019,6 @@ impl Column<Subscription> for Forwarding {
     /// before the old ones are un-counted, so a hop the row keeps keeps
     /// its id.
     fn refresh(&mut self, n: u32, e: &SubEntry) {
-        self.version = self.version.wrapping_add(1);
         if !self.census.names(&self.cells[n as usize], e) {
             let cell = self.census.count(e);
             let old = std::mem::replace(&mut self.cells[n as usize], cell);
@@ -1053,7 +1031,7 @@ impl Column<Subscription> for Forwarding {
     /// counted from the entries and the free ids are exactly the
     /// unmentioned ones.
     fn check<'a>(&self, width: usize, live: impl Iterator<Item = (u32, &'a SubEntry)>) {
-        let Forwarding { cells, census, .. } = self;
+        let Forwarding { cells, census } = self;
         assert_eq!(
             cells.len(),
             width,
@@ -1097,17 +1075,10 @@ impl Column<Subscription> for Forwarding {
 /// The PRT's publication queries: matching, and forwarding through the
 /// column.
 impl Table<Subscription> {
-    /// The routing-state version stamp (see [`Forwarding`]): two equal
-    /// stamps from the same table guarantee
-    /// [`Table::destinations_batch`] would answer identically.
-    pub fn routing_version(&self) -> u64 {
-        self.column.version
-    }
-
     /// Ids of subscriptions whose filter matches `publication`, sorted
     /// (the publication-forwarding test, for callers that want the
     /// rows; forwarding itself goes through
-    /// [`Table::destinations_batch`]). Served by the counting index.
+    /// [`Table::destinations_into`]). Served by the counting index.
     pub fn matching(&self, publication: &Publication) -> Vec<SubId> {
         self.matching_batch(std::slice::from_ref(publication))
             .pop()
@@ -1145,8 +1116,8 @@ impl Table<Subscription> {
         out
     }
 
-    /// The forwarding query: for every publication of a batch, in
-    /// batch order, where it goes from this broker. A destination is
+    /// The forwarding query: where `publication` goes from this broker,
+    /// written over `dests`. A destination is
     /// the active lasthop, the pending (shadow) lasthop of an in-flight
     /// movement, or a redundant `alt_lasthops` route of any matching
     /// row, so the prepare–commit window (where both configurations
@@ -1162,17 +1133,12 @@ impl Table<Subscription> {
     /// completes it, once that count is the census size: what is owed
     /// is a set of hops, and no further row can add one. Asserted
     /// against [`Table::destinations_linear`], which scans every row,
-    /// in debug builds.
-    pub fn destinations_batch(&self, publications: &[&Publication]) -> Vec<Destinations> {
-        publications.iter().map(|p| self.destinations(p)).collect()
-    }
-
-    /// [`Table::destinations_batch`] for one publication, written over
-    /// `dests`: the lists keep their capacity, so a broker that routes
-    /// its publications one by one through one `Destinations` allocates
-    /// nothing for them once the lists have grown.
+    /// in debug builds. The lists of `dests` keep their capacity, so a
+    /// broker that routes its publications one by one through one
+    /// `Destinations` allocates nothing for them once the lists have
+    /// grown.
     pub fn destinations_into(&self, publication: &Publication, dests: &mut Destinations) {
-        let Forwarding { cells, census, .. } = &self.column;
+        let Forwarding { cells, census } = &self.column;
         let (hops, width) = (census.len(), census.width());
         let mut reach = Reach::new(std::mem::take(dests), width);
         self.index.fold_into(
@@ -1191,14 +1157,20 @@ impl Table<Subscription> {
         );
     }
 
-    /// [`Table::destinations_batch`] for one publication.
+    /// [`Table::destinations_into`] into a fresh set.
     pub fn destinations(&self, publication: &Publication) -> Destinations {
         let mut dests = Destinations::default();
         self.destinations_into(publication, &mut dests);
         dests
     }
 
-    /// Reference implementation of [`Table::destinations_batch`]: the
+    /// [`Table::destinations`] for every publication of a batch, in
+    /// batch order.
+    pub fn destinations_batch(&self, publications: &[&Publication]) -> Vec<Destinations> {
+        publications.iter().map(|p| self.destinations(p)).collect()
+    }
+
+    /// Reference implementation of [`Table::destinations_into`]: the
     /// linear scan of the rows, reading the hops off the entries into
     /// ordered sets.
     #[cfg(any(test, debug_assertions))]
@@ -1398,7 +1370,6 @@ mod tests {
         let s = sub(1, 0, 0, 10);
         let p = Publication::new().with("x", 5);
         prt.insert(s.clone(), Hop::Broker(BrokerId(2)));
-        let v0 = prt.routing_version();
         // Alternates come, the primary is re-pointed, a pending hop is
         // installed and dropped: the answer follows every write.
         prt.update(s.id, |e| {
@@ -1431,12 +1402,9 @@ mod tests {
                 clients: vec![ClientId(1)],
             }
         );
-        assert!(prt.routing_version() > v0);
         prt.check_invariants();
         // An absent id is left alone, closure unrun.
-        let v = prt.routing_version();
         assert_eq!(prt.update(SubId::new(ClientId(8), 0), |_| ()), None);
-        assert_eq!(prt.routing_version(), v);
     }
 
     /// The census as sorted `(hop, mentions)` pairs.

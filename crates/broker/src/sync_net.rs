@@ -158,7 +158,7 @@ impl SyncNet {
         while let Some((dst, from, msg)) = self.queue.pop_front() {
             *self.traffic.entry(msg.kind()).or_insert(0) += 1;
             let broker = self.brokers.get_mut(&dst).expect("unknown broker id");
-            broker.handle_into(from, msg, None, &mut outputs);
+            broker.handle_into(from, msg, &mut outputs);
             self.route_outputs(dst, &mut outputs);
         }
     }

@@ -454,24 +454,14 @@ proptest! {
         prop_assert_eq!(srt.overlapping(&query), srt.overlapping_linear(&query));
     }
 
-    /// The forwarding query and the joined SRT route query agree with
-    /// the scans *and* carry the pending (shadow) hops of in-flight
-    /// movements.
+    /// The forwarding query agrees with the scan of the rows *and*
+    /// carries the pending (shadow) hops of in-flight movements.
     #[test]
-    fn route_queries_expose_pending_hops(steps in arb_steps(), q in arb_filter()) {
-        let (prt, srt) = replay(&steps);
+    fn route_queries_expose_pending_hops(steps in arb_steps()) {
+        let (prt, _) = replay(&steps);
         prt.check_invariants();
         for p in probe_pubs() {
             prop_assert_eq!(prt.destinations(&p), destinations_from_rows(&prt, &p), "pub {}", p);
-        }
-        let query = build_filter(&q);
-        let routes = srt.overlapping_routes(&query);
-        let ids: Vec<AdvId> = routes.iter().map(|(id, _, _)| *id).collect();
-        prop_assert_eq!(&ids, &srt.overlapping_linear(&query));
-        for (id, active, pending) in routes {
-            let e = srt.get(id).unwrap();
-            prop_assert_eq!(active, e.lasthop);
-            prop_assert_eq!(pending, e.pending.as_ref().map(|pd| pd.lasthop));
         }
     }
 

@@ -116,12 +116,7 @@ fn surviving_arc_keeps_routing_when_one_arc_retracts() {
     // on it dies): the alt must be promoted, delivery must continue.
     let aid = AdvId::new(c(1), 0);
     net.with_broker(b(3), |core, out| {
-        core.handle_into(
-            Hop::Broker(primary_nb),
-            PubSubMsg::Unadvertise(aid),
-            None,
-            out,
-        )
+        core.handle_into(Hop::Broker(primary_nb), PubSubMsg::Unadvertise(aid), out)
     });
     let entry = net.broker(b(3)).srt().get(aid).unwrap();
     assert_ne!(entry.lasthop, primary, "alt promoted to primary");

@@ -699,7 +699,7 @@ fn publication_fanout_order_over_active_pending_and_alternate_hops() {
     want.extend(fanout(&[1, 2, 3, 6], &[50, 51, 52], &p6));
     let mut got = Vec::new();
     for msg in batch {
-        core.handle_into(Hop::Broker(b(4)), msg, None, &mut got);
+        core.handle_into(Hop::Broker(b(4)), msg, &mut got);
     }
     assert_eq!(got, want);
 }

@@ -30,9 +30,9 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 use transmob_broker::{
-    BrokerConfig, BrokerCore, BrokerOutput, Effects, Hop, PrematchedRoutes, PubSubMsg, Topology,
+    BrokerConfig, BrokerCore, BrokerOutput, Destinations, Effects, Hop, PubSubMsg, Topology,
 };
-use transmob_pubsub::{BrokerId, ClientId, MoveId, Publication, PublicationMsg, SubId};
+use transmob_pubsub::{BrokerId, ClientId, MoveId, PublicationMsg, SubId};
 
 use crate::client_stub::{DeliverOutcome, HostedClient};
 use crate::durability::{
@@ -311,7 +311,7 @@ impl MobileBroker {
     /// through here.
     fn apply(&mut self, input: LoggedInput, out: &mut Vec<Output>) {
         match input {
-            LoggedInput::Message { from, msg } => self.apply_messages(from, [msg], None, out),
+            LoggedInput::Message { from, msg } => self.apply_messages(from, [msg], out),
             LoggedInput::ClientOp { client, op } => self.client_op_apply(client, op, out),
             LoggedInput::Timer { token } => self.handle_timer_apply(token, out),
             LoggedInput::CreateClient { client } => {
@@ -554,15 +554,9 @@ impl MobileBroker {
 
     /// Hands one routing-layer message to the core, whose effects land
     /// at the end of `out` as driver effects, each built once.
-    fn route(
-        &mut self,
-        from: Hop,
-        msg: PubSubMsg,
-        pre: Option<&mut PrematchedRoutes>,
-        out: &mut Vec<Output>,
-    ) {
+    fn route(&mut self, from: Hop, msg: PubSubMsg, out: &mut Vec<Output>) {
         let sink = &mut Absorb::new(&mut self.clients, out);
-        self.core.handle_into(from, msg, pre, sink);
+        self.core.handle_into(from, msg, sink);
     }
 
     // ================= client commands ================================
@@ -609,23 +603,23 @@ impl MobileBroker {
         match op {
             ClientOp::Subscribe(filter) => {
                 let s = stub.new_subscription(filter);
-                self.route(from, PubSubMsg::Subscribe(s), None, out);
+                self.route(from, PubSubMsg::Subscribe(s), out);
             }
             ClientOp::Unsubscribe(seq) => match stub.remove_subscription(seq) {
-                Some(s) => self.route(from, PubSubMsg::Unsubscribe(s.id), None, out),
+                Some(s) => self.route(from, PubSubMsg::Unsubscribe(s.id), out),
                 None => self.anomalies += 1,
             },
             ClientOp::Advertise(filter) => {
                 let a = stub.new_advertisement(filter);
-                self.route(from, PubSubMsg::Advertise(a), None, out);
+                self.route(from, PubSubMsg::Advertise(a), out);
             }
             ClientOp::Unadvertise(seq) => match stub.remove_advertisement(seq) {
-                Some(a) => self.route(from, PubSubMsg::Unadvertise(a.id), None, out),
+                Some(a) => self.route(from, PubSubMsg::Unadvertise(a.id), out),
                 None => self.anomalies += 1,
             },
             ClientOp::Publish(content) => {
                 let p = PublicationMsg::new(stub.next_pub_id(), client, content);
-                self.route(from, PubSubMsg::Publish(p), None, out);
+                self.route(from, PubSubMsg::Publish(p), out);
             }
             ClientOp::Pause => {
                 // started | pause_oper → pause_oper (idempotent).
@@ -736,55 +730,11 @@ impl MobileBroker {
     /// [`MobileBroker::handle_batch`], appending the effects to `out`,
     /// a buffer the driver keeps from one step to the next: the step's
     /// effects are written there once, as they are made, and a pub/sub
-    /// message's go straight from the routing core into it.
+    /// message's go straight from the routing core into it. Logs the
+    /// batch write-ahead through one [`DurabilityLog::append_batch`]
+    /// call, applies it, then runs the checkpoint rule: `input` for a
+    /// whole batch.
     pub fn handle_batch_into(&mut self, from: Hop, msgs: Vec<Message>, out: &mut Vec<Output>) {
-        self.handle_batch_apply(from, msgs, None, out);
-    }
-
-    /// The read-locked *match* stage of a pipelined broker loop:
-    /// matches the batch's publications against the current routing
-    /// state without mutating anything, stamped with the routing
-    /// version (see [`BrokerCore::prematch`]). Hand the result to
-    /// [`MobileBroker::handle_batch_prematched`]; a concurrent
-    /// mutation (movement commit, subscription churn) between the two
-    /// calls merely invalidates the stamp and the apply stage
-    /// re-matches — results are identical either way.
-    pub fn prematch(&self, msgs: &[Message]) -> PrematchedRoutes {
-        let contents: Vec<&Publication> = msgs
-            .iter()
-            .filter_map(|m| match m {
-                Message::PubSub(PubSubMsg::Publish(p)) => Some(&p.content),
-                _ => None,
-            })
-            .collect();
-        self.core.prematch(&contents)
-    }
-
-    /// [`MobileBroker::handle_batch`] consuming the routes
-    /// pre-computed by [`MobileBroker::prematch`] over the same
-    /// message sequence (the write-locked *apply* stage of a pipelined
-    /// broker loop).
-    pub fn handle_batch_prematched(
-        &mut self,
-        from: Hop,
-        msgs: Vec<Message>,
-        mut pre: PrematchedRoutes,
-    ) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.handle_batch_apply(from, msgs, Some(&mut pre), &mut out);
-        out
-    }
-
-    /// Logs a message batch write-ahead through one
-    /// [`DurabilityLog::append_batch`] call, applies it, then runs the
-    /// checkpoint rule: [`MobileBroker::input`] for a whole batch.
-    fn handle_batch_apply(
-        &mut self,
-        from: Hop,
-        msgs: Vec<Message>,
-        pre: Option<&mut PrematchedRoutes>,
-        out: &mut Vec<Output>,
-    ) {
         if msgs.is_empty() {
             return;
         }
@@ -803,23 +753,54 @@ impl MobileBroker {
                 .expect("durability append failed: refusing to run ahead of the log");
             self.records_since_checkpoint += records.len() as u32;
         }
-        self.apply_messages(from, msgs, pre, out);
+        self.apply_messages(from, msgs, out);
         self.checkpoint_if_due();
     }
 
+    /// No driver calls this; ROADMAP item 2's first PR deletes it.
+    ///
+    /// The routing core's destinations for each publication of `msgs`,
+    /// in order, against the current routing state
+    /// ([`transmob_broker::Prt::destinations`]): what the end-to-end
+    /// benchmark's replay prices as its match stage.
+    #[doc(hidden)]
+    pub fn prematch(&self, msgs: &[Message]) -> Vec<Destinations> {
+        (msgs.iter())
+            .filter_map(|m| match m {
+                Message::PubSub(PubSubMsg::Publish(p)) => {
+                    Some(self.core.prt().destinations(&p.content))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// No driver calls this; ROADMAP item 2's first PR deletes it.
+    ///
+    /// [`MobileBroker::handle_batch`], the destinations of
+    /// [`MobileBroker::prematch`] ignored.
+    #[doc(hidden)]
+    pub fn handle_batch_prematched(
+        &mut self,
+        from: Hop,
+        msgs: Vec<Message>,
+        _prematched: Vec<Destinations>,
+    ) -> Vec<Output> {
+        self.handle_batch(from, msgs)
+    }
+
     /// Applies messages from one hop in order, unlogged: a pub/sub
-    /// message goes through the routing core (taking its publication's
-    /// set of `pre`, if any), each other message through its handler.
+    /// message goes through the routing core, each other message
+    /// through its handler.
     fn apply_messages(
         &mut self,
         from: Hop,
         msgs: impl IntoIterator<Item = Message>,
-        mut pre: Option<&mut PrematchedRoutes>,
         out: &mut Vec<Output>,
     ) {
         for msg in msgs {
             match msg {
-                Message::PubSub(p) => self.route(from, p, pre.as_deref_mut(), out),
+                Message::PubSub(p) => self.route(from, p, out),
                 Message::Move(mv) => self.handle_move(from, mv, out),
                 Message::BrokerDeath { dead } => self.broker_death_apply(dead, out),
             }
@@ -1475,7 +1456,7 @@ impl MobileBroker {
             false => PubSubMsg::Unadvertise(a.id),
         });
         for msg in subs.chain(advs) {
-            self.route(Hop::Client(client), msg, None, out);
+            self.route(Hop::Client(client), msg, out);
         }
     }
 
@@ -1766,7 +1747,7 @@ impl Effects for Absorb<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transmob_pubsub::Filter;
+    use transmob_pubsub::{Filter, PubId, Publication, Subscription};
 
     fn broker_at(id: u32) -> MobileBroker {
         let topo = Arc::new(Topology::chain(3));
@@ -1926,6 +1907,75 @@ mod tests {
         let outs = b1.handle(Hop::Client(ClientId(0)), ack_from(BrokerId(2)));
         assert!(outs.is_empty(), "nothing routes toward a dead broker");
         assert_eq!(b1.anomalies(), 1);
+    }
+
+    /// The two names the end-to-end benchmark's replay compiles
+    /// against: `prematch` is the fresh fold of every publication of a
+    /// frame, in order, and `handle_batch_prematched` is `handle_batch`
+    /// on a frame that mixes publications with a subscribe, on a
+    /// broker that holds a pending shadow route.
+    #[test]
+    fn prematch_shims_fold_fresh_and_apply_as_handle_batch() {
+        let x_in = |lo: i64, hi: i64| Filter::builder().ge("x", lo).le("x", hi).build();
+        let mut b = broker_at(2);
+        b.create_client(ClientId(1));
+        let _ = b.client_op(ClientId(1), ClientOp::Subscribe(x_in(0, 10)));
+        let from_b1 = Subscription::new(SubId::new(ClientId(4), 0), x_in(5, 20));
+        let _ = b.handle(
+            Hop::Broker(BrokerId(1)),
+            PubSubMsg::Subscribe(from_b1).into(),
+        );
+        // B2 is the target of client 7's movement from B1: its profile
+        // goes in as pending (shadow) rows.
+        let nego = MoveMsg::Negotiate {
+            m: MoveId(5),
+            client: ClientId(7),
+            source: BrokerId(1),
+            target: BrokerId(2),
+            profile: crate::messages::ClientProfile {
+                subs: vec![Subscription::new(SubId::new(ClientId(7), 0), x_in(12, 40))],
+                advs: vec![],
+            },
+            protocol: ProtocolKind::Reconfig,
+        };
+        let _ = b.handle(Hop::Broker(BrokerId(1)), nego.into());
+        assert!(b.core().prt().iter().any(|(_, e)| e.pending.is_some()));
+
+        let publish = |seq: u64, x: i64| -> Message {
+            let content = Publication::new().with("x", x);
+            PubSubMsg::Publish(PublicationMsg::new(PubId(seq), ClientId(9), content)).into()
+        };
+        let late = Subscription::new(SubId::new(ClientId(6), 0), x_in(30, 60));
+        let frame = vec![
+            publish(1, 7),
+            publish(2, 15),
+            PubSubMsg::Subscribe(late).into(),
+            publish(3, 50),
+            publish(4, 3),
+        ];
+        let want: Vec<Destinations> = (frame.iter())
+            .filter_map(|m| match m {
+                Message::PubSub(PubSubMsg::Publish(p)) => {
+                    Some(b.core().prt().destinations(&p.content))
+                }
+                _ => None,
+            })
+            .collect();
+        let got = b.prematch(&frame);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 4);
+        assert!(
+            got[1].clients.contains(&ClientId(7)),
+            "the shadow row routes"
+        );
+
+        let mut shimmed = b.clone();
+        let outs = shimmed.handle_batch_prematched(Hop::Broker(BrokerId(1)), frame.clone(), got);
+        let mut plain = b.clone();
+        assert_eq!(outs, plain.handle_batch(Hop::Broker(BrokerId(1)), frame));
+        assert!(!outs.is_empty());
+        let json = |b: &MobileBroker| serde_json::to_string(&b.snapshot()).unwrap();
+        assert_eq!(json(&shimmed), json(&plain));
     }
 
     /// B2 of chain(3) with a failure detector: a down link means a

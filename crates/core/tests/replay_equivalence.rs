@@ -10,6 +10,8 @@
 //! through the handlers' internal re-issue, which replay must run
 //! exactly once, and the sequences are long enough to cross
 //! [`CHECKPOINT_EVERY`].
+//!
+//! The case count honours `CHAOS_CASES` (default 64).
 
 use std::sync::Arc;
 
@@ -25,6 +27,13 @@ use transmob_pubsub::{
 };
 
 const ME: BrokerId = BrokerId(2);
+
+fn cases() -> u32 {
+    std::env::var("CHAOS_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(64)
+}
 
 fn band(lo: i64) -> Filter {
     Filter::builder().ge("x", lo).le("x", lo + 10).build()
@@ -423,7 +432,7 @@ impl Driver {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn a_broker_rebuilt_from_its_log_equals_the_live_one(

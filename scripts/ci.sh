@@ -17,7 +17,9 @@
 #      with multi-path forwarding, DESIGN.md §15); scales via CHAOS_CASES
 #      (e.g. CHAOS_CASES=5000); plus the scenario-script suite on all
 #      four drivers, the match index's differential oracle
-#      (index_differential) and the Sim's event-queue differential
+#      (index_differential), the log-replay equivalence of a broker
+#      (replay_equivalence: live batches against one-at-a-time replay)
+#      and the Sim's event-queue differential
 #      (transmob-sim's queue::tests) at the same case count, the schedule explorer on
 #      chain(4) under one crash, the TCP churn test 20 times over, and
 #      one release run of `figures all` and `figures ablations`;
@@ -72,6 +74,8 @@ else
         cargo test -p transmob-runtime --test scripts -q
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-broker --test index_differential -q
+    CHAOS_CASES="${CHAOS_CASES:-32}" \
+        cargo test -p transmob-core --test replay_equivalence -q
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-sim --lib -q queue::
     # The schedule explorer's wider alphabet (chain(4), one crash).
