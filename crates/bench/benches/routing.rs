@@ -10,6 +10,8 @@
 //!   the byte-counting allocator for the former; it adds two
 //!   thread-local additions to every allocation of every group.
 
+use std::ops::ControlFlow;
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use transmob_broker::{
     BrokerConfig, BrokerCore, CoveringMode, Hop, Prt, PubSubMsg, Srt, SyncNet, Topology,
@@ -242,7 +244,12 @@ fn bench_srt_overlap(c: &mut Criterion) {
         }
         let q = SubWorkload::Covered.instance(3, 7);
         g.bench_with_input(BenchmarkId::new("indexed", n), &n, |bch, _| {
-            bch.iter(|| black_box(srt.overlapping(black_box(&q))))
+            bch.iter(|| {
+                srt.overlapping(black_box(&q), |id, _| {
+                    black_box(id);
+                    ControlFlow::Continue(())
+                })
+            })
         });
     }
     g.finish();
@@ -262,10 +269,20 @@ fn bench_covering_release(c: &mut Criterion) {
         // …and a fresh leaf asks whether anything quenches it.
         let leaf = SubWorkload::Covered.instance(3, 7);
         g.bench_with_input(BenchmarkId::new("covered_by_indexed", n), &n, |bch, _| {
-            bch.iter(|| black_box(prt.covered_by(black_box(&root))))
+            bch.iter(|| {
+                prt.covered_by(black_box(&root), |id, _| {
+                    black_box(id);
+                    ControlFlow::Continue(())
+                })
+            })
         });
         g.bench_with_input(BenchmarkId::new("covering_indexed", n), &n, |bch, _| {
-            bch.iter(|| black_box(prt.covering(black_box(&leaf))))
+            bch.iter(|| {
+                prt.covering(black_box(&leaf), |id, _| {
+                    black_box(id);
+                    ControlFlow::Continue(())
+                })
+            })
         });
     }
     g.finish();

@@ -47,8 +47,10 @@
 //! roll back the transaction. The movement *protocol* itself lives in
 //! `transmob-core`.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
+use std::thread::LocalKey;
 
 use serde::{Deserialize, Serialize};
 use transmob_pubsub::fasthash::FastSet;
@@ -58,7 +60,7 @@ use transmob_pubsub::{
 };
 
 use crate::messages::{BrokerOutput, Effects, Hop, MsgKind, PubSubMsg};
-use crate::routing::{Destinations, Entry, HopSet, PendingRoute, Prt, Routed, Srt, Table};
+use crate::routing::{Destinations, Entry, HopSet, PendingRoute, Prt, Routed, Srt, Table, Visit};
 
 /// How aggressively a broker applies the covering optimization to
 /// subscription (or advertisement) propagation.
@@ -339,6 +341,37 @@ thread_local! {
             clients: Vec::new(),
         })
     };
+
+    /// Spare id lists of each kind for [`with_ids`]: a stack, since a
+    /// rule's loop over its list may run another such rule.
+    static SPARE_ADVS: RefCell<Vec<Vec<AdvId>>> = const { RefCell::new(Vec::new()) };
+    static SPARE_SUBS: RefCell<Vec<Vec<SubId>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on an empty list of ids of kind `T` taken from the
+/// per-thread spares, and returns the list to them, emptied: a rule
+/// collects the rows a table query visits into it, then writes the
+/// table, and once the lists have grown neither allocates.
+fn with_ids<T: Kind>(f: impl FnOnce(&mut Vec<T::Id>)) {
+    let mut ids = T::SPARE.with_borrow_mut(Vec::pop).unwrap_or_default();
+    f(&mut ids);
+    ids.clear();
+    T::SPARE.with_borrow_mut(|spare| spare.push(ids));
+}
+
+/// What a visitor that looks for one row answers: stop at a `hit`.
+fn stop_if(hit: bool) -> ControlFlow<()> {
+    if hit {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(())
+    }
+}
+
+/// The quench test's visitor: breaks at the first row, other than
+/// `id`, that was forwarded on link `n` and did not come from there.
+fn quencher<T: Routed>(id: T::Id, n: BrokerId) -> impl Visit<T> {
+    move |oid, e| stop_if(oid != id && e.sent_to.contains(&n) && e.lasthop != Hop::Broker(n))
 }
 
 /// The row a pending configuration sits on. Advertisements order
@@ -596,29 +629,27 @@ impl BrokerCore {
             // Retract previously-forwarded rows now covered on this
             // link. The containment index enumerates the covered
             // candidates; the hop conditions are checked per survivor.
-            let table = T::table(self);
-            let retract: Vec<T::Id> = (table.covered_by(&filter).into_iter())
-                .filter(|oid| {
-                    let e = table.get(*oid).expect("ids come out of the table's index");
-                    *oid != id && e.sent_to.contains(&n) && !e.item.filter().covers(&filter)
-                })
-                .collect();
-            for oid in retract {
-                T::table_mut(self).update(oid, |e| e.sent_to.remove(&n));
-                effects.emit(BrokerOutput::ToBroker(n, T::retract_msg(oid)));
-            }
+            with_ids::<T>(|retract| {
+                let _ = T::table(self).covered_by(&filter, |oid, e| {
+                    if oid != id && e.sent_to.contains(&n) && !e.item.filter().covers(&filter) {
+                        retract.push(oid);
+                    }
+                    ControlFlow::Continue(())
+                });
+                for &oid in retract.iter() {
+                    T::table_mut(self).update(oid, |e| e.sent_to.remove(&n));
+                    effects.emit(BrokerOutput::ToBroker(n, T::retract_msg(oid)));
+                }
+            });
         }
         true
     }
 
     /// Whether row `id` with `filter` is quenched on link `n` by some
-    /// covering row already forwarded there.
+    /// covering row already forwarded there: the first such row ends
+    /// the query.
     fn quenched_on<T: Kind>(&self, n: BrokerId, id: T::Id, filter: &Filter) -> bool {
-        let table = T::table(self);
-        table.covering(filter).into_iter().any(|oid| {
-            let e = table.get(oid).expect("ids come out of the table's index");
-            oid != id && e.sent_to.contains(&n) && e.lasthop != Hop::Broker(n)
-        })
+        T::table(self).covering(filter, quencher(id, n)).is_break()
     }
 
     /// A retraction of row `id` arriving from `from`.
@@ -702,23 +733,24 @@ impl BrokerCore {
         removed: &Filter,
         effects: &mut impl Effects,
     ) {
-        let table = T::table(self);
-        let candidates: Vec<T::Id> = (table.covered_by(removed).into_iter())
-            .filter(|id| {
-                let e = table.get(*id).expect("ids come out of the table's index");
-                e.lasthop != Hop::Broker(n) && !e.sent_to.contains(&n)
-            })
-            .collect();
-        for id in candidates {
-            if !T::needed_on(self, id, n) {
-                continue;
+        with_ids::<T>(|candidates| {
+            let _ = T::table(self).covered_by(removed, |id, e| {
+                if e.lasthop != Hop::Broker(n) && !e.sent_to.contains(&n) {
+                    candidates.push(id);
+                }
+                ControlFlow::Continue(())
+            });
+            for &id in candidates.iter() {
+                if !T::needed_on(self, id, n) {
+                    continue;
+                }
+                if self.config.conservative_release {
+                    self.forward_unchecked::<T>(id, n, effects);
+                } else {
+                    self.forward_to::<T>(id, n, effects);
+                }
             }
-            if self.config.conservative_release {
-                self.forward_unchecked::<T>(id, n, effects);
-            } else {
-                self.forward_to::<T>(id, n, effects);
-            }
-        }
+        });
     }
 
     /// Forwards row `id` to `n` bypassing the quench check
@@ -774,15 +806,23 @@ impl BrokerCore {
     /// other link.
     fn adv_directions(&self, filter: &Filter) -> HopSet {
         let mut dirs = HopSet::new();
-        for id in self.srt.overlapping(filter) {
-            let entry = self.srt.get(id).expect("ids come out of the table's index");
+        let _ = self.srt.overlapping(filter, |_, entry| {
             for hop in entry.hops() {
                 if let Hop::Broker(n) = hop {
                     dirs.insert(n);
                 }
             }
-        }
+            ControlFlow::Continue(())
+        });
         dirs
+    }
+
+    /// Whether one of [`BrokerCore::adv_directions`] of `filter` is
+    /// `n`: the first advertisement that lies that way ends the query.
+    fn adv_toward(&self, filter: &Filter, n: BrokerId) -> bool {
+        let toward =
+            |_, e: &Entry<Advertisement>| stop_if(e.hops().any(|hop| hop == Hop::Broker(n)));
+        self.srt.overlapping(filter, toward).is_break()
     }
 
     /// The flood copy of an advertisement: its residual TTL budget
@@ -817,7 +857,7 @@ impl BrokerCore {
         let Some(entry) = self.prt.get(id) else {
             return;
         };
-        if !entry.sent_to.contains(&n) || self.adv_directions(&entry.item.filter).contains(&n) {
+        if !entry.sent_to.contains(&n) || self.adv_toward(&entry.item.filter, n) {
             return;
         }
         self.prt.update(id, |e| e.sent_to.remove(&n));
@@ -855,23 +895,22 @@ impl BrokerCore {
         effects: &mut impl Effects,
         mut forwarded: impl FnMut(SubId),
     ) {
-        let Some(entry) = self.srt.get(id) else {
-            return;
-        };
-        let candidates: Vec<SubId> = (self.prt.overlapping(&entry.item.filter).into_iter())
-            .filter(|sid| {
-                let e = self
-                    .prt
-                    .get(*sid)
-                    .expect("ids come out of the table's index");
-                e.lasthop != Hop::Broker(nf) && !e.sent_to.contains(&nf)
-            })
-            .collect();
-        for sid in candidates {
-            if self.forward_to::<Subscription>(sid, nf, effects) {
-                forwarded(sid);
+        with_ids::<Subscription>(|candidates| {
+            let Some(entry) = self.srt.get(id) else {
+                return;
+            };
+            let _ = self.prt.overlapping(&entry.item.filter, |sid, e| {
+                if e.lasthop != Hop::Broker(nf) && !e.sent_to.contains(&nf) {
+                    candidates.push(sid);
+                }
+                ControlFlow::Continue(())
+            });
+            for &sid in candidates.iter() {
+                if self.forward_to::<Subscription>(sid, nf, effects) {
+                    forwarded(sid);
+                }
             }
-        }
+        });
     }
 
     // ----- overlay repair --------------------------------------------
@@ -1199,7 +1238,9 @@ impl BrokerCore {
 /// rules themselves (`handle_add`, `forward_to`, `handle_retract`,
 /// `release_quenched`, `install_pending`, …) are written once, over
 /// this trait.
-trait Kind: Routed {
+trait Kind: Routed<Id: 'static> {
+    /// The kind's spare id lists ([`with_ids`]).
+    const SPARE: &'static LocalKey<RefCell<Vec<Vec<Self::Id>>>>;
     fn table(core: &BrokerCore) -> &Table<Self>;
     fn table_mut(core: &mut BrokerCore) -> &mut Table<Self>;
     fn covering(config: &BrokerConfig) -> CoveringMode;
@@ -1222,6 +1263,7 @@ trait Kind: Routed {
 }
 
 impl Kind for Advertisement {
+    const SPARE: &'static LocalKey<RefCell<Vec<Vec<AdvId>>>> = &SPARE_ADVS;
     fn table(core: &BrokerCore) -> &Srt {
         &core.srt
     }
@@ -1272,6 +1314,7 @@ impl Kind for Advertisement {
 }
 
 impl Kind for Subscription {
+    const SPARE: &'static LocalKey<RefCell<Vec<Vec<SubId>>>> = &SPARE_SUBS;
     fn table(core: &BrokerCore) -> &Prt {
         &core.prt
     }
@@ -1304,7 +1347,7 @@ impl Kind for Subscription {
     /// Only where an intersecting advertisement lies.
     fn needed_on(core: &BrokerCore, id: SubId, n: BrokerId) -> bool {
         let entry = core.prt.get(id).expect("release candidates are live rows");
-        core.adv_directions(&entry.item.filter).contains(&n)
+        core.adv_toward(&entry.item.filter, n)
     }
     fn route_withdrawn(_: &mut BrokerCore, _: BrokerId, _: &mut impl Effects) {}
     fn last_route_retracted(core: &mut BrokerCore, id: SubId, effects: &mut impl Effects) {
@@ -1346,5 +1389,46 @@ impl<E: Effects> Effects for RepairTag<'_, E> {
             }
             other => other,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_quench_test_stops_at_its_first_hit() {
+        let (n, other) = (BrokerId(2), BrokerId(3));
+        let band = |c: u64, lo: i64, hi: i64| {
+            Subscription::new(
+                SubId::new(ClientId(c), 0),
+                Filter::builder().ge("x", lo).le("x", hi).build(),
+            )
+        };
+        let leaf = band(1, 40, 60);
+        let mut prt = Prt::new();
+        prt.insert(leaf.clone(), Hop::Client(ClientId(1)));
+        // Four rows cover the leaf. Row 2 came from `n` and row 3 went
+        // elsewhere, so neither quenches it there; rows 4 and 5 were
+        // forwarded on `n`, and the first of them ends the query.
+        prt.insert(band(2, 0, 100), Hop::Broker(n));
+        for (c, to) in [(3, other), (4, n), (5, n)] {
+            let row = band(c, 10 * c as i64, 100 - 10 * c as i64);
+            prt.insert(row.clone(), Hop::Client(ClientId(c)));
+            prt.update(row.id, |e| e.sent_to.insert(to));
+        }
+        let mut seen = Vec::new();
+        let mut quench = quencher(leaf.id, n);
+        let flow = prt.covering(&leaf.filter, |id, e| {
+            seen.push(id.client.0);
+            quench(id, e)
+        });
+        assert!(flow.is_break());
+        assert_eq!(seen, [1, 2, 3, 4]);
+        let mut core = BrokerCore::new(BrokerId(1), [n, other], BrokerConfig::covering());
+        core.prt = prt;
+        assert!(core.quenched_on::<Subscription>(n, leaf.id, &leaf.filter));
+        assert!(core.quenched_on::<Subscription>(other, leaf.id, &leaf.filter));
+        assert!(!core.quenched_on::<Subscription>(BrokerId(9), leaf.id, &leaf.filter));
     }
 }

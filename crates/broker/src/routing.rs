@@ -27,6 +27,7 @@
 use std::collections::{btree_map, hash_map};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::ControlFlow;
 
 use serde::de::{DeserializeOwned, Deserializer};
 use serde::ser::Serializer;
@@ -442,12 +443,17 @@ impl<T> Column<T> for () {
     }
 }
 
-/// One row of a [`Table`]: the entry and its row number.
-#[derive(Debug, Clone)]
-struct Row<T> {
-    n: u32,
-    entry: Entry<T>,
-}
+/// The calling convention of a table's filter queries
+/// ([`Table::overlapping`], [`Table::covering`], [`Table::covered_by`]):
+/// handed each row's id and entry in ascending id order, the visitor
+/// breaks to end the visit.
+pub trait Visit<T: Routed>: FnMut(T::Id, &Entry<T>) -> ControlFlow<()> {}
+
+impl<T: Routed, F: FnMut(T::Id, &Entry<T>) -> ControlFlow<()>> Visit<T> for F {}
+
+/// What a table hands the index's filter queries: the row numbers
+/// they visit go there.
+type Take<'a> = &'a mut dyn FnMut(u32) -> ControlFlow<()>;
 
 /// A routing table: the SRT ([`Srt`]) or the PRT ([`Prt`]).
 ///
@@ -458,8 +464,13 @@ struct Row<T> {
 /// from its rows numbers them afresh. The attribute-indexed counting
 /// [`MatchIndex`] is keyed by row number, and the filter queries
 /// ([`Table::overlapping`], [`Table::covering`], [`Table::covered_by`])
-/// translate numbers back to ids and answer sorted by id, exactly like
-/// the linear scans they are asserted against in debug builds.
+/// translate numbers back to ids and visit the rows ([`Visit`]) in
+/// ascending id order, exactly like the linear scans they are asserted
+/// against in debug builds.
+///
+/// The entries live in a vector by row number, beside the id-ordered
+/// map from id to number, so a query reaches the row of a number the
+/// index hands it without a map lookup.
 ///
 /// Index and column ([`Routed::Column`]) are derived state with one
 /// writer each side of the row map: [`Table::insert`] and
@@ -471,9 +482,12 @@ struct Row<T> {
 /// requires remove-then-insert.
 #[derive(Debug, Clone)]
 pub struct Table<T: Routed> {
-    rows: BTreeMap<T::Id, Row<T>>,
+    /// Id → row number, in id order.
+    rows: BTreeMap<T::Id, u32>,
     /// Row number → id (stale for the numbers in `free`).
     ids: Vec<T::Id>,
+    /// Row number → entry (`None` for the numbers in `free`).
+    entries: Vec<Option<Entry<T>>>,
     free: Vec<u32>,
     index: MatchIndex<u32>,
     column: T::Column,
@@ -490,6 +504,7 @@ impl<T: Routed> Default for Table<T> {
         Table {
             rows: BTreeMap::new(),
             ids: Vec::new(),
+            entries: Vec::new(),
             free: Vec::new(),
             index: MatchIndex::new(),
             column: T::Column::default(),
@@ -586,7 +601,10 @@ impl<T: Routed> Table<T> {
     /// returned with the one turned away.
     fn add(&mut self, id: T::Id, entry: Entry<T>) -> Option<(&Entry<T>, Entry<T>)> {
         let slot = match self.rows.entry(id) {
-            btree_map::Entry::Occupied(kept) => return Some((&kept.into_mut().entry, entry)),
+            btree_map::Entry::Occupied(kept) => {
+                let kept = self.entries[*kept.get() as usize].as_ref();
+                return Some((kept.expect("a live row has its entry"), entry));
+            }
             btree_map::Entry::Vacant(slot) => slot,
         };
         let n = match self.free.pop() {
@@ -596,27 +614,36 @@ impl<T: Routed> Table<T> {
             }
             None => {
                 self.ids.push(id);
+                self.entries.push(None);
                 u32::try_from(self.ids.len() - 1).expect("fewer than 2^32 rows")
             }
         };
         self.index.insert(n, entry.item.filter());
         self.column.fill(n, &entry);
-        slot.insert(Row { n, entry });
+        self.entries[n as usize] = Some(entry);
+        slot.insert(n);
         None
     }
 
     /// Removes an item, returning its row.
     pub fn remove(&mut self, id: T::Id) -> Option<Entry<T>> {
-        let row = self.rows.remove(&id)?;
-        self.index.remove(&row.n);
-        self.column.free(row.n);
-        self.free.push(row.n);
-        Some(row.entry)
+        let n = self.rows.remove(&id)?;
+        self.index.remove(&n);
+        self.column.free(n);
+        self.free.push(n);
+        self.entries[n as usize].take()
     }
 
     /// Looks up a row.
     pub fn get(&self, id: T::Id) -> Option<&Entry<T>> {
-        self.rows.get(&id).map(|row| &row.entry)
+        self.rows.get(&id).map(|&n| self.entry(n))
+    }
+
+    /// The entry of live row number `n`.
+    fn entry(&self, n: u32) -> &Entry<T> {
+        self.entries[n as usize]
+            .as_ref()
+            .expect("a live row number has its entry")
     }
 
     /// The one way to write to a live row: runs `f` on the entry (hop,
@@ -625,15 +652,16 @@ impl<T: Routed> Table<T> {
     /// what `f` returned, or `None` (with nothing touched) if the id is
     /// not in the table.
     pub fn update<R>(&mut self, id: T::Id, f: impl FnOnce(&mut Entry<T>) -> R) -> Option<R> {
-        let row = self.rows.get_mut(&id)?;
-        let out = f(&mut row.entry);
-        self.column.refresh(row.n, &row.entry);
+        let n = *self.rows.get(&id)?;
+        let entry = (self.entries[n as usize].as_mut()).expect("a live row number has its entry");
+        let out = f(entry);
+        self.column.refresh(n, entry);
         Some(out)
     }
 
     /// Iterates all rows.
     pub fn iter(&self) -> impl Iterator<Item = (&T::Id, &Entry<T>)> {
-        self.rows.iter().map(|(id, row)| (id, &row.entry))
+        self.rows.iter().map(|(id, &n)| (id, self.entry(n)))
     }
 
     /// Number of rows.
@@ -646,87 +674,96 @@ impl<T: Routed> Table<T> {
         self.rows.is_empty()
     }
 
-    /// Row numbers out of the index → ids, sorted by id (the order the
-    /// linear scans produce).
-    fn ids_of(&self, rows: Vec<u32>) -> Vec<T::Id> {
-        let mut ids: Vec<T::Id> = rows.into_iter().map(|n| self.ids[n as usize]).collect();
-        ids.sort_unstable();
-        ids
+    /// Visits, in ascending id order (the order of the linear scan),
+    /// the rows whose numbers the index's `query` hands over, until
+    /// `visit` breaks; returns the break. The numbers are sorted in the
+    /// per-thread `ROWS` list. Debug builds first assert the ids equal
+    /// to those of the rows whose filter passes `linear`, the query's
+    /// linear scan ([`Table::overlapping_linear`] and its twins).
+    fn visit_rows(
+        &self,
+        query: impl FnOnce(Take) -> ControlFlow<()>,
+        linear: impl Fn(&Filter) -> bool,
+        mut visit: impl Visit<T>,
+    ) -> ControlFlow<()> {
+        let mut rows = ROWS.take();
+        rows.clear();
+        let _ = query(&mut |n| {
+            rows.push(n);
+            ControlFlow::Continue(())
+        });
+        // By number first, which is cheap: rows numbered in id order (a
+        // table filled in id order) then leave the id sort, whose keys
+        // are looked up, one run to check.
+        rows.sort_unstable();
+        rows.sort_unstable_by_key(|&n| self.ids[n as usize]);
+        debug_assert!(
+            (rows.iter().map(|&n| self.ids[n as usize])).eq(self.scan(linear).map(|(id, _)| id)),
+            "match index diverged from the linear scan"
+        );
+        let flow = (rows.iter()).try_for_each(|&n| visit(self.ids[n as usize], self.entry(n)));
+        ROWS.set(rows);
+        flow
     }
 
-    /// The ids of the rows whose filter passes `test`, by scanning
-    /// every row: the differential oracle of the indexed queries,
-    /// compiled into test and debug builds only.
-    #[cfg(any(test, debug_assertions))]
-    fn scan(&self, test: impl Fn(&Filter) -> bool) -> Vec<T::Id> {
+    /// The rows whose filter passes `test`, in ascending id order, by
+    /// scanning every row: the differential oracle of the indexed
+    /// queries, and the body of their `*_linear` twins.
+    fn scan(&self, test: impl Fn(&Filter) -> bool) -> impl Iterator<Item = (T::Id, &Entry<T>)> {
         self.iter()
-            .filter(|(_, e)| test(e.item.filter()))
-            .map(|(id, _)| *id)
-            .collect()
+            .filter(move |(_, e)| test(e.item.filter()))
+            .map(|(id, e)| (*id, e))
     }
 
-    /// Ids of items whose filter overlaps `filter` (the
-    /// subscription-routing and pull test). Served by the counting
-    /// index.
-    pub fn overlapping(&self, filter: &Filter) -> Vec<T::Id> {
-        let out = self.ids_of(self.index.overlapping(filter));
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            out,
-            self.overlapping_linear(filter),
-            "match index diverged from the linear overlap scan"
-        );
-        out
+    /// Visits ([`Visit`]) the rows whose filter overlaps `filter` (the
+    /// subscription-routing and pull test) until `visit` breaks, and
+    /// returns the break. Served by the counting index.
+    pub fn overlapping(&self, filter: &Filter, visit: impl Visit<T>) -> ControlFlow<()> {
+        let query = |take: Take| self.index.overlapping(filter, take);
+        self.visit_rows(query, |f| f.overlaps(filter), visit)
     }
 
-    /// Reference implementation of [`Table::overlapping`]: the full
-    /// linear scan.
+    /// Reference implementation of [`Table::overlapping`]: the same
+    /// visit over every row.
     #[cfg(any(test, debug_assertions))]
-    pub fn overlapping_linear(&self, filter: &Filter) -> Vec<T::Id> {
+    pub fn overlapping_linear(&self, filter: &Filter, mut visit: impl Visit<T>) -> ControlFlow<()> {
         self.scan(|f| f.overlaps(filter))
+            .try_for_each(|(id, e)| visit(id, e))
     }
 
-    /// Ids of items whose filter *covers* `filter` (the quench test).
-    /// Served by the dual-endpoint containment structure of the
-    /// counting index.
-    pub fn covering(&self, filter: &Filter) -> Vec<T::Id> {
-        let out = self.ids_of(self.index.covering(filter));
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            out,
-            self.covering_linear(filter),
-            "match index diverged from the linear covering scan"
-        );
-        out
+    /// Visits ([`Visit`]) the rows whose filter *covers* `filter` (the
+    /// quench test) until `visit` breaks, and returns the break. Served
+    /// by the dual-endpoint containment structure of the counting
+    /// index.
+    pub fn covering(&self, filter: &Filter, visit: impl Visit<T>) -> ControlFlow<()> {
+        let query = |take: Take| self.index.covering(filter, take);
+        self.visit_rows(query, |f| f.covers(filter), visit)
     }
 
-    /// Reference implementation of [`Table::covering`]: the full
-    /// linear scan.
+    /// Reference implementation of [`Table::covering`]: the same visit
+    /// over every row.
     #[cfg(any(test, debug_assertions))]
-    pub fn covering_linear(&self, filter: &Filter) -> Vec<T::Id> {
+    pub fn covering_linear(&self, filter: &Filter, mut visit: impl Visit<T>) -> ControlFlow<()> {
         self.scan(|f| f.covers(filter))
+            .try_for_each(|(id, e)| visit(id, e))
     }
 
-    /// Ids of items `filter` covers (the active-retraction /
-    /// covering-release candidate set that dominates the paper's
-    /// mobility unsubscribe bursts). Served by the dual-endpoint
-    /// containment structure of the counting index.
-    pub fn covered_by(&self, filter: &Filter) -> Vec<T::Id> {
-        let out = self.ids_of(self.index.covered_by(filter));
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            out,
-            self.covered_by_linear(filter),
-            "match index diverged from the linear covered-by scan"
-        );
-        out
+    /// Visits ([`Visit`]) the rows `filter` covers (the
+    /// active-retraction / covering-release candidates that dominate
+    /// the paper's mobility unsubscribe bursts) until `visit` breaks,
+    /// and returns the break. Served by the dual-endpoint containment
+    /// structure of the counting index.
+    pub fn covered_by(&self, filter: &Filter, visit: impl Visit<T>) -> ControlFlow<()> {
+        let query = |take: Take| self.index.covered_by(filter, take);
+        self.visit_rows(query, |f| filter.covers(f), visit)
     }
 
-    /// Reference implementation of [`Table::covered_by`]: the full
-    /// linear scan.
+    /// Reference implementation of [`Table::covered_by`]: the same
+    /// visit over every row.
     #[cfg(any(test, debug_assertions))]
-    pub fn covered_by_linear(&self, filter: &Filter) -> Vec<T::Id> {
+    pub fn covered_by_linear(&self, filter: &Filter, mut visit: impl Visit<T>) -> ControlFlow<()> {
         self.scan(|f| filter.covers(f))
+            .try_for_each(|(id, e)| visit(id, e))
     }
 
     /// Ids of rows with a pending configuration for `move_id`, by
@@ -753,24 +790,27 @@ impl<T: Routed> Table<T> {
             self.ids.len(),
             "live and free row numbers do not partition the numbers handed out"
         );
+        assert_eq!(self.entries.len(), self.ids.len(), "an entry a row number");
         let mut seen: BTreeSet<u32> = self.free.iter().copied().collect();
         assert_eq!(seen.len(), self.free.len(), "a row number is free twice");
-        for (id, row) in &self.rows {
-            assert!(seen.insert(row.n), "row number {} held twice", row.n);
-            assert_eq!(
-                self.ids[row.n as usize], *id,
-                "row {} names another id",
-                row.n
+        for &n in &self.free {
+            assert!(
+                self.entries[n as usize].is_none(),
+                "free row {n} holds an entry"
             );
+        }
+        for (id, &n) in &self.rows {
+            assert!(seen.insert(n), "row number {n} held twice");
+            assert_eq!(self.ids[n as usize], *id, "row {n} names another id");
             assert_eq!(
-                self.index.get(&row.n),
-                Some(row.entry.item.filter()),
+                self.index.get(&n),
+                Some(self.entry(n).item.filter()),
                 "index filter of {id} differs from the row's"
             );
         }
         assert_eq!(self.index.len(), self.rows.len(), "index size mismatch");
         self.index.check_slot_invariants();
-        let live = self.rows.values().map(|row| (row.n, &row.entry));
+        let live = self.rows.values().map(|&n| (n, self.entry(n)));
         self.column.check(self.ids.len(), live);
     }
 }
@@ -794,6 +834,12 @@ thread_local! {
     /// large zeroed allocation. Reuse is all it buys; an accumulator
     /// that finds it taken starts an empty one.
     static SEEN: std::cell::Cell<Vec<u64>> = const { std::cell::Cell::new(Vec::new()) };
+
+    /// The row numbers of one filter query, sorted by id before their
+    /// rows are visited ([`Table::visit_rows`]), handed from one query
+    /// to the next so that, once grown, a query allocates none. A query
+    /// that finds the list taken starts an empty one.
+    static ROWS: std::cell::Cell<Vec<u32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// The forwarding fold's accumulator: the destinations found so far,
@@ -1078,11 +1124,21 @@ impl Table<Subscription> {
     /// Ids of subscriptions whose filter matches `publication`, sorted
     /// (the publication-forwarding test, for callers that want the
     /// rows; forwarding itself goes through
-    /// [`Table::destinations_into`]). Served by the counting index.
+    /// [`Table::destinations_into`]): the index's fold
+    /// ([`MatchIndex::fold_into`]) into an id vector, sorted; asserted
+    /// against the linear scan in debug builds.
     pub fn matching(&self, publication: &Publication) -> Vec<SubId> {
-        self.matching_batch(std::slice::from_ref(publication))
-            .pop()
-            .expect("one result row per publication")
+        let mut row = Vec::new();
+        let step = |row: &mut Vec<SubId>, n: u32| row.push(self.ids[n as usize]);
+        self.index.fold_into(publication, &mut row, step, |_| false);
+        row.sort_unstable();
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            row,
+            self.matching_linear(publication),
+            "match index diverged from the linear matching scan"
+        );
+        row
     }
 
     /// Reference implementation of [`Table::matching`]: the full
@@ -1090,30 +1146,14 @@ impl Table<Subscription> {
     #[cfg(any(test, debug_assertions))]
     pub fn matching_linear(&self, publication: &Publication) -> Vec<SubId> {
         self.scan(|f| f.matches(publication))
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// [`Table::matching`] for every publication of a batch, in batch
-    /// order: the index's fold ([`MatchIndex::fold_matching`]) into id
-    /// vectors, sorted; asserted against the linear scan in debug
-    /// builds.
+    /// order.
     pub fn matching_batch(&self, publications: &[Publication]) -> Vec<Vec<SubId>> {
-        let ids = &self.ids;
-        let out = self.index.fold_matching(
-            publications,
-            Vec::new,
-            |row: &mut Vec<SubId>, n| row.push(ids[n as usize]),
-            |_| false,
-            |row| row.sort_unstable(),
-        );
-        #[cfg(any(test, debug_assertions))]
-        for (row, p) in out.iter().zip(publications) {
-            assert_eq!(
-                *row,
-                self.matching_linear(p),
-                "match index diverged from the linear matching scan"
-            );
-        }
-        out
+        publications.iter().map(|p| self.matching(p)).collect()
     }
 
     /// The forwarding query: where `publication` goes from this broker,
@@ -1213,6 +1253,51 @@ mod tests {
         )
     }
 
+    /// The ids a table query visits, in order.
+    fn ids<I, E>(
+        query: impl FnOnce(&mut dyn FnMut(I, &E) -> ControlFlow<()>) -> ControlFlow<()>,
+    ) -> Vec<I> {
+        let mut out = Vec::new();
+        let flow = query(&mut |id, _| {
+            out.push(id);
+            ControlFlow::Continue(())
+        });
+        assert!(flow.is_continue());
+        out
+    }
+
+    #[test]
+    fn a_visitor_that_breaks_sees_one_row() {
+        // Nested bands, each covering the next, inserted from the
+        // innermost: every query below has several rows to visit, and
+        // a visitor that breaks on the first is handed the lowest id.
+        let mut prt = Prt::new();
+        for c in (0..6).rev() {
+            prt.insert(
+                sub(c, 0, c as i64, 100 - c as i64),
+                Hop::Client(ClientId(c)),
+            );
+        }
+        let middle = Filter::builder().ge("x", 3).le("x", 97).build();
+        let query = |i: usize, v: &mut dyn FnMut(SubId, &SubEntry) -> ControlFlow<()>| match i {
+            0 => prt.overlapping(&middle, v),
+            1 => prt.covering(&middle, v),
+            _ => prt.covered_by(&middle, v),
+        };
+        for i in 0..3 {
+            let all = ids(|v| query(i, v));
+            assert!(all.len() > 1, "query {i} has several rows");
+            assert!(all.is_sorted(), "query {i} visits in id order");
+            let mut seen = Vec::new();
+            let flow = query(i, &mut |id, _| {
+                seen.push(id);
+                ControlFlow::Break(())
+            });
+            assert!(flow.is_break(), "query {i} passes the break on");
+            assert_eq!(seen, all[..1], "query {i}");
+        }
+    }
+
     #[test]
     fn srt_insert_and_duplicate() {
         let mut srt = Srt::new();
@@ -1230,7 +1315,7 @@ mod tests {
         srt.insert(adv(1, 0, 0, 10), Hop::Broker(BrokerId(2)));
         srt.insert(adv(1, 1, 50, 60), Hop::Broker(BrokerId(3)));
         let f = Filter::builder().ge("x", 5).le("x", 8).build();
-        let hits = srt.overlapping(&f);
+        let hits = ids(|v| srt.overlapping(&f, v));
         assert_eq!(hits, vec![AdvId::new(ClientId(1), 0)]);
     }
 
@@ -1254,15 +1339,15 @@ mod tests {
         let mut srt = Srt::new();
         prt.insert(s.clone(), Hop::Client(ClientId(1)));
         srt.insert(a.clone(), Hop::Client(ClientId(2)));
-        let row = prt.rows.get(&s.id).unwrap();
-        assert!(Filter::ptr_eq(&row.entry.item.filter, &s.filter));
-        assert!(Filter::ptr_eq(prt.index.get(&row.n).unwrap(), &s.filter));
+        let n = prt.rows[&s.id];
+        assert!(Filter::ptr_eq(&prt.entry(n).item.filter, &s.filter));
+        assert!(Filter::ptr_eq(prt.index.get(&n).unwrap(), &s.filter));
         assert!(Filter::ptr_eq(
             &srt.get(a.id).unwrap().item.filter,
             &a.filter
         ));
         assert!(Filter::ptr_eq(
-            srt.index.get(&srt.rows[&a.id].n).unwrap(),
+            srt.index.get(&srt.rows[&a.id]).unwrap(),
             &a.filter
         ));
         // A row handed back by `remove` is still the caller's body.
@@ -1632,7 +1717,10 @@ mod tests {
             assert_eq!(prt2.destinations(&p), prt.destinations(&p));
         }
         let f = Filter::builder().ge("x", 5).le("x", 8).build();
-        assert_eq!(srt2.overlapping(&f), srt.overlapping(&f));
+        assert_eq!(
+            ids(|v| srt2.overlapping(&f, v)),
+            ids(|v| srt.overlapping(&f, v))
+        );
     }
 
     #[test]
@@ -1668,18 +1756,24 @@ mod tests {
         prt.insert(leaf.clone(), Hop::Client(ClientId(2)));
         prt.insert(outside.clone(), Hop::Client(ClientId(3)));
         // Who covers the leaf? The root and the leaf itself.
-        assert_eq!(prt.covering(&leaf.filter), vec![root.id, leaf.id]);
+        assert_eq!(
+            ids(|v| prt.covering(&leaf.filter, v)),
+            vec![root.id, leaf.id]
+        );
         // Whom does the root cover? Itself and the leaf.
-        assert_eq!(prt.covered_by(&root.filter), vec![root.id, leaf.id]);
+        assert_eq!(
+            ids(|v| prt.covered_by(&root.filter, v)),
+            vec![root.id, leaf.id]
+        );
         let mut srt = Srt::new();
         srt.insert(adv(1, 0, 0, 100), Hop::Broker(BrokerId(2)));
         srt.insert(adv(2, 0, 10, 20), Hop::Broker(BrokerId(3)));
         assert_eq!(
-            srt.covering(&Filter::builder().ge("x", 10).le("x", 20).build()),
+            ids(|v| srt.covering(&Filter::builder().ge("x", 10).le("x", 20).build(), v)),
             vec![AdvId::new(ClientId(1), 0), AdvId::new(ClientId(2), 0)]
         );
         assert_eq!(
-            srt.covered_by(&Filter::builder().ge("x", 5).le("x", 25).build()),
+            ids(|v| srt.covered_by(&Filter::builder().ge("x", 5).le("x", 25).build(), v)),
             vec![AdvId::new(ClientId(2), 0)]
         );
     }

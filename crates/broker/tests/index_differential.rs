@@ -20,7 +20,7 @@
 #![cfg(debug_assertions)]
 
 use std::collections::BTreeSet;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 use proptest::prelude::*;
 use transmob_broker::{Destinations, Hop, PendingRoute, Prt, Srt};
@@ -227,14 +227,44 @@ fn replay(steps: &[(u8, u64, Vec<PredSpec>)]) -> (Prt, Srt) {
     (prt, srt)
 }
 
+/// The ids a table query visits, in order.
+fn ids<I, E>(
+    query: impl FnOnce(&mut dyn FnMut(I, &E) -> ControlFlow<()>) -> ControlFlow<()>,
+) -> Vec<I> {
+    let mut out = Vec::new();
+    let _ = query(&mut |id, _| {
+        out.push(id);
+        ControlFlow::Continue(())
+    });
+    out
+}
+
 /// Every indexed query on both tables ≡ its linear scan, for `query`.
 fn queries_equal_linear(prt: &Prt, srt: &Srt, query: &Filter) -> Result<(), TestCaseError> {
-    prop_assert_eq!(prt.overlapping(query), prt.overlapping_linear(query));
-    prop_assert_eq!(srt.overlapping(query), srt.overlapping_linear(query));
-    prop_assert_eq!(prt.covering(query), prt.covering_linear(query));
-    prop_assert_eq!(prt.covered_by(query), prt.covered_by_linear(query));
-    prop_assert_eq!(srt.covering(query), srt.covering_linear(query));
-    prop_assert_eq!(srt.covered_by(query), srt.covered_by_linear(query));
+    prop_assert_eq!(
+        ids(|v| prt.overlapping(query, v)),
+        ids(|v| prt.overlapping_linear(query, v))
+    );
+    prop_assert_eq!(
+        ids(|v| srt.overlapping(query, v)),
+        ids(|v| srt.overlapping_linear(query, v))
+    );
+    prop_assert_eq!(
+        ids(|v| prt.covering(query, v)),
+        ids(|v| prt.covering_linear(query, v))
+    );
+    prop_assert_eq!(
+        ids(|v| prt.covered_by(query, v)),
+        ids(|v| prt.covered_by_linear(query, v))
+    );
+    prop_assert_eq!(
+        ids(|v| srt.covering(query, v)),
+        ids(|v| srt.covering_linear(query, v))
+    );
+    prop_assert_eq!(
+        ids(|v| srt.covered_by(query, v)),
+        ids(|v| srt.covered_by_linear(query, v))
+    );
     Ok(())
 }
 
@@ -450,8 +480,8 @@ proptest! {
     fn overlap_equals_linear(steps in arb_steps(), q in arb_filter()) {
         let (prt, srt) = replay(&steps);
         let query = build_filter(&q);
-        prop_assert_eq!(prt.overlapping(&query), prt.overlapping_linear(&query));
-        prop_assert_eq!(srt.overlapping(&query), srt.overlapping_linear(&query));
+        prop_assert_eq!(ids(|v| prt.overlapping(&query, v)), ids(|v| prt.overlapping_linear(&query, v)));
+        prop_assert_eq!(ids(|v| srt.overlapping(&query, v)), ids(|v| srt.overlapping_linear(&query, v)));
     }
 
     /// The forwarding query agrees with the scan of the rows *and*
@@ -472,10 +502,10 @@ proptest! {
     fn containment_equals_linear(steps in arb_steps(), q in arb_filter()) {
         let (prt, srt) = replay(&steps);
         let query = build_filter(&q);
-        prop_assert_eq!(prt.covering(&query), prt.covering_linear(&query));
-        prop_assert_eq!(prt.covered_by(&query), prt.covered_by_linear(&query));
-        prop_assert_eq!(srt.covering(&query), srt.covering_linear(&query));
-        prop_assert_eq!(srt.covered_by(&query), srt.covered_by_linear(&query));
+        prop_assert_eq!(ids(|v| prt.covering(&query, v)), ids(|v| prt.covering_linear(&query, v)));
+        prop_assert_eq!(ids(|v| prt.covered_by(&query, v)), ids(|v| prt.covered_by_linear(&query, v)));
+        prop_assert_eq!(ids(|v| srt.covering(&query, v)), ids(|v| srt.covering_linear(&query, v)));
+        prop_assert_eq!(ids(|v| srt.covered_by(&query, v)), ids(|v| srt.covered_by_linear(&query, v)));
     }
 
     /// Containment and overlap queries first asked after `quiet`
@@ -510,16 +540,16 @@ proptest! {
     fn containment_is_sound(steps in arb_steps(), q in arb_filter()) {
         let (prt, srt) = replay(&steps);
         let query = build_filter(&q);
-        for id in prt.covering(&query) {
+        for id in ids(|v| prt.covering(&query, v)) {
             prop_assert!(prt.get(id).unwrap().item.filter.covers(&query));
         }
-        for id in prt.covered_by(&query) {
+        for id in ids(|v| prt.covered_by(&query, v)) {
             prop_assert!(query.covers(&prt.get(id).unwrap().item.filter));
         }
-        for id in srt.covering(&query) {
+        for id in ids(|v| srt.covering(&query, v)) {
             prop_assert!(srt.get(id).unwrap().item.filter.covers(&query));
         }
-        for id in srt.covered_by(&query) {
+        for id in ids(|v| srt.covered_by(&query, v)) {
             prop_assert!(query.covers(&srt.get(id).unwrap().item.filter));
         }
     }
@@ -628,10 +658,10 @@ proptest! {
             prop_assert_eq!(prt2.matching(&p), prt.matching_linear(&p));
             prop_assert_eq!(prt2.destinations(&p), destinations_from_rows(&prt, &p));
         }
-        prop_assert_eq!(prt2.covering(&query), prt.covering_linear(&query));
-        prop_assert_eq!(prt2.covered_by(&query), prt.covered_by_linear(&query));
-        prop_assert_eq!(srt2.covering(&query), srt.covering_linear(&query));
-        prop_assert_eq!(srt2.covered_by(&query), srt.covered_by_linear(&query));
+        prop_assert_eq!(ids(|v| prt2.covering(&query, v)), ids(|v| prt.covering_linear(&query, v)));
+        prop_assert_eq!(ids(|v| prt2.covered_by(&query, v)), ids(|v| prt.covered_by_linear(&query, v)));
+        prop_assert_eq!(ids(|v| srt2.covering(&query, v)), ids(|v| srt.covering_linear(&query, v)));
+        prop_assert_eq!(ids(|v| srt2.covered_by(&query, v)), ids(|v| srt.covered_by_linear(&query, v)));
     }
 }
 

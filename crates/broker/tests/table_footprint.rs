@@ -15,7 +15,9 @@
 //! 1 077 bytes (1 052 at 1 000); the budget is that plus under 10 %.
 //! A row forwarded to one neighbour then held 1 131, a B-tree leaf
 //! more for its one-element `sent_to`; with the neighbours inline in
-//! the row it holds no more than a local one (1 075).
+//! the row it holds no more than a local one (1 075). With the entries
+//! in a vector by row number and the id map holding numbers only, a row
+//! holds 1 047 (950 at 1 000), and a forwarded one 1 045.
 
 use transmob_broker::{Hop, Prt};
 use transmob_core::ClientProfile;

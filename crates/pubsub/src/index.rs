@@ -83,13 +83,28 @@
 //! [`MatchIndex::covered_by`]) therefore read every numeric constraint
 //! — point or interval — from two ordered maps (`EndMaps`): `by_lo`,
 //! keyed by the effective lower endpoint, and `by_hi`, keyed by the
-//! effective upper endpoint. Each query becomes a *pair of range
-//! scans*, one per endpoint map, run in lock-step; whichever side
-//! exhausts first already enumerates every row satisfying its half of
-//! the conjunction, so the candidate set is the smaller enumeration
-//! and total work is bounded by twice the smaller side (instead of a
-//! per-constraint sweep of the attribute). Candidates are then
-//! verified against the authoritative [`Constraint`] relation.
+//! effective upper endpoint. Each relation becomes a *pair of range
+//! scans*, one per endpoint map, either of which enumerates every row
+//! satisfying its half of the conjunction. The two are stepped in
+//! lock-step, keeping nothing, until one ends, and the one that ended
+//! is walked again as the candidates: total work is bounded by three
+//! times the smaller side (instead of a per-constraint sweep of the
+//! attribute), without a list of either. Candidates are then verified
+//! against the authoritative [`Constraint`] relation.
+//!
+//! Each query is a *visit*: it hands each qualifying key to the
+//! caller's visitor, an `FnMut(K) -> ControlFlow<()>` (the shape in
+//! which the matching kernel hands keys to its fold), once, in no particular order, the
+//! moment the key qualifies, and it stops where it stands when the
+//! visitor breaks; no list or count map is built per call. A stored
+//! filter of several constraints is found on one attribute and checked
+//! on the rest against the authoritative [`Filter`] relation:
+//! `covering` finds it on the stored filter's first attribute (its
+//! constraints all cover the query's, so the query constrains each of
+//! its attributes), `covered_by` on the query's first attribute (the
+//! stored filter constrains each of the query's), and `overlapping` on
+//! a query attribute that every satisfiable stored filter constrains,
+//! or, without one, among all satisfiable keys.
 //!
 //! The maps are derived from the attribute's records by the first
 //! containment query on the attribute, and from then on every insert
@@ -104,8 +119,8 @@
 //! Every fast path is *prune + verify*: the bucket structures only
 //! narrow the candidate set, and any candidate that is not exact by
 //! construction is re-checked against the authoritative constraint.
-//! The index therefore returns byte-for-byte the same id sets as the
-//! linear scans, including for unsatisfiable filters (never returned),
+//! The index therefore finds exactly the keys the linear scans find,
+//! including for unsatisfiable filters (never returned),
 //! zero-arity filters (always returned by `matching`), and the
 //! conservative [`Constraint::overlaps`] over-approximation contract
 //! documented in [`crate::constraint`]. The routing layer keeps the
@@ -113,22 +128,20 @@
 //!
 //! # The matching kernel
 //!
-//! One function, [`MatchIndex::fold_matching`], matches publications
+//! One function, [`MatchIndex::fold_into`], matches a publication
 //! against the table, on the calling thread, and it is a *fold* that
-//! may stop: its caller supplies an accumulator per publication, a
-//! step called with matching keys, in no particular order, a test that
-//! says when the accumulator is *saturated* (no further key could
-//! change it), and a finisher called once, last.
-//! [`MatchIndex::fold_into`] is its body for one publication, into an
-//! accumulator the caller keeps from one publication to the next.
-//! [`MatchIndex::matching`] and [`MatchIndex::matching_batch`] are
-//! that fold into a vector, never saturated, finished by the sort
-//! their contract promises; the broker's publication forwarding folds
-//! (`fold_into`) row numbers straight into destination sets, never
-//! lists the matching keys at all, and is saturated once the set holds
-//! every hop its table names (Carzaniga and Wolf's forwarding
-//! short-cut: with every interface matched, no further filter changes
-//! the decision).
+//! may stop: its caller supplies an accumulator, which it may keep
+//! from one publication to the next, a step called with matching keys,
+//! in no particular order, and a test that says when the accumulator
+//! is *saturated* (no further key could change it).
+//! [`MatchIndex::matching`] is that fold into a vector, never
+//! saturated, then sorted as its contract promises, and
+//! [`MatchIndex::matching_batch`] is `matching` once a publication; the
+//! broker's publication forwarding folds row numbers straight into
+//! destination sets, never lists the matching keys at all, and is
+//! saturated once the set holds every hop its table names (Carzaniga
+//! and Wolf's forwarding short-cut: with every interface matched, no
+//! further filter changes the decision).
 //!
 //! What the closures may assume: `step` sees a key at most once per
 //! publication, and only a key whose filter matches it; `saturated` is
@@ -136,10 +149,9 @@
 //! publication's probes where they stand: the rest of the row list
 //! being scanned, the remaining attributes and the `wide` keys are
 //! never read, and `step` is not called again, so a saturated
-//! accumulator has seen *some* matching keys, not all of them;
-//! `finish` runs exactly once whichever way the probes ended, so it
-//! may not assume the accumulator is complete unless `saturated` never
-//! answers `true`. Each publication of a batch starts afresh.
+//! accumulator has seen *some* matching keys, not all of them, and the
+//! caller may not assume it complete unless `saturated` never answers
+//! `true`.
 //!
 //! The kernel works *publication-major*: per publication, a countdown
 //! cell per stored filter (a dense *slot* id, seeded with the filter's
@@ -217,17 +229,21 @@
 //! # Oracle
 //!
 //! The reference is the linear scan: [`Filter::matches`] over every
-//! row, kept behind `Prt::matching_linear` in the routing layer, which
-//! asserts every indexed answer against it in debug builds, and stated
-//! as a property over random churn in `index_differential.rs`.
+//! row, kept behind `Prt::matching_linear` in the routing layer, and
+//! [`Filter::overlaps`] / [`Filter::covers`] over every row, kept
+//! behind the routing tables' `*_linear` visits, which visit the rows
+//! an indexed query visits, in the same order. The routing layer
+//! asserts every indexed answer against its scan in debug builds (for
+//! the containment queries, the two sequences of ids, compared in
+//! place), and `index_differential.rs` states the equivalence as a
+//! property over random churn.
 
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, RangeBounds};
 use std::sync::{Arc, OnceLock};
 
 use crate::constraint::{Bound, Constraint, Interval, TotalF64};
@@ -473,26 +489,11 @@ fn drop_from_tree<K: PartialEq>(map: &mut BTreeMap<TotalF64, Vec<EndRow<K>>>, at
     }
 }
 
-/// Runs two candidate enumerations in lock-step and returns whichever
-/// exhausts first.
-///
-/// Both iterators enumerate (from opposite endpoint maps) a superset of
-/// the same target set, so either one alone is a valid candidate set;
-/// racing them bounds the work by twice the *smaller* enumeration
-/// without knowing in advance which side is more selective.
-fn min_side<K>(mut a: impl Iterator<Item = K>, mut b: impl Iterator<Item = K>) -> Vec<K> {
-    let mut av = Vec::new();
-    let mut bv = Vec::new();
-    loop {
-        match a.next() {
-            Some(k) => av.push(k),
-            None => return av,
-        }
-        match b.next() {
-            Some(k) => bv.push(k),
-            None => return bv,
-        }
-    }
+/// The rows filed under one endpoint.
+fn rows_at<'a, K>(
+    (_, rows): (&'a TotalF64, &'a Vec<EndRow<K>>),
+) -> std::slice::Iter<'a, EndRow<K>> {
+    rows.iter()
 }
 
 /// The dual-endpoint containment structure of one attribute (module
@@ -695,30 +696,34 @@ impl<K: IndexKey> AttrIndex<K> {
         ControlFlow::Continue(())
     }
 
-    /// Numeric candidates from the dual-endpoint maps: rows whose
-    /// effective endpoints pass the inclusive prune conditions
-    /// `lo ≤ lo_max` and `hi ≥ hi_min` (module docs), enumerated from
-    /// whichever endpoint map is more selective.
-    fn num_candidates(&self, lo_max: TotalF64, hi_min: TotalF64) -> Vec<&EndRow<K>> {
+    /// Numeric candidates from the dual-endpoint maps: a superset of
+    /// the rows whose effective lower endpoint lies in `lo` and whose
+    /// upper endpoint lies in `hi`, the inclusive prune conditions of a
+    /// relation (module docs).
+    ///
+    /// Either range alone enumerates a superset of the same target
+    /// set, so either is a valid candidate set. The two are stepped in
+    /// lock-step, keeping nothing, until one ends, and that one is
+    /// walked again for the caller: the work is bounded by three times
+    /// the *smaller* enumeration without knowing in advance which
+    /// endpoint is more selective.
+    fn num_candidates(
+        &self,
+        lo: impl RangeBounds<TotalF64>,
+        hi: impl RangeBounds<TotalF64>,
+    ) -> impl Iterator<Item = &EndRow<K>> {
         let maps = self.end_maps();
-        min_side(
-            maps.by_lo
-                .range(..=lo_max)
-                .flat_map(|(_, rows)| rows.iter()),
-            maps.by_hi.range(hi_min..).flat_map(|(_, rows)| rows.iter()),
-        )
-    }
-
-    /// The flipped prune (`lo ≥ lo_min`, `hi ≤ hi_max`): candidate
-    /// rows *contained in* the queried endpoint window.
-    fn num_contained_candidates(&self, lo_min: TotalF64, hi_max: TotalF64) -> Vec<&EndRow<K>> {
-        let maps = self.end_maps();
-        min_side(
-            maps.by_lo.range(lo_min..).flat_map(|(_, rows)| rows.iter()),
-            maps.by_hi
-                .range(..=hi_max)
-                .flat_map(|(_, rows)| rows.iter()),
-        )
+        let (a, b) = (maps.by_lo.range(lo), maps.by_hi.range(hi));
+        let (mut x, mut y) = (a.clone().flat_map(rows_at), b.clone().flat_map(rows_at));
+        let side = loop {
+            if x.next().is_none() {
+                break a;
+            }
+            if y.next().is_none() {
+                break b;
+            }
+        };
+        side.flat_map(rows_at)
     }
 
     /// String/bool/exotic rows, verified against `check`. Booleans and
@@ -728,39 +733,43 @@ impl<K: IndexKey> AttrIndex<K> {
     fn non_num_verified(
         &self,
         strings: bool,
-        check: &mut impl FnMut(K) -> bool,
-        bump: &mut impl FnMut(K),
-    ) {
+        check: impl Fn(K) -> bool,
+        visit: &mut impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if strings {
-            for rows in self.str_eq.values().chain(self.str_pre.values()) {
-                for row in rows {
-                    if check(row.key) {
-                        bump(row.key);
-                    }
+            for row in self.str_eq.values().chain(self.str_pre.values()).flatten() {
+                if check(row.key) {
+                    visit(row.key)?;
                 }
             }
         }
         for &(k, _) in &self.other {
             if check(k) {
-                bump(k);
+                visit(k)?;
             }
         }
+        ControlFlow::Continue(())
     }
 
-    /// Calls `bump(key)` once per key whose constraint on this
-    /// attribute covers `qc`. Exact per [`Constraint::covers`].
-    fn count_covering(&self, qc: &Constraint, bump: &mut impl FnMut(K)) {
+    /// Hands `visit` every key whose constraint on this attribute
+    /// covers `qc`, once, until it breaks. Exact per
+    /// [`Constraint::covers`].
+    fn covering(
+        &self,
+        qc: &Constraint,
+        visit: &mut impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         // A presence constraint covers every satisfiable constraint.
         for &(k, _) in &self.present {
-            bump(k);
+            visit(k)?;
         }
-        let mut check = |k: K| self.cons[&k].get().covers(qc);
+        let check = |k: K| self.cons[&k].get().covers(qc);
         match qc {
-            // Only `Present` covers `Present` (already bumped above).
-            Constraint::Present => {}
+            // Only `Present` covers `Present` (already visited above).
+            Constraint::Present => ControlFlow::Continue(()),
             Constraint::Num(n) => {
                 let (ql, qh) = n.interval.total_endpoints();
-                for r in self.num_candidates(ql, qh) {
+                for r in self.num_candidates(..=ql, qh..) {
                     // Exclusion-free stored rows verify from the row
                     // itself: covering is pure interval containment
                     // (stored exclusions are what make `covers` more
@@ -772,28 +781,30 @@ impl<K: IndexKey> AttrIndex<K> {
                         n.interval.is_subset(&r.ends.interval())
                     };
                     if hit {
-                        bump(r.key);
+                        visit(r.key)?;
                     }
                 }
+                ControlFlow::Continue(())
             }
-            Constraint::Str(_) => self.non_num_verified(true, &mut check, bump),
-            Constraint::Bool(_) => self.non_num_verified(false, &mut check, bump),
+            Constraint::Str(_) => self.non_num_verified(true, check, visit),
+            Constraint::Bool(_) => self.non_num_verified(false, check, visit),
             // Satisfiable query filters never carry empty constraints.
             Constraint::Empty => unreachable!("empty constraints are not queried"),
         }
     }
 
-    /// Calls `bump(key)` once per key whose constraint on this
-    /// attribute is covered by `qc`. Exact per [`Constraint::covers`].
-    fn count_covered_by(&self, qc: &Constraint, bump: &mut impl FnMut(K)) {
-        let mut check = |k: K| qc.covers(self.cons[&k].get());
+    /// Hands `visit` every key whose constraint on this attribute is
+    /// covered by `qc`, once, until it breaks. Exact per
+    /// [`Constraint::covers`].
+    fn covered_by(
+        &self,
+        qc: &Constraint,
+        visit: &mut impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let check = |k: K| qc.covers(self.cons[&k].get());
         match qc {
             // `Present` covers every stored constraint on the attribute.
-            Constraint::Present => {
-                for &k in self.cons.keys() {
-                    bump(k);
-                }
-            }
+            Constraint::Present => self.cons.keys().try_for_each(|&k| visit(k)),
             Constraint::Num(n) => {
                 let (ql, qh) = n.interval.total_endpoints();
                 // An exclusion-free *query* covers exactly the rows
@@ -801,34 +812,41 @@ impl<K: IndexKey> AttrIndex<K> {
                 // shrink the row); with query exclusions the boundary
                 // cases need the authoritative constraint.
                 let q_clean = n.excluded.is_empty();
-                for r in self.num_contained_candidates(ql, qh) {
+                for r in self.num_candidates(ql.., ..=qh) {
                     let hit = if q_clean {
                         r.ends.interval().is_subset(&n.interval)
                     } else {
                         check(r.key)
                     };
                     if hit {
-                        bump(r.key);
+                        visit(r.key)?;
                     }
                 }
+                ControlFlow::Continue(())
             }
-            Constraint::Str(_) => self.non_num_verified(true, &mut check, bump),
-            Constraint::Bool(_) => self.non_num_verified(false, &mut check, bump),
+            Constraint::Str(_) => self.non_num_verified(true, check, visit),
+            Constraint::Bool(_) => self.non_num_verified(false, check, visit),
             Constraint::Empty => unreachable!("empty constraints are not queried"),
         }
     }
 
-    /// Keys whose constraint on this attribute overlaps `qc`, sorted.
-    /// Exact per [`Constraint::overlaps`] (including its conservative
+    /// Hands `visit` every key whose constraint on this attribute
+    /// overlaps `qc`, once, until it breaks. Exact per
+    /// [`Constraint::overlaps`] (including its conservative
     /// over-approximation for exotic string shapes).
-    fn overlap_qualified(&self, qc: &Constraint) -> Vec<K> {
+    fn overlapping(
+        &self,
+        qc: &Constraint,
+        visit: &mut impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         // Presence overlaps everything, in both directions.
         if matches!(qc, Constraint::Present) {
-            return self.cons.keys().copied().collect();
+            return self.cons.keys().try_for_each(|&k| visit(k));
         }
-        let mut out: Vec<K> = self.present.iter().map(|&(k, _)| k).collect();
-        let mut check = |k: K| self.cons[&k].get().overlaps(qc);
-        let mut push = |k: K| out.push(k);
+        for &(k, _) in &self.present {
+            visit(k)?;
+        }
+        let check = |k: K| self.cons[&k].get().overlaps(qc);
         match qc {
             Constraint::Num(n) => {
                 let (ql, qh) = n.interval.total_endpoints();
@@ -837,24 +855,23 @@ impl<K: IndexKey> AttrIndex<K> {
                 // intersection that an exclusion deletes is the one
                 // case needing the authoritative relation.
                 let q_clean = n.excluded.is_empty();
-                for r in self.num_candidates(qh, ql) {
+                for r in self.num_candidates(..=qh, ql..) {
                     let hit = if q_clean && !r.ends.has_exclusions() {
                         r.ends.interval().overlaps(&n.interval)
                     } else {
                         check(r.key)
                     };
                     if hit {
-                        push(r.key);
+                        visit(r.key)?;
                     }
                 }
+                ControlFlow::Continue(())
             }
-            Constraint::Str(_) => self.non_num_verified(true, &mut check, &mut push),
-            Constraint::Bool(_) => self.non_num_verified(false, &mut check, &mut push),
+            Constraint::Str(_) => self.non_num_verified(true, check, visit),
+            Constraint::Bool(_) => self.non_num_verified(false, check, visit),
             Constraint::Present => unreachable!("handled above"),
             Constraint::Empty => unreachable!("empty constraints are not queried"),
         }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -1443,71 +1460,42 @@ impl<K: IndexKey> MatchIndex<K> {
         })
     }
 
-    /// Keys of filters matching `publication`, sorted: the fold on a
-    /// batch of one.
+    /// Keys of filters matching `publication`, sorted:
+    /// [`MatchIndex::fold_into`] a vector that is never saturated.
     pub fn matching(&self, publication: &Publication) -> Vec<K> {
-        self.matching_batch(std::slice::from_ref(publication))
-            .pop()
-            .expect("one result row per publication")
+        let mut keys = Vec::new();
+        self.fold_into(publication, &mut keys, |keys, k| keys.push(k), |_| false);
+        keys.sort_unstable();
+        keys
     }
 
-    /// [`MatchIndex::matching`] for every publication of a batch,
-    /// returning one sorted key vector per publication (same order as
-    /// `pubs`): [`MatchIndex::fold_matching`] into a vector that is
-    /// never saturated, sorted.
+    /// [`MatchIndex::matching`] for every publication of a batch, one
+    /// after the other, returning one sorted key vector per publication
+    /// (same order as `pubs`).
     pub fn matching_batch(&self, pubs: &[Publication]) -> Vec<Vec<K>> {
-        self.fold_matching(
-            pubs,
-            Vec::new,
-            |row: &mut Vec<K>, k| row.push(k),
-            |_| false,
-            |row: &mut Vec<K>| row.sort_unstable(),
-        )
+        pubs.iter().map(|p| self.matching(p)).collect()
     }
 
     /// The matching kernel, on the calling thread: folds the keys
-    /// matching each publication of `pubs` into one accumulator a
-    /// publication (same order as `pubs`). `init` makes the
-    /// accumulator; `step` takes a matching key; `saturated` says that
-    /// no further key could change the accumulator, which ends that
-    /// publication's probes; `finish` runs once, last (the place for a
-    /// sort the accumulator's contract promises). The module docs
-    /// ("The matching kernel") say when each is called and what it may
+    /// matching `p` into `acc`, an accumulator the caller owns, so a
+    /// caller that routes publications one by one keeps one and its
+    /// buffers from one publication to the next. `step` takes a
+    /// matching key; `saturated` says that no further key could change
+    /// the accumulator, which ends the probes. The module docs ("The
+    /// matching kernel") say when each is called and what it may
     /// assume; a fold that is never saturated is stepped with every
     /// matching key, once. The closures must not probe a
     /// [`MatchIndex`] themselves (the kernel's per-thread scratch is
     /// borrowed while they run).
     ///
-    /// Per publication, every probe decrements the cells of the slots
-    /// whose constraint on the probed attribute the value satisfies —
-    /// at most once per slot and attribute — and the decrement that
-    /// takes a cell to zero steps its key. Saturating at zero keeps a
-    /// slot seeded with 0 dead however often stale or uncounted rows
-    /// bump it. The zero-arity keys are stepped before the first probe
-    /// and the `wide` keys whose filter matches after the last, if the
-    /// fold is still unsaturated by then.
-    pub fn fold_matching<P: Borrow<Publication>, A>(
-        &self,
-        pubs: &[P],
-        init: impl Fn() -> A,
-        step: impl Fn(&mut A, K),
-        saturated: impl Fn(&mut A) -> bool,
-        finish: impl Fn(&mut A),
-    ) -> Vec<A> {
-        pubs.iter()
-            .map(|p| {
-                let mut acc = init();
-                self.fold_into(p.borrow(), &mut acc, &step, &saturated);
-                finish(&mut acc);
-                acc
-            })
-            .collect()
-    }
-
-    /// [`MatchIndex::fold_matching`] for one publication, into an
-    /// accumulator the caller owns: neither made nor finished here, so
-    /// a caller that routes publications one by one keeps one and its
-    /// buffers from one publication to the next.
+    /// Every probe decrements the cells of the slots whose constraint
+    /// on the probed attribute the value satisfies — at most once per
+    /// slot and attribute — and the decrement that takes a cell to zero
+    /// steps its key. Saturating at zero keeps a slot seeded with 0
+    /// dead however often stale or uncounted rows bump it. The
+    /// zero-arity keys are stepped before the first probe and the
+    /// `wide` keys whose filter matches after the last, if the fold is
+    /// still unsaturated by then.
     pub fn fold_into<A>(
         &self,
         p: &Publication,
@@ -1530,9 +1518,9 @@ impl<K: IndexKey> MatchIndex<K> {
 
     /// The kernel's body for one publication: hands every key matching
     /// `p` to `take`, the moment it is known to match, until `take`
-    /// breaks. Not inlined into the batch loop, so that a profile
-    /// names the match kernel; the probe loops and their decrements are
-    /// inlined into it, `take` runs in [`complete`].
+    /// breaks. Not inlined into [`MatchIndex::fold_into`], so that a
+    /// profile names the match kernel; the probe loops and their
+    /// decrements are inlined into it, `take` runs in [`complete`].
     #[inline(never)]
     fn probe_publication(
         &self,
@@ -1614,140 +1602,127 @@ impl<K: IndexKey> MatchIndex<K> {
         }
     }
 
-    /// Keys of filters overlapping `filter`, sorted.
+    /// Hands `visit` the key of every filter overlapping `filter`, once
+    /// each and in no particular order, until it breaks; returns the
+    /// break.
     ///
     /// A stored filter overlaps the query iff its constraint overlaps
     /// the query's on *every attribute both sides constrain*;
     /// attributes only one side constrains never disqualify — exactly
-    /// the [`Filter::overlaps`] semantics. Per shared attribute the
-    /// overlap-qualified keys come out of the dual-endpoint range scans
-    /// (module docs); the result is seeded from the attribute promising
-    /// the fewest survivors and filtered by the rest.
-    pub fn overlapping(&self, filter: &Filter) -> Vec<K> {
+    /// the [`Filter::overlaps`] semantics. When every satisfiable
+    /// stored filter constrains one of the query's attributes, that
+    /// attribute's overlap-qualified keys, out of the dual-endpoint
+    /// range scans (module docs), are the candidates, and the query's
+    /// other attributes are checked on each; otherwise every
+    /// satisfiable key is one.
+    pub fn overlapping(
+        &self,
+        filter: &Filter,
+        mut visit: impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if !filter.is_satisfiable() {
-            return Vec::new();
+            return ControlFlow::Continue(());
         }
-        // Per query attribute at least one stored filter constrains:
-        // the attribute index and its overlap-qualified keys.
-        let mut relevant: Vec<(&AttrIndex<K>, Vec<K>)> = filter
-            .constraints()
-            .filter_map(|(attr, qc)| {
-                self.attrs
-                    .get(attr)
-                    .map(|ai| (ai, ai.overlap_qualified(qc)))
-            })
-            .collect();
-        if relevant.is_empty() {
-            return self.sat.iter().copied().collect();
-        }
-        // The keys an attribute allows through are its qualified keys
-        // plus every key not constraining it at all, so the survivor
-        // count is bounded by |qualified| + (|sat| − |constraining|).
-        let seed = (0..relevant.len())
-            .min_by_key(|&i| relevant[i].1.len() + self.sat.len() - relevant[i].0.cons.len())
-            .expect("relevant is non-empty");
-        let (seed_ai, seed_q) = {
-            let (ai, q) = &mut relevant[seed];
-            (*ai, std::mem::take(q))
-        };
-        let mut out: Vec<K> = if seed_ai.cons.len() == self.sat.len() {
-            // Every satisfiable filter constrains the seed attribute.
-            seed_q
-        } else {
-            self.sat
-                .iter()
-                .copied()
-                .filter(|k| !seed_ai.cons.contains_key(k) || seed_q.binary_search(k).is_ok())
-                .collect()
-        };
-        for (i, (ai, q)) in relevant.iter().enumerate() {
-            if i == seed {
-                continue;
+        let mut checked = |k: K| {
+            if self.filters[&k].overlaps(filter) {
+                visit(k)
+            } else {
+                ControlFlow::Continue(())
             }
-            out.retain(|k| !ai.cons.contains_key(k) || q.binary_search(k).is_ok());
+        };
+        let seed = filter.constraints().find_map(|(attr, qc)| {
+            let ai = self.attrs.get(attr)?;
+            (ai.cons.len() == self.sat.len()).then_some((ai, qc))
+        });
+        match seed {
+            Some((ai, qc)) if filter.arity() == 1 => ai.overlapping(qc, &mut visit),
+            Some((ai, qc)) => ai.overlapping(qc, &mut checked),
+            None => self.sat.iter().try_for_each(|&k| checked(k)),
         }
-        out
     }
 
-    /// Keys of stored filters that *cover* `filter` (`stored.covers(filter)`),
-    /// sorted. Exact per [`Filter::covers`], including its sound-but-
-    /// incomplete string contract.
+    /// Hands `visit` the key of every stored filter that *covers*
+    /// `filter` (`stored.covers(filter)`), once each and in no
+    /// particular order, until it breaks; returns the break. Exact per
+    /// [`Filter::covers`], including its sound-but-incomplete string
+    /// contract.
     ///
-    /// Counting scheme: a stored filter covers the query iff every one
-    /// of its constraints covers the query's constraint on the same
-    /// attribute — so bumps only come from the query's attributes, and
-    /// a key qualifies when its bump count reaches its own arity.
+    /// A stored filter covers the query iff every one of its
+    /// constraints covers the query's constraint on the same attribute,
+    /// so the query constrains each of its attributes: a covering key
+    /// is found at its first attribute, and checked there on the rest.
     /// Zero-arity filters cover everything; unsatisfiable queries are
     /// covered by everything.
-    pub fn covering(&self, filter: &Filter) -> Vec<K> {
+    pub fn covering(
+        &self,
+        filter: &Filter,
+        mut visit: impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if !filter.is_satisfiable() {
-            let mut out: Vec<K> = self.filters.keys().copied().collect();
-            out.sort_unstable();
-            return out;
+            return self.filters.keys().try_for_each(|&k| visit(k));
         }
-        let mut out: Vec<K> = self.zero.iter().copied().collect();
-        let mut counts: FastMap<K, usize> = FastMap::default();
+        for &k in &self.zero {
+            visit(k)?;
+        }
         for (attr, qc) in filter.constraints() {
-            if let Some(ai) = self.attrs.get(attr) {
-                ai.count_covering(qc, &mut |k| *counts.entry(k).or_insert(0) += 1);
-            }
+            let Some(ai) = self.attrs.get(attr) else {
+                continue;
+            };
+            ai.covering(qc, &mut |k| {
+                let f = &self.filters[&k];
+                let first = f.constraints().next().is_some_and(|(a, _)| a == attr);
+                if first && (f.arity() == 1 || f.covers(filter)) {
+                    visit(k)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })?;
         }
-        for (k, n) in counts {
-            if self.filters[&k].arity() == n {
-                out.push(k);
-            }
-        }
-        out.sort_unstable();
-        out
+        ControlFlow::Continue(())
     }
 
-    /// Keys of stored filters `filter` covers (`filter.covers(stored)`),
-    /// sorted — the active-retraction / covering-release candidate set.
+    /// Hands `visit` the key of every stored filter `filter` covers
+    /// (`filter.covers(stored)`), once each and in no particular order,
+    /// until it breaks; returns the break. The active-retraction /
+    /// covering-release candidate set.
     ///
-    /// Counting scheme: the query covers a satisfiable stored filter
-    /// iff the stored filter carries a covered constraint on *every*
-    /// query attribute, so a key qualifies when its bump count reaches
-    /// the query's arity. Unsatisfiable stored filters are covered by
-    /// anything; a zero-arity satisfiable query covers everything.
-    pub fn covered_by(&self, filter: &Filter) -> Vec<K> {
-        let mut out: Vec<K> = self.unsat.iter().copied().collect();
+    /// The query covers a satisfiable stored filter iff the stored
+    /// filter carries a covered constraint on *every* query attribute:
+    /// the keys covered on the query's first attribute are the
+    /// candidates, and each is checked on the rest. Unsatisfiable
+    /// stored filters are covered by anything; a zero-arity
+    /// satisfiable query covers everything.
+    pub fn covered_by(
+        &self,
+        filter: &Filter,
+        mut visit: impl FnMut(K) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        for &k in &self.unsat {
+            visit(k)?;
+        }
         if !filter.is_satisfiable() {
-            return out; // BTreeSet iteration order: already sorted
+            return ControlFlow::Continue(());
         }
-        if filter.arity() == 0 {
-            let mut out: Vec<K> = self.filters.keys().copied().collect();
-            out.sort_unstable();
-            return out;
-        }
-        if filter.arity() == 1 {
-            // Single-attribute query: every bump qualifies outright
-            // (each attribute bumps a key at most once), so the
-            // counting map is pure overhead on the release hot path.
-            let (attr, qc) = filter.constraints().next().expect("arity 1");
-            if let Some(ai) = self.attrs.get(attr) {
-                ai.count_covered_by(qc, &mut |k| out.push(k));
+        let Some((attr, qc)) = filter.constraints().next() else {
+            return self.sat.iter().try_for_each(|&k| visit(k));
+        };
+        let Some(ai) = self.attrs.get(attr) else {
+            return ControlFlow::Continue(());
+        };
+        ai.covered_by(qc, &mut |k| {
+            if filter.arity() == 1 || filter.covers(&self.filters[&k]) {
+                visit(k)
+            } else {
+                ControlFlow::Continue(())
             }
-            out.sort_unstable();
-            return out;
-        }
-        let mut counts: FastMap<K, usize> = FastMap::default();
-        for (attr, qc) in filter.constraints() {
-            if let Some(ai) = self.attrs.get(attr) {
-                ai.count_covered_by(qc, &mut |k| *counts.entry(k).or_insert(0) += 1);
-            }
-        }
-        for (k, n) in counts {
-            if n == filter.arity() {
-                out.push(k);
-            }
-        }
-        out.sort_unstable();
-        out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::borrow::Borrow;
+
     use super::*;
     use crate::predicate::{Op, Predicate};
 
@@ -1792,6 +1767,76 @@ mod tests {
             table.insert(i as u32, f);
         }
         (table, ix)
+    }
+
+    /// The keys a containment query hands its visitor, which never
+    /// breaks, sorted; each is handed over once.
+    fn keys(
+        query: impl FnOnce(&mut dyn FnMut(u32) -> ControlFlow<()>) -> ControlFlow<()>,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        let flow = query(&mut |k| {
+            out.push(k);
+            ControlFlow::Continue(())
+        });
+        assert!(flow.is_continue());
+        out.sort_unstable();
+        assert!(
+            out.windows(2).all(|w| w[0] < w[1]),
+            "a key handed over twice"
+        );
+        out
+    }
+
+    /// [`MatchIndex::fold_into`] over a batch, into one accumulator a
+    /// publication that `init` makes and `finish` finishes.
+    fn fold_each<A>(
+        ix: &MatchIndex<u32>,
+        pubs: &[impl Borrow<Publication>],
+        init: impl Fn() -> A,
+        step: impl Fn(&mut A, u32),
+        saturated: impl Fn(&mut A) -> bool,
+        finish: impl Fn(&mut A),
+    ) -> Vec<A> {
+        pubs.iter()
+            .map(|p| {
+                let mut acc = init();
+                ix.fold_into(p.borrow(), &mut acc, &step, &saturated);
+                finish(&mut acc);
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_visitor_that_breaks_sees_one_key() {
+        // Nested bands, each covering the next: every query below has
+        // several answers, and a visitor that breaks on the first is
+        // handed that one alone.
+        let (_, ix) = build(
+            (0..8i64)
+                .map(|i| Filter::builder().ge("x", i).le("x", 100 - i).build())
+                .collect(),
+        );
+        let middle = Filter::builder().ge("x", 4).le("x", 96).build();
+        let query = |i: usize, v: &mut dyn FnMut(u32) -> ControlFlow<()>| match i {
+            0 => ix.overlapping(&middle, v),
+            1 => ix.covering(&middle, v),
+            _ => ix.covered_by(&middle, v),
+        };
+        for i in 0..3 {
+            assert!(
+                keys(|v| query(i, v)).len() > 1,
+                "query {i} has several answers"
+            );
+            let mut seen = 0;
+            let flow = query(i, &mut |_| {
+                seen += 1;
+                ControlFlow::Break(())
+            });
+            assert!(flow.is_break(), "query {i} passes the break on");
+            assert_eq!(seen, 1, "query {i}");
+        }
     }
 
     fn assorted_filters() -> Vec<Filter> {
@@ -1852,7 +1897,7 @@ mod tests {
         let (table, ix) = build(assorted_filters());
         for q in assorted_filters() {
             assert_eq!(
-                ix.overlapping(&q),
+                keys(|v| ix.overlapping(&q, v)),
                 linear_overlapping(&table, &q),
                 "query {q}"
             );
@@ -1863,9 +1908,13 @@ mod tests {
     fn covering_agrees_with_linear_scan() {
         let (table, ix) = build(assorted_filters());
         for q in assorted_filters() {
-            assert_eq!(ix.covering(&q), linear_covering(&table, &q), "query {q}");
             assert_eq!(
-                ix.covered_by(&q),
+                keys(|v| ix.covering(&q, v)),
+                linear_covering(&table, &q),
+                "query {q}"
+            );
+            assert_eq!(
+                keys(|v| ix.covered_by(&q, v)),
                 linear_covered_by(&table, &q),
                 "query {q}"
             );
@@ -1903,14 +1952,18 @@ mod tests {
             Filter::builder().any("x").build(),
         ];
         for q in queries {
-            assert_eq!(ix.covering(&q), linear_covering(&table, &q), "query {q}");
             assert_eq!(
-                ix.covered_by(&q),
+                keys(|v| ix.covering(&q, v)),
+                linear_covering(&table, &q),
+                "query {q}"
+            );
+            assert_eq!(
+                keys(|v| ix.covered_by(&q, v)),
                 linear_covered_by(&table, &q),
                 "query {q}"
             );
             assert_eq!(
-                ix.overlapping(&q),
+                keys(|v| ix.overlapping(&q, v)),
                 linear_overlapping(&table, &q),
                 "query {q}"
             );
@@ -1940,9 +1993,12 @@ mod tests {
             assert_eq!(ix.matching(&p), linear_matching(&table, &p));
         }
         for q in filters.iter() {
-            assert_eq!(ix.overlapping(q), linear_overlapping(&table, q));
-            assert_eq!(ix.covering(q), linear_covering(&table, q));
-            assert_eq!(ix.covered_by(q), linear_covered_by(&table, q));
+            assert_eq!(
+                keys(|v| ix.overlapping(q, v)),
+                linear_overlapping(&table, q)
+            );
+            assert_eq!(keys(|v| ix.covering(q, v)), linear_covering(&table, q));
+            assert_eq!(keys(|v| ix.covered_by(q, v)), linear_covered_by(&table, q));
         }
     }
 
@@ -2007,9 +2063,9 @@ mod tests {
             &Filter::builder().ge("price", 0).le("price", 50).build(),
         );
         let q = Filter::builder().ge("price", 40).eq("sym", "A").build();
-        assert_eq!(ix.overlapping(&q), vec![1]);
+        assert_eq!(keys(|v| ix.overlapping(&q, v)), vec![1]);
         let disjoint = Filter::builder().gt("price", 60).build();
-        assert!(ix.overlapping(&disjoint).is_empty());
+        assert!(keys(|v| ix.overlapping(&disjoint, v)).is_empty());
     }
 
     #[test]
@@ -2042,7 +2098,8 @@ mod tests {
         let (table, ix) = build(assorted_filters());
         let batch = probes();
         let refs: Vec<&Publication> = batch.iter().collect();
-        let got = ix.fold_matching(
+        let got = fold_each(
+            &ix,
             &refs,
             BTreeMap::new,
             |seen, k| *seen.entry(k).or_insert(0usize) += 1,
@@ -2064,7 +2121,8 @@ mod tests {
     /// reported, which it is as soon as it is asked: `step` asserts it
     /// never runs after that.
     fn fold_until_first_asked(ix: &MatchIndex<u32>, pubs: &[Publication]) -> Vec<(Vec<u32>, bool)> {
-        ix.fold_matching(
+        fold_each(
+            ix,
             pubs,
             || (Vec::new(), false),
             |(keys, said), k| {
@@ -2123,7 +2181,8 @@ mod tests {
         let p = Publication::new().with("x", 5);
         let (_, ix) = build(vec![everything(), everything()]);
         let asked = std::cell::Cell::new(0);
-        let got = ix.fold_matching(
+        let got = fold_each(
+            &ix,
             std::slice::from_ref(&p),
             Vec::new,
             |keys: &mut Vec<u32>, k| keys.push(k),
@@ -2164,7 +2223,8 @@ mod tests {
                 .collect(),
         );
         let (stepped, asked) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
-        let got = ix.fold_matching(
+        let got = fold_each(
+            &ix,
             std::slice::from_ref(&p),
             || (),
             |_, _| stepped.set(stepped.get() + 1),
@@ -2275,8 +2335,8 @@ mod tests {
             assert_eq!(got[i], linear_matching(&table, p), "probe {i} ({p})");
         }
         for q in filters.iter() {
-            assert_eq!(ix.covering(q), linear_covering(&table, q));
-            assert_eq!(ix.covered_by(q), linear_covered_by(&table, q));
+            assert_eq!(keys(|v| ix.covering(q, v)), linear_covering(&table, q));
+            assert_eq!(keys(|v| ix.covered_by(q, v)), linear_covered_by(&table, q));
         }
     }
 
@@ -2415,7 +2475,7 @@ mod tests {
 
         // The first containment query derives them from the records...
         let q = Filter::builder().ge("x", 15).le("x", 18).build();
-        assert_eq!(ix.covering(&q), linear_covering(&table, &q));
+        assert_eq!(keys(|v| ix.covering(&q, v)), linear_covering(&table, &q));
         let maps = ix.attrs["x"].ends.get().expect("built by the query");
         assert_eq!(maps.by_lo.values().map(Vec::len).sum::<usize>(), 50);
         // ...and every write from then on keeps them.
@@ -2424,14 +2484,18 @@ mod tests {
         assert!(ix.remove(&8));
         table.remove(&8);
         for q in [q, band(12), Filter::builder().ge("x", 30).build()] {
-            assert_eq!(ix.covering(&q), linear_covering(&table, &q), "query {q}");
             assert_eq!(
-                ix.covered_by(&q),
+                keys(|v| ix.covering(&q, v)),
+                linear_covering(&table, &q),
+                "query {q}"
+            );
+            assert_eq!(
+                keys(|v| ix.covered_by(&q, v)),
                 linear_covered_by(&table, &q),
                 "query {q}"
             );
             assert_eq!(
-                ix.overlapping(&q),
+                keys(|v| ix.overlapping(&q, v)),
                 linear_overlapping(&table, &q),
                 "query {q}"
             );

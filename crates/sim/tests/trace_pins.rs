@@ -123,6 +123,30 @@ fn covering_ping_pong_trace_is_pinned() {
     );
 }
 
+/// Sec. 4.4's cost claim (DESIGN.md §16): a committed reconfiguration
+/// movement exchanges four messages a hop of its route (`negotiate`
+/// and `ack` routed, `reconfigure` and `state` hop by hop), whatever
+/// the tables hold.
+#[test]
+fn a_reconfig_movement_costs_four_messages_a_hop() {
+    let sim = ping_pong(ProtocolKind::Reconfig);
+    let mut committed = 0;
+    for (m, rec) in sim.metrics.finished_moves() {
+        assert_eq!(rec.committed, Some(true), "{m:?} aborted");
+        let route = (sim.topology().route(rec.source, rec.target))
+            .expect("both ends of a movement are in the overlay");
+        assert_eq!(
+            rec.messages,
+            4 * route.hops() as u64,
+            "{m:?} from {:?} to {:?}",
+            rec.source,
+            rec.target
+        );
+        committed += 1;
+    }
+    assert_eq!(committed, 398);
+}
+
 /// The honest negative: a target never retires its record. Nothing
 /// removes a target record in Commit or Abort unless its source dies,
 /// so at the end of the ping-pong every broker holds one record per

@@ -20,7 +20,8 @@
 #      (index_differential), the log-replay equivalence of a broker
 #      (replay_equivalence: live batches against one-at-a-time replay)
 #      and the Sim's event-queue differential
-#      (transmob-sim's queue::tests) at the same case count, the schedule explorer on
+#      (transmob-sim's queue::tests) at the same case count, the release
+#      allocation budgets of a broker step (step_allocations), the schedule explorer on
 #      chain(4) under one crash, the TCP churn test 20 times over, and
 #      one release run of `figures all` and `figures ablations`;
 #      skipped under CI_FAST=1
@@ -78,6 +79,9 @@ else
         cargo test -p transmob-core --test replay_equivalence -q
     CHAOS_CASES="${CHAOS_CASES:-32}" \
         cargo test -p transmob-sim --lib -q queue::
+    # The allocation budgets of a broker step in release, the build
+    # whose counts CHANGES.md quotes (tier 1 runs the debug budgets).
+    cargo test --release -p transmob-sim --test step_allocations -q
     # The schedule explorer's wider alphabet (chain(4), one crash).
     cargo test -p transmob-sim --test explore -q -- --ignored
     # The wall-clock churn test over real sockets, repeated: a detector
